@@ -21,6 +21,7 @@ from pathlib import Path
 
 from repro import TemporalXMLDatabase
 from repro.bench import Table
+from repro.storage import TemporalDocumentStore
 from repro.storage.cas import CASObjectStore, collect_garbage, storage_size
 from repro.storage.persistence import (
     archive_bytes,
@@ -44,6 +45,10 @@ def _build_history():
     return db.store
 
 
+def _target_store():
+    return TemporalDocumentStore(snapshot_interval=SNAPSHOT_INTERVAL)
+
+
 def _time_cold_open(opener):
     best = float("inf")
     for _ in range(OPEN_REPEATS):
@@ -62,9 +67,7 @@ def test_storage_backends(tmp_path, benchmark, emit, storage_report):
     dump_store(store, xml_path)
     xml_bytes = xml_path.stat().st_size
     xml_seconds, xml_loaded = _time_cold_open(
-        lambda: load_store(
-            xml_path, snapshot_interval=SNAPSHOT_INTERVAL
-        )
+        lambda: load_store(xml_path, store=_target_store())
     )
 
     # -- cas: chunked object store, checkpointed twice + GC --------------------
@@ -80,9 +83,7 @@ def test_storage_backends(tmp_path, benchmark, emit, storage_report):
     gc_report = collect_garbage(cas_dir, objstore=objstore)
     cas_bytes = storage_size(cas_dir)
     cas_seconds, cas_loaded = _time_cold_open(
-        lambda: load_store(
-            cas_dir, snapshot_interval=SNAPSHOT_INTERVAL, format="cas"
-        )
+        lambda: load_store(cas_dir, store=_target_store(), format="cas")
     )
 
     # Both backends reproduce the store byte-for-byte.
@@ -134,7 +135,5 @@ def test_storage_backends(tmp_path, benchmark, emit, storage_report):
 
     # pytest-benchmark series: the CAS cold open.
     benchmark(
-        lambda: load_store(
-            cas_dir, snapshot_interval=SNAPSHOT_INTERVAL, format="cas"
-        )
+        lambda: load_store(cas_dir, store=_target_store(), format="cas")
     )

@@ -26,7 +26,7 @@ def price_periods(db, name):
     version's validity interval, which is exactly what Coalesce merges.
     """
     from repro.query.parser import parse_query
-    from repro.query.planner import bind_from_item
+    from repro.query.planner import bind_planned
     from repro.query.values import SnapshotCache
 
     engine = db.engine
@@ -35,7 +35,10 @@ def price_periods(db, name):
         f'WHERE R/name = "{name}"'
     )
     engine.active_cache = SnapshotCache(engine.store)
-    bindings = bind_from_item(engine, query.from_items[0], query.where)
+    bindings = bind_planned(
+        engine,
+        engine.optimizer.plan_from_item(query.from_items[0], query.where),
+    )
     rows = [
         {
             "price": binding.select("price")[0].node.text_content(),

@@ -20,7 +20,7 @@ Lower-level pieces stay reachable (``db.store``, ``db.fti``,
 
 from __future__ import annotations
 
-from .clock import LogicalClock, parse_date
+from .clock import parse_date
 from .index.fti import TemporalFullTextIndex
 from .index.lifetime import LifetimeIndex
 from .query.executor import QueryEngine, QueryOptions
@@ -50,29 +50,29 @@ class TemporalXMLDatabase:
         self,
         clock=None,
         snapshot_interval=None,
-        clustered=True,
         options=None,
         cache_size=0,
         snapshot_policy=None,
         reconstruct_policy="cost",
         disk=None,
     ):
-        """``snapshot_interval`` materializes a full snapshot every k-th
-        version of each document; ``clustered`` controls simulated disk
-        placement of deltas (Section 7.2's clustering discussion);
+        """The one place tuning is named; :meth:`load` and :meth:`open`
+        take the same keywords and pass them here.  ``snapshot_interval``
+        materializes a full snapshot every k-th version of each document;
         ``options`` are :class:`~repro.query.executor.QueryOptions`;
         ``cache_size`` enables the reconstruction version cache;
         ``snapshot_policy`` (e.g.
         :class:`~repro.storage.snapshots.AdaptiveSnapshotPolicy`) and
         ``reconstruct_policy`` (``"cost"``/``"backward"``/``"forward"``)
         tune reconstruction — see ``docs/PERFORMANCE.md``.  ``disk``
-        replaces the default :class:`~repro.storage.page.DiskSimulator`
-        (e.g. one with ``latency_scale`` set, for the serving benchmarks)."""
+        replaces the default clustered
+        :class:`~repro.storage.page.DiskSimulator` (e.g. an unclustered
+        one for Section 7.2's placement comparison, or one with
+        ``latency_scale`` set for the serving benchmarks)."""
         self.store = TemporalDocumentStore(
-            clock=clock if clock is not None else LogicalClock(),
+            clock=clock,
             disk=disk,
             snapshot_interval=snapshot_interval,
-            clustered=clustered,
             cache_size=cache_size,
             snapshot_policy=snapshot_policy,
             reconstruct_policy=reconstruct_policy,
@@ -140,34 +140,18 @@ class TemporalXMLDatabase:
         dump_store(self.store, path, format=storage)
 
     @classmethod
-    def load(cls, path, snapshot_interval=None, clustered=True,
-             options=None, cache_size=0, snapshot_policy=None,
-             reconstruct_policy="cost", storage="xml"):
-        """Restore a database from :meth:`save`'s archive.
+    def load(cls, path, storage="xml", **tuning):
+        """Restore a database from :meth:`save`'s archive; ``tuning`` is
+        any keyword the constructor takes.
 
         Indexes (FTI, lifetime) are rebuilt by replaying the stored commit
         history through the usual observers, so query behaviour after a
         load is identical to before the save."""
-        from .index.fti import TemporalFullTextIndex
-        from .index.lifetime import LifetimeIndex
         from .storage.persistence import load_store, replay_history
 
-        db = cls.__new__(cls)
-        db.store = load_store(
-            path, snapshot_interval=snapshot_interval, clustered=clustered,
-            cache_size=cache_size, snapshot_policy=snapshot_policy,
-            reconstruct_policy=reconstruct_policy, format=storage,
-        )
-        db.fti = TemporalFullTextIndex()
-        db.lifetime = LifetimeIndex()
+        db = cls(**tuning)
+        load_store(path, store=db.store, format=storage)
         replay_history(db.store, [db.fti, db.lifetime])
-        db.store.subscribe(db.fti)
-        db.store.subscribe(db.lifetime)
-        if options is None:
-            options = QueryOptions(lifetime_strategy="auto")
-        db.engine = QueryEngine(
-            db.store, fti=db.fti, lifetime=db.lifetime, options=options
-        )
         return db
 
     # -- durable databases -------------------------------------------------------------
@@ -177,22 +161,21 @@ class TemporalXMLDatabase:
         cls,
         directory,
         durability="journal",
-        snapshot_interval=None,
-        clustered=True,
-        options=None,
-        cache_size=0,
         fs=None,
         storage=None,
+        **tuning,
     ):
-        """Open (creating or recovering) a crash-safe database directory.
+        """Open (creating or recovering) a crash-safe database directory;
+        ``tuning`` is any keyword the constructor takes.
 
         The directory holds an atomic checkpoint (``checkpoint.xml``, or a
         content-addressed object store under ``objects/`` with a
         ``checkpoint.cas`` pointer) plus an append-only commit journal
         (``journal.bin``); opening always runs recovery — loads the newest
         valid checkpoint, replays the journal tail through the index
-        observers, truncates a torn tail — and then attaches the journal
-        so every commit is logged.  The
+        observers, truncates a torn tail (unless ``durability="none"``,
+        which appends nothing and so leaves the journal file alone) — and
+        then attaches the journal so every commit is logged.  The
         :class:`~repro.storage.recover.RecoveryReport` is left on
         ``db.recovery``.
 
@@ -214,8 +197,6 @@ class TemporalXMLDatabase:
         import os
 
         from .errors import StorageError
-        from .index.fti import TemporalFullTextIndex
-        from .index.lifetime import LifetimeIndex
         from .storage.checkpoint import JOURNAL_FILE, Checkpointer
         from .storage.faults import REAL_FS
         from .storage.journal import CommitJournal
@@ -231,26 +212,17 @@ class TemporalXMLDatabase:
                 f"unknown storage backend {storage!r}; "
                 f"expected one of {STORAGE_BACKENDS}"
             )
+        db = cls(**tuning)
         os.makedirs(directory, exist_ok=True)
         if fs is None:
             fs = REAL_FS
-        db = cls.__new__(cls)
-        db.fti = TemporalFullTextIndex()
-        db.lifetime = LifetimeIndex()
-        db.store, db.recovery = recover_store(
+        _, db.recovery = recover_store(
             directory,
+            store=db.store,
             observers=[db.fti, db.lifetime],
-            snapshot_interval=snapshot_interval,
-            clustered=clustered,
-            cache_size=cache_size,
             fs=fs,
-        )
-        db.store.subscribe(db.fti)
-        db.store.subscribe(db.lifetime)
-        if options is None:
-            options = QueryOptions(lifetime_strategy="auto")
-        db.engine = QueryEngine(
-            db.store, fti=db.fti, lifetime=db.lifetime, options=options
+            # Only a journal reopened for append needs its torn tail cut.
+            repair=durability != "none",
         )
         db.data_dir = str(directory)
         db.durability = durability

@@ -7,7 +7,7 @@ bytes, per-commit update work, and per-query scan work).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -160,14 +160,3 @@ class JoinStats:
         self.candidates_scanned = 0
         self.intervals_pruned = 0
         self.matches_emitted = 0
-
-
-@dataclass
-class StatsRegion:
-    """Difference of two stats dicts over a measured region."""
-
-    before: dict = field(default_factory=dict)
-    after: dict = field(default_factory=dict)
-
-    def diff(self):
-        return {k: self.after[k] - self.before.get(k, 0) for k in self.after}

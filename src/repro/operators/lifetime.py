@@ -202,11 +202,6 @@ def script_deletes(script, xid):
     return False
 
 
-# Backwards-compatible aliases (pre-PR5 private names).
-_script_creates = script_creates
-_script_deletes = script_deletes
-
-
 def _payload_contains(payload, xid):
     if isinstance(payload, Element):
         return any(node.xid == xid for node in payload.iter())

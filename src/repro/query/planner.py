@@ -40,20 +40,6 @@ from .ast import EVERY, BinOp, Literal, VarPath
 from .values import BoundElement
 
 
-def bind_from_item(engine, item, where, window=None):
-    """Produce the :class:`BoundElement` bindings for a FROM item.
-
-    ``window`` is an optional rewriter-derived
-    :class:`~repro.query.rewriter.TimeWindow` restricting which versions an
-    EVERY binding may produce (snapshot bindings ignore it — their single
-    version is re-checked by the WHERE clause anyway).  Equivalent to
-    planning with the engine's optimizer and handing the plan to
-    :func:`bind_planned`.
-    """
-    plan = engine.optimizer.plan_from_item(item, where, window=window)
-    return bind_planned(engine, plan)
-
-
 def bind_planned(engine, plan):
     """Execute one FROM-item plan: a traced, lazy binding iterator."""
     if plan.strategy == "empty" or not plan.doc_ids:

@@ -45,10 +45,9 @@ from .session import SessionManager
 class Replica:
     """A read replica of a leader's durable database directory."""
 
-    def __init__(self, directory, fs=None, cache_size=0, options=None):
+    def __init__(self, directory, fs=None, options=None):
         self.directory = str(directory)
         self._fs = fs if fs is not None else REAL_FS
-        self._cache_size = cache_size
         self._options = options
         self._catch_up_lock = threading.Lock()
         self.records_applied = 0
@@ -83,7 +82,6 @@ class Replica:
         self.store, self.recovery = recover_store(
             self.directory,
             observers=[self.fti, self.lifetime],
-            cache_size=self._cache_size,
             fs=self._fs,
             repair=False,
         )

@@ -49,7 +49,6 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from ..clock import LogicalClock
 from ..errors import CorruptArchiveError, StorageError
 from .binfmt import (
     Reader,
@@ -63,7 +62,6 @@ from .binfmt import (
 )
 from .chunking import DEFAULT_PARAMS, chunk_spans
 from .faults import REAL_FS
-from .store import TemporalDocumentStore
 
 #: The checkpoint pointer file (the CAS analogue of ``checkpoint.xml``).
 CAS_POINTER_FILE = "checkpoint.cas"
@@ -434,23 +432,20 @@ def resolve_pointer_path(source, fs=None):
     return os.path.join(source, CAS_POINTER_FILE), source
 
 
-def read_checkpoint(
-    source,
-    fs=None,
-    snapshot_interval=None,
-    clustered=True,
-    cache_size=0,
-    snapshot_policy=None,
-    reconstruct_policy="cost",
-    objstore=None,
-):
-    """Rebuild a :class:`TemporalDocumentStore` from a CAS checkpoint.
+def read_checkpoint(source, store=None, fs=None, objstore=None):
+    """Restore a CAS checkpoint into ``store`` (see
+    :func:`~repro.storage.persistence.load_store`), which is returned.
 
     ``source`` is the database directory or an explicit pointer file
     (e.g. ``checkpoint.cas.prev`` during recovery fallback).  Every
-    object on the path is CRC-verified; corruption raises
-    :class:`CorruptArchiveError` naming the object hash.
+    object on the path is CRC-verified and every document decoded before
+    the first one is installed; corruption raises
+    :class:`CorruptArchiveError` naming the object hash and leaves
+    ``store`` untouched.
     """
+    from .persistence import build_record, empty_store, install_records
+
+    store = empty_store(store)
     fs = fs if fs is not None else REAL_FS
     pointer, directory = resolve_pointer_path(source, fs=fs)
     if objstore is None:
@@ -463,16 +458,7 @@ def read_checkpoint(
             f"unsupported CAS checkpoint format {version}", path=pointer
         )
     clock_now = r.u()
-    store = TemporalDocumentStore(
-        clock=LogicalClock(start=clock_now),
-        snapshot_interval=snapshot_interval,
-        clustered=clustered,
-        cache_size=cache_size,
-        snapshot_policy=snapshot_policy,
-        reconstruct_policy=reconstruct_policy,
-    )
-    from .persistence import install_document
-
+    records = []
     for _ in range(r.u()):
         doc_hash = r.blob().hex()
         meta = _decode_document_meta(objstore.get(doc_hash), doc_hash)
@@ -482,18 +468,19 @@ def read_checkpoint(
                 _STREAM_KINDS, meta["manifests"]
             )
         }
-        install_document(
-            store,
-            doc_id=meta["doc_id"],
-            name=meta["name"],
-            nextxid=meta["nextxid"],
-            deleted_at=meta["deleted_at"],
-            entries=meta["entries"],
-            deltas=decode_delta_stream(streams["deltas"]),
-            snapshots=decode_snapshot_stream(streams["snapshots"]),
-            current_root=decode_current_stream(streams["current"]),
+        records.append(
+            build_record(
+                doc_id=meta["doc_id"],
+                name=meta["name"],
+                nextxid=meta["nextxid"],
+                deleted_at=meta["deleted_at"],
+                entries=meta["entries"],
+                deltas=decode_delta_stream(streams["deltas"]),
+                snapshots=decode_snapshot_stream(streams["snapshots"]),
+                current_root=decode_current_stream(streams["current"]),
+            )
         )
-    return store
+    return install_records(store, clock_now, records)
 
 
 def _decode_document_meta(data, doc_hash):

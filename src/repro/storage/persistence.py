@@ -7,8 +7,9 @@ index metadata, and the XID allocator state.  This module round-trips all
 of it:
 
 * :func:`dump_store` writes the archive (`<temporalstore>` document),
-* :func:`load_store` reads it back into a fresh store with identical
-  document ids, XIDs, timestamps, and version content,
+* :func:`load_store` reads it back into an empty store (the caller's, or
+  a default one) with identical document ids, XIDs, timestamps, and
+  version content,
 * :func:`replay_history` re-fires the commit event stream from the stored
   deltas, which is how indexes (FTI, lifetime, document-time) are rebuilt
   after loading — the same observers that maintained them online.
@@ -37,6 +38,7 @@ from __future__ import annotations
 import os
 import re
 import zlib
+from dataclasses import replace
 
 from ..clock import LogicalClock
 from ..diff.apply import apply_script
@@ -48,6 +50,7 @@ from ..xmlcore.parser import parse
 from ..xmlcore.serializer import serialize
 from .deltaindex import VersionEntry
 from .faults import REAL_FS
+from .repository import DocumentRecord
 from .store import CommitEvent, TemporalDocumentStore
 
 FORMAT_VERSION = "1"
@@ -144,24 +147,30 @@ def dump_store(store, path=None, fs=None, format="xml"):
     return archive
 
 
-def load_store(
-    source,
-    snapshot_interval=None,
-    clustered=True,
-    cache_size=0,
-    verify=True,
-    fs=None,
-    snapshot_policy=None,
-    reconstruct_policy="cost",
-    format="xml",
-):
-    """Rebuild a store from an archive (a path, XML text, or Element).
+def empty_store(store=None):
+    """The store a loader restores into: the caller's, which must hold no
+    documents yet, or a default one."""
+    if store is None:
+        return TemporalDocumentStore()
+    if store.repository.records():
+        raise StorageError(
+            "cannot restore into a store that already holds documents"
+        )
+    return store
 
-    Document ids, XIDs, version numbers, timestamps, and content are
-    restored exactly.  ``verify`` (default) checks the whole-file CRC
-    footer and the per-document ``checksum`` attributes when present;
-    archives written before checksums existed still load.  With
-    ``format="cas"``, ``source`` is a CAS checkpoint directory (or
+
+def load_store(source, store=None, verify=True, fs=None, format="xml"):
+    """Restore an archive (a path, XML text, or Element) into ``store``.
+
+    ``store`` is an empty :class:`TemporalDocumentStore` the caller built
+    with whatever tuning it wants (default: a default-configured one); it
+    is returned.  Document ids, XIDs, version numbers, timestamps, content
+    and the clock are restored exactly.  The whole archive is decoded and
+    verified before the first document is installed, so a load that raises
+    leaves ``store`` untouched.  ``verify`` (default) checks the
+    whole-file CRC footer and the per-document ``checksum`` attributes
+    when present; archives written before checksums existed still load.
+    With ``format="cas"``, ``source`` is a CAS checkpoint directory (or
     pointer file) and every object is hash-verified on the way in.
     Indexes are *not* rebuilt here — attach observers and call
     :func:`replay_history` (or use
@@ -169,31 +178,17 @@ def load_store(
     if format == "cas":
         from .cas import read_checkpoint
 
-        return read_checkpoint(
-            source,
-            fs=fs,
-            snapshot_interval=snapshot_interval,
-            clustered=clustered,
-            cache_size=cache_size,
-            snapshot_policy=snapshot_policy,
-            reconstruct_policy=reconstruct_policy,
-        )
+        return read_checkpoint(source, store=store, fs=fs)
     if format != "xml":
         raise StorageError(f"unknown storage format {format!r}")
+    store = empty_store(store)
     archive, path = _as_archive(source, verify=verify, fs=fs)
     if archive.get("format") != FORMAT_VERSION:
         raise StorageError(
             f"unsupported archive format {archive.get('format')!r}"
         )
     clock_now = _int_field(archive, "clock", "archive clock", path, default=0)
-    store = TemporalDocumentStore(
-        clock=LogicalClock(start=clock_now),
-        snapshot_interval=snapshot_interval,
-        clustered=clustered,
-        cache_size=cache_size,
-        snapshot_policy=snapshot_policy,
-        reconstruct_policy=reconstruct_policy,
-    )
+    records = []
     for doc in archive.child_elements():
         if doc.tag != "document":
             raise StorageError(f"unexpected archive element <{doc.tag}>")
@@ -206,12 +201,33 @@ def load_store(
                     f"(stored {stored_crc}, computed {actual:08x})",
                     path=path,
                 )
-        _load_document(store, doc, path)
+        records.append(_decode_document(doc, path))
+    return install_records(store, clock_now, records)
+
+
+def install_records(store, clock_now, records):
+    """Install a checkpoint's :func:`build_record` results into the empty
+    ``store`` and set its clock to the archived instant.
+
+    Shared by the XML-archive and CAS loaders.  Both have decoded and
+    verified the whole checkpoint by the time they call this, and the one
+    check left (duplicate ids) runs before the store is touched.
+    """
+    seen = set()
+    for record in records:
+        if record.doc_id in seen:
+            raise StorageError(
+                f"duplicate document id {record.doc_id} in archive"
+            )
+        seen.add(record.doc_id)
+    store.clock = LogicalClock(start=clock_now)
+    for record in records:
+        _place_record(store.disk, record)
+        store.adopt(record)
     return store
 
 
-def install_document(
-    store,
+def build_record(
     *,
     doc_id,
     name,
@@ -222,24 +238,11 @@ def install_document(
     snapshots,
     current_root,
 ):
-    """Install one fully decoded document into a freshly loaded store.
-
-    Shared by the XML-archive and CAS loaders: both decode a document to
-    the same pieces (identity, version index ``(number, timestamp)``
-    pairs, delta scripts, snapshot trees, current tree) and this function
-    does the store-side installation — record wiring, XID allocator
-    state, simulated extent allocation for the cost model, and name/id
-    bookkeeping.  Returns the installed record.
-    """
-    repository = store.repository
-    record = repository.create(name)
-    # create() assigned a sequential id; restore the archived one.
-    del repository._records[record.doc_id]
-    record.doc_id = doc_id
-    if doc_id in repository._records:
-        raise StorageError(f"duplicate document id {doc_id} in archive")
-    repository._records[doc_id] = record
-    record.allocator = XIDAllocator(nextxid)
+    """One decoded document (identity, version index ``(number,
+    timestamp)`` pairs, delta scripts, snapshot trees, current tree) as a
+    :class:`DocumentRecord` that no store knows about yet; raises
+    :class:`StorageError` when the pieces do not fit together."""
+    record = DocumentRecord(doc_id, name, allocator=XIDAllocator(nextxid))
     for number, timestamp in entries:
         record.dindex.append(VersionEntry(number, timestamp))
     if current_root is None:
@@ -250,38 +253,40 @@ def install_document(
         raise StorageError(
             f"archive document {name!r} has an incomplete delta chain"
         )
-    if deleted_at is not None:
-        record.dindex.deleted_at = deleted_at
-
-    # Install content and allocate simulated extents for the cost model.
-    disk = repository.disk
-    current_bytes = len(serialize(current_root))
-    current_extent = disk.allocate(
-        current_bytes, cluster_key=("current", record.doc_id)
-    )
+    record.dindex.deleted_at = deleted_at
     record.set_current(
-        record.dindex.current_number, current_root, current_extent,
-        current_bytes,
+        record.dindex.current_number, current_root, None,
+        len(serialize(current_root)),
     )
-    for number, script in sorted(deltas.items()):
-        entry = record.dindex.entry(number)
+    for number, script in deltas.items():
         record.dindex.record_delta_bytes(number, script.size_bytes())
+        record.deltas[number] = script
+    for number, tree in snapshots.items():
+        record.dindex.entry(number).snapshot_bytes = len(serialize(tree))
+        record.dindex.register_snapshot(number)
+        record.snapshots[number] = tree
+    return record
+
+
+def _place_record(disk, record):
+    """Allocate the simulated extents the cost model reads ``record``
+    through: current version, then deltas, then snapshots."""
+    record.current = replace(
+        record.current,
+        extent=disk.allocate(
+            record.current_bytes, cluster_key=("current", record.doc_id)
+        ),
+    )
+    for number in sorted(record.deltas):
+        entry = record.dindex.entry(number)
         entry.delta_extent = disk.allocate(
             entry.delta_bytes, cluster_key=("deltas", record.doc_id)
         )
-        record.deltas[number] = script
-    for number, tree in sorted(snapshots.items()):
+    for number in sorted(record.snapshots):
         entry = record.dindex.entry(number)
-        entry.snapshot_bytes = len(serialize(tree))
         entry.snapshot_extent = disk.allocate(
             entry.snapshot_bytes, cluster_key=("snapshots", record.doc_id)
         )
-        record.dindex.register_snapshot(number)
-        record.snapshots[number] = tree
-
-    store._by_name[name] = record
-    repository._next_doc_id = max(repository._next_doc_id, doc_id + 1)
-    return record
 
 
 def replay_history(store, observers):
@@ -433,8 +438,8 @@ def _int_field(element, name, what, path, default=None):
         ) from None
 
 
-def _load_document(store, doc, path=None):
-    """Decode one ``<document>`` element and install it into ``store``."""
+def _decode_document(doc, path=None):
+    """Decode one ``<document>`` element to a detached record."""
     name = doc.get("name")
     entries = []
     deltas = {}
@@ -462,8 +467,7 @@ def _load_document(store, doc, path=None):
             raise StorageError(f"unexpected archive element <{child.tag}>")
 
     deleted = doc.get("deleted")
-    return install_document(
-        store,
+    return build_record(
         doc_id=_int_field(doc, "id", "document id", path),
         name=name,
         nextxid=_int_field(doc, "nextxid", f"document {name!r} nextxid", path),

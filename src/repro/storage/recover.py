@@ -1,14 +1,17 @@
 """Crash recovery: newest valid checkpoint + journal tail replay.
 
-:func:`recover_store` rebuilds a :class:`~repro.storage.store.TemporalDocumentStore`
-from a durable database directory (the layout written by
+:func:`recover_store` restores a durable database directory into a
+:class:`~repro.storage.store.TemporalDocumentStore` (the layout written by
 :class:`~repro.storage.checkpoint.Checkpointer` and
 :class:`~repro.storage.journal.CommitJournal`):
 
-1. **Checkpoint.**  Load ``checkpoint.xml``; if it is missing or fails
-   verification (torn write, flipped bit), fall back to
-   ``checkpoint.xml.prev``; with neither, start from an empty store (the
-   journal then carries the full history).
+1. **Checkpoint.**  Try, in order, the CAS pointer generations
+   ``checkpoint.cas`` and ``checkpoint.cas.prev`` (objects under
+   ``objects/``), then the XML archives ``checkpoint.xml`` and
+   ``checkpoint.xml.prev``, and load the first that exists and passes
+   verification; one that fails (torn write, flipped bit) leaves the
+   store untouched.  With none, the store stays empty (the journal then
+   carries the full history).
 2. **Index replay.**  Re-fire the checkpointed commit history through the
    given observers via the existing :func:`~repro.storage.persistence.replay_history`
    path — recovery rebuilds indexes exactly the way a plain load does.
@@ -34,9 +37,9 @@ from ..model.identifiers import XIDAllocator
 from .checkpoint import CHECKPOINT_FILE, JOURNAL_FILE, PREV_SUFFIX
 from .faults import REAL_FS
 from .journal import scan_journal
-from .persistence import load_store, replay_history
+from .persistence import empty_store, load_store, replay_history
 from .repository import DocumentRecord
-from .store import CommitEvent, TemporalDocumentStore
+from .store import CommitEvent
 
 
 @dataclass
@@ -71,19 +74,18 @@ class RecoveryReport:
 
 def recover_store(
     directory,
+    store=None,
     observers=(),
-    snapshot_interval=None,
-    clustered=True,
-    cache_size=0,
     fs=None,
     repair=True,
-    snapshot_policy=None,
-    reconstruct_policy="cost",
     storage=None,
 ):
-    """Recover ``(store, report)`` from a durable database directory.
+    """Recover a durable database directory into ``store``; returns
+    ``(store, report)``.
 
-    ``observers`` (index instances) receive the full recovered commit
+    ``store`` is an empty store built by the caller with whatever tuning
+    it wants (default: a default-configured one).  ``observers`` (index
+    instances) receive the full recovered commit
     history — checkpointed state via :func:`replay_history`, journal tail
     records as they are applied.  ``repair`` physically truncates a torn
     tail off ``journal.bin`` so the journal can be reopened for appends.
@@ -95,6 +97,7 @@ def recover_store(
     """
     from .cas import CAS_POINTER_FILE
 
+    store = empty_store(store)
     fs = fs if fs is not None else REAL_FS
     directory = str(directory)
     checkpoint_path = os.path.join(directory, CHECKPOINT_FILE)
@@ -114,34 +117,16 @@ def recover_store(
             (checkpoint_path + PREV_SUFFIX, "previous", "xml"),
         ]
 
-    store = None
     for path, label, fmt in candidates:
         if not fs.exists(path):
             continue
         try:
-            store = load_store(
-                path,
-                snapshot_interval=snapshot_interval,
-                clustered=clustered,
-                cache_size=cache_size,
-                fs=fs,
-                snapshot_policy=snapshot_policy,
-                reconstruct_policy=reconstruct_policy,
-                format=fmt,
-            )
+            load_store(path, store=store, fs=fs, format=fmt)
             report.checkpoint_source = label
             report.storage = fmt
             break
         except (StorageError, OSError) as exc:
             report.checkpoint_errors.append(f"{label}: {exc}")
-    if store is None:
-        store = TemporalDocumentStore(
-            snapshot_interval=snapshot_interval,
-            clustered=clustered,
-            cache_size=cache_size,
-            snapshot_policy=snapshot_policy,
-            reconstruct_policy=reconstruct_policy,
-        )
     if observers:
         replay_history(store, observers)
 
@@ -190,16 +175,14 @@ def _apply_record(store, rec, observers):
     fired), False when it was already covered by the checkpoint."""
     repository = store.repository
     if rec.kind == "create":
-        if rec.doc_id in repository._records:
+        if repository.find(rec.doc_id) is not None:
             return False
         root = rec.initial_tree()
         doc = DocumentRecord(rec.doc_id, rec.name)
         if rec.nextxid is not None:
             doc.allocator = XIDAllocator(rec.nextxid)
-        repository._records[rec.doc_id] = doc
-        repository._next_doc_id = max(repository._next_doc_id, rec.doc_id + 1)
         repository.commit_initial(doc, root, rec.ts)
-        store._by_name[rec.name] = doc
+        store.adopt(doc)
         _advance_clock(store, rec.ts)
         event = CommitEvent(
             "create", rec.doc_id, rec.name, 1, rec.ts, root=root
@@ -263,7 +246,7 @@ def _apply_record(store, rec, observers):
 
 
 def _known_document(store, rec):
-    doc = store.repository._records.get(rec.doc_id)
+    doc = store.repository.find(rec.doc_id)
     if doc is None:
         raise CorruptArchiveError(
             f"journal references unknown document id {rec.doc_id} "

@@ -42,6 +42,7 @@ from ..xmlcore.serializer import serialize
 from .cache import VersionCache
 from .deltaindex import DeltaIndex, VersionEntry
 from .page import DiskSimulator
+from .snapshots import IntervalSnapshotPolicy, SnapshotPolicy
 
 #: Reconstruction direction policies (see module docstring).
 RECONSTRUCT_POLICIES = ("cost", "backward", "forward")
@@ -191,10 +192,11 @@ class Repository:
         reconstruct_policy="cost",
     ):
         """``snapshot_interval=k`` materializes a full snapshot every k-th
-        version (None disables intermediate snapshots, the paper's base
-        configuration).  ``snapshot_policy`` is a
-        :class:`~repro.storage.snapshots.SnapshotPolicy` consulted after the
-        fixed interval (e.g. the adaptive delta-bytes policy).
+        version: shorthand for ``snapshot_policy=IntervalSnapshotPolicy(k)``,
+        and it wins when both are given.  ``snapshot_policy`` is any
+        :class:`~repro.storage.snapshots.SnapshotPolicy` (e.g. the adaptive
+        delta-bytes policy); with neither there are no intermediate
+        snapshots, the paper's base configuration.
         ``cache_size`` bounds the reconstruction
         :class:`~repro.storage.cache.VersionCache`; 0 (the default) disables
         it.  ``reconstruct_policy`` pins the chain direction: ``"backward"``
@@ -206,7 +208,10 @@ class Repository:
                 f"expected one of {RECONSTRUCT_POLICIES}"
             )
         self.disk = disk if disk is not None else DiskSimulator()
-        self.snapshot_interval = snapshot_interval
+        if snapshot_interval:
+            snapshot_policy = IntervalSnapshotPolicy(snapshot_interval)
+        elif snapshot_policy is None:
+            snapshot_policy = SnapshotPolicy()
         self.snapshot_policy = snapshot_policy
         self.reconstruct_policy = reconstruct_policy
         self.cache = VersionCache(cache_size)
@@ -224,10 +229,20 @@ class Repository:
     # -- record management ------------------------------------------------------
 
     def create(self, name):
-        record = DocumentRecord(self._next_doc_id, name)
+        return self.adopt(DocumentRecord(self._next_doc_id, name))
+
+    def adopt(self, record):
+        """Register ``record`` under the doc id it already carries (an
+        archived or journaled document); :meth:`create` numbers past it."""
+        if record.doc_id in self._records:
+            raise StorageError(f"duplicate document id {record.doc_id}")
         self._records[record.doc_id] = record
-        self._next_doc_id += 1
+        self._next_doc_id = max(self._next_doc_id, record.doc_id + 1)
         return record
+
+    def find(self, doc_id):
+        """The record for ``doc_id``, or ``None`` when there is none."""
+        return self._records.get(doc_id)
 
     def record(self, doc_id):
         try:
@@ -284,16 +299,9 @@ class Repository:
             # deferred to end_group(); evaluating it per-entry in commit
             # order there yields the same placements as deciding here.
             self._group_pending.append((record, entry))
-        elif self._should_snapshot(record, entry):
+        elif self.snapshot_policy.should_snapshot(record, entry):
             self.materialize_snapshot(record, new_number)
         return entry
-
-    def _should_snapshot(self, record, entry):
-        if self.snapshot_interval:
-            return entry.number % self.snapshot_interval == 0
-        if self.snapshot_policy is not None:
-            return self.snapshot_policy.should_snapshot(record, entry)
-        return False
 
     # -- commit groups ------------------------------------------------------------
 
@@ -313,7 +321,7 @@ class Repository:
             raise StorageError("no repository commit group is open")
         pending, self._group_pending = self._group_pending, None
         for record, entry in pending:
-            if self._should_snapshot(record, entry):
+            if self.snapshot_policy.should_snapshot(record, entry):
                 self.materialize_snapshot(record, entry.number)
         return pending
 
@@ -680,19 +688,13 @@ class Repository:
                 snapshots += entry.snapshot_bytes
                 if entry.has_snapshot:
                     snapshot_count += 1
-        if self.snapshot_interval:
-            policy = f"interval({self.snapshot_interval})"
-        elif self.snapshot_policy is not None:
-            policy = self.snapshot_policy.describe()
-        else:
-            policy = "none"
         return {
             "current": current,
             "deltas": deltas,
             "snapshots": snapshots,
             "total": current + deltas + snapshots,
             "snapshot_count": snapshot_count,
-            "snapshot_policy": policy,
+            "snapshot_policy": self.snapshot_policy.describe(),
         }
 
 

@@ -9,9 +9,9 @@ expensive while a quiet document wastes snapshot space it never needs.
 Policies decide, right after each commit, whether the new version should
 also be materialized as a snapshot:
 
-* :class:`IntervalSnapshotPolicy` — the classic fixed ``k`` (equivalent to
-  the ``snapshot_interval`` knob, which remains supported and is what the
-  E7 space-accounting experiments use);
+* :class:`IntervalSnapshotPolicy` — the classic fixed ``k`` (what the
+  ``snapshot_interval=k`` knob resolves to; the E7 space-accounting
+  experiments use it);
 * :class:`AdaptiveSnapshotPolicy` — materialize whenever the delta bytes
   accumulated since the nearest anchor at-or-before the new version exceed
   a threshold.  This bounds the worst-case reconstruction cost (in bytes)
@@ -19,9 +19,9 @@ also be materialized as a snapshot:
   and amortizes snapshot space against actual write volume instead of
   version count.
 
-Policies are consulted by
-:meth:`~repro.storage.repository.Repository.commit_version` after the
-fixed-interval knob, so both can coexist (the interval fires first).
+A :class:`~repro.storage.repository.Repository` holds exactly one policy
+and consults it in ``commit_version`` (or, inside a commit group, at
+``end_group``); ``snapshot_interval`` wins over an explicit policy.
 """
 
 from __future__ import annotations

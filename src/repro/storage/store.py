@@ -181,7 +181,6 @@ class TemporalDocumentStore:
         clock=None,
         disk=None,
         snapshot_interval=None,
-        clustered=True,
         cache_size=0,
         snapshot_policy=None,
         reconstruct_policy="cost",
@@ -189,12 +188,14 @@ class TemporalDocumentStore:
         """``cache_size`` bounds the repository's reconstruction cache
         (:class:`~repro.storage.cache.VersionCache`); the default 0 keeps
         every read path identical to the paper's uncached algorithms.
-        ``snapshot_policy`` (a
+        ``snapshot_interval`` / ``snapshot_policy`` (a
         :class:`~repro.storage.snapshots.SnapshotPolicy`) and
         ``reconstruct_policy`` (``"cost"`` / ``"backward"`` / ``"forward"``)
-        are forwarded to the :class:`~repro.storage.repository.Repository`."""
+        are forwarded to the :class:`~repro.storage.repository.Repository`.
+        Placement is the ``disk``'s business: the default is a clustered
+        :class:`~repro.storage.page.DiskSimulator` (Section 7.2)."""
         if disk is None:
-            disk = DiskSimulator(clustered=clustered)
+            disk = DiskSimulator(clustered=True)
         self.clock = clock if clock is not None else LogicalClock()
         self.repository = Repository(
             disk,
@@ -232,6 +233,14 @@ class TemporalDocumentStore:
         journal.bind(self)
         self.journal = journal
         return self.subscribe(journal)
+
+    def adopt(self, record):
+        """Register a complete ``record`` under the doc id it already
+        carries and publish its name — how archive restore and journal
+        replay bring in documents whose ids were assigned elsewhere."""
+        self.repository.adopt(record)
+        self._by_name[record.name] = record
+        return record
 
     # -- commit paths --------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from repro.storage.persistence import (
     dump_store,
     load_store,
 )
+from repro.storage.store import TemporalDocumentStore
 from repro.workload.tdocgen import TDocGenerator
 
 
@@ -136,14 +137,19 @@ class TestCheckpointRoundTrip:
     def test_byte_identical_reload(self, tmp_path):
         store = seeded_store()
         write_checkpoint(store, tmp_path)
-        loaded = read_checkpoint(tmp_path, snapshot_interval=4)
+        loaded = read_checkpoint(
+            tmp_path, store=TemporalDocumentStore(snapshot_interval=4)
+        )
         assert store_fingerprint(loaded) == store_fingerprint(store)
 
     def test_dump_load_format_param(self, tmp_path):
         store = seeded_store()
         root_hash = dump_store(store, tmp_path, format="cas")
         assert read_pointer(os.path.join(tmp_path, CAS_POINTER_FILE)) == root_hash
-        loaded = load_store(tmp_path, snapshot_interval=4, format="cas")
+        loaded = load_store(
+            tmp_path, store=TemporalDocumentStore(snapshot_interval=4),
+            format="cas",
+        )
         assert store_fingerprint(loaded) == store_fingerprint(store)
 
     def test_unknown_format_rejected(self, tmp_path):
@@ -207,7 +213,9 @@ class TestGarbageCollection:
         report = collect_garbage(tmp_path, objstore=objstore)
         assert report.objects_deleted == 0
         assert object_hashes(tmp_path) == live
-        loaded = read_checkpoint(tmp_path, snapshot_interval=4)
+        loaded = read_checkpoint(
+            tmp_path, store=TemporalDocumentStore(snapshot_interval=4)
+        )
         assert store_fingerprint(loaded) == store_fingerprint(store)
 
     def test_dropping_a_root_removes_exactly_its_orphans(self, tmp_path):
@@ -228,7 +236,9 @@ class TestGarbageCollection:
         assert before - after == orphans
         assert report.objects_deleted == len(orphans)
         # The surviving generation still loads byte-identically.
-        loaded = read_checkpoint(tmp_path, snapshot_interval=4)
+        loaded = read_checkpoint(
+            tmp_path, store=TemporalDocumentStore(snapshot_interval=4)
+        )
         assert store_fingerprint(loaded) == store_fingerprint(store)
 
     def test_gc_refuses_to_sweep_with_corrupt_root(self, tmp_path):

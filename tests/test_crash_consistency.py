@@ -14,7 +14,11 @@ import pytest
 
 from repro import TemporalXMLDatabase
 from repro.errors import CorruptArchiveError
+from repro.storage import TemporalDocumentStore
+from repro.storage.binfmt import Reader
+from repro.storage.cas import CAS_POINTER_FILE, CASObjectStore, read_pointer
 from repro.storage.faults import CrashError, FaultyFS, flip_bit
+from repro.storage.recover import recover_store
 from repro.xmlcore import serialize
 
 A1 = "<doc><x>alpha one</x><y>beta</y></doc>"
@@ -287,6 +291,47 @@ class TestSilentCorruption:
         assert report.checkpoint_source in ("previous", "none")
         assert report.checkpoint_errors
 
+    @pytest.mark.parametrize("storage", ["xml", "cas"])
+    def test_corrupt_last_document_installs_nothing_before_fallback(
+        self, tmp_path, storage
+    ):
+        directory = tmp_path / "db"
+        db = TemporalXMLDatabase.open(
+            directory, durability="fsync", storage=storage
+        )
+        run_workload(db)
+        db.close()
+        expected = commit_history(db.store)
+        # Damage only c.xml, the last document of the newest checkpoint
+        # (it is in neither the .prev generation nor an earlier document),
+        # so a.xml and b.xml decode cleanly before the failure.
+        if storage == "xml":
+            path = directory / "checkpoint.xml"
+            body = path.read_bytes().rpartition(b"\n<!--crc32:")[0]
+            assert body.count(b"pi one") == 1
+            assert body.index(b"pi one") > body.rindex(b"<document ")
+            path.write_bytes(body.replace(b"pi one", b"pi 0ne"))
+        else:
+            objstore = CASObjectStore(directory)
+            root = Reader(objstore.get(read_pointer(
+                str(directory / CAS_POINTER_FILE)
+            )))
+            root.u(), root.u()  # format version, clock
+            doc_hashes = [root.blob().hex() for _ in range(root.u())]
+            flip_bit(objstore.object_path(doc_hashes[-1]), 30)
+
+        store = TemporalDocumentStore(cache_size=2)
+        recovered, report = recover_store(str(directory), store=store)
+        assert recovered is store
+        assert report.checkpoint_source == "previous"
+        assert len(report.checkpoint_errors) == 1
+        # .prev holds a.xml v1-2 and b.xml v1-2; every later commit comes
+        # from the journal — none was pre-installed by the failed load.
+        assert report.records_replayed == 5
+        assert commit_history(store) == expected
+        assert version_contents(store) == version_contents(db.store)
+        assert [r.doc_id for r in store.repository.records()] == [1, 2, 3]
+
     def test_both_checkpoints_corrupt_is_detected(self, tmp_path):
         directory, expected, contents = self._clean_run(tmp_path)
         for name in ("checkpoint.xml", "checkpoint.xml.prev"):
@@ -296,3 +341,29 @@ class TestSilentCorruption:
         # so loudly instead of fabricating a partial store.
         with pytest.raises(CorruptArchiveError):
             TemporalXMLDatabase.open(str(directory), durability="journal")
+
+
+def test_reporting_open_leaves_a_torn_journal_alone(tmp_path):
+    directory = tmp_path / "db"
+    db = TemporalXMLDatabase.open(directory, durability="fsync")
+    db.put("a.xml", A1)
+    db.update("a.xml", A2)
+    db.close()
+    journal = directory / "journal.bin"
+    intact = journal.read_bytes()
+    journal.write_bytes(intact + b"\x00\x00\x01\x00torn")
+    torn = journal.read_bytes()
+
+    # durability="none" appends nothing (it is what `repro stats -d` uses,
+    # possibly beside a live server), so it only reports the tail ...
+    reader = TemporalXMLDatabase.open(directory, durability="none")
+    assert reader.recovery.torn_tail
+    assert reader.recovery.truncated_bytes == len(torn) - len(intact)
+    assert commit_history(reader.store) == commit_history(db.store)
+    assert journal.read_bytes() == torn
+
+    # ... while a journal reopened for append is repaired first.
+    writer = TemporalXMLDatabase.open(directory, durability="journal")
+    writer.close()
+    assert writer.recovery.torn_tail
+    assert journal.read_bytes() == intact

@@ -1,9 +1,13 @@
 """Tests for the TemporalXMLDatabase facade and bench harness utilities."""
 
 
+import pytest
+
 from repro import TemporalXMLDatabase, parse_date
 from repro.bench import CostMeter, Table
 from repro.query import QueryOptions
+from repro.storage.page import DiskSimulator
+from repro.storage.snapshots import AdaptiveSnapshotPolicy
 from repro.workload import load_figure1
 
 from tests.conftest import JAN_26
@@ -49,6 +53,34 @@ class TestFacade:
             db.update("d.xml", f"<a><b>{value}</b></a>")
         entries = db.store.delta_index("d.xml").entries
         assert any(e.has_snapshot for e in entries)
+
+    @pytest.mark.parametrize("how", ["init", "load", "open"])
+    def test_every_entry_point_takes_the_same_tuning(self, how, tmp_path):
+        tuning = dict(
+            snapshot_policy=AdaptiveSnapshotPolicy(400),
+            cache_size=4,
+            reconstruct_policy="backward",
+            disk=DiskSimulator(clustered=False, seed=3),
+            options=QueryOptions(lifetime_strategy="traverse"),
+        )
+        if how == "init":
+            db = TemporalXMLDatabase(**tuning)
+        elif how == "load":
+            saved = TemporalXMLDatabase()
+            load_figure1(saved)
+            saved.save(str(tmp_path / "db.xml"))
+            db = TemporalXMLDatabase.load(str(tmp_path / "db.xml"), **tuning)
+        else:
+            db = TemporalXMLDatabase.open(tmp_path / "state", **tuning)
+        repository = db.store.repository
+        assert repository.snapshot_policy is tuning["snapshot_policy"]
+        assert repository.cache.size == 4
+        assert repository.reconstruct_policy == "backward"
+        assert repository.disk is tuning["disk"]
+        assert db.engine.options is tuning["options"]
+        assert db.engine.store is db.store
+        with pytest.raises(TypeError):
+            TemporalXMLDatabase.open(tmp_path / "other", clustered=False)
 
     def test_now_and_snapshot(self):
         db = TemporalXMLDatabase()

@@ -1,16 +1,20 @@
 """Tests for the store archive: dump, load, replay."""
 
+import inspect
+
 import pytest
 
 from repro import TemporalXMLDatabase
 from repro.clock import parse_date
 from repro.errors import StorageError
 from repro.storage import TemporalDocumentStore
+from repro.storage.cas import read_checkpoint
 from repro.storage.persistence import (
     dump_store,
     load_store,
     replay_history,
 )
+from repro.storage.recover import recover_store
 from repro.index import LifetimeIndex, TemporalFullTextIndex
 from repro.workload import TDocGenerator, build_collection, load_figure1
 from repro.xmlcore import serialize
@@ -95,6 +99,50 @@ class TestRoundTrip:
         assert set(loaded.documents(include_deleted=True)) == set(
             populated.documents(include_deleted=True)
         )
+
+
+class TestRestoreIntoCallerStore:
+    def test_tuning_comes_from_the_store_not_the_loader(self, populated):
+        target = TemporalDocumentStore(snapshot_interval=2, cache_size=4)
+        loaded = load_store(dump_store(populated), store=target)
+        assert loaded is target
+        assert serialize(dump_store(loaded)) == serialize(dump_store(populated))
+        # Commits after the restore follow the caller's policy.
+        loaded.update("guide.com", "<guide><restaurant/></guide>")
+        number = loaded.delta_index("guide.com").current_number
+        assert loaded.delta_index("guide.com").entry(number).has_snapshot == (
+            number % 2 == 0
+        )
+        assert loaded.version_cache.size == 4
+
+    @pytest.mark.parametrize("format", ["xml", "cas"])
+    def test_non_empty_store_refused(self, populated, tmp_path, format):
+        path = tmp_path / "archive"
+        if format == "xml":
+            dump_store(populated, str(path))
+        else:
+            path.mkdir()
+            dump_store(populated, str(path), format="cas")
+        target = TemporalDocumentStore()
+        target.put("mine.xml", "<a/>")
+        with pytest.raises(StorageError, match="already holds documents"):
+            load_store(str(path), store=target, format=format)
+        with pytest.raises(StorageError, match="already holds documents"):
+            recover_store(str(tmp_path), store=target)
+        assert target.documents() == ["mine.xml"]
+
+    def test_loaders_name_no_tuning_knob(self):
+        knobs = {
+            "snapshot_interval", "clustered", "cache_size",
+            "snapshot_policy", "reconstruct_policy",
+        }
+        for loader in (load_store, read_checkpoint, recover_store):
+            parameters = inspect.signature(loader).parameters
+            assert not knobs & set(parameters), loader.__name__
+            assert "store" in parameters
+            assert not any(
+                p.kind is p.VAR_KEYWORD for p in parameters.values()
+            ), loader.__name__
 
 
 class TestReplay:
