@@ -17,8 +17,9 @@ Two sections, one report:
   baseline's Python post-process (bucket by validity overlap, clip open
   intervals at NOW, average per bucket) must reproduce the engine's
   groups exactly.  The report *asserts* the >= 2x row reduction.
-* **equivalence** — the grouped/COALESCE/OVERLAPS query shapes run
-  through all four optimizer x rewriter configurations, byte-identical.
+* **equivalence** — the grouped/COALESCE/OVERLAPS query shapes run four
+  ways (planned or legacy plan shape x with or without the rewriter, via
+  ``planedits``), byte-identical.
 
 Run modes::
 
@@ -46,7 +47,9 @@ from repro.clock import (
     parse_date,
 )
 from repro.equality.value import coerce_scalar
-from repro.query.executor import QueryEngine, QueryOptions
+from repro.query.executor import QueryEngine
+
+from planedits import legacy_shape, rewritten_plan, unrewritten_plan
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = ROOT / "BENCH_temporal.json"
@@ -104,12 +107,8 @@ def _build_history(config):
     return db, last_ts
 
 
-def _engine(db, now, **overrides):
-    overrides.setdefault("lifetime_strategy", "auto")
-    engine = QueryEngine(
-        db.store, fti=db.fti, lifetime=db.lifetime,
-        options=QueryOptions(**overrides),
-    )
+def _engine(db, now):
+    engine = QueryEngine(db.store, fti=db.fti, lifetime=db.lifetime)
     engine.pinned_now = now  # freeze NOW so every run agrees on it
     return engine
 
@@ -220,17 +219,14 @@ def _equivalence_queries(config):
 
 def _equivalence_section(config, db, now):
     queries = _equivalence_queries(config)
+    engine = _engine(db, now)
     mismatches = []
     for query in queries:
         outputs = set()
-        for use_optimizer in (True, False):
-            for use_rewriter in (True, False):
-                engine = _engine(
-                    db, now,
-                    use_optimizer=use_optimizer,
-                    use_rewriter=use_rewriter,
-                )
-                outputs.add(str(engine.execute(query)))
+        for planned in (rewritten_plan, unrewritten_plan):
+            plan = planned(engine, query)
+            outputs.add(str(engine.run(plan)))
+            outputs.add(str(engine.run(legacy_shape(plan))))
         if len(outputs) != 1:
             mismatches.append(query)
     return {
@@ -252,7 +248,7 @@ def build_report(config):
         "description": (
             "Sequenced temporal operators: windowed GROUP BY bucket "
             "aggregation vs fetch-all-then-post-process row counts on a "
-            "long single-document history, plus an optimizer x rewriter "
+            "long single-document history, plus a plan-shape x rewriter "
             "equivalence sweep over the sequenced query shapes."
         ),
         "mode": config["mode"],

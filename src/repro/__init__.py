@@ -29,7 +29,7 @@ from .clock import (
 from .db import TemporalXMLDatabase
 from .errors import TemporalXMLError
 from .model.identifiers import EID, TEID
-from .query import QueryEngine, QueryOptions, ResultSet, parse_query
+from .query import QueryEngine, ResultSet, parse_query
 from .storage import TemporalDocumentStore
 from .xmlcore import Element, Path, Text, element, parse, serialize
 
@@ -39,7 +39,6 @@ __all__ = [
     "TemporalXMLDatabase",
     "TemporalDocumentStore",
     "QueryEngine",
-    "QueryOptions",
     "ResultSet",
     "parse_query",
     "EID",

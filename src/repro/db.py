@@ -23,7 +23,7 @@ from __future__ import annotations
 from .clock import parse_date
 from .index.fti import TemporalFullTextIndex
 from .index.lifetime import LifetimeIndex
-from .query.executor import QueryEngine, QueryOptions
+from .query.executor import QueryEngine
 from .storage.store import TemporalDocumentStore
 
 
@@ -50,7 +50,6 @@ class TemporalXMLDatabase:
         self,
         clock=None,
         snapshot_interval=None,
-        options=None,
         cache_size=0,
         snapshot_policy=None,
         reconstruct_policy="cost",
@@ -59,7 +58,6 @@ class TemporalXMLDatabase:
         """The one place tuning is named; :meth:`load` and :meth:`open`
         take the same keywords and pass them here.  ``snapshot_interval``
         materializes a full snapshot every k-th version of each document;
-        ``options`` are :class:`~repro.query.executor.QueryOptions`;
         ``cache_size`` enables the reconstruction version cache;
         ``snapshot_policy`` (e.g.
         :class:`~repro.storage.snapshots.AdaptiveSnapshotPolicy`) and
@@ -79,10 +77,8 @@ class TemporalXMLDatabase:
         )
         self.fti = self.store.subscribe(TemporalFullTextIndex())
         self.lifetime = self.store.subscribe(LifetimeIndex())
-        if options is None:
-            options = QueryOptions(lifetime_strategy="auto")
         self.engine = QueryEngine(
-            self.store, fti=self.fti, lifetime=self.lifetime, options=options
+            self.store, fti=self.fti, lifetime=self.lifetime
         )
 
     # -- updates ---------------------------------------------------------------

@@ -202,15 +202,11 @@ class _Builder:
                     if self.commit_ts is not None:
                         self._touch_new(new)
                 continue
-            for name in sorted(set(old.attrib) | set(new.attrib)):
-                before = old.attrib.get(name)
-                after = new.attrib.get(name)
-                if before != after:
-                    self.ops.append(
-                        UpdateAttrOp(new.xid, name, before, after)
-                    )
-                    if self.commit_ts is not None:
-                        self._touch_new(new)
+            for name, before, after in _attribute_changes(old.attrib,
+                                                          new.attrib):
+                self.ops.append(UpdateAttrOp(new.xid, name, before, after))
+                if self.commit_ts is not None:
+                    self._touch_new(new)
 
     # -- phase D: surviving-node timestamp changes -------------------------------
 
@@ -240,6 +236,34 @@ class _Builder:
                 new.xid: new for _, new in self.matching.pairs()
             }
         return self._new_by_xid
+
+
+def _attribute_changes(old, new):
+    """``(name, before, after)`` updates turning attribute dict ``old``
+    into ``new`` — values *and order*.
+
+    Applying an update can only set a present attribute in place, drop
+    one, or append one, so the updates keep the longest common prefix of
+    the two name sequences (changing values in place), drop the rest of
+    the old names last-first and append the rest of the new names in
+    order.  The mechanically inverted script (reversed, each update
+    flipped) then rebuilds ``old`` the same way, order included.
+    """
+    old_names = list(old)
+    new_names = list(new)
+    keep = 0
+    while (
+        keep < min(len(old_names), len(new_names))
+        and old_names[keep] == new_names[keep]
+    ):
+        keep += 1
+    for name in old_names[:keep]:
+        if old[name] != new[name]:
+            yield name, old[name], new[name]
+    for name in reversed(old_names[keep:]):
+        yield name, old[name], None
+    for name in new_names[keep:]:
+        yield name, None, new[name]
 
 
 def _iter_subtree(node):

@@ -31,15 +31,13 @@ from .navigation import current_ts, next_ts, previous_ts
 from .reconstruct import Reconstruct
 from .diffop import Diff
 from .relational import (
-    Aggregate,
     Coalesce,
-    CrossJoin,
     Distinct,
-    OrderBy,
+    GroupedAggregate,
+    Join,
     Project,
     Select,
     TemporalJoin,
-    ThetaJoin,
 )
 
 __all__ = [
@@ -57,11 +55,9 @@ __all__ = [
     "Diff",
     "Select",
     "Project",
-    "CrossJoin",
-    "ThetaJoin",
+    "Join",
     "TemporalJoin",
     "Distinct",
-    "OrderBy",
-    "Aggregate",
+    "GroupedAggregate",
     "Coalesce",
 ]

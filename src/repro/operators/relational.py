@@ -5,14 +5,23 @@ traditional operators, for example projection and join") and adds one
 temporal flavour: a join whose condition includes validity-interval overlap.
 
 All operators here are lazy iterators over **rows** — plain dicts mapping
-variable names to values.  Rows produced by the temporal scans carry their
-validity interval under the reserved key ``"__interval__"``.
+variable names to values.  ``QueryEngine.run`` composes every TXQL query
+from them (:class:`Join` → :class:`Select` → :class:`Project`
+[→ :class:`Distinct` | → :class:`Coalesce`] or :class:`GroupedAggregate`);
+:class:`TemporalJoin` is the hand-composable sequenced join the algebra
+tests use as their reference.  Rows that carry a validity interval hold it
+under the reserved key ``"__interval__"``.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 #: Reserved row key holding a :class:`~repro.clock.Interval`.
 INTERVAL_KEY = "__interval__"
+
+#: Aggregate kinds of :class:`GroupedAggregate` / :func:`finish_aggregate`.
+AGGREGATE_KINDS = ("sum", "count", "avg", "min", "max")
 
 
 class Select:
@@ -43,38 +52,49 @@ class Project:
             yield {name: fn(row) for name, fn in self.columns.items()}
 
 
-class CrossJoin:
-    """Cartesian product; the right input is materialized once."""
+class Join:
+    """Product of per-variable binding lists: one ``{variable: binding}``
+    row per combination, in nested-loop order over ``sources``.
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+    ``sources`` maps each variable to its bindings.  The first source
+    *streams* — it is pulled one binding at a time, so a LIMIT above the
+    join stops its scan mid-flight — and the others are materialized once,
+    in ``order`` (a permutation of the non-first variables; default: as
+    given).  The first empty materialized list ends the join before the
+    remaining sources are drained.
 
-    def __iter__(self):
-        right_rows = list(self.right)
-        for left_row in self.left:
-            for right_row in right_rows:
-                merged = dict(left_row)
-                merged.update(right_row)
-                yield merged
+    ``prefilters`` maps a variable to a predicate over the single-variable
+    row ``{variable: binding}``; a binding that fails it never enters the
+    product.  Neither ``order`` nor ``prefilters`` affects row order.
+    """
 
-
-class ThetaJoin:
-    """Nested-loop join with an arbitrary predicate over the merged row."""
-
-    def __init__(self, left, right, predicate):
-        self.left = left
-        self.right = right
-        self.predicate = predicate
+    def __init__(self, sources, prefilters=None, order=None):
+        self.sources = sources
+        self.prefilters = prefilters or {}
+        self.order = order
 
     def __iter__(self):
-        right_rows = list(self.right)
-        for left_row in self.left:
-            for right_row in right_rows:
-                merged = dict(left_row)
-                merged.update(right_row)
-                if self.predicate(merged):
-                    yield merged
+        first, *rest = self.sources
+        lists = {}
+        for variable in rest if self.order is None else self.order:
+            lists[variable] = list(self._accepted(variable))
+            if not lists[variable]:
+                return
+        rest_lists = [lists[variable] for variable in rest]
+        for binding in self._accepted(first):
+            for combination in product(*rest_lists):
+                row = {first: binding}
+                row.update(zip(rest, combination))
+                yield row
+
+    def _accepted(self, variable):
+        accept = self.prefilters.get(variable)
+        if accept is None:
+            return self.sources[variable]
+        return (
+            binding for binding in self.sources[variable]
+            if accept({variable: binding})
+        )
 
 
 class TemporalJoin:
@@ -125,65 +145,6 @@ class Distinct:
             if key not in seen:
                 seen.add(key)
                 yield row
-
-
-class OrderBy:
-    """Sort rows (materializes the input)."""
-
-    def __init__(self, source, key, reverse=False):
-        self.source = source
-        self.key = key
-        self.reverse = reverse
-
-    def __iter__(self):
-        return iter(sorted(self.source, key=self.key, reverse=self.reverse))
-
-
-class Aggregate:
-    """Collapse all rows into one row of aggregate values.
-
-    ``specs`` maps output names to ``(kind, expr)`` where ``kind`` is one of
-    ``sum``/``count``/``avg``/``min``/``max`` and ``expr`` extracts the
-    aggregated value from a row (``None`` for ``count``).
-    """
-
-    _KINDS = ("sum", "count", "avg", "min", "max")
-
-    def __init__(self, source, specs):
-        for name, (kind, _expr) in specs.items():
-            if kind not in self._KINDS:
-                raise ValueError(f"unknown aggregate {kind!r} for {name!r}")
-        self.source = source
-        self.specs = specs
-
-    def __iter__(self):
-        accumulators = {name: [] for name in self.specs}
-        for row in self.source:
-            for name, (kind, expr) in self.specs.items():
-                if kind == "count":
-                    accumulators[name].append(1)
-                else:
-                    value = expr(row)
-                    if value is not None:
-                        accumulators[name].append(value)
-        yield {
-            name: self._finish(kind, accumulators[name])
-            for name, (kind, _expr) in self.specs.items()
-        }
-
-    @staticmethod
-    def _finish(kind, values):
-        if kind == "count":
-            return len(values)
-        if not values:
-            return None
-        if kind == "sum":
-            return sum(values)
-        if kind == "avg":
-            return sum(values) / len(values)
-        if kind == "min":
-            return min(values)
-        return max(values)
 
 
 class Coalesce:
@@ -240,17 +201,20 @@ class Coalesce:
 
 
 class GroupedAggregate:
-    """Group rows and aggregate within each group (GROUP BY).
+    """Group rows and aggregate within each group — the one aggregate
+    operator, for GROUP BY and for global aggregation alike.
 
     ``keys`` maps output column names to callables producing a row's
     grouping value.  A key callable may return a **list** of values —
     temporal bucketing does, one bucket start per calendar bucket the
     row's validity overlaps — in which case the row contributes once per
     value (and, with several multi-valued keys, once per combination).  A
-    row whose key list is empty falls into no group and is dropped.
+    row whose key list is empty falls into no group and is dropped.  With
+    no keys at all every row falls into one global group, which is
+    emitted even over empty input (``COUNT`` = 0, the others ``None``).
 
-    ``specs`` maps output names to ``(kind, expr)`` as in
-    :class:`Aggregate`, except ``expr`` returns the row's *list of
+    ``specs`` maps output names to ``(kind, expr)`` where ``kind`` is one
+    of :data:`AGGREGATE_KINDS` and ``expr`` returns the row's *list of
     contributions* (``count`` counts them, ``sum`` adds them, ...);
     ``None`` contributes ``[1]`` (bare ``COUNT(*)``-style counting).
 
@@ -264,16 +228,23 @@ class GroupedAggregate:
 
     def __init__(self, source, keys, specs, distinct_key=None):
         for name, (kind, _expr) in specs.items():
-            if kind not in Aggregate._KINDS:
+            if kind not in AGGREGATE_KINDS:
                 raise ValueError(f"unknown aggregate {kind!r} for {name!r}")
         self.source = source
         self.keys = keys
         self.specs = specs
         self.distinct_key = distinct_key
 
+    def _new_group(self, values):
+        return {
+            "values": values,
+            "acc": {name: [] for name in self.specs},
+            "seen": set(),
+        }
+
     def __iter__(self):
         key_names = list(self.keys)
-        groups = {}
+        groups = {} if key_names else {(): self._new_group({})}
         for row in self.source:
             combos = [{}]
             for name in key_names:
@@ -300,11 +271,7 @@ class GroupedAggregate:
                 gid = tuple(_value_key(combo[name]) for name in key_names)
                 group = groups.get(gid)
                 if group is None:
-                    group = groups[gid] = {
-                        "values": combo,
-                        "acc": {name: [] for name in self.specs},
-                        "seen": set(),
-                    }
+                    group = groups[gid] = self._new_group(combo)
                 if dkey is not None:
                     if dkey in group["seen"]:
                         continue
@@ -320,8 +287,23 @@ class GroupedAggregate:
             group = groups[gid]
             out = dict(group["values"])
             for name, (kind, _expr) in self.specs.items():
-                out[name] = Aggregate._finish(kind, group["acc"][name])
+                out[name] = finish_aggregate(kind, group["acc"][name])
             yield out
+
+
+def finish_aggregate(kind, values):
+    """Fold one aggregate's collected contributions into its result."""
+    if kind == "count":
+        return len(values)
+    if not values:
+        return None
+    if kind == "sum":
+        return sum(values)
+    if kind == "avg":
+        return sum(values) / len(values)
+    if kind == "min":
+        return min(values)
+    return max(values)
 
 
 def _row_key(row):

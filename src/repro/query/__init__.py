@@ -22,13 +22,12 @@ which wires everything together.
 from .ast import Query
 from .lexer import tokenize_query
 from .parser import parse_query
-from .executor import QueryEngine, QueryOptions, ResultSet
+from .executor import QueryEngine, ResultSet
 
 __all__ = [
     "Query",
     "tokenize_query",
     "parse_query",
     "QueryEngine",
-    "QueryOptions",
     "ResultSet",
 ]

@@ -1,9 +1,18 @@
-"""Query execution: binding enumeration → WHERE → SELECT.
+"""Query execution: ``execute`` = parse → ``rewrite`` → ``plan`` → ``run``.
 
-The :class:`QueryEngine` ties the pieces together: the planner produces
-per-variable binding lists (index or navigational scans), the executor
-forms their product, filters with the WHERE evaluator, and builds the
-result — either a projection per row or a single aggregate row.
+:meth:`QueryEngine.plan` turns a rewritten query into a
+:class:`~repro.query.optimizer.QueryPlan` — plain data holding every
+decision: conjunct order, one
+:class:`~repro.query.optimizer.FromItemPlan` per FROM item (strategy,
+pattern, snapshot instant or version range, lookup bounds), prefilters,
+materialization order, the validated output stage and the limit.
+:meth:`QueryEngine.run` executes that value as one pipeline of the
+iterator operators in :mod:`repro.operators.relational` — scans → ``Join``
+→ ``Select`` → ``Project`` [→ ``Distinct`` | → ``Coalesce``] or
+``GroupedAggregate`` → limit — and asks the optimizer for nothing.
+``EXPLAIN`` prints the same value (``plan.describe()`` /
+``plan.render()``); ``EXPLAIN ANALYZE`` is ``execute`` under a tracer,
+one span per stage under the names EXPLAIN prints.
 
 Results are delivered as a :class:`ResultSet`, which renders to the
 ``<results><result>...`` envelope the paper assumes ("the results of an
@@ -13,12 +22,12 @@ results"), or as plain Python rows for programmatic use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import replace
+from itertools import islice
 
 from ..clock import Interval, bucket_floor, bucket_spans
 from ..equality.value import coerce_scalar
-from ..errors import QueryPlanError
+from ..errors import NoSuchDocumentError, QueryPlanError
 from ..index.stats import JoinStats
 from ..obs import (
     NULL_TRACER,
@@ -28,15 +37,32 @@ from ..obs import (
     Tracer,
     metric_sources,
 )
-from ..operators.relational import INTERVAL_KEY, Coalesce, GroupedAggregate
+from ..operators.relational import (
+    INTERVAL_KEY,
+    Coalesce,
+    Distinct,
+    GroupedAggregate,
+    Join,
+    Project,
+    Select,
+)
 from ..xmlcore.node import Element, Text
 from ..xmlcore.serializer import serialize
-from .ast import AGGREGATES, FuncCall, Query, bucket_call, is_aggregate_expr
+from .ast import (
+    AGGREGATES,
+    FuncCall,
+    Query,
+    VarPath,
+    bucket_call,
+    is_aggregate_expr,
+)
 from .functions import Evaluator
-from .optimizer import Optimizer
+from .optimizer import FromItemPlan, Optimizer, QueryPlan
 from .parser import parse_query
 from .planner import bind_planned
-from .rewriter import desugar, rewrite
+# Not called by the engine (rewrite() desugars first); re-exported because
+# stage compositions that skip the rewriter import it from here.
+from .rewriter import desugar, rewrite  # noqa: F401
 from .values import (
     BoundElement,
     NodeValue,
@@ -44,40 +70,6 @@ from .values import (
     TimestampValue,
     as_node,
 )
-
-
-@dataclass
-class QueryOptions:
-    """Execution knobs (benchmarks flip these for the ablations).
-
-    ``use_pattern_index``
-        Evaluate FROM items through the temporal FTI when possible
-        (Section 7.3's algorithms); off = always reconstruct and navigate.
-    ``lifetime_strategy``
-        ``"index"``, ``"traverse"``, or ``"auto"`` for CREATE TIME /
-        DELETE TIME (the two strategies of Section 7.3.6; ``"auto"`` lets
-        the optimizer pick per call from version-count statistics).
-    ``similarity_threshold``
-        Decision threshold of the ``~`` operator.
-    ``use_rewriter``
-        Apply the algebraic rewriter (time-range pushdown, constant
-        folding) before planning — the Section 8 future-work feature;
-        benchmark E11 measures what it saves.
-    ``use_optimizer``
-        Whole-query cost-based planning (ROADMAP item 3): price index vs.
-        navigational scans per FROM item, push every pushable predicate
-        (rarest term first), order WHERE conjuncts and FROM
-        materialization by estimated selectivity, and bound history FTI
-        lookups with the rewriter windows.  Off = the legacy plan shape
-        (first-conjunct pushdown, index whenever eligible).  Results are
-        identical either way; only costs change.
-    """
-
-    use_pattern_index: bool = True
-    lifetime_strategy: str = "traverse"
-    similarity_threshold: float = 0.7
-    use_rewriter: bool = True
-    use_optimizer: bool = True
 
 
 class ResultSet:
@@ -153,21 +145,19 @@ class ResultSet:
 
 
 class QueryEngine:
-    """Executes TXQL against a store and its indexes."""
+    """Executes TXQL against a store and its indexes.
 
-    def __init__(self, store, fti=None, lifetime=None, options=None,
-                 tracer=None):
+    ``fti`` and ``lifetime`` are optional: without an FTI every FROM item
+    plans as a navigational scan, without a lifetime index CREATE TIME /
+    DELETE TIME traverse the delta chain."""
+
+    def __init__(self, store, fti=None, lifetime=None, tracer=None):
         self.store = store
         self.fti = fti
         self.lifetime = lifetime
-        self.options = options if options is not None else QueryOptions()
-        if self.options.lifetime_strategy == "index" and lifetime is None:
-            raise QueryPlanError(
-                "lifetime_strategy='index' requires a LifetimeIndex"
-            )
         self._evaluator = Evaluator(self)
         #: Materialization cache of the query being executed (one per
-        #: execute() call; bindings keep a reference, so results stay valid
+        #: run() call; bindings keep a reference, so results stay valid
         #: after the call returns).
         self.active_cache = None
         #: Cumulative join-engine counters across this engine's index scans
@@ -175,7 +165,7 @@ class QueryEngine:
         #: :class:`~repro.bench.CostMeter`).
         self.join_stats = JoinStats()
         #: The cost-based planner: statistics, plan enumeration, conjunct
-        #: ordering, and the ``"auto"`` lifetime decision all live here.
+        #: ordering, and the per-call lifetime decision all live here.
         self.optimizer = Optimizer(self)
         #: Every counter source in this engine, under one snapshot/delta
         #: protocol (see :mod:`repro.obs.registry`).
@@ -258,6 +248,12 @@ class QueryEngine:
         """Timestamp of a FROM qualifier (``None`` = current time)."""
         if time_spec is None:
             return self.now()
+        for node in time_spec.walk():
+            if isinstance(node, VarPath):
+                raise QueryPlanError(
+                    "a FROM time qualifier cannot reference a variable "
+                    f"({node.label()})"
+                )
         value = self._evaluator.eval(time_spec, {})
         if not isinstance(value, int):
             raise QueryPlanError(
@@ -265,63 +261,64 @@ class QueryEngine:
             )
         return int(value)
 
-    def resolve_lifetime_strategy(self, teid=None):
-        """The CREATE TIME / DELETE TIME strategy for one call:
-        ``"auto"`` defers to the optimizer's version-count statistics."""
-        strategy = self.options.lifetime_strategy
-        if strategy != "auto":
-            return strategy
-        return self.optimizer.lifetime_strategy_for(teid)
+    # -- planning -----------------------------------------------------------------
 
-    # -- plan inspection ----------------------------------------------------------
+    def plan(self, query, windows):
+        """Decide how a rewritten query runs; returns the
+        :class:`~repro.query.optimizer.QueryPlan`.
 
-    def explain(self, query):
-        """Describe the plan for a query without executing it.
-
-        Returns a list of per-FROM-item dicts (see
-        :func:`repro.query.planner.explain_from_item`); ``explain_text``
-        renders the same information as a readable block.
+        ``query, windows`` is what :func:`~repro.query.rewriter.rewrite`
+        (or :func:`~repro.query.rewriter.desugar`) returned.  All
+        validation happens here — time qualifiers, aggregate / GROUP BY /
+        COALESCE legality and arity — so EXPLAIN rejects exactly what
+        ``execute`` rejects.  An unknown document is the one error kept
+        *in* the plan (``strategy: "error"``) for EXPLAIN to print;
+        :meth:`run` raises it.
         """
-        from .planner import explain_from_item
+        optimizer = self.optimizer
+        where = optimizer.order_conjuncts(query.where)
+        items = []
+        for item in query.from_items:
+            try:
+                items.append(optimizer.plan_from_item(
+                    item, where, window=windows.get(item.var)
+                ))
+            except NoSuchDocumentError:
+                items.append(FromItemPlan(
+                    item, [], "error",
+                    reason=f"unknown document {item.url!r}",
+                ))
+        return QueryPlan(
+            query=query,
+            where=where,
+            items=items,
+            prefilters=optimizer.prefilter_map(query.variables(), where),
+            materialization_order=optimizer.materialization_order(items),
+            limit=query.limit,
+            **_output_stage(query),
+        )
 
+    def _planned(self, query):
+        """parse → rewrite → plan: the front half of :meth:`execute`."""
         if isinstance(query, str):
             query = parse_query(query)
-        if self.options.use_rewriter:
+        with self.tracer.span("Rewrite"):
             query, windows = rewrite(query, now=self.now())
-        else:
-            query, windows = desugar(query, now=self.now())
-        where = self.optimizer.order_conjuncts(query.where)
-        return [
-            explain_from_item(self, item, where,
-                              window=windows.get(item.var))
-            for item in query.from_items
-        ]
+        with self.tracer.span("Plan"):
+            return self.plan(query, windows)
+
+    def explain(self, query):
+        """Describe the plan for a query without executing it: the list
+        of per-FROM-item dicts of
+        :meth:`QueryPlan.describe <repro.query.optimizer.QueryPlan.describe>`
+        (``explain_text`` renders the whole plan, stages included)."""
+        return self._planned(query).describe()
 
     def explain_text(self, query):
-        """Human-readable plan description: the chosen plan per FROM item,
-        its estimates, and the priced alternatives the optimizer rejected."""
-        lines = []
-        for info in self.explain(query):
-            lines.append(f"{info['variable']}: {info['source']}")
-            lines.append(f"  strategy: {info['strategy']}")
-            for key in ("operator", "pattern", "pushdown", "pushdowns",
-                        "window", "documents", "reason"):
-                if key in info:
-                    lines.append(f"  {key}: {info[key]}")
-            if "est_rows" in info or "est_cost" in info:
-                est = []
-                if "est_rows" in info:
-                    est.append(f"rows={info['est_rows']}")
-                if "est_cost" in info:
-                    est.append(f"cost={info['est_cost']}")
-                lines.append(f"  estimate: {'  '.join(est)}")
-            for alt in info.get("alternatives", ()):
-                marker = "*" if alt["chosen"] else " "
-                lines.append(
-                    f"  {marker} {alt['strategy']} ({alt['operator']}): "
-                    f"cost={alt['cost']}  rows={alt['rows']}"
-                )
-        return "\n".join(lines)
+        """Human-readable plan: the pipeline stages, then per FROM item
+        the chosen scan, its estimates, and the priced alternatives the
+        optimizer rejected."""
+        return self._planned(query).render()
 
     # -- execution ------------------------------------------------------------------
 
@@ -340,65 +337,19 @@ class QueryEngine:
             stripped = replace(query, explain=None)
             if query.explain == "analyze":
                 return self.explain_analyze(stripped)
-            return PlanReport(stripped.label(), self.explain(stripped),
-                              self.explain_text(stripped))
+            plan = self._planned(stripped)
+            return PlanReport(stripped.label(), plan.describe(),
+                              plan.render())
 
         before = self.registry.snapshot() if self.collect_query_stats else None
-        tracer = self.tracer
-        with tracer.span("Query", query=query.label(), limit=query.limit):
-            result = self._run(query)
+        with self.tracer.span("Query", query=query.label(),
+                              limit=query.limit):
+            result = self.run(self._planned(query))
         if before is not None:
             stats = MetricsRegistry.delta(before, self.registry.snapshot())
             result.stats = stats
             self.last_query_stats = stats
         return result
-
-    def _run(self, query):
-        tracer = self.tracer
-        if self.options.use_rewriter:
-            with tracer.span("Rewrite"):
-                query, windows = rewrite(query, now=self.now())
-        else:
-            # EVERY WITHIN desugars independently of the rewriter so
-            # NOW-relative windows bound scans in every configuration.
-            query, windows = desugar(query, now=self.now())
-        self.active_cache = SnapshotCache(self.store)
-        where = self.optimizer.order_conjuncts(query.where)
-        with tracer.span("Plan", optimizer=self.optimizer.enabled):
-            plans = [
-                self.optimizer.plan_from_item(item, where,
-                                              window=windows.get(item.var))
-                for item in query.from_items
-            ]
-        binding_lists = [bind_planned(self, plan) for plan in plans]
-        variables = query.variables()
-        rows = tracer.traced_iter(
-            "Filter",
-            self._filtered_rows(variables, binding_lists, where, plans),
-            filtered=where is not None,
-        )
-
-        aggregates = [is_aggregate_expr(e) for e in query.select_items]
-        if query.group_by is not None or any(aggregates):
-            if query.coalesce:
-                raise QueryPlanError(
-                    "COALESCE cannot be combined with aggregates or GROUP BY"
-                )
-            grouped = query.group_by is not None
-            with tracer.span("GroupBy" if grouped else "Aggregate",
-                             distinct=query.distinct):
-                result = self._aggregate(query, rows)
-            if query.limit is not None:
-                result.rows = result.rows[: query.limit]
-            return result
-        if query.coalesce:
-            with tracer.span("Coalesce"):
-                result = self._coalesce(query, rows)
-            if query.limit is not None:
-                result.rows = result.rows[: query.limit]
-            return result
-        with tracer.span("Project", distinct=query.distinct):
-            return self._project(query, rows, limit=query.limit)
 
     def explain_analyze(self, query):
         """Execute under a fresh tracer; returns the per-operator report."""
@@ -415,148 +366,76 @@ class QueryEngine:
             self.tracer = saved
         return ExplainAnalyzeReport(query.label(), result, tracer.roots[0])
 
-    def _filtered_rows(self, variables, binding_lists, where, plans=None):
-        """Lazily enumerate satisfying rows.
+    def run(self, plan):
+        """Execute a :class:`~repro.query.optimizer.QueryPlan`.
 
-        The single-variable case (the common shape of the paper's queries)
-        feeds bindings straight through without the ``product`` barrier, so
-        a LIMIT stops the underlying index scan mid-join.  Multi-variable
-        queries form the product; with the optimizer on, the first FROM
-        item still streams (LIMIT early-exit), the remaining lists
-        materialize cheapest-expected first (an empty one short-circuits
-        before costlier scans are drained), and single-variable conjuncts
-        prefilter each list before the product multiplies them.  Row order
-        is identical either way — prefilters only drop rows the WHERE
-        clause would reject.
+        One lazy pipeline: the scans feed the :class:`Join` (first FROM
+        item streamed, so LIMIT stops its scan mid-flight; the rest
+        prefiltered and materialized in plan order), then every stage
+        ``plan.stages()`` lists — the lines EXPLAIN prints — is stacked on
+        top, producer first, each under a span of that name.
         """
-        if len(binding_lists) == 1:
-            variable = variables[0]
-            for binding in binding_lists[0]:
-                row = {variable: binding}
-                if where is None or self._evaluator.predicate(where, row):
-                    yield row
-            return
-        if plans is None or not self.optimizer.enabled:
-            for combination in product(*binding_lists):
-                row = dict(zip(variables, combination))
-                if where is None or self._evaluator.predicate(where, row):
-                    yield row
-            return
-        prefilters = self.optimizer.prefilter_map(variables, where)
-        rest = [None] * len(binding_lists)
-        for index in self.optimizer.materialization_order(plans):
-            rest[index] = self._prefiltered(
-                variables[index], binding_lists[index], prefilters
-            )
-            if not rest[index]:
-                return
-        first_filters = prefilters.get(variables[0], ())
-        rest_lists = rest[1:]
-        rest_vars = variables[1:]
-        for binding in binding_lists[0]:
-            head = {variables[0]: binding}
-            if first_filters and not all(
-                self._evaluator.predicate(c, head) for c in first_filters
-            ):
-                continue
-            for combination in product(*rest_lists):
-                row = dict(head)
-                row.update(zip(rest_vars, combination))
-                if where is None or self._evaluator.predicate(where, row):
-                    yield row
+        for item in plan.items:
+            if item.strategy == "error":
+                raise NoSuchDocumentError(f"query references {item.reason}")
+        evaluator = self._evaluator
+        self.active_cache = SnapshotCache(self.store)
 
-    def _prefiltered(self, variable, bindings, prefilters):
-        """Materialize one binding list through its single-variable
-        conjuncts (all total predicates, so evaluating them early cannot
-        surface an error a short-circuiting WHERE would have hidden)."""
-        conjuncts = prefilters.get(variable, ())
-        if not conjuncts:
-            return list(bindings)
-        out = []
-        for binding in bindings:
-            row = {variable: binding}
-            if all(self._evaluator.predicate(c, row) for c in conjuncts):
-                out.append(binding)
-        return out
+        sources = {
+            item.item.var: bind_planned(self, item) for item in plan.items
+        }
+        variables = list(sources)
+        rows = Join(
+            sources,
+            prefilters={
+                variable: _all_hold(evaluator, conjuncts)
+                for variable, conjuncts in plan.prefilters.items()
+            },
+            order=[variables[i] for i in plan.materialization_order],
+        )
+        stage = {
+            # The product above; it gets a span when the plan lists it.
+            "Join": lambda rows: rows,
+            "Filter": lambda rows: Select(
+                rows, lambda row: evaluator.predicate(plan.where, row)
+            ),
+            "Project": lambda rows: Project(rows, self._select_columns(plan)),
+            "Distinct": lambda rows: Distinct(rows, key=lambda values: tuple(
+                _distinct_key(value) for value in values.values()
+            )),
+            "Coalesce": lambda rows: _valid_column(Coalesce(rows)),
+            "Aggregate": lambda rows: self._aggregated(plan, rows),
+            "GroupBy": lambda rows: self._aggregated(plan, rows),
+            "Limit": lambda rows: islice(rows, plan.limit),
+        }
+        for name, _detail in reversed(plan.stages()):
+            rows = self.tracer.traced_iter(name, stage[name](rows))
+        return ResultSet(list(plan.columns), list(rows))
 
-    def _project(self, query, rows, limit=None):
-        columns = [item.label() for item in query.select_items]
-        out = []
-        seen = set()
-        if limit is not None and limit <= 0:
-            return ResultSet(columns, out)
-        for row in rows:
-            values = {
-                label: self._evaluator.eval(item, row)
-                for label, item in zip(columns, query.select_items)
-            }
-            if query.distinct:
-                key = tuple(_distinct_key(values[c]) for c in columns)
-                if key in seen:
-                    continue
-                seen.add(key)
-            out.append(values)
-            if limit is not None and len(out) >= limit:
-                break
-        return ResultSet(columns, out)
+    def _select_columns(self, plan):
+        """``Project`` columns: the SELECT items, plus — under COALESCE —
+        the row's validity interval for :class:`Coalesce` to merge."""
+        columns = {
+            label: _evaluating(self._evaluator, item)
+            for label, item in zip(plan.columns, plan.query.select_items)
+        }
+        if plan.output == "Coalesce":
+            columns[INTERVAL_KEY] = lambda row: _row_interval(row)[0]
+        return columns
 
-    def _aggregate(self, query, rows):
-        """Aggregation, global or grouped.
-
-        Without GROUP BY every SELECT item must be an aggregate and one
-        row is returned (even over empty input).  With GROUP BY the
-        non-aggregate SELECT items must repeat grouping expressions;
-        grouping happens through
-        :class:`~repro.operators.relational.GroupedAggregate`, with
+    def _aggregated(self, plan, rows):
+        """The aggregate output stage: one
+        :class:`~repro.operators.relational.GroupedAggregate`, global
+        (no keys, one row even over empty input) or grouped, with
         temporal bucket calls expanding each row over the calendar
         buckets its validity overlaps.  ``SELECT DISTINCT`` with
         aggregates has SQL ``COUNT(DISTINCT ...)`` semantics: within each
         group, only the first row per distinct tuple of aggregate
         arguments contributes.
         """
-        columns = [item.label() for item in query.select_items]
-        group_exprs = list(query.group_by or ())
-        group_labels = [expr.label() for expr in group_exprs]
-        agg_specs = {}  # label -> (NAME, arg expr), in SELECT order
-        for item, label in zip(query.select_items, columns):
-            if isinstance(item, FuncCall) and item.name in AGGREGATES:
-                if len(item.args) != 1:
-                    raise QueryPlanError(
-                        f"{item.name} takes exactly one argument"
-                    )
-                agg_specs[label] = (item.name, item.args[0])
-                continue
-            if is_aggregate_expr(item):
-                raise QueryPlanError(
-                    "aggregates must be top-level SELECT items"
-                )
-            if not group_exprs:
-                raise QueryPlanError(
-                    "cannot mix aggregate and non-aggregate SELECT items"
-                )
-            if label not in group_labels:
-                raise QueryPlanError(
-                    f"SELECT item {label} must be an aggregate or appear "
-                    "in GROUP BY"
-                )
-
-        distinct_key = None
-        if query.distinct and agg_specs:
-            agg_args = [arg for (_name, arg) in agg_specs.values()]
-
-            def distinct_key(row):
-                return tuple(
-                    _distinct_key(self._evaluator.eval(arg, row))
-                    for arg in agg_args
-                )
-
-        if not group_exprs:
-            return self._global_aggregate(
-                columns, agg_specs, distinct_key, rows
-            )
-
+        evaluator = self._evaluator
         keys = {}
-        for label, expr in zip(group_labels, group_exprs):
+        for label, expr in plan.group_keys.items():
             bucket = bucket_call(expr)
             if bucket is not None:
                 unit, var = bucket
@@ -564,42 +443,27 @@ class QueryEngine:
                     lambda row, u=unit, v=var: self._bucket_values(u, v, row)
                 )
             else:
-                keys[label] = (
-                    lambda row, e=expr: self._evaluator.eval(e, row)
-                )
+                keys[label] = _evaluating(evaluator, expr)
         specs = {
             label: (
                 name.lower(),
-                lambda row, a=arg: _aggregatable(
-                    self._evaluator.eval(a, row)
-                ),
+                lambda row, a=arg: _aggregatable(evaluator.eval(a, row)),
             )
-            for label, (name, arg) in agg_specs.items()
+            for label, (name, arg) in plan.aggregates.items()
         }
-        grouped = GroupedAggregate(rows, keys, specs,
-                                   distinct_key=distinct_key)
-        out_rows = [
-            {label: grow[label] for label in columns} for grow in grouped
-        ]
-        return ResultSet(columns, out_rows)
+        distinct_key = None
+        if plan.query.distinct and plan.aggregates:
+            arguments = [arg for _name, arg in plan.aggregates.values()]
 
-    def _global_aggregate(self, columns, agg_specs, distinct_key, rows):
-        accumulators = {label: [] for label in agg_specs}
-        seen = set()
-        for row in rows:
-            if distinct_key is not None:
-                dkey = distinct_key(row)
-                if dkey in seen:
-                    continue
-                seen.add(dkey)
-            for label, (_name, arg) in agg_specs.items():
-                value = self._evaluator.eval(arg, row)
-                accumulators[label].extend(_aggregatable(value))
-        values = {
-            label: _finish_aggregate(name, accumulators[label])
-            for label, (name, _arg) in agg_specs.items()
-        }
-        return ResultSet(columns, [values])
+            def distinct_key(row):
+                return tuple(
+                    _distinct_key(evaluator.eval(arg, row))
+                    for arg in arguments
+                )
+
+        for group in GroupedAggregate(rows, keys, specs,
+                                      distinct_key=distinct_key):
+            yield {label: group[label] for label in plan.columns}
 
     def _bucket_values(self, unit, var, row):
         """Bucket starts of every calendar bucket the row's validity
@@ -622,30 +486,75 @@ class QueryEngine:
             for start, _stop in bucket_spans(interval.start, end, unit)
         ]
 
-    def _coalesce(self, query, rows):
-        """SELECT COALESCE: project, then merge value-equivalent rows
-        over maximal validity intervals; the merged interval is returned
-        as a trailing ``VALID`` column (``None`` for rows whose bindings
-        carry no interval — those keep their multiplicity)."""
-        labels = [item.label() for item in query.select_items]
-        columns = labels + ["VALID"]
 
-        def projected():
-            for row in rows:
-                values = {
-                    label: self._evaluator.eval(item, row)
-                    for label, item in zip(labels, query.select_items)
-                }
-                interval, _had = _row_interval(row)
-                if interval is not None:
-                    values[INTERVAL_KEY] = interval
-                yield values
+# -- pipeline helpers ---------------------------------------------------------------
 
-        out_rows = []
-        for merged in Coalesce(projected()):
-            merged["VALID"] = merged.pop(INTERVAL_KEY, None)
-            out_rows.append(merged)
-        return ResultSet(columns, out_rows)
+
+def _output_stage(query):
+    """Validate the SELECT list against GROUP BY / COALESCE and name the
+    output stage: the ``output`` / ``columns`` / ``aggregates`` /
+    ``group_keys`` fields of the :class:`QueryPlan`.
+
+    Without GROUP BY every SELECT item must be an aggregate (or none is);
+    with it, the non-aggregate SELECT items must repeat grouping
+    expressions.
+    """
+    columns = [item.label() for item in query.select_items]
+    if query.group_by is None and not any(
+        is_aggregate_expr(item) for item in query.select_items
+    ):
+        if query.coalesce:
+            return {"output": "Coalesce", "columns": columns + ["VALID"]}
+        return {"output": "Project", "columns": columns}
+    if query.coalesce:
+        raise QueryPlanError(
+            "COALESCE cannot be combined with aggregates or GROUP BY"
+        )
+    group_keys = {expr.label(): expr for expr in query.group_by or ()}
+    aggregates = {}
+    for item, label in zip(query.select_items, columns):
+        if isinstance(item, FuncCall) and item.name in AGGREGATES:
+            if len(item.args) != 1:
+                raise QueryPlanError(
+                    f"{item.name} takes exactly one argument"
+                )
+            aggregates[label] = (item.name, item.args[0])
+        elif is_aggregate_expr(item):
+            raise QueryPlanError("aggregates must be top-level SELECT items")
+        elif not group_keys:
+            raise QueryPlanError(
+                "cannot mix aggregate and non-aggregate SELECT items"
+            )
+        elif label not in group_keys:
+            raise QueryPlanError(
+                f"SELECT item {label} must be an aggregate or appear "
+                "in GROUP BY"
+            )
+    return {
+        "output": "GroupBy" if query.group_by is not None else "Aggregate",
+        "columns": columns,
+        "aggregates": aggregates,
+        "group_keys": group_keys,
+    }
+
+
+def _evaluating(evaluator, expr):
+    """``row -> value of expr`` (a Project column / grouping key)."""
+    return lambda row: evaluator.eval(expr, row)
+
+
+def _all_hold(evaluator, conjuncts):
+    """``row -> do all conjuncts hold`` (a Join prefilter)."""
+    return lambda row: all(evaluator.predicate(c, row) for c in conjuncts)
+
+
+def _valid_column(rows):
+    """SELECT COALESCE delivers each merged interval as a trailing
+    ``VALID`` column (``None`` for rows whose bindings carry no interval —
+    those keep their multiplicity)."""
+    for row in rows:
+        row["VALID"] = row.pop(INTERVAL_KEY, None)
+        yield row
 
 
 # -- aggregation helpers ------------------------------------------------------------
@@ -702,20 +611,6 @@ def _aggregatable(value):
         return [value]
     scalar = coerce_scalar(value)
     return [scalar if isinstance(scalar, (int, float)) else 1]
-
-
-def _finish_aggregate(name, values):
-    if name == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if name == "SUM":
-        return sum(values)
-    if name == "AVG":
-        return sum(values) / len(values)
-    if name == "MIN":
-        return min(values)
-    return max(values)
 
 
 # -- rendering helpers -----------------------------------------------------------------

@@ -6,7 +6,8 @@ The :class:`Evaluator` walks TXQL expression trees against one binding row
 
 * ``=``  — value equality with numeric coercion (deep for node pairs),
 * ``==`` — persistent-identifier (EID) equality,
-* ``~``  — the similarity operator with the engine's threshold.
+* ``~``  — the similarity operator (threshold:
+  :data:`repro.equality.similarity.DEFAULT_THRESHOLD`).
 
 Comparisons over node-sets use existential semantics: ``R/price < 10`` is
 true when *some* selected price is below 10, matching the semistructured
@@ -136,7 +137,7 @@ class Evaluator:
         operator = CreTime(
             self.engine.store,
             bound.teid,
-            strategy=self.engine.resolve_lifetime_strategy(bound.teid),
+            strategy=self.engine.optimizer.lifetime_strategy_for(bound.teid),
             lifetime_index=self.engine.lifetime,
             tracer=self.engine.tracer,
         )
@@ -147,7 +148,7 @@ class Evaluator:
         operator = DelTime(
             self.engine.store,
             bound.teid,
-            strategy=self.engine.resolve_lifetime_strategy(bound.teid),
+            strategy=self.engine.optimizer.lifetime_strategy_for(bound.teid),
             lifetime_index=self.engine.lifetime,
             tracer=self.engine.tracer,
         )
@@ -350,11 +351,7 @@ class Evaluator:
         if op == "~":
             left_node = as_node(left)
             right_node = as_node(right)
-            return similar(
-                left_node,
-                right_node,
-                self.engine.options.similarity_threshold,
-            )
+            return similar(left_node, right_node)
         if op == "=":
             return value_equal(as_node(left), as_node(right))
         if op == "!=":

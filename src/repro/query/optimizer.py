@@ -1,17 +1,21 @@
-"""Cost-based whole-query optimizer (ROADMAP item 3).
+"""Cost-based whole-query planning: the decisions behind a :class:`QueryPlan`.
 
-Before this module, every operator optimized alone: the structural join
-ordered its posting lists, reconstruction priced its anchors, but nobody
-compared *plans*.  :class:`Optimizer` is the stage that does: for every
-FROM item it enumerates the executable alternatives (pattern-index scan
-vs. navigational scan), prices each with the statistics collected by
-:class:`~repro.index.statistics.CorpusStatistics`, and picks the cheapest;
-around the per-item choice it orders WHERE conjuncts and FROM
-materialization by estimated selectivity, selects and ranks pushdown
-predicates (rarest term first), bounds history lookups with the rewriter's
-time windows, and resolves the ``"auto"`` lifetime strategy per call.
+:meth:`QueryEngine.plan <repro.query.executor.QueryEngine.plan>` asks
+the :class:`Optimizer` for every decision a query needs and records them
+in one plain value, the :class:`QueryPlan` — which EXPLAIN prints,
+EXPLAIN ANALYZE traces and ``QueryEngine.run`` executes without asking
+the optimizer anything again.  For every FROM item the optimizer
+enumerates the executable alternatives (pattern-index scan vs.
+navigational scan), prices each with the statistics collected by
+:class:`~repro.index.statistics.CorpusStatistics`, and picks the cheapest
+(:class:`FromItemPlan`); around the per-item choice it orders WHERE
+conjuncts and FROM materialization by estimated selectivity, selects and
+ranks pushdown predicates (rarest term first) and bounds history lookups
+with the rewriter's time windows.  The one decision left to run time is
+the CREATE TIME / DELETE TIME strategy, resolved per call from
+version-count statistics (:meth:`Optimizer.lifetime_strategy_for`).
 
-The cost model is deliberately small — five weights over counters the
+The cost model is deliberately small — six weights over counters the
 engine already measures (see ``docs/PLANNER.md`` for the calibration
 story):
 
@@ -33,10 +37,11 @@ WHERE clause re-verifies, windowed lookups are lossless for window-clipped
 expansion, conjunct reordering permutes a commutative AND only between
 error-barrier conjuncts (ones that can raise keep their relative position,
 so error behavior matches the textual order), and prefilters evaluate
-exactly the conjuncts the full WHERE would.  Turning
-the optimizer off (``QueryOptions(use_optimizer=False)``) restores the
-legacy plan shape; the randomized equivalence suite asserts both modes
-return byte-identical results.
+exactly the conjuncts the full WHERE would.  Because the plan is a value,
+each transformation is checked as its own law: the tests undo one decision
+at a time on a :class:`QueryPlan` (textual conjunct order, no prefilters,
+first pushdown only, unbounded scans, ...) and assert byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ from dataclasses import dataclass, field
 from ..errors import QueryPlanError
 from ..xmlcore.path import Path
 from .ast import EVERY, BinOp, FuncCall, Literal, VarPath
+from .planner import (
+    _build_pattern,
+    _conjuncts,
+    _pushable_values,
+    _resolve_documents,
+)
 from .rewriter import TimeWindow
 
 # -- cost model weights (abstract units; relative magnitudes matter) -----------
@@ -58,7 +69,7 @@ COST_ANCHOR_READ = 60.0
 COST_ELEMENT_WALK = 0.25
 
 #: Version count above which the O(1) lifetime index beats walking the
-#: delta chain for CREATE TIME / DELETE TIME (strategy ``"auto"``).
+#: delta chain for CREATE TIME / DELETE TIME.
 AUTO_LIFETIME_VERSIONS = 2
 
 
@@ -84,15 +95,12 @@ class PlanAlternative:
 
 @dataclass
 class FromItemPlan:
-    """The optimizer's decision for one FROM item.
-
-    Carries everything both execution (``bind_planned``) and EXPLAIN
-    (``explain_from_item``) need — one object, so the two can never drift.
-    """
+    """Every decision for one FROM item — what ``bind_planned`` executes
+    and what EXPLAIN describes, so the two can never drift."""
 
     item: object
     doc_ids: list
-    strategy: str            # "index" | "navigate" | "empty"
+    strategy: str            # "index" | "navigate" | "empty" | "error"
     operator: str | None = None
     pattern: object = None   # compiled Pattern for index plans
     pushdowns: list = field(default_factory=list)  # [(steps, value), ...]
@@ -101,16 +109,26 @@ class FromItemPlan:
     #: ``(doc_id, timestamp, xid)`` order, so flipping never reorders rows.
     sorted_nav: bool = False
     window: TimeWindow | None = None
+    #: Snapshot items: the instant the time qualifier resolved to.
+    timestamp: int | None = None
+    #: EVERY items: the half-open timestamp range of the versions bound —
+    #: the rewriter window intersected with the engine's scan horizon (a
+    #: pinned session bounds history even without a TIME predicate).
+    versions: tuple | None = None
+    #: EVERY index scans: ``(start, end)`` bounds of the FTI lookups
+    #: (``None`` reads the full-history posting lists).
+    scan_bounds: tuple | None = None
     est_rows: int | None = None
     cost: float | None = None
     alternatives: list = field(default_factory=list)
     reason: str | None = None
 
     def describe(self):
-        """The EXPLAIN dict fragment for this plan."""
-        info = {"strategy": self.strategy}
-        if self.strategy == "empty":
-            info["reason"] = self.reason or "rewriter window is empty"
+        """The EXPLAIN dict for this FROM item."""
+        info = {"variable": self.item.var, "source": self.item.label(),
+                "strategy": self.strategy}
+        if self.strategy in ("empty", "error"):
+            info["reason"] = self.reason
             return info
         info["documents"] = len(self.doc_ids)
         if self.strategy == "index":
@@ -136,14 +154,108 @@ class FromItemPlan:
 
 
 @dataclass
+class QueryPlan:
+    """One query, fully decided: the value EXPLAIN prints, EXPLAIN ANALYZE
+    traces and :meth:`QueryEngine.run` executes.
+
+    Plain data — ``dataclasses.replace`` a field and run the result to
+    check a single optimizer decision in isolation.
+    """
+
+    query: object                # the rewritten Query this plan answers
+    where: object                # WHERE with its conjuncts in evaluation order
+    items: list                  # one FromItemPlan per FROM item, FROM order
+    #: variable -> total single-variable conjuncts evaluated on its
+    #: bindings before the FROM product multiplies them.
+    prefilters: dict
+    #: Indices (into ``items``) of the non-streamed FROM items, in the
+    #: order their binding lists are materialized.
+    materialization_order: list
+    output: str                  # "Project" | "Aggregate" | "GroupBy" | "Coalesce"
+    columns: list                # result column labels
+    #: SELECT label -> (aggregate NAME, argument expr), in SELECT order.
+    aggregates: dict = field(default_factory=dict)
+    #: GROUP BY label -> grouping expression.
+    group_keys: dict = field(default_factory=dict)
+    limit: int | None = None
+
+    def stages(self):
+        """The pipeline above the scans, consumer first, as ``(name,
+        detail)`` pairs — the lines EXPLAIN prints and, read bottom-up,
+        the spans EXPLAIN ANALYZE records after the scans."""
+        stages = []
+        if self.limit is not None:
+            stages.append(("Limit", str(self.limit)))
+        if self.output == "Coalesce":
+            stages.append(("Coalesce", None))
+            stages.append(("Project", ", ".join(self.columns[:-1])))
+        elif self.output == "Project":
+            if self.query.distinct:
+                stages.append(("Distinct", None))
+            stages.append(("Project", ", ".join(self.columns)))
+        else:
+            detail = ", ".join(self.aggregates)
+            if self.group_keys:
+                detail += " BY " + ", ".join(self.group_keys)
+            if self.query.distinct:
+                detail = "DISTINCT " + detail
+            stages.append((self.output, detail))
+        if self.where is not None:
+            stages.append(("Filter", self.where.label()))
+        if len(self.items) > 1:
+            rest = [self.items[i].item.var for i in self.materialization_order]
+            detail = f"stream {self.items[0].item.var}; materialize " + (
+                ", ".join(rest)
+            )
+            filtered = [v for v in self.query.variables() if v in self.prefilters]
+            if filtered:
+                detail += "; prefilter " + ", ".join(filtered)
+            stages.append(("Join", detail))
+        return stages
+
+    def describe(self):
+        """The per-FROM-item EXPLAIN dicts."""
+        return [item.describe() for item in self.items]
+
+    def render(self):
+        """Human-readable plan: the stages, then per FROM item the chosen
+        scan, its estimates, and the priced alternatives it beat."""
+        lines = [
+            name if detail is None else f"{name}: {detail}"
+            for name, detail in self.stages()
+        ]
+        for info in self.describe():
+            lines.append(f"{info['variable']}: {info['source']}")
+            lines.append(f"  strategy: {info['strategy']}")
+            for key in ("operator", "pattern", "pushdown", "pushdowns",
+                        "window", "documents", "reason"):
+                if key in info:
+                    lines.append(f"  {key}: {info[key]}")
+            if "est_rows" in info or "est_cost" in info:
+                est = []
+                if "est_rows" in info:
+                    est.append(f"rows={info['est_rows']}")
+                if "est_cost" in info:
+                    est.append(f"cost={info['est_cost']}")
+                lines.append(f"  estimate: {'  '.join(est)}")
+            for alt in info.get("alternatives", ()):
+                marker = "*" if alt["chosen"] else " "
+                lines.append(
+                    f"  {marker} {alt['strategy']} ({alt['operator']}): "
+                    f"cost={alt['cost']}  rows={alt['rows']}"
+                )
+        return "\n".join(lines)
+
+
+@dataclass
 class PlannerCounters:
     """What the optimizer did, under the registry's snapshot protocol."""
 
     plans: int = 0
     index_chosen: int = 0
     nav_chosen: int = 0
-    cost_flips: int = 0          # cost model overrode the legacy default
-    pushdowns_added: int = 0     # beyond the legacy first-conjunct pushdown
+    cost_flips: int = 0          # navigation priced below an eligible index
+    pushdowns: int = 0           # predicates compiled into scan patterns
     conjuncts_reordered: int = 0
     from_items_reordered: int = 0
     auto_lifetime_index: int = 0
@@ -155,7 +267,7 @@ class PlannerCounters:
             "index_chosen": self.index_chosen,
             "nav_chosen": self.nav_chosen,
             "cost_flips": self.cost_flips,
-            "pushdowns_added": self.pushdowns_added,
+            "pushdowns": self.pushdowns,
             "conjuncts_reordered": self.conjuncts_reordered,
             "from_items_reordered": self.from_items_reordered,
             "auto_lifetime_index": self.auto_lifetime_index,
@@ -175,24 +287,15 @@ class Optimizer:
         self.statistics = CorpusStatistics(engine.store, engine.fti)
         self.counters = PlannerCounters()
 
-    @property
-    def enabled(self):
-        return self.engine.options.use_optimizer
-
     # -- per-FROM-item planning ------------------------------------------------
 
     def plan_from_item(self, item, where, window=None):
         """Enumerate and price the alternatives for one FROM item.
 
         Raises :class:`~repro.errors.NoSuchDocumentError` for unknown
-        non-glob URLs, exactly like the legacy binder did.
+        non-glob URLs and :class:`~repro.errors.QueryPlanError` for a time
+        qualifier that does not resolve to a timestamp.
         """
-        from .planner import (
-            _build_pattern,
-            _pushable_values,
-            _resolve_documents,
-        )
-
         engine = self.engine
         self.counters.plans += 1
         if window is not None and window.is_empty:
@@ -203,55 +306,48 @@ class Optimizer:
         )
         plan = FromItemPlan(item, doc_ids, "navigate", operator="NavScan",
                             window=window)
+        is_every = item.time_spec is EVERY
+        if is_every:
+            start = engine.horizon_start()
+            end = engine.horizon_end()
+            if window is not None:
+                start = max(start, window.start)
+                end = min(end, window.end)
+            plan.versions = plan.scan_bounds = (start, end)
+        else:
+            plan.timestamp = engine.resolve_time(item.time_spec)
 
-        eligible = (
-            engine.options.use_pattern_index
-            and engine.fti is not None
-            and item.path
-            and "*" not in item.path
-        )
-        pattern = None
+        eligible = engine.fti is not None and item.path and "*" not in item.path
         if eligible:
             candidates = _pushable_values(item.var, where)
-            pushdowns = self._select_pushdowns(candidates)
-            pattern, pushdowns, error = self._compile_pattern(
-                item, pushdowns, candidates, _build_pattern
+            plan.pattern, plan.pushdowns, error = self._compile_pattern(
+                item, self._rank_pushdowns(candidates), candidates
             )
-            if pattern is None:
+            if plan.pattern is None:
                 eligible = False
                 plan.reason = error
-            else:
-                plan.pattern = pattern
-                plan.pushdowns = pushdowns
+            self.counters.pushdowns += len(plan.pushdowns)
         else:
             plan.reason = self._ineligible_reason(item)
 
-        is_every = item.time_spec is EVERY
-        nav_alt = self._price_nav(item, doc_ids, window, is_every)
+        chosen = nav_alt = self._price_nav(plan)
         plan.alternatives.append(nav_alt)
         if eligible:
-            index_alt = self._price_index(item, pattern, window, is_every)
+            chosen = index_alt = self._price_index(plan)
             plan.alternatives.insert(0, index_alt)
-            use_index = True
             # Flips are restricted to EVERY items: there both strategies
             # share the canonical (doc_id, timestamp, xid) output order, so
             # flipping cannot reorder rows.  Snapshot scans keep the index
             # whenever eligible — their streamed first-emission order has
             # no cheap navigational equivalent.
-            if (
-                self.enabled and is_every
-                and nav_alt.cost < index_alt.cost
-            ):
-                use_index = False
+            if is_every and nav_alt.cost < index_alt.cost:
+                chosen = nav_alt
                 plan.sorted_nav = True
                 self.counters.cost_flips += 1
                 plan.reason = (
                     f"cost-based: navigational scan cheaper "
                     f"(est {nav_alt.cost:.0f} vs {index_alt.cost:.0f})"
                 )
-            chosen = index_alt if use_index else nav_alt
-        else:
-            chosen = nav_alt
         chosen.chosen = True
         plan.strategy = chosen.strategy
         plan.operator = chosen.operator
@@ -268,69 +364,49 @@ class Optimizer:
             return "no path (binds the document root)"
         if "*" in item.path:
             return "wildcard step is not indexable"
-        if self.engine.fti is None:
-            return "no full-text index attached"
-        return "pattern index disabled"
+        return "no full-text index attached"
 
-    def _select_pushdowns(self, candidates):
-        """Which ``R/path = literal`` conjuncts to push into the pattern.
-
-        Legacy behaviour (optimizer off) pushes only the first; the
-        optimizer pushes all of them, rarest term first, so the join's
-        most selective list leads."""
-        if not candidates:
-            return []
-        if not self.enabled:
-            return candidates[:1]
+    def _rank_pushdowns(self, candidates):
+        """Every ``R/path = literal`` conjunct is pushed into the pattern,
+        rarest term first, so the join's most selective list leads."""
 
         def frequency(candidate):
             rarest = self.statistics.rarest_token(candidate[1])
             return rarest[1] if rarest is not None else float("inf")
 
-        ranked = sorted(candidates, key=frequency)
-        self.counters.pushdowns_added += len(ranked) - 1
-        return ranked
+        return sorted(candidates, key=frequency)
 
-    def _compile_pattern(self, item, pushdowns, candidates, build):
-        """Build the pattern tree; on failure fall back to the legacy
-        single-pushdown shape before declaring the item unindexable."""
+    def _compile_pattern(self, item, pushdowns, candidates):
+        """Build the pattern tree; when the full pushdown set does not
+        compile, retry with the first textual candidate alone before
+        declaring the item unindexable."""
         steps = Path(item.path).steps
         try:
-            return build(steps, pushdowns), pushdowns, None
+            return _build_pattern(steps, pushdowns), pushdowns, None
         except QueryPlanError as exc:
             if len(pushdowns) > 1:
                 try:
-                    legacy = candidates[:1]
-                    return build(steps, legacy), legacy, None
+                    single = candidates[:1]
+                    return _build_pattern(steps, single), single, None
                 except QueryPlanError as retry_exc:
                     exc = retry_exc
             return None, [], str(exc)
 
     # -- alternative pricing -----------------------------------------------------
 
-    def _price_index(self, item, pattern, window, is_every):
-        engine = self.engine
+    def _price_index(self, plan):
         stats = self.statistics
-        bounds = self._lookup_bounds(window) if is_every else None
-        ts = None
-        if not is_every:
-            try:
-                ts = engine.resolve_time(item.time_spec)
-            except QueryPlanError:
-                ts = None
-        counts = []
-        for node in pattern.nodes():
-            if is_every:
-                if bounds is not None:
-                    counts.append(
-                        stats.term_scan_window(node.term, *bounds)
-                    )
-                else:
-                    counts.append(stats.term_counts(node.term)[0])
-            elif ts is not None:
-                counts.append(stats.term_scan_at(node.term, ts))
-            else:
-                counts.append(stats.term_counts(node.term)[0])
+        is_every = plan.versions is not None
+        if is_every:
+            counts = [
+                stats.term_scan_window(node.term, *plan.scan_bounds)
+                for node in plan.pattern.nodes()
+            ]
+        else:
+            counts = [
+                stats.term_scan_at(node.term, plan.timestamp)
+                for node in plan.pattern.nodes()
+            ]
         scanned = sum(counts)
         est_rows = min(counts) if counts else 0
         cost = scanned * (COST_POSTING_SCAN + COST_JOIN_PROBE)
@@ -339,20 +415,15 @@ class Optimizer:
         operator = "TPatternScanAll" if is_every else "TPatternScan"
         return PlanAlternative("index", operator, cost, est_rows)
 
-    def _price_nav(self, item, doc_ids, window, is_every):
-        engine = self.engine
+    def _price_nav(self, plan):
         stats = self.statistics
+        item = plan.item
         path = Path(item.path) if item.path else None
         cost = 0.0
         rows = 0
-        if is_every:
-            start = engine.horizon_start()
-            end = engine.horizon_end()
-            if window is not None:
-                start = max(start, window.start)
-                end = min(end, window.end)
-            for doc_id in doc_ids:
-                versions = stats.versions_between(doc_id, start, end)
+        if plan.versions is not None:
+            for doc_id in plan.doc_ids:
+                versions = stats.versions_between(doc_id, *plan.versions)
                 if not versions:
                     continue
                 elements = stats.element_count(doc_id)
@@ -363,11 +434,8 @@ class Optimizer:
                 )
                 rows += versions * stats.path_count(doc_id, path)
         else:
-            try:
-                ts = engine.resolve_time(item.time_spec)
-            except QueryPlanError:
-                ts = engine.now()
-            for doc_id in doc_ids:
+            ts = plan.timestamp
+            for doc_id in plan.doc_ids:
                 if not stats.versions_between(doc_id, ts, ts + 1):
                     continue
                 elements = stats.element_count(doc_id)
@@ -378,29 +446,6 @@ class Optimizer:
                 )
                 rows += stats.path_count(doc_id, path)
         return PlanAlternative("navigate", "NavScan", cost, rows)
-
-    def _lookup_bounds(self, window):
-        """``(start, end)`` bounds for history FTI lookups, or ``None`` when
-        unbounded — the rewriter window intersected with the engine's scan
-        horizon (a pinned session bounds history lookups even without an
-        explicit TIME predicate)."""
-        engine = self.engine
-        start = engine.horizon_start()
-        end = engine.horizon_end()
-        if window is not None:
-            start = max(start, window.start)
-            end = min(end, window.end)
-        unbounded = TimeWindow(start, end).is_unbounded
-        if unbounded and engine.pinned_now is None:
-            return None
-        return (start, end)
-
-    def scan_window(self, plan):
-        """Lookup bounds for an EVERY index scan of ``plan`` (``None`` when
-        the optimizer is off — the legacy plan reads full history lists)."""
-        if not self.enabled:
-            return None
-        return self._lookup_bounds(plan.window)
 
     # -- WHERE conjunct ordering --------------------------------------------------
 
@@ -415,9 +460,7 @@ class Optimizer:
         of conjuncts evaluated before any potentially raising one is
         therefore unchanged, so errors surface for exactly the rows (and
         in exactly the order) the textual WHERE would raise them."""
-        from .planner import _conjuncts
-
-        if not self.enabled or where is None:
+        if where is None:
             return where
         conjuncts = list(_conjuncts(where))
         if len(conjuncts) < 2:
@@ -478,10 +521,8 @@ class Optimizer:
         have raised.  Within the leading run, pre-filtering is exactly
         the evaluation the product would do anyway — just earlier, once
         per binding instead of once per combination."""
-        from .planner import _conjuncts
-
         out = {}
-        if not self.enabled or where is None or len(variables) < 2:
+        if where is None or len(variables) < 2:
             return out
         for conjunct in _conjuncts(where):
             if _may_raise(conjunct):
@@ -515,10 +556,10 @@ class Optimizer:
     # -- lifetime strategy --------------------------------------------------------
 
     def lifetime_strategy_for(self, teid=None):
-        """Resolve ``lifetime_strategy="auto"`` for one CREATE TIME /
-        DELETE TIME call: the O(1) lifetime index when the document's
-        history is deep enough that walking the delta chain costs more,
-        traversal otherwise (and always, when no index is attached)."""
+        """The strategy for one CREATE TIME / DELETE TIME call: the O(1)
+        lifetime index when the document's history is deep enough that
+        walking the delta chain costs more, traversal otherwise (and
+        always, when no index is attached)."""
         if self.engine.lifetime is None:
             self.counters.auto_lifetime_traverse += 1
             return "traverse"

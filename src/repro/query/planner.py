@@ -1,10 +1,12 @@
-"""FROM-clause planning: index scans vs. navigational scans.
+"""FROM-clause execution: index scans vs. navigational scans.
 
 For every FROM item the engine's :class:`~repro.query.optimizer.Optimizer`
 builds one :class:`~repro.query.optimizer.FromItemPlan` — the single
-source of truth consumed by both execution (:func:`bind_planned`) and
-EXPLAIN (:func:`explain_from_item`), so the reported plan can never drift
-from the executed one.  Two strategies compete:
+source of truth that :func:`bind_planned` executes and EXPLAIN describes,
+so the reported plan can never drift from the executed one.  Everything
+decided per item (documents, strategy, pattern and pushdowns, snapshot
+instant or version range, lookup bounds) is read from the plan here;
+nothing is re-derived at run time.  Two strategies compete:
 
 **Index scan** (the paper's intended execution): compile the item's path —
 plus the pushable value predicates from the WHERE clause — into a pattern
@@ -15,10 +17,10 @@ at all ("this is important, and shows that in many cases the storage of
 only deltas ... does not create performance problems").
 
 **Navigational scan** (fallback and baseline): reconstruct the relevant
-document version(s) and walk the path.  Used when there is no FTI, the
-path is empty or contains wildcards, the engine is configured with
-``use_pattern_index=False`` (benchmark E8's stratum-style execution) — or
-when the cost model prices reconstruction below the index's posting scans.
+document version(s) and walk the path.  Used when the engine has no FTI
+(benchmark E8's stratum-style execution), the path is empty or contains
+wildcards — or when the cost model prices reconstruction below the
+index's posting scans.
 
 A pushed-down predicate is only a pre-filter: the WHERE clause is always
 re-evaluated, so pushing a conjunct can never change results, only costs.
@@ -29,14 +31,14 @@ from __future__ import annotations
 from fnmatch import fnmatch
 
 from ..clock import Interval
-from ..errors import NoSuchDocumentError, QueryPlanError
+from ..errors import NoSuchDocumentError
 from ..model.identifiers import TEID
 from ..operators.history import DocHistory
 from ..index.postings import tokenize
 from ..operators.tpatternscan import TPatternScan, TPatternScanAll
 from ..pattern.tree import Pattern, PatternNode
 from ..xmlcore.path import CHILD, Path
-from .ast import EVERY, BinOp, Literal, VarPath
+from .ast import BinOp, Literal, VarPath
 from .values import BoundElement
 
 
@@ -52,7 +54,7 @@ def bind_planned(engine, plan):
         return engine.tracer.traced_iter(
             plan.operator, _index_bindings(engine, plan), **attrs
         )
-    source = _deferred(_nav_bindings, engine, item, plan.doc_ids, plan.window)
+    source = _deferred(_nav_bindings, engine, plan)
     if plan.sorted_nav:
         # Cost flip over an eligible index scan: emit in the index path's
         # canonical order so the flip never reorders rows.
@@ -70,27 +72,6 @@ def _deferred(fn, *args):
     """Delay ``fn``'s (eager) work until the first ``next()``, so a traced
     iterator charges it to the operator's span instead of the planner's."""
     yield from fn(*args)
-
-
-def explain_from_item(engine, item, where, window=None):
-    """Describe (without executing) the plan chosen for one FROM item.
-
-    Returns a dict with ``strategy`` (``"index"`` / ``"navigate"`` /
-    ``"empty"`` / ``"error"``), the document count, estimated cost/rows,
-    the priced plan ``alternatives`` — and, for index plans, the pattern
-    terms and any pushed-down predicates; for EVERY items the rewriter
-    window, when one applies.  The same :class:`FromItemPlan` that
-    :func:`bind_planned` would execute backs this description.
-    """
-    info = {"variable": item.var, "source": item.label()}
-    try:
-        plan = engine.optimizer.plan_from_item(item, where, window=window)
-    except NoSuchDocumentError:
-        info["strategy"] = "error"
-        info["reason"] = f"unknown document {item.url!r}"
-        return info
-    info.update(plan.describe())
-    return info
 
 
 # -- document resolution ---------------------------------------------------------
@@ -161,20 +142,18 @@ def _index_bindings(engine, plan):
     pattern = plan.pattern
     projected = pattern.projected_index()
 
-    if item.time_spec is EVERY:
+    if plan.versions is not None:
         scan = TPatternScanAll(engine.fti, pattern, docs=plan.doc_ids,
                                store=engine.store, stats=engine.join_stats,
-                               tracer=engine.tracer,
-                               window=engine.optimizer.scan_window(plan))
+                               tracer=engine.tracer, window=plan.scan_bounds)
         return _expand_interval_matches(
-            engine, scan, projected, steps, plan.window
+            engine, scan, projected, steps, plan.versions
         )
 
-    ts = engine.resolve_time(item.time_spec)
-    scan = TPatternScan(engine.fti, pattern, ts, docs=plan.doc_ids,
-                        store=engine.store, stats=engine.join_stats,
-                        tracer=engine.tracer)
-    return _snapshot_bindings(engine, scan, projected, steps, ts)
+    scan = TPatternScan(engine.fti, pattern, plan.timestamp,
+                        docs=plan.doc_ids, store=engine.store,
+                        stats=engine.join_stats, tracer=engine.tracer)
+    return _snapshot_bindings(engine, scan, projected, steps, plan.timestamp)
 
 
 def _snapshot_bindings(engine, scan, projected, steps, ts):
@@ -209,25 +188,22 @@ def _snapshot_bindings(engine, scan, projected, steps, ts):
                            cache=engine.active_cache)
 
 
-def _expand_interval_matches(engine, scan, projected, steps, window=None):
+def _expand_interval_matches(engine, scan, projected, steps, versions):
     """EVERY: one binding per document version covered by a match interval.
 
-    The rewriter's time window clips the expansion — versions outside it
-    are never reconstructed (the Section 8 delta-read reduction).  The scan
-    is started inside the generator body so its FTI lookups and join run
-    under the operator's span, not at plan time."""
+    The planned version range clips the expansion — versions outside the
+    rewriter's time window are never reconstructed (the Section 8
+    delta-read reduction), and a pinned engine (serving session) never
+    binds versions committed after its snapshot.  The scan is started
+    inside the generator body so its FTI lookups and join run under the
+    operator's span, not at plan time."""
     bindings = []
     for match in scan.run():
         posting = match.postings[projected]
         if not _anchored(posting.path, steps):
             continue
-        start = match.interval.start
-        # The scan horizon clips the expansion: a pinned engine (serving
-        # session) must not bind versions committed after its snapshot.
-        end = min(match.interval.end, engine.horizon_end())
-        if window is not None:
-            start = max(start, window.start)
-            end = min(end, window.end)
+        start = max(match.interval.start, versions[0])
+        end = min(match.interval.end, versions[1])
         if start >= end:
             continue
         dindex = engine.store.delta_index(match.doc_id)
@@ -248,15 +224,14 @@ def _expand_interval_matches(engine, scan, projected, steps, window=None):
                                                       b.teid.xid))
 
 
-def _build_pattern(from_steps, pushdown):
+def _build_pattern(from_steps, pushdowns=()):
     """Pattern tree: the FROM path chain (last step projected — that is the
     element the variable binds to) with optional predicate chains and their
     value words hanging below it.
 
-    ``pushdown`` is ``None``, one ``(path_steps, value)`` pair, or a list
-    of pairs — every pair becomes a branch under the projected node, so
-    the containment pre-filter is the conjunction of all pushed
-    predicates."""
+    Every ``(path_steps, value)`` pair of ``pushdowns`` becomes a branch
+    under the projected node, so the containment pre-filter is the
+    conjunction of all pushed predicates."""
     nodes = [
         PatternNode(
             step.tag,
@@ -269,12 +244,6 @@ def _build_pattern(from_steps, pushdown):
         parent.add(child)
     nodes[-1].projected = True
 
-    if pushdown is None:
-        pushdowns = []
-    elif isinstance(pushdown, tuple):
-        pushdowns = [pushdown]
-    else:
-        pushdowns = list(pushdown)
     for pred_steps, value in pushdowns:
         anchor = nodes[-1]
         for step in pred_steps:
@@ -317,12 +286,6 @@ def _pushable_values(var, where):
     return out
 
 
-def _pushable_value(var, where):
-    """The first pushable conjunct (the legacy single-pushdown rule)."""
-    values = _pushable_values(var, where)
-    return values[0] if values else None
-
-
 def _conjuncts(expr):
     if isinstance(expr, BinOp) and expr.op == "AND":
         yield from _conjuncts(expr.left)
@@ -363,19 +326,15 @@ def _match_segments(segments, seg_index, steps, step_index):
 # -- navigational strategy ----------------------------------------------------------------
 
 
-def _nav_bindings(engine, item, doc_ids, window=None):
+def _nav_bindings(engine, plan):
+    item = plan.item
     path = Path(item.path) if item.path else None
-    if item.time_spec is EVERY:
-        start = engine.horizon_start()
-        end = engine.horizon_end()
-        if window is not None:
-            start = max(start, window.start)
-            end = min(end, window.end)
-        return _nav_every(engine, doc_ids, path, start, end)
+    if plan.versions is not None:
+        return _nav_every(engine, plan.doc_ids, path, *plan.versions)
 
-    ts = engine.resolve_time(item.time_spec)
+    ts = plan.timestamp
     bindings = []
-    for doc_id in doc_ids:
+    for doc_id in plan.doc_ids:
         tree = (
             engine.active_cache.document_at(doc_id, ts)
             if engine.active_cache is not None

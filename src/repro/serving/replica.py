@@ -45,10 +45,9 @@ from .session import SessionManager
 class Replica:
     """A read replica of a leader's durable database directory."""
 
-    def __init__(self, directory, fs=None, options=None):
+    def __init__(self, directory, fs=None):
         self.directory = str(directory)
         self._fs = fs if fs is not None else REAL_FS
-        self._options = options
         self._catch_up_lock = threading.Lock()
         self.records_applied = 0
         self.resyncs = 0
@@ -64,9 +63,9 @@ class Replica:
     # store / fti / lifetime are set by _seed(); the replica deliberately has
     # no put/update/delete — its manager is read-only.
 
-    def session(self, options=None):
+    def session(self):
         """Open a pinned read session over the replica."""
-        return self.sessions.session(options=options)
+        return self.sessions.session()
 
     def query(self, text):
         """One-shot convenience: query through a fresh pinned session."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from ..errors import StorageError
 from ..obs import MetricsRegistry
-from ..query.executor import QueryEngine, QueryOptions
+from ..query.executor import QueryEngine
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,11 @@ class SessionManager:
         """Current :class:`PublishedState` (a single atomic attribute read)."""
         return self._published
 
-    def session(self, options=None):
+    def session(self):
         """Open a :class:`Session` pinned to the currently published state."""
         with self._counter_lock:
             self.sessions_opened += 1
-        return Session(self, options=options)
+        return Session(self)
 
     # -- the writer -----------------------------------------------------------
 
@@ -178,21 +178,10 @@ class Session:
     since it opened.
     """
 
-    def __init__(self, manager, options=None):
+    def __init__(self, manager):
         self.manager = manager
         db = manager.db
-        if options is None:
-            engine = getattr(db, "engine", None)
-            options = (
-                engine.options if engine is not None
-                else QueryOptions(lifetime_strategy="auto")
-            )
-        self.engine = QueryEngine(
-            db.store,
-            fti=db.fti,
-            lifetime=db.lifetime,
-            options=options,
-        )
+        self.engine = QueryEngine(db.store, fti=db.fti, lifetime=db.lifetime)
         self.queries = 0
         self.pinned = None
         self.refresh()

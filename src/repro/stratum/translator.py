@@ -27,6 +27,7 @@ from itertools import product
 from ..equality.similarity import similar
 from ..equality.value import coerce_scalar, value_equal
 from ..errors import QueryPlanError, TemporalXMLError
+from ..operators.relational import finish_aggregate
 from ..query.ast import (
     AGGREGATES,
     EVERY,
@@ -41,7 +42,7 @@ from ..query.ast import (
     VarPath,
     is_aggregate_expr,
 )
-from ..query.executor import ResultSet, _aggregatable, _finish_aggregate
+from ..query.executor import ResultSet, _aggregatable
 from ..query.parser import parse_query
 from ..query.values import TimestampValue
 from ..xmlcore.node import Element
@@ -309,7 +310,7 @@ class StratumQueryProcessor:
                     value = value.tree
                 acc.extend(_aggregatable(value))
         values = {
-            label: _finish_aggregate(name, acc)
+            label: finish_aggregate(name.lower(), acc)
             for label, (name, _arg), acc in zip(columns, specs, accumulators)
         }
         return ResultSet(columns, [values])

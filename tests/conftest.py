@@ -14,6 +14,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import settings
 
 from repro import TemporalXMLDatabase
 from repro.clock import parse_date
@@ -24,6 +25,13 @@ from repro.index import (
 )
 from repro.storage import TemporalDocumentStore
 from repro.workload import TDocGenerator, build_collection, load_figure1
+
+
+# Every @given test draws the same examples on every run, so the suite's
+# verdict does not depend on the draw.  Explore with hypothesis's own
+# ``--hypothesis-profile=default`` or ``--hypothesis-seed=N``.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 try:

@@ -5,7 +5,6 @@ import pytest
 
 from repro import TemporalXMLDatabase, parse_date
 from repro.bench import CostMeter, Table
-from repro.query import QueryOptions
 from repro.storage.page import DiskSimulator
 from repro.storage.snapshots import AdaptiveSnapshotPolicy
 from repro.workload import load_figure1
@@ -31,20 +30,23 @@ class TestFacade:
         load_figure1(db)
         assert db.fti.lookup("napoli")
         assert len(db.lifetime) > 0
-        # Default facade options let the optimizer pick per CREATE TIME call.
-        assert db.engine.options.lifetime_strategy == "auto"
+        assert db.engine.fti is db.fti
+        assert db.engine.lifetime is db.lifetime
 
-    def test_custom_options(self):
-        db = TemporalXMLDatabase(
-            options=QueryOptions(
-                use_pattern_index=False, lifetime_strategy="traverse"
-            )
-        )
-        load_figure1(db)
-        result = db.query(
-            'SELECT R/name FROM doc("guide.com")[26/01/2001]/restaurant R'
-        )
-        assert len(result) == 2
+    def test_no_query_options_anywhere(self):
+        """The engine has one configuration; nothing above it takes (or
+        forwards) a query-options object."""
+        import inspect
+
+        from repro.query import QueryEngine
+        from repro.serving import Replica, Session, SessionManager
+
+        for owner in (QueryEngine, TemporalXMLDatabase, Session, Replica,
+                      SessionManager.session, Replica.session):
+            assert "options" not in inspect.signature(owner).parameters
+        with pytest.raises(TypeError):
+            TemporalXMLDatabase(options=None)
+        assert not hasattr(TemporalXMLDatabase().engine, "options")
 
     def test_snapshot_interval_plumbing(self):
         db = TemporalXMLDatabase(snapshot_interval=2)
@@ -61,7 +63,6 @@ class TestFacade:
             cache_size=4,
             reconstruct_policy="backward",
             disk=DiskSimulator(clustered=False, seed=3),
-            options=QueryOptions(lifetime_strategy="traverse"),
         )
         if how == "init":
             db = TemporalXMLDatabase(**tuning)
@@ -77,7 +78,6 @@ class TestFacade:
         assert repository.cache.size == 4
         assert repository.reconstruct_policy == "backward"
         assert repository.disk is tuning["disk"]
-        assert db.engine.options is tuning["options"]
         assert db.engine.store is db.store
         with pytest.raises(TypeError):
             TemporalXMLDatabase.open(tmp_path / "other", clustered=False)

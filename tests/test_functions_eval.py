@@ -11,7 +11,6 @@ from repro.errors import (
     TimeError,
     XMLSyntaxError,
 )
-from repro.query import QueryOptions
 from repro.query.parser import parse_query
 
 
@@ -160,28 +159,20 @@ class TestComparisonEdgeCases:
 
 
 class TestEngineConfiguration:
-    def test_index_strategy_requires_lifetime(self, figure1_db):
+    def test_engine_without_lifetime_index_traverses(self, figure1_db):
         from repro.query import QueryEngine
 
-        with pytest.raises(QueryPlanError):
-            QueryEngine(
-                figure1_db.store,
-                options=QueryOptions(lifetime_strategy="index"),
-            )
-
-    def test_traverse_strategy_without_index_works(self, figure1_db):
-        from repro.query import QueryEngine
-
-        engine = QueryEngine(
-            figure1_db.store,
-            fti=figure1_db.fti,
-            options=QueryOptions(lifetime_strategy="traverse"),
-        )
-        result = engine.execute(
+        query = (
             'SELECT CREATE TIME(R) '
             'FROM doc("guide.com")[26/01/2001]/restaurant R'
         )
+        engine = QueryEngine(figure1_db.store, fti=figure1_db.fti)
+        result = engine.execute(query)
         assert len(result) == 2
+        assert str(result) == str(figure1_db.query(query))
+        counters = engine.optimizer.counters
+        assert counters.auto_lifetime_traverse == 2
+        assert counters.auto_lifetime_index == 0
 
     def test_engine_without_fti_navigates(self, figure1_db):
         from repro.query import QueryEngine

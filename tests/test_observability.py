@@ -292,6 +292,50 @@ class TestExplainAnalyze:
         assert nav.find("DocHistory") is not None
 
 
+class TestExplainPrintsWhatAnalyzeTraces:
+    """One plan: the stage lines EXPLAIN prints above the scans are the
+    spans EXPLAIN ANALYZE records, consumer (parent) to producer (child)."""
+
+    QUERIES = {
+        "projection": 'SELECT DISTINCT R/name FROM doc("guide.com")[EVERY]'
+                      "/restaurant R",
+        "global aggregate": 'SELECT COUNT(R) FROM doc("guide.com")[EVERY]'
+                            '/restaurant R WHERE R/name = "Napoli"',
+        "group by": 'SELECT R/name, COUNT(R) FROM doc("guide.com")[EVERY]'
+                    "/restaurant R GROUP BY R/name",
+        "coalesce": 'SELECT COALESCE R/price FROM doc("guide.com")[EVERY]'
+                    '/restaurant R WHERE R/name = "Napoli"',
+        "overlaps join": 'SELECT R/name, S/name FROM '
+                         'doc("guide.com")[EVERY]/restaurant R, '
+                         'doc("guide.com")[EVERY]/restaurant S '
+                         'WHERE R OVERLAPS S AND R/name = "Napoli" LIMIT 2',
+    }
+    STAGES = {
+        "projection": ["Distinct", "Project"],
+        "global aggregate": ["Aggregate", "Filter"],
+        "group by": ["GroupBy"],
+        "coalesce": ["Coalesce", "Project", "Filter"],
+        "overlaps join": ["Limit", "Project", "Filter", "Join"],
+    }
+
+    @pytest.mark.parametrize("shape", list(QUERIES))
+    def test_stage_names_match_span_names(self, db, shape):
+        query = self.QUERIES[shape]
+        plan = db.query("EXPLAIN " + query)
+        scans = len(plan.plan)
+        printed = [
+            line.split(":")[0] for line in str(plan).splitlines()
+            if not line.startswith(" ")
+        ][:-scans]
+        assert printed == self.STAGES[shape]
+
+        root = db.query("EXPLAIN ANALYZE " + query).root
+        spans = [child.name for child in root.children]
+        assert spans[:2] == ["Rewrite", "Plan"]
+        assert spans[2:2 + scans] == ["TPatternScanAll"] * scans
+        assert spans[2 + scans:] == printed[::-1]
+
+
 # -- overhead -----------------------------------------------------------------
 
 

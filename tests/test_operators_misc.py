@@ -15,15 +15,13 @@ from repro.equality import (
 )
 from repro.model.identifiers import EID, TEID
 from repro.operators import (
-    Aggregate,
-    CrossJoin,
     Diff,
     Distinct,
-    OrderBy,
+    GroupedAggregate,
+    Join,
     Project,
     Select,
     TemporalJoin,
-    ThetaJoin,
 )
 from repro.operators.relational import INTERVAL_KEY
 from repro.storage import TemporalDocumentStore
@@ -92,18 +90,56 @@ class TestRelationalOperators:
         out = list(Project(self.ROWS, {"n": lambda r: r["name"]}))
         assert out[0] == {"n": "Napoli"}
 
-    def test_cross_join(self):
-        left = [{"a": 1}, {"a": 2}]
-        right = [{"b": 10}, {"b": 20}]
-        out = list(CrossJoin(left, right))
-        assert len(out) == 4
-        assert {"a": 1, "b": 10} in out
+    def test_join_is_the_product_in_nested_loop_order(self):
+        out = list(Join({"a": [1, 2], "b": [10, 20]}))
+        assert out == [
+            {"a": 1, "b": 10}, {"a": 1, "b": 20},
+            {"a": 2, "b": 10}, {"a": 2, "b": 20},
+        ]
+        assert list(Join({"a": [1, 2]})) == [{"a": 1}, {"a": 2}]
 
-    def test_theta_join(self):
-        left = [{"a": 1}, {"a": 2}]
-        right = [{"b": 1}, {"b": 3}]
-        out = list(ThetaJoin(left, right, lambda r: r["a"] == r["b"]))
-        assert out == [{"a": 1, "b": 1}]
+    def test_join_prefilters_drop_bindings_before_the_product(self):
+        out = list(Join(
+            {"a": [1, 2, 3], "b": [1, 3]},
+            prefilters={"a": lambda row: row["a"] > 1,
+                        "b": lambda row: row["b"] > 1},
+        ))
+        assert out == [{"a": 2, "b": 3}, {"a": 3, "b": 3}]
+
+    def test_join_streams_first_and_materializes_rest_in_order(self):
+        pulled = []
+
+        def source(name, values):
+            for value in values:
+                pulled.append(name)
+                yield value
+
+        sources = {
+            "a": source("a", [1, 2]),
+            "b": source("b", [1]),
+            "c": source("c", [1, 2]),
+        }
+        rows = iter(Join(sources, order=["c", "b"]))
+        assert next(rows) == {"a": 1, "b": 1, "c": 1}
+        # c drained, then b, and only then the first binding of a.
+        assert pulled == ["c", "c", "b", "a"]
+        assert len(list(rows)) == 3
+
+    def test_join_stops_at_the_first_empty_materialized_source(self):
+        pulled = []
+
+        def source(name, values):
+            for value in values:
+                pulled.append(name)
+                yield value
+
+        sources = {
+            "a": source("a", [1]),
+            "b": source("b", [1]),
+            "c": source("c", []),
+        }
+        assert list(Join(sources, order=["c", "b"])) == []
+        assert pulled == []  # neither a nor b was touched
 
     def test_temporal_join_overlap(self):
         left = [{"x": 1, INTERVAL_KEY: Interval(0, 10)}]
@@ -123,14 +159,11 @@ class TestRelationalOperators:
         rows = [{"a": 1}, {"a": 1}, {"a": 2}]
         assert len(list(Distinct(rows))) == 2
 
-    def test_order_by(self):
-        out = list(OrderBy(self.ROWS, key=lambda r: r["price"]))
-        assert [r["price"] for r in out] == [13, 15, 22]
-
-    def test_aggregate(self):
+    def test_global_aggregate(self):
         out = list(
-            Aggregate(
+            GroupedAggregate(
                 self.ROWS,
+                {},
                 {
                     "total": ("sum", lambda r: r["price"]),
                     "n": ("count", None),
@@ -143,13 +176,17 @@ class TestRelationalOperators:
             {"total": 50, "n": 3, "cheapest": 13, "avg": 50 / 3}
         ]
 
-    def test_aggregate_empty_input(self):
-        out = list(Aggregate([], {"s": ("sum", lambda r: r["x"])}))
-        assert out == [{"s": None}]
+    def test_global_aggregate_empty_input_is_one_row(self):
+        out = list(GroupedAggregate(
+            [], {}, {"s": ("sum", lambda r: r["x"]), "n": ("count", None)}
+        ))
+        assert out == [{"s": None, "n": 0}]
 
-    def test_aggregate_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Aggregate([], {"bad": ("median", None)})
+    def test_grouped_aggregate_empty_input_is_no_rows(self):
+        out = list(GroupedAggregate(
+            [], {"k": lambda r: r["k"]}, {"n": ("count", None)}
+        ))
+        assert out == []
 
 
 class TestValueEquality:

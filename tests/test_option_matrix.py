@@ -1,16 +1,20 @@
-"""Every engine configuration must return the same answers.
+"""Every way of answering a query must return the same answers.
 
-The execution knobs (pattern index on/off, rewriter on/off, lifetime
-strategy) only change *costs*; this matrix pins that invariant across the
-paper's query shapes on the Figure 1 data and on a synthetic collection.
+The engine has one configuration; what used to be knob combinations are
+now ways to run the same text — the indexed engine, an engine built
+without a lifetime index (CREATE/DELETE TIME by traversal), one built
+without an FTI either (navigational scans everywhere), and the
+un-rewritten stage composition (``desugar`` in place of ``rewrite``) on
+each.  They only
+differ in *cost*; this matrix pins that invariant across the paper's
+query shapes on the Figure 1 data and on a synthetic collection.
 """
-
-import itertools
 
 import pytest
 
+from benchmarks.planedits import run_unrewritten
 from repro.index import LifetimeIndex, TemporalFullTextIndex
-from repro.query import QueryEngine, QueryOptions
+from repro.query import QueryEngine
 from repro.storage import TemporalDocumentStore
 from repro.workload import TDocGenerator, build_collection, load_figure1
 
@@ -26,23 +30,22 @@ FIGURE1_QUERIES = (
     'SELECT CURRENT(R)/price FROM doc("guide.com")[01/01/2001]/restaurant R',
 )
 
-_COMBOS = list(itertools.product(
-    (True, False),            # use_pattern_index
-    (True, False),            # use_rewriter
-    ("index", "traverse"),    # lifetime_strategy
-))
 
-
-def _engines(store, fti, lifetime):
-    for use_index, use_rewriter, strategy in _COMBOS:
-        options = QueryOptions(
-            use_pattern_index=use_index,
-            lifetime_strategy=strategy,
-            use_rewriter=use_rewriter,
-        )
-        yield QueryEngine(
-            store, fti=fti, lifetime=lifetime, options=options
-        ), (use_index, use_rewriter, strategy)
+def _answers(store, fti, lifetime, query):
+    """``{how it ran: sorted result lines}`` for every way to run it."""
+    engines = {
+        "indexed": QueryEngine(store, fti=fti, lifetime=lifetime),
+        "no lifetime index": QueryEngine(store, fti=fti),
+        "no index": QueryEngine(store),
+    }
+    answers = {}
+    for label, engine in engines.items():
+        answers[label] = engine.execute(query)
+        answers[label + ", un-rewritten"] = run_unrewritten(engine, query)
+    return {
+        label: tuple(sorted(str(result).splitlines()))
+        for label, result in answers.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -68,16 +71,9 @@ def synthetic():
 
 class TestFigure1Matrix:
     @pytest.mark.parametrize("query", FIGURE1_QUERIES)
-    def test_all_configurations_agree(self, figure1, query):
-        store, fti, lifetime = figure1
-        results = {}
-        for engine, combo in _engines(store, fti, lifetime):
-            rows = tuple(sorted(str(engine.execute(query)).splitlines()))
-            results[combo] = rows
-        distinct = set(results.values())
-        assert len(distinct) == 1, {
-            combo: rows for combo, rows in results.items()
-        }
+    def test_all_ways_agree(self, figure1, query):
+        results = _answers(*figure1, query)
+        assert len(set(results.values())) == 1, results
 
 
 class TestSyntheticMatrix:
@@ -89,11 +85,6 @@ class TestSyntheticMatrix:
     )
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_all_configurations_agree(self, synthetic, query):
-        store, fti, lifetime = synthetic
-        results = set()
-        for engine, _combo in _engines(store, fti, lifetime):
-            results.add(
-                tuple(sorted(str(engine.execute(query)).splitlines()))
-            )
-        assert len(results) == 1
+    def test_all_ways_agree(self, synthetic, query):
+        results = _answers(*synthetic, query)
+        assert len(set(results.values())) == 1, results

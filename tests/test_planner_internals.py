@@ -9,7 +9,7 @@ from repro.query.parser import parse_query
 from repro.query.planner import (
     _anchored,
     _build_pattern,
-    _pushable_value,
+    _pushable_values,
     _resolve_documents,
 )
 from repro.storage import TemporalDocumentStore
@@ -50,59 +50,66 @@ class TestPushdown:
         ).where
 
     def test_simple_equality(self):
-        pushdown = _pushable_value("R", self._where('R/name = "Napoli"'))
-        steps, value = pushdown
+        ((steps, value),) = _pushable_values(
+            "R", self._where('R/name = "Napoli"')
+        )
         assert [s.tag for s in steps] == ["name"]
         assert value == "Napoli"
 
     def test_reversed_sides(self):
-        pushdown = _pushable_value("R", self._where('"Napoli" = R/name'))
-        assert pushdown[1] == "Napoli"
-
-    def test_conjunction_finds_it(self):
-        pushdown = _pushable_value(
-            "R", self._where('R/price < 10 AND R/name = "Napoli"')
+        ((_steps, value),) = _pushable_values(
+            "R", self._where('"Napoli" = R/name')
         )
-        assert pushdown is not None
+        assert value == "Napoli"
+
+    def test_conjunction_lists_them_in_clause_order(self):
+        pushable = _pushable_values(
+            "R",
+            self._where('R/price < 10 AND R/name = "Napoli" AND R/price = 9'),
+        )
+        assert [value for _steps, value in pushable] == ["Napoli", 9]
 
     def test_disjunction_not_pushed(self):
-        assert _pushable_value(
+        assert _pushable_values(
             "R", self._where('R/name = "Napoli" OR R/price < 10')
-        ) is None
+        ) == []
 
     def test_other_variable_not_pushed(self):
         query = parse_query(
             'SELECT R FROM doc("g")/r R, doc("g")/r S '
             'WHERE S/name = "Napoli"'
         )
-        assert _pushable_value("R", query.where) is None
-        assert _pushable_value("S", query.where) is not None
+        assert _pushable_values("R", query.where) == []
+        assert len(_pushable_values("S", query.where)) == 1
 
     def test_non_literal_not_pushed(self):
-        assert _pushable_value(
+        assert _pushable_values(
             "R", self._where("R/name = R/alias")
-        ) is None
+        ) == []
 
     def test_numeric_literal_pushed(self):
-        pushdown = _pushable_value("R", self._where("R/price = 15"))
-        assert pushdown[1] == 15
+        ((_steps, value),) = _pushable_values(
+            "R", self._where("R/price = 15")
+        )
+        assert value == 15
 
     def test_bare_variable_equality(self):
-        pushdown = _pushable_value("R", self._where('R = "Napoli"'))
-        steps, value = pushdown
+        ((steps, value),) = _pushable_values(
+            "R", self._where('R = "Napoli"')
+        )
         assert steps == [] and value == "Napoli"
 
 
 class TestBuildPattern:
     def test_projects_last_from_step(self):
-        pattern = _build_pattern(Path("restaurant/menu").steps, None)
+        pattern = _build_pattern(Path("restaurant/menu").steps)
         assert pattern.projected_index() == 1
         assert [n.term for n in pattern.nodes()] == ["restaurant", "menu"]
 
     def test_pushdown_chain_hangs_below_projection(self):
         pattern = _build_pattern(
             Path("restaurant").steps,
-            (Path("name").steps, "Napoli"),
+            [(Path("name").steps, "Napoli")],
         )
         terms = [n.term for n in pattern.nodes()]
         assert terms == ["restaurant", "name", "napoli"]
@@ -112,7 +119,7 @@ class TestBuildPattern:
         assert (1, 2, "contains") in edges
 
     def test_bare_variable_pushdown_words_on_projection(self):
-        pattern = _build_pattern(Path("restaurant").steps, ([], "Napoli"))
+        pattern = _build_pattern(Path("restaurant").steps, [([], "Napoli")])
         assert pattern.edges() == [(0, 1, "contains")]
 
 
@@ -141,19 +148,22 @@ class TestIndexNavEquivalence:
     )
 
     @pytest.fixture
-    def engine(self):
+    def engines(self):
+        """The same store behind an indexed and an FTI-less engine."""
         store = TemporalDocumentStore()
         fti = store.subscribe(TemporalFullTextIndex())
         build_collection(
             store, n_docs=3, versions_per_doc=5,
             generator=TDocGenerator(seed=31),
         )
-        return QueryEngine(store, fti=fti)
+        return QueryEngine(store, fti=fti), QueryEngine(store)
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_agree(self, engine, query):
-        engine.options.use_pattern_index = True
-        indexed = sorted(str(engine.execute(query)).splitlines())
-        engine.options.use_pattern_index = False
-        navigated = sorted(str(engine.execute(query)).splitlines())
-        assert indexed == navigated
+    def test_agree(self, engines, query):
+        indexed, navigating = engines
+        assert {i["strategy"] for i in navigating.explain(query)} == {
+            "navigate"
+        }
+        assert sorted(str(indexed.execute(query)).splitlines()) == sorted(
+            str(navigating.execute(query)).splitlines()
+        )

@@ -3,25 +3,28 @@
 Three layers of coverage:
 
 * a randomized equivalence suite — the optimizer must be *invisible* in
-  results: byte-identical output with ``use_optimizer`` on vs. off, and
-  the same row set as the navigational baseline (order-insensitive, the
-  bar the option matrix uses across configurations);
+  results: ``run(plan(...))`` is ``execute``, every optimizer decision
+  undone on the plan (one at a time, and all together as the legacy
+  shape) leaves the output byte-identical, and an engine without an FTI
+  returns the same row set (order-insensitive, the bar the option matrix
+  uses);
 * an EXPLAIN / EXPLAIN ANALYZE regression — plans expose priced
   alternatives with exactly one chosen, and executed scans report
   estimated next to actual rows;
 * unit tests for the statistics layer (windowed lookups, term statistics,
-  the ``auto`` lifetime decision, conjunct ordering).
+  the per-call lifetime decision, conjunct ordering).
 """
 
 import random
 
 import pytest
 
+from benchmarks.planedits import EDITS, legacy_shape, rewritten_plan
 from repro.clock import SECONDS_PER_DAY, format_timestamp, parse_date
 from repro.errors import QueryPlanError
 from repro.index import LifetimeIndex, TemporalFullTextIndex
 from repro.index.statistics import CorpusStatistics
-from repro.query import QueryEngine, QueryOptions
+from repro.query import QueryEngine
 from repro.query.optimizer import AUTO_LIFETIME_VERSIONS
 from repro.query.parser import parse_query
 from repro.storage import TemporalDocumentStore
@@ -61,11 +64,9 @@ def corpus():
     return store, fti, lifetime, {tag: sorted(vs) for tag, vs in vocab.items()}
 
 
-def _engine(corpus, **overrides):
+def _engine(corpus):
     store, fti, lifetime, _vocab = corpus
-    overrides.setdefault("lifetime_strategy", "auto")
-    options = QueryOptions(**overrides)
-    return QueryEngine(store, fti=fti, lifetime=lifetime, options=options)
+    return QueryEngine(store, fti=fti, lifetime=lifetime)
 
 
 def _random_queries(vocab, count=24, seed=7):
@@ -127,19 +128,53 @@ def _random_queries(vocab, count=24, seed=7):
     return [rng.choice(templates)() for _ in range(count)]
 
 
+def _decision_queries(store):
+    """Two shapes the random templates never draw: a windowed two-pushdown
+    scan the cost model flips to navigation, and a three-way product whose
+    last list is estimated smaller than its second (materialized first).
+    Both name restaurants that exist, so neither result is empty."""
+
+    def first(doc, tag):
+        restaurant = store.current(doc).find("restaurant")
+        return restaurant.find(tag).text_content().strip()
+
+    day = format_timestamp(START + 25 * SECONDS_PER_DAY)
+    return [
+        'SELECT R/name FROM doc("g0.com")[EVERY]/restaurant R '
+        f"WHERE TIME(R) >= {format_timestamp(START + 6 * SECONDS_PER_DAY)} "
+        f'AND R/name = "{first("g0.com", "name")}" '
+        f'AND R/street = "{first("g0.com", "street")}"',
+        f'SELECT R/name, T/price FROM doc("g0.com")[{day}]/restaurant R, '
+        f'doc("g1.com")[EVERY]/restaurant S, '
+        f'doc("g2.com")[{day}]/restaurant T WHERE S/price > 20',
+    ]
+
+
 class TestRandomizedEquivalence:
-    def test_optimizer_output_is_byte_identical(self, corpus):
-        on = _engine(corpus)
-        off = _engine(corpus, use_optimizer=False)
+    def test_run_of_plan_is_execute(self, corpus):
+        engine = _engine(corpus)
         for query in _random_queries(corpus[3]):
-            assert str(on.execute(query)) == str(off.execute(query)), query
+            plan = rewritten_plan(engine, query)
+            assert str(engine.run(plan)) == str(engine.execute(query)), query
+
+    @pytest.mark.parametrize(
+        "edit", (*EDITS, legacy_shape), ids=lambda edit: edit.__name__
+    )
+    def test_each_plan_edit_is_invisible_in_results(self, corpus, edit):
+        """One law per optimizer transformation: undo it on the plan and
+        the output stays byte-identical."""
+        engine = _engine(corpus)
+        changed = 0
+        for query in _random_queries(corpus[3]) + _decision_queries(corpus[0]):
+            plan = rewritten_plan(engine, query)
+            edited = edit(plan)
+            changed += edited != plan
+            assert str(engine.run(edited)) == str(engine.run(plan)), query
+        assert changed, "no query here exercises this edit"
 
     def test_matches_navigational_baseline(self, corpus):
         on = _engine(corpus)
-        nav = _engine(
-            corpus, use_optimizer=False, use_pattern_index=False,
-            lifetime_strategy="traverse",
-        )
+        nav = QueryEngine(corpus[0])  # no FTI, no lifetime index
         for query in _random_queries(corpus[3]):
             expected = sorted(str(nav.execute(query)).splitlines())
             assert sorted(str(on.execute(query)).splitlines()) == expected, (
@@ -153,17 +188,18 @@ class TestRandomizedEquivalence:
         only raises for rows that survive the earlier conjuncts — the
         evaluator short-circuits AND left to right.  Raising conjuncts
         are reordering barriers, so a filter that textually precedes one
-        still runs first with the optimizer on.
+        still runs first — as planned and under every plan edit.
         """
-        on = _engine(corpus)
-        off = _engine(corpus, use_optimizer=False)
+        engine = _engine(corpus)
+        shapes = [lambda plan: plan, *EDITS, legacy_shape]
         suppressed = (
             'SELECT R/name FROM doc("g0.com")[EVERY]/restaurant R '
             'WHERE R/name = "no such restaurant" '
             "AND TIME(R/price) >= 01/01/2001"
         )
-        assert str(on.execute(suppressed)) == str(off.execute(suppressed))
-        assert len(on.execute(suppressed)) == 0
+        for shape in shapes:
+            result = engine.run(shape(rewritten_plan(engine, suppressed)))
+            assert len(result) == 0
 
         matching = corpus[3]["name"][0]
         raising = (
@@ -171,9 +207,10 @@ class TestRandomizedEquivalence:
             f'WHERE R/name = "{matching}" AND TIME(R/price) >= 01/01/2001'
         )
         with pytest.raises(QueryPlanError):
-            on.execute(raising)
-        with pytest.raises(QueryPlanError):
-            off.execute(raising)
+            engine.execute(raising)
+        for shape in shapes:
+            with pytest.raises(QueryPlanError):
+                engine.run(shape(rewritten_plan(engine, raising)))
 
     def test_planner_counters_moved(self, corpus):
         engine = _engine(corpus)
@@ -182,7 +219,7 @@ class TestRandomizedEquivalence:
         counters = engine.optimizer.counters
         assert counters.plans > 0
         assert counters.index_chosen > 0
-        assert counters.pushdowns_added > 0
+        assert counters.pushdowns > 0
         assert counters.conjuncts_reordered > 0
 
 
@@ -221,16 +258,20 @@ class TestExplainShapes:
         assert "estimate:" in text
         assert "navigate (NavScan)" in text
 
-    def test_disabled_optimizer_keeps_legacy_shape(self, corpus):
-        engine = _engine(corpus, use_optimizer=False)
-        (info,) = engine.explain(
+    def test_legacy_shape_edit_describes_the_legacy_plan(self, corpus):
+        engine = _engine(corpus)
+        plan = legacy_shape(rewritten_plan(
+            engine,
             'SELECT R FROM doc("g0.com")[EVERY]/restaurant R '
-            'WHERE R/street = "street 1" AND R/name = "Napoli 1"'
-        )
-        if info["strategy"] == "index":
-            # Legacy rule: only the first pushable conjunct is pushed.
-            assert "pushdowns" not in info
-            assert info["pushdown"] == "street 1"
+            'WHERE R/street = "street 1" AND R/name = "Napoli 1"',
+        ))
+        (info,) = plan.describe()
+        # No cost flip, and only the first pushable conjunct is pushed.
+        assert info["strategy"] == "index"
+        assert "pushdowns" not in info
+        assert info["pushdown"] == "street 1"
+        assert plan.items[0].scan_bounds is None
+        assert plan.where is plan.query.where
 
 
 class TestEstimateAccounting:
@@ -311,10 +352,7 @@ class TestStatisticsLayer:
 
     def test_auto_lifetime_strategy(self, figure1):
         store, fti, lifetime = figure1
-        engine = QueryEngine(
-            store, fti=fti, lifetime=lifetime,
-            options=QueryOptions(lifetime_strategy="auto"),
-        )
+        engine = QueryEngine(store, fti=fti, lifetime=lifetime)
         result = engine.execute(
             'SELECT DISTINCT R/name FROM doc("guide.com")[EVERY]/restaurant R '
             "WHERE CREATE TIME(R) >= 01/01/2001"
@@ -331,12 +369,9 @@ class TestStatisticsLayer:
             _teid_for(store, doc_id)
         )
         assert bound_strategy == "index"
-        # Without a lifetime index auto always traverses.
-        bare = QueryEngine(
-            store, fti=fti, lifetime=None,
-            options=QueryOptions(lifetime_strategy="auto"),
-        )
-        assert bare.resolve_lifetime_strategy(None) == "traverse"
+        # Without a lifetime index every call traverses.
+        bare = QueryEngine(store, fti=fti, lifetime=None)
+        assert bare.optimizer.lifetime_strategy_for(None) == "traverse"
 
     def test_order_conjuncts_ranks_cheap_first(self, figure1):
         store, fti, lifetime = figure1
@@ -352,9 +387,6 @@ class TestStatisticsLayer:
         labels = [c.label() for c in _conjuncts(ordered)]
         assert "TIME" in labels[0]
         assert "~" in labels[-1]
-        # Disabled: the clause is returned untouched.
-        engine.options.use_optimizer = False
-        assert engine.optimizer.order_conjuncts(query.where) is query.where
 
 
 def statistics_version_count(store, fti, doc_id):

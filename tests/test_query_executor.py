@@ -4,6 +4,7 @@ import pytest
 
 from repro.clock import format_timestamp
 from repro.errors import NoSuchDocumentError, QueryPlanError
+from repro.query import QueryEngine
 from repro.xmlcore import Path, serialize
 
 from tests.conftest import JAN_01, JAN_15, JAN_31
@@ -92,6 +93,42 @@ class TestTimeQualifiers:
             'SELECT R FROM doc("guide.com")[01/01/1999]/restaurant R'
         )
         assert len(result) == 0
+
+    @pytest.mark.parametrize("qualifier", ["R", "TIME(S)", "R/price"])
+    @pytest.mark.parametrize("prefix", ["", "EXPLAIN ", "EXPLAIN ANALYZE "])
+    def test_qualifier_naming_a_variable_is_a_plan_error(
+        self, figure1_db, prefix, qualifier
+    ):
+        """A FROM time qualifier is evaluated before any row exists; a
+        variable in it used to escape as a raw ``KeyError``."""
+        with pytest.raises(QueryPlanError, match="cannot reference a variable"):
+            figure1_db.query(
+                f'{prefix}SELECT R FROM doc("guide.com")[{qualifier}]'
+                "/restaurant R"
+            )
+
+
+class TestExplainRejectsWhatExecuteRejects:
+    """Validation lives in ``plan()``, so EXPLAIN and execution raise the
+    same error with the same message."""
+
+    @pytest.mark.parametrize("query, message", [
+        ('SELECT R/name, COUNT(R) FROM doc("guide.com")[EVERY]/restaurant R',
+         "cannot mix aggregate and non-aggregate SELECT items"),
+        ('SELECT SUM(R, R) FROM doc("guide.com")[EVERY]/restaurant R',
+         "SUM takes exactly one argument"),
+        ('SELECT R FROM doc("guide.com")["x"]/restaurant R',
+         "time qualifier did not evaluate to a timestamp"),
+    ])
+    def test_same_error_either_way(self, figure1_db, query, message):
+        errors = []
+        for prefix in ("", "EXPLAIN ", "EXPLAIN ANALYZE "):
+            with pytest.raises(QueryPlanError, match=message) as caught:
+                figure1_db.query(prefix + query)
+            errors.append(str(caught.value))
+        with pytest.raises(QueryPlanError, match=message):
+            figure1_db.engine.explain(query)
+        assert len(set(errors)) == 1
 
 
 class TestTemporalFunctions:
@@ -183,13 +220,10 @@ class TestPlannerBehaviour:
             'WHERE R/name="Napoli"',
             'SELECT COUNT(R) FROM doc("guide.com")[15/01/2001]/restaurant R',
         ]
+        navigating = QueryEngine(figure1_db.store)  # no FTI: NavScan only
         for text in queries:
             indexed = figure1_db.engine.execute(text)
-            figure1_db.engine.options.use_pattern_index = False
-            try:
-                scanned = figure1_db.engine.execute(text)
-            finally:
-                figure1_db.engine.options.use_pattern_index = True
+            scanned = navigating.execute(text)
             assert str(indexed) == str(scanned), text
 
     def test_wildcard_path_falls_back(self, figure1_db):

@@ -142,11 +142,12 @@ class TestQueryEquivalenceAtScale:
     @pytest.mark.parametrize("query", QUERIES)
     def test_plans_agree(self, world, query):
         store, fti, _life, _ops, _stratum, _committed = world
-        engine = QueryEngine(store, fti=fti)
-        engine.options.use_pattern_index = True
-        indexed = sorted(str(engine.execute(query)).splitlines())
-        engine.options.use_pattern_index = False
-        navigated = sorted(str(engine.execute(query)).splitlines())
+        indexed = sorted(
+            str(QueryEngine(store, fti=fti).execute(query)).splitlines()
+        )
+        navigated = sorted(
+            str(QueryEngine(store).execute(query)).splitlines()
+        )
         assert indexed == navigated
 
     def test_stratum_agrees(self, world):

@@ -378,6 +378,13 @@ def test_server_serves_concurrent_clients():
             assert report["wall_ms"] >= 0 and report["row_count"] >= 1
             with pytest.raises(ServingError):
                 client.query('SELECT R FROM doc("missing") R')
+            # A typed plan error, not "KeyError: 'R'" from inside the engine.
+            refused = client.request(
+                "query",
+                text='SELECT R FROM doc("guide.com")[R]/restaurant R',
+            )
+            assert refused["error_type"] == "QueryPlanError"
+            assert "cannot reference a variable" in refused["error"]
             stats = client.stats()
             assert stats["server"]["connections"] >= 6
             assert stats["server"]["manager"]["commits"] == 2

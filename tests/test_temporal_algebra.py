@@ -13,13 +13,20 @@ Four layers of coverage:
   interaction of ``pinned_now`` snapshots with NOW-relative windows;
 * a randomized equivalence suite: TXQL output must be **byte-identical**
   to pipelines hand-composed from ``operators/relational.py`` over the
-  raw delta index, with the optimizer on *and* off.
+  raw delta index — as planned, with each optimizer decision undone on
+  the plan, and in the legacy plan shape.
 """
 
 import random
 
 import pytest
 
+from benchmarks.planedits import (
+    EDITS,
+    legacy_shape,
+    rewritten_plan,
+    unrewritten_plan,
+)
 from repro.clock import (
     BEFORE_TIME,
     SECONDS_PER_DAY,
@@ -41,7 +48,7 @@ from repro.operators.relational import (
     GroupedAggregate,
     TemporalJoin,
 )
-from repro.query import QueryEngine, QueryOptions
+from repro.query import QueryEngine
 from repro.query.executor import ResultSet
 from repro.query.values import BoundElement, TimestampValue
 from repro.storage import TemporalDocumentStore
@@ -492,11 +499,9 @@ def corpus():
     return store, fti, lifetime, {tag: sorted(v) for tag, v in vocab.items()}
 
 
-def _engine(corpus, **overrides):
+def _engine(corpus):
     store, fti, lifetime, _vocab = corpus
-    engine = QueryEngine(
-        store, fti=fti, lifetime=lifetime, options=QueryOptions(**overrides)
-    )
+    engine = QueryEngine(store, fti=fti, lifetime=lifetime)
     engine.pinned_now = NOW_PIN  # freeze NOW so every run agrees on it
     return engine
 
@@ -655,15 +660,19 @@ def _hand_within(store, doc, days, target):
 
 
 class TestHandPipelineEquivalence:
-    """TXQL output must be byte-identical to relational.py pipelines,
-    with the optimizer on and off."""
+    """TXQL output must be byte-identical to relational.py pipelines —
+    as planned, and with every optimizer decision undone on the plan,
+    one at a time and all together."""
 
     def _check(self, corpus, query, hand):
         expected = str(hand)
-        on = _engine(corpus)
-        off = _engine(corpus, use_optimizer=False)
-        assert str(on.execute(query)) == expected, query
-        assert str(off.execute(query)) == expected, query
+        engine = _engine(corpus)
+        assert str(engine.execute(query)) == expected, query
+        plan = rewritten_plan(engine, query)
+        for edit in (*EDITS, legacy_shape):
+            assert str(engine.run(edit(plan))) == expected, (
+                edit.__name__, query,
+            )
 
     def test_coalesce_matches_hand_pipeline(self, corpus):
         store, _fti, _lifetime, vocab = corpus
@@ -745,14 +754,8 @@ class TestHandPipelineEquivalence:
             f'WHERE R/name = "{target}"'
         )
         expected = str(_hand_within(store, "g0.com", 45, target))
-        for use_rewriter in (True, False):
-            for use_optimizer in (True, False):
-                engine = _engine(
-                    corpus,
-                    use_rewriter=use_rewriter,
-                    use_optimizer=use_optimizer,
-                )
-                assert str(engine.execute(query)) == expected, (
-                    use_rewriter,
-                    use_optimizer,
-                )
+        engine = _engine(corpus)
+        for planned in (rewritten_plan, unrewritten_plan):
+            plan = planned(engine, query)
+            for shape in (engine.run, lambda p: engine.run(legacy_shape(p))):
+                assert str(shape(plan)) == expected, planned.__name__
