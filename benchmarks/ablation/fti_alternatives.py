@@ -1,4 +1,13 @@
-"""Delta-operation index — alternative 2 of Section 7.2.
+"""The FTI alternatives the paper rejects (Section 7.2), kept as references.
+
+The engine ships alternative 1 only
+(:class:`repro.index.fti.TemporalFullTextIndex`); benchmark E6 and
+``tests/test_delta_indexes.py`` compare it against the two below.  Bench
+scripts import this as ``ablation.fti_alternatives``, tests as
+``benchmarks.ablation.fti_alternatives``; nothing under ``src/repro``
+imports it.
+
+**Delta-operation index — alternative 2 of Section 7.2.**
 
 "Index the contents of the delta objects.  This implies indexing the
 operations, e.g., update, move and delete information directly in the text
@@ -13,13 +22,23 @@ touched word per commit — and snapshot queries become expensive because the
 state at time *t* must be folded from the whole event history.  Both
 drawbacks are measurable through :attr:`stats`, which is the point of
 keeping this alternative around (benchmark E6).
+
+**Hybrid index — alternative 3 of Section 7.2: snapshot *and* delta info.**
+
+"This approach could be efficient for both snapshot and change based
+queries, but will result in larger indexes and higher update costs."
+
+Implemented as the straightforward composition of alternatives 1 and 2:
+snapshot-style lookups are answered by the content index, change-oriented
+queries by the operation index, and sizes/update costs are the sums — which
+is precisely the trade-off benchmark E6 quantifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..diff.editscript import (
+from repro.diff.editscript import (
     DeleteOp,
     InsertOp,
     MoveOp,
@@ -27,9 +46,10 @@ from ..diff.editscript import (
     UpdateAttrOp,
     UpdateTextOp,
 )
-from ..xmlcore.node import Element
-from .postings import occurrences, tokenize
-from .stats import IndexStats
+from repro.index.fti import TemporalFullTextIndex
+from repro.index.postings import occurrences, tokenize
+from repro.index.stats import IndexStats
+from repro.xmlcore.node import Element
 
 #: Operation keywords, indexed as words themselves (alternative 2's burden).
 OP_INSERT = "insert"
@@ -230,3 +250,95 @@ class DeltaOperationIndex:
             for lst in self._by_word.values()
             for e in lst
         )
+
+
+class HybridIndex:
+    """Both a content index and a delta-operation index, kept in lockstep."""
+
+    #: Composite label; ``metric_sources`` exposes each side separately.
+    metrics_label = "hybrid"
+
+    def __init__(self):
+        self.content = TemporalFullTextIndex()
+        self.operations = DeltaOperationIndex()
+
+    def metric_sources(self):
+        """Registry sources: the two constituent indexes, under their own
+        labels (so the content side still answers ``fti.*`` queries)."""
+        return [
+            (self.content.metrics_label, self.content.stats),
+            (self.operations.metrics_label, self.operations.stats),
+        ]
+
+    # -- store observer ------------------------------------------------------
+
+    def document_committed(self, event):
+        self.content.document_committed(event)
+        self.operations.document_committed(event)
+
+    # -- queries: route to the cheaper side -----------------------------------
+
+    def lookup(self, word, docs=None):
+        return self.content.lookup(word, docs=docs)
+
+    def lookup_t(self, word, ts, docs=None):
+        return self.content.lookup_t(word, ts, docs=docs)
+
+    def lookup_h(self, word, docs=None):
+        return self.content.lookup_h(word, docs=docs)
+
+    def lookup_w(self, word, start, end, docs=None):
+        return self.content.lookup_w(word, start, end, docs=docs)
+
+    # -- planner probes (content side) ----------------------------------------
+
+    def term_stats(self, word):
+        return self.content.term_stats(word)
+
+    def postings_at_or_before(self, word, ts):
+        return self.content.postings_at_or_before(word, ts)
+
+    def postings_starting_before(self, word, end):
+        return self.content.postings_starting_before(word, end)
+
+    def distinct_terms(self):
+        return self.content.distinct_terms()
+
+    def events_for_word(self, word, op=None):
+        return self.operations.events_for_word(word, op)
+
+    def deletion_time(self, word, doc_id=None):
+        return self.operations.deletion_time(word, doc_id)
+
+    # -- combined accounting -----------------------------------------------------
+
+    def posting_count(self):
+        return self.content.posting_count() + self.operations.posting_count()
+
+    def estimated_bytes(self):
+        return (
+            self.content.estimated_bytes()
+            + self.operations.estimated_bytes()
+        )
+
+    def update_ops(self):
+        return (
+            self.content.stats.update_ops + self.operations.stats.update_ops
+        )
+
+
+class FullHistoryLookup:
+    """An FTI whose windowed lookup scans the whole history list — the
+    pre-planner retrieval.  The scorer drops postings outside the window
+    itself, so ``TemporalKeywordScorer(FullHistoryLookup(fti))`` ranks
+    identically to the windowed scorer and only ``postings_scanned``
+    differs; everything else is the wrapped index."""
+
+    def __init__(self, fti):
+        self._fti = fti
+
+    def lookup_w(self, word, start, end, docs=None):
+        return self._fti.lookup_h(word, docs=docs)
+
+    def __getattr__(self, name):
+        return getattr(self._fti, name)

@@ -7,9 +7,9 @@ database system (also called a stratum approach).  Although this approach
 makes the introduction of temporal support easier, it can be difficult to
 achieve good performance."
 
-:class:`~repro.stratum.store.StratumStore` stores every version as a
+:class:`~.store.StratumStore` stores every version as a
 complete document (no deltas, no persistent element identity);
-:class:`~repro.stratum.translator.StratumQueryProcessor` runs TXQL against
+:class:`~.translator.StratumQueryProcessor` runs TXQL against
 it by middleware translation.  Benchmarks E7/E8 compare this baseline with
 the native system on space and query cost.
 """

@@ -12,17 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from bisect import bisect_right
 
-from ..clock import LogicalClock, UNTIL_CHANGED
-from ..errors import (
+from repro.clock import LogicalClock, UNTIL_CHANGED
+from repro.errors import (
     DocumentDeletedError,
     NoSuchDocumentError,
     NoSuchVersionError,
     StorageError,
 )
-from ..storage.page import DiskSimulator
-from ..xmlcore.node import Element
-from ..xmlcore.parser import parse
-from ..xmlcore.serializer import serialize
+from repro.storage.page import DiskSimulator
+from repro.xmlcore.node import Element
+from repro.xmlcore.parser import parse
+from repro.xmlcore.serializer import serialize
 
 
 @dataclass

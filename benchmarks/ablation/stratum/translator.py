@@ -24,11 +24,11 @@ from __future__ import annotations
 from fnmatch import fnmatch
 from itertools import product
 
-from ..equality.similarity import similar
-from ..equality.value import coerce_scalar, value_equal
-from ..errors import QueryPlanError, TemporalXMLError
-from ..operators.relational import finish_aggregate
-from ..query.ast import (
+from repro.equality.similarity import similar
+from repro.equality.value import coerce_scalar, value_equal
+from repro.errors import QueryPlanError, TemporalXMLError
+from repro.operators.relational import finish_aggregate
+from repro.query.ast import (
     AGGREGATES,
     EVERY,
     BinOp,
@@ -42,11 +42,11 @@ from ..query.ast import (
     VarPath,
     is_aggregate_expr,
 )
-from ..query.executor import ResultSet, _aggregatable
-from ..query.parser import parse_query
-from ..query.values import TimestampValue
-from ..xmlcore.node import Element
-from ..xmlcore.path import Path
+from repro.query.executor import ResultSet, _aggregatable
+from repro.query.parser import parse_query
+from repro.query.values import TimestampValue
+from repro.xmlcore.node import Element
+from repro.xmlcore.path import Path
 
 
 class UnsupportedInStratumError(TemporalXMLError):
@@ -198,14 +198,14 @@ class StratumQueryProcessor:
                 binding = self._eval(expr.args[0], row)
                 if not isinstance(binding, _StratumBinding):
                     raise QueryPlanError("DOCTIME expects a bound variable")
-                from ..warehouse.doctime import extract_document_time
+                from repro.warehouse.doctime import extract_document_time
 
                 ts = extract_document_time(binding.tree)
                 return TimestampValue(ts) if ts is not None else None
             if expr.name == "SIMILARITY":
                 left = _node(_first(self._eval(expr.args[0], row)))
                 right = _node(_first(self._eval(expr.args[1], row)))
-                from ..equality.similarity import similarity
+                from repro.equality.similarity import similarity
 
                 return similarity(left, right)
             if expr.name == "EXISTS":
@@ -355,7 +355,7 @@ def _scalar(value):
 
 
 def _render_key(value):
-    from ..xmlcore.serializer import serialize
+    from repro.xmlcore.serializer import serialize
 
     if isinstance(value, list):
         return tuple(_render_key(v) for v in value)

@@ -13,7 +13,7 @@ is the one place the cache is switched on.
 """
 
 
-from repro.bench import Table
+from harness import Table
 from repro.model.identifiers import TEID
 from repro.operators import DocHistory, Reconstruct
 from repro.storage import TemporalDocumentStore

@@ -11,7 +11,7 @@ classic 8 ms seek / 0.1 ms page model.
 """
 
 
-from repro.bench import Table
+from harness import Table
 from repro.storage import DiskSimulator, TemporalDocumentStore
 from repro.workload import TDocGenerator
 

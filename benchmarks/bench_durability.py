@@ -15,8 +15,8 @@ import json
 import time
 from pathlib import Path
 
+from harness import Table
 from repro import TemporalXMLDatabase
-from repro.bench import Table
 from repro.workload import TDocGenerator
 
 DOCS = 4

@@ -13,8 +13,8 @@ comparison regime gets precision/recall scores:
 """
 
 
+from harness import Table
 from repro import TemporalXMLDatabase
-from repro.bench import Table
 from repro.clock import format_timestamp
 from repro.equality import similar
 from repro.workload import RestaurantGuideGenerator

@@ -8,8 +8,8 @@ costs attached.  The assertions pin the exact rows; the benchmark times Q3
 
 import pytest
 
+from harness import CostMeter, Table
 from repro import TemporalXMLDatabase
-from repro.bench import CostMeter, Table
 from repro.clock import format_timestamp
 from repro.workload import load_figure1
 from repro.xmlcore import Path

@@ -11,13 +11,9 @@ snapshot queries expensive; alternative 3 is good at both query classes but
 pays the summed size/update cost.
 """
 
-
-from repro.bench import Table
-from repro.index import (
-    DeltaOperationIndex,
-    HybridIndex,
-    TemporalFullTextIndex,
-)
+from ablation.fti_alternatives import DeltaOperationIndex, HybridIndex
+from harness import Table
+from repro.index import TemporalFullTextIndex
 from repro.storage import TemporalDocumentStore
 from repro.workload import TDocGenerator, build_collection
 
@@ -63,9 +59,9 @@ def test_fti_alternatives(benchmark, emit):
 
     # -- query costs ----------------------------------------------------------
     def scanned(index, fn):
-        index.stats.reset_query_counters()
+        before = index.stats.postings_scanned
         fn()
-        return index.stats.postings_scanned
+        return index.stats.postings_scanned - before
 
     snap_1 = scanned(content, lambda: content.lookup_t(word, mid_ts))
     snap_2 = scanned(operations, lambda: operations.lookup_t(word, mid_ts))

@@ -9,7 +9,7 @@ would have to be read anyway").
 """
 
 
-from repro.bench import Table
+from harness import Table
 from repro.model.identifiers import EID
 from repro.operators import DocHistory, ElementHistory
 from repro.storage import TemporalDocumentStore

@@ -11,7 +11,7 @@ batches per commit) is checked as well.
 """
 
 
-from repro.bench import Table
+from harness import Table
 from repro.index import LifetimeIndex
 from repro.model.identifiers import TEID
 from repro.operators import CreTime, DelTime

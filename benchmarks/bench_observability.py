@@ -14,8 +14,8 @@ price of per-operator attribution, not a regression.
 
 from __future__ import annotations
 
+from harness import Table, relative_overhead
 from repro import TemporalXMLDatabase
-from repro.bench import Table, relative_overhead
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.workload import load_figure1
 

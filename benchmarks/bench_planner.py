@@ -12,8 +12,9 @@ Three sections, one report:
   postings scanned + join candidates probed.  The report *asserts* the >= 2x probe reduction the
   optimizer exists to provide — with byte-identical results.
 * **keyword** — the BENCH_scale keyword workload re-run twice over one
-  ingested warehouse: full-history retrieval (``windowed_lookup=False``,
-  the pre-planner scorer) vs. windowed posting lists (``lookup_w``).
+  ingested warehouse: full-history retrieval (the scorer over an
+  ``ablation.fti_alternatives.FullHistoryLookup`` adapter — the
+  pre-planner scorer) vs. windowed posting lists (``lookup_w``).
   Reports p50/p95 latency and the deterministic postings-scanned counts;
   full mode also compares p95 against the committed BENCH_scale baseline.
 * **equivalence** — a seeded sweep of mixed query shapes (snapshot, EVERY,
@@ -40,8 +41,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+from ablation.fti_alternatives import FullHistoryLookup
+from harness import Table
 from repro import TemporalXMLDatabase
-from repro.bench import Table
 from repro.clock import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
@@ -272,10 +274,11 @@ def _keyword_section(workdir, config):
         )
         queries = workload.make_queries(config["keyword_queries"])
         runs = {}
-        for label, windowed in (("baseline", False), ("windowed", True)):
-            workload.scorer = TemporalKeywordScorer(
-                db.fti, windowed_lookup=windowed
-            )
+        for label, index in (
+            ("baseline", FullHistoryLookup(db.fti)),
+            ("windowed", db.fti),
+        ):
+            workload.scorer = TemporalKeywordScorer(index)
             before = db.fti.stats.postings_scanned
             report, _tracer = workload.run(queries)
             runs[label] = report.as_dict()

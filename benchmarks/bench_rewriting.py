@@ -21,8 +21,8 @@ predicate either way and so hide the reads the rewriter saves.
 """
 
 
+from harness import Table
 from repro import TemporalXMLDatabase
-from repro.bench import Table
 from repro.clock import format_timestamp
 from repro.workload import RestaurantGuideGenerator
 

@@ -30,8 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from harness import Table
 from repro import TemporalXMLDatabase
-from repro.bench import Table
 from repro.clock import SECONDS_PER_HOUR, parse_date
 from repro.workload import KeywordWorkload, TDocGenerator, ingest_synthetic
 

@@ -19,8 +19,8 @@ the compression can never quietly trade correctness for space.
 import time
 from pathlib import Path
 
+from harness import Table
 from repro import TemporalXMLDatabase
-from repro.bench import Table
 from repro.storage import TemporalDocumentStore
 from repro.storage.cas import CASObjectStore, collect_garbage, storage_size
 from repro.storage.persistence import (

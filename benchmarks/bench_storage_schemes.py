@@ -14,9 +14,9 @@ rarely bites because the indexes answer many queries without reconstruction.
 
 import pytest
 
-from repro.bench import Table
+from ablation.stratum import StratumStore
+from harness import Table
 from repro.storage import TemporalDocumentStore
-from repro.stratum import StratumStore
 from repro.workload import TDocGenerator
 from repro.xmlcore import serialize
 

@@ -15,14 +15,14 @@ intermediate snapshots (benchmark E3 sweeps that knob).
 
 import pytest
 
-from repro import TemporalXMLDatabase
-from repro.bench import CostMeter, Table
-from repro.clock import format_timestamp
-from repro.stratum import (
+from ablation.stratum import (
     StratumQueryProcessor,
     StratumStore,
     UnsupportedInStratumError,
 )
+from harness import CostMeter, Table
+from repro import TemporalXMLDatabase
+from repro.clock import format_timestamp
 from repro.workload import RestaurantGuideGenerator
 
 

@@ -37,8 +37,8 @@ import json
 import sys
 from pathlib import Path
 
+from harness import Table
 from repro import TemporalXMLDatabase
-from repro.bench import Table
 from repro.clock import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,

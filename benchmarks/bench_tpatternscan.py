@@ -10,7 +10,7 @@ document.  The gap should widen with collection size and history length.
 import pytest
 
 from joinbench import compare_engines, engine_table
-from repro.bench import CostMeter, Table
+from harness import CostMeter, Table
 from repro.index import TemporalFullTextIndex
 from repro.operators import TPatternScan
 from repro.pattern import Pattern
@@ -91,8 +91,8 @@ def test_tpatternscan_vs_navigation(benchmark, emit, versions):
 
 
 @pytest.mark.parametrize("versions", [8, 16])
-def test_join_engines_snapshot(emit, join_report, versions):
-    """E1b: the snapshot join — seed nested loop vs. the hash join, over
+def test_join_engines_snapshot(emit, versions):
+    """E1b: the snapshot join — reference nested loop vs. the hash join, over
     FTI_lookup_T posting lists (lists pre-filtered to one instant, so the
     win here is structural probing, not temporal pruning)."""
     store, fti, names, vocab = _build(n_docs=8, versions=versions)
@@ -105,16 +105,10 @@ def test_join_engines_snapshot(emit, join_report, versions):
         fti.lookup_t(node.term, mid_ts) for node in pattern.nodes()
     ]
 
-    record = compare_engines(
-        "E1b_tpatternscan_join",
-        {"docs": len(names), "versions": versions, "word": word},
-        pattern,
-        posting_lists,
-    )
+    record = compare_engines(pattern, posting_lists)
     emit(engine_table(
         f"E1b: snapshot join engines, {len(names)} docs x {versions} versions",
         record,
     ))
-    join_report(record)
 
     assert record["probe_ratio"] >= 1.0

@@ -9,7 +9,7 @@ history length because interval postings cover many versions at once.
 import pytest
 
 from joinbench import compare_engines, engine_table
-from repro.bench import CostMeter, Table
+from harness import CostMeter, Table
 from repro.index import TemporalFullTextIndex
 from repro.operators import TPatternScanAll
 from repro.pattern import Pattern
@@ -83,8 +83,8 @@ def test_tpatternscanall_vs_full_scan(benchmark, emit, versions):
 
 
 @pytest.mark.parametrize("versions", [10, 16])
-def test_join_engines_whole_history(emit, join_report, versions):
-    """E2b: the temporal multiway join itself — seed nested loop vs. the
+def test_join_engines_whole_history(emit, versions):
+    """E2b: the temporal multiway join itself — reference nested loop vs. the
     selectivity-ordered hash join, over the whole-history posting lists.
 
     Histories of 10+ versions are where posting lists grow long enough for
@@ -98,17 +98,11 @@ def test_join_engines_whole_history(emit, join_report, versions):
         fti.lookup_h(node.term) for node in pattern.nodes()
     ]
 
-    record = compare_engines(
-        "E2b_tpatternscanall_join",
-        {"docs": len(names), "versions": versions, "word": word},
-        pattern,
-        posting_lists,
-    )
+    record = compare_engines(pattern, posting_lists)
     emit(engine_table(
         f"E2b: join engines, {len(names)} docs x {versions} versions",
         record,
     ))
-    join_report(record)
 
     # The overhaul's headline: >= 5x fewer candidate postings probed.
     assert record["probe_ratio"] >= 5.0

@@ -4,11 +4,11 @@ Benchmarks print the paper-style tables through ``emit`` (bypassing pytest
 capture, so ``pytest benchmarks/ --benchmark-only`` shows the series), and
 time a representative operation with pytest-benchmark.
 
-The join benchmarks additionally record machine-readable engine
-comparisons through ``join_report``; everything collected in a session is
-written to ``BENCH_joins.json`` at the repository root when the run ends.
-The reconstruction-direction benchmarks do the same through
-``reconstruct_report`` into ``BENCH_reconstruct.json``.
+The reconstruction-direction benchmarks additionally record a
+machine-readable comparison through ``reconstruct_report``; everything
+collected in a session is written to ``BENCH_reconstruct.json`` at the
+repository root when the run ends.  ``storage_report`` does the same into
+``BENCH_storage.json``.
 """
 
 from __future__ import annotations
@@ -19,17 +19,15 @@ from pathlib import Path
 import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
-_JOIN_REPORT_PATH = _ROOT / "BENCH_joins.json"
 _RECONSTRUCT_REPORT_PATH = _ROOT / "BENCH_reconstruct.json"
 _STORAGE_REPORT_PATH = _ROOT / "BENCH_storage.json"
-_join_records = []
 _reconstruct_records = []
 _storage_records = []
 
 
 @pytest.fixture
 def emit(capsys):
-    """Print a :class:`repro.bench.Table` (or text) past pytest's capture."""
+    """Print a :class:`harness.Table` (or text) past pytest's capture."""
 
     def _emit(table_or_text):
         with capsys.disabled():
@@ -40,16 +38,6 @@ def emit(capsys):
                 print(table_or_text)
 
     return _emit
-
-
-@pytest.fixture
-def join_report():
-    """Collect one nested-loop vs. hash-join comparison record."""
-
-    def _add(record):
-        _join_records.append(record)
-
-    return _add
 
 
 @pytest.fixture
@@ -73,24 +61,14 @@ def storage_report():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _join_records:
-        payload = {
-            "description": (
-                "Structural-temporal join engines compared: the seed "
-                "nested-loop join vs. the selectivity-ordered hash join "
-                "(wall time and candidate postings probed)."
-            ),
-            "runs": sorted(_join_records, key=lambda r: r["benchmark"]),
-        }
-        _JOIN_REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-        _join_records.clear()
     if _reconstruct_records:
         payload = {
             "description": (
                 "Reconstruction direction matrix: backward-only (the "
-                "paper's algorithm) vs. cost-based bidirectional anchor "
-                "selection, with and without the version cache, plus the "
-                "batched reconstruct_range DocHistory sweep."
+                "paper's algorithm, run from the benchmarks/ablation "
+                "reference) vs. the engine's cost-based bidirectional "
+                "anchor selection, with and without the version cache, "
+                "plus the batched reconstruct_range DocHistory sweep."
             ),
             "runs": sorted(
                 _reconstruct_records, key=lambda r: r["benchmark"]

@@ -4,6 +4,9 @@ The paper argues in *logical* I/O (delta reads, seeks, postings scanned),
 so every benchmark reports those alongside wall-clock time.
 :class:`CostMeter` snapshots all relevant counters around a code region;
 :class:`Table` prints the rows/series each benchmark regenerates.
+
+Bench scripts import this as ``harness`` (their directory is on the path),
+tests as ``benchmarks.harness``; nothing under ``src/repro`` imports it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..obs import MetricsRegistry, metric_sources
+from repro.obs import MetricsRegistry
 
 
 @dataclass
@@ -100,9 +103,7 @@ class CostMeter:
         #: hybrid FTI contributes both of its sides).
         self._index_prefixes = []
         for i, index in enumerate(self.indexes):
-            for j, (_label, source) in enumerate(
-                metric_sources(index, "index")
-            ):
+            for j, (_label, source) in enumerate(_metric_sources(index)):
                 prefix = f"idx{i}_{j}"
                 registry.register(prefix, source)
                 self._index_prefixes.append(prefix)
@@ -160,6 +161,22 @@ class _Region:
         measurement.join_matches = d.get("join.matches_emitted", 0)
         self.result = measurement
         return False
+
+
+def _metric_sources(index):
+    """``(label, source)`` pairs an index contributes to a registry.
+
+    Indexes advertise a ``metrics_label`` (``"fti"``, ``"delta_fti"``) and
+    carry ``stats``; composite indexes (the hybrid FTI) override
+    ``metric_sources()`` to expose each side separately.
+    """
+    custom = getattr(index, "metric_sources", None)
+    if custom is not None:
+        return list(custom())
+    stats = getattr(index, "stats", None)
+    if stats is None:
+        return []
+    return [(getattr(index, "metrics_label", "index"), stats)]
 
 
 def relative_overhead(baseline_fn, candidate_fn, repeats=5, inner=20):

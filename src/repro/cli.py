@@ -467,7 +467,6 @@ def _cmd_stats(args, out):
         print(json_module.dumps(payload, indent=2, sort_keys=True), file=out)
         return 0
     stats = db.store.read_stats()
-    print(f"reconstruct policy: {stats['reconstruct_policy']}", file=out)
     print("storage reads:", file=out)
     for key in ("delta_reads", "snapshot_reads", "current_reads"):
         print(f"  {key}: {stats[key]}", file=out)

@@ -52,7 +52,6 @@ class TemporalXMLDatabase:
         snapshot_interval=None,
         cache_size=0,
         snapshot_policy=None,
-        reconstruct_policy="cost",
         disk=None,
     ):
         """The one place tuning is named; :meth:`load` and :meth:`open`
@@ -60,20 +59,17 @@ class TemporalXMLDatabase:
         materializes a full snapshot every k-th version of each document;
         ``cache_size`` enables the reconstruction version cache;
         ``snapshot_policy`` (e.g.
-        :class:`~repro.storage.snapshots.AdaptiveSnapshotPolicy`) and
-        ``reconstruct_policy`` (``"cost"``/``"backward"``/``"forward"``)
-        tune reconstruction — see ``docs/PERFORMANCE.md``.  ``disk``
+        :class:`~repro.storage.snapshots.AdaptiveSnapshotPolicy`) places
+        snapshots by rule — see ``docs/PERFORMANCE.md``.  ``disk``
         replaces the default clustered
         :class:`~repro.storage.page.DiskSimulator` (e.g. an unclustered
-        one for Section 7.2's placement comparison, or one with
-        ``latency_scale`` set for the serving benchmarks)."""
+        one for Section 7.2's placement comparison)."""
         self.store = TemporalDocumentStore(
             clock=clock,
             disk=disk,
             snapshot_interval=snapshot_interval,
             cache_size=cache_size,
             snapshot_policy=snapshot_policy,
-            reconstruct_policy=reconstruct_policy,
         )
         self.fti = self.store.subscribe(TemporalFullTextIndex())
         self.lifetime = self.store.subscribe(LifetimeIndex())

@@ -4,9 +4,8 @@
   paper's choice: index the contents of every version, postings carry
   validity intervals.  Supports the three basic operations
   ``FTI_lookup`` / ``FTI_lookup_T`` / ``FTI_lookup_H``.
-* :class:`~repro.index.delta_fti.DeltaOperationIndex` — **alternative 2**:
-  index the operations inside delta documents (update/move/delete events).
-* :class:`~repro.index.hybrid_fti.HybridIndex` — **alternative 3**: both.
+  Alternatives 2 (index the delta operations) and 3 (both) are the
+  references in ``benchmarks/ablation/fti_alternatives.py`` (benchmark E6).
 * :class:`~repro.index.lifetime.LifetimeIndex` — the auxiliary EID →
   (create time, delete time) index of Section 7.3.6.
 
@@ -16,8 +15,6 @@ All indexes are store observers: subscribe them with
 
 from .postings import Posting, occurrences, tokenize
 from .fti import TemporalFullTextIndex
-from .delta_fti import DeltaOperationIndex, EventPosting
-from .hybrid_fti import HybridIndex
 from .lifetime import LifetimeIndex
 from .relevance import ScoredDoc, TemporalKeywordScorer
 from .stats import IndexStats, JoinStats
@@ -27,9 +24,6 @@ __all__ = [
     "occurrences",
     "tokenize",
     "TemporalFullTextIndex",
-    "DeltaOperationIndex",
-    "EventPosting",
-    "HybridIndex",
     "LifetimeIndex",
     "ScoredDoc",
     "TemporalKeywordScorer",

@@ -61,17 +61,6 @@ class Posting:
         """XID of the owning element's parent (None at the root)."""
         return self.ancestors[-1] if self.ancestors else None
 
-    def is_ancestor(self, other):
-        """True if this posting's element properly contains ``other``'s."""
-        return self.xid in other.ancestors
-
-    def is_parent(self, other):
-        return other.parent_xid() == self.xid
-
-    def contains(self, other):
-        """Self-or-descendant containment (word occurring inside element)."""
-        return self.xid == other.xid or self.is_ancestor(other)
-
     def estimated_bytes(self):
         """Rough stored size, used for the E6 index-size comparison."""
         return 24 + 8 * len(self.ancestors) + len(self.path)

@@ -14,7 +14,7 @@ a temporal document warehouse issues:
     integer term frequencies.
 
 ``search_window(terms, start, end)``
-    ranked documents over a time window: postings from ``lookup_h``
+    ranked documents over a time window: postings from ``lookup_w``
     clipped to the window, each weighted by the **fraction of the
     window it was valid for** — a term that held for the whole window
     counts as a full occurrence, one that flickered in briefly counts
@@ -37,10 +37,11 @@ Two planner-era optimizations, both ranking-preserving:
 * query terms are deduplicated and retrieved **rarest first** (by the
   index's history posting counts), so conjunctive queries shrink their
   candidate set as early as possible;
-* ``search_window`` reads windowed posting lists (``lookup_w``) when the
-  index provides them — only postings overlapping the window are ever
-  scanned, instead of the full history list per term.  Flip
-  ``windowed_lookup=False`` to measure what that saves.
+* ``search_window`` reads windowed posting lists (``lookup_w``) — only
+  postings overlapping the window are ever scanned, instead of the full
+  history list per term.  ``FullHistoryLookup`` in
+  ``benchmarks/ablation/fti_alternatives.py`` wraps an index to measure
+  what that saves.
 
 ``match_all=True`` turns either search conjunctive: each term's lookup is
 restricted (via the ``docs=`` pushdown) to the documents that matched all
@@ -65,14 +66,10 @@ class ScoredDoc:
 
 
 class TemporalKeywordScorer:
-    """Ranked keyword search over a temporal full-text index.
+    """Ranked keyword search over a temporal full-text index."""
 
-    ``windowed_lookup=False`` restores the legacy full-history retrieval
-    in :meth:`search_window` (the benchmark baseline)."""
-
-    def __init__(self, fti, windowed_lookup=True):
+    def __init__(self, fti):
         self.fti = fti
-        self.windowed_lookup = windowed_lookup
 
     # -- query shapes ---------------------------------------------------------
 
@@ -107,17 +104,12 @@ class TemporalKeywordScorer:
         if start >= end:
             raise ValueError(f"empty search window [{start}, {end})")
         terms = self._terms(query)
-        windowed = self.windowed_lookup and hasattr(self.fti, "lookup_w")
         span = end - start
         tfs = {}
         docs = None
         for term in terms:
-            if windowed:
-                postings = self.fti.lookup_w(term, start, end, docs=docs)
-            else:
-                postings = self.fti.lookup_h(term, docs=docs)
             per_doc = {}
-            for posting in postings:
+            for posting in self.fti.lookup_w(term, start, end, docs=docs):
                 if posting.start >= end or posting.end <= start:
                     continue
                 overlap = min(posting.end, end) - max(posting.start, start)
@@ -146,10 +138,7 @@ class TemporalKeywordScorer:
         else:
             tokens = [t for term in query for t in tokenize(term)]
         unique = list(dict.fromkeys(tokens))
-        stats = getattr(self.fti, "term_stats", None)
-        if stats is None:
-            return unique
-        return sorted(unique, key=lambda term: stats(term)[0])
+        return sorted(unique, key=lambda term: self.fti.term_stats(term)[0])
 
     @staticmethod
     def _rank(tfs, n_docs, limit, require_all=False):

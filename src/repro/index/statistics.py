@@ -50,45 +50,30 @@ class CorpusStatistics:
 
     # -- term statistics -------------------------------------------------------
 
-    def _content_index(self):
-        """The interval-posting side of whatever index is attached (the
-        ``content`` half of a :class:`~repro.index.hybrid_fti.HybridIndex`,
-        or the plain FTI itself)."""
-        fti = self.fti
-        if fti is None:
-            return None
-        return getattr(fti, "content", fti)
-
     def term_counts(self, word):
         """``(history_postings, open_postings)`` for ``word`` (0, 0 when no
-        interval-posting index is attached)."""
-        index = self._content_index()
-        if index is None or not hasattr(index, "term_stats"):
+        FTI is attached)."""
+        if self.fti is None:
             return (0, 0)
-        return index.term_stats(word)
+        return self.fti.term_stats(word)
 
     def term_scan_at(self, word, ts):
         """Postings a ``lookup_t(word, ts)`` would scan (exact)."""
-        index = self._content_index()
-        if index is None or not hasattr(index, "postings_at_or_before"):
+        if self.fti is None:
             return 0
-        return index.postings_at_or_before(word, ts)
+        return self.fti.postings_at_or_before(word, ts)
 
     def term_scan_window(self, word, start, end):
         """Postings a ``lookup_w(word, start, end)`` would scan (exact)."""
-        index = self._content_index()
-        if index is None or not hasattr(index, "postings_starting_before"):
+        if self.fti is None or start >= end:
             return 0
-        if start >= end:
-            return 0
-        return index.postings_starting_before(word, end)
+        return self.fti.postings_starting_before(word, end)
 
     def distinct_terms(self):
         """Vocabulary size of the attached index (0 when none)."""
-        index = self._content_index()
-        if index is None or not hasattr(index, "distinct_terms"):
+        if self.fti is None:
             return 0
-        return index.distinct_terms()
+        return self.fti.distinct_terms()
 
     def rarest_token(self, value):
         """Of ``value``'s tokens, the one with the fewest history postings.
@@ -179,11 +164,8 @@ class CorpusStatistics:
         return count
 
     def _record(self, doc_id):
-        repository = getattr(self.store, "repository", None)
-        if repository is None:
-            return None
         try:
-            return repository.record(doc_id)
+            return self.store.repository.record(doc_id)
         except (KeyError, NoSuchDocumentError):
             return None
 

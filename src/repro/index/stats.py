@@ -84,16 +84,6 @@ class IndexStats:
             "postings_returned": self.postings_returned,
         }
 
-    def reset_query_counters(self):
-        """Zero the query-side counters only (legacy per-query accounting).
-
-        Prefer registry deltas for per-query numbers: snapshot before and
-        after, subtract — no reset, no drift between objects that reset
-        different subsets."""
-        self.lookups = 0
-        self.postings_scanned = 0
-        self.postings_returned = 0
-
 
 @dataclass
 class JoinStats:
@@ -101,7 +91,7 @@ class JoinStats:
 
     Lives alongside :class:`IndexStats`: the FTI stats price posting
     *retrieval*, these price the *join* over the retrieved lists.  The
-    benchmarks report both (E1/E2 and ``BENCH_joins.json``).
+    benchmarks report both (E1/E2).
 
     ``candidates_probed`` counts postings the engine actually tested
     against a bound parent (after hash-bucket lookup and start-sorted
@@ -150,10 +140,9 @@ class JoinStats:
         }
 
     def reset(self):
-        """Zero everything (legacy).  As with
-        :meth:`IndexStats.reset_query_counters`, prefer registry deltas —
-        resetting a shared stats object mid-flight skews every other
-        consumer's accounting."""
+        """Zero everything (legacy).  Prefer registry deltas — resetting a
+        shared stats object mid-flight skews every other consumer's
+        accounting."""
         self.joins = 0
         self.docs_considered = 0
         self.candidates_probed = 0

@@ -26,7 +26,7 @@ those costs one home:
 """
 
 from .explain import ExplainAnalyzeReport, PlanReport
-from .registry import Counter, Histogram, MetricsRegistry, metric_sources
+from .registry import Counter, Histogram, MetricsRegistry
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "PlanReport",
     "Span",
     "Tracer",
-    "metric_sources",
 ]

@@ -1,9 +1,9 @@
 """Central metrics registry: one snapshot/delta protocol for every counter.
 
 Before this existed, per-query cost reporting meant remembering which of
-five stats objects to reset and *how* (``IndexStats.reset_query_counters``
-resets three fields, ``JoinStats.reset`` resets all six, the repository
-counters are bare ints...).  The registry replaces that with subtraction:
+five stats objects to reset and *how* (``JoinStats.reset`` resets all six
+fields, the repository counters are bare ints...).  The registry replaces
+that with subtraction:
 
 >>> before = registry.snapshot()                     # doctest: +SKIP
 >>> run_query()                                      # doctest: +SKIP
@@ -156,18 +156,3 @@ class MetricsRegistry:
         """Drop the zero entries (display helper)."""
         return {key: value for key, value in deltas.items() if value}
 
-
-def metric_sources(index, default_label="index"):
-    """``(label, source)`` pairs an index contributes to a registry.
-
-    Indexes advertise a ``metrics_label`` (``"fti"``, ``"delta_fti"``) and
-    carry ``stats``; composite indexes (the hybrid FTI) override
-    ``metric_sources()`` to expose each side separately.
-    """
-    custom = getattr(index, "metric_sources", None)
-    if custom is not None:
-        return list(custom())
-    stats = getattr(index, "stats", None)
-    if stats is None:
-        return []
-    return [(getattr(index, "metrics_label", default_label), stats)]

@@ -89,9 +89,7 @@ class TPatternScanAll:
 
     def run(self):
         """Iterator of matches with their maximal validity intervals."""
-        windowed = (
-            self.window is not None and hasattr(self.fti, "lookup_w")
-        )
+        windowed = self.window is not None
         with self.tracer.span("FTILookup",
                               terms=len(self.pattern.nodes()),
                               windowed=windowed):

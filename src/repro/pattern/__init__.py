@@ -9,12 +9,11 @@ time in the temporal variants.
 """
 
 from .tree import Pattern, PatternNode
-from .structjoin import PatternMatch, nested_loop_join, structural_join
+from .structjoin import PatternMatch, structural_join
 
 __all__ = [
     "Pattern",
     "PatternNode",
     "PatternMatch",
     "structural_join",
-    "nested_loop_join",
 ]

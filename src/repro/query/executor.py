@@ -35,7 +35,6 @@ from ..obs import (
     MetricsRegistry,
     PlanReport,
     Tracer,
-    metric_sources,
 )
 from ..operators.relational import (
     INTERVAL_KEY,
@@ -161,8 +160,8 @@ class QueryEngine:
         #: after the call returns).
         self.active_cache = None
         #: Cumulative join-engine counters across this engine's index scans
-        #: (surfaced alongside the FTI's ``stats``; diffable per query with
-        #: :class:`~repro.bench.CostMeter`).
+        #: (surfaced alongside the FTI's ``stats``; diffable per query through
+        #: :attr:`registry`).
         self.join_stats = JoinStats()
         #: The cost-based planner: statistics, plan enumeration, conjunct
         #: ordering, and the per-call lifetime decision all live here.
@@ -176,9 +175,6 @@ class QueryEngine:
         #: returned ``ResultSet.stats``, which is the race-free way to read
         #: per-query costs when engines are shared or queries interleave.
         self.last_query_stats = None
-        #: Capture per-query stats on every execute (two registry
-        #: snapshots per query; flip off for overhead baselines).
-        self.collect_query_stats = True
         #: Snapshot-isolation pin (a commit timestamp) or ``None``.  When
         #: set — by a serving :class:`~repro.serving.session.Session` — the
         #: engine evaluates every query *as of* that instant: ``NOW`` is the
@@ -191,16 +187,13 @@ class QueryEngine:
 
     def _register_metric_sources(self):
         registry = self.registry
-        store = self.store
-        if hasattr(store, "repository"):
-            repo = store.repository
-            registry.register("store", repo.counter_snapshot)
-            registry.register("disk", lambda: repo.disk.snapshot().as_dict())
-            registry.register("cache", repo.cache.stats)
-            registry.register("anchors", repo.anchor_stats)
+        repo = self.store.repository
+        registry.register("store", repo.counter_snapshot)
+        registry.register("disk", lambda: repo.disk.snapshot().as_dict())
+        registry.register("cache", repo.cache.stats)
+        registry.register("anchors", repo.anchor_stats)
         if self.fti is not None:
-            for label, source in metric_sources(self.fti, "fti"):
-                registry.register(label, source)
+            registry.register(self.fti.metrics_label, self.fti.stats)
         if self.lifetime is not None:
             registry.register(self.lifetime.metrics_label,
                               self.lifetime.stats)
@@ -341,14 +334,13 @@ class QueryEngine:
             return PlanReport(stripped.label(), plan.describe(),
                               plan.render())
 
-        before = self.registry.snapshot() if self.collect_query_stats else None
+        before = self.registry.snapshot()
         with self.tracer.span("Query", query=query.label(),
                               limit=query.limit):
             result = self.run(self._planned(query))
-        if before is not None:
-            stats = MetricsRegistry.delta(before, self.registry.snapshot())
-            result.stats = stats
-            self.last_query_stats = stats
+        stats = MetricsRegistry.delta(before, self.registry.snapshot())
+        result.stats = stats
+        self.last_query_stats = stats
         return result
 
     def explain_analyze(self, query):

@@ -22,20 +22,12 @@ Placement policy:
 ``estimated_ms`` converts the counters into a wall-clock estimate with a
 classic seek-time/transfer-time split, which the benchmarks print alongside
 raw counts.
-
-``latency_scale`` turns the same cost model into *actual* wall time: every
-access sleeps ``estimated_ms(access) * latency_scale`` milliseconds.  The
-serving benchmarks use this to emulate a real disk-bound workload — the
-sleep releases the GIL, so concurrent reader threads overlap their
-simulated I/O exactly as they would overlap real I/O.  The default 0 keeps
-every existing code path free of sleeps (and of clock reads entirely).
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass
 
 from ..errors import StorageError
@@ -102,15 +94,11 @@ class CounterSnapshot:
 class DiskSimulator:
     """Allocates extents and accounts accesses; see module docstring."""
 
-    def __init__(self, page_size=4096, clustered=False, seed=0,
-                 latency_scale=0.0):
+    def __init__(self, page_size=4096, clustered=False, seed=0):
         if page_size <= 0:
             raise StorageError("page size must be positive")
-        if latency_scale < 0:
-            raise StorageError("latency scale must be >= 0")
         self.page_size = page_size
         self.clustered = clustered
-        self.latency_scale = latency_scale
         self._rng = random.Random(seed)
         self._arena_next = {}  # cluster_key -> next free page in its arena
         self._arena_count = 0
@@ -122,8 +110,7 @@ class DiskSimulator:
         self.reads = 0
         self.writes = 0
         # Placement state and counters are shared by every session reading
-        # through this store; one lock keeps them consistent.  The simulated
-        # latency sleep happens *outside* the lock, so accesses overlap.
+        # through this store; one lock keeps them consistent.
         self._lock = threading.Lock()
 
     # -- placement -----------------------------------------------------------
@@ -155,8 +142,7 @@ class DiskSimulator:
                     + self._rng.randrange(_ARENA_PAGES // 2)
                 )
             extent = Extent(start, num_pages)
-            cost_ms = self._account(extent, is_write=True)
-        self._simulate_latency(cost_ms)
+            self._account(extent, is_write=True)
         return extent
 
     # -- access accounting -----------------------------------------------------
@@ -166,20 +152,16 @@ class DiskSimulator:
         if not isinstance(extent, Extent):
             raise StorageError("read() expects an Extent")
         with self._lock:
-            cost_ms = self._account(extent, is_write=False)
-        self._simulate_latency(cost_ms)
+            self._account(extent, is_write=False)
 
     def overwrite(self, extent):
         """Account an in-place rewrite of ``extent``."""
         with self._lock:
-            cost_ms = self._account(extent, is_write=True)
-        self._simulate_latency(cost_ms)
+            self._account(extent, is_write=True)
 
     def _account(self, extent, is_write):
-        """Update the counters for one access (caller holds the lock);
-        returns the access's modeled cost in milliseconds."""
-        seek = extent.start_page != self._cursor
-        if seek:
+        """Update the counters for one access (caller holds the lock)."""
+        if extent.start_page != self._cursor:
             self.seeks += 1
         self._cursor = extent.end_page
         if is_write:
@@ -188,11 +170,6 @@ class DiskSimulator:
         else:
             self.pages_read += extent.num_pages
             self.reads += 1
-        return (8.0 if seek else 0.0) + extent.num_pages * 0.1
-
-    def _simulate_latency(self, cost_ms):
-        if self.latency_scale:
-            time.sleep(cost_ms * self.latency_scale / 1000.0)
 
     # -- reporting ---------------------------------------------------------------
 

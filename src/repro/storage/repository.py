@@ -16,10 +16,9 @@ Marian et al.), this implementation is **bidirectional and cost-aware**:
   one anchor read plus one pass over the deltas (the batched path behind
   ``DocHistory`` and friends).
 
-``reconstruct_policy`` pins the direction for experiments: ``"backward"``
-is the paper's (and the seed's) algorithm, ``"forward"`` prefers anchors
-below the target, ``"cost"`` (the default) picks the cheapest.  Per-choice
-counters land in :attr:`Repository.anchor_stats`.
+Per-choice counters land in :attr:`Repository.anchor_stats`, including what
+each choice saved against the paper's backward-only walk; that algorithm
+itself is the reference in ``benchmarks/ablation/reconstruct.py``.
 
 Deltas and trees are kept as Python objects; the simulated extents carry the
 cost model.  ``read_*`` methods always account the I/O before returning.
@@ -43,9 +42,6 @@ from .cache import VersionCache
 from .deltaindex import DeltaIndex, VersionEntry
 from .page import DiskSimulator
 from .snapshots import IntervalSnapshotPolicy, SnapshotPolicy
-
-#: Reconstruction direction policies (see module docstring).
-RECONSTRUCT_POLICIES = ("cost", "backward", "forward")
 
 #: Cost-model weights, mirroring the disk simulator's classic split
 #: (``CounterSnapshot.estimated_ms``): a seek per logical read, a page of
@@ -189,7 +185,6 @@ class Repository:
         snapshot_interval=None,
         cache_size=0,
         snapshot_policy=None,
-        reconstruct_policy="cost",
     ):
         """``snapshot_interval=k`` materializes a full snapshot every k-th
         version: shorthand for ``snapshot_policy=IntervalSnapshotPolicy(k)``,
@@ -199,21 +194,13 @@ class Repository:
         snapshots, the paper's base configuration.
         ``cache_size`` bounds the reconstruction
         :class:`~repro.storage.cache.VersionCache`; 0 (the default) disables
-        it.  ``reconstruct_policy`` pins the chain direction: ``"backward"``
-        is the paper's algorithm, ``"forward"`` prefers anchors below the
-        target, ``"cost"`` (default) picks the cheapest candidate."""
-        if reconstruct_policy not in RECONSTRUCT_POLICIES:
-            raise StorageError(
-                f"unknown reconstruct policy {reconstruct_policy!r}; "
-                f"expected one of {RECONSTRUCT_POLICIES}"
-            )
+        it."""
         self.disk = disk if disk is not None else DiskSimulator()
         if snapshot_interval:
             snapshot_policy = IntervalSnapshotPolicy(snapshot_interval)
         elif snapshot_policy is None:
             snapshot_policy = SnapshotPolicy()
         self.snapshot_policy = snapshot_policy
-        self.reconstruct_policy = reconstruct_policy
         self.cache = VersionCache(cache_size)
         self._records = {}
         self._next_doc_id = 1
@@ -436,45 +423,27 @@ class Repository:
                 out.append(Anchor("cache", below, 0, 0))
         return out
 
-    def _choose_anchor(self, record, number, use_cache=True, policy=None):
-        """Pick the starting anchor for ``number`` under the active policy.
+    def _choose_anchor(self, record, number, use_cache=True):
+        """Pick the starting anchor for ``number``: every candidate ranked
+        by the estimated cost of anchor read plus delta chain.
 
-        Returns ``(anchor, chain_reads, chain_bytes)``.  ``"backward"``
-        reproduces the seed algorithm exactly: only anchors at-or-after the
-        target, nearest chain first, the cache winning ties (it costs no
-        read).  ``"forward"`` prefers anchors at-or-before, falling back to
-        backward when none exists.  ``"cost"`` ranks every candidate by the
-        estimated cost of anchor read plus delta chain."""
-        policy = policy if policy is not None else self.reconstruct_policy
-        candidates = self._candidates(record, number, use_cache)
-        if policy == "backward":
-            pool = [a for a in candidates if a.number >= number]
-        elif policy == "forward":
-            pool = [a for a in candidates if a.number <= number]
-            if not pool:
-                pool = [a for a in candidates if a.number >= number]
-        else:
-            pool = candidates
+        Returns ``(anchor, chain_reads, chain_bytes)``."""
 
         def key(anchor):
             reads, nbytes = self._chain_cost(record, anchor.number, number)
-            if policy == "backward":
-                # Seed semantics: distance decides, cache wins ties.
-                return (reads, _ANCHOR_RANK[anchor.kind])
             cost = self._cost(
                 anchor.anchor_reads + reads, anchor.anchor_bytes + nbytes
             )
             return (cost, reads, _ANCHOR_RANK[anchor.kind])
 
-        best = min(pool, key=key)
+        best = min(self._candidates(record, number, use_cache), key=key)
         reads, nbytes = self._chain_cost(record, best.number, number)
         return best, reads, nbytes
 
     def estimate_cost(self, record, number):
         """Estimated cost and logical reads of reconstructing ``number``
-        with the active policy (including cache anchors); used by callers
-        that weigh a repository walk against deriving from trees they
-        already hold."""
+        (including cache anchors); used by callers that weigh a repository
+        walk against deriving from trees they already hold."""
         anchor, reads, nbytes = self._choose_anchor(record, number)
         return (
             self._cost(anchor.anchor_reads + reads, anchor.anchor_bytes + nbytes),
@@ -504,13 +473,11 @@ class Repository:
     def reconstruct(self, record, number):
         """Materialize version ``number`` of the document; returns a tree.
 
-        Anchor selection is policy-driven (see module docstring); the delta
+        The cheapest anchor is chosen (see module docstring); the delta
         chain between anchor and target is then fetched in ascending
         (on-disk) order — one sequential sweep over the delta arena — and
         applied forward (anchor below the target) or inverted newest-first
-        (anchor above).  With ``reconstruct_policy="backward"`` and the
-        cache disabled this is exactly the paper's algorithm: nearest
-        snapshot at-or-after, else current.
+        (anchor above).
         """
         current_number = record.dindex.current_number
         if not 1 <= number <= current_number:

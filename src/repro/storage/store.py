@@ -183,15 +183,13 @@ class TemporalDocumentStore:
         snapshot_interval=None,
         cache_size=0,
         snapshot_policy=None,
-        reconstruct_policy="cost",
     ):
         """``cache_size`` bounds the repository's reconstruction cache
         (:class:`~repro.storage.cache.VersionCache`); the default 0 keeps
         every read path identical to the paper's uncached algorithms.
         ``snapshot_interval`` / ``snapshot_policy`` (a
-        :class:`~repro.storage.snapshots.SnapshotPolicy`) and
-        ``reconstruct_policy`` (``"cost"`` / ``"backward"`` / ``"forward"``)
-        are forwarded to the :class:`~repro.storage.repository.Repository`.
+        :class:`~repro.storage.snapshots.SnapshotPolicy`) are forwarded to
+        the :class:`~repro.storage.repository.Repository`.
         Placement is the ``disk``'s business: the default is a clustered
         :class:`~repro.storage.page.DiskSimulator` (Section 7.2)."""
         if disk is None:
@@ -202,7 +200,6 @@ class TemporalDocumentStore:
             snapshot_interval=snapshot_interval,
             cache_size=cache_size,
             snapshot_policy=snapshot_policy,
-            reconstruct_policy=reconstruct_policy,
         )
         self._by_name = {}
         self._observers = []
@@ -473,7 +470,6 @@ class TemporalDocumentStore:
             "current_reads": repo.current_reads,
             "cache": repo.cache.stats.as_dict(),
             "anchors": repo.anchor_stats.as_dict(),
-            "reconstruct_policy": repo.reconstruct_policy,
         }
 
     def subtree(self, teid):

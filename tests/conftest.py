@@ -16,13 +16,10 @@ import threading
 import pytest
 from hypothesis import settings
 
+from benchmarks.ablation.fti_alternatives import DeltaOperationIndex
 from repro import TemporalXMLDatabase
 from repro.clock import parse_date
-from repro.index import (
-    DeltaOperationIndex,
-    LifetimeIndex,
-    TemporalFullTextIndex,
-)
+from repro.index import LifetimeIndex, TemporalFullTextIndex
 from repro.storage import TemporalDocumentStore
 from repro.workload import TDocGenerator, build_collection, load_figure1
 

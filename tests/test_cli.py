@@ -86,7 +86,6 @@ class TestLifecycle:
              "--ts", "31/01/2001")
         code, out = _run("stats", "-a", str(archive))
         assert code == 0
-        assert "reconstruct policy: cost" in out
         assert "delta_reads:" in out
         assert "hit_rate:" in out
         assert "delta_reads_saved:" in out

@@ -3,8 +3,9 @@
 
 import pytest
 
+from benchmarks.ablation.stratum import StratumStore
+from benchmarks.harness import CostMeter, Measurement, Table
 from repro import TemporalXMLDatabase, parse_date
-from repro.bench import CostMeter, Table
 from repro.storage.page import DiskSimulator
 from repro.storage.snapshots import AdaptiveSnapshotPolicy
 from repro.workload import load_figure1
@@ -61,7 +62,6 @@ class TestFacade:
         tuning = dict(
             snapshot_policy=AdaptiveSnapshotPolicy(400),
             cache_size=4,
-            reconstruct_policy="backward",
             disk=DiskSimulator(clustered=False, seed=3),
         )
         if how == "init":
@@ -76,7 +76,6 @@ class TestFacade:
         repository = db.store.repository
         assert repository.snapshot_policy is tuning["snapshot_policy"]
         assert repository.cache.size == 4
-        assert repository.reconstruct_policy == "backward"
         assert repository.disk is tuning["disk"]
         assert db.engine.store is db.store
         with pytest.raises(TypeError):
@@ -105,8 +104,6 @@ class TestCostMeter:
         assert cost.delta_reads > 0  # Q1 reconstructs the Jan-26 snapshot
 
     def test_estimated_io(self):
-        from repro.bench.harness import Measurement
-
         m = Measurement(seeks=2, pages_read=10)
         assert m.estimated_io_ms(seek_ms=8.0, page_ms=0.1) == 17.0
         assert m.as_dict()["seeks"] == 2
@@ -139,11 +136,8 @@ class TestTableFormatting:
 
 class TestCostMeterStratum:
     def test_stratum_counters(self):
-        from repro.stratum import StratumStore
-        from repro.workload import load_figure1 as _lf
-
         stratum = StratumStore()
-        _lf(stratum)
+        load_figure1(stratum)
         meter = CostMeter(stratum=stratum)
         with meter.measure() as region:
             stratum.snapshot("guide.com", TemporalXMLDatabase.ts("26/01/2001"))

@@ -1,18 +1,29 @@
-"""Tests for the delta-operation index (alt 2), hybrid (alt 3), and the
-lifetime index."""
+"""Tests for the delta-operation index (alt 2), hybrid (alt 3), the
+full-history lookup adapter, and the lifetime index."""
 
 import pytest
 
-from repro.index import (
+from benchmarks.ablation.fti_alternatives import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_UPDATE,
     DeltaOperationIndex,
+    FullHistoryLookup,
     HybridIndex,
+)
+from repro.index import (
     LifetimeIndex,
     TemporalFullTextIndex,
+    TemporalKeywordScorer,
 )
-from repro.index.delta_fti import OP_DELETE, OP_INSERT, OP_UPDATE
 from repro.model.identifiers import EID
 from repro.storage import TemporalDocumentStore
-from repro.workload import load_figure1
+from repro.workload import (
+    KeywordWorkload,
+    TDocGenerator,
+    build_collection,
+    load_figure1,
+)
 
 from tests.conftest import JAN_01, JAN_15, JAN_26, JAN_31
 
@@ -94,6 +105,39 @@ class TestHybridIndex:
             + hybrid.operations.posting_count()
         )
         assert hybrid.update_ops() > hybrid.content.stats.update_ops
+
+
+class TestFullHistoryLookup:
+    def test_ranks_like_the_windowed_scorer_and_scans_more(self):
+        """The adapter is the keyword baseline: same rankings on the
+        ``KeywordWorkload`` window queries, more postings scanned."""
+        store = TemporalDocumentStore()
+        fti = store.subscribe(TemporalFullTextIndex())
+        generator = TDocGenerator(seed=7)
+        build_collection(
+            store, n_docs=4, versions_per_doc=8, generator=generator
+        )
+        workload = KeywordWorkload(
+            fti, generator.vocab.words, JAN_01, store.clock.now() + 1, seed=1
+        )
+        windows = [
+            q for q in workload.make_queries(60) if q.mode == "window"
+        ]
+        ranked, scanned = {}, {}
+        for label, index in (
+            ("baseline", FullHistoryLookup(fti)),
+            ("windowed", fti),
+        ):
+            scorer = TemporalKeywordScorer(index)
+            before = fti.stats.postings_scanned
+            ranked[label] = [
+                scorer.search_window(q.terms, q.start, q.end)
+                for q in windows
+            ]
+            scanned[label] = fti.stats.postings_scanned - before
+        assert ranked["baseline"] == ranked["windowed"]
+        assert any(ranked["windowed"])
+        assert scanned["baseline"] > scanned["windowed"]
 
 
 class TestLifetimeIndex:

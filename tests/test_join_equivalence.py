@@ -11,15 +11,11 @@ import itertools
 
 import pytest
 
+from benchmarks.ablation.joins import nested_loop_join
 from repro.clock import SECONDS_PER_DAY, parse_date
 from repro.index import JoinStats, TemporalFullTextIndex
 from repro.index.postings import Posting
-from repro.pattern import (
-    Pattern,
-    PatternNode,
-    nested_loop_join,
-    structural_join,
-)
+from repro.pattern import Pattern, PatternNode, structural_join
 from repro.storage import TemporalDocumentStore
 from repro.workload.tdocgen import TDocGenerator, build_collection
 

@@ -8,8 +8,8 @@ Covers the PR-5 acceptance criteria directly:
 * the disabled tracer allocates no spans and leaves iterables untouched,
 * the JSON trace export round-trips,
 * two identical back-to-back queries report identical per-query stats —
-  the registry's delta protocol replaces the old zoo of ``reset()`` /
-  ``reset_query_counters()`` conventions.
+  the registry's delta protocol replaces the old zoo of ``reset()``
+  conventions.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import json
 
 import pytest
 
+from benchmarks.harness import CostMeter, relative_overhead
 from repro import TemporalXMLDatabase
-from repro.bench.harness import CostMeter, relative_overhead
 from repro.obs import (
     NULL_TRACER,
     ExplainAnalyzeReport,
@@ -108,12 +108,6 @@ class TestPerQueryStats:
         lifetime_total = db.fti.stats.lookups
         db.query(NAPOLI_QUERY)
         assert db.fti.stats.lookups == lifetime_total + per_query
-
-    def test_collection_can_be_switched_off(self, db):
-        db.engine.collect_query_stats = False
-        db.engine.last_query_stats = None
-        db.query(NAPOLI_QUERY)
-        assert db.engine.last_query_stats is None
 
 
 # -- tracer mechanics ---------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+from benchmarks.ablation.fti_alternatives import DeltaOperationIndex
 from benchmarks.planedits import run_unrewritten
 
 from repro.diff import apply_script, diff
@@ -271,8 +272,6 @@ class TestDeltaIndexFoldAgreement:
     @given(st.integers(0, 2_000), st.integers(2, 6))
     @settings(max_examples=15, deadline=None)
     def test_event_fold_matches_content_index(self, seed, versions):
-        from repro.index import DeltaOperationIndex
-
         rng = random.Random(seed)
         store = TemporalDocumentStore()
         content = store.subscribe(TemporalFullTextIndex())

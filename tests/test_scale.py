@@ -8,18 +8,15 @@ round-trip.  This is the "does the whole system hold together" test.
 
 import pytest
 
+from benchmarks.ablation.fti_alternatives import DeltaOperationIndex
+from benchmarks.ablation.stratum import StratumQueryProcessor, StratumStore
 from repro.clock import parse_date
-from repro.index import (
-    DeltaOperationIndex,
-    LifetimeIndex,
-    TemporalFullTextIndex,
-)
+from repro.index import LifetimeIndex, TemporalFullTextIndex
 from repro.model.identifiers import EID, TEID
 from repro.operators import CreTime, DelTime
 from repro.query import QueryEngine
 from repro.storage import TemporalDocumentStore
 from repro.storage.persistence import dump_store, load_store
-from repro.stratum import StratumQueryProcessor, StratumStore
 from repro.workload import TDocGenerator
 from repro.xmlcore import serialize
 

@@ -2,16 +2,16 @@
 
 import pytest
 
+from benchmarks.ablation.stratum import (
+    StratumQueryProcessor,
+    StratumStore,
+    UnsupportedInStratumError,
+)
 from repro import TemporalXMLDatabase
 from repro.errors import (
     DocumentDeletedError,
     NoSuchDocumentError,
     StorageError,
-)
-from repro.stratum import (
-    StratumQueryProcessor,
-    StratumStore,
-    UnsupportedInStratumError,
 )
 from repro.workload import load_figure1
 from repro.xmlcore import Path
