@@ -51,6 +51,7 @@ def _timed_run(tmp_path, durability):
         "seconds": round(elapsed, 6),
         "commits_per_second": round(commits / elapsed, 1),
         "journal_bytes": journal.get("bytes_written", 0),
+        "journal_raw_bytes": journal.get("raw_bytes", 0),
         "fsyncs": journal.get("fsyncs", 0),
     }
 
@@ -65,7 +66,8 @@ def test_durability_cost(tmp_path, benchmark, emit):
     table = Table(
         f"E-durability: {runs[0]['commits']} commits "
         f"({DOCS} docs x {UPDATES_PER_DOC} updates)",
-        ["durability", "commits/s", "vs none", "journal bytes", "fsyncs"],
+        ["durability", "commits/s", "vs none", "journal bytes",
+         "before deflate", "fsyncs"],
     )
     for run in runs:
         table.add(
@@ -73,6 +75,7 @@ def test_durability_cost(tmp_path, benchmark, emit):
             run["commits_per_second"],
             f"{run['seconds'] / baseline:.2f}x",
             run["journal_bytes"],
+            run["journal_raw_bytes"],
             run["fsyncs"],
         )
     table.note("'journal' flushes to the OS per commit; 'fsync' reaches disk")

@@ -354,6 +354,7 @@ def _cmd_recover(args, out):
         f"{report.records_skipped} already checkpointed",
         file=out,
     )
+    _print_journal_files(report, out)
     if report.torn_tail:
         print(
             f"torn tail truncated: {report.records_truncated} region(s), "
@@ -365,6 +366,17 @@ def _cmd_recover(args, out):
         print(f"fresh checkpoint written to {path}", file=out)
     db.close()
     return 0
+
+
+def _print_journal_files(report, out):
+    """One line per journal file recovery read: format and size."""
+    for journal in report.journals:
+        print(
+            f"  {journal['file']}: format v{journal['version']}, "
+            f"{journal['records']} record(s), {journal['bytes']} byte(s) "
+            f"on disk, {journal['raw_bytes']} before deflate",
+            file=out,
+        )
 
 
 def _cmd_serve(args, out):
@@ -460,6 +472,7 @@ def _cmd_stats(args, out):
         payload = {"reads": db.store.read_stats()}
         if args.dir:
             payload["storage"] = db.storage_stats()
+            payload["durability"] = db.durability_stats()
         else:
             payload["storage"] = {
                 "logical": db.store.repository.storage_bytes()
@@ -508,6 +521,8 @@ def _cmd_stats(args, out):
     )
     if args.dir:
         _print_backend_stats(db.storage_stats(), out)
+        print("journal files:", file=out)
+        _print_journal_files(db.recovery, out)
     return 0
 
 

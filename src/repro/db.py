@@ -167,7 +167,9 @@ class TemporalXMLDatabase:
         valid checkpoint, replays the journal tail through the index
         observers, truncates a torn tail (unless ``durability="none"``,
         which appends nothing and so leaves the journal file alone) — and
-        then attaches the journal so every commit is logged.  The
+        then attaches the journal so every commit is logged.  A journal in
+        an older format is read, then checkpointed once so it rolls aside
+        before anything is appended.  The
         :class:`~repro.storage.recover.RecoveryReport` is left on
         ``db.recovery``.
 
@@ -191,7 +193,7 @@ class TemporalXMLDatabase:
         from .errors import StorageError
         from .storage.checkpoint import JOURNAL_FILE, Checkpointer
         from .storage.faults import REAL_FS
-        from .storage.journal import CommitJournal
+        from .storage.journal import FORMAT_VERSION, CommitJournal
         from .storage.recover import recover_store
 
         if durability not in DURABILITY_MODES:
@@ -240,6 +242,11 @@ class TemporalXMLDatabase:
             # Dedup/compression/GC counters join the shared registry so
             # `repro stats` and EXPLAIN-era tooling see the storage layer.
             db.engine.registry.register("cas", db.checkpointer.objstore.stats)
+        if db.journal is not None and db.journal.version != FORMAT_VERSION:
+            # journal.bin was written by an older release in a format that
+            # is only read now: fold it into a checkpoint, which rolls it
+            # to .prev, so the first append lands in a fresh file.
+            db.checkpoint()
         return db
 
     def checkpoint(self):

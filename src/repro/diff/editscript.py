@@ -163,10 +163,12 @@ class EditScript:
         """Approximate stored size of the *completed delta*.
 
         Real systems (Xyleme's deltas, RCS-style scripts) store deltas in a
-        compact binary form, so the space model charges a small fixed header
-        per operation plus the actual content bytes (payload text, old/new
-        values); the verbose XML closure form from :meth:`to_xml` is a query
-        *result* representation, not the storage format — use
+        compact binary form — here :func:`repro.storage.binfmt.write_script`,
+        which is what the commit journal and the CAS backend put on disk —
+        so the space model charges a small fixed header per operation plus
+        the actual content bytes (payload text, old/new values); the
+        verbose XML closure form from :meth:`to_xml` is a query *result*
+        representation, not the storage format — use
         :meth:`xml_size_bytes` for that.
         """
         total = 16  # delta envelope: version numbers + timestamps
@@ -194,7 +196,10 @@ class EditScript:
     # -- XML round trip ----------------------------------------------------
 
     def to_xml(self):
-        """Encode the script as a ``<delta>`` element (query-closure form).
+        """Encode the script as a ``<delta>`` element — the query-closure
+        form a ``Diff`` returns and the XML archive embeds.  The commit
+        journal does not write it; :meth:`from_xml` reads it back from
+        archives and from format v1 journal files.
 
         Payload subtrees are encoded structurally: ``<e x="XID" t="TS"
         tag="...">`` for elements (attributes as ``<a n="..">value</a>``

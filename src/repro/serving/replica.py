@@ -8,7 +8,10 @@ shipped records through the same idempotent
 :func:`~repro.storage.recover.apply_record` used by recovery.  Because
 records are keyed by document id and version number, re-scanning the
 journal from the start on every :meth:`catch_up` is safe: already-applied
-records are skipped, only the genuine tail changes the store.  Seeding
+records are skipped, only the genuine tail changes the store.  It is also
+cheap: the scan leaves record bodies undecoded and a skipped record never
+decodes its own, so a catch-up against an unchanged leader checks frames
+and envelopes and builds no tree.  Seeding
 goes through :func:`~repro.storage.recover.recover_store`, so a leader
 using either checkpoint backend (XML archive or the content-addressed
 store of :mod:`~repro.storage.cas`) replicates unchanged.

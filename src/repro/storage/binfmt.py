@@ -16,7 +16,9 @@ Everything is written through :class:`Writer` / read through
 * one kind byte per polymorphic record (node kind, edit-op kind).
 
 Decoding errors raise :class:`~repro.errors.CorruptArchiveError` — a
-truncated or bit-flipped object can never escape as an ``IndexError``.
+truncated or bit-flipped object can never escape as an ``IndexError``,
+a ``UnicodeDecodeError`` (invalid UTF-8 in a string) or a
+``RecursionError`` (a tree nested deeper than the interpreter allows).
 
 The encoding is exact: trees round-trip with XIDs, element timestamps,
 attribute order, and interleaved text preserved, so a store written
@@ -25,6 +27,8 @@ store it came from (asserted by the storage benchmark).
 """
 
 from __future__ import annotations
+
+import zlib
 
 from ..diff.editscript import (
     DeleteOp,
@@ -146,7 +150,14 @@ class Reader:
         return value
 
     def s(self):
-        return self.blob().decode("utf-8")
+        start = self._pos
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptArchiveError(
+                f"invalid UTF-8 in the string at offset {start} "
+                f"({exc.reason})"
+            ) from None
 
     def opt_s(self):
         return self.s() if self.byte() else None
@@ -156,6 +167,12 @@ class Reader:
         self._need(length)
         data = self._data[self._pos : self._pos + length]
         self._pos += length
+        return data
+
+    def rest(self):
+        """Everything not read yet."""
+        data = self._data[self._pos :]
+        self._pos = len(self._data)
         return data
 
 
@@ -185,6 +202,15 @@ def write_node(w, node):
 
 def read_node(r):
     """Decode one node written by :func:`write_node`."""
+    try:
+        return _read_node(r)
+    except RecursionError:
+        raise CorruptArchiveError(
+            "binary tree nests deeper than the recursion limit"
+        ) from None
+
+
+def _read_node(r):
     kind = r.byte()
     if kind == _TEXT:
         xid = r.opt_u()
@@ -201,9 +227,11 @@ def read_node(r):
     node.xid = xid
     node.tstamp = tstamp
     for _ in range(r.u()):
-        node.attrib[r.s()] = r.s()
+        # Two statements: `attrib[r.s()] = r.s()` would read the value first.
+        name = r.s()
+        node.attrib[name] = r.s()
     for _ in range(r.u()):
-        child = read_node(r)
+        child = _read_node(r)
         child.parent = node
         node.children.append(child)
     return node
@@ -217,8 +245,7 @@ def encode_tree(root):
 
 
 def decode_tree(data):
-    r = Reader(data)
-    return read_node(r)
+    return read_node(Reader(data))
 
 
 # -- edit scripts --------------------------------------------------------------
@@ -300,6 +327,17 @@ def read_script(r):
     return EditScript(ops, from_ts=from_ts, to_ts=to_ts)
 
 
+def encode_script(script):
+    """One edit script as standalone bytes."""
+    w = Writer()
+    write_script(w, script)
+    return w.getvalue()
+
+
+def decode_script(data):
+    return read_script(Reader(data))
+
+
 # -- per-document byte streams -------------------------------------------------
 #
 # A checkpointed document becomes three independent streams — the current
@@ -352,3 +390,58 @@ def decode_snapshot_stream(data):
         number = r.u()
         snapshots[number] = read_node(r)
     return snapshots
+
+
+# -- compression ---------------------------------------------------------------
+#
+# One rule for everything the storage layer deflates (CAS objects, journal
+# frames), so "is this stored compressed" has one answer.
+
+#: Payloads shorter than this are stored as they are.
+DEFLATE_THRESHOLD = 128
+
+#: No deflate stream expands further: 258 bytes per 2-bit code (RFC 1951).
+_MAX_DEFLATE_RATIO = 1032
+
+
+def deflate(data, threshold=DEFLATE_THRESHOLD):
+    """zlib-compress ``data`` (level 6) when it is at least ``threshold``
+    bytes long *and* the result is smaller; returns the deflated bytes, or
+    ``None`` when ``data`` should be stored as it is."""
+    if len(data) >= threshold:
+        deflated = zlib.compress(data, 6)
+        if len(deflated) < len(data):
+            return deflated
+    return None
+
+
+def inflate(data, raw_length):
+    """Inflate a :func:`deflate` stream that must yield exactly
+    ``raw_length`` bytes.
+
+    The output is capped at the declared length, so a hostile stream
+    cannot make the reader allocate more than its header admitted to."""
+    # 0 would mean "unlimited" to zlib; beyond deflate's best ratio is a lie
+    # told to make the reader allocate (or overflow a C ssize_t).
+    if not 0 < raw_length <= len(data) * _MAX_DEFLATE_RATIO:
+        raise CorruptArchiveError(
+            f"deflated record of {len(data)} byte(s) declares an impossible "
+            f"raw length of {raw_length}"
+        )
+    stream = zlib.decompressobj()
+    try:
+        raw = stream.decompress(data, raw_length)
+        if not stream.eof and len(raw) == raw_length:
+            # Full, with input left: one probe byte past the cap tells
+            # "only the end-of-stream marker was unread" from "goes on".
+            raw += stream.decompress(stream.unconsumed_tail, 1)
+    except zlib.error as exc:
+        raise CorruptArchiveError(
+            f"deflated record failed to inflate ({exc})"
+        ) from None
+    if len(raw) != raw_length or not stream.eof or stream.unused_data:
+        raise CorruptArchiveError(
+            f"deflated record does not inflate to exactly its declared "
+            f"{raw_length} byte(s)"
+        )
+    return raw

@@ -51,11 +51,13 @@ from dataclasses import dataclass, field
 
 from ..errors import CorruptArchiveError, StorageError
 from .binfmt import (
+    DEFLATE_THRESHOLD,
     Reader,
     Writer,
     decode_current_stream,
     decode_delta_stream,
     decode_snapshot_stream,
+    deflate,
     encode_current_stream,
     encode_delta_stream,
     encode_snapshot_stream,
@@ -198,8 +200,8 @@ class CASObjectStore:
     and GC is the only deleter.
     """
 
-    def __init__(self, directory, fs=None, compress_threshold=128,
-                 chunk_params=None):
+    def __init__(self, directory, fs=None,
+                 compress_threshold=DEFLATE_THRESHOLD, chunk_params=None):
         self.directory = str(directory)
         self.fs = fs if fs is not None else REAL_FS
         self.compress_threshold = compress_threshold
@@ -233,11 +235,10 @@ class CASObjectStore:
             return object_hash
         flags = 0
         payload = data
-        if len(data) >= self.compress_threshold:
-            compressed = zlib.compress(data, 6)
-            if len(compressed) < len(data):
-                payload = compressed
-                flags |= _FLAG_ZLIB
+        compressed = deflate(data, self.compress_threshold)
+        if compressed is not None:
+            payload = compressed
+            flags |= _FLAG_ZLIB
         blob = (
             _MAGIC
             + bytes([flags])

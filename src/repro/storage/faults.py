@@ -63,9 +63,10 @@ class OSFileSystem:
     def size(self, path):
         return os.path.getsize(path)
 
-    def read_bytes(self, path):
+    def read_bytes(self, path, length=None):
+        """The file's bytes — all of them, or only the first ``length``."""
         with open(path, "rb") as handle:
-            return handle.read()
+            return handle.read(length)
 
     def replace(self, src, dst):
         os.replace(src, dst)
@@ -184,10 +185,10 @@ class FaultyFS(OSFileSystem):
         self._check_alive()
         return super().size(path)
 
-    def read_bytes(self, path):
+    def read_bytes(self, path, length=None):
         self._check_alive()
         self.reads += 1
-        data = super().read_bytes(path)
+        data = super().read_bytes(path, length)
         if self.short_read_at is not None and self.reads == self.short_read_at:
             return data[: int(len(data) * self.short_read_fraction)]
         return data

@@ -9,20 +9,40 @@ last checkpoint.  :class:`CommitJournal` subscribes to a
 per commit; recovery (:mod:`~repro.storage.recover`) replays the tail of
 that log on top of the newest valid checkpoint.
 
-**On-disk format.**  An 8-byte magic header (``TXJRNL1\\n``) followed by
-length-prefixed records::
+**On-disk format (v2).**  An 8-byte magic header (``TXJRNL2\\n``) followed
+by framed records::
 
-    +----------------+----------------+---------------------+
-    | length (u32 BE) | crc32 (u32 BE) | payload (length B)  |
-    +----------------+----------------+---------------------+
+    +-----------------+----------------+---------------------------+
+    | length (u32 BE) | crc32 (u32 BE) | stored bytes (length B)   |
+    +-----------------+----------------+---------------------------+
+    stored := raw-length varint, data   (0: data is the record itself;
+                                         n: data inflates to n bytes)
+    record := kind byte, doc id, name, version, ts, optional nextxid, body
+    body   := length-prefixed bytes: the stamped initial tree (create), the
+              completed delta (update), nothing (delete, snapshot), or the
+              member records back to back (group)
 
-The payload is the compact UTF-8 XML of one ``<j>`` element carrying the
-commit metadata (kind, doc id, name, version, timestamp, XID-allocator
-state) plus, as its only child, the stamped initial tree (creates, in the
-edit-script payload encoding) or the completed delta (updates, the
-``<delta>`` closure form).  The CRC covers the payload, so a torn append or
-a flipped bit is detected record-by-record and the scan stops at the first
-invalid one — everything before it is intact by construction.
+Everything inside a record is written by :mod:`~repro.storage.binfmt` —
+the compact form the paper's storage model keeps completed deltas in, not
+the XML closure form a ``Diff`` query returns.  A record of 128 bytes or
+more is deflated when that shrinks it (the rule CAS objects use).  The CRC
+covers the *stored* bytes, so a torn append or a flipped bit is detected
+before anything is inflated or decoded, inflation is capped at the declared
+raw length, and the scan stops at the first invalid frame — everything
+before it is intact by construction.
+
+**Lazy bodies.**  A commit is encoded to bytes when it happens
+(:meth:`CommitJournal.document_committed`); a scan validates frames and
+record envelopes and leaves every ``body`` an undecoded byte slice.
+:meth:`JournalRecord.initial_tree` / :meth:`JournalRecord.script` decode on
+demand, which recovery reaches only after its idempotence check — a record
+the checkpoint already covers costs its envelope and nothing else.
+
+**Format v1** (``TXJRNL1\\n``: the same frame without the raw-length
+varint, payload = UTF-8 XML of a ``<j>`` element) is still *read*
+(:class:`JournalRecordV1`) and never written: appending to a v1 file is
+refused, and :meth:`~repro.db.TemporalXMLDatabase.open` checkpoints once so
+the v1 file rolls to ``.prev`` before the first append.
 
 ``fsync_policy`` selects the durability/latency trade:
 
@@ -37,14 +57,14 @@ invalid one — everything before it is intact by construction.
 
 **Commit groups.**  A batch of commits
 (:meth:`~repro.storage.store.TemporalDocumentStore.batch`) is journaled as
-*one* physical record of kind ``"group"`` whose payload nests the member
-``<j>`` elements inside a single ``<j kind="group">`` envelope.  One frame,
-one CRC, one write, one fsync — the group-commit amortization — and the
-frame-level checksum makes the group atomic by construction: a torn or
-corrupt group record drops *all* of its members, never a prefix of them,
+*one* physical record of kind ``"group"`` whose body is its member records.
+One frame, one CRC, one write, one fsync — the group-commit amortization —
+and the frame-level checksum makes the group atomic by construction: a torn
+or corrupt group record drops *all* of its members, never a prefix of them,
 so recovery replays commit groups all-or-nothing (see
 ``docs/DURABILITY.md``).  Between :meth:`CommitJournal.begin_group` and
-:meth:`CommitJournal.commit_group` appended records are staged in memory;
+:meth:`CommitJournal.commit_group` appended records are staged in memory
+(their bodies already bytes, never live trees);
 :meth:`CommitJournal.abort_group` discards them without touching the file.
 """
 
@@ -54,24 +74,39 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from ..diff.editscript import EditScript, decode_payload, encode_payload
+from ..diff.editscript import EditScript, decode_payload
 from ..errors import StorageError, TornJournalError, XMLSyntaxError
-from ..xmlcore.node import Element
 from ..xmlcore.parser import parse
-from ..xmlcore.serializer import serialize
+from .binfmt import (
+    Reader,
+    Writer,
+    decode_script,
+    decode_tree,
+    deflate,
+    encode_script,
+    encode_tree,
+    inflate,
+)
 from .faults import REAL_FS
 
-#: Journal file magic; also the version gate for the record format.
-MAGIC = b"TXJRNL1\n"
+#: The format this module writes, and its file magic.
+FORMAT_VERSION = 2
+MAGIC = b"TXJRNL2\n"
 
-_FRAME = struct.Struct(">II")  # record length, payload crc32
+#: File magic -> format version, for every format that can be read.
+_VERSION_OF_MAGIC = {b"TXJRNL1\n": 1, MAGIC: FORMAT_VERSION}
+
+_FRAME = struct.Struct(">II")  # stored length, crc32 of the stored bytes
 
 #: Record kinds the journal understands.  ``"group"`` is an envelope whose
-#: payload nests the member records of one commit group.
+#: body nests the member records of one commit group.  A kind's v2 kind
+#: byte is its 1-based position here, so this tuple only ever grows.
 KINDS = ("create", "update", "delete", "snapshot", "group")
 
 #: Kinds allowed *inside* a group envelope (groups never nest).
 MEMBER_KINDS = ("create", "update", "delete", "snapshot")
+
+_KIND_BYTE = {kind: byte for byte, kind in enumerate(KINDS, 1)}
 
 
 @dataclass
@@ -82,10 +117,14 @@ class JournalStats:
     one); ``by_kind`` counts *logical* records (group members individually),
     so ``fsyncs / records_written`` is the amortization the group-commit
     benchmark measures while ``by_kind`` still reflects commit traffic.
+    ``bytes_written`` is what reached the file (frame header + stored
+    bytes per physical record); ``raw_bytes`` is the same records before
+    deflate.
     """
 
     records_written: int = 0
     bytes_written: int = 0
+    raw_bytes: int = 0
     fsyncs: int = 0
     rolls: int = 0
     groups_written: int = 0
@@ -96,6 +135,7 @@ class JournalStats:
         return {
             "records_written": self.records_written,
             "bytes_written": self.bytes_written,
+            "raw_bytes": self.raw_bytes,
             "fsyncs": self.fsyncs,
             "rolls": self.rolls,
             "groups_written": self.groups_written,
@@ -108,6 +148,11 @@ class JournalStats:
 class JournalRecord:
     """One journaled commit (or snapshot materialization, or a group).
 
+    ``body`` is the commit's content as :mod:`~repro.storage.binfmt` bytes
+    — the stamped version-1 tree of a ``create``, the completed delta of an
+    ``update``, empty otherwise — and stays undecoded until
+    :meth:`initial_tree` / :meth:`script` is asked for it.
+
     For ``kind == "group"`` the record is an envelope: ``members`` holds
     the batched commit records in application order, ``version`` carries
     the member count, and ``ts`` the last member's timestamp.
@@ -119,7 +164,7 @@ class JournalRecord:
     version: int
     ts: int
     nextxid: int = None
-    body: object = None  # stamped tree (create) / <delta> element (update)
+    body: bytes = b""
     members: list = None  # group envelopes only
 
     @classmethod
@@ -141,35 +186,89 @@ class JournalRecord:
             members=list(members),
         )
 
-    def to_element(self):
-        """The record as a ``<j>`` element (nests members for groups)."""
-        element = Element(
-            "j",
-            {
-                "kind": self.kind,
-                "doc": str(self.doc_id),
-                "name": self.name,
-                "version": str(self.version),
-                "ts": str(self.ts),
-            },
-        )
-        if self.nextxid is not None:
-            element.set("nextxid", str(self.nextxid))
-        if self.kind == "group":
-            for member in self.members:
-                element.append(member.to_element())
-        elif self.body is not None:
-            element.append(self.body)
-        return element
+    # -- v2 encoding ----------------------------------------------------------
 
-    def to_payload(self):
-        """Encode as compact XML bytes (the CRC-protected record payload)."""
-        return serialize(self.to_element()).encode("utf-8")
+    def encode(self):
+        """The record as bytes: envelope, then the length-prefixed body
+        (for a group, its encoded members back to back)."""
+        if self.kind not in _KIND_BYTE:
+            raise StorageError(f"unknown journal record kind {self.kind!r}")
+        w = Writer()
+        w.byte(_KIND_BYTE[self.kind])
+        w.u(self.doc_id)
+        w.s(self.name)
+        w.u(self.version)
+        w.u(self.ts)
+        w.opt_u(self.nextxid)
+        if self.kind == "group":
+            w.blob(b"".join(member.encode() for member in self.members))
+        else:
+            w.blob(self.body)
+        return w.getvalue()
+
+    @classmethod
+    def decode(cls, data):
+        """Decode :meth:`encode`'s bytes, bodies left undecoded; raises
+        :class:`StorageError` when they are not exactly one record."""
+        r = Reader(data)
+        record = cls._read(r)
+        if not r.exhausted:
+            raise StorageError("trailing bytes after a journal record")
+        return record
+
+    @classmethod
+    def _read(cls, r, nested=False):
+        byte = r.byte()
+        if not 1 <= byte <= len(KINDS):
+            raise StorageError(f"unknown journal record kind byte {byte:#04x}")
+        record = cls(
+            kind=KINDS[byte - 1],
+            doc_id=r.u(),
+            name=r.s(),
+            version=r.u(),
+            ts=r.u(),
+            nextxid=r.opt_u(),
+            body=r.blob(),
+        )
+        if record.kind != "group":
+            return record
+        if nested:
+            raise StorageError("commit groups cannot nest")
+        inner = Reader(record.body)
+        members = []
+        while not inner.exhausted:
+            members.append(cls._read(inner, nested=True))
+        if len(members) != record.version:
+            raise StorageError(
+                "commit group member count does not match its header"
+            )
+        return cls.group(members)
+
+    # -- body decoding (used by recovery, after its idempotence check) --------
+
+    def initial_tree(self):
+        """The stamped version-1 tree of a ``create`` record."""
+        return decode_tree(self.body)
+
+    def script(self):
+        """The completed :class:`EditScript` of an ``update`` record."""
+        return decode_script(self.body)
+
+
+class JournalRecordV1(JournalRecord):
+    """A record read from a format v1 file: the frame payload is the XML
+    of a ``<j>`` element and ``body`` is its child element (the encoded
+    initial tree / the ``<delta>`` closure form).  Decode only — nothing
+    writes this form any more."""
+
+    @classmethod
+    def from_payload(cls, payload):
+        """Decode a v1 frame payload; raises :class:`StorageError` when
+        the bytes are valid XML but not a journal record."""
+        return cls.from_element(parse(payload.decode("utf-8")))
 
     @classmethod
     def from_element(cls, element, nested=False):
-        """Decode a ``<j>`` element; raises :class:`StorageError` when it is
-        not a (well-formed) journal record."""
         if element.tag != "j":
             raise StorageError(f"not a journal record: <{element.tag}>")
         kind = element.get("kind")
@@ -183,8 +282,6 @@ class JournalRecord:
             members = [
                 cls.from_element(child, nested=True) for child in children
             ]
-            if not members:
-                raise StorageError("empty commit group record")
             if len(members) != int(element.get("version")):
                 raise StorageError(
                     "commit group member count does not match its header"
@@ -200,20 +297,10 @@ class JournalRecord:
             body=children[0] if children else None,
         )
 
-    @classmethod
-    def from_payload(cls, payload):
-        """Decode a record payload; raises :class:`StorageError` when the
-        bytes are valid XML but not a journal record."""
-        return cls.from_element(parse(payload.decode("utf-8")))
-
-    # -- body decoding helpers (used by recovery) ---------------------------
-
     def initial_tree(self):
-        """The stamped version-1 tree of a ``create`` record."""
         return decode_payload(self.body)
 
     def script(self):
-        """The completed :class:`EditScript` of an ``update`` record."""
         return EditScript.from_xml(self.body)
 
 
@@ -242,20 +329,23 @@ class CommitJournal:
 
     def _open(self):
         fs = self.fs
+        # Format of the file behind the handle; a v1 file is read-only.
+        self.version = FORMAT_VERSION
         if fs.exists(self.path):
             size = fs.size(self.path)
             if 0 < size < len(MAGIC):
                 # A crash tore the header itself; nothing to preserve.
                 fs.truncate(self.path, 0)
             elif size >= len(MAGIC):
-                head = fs.read_bytes(self.path)[: len(MAGIC)]
-                if head != MAGIC:
+                head = fs.read_bytes(self.path, len(MAGIC))
+                if head not in _VERSION_OF_MAGIC:
                     raise TornJournalError(
                         "file is not a commit journal (bad magic); "
                         "run recovery before reopening",
                         path=self.path,
                         offset=0,
                     )
+                self.version = _VERSION_OF_MAGIC[head]
         self._handle = fs.open_append(self.path)
         if self._handle.tell() == 0:
             fs.write(self._handle, MAGIC)
@@ -275,12 +365,14 @@ class CommitJournal:
         if repository is not None:
             record = repository.record(event.doc_id)
             nextxid = record.allocator.next_xid
+        # Encoded here, not when the frame is written: a staged group member
+        # is bytes from the moment it is appended and holds no live tree.
         if event.kind == "create":
-            body = encode_payload(event.root)
+            body = encode_tree(event.root)
         elif event.kind == "update":
-            body = event.script.to_xml()
+            body = encode_script(event.script)
         else:  # delete
-            body = None
+            body = b""
         self.append(
             JournalRecord(
                 kind=event.kind,
@@ -323,20 +415,21 @@ class CommitJournal:
         self._write_record(record)
 
     def _write_record(self, record):
-        payload = record.to_payload()
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        self.fs.write(self._handle, frame + payload)
+        if self.version != FORMAT_VERSION:
+            raise StorageError(
+                f"journal {self.path!r} is format v{self.version}, which is "
+                "read-only; checkpoint (or roll) before appending"
+            )
+        payload = record.encode()
+        frame = _frame(payload)
+        self.fs.write(self._handle, frame)
         self._sync_or_flush()
         self.stats.records_written += 1
-        self.stats.bytes_written += len(frame) + len(payload)
-        if record.kind == "group":
-            for member in record.members:
-                self.stats.by_kind[member.kind] = (
-                    self.stats.by_kind.get(member.kind, 0) + 1
-                )
-        else:
-            self.stats.by_kind[record.kind] = (
-                self.stats.by_kind.get(record.kind, 0) + 1
+        self.stats.bytes_written += len(frame)
+        self.stats.raw_bytes += len(payload)
+        for member in record.members or (record,):
+            self.stats.by_kind[member.kind] = (
+                self.stats.by_kind.get(member.kind, 0) + 1
             )
 
     # -- commit groups -------------------------------------------------------
@@ -412,10 +505,12 @@ class CommitJournal:
 class JournalScan:
     """Result of a tolerant journal scan.
 
-    ``records`` are the decoded valid records in append order;
+    ``records`` are the valid records in append order (bodies undecoded);
     ``valid_size`` is the byte offset the file should be truncated to when
     the tail is torn; ``torn`` tells whether anything after that offset had
-    to be dropped, with ``reason`` saying why the scan stopped.
+    to be dropped, with ``reason`` saying why the scan stopped.  ``version``
+    is the file's format (``None`` without a readable header) and
+    ``raw_bytes`` what its valid records measure before deflate.
     """
 
     records: list
@@ -423,10 +518,31 @@ class JournalScan:
     total_size: int
     torn: bool
     reason: str = ""
+    version: int = None
+    raw_bytes: int = 0
 
     @property
     def dropped_bytes(self):
         return self.total_size - self.valid_size
+
+
+def _frame(payload):
+    """One v2 frame around a record's bytes: deflated when that helps,
+    CRC over whatever is stored."""
+    deflated = deflate(payload)
+    head = Writer()
+    head.u(0 if deflated is None else len(payload))
+    stored = head.getvalue() + (payload if deflated is None else deflated)
+    return _FRAME.pack(len(stored), zlib.crc32(stored) & 0xFFFFFFFF) + stored
+
+
+def _unframe(stored):
+    """The record bytes inside a v2 frame's stored bytes (CRC already
+    verified), inflated when the frame says they were deflated."""
+    r = Reader(stored)
+    raw_length = r.u()
+    data = r.rest()
+    return inflate(data, raw_length) if raw_length else data
 
 
 def scan_journal(path, fs=None):
@@ -434,7 +550,8 @@ def scan_journal(path, fs=None):
 
     A missing file scans as empty.  Records before the first length/CRC
     violation are returned; everything at and after it is reported via
-    ``torn``/``valid_size`` so recovery can truncate the tail.
+    ``torn``/``valid_size`` so recovery can truncate the tail.  Frames and
+    record envelopes are validated; bodies are not decoded.
     """
     fs = fs if fs is not None else REAL_FS
     if not fs.exists(path):
@@ -442,35 +559,37 @@ def scan_journal(path, fs=None):
     data = fs.read_bytes(path)
     if not data:
         return JournalScan([], 0, 0, torn=False, reason="empty")
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
+    version = _VERSION_OF_MAGIC.get(data[: len(MAGIC)])
+    if version is None:
         return JournalScan([], 0, len(data), torn=True, reason="bad header")
-    records = []
-    offset = len(MAGIC)
-    while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            return JournalScan(
-                records, offset, len(data), torn=True, reason="torn frame"
-            )
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
+    scan = JournalScan([], len(MAGIC), len(data), torn=True, version=version)
+    while scan.valid_size < len(data):
+        start = scan.valid_size + _FRAME.size
+        if start > len(data):
+            scan.reason = "torn frame"
+            return scan
+        length, crc = _FRAME.unpack_from(data, scan.valid_size)
         payload = data[start : start + length]
         if len(payload) < length:
-            return JournalScan(
-                records, offset, len(data), torn=True, reason="torn payload"
-            )
+            scan.reason = "torn payload"
+            return scan
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            return JournalScan(
-                records, offset, len(data), torn=True,
-                reason="checksum mismatch",
-            )
+            scan.reason = "checksum mismatch"
+            return scan
         try:
-            records.append(JournalRecord.from_payload(payload))
+            if version == FORMAT_VERSION:
+                payload = _unframe(payload)
+                record = JournalRecord.decode(payload)
+            else:
+                record = JournalRecordV1.from_payload(payload)
         except (StorageError, XMLSyntaxError, ValueError):
-            return JournalScan(
-                records, offset, len(data), torn=True, reason="bad record"
-            )
-        offset = start + length
-    return JournalScan(records, offset, len(data), torn=False, reason="clean")
+            scan.reason = "bad record"
+            return scan
+        scan.records.append(record)
+        scan.raw_bytes += len(payload)
+        scan.valid_size = start + length
+    scan.torn, scan.reason = False, "clean"
+    return scan
 
 
 def verify_journal(path, fs=None):

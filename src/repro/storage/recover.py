@@ -19,8 +19,11 @@
    tolerantly; every record already contained in the checkpoint is skipped
    (records are idempotent — keyed by document id and version number), the
    genuine tail is applied through the repository commit paths and fired at
-   the same observers.  A torn tail record is **truncated, never fatal**:
-   an interrupted append simply means that commit never happened.
+   the same observers.  The scan leaves record bodies undecoded and a
+   skipped record is never decoded, so a rolled ``journal.bin.prev`` the
+   checkpoint covers costs its frames and envelopes only.  A torn tail
+   record is **truncated, never fatal**: an interrupted append simply
+   means that commit never happened.
 
 The returned :class:`RecoveryReport` carries the counters the bench
 harness and the CLI ``recover`` subcommand expose.
@@ -56,6 +59,10 @@ class RecoveryReport:
     truncated_bytes: int = 0
     torn_tail: bool = False
     documents: int = 0
+    #: One dict per journal file found: ``file``, format ``version``,
+    #: physical ``records``, valid ``bytes`` on disk, ``raw_bytes`` (the
+    #: same records before deflate).
+    journals: list = field(default_factory=list)
 
     def as_dict(self):
         return {
@@ -69,6 +76,7 @@ class RecoveryReport:
             "truncated_bytes": self.truncated_bytes,
             "torn_tail": self.torn_tail,
             "documents": self.documents,
+            "journals": [dict(journal) for journal in self.journals],
         }
 
 
@@ -135,6 +143,14 @@ def recover_store(
         (journal_path, repair),
     ):
         scan = scan_journal(path, fs=fs)
+        if scan.version is not None:
+            report.journals.append({
+                "file": os.path.basename(path),
+                "version": scan.version,
+                "records": len(scan.records),
+                "bytes": scan.valid_size,
+                "raw_bytes": scan.raw_bytes,
+            })
         report.records_scanned += len(scan.records)
         if scan.torn:
             report.torn_tail = True

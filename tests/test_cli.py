@@ -169,6 +169,8 @@ class TestRecover:
         assert "recovered 1 document(s)" in out
         assert "checkpoint used: checkpoint" in out
         assert "journal records:" in out
+        assert "journal.bin.prev: format v2, 1 record(s)" in out
+        assert "journal.bin: format v2, 1 record(s)" in out
         # The journal tail was folded into a fresh checkpoint and rolled.
         code, out = _run("recover", "-d", str(directory))
         assert code == 0
@@ -376,6 +378,9 @@ class TestStorageCLI:
             assert counters["objects"] > 0
         assert backend["disk_bytes"] > 0
         assert storage["logical"]["total"] > 0
+        journals = payload["durability"]["recovery"]["journals"]
+        assert [j["file"] for j in journals] == ["journal.bin.prev", "journal.bin"]
+        assert all(j["version"] == 2 and j["raw_bytes"] > 0 for j in journals)
 
     def test_stats_dir_xml_backend(self, tmp_path):
         directory = self._durable_db(tmp_path, storage="xml")
@@ -384,6 +389,9 @@ class TestStorageCLI:
         assert "storage backend: xml" in out
         assert "checkpoint:" in out
         assert "byte(s)" in out
+        assert "journal files:" in out
+        assert "journal.bin: format v2, 1 record(s)" in out
+        assert "before deflate" in out
 
     def test_replica_follow_for_tails_and_exits(self, tmp_path):
         directory = self._durable_db(tmp_path)

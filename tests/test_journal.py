@@ -2,8 +2,21 @@
 
 import pytest
 
-from repro.errors import TornJournalError
+from repro.diff.editscript import (
+    DeleteOp,
+    EditScript,
+    InsertOp,
+    MoveOp,
+    ReplaceRootOp,
+    StampOp,
+    UpdateAttrOp,
+    UpdateTextOp,
+)
+from repro.errors import StorageError, TornJournalError
+from repro.model.identifiers import XIDAllocator
+from repro.model.versioned import stamp_new_nodes
 from repro.storage import TemporalDocumentStore
+from repro.storage.binfmt import encode_script, encode_tree
 from repro.storage.faults import CrashError, FaultyFS, OSFileSystem, flip_bit
 from repro.storage.journal import (
     MAGIC,
@@ -13,7 +26,8 @@ from repro.storage.journal import (
     verify_journal,
 )
 from repro.storage.recover import recover_store
-from repro.xmlcore import Element, serialize
+from repro.storage.store import CommitEvent
+from repro.xmlcore import parse, serialize
 
 
 def _journaled_store(tmp_path, fsync_policy="flush"):
@@ -25,30 +39,76 @@ def _journaled_store(tmp_path, fsync_policy="flush"):
     return store, journal
 
 
+def _stamped(source, ts=100, first_xid=1):
+    tree = parse(source)
+    stamp_new_nodes(tree, XIDAllocator(first_xid), ts)
+    return tree
+
+
+ODD_NAME = "a b \"quoted\" & <odd> caf\u00e9 \u2603.xml"
+
+
 class TestRecordFormat:
     def test_round_trip_with_body(self):
-        body = Element("delta")
-        body.append(Element("stamp", {"xid": "4"}))
-        record = JournalRecord(
-            kind="update", doc_id=7, name="a b \"quoted\" & <odd>.xml",
-            version=3, ts=12345, nextxid=19, body=body,
+        tree = _stamped(
+            '<guide lang="fr" empty=""><r id="1">caf\u00e9 <b>bold</b> tail</r>'
+            "<r><n>Napoli &amp; &lt;co&gt;</n></r></guide>"
         )
-        back = JournalRecord.from_payload(record.to_payload())
-        assert back.kind == "update"
-        assert back.doc_id == 7
-        assert back.name == record.name
-        assert back.version == 3
-        assert back.ts == 12345
-        assert back.nextxid == 19
-        assert serialize(back.body) == serialize(body)
+        created = JournalRecord(
+            kind="create", doc_id=7, name=ODD_NAME, version=1, ts=100,
+            nextxid=19, body=encode_tree(tree),
+        )
+        back = JournalRecord.decode(created.encode())
+        assert back == created  # envelope fields and the body bytes
+        assert serialize(back.initial_tree()) == serialize(tree)
+        assert encode_tree(back.initial_tree()) == created.body  # XIDs, stamps
+
+        payload = _stamped("<x>fresh</x>", ts=200, first_xid=50)
+        script = EditScript(
+            [
+                InsertOp(1, 0, payload),
+                DeleteOp(1, 1, tree.children[0].copy()),
+                MoveOp(3, 1, 1, 1, 0),
+                UpdateTextOp(4, "caf\u00e9 ", "th\u00e9 "),
+                UpdateAttrOp(1, "lang", "fr", None),
+                UpdateAttrOp(1, "new", None, ""),
+                StampOp(1, 100, 200),
+                ReplaceRootOp(tree.copy(), payload.copy()),
+            ],
+            from_ts=100, to_ts=200,
+        )
+        assert len({type(op) for op in script.ops}) == 7  # every op kind
+        updated = JournalRecord(
+            kind="update", doc_id=7, name=ODD_NAME, version=2, ts=200,
+            nextxid=None, body=encode_script(script),
+        )
+        back = JournalRecord.decode(updated.encode())
+        assert back == updated
+        assert back.nextxid is None
+        decoded = back.script()
+        assert (decoded.from_ts, decoded.to_ts) == (100, 200)
+        assert serialize(decoded.to_xml()) == serialize(script.to_xml())
+        assert encode_script(decoded) == updated.body
 
     def test_round_trip_without_body(self):
         record = JournalRecord(
             kind="delete", doc_id=2, name="x.xml", version=5, ts=99
         )
-        back = JournalRecord.from_payload(record.to_payload())
-        assert back.body is None
+        back = JournalRecord.decode(record.encode())
+        assert back == record
+        assert back.body == b""
         assert back.nextxid is None
+
+    def test_unknown_kind_and_trailing_bytes_rejected(self):
+        with pytest.raises(StorageError):
+            JournalRecord(
+                kind="bogus", doc_id=1, name="x", version=1, ts=1
+            ).encode()
+        good = JournalRecord(
+            kind="delete", doc_id=1, name="x", version=1, ts=1
+        ).encode()
+        with pytest.raises(StorageError):
+            JournalRecord.decode(good + b"\x00")
 
 
 class TestJournalFile:
@@ -102,11 +162,47 @@ class TestJournalFile:
         assert [r.kind for r in main] == ["update"]
         assert journal.stats.rolls == 1
 
+    def test_stats_count_bytes_written_and_raw_bytes(self, tmp_path):
+        from repro import TemporalXMLDatabase
+
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="journal")
+        db.put("small.xml", "<doc/>")  # below the deflate threshold
+        db.put("big.xml", "<doc>" + "<x>same words</x>" * 30 + "</doc>")
+        db.close()
+        stats = db.durability_stats()["journal"]
+        path = str(tmp_path / "db" / "journal.bin")
+        # bytes_written: frame header + stored bytes of every record, i.e.
+        # the file minus its magic; raw_bytes: the same records inflated.
+        assert stats["bytes_written"] == OSFileSystem().size(path) - len(MAGIC)
+        assert stats["raw_bytes"] == scan_journal(path).raw_bytes
+        assert stats["bytes_written"] < stats["raw_bytes"]
+
     def test_bad_magic_refused_on_open(self, tmp_path):
         path = tmp_path / "journal.bin"
         path.write_bytes(b"this is not a journal at all")
         with pytest.raises(TornJournalError):
             CommitJournal(str(path))
+
+    def test_open_reads_the_header_not_the_file(self, tmp_path):
+        store, journal = _journaled_store(tmp_path)
+        store.put("a.xml", "<doc><x>one</x></doc>")
+        journal.close()
+        path = tmp_path / "journal.bin"
+        before = path.read_bytes()
+
+        class RecordingFS(OSFileSystem):
+            lengths = []
+
+            def read_bytes(self, path, length=None):
+                self.lengths.append(length)
+                return super().read_bytes(path, length)
+
+        CommitJournal(str(path), fs=RecordingFS()).close()
+        assert RecordingFS.lengths == [len(MAGIC)]
+        # A short read of the header is an error, never a reason to truncate.
+        with pytest.raises(TornJournalError):
+            CommitJournal(str(path), fs=FaultyFS(short_read_at=1))
+        assert path.read_bytes() == before
 
     def test_torn_header_truncated_on_open(self, tmp_path):
         path = tmp_path / "journal.bin"
@@ -172,7 +268,7 @@ class TestCommitGroups:
     def test_group_record_round_trip(self):
         members = [self._member(ts=10), self._member(version=2, ts=11)]
         record = JournalRecord.group(members)
-        back = JournalRecord.from_payload(record.to_payload())
+        back = JournalRecord.decode(record.encode())
         assert back.kind == "group"
         assert len(back.members) == 2
         assert [(m.kind, m.doc_id, m.version, m.ts) for m in back.members] == [
@@ -180,8 +276,6 @@ class TestCommitGroups:
         ]
 
     def test_empty_and_nested_groups_rejected(self):
-        from repro.errors import StorageError
-
         with pytest.raises(StorageError):
             JournalRecord.group([])
         inner = JournalRecord.group([self._member()])
@@ -230,8 +324,6 @@ class TestCommitGroups:
         assert verify_journal(str(path)) == []
 
     def test_roll_refused_inside_group(self, tmp_path):
-        from repro.errors import StorageError
-
         journal = CommitJournal(str(tmp_path / "journal.bin"))
         journal.begin_group()
         with pytest.raises(StorageError):
@@ -273,6 +365,65 @@ class TestCommitGroups:
         # the same group, after the member commits.
         assert kinds == ["create", "update", "update", "delete", "snapshot"]
         assert [m.version for m in records[0].members] == [1, 2, 3, 3, 2]
+
+
+    def test_staged_member_bytes_are_fixed_at_append(self, tmp_path):
+        """A group member is encoded when it is appended, not when
+        commit_group() writes the frame: what happens to the live tree in
+        between (here: a later member of the same batch, then a blunt
+        in-place edit) must not reach the journal."""
+        store = TemporalDocumentStore()
+        journal = CommitJournal(str(tmp_path / "journal.bin"))
+        store.attach_journal(journal)
+        with store.batch() as batch:
+            batch.put("a.xml", "<doc><x>one</x><y>keep</y></doc>")
+            batch.update("a.xml", "<doc><x>two</x><z>new</z></doc>")
+        journal.close()
+        tree = _stamped("<doc><x>before</x></doc>")
+        unbound = CommitJournal(str(tmp_path / "journal.bin"))
+        unbound.begin_group()
+        unbound.document_committed(
+            CommitEvent("create", 9, "b.xml", 1, 100, root=tree)
+        )
+        tree.children[0].children[0].value = "after"
+        unbound.commit_group()
+        unbound.close()
+
+        first, second = verify_journal(str(tmp_path / "journal.bin"))
+        create, update = first.members
+        assert (create.kind, update.kind) == ("create", "update")
+        assert serialize(create.initial_tree()) == (
+            "<doc><x>one</x><y>keep</y></doc>"
+        )
+        assert create.body == encode_tree(store.version("a.xml", 1))
+        assert serialize(second.members[0].initial_tree()) == (
+            "<doc><x>before</x></doc>"
+        )
+
+    def test_deflated_group_torn_at_every_byte_is_all_or_nothing(
+        self, tmp_path
+    ):
+        path = tmp_path / "journal.bin"
+        store = TemporalDocumentStore()
+        journal = CommitJournal(str(path))
+        store.attach_journal(journal)
+        store.put("first.xml", "<doc/>")
+        before_group = path.stat().st_size
+        with store.batch() as batch:
+            for i in range(6):
+                batch.put(
+                    f"d{i}.xml", "<doc>" + "<x>same words</x>" * 20 + "</doc>"
+                )
+        journal.close()
+        assert journal.stats.bytes_written < journal.stats.raw_bytes  # deflated
+        data = path.read_bytes()
+        assert len(verify_journal(str(path))[1].members) == 6
+        for cut in range(before_group, len(data)):
+            path.write_bytes(data[:cut])
+            scan = scan_journal(str(path))
+            assert [r.kind for r in scan.records] == ["create"], cut
+            assert scan.valid_size == before_group
+            assert scan.torn == (cut > before_group)
 
 
 class TestFaultyFS:
