@@ -166,6 +166,11 @@ def build_parser():
              "(default: auto-detect)",
     )
     serve.add_argument(
+        "--snapshot-interval", type=int, default=None, metavar="N",
+        help="when serving a directory: materialize a full snapshot at "
+             "every N-th version committed while serving (default: none)",
+    )
+    serve.add_argument(
         "--serve-for", type=float, metavar="SECONDS",
         help="stop after SECONDS (for scripted runs); default: until ^C",
     )
@@ -387,7 +392,8 @@ def _cmd_serve(args, out):
 
     if args.dir:
         db = TemporalXMLDatabase.open(
-            args.dir, durability=args.durability, storage=args.storage
+            args.dir, durability=args.durability, storage=args.storage,
+            snapshot_interval=args.snapshot_interval,
         )
         source = args.dir
     else:
@@ -481,8 +487,8 @@ def _cmd_stats(args, out):
         return 0
     stats = db.store.read_stats()
     print("storage reads:", file=out)
-    for key in ("delta_reads", "snapshot_reads", "current_reads"):
-        print(f"  {key}: {stats[key]}", file=out)
+    for key, value in db.store.repository.counter_snapshot().items():
+        print(f"  {key}: {value}", file=out)
     cache = stats["cache"]
     print("version cache:", file=out)
     print(

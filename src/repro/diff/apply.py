@@ -6,11 +6,19 @@ repository does during reconstruction).  Every operation validates the state
 it expects, so a delta applied against the wrong base version raises
 :class:`~repro.errors.DeltaApplicationError` instead of silently corrupting
 the document.
+
+``apply_scoped(root, index, script, xid)`` does the same for one element's
+*detached subtree*: only the operations that land inside it are applied
+(and validated), the rest of the script is skipped, and a move that carries
+a node across the subtree's boundary raises
+:class:`SubtreeBoundaryCrossed` — the subtree alone cannot say what came in.
 """
 
 from __future__ import annotations
 
-from ..errors import DeltaApplicationError
+from heapq import heappop, heappush
+
+from ..errors import DeltaApplicationError, TemporalXMLError
 from ..xmlcore.node import Element, Text
 from .editscript import (
     DeleteOp,
@@ -20,7 +28,16 @@ from .editscript import (
     StampOp,
     UpdateAttrOp,
     UpdateTextOp,
+    payload_nodes,
 )
+
+
+class SubtreeBoundaryCrossed(TemporalXMLError):
+    """A ``MoveOp`` has one parent inside the scoped subtree and one outside.
+
+    Raised by :func:`apply_scoped` part-way through a script: the subtree
+    and index it was given are then in an intermediate state and must be
+    discarded (the caller rebuilds the element from a whole document)."""
 
 
 def apply_script(root, script, index=None):
@@ -59,6 +76,126 @@ def apply_chain(root, scripts, index=None, invert=False):
     return root
 
 
+def apply_scoped(root, index, script, xid, invert=False):
+    """Apply to one element's detached subtree the part of ``script`` that
+    lands inside it; returns ``(root, applied)``.
+
+    ``root`` is the subtree of element ``xid`` as it stands before the
+    script — ``None`` while the element does not exist — and ``index`` its
+    ``{xid: node}`` map (empty for ``None``).  Both are updated in place;
+    ``root`` is replaced when the element appears (a private copy out of
+    the insert or root-replacement payload that introduces it) or goes
+    away (``None`` again).  ``invert=True`` applies the script backwards,
+    as :func:`apply_chain` does.  ``applied`` counts the operations that
+    changed the subtree; every other operation names only nodes outside it
+    and is never looked at.
+
+    An operation lands inside when the node it edits — the target of a
+    stamp/text/attribute update, the parent of an insert or delete, both
+    parents of a move — is in ``index``.  A move between two outside
+    parents is skipped even when it moves the element itself or an
+    ancestor: the subtree's content travels with it.  A move with exactly
+    one parent inside raises :class:`SubtreeBoundaryCrossed`.  Candidates
+    come from the script's touch summary
+    (:attr:`~repro.diff.editscript.EditScript.touched`): the operations
+    naming a node of the subtree, plus — as inserts bring new nodes in —
+    the later ones naming those.
+
+    ``xid=None`` scopes the whole document (``root`` is the document
+    root): nothing is outside, so the script is applied strictly, as by
+    :func:`apply_script`.
+    """
+    if xid is None:
+        whole = script.invert() if invert else script
+        return apply_script(root, whole, index), len(whole)
+    touched = script.touched
+    # Heap keys run in application order: positions, negated when inverting.
+    sign = -1 if invert else 1
+    queued = {
+        sign * position
+        for name in (index if root is not None else (xid,))
+        for position in touched.get(name, ())
+    }
+    heap = sorted(queued)
+    applied = 0
+    while heap:
+        key = heappop(heap)
+        op = script.ops[sign * key]
+        if isinstance(op, StampOp):
+            # By far the most frequent operation (every ancestor of a
+            # change is re-stamped), and unvalidated: apply it in place
+            # rather than through an inverted copy and _apply_op.
+            node = index.get(op.xid)
+            if node is not None:
+                node.tstamp = op.old_ts if invert else op.new_ts
+                applied += 1
+            continue
+        if invert:
+            op = op.invert()
+        arrived = None  # a payload whose nodes this operation brought in
+        if isinstance(op, (InsertOp, DeleteOp)):
+            if op.parent_xid in index:
+                _apply_op(root, op, index)
+                if isinstance(op, InsertOp):
+                    arrived = op.payload
+            else:
+                # Outside — unless the payload carries the element itself
+                # in (insert while absent) or away (delete while present).
+                if (root is None) != isinstance(op, InsertOp):
+                    continue
+                found = _find(op.payload, xid)
+                if found is None:
+                    continue
+                arrived = root = _rebind(index, found if root is None else None)
+        elif isinstance(op, MoveOp):
+            inside = op.from_parent in index
+            if inside != (op.to_parent in index):
+                raise SubtreeBoundaryCrossed(
+                    f"XID {op.xid} moves across the boundary of subtree {xid}"
+                )
+            if not inside:
+                continue
+            _apply_op(root, op, index)
+        elif isinstance(op, ReplaceRootOp):
+            found = _find(op.new_payload, xid)
+            if root is None and found is None:
+                continue
+            arrived = root = _rebind(index, found)
+        elif op.xid in index:
+            _apply_op(root, op, index)
+        else:
+            continue
+        applied += 1
+        if arrived is not None:
+            for node in payload_nodes(arrived):
+                for position in touched.get(node.xid, ()):
+                    later = sign * position
+                    if later > key and later not in queued:
+                        queued.add(later)
+                        heappush(heap, later)
+    return root, applied
+
+
+def _find(payload, xid):
+    """The node carrying ``xid`` in a payload subtree, or ``None`` (a scan:
+    payloads are small, and stored ones should not grow a cached index)."""
+    for node in payload_nodes(payload):
+        if node.xid == xid:
+            return node
+    return None
+
+
+def _rebind(index, found):
+    """Point ``index`` at a private copy of the payload node ``found`` and
+    return the copy; ``None`` empties the index and is returned as is."""
+    index.clear()
+    if found is None:
+        return None
+    root = found.copy()
+    index.update((node.xid, node) for node in payload_nodes(root))
+    return root
+
+
 def _lookup(index, xid, kind=None):
     node = index.get(xid)
     if node is None:
@@ -88,7 +225,7 @@ def _apply_op(root, op, index):
             )
         node = op.payload.copy()
         parent.insert(op.pos, node)
-        for inner in _subtree(node):
+        for inner in payload_nodes(node):
             if inner.xid in index:
                 raise DeltaApplicationError(
                     f"insert would duplicate XID {inner.xid}"
@@ -105,7 +242,7 @@ def _apply_op(root, op, index):
                 f"found XID {victim.xid}"
             )
         parent.remove(victim)
-        for inner in _subtree(victim):
+        for inner in payload_nodes(victim):
             index.pop(inner.xid, None)
         return root
 
@@ -159,14 +296,8 @@ def _apply_op(root, op, index):
             raise DeltaApplicationError("root replacement base mismatch")
         new_root = op.new_payload.copy()
         index.clear()
-        for inner in _subtree(new_root):
+        for inner in payload_nodes(new_root):
             index[inner.xid] = inner
         return new_root
 
     raise DeltaApplicationError(f"unknown operation {type(op).__name__}")
-
-
-def _subtree(node):
-    if isinstance(node, Element):
-        return node.iter()
-    return iter([node])

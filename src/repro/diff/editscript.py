@@ -13,6 +13,7 @@ and text nodes interleaved) *at the moment the operation is applied*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import DeltaApplicationError
 from ..xmlcore.node import Element, Text
@@ -159,6 +160,31 @@ class EditScript:
             to_ts=self.from_ts,
         )
 
+    @cached_property
+    def touched(self):
+        """The script's touch summary: ``{xid: positions}`` over every XID
+        whose subtree content some operation changes, with the positions in
+        :attr:`ops` of the operations that name it.
+
+        An operation names the node it edits — the target of a stamp, text
+        or attribute update, the parent an insert or delete happens under,
+        both parents of a move — and every XID its payloads introduce or
+        remove.  A subtree none of whose XIDs is a key (and, for an element
+        that does not exist yet, whose own XID is not) is the same before
+        and after the script, in either direction; :meth:`invert` touches
+        the same XIDs.  A moved node's own XID is left out on purpose: its
+        content travels with it, only the two parents' child lists change.
+        Computed from :attr:`ops` on first use and cached, never stored or
+        serialized; ``ops`` must not be edited afterwards.
+        """
+        touched = {}
+        for position, op in enumerate(self.ops):
+            for xid in _named_xids(op):
+                positions = touched.setdefault(xid, [])
+                if not positions or positions[-1] != position:
+                    positions.append(position)
+        return {xid: tuple(positions) for xid, positions in touched.items()}
+
     def size_bytes(self):
         """Approximate stored size of the *completed delta*.
 
@@ -246,6 +272,31 @@ class EditScript:
 
     def __repr__(self):
         return f"EditScript({len(self.ops)} ops)"
+
+
+def _named_xids(op):
+    """The XIDs an operation names (see :attr:`EditScript.touched`)."""
+    if isinstance(op, (InsertOp, DeleteOp)):
+        yield op.parent_xid
+        payloads = (op.payload,)
+    elif isinstance(op, ReplaceRootOp):
+        payloads = (op.old_payload, op.new_payload)
+    elif isinstance(op, MoveOp):
+        yield op.from_parent
+        yield op.to_parent
+        return
+    else:
+        yield op.xid
+        return
+    for payload in payloads:
+        for node in payload_nodes(payload):
+            yield node.xid
+
+
+def payload_nodes(node):
+    """Every node of a payload subtree, pre-order (a :class:`Text` payload
+    is its own only node)."""
+    return node.iter() if isinstance(node, Element) else iter((node,))
 
 
 def _payload_bytes(node):

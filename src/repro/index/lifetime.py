@@ -15,10 +15,8 @@ As the paper notes, inserts into this index are not strictly append-only
 
 from __future__ import annotations
 
-from ..diff.editscript import DeleteOp, InsertOp, ReplaceRootOp
-from ..model.identifiers import EID
+from ..diff.editscript import DeleteOp, InsertOp, ReplaceRootOp, payload_nodes
 from ..sync import RWLock
-from ..xmlcore.node import Element
 from .stats import IndexStats
 
 
@@ -33,7 +31,8 @@ class LifetimeIndex:
     metrics_label = "lifetime"
 
     def __init__(self):
-        self._spans = {}  # EID -> [create_ts, delete_ts | None]
+        # doc_id -> {xid: [create_ts, delete_ts | None]}
+        self._spans = {}
         self.stats = IndexStats()
         self.commit_batches = 0
         self._entries_this_commit = 0
@@ -63,21 +62,23 @@ class LifetimeIndex:
                 self._open_subtree(doc_id, op.new_payload, ts)
 
     def _open_subtree(self, doc_id, node, ts):
-        for inner in _subtree(node):
-            self._spans[EID(doc_id, inner.xid)] = [ts, None]
+        spans = self._spans.setdefault(doc_id, {})
+        for inner in payload_nodes(node):
+            spans[inner.xid] = [ts, None]
             self.stats.opened(24)
             self._entries_this_commit += 1
 
     def _close_subtree(self, doc_id, node, ts):
-        for inner in _subtree(node):
-            span = self._spans.get(EID(doc_id, inner.xid))
+        spans = self._spans.get(doc_id, {})
+        for inner in payload_nodes(node):
+            span = spans.get(inner.xid)
             if span is not None and span[1] is None:
                 span[1] = ts
                 self.stats.closed()
 
     def _close_document(self, doc_id, ts):
-        for eid, span in self._spans.items():
-            if eid.doc_id == doc_id and span[1] is None:
+        for span in self._spans.get(doc_id, {}).values():
+            if span[1] is None:
                 span[1] = ts
                 self.stats.closed()
 
@@ -87,7 +88,7 @@ class LifetimeIndex:
         """Create time of the element, or ``None`` for unknown EIDs."""
         with self._rwlock.read_lock():
             self.stats.scanned(1)
-            span = self._spans.get(eid)
+            span = self._span(eid)
             return span[0] if span else None
 
     def delete_time(self, eid):
@@ -95,24 +96,21 @@ class LifetimeIndex:
         the EID is unknown — disambiguate with :meth:`known`)."""
         with self._rwlock.read_lock():
             self.stats.scanned(1)
-            span = self._spans.get(eid)
+            span = self._span(eid)
             return span[1] if span else None
 
     def known(self, eid):
         with self._rwlock.read_lock():
-            return eid in self._spans
+            return self._span(eid) is not None
 
     def lifespan(self, eid):
         with self._rwlock.read_lock():
-            span = self._spans.get(eid)
+            span = self._span(eid)
             return (span[0], span[1]) if span else None
 
     def __len__(self):
         with self._rwlock.read_lock():
-            return len(self._spans)
+            return sum(len(spans) for spans in self._spans.values())
 
-
-def _subtree(node):
-    if isinstance(node, Element):
-        return node.iter()
-    return iter([node])
+    def _span(self, eid):
+        return self._spans.get(eid.doc_id, {}).get(eid.xid)

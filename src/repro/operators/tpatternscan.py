@@ -17,9 +17,10 @@ contract, so it drains the join before yielding.)
 
 Neither scan materializes documents itself; rows that reach content-bearing
 expressions are resolved downstream through the executor's
-:class:`~repro.query.values.SnapshotCache`, which now derives adjacent
-versions by incremental delta application (cost-checked against the
-repository's bidirectional anchors) instead of reconstructing per row.
+:class:`~repro.query.values.SnapshotCache`: one subtree cursor per bound
+element (:mod:`repro.storage.cursor`) that starts at the stored anchor the
+repository's cost model picks and steps from version to version, applying
+only the edit operations that land under that element.
 """
 
 from __future__ import annotations

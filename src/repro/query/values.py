@@ -22,86 +22,49 @@ from ..equality.value import coerce_scalar
 from ..errors import NoSuchVersionError
 from ..model.identifiers import EID
 from ..operators.reconstruct import Reconstruct
+from ..storage.cursor import ChainReader
 from ..xmlcore.node import Element
 from ..xmlcore.path import Path
 
 
 class SnapshotCache:
-    """Per-query materialization cache (a tiny buffer pool).
+    """Per-query materialization: one
+    :class:`~repro.storage.cursor.ChainReader` per document the query
+    touches.
 
-    Many bindings of one query often live in the same document version, and
-    EVERY-queries touch *adjacent* versions; reconstructing each binding
-    independently would re-walk the delta chain per row.  The cache keeps
-    every version it has materialized and derives a missing version from the
-    nearest cached neighbour — completed deltas apply both forwards and
-    backwards, so one delta read per step suffices — unless the repository
-    estimates its own best anchor (a snapshot or version-cache entry near
-    the target) to be cheaper, in which case it reconstructs directly.
-    Historical versions are immutable, so the cache needs no invalidation.
+    Many bindings of one query live in the same document, and
+    EVERY-queries touch *adjacent* versions of the same elements.  Each
+    bound element gets a subtree cursor that steps from version to version
+    and applies only the edit operations that land under it; the whole
+    document is a cursor of its own for navigational scans and pinned
+    ``CURRENT``, which bind nodes of the tree they walk.  Cursors of one
+    document share its reader, so every delta and stored anchor is read
+    once per query.  Historical versions are immutable, so nothing here is
+    ever invalidated, and everything handed out is a shared read-only view.
     """
 
     def __init__(self, store):
         self.store = store
-        self._trees = {}  # (doc_id, version_number) -> tree
+        self._readers = {}  # doc_id -> ChainReader
 
     def document_at(self, doc_id, ts):
         """The document tree valid at ``ts`` (``None`` when absent)."""
+        return self._seek(doc_id, None, ts)
+
+    def subtree(self, teid):
+        """Subtree of the TEID's element, or ``None`` when absent."""
+        return self._seek(teid.doc_id, teid.xid, teid.timestamp)
+
+    def _seek(self, doc_id, xid, ts):
         entry = self.store.delta_index(doc_id).version_at(ts)
         if entry is None:
             return None
-        return self._version(doc_id, entry.number)
-
-    def subtree(self, teid):
-        """Subtree of the TEID's element, or ``None`` when absent.
-
-        Cached trees are retained for the whole query, so their lazily
-        built XID index turns repeated per-binding probes into O(1) hits.
-        """
-        tree = self.document_at(teid.doc_id, teid.timestamp)
-        if tree is None:
-            return None
-        return tree.find_by_xid(teid.xid)
-
-    def _version(self, doc_id, number):
-        key = (doc_id, number)
-        tree = self._trees.get(key)
-        if tree is not None:
-            return tree
-        record = self.store.record(doc_id)
-        repository = self.store.repository
-        neighbour = self._nearest_cached(doc_id, number)
-        if neighbour is None:
-            tree = repository.reconstruct(record, number)
-        else:
-            # Derive from the cached neighbour only when that chain is
-            # actually cheaper than the repository's own best anchor (which
-            # may be a snapshot or cached tree right next to the target).
-            bridge_cost, _ = repository.chain_cost_estimate(
-                record, neighbour, number
+        reader = self._readers.get(doc_id)
+        if reader is None:
+            reader = self._readers[doc_id] = ChainReader(
+                self.store.repository, self.store.record(doc_id)
             )
-            anchor_cost, _ = repository.estimate_cost(record, number)
-            if bridge_cost <= anchor_cost:
-                tree = repository.derive_version(
-                    record,
-                    self._trees[(doc_id, neighbour)].copy(),
-                    neighbour,
-                    number,
-                )
-            else:
-                tree = repository.reconstruct(record, number)
-        self._trees[key] = tree
-        return tree
-
-    def _nearest_cached(self, doc_id, number):
-        best = None
-        for cached_doc, cached_number in self._trees:
-            if cached_doc != doc_id:
-                continue
-            if best is None or abs(cached_number - number) < abs(
-                best - number
-            ):
-                best = cached_number
-        return best
+        return reader.cursor(xid).seek(entry.number)
 
 
 class TimestampValue(int):

@@ -1,0 +1,190 @@
+"""Subtree cursors: one element's versions without rebuilding its document.
+
+The paper's remark on ``ElementHistory`` (Section 7.3.5) is that "even if
+it was possible to optimize this so that only the desired subtrees are
+reconstructed, the whole deltas would have to be read anyway".  This module
+is that optimization: the deltas are still read — once per query and
+document, one ``delta_reads`` each — but only the operations that land
+under the bound element are applied, to a copy of that element's subtree
+alone.
+
+:class:`ChainReader` is one query's view of one document's stored chain:
+it reads every delta and every stored anchor at most once and hands out one
+:class:`SubtreeCursor` per element.  A cursor starts at the stored anchor
+the repository's cost model picks for its first target
+(:meth:`~repro.storage.repository.Repository.stored_anchor`), copies the
+element's subtree out of it — or starts absent and lets the insert payload
+that introduces the element bring it in — and then steps version to
+version: a delta whose touch summary
+(:attr:`~repro.diff.editscript.EditScript.touched`) misses the subtree
+leaves it as it is, so consecutive versions share one frozen object; any
+other delta goes through :func:`~repro.diff.apply.apply_scoped`.  A move
+across the subtree's boundary cannot be answered from the subtree, so that
+one step falls back to a whole-document
+:meth:`~repro.storage.repository.Repository.reconstruct`.
+
+``xid=None`` scopes a cursor to the whole document (the tree navigational
+scans walk): same stepping, nothing ever outside.
+"""
+
+from __future__ import annotations
+
+from ..diff.apply import SubtreeBoundaryCrossed, apply_scoped
+from ..diff.editscript import payload_nodes
+
+
+class ChainReader:
+    """What one query has read of one document; the source of its cursors."""
+
+    def __init__(self, repository, record):
+        self.repository = repository
+        self.record = record
+        self._deltas = {}   # version number -> EditScript, read once
+        self._anchors = {}  # target version -> (Anchor, estimated cost)
+        self._stored = {}   # anchor version -> stored tree, read once
+        self._cursors = {}  # xid (None: whole document) -> SubtreeCursor
+
+    def cursor(self, xid):
+        """This query's cursor over element ``xid`` (``None``: the whole
+        document)."""
+        cursor = self._cursors.get(xid)
+        if cursor is None:
+            cursor = self._cursors[xid] = SubtreeCursor(self, xid)
+        return cursor
+
+    def delta(self, number):
+        """The completed delta stored at ``number``; accounted on the
+        first call only."""
+        script = self._deltas.get(number)
+        if script is None:
+            script = self._deltas[number] = self.repository.read_delta(
+                self.record, number
+            )
+        return script
+
+    def chain(self, start, end):
+        """The deltas that take version ``start`` to version ``end``, in
+        the order a walk applies them (newest first when ``end`` is
+        below ``start``, to be inverted)."""
+        if start <= end:
+            return [self.delta(number) for number in range(start, end)]
+        return [self.delta(number) for number in range(start - 1, end - 1, -1)]
+
+    def holds_chain(self, start, end):
+        """Has this query already read every delta between two versions?"""
+        return all(
+            number in self._deltas
+            for number in range(min(start, end), max(start, end))
+        )
+
+    def anchor_for(self, number):
+        """``(anchor, estimated cost)`` of starting over for version
+        ``number`` from the cheapest stored version; nothing is read."""
+        choice = self._anchors.get(number)
+        if choice is None:
+            choice = self._anchors[number] = self.repository.stored_anchor(
+                self.record, number
+            )
+        return choice
+
+    def stored(self, anchor):
+        """The repository's own tree for a stored anchor; accounted on the
+        first call only.  Read-only."""
+        tree = self._stored.get(anchor.number)
+        if tree is None:
+            tree = self._stored[anchor.number] = self.repository.read_stored(
+                self.record, anchor
+            )
+        return tree
+
+
+class SubtreeCursor:
+    """One element of one document, positioned at one version at a time.
+
+    :meth:`seek` returns the element's subtree at a version number, or
+    ``None`` where the element does not exist.  What it returns is
+    *frozen* — never to be mutated by the caller, shared by every version
+    whose content is the same, and at a stored version the repository's
+    own nodes.  The cursor copies the subtree only when a delta is about
+    to change one it has handed out (or the repository's).
+    """
+
+    def __init__(self, reader, xid):
+        self.reader = reader
+        self.xid = xid
+        self.at = None     # version number the cursor stands at
+        self.node = None   # the element's subtree there (None: absent)
+        self._index = None    # xid -> node over ``node``, built to step
+        self._frozen = False  # ``node`` is shared: copy before writing
+        self._seen = {}    # version number -> subtree handed out for it
+
+    def seek(self, number):
+        """The element's subtree at version ``number`` (``None``: absent)."""
+        if number in self._seen:
+            return self._seen[number]
+        reader = self.reader
+        repository, record = reader.repository, reader.record
+        reads = applied = skipped = fallbacks = 0
+        if self.at is None or not reader.holds_chain(self.at, number):
+            # Walk on from here, or start over from a stored version: the
+            # repository's cost model decides (deltas this query already
+            # holds are free, so they never reach it).
+            anchor, cost = reader.anchor_for(number)
+            if self.at is None or cost < repository.chain_cost_estimate(
+                record, self.at, number
+            )[0]:
+                self.at = anchor.number
+                self.node = self._find(reader.stored(anchor))
+                self._index, self._frozen = None, True
+                reads = 1
+        step = 1 if number > self.at else -1
+        for script in reader.chain(self.at, number):
+            if self._index is None:
+                self._index = _xid_map(self.node)
+            done = 0
+            if not (
+                script.touched.keys().isdisjoint(self._index)
+                if self.node is not None
+                else self.xid not in script.touched
+            ):
+                done, fell_back = self._apply(script, step)
+                fallbacks += fell_back
+            self.at += step
+            applied += done
+            skipped += len(script.ops) - done
+        repository.count_subtree_work(reads, applied, skipped, fallbacks)
+        self._frozen = True
+        self._seen[number] = self.node
+        return self.node
+
+    def _apply(self, script, step):
+        """Take the subtree through ``script`` to the next version up
+        (``step`` 1) or down (-1); returns ``(operations applied, whether
+        it fell back)``."""
+        if self._frozen and self.node is not None:
+            self.node = self.node.copy()
+            self._index = _xid_map(self.node)
+        self._frozen = False
+        try:
+            self.node, applied = apply_scoped(
+                self.node, self._index, script, self.xid, invert=step < 0
+            )
+        except SubtreeBoundaryCrossed:
+            # The reconstructed tree is private: keep the subtree only.
+            reader = self.reader
+            found = self._find(
+                reader.repository.reconstruct(reader.record, self.at + step)
+            )
+            self.node = None if found is None else found.copy()
+            self._index = None
+            return len(script.ops), True
+        return applied, False
+
+    def _find(self, tree):
+        return tree if self.xid is None else tree.find_by_xid(self.xid)
+
+
+def _xid_map(node):
+    if node is None:
+        return {}
+    return {inner.xid: inner for inner in payload_nodes(node)}

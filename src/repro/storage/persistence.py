@@ -35,6 +35,7 @@ hardened:
 
 from __future__ import annotations
 
+import heapq
 import os
 import re
 import zlib
@@ -292,15 +293,20 @@ def _place_record(disk, record):
 def replay_history(store, observers):
     """Re-fire every commit event against ``observers`` (index rebuild).
 
-    Events are replayed in global timestamp order across documents, exactly
-    as the original commits happened, using the stored deltas to roll each
-    document forward from its first version.
+    Events are replayed in global ``(timestamp, doc_id)`` order across
+    documents, exactly as the original commits happened, using the stored
+    deltas to roll each document forward from its first version.  The
+    per-document event streams are merged lazily, so only each document's
+    next event — two trees at most — is alive at any time, never a tree
+    per version.
     """
-    events = []
-    for record in store.repository.records():
-        events.extend(_document_events(store, record))
-    events.sort(key=lambda event: (event.timestamp, event.doc_id))
-    for event in events:
+    streams = [
+        _document_events(store, record)
+        for record in store.repository.records()
+    ]
+    for event in heapq.merge(
+        *streams, key=lambda event: (event.timestamp, event.doc_id)
+    ):
         for observer in observers:
             observer.document_committed(event)
 

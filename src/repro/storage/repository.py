@@ -208,6 +208,14 @@ class Repository:
         self.delta_reads = 0  # logical delta-read counter (paper's metric)
         self.snapshot_reads = 0
         self.current_reads = 0
+        # What subtree cursors (storage/cursor.py) did instead of rebuilding
+        # documents: cursors started on a subtree of a stored version, edit
+        # operations applied under a bound subtree and skipped outside it,
+        # and whole-document reconstructions a boundary-crossing move forced.
+        self.subtree_reads = 0
+        self.ops_applied = 0
+        self.ops_skipped = 0
+        self.subtree_fallbacks = 0
         self.anchor_stats = AnchorStats()
         # Read counters and anchor stats are bumped by every concurrent
         # reader session; one lock keeps the increments exact.
@@ -344,20 +352,32 @@ class Repository:
                 "delta_reads": self.delta_reads,
                 "snapshot_reads": self.snapshot_reads,
                 "current_reads": self.current_reads,
+                "subtree_reads": self.subtree_reads,
+                "ops_applied": self.ops_applied,
+                "ops_skipped": self.ops_skipped,
+                "subtree_fallbacks": self.subtree_fallbacks,
             }
+
+    def count_subtree_work(self, reads, applied, skipped, fallbacks):
+        """Add one cursor seek's work to the subtree counters."""
+        with self._stats_lock:
+            self.subtree_reads += reads
+            self.ops_applied += applied
+            self.ops_skipped += skipped
+            self.subtree_fallbacks += fallbacks
 
     def read_current(self, record):
         """Read (and account) the complete current version; returns a copy."""
         state = record.current
         if state is None:
             raise NoSuchVersionError(f"{record.name} has no stored version")
-        return self._read_current_state(state)
+        return self._stored_current(state).copy()
 
-    def _read_current_state(self, state):
+    def _stored_current(self, state):
         self.disk.read(state.extent)
         with self._stats_lock:
             self.current_reads += 1
-        return state.root.copy()
+        return state.root
 
     def read_delta(self, record, number):
         """Read (and account) the completed delta stored at ``number``."""
@@ -372,6 +392,9 @@ class Repository:
         return script
 
     def read_snapshot(self, record, number):
+        return self._stored_snapshot(record, number).copy()
+
+    def _stored_snapshot(self, record, number):
         tree = record.snapshots.get(number)
         if tree is None:
             raise NoSuchVersionError(
@@ -380,7 +403,7 @@ class Repository:
         self.disk.read(record.dindex.entry(number).snapshot_extent)
         with self._stats_lock:
             self.snapshot_reads += 1
-        return tree.copy()
+        return tree
 
     # -- anchor selection (cost model) ------------------------------------------------
 
@@ -450,6 +473,26 @@ class Repository:
             anchor.anchor_reads + reads,
         )
 
+    def stored_anchor(self, record, number):
+        """The cheapest *stored* starting point for version ``number`` — a
+        snapshot or the current version, never a cached tree — and the
+        estimated cost of reading it plus the chain to ``number``:
+        ``(anchor, cost)``, nothing read yet (see :meth:`read_stored`)."""
+        anchor, reads, nbytes = self._choose_anchor(
+            record, number, use_cache=False
+        )
+        return anchor, self._cost(
+            anchor.anchor_reads + reads, anchor.anchor_bytes + nbytes
+        )
+
+    def read_stored(self, record, anchor):
+        """Read (and account) a :meth:`stored_anchor` **without copying
+        it**: the returned tree is the repository's own and immutable —
+        callers copy the part they keep."""
+        if anchor.kind == "current":
+            return self._stored_current(anchor.payload)
+        return self._stored_snapshot(record, anchor.number)
+
     def chain_cost_estimate(self, record, base_number, target_number):
         """Estimated cost/reads of walking the delta chain between two
         versions, with no anchor read (the base tree is already in hand)."""
@@ -464,9 +507,7 @@ class Repository:
         :meth:`reconstruct` retries without the cache."""
         if anchor.kind == "cache":
             return self.cache.fetch(record.doc_id, anchor.number)
-        if anchor.kind == "current":
-            return self._read_current_state(anchor.payload)
-        return self.read_snapshot(record, anchor.number)
+        return self.read_stored(record, anchor).copy()
 
     # -- reconstruction (Section 7.3.3, bidirectional) --------------------------------
 
@@ -596,28 +637,6 @@ class Repository:
             tree = apply_script(tree, script, xids)
             yield number, tree, xids
 
-    def derive_version(self, record, tree, base_number, target_number,
-                       xids=None):
-        """Roll an already-materialized ``base_number`` ``tree`` to
-        ``target_number`` in place, one delta read per step (either
-        direction); returns the resulting tree.  The chain is read in
-        ascending on-disk order like :meth:`reconstruct`."""
-        if base_number == target_number:
-            return tree
-        if xids is None:
-            xids = tree.xid_index()
-        lo, hi = sorted((base_number, target_number))
-        chain = [self.read_delta(record, version) for version in range(lo, hi)]
-        with self._stats_lock:
-            stats = self.anchor_stats
-            if base_number > target_number:
-                stats.backward_chains += 1
-            else:
-                stats.forward_chains += 1
-        return apply_chain(
-            tree, chain, index=xids, invert=base_number > target_number
-        )
-
     def reconstruct_pair(self, record, first, second):
         """Materialize two versions of one document, sharing the sweep when
         the connecting chain is cheaper than the second version's own best
@@ -630,7 +649,9 @@ class Repository:
         bridge_cost, _reads = self.chain_cost_estimate(record, lo, hi)
         anchor_cost, _reads = self.estimate_cost(record, hi)
         if bridge_cost <= anchor_cost:
-            hi_tree = self.derive_version(record, lo_tree.copy(), lo, hi)
+            with self._stats_lock:
+                self.anchor_stats.forward_chains += 1
+            hi_tree = self._apply_between(record, lo_tree.copy(), lo, hi)
         else:
             hi_tree = self.reconstruct(record, hi)
         if first == lo:

@@ -465,9 +465,7 @@ class TemporalDocumentStore:
         choices as one flat-ish dict (the ``repro stats`` CLI payload)."""
         repo = self.repository
         return {
-            "delta_reads": repo.delta_reads,
-            "snapshot_reads": repo.snapshot_reads,
-            "current_reads": repo.current_reads,
+            **repo.counter_snapshot(),
             "cache": repo.cache.stats.as_dict(),
             "anchors": repo.anchor_stats.as_dict(),
         }

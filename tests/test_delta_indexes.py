@@ -164,6 +164,34 @@ class TestLifetimeIndex:
         store.delete("guide.com", ts=delete_ts)
         assert lifetime.delete_time(EID(doc_id, 1)) == delete_ts
 
+    def test_document_delete_visits_only_its_own_spans(self, stores):
+        store, _ops, lifetime = stores
+        other = store.put("other.xml", "<a><b>x</b><c>y</c></a>",
+                          ts=JAN_31 + 10)
+        doc_id = store.doc_id("guide.com")
+
+        class Unvisited(dict):
+            def _visited(self, *args):
+                raise AssertionError("another document's spans were scanned")
+
+            __iter__ = keys = values = items = _visited
+
+        lifetime._spans[other] = Unvisited(lifetime._spans[other])
+        alive = [
+            xid for xid, span in lifetime._spans[doc_id].items()
+            if span[1] is None
+        ]
+        closed = lifetime.stats.postings_closed
+        total = len(lifetime)
+        store.delete("guide.com", ts=JAN_31 + 1000)
+        assert lifetime.stats.postings_closed == closed + len(alive) > closed
+        assert all(
+            lifetime.delete_time(EID(doc_id, xid)) == JAN_31 + 1000
+            for xid in alive
+        )
+        assert lifetime.lifespan(EID(other, 1)) == (JAN_31 + 10, None)
+        assert len(lifetime) == total
+
     def test_unknown_eid(self, stores):
         _store, _ops, lifetime = stores
         assert lifetime.create_time(EID(99, 99)) is None

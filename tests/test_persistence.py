@@ -1,5 +1,6 @@
 """Tests for the store archive: dump, load, replay."""
 
+import gc
 import inspect
 
 import pytest
@@ -16,8 +17,10 @@ from repro.storage.persistence import (
 )
 from repro.storage.recover import recover_store
 from repro.index import LifetimeIndex, TemporalFullTextIndex
+from repro.model.identifiers import EID
 from repro.workload import TDocGenerator, build_collection, load_figure1
 from repro.xmlcore import serialize
+from repro.xmlcore.node import Element
 
 
 
@@ -178,6 +181,119 @@ class TestReplay:
 
         replay_history(populated, [Recorder()])
         assert seen == sorted(seen)
+
+    def test_events_fire_in_timestamp_then_doc_id_order(self, interleaved):
+        """Exactly the order sorting every document's events by
+        ``(timestamp, doc_id)`` gives — ties within one document keep the
+        document's own order — now that the streams are merged lazily."""
+        store, _fti, _life, online = interleaved
+        replayed = _Recorder()
+        replay_history(store, [replayed])
+        per_document = [
+            [e for e in online.events if e[1] == record.doc_id]
+            for record in store.repository.records()
+        ]
+        expected = sorted(
+            (event for events in per_document for event in events),
+            key=lambda event: (event[3], event[1]),
+        )
+        assert replayed.events == expected
+        kinds = {event[0] for event in expected}
+        assert kinds == {"create", "update", "delete"}
+        stamps = [event[3] for event in expected]
+        assert len(set(stamps)) < len(stamps)  # equal timestamps did occur
+
+    def test_replayed_indexes_equal_the_online_built_ones(self, interleaved):
+        store, online_fti, online_life, _online = interleaved
+        assert len(store.repository.records()) >= 3
+        fti, life = TemporalFullTextIndex(), LifetimeIndex()
+        replay_history(store, [fti, life])
+        assert fti.posting_count() == online_fti.posting_count()
+        assert set(fti.words()) == set(online_fti.words())
+        for word in online_fti.words():
+            assert {
+                (p.doc_id, p.xid, p.path, p.start, p.end)
+                for p in fti.lookup_h(word)
+            } == {
+                (p.doc_id, p.xid, p.path, p.start, p.end)
+                for p in online_fti.lookup_h(word)
+            }, word
+        assert len(life) == len(online_life) > 0
+        for record in store.repository.records():
+            for number in range(1, record.dindex.current_number + 1):
+                for node in store.version(record.doc_id, number).iter():
+                    eid = EID(record.doc_id, node.xid)
+                    assert life.lifespan(eid) == online_life.lifespan(eid)
+
+    def test_replay_keeps_a_constant_number_of_trees_alive(self):
+        """One document of 40 versions: the parent built all 40 trees
+        before firing the first event."""
+        store = TemporalDocumentStore()
+        store.put("long.xml", "<doc><n>0</n></doc>")
+        for number in range(1, 40):
+            store.update("long.xml", f"<doc><n>{number}</n><m>x</m></doc>")
+        # Nodes have no __weakref__ slot, so liveness is counted from the
+        # collector's side: document roots alive at each event, beyond the
+        # ones the store itself holds.
+        def live_roots():
+            gc.collect()  # trees are cyclic: parents and children
+            return sum(
+                1 for o in gc.get_objects()
+                if isinstance(o, Element) and o.parent is None
+                and o.tag == "doc"
+            )
+
+        stored = live_roots()
+        alive = []
+
+        class Counting:
+            def document_committed(self, event):
+                alive.append(live_roots() - stored)
+
+        replay_history(store, [Counting()])
+        assert len(alive) == 40
+        assert max(alive) <= 3
+
+
+class _Recorder:
+    def __init__(self):
+        self.events = []
+
+    def document_committed(self, event):
+        self.events.append(
+            (event.kind, event.doc_id, event.version_number, event.timestamp)
+        )
+
+
+@pytest.fixture
+def interleaved():
+    """Four documents committed online under an FTI, a lifetime index and
+    a recorder: interleaved timestamps, equal timestamps across documents
+    (one of them inside a batch commit, against doc-id order), a deleted
+    document.  Returns ``(store, fti, lifetime, recorder)``."""
+    store = TemporalDocumentStore(snapshot_interval=3)
+    fti = store.subscribe(TemporalFullTextIndex())
+    life = store.subscribe(LifetimeIndex())
+    recorder = store.subscribe(_Recorder())
+    t = parse_date("01/03/2001")
+
+    def xml(*words):
+        return "<doc>" + "".join(f"<w>{w}</w>" for w in words) + "</doc>"
+
+    store.put("a.xml", xml("alpha", "beta"), ts=t)
+    store.put("b.xml", xml("beta"), ts=t)  # equal timestamp, next doc id
+    store.update("a.xml", xml("alpha", "gamma"), ts=t + 10)
+    store.put("c.xml", xml("gamma", "delta"), ts=t + 20)
+    store.update("b.xml", xml("beta", "delta"), ts=t + 30)
+    with store.batch() as batch:  # one timestamp, higher doc id first
+        batch.update("c.xml", xml("gamma"), ts=t + 40)
+        batch.update("a.xml", xml("alpha", "gamma", "omega"), ts=t + 40)
+        batch.put("d.xml", xml("omega"), ts=t + 40)
+    store.update("b.xml", xml("delta"), ts=t + 50)
+    store.delete("c.xml", ts=t + 60)
+    store.update("a.xml", xml("omega"), ts=t + 60)  # equal to the delete
+    store.update("d.xml", xml("omega", "alpha"), ts=t + 70)
+    return store, fti, life, recorder
 
 
 class TestDatabaseFacade:

@@ -12,7 +12,11 @@ navigation, ``DELETE TIME``, and document-name resolution itself.
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -388,6 +392,42 @@ def test_server_serves_concurrent_clients():
             stats = client.stats()
             assert stats["server"]["connections"] >= 6
             assert stats["server"]["manager"]["commits"] == 2
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("flag, snapshots", [
+    (["--snapshot-interval", "2"], [2, 4]),
+    ([], []),
+])
+def test_serve_snapshot_interval_covers_commits_made_while_serving(
+        tmp_path, flag, snapshots):
+    """``repro serve -d DIR --snapshot-interval N``: versions committed
+    through the server get interval snapshots (journaled, so a reopen sees
+    them); without the flag a served database takes none."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    directory = str(tmp_path / "served")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "-d", directory, *flag],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert " on " in line, line
+        host, port = line.rsplit(" on ", 1)[1].strip().rsplit(":", 1)
+        with ServingClient(host, int(port)) as client:
+            client.put("guide.com", "<guide><r>0</r></guide>")
+            for number in range(1, 5):
+                client.update("guide.com", f"<guide><r>{number}</r></guide>")
+    finally:
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    db = TemporalXMLDatabase.open(directory, durability="none")
+    entries = db.store.delta_index("guide.com").entries
+    assert len(entries) == 5
+    assert [e.number for e in entries if e.has_snapshot] == snapshots
 
 
 # -- satellite: shared hot-path structures are thread-safe --------------------
