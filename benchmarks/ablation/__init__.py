@@ -11,7 +11,10 @@ compare against:
   (§1; E7, E8);
 * :mod:`.joins` — the backtracking nested-loop structural join
   (§7.3.1–7.3.2; E1b, E2b);
-* :mod:`.reconstruct` — backward-only reconstruction (§7.3.3; E3c).
+* :mod:`.reconstruct` — backward-only reconstruction (§7.3.3; E3c);
+* :mod:`.disk` — the paged-disk simulator behind every "pages" and "seeks"
+  column, attached to a store from outside (§7.2 clustered vs. unclustered
+  delta placement; E1, E7, E8, E9).
 
 Bench scripts import these as ``ablation.<module>`` (their directory is on
 the path), tests as ``benchmarks.ablation.<module>``; nothing under

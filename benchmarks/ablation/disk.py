@@ -22,6 +22,11 @@ Placement policy:
 ``estimated_ms`` converts the counters into a wall-clock estimate with a
 classic seek-time/transfer-time split, which the benchmarks print alongside
 raw counts.
+
+The engine knows nothing of this module.  :func:`attach` puts a simulator
+*beside* a store: it wraps the repository's commit, restore and read
+methods on that one instance, sizes every extent from the bytes the engine
+records anyway, and keeps the placement map here (E1, E7, E8, E9).
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
+from functools import partial
 
-from ..errors import StorageError
+from repro.errors import StorageError
 
 #: Pages reserved per cluster arena; large enough that arenas never collide
 #: in any workload this library generates.
@@ -205,3 +211,129 @@ class _CostRegion:
     def __exit__(self, exc_type, exc, tb):
         self.result = self._disk.snapshot() - self._before
         return False
+
+
+# -- attaching to a store ----------------------------------------------------------
+
+class AttachedDisk:
+    """A :class:`DiskSimulator` observing one repository; see :func:`attach`.
+
+    ``extents`` maps ``(kind, doc_id, version number)`` — ``kind`` one of
+    ``"current"``, ``"deltas"``, ``"snapshots"`` — to where that stored
+    object was placed.  Objects of one kind and document share a cluster
+    key: each document gets a current-version arena, an append-only delta
+    arena (so a chain read on a clustered disk is sequential) and a
+    snapshot arena.
+    """
+
+    def __init__(self, repository, disk):
+        self.disk = disk
+        self.extents = {}
+        for record in repository.records():
+            self._place_record(record)
+        # The repository's I/O sites: every method that stores or reads a
+        # version.  Each observer takes the repository's own bound method
+        # first and is installed on this one instance under the same name,
+        # so the repository's internal calls (reconstruct -> read_delta ...)
+        # pass through it as well.
+        observers = {
+            "commit_initial": self._commit,
+            "commit_version": self._commit,
+            "materialize_snapshot": self._materialize_snapshot,
+            "adopt": self._adopt,
+            "read_current": self._read_current,
+            "read_stored": self._read_stored,
+            "read_delta": partial(self._read_numbered, "deltas"),
+            "read_snapshot": partial(self._read_numbered, "snapshots"),
+        }
+        for name, observer in observers.items():
+            setattr(repository, name, partial(observer, getattr(repository, name)))
+
+    # -- writes ------------------------------------------------------------------
+
+    def _write(self, kind, record, number, nbytes):
+        key = (kind, record.doc_id, number)
+        if key not in self.extents:
+            self.extents[key] = self.disk.allocate(
+                nbytes, cluster_key=(kind, record.doc_id)
+            )
+
+    def _place_commit(self, record):
+        """One commit's writes: the delta it completed, then the new
+        current version."""
+        state = record.current
+        if state.number > 1:
+            behind = record.dindex.entry(state.number - 1)
+            self._write("deltas", record, behind.number, behind.delta_bytes)
+        self._write("current", record, state.number, state.nbytes)
+
+    def _place_record(self, record):
+        """Whatever of a restored document is not placed yet: current
+        version, deltas ascending, snapshots ascending."""
+        state = record.current
+        if state is None:  # Repository.create(): nothing committed yet
+            return
+        self._write("current", record, state.number, state.nbytes)
+        entry = record.dindex.entry
+        for number in sorted(record.deltas):
+            self._write("deltas", record, number, entry(number).delta_bytes)
+        for number in sorted(record.snapshots):
+            self._write("snapshots", record, number, entry(number).snapshot_bytes)
+
+    def _commit(self, inner, record, *version):
+        entry = inner(record, *version)
+        self._place_commit(record)
+        return entry
+
+    def _materialize_snapshot(self, inner, record, number):
+        # Outside a commit group the repository calls this from inside
+        # commit_version: that commit's delta and current version were
+        # written before the snapshot's reconstruction reads anything.
+        self._place_commit(record)
+        entry = inner(record, number)
+        self._write("snapshots", record, number, entry.snapshot_bytes)
+        return entry
+
+    def _adopt(self, inner, record):
+        inner(record)
+        self._place_record(record)
+        return record
+
+    # -- reads -------------------------------------------------------------------
+
+    def _read(self, kind, record, number):
+        self.disk.read(self.extents[kind, record.doc_id, number])
+
+    def _read_current(self, inner, record):
+        state = record.current
+        tree = inner(record)
+        self._read("current", record, state.number)
+        return tree
+
+    def _read_stored(self, inner, record, anchor):
+        tree = inner(record, anchor)
+        kind = "current" if anchor.kind == "current" else "snapshots"
+        self._read(kind, record, anchor.number)
+        return tree
+
+    def _read_numbered(self, kind, inner, record, number):
+        stored = inner(record, number)
+        self._read(kind, record, number)
+        return stored
+
+
+def attach(store, disk=None):
+    """Attach ``disk`` (default: a clustered :class:`DiskSimulator`) to
+    ``store`` — a ``TemporalDocumentStore`` or a bare ``Repository`` — and
+    return the :class:`AttachedDisk`.
+
+    Everything the store already holds is placed now (per document: current
+    version, deltas ascending, snapshots ascending); from then on every
+    commit, snapshot and restored document is written where the simulator's
+    placement policy puts it and every stored read is accounted.  The
+    repository is observed, never steered: trees, read counters and anchor
+    choices are what they would be without the attachment.
+    """
+    if disk is None:
+        disk = DiskSimulator(clustered=True)
+    return AttachedDisk(getattr(store, "repository", store), disk)

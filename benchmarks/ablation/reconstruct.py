@@ -4,10 +4,10 @@
 equal to t", else the current version, and the completed deltas are
 applied backwards from there.  The engine's
 :meth:`repro.storage.repository.Repository.reconstruct` also considers
-anchors *below* the target and cached trees and picks the cheapest; this
-is the paper's walk, written once over the repository's public read
-methods so its reads land in the same ``delta_reads`` / ``snapshot_reads``
-/ ``current_reads`` counters (E3c, ``tests/test_bidirectional_reconstruct``).
+anchors *below* the target and picks the cheapest; this is the paper's
+walk, written once over the repository's public read methods so its reads
+land in the same ``delta_reads`` / ``snapshot_reads`` / ``current_reads``
+counters (E3c, ``tests/test_bidirectional_reconstruct``).
 """
 
 from repro.diff.apply import apply_chain

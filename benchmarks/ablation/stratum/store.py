@@ -19,10 +19,11 @@ from repro.errors import (
     NoSuchVersionError,
     StorageError,
 )
-from repro.storage.page import DiskSimulator
 from repro.xmlcore.node import Element
 from repro.xmlcore.parser import parse
 from repro.xmlcore.serializer import serialize
+
+from ..disk import DiskSimulator
 
 
 @dataclass

@@ -11,28 +11,30 @@ classic 8 ms seek / 0.1 ms page model.
 """
 
 
+from ablation.disk import DiskSimulator, attach
 from harness import Table
-from repro.storage import DiskSimulator, TemporalDocumentStore
+from repro.storage import TemporalDocumentStore
 from repro.workload import TDocGenerator
 
 VERSIONS = 32
 
 
 def _build(clustered):
-    store = TemporalDocumentStore(
-        disk=DiskSimulator(clustered=clustered, seed=7)
-    )
+    """A store and the simulator attached to it before the first commit."""
+    store = TemporalDocumentStore()
+    disk = DiskSimulator(clustered=clustered, seed=7)
+    attach(store, disk)
     generator = TDocGenerator(seed=23)
     trees = generator.version_sequence("d.xml", VERSIONS)
     store.put("d.xml", trees[0])
     for tree in trees[1:]:
         store.update("d.xml", tree)
-    return store
+    return store, disk
 
 
 def test_clustered_vs_unclustered(benchmark, emit):
-    clustered = _build(clustered=True)
-    unclustered = _build(clustered=False)
+    clustered, clustered_disk = _build(clustered=True)
+    unclustered, unclustered_disk = _build(clustered=False)
 
     table = Table(
         "E9: seeks per reconstruction (chain walk of k deltas)",
@@ -44,9 +46,9 @@ def test_clustered_vs_unclustered(benchmark, emit):
     unclustered_seeks = []
     for distance in probes:
         number = VERSIONS - distance
-        with clustered.disk.cost_of() as c_cost:
+        with clustered_disk.cost_of() as c_cost:
             clustered.version("d.xml", number)
-        with unclustered.disk.cost_of() as u_cost:
+        with unclustered_disk.cost_of() as u_cost:
             unclustered.version("d.xml", number)
         clustered_seeks.append(c_cost.result.seeks)
         unclustered_seeks.append(u_cost.result.seeks)

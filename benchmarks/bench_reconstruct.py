@@ -95,10 +95,8 @@ MATRIX_VERSIONS = 48
 MATRIX_INTERVAL = 12
 
 
-def _build_matrix_store(cache_size):
-    store = TemporalDocumentStore(
-        snapshot_interval=MATRIX_INTERVAL, cache_size=cache_size
-    )
+def _build_matrix_store():
+    store = TemporalDocumentStore(snapshot_interval=MATRIX_INTERVAL)
     generator = TDocGenerator(seed=7)
     trees = generator.version_sequence("d.xml", MATRIX_VERSIONS)
     store.put("d.xml", trees[0])
@@ -112,31 +110,29 @@ def test_reconstruct_direction_matrix(benchmark, emit, reconstruct_report):
     seeded shuffled order.  Backward-only (the paper's algorithm, run
     from the ``ablation.reconstruct`` reference) pays the full chain from
     the current version or a snapshot *above* the target; the engine's
-    cost-based reconstruction also anchors on snapshots *below* the target
-    and on cached trees on either side."""
+    cost-based reconstruction also anchors on snapshots *below* the
+    target."""
     targets = list(range(1, MATRIX_VERSIONS + 1))
     random.Random(11).shuffle(targets)
 
     table = Table(
         f"E3c: delta reads over a shuffled full-history sweep "
         f"(N={MATRIX_VERSIONS}, snapshot interval {MATRIX_INTERVAL})",
-        ["policy", "cache", "delta reads", "anchor reads", "fwd", "bwd"],
+        ["policy", "delta reads", "anchor reads", "fwd", "bwd"],
     )
     results = {}
-    for policy, cache_size, reconstruct in [
-        ("backward", 0, reconstruct_backward),
-        ("cost", 0, Repository.reconstruct),
-        ("cost", 16, Repository.reconstruct),
+    for policy, reconstruct in [
+        ("backward", reconstruct_backward),
+        ("cost", Repository.reconstruct),
     ]:
-        store = _build_matrix_store(cache_size)
+        store = _build_matrix_store()
         repo = store.repository
         record = store.record("d.xml")
         repo.delta_reads = repo.snapshot_reads = repo.current_reads = 0
         for number in targets:
             reconstruct(repo, record, number)
-        row = results[(policy, cache_size)] = {
+        row = results[policy] = {
             "policy": policy,
-            "cache_size": cache_size,
             "delta_reads": repo.delta_reads,
             "anchor_reads": repo.snapshot_reads + repo.current_reads,
         }
@@ -147,11 +143,9 @@ def test_reconstruct_direction_matrix(benchmark, emit, reconstruct_report):
                 forward_chains=anchors.forward_chains,
                 backward_chains=anchors.backward_chains,
                 delta_reads_saved=anchors.delta_reads_saved,
-                cache_hits=repo.cache.stats.hits,
             )
         table.add(
             policy,
-            cache_size,
             row["delta_reads"],
             row["anchor_reads"],
             row.get("forward_chains", "-"),
@@ -159,10 +153,9 @@ def test_reconstruct_direction_matrix(benchmark, emit, reconstruct_report):
         )
     emit(table)
 
-    baseline = results[("backward", 0)]["delta_reads"]
-    bidirectional = results[("cost", 0)]
-    cached = results[("cost", 16)]["delta_reads"]
-    # Bidirectional anchors alone never read more than backward-only...
+    baseline = results["backward"]["delta_reads"]
+    bidirectional = results["cost"]
+    # Bidirectional anchors never read more than backward-only...
     assert bidirectional["delta_reads"] <= baseline
     # ...by exactly the saving the engine reports against that baseline
     # without running it.
@@ -170,12 +163,9 @@ def test_reconstruct_direction_matrix(benchmark, emit, reconstruct_report):
         bidirectional["delta_reads"] + bidirectional["delta_reads_saved"]
         == baseline
     )
-    # With the version cache as a forward/backward anchor source the
-    # old-version-heavy sweep reads >= 2x fewer deltas (acceptance bar).
-    assert cached * 2 <= baseline
 
     # -- batched DocHistory sweep: O(1) anchor reads per scan ----------------
-    store = _build_matrix_store(0)
+    store = _build_matrix_store()
     repo = store.repository
     repo.delta_reads = repo.snapshot_reads = repo.current_reads = 0
     history = DocHistory(store, "d.xml", 0, store.clock.now() + 1)
@@ -192,7 +182,9 @@ def test_reconstruct_direction_matrix(benchmark, emit, reconstruct_report):
         "snapshot_interval": MATRIX_INTERVAL,
         "access_order_seed": 11,
         "runs": list(results.values()),
-        "speedup_delta_reads": round(baseline / cached, 2),
+        "speedup_delta_reads": round(
+            baseline / bidirectional["delta_reads"], 2
+        ),
         "dochistory": {
             "anchor_reads": history_anchor_reads,
             "delta_reads": history_delta_reads,
@@ -201,10 +193,11 @@ def test_reconstruct_direction_matrix(benchmark, emit, reconstruct_report):
     }
     reconstruct_report(report)
     emit(
-        f"cost+cache vs backward-only: {baseline} -> {cached} delta reads "
+        f"cost vs backward-only: {baseline} -> "
+        f"{bidirectional['delta_reads']} delta reads "
         f"({report['speedup_delta_reads']}x); DocHistory scan: "
         f"{history_anchor_reads} anchor read, {history_delta_reads} deltas"
     )
 
-    fast = _build_matrix_store(16)
+    fast = _build_matrix_store()
     benchmark(lambda: [fast.version("d.xml", n) for n in targets[:8]])

@@ -14,6 +14,7 @@ rarely bites because the indexes answer many queries without reconstruction.
 
 import pytest
 
+from ablation.disk import attach
 from ablation.stratum import StratumStore
 from harness import Table
 from repro.storage import TemporalDocumentStore
@@ -57,7 +58,7 @@ def test_storage_space_and_snapshot_io(benchmark, emit, change_ratio):
     )
     first_ts = delta_store.delta_index("d.xml").entry(1).timestamp
 
-    with delta_store.disk.cost_of() as delta_cost:
+    with attach(delta_store).disk.cost_of() as delta_cost:
         delta_snapshot = delta_store.snapshot("d.xml", first_ts)
     delta_reads = delta_store.repository.delta_reads
     with full_store.disk.cost_of() as full_cost:

@@ -15,6 +15,7 @@ intermediate snapshots (benchmark E3 sweeps that knob).
 
 import pytest
 
+from ablation.disk import attach
 from ablation.stratum import (
     StratumQueryProcessor,
     StratumStore,
@@ -66,8 +67,14 @@ def test_native_vs_stratum(benchmark, emit, versions):
         ["query", "rows", "native", "native+snap4", "stratum"],
     )
     meters = {
-        "native": CostMeter(store=native.store, indexes=[native.fti]),
-        "snap": CostMeter(store=native_snap.store, indexes=[native_snap.fti]),
+        "native": CostMeter(
+            store=native.store, disk=attach(native.store).disk,
+            indexes=[native.fti],
+        ),
+        "snap": CostMeter(
+            store=native_snap.store, disk=attach(native_snap.store).disk,
+            indexes=[native_snap.fti],
+        ),
         "stratum": CostMeter(stratum=stratum_store),
     }
 

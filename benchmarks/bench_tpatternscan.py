@@ -9,6 +9,7 @@ document.  The gap should widen with collection size and history length.
 
 import pytest
 
+from ablation.disk import attach
 from joinbench import compare_engines, engine_table
 from harness import CostMeter, Table
 from repro.index import TemporalFullTextIndex
@@ -51,7 +52,7 @@ def test_tpatternscan_vs_navigation(benchmark, emit, versions):
         versions // 2
     ].timestamp
 
-    meter = CostMeter(store=store, indexes=[fti])
+    meter = CostMeter(store=store, disk=attach(store).disk, indexes=[fti])
     with meter.measure() as index_cost:
         index_hits = list(
             TPatternScan(fti, pattern, mid_ts, store=store).teids()

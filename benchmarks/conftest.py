@@ -67,8 +67,8 @@ def pytest_sessionfinish(session, exitstatus):
                 "Reconstruction direction matrix: backward-only (the "
                 "paper's algorithm, run from the benchmarks/ablation "
                 "reference) vs. the engine's cost-based bidirectional "
-                "anchor selection, with and without the version cache, "
-                "plus the batched reconstruct_range DocHistory sweep."
+                "anchor selection, plus the batched reconstruct_range "
+                "DocHistory sweep."
             ),
             "runs": sorted(
                 _reconstruct_records, key=lambda r: r["benchmark"]

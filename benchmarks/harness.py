@@ -71,14 +71,19 @@ class CostMeter:
     registers every counter source of interest, ``measure()`` snapshots
     the registry around the region and maps the key deltas onto a
     :class:`Measurement` (the field names every benchmark reports).
+    Seeks and pages come from ``disk``, the simulator the caller attached
+    to ``store`` (``ablation.disk.attach``); without one they read 0.
 
-    >>> meter = CostMeter(store=store, indexes=[fti])     # doctest: +SKIP
+    >>> disk = attach(store).disk                          # doctest: +SKIP
+    >>> meter = CostMeter(store=store, disk=disk, indexes=[fti])  # doctest: +SKIP
     >>> with meter.measure() as m:                         # doctest: +SKIP
     ...     run_query()
     >>> m.result.delta_reads                               # doctest: +SKIP
     """
 
-    def __init__(self, store=None, stratum=None, indexes=(), join_stats=None):
+    def __init__(
+        self, store=None, disk=None, stratum=None, indexes=(), join_stats=None
+    ):
         self.store = store
         self.stratum = stratum
         self.indexes = list(indexes)
@@ -87,10 +92,9 @@ class CostMeter:
         if store is not None:
             repo = store.repository
             registry.register("store", repo.counter_snapshot)
-            registry.register(
-                "disk", lambda: store.disk.snapshot().as_dict()
-            )
             registry.register("anchors", repo.anchor_stats)
+        if disk is not None:
+            registry.register("disk", lambda: disk.snapshot().as_dict())
         if stratum is not None:
             registry.register(
                 "stratum_disk", lambda: stratum.disk.snapshot().as_dict()

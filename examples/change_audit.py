@@ -85,7 +85,6 @@ def main():
     repo = store.repository
     print(f"  delta reads:    {repo.delta_reads}")
     print(f"  current reads:  {repo.current_reads}")
-    print(f"  disk:           {store.disk.snapshot().as_dict()}")
 
 
 if __name__ == "__main__":

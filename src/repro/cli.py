@@ -97,8 +97,10 @@ def build_parser():
     docs.set_defaults(handler=_cmd_ls)
 
     stats = sub.add_parser(
-        "stats", help="print repository read, cache, anchor, and storage "
-                      "counters"
+        "stats", help="print repository read, anchor, and storage counters",
+        epilog="The version cache is gone, and with it the 'version cache:' "
+               "block, 'reads.cache' in --json and the anchor[cache] line; "
+               "every other key is unchanged.",
     )
     stats_source = stats.add_mutually_exclusive_group(required=True)
     stats_source.add_argument("-a", "--archive", help="archive file (XML)")
@@ -489,19 +491,6 @@ def _cmd_stats(args, out):
     print("storage reads:", file=out)
     for key, value in db.store.repository.counter_snapshot().items():
         print(f"  {key}: {value}", file=out)
-    cache = stats["cache"]
-    print("version cache:", file=out)
-    print(
-        f"  hits: {cache['hits']}  misses: {cache['misses']}  "
-        f"hit_rate: {cache['hit_rate']}",
-        file=out,
-    )
-    print(
-        f"  evictions: {cache['evictions']}  "
-        f"invalidations: {cache['invalidations']}  "
-        f"saved_delta_reads: {cache['saved_delta_reads']}",
-        file=out,
-    )
     anchors = stats["anchors"]
     print("anchor choices:", file=out)
     print(

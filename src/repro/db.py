@@ -47,28 +47,17 @@ class TemporalXMLDatabase:
     recovery = None
 
     def __init__(
-        self,
-        clock=None,
-        snapshot_interval=None,
-        cache_size=0,
-        snapshot_policy=None,
-        disk=None,
+        self, clock=None, snapshot_interval=None, snapshot_policy=None
     ):
         """The one place tuning is named; :meth:`load` and :meth:`open`
         take the same keywords and pass them here.  ``snapshot_interval``
         materializes a full snapshot every k-th version of each document;
-        ``cache_size`` enables the reconstruction version cache;
         ``snapshot_policy`` (e.g.
         :class:`~repro.storage.snapshots.AdaptiveSnapshotPolicy`) places
-        snapshots by rule — see ``docs/PERFORMANCE.md``.  ``disk``
-        replaces the default clustered
-        :class:`~repro.storage.page.DiskSimulator` (e.g. an unclustered
-        one for Section 7.2's placement comparison)."""
+        snapshots by rule — see ``docs/PERFORMANCE.md``."""
         self.store = TemporalDocumentStore(
             clock=clock,
-            disk=disk,
             snapshot_interval=snapshot_interval,
-            cache_size=cache_size,
             snapshot_policy=snapshot_policy,
         )
         self.fti = self.store.subscribe(TemporalFullTextIndex())

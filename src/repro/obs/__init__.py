@@ -6,11 +6,10 @@ those costs one home:
 
 :class:`MetricsRegistry`
     A central registry of counter sources.  Every stats object in the
-    engine (``IndexStats``, ``JoinStats``, ``AnchorStats``, ``CacheStats``,
-    the repository read counters, the disk simulator) feeds it through a
-    common ``snapshot()``/``delta()`` protocol, so "what did this region
-    cost" is always a dict subtraction — no per-object ``reset()``
-    choreography.
+    engine (``IndexStats``, ``JoinStats``, ``AnchorStats``, the repository
+    read counters) feeds it through a common ``snapshot()``/``delta()``
+    protocol, so "what did this region cost" is always a dict subtraction
+    — no per-object ``reset()`` choreography.
 
 :class:`Tracer` / :data:`NULL_TRACER`
     Hierarchical spans with exclusive-cost attribution.  The query

@@ -24,9 +24,6 @@ _DISPLAY = (
     (".lookups", "lookups"),
     ("join.candidates_probed", "probes"),
     ("join.matches_emitted", "matches"),
-    ("cache.hits", "cache_hits"),
-    ("disk.seeks", "seeks"),
-    ("disk.pages_read", "pages"),
 )
 
 

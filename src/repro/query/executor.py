@@ -189,8 +189,6 @@ class QueryEngine:
         registry = self.registry
         repo = self.store.repository
         registry.register("store", repo.counter_snapshot)
-        registry.register("disk", lambda: repo.disk.snapshot().as_dict())
-        registry.register("cache", repo.cache.stats)
         registry.register("anchors", repo.anchor_stats)
         if self.fti is not None:
             registry.register(self.fti.metrics_label, self.fti.stats)

@@ -4,14 +4,11 @@ Physical model: each named document is stored as one **complete current
 version** plus a chain of **completed deltas** (applicable both forwards and
 backwards), with optional intermediate **snapshots** every *k* versions.  A
 per-document **delta index** maps version numbers to timestamps and records
-where each delta/snapshot lives.
+how many bytes each delta/snapshot takes.  Every stored read is counted
+(delta, snapshot and current reads), the currency in which the paper reasons
+about operator cost.
 
-All placement and access runs through a :class:`~repro.storage.page.DiskSimulator`
-that counts page reads, writes, and seeks — the currency in which the paper
-reasons about operator cost ("each delta read will involve a disk seek in
-the worst case").
-
-Durability lives alongside the simulator: the append-only
+Durability lives alongside: the append-only
 :class:`~repro.storage.journal.CommitJournal`, the atomic
 :class:`~repro.storage.checkpoint.Checkpointer`, crash recovery
 (:func:`~repro.storage.recover.recover_store`), and the fault-injecting
@@ -22,7 +19,6 @@ The logical entry point is
 :class:`~repro.storage.store.TemporalDocumentStore`.
 """
 
-from .cache import CacheStats, VersionCache
 from .checkpoint import Checkpointer, CheckpointStats
 from .faults import CrashError, FaultyFS, OSFileSystem, REAL_FS, flip_bit
 from .journal import (
@@ -33,7 +29,6 @@ from .journal import (
     scan_journal,
     verify_journal,
 )
-from .page import DiskSimulator, Extent
 from .deltaindex import DeltaIndex, VersionEntry
 from .recover import RecoveryReport, recover_store
 from .repository import Anchor, AnchorStats, Repository
@@ -45,8 +40,6 @@ from .snapshots import (
 from .store import CommitEvent, TemporalDocumentStore
 
 __all__ = [
-    "CacheStats",
-    "VersionCache",
     "Checkpointer",
     "CheckpointStats",
     "CrashError",
@@ -60,8 +53,6 @@ __all__ = [
     "JournalStats",
     "scan_journal",
     "verify_journal",
-    "DiskSimulator",
-    "Extent",
     "DeltaIndex",
     "VersionEntry",
     "RecoveryReport",

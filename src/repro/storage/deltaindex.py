@@ -6,7 +6,7 @@ store the timestamp of the actual version in the delta index."
 
 :class:`DeltaIndex` is exactly that array, with binary search over
 timestamps.  It also records which versions have materialized snapshots and
-where every stored object lives on the simulated disk, and it answers the
+how many bytes every stored delta and snapshot takes, and it answers the
 version-navigation questions behind the ``PreviousTS`` / ``NextTS`` /
 ``CurrentTS`` operators (Section 7.3.7).
 """
@@ -24,25 +24,18 @@ from ..errors import NoSuchVersionError
 class VersionEntry:
     """Metadata for one document version.
 
-    ``delta_extent`` locates the completed delta leading from this version to
-    the next one (``None`` for the current version, which has no successor
-    yet).  ``snapshot_extent`` is set when this version is additionally
-    materialized as a full snapshot.  ``full_extent`` is only used by the
-    current version (and by the stratum baseline, which stores every version
-    fully).
+    ``delta_bytes`` is the stored size of the completed delta leading from
+    this version to the next one (0 for the current version, which has no
+    successor yet).  ``has_snapshot`` is set — by
+    :meth:`DeltaIndex.register_snapshot` — when this version is additionally
+    materialized as a full snapshot of ``snapshot_bytes``.
     """
 
     number: int
     timestamp: int
-    delta_extent: object = None
-    snapshot_extent: object = None
-    full_extent: object = None
     delta_bytes: int = 0
     snapshot_bytes: int = 0
-
-    @property
-    def has_snapshot(self):
-        return self.snapshot_extent is not None
+    has_snapshot: bool = False
 
 
 @dataclass
@@ -83,9 +76,11 @@ class DeltaIndex:
     def register_snapshot(self, number):
         """Record that version ``number`` now has a snapshot (idempotent).
 
-        The repository and the archive loader call this whenever they set an
-        entry's ``snapshot_extent``, keeping the sorted snapshot list in sync
-        so both nearest-snapshot lookups stay O(log n)."""
+        The repository and the archive loader call this whenever they store
+        a snapshot tree; it sets the entry's ``has_snapshot`` and keeps the
+        sorted snapshot list in sync, so both nearest-snapshot lookups stay
+        O(log n)."""
+        self.entry(number).has_snapshot = True
         pos = bisect_left(self._snapshot_numbers, number)
         if pos == len(self._snapshot_numbers) or (
             self._snapshot_numbers[pos] != number

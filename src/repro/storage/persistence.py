@@ -39,7 +39,6 @@ import heapq
 import os
 import re
 import zlib
-from dataclasses import replace
 
 from ..clock import LogicalClock
 from ..diff.apply import apply_script
@@ -223,7 +222,6 @@ def install_records(store, clock_now, records):
         seen.add(record.doc_id)
     store.clock = LogicalClock(start=clock_now)
     for record in records:
-        _place_record(store.disk, record)
         store.adopt(record)
     return store
 
@@ -256,7 +254,7 @@ def build_record(
         )
     record.dindex.deleted_at = deleted_at
     record.set_current(
-        record.dindex.current_number, current_root, None,
+        record.dindex.current_number, current_root,
         len(serialize(current_root)),
     )
     for number, script in deltas.items():
@@ -267,27 +265,6 @@ def build_record(
         record.dindex.register_snapshot(number)
         record.snapshots[number] = tree
     return record
-
-
-def _place_record(disk, record):
-    """Allocate the simulated extents the cost model reads ``record``
-    through: current version, then deltas, then snapshots."""
-    record.current = replace(
-        record.current,
-        extent=disk.allocate(
-            record.current_bytes, cluster_key=("current", record.doc_id)
-        ),
-    )
-    for number in sorted(record.deltas):
-        entry = record.dindex.entry(number)
-        entry.delta_extent = disk.allocate(
-            entry.delta_bytes, cluster_key=("deltas", record.doc_id)
-        )
-    for number in sorted(record.snapshots):
-        entry = record.dindex.entry(number)
-        entry.snapshot_extent = disk.allocate(
-            entry.snapshot_bytes, cluster_key=("snapshots", record.doc_id)
-        )
 
 
 def replay_history(store, observers):

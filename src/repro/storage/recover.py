@@ -218,7 +218,6 @@ def _apply_record(store, rec, observers):
         if rec.nextxid is not None:
             doc.allocator = XIDAllocator(rec.nextxid)
         repository.commit_version(doc, new_root, script, rec.ts)
-        repository.cache.invalidate(doc.doc_id)
         _advance_clock(store, rec.ts)
         event = CommitEvent(
             "update", rec.doc_id, rec.name, rec.version, rec.ts,
@@ -229,7 +228,6 @@ def _apply_record(store, rec, observers):
         if doc.is_deleted:
             return False
         repository.mark_deleted(doc, rec.ts)
-        repository.cache.invalidate(doc.doc_id)
         _advance_clock(store, rec.ts)
         event = CommitEvent(
             "delete", rec.doc_id, rec.name, doc.dindex.current_number,

@@ -1,15 +1,15 @@
 """Physical document repository: current version + delta chain + snapshots.
 
-The repository owns placement (through the :class:`DiskSimulator`) and
-reconstruction.  The paper's ``Reconstruct`` (Section 7.3.3) walks
-*backwards* from the current version or a snapshot at-or-after the target;
+The repository owns the stored versions and their reconstruction.  The
+paper's ``Reconstruct`` (Section 7.3.3) walks *backwards* from the current
+version or a snapshot at-or-after the target;
 because completed deltas are usable in both directions (Section 7.1, after
 Marian et al.), this implementation is **bidirectional and cost-aware**:
 
-* for a requested version it enumerates candidate anchors — a cached tree,
-  the nearest snapshot at-or-before, the nearest snapshot at-or-after, the
-  current version — prices each chain from the per-entry ``delta_bytes``
-  accounting in the :class:`DeltaIndex`, and starts from the cheapest;
+* for a requested version it enumerates candidate anchors — the nearest
+  snapshot at-or-before, the nearest snapshot at-or-after, the current
+  version — prices each chain from the per-entry ``delta_bytes`` accounting
+  in the :class:`DeltaIndex`, and starts from the cheapest;
 * stored edit scripts are applied forward from an anchor below the target
   or inverted from an anchor above it;
 * :meth:`Repository.reconstruct_range` sweeps a whole version range with
@@ -20,8 +20,9 @@ Per-choice counters land in :attr:`Repository.anchor_stats`, including what
 each choice saved against the paper's backward-only walk; that algorithm
 itself is the reference in ``benchmarks/ablation/reconstruct.py``.
 
-Deltas and trees are kept as Python objects; the simulated extents carry the
-cost model.  ``read_*`` methods always account the I/O before returning.
+Deltas and trees are kept as Python objects; their recorded byte sizes
+carry the cost model.  ``read_*`` methods always account the read before
+returning.
 """
 
 from __future__ import annotations
@@ -38,32 +39,28 @@ from ..errors import (
 )
 from ..model.identifiers import XIDAllocator
 from ..xmlcore.serializer import serialize
-from .cache import VersionCache
 from .deltaindex import DeltaIndex, VersionEntry
-from .page import DiskSimulator
 from .snapshots import IntervalSnapshotPolicy, SnapshotPolicy
 
-#: Cost-model weights, mirroring the disk simulator's classic split
-#: (``CounterSnapshot.estimated_ms``): a seek per logical read, a page of
-#: transfer per read plus the object bytes.  Logical, not measured — the
-#: estimate only needs to *rank* anchors consistently.
+#: Cost-model weights, the classic disk split: a seek per logical read, a
+#: page of transfer per read plus the object bytes.  Logical, not measured —
+#: the estimate only needs to *rank* anchors consistently.
 _SEEK_MS = 8.0
 _PAGE_MS = 0.1
+_PAGE_BYTES = 4096
 
 #: Anchor kinds, in tie-break preference order (lower rank wins a cost tie;
-#: the cache costs no read, backward is the paper's default direction).
-_ANCHOR_RANK = {"cache": 0, "snapshot_after": 1, "snapshot_before": 2,
-                "current": 3}
+#: backward is the paper's default direction).
+_ANCHOR_RANK = {"snapshot_after": 1, "snapshot_before": 2, "current": 3}
 
 
 @dataclass(frozen=True)
 class Anchor:
     """One candidate starting point for a reconstruction."""
 
-    kind: str        # "cache" | "snapshot_before" | "snapshot_after" | "current"
+    kind: str        # "snapshot_before" | "snapshot_after" | "current"
     number: int      # version the anchor materializes
-    anchor_bytes: int  # bytes read to materialize it (0 for cached trees)
-    anchor_reads: int  # logical reads for the anchor itself (0 for cache)
+    anchor_bytes: int  # bytes read to materialize it (one logical read)
     #: For ``"current"`` anchors: the :class:`CurrentState` captured when the
     #: candidate was enumerated, so materialization reads the same tree the
     #: cost ranking priced even if a commit lands in between.
@@ -126,11 +123,10 @@ class CurrentState:
     ``record.current`` **once** and work from that object; the writer
     publishes a new current version by swapping in a fresh ``CurrentState``
     (one atomic attribute assignment), so a reader can never observe the
-    new version number paired with the old tree or extent."""
+    new version number paired with the old tree or size."""
 
     number: int    # version number this state materializes
     root: object   # the complete current tree (kept even after delete)
-    extent: object  # simulated-disk placement of the current version
     nbytes: int    # serialized size (the cost model's transfer volume)
 
 
@@ -162,46 +158,30 @@ class DocumentRecord:
         return state.root if state is not None else None
 
     @property
-    def current_extent(self):
-        state = self.current
-        return state.extent if state is not None else None
-
-    @property
     def current_bytes(self):
         state = self.current
         return state.nbytes if state is not None else 0
 
-    def set_current(self, number, root, extent, nbytes):
+    def set_current(self, number, root, nbytes):
         """Publish a new current version (single atomic swap)."""
-        self.current = CurrentState(number, root, extent, nbytes)
+        self.current = CurrentState(number, root, nbytes)
 
 
 class Repository:
     """Stores document records and implements version reconstruction."""
 
-    def __init__(
-        self,
-        disk=None,
-        snapshot_interval=None,
-        cache_size=0,
-        snapshot_policy=None,
-    ):
+    def __init__(self, snapshot_interval=None, snapshot_policy=None):
         """``snapshot_interval=k`` materializes a full snapshot every k-th
         version: shorthand for ``snapshot_policy=IntervalSnapshotPolicy(k)``,
         and it wins when both are given.  ``snapshot_policy`` is any
         :class:`~repro.storage.snapshots.SnapshotPolicy` (e.g. the adaptive
         delta-bytes policy); with neither there are no intermediate
-        snapshots, the paper's base configuration.
-        ``cache_size`` bounds the reconstruction
-        :class:`~repro.storage.cache.VersionCache`; 0 (the default) disables
-        it."""
-        self.disk = disk if disk is not None else DiskSimulator()
+        snapshots, the paper's base configuration."""
         if snapshot_interval:
             snapshot_policy = IntervalSnapshotPolicy(snapshot_interval)
         elif snapshot_policy is None:
             snapshot_policy = SnapshotPolicy()
         self.snapshot_policy = snapshot_policy
-        self.cache = VersionCache(cache_size)
         self._records = {}
         self._next_doc_id = 1
         self._group_pending = None  # [(record, entry)] while a group is open
@@ -253,33 +233,20 @@ class Repository:
     def commit_initial(self, record, root, ts):
         """Store version 1 of a new document."""
         nbytes = _tree_bytes(root)
-        extent = self.disk.allocate(
-            nbytes, cluster_key=("current", record.doc_id)
-        )
         record.dindex.append(VersionEntry(1, ts))
-        record.set_current(1, root, extent, nbytes)
+        record.set_current(1, root, nbytes)
 
     def commit_version(self, record, new_root, script, ts):
         """Store a new version: delta behind, new tree becomes current."""
         old_number = record.dindex.current_number
-        old_entry = record.dindex.entry(old_number)
 
-        # The completed delta for the now-previous version.  Deltas live in
-        # their own per-document arena (an append-only delta file), so a
-        # chain read on a clustered disk is sequential.
-        delta_bytes = script.size_bytes()
-        old_entry.delta_extent = self.disk.allocate(
-            delta_bytes, cluster_key=("deltas", record.doc_id)
-        )
-        record.dindex.record_delta_bytes(old_number, delta_bytes)
+        # The completed delta for the now-previous version.
+        record.dindex.record_delta_bytes(old_number, script.size_bytes())
         record.deltas[old_number] = script
 
         new_number = old_number + 1
         entry = VersionEntry(new_number, ts)
         new_bytes = _tree_bytes(new_root)
-        new_extent = self.disk.allocate(
-            new_bytes, cluster_key=("current", record.doc_id)
-        )
         # Ordering matters for lock-free readers: the delta for the old
         # version is already in place (above), the delta-index entry appears
         # next, and the new current state is published last — a reader that
@@ -287,7 +254,7 @@ class Repository:
         # freshly stored delta, and one that sees the new state finds every
         # structure it references already written.
         record.dindex.append(entry)
-        record.set_current(new_number, new_root, new_extent, new_bytes)
+        record.set_current(new_number, new_root, new_bytes)
 
         if self._group_pending is not None:
             # Inside a commit group the snapshot-placement decision is
@@ -332,9 +299,6 @@ class Repository:
         tree = self.reconstruct(record, number)
         record.snapshots[number] = tree
         entry.snapshot_bytes = _tree_bytes(tree)
-        entry.snapshot_extent = self.disk.allocate(
-            entry.snapshot_bytes, cluster_key=("snapshots", record.doc_id)
-        )
         record.dindex.register_snapshot(number)
         return entry
 
@@ -374,7 +338,6 @@ class Repository:
         return self._stored_current(state).copy()
 
     def _stored_current(self, state):
-        self.disk.read(state.extent)
         with self._stats_lock:
             self.current_reads += 1
         return state.root
@@ -386,7 +349,6 @@ class Repository:
             raise NoSuchVersionError(
                 f"{record.name} has no delta for version {number}"
             )
-        self.disk.read(record.dindex.entry(number).delta_extent)
         with self._stats_lock:
             self.delta_reads += 1
         return script
@@ -400,7 +362,6 @@ class Repository:
             raise NoSuchVersionError(
                 f"{record.name} has no snapshot at version {number}"
             )
-        self.disk.read(record.dindex.entry(number).snapshot_extent)
         with self._stats_lock:
             self.snapshot_reads += 1
         return tree
@@ -410,9 +371,9 @@ class Repository:
     def _cost(self, reads, nbytes):
         """Estimated cost of ``reads`` logical reads totalling ``nbytes``.
 
-        A seek per read plus per-page transfer — the same shape as
-        ``CounterSnapshot.estimated_ms``.  Only the *ranking* matters."""
-        pages = reads + nbytes / self.disk.page_size
+        A seek per read plus per-page transfer.  Only the *ranking*
+        matters."""
+        pages = reads + nbytes / _PAGE_BYTES
         return reads * _SEEK_MS + pages * _PAGE_MS
 
     def _chain_cost(self, record, anchor_number, target):
@@ -420,33 +381,25 @@ class Repository:
         lo, hi = sorted((anchor_number, target))
         return hi - lo, record.dindex.delta_bytes_between(lo, hi)
 
-    def _candidates(self, record, number, use_cache):
+    def _candidates(self, record, number):
         """Candidate anchors for reconstructing ``number``, unpriced."""
         dindex = record.dindex
-        state = record.current  # one consistent (number, root, extent) read
+        state = record.current  # one consistent (number, root, nbytes) read
         current_number = state.number
-        out = [Anchor("current", current_number, state.nbytes, 1, state)]
+        out = [Anchor("current", current_number, state.nbytes, state)]
         after = dindex.nearest_snapshot_at_or_after(number)
         if after is not None and after.number < current_number:
             out.append(
-                Anchor("snapshot_after", after.number, after.snapshot_bytes, 1)
+                Anchor("snapshot_after", after.number, after.snapshot_bytes)
             )
         before = dindex.nearest_snapshot_at_or_before(number)
         if before is not None:
             out.append(
-                Anchor(
-                    "snapshot_before", before.number, before.snapshot_bytes, 1
-                )
+                Anchor("snapshot_before", before.number, before.snapshot_bytes)
             )
-        if use_cache and self.cache.enabled:
-            below, above = self.cache.anchor_candidates(record.doc_id, number)
-            if above is not None:
-                out.append(Anchor("cache", above, 0, 0))
-            if below is not None and below != above:
-                out.append(Anchor("cache", below, 0, 0))
         return out
 
-    def _choose_anchor(self, record, number, use_cache=True):
+    def _choose_anchor(self, record, number):
         """Pick the starting anchor for ``number``: every candidate ranked
         by the estimated cost of anchor read plus delta chain.
 
@@ -454,36 +407,20 @@ class Repository:
 
         def key(anchor):
             reads, nbytes = self._chain_cost(record, anchor.number, number)
-            cost = self._cost(
-                anchor.anchor_reads + reads, anchor.anchor_bytes + nbytes
-            )
+            cost = self._cost(1 + reads, anchor.anchor_bytes + nbytes)
             return (cost, reads, _ANCHOR_RANK[anchor.kind])
 
-        best = min(self._candidates(record, number, use_cache), key=key)
+        best = min(self._candidates(record, number), key=key)
         reads, nbytes = self._chain_cost(record, best.number, number)
         return best, reads, nbytes
 
-    def estimate_cost(self, record, number):
-        """Estimated cost and logical reads of reconstructing ``number``
-        (including cache anchors); used by callers that weigh a repository
-        walk against deriving from trees they already hold."""
-        anchor, reads, nbytes = self._choose_anchor(record, number)
-        return (
-            self._cost(anchor.anchor_reads + reads, anchor.anchor_bytes + nbytes),
-            anchor.anchor_reads + reads,
-        )
-
     def stored_anchor(self, record, number):
-        """The cheapest *stored* starting point for version ``number`` — a
-        snapshot or the current version, never a cached tree — and the
-        estimated cost of reading it plus the chain to ``number``:
-        ``(anchor, cost)``, nothing read yet (see :meth:`read_stored`)."""
-        anchor, reads, nbytes = self._choose_anchor(
-            record, number, use_cache=False
-        )
-        return anchor, self._cost(
-            anchor.anchor_reads + reads, anchor.anchor_bytes + nbytes
-        )
+        """The cheapest stored starting point for version ``number`` — a
+        snapshot or the current version — and the estimated cost of reading
+        it plus the chain to ``number``: ``(anchor, cost)``, nothing read
+        yet (see :meth:`read_stored`)."""
+        anchor, reads, nbytes = self._choose_anchor(record, number)
+        return anchor, self._cost(1 + reads, anchor.anchor_bytes + nbytes)
 
     def read_stored(self, record, anchor):
         """Read (and account) a :meth:`stored_anchor` **without copying
@@ -499,16 +436,6 @@ class Repository:
         reads, nbytes = self._chain_cost(record, base_number, target_number)
         return self._cost(reads, nbytes), reads
 
-    def _materialize_anchor(self, record, anchor):
-        """Read (and account) the chosen anchor; returns a private tree.
-
-        Raises ``KeyError`` for a cache anchor whose entry was invalidated
-        between candidate enumeration and the fetch (a concurrent commit);
-        :meth:`reconstruct` retries without the cache."""
-        if anchor.kind == "cache":
-            return self.cache.fetch(record.doc_id, anchor.number)
-        return self.read_stored(record, anchor).copy()
-
     # -- reconstruction (Section 7.3.3, bidirectional) --------------------------------
 
     def reconstruct(self, record, number):
@@ -516,9 +443,9 @@ class Repository:
 
         The cheapest anchor is chosen (see module docstring); the delta
         chain between anchor and target is then fetched in ascending
-        (on-disk) order — one sequential sweep over the delta arena — and
-        applied forward (anchor below the target) or inverted newest-first
-        (anchor above).
+        order — the order the deltas were appended, so one sequential sweep
+        on an append-only delta file — and applied forward (anchor below
+        the target) or inverted newest-first (anchor above).
         """
         current_number = record.dindex.current_number
         if not 1 <= number <= current_number:
@@ -527,31 +454,14 @@ class Repository:
                 f"(current is {current_number})"
             )
         anchor, chain_reads, chain_bytes = self._choose_anchor(record, number)
-        try:
-            tree = self._materialize_anchor(record, anchor)
-        except KeyError:
-            # The cached anchor was invalidated by a concurrent commit after
-            # we enumerated it; fall back to the stored anchors, which are
-            # immutable once written.
-            anchor, chain_reads, chain_bytes = self._choose_anchor(
-                record, number, use_cache=False
-            )
-            tree = self._materialize_anchor(record, anchor)
-        if anchor.kind != "cache":
-            self.cache.count_miss()
+        tree = self.read_stored(record, anchor).copy()
         tree = self._apply_between(record, tree, anchor.number, number)
         self._count_choice(record, number, anchor, chain_reads, chain_bytes)
-        if self.cache.enabled:
-            _anchor, uncached_reads, _bytes = self._choose_anchor(
-                record, number, use_cache=False
-            )
-            self.cache.count_saved(uncached_reads - chain_reads)
-            self.cache.store(record.doc_id, number, tree)
         return tree
 
     def _apply_between(self, record, tree, start_number, target_number):
         """Apply the delta chain taking ``tree`` (version ``start_number``)
-        to ``target_number``; reads the chain in ascending on-disk order."""
+        to ``target_number``; reads the chain in ascending (append) order."""
         if start_number == target_number:
             return tree
         lo, hi = sorted((start_number, target_number))
@@ -647,7 +557,7 @@ class Repository:
         lo, hi = sorted((first, second))
         lo_tree = self.reconstruct(record, lo)
         bridge_cost, _reads = self.chain_cost_estimate(record, lo, hi)
-        anchor_cost, _reads = self.estimate_cost(record, hi)
+        _anchor, anchor_cost = self.stored_anchor(record, hi)
         if bridge_cost <= anchor_cost:
             with self._stats_lock:
                 self.anchor_stats.forward_chains += 1

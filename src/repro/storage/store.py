@@ -31,7 +31,6 @@ from ..model.versioned import stamp_new_nodes
 from ..xmlcore.node import Element
 from ..xmlcore.parser import parse
 from .journal import JournalRecord
-from .page import DiskSimulator
 from .repository import Repository
 
 
@@ -177,41 +176,19 @@ class TemporalDocumentStore:
     """A transaction-time XML document store (the paper's assumed system)."""
 
     def __init__(
-        self,
-        clock=None,
-        disk=None,
-        snapshot_interval=None,
-        cache_size=0,
-        snapshot_policy=None,
+        self, clock=None, snapshot_interval=None, snapshot_policy=None
     ):
-        """``cache_size`` bounds the repository's reconstruction cache
-        (:class:`~repro.storage.cache.VersionCache`); the default 0 keeps
-        every read path identical to the paper's uncached algorithms.
-        ``snapshot_interval`` / ``snapshot_policy`` (a
+        """``snapshot_interval`` / ``snapshot_policy`` (a
         :class:`~repro.storage.snapshots.SnapshotPolicy`) are forwarded to
-        the :class:`~repro.storage.repository.Repository`.
-        Placement is the ``disk``'s business: the default is a clustered
-        :class:`~repro.storage.page.DiskSimulator` (Section 7.2)."""
-        if disk is None:
-            disk = DiskSimulator(clustered=True)
+        the :class:`~repro.storage.repository.Repository`."""
         self.clock = clock if clock is not None else LogicalClock()
         self.repository = Repository(
-            disk,
             snapshot_interval=snapshot_interval,
-            cache_size=cache_size,
             snapshot_policy=snapshot_policy,
         )
         self._by_name = {}
         self._observers = []
         self.journal = None  # set by attach_journal()
-
-    @property
-    def disk(self):
-        return self.repository.disk
-
-    @property
-    def version_cache(self):
-        return self.repository.cache
 
     # -- observers ----------------------------------------------------------------
 
@@ -284,10 +261,6 @@ class TemporalDocumentStore:
         script.from_ts = record.dindex.current_ts()
         script.to_ts = ts
         entry = self.repository.commit_version(record, new_root, script, ts)
-        # Committed versions are immutable, so the cached history could stay;
-        # dropping the document's entries on every commit is a cheap,
-        # conservative guard against any aliasing with the new current tree.
-        self.repository.cache.invalidate(record.doc_id)
         self._notify(
             CommitEvent(
                 "update",
@@ -307,7 +280,6 @@ class TemporalDocumentStore:
         record = self._live_record(name)
         ts = self._commit_ts(ts)
         self.repository.mark_deleted(record, ts)
-        self.repository.cache.invalidate(record.doc_id)
         self._notify(
             CommitEvent(
                 "delete",
@@ -461,12 +433,11 @@ class TemporalDocumentStore:
         )
 
     def read_stats(self):
-        """Repository read counters, cache stats, and anchor/direction
-        choices as one flat-ish dict (the ``repro stats`` CLI payload)."""
+        """Repository read counters and anchor/direction choices as one
+        flat-ish dict (the ``repro stats`` CLI payload)."""
         repo = self.repository
         return {
             **repo.counter_snapshot(),
-            "cache": repo.cache.stats.as_dict(),
             "anchors": repo.anchor_stats.as_dict(),
         }
 

@@ -87,8 +87,9 @@ class TestLifecycle:
         code, out = _run("stats", "-a", str(archive))
         assert code == 0
         assert "delta_reads:" in out
-        assert "hit_rate:" in out
         assert "delta_reads_saved:" in out
+        # Removed with the version cache, and said so in `stats --help`.
+        assert "version cache:" not in out and "hit_rate:" not in out
 
     def test_stats_exercise_scans_history(self, guide_files):
         archive, v1, v2 = guide_files
@@ -368,6 +369,10 @@ class TestStorageCLI:
         code, out = _run("stats", "-d", str(directory), "--json")
         assert code == 0
         payload = json.loads(out)
+        assert set(payload["reads"]) == {
+            "delta_reads", "snapshot_reads", "current_reads", "subtree_reads",
+            "ops_applied", "ops_skipped", "subtree_fallbacks", "anchors",
+        }
         storage = payload["storage"]
         assert storage["storage"] == "cas"
         backend = storage["backend"]

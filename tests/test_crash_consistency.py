@@ -320,7 +320,7 @@ class TestSilentCorruption:
             doc_hashes = [root.blob().hex() for _ in range(root.u())]
             flip_bit(objstore.object_path(doc_hashes[-1]), 30)
 
-        store = TemporalDocumentStore(cache_size=2)
+        store = TemporalDocumentStore()
         recovered, report = recover_store(str(directory), store=store)
         assert recovered is store
         assert report.checkpoint_source == "previous"

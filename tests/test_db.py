@@ -6,7 +6,6 @@ import pytest
 from benchmarks.ablation.stratum import StratumStore
 from benchmarks.harness import CostMeter, Measurement, Table
 from repro import TemporalXMLDatabase, parse_date
-from repro.storage.page import DiskSimulator
 from repro.storage.snapshots import AdaptiveSnapshotPolicy
 from repro.workload import load_figure1
 
@@ -59,11 +58,7 @@ class TestFacade:
 
     @pytest.mark.parametrize("how", ["init", "load", "open"])
     def test_every_entry_point_takes_the_same_tuning(self, how, tmp_path):
-        tuning = dict(
-            snapshot_policy=AdaptiveSnapshotPolicy(400),
-            cache_size=4,
-            disk=DiskSimulator(clustered=False, seed=3),
-        )
+        tuning = dict(snapshot_policy=AdaptiveSnapshotPolicy(400))
         if how == "init":
             db = TemporalXMLDatabase(**tuning)
         elif how == "load":
@@ -75,11 +70,10 @@ class TestFacade:
             db = TemporalXMLDatabase.open(tmp_path / "state", **tuning)
         repository = db.store.repository
         assert repository.snapshot_policy is tuning["snapshot_policy"]
-        assert repository.cache.size == 4
-        assert repository.disk is tuning["disk"]
         assert db.engine.store is db.store
-        with pytest.raises(TypeError):
-            TemporalXMLDatabase.open(tmp_path / "other", clustered=False)
+        for gone in ("clustered", "disk", "cache_size"):
+            with pytest.raises(TypeError):
+                TemporalXMLDatabase.open(tmp_path / "other", **{gone: None})
 
     def test_now_and_snapshot(self):
         db = TemporalXMLDatabase()

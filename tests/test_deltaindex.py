@@ -10,10 +10,7 @@ from repro.storage.deltaindex import DeltaIndex, VersionEntry
 def _index(timestamps, deleted_at=None, snapshots=()):
     index = DeltaIndex()
     for number, ts in enumerate(timestamps, start=1):
-        entry = VersionEntry(number, ts)
-        if number in snapshots:
-            entry.snapshot_extent = object()
-        index.append(entry)
+        index.append(VersionEntry(number, ts, has_snapshot=number in snapshots))
     index.deleted_at = deleted_at
     return index
 

@@ -2,8 +2,14 @@
 
 import pytest
 
+from benchmarks.ablation.disk import CounterSnapshot, DiskSimulator, Extent, attach
+from repro import TemporalXMLDatabase
 from repro.errors import StorageError
-from repro.storage.page import CounterSnapshot, DiskSimulator, Extent
+from repro.storage import TemporalDocumentStore
+from repro.storage.persistence import dump_store, load_store
+from repro.storage.recover import recover_store
+from repro.workload import TDocGenerator
+from repro.xmlcore import serialize
 
 
 class TestAllocation:
@@ -112,3 +118,148 @@ class TestAccounting:
         one = DiskSimulator(seed=42)
         two = DiskSimulator(seed=42)
         assert one.allocate(10) == two.allocate(10)
+
+
+# -- attaching to a store: the simulator observes, it never steers --------------
+
+NAMES = ("a.xml", "b.xml")
+VERSIONS = 10
+#: Mixed access order: anchors on both sides of a target get used.
+ORDER = list(range(1, VERSIONS + 1))[::2] + list(range(1, VERSIONS + 1))[1::2][::-1]
+
+
+def _commit(target, rounds):
+    """Commit versions ``rounds`` of the seeded two-document history into
+    ``target`` (a store or a database), round-robin like a warehouse."""
+    generator = TDocGenerator(seed=23)
+    sequences = {n: generator.version_sequence(n, VERSIONS) for n in NAMES}
+    for index in rounds:
+        for name in NAMES:
+            if index == 0:
+                target.put(name, sequences[name][0])
+            else:
+                target.update(name, sequences[name][index])
+
+
+def _read_everything(store):
+    """Serialized trees out of every read site the repository has."""
+    repository = store.repository
+    out = []
+    for name in NAMES:
+        record = store.record(name)
+        out += [serialize(store.version(name, number)) for number in ORDER]
+        out += [
+            serialize(tree) for _n, tree, _x in store.version_range(name, 2, 7)
+        ]
+        out.append(serialize(store.current(name)))
+        out += [
+            serialize(repository.read_snapshot(record, number))
+            for number in record.dindex.snapshot_numbers()
+        ]
+    return out
+
+
+def _sweep_cost(store, disk):
+    with disk.cost_of() as cost:
+        for name in NAMES:
+            for number in ORDER:
+                store.version(name, number)
+    return cost.result
+
+
+@pytest.mark.parametrize("snapshot_interval", [None, 4])
+class TestAttachObservesNeverSteers:
+    def test_trees_counters_and_anchors_equal_a_bare_store(
+        self, snapshot_interval
+    ):
+        bare = TemporalDocumentStore(snapshot_interval=snapshot_interval)
+        stores = {None: bare}
+        for disk in (DiskSimulator(clustered=True),
+                     DiskSimulator(clustered=False, seed=7)):
+            store = TemporalDocumentStore(snapshot_interval=snapshot_interval)
+            assert attach(store, disk).disk is disk
+            stores[disk] = store
+        expected = None
+        for disk, store in stores.items():
+            _commit(store, range(VERSIONS))
+            trees = _read_everything(store)
+            repository = store.repository
+            counters = repository.counter_snapshot()
+            anchors = repository.anchor_stats.as_dict()
+            if disk is None:
+                expected = (trees, counters, anchors)
+                continue
+            assert (trees, counters, anchors) == expected
+            assert disk.reads == (
+                counters["delta_reads"] + counters["snapshot_reads"]
+                + counters["current_reads"]
+            )
+            assert disk.reads > 0 and disk.writes >= 2 * (2 * VERSIONS - 1)
+
+    @pytest.mark.parametrize(
+        "how", ["xml", "cas", "recover", "recover-attached-first"]
+    )
+    def test_attaching_to_a_restored_store(
+        self, snapshot_interval, how, tmp_path
+    ):
+        live = TemporalDocumentStore(snapshot_interval=snapshot_interval)
+        live_disk = attach(live, DiskSimulator(clustered=True)).disk
+        _commit(live, range(VERSIONS))
+
+        restored = TemporalDocumentStore(snapshot_interval=snapshot_interval)
+        if how == "recover-attached-first":
+            attached = attach(restored, DiskSimulator(clustered=True))
+        if how in ("xml", "cas"):
+            source = str(tmp_path if how == "cas" else tmp_path / "archive.xml")
+            dump_store(live, source, format=how)
+            load_store(source, store=restored, format=how)
+        else:
+            db = TemporalXMLDatabase.open(
+                tmp_path, snapshot_interval=snapshot_interval
+            )
+            _commit(db, range(VERSIONS // 2))
+            db.checkpoint()
+            _commit(db, range(VERSIONS // 2, VERSIONS))
+            db.close()
+            recover_store(tmp_path, store=restored)
+        if how != "recover-attached-first":
+            attached = attach(restored, DiskSimulator(clustered=True))
+
+        # Every stored object is placed, nothing else is.
+        extents = attached.extents
+        stored = set()
+        for record in restored.repository.records():
+            doc = record.doc_id
+            stored.add(("current", doc, VERSIONS))
+            stored |= {("deltas", doc, n) for n in record.deltas}
+            stored |= {("snapshots", doc, n) for n in record.snapshots}
+            assert sorted(record.deltas) == list(range(1, VERSIONS))
+        if how == "recover-attached-first":
+            # Replayed commits wrote the current versions they superseded.
+            assert stored <= set(extents)
+        else:
+            assert stored == set(extents)
+            # Per document: current, deltas ascending, snapshots ascending
+            # (a clustered simulator opens its arenas in first-use order).
+            placed = []
+            for record in restored.repository.records():
+                doc = record.doc_id
+                placed.append(("current", doc, VERSIONS))
+                placed += [("deltas", doc, n) for n in sorted(record.deltas)]
+                placed += [
+                    ("snapshots", doc, n) for n in sorted(record.snapshots)
+                ]
+            starts = [extents[key].start_page for key in placed]
+            assert starts == sorted(starts)
+            for first, second in zip(placed, placed[1:]):
+                if first[:2] == second[:2]:  # same arena: contiguous
+                    assert (
+                        extents[second].start_page == extents[first].end_page
+                    )
+
+        # The same reconstructions cost the same pages and seeks as on the
+        # store whose simulator saw every commit.
+        expected = _sweep_cost(live, live_disk)
+        cost = _sweep_cost(restored, attached.disk)
+        assert cost.as_dict() == expected.as_dict()
+        assert cost.pages_read > 0 and cost.writes == 0

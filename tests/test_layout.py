@@ -4,14 +4,15 @@ nothing in the engine exists only for them."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
+from benchmarks.ablation.disk import DiskSimulator
 from repro import TemporalXMLDatabase
 from repro.index import TemporalKeywordScorer
 from repro.storage import TemporalDocumentStore
-from repro.storage.page import DiskSimulator
 from repro.storage.repository import Repository
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,8 +63,48 @@ def test_every_engine_module_is_reachable_from_a_root(imports):
 
 def test_no_ablation_knob_on_any_constructor():
     for owner in (Repository, TemporalDocumentStore, TemporalXMLDatabase,
-                  TemporalKeywordScorer, DiskSimulator):
+                  TemporalKeywordScorer):
         parameters = set(inspect.signature(owner).parameters)
         assert not parameters & {
             "reconstruct_policy", "windowed_lookup", "latency_scale",
+            "disk", "cache_size", "clustered", "page_size",
         }, owner.__name__
+    # The simulator is one of the ablations now; it still never sleeps.
+    assert "latency_scale" not in inspect.signature(DiskSimulator).parameters
+    assert list(inspect.signature(Repository).parameters) == [
+        "snapshot_interval", "snapshot_policy",
+    ]
+    for owner in (TemporalDocumentStore, TemporalXMLDatabase):
+        assert list(inspect.signature(owner).parameters) == [
+            "clock", "snapshot_interval", "snapshot_policy",
+        ], owner.__name__
+
+
+def test_engine_has_no_disk_simulator_and_no_version_cache(imports):
+    """Placement and tree caching are not the repository's business: no
+    engine module defines, imports or mentions either."""
+    gone = {"DiskSimulator", "Extent", "VersionCache"}
+    storage = SRC / "repro" / "storage"
+    assert not (storage / "page.py").exists()
+    assert not (storage / "cache.py").exists()
+    for module, targets in imports.items():
+        assert not gone & {t.rpartition(".")[2] for t in targets}, module
+    mention = re.compile(
+        "DiskSimulator|Extent|_extent|cache_size|VersionCache|use_cache"
+    )
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        text = path.read_text()
+        assert not mention.search(text), path
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                assert node.name not in gone, path
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id not in gone, path
+
+
+def test_a_stored_read_takes_one_lock():
+    """The read counters' ``_stats_lock`` is the only lock in the module
+    every stored read goes through."""
+    source = (SRC / "repro" / "storage" / "repository.py").read_text()
+    assert source.count("threading.Lock()") == 1
+    assert "self._stats_lock = threading.Lock()" in source

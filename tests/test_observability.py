@@ -83,9 +83,9 @@ class TestMetricsRegistry:
         assert isinstance(registry.histograms["latency"], Histogram)
 
     def test_engine_registry_covers_every_subsystem(self, db):
-        prefixes = set(db.engine.registry.prefixes)
-        assert {"store", "disk", "cache", "anchors", "fti", "lifetime",
-                "join"} <= prefixes
+        assert set(db.engine.registry.prefixes) == {
+            "store", "anchors", "fti", "lifetime", "join", "planner",
+        }
 
 
 # -- stats reset unification --------------------------------------------------

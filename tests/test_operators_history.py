@@ -3,6 +3,7 @@ CreTime/DelTime."""
 
 import pytest
 
+from benchmarks.ablation.disk import attach
 from repro.clock import BEFORE_TIME, UNTIL_CHANGED
 from repro.errors import NoSuchVersionError, QueryPlanError
 from repro.index import LifetimeIndex
@@ -181,11 +182,12 @@ class TestNavigation:
         store, _ = setup
         teid = _napoli_teid(store, at=JAN_15)
         store.repository.delta_reads = 0
-        before = store.disk.snapshot()
+        disk = attach(store).disk
+        before = disk.snapshot()
         previous_ts(store, teid)
         next_ts(store, teid)
         current_ts(store, teid.eid)
-        cost = store.disk.snapshot() - before
+        cost = disk.snapshot() - before
         assert cost.reads == 0
         assert store.repository.delta_reads == 0
 

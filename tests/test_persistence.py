@@ -11,6 +11,7 @@ from repro.errors import StorageError
 from repro.storage import TemporalDocumentStore
 from repro.storage.cas import read_checkpoint
 from repro.storage.persistence import (
+    build_record,
     dump_store,
     load_store,
     replay_history,
@@ -106,7 +107,7 @@ class TestRoundTrip:
 
 class TestRestoreIntoCallerStore:
     def test_tuning_comes_from_the_store_not_the_loader(self, populated):
-        target = TemporalDocumentStore(snapshot_interval=2, cache_size=4)
+        target = TemporalDocumentStore(snapshot_interval=2)
         loaded = load_store(dump_store(populated), store=target)
         assert loaded is target
         assert serialize(dump_store(loaded)) == serialize(dump_store(populated))
@@ -116,7 +117,6 @@ class TestRestoreIntoCallerStore:
         assert loaded.delta_index("guide.com").entry(number).has_snapshot == (
             number % 2 == 0
         )
-        assert loaded.version_cache.size == 4
 
     @pytest.mark.parametrize("format", ["xml", "cas"])
     def test_non_empty_store_refused(self, populated, tmp_path, format):
@@ -133,6 +133,33 @@ class TestRestoreIntoCallerStore:
         with pytest.raises(StorageError, match="already holds documents"):
             recover_store(str(tmp_path), store=target)
         assert target.documents() == ["mine.xml"]
+
+    def test_detached_record_agrees_on_its_snapshots(self):
+        """What ``build_record`` hands back knows which versions have
+        snapshots before any store has adopted it."""
+        store = TemporalDocumentStore(snapshot_interval=2)
+        trees = TDocGenerator(seed=9).version_sequence("d.xml", 5)
+        store.put("d.xml", trees[0])
+        for tree in trees[1:]:
+            store.update("d.xml", tree)
+        source = store.record("d.xml")
+        record = build_record(
+            doc_id=source.doc_id,
+            name=source.name,
+            nextxid=source.allocator.next_xid,
+            deleted_at=None,
+            entries=[(e.number, e.timestamp) for e in source.dindex.entries],
+            deltas=dict(source.deltas),
+            snapshots=dict(source.snapshots),
+            current_root=source.current_root,
+        )
+        assert record.dindex.snapshot_numbers() == [2, 4]
+        assert [
+            e.number for e in record.dindex.entries if e.has_snapshot
+        ] == [2, 4]
+        assert [e.snapshot_bytes for e in record.dindex.entries] == [
+            e.snapshot_bytes for e in source.dindex.entries
+        ]
 
     def test_loaders_name_no_tuning_knob(self):
         knobs = {

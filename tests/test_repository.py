@@ -2,10 +2,11 @@
 
 import pytest
 
+from benchmarks.ablation.disk import DiskSimulator, attach
 from repro.diff.differ import diff
 from repro.errors import NoSuchDocumentError, NoSuchVersionError
 from repro.model.versioned import stamp_new_nodes
-from repro.storage import DiskSimulator, Repository
+from repro.storage import Repository
 from repro.xmlcore import parse, serialize
 
 
@@ -30,21 +31,23 @@ SOURCES = [f"<a><b>{v}</b></a>" for v in range(6)]
 class TestCommitAndRead:
     def test_chain_structure(self):
         repository = Repository()
+        attached = attach(repository, DiskSimulator())
         record = _commit_chain(repository, SOURCES)
         assert record.dindex.current_number == 6
         assert sorted(record.deltas) == [1, 2, 3, 4, 5]
         # Every non-current version has a delta extent; the current has none.
         for entry in record.dindex.entries[:-1]:
-            assert entry.delta_extent is not None
-        assert record.dindex.entries[-1].delta_extent is None
+            assert ("deltas", record.doc_id, entry.number) in attached.extents
+        assert ("deltas", record.doc_id, 6) not in attached.extents
 
     def test_read_current_accounts_io(self):
         repository = Repository()
+        disk = attach(repository, DiskSimulator()).disk
         record = _commit_chain(repository, SOURCES)
-        before = repository.disk.snapshot()
+        before = disk.snapshot()
         tree = repository.read_current(record)
         assert tree.find("b").text == "5"
-        assert (repository.disk.snapshot() - before).reads == 1
+        assert (disk.snapshot() - before).reads == 1
         assert repository.current_reads == 1
 
     def test_read_delta_unknown_version(self):
@@ -142,17 +145,20 @@ class TestSpaceAccounting:
 
 class TestDiskPlacementPolicy:
     def test_delta_arena_is_sequential(self):
-        repository = Repository(DiskSimulator(clustered=True))
+        repository = Repository()
+        attached = attach(repository, DiskSimulator(clustered=True))
         record = _commit_chain(repository, SOURCES)
         extents = [
-            entry.delta_extent for entry in record.dindex.entries[:-1]
+            attached.extents["deltas", record.doc_id, entry.number]
+            for entry in record.dindex.entries[:-1]
         ]
         for first, second in zip(extents, extents[1:]):
             assert second.start_page == first.end_page
 
     def test_reconstruction_chain_few_seeks_when_clustered(self):
-        repository = Repository(DiskSimulator(clustered=True))
+        repository = Repository()
+        disk = attach(repository, DiskSimulator(clustered=True)).disk
         record = _commit_chain(repository, SOURCES)
-        with repository.disk.cost_of() as cost:
+        with disk.cost_of() as cost:
             repository.reconstruct(record, 1)
         assert cost.result.seeks <= 2  # current + one delta sweep

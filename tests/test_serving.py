@@ -32,7 +32,6 @@ from repro.serving import (
     ServingServer,
     SessionManager,
 )
-from repro.storage.cache import VersionCache
 from repro.clock import LogicalClock
 from repro.sync import RWLock
 
@@ -435,25 +434,17 @@ def test_serve_snapshot_interval_covers_commits_made_while_serving(
 
 @pytest.mark.timeout(60)
 def test_version_cache_and_clock_survive_thread_hammering():
-    cache = VersionCache(size=8)
+    """The clock is the shared hot-path structure left (the version cache
+    this test also hammered is gone)."""
     clock = LogicalClock()
     ticks = []
     ticks_lock = threading.Lock()
     failures = []
 
     def hammer(idx):
-        rng = random.Random(idx)
-        from repro.xmlcore.node import Element
-
         try:
             local = []
             for _ in range(300):
-                doc_id = rng.randrange(3)
-                version = rng.randrange(1, 7)
-                cache.store(doc_id, version, Element("d"))
-                cache.lookup(doc_id, version, version + 2)
-                if rng.random() < 0.1:
-                    cache.invalidate(doc_id)
                 local.append(clock.advance())
             with ticks_lock:
                 ticks.extend(local)
@@ -468,9 +459,6 @@ def test_version_cache_and_clock_survive_thread_hammering():
     assert not failures
     # Atomic ticks: every advance() returned a distinct timestamp.
     assert len(set(ticks)) == len(ticks) == 6 * 300
-    assert len(cache) <= 8
-    stats = cache.stats.as_dict()
-    assert stats["hits"] + stats["misses"] > 0
 
 
 def test_rwlock_is_write_preferring():
