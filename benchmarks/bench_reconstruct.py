@@ -142,7 +142,6 @@ def test_reconstruct_direction_matrix(benchmark, emit, reconstruct_report):
             row.update(
                 forward_chains=anchors.forward_chains,
                 backward_chains=anchors.backward_chains,
-                delta_reads_saved=anchors.delta_reads_saved,
             )
         table.add(
             policy,
@@ -155,14 +154,10 @@ def test_reconstruct_direction_matrix(benchmark, emit, reconstruct_report):
 
     baseline = results["backward"]["delta_reads"]
     bidirectional = results["cost"]
-    # Bidirectional anchors never read more than backward-only...
+    # Bidirectional anchors never read more than backward-only; the gap
+    # is measured from the two runs (the engine prices no walk it does
+    # not take).
     assert bidirectional["delta_reads"] <= baseline
-    # ...by exactly the saving the engine reports against that baseline
-    # without running it.
-    assert (
-        bidirectional["delta_reads"] + bidirectional["delta_reads_saved"]
-        == baseline
-    )
 
     # -- batched DocHistory sweep: O(1) anchor reads per scan ----------------
     store = _build_matrix_store()
@@ -182,6 +177,7 @@ def test_reconstruct_direction_matrix(benchmark, emit, reconstruct_report):
         "snapshot_interval": MATRIX_INTERVAL,
         "access_order_seed": 11,
         "runs": list(results.values()),
+        "delta_reads_saved": baseline - bidirectional["delta_reads"],
         "speedup_delta_reads": round(
             baseline / bidirectional["delta_reads"], 2
         ),

@@ -31,7 +31,6 @@ class Measurement:
     version_reads: int = 0  # stratum full-version reads
     forward_chains: int = 0        # reconstruction chains applied forward
     backward_chains: int = 0       # chains applied via inverted deltas
-    anchor_reads_saved: int = 0    # delta reads avoided vs backward-only
     range_scans: int = 0           # batched reconstruct_range sweeps
     postings_scanned: int = 0
     lookups: int = 0
@@ -55,7 +54,6 @@ class Measurement:
             "version_reads": self.version_reads,
             "forward_chains": self.forward_chains,
             "backward_chains": self.backward_chains,
-            "anchor_reads_saved": self.anchor_reads_saved,
             "range_scans": self.range_scans,
             "postings_scanned": self.postings_scanned,
             "join_candidates_probed": self.join_candidates_probed,
@@ -151,7 +149,6 @@ class _Region:
         measurement.version_reads = d.get("stratum.version_reads", 0)
         measurement.forward_chains = d.get("anchors.forward_chains", 0)
         measurement.backward_chains = d.get("anchors.backward_chains", 0)
-        measurement.anchor_reads_saved = d.get("anchors.delta_reads_saved", 0)
         measurement.range_scans = d.get("anchors.range_scans", 0)
         for prefix in self._meter._index_prefixes:
             measurement.lookups += d.get(f"{prefix}.lookups", 0)

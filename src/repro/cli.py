@@ -100,7 +100,9 @@ def build_parser():
         "stats", help="print repository read, anchor, and storage counters",
         epilog="The version cache is gone, and with it the 'version cache:' "
                "block, 'reads.cache' in --json and the anchor[cache] line; "
-               "every other key is unchanged.",
+               "so are delta_reads_saved / delta_bytes_saved (the gap to "
+               "the paper's backward-only walk is measured by "
+               "benchmarks/bench_reconstruct.py, which runs both).",
     )
     stats_source = stats.add_mutually_exclusive_group(required=True)
     stats_source.add_argument("-a", "--archive", help="archive file (XML)")
@@ -501,12 +503,7 @@ def _cmd_stats(args, out):
     )
     for kind, count in anchors["by_anchor"].items():
         print(f"  anchor[{kind}]: {count}", file=out)
-    print(
-        f"  delta_reads_saved: {anchors['delta_reads_saved']}  "
-        f"delta_bytes_saved: {anchors['delta_bytes_saved']}  "
-        f"range_scans: {anchors['range_scans']}",
-        file=out,
-    )
+    print(f"  range_scans: {anchors['range_scans']}", file=out)
     logical = db.store.repository.storage_bytes()
     print("storage (logical bytes):", file=out)
     print(

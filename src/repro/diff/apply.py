@@ -54,28 +54,6 @@ def apply_script(root, script, index=None):
     return root
 
 
-def apply_chain(root, scripts, index=None, invert=False):
-    """Apply a chain of edit scripts to ``root``; returns the resulting root.
-
-    ``scripts`` must be ordered oldest-first — the order the repository
-    stores them and the order a sequential sweep over the delta arena reads
-    them.  With ``invert=False`` they are applied as-is, rolling the tree
-    *forward* one version per script.  With ``invert=True`` the chain is
-    replayed newest-first with every script inverted, rolling the tree
-    *backward* (completed deltas are usable in both directions).  The shared
-    ``index`` survives across scripts, so the chain pays for one XID map.
-    """
-    if index is None:
-        index = {node.xid: node for node in root.iter()}
-    if invert:
-        for script in reversed(scripts):
-            root = apply_script(root, script.invert(), index)
-    else:
-        for script in scripts:
-            root = apply_script(root, script, index)
-    return root
-
-
 def apply_scoped(root, index, script, xid, invert=False):
     """Apply to one element's detached subtree the part of ``script`` that
     lands inside it; returns ``(root, applied)``.
@@ -85,10 +63,10 @@ def apply_scoped(root, index, script, xid, invert=False):
     ``{xid: node}`` map (empty for ``None``).  Both are updated in place;
     ``root`` is replaced when the element appears (a private copy out of
     the insert or root-replacement payload that introduces it) or goes
-    away (``None`` again).  ``invert=True`` applies the script backwards,
-    as :func:`apply_chain` does.  ``applied`` counts the operations that
-    changed the subtree; every other operation names only nodes outside it
-    and is never looked at.
+    away (``None`` again).  ``invert=True`` applies the script's inverse,
+    taking the subtree one version back.  ``applied`` counts the
+    operations that changed the subtree; every other operation names only
+    nodes outside it and is never looked at.
 
     An operation lands inside when the node it edits — the target of a
     stamp/text/attribute update, the parent of an insert or delete, both

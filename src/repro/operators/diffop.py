@@ -14,6 +14,7 @@ from __future__ import annotations
 from ..diff.differ import diff
 from ..model.identifiers import TEID, XIDAllocator
 from ..model.versioned import stamp_new_nodes
+from ..storage.cursor import ChainReader
 from ..xmlcore.node import Element
 from .reconstruct import Reconstruct
 
@@ -30,8 +31,13 @@ class Diff:
 
     def script(self, first, second):
         """Same, but as the structured :class:`EditScript`."""
-        old, new = self._resolve_pair(first, second)
-        new = new.copy()
+        # doc_id -> ChainReader: two TEIDs of one document read its chain
+        # once, and two versions of one element are two seeks of one
+        # cursor — it walks on from the first when the connecting chain is
+        # cheaper than a second stored anchor.
+        readers = {}
+        old = self._resolve(first, readers)
+        new = self._resolve(second, readers).copy()
         if any(node.xid is None for node in old.iter()):
             # Standalone use on raw trees: stamp a private copy so the
             # differ has identities to work with.
@@ -40,49 +46,33 @@ class Diff:
         allocator = XIDAllocator(_max_xid(old, new) + 1)
         return diff(old, new, allocator)
 
-    def _resolve_pair(self, first, second):
-        if (
-            isinstance(first, TEID)
-            and isinstance(second, TEID)
-            and self.store is not None
-            and first.doc_id == second.doc_id
-        ):
-            pair = self._resolve_same_doc(first, second)
-            if pair is not None:
-                return pair
-        return self._resolve(first), self._resolve(second)
-
-    def _resolve_same_doc(self, first, second):
-        """Both TEIDs name versions of one document: materialize them as a
-        pair so the repository can share the delta sweep (deriving the
-        second version from the first when the connecting chain is cheaper
-        than a second anchor read).  Returns ``None`` to fall back to
-        per-side :class:`Reconstruct` — which raises the canonical errors —
-        when either version or element is missing."""
-        record = self.store.record(first.doc_id)
-        a = record.dindex.version_at(first.timestamp)
-        b = record.dindex.version_at(second.timestamp)
-        if a is None or b is None:
-            return None
-        tree_a, tree_b = self.store.repository.reconstruct_pair(
-            record, a.number, b.number
-        )
-        node_a = tree_a.find_by_xid(first.xid)
-        node_b = tree_b.find_by_xid(second.xid)
-        if node_a is None or node_b is None:
-            return None
-        return node_a, node_b
-
-    def _resolve(self, source):
+    def _resolve(self, source, readers):
+        """The tree to diff: an element as it is, a TEID as a *shared,
+        read-only* subtree (the differ never mutates its old side and
+        :meth:`script` copies the new one)."""
         if isinstance(source, Element):
             return source
-        if isinstance(source, TEID):
-            if self.store is None:
-                raise ValueError("resolving TEIDs requires a store")
+        if not isinstance(source, TEID):
+            raise TypeError(
+                f"Diff operates on elements or TEIDs, got "
+                f"{type(source).__name__}"
+            )
+        if self.store is None:
+            raise ValueError("resolving TEIDs requires a store")
+        record = self.store.record(source.doc_id)
+        entry = record.dindex.version_at(source.timestamp)
+        node = None
+        if entry is not None:
+            reader = readers.get(source.doc_id)
+            if reader is None:
+                reader = readers[source.doc_id] = ChainReader(
+                    self.store.repository, record
+                )
+            node = reader.cursor(source.xid).seek(entry.number)
+        if node is None:
+            # No such version or element: Reconstruct raises the one error.
             return Reconstruct(self.store, source).run()
-        raise TypeError(
-            f"Diff operates on elements or TEIDs, got {type(source).__name__}"
-        )
+        return node
 
 
 def _max_xid(*trees):

@@ -2,30 +2,31 @@
 
 ``DocHistory(document, t1, t2)`` returns all versions of a document valid in
 ``[t1, t2)``.  Following the paper's algorithm it walks *backwards*: the
-newest requested version is reconstructed first (with the repository's
-cost-based anchor selection), then each older version is obtained by
+newest requested version is reconstructed first (from the stored anchor the
+repository's cost model picks), then each older version is obtained by
 applying one more inverted delta — so the whole scan costs one anchor read
 plus one delta read per additional version, and the output order is "the
 most previous versions first".  The sweep is the repository's batched
 :meth:`~repro.storage.repository.Repository.reconstruct_range` generator
-(``newest_first=True``).
+(``newest_first=True``): a whole-document cursor rolled through the range.
 
-``ElementHistory(EID, t1, t2)`` runs DocHistory on the element's document
-and filters out the subtree rooted at the EID — "even if it was possible to
-optimize this so that only the desired subtrees are reconstructed, the
-whole deltas would have to be read anyway".
+``ElementHistory(EID, t1, t2)`` is the same sweep restricted to the subtree
+rooted at the EID — "even if it was possible to optimize this so that only
+the desired subtrees are reconstructed, the whole deltas would have to be
+read anyway".  It is so optimized: an *element* cursor
+(:mod:`repro.storage.cursor`) reads the whole deltas and applies the
+operations that land under the element, to that subtree alone.
 
-Both operators share a raw iteration (:meth:`DocHistory._iter_raw`) that
-rewinds one live tree in place and maintains a single running ``xid -> node``
-map across the delta applications.  Full iteration copies whole trees (the
-public contract: results are private), ``teids()`` skips the copies
-entirely, and ElementHistory copies only the matched subtree.
+Either way one live subtree is rolled in place.  Full iteration hands out
+copies (the public contract: results are private), ``teids()`` skips the
+copies entirely.
 """
 
 from __future__ import annotations
 
 from ..model.identifiers import TEID
 from ..obs import NULL_TRACER
+from ..storage.cursor import ChainReader
 
 
 class DocHistory:
@@ -54,38 +55,30 @@ class DocHistory:
     def teids(self):
         """Version TEIDs only — skips the per-version ``tree.copy()`` that
         full iteration pays, so the cost is the delta reads alone."""
-        return [self._result(entry, tree) for entry, tree, _x in self._iter_raw()]
+        return [self._result(entry, tree) for entry, tree in self._sweep()]
 
     def __iter__(self):
-        for entry, tree, _xids in self._iter_raw():
-            # The live tree keeps being rewound; hand out copies only.
+        for entry, tree in self._sweep():
+            # The live tree keeps being rolled; hand out copies only.
             yield self._result(entry, tree), tree.copy()
 
-    def _iter_raw(self):
-        """Yield ``(entry, tree, xids)`` in the configured sweep order.
-
-        ``tree`` is the *live* working tree, rewound in place between
-        yields, and ``xids`` its maintained ``xid -> node`` map — callers
-        must not retain or mutate either across iterations.
-        """
+    def _sweep(self):
+        """Yield ``(entry, tree)`` in the configured sweep order; ``tree``
+        is the *live* working tree, rolled in place between yields."""
         record = self.record
+        # Contiguous entries, oldest first; the sweep yields one tree each.
         entries = record.dindex.versions_in(self.start, self.end)
         if not entries:
             return
-        repository = self.store.repository
-        sweep = repository.reconstruct_range(
+        sweep = self.store.repository.reconstruct_range(
             record, entries[0].number, entries[-1].number,
             newest_first=self.newest_first,
         )
         sweep = self.tracer.traced_iter("DocHistory", sweep,
                                         document=record.name)
-        # versions_in returns contiguous entries oldest-first; the sweep
-        # yields the same numbers in its configured order, so they zip
-        # exactly once the entries are aligned with it.
         ordered = reversed(entries) if self.newest_first else entries
-        for entry, (number, tree, xids) in zip(ordered, sweep):
-            assert entry.number == number
-            yield entry, tree, xids
+        for entry, (_number, tree, _xids) in zip(ordered, sweep):
+            yield entry, tree
 
     def _result(self, entry, tree):
         return TEID(self.record.doc_id, tree.xid, entry.timestamp)
@@ -110,16 +103,22 @@ class ElementHistory:
         return list(self)
 
     def teids(self):
-        """Matching TEIDs only — no subtree copies at all."""
+        """Matching TEIDs only — no per-version subtree copies."""
         return [teid for teid, _node in self._matches(copy=False)]
 
     def __iter__(self):
         return self._matches(copy=True)
 
     def _matches(self, copy):
-        history = DocHistory(self.store, self.eid.doc_id, self.start, self.end)
-        for entry, _tree, xids in history._iter_raw():
-            node = xids.get(self.eid.xid)
+        record = self.store.record(self.eid.doc_id)
+        entries = record.dindex.versions_in(self.start, self.end)
+        if not entries:
+            return
+        reader = ChainReader(self.store.repository, record)
+        sweep = reader.cursor(self.eid.xid).sweep(
+            entries[-1].number, entries[0].number
+        )
+        for entry, (_number, node, _xids) in zip(reversed(entries), sweep):
             if node is not None:
                 teid = TEID(self.eid.doc_id, self.eid.xid, entry.timestamp)
                 yield teid, (node.copy() if copy else node)

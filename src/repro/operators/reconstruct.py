@@ -1,10 +1,10 @@
 """The Reconstruct operator (Section 7.3.3).
 
 Materializes the tree rooted at a TEID's element for the version valid at
-the TEID's timestamp.  Delegates to the repository's bidirectional,
-cost-based delta application (cached trees, snapshots on either side of the
-target, and the current version all compete as anchors — see
-``storage/repository.py``) and then filters the subtree — the TEID's
+the TEID's timestamp: an element cursor (:mod:`repro.storage.cursor`) is
+started at the cheapest stored anchor — a snapshot on either side of the
+target or the current version, see ``storage/repository.py`` — and walked
+to the target, applying only what lands under the element.  The TEID's
 timestamp may come from ``PreviousTS``/``NextTS``/``CurrentTS`` or from a
 pattern-scan match.
 """
@@ -31,19 +31,18 @@ class Reconstruct:
         that version — a reconstructed TEID should always resolve, so a
         miss indicates a stale identifier rather than an empty result.
         """
-        with self.tracer.span("Reconstruct", teid=str(self.teid)):
-            tree = self.store.snapshot(self.teid.doc_id, self.teid.timestamp)
-        if tree is None:
-            raise NoSuchVersionError(
-                f"no version of document {self.teid.doc_id} at "
-                f"{self.teid.timestamp}"
-            )
-        node = tree.find_by_xid(self.teid.xid)
+        teid = self.teid
+        with self.tracer.span("Reconstruct", teid=str(teid)):
+            node = self.store.subtree(teid)
         if node is not None:
             return node
+        if self.store.delta_index(teid.doc_id).version_at(teid.timestamp) is None:
+            raise NoSuchVersionError(
+                f"no version of document {teid.doc_id} at {teid.timestamp}"
+            )
         raise NoSuchVersionError(
-            f"element {self.teid.eid} not present in the version at "
-            f"{self.teid.timestamp}"
+            f"element {teid.eid} not present in the version at "
+            f"{teid.timestamp}"
         )
 
     def run_or_none(self):

@@ -155,10 +155,10 @@ class QueryEngine:
         self.fti = fti
         self.lifetime = lifetime
         self._evaluator = Evaluator(self)
-        #: Materialization cache of the query being executed (one per
-        #: run() call; bindings keep a reference, so results stay valid
+        #: Materialization cache of the query being executed (a fresh one
+        #: per run() call; bindings keep a reference, so results stay valid
         #: after the call returns).
-        self.active_cache = None
+        self.active_cache = SnapshotCache(store)
         #: Cumulative join-engine counters across this engine's index scans
         #: (surfaced alongside the FTI's ``stats``; diffable per query through
         #: :attr:`registry`).

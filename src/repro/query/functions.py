@@ -199,12 +199,7 @@ class Evaluator:
         entry = store.delta_index(eid.doc_id).version_at(pin)
         if entry is None:
             return None
-        cache = self.engine.active_cache
-        tree = (
-            cache.document_at(eid.doc_id, pin)
-            if cache is not None
-            else store.snapshot(eid.doc_id, pin)
-        )
+        tree = self.engine.active_cache.document_at(eid.doc_id, pin)
         if tree is None or tree.find_by_xid(eid.xid) is None:
             return None
         from ..model.identifiers import TEID

@@ -335,11 +335,7 @@ def _nav_bindings(engine, plan):
     ts = plan.timestamp
     bindings = []
     for doc_id in plan.doc_ids:
-        tree = (
-            engine.active_cache.document_at(doc_id, ts)
-            if engine.active_cache is not None
-            else engine.store.snapshot(doc_id, ts)
-        )
+        tree = engine.active_cache.document_at(doc_id, ts)
         if tree is None:
             continue
         dindex = engine.store.delta_index(doc_id)

@@ -21,7 +21,6 @@ from ..clock import format_timestamp
 from ..equality.value import coerce_scalar
 from ..errors import NoSuchVersionError
 from ..model.identifiers import EID
-from ..operators.reconstruct import Reconstruct
 from ..storage.cursor import ChainReader
 from ..xmlcore.node import Element
 from ..xmlcore.path import Path
@@ -103,8 +102,9 @@ class BoundElement:
     """One element version bound to a query variable.
 
     ``cache`` (a :class:`SnapshotCache`) is shared across the bindings of
-    one query so sibling rows reuse materialized versions.  The returned
-    trees are shared, read-only views; result rendering copies them.
+    one query so sibling rows reuse materialized versions; a binding made
+    without one reads through its own.  The returned trees are shared,
+    read-only views; result rendering copies them.
     """
 
     __slots__ = ("store", "teid", "interval", "_tree", "cache")
@@ -114,7 +114,7 @@ class BoundElement:
         self.teid = teid
         self.interval = interval
         self._tree = tree
-        self.cache = cache
+        self.cache = cache or SnapshotCache(store)
 
     @property
     def doc_id(self):
@@ -138,13 +138,7 @@ class BoundElement:
     def try_tree(self):
         """Like :attr:`tree` but ``None`` on stale TEIDs."""
         if self._tree is None:
-            if self.cache is not None:
-                self._tree = self.cache.subtree(self.teid)
-            else:
-                try:
-                    self._tree = Reconstruct(self.store, self.teid).run()
-                except NoSuchVersionError:
-                    return None
+            self._tree = self.cache.subtree(self.teid)
         return self._tree
 
     def select(self, path):

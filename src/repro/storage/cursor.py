@@ -1,19 +1,23 @@
-"""Subtree cursors: one element's versions without rebuilding its document.
+"""The one walker over a stored chain: cursors over documents and elements.
 
-The paper's remark on ``ElementHistory`` (Section 7.3.5) is that "even if
-it was possible to optimize this so that only the desired subtrees are
-reconstructed, the whole deltas would have to be read anyway".  This module
-is that optimization: the deltas are still read — once per query and
-document, one ``delta_reads`` each — but only the operations that land
-under the bound element are applied, to a copy of that element's subtree
-alone.
+The paper's read side is one algorithm — pick a stored version, apply
+completed deltas towards the target (Section 7.3.3), and for histories keep
+applying (7.3.4) — and its remark on ``ElementHistory`` (7.3.5) is that
+"even if it was possible to optimize this so that only the desired subtrees
+are reconstructed, the whole deltas would have to be read anyway".  This
+module is that algorithm with that optimization: the deltas are read whole
+— once per reader, one ``delta_reads`` each — but only the operations that
+land under the bound element are applied, to a copy of that element's
+subtree alone.  Every read of a stored version goes through it:
+``Repository.reconstruct`` / ``reconstruct_range``, the Section 7.3.3–7.3.5
+operators, ``Diff`` and TXQL's bindings.
 
-:class:`ChainReader` is one query's view of one document's stored chain:
+:class:`ChainReader` is one reader's view of one document's stored chain:
 it reads every delta and every stored anchor at most once and hands out one
 :class:`SubtreeCursor` per element.  A cursor starts at the stored anchor
 the repository's cost model picks for its first target
-(:meth:`~repro.storage.repository.Repository.stored_anchor`), copies the
-element's subtree out of it — or starts absent and lets the insert payload
+(:meth:`~repro.storage.repository.Repository.stored_anchor`), finds the
+element's subtree in it — or starts absent and lets the insert payload
 that introduces the element bring it in — and then steps version to
 version: a delta whose touch summary
 (:attr:`~repro.diff.editscript.EditScript.touched`) misses the subtree
@@ -23,8 +27,8 @@ across the subtree's boundary cannot be answered from the subtree, so that
 one step falls back to a whole-document
 :meth:`~repro.storage.repository.Repository.reconstruct`.
 
-``xid=None`` scopes a cursor to the whole document (the tree navigational
-scans walk): same stepping, nothing ever outside.
+``xid=None`` scopes a cursor to the whole document: same stepping, nothing
+ever outside.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from ..diff.editscript import payload_nodes
 
 
 class ChainReader:
-    """What one query has read of one document; the source of its cursors."""
+    """What one reader has read of one document; the source of its cursors."""
 
     def __init__(self, repository, record):
         self.repository = repository
@@ -45,7 +49,7 @@ class ChainReader:
         self._cursors = {}  # xid (None: whole document) -> SubtreeCursor
 
     def cursor(self, xid):
-        """This query's cursor over element ``xid`` (``None``: the whole
+        """This reader's cursor over element ``xid`` (``None``: the whole
         document)."""
         cursor = self._cursors.get(xid)
         if cursor is None:
@@ -64,14 +68,16 @@ class ChainReader:
 
     def chain(self, start, end):
         """The deltas that take version ``start`` to version ``end``, in
-        the order a walk applies them (newest first when ``end`` is
-        below ``start``, to be inverted)."""
+        the order a walk applies them (newest first when ``end`` is below
+        ``start``, to be inverted).  They are *read* oldest first — the
+        order they were appended, one sequential pass over an append-only
+        delta file."""
         if start <= end:
             return [self.delta(number) for number in range(start, end)]
-        return [self.delta(number) for number in range(start - 1, end - 1, -1)]
+        return [self.delta(number) for number in range(end, start)][::-1]
 
     def holds_chain(self, start, end):
-        """Has this query already read every delta between two versions?"""
+        """Has this reader already read every delta between two versions?"""
         return all(
             number in self._deltas
             for number in range(min(start, end), max(start, end))
@@ -106,7 +112,9 @@ class SubtreeCursor:
     *frozen* — never to be mutated by the caller, shared by every version
     whose content is the same, and at a stored version the repository's
     own nodes.  The cursor copies the subtree only when a delta is about
-    to change one it has handed out (or the repository's).
+    to change one it has handed out (or the repository's).  :meth:`take`
+    gives the subtree away instead, and :meth:`sweep` rolls one working
+    subtree through a run of versions.
     """
 
     def __init__(self, reader, xid):
@@ -122,58 +130,111 @@ class SubtreeCursor:
         """The element's subtree at version ``number`` (``None``: absent)."""
         if number in self._seen:
             return self._seen[number]
-        reader = self.reader
-        repository, record = reader.repository, reader.record
-        reads = applied = skipped = fallbacks = 0
-        if self.at is None or not reader.holds_chain(self.at, number):
-            # Walk on from here, or start over from a stored version: the
-            # repository's cost model decides (deltas this query already
-            # holds are free, so they never reach it).
-            anchor, cost = reader.anchor_for(number)
-            if self.at is None or cost < repository.chain_cost_estimate(
-                record, self.at, number
-            )[0]:
-                self.at = anchor.number
-                self.node = self._find(reader.stored(anchor))
-                self._index, self._frozen = None, True
-                reads = 1
-        step = 1 if number > self.at else -1
-        for script in reader.chain(self.at, number):
-            if self._index is None:
-                self._index = _xid_map(self.node)
-            done = 0
-            if not (
-                script.touched.keys().isdisjoint(self._index)
-                if self.node is not None
-                else self.xid not in script.touched
-            ):
-                done, fell_back = self._apply(script, step)
-                fallbacks += fell_back
-            self.at += step
-            applied += done
-            skipped += len(script.ops) - done
-        repository.count_subtree_work(reads, applied, skipped, fallbacks)
+        self._move(number)
         self._frozen = True
         self._seen[number] = self.node
         return self.node
 
-    def _apply(self, script, step):
-        """Take the subtree through ``script`` to the next version up
-        (``step`` 1) or down (-1); returns ``(operations applied, whether
-        it fell back)``."""
+    def take(self, number):
+        """Like :meth:`seek`, but the subtree is the caller's to keep and
+        change: copied only while the cursor still stands on shared nodes,
+        and forgotten by the cursor either way."""
+        self._move(number)
+        node = self._own()
+        self.at = self.node = self._index = None
+        return node
+
+    def sweep(self, first, last):
+        """Roll through versions ``first..last`` (downwards when ``last``
+        is below ``first``), yielding ``(number, subtree, xids)``.
+
+        One stored anchor for ``first``, then one delta per further
+        version, and never a second anchor; one version is held at a time.
+        ``subtree`` is the cursor's own *live* working copy, changed in
+        place between yields, and ``xids`` its maintained ``xid -> node``
+        map — callers copy what they keep."""
+        step = 1 if last >= first else -1
+        for number in range(first, last + step, step):
+            opening = number == first
+            self._move(number, restart=opening, scans=int(opening))
+            self._own()
+            if self._index is None:
+                self._index = _xid_map(self.node)
+            yield number, self.node, self._index
+
+    def _move(self, number, restart=True, scans=0):
+        """Stand at version ``number``, stepping one delta per version:
+        the only loop that applies stored deltas.
+
+        The cursor walks on from where it stands or starts over from a
+        stored version — the repository's cost model decides (deltas this
+        reader already holds are free, so they never reach it).  Past its
+        first version a sweep always walks on (``restart=False``)."""
+        reader = self.reader
+        repository = reader.repository
+        anchor = None
+        if restart and (
+            self.at is None or not reader.holds_chain(self.at, number)
+        ):
+            cheapest, cost = reader.anchor_for(number)
+            if self.at is None or cost < repository.chain_cost_estimate(
+                reader.record, self.at, number
+            ):
+                anchor = cheapest
+                self.at = anchor.number
+                self.node = self._find(reader.stored(anchor))
+                self._index, self._frozen = None, True
+        steps = number - self.at
+        direction = 1 if steps > 0 else -1
+        applied = skipped = fallbacks = 0
+        for script in reader.chain(self.at, number):
+            if self.xid is None:
+                touched = bool(script.ops)  # no summary built for documents
+            elif self.node is None:
+                touched = self.xid in script.touched
+            else:
+                if self._index is None:
+                    self._index = _xid_map(self.node)
+                touched = not script.touched.keys().isdisjoint(self._index)
+            done = 0
+            if touched:
+                done, fell_back = self._apply(script, direction)
+                fallbacks += fell_back
+            self.at += direction
+            applied += done
+            skipped += len(script.ops) - done
+        repository.count_subtree_work(
+            anchor, steps, applied, skipped, fallbacks, scans
+        )
+
+    def _own(self):
+        """Make the subtree the cursor stands on its own, not the
+        repository's and not one it has handed out; returns it."""
         if self._frozen and self.node is not None:
-            self.node = self.node.copy()
-            self._index = _xid_map(self.node)
+            self.node, self._index = self.node.copy(), None
         self._frozen = False
+        return self.node
+
+    def _apply(self, script, direction):
+        """Take the subtree through ``script`` to the next version up
+        (``direction`` 1) or down (-1); returns ``(operations applied,
+        whether it fell back)``."""
+        if self._frozen:
+            self._own()
+        if self._index is None:
+            self._index = _xid_map(self.node)
         try:
             self.node, applied = apply_scoped(
-                self.node, self._index, script, self.xid, invert=step < 0
+                self.node, self._index, script, self.xid,
+                invert=direction < 0,
             )
         except SubtreeBoundaryCrossed:
             # The reconstructed tree is private: keep the subtree only.
             reader = self.reader
             found = self._find(
-                reader.repository.reconstruct(reader.record, self.at + step)
+                reader.repository.reconstruct(
+                    reader.record, self.at + direction
+                )
             )
             self.node = None if found is None else found.copy()
             self._index = None

@@ -1,24 +1,24 @@
 """Physical document repository: current version + delta chain + snapshots.
 
-The repository owns the stored versions and their reconstruction.  The
-paper's ``Reconstruct`` (Section 7.3.3) walks *backwards* from the current
-version or a snapshot at-or-after the target;
-because completed deltas are usable in both directions (Section 7.1, after
-Marian et al.), this implementation is **bidirectional and cost-aware**:
+The repository owns the stored versions, the counters of what is read of
+them, and the cost model that ranks starting points.  The paper's
+``Reconstruct`` (Section 7.3.3) walks *backwards* from the current version
+or a snapshot at-or-after the target; because completed deltas are usable
+in both directions (Section 7.1, after Marian et al.), the choice here is
+**bidirectional and cost-aware**: for a requested version
+:meth:`Repository.stored_anchor` enumerates the nearest snapshot
+at-or-before, the nearest snapshot at-or-after and the current version,
+prices each chain from the per-entry ``delta_bytes`` accounting in the
+:class:`DeltaIndex`, and names the cheapest.
 
-* for a requested version it enumerates candidate anchors — the nearest
-  snapshot at-or-before, the nearest snapshot at-or-after, the current
-  version — prices each chain from the per-entry ``delta_bytes`` accounting
-  in the :class:`DeltaIndex`, and starts from the cheapest;
-* stored edit scripts are applied forward from an anchor below the target
-  or inverted from an anchor above it;
-* :meth:`Repository.reconstruct_range` sweeps a whole version range with
-  one anchor read plus one pass over the deltas (the batched path behind
-  ``DocHistory`` and friends).
-
-Per-choice counters land in :attr:`Repository.anchor_stats`, including what
-each choice saved against the paper's backward-only walk; that algorithm
-itself is the reference in ``benchmarks/ablation/reconstruct.py``.
+The walk itself — read the anchor, apply stored edit scripts forward or
+inverted, one version at a time — lives in :mod:`repro.storage.cursor`
+and nowhere else.  :meth:`Repository.reconstruct` positions a fresh
+whole-document cursor at one version; :meth:`Repository.reconstruct_range`
+sweeps one through a version range (one anchor read plus one delta per
+further version, the batched path behind ``DocHistory``).  What each walk
+chose lands in :attr:`Repository.anchor_stats`; the paper's backward-only
+rule is the reference in ``benchmarks/ablation/reconstruct.py``.
 
 Deltas and trees are kept as Python objects; their recorded byte sizes
 carry the cost model.  ``read_*`` methods always account the read before
@@ -30,7 +30,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from ..diff.apply import apply_chain, apply_script
 from ..errors import (
     DocumentDeletedError,
     NoSuchDocumentError,
@@ -39,6 +38,7 @@ from ..errors import (
 )
 from ..model.identifiers import XIDAllocator
 from ..xmlcore.serializer import serialize
+from .cursor import ChainReader
 from .deltaindex import DeltaIndex, VersionEntry
 from .snapshots import IntervalSnapshotPolicy, SnapshotPolicy
 
@@ -69,24 +69,21 @@ class Anchor:
 
 @dataclass
 class AnchorStats:
-    """Per-choice reconstruction counters (direction, anchor kind, savings).
+    """What the walks over stored chains chose: which stored version each
+    started over from, and which way each then went.
 
-    ``delta_reads_saved`` / ``delta_bytes_saved`` compare every choice
-    against the paper's backward-only baseline (nearest snapshot at-or-after
-    the target, else the current version); negative contributions are
-    possible when a byte-cheaper anchor needs more (smaller) delta reads.
-    """
+    Counted per cursor movement (:mod:`repro.storage.cursor`), so a sweep
+    adds one chain per version it steps to.  The three anchor kinds are
+    fixed counters from the start: :meth:`snapshot` is read without the
+    repository's lock while reader threads count."""
 
     forward_chains: int = 0
     backward_chains: int = 0
     exact_anchors: int = 0  # anchor == target, no deltas applied
-    range_scans: int = 0    # reconstruct_range sweeps
-    by_anchor: dict = field(default_factory=dict)  # kind -> choices
-    delta_reads_saved: int = 0
-    delta_bytes_saved: int = 0
-
-    def count(self, kind):
-        self.by_anchor[kind] = self.by_anchor.get(kind, 0) + 1
+    range_scans: int = 0    # cursor sweeps (reconstruct_range, ElementHistory)
+    by_anchor: dict = field(  # kind -> walks started there
+        default_factory=lambda: dict.fromkeys(sorted(_ANCHOR_RANK), 0)
+    )
 
     def as_dict(self):
         return {
@@ -94,23 +91,14 @@ class AnchorStats:
             "backward_chains": self.backward_chains,
             "exact_anchors": self.exact_anchors,
             "range_scans": self.range_scans,
-            "by_anchor": dict(sorted(self.by_anchor.items())),
-            "delta_reads_saved": self.delta_reads_saved,
-            "delta_bytes_saved": self.delta_bytes_saved,
+            "by_anchor": dict(self.by_anchor),
         }
 
     def snapshot(self):
         """Flat counters for the registry delta protocol; the per-kind
         choice counts flatten to ``by_anchor.<kind>`` keys."""
-        out = {
-            "forward_chains": self.forward_chains,
-            "backward_chains": self.backward_chains,
-            "exact_anchors": self.exact_anchors,
-            "range_scans": self.range_scans,
-            "delta_reads_saved": self.delta_reads_saved,
-            "delta_bytes_saved": self.delta_bytes_saved,
-        }
-        for kind, count in self.by_anchor.items():
+        out = self.as_dict()
+        for kind, count in out.pop("by_anchor").items():
             out[f"by_anchor.{kind}"] = count
         return out
 
@@ -147,8 +135,8 @@ class DocumentRecord:
     def is_deleted(self):
         return self.dindex.is_deleted
 
-    # Compatibility views over the atomic state; each property performs one
-    # read of ``self.current``, so an individual view is always internally
+    # One-field views of the atomic state; each property performs one read
+    # of ``self.current``, so an individual view is always internally
     # consistent (callers needing several fields together should take
     # ``record.current`` themselves).
 
@@ -188,10 +176,10 @@ class Repository:
         self.delta_reads = 0  # logical delta-read counter (paper's metric)
         self.snapshot_reads = 0
         self.current_reads = 0
-        # What subtree cursors (storage/cursor.py) did instead of rebuilding
-        # documents: cursors started on a subtree of a stored version, edit
-        # operations applied under a bound subtree and skipped outside it,
-        # and whole-document reconstructions a boundary-crossing move forced.
+        # What cursors (storage/cursor.py) did: cursors started on a stored
+        # version, edit operations applied under the bound subtree and
+        # skipped outside it, and whole-document reconstructions a
+        # boundary-crossing move forced.
         self.subtree_reads = 0
         self.ops_applied = 0
         self.ops_skipped = 0
@@ -322,10 +310,24 @@ class Repository:
                 "subtree_fallbacks": self.subtree_fallbacks,
             }
 
-    def count_subtree_work(self, reads, applied, skipped, fallbacks):
-        """Add one cursor seek's work to the subtree counters."""
+    def count_subtree_work(self, anchor, steps, applied, skipped, fallbacks,
+                           scans):
+        """Add one cursor movement to the counters: the stored ``anchor``
+        it started over from (``None``: it walked on), the versions it
+        then stepped (negative: backwards), what its deltas did to the
+        subtree, and how many sweeps it opened (0 or 1)."""
         with self._stats_lock:
-            self.subtree_reads += reads
+            stats = self.anchor_stats
+            if anchor is not None:
+                self.subtree_reads += 1
+                stats.by_anchor[anchor.kind] += 1
+            if steps > 0:
+                stats.forward_chains += 1
+            elif steps < 0:
+                stats.backward_chains += 1
+            elif anchor is not None:
+                stats.exact_anchors += 1
+            stats.range_scans += scans
             self.ops_applied += applied
             self.ops_skipped += skipped
             self.subtree_fallbacks += fallbacks
@@ -399,11 +401,12 @@ class Repository:
             )
         return out
 
-    def _choose_anchor(self, record, number):
-        """Pick the starting anchor for ``number``: every candidate ranked
-        by the estimated cost of anchor read plus delta chain.
-
-        Returns ``(anchor, chain_reads, chain_bytes)``."""
+    def stored_anchor(self, record, number):
+        """The cheapest stored starting point for version ``number`` — a
+        snapshot or the current version, every candidate ranked by the
+        estimated cost of reading it plus the chain to ``number`` — and
+        that cost: ``(anchor, cost)``, nothing read yet (see
+        :meth:`read_stored`)."""
 
         def key(anchor):
             reads, nbytes = self._chain_cost(record, anchor.number, number)
@@ -411,16 +414,7 @@ class Repository:
             return (cost, reads, _ANCHOR_RANK[anchor.kind])
 
         best = min(self._candidates(record, number), key=key)
-        reads, nbytes = self._chain_cost(record, best.number, number)
-        return best, reads, nbytes
-
-    def stored_anchor(self, record, number):
-        """The cheapest stored starting point for version ``number`` — a
-        snapshot or the current version — and the estimated cost of reading
-        it plus the chain to ``number``: ``(anchor, cost)``, nothing read
-        yet (see :meth:`read_stored`)."""
-        anchor, reads, nbytes = self._choose_anchor(record, number)
-        return anchor, self._cost(1 + reads, anchor.anchor_bytes + nbytes)
+        return best, key(best)[0]
 
     def read_stored(self, record, anchor):
         """Read (and account) a :meth:`stored_anchor` **without copying
@@ -431,21 +425,22 @@ class Repository:
         return self._stored_snapshot(record, anchor.number)
 
     def chain_cost_estimate(self, record, base_number, target_number):
-        """Estimated cost/reads of walking the delta chain between two
-        versions, with no anchor read (the base tree is already in hand)."""
+        """Estimated cost of walking the delta chain between two versions,
+        with no anchor read (the base tree is already in hand)."""
         reads, nbytes = self._chain_cost(record, base_number, target_number)
-        return self._cost(reads, nbytes), reads
+        return self._cost(reads, nbytes)
 
-    # -- reconstruction (Section 7.3.3, bidirectional) --------------------------------
+    # -- reconstruction (Sections 7.3.3-7.3.4): uses of the one cursor ----------------
 
     def reconstruct(self, record, number):
-        """Materialize version ``number`` of the document; returns a tree.
+        """Materialize version ``number`` of the document; returns a tree
+        of the caller's own.
 
-        The cheapest anchor is chosen (see module docstring); the delta
-        chain between anchor and target is then fetched in ascending
-        order — the order the deltas were appended, so one sequential sweep
-        on an append-only delta file — and applied forward (anchor below
-        the target) or inverted newest-first (anchor above).
+        A fresh whole-document cursor is positioned at ``number``: the
+        cheapest stored anchor (see module docstring), then the delta chain
+        between anchor and target, read in the order it was appended and
+        applied forward (anchor below the target) or inverted newest-first
+        (anchor above).
         """
         current_number = record.dindex.current_number
         if not 1 <= number <= current_number:
@@ -453,46 +448,7 @@ class Repository:
                 f"{record.name} has no version {number} "
                 f"(current is {current_number})"
             )
-        anchor, chain_reads, chain_bytes = self._choose_anchor(record, number)
-        tree = self.read_stored(record, anchor).copy()
-        tree = self._apply_between(record, tree, anchor.number, number)
-        self._count_choice(record, number, anchor, chain_reads, chain_bytes)
-        return tree
-
-    def _apply_between(self, record, tree, start_number, target_number):
-        """Apply the delta chain taking ``tree`` (version ``start_number``)
-        to ``target_number``; reads the chain in ascending (append) order."""
-        if start_number == target_number:
-            return tree
-        lo, hi = sorted((start_number, target_number))
-        chain = [self.read_delta(record, version) for version in range(lo, hi)]
-        return apply_chain(
-            tree,
-            chain,
-            index=tree.xid_index(),
-            invert=start_number > target_number,
-        )
-
-    def _count_choice(self, record, number, anchor, chain_reads, chain_bytes):
-        # Savings vs. the paper's backward-only baseline.
-        dindex = record.dindex
-        after = dindex.nearest_snapshot_at_or_after(number)
-        if after is not None and after.number < dindex.current_number:
-            base = after.number
-        else:
-            base = dindex.current_number
-        base_reads, base_bytes = self._chain_cost(record, base, number)
-        with self._stats_lock:
-            stats = self.anchor_stats
-            stats.count(anchor.kind)
-            if chain_reads == 0:
-                stats.exact_anchors += 1
-            elif anchor.number > number:
-                stats.backward_chains += 1
-            else:
-                stats.forward_chains += 1
-            stats.delta_reads_saved += base_reads - chain_reads
-            stats.delta_bytes_saved += base_bytes - chain_bytes
+        return ChainReader(self, record).cursor(None).take(number)
 
     def reconstruct_at(self, record, ts):
         """Materialize the version valid at ``ts``; ``None`` if not valid."""
@@ -500,8 +456,6 @@ class Repository:
         if entry is None:
             return None
         return self.reconstruct(record, entry.number)
-
-    # -- batched materialization ------------------------------------------------------
 
     def reconstruct_range(self, record, lo, hi, newest_first=False):
         """Sweep versions ``lo..hi`` with one anchor read plus one delta pass.
@@ -511,8 +465,10 @@ class Repository:
         ``xid -> node`` map — callers must copy what they retain.  With
         ``newest_first`` the sweep starts at ``hi`` and rewinds (the
         DocHistory output order); otherwise it starts at ``lo`` and rolls
-        forward.  Either way the cost is one cost-based reconstruction of
-        the first version plus exactly one delta read per further version.
+        forward.  Either way the cost is one cost-based anchor and the
+        chain from it to the first version, then one delta per further
+        version — none read twice, so a whole history costs one anchor
+        plus one read of each delta.
         """
         current_number = record.dindex.current_number
         if not 1 <= lo <= hi <= current_number:
@@ -520,62 +476,18 @@ class Repository:
                 f"{record.name} has no versions {lo}..{hi} "
                 f"(current is {current_number})"
             )
-        return self._range_iter(record, lo, hi, newest_first)
-
-    def _range_iter(self, record, lo, hi, newest_first):
-        stats = self.anchor_stats
-        with self._stats_lock:
-            stats.range_scans += 1
-        first = hi if newest_first else lo
-        tree = self.reconstruct(record, first)
-        xids = tree.xid_index()
-        yield first, tree, xids
-        if newest_first:
-            numbers = range(hi - 1, lo - 1, -1)
-        else:
-            numbers = range(lo + 1, hi + 1)
-        for number in numbers:
-            if newest_first:
-                script = self.read_delta(record, number).invert()
-            else:
-                script = self.read_delta(record, number - 1)
-            with self._stats_lock:
-                if newest_first:
-                    stats.backward_chains += 1
-                else:
-                    stats.forward_chains += 1
-            tree = apply_script(tree, script, xids)
-            yield number, tree, xids
-
-    def reconstruct_pair(self, record, first, second):
-        """Materialize two versions of one document, sharing the sweep when
-        the connecting chain is cheaper than the second version's own best
-        anchor; returns ``(tree_first, tree_second)``."""
-        if first == second:
-            tree = self.reconstruct(record, first)
-            return tree, tree.copy()
-        lo, hi = sorted((first, second))
-        lo_tree = self.reconstruct(record, lo)
-        bridge_cost, _reads = self.chain_cost_estimate(record, lo, hi)
-        _anchor, anchor_cost = self.stored_anchor(record, hi)
-        if bridge_cost <= anchor_cost:
-            with self._stats_lock:
-                self.anchor_stats.forward_chains += 1
-            hi_tree = self._apply_between(record, lo_tree.copy(), lo, hi)
-        else:
-            hi_tree = self.reconstruct(record, hi)
-        if first == lo:
-            return lo_tree, hi_tree
-        return hi_tree, lo_tree
+        first, last = (hi, lo) if newest_first else (lo, hi)
+        return ChainReader(self, record).cursor(None).sweep(first, last)
 
     # -- space accounting ---------------------------------------------------------------------
 
     def storage_bytes(self):
         """Stored bytes by category (the E7 space comparison).
 
-        The three seed categories are unchanged; ``snapshot_count`` and
-        ``snapshot_policy`` report the placement-policy tradeoff (space
-        spent vs. the reconstruction bound the policy buys)."""
+        ``current`` / ``deltas`` / ``snapshots`` sum to ``total``;
+        ``snapshot_count`` and ``snapshot_policy`` report the
+        placement-policy tradeoff (space spent vs. the reconstruction
+        bound the policy buys)."""
         current = sum(r.current_bytes for r in self._records.values())
         deltas = 0
         snapshots = 0

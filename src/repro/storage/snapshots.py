@@ -1,7 +1,7 @@
 """Snapshot placement policies: when to materialize a full version.
 
-The paper's base configuration stores snapshots "every k-th version" (the
-``snapshot_interval`` knob).  A fixed interval bounds the reconstruction
+The paper's base configuration stores snapshots "every k-th version"
+(``Repository(snapshot_interval=k)``).  A fixed interval bounds the reconstruction
 chain in *delta count*, but the actual read cost is dominated by delta
 *bytes* — a burst of large edits can make a k-step chain arbitrarily
 expensive while a quiet document wastes snapshot space it never needs.
@@ -10,8 +10,8 @@ Policies decide, right after each commit, whether the new version should
 also be materialized as a snapshot:
 
 * :class:`IntervalSnapshotPolicy` — the classic fixed ``k`` (what the
-  ``snapshot_interval=k`` knob resolves to; the E7 space-accounting
-  experiments use it);
+  ``snapshot_interval=k`` constructor shorthand builds; the E7
+  space-accounting experiments use it);
 * :class:`AdaptiveSnapshotPolicy` — materialize whenever the delta bytes
   accumulated since the nearest anchor at-or-before the new version exceed
   a threshold.  This bounds the worst-case reconstruction cost (in bytes)

@@ -12,7 +12,8 @@ object applications interact with:
   observers — this is how the temporal full-text index and the lifetime
   (create/delete time) index stay current;
 * read paths (``current``, ``snapshot``, ``version``, ``subtree``) resolve
-  names/EIDs/TEIDs and delegate reconstruction to the repository.
+  names/EIDs/TEIDs and read stored versions through the repository's
+  cursors (:mod:`repro.storage.cursor`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from ..model.identifiers import EID, TEID
 from ..model.versioned import stamp_new_nodes
 from ..xmlcore.node import Element
 from ..xmlcore.parser import parse
+from .cursor import ChainReader
 from .journal import JournalRecord
 from .repository import Repository
 
@@ -443,11 +445,14 @@ class TemporalDocumentStore:
 
     def subtree(self, teid):
         """The subtree rooted at ``teid``'s element in the version valid at
-        ``teid.timestamp``; ``None`` when document or element is absent."""
-        tree = self.snapshot(teid.doc_id, teid.timestamp)
-        if tree is None:
+        ``teid.timestamp`` (a private copy, through an element cursor);
+        ``None`` when document or element is absent."""
+        record = self.record(teid.doc_id)
+        entry = record.dindex.version_at(teid.timestamp)
+        if entry is None:
             return None
-        return tree.find_by_xid(teid.xid)
+        reader = ChainReader(self.repository, record)
+        return reader.cursor(teid.xid).take(entry.number)
 
     def normalize_teid(self, teid):
         """Rewrite a TEID so its timestamp is the containing version's commit

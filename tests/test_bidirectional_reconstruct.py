@@ -7,13 +7,16 @@ byte-identical version.  These tests drive randomized tdocgen histories
 different snapshot spacings, and compare serializations against a
 store-every-version oracle and against the paper's backward-only walk
 (``benchmarks/ablation/reconstruct.py``).  They also pin down
-``reconstruct_range`` / ``reconstruct_pair`` equivalence and that a
+``reconstruct_range`` and two-version ``Diff`` equivalence and that a
 reconstruction costs its distance from the anchor every time it is asked.
 """
 
 import pytest
 
 from benchmarks.ablation.reconstruct import reconstruct_backward
+from repro.diff.apply import apply_script
+from repro.model.identifiers import TEID
+from repro.operators import Diff
 from repro.storage import TemporalDocumentStore
 from repro.storage.snapshots import AdaptiveSnapshotPolicy
 from repro.workload import TDocGenerator
@@ -112,16 +115,33 @@ class TestRangeAndPair:
             store.repository.reconstruct_range(record, 2, VERSIONS + 1)
 
     def test_reconstruct_pair_byte_identical(self, seed):
+        """Two versions of one document through ``Diff``: two seeks of one
+        cursor.  The script it returns takes the first version to the
+        second byte for byte, and the pair never reads more deltas than
+        two separate reconstructions."""
         store, expected = _build(seed, snapshot_interval=6)
         record = store.record("d.xml")
+        repo = store.repository
+        root = record.current_root.xid
+        stamp = {e.number: e.timestamp for e in record.dindex.entries}
         for first, second in [(3, 9), (9, 3), (1, VERSIONS), (5, 5)]:
-            tree_a, tree_b = store.repository.reconstruct_pair(
-                record, first, second
+            repo.delta_reads = 0
+            trees = {n: store.version("d.xml", n) for n in {first, second}}
+            separate = repo.delta_reads
+            repo.delta_reads = 0
+            script = Diff(store).script(
+                TEID(record.doc_id, root, stamp[first]),
+                TEID(record.doc_id, root, stamp[second]),
             )
-            assert serialize(tree_a) == expected[first - 1]
-            assert serialize(tree_b) == expected[second - 1]
-            # The pair must be independent trees, not aliases.
-            assert tree_a is not tree_b
+            assert repo.delta_reads <= separate
+            assert (len(script) == 0) == (first == second)
+            assert serialize(apply_script(trees[first], script)) == (
+                expected[second - 1]
+            )
+            # What Diff read stays what the store serves.
+            assert serialize(store.version("d.xml", first)) == (
+                expected[first - 1]
+            )
 
 
 class TestCacheInteraction:

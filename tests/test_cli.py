@@ -87,9 +87,14 @@ class TestLifecycle:
         code, out = _run("stats", "-a", str(archive))
         assert code == 0
         assert "delta_reads:" in out
-        assert "delta_reads_saved:" in out
-        # Removed with the version cache, and said so in `stats --help`.
+        assert "range_scans:" in out
+        # Every anchor kind is a fixed counter, chosen yet or not.
+        for kind in ("current", "snapshot_after", "snapshot_before"):
+            assert f"anchor[{kind}]:" in out
+        # Removed with the version cache and the backward-only pricing,
+        # and said so in `stats --help`.
         assert "version cache:" not in out and "hit_rate:" not in out
+        assert "delta_reads_saved" not in out
 
     def test_stats_exercise_scans_history(self, guide_files):
         archive, v1, v2 = guide_files

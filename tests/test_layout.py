@@ -108,3 +108,47 @@ def test_a_stored_read_takes_one_lock():
     source = (SRC / "repro" / "storage" / "repository.py").read_text()
     assert source.count("threading.Lock()") == 1
     assert "self._stats_lock = threading.Lock()" in source
+
+
+def _importers(imports, name):
+    return {module for module, targets in imports.items() if name in targets}
+
+
+def test_one_walker_over_a_stored_chain(imports):
+    """Stored versions are read through ``storage/cursor.py`` and nothing
+    else: the repository keeps no loop of its own, ``apply_chain`` lives
+    with the backward-only reference, and the two other ``apply_script``
+    users replay commits (recovery, archive verification), not reads."""
+    for gone in ("reconstruct_pair", "_apply_between", "_range_iter",
+                 "_count_choice", "_choose_anchor"):
+        assert gone not in Repository.__dict__, gone
+    for name in ("reconstruct", "reconstruct_at", "reconstruct_range"):
+        assert name in Repository.__dict__, name  # benchmarks/e2e/trace.py
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "apply_chain", path
+    assert not _importers(imports, "repro.diff.apply.apply_chain")
+    assert _importers(imports, "repro.diff.apply.apply_scoped") == {
+        "repro.storage.cursor"
+    }
+    assert _importers(imports, "repro.diff.apply.apply_script") == {
+        "repro.diff", "repro.storage.recover", "repro.storage.persistence",
+    }
+
+
+def test_the_query_layer_has_one_way_to_a_stored_version():
+    """No ``cache is not None`` / ``active_cache is not None`` arm: every
+    binding reads through its query's ``SnapshotCache``."""
+    for path in sorted((SRC / "repro" / "query").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            named = {
+                part.id if isinstance(part, ast.Name) else part.attr
+                for part in [node.left, *node.comparators]
+                if isinstance(part, (ast.Name, ast.Attribute))
+            }
+            assert not named & {"cache", "active_cache"}, (
+                f"{path.name}:{node.lineno}"
+            )

@@ -461,6 +461,68 @@ def test_version_cache_and_clock_survive_thread_hammering():
     assert len(set(ticks)) == len(ticks) == 6 * 300
 
 
+@pytest.mark.timeout(60)
+def test_anchor_stats_are_counted_by_txql_reads_and_snapshot_beside_them():
+    """Every stored read counts its anchor in the one walker, TXQL's
+    included, and the registry's unlocked ``AnchorStats.snapshot()`` may run
+    while reader threads choose an anchor kind for the first time: the
+    three kinds are fixed keys from the start."""
+    db = TemporalXMLDatabase(snapshot_interval=4)
+    manager = SessionManager(db)
+    rng = random.Random(5)
+    manager.put("guide.com", _doc_xml(rng), ts=JAN_01)
+    for number in range(1, 14):
+        manager.update("guide.com", _doc_xml(rng), ts=JAN_01 + number * 86400)
+    repository = db.store.repository
+    stats = repository.anchor_stats
+    kinds = {"by_anchor.current", "by_anchor.snapshot_after",
+             "by_anchor.snapshot_before"}
+    assert kinds <= set(stats.snapshot())
+    before = sum(stats.by_anchor.values())
+
+    failures = []
+    done = threading.Event()
+
+    def reader(idx):
+        try:
+            day = random.Random(idx)
+            for _ in range(25):
+                when = time.strftime(
+                    "%d/%m/%Y", time.gmtime(JAN_01 + day.randrange(14) * 86400)
+                )
+                manager.session().query(
+                    f'SELECT R FROM doc("guide.com")[{when}]/restaurant R'
+                )
+                manager.session().query(QUERIES[1])
+        except Exception as exc:  # noqa: BLE001
+            failures.append(exc)
+
+    def snapshotter():
+        try:
+            while not done.is_set():
+                assert kinds <= set(stats.snapshot())
+        except Exception as exc:  # noqa: BLE001
+            failures.append(exc)
+
+    watcher = threading.Thread(target=snapshotter)
+    watcher.start()
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    done.set()
+    watcher.join(timeout=30)
+    assert not failures
+    counters = repository.counter_snapshot()
+    final = stats.as_dict()
+    # One anchor kind per cursor started on a stored version; exact counts.
+    assert sum(final["by_anchor"].values()) - before > 0
+    assert sum(final["by_anchor"].values()) == counters["subtree_reads"]
+    assert final["forward_chains"] and final["backward_chains"]
+    assert sum(1 for count in final["by_anchor"].values() if count) >= 2
+
+
 def test_rwlock_is_write_preferring():
     lock = RWLock()
     order = []

@@ -1,11 +1,16 @@
-"""Subtree cursors against whole-document reconstruction.
+"""The one chain walker against a naive model, and element cursors
+against whole-document ones.
 
-The read path resolves a bound element through a
-:class:`~repro.storage.cursor.SubtreeCursor`: only the element's subtree
-is copied, only the edit operations that land under it are applied.  The
-oracle here is the path it replaced — ``Repository.reconstruct`` of the
-whole version, then ``find_by_xid`` — and the comparison is byte-for-byte
-on an encoding that carries XIDs and element timestamps.
+Every read of a stored version goes through
+:class:`~repro.storage.cursor.SubtreeCursor`.  The model for whole
+documents is the committed texts themselves (``TestAgainstCommittedTexts``:
+every store read and every Section 7.3.3–7.3.5 operator plus ``Diff``
+serialises byte-identically to what was committed).  For a bound element
+only its subtree is copied and only the edit operations that land under it
+are applied; there the oracle is the whole-document cursor —
+``Repository.reconstruct`` of the version, then ``find_by_xid`` — and the
+comparison is byte-for-byte on an encoding that carries XIDs and element
+timestamps.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import TemporalXMLDatabase
 from repro.clock import parse_date
-from repro.diff.apply import SubtreeBoundaryCrossed, apply_scoped
+from repro.diff.apply import SubtreeBoundaryCrossed, apply_scoped, apply_script
 from repro.diff.editscript import (
     DeleteOp,
     InsertOp,
@@ -29,7 +34,9 @@ from repro.diff.editscript import (
     encode_payload,
     payload_nodes,
 )
-from repro.model.identifiers import TEID
+from repro.errors import NoSuchVersionError
+from repro.model.identifiers import EID, TEID
+from repro.operators import Diff, DocHistory, ElementHistory, Reconstruct
 from repro.query.values import SnapshotCache
 from repro.serving import SessionManager
 from repro.storage import TemporalDocumentStore
@@ -56,8 +63,11 @@ def _item(rng, name=None):
     price.append(Text(str(rng.randrange(5, 40))))
     item.append(price)
     if rng.random() < 0.4:
+        # Mixed content: text, an element, text again.
         note = Element("note")
-        note.append(Text(" ".join(rng.choice(WORDS) for _ in range(3))))
+        note.append(Text(rng.choice(WORDS) + " "))
+        note.append(Element("em")).append(Text(rng.choice(WORDS)))
+        note.append(Text(" " + rng.choice(WORDS)))
         item.append(note)
     return item
 
@@ -234,6 +244,183 @@ class TestDifferential:
                             reinserted += 1
         assert crossing >= 10 and reorders >= 10
         assert replaced >= 2 and reinserted >= 5
+
+
+# -- against the committed texts ---------------------------------------------------
+
+
+def _two_lives(seed, snapshot_interval):
+    """One name put, edited, deleted and put again: a store and, per life,
+    ``(doc_id, [committed text of every version])``."""
+    rng = random.Random(seed)
+    store = TemporalDocumentStore(snapshot_interval=snapshot_interval)
+    lives, day = [], 0
+    for versions in (8, 4):
+        tree = _first_version(rng)
+        texts, removed = [serialize(tree)], []
+        store.put("doc", tree, ts=JAN_01 + day * DAY)
+        for _ in range(1, versions):
+            day += 1
+            tree = _edit(rng, tree, removed)
+            texts.append(serialize(tree))
+            store.update("doc", tree.copy(), ts=JAN_01 + day * DAY)
+        lives.append((store.doc_id("doc"), texts))
+        store.delete("doc", ts=JAN_01 + (day + 1) * DAY)
+        day += 2
+    return store, lives
+
+
+class _Reads:
+    """What one call read of the stored chain."""
+
+    def __init__(self, store):
+        self.repo = store.repository
+
+    def __enter__(self):
+        self.before = self.repo.counter_snapshot()
+        return self
+
+    def __exit__(self, *exc):
+        after = self.repo.counter_snapshot()
+        delta = {k: after[k] - self.before[k] for k in after}
+        self.anchors = delta["snapshot_reads"] + delta["current_reads"]
+        self.deltas = delta["delta_reads"]
+        self.fallbacks = delta["subtree_fallbacks"]
+
+
+def _scribble(node):
+    """Mutate a result an operator handed out; no later read may notice."""
+    if isinstance(node, Element):
+        node.tag = "scribbled"
+        node.attrib["scribbled"] = "yes"
+        for child in list(node.children):
+            node.remove(child)
+    else:
+        node.value = "scribbled"
+
+
+class TestAgainstCommittedTexts:
+    @given(st.integers(0, 10_000), st.sampled_from([None, 4]))
+    @settings(max_examples=25, deadline=None)
+    def test_store_reads_serialise_to_the_committed_texts(self, seed, interval):
+        store, lives = _two_lives(seed, interval)
+        for doc_id, texts in lives:
+            entries = store.delta_index(doc_id).entries
+            last = len(texts)
+            for entry, text in zip(entries, texts):
+                tree = store.version(doc_id, entry.number)
+                assert serialize(tree) == text
+                root = TEID(doc_id, tree.xid, entry.timestamp)
+                _scribble(tree)
+                for read in (
+                    lambda: store.snapshot(doc_id, entry.timestamp),
+                    lambda: store.subtree(root),
+                    lambda: Reconstruct(store, root).run(),
+                ):
+                    got = read()
+                    assert serialize(got) == text
+                    _scribble(got)
+            for newest_first in (False, True):
+                with _Reads(store) as reads:
+                    got = []
+                    for number, tree, xids in store.version_range(
+                        doc_id, 1, last, newest_first=newest_first
+                    ):
+                        got.append((number, serialize(tree)))
+                        assert xids[tree.xid] is tree
+                        assert set(xids) == {n.xid for n in tree.iter()}
+                want = list(enumerate(texts, start=1))
+                assert got == (want[::-1] if newest_first else want)
+                assert (reads.anchors, reads.deltas) == (1, last - 1)
+            with pytest.raises(NoSuchVersionError) as raised:
+                store.version(doc_id, last + 1)
+            assert str(raised.value) == (
+                f"doc has no version {last + 1} (current is {last})"
+            )
+            with pytest.raises(NoSuchVersionError):
+                store.version(doc_id, 0)
+            with pytest.raises(NoSuchVersionError) as raised:
+                store.version_range(doc_id, 2, last + 1)
+            assert str(raised.value) == (
+                f"doc has no versions 2..{last + 1} (current is {last})"
+            )
+            assert store.snapshot(doc_id, entries[0].timestamp - 1) is None
+
+    @given(st.integers(0, 10_000), st.sampled_from([None, 4]))
+    @settings(max_examples=25, deadline=None)
+    def test_history_operators_restrict_the_committed_history(
+        self, seed, interval
+    ):
+        store, lives = _two_lives(seed, interval)
+        for doc_id, texts in lives:
+            entries = store.delta_index(doc_id).entries
+            last = len(texts)
+            start, end = entries[0].timestamp, entries[-1].timestamp + 1
+            for newest_first in (True, False):
+                history = DocHistory(store, doc_id, start, end,
+                                     newest_first=newest_first)
+                with _Reads(store) as reads:
+                    results = history.run()
+                assert (reads.anchors, reads.deltas) == (1, last - 1)
+                order = entries[::-1] if newest_first else entries
+                assert [t.timestamp for t, _ in results] == [
+                    e.timestamp for e in order
+                ]
+                assert [serialize(tree) for _, tree in results] == [
+                    texts[e.number - 1] for e in order
+                ]
+                with _Reads(store) as reads:
+                    assert history.teids() == [t for t, _ in results]
+                assert (reads.anchors, reads.deltas) == (1, last - 1)
+                for _, tree in results:
+                    _scribble(tree)
+            # ElementHistory is DocHistory restricted to one subtree: the
+            # document versions were just checked against the texts, so
+            # the element's node in each of them is the expectation.
+            versions = [store.version(doc_id, e.number) for e in entries]
+            xids = sorted({n.xid for tree in versions for n in tree.iter()})
+            rng = random.Random(seed)
+            for xid in rng.sample(xids, min(8, len(xids))):
+                want = [
+                    (TEID(doc_id, xid, entry.timestamp), serialize(node))
+                    for entry, node in zip(
+                        entries, (tree.find_by_xid(xid) for tree in versions)
+                    )
+                    if node is not None
+                ][::-1]
+                history = ElementHistory(store, EID(doc_id, xid), start, end)
+                with _Reads(store) as reads:
+                    results = history.run()
+                if not reads.fallbacks:
+                    assert (reads.anchors, reads.deltas) == (1, last - 1)
+                assert [(t, serialize(node)) for t, node in results] == want
+                for _, node in results:
+                    _scribble(node)
+                assert history.teids() == [t for t, _ in want]
+
+    @given(st.integers(0, 10_000), st.sampled_from([None, 4]))
+    @settings(max_examples=25, deadline=None)
+    def test_diff_of_two_teids_takes_one_text_to_the_other(self, seed, interval):
+        store, lives = _two_lives(seed, interval)
+        rng = random.Random(seed)
+        for doc_id, texts in lives:
+            entries = store.delta_index(doc_id).entries
+            roots = [
+                TEID(doc_id, store.version(doc_id, e.number).xid, e.timestamp)
+                for e in entries
+            ]
+            pairs = [rng.sample(range(len(texts)), 2) for _ in range(4)]
+            for a, b in pairs + [[b, a] for a, b in pairs] + [[2, 2]]:
+                with _Reads(store) as reads:
+                    script = Diff(store).script(roots[a], roots[b])
+                assert reads.anchors <= 2 and reads.deltas <= len(texts) - 1
+                if a == b:
+                    assert len(script) == 0
+                tree = apply_script(store.version(doc_id, a + 1), script)
+                assert serialize(tree) == texts[b]
+            # Diff kept what it read to itself.
+            for entry, text in zip(entries, texts):
+                assert serialize(store.version(doc_id, entry.number)) == text
 
 
 # -- the touch summary -----------------------------------------------------------
