@@ -511,6 +511,16 @@ def _cmd_stats(args, out):
         f"snapshots: {logical['snapshots']}  total: {logical['total']}",
         file=out,
     )
+    ops = logical["delta_ops"]
+    total = sum(ops.values())
+    print(
+        f"  delta ops: {total}"
+        + "".join(
+            f"  {kind}: {count} ({100 * count / total:.0f}%)"
+            for kind, count in sorted(ops.items(), key=lambda kv: -kv[1])
+        ),
+        file=out,
+    )
     if args.dir:
         _print_backend_stats(db.storage_stats(), out)
         print("journal files:", file=out)

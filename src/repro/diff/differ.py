@@ -13,10 +13,16 @@ working copy's child list is rearranged (moves), extended (inserts), and
 afterwards trimmed (deletes) until it matches.  Because every operation is
 performed on the working copy as it is emitted, the recorded positions are
 exactly the positions valid at application time — which also makes the
-reversed script exact (completed deltas).
+reversed script exact (completed deltas).  The script says what changed,
+not what shifted: the children of a parent that are already in relative
+order (a longest increasing subsequence) stay put, so a sibling whose index
+moved only because a neighbour came or went costs no operation.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from functools import cached_property
 
 from ..errors import DiffError
 from ..model.identifiers import XIDAllocator
@@ -118,73 +124,99 @@ class _Builder:
     # -- phase A: moves and inserts (top-down) --------------------------------
 
     def reconcile(self, new_root):
+        """Give every matched parent its new children, in order.
+
+        Top-down, so a parent is in place before anything moves under it.
+        Children on their way out — unmatched, or wanted under a parent not
+        reached yet — are left standing where they are: the first go in
+        :meth:`trim_deletes`, the second when their new parent's turn comes.
+        """
+        has_new = self.matching.has_new
         stack = [new_root]
         while stack:
             new_parent = stack.pop()
-            if not isinstance(new_parent, Element):
-                continue
-            if not self.matching.has_new(new_parent):
-                continue  # inside an inserted payload; already complete
-            work_parent = self.work_by_xid[new_parent.xid]
-            for index, desired in enumerate(new_parent.children):
-                if self.matching.has_new(desired):
-                    self._place_existing(work_parent, index, desired)
-                else:
-                    self._insert_fresh(work_parent, index, desired)
+            if not isinstance(new_parent, Element) or not has_new(new_parent):
+                continue  # text, or inside an inserted payload: complete
+            self._arrange(self.work_by_xid[new_parent.xid], new_parent)
             stack.extend(reversed(new_parent.children))
 
-    def _place_existing(self, work_parent, index, desired):
-        node = self.work_by_xid[desired.xid]
-        current_parent = node.parent
-        current_pos = node.index_in_parent()
-        if current_parent is work_parent and current_pos == index:
-            return
-        self.ops.append(
-            MoveOp(
-                node.xid,
-                current_parent.xid,
-                current_pos,
-                work_parent.xid,
-                index,
-            )
-        )
-        node.detach()
-        work_parent.insert(index, node)
-        if self.commit_ts is not None:
-            self._touch_new(desired.parent)
-            # The source parent's content changed too.
-            source_new = self._new_for_xid(current_parent.xid)
-            if source_new is not None:
-                self._touch_new(source_new)
+    def _arrange(self, work_parent, new_parent):
+        """Order ``work_parent``'s child list like ``new_parent``'s.
 
-    def _insert_fresh(self, work_parent, index, desired):
-        payload = desired.copy()
-        self.ops.append(InsertOp(work_parent.xid, index, payload))
-        inserted = payload.copy()
-        work_parent.insert(index, inserted)
-        for node in _iter_subtree(inserted):
-            self.work_by_xid[node.xid] = node
+        The wanted children already here keep their places along a longest
+        run that is in the wanted order; every other wanted child — out of
+        order, under another parent, or fresh — goes right after the last
+        one placed.  A child whose index merely shifts costs no operation.
+        """
+        has_new = self.matching.has_new
+        siblings = work_parent.children
+        if [n.xid for n in siblings] == [n.xid for n in new_parent.children]:
+            return  # most lists, in most commits
+        stays = _in_order(siblings, new_parent.children, has_new)
+        cursor = 0  # one past the last wanted child placed
+        for wanted in new_parent.children:
+            if not has_new(wanted):
+                self._insert_fresh(work_parent, cursor, wanted)
+            elif wanted.xid in stays:
+                while siblings[cursor].xid != wanted.xid:
+                    cursor += 1
+            else:
+                cursor = self._move(work_parent, cursor, wanted)
+            cursor += 1
+
+    def _move(self, work_parent, cursor, wanted):
+        """Move ``wanted``'s node to ``cursor`` under ``work_parent``;
+        returns where it landed (one less when it came from the left)."""
+        node = self.work_by_xid[wanted.xid]
+        source = node.parent
+        from_pos = node.index_in_parent()
+        if source is work_parent and from_pos < cursor:
+            cursor -= 1
+        self.ops.append(
+            MoveOp(node.xid, source.xid, from_pos, work_parent.xid, cursor)
+        )
+        work_parent.insert(cursor, node)
         if self.commit_ts is not None:
-            self._touch_new(desired.parent)
+            self._touch_new(wanted.parent)
+            if source is not work_parent:
+                # The source parent's content changed too.
+                source_new = self._new_by_xid.get(source.xid)
+                if source_new is not None:
+                    self._touch_new(source_new)
+        return cursor
+
+    def _insert_fresh(self, work_parent, index, wanted):
+        payload = wanted.copy()
+        self.ops.append(InsertOp(work_parent.xid, index, payload))
+        work_parent.insert(index, payload.copy())
+        if self.commit_ts is not None:
+            self._touch_new(wanted.parent)
 
     # -- phase B: deletes (after all placements) -------------------------------
 
     def trim_deletes(self, new_root):
+        """Delete what :meth:`reconcile` left standing: under every matched
+        parent, the children the new tree does not have, right to left so
+        each position is the victim's own."""
+        has_new = self.matching.has_new
         for new_parent in new_root.iter():
-            if not isinstance(new_parent, Element):
-                continue
-            if not self.matching.has_new(new_parent):
+            if not isinstance(new_parent, Element) or not has_new(new_parent):
                 continue
             work_parent = self.work_by_xid[new_parent.xid]
-            keep = len(new_parent.children)
-            while len(work_parent.children) > keep:
-                victim = work_parent.children[keep]
-                self.ops.append(
-                    DeleteOp(work_parent.xid, keep, victim.copy())
-                )
+            siblings = work_parent.children
+            wanted = new_parent.children
+            keep = len(wanted) - 1
+            for pos in range(len(siblings) - 1, -1, -1):
+                if pos == keep:
+                    break  # the rest pairs off one to one
+                victim = siblings[pos]
+                if keep >= 0 and victim.xid == wanted[keep].xid:
+                    keep -= 1
+                    continue
+                # Once out of the working copy nothing looks at the victim
+                # again, so it is the payload as it stands.
                 work_parent.remove(victim)
-                for node in _iter_subtree(victim):
-                    self.work_by_xid.pop(node.xid, None)
+                self.ops.append(DeleteOp(work_parent.xid, pos, victim))
                 if self.commit_ts is not None:
                     self._touch_new(new_parent)
 
@@ -192,7 +224,7 @@ class _Builder:
 
     def value_updates(self, matching, new_root):
         # Iterate the new tree in document order so scripts are deterministic.
-        for new in _iter_subtree(new_root):
+        for new in new_root.iter():
             old = matching.old_for(new)
             if old is None:
                 continue
@@ -222,20 +254,41 @@ class _Builder:
     def _touch_new(self, new_node):
         touch_upwards(new_node, self.commit_ts)
 
-    def _new_for_xid(self, xid):
-        node = self.work_by_xid.get(xid)
-        if node is None:
-            return None
-        # Find the new-tree partner via the matching (work copy mirrors old
-        # xids, and matched new nodes carry the same xid after identity carry).
-        return self._new_index().get(xid)
+    @cached_property
+    def _new_by_xid(self):
+        """New-tree partner of every matched node, by the XID they share
+        (the working copy mirrors the old tree's XIDs)."""
+        return {new.xid: new for _, new in self.matching.pairs()}
 
-    def _new_index(self):
-        if not hasattr(self, "_new_by_xid"):
-            self._new_by_xid = {
-                new.xid: new for _, new in self.matching.pairs()
-            }
-        return self._new_by_xid
+
+def _in_order(siblings, wanted, has_new):
+    """XIDs of the matched nodes of ``wanted`` that can stay where they
+    stand in ``siblings``: one longest subsequence of those present whose
+    current positions increase (patience sorting, O(n log n))."""
+    position = {node.xid: pos for pos, node in enumerate(siblings)}
+    present = [
+        node.xid for node in wanted
+        if has_new(node) and node.xid in position
+    ]
+    tails = []  # tails[k]: smallest last position of a run of length k + 1
+    tail_xid = []  # ... and the XID standing there
+    before = {}  # xid -> the XID preceding it in the run it extends
+    for xid in present:
+        pos = position[xid]
+        k = bisect_left(tails, pos)
+        if k == len(tails):
+            tails.append(pos)
+            tail_xid.append(xid)
+        else:
+            tails[k] = pos
+            tail_xid[k] = xid
+        before[xid] = tail_xid[k - 1] if k else None
+    stays = set()
+    xid = tail_xid[-1] if tail_xid else None
+    while xid is not None:
+        stays.add(xid)
+        xid = before[xid]
+    return stays
 
 
 def _attribute_changes(old, new):
@@ -264,9 +317,3 @@ def _attribute_changes(old, new):
         yield name, old[name], None
     for name in new_names[keep:]:
         yield name, None, new[name]
-
-
-def _iter_subtree(node):
-    if isinstance(node, Element):
-        return node.iter()
-    return iter([node])

@@ -29,6 +29,7 @@ store it came from (asserted by the storage benchmark).
 from __future__ import annotations
 
 import zlib
+from operator import attrgetter
 
 from ..diff.editscript import (
     DeleteOp,
@@ -49,6 +50,7 @@ _ELEMENT, _TEXT = 0x01, 0x02
 #: Edit-operation kind bytes.
 _OP_INSERT, _OP_DELETE, _OP_MOVE = 0x01, 0x02, 0x03
 _OP_UPDTEXT, _OP_UPDATTR, _OP_STAMP, _OP_REPLACEROOT = 0x04, 0x05, 0x06, 0x07
+_OP_STAMPS = 0x08
 
 
 class Writer:
@@ -252,59 +254,110 @@ def decode_tree(data):
 
 
 def write_script(w, script):
-    """Encode an :class:`EditScript` (ops + version timestamps)."""
+    """Encode an :class:`EditScript` (ops + version timestamps).
+
+    Operations are written one record each, except that consecutive
+    ``StampOp``s ascending in XID — what a commit emits for the ancestors
+    of its changes — share one ``_OP_STAMPS`` record: per distinct
+    ``(old_ts, new_ts)`` the pair once, then its XIDs as the distance of
+    each from the one before (the first from -1, so no distance is 0).
+    """
     w.opt_u(script.from_ts)
     w.opt_u(script.to_ts)
-    w.u(len(script.ops))
-    for op in script.ops:
-        if isinstance(op, InsertOp):
-            w.byte(_OP_INSERT)
-            w.u(op.parent_xid)
-            w.u(op.pos)
-            write_node(w, op.payload)
-        elif isinstance(op, DeleteOp):
-            w.byte(_OP_DELETE)
-            w.u(op.parent_xid)
-            w.u(op.pos)
-            write_node(w, op.payload)
-        elif isinstance(op, MoveOp):
-            w.byte(_OP_MOVE)
-            w.u(op.xid)
-            w.u(op.from_parent)
-            w.u(op.from_pos)
-            w.u(op.to_parent)
-            w.u(op.to_pos)
-        elif isinstance(op, UpdateTextOp):
-            w.byte(_OP_UPDTEXT)
-            w.u(op.xid)
-            w.s(op.old)
-            w.s(op.new)
-        elif isinstance(op, UpdateAttrOp):
-            w.byte(_OP_UPDATTR)
-            w.u(op.xid)
-            w.s(op.name)
-            w.opt_s(op.old)
-            w.opt_s(op.new)
-        elif isinstance(op, StampOp):
-            w.byte(_OP_STAMP)
-            w.u(op.xid)
-            w.u(op.old_ts)
-            w.u(op.new_ts)
-        elif isinstance(op, ReplaceRootOp):
-            w.byte(_OP_REPLACEROOT)
-            write_node(w, op.old_payload)
-            write_node(w, op.new_payload)
+    ops = script.ops
+    w.u(len(ops))
+    at = 0
+    while at < len(ops):
+        end = _stamp_run_end(ops, at)
+        if end - at > 1:
+            _write_stamp_run(w, ops[at:end])
+            at = end
         else:
-            raise CorruptArchiveError(
-                f"cannot encode edit op {type(op).__name__}"
-            )
+            _write_op(w, ops[at])
+            at += 1
+
+
+def _stamp_run_end(ops, start):
+    """End of the run of ``StampOp``s strictly ascending in XID that
+    begins at ``ops[start]`` (``start`` itself when that is no stamp)."""
+    end = start
+    last = -1
+    while (
+        end < len(ops)
+        and isinstance(ops[end], StampOp)
+        and ops[end].xid > last
+    ):
+        last = ops[end].xid
+        end += 1
+    return end
+
+
+def _write_stamp_run(w, stamps):
+    groups = {}
+    for op in stamps:
+        groups.setdefault((op.old_ts, op.new_ts), []).append(op.xid)
+    w.byte(_OP_STAMPS)
+    w.u(len(groups))
+    for (old_ts, new_ts), xids in groups.items():
+        w.u(old_ts)
+        w.u(new_ts)
+        w.u(len(xids))
+        last = -1
+        for xid in xids:
+            w.u(xid - last)
+            last = xid
+
+
+def _write_op(w, op):
+    if isinstance(op, InsertOp):
+        w.byte(_OP_INSERT)
+        w.u(op.parent_xid)
+        w.u(op.pos)
+        write_node(w, op.payload)
+    elif isinstance(op, DeleteOp):
+        w.byte(_OP_DELETE)
+        w.u(op.parent_xid)
+        w.u(op.pos)
+        write_node(w, op.payload)
+    elif isinstance(op, MoveOp):
+        w.byte(_OP_MOVE)
+        w.u(op.xid)
+        w.u(op.from_parent)
+        w.u(op.from_pos)
+        w.u(op.to_parent)
+        w.u(op.to_pos)
+    elif isinstance(op, UpdateTextOp):
+        w.byte(_OP_UPDTEXT)
+        w.u(op.xid)
+        w.s(op.old)
+        w.s(op.new)
+    elif isinstance(op, UpdateAttrOp):
+        w.byte(_OP_UPDATTR)
+        w.u(op.xid)
+        w.s(op.name)
+        w.opt_s(op.old)
+        w.opt_s(op.new)
+    elif isinstance(op, StampOp):  # one outside any ascending run
+        w.byte(_OP_STAMP)
+        w.u(op.xid)
+        w.u(op.old_ts)
+        w.u(op.new_ts)
+    elif isinstance(op, ReplaceRootOp):
+        w.byte(_OP_REPLACEROOT)
+        write_node(w, op.old_payload)
+        write_node(w, op.new_payload)
+    else:
+        raise CorruptArchiveError(
+            f"cannot encode edit op {type(op).__name__}"
+        )
 
 
 def read_script(r):
     from_ts = r.opt_u()
     to_ts = r.opt_u()
+    count = r.u()
     ops = []
-    for _ in range(r.u()):
+    while len(ops) < count:
         kind = r.byte()
         if kind == _OP_INSERT:
             ops.append(InsertOp(r.u(), r.u(), read_node(r)))
@@ -316,7 +369,9 @@ def read_script(r):
             ops.append(UpdateTextOp(r.u(), r.s(), r.s()))
         elif kind == _OP_UPDATTR:
             ops.append(UpdateAttrOp(r.u(), r.s(), r.opt_s(), r.opt_s()))
-        elif kind == _OP_STAMP:
+        elif kind == _OP_STAMPS:
+            ops.extend(_read_stamp_run(r, count - len(ops)))
+        elif kind == _OP_STAMP:  # written before _OP_STAMPS for every stamp
             ops.append(StampOp(r.u(), r.u(), r.u()))
         elif kind == _OP_REPLACEROOT:
             ops.append(ReplaceRootOp(read_node(r), read_node(r)))
@@ -325,6 +380,39 @@ def read_script(r):
                 f"unknown edit-op kind byte 0x{kind:02x}"
             )
     return EditScript(ops, from_ts=from_ts, to_ts=to_ts)
+
+
+def _read_stamp_run(r, room):
+    """Expand one ``_OP_STAMPS`` record to its ``StampOp``s, ascending in
+    XID as they were written; ``room`` is how many operations the script's
+    declared count still admits."""
+    stamps = []
+    groups = r.u()
+    if groups == 0:
+        raise CorruptArchiveError("stamp run without a group")
+    for _ in range(groups):
+        old_ts = r.u()
+        new_ts = r.u()
+        size = r.u()
+        if not 0 < size <= room - len(stamps):
+            raise CorruptArchiveError(
+                f"stamp run of {len(stamps)} + {size} operation(s) where "
+                f"the script declares {room} more"
+            )
+        xid = -1
+        for _ in range(size):
+            gap = r.u()
+            if gap == 0:
+                raise CorruptArchiveError("stamp run repeats an XID")
+            xid += gap
+            stamps.append(StampOp(xid, old_ts, new_ts))
+    stamps.sort(key=attrgetter("xid"))
+    for earlier, later in zip(stamps, stamps[1:]):
+        if earlier.xid == later.xid:
+            raise CorruptArchiveError(
+                f"stamp run names XID {later.xid} in two groups"
+            )
+    return stamps
 
 
 def encode_script(script):

@@ -103,7 +103,8 @@ class FaultyFS(OSFileSystem):
     flushes, fsyncs, renames, truncates, directory syncs) fail with
     :class:`CrashError`; if that operation is a write, only
     ``torn_fraction`` of the data reaches the file first.  After the crash
-    every further call — reads included — raises, modelling a dead process.
+    every further call — reads included — raises, modelling a dead process,
+    and nothing its handles still buffered is ever written.
 
     ``short_read_at=k`` makes the *k*-th ``read_bytes`` return only
     ``short_read_fraction`` of the file.
@@ -124,6 +125,7 @@ class FaultyFS(OSFileSystem):
         self.reads = 0
         self.crashed = False
         self.op_log = []  # (op name, path-or-None) per mutating op
+        self._handles = []  # every handle opened, to silence at the crash
 
     # -- fault machinery -----------------------------------------------------
 
@@ -142,17 +144,31 @@ class FaultyFS(OSFileSystem):
         return False
 
     def _crash(self, name):
+        # What a dead process still buffered dies with it.  The abandoned
+        # file objects live on in this one, and Python flushes them when it
+        # finalizes them -- whenever the collector gets to it, possibly
+        # into the directory the test is recovering by then -- so point
+        # their descriptors somewhere harmless first.
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            for handle in self._handles:
+                if not handle.closed:
+                    os.dup2(null, handle.fileno())
+        finally:
+            os.close(null)
         raise CrashError(f"simulated crash during {name} (op {self.ops})")
 
     # -- instrumented operations --------------------------------------------
 
     def open_append(self, path):
         self._check_alive()
-        return super().open_append(path)
+        self._handles.append(super().open_append(path))
+        return self._handles[-1]
 
     def open_write(self, path):
         self._check_alive()
-        return super().open_write(path)
+        self._handles.append(super().open_write(path))
+        return self._handles[-1]
 
     def write(self, handle, data):
         if self._mutating("write", getattr(handle, "name", None)):

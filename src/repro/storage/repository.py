@@ -28,6 +28,7 @@ returning.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import (
@@ -487,12 +488,16 @@ class Repository:
         ``current`` / ``deltas`` / ``snapshots`` sum to ``total``;
         ``snapshot_count`` and ``snapshot_policy`` report the
         placement-policy tradeoff (space spent vs. the reconstruction
-        bound the policy buys)."""
+        bound the policy buys); ``delta_ops`` counts the stored deltas'
+        operations by kind (walked here, not kept by the commit path)."""
         current = sum(r.current_bytes for r in self._records.values())
         deltas = 0
         snapshots = 0
         snapshot_count = 0
+        delta_ops = Counter()
         for record in self._records.values():
+            for script in list(record.deltas.values()):
+                delta_ops.update(script.summary())
             for entry in record.dindex.entries:
                 deltas += entry.delta_bytes
                 snapshots += entry.snapshot_bytes
@@ -505,6 +510,7 @@ class Repository:
             "total": current + deltas + snapshots,
             "snapshot_count": snapshot_count,
             "snapshot_policy": self.snapshot_policy.describe(),
+            "delta_ops": dict(sorted(delta_ops.items())),
         }
 
 

@@ -366,6 +366,9 @@ class TestStorageCLI:
         assert "objects:" in out
         assert "kind[current]" in out
         assert "dedup ratio" in out
+        assert (
+            "  delta ops: 5  StampOp: 4 (80%)  UpdateTextOp: 1 (20%)\n" in out
+        )
 
     def test_stats_dir_json_breakdown(self, tmp_path):
         import json
@@ -388,6 +391,9 @@ class TestStorageCLI:
             assert counters["objects"] > 0
         assert backend["disk_bytes"] > 0
         assert storage["logical"]["total"] > 0
+        assert storage["logical"]["delta_ops"] == {
+            "StampOp": 4, "UpdateTextOp": 1,
+        }
         journals = payload["durability"]["recovery"]["journals"]
         assert [j["file"] for j in journals] == ["journal.bin.prev", "journal.bin"]
         assert all(j["version"] == 2 and j["raw_bytes"] > 0 for j in journals)

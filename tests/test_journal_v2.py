@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import TemporalXMLDatabase
+from repro.diff.editscript import StampOp
 from repro.errors import StorageError
 from repro.serving import Replica
 from repro.storage import TemporalDocumentStore, binfmt
@@ -31,7 +32,7 @@ from repro.storage.journal import (
 from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.recover import apply_record, recover_store
 from repro.workload import load_figure1
-from repro.xmlcore import parse
+from repro.xmlcore import parse, serialize
 
 V1_FIXTURE = Path(__file__).parent / "data" / "journal_v1" / "journal.bin"
 V1_MAGIC = b"TXJRNL1\n"
@@ -462,3 +463,68 @@ class TestLazyDecode:
         assert replica.catch_up() == 1
         assert counter.members == 1  # the one new record, nothing re-decoded
         leader.close()
+
+
+# -- directories written before the stamp-run record ----------------------------
+
+
+def _write_script_per_op(w, script):
+    """``binfmt.write_script`` as it was before ``_OP_STAMPS``: one record
+    per operation, a 0x06 one for every stamp."""
+    w.opt_u(script.from_ts)
+    w.opt_u(script.to_ts)
+    w.u(len(script.ops))
+    for op in script.ops:
+        binfmt._write_op(w, op)
+
+
+class TestPerOpStampDirectory:
+    """A CAS checkpoint and a journal tail whose every edit script spells
+    its stamps out one 0x06 record each — what the commits before the
+    0x08 run record wrote — open, replay and answer as ever."""
+
+    @pytest.mark.parametrize("storage", ["cas", "xml"])
+    def test_opens_replays_and_answers_figure1(self, tmp_path, monkeypatch,
+                                               storage):
+        directory = tmp_path / "db"
+        with monkeypatch.context() as patch:
+            patch.setattr(binfmt, "write_script", _write_script_per_op)
+            db = TemporalXMLDatabase.open(
+                directory, durability="fsync", storage=storage
+            )
+            load_figure1(db)
+            db.update("guide.com", serialize(db.store.version("guide.com", 2)))
+            db.checkpoint()  # deltas 1..3 in the checkpoint ...
+            db.update("guide.com", serialize(db.store.version("guide.com", 3)))
+            db.close()  # ... delta 4 only in the journal
+            deltas = db.store.record("guide.com").deltas.values()
+            per_op_bytes = sum(len(binfmt.encode_script(d)) for d in deltas)
+        expected = _fingerprint(db.store)
+        # The patch took: today's writer spends less on the same scripts.
+        assert any(isinstance(op, StampOp) for d in deltas for op in d)
+        assert per_op_bytes > sum(len(binfmt.encode_script(d)) for d in deltas)
+
+        store, report = recover_store(str(directory))
+        assert report.records_replayed == 1
+        assert _fingerprint(store) == expected
+
+        db = TemporalXMLDatabase.open(directory, durability="fsync")
+        assert _fingerprint(db.store) == expected
+        result = db.query(
+            'SELECT SUM(R) FROM doc("guide.com")[26/01/2001]/restaurant R'
+        )
+        assert result.scalar() == 2
+        result = db.query(
+            'SELECT TIME(R), R/price FROM doc("guide.com")[EVERY]/restaurant R '
+            'WHERE R/name="Napoli"'
+        )
+        assert [row["R/price"][0].node.text_content() for row in result] == [
+            "15", "15", "18", "15", "18",
+        ]
+        # It keeps working, and what it writes from here on is run-coded.
+        db.update("guide.com", serialize(db.store.version("guide.com", 1)))
+        db.checkpoint()
+        db.close()
+        reopened = TemporalXMLDatabase.open(directory, durability="none")
+        assert _fingerprint(reopened.store) == _fingerprint(db.store)
+        reopened.close()
