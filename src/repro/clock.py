@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from datetime import date
 
 from .errors import TimeError
 
@@ -60,31 +61,26 @@ _DATE_RE = re.compile(
     r"(?:[ T](?P<hour>\d{1,2}):(?P<minute>\d{2})(?::(?P<second>\d{2}))?)?$"
 )
 
-_DAYS_PER_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+#: The Gregorian calendar repeats every 400 years; ``datetime.date`` covers
+#: one such era (years 1-400) and the era number carries every other year,
+#: below 1 and above 9999 included.
+_DAYS_PER_ERA = 146097
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def _is_leap(year):
-    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+def _days_from_civil(year, month, day):
+    """Day count from 1970-01-01 in the proleptic Gregorian calendar;
+    ``ValueError`` when the year has no such month or day."""
+    era, year_of_era = divmod(year - 1, 400)
+    ordinal = date(year_of_era + 1, month, day).toordinal()
+    return era * _DAYS_PER_ERA + ordinal - _EPOCH_ORDINAL
 
 
-def _days_in_month(year, month):
-    if month == 2 and _is_leap(year):
-        return 29
-    return _DAYS_PER_MONTH[month - 1]
-
-
-def _days_since_epoch(year, month, day):
-    """Day count from 1970-01-01 using the proleptic Gregorian calendar."""
-    days = 0
-    if year >= 1970:
-        for y in range(1970, year):
-            days += 366 if _is_leap(y) else 365
-    else:
-        for y in range(year, 1970):
-            days -= 366 if _is_leap(y) else 365
-    for m in range(1, month):
-        days += _days_in_month(year, m)
-    return days + (day - 1)
+def _civil_from_days(days):
+    """``(year, month, day)`` of a day count from 1970-01-01."""
+    era, day_of_era = divmod(days + _EPOCH_ORDINAL - 1, _DAYS_PER_ERA)
+    civil = date.fromordinal(day_of_era + 1)
+    return civil.year + era * 400, civil.month, civil.day
 
 
 def parse_date(text):
@@ -102,17 +98,19 @@ def parse_date(text):
     day = int(match.group("day"))
     month = int(match.group("month"))
     year = int(match.group("year"))
-    if not 1 <= month <= 12:
-        raise TimeError(f"month out of range in date literal: {text!r}")
-    if not 1 <= day <= _days_in_month(year, month):
-        raise TimeError(f"day out of range in date literal: {text!r}")
     hour = int(match.group("hour") or 0)
     minute = int(match.group("minute") or 0)
     second = int(match.group("second") or 0)
     if hour > 23 or minute > 59 or second > 59:
         raise TimeError(f"time of day out of range in date literal: {text!r}")
+    try:
+        days = _days_from_civil(year, month, day)
+    except ValueError:
+        raise TimeError(
+            f"day or month out of range in date literal: {text!r}"
+        ) from None
     return (
-        _days_since_epoch(year, month, day) * SECONDS_PER_DAY
+        days * SECONDS_PER_DAY
         + hour * SECONDS_PER_HOUR
         + minute * SECONDS_PER_MINUTE
         + second
@@ -129,22 +127,7 @@ def format_timestamp(ts):
     if ts <= BEFORE_TIME:
         return "-inf"
     days, rem = divmod(ts, SECONDS_PER_DAY)
-    year = 1970
-    while True:
-        year_days = 366 if _is_leap(year) else 365
-        if days >= year_days:
-            days -= year_days
-            year += 1
-        elif days < 0:
-            year -= 1
-            days += 366 if _is_leap(year) else 365
-        else:
-            break
-    month = 1
-    while days >= _days_in_month(year, month):
-        days -= _days_in_month(year, month)
-        month += 1
-    day = days + 1
+    year, month, day = _civil_from_days(days)
     hour, rem = divmod(rem, SECONDS_PER_HOUR)
     minute, second = divmod(rem, SECONDS_PER_MINUTE)
     text = f"{day:02d}/{month:02d}/{year:04d}"
@@ -244,27 +227,6 @@ def coalesce(intervals):
 BUCKET_UNITS = ("DAY", "WEEK", "MONTH", "YEAR")
 
 
-def _civil(ts):
-    """``(year, month, day)`` of the UTC day containing ``ts``."""
-    days = ts // SECONDS_PER_DAY
-    year = 1970
-    while True:
-        year_days = 366 if _is_leap(year) else 365
-        if days >= year_days:
-            days -= year_days
-            year += 1
-        elif days < 0:
-            year -= 1
-            days += 366 if _is_leap(year) else 365
-        else:
-            break
-    month = 1
-    while days >= _days_in_month(year, month):
-        days -= _days_in_month(year, month)
-        month += 1
-    return year, month, days + 1
-
-
 def bucket_floor(ts, unit):
     """Start of the calendar bucket containing ``ts``.
 
@@ -278,11 +240,11 @@ def bucket_floor(ts, unit):
         return (ts // SECONDS_PER_DAY) * SECONDS_PER_DAY
     if unit == "WEEK":
         return (ts // SECONDS_PER_WEEK) * SECONDS_PER_WEEK
-    year, month, _day = _civil(ts)
+    year, month, _day = _civil_from_days(ts // SECONDS_PER_DAY)
     if unit == "MONTH":
-        return _days_since_epoch(year, month, 1) * SECONDS_PER_DAY
+        return _days_from_civil(year, month, 1) * SECONDS_PER_DAY
     if unit == "YEAR":
-        return _days_since_epoch(year, 1, 1) * SECONDS_PER_DAY
+        return _days_from_civil(year, 1, 1) * SECONDS_PER_DAY
     raise TimeError(f"unknown bucket unit: {unit!r}")
 
 
@@ -293,15 +255,15 @@ def bucket_next(start, unit):
         return start + SECONDS_PER_DAY
     if unit == "WEEK":
         return start + SECONDS_PER_WEEK
-    year, month, _day = _civil(start)
+    year, month, _day = _civil_from_days(start // SECONDS_PER_DAY)
     if unit == "MONTH":
         if month == 12:
             year, month = year + 1, 1
         else:
             month += 1
-        return _days_since_epoch(year, month, 1) * SECONDS_PER_DAY
+        return _days_from_civil(year, month, 1) * SECONDS_PER_DAY
     if unit == "YEAR":
-        return _days_since_epoch(year + 1, 1, 1) * SECONDS_PER_DAY
+        return _days_from_civil(year + 1, 1, 1) * SECONDS_PER_DAY
     raise TimeError(f"unknown bucket unit: {unit!r}")
 
 

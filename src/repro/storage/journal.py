@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 
 from ..diff.editscript import EditScript, decode_payload
 from ..errors import StorageError, TornJournalError, XMLSyntaxError
-from ..xmlcore.parser import parse
+from ..xmlcore.parser import parse_stored
 from .binfmt import (
     Reader,
     Writer,
@@ -265,7 +265,7 @@ class JournalRecordV1(JournalRecord):
     def from_payload(cls, payload):
         """Decode a v1 frame payload; raises :class:`StorageError` when
         the bytes are valid XML but not a journal record."""
-        return cls.from_element(parse(payload.decode("utf-8")))
+        return cls.from_element(parse_stored(payload.decode("utf-8")))
 
     @classmethod
     def from_element(cls, element, nested=False):

@@ -46,7 +46,7 @@ from ..diff.editscript import EditScript, decode_payload, encode_payload
 from ..errors import CorruptArchiveError, StorageError, XMLSyntaxError
 from ..model.identifiers import XIDAllocator
 from ..xmlcore.node import Element, Text
-from ..xmlcore.parser import parse
+from ..xmlcore.parser import parse_stored
 from ..xmlcore.serializer import serialize
 from .deltaindex import VersionEntry
 from .faults import REAL_FS
@@ -373,7 +373,7 @@ def _as_archive(source, verify=True, fs=None):
             offset=exc.start,
         ) from exc
     try:
-        return parse(text), path
+        return parse_stored(text), path
     except XMLSyntaxError as exc:
         raise CorruptArchiveError(
             f"unparsable archive: {exc}",

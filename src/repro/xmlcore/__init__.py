@@ -1,21 +1,25 @@
-"""From-scratch XML substrate: tree model, parser, serializer, paths.
+"""XML substrate: tree model, parser, serializer, paths.
 
-This package deliberately avoids the standard library XML modules so that the
-reproduction owns every layer the paper's algorithms touch (node identity,
-ordering, and serialization are all load-bearing for diffing and indexing).
+The tree model, the serializer and the path expressions are this package's
+own, because the reproduction has to own what the paper's algorithms touch:
+node identity, sibling order and the serialized form are all load-bearing
+for diffing, indexing and checksums.  Tokenizing XML text is not one of
+those; :mod:`~repro.xmlcore.parser` builds the tree from the standard
+library's expat callbacks and adds the policies expat would not choose on
+its own (no DTD entity ever expanded, bounded nesting, whitespace-only runs
+dropped).
 
 Public surface:
 
 * :class:`~repro.xmlcore.node.Element` / :class:`~repro.xmlcore.node.Text` —
   the ordered tree model,
-* :func:`~repro.xmlcore.parser.parse` /
-  :func:`~repro.xmlcore.parser.parse_fragment` — text to trees,
+* :func:`~repro.xmlcore.parser.parse` — text to trees,
 * :func:`~repro.xmlcore.serializer.serialize` — trees to text,
 * :class:`~repro.xmlcore.path.Path` — ``a/b//c`` path expressions.
 """
 
 from .node import Element, Text, element, xid_index_stats
-from .parser import parse, parse_fragment
+from .parser import parse
 from .serializer import serialize
 from .path import Path, path_of
 
@@ -25,7 +29,6 @@ __all__ = [
     "element",
     "xid_index_stats",
     "parse",
-    "parse_fragment",
     "serialize",
     "Path",
     "path_of",

@@ -1,269 +1,160 @@
-"""A hand-written, non-validating XML parser.
+"""XML text to trees: expat tokenizes, this module builds the tree.
 
-Supports the subset of XML the paper's documents need: elements, attributes
-(single- or double-quoted), character data, CDATA sections, comments,
-processing instructions, an optional XML declaration, and the five predefined
-entities plus numeric character references.  DTDs are recognised and skipped.
+The tree model, the serializer and the paths are this package's own (node
+identity, ordering and serialization are load-bearing for diffing and
+indexing); a tokenizer is not among the paper's algorithms, so well-formedness
+is left to the standard library's ``xml.parsers.expat``.  Three policies are
+ours and are stated here because expat alone would decide them differently:
 
-The parser reports well-formedness violations as
-:class:`~repro.errors.XMLSyntaxError` with line/column positions.
+* **The DTD never reaches the tree.**  A DOCTYPE is read and dropped: nothing
+  external is fetched, parameter entities stay unparsed, declared attribute
+  defaults are not applied, and a reference to anything but the five
+  predefined entities is an "unknown entity" error.  Because expat expands an
+  internal entity inside an attribute value before any handler could object,
+  a general ``<!ENTITY ...>`` declaration is refused where it stands.
+* **Nesting is bounded** by :data:`MAX_DEPTH`: the layers behind the parser
+  (copy, serialize, compare, encode, diff) recurse once per level.
+* **Whitespace.**  Character data on either side of a comment, PI or CDATA
+  section is one :class:`Text`; a run that is whitespace only is dropped.
+
+Everything else is XML 1.0 as expat reads it: names may be non-ASCII, line
+ends in text arrive as ``\\n`` and TAB/LF/CR in attribute values as spaces
+(the serializer writes those as character references, so
+``parse(serialize(t))`` is still the identity), and C0 controls, ``&#0;`` and
+a lower-case ``<!doctype`` are errors.  Violations are
+:class:`~repro.errors.XMLSyntaxError` with 1-based line/column positions.
 """
 
 from __future__ import annotations
 
+from xml.parsers import expat
+
 from ..errors import XMLSyntaxError
 from .node import Element, Text
 
-_PREDEFINED_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "apos": "'",
-    "quot": '"',
-}
+#: Deepest element nesting :func:`parse` accepts (the root is level 1).
+#: expat has no limit of its own, but what the tree is handed to recurses:
+#: ``equals_deep`` costs three interpreter frames a level, the differ two,
+#: ``copy``/``serialize``/``binfmt.write_node`` one.  Under the default
+#: recursion limit of 1000, in a server worker thread, a put / update / save
+#: (xml, cas) / load / ``EXPLAIN ANALYZE`` cycle runs clean at 310 levels and
+#: first fails at 320; the bound keeps a third of that in hand.
+MAX_DEPTH = 200
 
-_NAME_START = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:"
-)
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+#: Levels the store's own XML forms put around a stored tree: five above its
+#: root (``temporalstore/document/delta/replaceroot/old``, or ``j/j/...`` in a
+#: v1 journal) and one below a leaf (``<t>`` for text, ``<a>`` for an attribute).
+_ENVELOPE = 6
 
-
-class _Scanner:
-    """Character cursor with line/column tracking."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    def location(self):
-        consumed = self.text[: self.pos]
-        line = consumed.count("\n") + 1
-        last_nl = consumed.rfind("\n")
-        column = self.pos - last_nl
-        return line, column
-
-    def error(self, message):
-        line, column = self.location()
-        return XMLSyntaxError(message, line=line, column=column)
-
-    def eof(self):
-        return self.pos >= self.length
-
-    def peek(self, count=1):
-        return self.text[self.pos : self.pos + count]
-
-    def advance(self, count=1):
-        self.pos += count
-
-    def expect(self, literal):
-        if not self.text.startswith(literal, self.pos):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def skip_whitespace(self):
-        while self.pos < self.length and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def read_until(self, terminator):
-        end = self.text.find(terminator, self.pos)
-        if end < 0:
-            raise self.error(f"unterminated construct, expected {terminator!r}")
-        chunk = self.text[self.pos : end]
-        self.pos = end + len(terminator)
-        return chunk
-
-    def read_name(self):
-        start = self.pos
-        if self.eof() or self.text[self.pos] not in _NAME_START:
-            raise self.error("expected a name")
-        self.pos += 1
-        while self.pos < self.length and self.text[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        return self.text[start : self.pos]
+#: What may stand before ``<?xml``: CLI files start with a blank line or a BOM.
+_PADDING = "\ufeff \t\r\n"
 
 
-def _decode_entities(scanner, raw):
-    """Expand entity and character references in character data."""
-    if "&" not in raw:
-        return raw
-    parts = []
-    i = 0
-    while True:
-        amp = raw.find("&", i)
-        if amp < 0:
-            parts.append(raw[i:])
-            break
-        parts.append(raw[i:amp])
-        semi = raw.find(";", amp)
-        if semi < 0:
-            raise scanner.error("unterminated entity reference")
-        body = raw[amp + 1 : semi]
-        if body.startswith("#x") or body.startswith("#X"):
-            try:
-                parts.append(chr(int(body[2:], 16)))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{body};") from None
-        elif body.startswith("#"):
-            try:
-                parts.append(chr(int(body[1:])))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{body};") from None
-        elif body in _PREDEFINED_ENTITIES:
-            parts.append(_PREDEFINED_ENTITIES[body])
+class _TreeBuilder:
+    """expat's callbacks; ``error(message)`` raises at the parser's position."""
+
+    def __init__(self, error, max_depth):
+        self.root = None
+        self._error = error
+        self._max_depth = max_depth
+        self._open = []
+        self._text = []
+        self.characters = self._text.append
+
+    def start(self, tag, attrib):
+        if len(self._open) >= self._max_depth:
+            raise self._error(f"elements nested deeper than {self._max_depth}")
+        node = Element(tag, attrib)
+        if self._open:
+            self._flush_text()
+            parent = self._open[-1]
+            parent.children.append(node)
+            node.parent = parent
         else:
-            raise scanner.error(f"unknown entity &{body};")
-        i = semi + 1
-    return "".join(parts)
+            self.root = node
+        self._open.append(node)
 
+    def end(self, tag):
+        self._flush_text()
+        self._open.pop()
 
-def _parse_attributes(scanner):
-    attrib = {}
-    while True:
-        scanner.skip_whitespace()
-        nxt = scanner.peek()
-        if nxt in (">", "/") or nxt == "?" or scanner.eof():
-            return attrib
-        name = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise scanner.error("attribute value must be quoted")
-        scanner.advance()
-        value = scanner.read_until(quote)
-        if "<" in value:
-            raise scanner.error("'<' is not allowed in attribute values")
-        if name in attrib:
-            raise scanner.error(f"duplicate attribute {name!r}")
-        attrib[name] = _decode_entities(scanner, value)
-
-
-def _skip_misc(scanner, allow_doctype):
-    """Skip whitespace, comments, PIs, and (optionally) a DOCTYPE."""
-    while True:
-        scanner.skip_whitespace()
-        if scanner.peek(4) == "<!--":
-            scanner.advance(4)
-            comment = scanner.read_until("-->")
-            if "--" in comment:
-                raise scanner.error("'--' not allowed inside comments")
-        elif scanner.peek(2) == "<?":
-            scanner.advance(2)
-            scanner.read_until("?>")
-        elif allow_doctype and scanner.peek(9).upper() == "<!DOCTYPE":
-            scanner.advance(9)
-            depth = 1
-            while depth:
-                if scanner.eof():
-                    raise scanner.error("unterminated DOCTYPE")
-                ch = scanner.peek()
-                if ch == "<":
-                    depth += 1
-                elif ch == ">":
-                    depth -= 1
-                scanner.advance()
-        else:
-            return
-
-
-def _parse_element(scanner):
-    scanner.expect("<")
-    tag = scanner.read_name()
-    attrib = _parse_attributes(scanner)
-    node = Element(tag, attrib)
-    scanner.skip_whitespace()
-    if scanner.peek(2) == "/>":
-        scanner.advance(2)
-        return node
-    scanner.expect(">")
-    _parse_content(scanner, node)
-    closing = scanner.read_name()
-    if closing != tag:
-        raise scanner.error(
-            f"mismatched end tag: expected </{tag}>, found </{closing}>"
-        )
-    scanner.skip_whitespace()
-    scanner.expect(">")
-    return node
-
-
-def _parse_content(scanner, parent):
-    """Parse children of ``parent`` up to (and consuming) its ``</``."""
-    text_parts = []
-
-    def flush_text():
-        if text_parts:
-            merged = "".join(text_parts)
+    def _flush_text(self):
+        if self._text:
+            merged = "".join(self._text)
+            self._text.clear()
             if merged.strip():
-                parent.append(Text(merged))
-            text_parts.clear()
+                parent = self._open[-1]
+                node = Text(merged)
+                parent.children.append(node)
+                node.parent = parent
 
-    while True:
-        if scanner.eof():
-            raise scanner.error(f"unexpected end of input inside <{parent.tag}>")
-        lt = scanner.text.find("<", scanner.pos)
-        if lt < 0:
-            raise scanner.error(f"missing end tag for <{parent.tag}>")
-        if lt > scanner.pos:
-            # Entity expansion happens per chunk: CDATA sections are
-            # appended verbatim below and must never be decoded.
-            raw = scanner.text[scanner.pos : lt]
-            scanner.pos = lt
-            text_parts.append(_decode_entities(scanner, raw))
-        if scanner.peek(2) == "</":
-            flush_text()
-            scanner.advance(2)
-            return
-        if scanner.peek(4) == "<!--":
-            scanner.advance(4)
-            comment = scanner.read_until("-->")
-            if "--" in comment:
-                raise scanner.error("'--' not allowed inside comments")
-        elif scanner.peek(9) == "<![CDATA[":
-            scanner.advance(9)
-            text_parts.append(scanner.read_until("]]>"))
-        elif scanner.peek(2) == "<?":
-            scanner.advance(2)
-            scanner.read_until("?>")
-        else:
-            flush_text()
-            parent.append(_parse_element(scanner))
+    def release(self):
+        self._error = None
+
+    def entity_declared(self, name, is_parameter, *_definition):
+        if not is_parameter:
+            raise self._error(f"entity declarations are not supported (&{name};)")
+
+    def entity_skipped(self, name, is_parameter):
+        if not is_parameter:
+            raise self._error(f"unknown entity &{name};")
 
 
 def parse(text):
     """Parse a complete XML document; returns the root :class:`Element`.
 
     Exactly one root element is required (surrounding comments/PIs and a
-    prolog are allowed).
+    prolog are allowed, as is whitespace or a BOM before ``<?xml``), nested
+    no deeper than :data:`MAX_DEPTH`.  A DOCTYPE is skipped; see the module
+    docstring for what that rules out.
     """
-    scanner = _Scanner(text)
-    _skip_misc(scanner, allow_doctype=True)
-    if scanner.eof() or scanner.peek() != "<":
-        raise scanner.error("expected a root element")
-    root = _parse_element(scanner)
-    _skip_misc(scanner, allow_doctype=False)
-    if not scanner.eof():
-        raise scanner.error("content after the root element")
-    return root
+    return _build(text, MAX_DEPTH)
 
 
-def parse_fragment(text):
-    """Parse a forest: zero or more sibling elements with optional text between.
+def parse_stored(text):
+    """:func:`parse` for XML this program wrote around a stored tree (an
+    archive, a v1 journal record): the same rules, with room for the wrapper
+    elements so that whatever :func:`parse` let in can be read back."""
+    return _build(text, MAX_DEPTH + _ENVELOPE)
 
-    Interleaved top-level text is discarded (fragments are used for pattern
-    literals and edit-script payloads where only elements matter).  Returns a
-    list of roots.
-    """
-    scanner = _Scanner(text)
-    roots = []
-    while True:
-        _skip_misc(scanner, allow_doctype=False)
-        if scanner.eof():
-            return roots
-        lt = scanner.text.find("<", scanner.pos)
-        if lt < 0:
-            return roots
-        scanner.pos = lt
-        roots.append(_parse_element(scanner))
+
+def _build(text, max_depth):
+    body = text.lstrip(_PADDING)
+    lead = len(text) - len(body)
+    lead_lines = text.count("\n", 0, lead)
+    lead_columns = lead - (text.rfind("\n", 0, lead) + 1)
+
+    def located(message, line, column):
+        # expat's position in ``body`` (line from 1, column from 0) as a
+        # 1-based position in ``text``.
+        if line == 1:
+            column += lead_columns
+        return XMLSyntaxError(message, line=line + lead_lines, column=column + 1)
+
+    def error(message):
+        return located(message, parser.CurrentLineNumber, parser.CurrentColumnNumber)
+
+    parser = expat.ParserCreate()
+    builder = _TreeBuilder(error, max_depth)
+    parser.buffer_text = True
+    parser.specified_attributes = True
+    parser.StartElementHandler = builder.start
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.characters
+    parser.EntityDeclHandler = builder.entity_declared
+    parser.SkippedEntityHandler = builder.entity_skipped
+    try:
+        parser.Parse(body, True)
+    except expat.ExpatError as exc:
+        raise located(expat.ErrorString(exc.code), exc.lineno, exc.offset) from None
+    except UnicodeEncodeError as exc:
+        # A lone surrogate: pyexpat cannot encode the text for expat.
+        line = body.count("\n", 0, exc.start) + 1
+        column = exc.start - (body.rfind("\n", 0, exc.start) + 1)
+        raise located("character outside Unicode", line, column) from None
+    finally:
+        # parser -> handlers -> builder -> error -> parser: undo the loop, so
+        # expat's copy of the input goes when this frame does and does not
+        # wait for the cycle collector.
+        builder.release()
+    return builder.root

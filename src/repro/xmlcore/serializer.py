@@ -5,8 +5,14 @@ from __future__ import annotations
 from ..errors import TemporalXMLError
 from .node import Element, Text
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", '"': "&quot;"}
+# A conforming parser reads a literal CR in text as LF and a literal TAB, LF
+# or CR in an attribute value as a space; written as character references
+# they come back as themselves, so ``parse(serialize(t))`` is the identity.
+_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+_ATTR_ESCAPES = {
+    "&": "&amp;", "<": "&lt;", '"': "&quot;",
+    "\t": "&#9;", "\n": "&#10;", "\r": "&#13;",
+}
 
 
 def escape_text(value):

@@ -1,15 +1,21 @@
 """Tests for timestamps, intervals, and the logical clock."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.clock import (
     BEFORE_TIME,
+    BUCKET_UNITS,
     Interval,
     LogicalClock,
     SECONDS_PER_DAY,
     SECONDS_PER_WEEK,
     UNTIL_CHANGED,
+    bucket_floor,
+    bucket_next,
     coalesce,
     format_timestamp,
     interval_seconds,
@@ -64,13 +70,93 @@ class TestFormatTimestamp:
         assert format_timestamp(UNTIL_CHANGED) == "UC"
         assert format_timestamp(BEFORE_TIME) == "-inf"
 
-    @given(
-        st.integers(
-            min_value=0, max_value=parse_date("31/12/2199 23:59:59")
-        )
-    )
+    @given(st.integers(min_value=-(4 * 10**11), max_value=4 * 10**11))
     def test_property_roundtrip(self, ts):
-        assert parse_date(format_timestamp(ts)) == ts
+        """Years -10 700 to 14 600: the text is what counting year by year
+        gives, and wherever ``parse_date`` can read a year (four digits) it
+        reads the timestamp back."""
+        text = format_timestamp(ts)
+        assert text == _format_year_by_year(ts)
+        if parse_date("01/01/0000") <= ts <= parse_date("31/12/9999 23:59:59"):
+            assert parse_date(text) == ts
+
+    @pytest.mark.timeout(5)
+    @pytest.mark.parametrize("ts", [2**61, -(2**61), 4 * 10**11 * SECONDS_PER_DAY])
+    def test_the_far_future_costs_what_tomorrow_costs(self, ts):
+        """The year loop needed one step per year (2**61 s is 7e10 years);
+        the calendar repeats every 400, which is how the expectation gets
+        there."""
+        era = 146097 * SECONDS_PER_DAY
+        eras, rest = divmod(ts, era)
+        assert format_timestamp(ts) == _format_year_by_year(rest, eras * 400)
+
+    def test_agrees_with_the_parent_on_recorded_timestamps(self):
+        """10 000 seeded instants in 1970-2100 through ``format_timestamp``
+        and every bucket helper; the digest was taken with the year-by-year
+        implementation at commit 9dc5f09."""
+        rng = random.Random(23)
+        digest = hashlib.sha256()
+        for _ in range(10_000):
+            ts = rng.randrange(parse_date("01/01/2101"))
+            row = [ts, format_timestamp(ts)]
+            for unit in BUCKET_UNITS:
+                floor = bucket_floor(ts, unit)
+                row += [floor, bucket_next(floor, unit)]
+            digest.update(repr(row).encode())
+        assert digest.hexdigest() == (
+            "35713235e2b3da3f8f3574ec8af44f2d00c320a739fe73cb4b3ddd962eec0290"
+        )
+
+
+def _format_year_by_year(ts, add_years=0):
+    """``format_timestamp`` as it was before the O(1) calendar: the
+    reference the new one must equal."""
+
+    def year_days(year):
+        leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+        return 366 if leap else 365
+
+    days, rem = divmod(ts, SECONDS_PER_DAY)
+    year = 1970
+    while days >= year_days(year):
+        days -= year_days(year)
+        year += 1
+    while days < 0:
+        year -= 1
+        days += year_days(year)
+    month_days = [31, year_days(year) - 337, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+    month = 0
+    while days >= month_days[month]:
+        days -= month_days[month]
+        month += 1
+    text = f"{days + 1:02d}/{month + 1:02d}/{year + add_years:04d}"
+    if rem:
+        hour, rem = divmod(rem, 3600)
+        text += f" {hour:02d}:{rem // 60:02d}:{rem % 60:02d}"
+    return text
+
+
+class TestBuckets:
+    @given(
+        st.integers(min_value=-(4 * 10**11), max_value=4 * 10**11),
+        st.sampled_from(BUCKET_UNITS),
+    )
+    def test_floor_and_next_bracket_the_instant(self, ts, unit):
+        floor = bucket_floor(ts, unit)
+        following = bucket_next(floor, unit)
+        assert floor <= ts < following
+        assert bucket_floor(following - 1, unit) == floor
+        assert bucket_floor(following, unit) == following
+        starts = {"DAY": "", "WEEK": "", "MONTH": "01/", "YEAR": "01/01/"}
+        assert _format_year_by_year(floor).startswith(starts[unit])
+        assert " " not in _format_year_by_year(floor)
+
+    @pytest.mark.timeout(5)
+    def test_far_buckets_answer_at_once(self):
+        floor = bucket_floor(10**16, "MONTH")
+        assert floor <= 10**16 < bucket_next(floor, "MONTH")
+        assert format_timestamp(floor).startswith("01/")
+        assert bucket_next(bucket_floor(-(10**16), "YEAR"), "YEAR") > -(10**16)
 
 
 class TestIntervalSeconds:

@@ -14,6 +14,7 @@ from repro import TemporalXMLDatabase
 from repro.index import TemporalKeywordScorer
 from repro.storage import TemporalDocumentStore
 from repro.storage.repository import Repository
+from repro.xmlcore import parser
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROOTS = ("repro", "repro.__main__", "repro.serving", "repro.workload")
@@ -152,3 +153,53 @@ def test_the_query_layer_has_one_way_to_a_stored_version():
             assert not named & {"cache", "active_cache"}, (
                 f"{path.name}:{node.lineno}"
             )
+
+
+def test_the_xml_tokenizer_is_imported_not_written(imports):
+    """``xmlcore/parser.py`` builds trees from expat's callbacks: it walks
+    no characters (no loop, no index or slice into a name such as ``parse``'s
+    ``text``), and nothing else under ``src/repro`` offers to."""
+    assert "xml.parsers.expat" in imports["repro.xmlcore.parser"]
+    path = SRC / "repro" / "xmlcore" / "parser.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        assert not isinstance(node, (ast.For, ast.While)), node.lineno
+        if isinstance(node, ast.Subscript):
+            assert not isinstance(node.value, ast.Name), node.lineno
+    assert _importers(imports, "repro.xmlcore.parser.parse") >= {
+        "repro.storage.store",  # benchmarks/e2e/trace.py patches store.parse
+    }
+    # The nesting bound is a constant, not something a caller passes.
+    for entry in (parser.parse, parser.parse_stored):
+        assert list(inspect.signature(entry).parameters) == ["text"]
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                assert node.name not in {"_Scanner", "parse_fragment"}, path
+
+
+def test_the_calendar_has_no_loop():
+    """Dates go through one day-count -> civil function and one back, both
+    O(1); ``bucket_spans`` loops over buckets, never over years."""
+    tree = ast.parse((SRC / "repro" / "clock.py").read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+
+    def called(name):
+        return {
+            node.func.id for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        } & set(functions)
+
+    roots = {"parse_date", "format_timestamp", "bucket_floor", "bucket_next"}
+    reached, frontier = set(), list(roots)
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(called(name))
+    assert reached - roots == {"_days_from_civil", "_civil_from_days"}
+    for name in reached:
+        for node in ast.walk(functions[name]):
+            assert not isinstance(node, (ast.For, ast.While)), name
+    assert called("bucket_spans") <= roots

@@ -104,6 +104,27 @@ class TestRoundTrip:
             populated.documents(include_deleted=True)
         )
 
+    @pytest.mark.parametrize("format", ["xml", "cas"])
+    def test_line_ends_and_markup_characters_survive(self, tmp_path, format):
+        """The XML archive re-parses its own text, and a parser normalizes
+        raw line ends; ``load_store`` verifying means each
+        ``document_checksum`` still matched after that."""
+        store = TemporalDocumentStore()
+        awkward = 'x\ry\r\nz\t&<>"]]>'
+        store.put("d.xml", "<doc><keep>first</keep></doc>")
+        for value in (awkward, awkward[::-1]):
+            tree = Element("doc", {"attr": value, "plain": "v"})
+            tree.append(Element("keep")).append(value + " tail")
+            tree.append(value)
+            store.update("d.xml", tree)
+        path = tmp_path / "saved"
+        dump_store(store, str(path), format=format)
+        loaded = load_store(str(path), format=format)
+        for number in (1, 2, 3):
+            assert loaded.version("d.xml", number).equals_deep(
+                store.version("d.xml", number)
+            )
+
 
 class TestRestoreIntoCallerStore:
     def test_tuning_comes_from_the_store_not_the_loader(self, populated):

@@ -1,5 +1,7 @@
 """End-to-end TXQL execution tests on the Figure 1 database."""
 
+import datetime
+
 import pytest
 
 from repro.clock import format_timestamp
@@ -179,6 +181,21 @@ class TestTemporalFunctions:
         )
         assert {int(row["TIME(R)"]) for row in result} == {JAN_15}
         assert format_timestamp(JAN_15) in str(result)
+
+    @pytest.mark.timeout(5)
+    def test_a_far_future_instant_renders_at_once(self, figure1_db):
+        """Rendering walked the calendar one year at a time: this line held
+        its thread for longer than anyone waited.  The Gregorian calendar
+        repeats every 146 097 days (400 years), which gives the date."""
+        result = figure1_db.query(
+            "SELECT TIME(R) + 400000000000 DAYS "
+            'FROM doc("guide.com")[01/01/2001]/restaurant R'
+        )
+        eras, rest = divmod(400_000_000_000, 146_097)
+        day = datetime.date(2001, 1, 1) + datetime.timedelta(days=rest)
+        assert [line.strip() for line in str(result).splitlines()[2:]] == [
+            f"{day.day:02d}/{day.month:02d}/{day.year + 400 * eras}"
+        ]
 
 
 class TestEqualityRegimes:

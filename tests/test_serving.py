@@ -34,6 +34,7 @@ from repro.serving import (
 )
 from repro.clock import LogicalClock
 from repro.sync import RWLock
+from repro.xmlcore.parser import MAX_DEPTH
 
 JAN_01 = parse_date("01/01/2001")
 
@@ -391,6 +392,32 @@ def test_server_serves_concurrent_clients():
             stats = client.stats()
             assert stats["server"]["connections"] >= 6
             assert stats["server"]["manager"]["commits"] == 2
+
+
+@pytest.mark.timeout(60)
+def test_served_writes_meet_the_nesting_bound_at_the_door():
+    """Past ``MAX_DEPTH`` the reply is the parser's typed error (it used to
+    be ``"RecursionError: ..."`` from somewhere behind it, or worse, a put
+    that worked and an update that did not); at the bound a worker thread
+    has stack enough for everything a write and a traced read do."""
+    def nested(depth, leaf):
+        return "<a>" * depth + leaf + "</a>" * depth
+
+    manager = SessionManager(TemporalXMLDatabase())
+    with ServingServer(manager) as server, ServingClient(*server.address) as client:
+        client.put("deep", "<a/>")
+        for op, name in (("put", "over"), ("update", "deep")):
+            refused = client.request(op, name=name, xml=nested(MAX_DEPTH + 1, "x"))
+            assert refused["ok"] is False
+            assert refused["error_type"] == "XMLSyntaxError"
+            assert f"deeper than {MAX_DEPTH}" in refused["error"]
+            assert "Recursion" not in refused["error"]
+        assert client.update("deep", nested(MAX_DEPTH, "x"))["ok"]
+        assert client.update("deep", nested(MAX_DEPTH, "y z"))["ok"]
+        assert client.update("deep", "<b>" + nested(MAX_DEPTH - 1, "y") + "</b>")["ok"]
+        report = client.trace('SELECT TIME(R), R FROM doc("deep")[EVERY] R')["report"]
+        assert report["row_count"] == 4
+        assert client.stats()["server"]["manager"]["commits"] == 4
 
 
 @pytest.mark.timeout(60)

@@ -1,11 +1,25 @@
 """Tests for serialization."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import TemporalXMLError
 from repro.xmlcore import element, parse, serialize
 from repro.xmlcore.node import Element, Text
 from repro.xmlcore.serializer import escape_attribute, escape_text
+
+
+#: Text and attribute values over the characters XML treats specially:
+#: markup, quotes, both line-end forms, TAB and the CDATA terminator.
+xml_values = st.lists(
+    st.one_of(
+        st.characters(codec="utf-8", categories=("Lu", "Ll", "Nd")),
+        st.sampled_from(
+            ["\r", "\n", "\r\n", "\t", " ", "&", "<", ">", '"', "'", "]]>"]
+        ),
+    ),
+    max_size=12,
+).map("".join)
 
 
 class TestEscaping:
@@ -16,6 +30,20 @@ class TestEscaping:
         assert escape_attribute('say "hi" & <go>') == (
             "say &quot;hi&quot; &amp; &lt;go>"
         )
+
+    def test_line_ends_are_written_as_references(self):
+        """A parser reads a literal CR as LF, and a literal TAB, LF or CR in
+        an attribute as a space; as references they come back as written."""
+        assert escape_text("x\ry\r\nz\tw") == "x&#13;y&#13;\nz\tw"
+        assert escape_attribute("p\tq\nr\rs") == "p&#9;q&#10;r&#13;s"
+
+    @given(xml_values, xml_values)
+    def test_every_value_comes_back_as_written(self, text, value):
+        tree = Element("a", {"attr": value})
+        tree.append(Text(text))
+        again = parse(serialize(tree))
+        assert again.attrib == {"attr": value}
+        assert again.text_content() == (text if text.strip() else "")
 
     def test_escaped_roundtrip(self):
         tree = element("a", "x < y & z")
