@@ -1,0 +1,212 @@
+"""Where the engine's resident memory goes, component by component.
+
+``python -m benchmarks.memprobe [--seed N] [--smoke]`` builds the corpus of
+the wall-clock benchmark (``benchmarks.e2e.corpus``), ingests it the way
+the ``ingest_warehouse`` workload does — commit groups, periodic
+checkpoints, a crash copy taken while the corpus's last groups are only
+in the journal — and then reopens that crash copy in this process.  It
+prints:
+
+* resident bytes per component at the end of ingest — the full-text
+  index, the lifetime index, the current trees and the stored deltas —
+  each a deep-size walk (:func:`deep_size`) from the component's roots;
+* for the reopen, the tracemalloc peak inside ``open()``, the bytes it
+  allocated that a full collection afterwards does not free, and the
+  cycle collector's passes during it.
+
+Only ``benchmarks.e2e``'s corpus, sizes and engine configuration are
+imported; nothing there is changed.  The work directory is a temporary
+one.  ``--smoke`` runs the e2e smoke sizes so CI can keep the script
+alive; its numbers are not comparable with a full run's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import os
+import shutil
+import sys
+import tempfile
+import tracemalloc
+import types
+
+from benchmarks.e2e import SRC
+
+#: Objects shared by everything (classes, modules, code) are not part of
+#: any one component, so the walk does not follow or count them.
+_SHARED = (
+    type,
+    types.ModuleType,
+    types.FunctionType,
+    types.BuiltinFunctionType,
+    types.CodeType,
+)
+
+
+def deep_size(*roots):
+    """Bytes of every object reachable from ``roots``, each counted once.
+
+    Follows ``gc.get_referents`` (every reference a container reports,
+    ints and strings included) and sums ``sys.getsizeof``.  Objects
+    reachable from two components are counted in both, so per-component
+    figures may add up to more than the process holds.
+    """
+    seen = set()
+    stack = list(roots)
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _SHARED):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def components(db):
+    """``{component: resident bytes}`` of an open database."""
+    records = db.store.repository.records()
+    return {
+        "fti": deep_size(db.fti),
+        "lifetime": deep_size(db.lifetime),
+        "current_trees": deep_size([r.current_root for r in records]),
+        "deltas": deep_size([r.deltas for r in records]),
+    }
+
+
+def ingest(directory, crash_copy, corpus, sizes):
+    """Commit ``corpus`` as the ``ingest_warehouse`` workload does; copy
+    the directory to ``crash_copy`` once the base corpus is acknowledged.
+    Returns the still-open database."""
+    from benchmarks.e2e.engine import make_db
+    from repro.workload import BatchingWriter
+
+    db = make_db(directory)
+    writer = BatchingWriter(db, batch_size=sizes.batch_size)
+    seen = set()
+
+    def commit_all(commits):
+        for c in commits:
+            groups = writer.groups
+            if c.name in seen:
+                writer.update(c.name, c.xml, ts=c.ts)
+            else:
+                writer.put(c.name, c.xml, ts=c.ts)
+                seen.add(c.name)
+            if (writer.groups != groups
+                    and writer.groups % sizes.checkpoint_every == 0):
+                db.checkpoint()
+        writer.flush()
+
+    commit_all(corpus.base)
+    shutil.copytree(directory, crash_copy)
+    commit_all(corpus.extension)
+    db.checkpoint()
+    return db
+
+
+def probe_open(directory):
+    """``(db, peak, held, collections)`` of one ``open()`` of ``directory``:
+    the tracemalloc peak during the call, the bytes it allocated that
+    survive a full collection afterwards, and the cycle collector's passes
+    during the call."""
+    from benchmarks.e2e.engine import make_db
+
+    passes = []
+
+    def count(phase, _info):
+        if phase == "start":
+            passes.append(1)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gc.callbacks.append(count)
+        try:
+            db = make_db(directory)
+        finally:
+            gc.callbacks.remove(count)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return db, peak, held, len(passes)
+
+
+def run(seed, smoke):
+    """Measure one seed; returns the report as a dict."""
+    from benchmarks.e2e.corpus import build_corpus
+    from benchmarks.e2e.workloads import sizes_for
+
+    sizes = sizes_for("ingest_warehouse", 3, smoke)
+    corpus = build_corpus(seed, sizes)
+    with tempfile.TemporaryDirectory(prefix="memprobe-") as work:
+        live = os.path.join(work, "live")
+        crashed = os.path.join(work, "crashed")
+        db = ingest(live, crashed, corpus, sizes)
+        try:
+            report = {
+                "seed": seed,
+                "commits": len(corpus.base) + len(corpus.extension),
+                "postings": db.fti.posting_count(),
+                "lifetime_entries": len(db.lifetime),
+                "ingest": components(db),
+            }
+        finally:
+            db.close()
+        del db
+        reopened, peak, held, passes = probe_open(crashed)
+        try:
+            report["open"] = {
+                "peak_bytes": peak,
+                "held_bytes": held,
+                "collections": passes,
+                **components(reopened),
+            }
+        finally:
+            reopened.close()
+    return report
+
+
+def _mb(value):
+    return f"{value / 1e6:7.2f} MB"
+
+
+def print_report(report, out=sys.stdout):
+    print(f"seed {report['seed']}: {report['commits']} commits, "
+          f"{report['postings']} postings, "
+          f"{report['lifetime_entries']} lifetime entries", file=out)
+    ingest = report["ingest"]
+    print("end of ingest (deep size):", file=out)
+    for name, value in ingest.items():
+        print(f"  {name:<14} {_mb(value)}", file=out)
+    print(f"  fti bytes/posting       "
+          f"{ingest['fti'] / max(1, report['postings']):8.1f}", file=out)
+    print(f"  lifetime bytes/entry    "
+          f"{ingest['lifetime'] / max(1, report['lifetime_entries']):8.1f}",
+          file=out)
+    opened = report["open"]
+    print("open() of the crash copy:", file=out)
+    print(f"  tracemalloc peak {_mb(opened['peak_bytes'])}, "
+          f"held after it {_mb(opened['held_bytes'])}, "
+          f"collector passes {opened['collections']}", file=out)
+    for name in ("fti", "lifetime", "current_trees", "deltas"):
+        print(f"  {name:<14} {_mb(opened[name])}", file=out)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(prog="python -m benchmarks.memprobe")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--smoke", action="store_true",
+                        help="the e2e smoke sizes; not comparable")
+    args = parser.parse_args(argv)
+    print_report(run(args.seed, args.smoke))
+    return 0
+
+
+if __name__ == "__main__":
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    sys.exit(main())

@@ -478,14 +478,16 @@ def _cmd_stats(args, out):
         dindex = db.store.delta_index(args.exercise)
         for _ in db.store.version_range(args.exercise, 1, len(dindex)):
             pass
+    storage = db.storage_stats()
     if args.json:
         payload = {"reads": db.store.read_stats()}
         if args.dir:
-            payload["storage"] = db.storage_stats()
+            payload["storage"] = storage
             payload["durability"] = db.durability_stats()
         else:
             payload["storage"] = {
-                "logical": db.store.repository.storage_bytes()
+                "logical": storage["logical"],
+                "indexes": storage["indexes"],
             }
         print(json_module.dumps(payload, indent=2, sort_keys=True), file=out)
         return 0
@@ -504,7 +506,7 @@ def _cmd_stats(args, out):
     for kind, count in anchors["by_anchor"].items():
         print(f"  anchor[{kind}]: {count}", file=out)
     print(f"  range_scans: {anchors['range_scans']}", file=out)
-    logical = db.store.repository.storage_bytes()
+    logical = storage["logical"]
     print("storage (logical bytes):", file=out)
     print(
         f"  current: {logical['current']}  deltas: {logical['deltas']}  "
@@ -521,8 +523,16 @@ def _cmd_stats(args, out):
         ),
         file=out,
     )
+    indexes = storage["indexes"]
+    print(
+        f"indexes: {indexes['postings']} postings "
+        f"({indexes['open_postings']} open on {indexes['open_elements']} "
+        f"elements), {indexes['interned']} interned contexts, "
+        f"{indexes['lifetime_entries']} lifetime entries",
+        file=out,
+    )
     if args.dir:
-        _print_backend_stats(db.storage_stats(), out)
+        _print_backend_stats(storage, out)
         print("journal files:", file=out)
         _print_journal_files(db.recovery, out)
     return 0

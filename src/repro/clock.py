@@ -312,7 +312,7 @@ class LogicalClock:
         if step <= 0:
             raise TimeError("clock can only move forward")
         with self._lock:
-            self._now += step
+            self._now = _commit_time(self._now + step)
             return self._now
 
     def advance_to(self, ts):
@@ -323,5 +323,13 @@ class LogicalClock:
                     f"cannot move clock backwards ({format_timestamp(ts)} < "
                     f"{format_timestamp(self._now)})"
                 )
-            self._now = ts
+            self._now = _commit_time(ts)
             return self._now
+
+
+def _commit_time(ts):
+    """``ts`` if it can stamp a commit: strictly between the two sentinels
+    (the indexes store commit times as 64-bit integers)."""
+    if not BEFORE_TIME < ts < UNTIL_CHANGED:
+        raise TimeError(f"commit time {ts} is outside the representable range")
+    return ts

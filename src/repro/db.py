@@ -274,12 +274,19 @@ class TemporalXMLDatabase:
         ``backend`` reports what actually sits on disk — for CAS, the
         dedup/compression/GC counters per kind (current/deltas/snapshots/
         checkpoint manifests, raw vs stored bytes, dedup ratio) plus the
-        object directory size; for XML, the checkpoint file sizes."""
+        object directory size; for XML, the checkpoint file sizes.
+        ``indexes`` counts what the in-memory indexes hold: total and open
+        postings, elements with an open posting, interned contexts shared
+        by postings, and lifetime entries."""
         import os
 
         out = {
             "storage": self.storage,
             "logical": self.store.repository.storage_bytes(),
+            "indexes": {
+                **self.fti.footprint(),
+                "lifetime_entries": len(self.lifetime),
+            },
             "backend": None,
         }
         if self.checkpointer is None:

@@ -90,23 +90,28 @@ def _children_score(left, right):
     if not left_children or not right_children:
         return 0.0
     # Greedy best-pair matching: repeatedly take the highest-scoring
-    # remaining pair.  Child lists are short, so cubic cost is acceptable.
-    remaining_left = list(left_children)
-    remaining_right = list(right_children)
+    # remaining pair, the first in row-major order on ties.  Each pair is
+    # scored once, up front: re-scoring the remaining pairs every round
+    # recursed into the same subtrees again, exponentially in depth.
+    scores = [
+        [similarity(lc, rc) for rc in right_children] for lc in left_children
+    ]
+    rows = list(range(len(left_children)))
+    columns = list(range(len(right_children)))
     total = 0.0
-    pair_count = max(len(remaining_left), len(remaining_right))
-    while remaining_left and remaining_right:
+    pair_count = max(len(rows), len(columns))
+    while rows and columns:
         best = None
         best_score = -1.0
-        for i, lc in enumerate(remaining_left):
-            for j, rc in enumerate(remaining_right):
-                score = similarity(lc, rc)
+        for i, row in enumerate(rows):
+            for j, column in enumerate(columns):
+                score = scores[row][column]
                 if score > best_score:
                     best_score = score
                     best = (i, j)
         total += best_score
-        remaining_left.pop(best[0])
-        remaining_right.pop(best[1])
+        rows.pop(best[0])
+        columns.pop(best[1])
     return total / pair_count
 
 

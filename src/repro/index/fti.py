@@ -32,7 +32,15 @@ case), and the open postings are additionally threaded on a side list:
 per query, which is how the benchmarks expose the difference.
 
 The index is a store observer; reconciliation happens on every commit by
-comparing the new version's occurrence map against the open postings.
+comparing the new version's occurrences, element by element, against the
+element's open postings.
+
+Each fact is stored once.  An intern table maps every distinct ancestors
+tuple, path and word to one object that all postings share, so a posting
+is its interval plus references.  The open postings of a document are
+kept per element, in occurrence order: the k-th open posting of a word
+at an element is that element's k-th occurrence of the word, so no
+per-occurrence key is stored.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort_right
 
 from ..sync import RWLock
-from .postings import Posting, occurrences
+from .postings import Posting, element_runs
 from .stats import IndexStats
 
 
@@ -64,7 +72,10 @@ class TemporalFullTextIndex:
     def __init__(self):
         self._lists = {}      # word -> list[Posting], sorted by start
         self._open_lists = {}  # word -> open postings only, sorted by start
-        self._open = {}       # doc_id -> {(word, xid, ordinal): Posting}
+        self._open = {}       # doc_id -> {xid: [open Posting, ...]}
+        # ancestors tuple / path / word -> the one object postings share;
+        # written under the write lock only.
+        self._interned = {}
         self.stats = IndexStats()
         self._rwlock = RWLock()
 
@@ -78,31 +89,89 @@ class TemporalFullTextIndex:
                 self._close_all(event.doc_id, event.timestamp)
 
     def _reconcile(self, doc_id, root, ts):
-        new_occurrences = occurrences(root, doc_id)
-        open_map = self._open.setdefault(doc_id, {})
+        interned = self._interned
+        runs = element_runs(root, interned)
+        fresh = {}  # xid -> [ancestors, every word of the element]
+        for element, ancestors, _path, words in runs:
+            entry = fresh.get(element.xid)
+            if entry is None:
+                fresh[element.xid] = [ancestors, words]
+            else:
+                entry[1] = entry[1] + words
 
-        for key in list(open_map):
-            posting = open_map[key]
-            found = new_occurrences.get(key)
-            if found is None or found[0] != posting.ancestors:
-                # Occurrence gone, or its element moved (hierarchy info in
-                # the posting would be stale): close the interval.
-                self._close(key[0], posting, ts)
-                del open_map[key]
-
-        for key, (ancestors, path) in new_occurrences.items():
-            if key in open_map:
+        previous = self._open.get(doc_id, {})
+        now_open = {}
+        pending = {}  # xid -> its open list, None where a posting opens
+        for xid, (ancestors, words) in fresh.items():
+            kept = previous.pop(xid, None)
+            if kept is None or kept[0].ancestors is not ancestors:
+                # New element, or it moved (hierarchy info in its postings
+                # would be stale): every occurrence opens a posting.
+                if kept is not None:
+                    for posting in kept:
+                        self._close(posting, ts)
+                slots = [None] * len(words)
+            elif [posting.word for posting in kept] == words:
+                now_open[xid] = kept  # unchanged element: keep its list
                 continue
-            word, xid, _ordinal = key
-            posting = Posting(doc_id, xid, ancestors, path, start=ts)
-            self._insert(word, posting)
-            open_map[key] = posting
-            self.stats.opened(posting.estimated_bytes())
+            else:
+                slots = self._match(kept, words, ts)
+            now_open[xid] = slots
+            if None in slots:
+                pending[xid] = slots
+        for kept in previous.values():  # elements without words now
+            for posting in kept:
+                self._close(posting, ts)
+        self._open[doc_id] = now_open
+
+        # Open the new postings in document order, so every per-word list
+        # gets them in the order the occurrences stand in the version.
+        filled = {}
+        for element, ancestors, path, words in runs:
+            slots = pending.get(element.xid)
+            if slots is None:
+                continue
+            at = filled.get(element.xid, 0)
+            filled[element.xid] = at + len(words)
+            opened = 0
+            for offset, word in enumerate(words, start=at):
+                if slots[offset] is not None:
+                    continue
+                word = interned.setdefault(word, word)
+                posting = Posting(
+                    doc_id, element.xid, ancestors, path, ts, word=word
+                )
+                self._insert(word, posting)
+                slots[offset] = posting
+                opened += 1
+            if opened:  # the run's postings share their estimated size
+                self.stats.opened(opened * posting.estimated_bytes(), opened)
+
+    def _match(self, kept, words, ts):
+        """Line an element's open postings up with its new ``words``: the
+        k-th posting of a word stays open for the k-th occurrence of it,
+        the rest close.  Returns the new open list, ``None`` where an
+        occurrence needs a posting."""
+        by_ordinal = {}
+        seen = {}
+        for posting in kept:
+            ordinal = seen.get(posting.word, 0)
+            seen[posting.word] = ordinal + 1
+            by_ordinal[posting.word, ordinal] = posting
+        seen = {}
+        slots = []
+        for word in words:
+            ordinal = seen.get(word, 0)
+            seen[word] = ordinal + 1
+            slots.append(by_ordinal.pop((word, ordinal), None))
+        for posting in by_ordinal.values():
+            self._close(posting, ts)
+        return slots
 
     def _close_all(self, doc_id, ts):
-        open_map = self._open.pop(doc_id, {})
-        for (word, _xid, _ordinal), posting in open_map.items():
-            self._close(word, posting, ts)
+        for kept in self._open.pop(doc_id, {}).values():
+            for posting in kept:
+                self._close(posting, ts)
 
     def _insert(self, word, posting):
         """File a new posting, keeping both lists sorted by start.
@@ -122,9 +191,14 @@ class TemporalFullTextIndex:
         else:
             opens.append(posting)
 
-    def _close(self, word, posting, ts):
+    def _close(self, posting, ts):
+        """End ``posting``'s interval and take it off its word's open list:
+        a bisect to the run of equal starts, then a scan from there
+        (postings compare by identity)."""
         posting.end = ts
-        self._open_lists[word].remove(posting)
+        opens = self._open_lists[posting.word]
+        run = bisect_left(opens, posting.start, key=_start)
+        del opens[opens.index(posting, run)]
         self.stats.closed()
 
     # -- the three FTI operations (Section 7.2) ------------------------------------
@@ -239,7 +313,25 @@ class TemporalFullTextIndex:
         with self._rwlock.read_lock():
             return sum(len(lst) for lst in self._open_lists.values())
 
+    def footprint(self):
+        """Entry counts of the stored layout: ``postings``,
+        ``open_postings``, ``open_elements`` (elements holding an open
+        posting) and ``interned`` (the distinct ancestors tuples, paths and
+        words the postings share)."""
+        with self._rwlock.read_lock():
+            return {
+                "postings": sum(len(lst) for lst in self._lists.values()),
+                "open_postings": sum(
+                    len(lst) for lst in self._open_lists.values()
+                ),
+                "open_elements": sum(
+                    len(elements) for elements in self._open.values()
+                ),
+                "interned": len(self._interned),
+            }
+
     def estimated_bytes(self):
+        """The paper's logical index size (E6), not resident memory."""
         with self._rwlock.read_lock():
             return sum(
                 p.estimated_bytes()

@@ -11,13 +11,27 @@ As the paper notes, inserts into this index are not strictly append-only
 (new elements appear inside existing documents), but every commit appends a
 *batch* of entries, so amortized cost per element stays low; the
 ``updates_per_commit`` counter lets the benchmark verify that remark.
+
+Storage is two integer columns per document, indexed by XID: create times
+and delete times.  XIDs of a document are dense, increasing and never
+reused (:class:`~repro.model.identifiers.XIDAllocator`), so a column is an
+``array('q')`` with a slot per XID handed out so far, and a lifespan costs
+16 bytes.
 """
 
 from __future__ import annotations
 
-from ..diff.editscript import DeleteOp, InsertOp, ReplaceRootOp, payload_nodes
+from array import array
+
+from ..diff.editscript import DeleteOp, InsertOp, ReplaceRootOp
 from ..sync import RWLock
+from ..xmlcore.node import Element
 from .stats import IndexStats
+
+#: Column value for "no such element" (create column) and "still alive"
+#: (delete column): below every commit time, which the clock keeps above
+#: ``BEFORE_TIME``.
+NO_TIME = -(2**63)
 
 
 class LifetimeIndex:
@@ -31,8 +45,9 @@ class LifetimeIndex:
     metrics_label = "lifetime"
 
     def __init__(self):
-        # doc_id -> {xid: [create_ts, delete_ts | None]}
-        self._spans = {}
+        # doc_id -> (create times, delete times), both indexed by XID
+        self._columns = {}
+        self._entries = 0
         self.stats = IndexStats()
         self.commit_batches = 0
         self._entries_this_commit = 0
@@ -62,25 +77,50 @@ class LifetimeIndex:
                 self._open_subtree(doc_id, op.new_payload, ts)
 
     def _open_subtree(self, doc_id, node, ts):
-        spans = self._spans.setdefault(doc_id, {})
-        for inner in payload_nodes(node):
-            spans[inner.xid] = [ts, None]
-            self.stats.opened(24)
-            self._entries_this_commit += 1
+        columns = self._columns.get(doc_id)
+        if columns is None:
+            columns = self._columns[doc_id] = (array("q"), array("q"))
+        created, deleted = columns
+        xids = _xids(node)
+        grow = max(xids) + 1 - len(created)
+        if grow > 0:
+            gap = array("q", [NO_TIME]) * grow
+            created.extend(gap)
+            deleted.extend(gap)
+        new = 0
+        for xid in xids:
+            if created[xid] == NO_TIME:
+                new += 1
+            created[xid] = ts
+            deleted[xid] = NO_TIME
+        self._entries += new
+        self.stats.opened(24 * len(xids), len(xids))
+        self._entries_this_commit += len(xids)
 
     def _close_subtree(self, doc_id, node, ts):
-        spans = self._spans.get(doc_id, {})
-        for inner in payload_nodes(node):
-            span = spans.get(inner.xid)
-            if span is not None and span[1] is None:
-                span[1] = ts
-                self.stats.closed()
+        columns = self._columns.get(doc_id)
+        if columns is None:
+            return
+        created, deleted = columns
+        closed = 0
+        for xid in _xids(node):
+            if (xid < len(created) and created[xid] != NO_TIME
+                    and deleted[xid] == NO_TIME):
+                deleted[xid] = ts
+                closed += 1
+        self.stats.closed(closed)
 
     def _close_document(self, doc_id, ts):
-        for span in self._spans.get(doc_id, {}).values():
-            if span[1] is None:
-                span[1] = ts
-                self.stats.closed()
+        columns = self._columns.get(doc_id)
+        if columns is None:
+            return
+        created, deleted = columns
+        closed = 0
+        for xid, (born, died) in enumerate(zip(created, deleted)):
+            if born != NO_TIME and died == NO_TIME:
+                deleted[xid] = ts
+                closed += 1
+        self.stats.closed(closed)
 
     # -- lookups (the CreTime/DelTime index strategy) --------------------------------
 
@@ -105,12 +145,34 @@ class LifetimeIndex:
 
     def lifespan(self, eid):
         with self._rwlock.read_lock():
-            span = self._span(eid)
-            return (span[0], span[1]) if span else None
+            return self._span(eid)
 
     def __len__(self):
         with self._rwlock.read_lock():
-            return sum(len(spans) for spans in self._spans.values())
+            return self._entries
 
     def _span(self, eid):
-        return self._spans.get(eid.doc_id, {}).get(eid.xid)
+        """``(create_ts, delete_ts or None)``, or ``None`` when unknown."""
+        columns = self._columns.get(eid.doc_id)
+        if columns is None:
+            return None
+        created, deleted = columns
+        xid = eid.xid
+        if not 0 <= xid < len(created) or created[xid] == NO_TIME:
+            return None
+        died = deleted[xid]
+        return created[xid], (None if died == NO_TIME else died)
+
+
+def _xids(node):
+    """The XIDs of a payload subtree's nodes, in no particular order (the
+    columns need none, and a plain stack walk is cheaper than the
+    pre-order generator of ``payload_nodes``)."""
+    xids = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        xids.append(node.xid)
+        if isinstance(node, Element):
+            stack.extend(node.children)
+    return xids

@@ -15,7 +15,13 @@ Our postings carry:
 * ``path`` — the tag path from the root, used for path-literal filtering,
 * the validity interval ``[start, end)`` in transaction time
   (``end == UNTIL_CHANGED`` while the occurrence is still present in the
-  current version).
+  current version),
+* the ``word`` itself, so an open posting knows which list to leave when
+  it closes.
+
+Everything but the interval is context shared by many postings: the
+index that files them hands every posting of the same word, path or
+ancestor chain the same object (see :func:`element_runs`).
 """
 
 from __future__ import annotations
@@ -34,21 +40,25 @@ def tokenize(text):
     Hyphens and punctuation break words; underscores are kept (they are
     common in element names).  Numbers are terms too (prices are queried).
     """
-    return [w for w in text.lower().translate(_WORD_BREAKS).split() if w]
+    return text.lower().translate(_WORD_BREAKS).split()
 
 
 class Posting:
     """One word occurrence with its validity interval (mutable ``end``)."""
 
-    __slots__ = ("doc_id", "xid", "ancestors", "path", "start", "end")
+    __slots__ = ("doc_id", "xid", "ancestors", "path", "start", "end", "word")
 
-    def __init__(self, doc_id, xid, ancestors, path, start, end=UNTIL_CHANGED):
+    def __init__(
+        self, doc_id, xid, ancestors, path, start, end=UNTIL_CHANGED,
+        word=None,
+    ):
         self.doc_id = doc_id
         self.xid = xid
         self.ancestors = ancestors
         self.path = path
         self.start = start
         self.end = end
+        self.word = word
 
     @property
     def is_open(self):
@@ -72,41 +82,74 @@ class Posting:
         )
 
 
+def element_runs(root, interned=None):
+    """The word occurrences of a stamped tree, as runs in document order.
+
+    Returns a list of ``(element, ancestors, path, words)``.  An element's
+    tag and attribute words form its first run and each of its text
+    children one more (text is attributed to the direct containing
+    element only; the structural join recovers ancestor containment from
+    ``ancestors``).  The runs of a child element's subtree sit between
+    the runs of the text around it, so the runs read in order list every
+    occurrence in the order a pre-order walk meets it.  Runs without
+    words are left out.
+
+    ``interned`` (a dict, updated in place) maps each ancestors tuple and
+    path the walk builds to one object per distinct value, so every run
+    — of this tree and of any other walked with the same dict — that has
+    an equal ancestors tuple or path holds the identical object.  Word
+    lists may be shared between runs; callers must not mutate them.
+    """
+    table = {} if interned is None else interned
+    tag_words = {}
+    runs = []
+
+    def walk(element, ancestors, parent_path):
+        tag = element.tag
+        path = f"{parent_path}/{tag}" if parent_path else tag
+        path = table.setdefault(path, path)
+        words = tag_words.get(tag)
+        if words is None:
+            words = tag_words[tag] = tokenize(tag)
+        if element.attrib:
+            words = words + [
+                word for value in element.attrib.values()
+                for word in tokenize(value)
+            ]
+        if words:
+            runs.append((element, ancestors, path, words))
+        child_ancestors = None
+        for child in element.children:
+            if isinstance(child, Element):
+                if child_ancestors is None:
+                    child_ancestors = ancestors + (element.xid,)
+                    child_ancestors = table.setdefault(
+                        child_ancestors, child_ancestors
+                    )
+                walk(child, child_ancestors, path)
+            elif isinstance(child, Text):
+                words = tokenize(child.value)
+                if words:
+                    runs.append((element, ancestors, path, words))
+
+    walk(root, (), "")
+    return runs
+
+
 def occurrences(root, doc_id):
     """Extract all word occurrences of a stamped tree.
 
-    Returns ``{(word, xid, ordinal): (ancestors, path)}`` where ``ordinal``
-    numbers repeated occurrences of the same word at the same element in
-    document order — the key shape the FTI reconciles against between
-    versions.
+    Returns ``{(word, xid, ordinal): (ancestors, path)}`` in document
+    order, where ``ordinal`` numbers repeated occurrences of the same word
+    at the same element — the position of the word among that element's
+    occurrences of it.
     """
     out = {}
     counters = {}
-
-    def note(word, element, ancestors, path):
-        slot = (word, element.xid)
-        ordinal = counters.get(slot, 0)
-        counters[slot] = ordinal + 1
-        out[(word, element.xid, ordinal)] = (ancestors, path)
-
-    def walk(element, ancestors, parent_path):
-        path = (
-            f"{parent_path}/{element.tag}" if parent_path else element.tag
-        )
-        for word in tokenize(element.tag):
-            note(word, element, ancestors, path)
-        for value in element.attrib.values():
-            for word in tokenize(value):
-                note(word, element, ancestors, path)
-        child_ancestors = ancestors + (element.xid,)
-        for child in element.children:
-            if isinstance(child, Element):
-                walk(child, child_ancestors, path)
-            elif isinstance(child, Text):
-                for word in tokenize(child.value):
-                    note(word, element, ancestors, path)
-        # Text is attributed to the direct containing element only; the
-        # structural join recovers ancestor containment from `ancestors`.
-
-    walk(root, (), "")
+    for element, ancestors, path, words in element_runs(root):
+        xid = element.xid
+        for word in words:
+            ordinal = counters.get((word, xid), 0)
+            counters[(word, xid)] = ordinal + 1
+            out[(word, xid, ordinal)] = (ancestors, path)
     return out

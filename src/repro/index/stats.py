@@ -23,15 +23,16 @@ class IndexStats:
     postings_scanned: int = 0  # entries touched while answering queries
     postings_returned: int = 0  # entries that actually made the result
 
-    def opened(self, estimated_bytes):
-        self.postings += 1
+    def opened(self, estimated_bytes, count=1):
+        """``count`` entries of ``estimated_bytes`` in all were stored."""
+        self.postings += count
         self.bytes += estimated_bytes
-        self.postings_opened += 1
-        self.update_ops += 1
+        self.postings_opened += count
+        self.update_ops += count
 
-    def closed(self):
-        self.postings_closed += 1
-        self.update_ops += 1
+    def closed(self, count=1):
+        self.postings_closed += count
+        self.update_ops += count
 
     def removed(self, estimated_bytes):
         self.postings -= 1

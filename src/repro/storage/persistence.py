@@ -273,9 +273,11 @@ def replay_history(store, observers):
     Events are replayed in global ``(timestamp, doc_id)`` order across
     documents, exactly as the original commits happened, using the stored
     deltas to roll each document forward from its first version.  The
-    per-document event streams are merged lazily, so only each document's
-    next event — two trees at most — is alive at any time, never a tree
-    per version.
+    per-document event streams are merged lazily, and each stream rolls
+    one tree in place, so one tree per document is alive at any time and
+    no version is copied.  Observers borrow ``event.root`` for the call
+    only (it changes under them afterwards) and replayed updates carry no
+    ``old_root``; a document's ``delete`` event carries its final tree.
     """
     streams = [
         _document_events(store, record)
@@ -295,13 +297,15 @@ def _document_events(store, record):
         "create", record.doc_id, record.name, 1, entries[0].timestamp,
         root=root,
     )
+    # apply_script copies the payloads it inserts, so the rolled tree never
+    # aliases a stored delta.
+    index = {node.xid: node for node in root.iter()}
     for entry in entries[1:]:
         script = record.deltas[entry.number - 1]
-        old_root = root
-        root = apply_script(root.copy(), script)
+        root = apply_script(root, script, index)
         yield CommitEvent(
             "update", record.doc_id, record.name, entry.number,
-            entry.timestamp, root=root, old_root=old_root, script=script,
+            entry.timestamp, root=root, script=script,
         )
     if record.dindex.deleted_at is not None:
         yield CommitEvent(

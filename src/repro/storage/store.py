@@ -44,6 +44,13 @@ class CommitEvent:
     new current tree (``None`` for deletes), ``old_root`` the previous one
     (``None`` for creates), ``script`` the completed delta (updates only).
     Observers must not mutate the trees.
+
+    Events replayed from stored history
+    (:func:`~repro.storage.persistence.replay_history`) roll one tree per
+    document in place: their roots are borrowed for the
+    ``document_committed`` call only — an observer that keeps one must
+    copy it — and their updates carry ``old_root=None``.  A replayed
+    ``delete`` still carries the document's final tree as ``old_root``.
     """
 
     kind: str

@@ -95,6 +95,7 @@ class TestLifecycle:
         # and said so in `stats --help`.
         assert "version cache:" not in out and "hit_rate:" not in out
         assert "delta_reads_saved" not in out
+        assert "lifetime entries" in out
 
     def test_stats_exercise_scans_history(self, guide_files):
         archive, v1, v2 = guide_files
@@ -369,6 +370,11 @@ class TestStorageCLI:
         assert (
             "  delta ops: 5  StampOp: 4 (80%)  UpdateTextOp: 1 (20%)\n" in out
         )
+        # Six words in v1; v2 closes "15" and opens "18" on <price>.
+        assert (
+            "indexes: 7 postings (6 open on 4 elements), 12 interned "
+            "contexts, 6 lifetime entries\n" in out
+        )
 
     def test_stats_dir_json_breakdown(self, tmp_path):
         import json
@@ -393,6 +399,10 @@ class TestStorageCLI:
         assert storage["logical"]["total"] > 0
         assert storage["logical"]["delta_ops"] == {
             "StampOp": 4, "UpdateTextOp": 1,
+        }
+        assert storage["indexes"] == {
+            "postings": 7, "open_postings": 6, "open_elements": 4,
+            "interned": 12, "lifetime_entries": 6,
         }
         journals = payload["durability"]["recovery"]["journals"]
         assert [j["file"] for j in journals] == ["journal.bin.prev", "journal.bin"]

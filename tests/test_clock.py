@@ -264,3 +264,31 @@ class TestLogicalClock:
     def test_bad_tick(self):
         with pytest.raises(TimeError):
             LogicalClock(tick=0)
+
+    def test_commit_times_stay_between_the_sentinels(self):
+        """The indexes store commit times as 64-bit integers, and the
+        sentinels bound every interval."""
+        clock = LogicalClock(start=100)
+        for ts in (UNTIL_CHANGED, 2**63, 2**70):
+            with pytest.raises(TimeError):
+                clock.advance_to(ts)
+        assert clock.now() == 100
+        clock = LogicalClock(start=UNTIL_CHANGED - 2, tick=1)
+        assert clock.advance() == UNTIL_CHANGED - 1
+        with pytest.raises(TimeError):
+            clock.advance()
+        assert clock.now() == UNTIL_CHANGED - 1
+
+    def test_an_out_of_range_commit_changes_nothing(self):
+        from repro import TemporalXMLDatabase
+
+        db = TemporalXMLDatabase()
+        db.put("d.xml", "<d><a>x</a></d>")
+        with pytest.raises(TimeError):
+            db.update("d.xml", "<d><a>y</a></d>", ts=2**63)
+        with pytest.raises(TimeError):
+            db.put("e.xml", "<d><a>z</a></d>", ts=2**64)
+        assert db.documents() == ["d.xml"]
+        rows = db.query('SELECT R FROM doc("d.xml")/a R').rows
+        assert [row["R"].tree.text for row in rows] == ["x"]
+        assert len(db.lifetime) == 3 and db.fti.posting_count() == 3

@@ -1,6 +1,8 @@
 """Tests for the delta-operation index (alt 2), hybrid (alt 3), the
 full-history lookup adapter, and the lifetime index."""
 
+from array import array
+
 import pytest
 
 from benchmarks.ablation.fti_alternatives import (
@@ -11,21 +13,32 @@ from benchmarks.ablation.fti_alternatives import (
     FullHistoryLookup,
     HybridIndex,
 )
+from repro.diff.editscript import (
+    DeleteOp,
+    InsertOp,
+    ReplaceRootOp,
+    payload_nodes,
+)
 from repro.index import (
     LifetimeIndex,
     TemporalFullTextIndex,
     TemporalKeywordScorer,
 )
-from repro.model.identifiers import EID
+from repro.index.lifetime import NO_TIME
+from repro.model.identifiers import EID, XIDAllocator
+from repro.model.versioned import stamp_new_nodes
 from repro.storage import TemporalDocumentStore
+from repro.storage.store import CommitEvent
 from repro.workload import (
     KeywordWorkload,
     TDocGenerator,
     build_collection,
     load_figure1,
 )
+from repro.xmlcore import parse
 
 from tests.conftest import JAN_01, JAN_15, JAN_26, JAN_31
+from tests.index_history import drive, script_features
 
 
 @pytest.fixture
@@ -170,20 +183,25 @@ class TestLifetimeIndex:
                           ts=JAN_31 + 10)
         doc_id = store.doc_id("guide.com")
 
-        class Unvisited(dict):
+        class Unvisited(array):
             def _visited(self, *args):
                 raise AssertionError("another document's spans were scanned")
 
-            __iter__ = keys = values = items = _visited
+            __iter__ = __getitem__ = __setitem__ = _visited
 
-        lifetime._spans[other] = Unvisited(lifetime._spans[other])
+        others = lifetime._columns[other]
+        lifetime._columns[other] = tuple(
+            Unvisited("q", column) for column in others
+        )
+        created, deleted = lifetime._columns[doc_id]
         alive = [
-            xid for xid, span in lifetime._spans[doc_id].items()
-            if span[1] is None
+            xid for xid, (born, died) in enumerate(zip(created, deleted))
+            if born != NO_TIME and died == NO_TIME
         ]
         closed = lifetime.stats.postings_closed
         total = len(lifetime)
         store.delete("guide.com", ts=JAN_31 + 1000)
+        lifetime._columns[other] = others
         assert lifetime.stats.postings_closed == closed + len(alive) > closed
         assert all(
             lifetime.delete_time(EID(doc_id, xid)) == JAN_31 + 1000
@@ -218,3 +236,103 @@ class TestLifetimeIndex:
     def test_commit_batches_counted(self, stores):
         _store, _ops, lifetime = stores
         assert lifetime.commit_batches == 3
+
+
+class ReferenceLifetime:
+    """The dict-of-spans layout, kept as the reference:
+    ``{doc_id: {xid: [create_ts, delete_ts | None]}}``."""
+
+    def __init__(self):
+        self.spans = {}
+
+    def document_committed(self, event):
+        spans = self.spans.setdefault(event.doc_id, {})
+        ts = event.timestamp
+        if event.kind == "create":
+            self._open(spans, event.root, ts)
+        elif event.kind == "delete":
+            for span in spans.values():
+                if span[1] is None:
+                    span[1] = ts
+        else:
+            for op in event.script:
+                if isinstance(op, InsertOp):
+                    self._open(spans, op.payload, ts)
+                elif isinstance(op, DeleteOp):
+                    self._close(spans, op.payload, ts)
+                elif isinstance(op, ReplaceRootOp):
+                    self._close(spans, op.old_payload, ts)
+                    self._open(spans, op.new_payload, ts)
+
+    @staticmethod
+    def _open(spans, node, ts):
+        for inner in payload_nodes(node):
+            spans[inner.xid] = [ts, None]
+
+    @staticmethod
+    def _close(spans, node, ts):
+        for inner in payload_nodes(node):
+            span = spans.get(inner.xid)
+            if span is not None and span[1] is None:
+                span[1] = ts
+
+
+def assert_same_lifespans(lifetime, reference):
+    assert len(lifetime) == sum(len(s) for s in reference.spans.values())
+    for doc_id, spans in reference.spans.items():
+        for xid, (created, deleted) in spans.items():
+            eid = EID(doc_id, xid)
+            assert lifetime.lifespan(eid) == (created, deleted), eid
+            assert lifetime.create_time(eid) == created
+            assert lifetime.delete_time(eid) == deleted
+            assert lifetime.known(eid)
+        beyond = max(spans, default=0) + 1
+        for xid in (-1, 0, beyond, beyond + 100):
+            assert lifetime.lifespan(EID(doc_id, xid)) is None
+            assert not lifetime.known(EID(doc_id, xid))
+    missing = EID(max(reference.spans, default=0) + 1, 1)
+    assert lifetime.lifespan(missing) is None
+
+
+class TestLifetimeLayoutAgainstReference:
+    """XID-indexed columns answer what the dict of spans answered: live,
+    after recovery from a checkpoint plus journal tail, after a replay of
+    everything, and after recovery from the journal alone."""
+
+    @pytest.mark.parametrize("seed, checkpoints, storage", [
+        (1, True, "xml"), (2, True, "cas"), (3, False, "xml"),
+    ])
+    def test_seeded_history(self, tmp_path, seed, checkpoints, storage):
+        reference = ReferenceLifetime()
+        checks = []
+
+        def check(db):
+            assert_same_lifespans(db.lifetime, reference)
+            checks.append(len(db.lifetime))
+
+        db = drive(seed, tmp_path / "db", [reference], check,
+                   checkpoints=checkpoints, storage=storage)
+        assert len(checks) > 40 and checks[-1] > 100
+        assert {"ReplaceRootOp", "InsertOp", "DeleteOp"} <= script_features(
+            db.store)
+        closed = [
+            span for spans in reference.spans.values()
+            for span in spans.values() if span[1] is not None
+        ]
+        assert closed
+
+    def test_reopening_an_xid_overwrites_its_span(self):
+        """An event stream that opens a known XID again (a history
+        replayed twice into one index) restarts the span; the entry count
+        does not grow."""
+        tree = parse("<a><b>x</b></a>")
+        stamp_new_nodes(tree, XIDAllocator(), JAN_01)
+        lifetime, reference = LifetimeIndex(), ReferenceLifetime()
+        for kind, ts in (("create", JAN_01), ("delete", JAN_15),
+                         ("create", JAN_26)):
+            event = CommitEvent(kind, 7, "d.xml", 1, ts, root=tree)
+            lifetime.document_committed(event)
+            reference.document_committed(event)
+        assert_same_lifespans(lifetime, reference)
+        assert lifetime.lifespan(EID(7, 1)) == (JAN_26, None)
+        assert len(lifetime) == 3
