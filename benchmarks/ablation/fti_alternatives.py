@@ -122,21 +122,23 @@ class DeltaOperationIndex:
     def _index_script(self, doc_id, script, ts):
         for op in script:
             if isinstance(op, InsertOp):
-                if isinstance(op.payload, Element):
-                    self._learn_parents(doc_id, op.payload)
-                    self._index_subtree(OP_INSERT, doc_id, op.payload, ts)
+                payload = op.payload.tree()
+                if isinstance(payload, Element):
+                    self._learn_parents(doc_id, payload)
+                    self._index_subtree(OP_INSERT, doc_id, payload, ts)
                 else:
-                    self._text_parent[(doc_id, op.payload.xid)] = op.parent_xid
-                    self._text_value[(doc_id, op.payload.xid)] = op.payload.value
+                    self._text_parent[(doc_id, payload.xid)] = op.parent_xid
+                    self._text_value[(doc_id, payload.xid)] = payload.value
                     self._add_words(OP_INSERT, doc_id, op.parent_xid, "",
-                                    tokenize(op.payload.value), ts)
+                                    tokenize(payload.value), ts)
             elif isinstance(op, DeleteOp):
-                if isinstance(op.payload, Element):
-                    self._index_subtree(OP_DELETE, doc_id, op.payload, ts)
+                payload = op.payload.tree()
+                if isinstance(payload, Element):
+                    self._index_subtree(OP_DELETE, doc_id, payload, ts)
                 else:
                     self._add_words(OP_DELETE, doc_id,
-                                    self._owner(doc_id, op.payload.xid), "",
-                                    tokenize(op.payload.value), ts)
+                                    self._owner(doc_id, payload.xid), "",
+                                    tokenize(payload.value), ts)
             elif isinstance(op, UpdateTextOp):
                 owner = self._owner(doc_id, op.xid)
                 self._text_value[(doc_id, op.xid)] = op.new
@@ -166,9 +168,10 @@ class DeltaOperationIndex:
                     self._text_parent[slot] = op.to_parent
                 self._add(EventPosting(OP_MOVE, OP_MOVE, doc_id, op.xid, "", ts))
             elif isinstance(op, ReplaceRootOp):
-                self._index_subtree(OP_DELETE, doc_id, op.old_payload, ts)
-                self._learn_parents(doc_id, op.new_payload)
-                self._index_subtree(OP_INSERT, doc_id, op.new_payload, ts)
+                new_root = op.new_payload.tree()
+                self._index_subtree(OP_DELETE, doc_id, op.old_payload.tree(), ts)
+                self._learn_parents(doc_id, new_root)
+                self._index_subtree(OP_INSERT, doc_id, new_root, ts)
             # StampOps carry no content change; they are not indexed.
 
     def _add_words(self, op, doc_id, xid, path, words, ts):

@@ -1,6 +1,6 @@
 """Where the engine's resident memory goes, component by component.
 
-``python -m benchmarks.memprobe [--seed N] [--smoke]`` builds the corpus of
+``python -m benchmarks.memprobe [--seed N] [--smoke] [--sites]`` builds the corpus of
 the wall-clock benchmark (``benchmarks.e2e.corpus``), ingests it the way
 the ``ingest_warehouse`` workload does — commit groups, periodic
 checkpoints, a crash copy taken while the corpus's last groups are only
@@ -8,11 +8,22 @@ in the journal — and then reopens that crash copy in this process.  It
 prints:
 
 * resident bytes per component at the end of ingest — the full-text
-  index, the lifetime index, the current trees and the stored deltas —
-  each a deep-size walk (:func:`deep_size`) from the component's roots;
+  index, the lifetime index, the current trees, the stored deltas and
+  the snapshots — each a deep-size walk (:func:`deep_size`) from the
+  component's roots;
 * for the reopen, the tracemalloc peak inside ``open()``, the bytes it
   allocated that a full collection afterwards does not free, and the
-  cycle collector's passes during it.
+  cycle collector's passes during it;
+* with ``--sites``, those held bytes attributed to the innermost
+  ``src/repro`` line on each allocation's stack (tracemalloc, 32 frames
+  deep), largest first.
+
+``deep_size`` is a lower bound, not what freeing a component gives back.
+``sys.getsizeof`` of an instance without ``__slots__`` leaves out its
+attribute dict's share that Python 3.11 keeps inline, and the allocator
+rounds every block up.  Before stored deltas were packed, the walk read
+6.99 MB for them at the end of a seed-1 ingest, where tracemalloc saw
+7.59 MB freed by dropping them.  ``--sites`` measures with tracemalloc.
 
 Only ``benchmarks.e2e``'s corpus, sizes and engine configuration are
 imported; nothing there is changed.  The work directory is a temporary
@@ -30,6 +41,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+from collections import Counter
 
 from benchmarks.e2e import SRC
 
@@ -73,6 +85,7 @@ def components(db):
         "lifetime": deep_size(db.lifetime),
         "current_trees": deep_size([r.current_root for r in records]),
         "deltas": deep_size([r.deltas for r in records]),
+        "snapshots": deep_size([r.snapshots for r in records]),
     }
 
 
@@ -107,11 +120,12 @@ def ingest(directory, crash_copy, corpus, sizes):
     return db
 
 
-def probe_open(directory):
-    """``(db, peak, held, collections)`` of one ``open()`` of ``directory``:
-    the tracemalloc peak during the call, the bytes it allocated that
-    survive a full collection afterwards, and the cycle collector's passes
-    during the call."""
+def probe_open(directory, frames=1):
+    """``(db, peak, held, collections, snapshot)`` of one ``open()`` of
+    ``directory``: the tracemalloc peak during the call, the bytes it
+    allocated that survive a full collection afterwards, the cycle
+    collector's passes during the call, and a tracemalloc snapshot of
+    what is held, ``frames`` deep."""
     from benchmarks.e2e.engine import make_db
 
     passes = []
@@ -121,7 +135,7 @@ def probe_open(directory):
             passes.append(1)
 
     gc.collect()
-    tracemalloc.start()
+    tracemalloc.start(frames)
     try:
         gc.callbacks.append(count)
         try:
@@ -130,12 +144,30 @@ def probe_open(directory):
             gc.callbacks.remove(count)
         gc.collect()
         held, peak = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    return db, peak, held, len(passes)
+    return db, peak, held, len(passes), snapshot
 
 
-def run(seed, smoke):
+def held_sites(snapshot, top=15):
+    """``[(site, bytes)]``: the bytes in ``snapshot`` by the innermost
+    frame under ``src/repro`` of the stack that allocated them, largest
+    first (stacks with no such frame under ``"(outside repro)"``)."""
+    package = os.path.join(SRC, "repro") + os.sep
+    sites = Counter()
+    for trace in snapshot.traces:
+        site = "(outside repro)"
+        for frame in reversed(trace.traceback):  # innermost first
+            if frame.filename.startswith(package):
+                name = os.path.relpath(frame.filename, SRC)
+                site = f"{name}:{frame.lineno}"
+                break
+        sites[site] += trace.size
+    return sites.most_common(top)
+
+
+def run(seed, smoke, sites=False):
     """Measure one seed; returns the report as a dict."""
     from benchmarks.e2e.corpus import build_corpus
     from benchmarks.e2e.workloads import sizes_for
@@ -157,7 +189,9 @@ def run(seed, smoke):
         finally:
             db.close()
         del db
-        reopened, peak, held, passes = probe_open(crashed)
+        reopened, peak, held, passes, snapshot = probe_open(
+            crashed, frames=32 if sites else 1
+        )
         try:
             report["open"] = {
                 "peak_bytes": peak,
@@ -165,6 +199,8 @@ def run(seed, smoke):
                 "collections": passes,
                 **components(reopened),
             }
+            if sites:
+                report["open"]["sites"] = held_sites(snapshot)
         finally:
             reopened.close()
     return report
@@ -192,8 +228,13 @@ def print_report(report, out=sys.stdout):
     print(f"  tracemalloc peak {_mb(opened['peak_bytes'])}, "
           f"held after it {_mb(opened['held_bytes'])}, "
           f"collector passes {opened['collections']}", file=out)
-    for name in ("fti", "lifetime", "current_trees", "deltas"):
+    for name in ("fti", "lifetime", "current_trees", "deltas", "snapshots"):
         print(f"  {name:<14} {_mb(opened[name])}", file=out)
+    if "sites" in opened:
+        print("held after open(), by innermost repro line (tracemalloc):",
+              file=out)
+        for site, size in opened["sites"]:
+            print(f"  {_mb(size)}  {site}", file=out)
 
 
 def main(argv=None):
@@ -201,8 +242,10 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true",
                         help="the e2e smoke sizes; not comparable")
+    parser.add_argument("--sites", action="store_true",
+                        help="attribute what open() holds to repro lines")
     args = parser.parse_args(argv)
-    print_report(run(args.seed, args.smoke))
+    print_report(run(args.seed, args.smoke, args.sites))
     return 0
 
 

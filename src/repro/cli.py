@@ -523,6 +523,12 @@ def _cmd_stats(args, out):
         ),
         file=out,
     )
+    held = storage["held"]
+    print(
+        f"  held in memory: {held['ops']} stored operations, "
+        f"{held['payloads']} packed payloads of {held['payload_bytes']} bytes",
+        file=out,
+    )
     indexes = storage["indexes"]
     print(
         f"indexes: {indexes['postings']} postings "

@@ -277,7 +277,9 @@ class TemporalXMLDatabase:
         object directory size; for XML, the checkpoint file sizes.
         ``indexes`` counts what the in-memory indexes hold: total and open
         postings, elements with an open posting, interned contexts shared
-        by postings, and lifetime entries."""
+        by postings, and lifetime entries.  ``held`` counts what the
+        stored deltas hold in memory: operations, packed payloads and the
+        payloads' bytes."""
         import os
 
         out = {
@@ -287,6 +289,7 @@ class TemporalXMLDatabase:
                 **self.fti.footprint(),
                 "lifetime_entries": len(self.lifetime),
             },
+            "held": self.store.repository.held_deltas(),
             "backend": None,
         }
         if self.checkpointer is None:

@@ -61,8 +61,8 @@ def apply_scoped(root, index, script, xid, invert=False):
     ``root`` is the subtree of element ``xid`` as it stands before the
     script — ``None`` while the element does not exist — and ``index`` its
     ``{xid: node}`` map (empty for ``None``).  Both are updated in place;
-    ``root`` is replaced when the element appears (a private copy out of
-    the insert or root-replacement payload that introduces it) or goes
+    ``root`` is replaced when the element appears (decoded afresh from the
+    insert or root-replacement payload that introduces it) or goes
     away (``None`` again).  ``invert=True`` applies the script's inverse,
     taking the subtree one version back.  ``applied`` counts the
     operations that changed the subtree; every other operation names only
@@ -110,21 +110,21 @@ def apply_scoped(root, index, script, xid, invert=False):
             continue
         if invert:
             op = op.invert()
-        arrived = None  # a payload whose nodes this operation brought in
+        arrived = ()  # the XIDs of the nodes this operation brought in
         if isinstance(op, (InsertOp, DeleteOp)):
             if op.parent_xid in index:
                 _apply_op(root, op, index)
                 if isinstance(op, InsertOp):
-                    arrived = op.payload
+                    arrived = op.payload.xids()
             else:
                 # Outside — unless the payload carries the element itself
                 # in (insert while absent) or away (delete while present).
                 if (root is None) != isinstance(op, InsertOp):
                     continue
-                found = _find(op.payload, xid)
-                if found is None:
+                if xid not in op.payload.xids():
                     continue
-                arrived = root = _rebind(index, found if root is None else None)
+                root = _rebind(index, op.payload if root is None else None, xid)
+                arrived = list(index)
         elif isinstance(op, MoveOp):
             inside = op.from_parent in index
             if inside != (op.to_parent in index):
@@ -135,41 +135,33 @@ def apply_scoped(root, index, script, xid, invert=False):
                 continue
             _apply_op(root, op, index)
         elif isinstance(op, ReplaceRootOp):
-            found = _find(op.new_payload, xid)
-            if root is None and found is None:
+            present = xid in op.new_payload.xids()
+            if root is None and not present:
                 continue
-            arrived = root = _rebind(index, found)
+            root = _rebind(index, op.new_payload if present else None, xid)
+            arrived = list(index)
         elif op.xid in index:
             _apply_op(root, op, index)
         else:
             continue
         applied += 1
-        if arrived is not None:
-            for node in payload_nodes(arrived):
-                for position in touched.get(node.xid, ()):
-                    later = sign * position
-                    if later > key and later not in queued:
-                        queued.add(later)
-                        heappush(heap, later)
+        for node_xid in arrived:
+            for position in touched.get(node_xid, ()):
+                later = sign * position
+                if later > key and later not in queued:
+                    queued.add(later)
+                    heappush(heap, later)
     return root, applied
 
 
-def _find(payload, xid):
-    """The node carrying ``xid`` in a payload subtree, or ``None`` (a scan:
-    payloads are small, and stored ones should not grow a cached index)."""
-    for node in payload_nodes(payload):
-        if node.xid == xid:
-            return node
-    return None
-
-
-def _rebind(index, found):
-    """Point ``index`` at a private copy of the payload node ``found`` and
-    return the copy; ``None`` empties the index and is returned as is."""
+def _rebind(index, payload, xid):
+    """Point ``index`` at node ``xid`` of a fresh decode of ``payload`` and
+    return that node, detached; ``payload=None`` empties the index and
+    returns ``None``."""
     index.clear()
-    if found is None:
+    if payload is None:
         return None
-    root = found.copy()
+    root = next(n for n in payload_nodes(payload) if n.xid == xid).detach()
     index.update((node.xid, node) for node in payload_nodes(root))
     return root
 
@@ -201,7 +193,7 @@ def _apply_op(root, op, index):
             raise DeltaApplicationError(
                 f"insert position {op.pos} out of range under XID {parent.xid}"
             )
-        node = op.payload.copy()
+        node = op.payload.tree()
         parent.insert(op.pos, node)
         for inner in payload_nodes(node):
             if inner.xid in index:
@@ -272,7 +264,7 @@ def _apply_op(root, op, index):
     if isinstance(op, ReplaceRootOp):
         if root.xid != op.old_payload.xid:
             raise DeltaApplicationError("root replacement base mismatch")
-        new_root = op.new_payload.copy()
+        new_root = op.new_payload.tree()
         index.clear()
         for inner in payload_nodes(new_root):
             index[inner.xid] = inner

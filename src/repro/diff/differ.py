@@ -89,7 +89,7 @@ def _replace_root_script(old_root, new_root, allocator, commit_ts):
         node.xid = allocator.allocate()
         if commit_ts is not None:
             node.tstamp = commit_ts
-    return EditScript([ReplaceRootOp(old_root.copy(), new_root.copy())])
+    return EditScript([ReplaceRootOp(old_root, new_root)])
 
 
 def _carry_identity(matching):
@@ -186,9 +186,10 @@ class _Builder:
         return cursor
 
     def _insert_fresh(self, work_parent, index, wanted):
-        payload = wanted.copy()
-        self.ops.append(InsertOp(work_parent.xid, index, payload))
-        work_parent.insert(index, payload.copy())
+        # The operation packs ``wanted`` as it stands now; the working copy
+        # needs a tree of its own.
+        self.ops.append(InsertOp(work_parent.xid, index, wanted))
+        work_parent.insert(index, wanted.copy())
         if self.commit_ts is not None:
             self._touch_new(wanted.parent)
 
@@ -213,8 +214,7 @@ class _Builder:
                 if keep >= 0 and victim.xid == wanted[keep].xid:
                     keep -= 1
                     continue
-                # Once out of the working copy nothing looks at the victim
-                # again, so it is the payload as it stands.
+                # The payload is the victim as it stands.
                 work_parent.remove(victim)
                 self.ops.append(DeleteOp(work_parent.xid, pos, victim))
                 if self.commit_ts is not None:

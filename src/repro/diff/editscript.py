@@ -8,6 +8,12 @@ exactly the state it needs to be undone — that is what makes these
 
 Positions (``pos`` fields) index into the parent's full child list (elements
 and text nodes interleaved) *at the moment the operation is applied*.
+
+Payload subtrees are held packed (:class:`~repro.xmlcore.codec.PackedNode`):
+the binary node encoding the journal and the CAS write.  An operation given
+a tree packs it when it is made, so every operation — computed by the
+differ, read back from storage or built by hand — holds its payloads one
+way, and the tree handed in is never aliased.
 """
 
 from __future__ import annotations
@@ -16,23 +22,35 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import DeltaApplicationError
+from ..xmlcore.codec import PackedNode
 from ..xmlcore.node import Element, Text
 from ..xmlcore.serializer import serialize
 
 
-@dataclass(frozen=True)
+def _packed(op, *fields):
+    """Pack the named payload fields of a just-made frozen ``op``."""
+    for field in fields:
+        value = getattr(op, field)
+        if not isinstance(value, PackedNode):
+            object.__setattr__(op, field, PackedNode.pack(value))
+
+
+@dataclass(frozen=True, slots=True)
 class InsertOp:
     """Insert ``payload`` (a stamped subtree) at ``(parent_xid, pos)``."""
 
     parent_xid: int
     pos: int
-    payload: object  # Element or Text, fully stamped
+    payload: PackedNode  # given as a fully stamped Element or Text
+
+    def __post_init__(self):
+        _packed(self, "payload")
 
     def invert(self):
         return DeleteOp(self.parent_xid, self.pos, self.payload)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteOp:
     """Delete the child at ``(parent_xid, pos)``.
 
@@ -42,13 +60,16 @@ class DeleteOp:
 
     parent_xid: int
     pos: int
-    payload: object
+    payload: PackedNode
+
+    def __post_init__(self):
+        _packed(self, "payload")
 
     def invert(self):
         return InsertOp(self.parent_xid, self.pos, self.payload)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoveOp:
     """Move the node ``xid`` from ``(from_parent, from_pos)`` to
     ``(to_parent, to_pos)``."""
@@ -69,7 +90,7 @@ class MoveOp:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateTextOp:
     """Replace the value of text node ``xid``: ``old`` → ``new``."""
 
@@ -81,7 +102,7 @@ class UpdateTextOp:
         return UpdateTextOp(self.xid, self.new, self.old)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateAttrOp:
     """Change attribute ``name`` on element ``xid``.
 
@@ -98,7 +119,7 @@ class UpdateAttrOp:
         return UpdateAttrOp(self.xid, self.name, self.new, self.old)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StampOp:
     """Record an element-timestamp change on a surviving node.
 
@@ -115,12 +136,15 @@ class StampOp:
         return StampOp(self.xid, self.new_ts, self.old_ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplaceRootOp:
     """Wholesale root replacement (used when even the root tag changed)."""
 
-    old_payload: object
-    new_payload: object
+    old_payload: PackedNode
+    new_payload: PackedNode
+
+    def __post_init__(self):
+        _packed(self, "old_payload", "new_payload")
 
     def invert(self):
         return ReplaceRootOp(self.new_payload, self.old_payload)
@@ -262,6 +286,15 @@ class EditScript:
             to_ts=int(to_ts) if to_ts is not None else None,
         )
 
+    def payloads(self):
+        """The packed payload subtrees of the operations, in order."""
+        for op in self.ops:
+            if isinstance(op, (InsertOp, DeleteOp)):
+                yield op.payload
+            elif isinstance(op, ReplaceRootOp):
+                yield op.old_payload
+                yield op.new_payload
+
     def summary(self):
         """Operation counts by kind, for reporting."""
         counts = {}
@@ -289,21 +322,22 @@ def _named_xids(op):
         yield op.xid
         return
     for payload in payloads:
-        for node in payload_nodes(payload):
-            yield node.xid
+        yield from payload.xids()
 
 
 def payload_nodes(node):
-    """Every node of a payload subtree, pre-order (a :class:`Text` payload
-    is its own only node)."""
+    """Every node of a subtree, pre-order (a :class:`Text` is its own only
+    node; a packed payload is decoded first)."""
+    if isinstance(node, PackedNode):
+        node = node.tree()
     return node.iter() if isinstance(node, Element) else iter((node,))
 
 
-def _payload_bytes(node):
+def _payload_bytes(payload):
     """Compact stored size of a payload subtree: serialized content plus
     8 bytes of identifier/timestamp per node."""
-    nodes = node.subtree_size() if isinstance(node, Element) else 1
-    return len(serialize(node)) + 8 * nodes
+    length, nodes = payload.measure()
+    return length + 8 * nodes
 
 
 # -- payload encoding --------------------------------------------------------
@@ -367,11 +401,11 @@ def _unstamp_attrs(node, encoded):
 def _op_to_xml(op):
     if isinstance(op, InsertOp):
         el = Element("insert", {"parent": op.parent_xid, "pos": op.pos})
-        el.append(encode_payload(op.payload))
+        el.append(encode_payload(op.payload.tree()))
         return el
     if isinstance(op, DeleteOp):
         el = Element("delete", {"parent": op.parent_xid, "pos": op.pos})
-        el.append(encode_payload(op.payload))
+        el.append(encode_payload(op.payload.tree()))
         return el
     if isinstance(op, MoveOp):
         return Element(
@@ -411,9 +445,9 @@ def _op_to_xml(op):
     if isinstance(op, ReplaceRootOp):
         el = Element("replaceroot")
         old = Element("old")
-        old.append(encode_payload(op.old_payload))
+        old.append(encode_payload(op.old_payload.tree()))
         new = Element("new")
-        new.append(encode_payload(op.new_payload))
+        new.append(encode_payload(op.new_payload.tree()))
         el.append(old)
         el.append(new)
         return el

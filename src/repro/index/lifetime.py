@@ -4,8 +4,8 @@
 
 Maps every EID to its lifespan ``[create_ts, delete_ts)``.  Maintained from
 commit events: inserted payload subtrees open entries, deleted payloads
-close them, document deletion closes every entry still alive.  Lookups are
-O(1) — the contrast with the delta-traversal strategy measured in E5.
+close them (their XIDs read off the packed bytes, never decoded), and
+document deletion closes every entry still alive.  Lookups are O(1) — the contrast with the delta-traversal strategy measured in E5.
 
 As the paper notes, inserts into this index are not strictly append-only
 (new elements appear inside existing documents), but every commit appends a
@@ -59,7 +59,7 @@ class LifetimeIndex:
         with self._rwlock.write_lock():
             self._entries_this_commit = 0
             if event.kind == "create":
-                self._open_subtree(event.doc_id, event.root, event.timestamp)
+                self._open(event.doc_id, _xids(event.root), event.timestamp)
             elif event.kind == "delete":
                 self._close_document(event.doc_id, event.timestamp)
             elif event.kind == "update":
@@ -69,19 +69,18 @@ class LifetimeIndex:
     def _apply_script(self, doc_id, script, ts):
         for op in script:
             if isinstance(op, InsertOp):
-                self._open_subtree(doc_id, op.payload, ts)
+                self._open(doc_id, op.payload.xids(), ts)
             elif isinstance(op, DeleteOp):
-                self._close_subtree(doc_id, op.payload, ts)
+                self._close(doc_id, op.payload.xids(), ts)
             elif isinstance(op, ReplaceRootOp):
-                self._close_subtree(doc_id, op.old_payload, ts)
-                self._open_subtree(doc_id, op.new_payload, ts)
+                self._close(doc_id, op.old_payload.xids(), ts)
+                self._open(doc_id, op.new_payload.xids(), ts)
 
-    def _open_subtree(self, doc_id, node, ts):
+    def _open(self, doc_id, xids, ts):
         columns = self._columns.get(doc_id)
         if columns is None:
             columns = self._columns[doc_id] = (array("q"), array("q"))
         created, deleted = columns
-        xids = _xids(node)
         grow = max(xids) + 1 - len(created)
         if grow > 0:
             gap = array("q", [NO_TIME]) * grow
@@ -97,13 +96,13 @@ class LifetimeIndex:
         self.stats.opened(24 * len(xids), len(xids))
         self._entries_this_commit += len(xids)
 
-    def _close_subtree(self, doc_id, node, ts):
+    def _close(self, doc_id, xids, ts):
         columns = self._columns.get(doc_id)
         if columns is None:
             return
         created, deleted = columns
         closed = 0
-        for xid in _xids(node):
+        for xid in xids:
             if (xid < len(created) and created[xid] != NO_TIME
                     and deleted[xid] == NO_TIME):
                 deleted[xid] = ts
@@ -165,9 +164,9 @@ class LifetimeIndex:
 
 
 def _xids(node):
-    """The XIDs of a payload subtree's nodes, in no particular order (the
-    columns need none, and a plain stack walk is cheaper than the
-    pre-order generator of ``payload_nodes``)."""
+    """The XIDs of a tree's nodes, in no particular order (the columns
+    need none, and a plain stack walk is cheaper than the pre-order
+    generator of ``Element.iter``)."""
     xids = []
     stack = [node]
     while stack:

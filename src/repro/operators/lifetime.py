@@ -31,7 +31,6 @@ from __future__ import annotations
 from ..diff.editscript import DeleteOp, InsertOp, ReplaceRootOp
 from ..errors import NoSuchVersionError, QueryPlanError
 from ..obs import NULL_TRACER
-from ..xmlcore.node import Element
 
 
 class CreTime:
@@ -176,12 +175,12 @@ def script_creates(script, xid):
     continuous, not recreated).
     """
     for op in script:
-        if isinstance(op, InsertOp) and _payload_contains(op.payload, xid):
+        if isinstance(op, InsertOp) and xid in op.payload.xids():
             return True
         if (
             isinstance(op, ReplaceRootOp)
-            and _payload_contains(op.new_payload, xid)
-            and not _payload_contains(op.old_payload, xid)
+            and xid in op.new_payload.xids()
+            and xid not in op.old_payload.xids()
         ):
             return True
     return False
@@ -191,18 +190,12 @@ def script_deletes(script, xid):
     """Does this edit script remove ``xid``?  (Mirror of
     :func:`script_creates` for root replacements.)"""
     for op in script:
-        if isinstance(op, DeleteOp) and _payload_contains(op.payload, xid):
+        if isinstance(op, DeleteOp) and xid in op.payload.xids():
             return True
         if (
             isinstance(op, ReplaceRootOp)
-            and _payload_contains(op.old_payload, xid)
-            and not _payload_contains(op.new_payload, xid)
+            and xid in op.old_payload.xids()
+            and xid not in op.new_payload.xids()
         ):
             return True
     return False
-
-
-def _payload_contains(payload, xid):
-    if isinstance(payload, Element):
-        return any(node.xid == xid for node in payload.iter())
-    return payload.xid == xid

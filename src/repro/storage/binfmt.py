@@ -15,6 +15,12 @@ Everything is written through :class:`Writer` / read through
 * UTF-8 strings and byte blobs prefixed by their varint length;
 * one kind byte per polymorphic record (node kind, edit-op kind).
 
+The node encoding, :class:`Writer` and :class:`Reader` live in
+:mod:`~repro.xmlcore.codec`, because stored edit scripts hold their payload
+subtrees in that encoding (:class:`~repro.xmlcore.codec.PackedNode`): a
+script is written with its payloads' bytes as they are and read back
+without decoding them.
+
 Decoding errors raise :class:`~repro.errors.CorruptArchiveError` — a
 truncated or bit-flipped object can never escape as an ``IndexError``,
 a ``UnicodeDecodeError`` (invalid UTF-8 in a string) or a
@@ -42,10 +48,7 @@ from ..diff.editscript import (
     UpdateTextOp,
 )
 from ..errors import CorruptArchiveError
-from ..xmlcore.node import Element, Text
-
-#: Node kind bytes.
-_ELEMENT, _TEXT = 0x01, 0x02
+from ..xmlcore.codec import Reader, Writer, read_node, write_node
 
 #: Edit-operation kind bytes.
 _OP_INSERT, _OP_DELETE, _OP_MOVE = 0x01, 0x02, 0x03
@@ -53,190 +56,7 @@ _OP_UPDTEXT, _OP_UPDATTR, _OP_STAMP, _OP_REPLACEROOT = 0x04, 0x05, 0x06, 0x07
 _OP_STAMPS = 0x08
 
 
-class Writer:
-    """Append-only binary writer (varints, strings, blobs)."""
-
-    __slots__ = ("_buf",)
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def u(self, value):
-        """Unsigned varint (LEB128)."""
-        if value < 0:
-            raise CorruptArchiveError(f"cannot encode negative int {value}")
-        buf = self._buf
-        while value > 0x7F:
-            buf.append((value & 0x7F) | 0x80)
-            value >>= 7
-        buf.append(value)
-
-    def opt_u(self, value):
-        """Optional unsigned int: 0 when absent, value+1 otherwise."""
-        self.u(0 if value is None else value + 1)
-
-    def byte(self, value):
-        self._buf.append(value)
-
-    def s(self, text):
-        data = text.encode("utf-8")
-        self.u(len(data))
-        self._buf += data
-
-    def opt_s(self, text):
-        if text is None:
-            self.byte(0)
-        else:
-            self.byte(1)
-            self.s(text)
-
-    def blob(self, data):
-        self.u(len(data))
-        self._buf += data
-
-    def getvalue(self):
-        return bytes(self._buf)
-
-
-class Reader:
-    """Sequential reader over one encoded byte string."""
-
-    __slots__ = ("_data", "_pos")
-
-    def __init__(self, data):
-        self._data = data
-        self._pos = 0
-
-    @property
-    def exhausted(self):
-        return self._pos >= len(self._data)
-
-    def _need(self, count):
-        if self._pos + count > len(self._data):
-            raise CorruptArchiveError(
-                f"truncated binary record: wanted {count} byte(s) at "
-                f"offset {self._pos}, have {len(self._data) - self._pos}"
-            )
-
-    def u(self):
-        data, pos = self._data, self._pos
-        shift = 0
-        value = 0
-        while True:
-            if pos >= len(data):
-                raise CorruptArchiveError(
-                    "truncated binary record: unterminated varint at "
-                    f"offset {self._pos}"
-                )
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-            if shift > 63:
-                raise CorruptArchiveError(
-                    f"malformed varint at offset {self._pos}"
-                )
-        self._pos = pos
-        return value
-
-    def opt_u(self):
-        value = self.u()
-        return None if value == 0 else value - 1
-
-    def byte(self):
-        self._need(1)
-        value = self._data[self._pos]
-        self._pos += 1
-        return value
-
-    def s(self):
-        start = self._pos
-        try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptArchiveError(
-                f"invalid UTF-8 in the string at offset {start} "
-                f"({exc.reason})"
-            ) from None
-
-    def opt_s(self):
-        return self.s() if self.byte() else None
-
-    def blob(self):
-        length = self.u()
-        self._need(length)
-        data = self._data[self._pos : self._pos + length]
-        self._pos += length
-        return data
-
-    def rest(self):
-        """Everything not read yet."""
-        data = self._data[self._pos :]
-        self._pos = len(self._data)
-        return data
-
-
 # -- trees ---------------------------------------------------------------------
-
-
-def write_node(w, node):
-    """Encode one stamped node (Element or Text) recursively."""
-    if isinstance(node, Text):
-        w.byte(_TEXT)
-        w.opt_u(node.xid)
-        w.opt_u(node.tstamp)
-        w.s(node.value)
-        return
-    w.byte(_ELEMENT)
-    w.opt_u(node.xid)
-    w.opt_u(node.tstamp)
-    w.s(node.tag)
-    w.u(len(node.attrib))
-    for name, value in node.attrib.items():
-        w.s(name)
-        w.s(value)
-    w.u(len(node.children))
-    for child in node.children:
-        write_node(w, child)
-
-
-def read_node(r):
-    """Decode one node written by :func:`write_node`."""
-    try:
-        return _read_node(r)
-    except RecursionError:
-        raise CorruptArchiveError(
-            "binary tree nests deeper than the recursion limit"
-        ) from None
-
-
-def _read_node(r):
-    kind = r.byte()
-    if kind == _TEXT:
-        xid = r.opt_u()
-        tstamp = r.opt_u()
-        node = Text(r.s())
-        node.xid = xid
-        node.tstamp = tstamp
-        return node
-    if kind != _ELEMENT:
-        raise CorruptArchiveError(f"unknown node kind byte 0x{kind:02x}")
-    xid = r.opt_u()
-    tstamp = r.opt_u()
-    node = Element(r.s())
-    node.xid = xid
-    node.tstamp = tstamp
-    for _ in range(r.u()):
-        # Two statements: `attrib[r.s()] = r.s()` would read the value first.
-        name = r.s()
-        node.attrib[name] = r.s()
-    for _ in range(r.u()):
-        child = _read_node(r)
-        child.parent = node
-        node.children.append(child)
-    return node
 
 
 def encode_tree(root):
@@ -313,12 +133,12 @@ def _write_op(w, op):
         w.byte(_OP_INSERT)
         w.u(op.parent_xid)
         w.u(op.pos)
-        write_node(w, op.payload)
+        w.raw(op.payload)
     elif isinstance(op, DeleteOp):
         w.byte(_OP_DELETE)
         w.u(op.parent_xid)
         w.u(op.pos)
-        write_node(w, op.payload)
+        w.raw(op.payload)
     elif isinstance(op, MoveOp):
         w.byte(_OP_MOVE)
         w.u(op.xid)
@@ -344,8 +164,8 @@ def _write_op(w, op):
         w.u(op.new_ts)
     elif isinstance(op, ReplaceRootOp):
         w.byte(_OP_REPLACEROOT)
-        write_node(w, op.old_payload)
-        write_node(w, op.new_payload)
+        w.raw(op.old_payload)
+        w.raw(op.new_payload)
     else:
         raise CorruptArchiveError(
             f"cannot encode edit op {type(op).__name__}"
@@ -360,9 +180,9 @@ def read_script(r):
     while len(ops) < count:
         kind = r.byte()
         if kind == _OP_INSERT:
-            ops.append(InsertOp(r.u(), r.u(), read_node(r)))
+            ops.append(InsertOp(r.u(), r.u(), r.packed_node()))
         elif kind == _OP_DELETE:
-            ops.append(DeleteOp(r.u(), r.u(), read_node(r)))
+            ops.append(DeleteOp(r.u(), r.u(), r.packed_node()))
         elif kind == _OP_MOVE:
             ops.append(MoveOp(r.u(), r.u(), r.u(), r.u(), r.u()))
         elif kind == _OP_UPDTEXT:
@@ -374,7 +194,7 @@ def read_script(r):
         elif kind == _OP_STAMP:  # written before _OP_STAMPS for every stamp
             ops.append(StampOp(r.u(), r.u(), r.u()))
         elif kind == _OP_REPLACEROOT:
-            ops.append(ReplaceRootOp(read_node(r), read_node(r)))
+            ops.append(ReplaceRootOp(r.packed_node(), r.packed_node()))
         else:
             raise CorruptArchiveError(
                 f"unknown edit-op kind byte 0x{kind:02x}"

@@ -297,7 +297,7 @@ def _document_events(store, record):
         "create", record.doc_id, record.name, 1, entries[0].timestamp,
         root=root,
     )
-    # apply_script copies the payloads it inserts, so the rolled tree never
+    # apply_script decodes the payloads it inserts, so the rolled tree never
     # aliases a stored delta.
     index = {node.xid: node for node in root.iter()}
     for entry in entries[1:]:

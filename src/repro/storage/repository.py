@@ -513,6 +513,24 @@ class Repository:
             "delta_ops": dict(sorted(delta_ops.items())),
         }
 
+    def held_deltas(self):
+        """What the stored deltas hold in memory: their operations, the
+        packed payload subtrees among those, and the payloads' bytes (the
+        binary node encoding each is held in; see
+        :class:`~repro.xmlcore.codec.PackedNode`)."""
+        ops = payloads = payload_bytes = 0
+        for record in self._records.values():
+            for script in list(record.deltas.values()):
+                ops += len(script.ops)
+                for packed in script.payloads():
+                    payloads += 1
+                    payload_bytes += len(packed)
+        return {
+            "ops": ops,
+            "payloads": payloads,
+            "payload_bytes": payload_bytes,
+        }
+
 
 def _tree_bytes(root):
     return len(serialize(root))

@@ -375,6 +375,10 @@ class TestStorageCLI:
             "indexes: 7 postings (6 open on 4 elements), 12 interned "
             "contexts, 6 lifetime entries\n" in out
         )
+        assert (
+            "  held in memory: 5 stored operations, 0 packed payloads "
+            "of 0 bytes\n" in out
+        )
 
     def test_stats_dir_json_breakdown(self, tmp_path):
         import json
@@ -403,6 +407,9 @@ class TestStorageCLI:
         assert storage["indexes"] == {
             "postings": 7, "open_postings": 6, "open_elements": 4,
             "interned": 12, "lifetime_entries": 6,
+        }
+        assert storage["held"] == {
+            "ops": 5, "payloads": 0, "payload_bytes": 0,
         }
         journals = payload["durability"]["recovery"]["journals"]
         assert [j["file"] for j in journals] == ["journal.bin.prev", "journal.bin"]

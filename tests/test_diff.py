@@ -96,7 +96,7 @@ class TestDiffScenarios:
         )
         inserts = [op for op in script if isinstance(op, InsertOp)]
         assert len(inserts) == 1
-        assert inserts[0].payload.find("n").text == "B"
+        assert inserts[0].payload.tree().find("n").text == "B"
 
     def test_delete(self):
         _old, _new, script = _roundtrip(
@@ -105,7 +105,7 @@ class TestDiffScenarios:
         )
         deletes = [op for op in script if isinstance(op, DeleteOp)]
         assert len(deletes) == 1
-        assert deletes[0].payload.find("n").text == "B"
+        assert deletes[0].payload.tree().find("n").text == "B"
 
     def test_reorder_uses_moves(self):
         _old, _new, script = _roundtrip(

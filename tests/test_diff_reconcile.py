@@ -329,8 +329,9 @@ class TestPinnedScripts:
         assert move.xid == survivor.xid
         assert move.from_parent == old.children[0].children[0].xid
         assert script.ops.index(move) < script.ops.index(delete)
-        assert delete.payload.tag == "box"
-        assert [child.xid for child in delete.payload.children] == [
+        box = delete.payload.tree()
+        assert box.tag == "box"
+        assert [child.xid for child in box.children] == [
             old.children[0].children[0].children[1].xid
         ]
 

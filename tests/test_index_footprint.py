@@ -11,7 +11,6 @@ import pytest
 
 from benchmarks.memprobe import deep_size
 from repro import TemporalXMLDatabase
-from repro.diff.editscript import DeleteOp, InsertOp, ReplaceRootOp
 from repro.index import LifetimeIndex, TemporalFullTextIndex
 from repro.storage import TemporalDocumentStore
 from repro.storage.persistence import replay_history
@@ -83,25 +82,17 @@ class TestSharedContext:
 class TestReplayCopies:
     def test_at_most_one_tree_copy_per_document(self, monkeypatch):
         """Whole-tree copies counted (a copy made while another is under
-        way is part of it, and copying an edit-script payload is not a
-        tree copy): one per document to reconstruct its first version,
-        none per later version."""
+        way is part of it; stored payloads are decoded, never copied): one
+        per document to reconstruct its first version, none per later
+        version."""
         store = TemporalDocumentStore(snapshot_interval=5)
         _history(store)
-        payloads = set()
-        for record in store.repository.records():
-            for script in record.deltas.values():
-                for op in script:
-                    if isinstance(op, (InsertOp, DeleteOp)):
-                        payloads.add(id(op.payload))
-                    elif isinstance(op, ReplaceRootOp):
-                        payloads.update((id(op.old_payload), id(op.new_payload)))
         copies = []
         depth = [0]
         original = Element.copy
 
         def counting_copy(node):
-            if not depth[0] and id(node) not in payloads:
+            if not depth[0]:
                 copies.append(node)
             depth[0] += 1
             try:

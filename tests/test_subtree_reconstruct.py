@@ -232,9 +232,10 @@ class TestDifferential:
                     elif isinstance(op, ReplaceRootOp):
                         replaced += 1
                     elif isinstance(op, (InsertOp, DeleteOp)):
+                        payload = op.payload.tree()  # stored packed
                         name = (
-                            op.payload.find("name")
-                            if isinstance(op.payload, Element) else None
+                            payload.find("name")
+                            if isinstance(payload, Element) else None
                         )
                         if name is None:
                             continue
