@@ -106,10 +106,11 @@ class DeltaOperationIndex:
     def _learn_parents(self, doc_id, root):
         if not isinstance(root, Element):
             return
-        for node in root.iter():
-            if not isinstance(node, Element) and node.parent is not None:
-                self._text_parent[(doc_id, node.xid)] = node.parent.xid
-                self._text_value[(doc_id, node.xid)] = node.value
+        for element in root.iter_elements():
+            for child in element.children:
+                if not isinstance(child, Element):
+                    self._text_parent[(doc_id, child.xid)] = element.xid
+                    self._text_value[(doc_id, child.xid)] = child.value
 
     def _owner(self, doc_id, xid):
         """Element owning a text node (falls back to the xid itself)."""

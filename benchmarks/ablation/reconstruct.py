@@ -28,7 +28,7 @@ def reconstruct_backward(repository, record, number):
         repository.read_delta(record, version)
         for version in range(number, start)
     ]
-    return apply_chain(tree, chain, index=tree.xid_index(), invert=True)
+    return apply_chain(tree, chain, invert=True)
 
 
 def apply_chain(root, scripts, index=None, invert=False):

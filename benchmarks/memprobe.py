@@ -11,9 +11,12 @@ prints:
   index, the lifetime index, the current trees, the stored deltas and
   the snapshots — each a deep-size walk (:func:`deep_size`) from the
   component's roots;
+* the tracemalloc peak inside ingest — the corpus is built before tracing
+  starts, so what it counts is the engine's — and the cycle collector's
+  passes during it, by generation;
 * for the reopen, the tracemalloc peak inside ``open()``, the bytes it
   allocated that a full collection afterwards does not free, and the
-  cycle collector's passes during it;
+  cycle collector's passes during it, by generation;
 * with ``--sites``, those held bytes attributed to the innermost
   ``src/repro`` line on each allocation's stack (tracemalloc, 32 frames
   deep), largest first.
@@ -120,26 +123,24 @@ def ingest(directory, crash_copy, corpus, sizes):
     return db
 
 
-def probe_open(directory, frames=1):
-    """``(db, peak, held, collections, snapshot)`` of one ``open()`` of
-    ``directory``: the tracemalloc peak during the call, the bytes it
-    allocated that survive a full collection afterwards, the cycle
-    collector's passes during the call, and a tracemalloc snapshot of
-    what is held, ``frames`` deep."""
-    from benchmarks.e2e.engine import make_db
+def traced(call, frames=1):
+    """``(result, peak, held, passes, snapshot)`` of ``call()``: the
+    tracemalloc peak during the call, the bytes it allocated that survive
+    a full collection afterwards, the cycle collector's passes during the
+    call as ``[generation 0, 1, 2]``, and a tracemalloc snapshot of what
+    is held, ``frames`` deep."""
+    passes = [0, 0, 0]
 
-    passes = []
-
-    def count(phase, _info):
+    def count(phase, info):
         if phase == "start":
-            passes.append(1)
+            passes[info["generation"]] += 1
 
     gc.collect()
     tracemalloc.start(frames)
     try:
         gc.callbacks.append(count)
         try:
-            db = make_db(directory)
+            result = call()
         finally:
             gc.callbacks.remove(count)
         gc.collect()
@@ -147,7 +148,7 @@ def probe_open(directory, frames=1):
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    return db, peak, held, len(passes), snapshot
+    return result, peak, held, passes, snapshot
 
 
 def held_sites(snapshot, top=15):
@@ -170,27 +171,32 @@ def held_sites(snapshot, top=15):
 def run(seed, smoke, sites=False):
     """Measure one seed; returns the report as a dict."""
     from benchmarks.e2e.corpus import build_corpus
+    from benchmarks.e2e.engine import make_db
     from benchmarks.e2e.workloads import sizes_for
 
     sizes = sizes_for("ingest_warehouse", 3, smoke)
-    corpus = build_corpus(seed, sizes)
+    corpus = build_corpus(seed, sizes)  # before tracing: not the engine's
     with tempfile.TemporaryDirectory(prefix="memprobe-") as work:
         live = os.path.join(work, "live")
         crashed = os.path.join(work, "crashed")
-        db = ingest(live, crashed, corpus, sizes)
+        db, peak, _held, passes, _snapshot = traced(
+            lambda: ingest(live, crashed, corpus, sizes)
+        )
         try:
             report = {
                 "seed": seed,
                 "commits": len(corpus.base) + len(corpus.extension),
                 "postings": db.fti.posting_count(),
                 "lifetime_entries": len(db.lifetime),
+                "ingest_peak_bytes": peak,
+                "ingest_collections": passes,
                 "ingest": components(db),
             }
         finally:
             db.close()
         del db
-        reopened, peak, held, passes, snapshot = probe_open(
-            crashed, frames=32 if sites else 1
+        reopened, peak, held, passes, snapshot = traced(
+            lambda: make_db(crashed), frames=32 if sites else 1
         )
         try:
             report["open"] = {
@@ -210,10 +216,17 @@ def _mb(value):
     return f"{value / 1e6:7.2f} MB"
 
 
+def _by_generation(passes):
+    return "/".join(map(str, passes)) + " (generation 0/1/2)"
+
+
 def print_report(report, out=sys.stdout):
     print(f"seed {report['seed']}: {report['commits']} commits, "
           f"{report['postings']} postings, "
           f"{report['lifetime_entries']} lifetime entries", file=out)
+    print(f"ingest (corpus built before tracing): tracemalloc peak "
+          f"{_mb(report['ingest_peak_bytes'])}, collector passes "
+          f"{_by_generation(report['ingest_collections'])}", file=out)
     ingest = report["ingest"]
     print("end of ingest (deep size):", file=out)
     for name, value in ingest.items():
@@ -227,7 +240,8 @@ def print_report(report, out=sys.stdout):
     print("open() of the crash copy:", file=out)
     print(f"  tracemalloc peak {_mb(opened['peak_bytes'])}, "
           f"held after it {_mb(opened['held_bytes'])}, "
-          f"collector passes {opened['collections']}", file=out)
+          f"collector passes {_by_generation(opened['collections'])}",
+          file=out)
     for name in ("fti", "lifetime", "current_trees", "deltas", "snapshots"):
         print(f"  {name:<14} {_mb(opened[name])}", file=out)
     if "sites" in opened:

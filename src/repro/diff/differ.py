@@ -116,10 +116,14 @@ class _Builder:
         self.ops = []
         self.work_root = old_root.copy()
         self.work_by_xid = {}
+        self.work_parent = {}  # xid -> its parent in the working copy
         for node in self.work_root.iter():
             if node.xid is None:
                 raise DiffError("old tree is not fully stamped")
             self.work_by_xid[node.xid] = node
+            if isinstance(node, Element):
+                for child in node.children:
+                    self.work_parent[child.xid] = node
 
     # -- phase A: moves and inserts (top-down) --------------------------------
 
@@ -156,28 +160,31 @@ class _Builder:
         cursor = 0  # one past the last wanted child placed
         for wanted in new_parent.children:
             if not has_new(wanted):
-                self._insert_fresh(work_parent, cursor, wanted)
+                self._insert_fresh(work_parent, cursor, wanted, new_parent)
             elif wanted.xid in stays:
                 while siblings[cursor].xid != wanted.xid:
                     cursor += 1
             else:
-                cursor = self._move(work_parent, cursor, wanted)
+                cursor = self._move(work_parent, cursor, wanted, new_parent)
             cursor += 1
 
-    def _move(self, work_parent, cursor, wanted):
-        """Move ``wanted``'s node to ``cursor`` under ``work_parent``;
-        returns where it landed (one less when it came from the left)."""
+    def _move(self, work_parent, cursor, wanted, new_parent):
+        """Move ``wanted``'s node to ``cursor`` under ``work_parent`` (the
+        partner of ``new_parent``); returns where it landed (one less when
+        it came from the left)."""
         node = self.work_by_xid[wanted.xid]
-        source = node.parent
-        from_pos = node.index_in_parent()
+        source = self.work_parent[node.xid]
+        from_pos = source.children.index(node)
         if source is work_parent and from_pos < cursor:
             cursor -= 1
         self.ops.append(
             MoveOp(node.xid, source.xid, from_pos, work_parent.xid, cursor)
         )
+        source.pop(from_pos)
         work_parent.insert(cursor, node)
+        self.work_parent[node.xid] = work_parent
         if self.commit_ts is not None:
-            self._touch_new(wanted.parent)
+            self._touch_new(new_parent)
             if source is not work_parent:
                 # The source parent's content changed too.
                 source_new = self._new_by_xid.get(source.xid)
@@ -185,13 +192,14 @@ class _Builder:
                     self._touch_new(source_new)
         return cursor
 
-    def _insert_fresh(self, work_parent, index, wanted):
-        # The operation packs ``wanted`` as it stands now; the working copy
-        # needs a tree of its own.
+    def _insert_fresh(self, work_parent, index, wanted, new_parent):
+        # The operation packs ``wanted`` as it stands now, and nothing under
+        # a fresh node is moved or deleted later: the working copy can hold
+        # ``wanted`` itself.
         self.ops.append(InsertOp(work_parent.xid, index, wanted))
-        work_parent.insert(index, wanted.copy())
+        work_parent.insert(index, wanted)
         if self.commit_ts is not None:
-            self._touch_new(wanted.parent)
+            self._touch_new(new_parent)
 
     # -- phase B: deletes (after all placements) -------------------------------
 
@@ -215,7 +223,7 @@ class _Builder:
                     keep -= 1
                     continue
                 # The payload is the victim as it stands.
-                work_parent.remove(victim)
+                work_parent.pop(pos)
                 self.ops.append(DeleteOp(work_parent.xid, pos, victim))
                 if self.commit_ts is not None:
                     self._touch_new(new_parent)
@@ -252,7 +260,7 @@ class _Builder:
     # -- helpers ------------------------------------------------------------------
 
     def _touch_new(self, new_node):
-        touch_upwards(new_node, self.commit_ts)
+        touch_upwards(new_node, self.commit_ts, self.matching.new_parents)
 
     @cached_property
     def _new_by_xid(self):

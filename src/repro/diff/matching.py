@@ -23,15 +23,22 @@ delete+insert, which XyDiff also permits).
 
 from __future__ import annotations
 
-from ..xmlcore.node import Element, Text
+from ..xmlcore.node import Element, Text, parent_map
 
 
 class Matching:
-    """A partial bijection between old-tree nodes and new-tree nodes."""
+    """A partial bijection between old-tree nodes and new-tree nodes.
 
-    def __init__(self):
+    ``old_parents`` and ``new_parents`` are the two trees'
+    :func:`~repro.xmlcore.node.parent_map`: nodes keep no parent pointer,
+    so the matcher builds one per side, and the script builder walks the
+    new tree upwards through its map."""
+
+    def __init__(self, old_parents=None, new_parents=None):
         self._old_to_new = {}
         self._new_to_old = {}
+        self.old_parents = {} if old_parents is None else old_parents
+        self.new_parents = {} if new_parents is None else new_parents
 
     def pair(self, old, new):
         self._old_to_new[id(old)] = new
@@ -90,9 +97,9 @@ def match_trees(old_root, new_root):
     identity across versions); when tags differ, the matching is empty and
     the differ falls back to root replacement.
     """
-    matching = Matching()
     if not _compatible(old_root, new_root):
-        return matching
+        return Matching()
+    matching = Matching(parent_map(old_root), parent_map(new_root))
 
     cache = {}
     _phase_exact(old_root, new_root, matching, cache)
@@ -148,21 +155,32 @@ def _subtree_weight(node):
     return node.subtree_size() if isinstance(node, Element) else 1
 
 
+def _above(node, parents):
+    """The ancestors of ``node`` in the tree ``parents`` maps, nearest first."""
+    node = parents.get(id(node))
+    while node is not None:
+        yield node
+        node = parents.get(id(node))
+
+
 def _covered(new_node, matching):
     """True if some ancestor of ``new_node`` is already exact-matched."""
-    return any(matching.has_new(anc) for anc in new_node.ancestors())
+    return any(
+        matching.has_new(anc) for anc in _above(new_node, matching.new_parents)
+    )
 
 
 def _pick_candidate(pool, new_node, matching):
     """Prefer an unmatched old node whose parent matches new_node's parent."""
     fallback = None
-    new_parent = new_node.parent
+    old_parents = matching.old_parents
+    new_parent = matching.new_parents.get(id(new_node))
     for old_node in pool:
         if matching.has_old(old_node):
             continue
-        if any(matching.has_old(anc) for anc in old_node.ancestors()):
+        if any(matching.has_old(anc) for anc in _above(old_node, old_parents)):
             continue
-        old_parent = old_node.parent
+        old_parent = old_parents.get(id(old_node))
         if (
             new_parent is not None
             and old_parent is not None
@@ -186,22 +204,31 @@ def _pair_identical(old_node, new_node, matching):
 
 
 def _phase_propagate_up(new_root, matching):
-    nodes = [n for n in new_root.iter() if isinstance(n, Element)]
-    nodes.sort(key=lambda n: n.depth(), reverse=True)
+    # The elements in pre-order with their depths, from one walk; the stable
+    # sort takes the deepest first, pre-order among equals.
+    nodes, depth = [], {}
+    stack = [(new_root, 0)]
+    while stack:
+        node, level = stack.pop()
+        nodes.append(node)
+        depth[id(node)] = level
+        stack.extend(
+            (child, level + 1) for child in reversed(node.children)
+            if isinstance(child, Element)
+        )
+    nodes.sort(key=lambda n: depth[id(n)], reverse=True)
+    old_parents = matching.old_parents
     for new_node in nodes:
         if matching.has_new(new_node):
             continue
         for child in new_node.children:
             old_child = matching.old_for(child)
-            if old_child is None or old_child.parent is None:
+            if old_child is None:
                 continue
-            old_parent = old_child.parent
-            if matching.has_old(old_parent):
+            old_parent = old_parents.get(id(old_child))
+            if old_parent is None or matching.has_old(old_parent):
                 continue
-            if (
-                isinstance(old_parent, Element)
-                and old_parent.tag == new_node.tag
-            ):
+            if old_parent.tag == new_node.tag:
                 matching.pair(old_parent, new_node)
                 break
 

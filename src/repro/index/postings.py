@@ -100,40 +100,42 @@ def element_runs(root, interned=None):
     an equal ancestors tuple or path holds the identical object.  Word
     lists may be shared between runs; callers must not mutate them.
     """
-    table = {} if interned is None else interned
-    tag_words = {}
     runs = []
-
-    def walk(element, ancestors, parent_path):
-        tag = element.tag
-        path = f"{parent_path}/{tag}" if parent_path else tag
-        path = table.setdefault(path, path)
-        words = tag_words.get(tag)
-        if words is None:
-            words = tag_words[tag] = tokenize(tag)
-        if element.attrib:
-            words = words + [
-                word for value in element.attrib.values()
-                for word in tokenize(value)
-            ]
-        if words:
-            runs.append((element, ancestors, path, words))
-        child_ancestors = None
-        for child in element.children:
-            if isinstance(child, Element):
-                if child_ancestors is None:
-                    child_ancestors = ancestors + (element.xid,)
-                    child_ancestors = table.setdefault(
-                        child_ancestors, child_ancestors
-                    )
-                walk(child, child_ancestors, path)
-            elif isinstance(child, Text):
-                words = tokenize(child.value)
-                if words:
-                    runs.append((element, ancestors, path, words))
-
-    walk(root, (), "")
+    _walk(root, (), "", {} if interned is None else interned, {}, runs)
     return runs
+
+
+def _walk(element, ancestors, parent_path, table, tag_words, runs):
+    """Append the runs of ``element``'s subtree to ``runs``.  A module
+    function, not a closure that calls itself: that closure would be a
+    reference cycle holding ``runs``, so every element of every tree walked
+    would wait for the cycle collector."""
+    tag = element.tag
+    path = f"{parent_path}/{tag}" if parent_path else tag
+    path = table.setdefault(path, path)
+    words = tag_words.get(tag)
+    if words is None:
+        words = tag_words[tag] = tokenize(tag)
+    if element.attrib:
+        words = words + [
+            word for value in element.attrib.values()
+            for word in tokenize(value)
+        ]
+    if words:
+        runs.append((element, ancestors, path, words))
+    child_ancestors = None
+    for child in element.children:
+        if isinstance(child, Element):
+            if child_ancestors is None:
+                child_ancestors = ancestors + (element.xid,)
+                child_ancestors = table.setdefault(
+                    child_ancestors, child_ancestors
+                )
+            _walk(child, child_ancestors, path, table, tag_words, runs)
+        elif isinstance(child, Text):
+            words = tokenize(child.value)
+            if words:
+                runs.append((element, ancestors, path, words))
 
 
 def occurrences(root, doc_id):

@@ -41,11 +41,12 @@ def stamp_new_nodes(root, allocator, timestamp):
     return fresh
 
 
-def touch_upwards(node, timestamp):
-    """Set ``tstamp`` on ``node`` and every ancestor (the recursive rule)."""
-    node.tstamp = timestamp
-    for ancestor in node.ancestors():
-        ancestor.tstamp = timestamp
+def touch_upwards(node, timestamp, parents):
+    """Set ``tstamp`` on ``node`` and every ancestor (the recursive rule);
+    ``parents`` is the tree's :func:`~repro.xmlcore.node.parent_map`."""
+    while node is not None:
+        node.tstamp = timestamp
+        node = parents.get(id(node))
 
 
 def collect_xids(root):

@@ -615,9 +615,7 @@ def _render_value(label, value):
     ):
         # A single element result is delivered directly (paper examples show
         # the selected element inside <result> without extra wrapping).
-        child = holder.children[0]
-        child.detach()
-        return child
+        return holder.children[0]
     return holder
 
 

@@ -38,14 +38,15 @@ from ..diff.editscript import payload_nodes
 
 
 class ChainReader:
-    """What one reader has read of one document; the source of its cursors."""
+    """What one reader has read of one document; the source of its cursors.
+
+    The reads are a :class:`_Reads` the cursors step through, and nothing
+    there points back at the reader or a cursor: a reader and its cursors
+    form no reference cycle, so the subtrees a cursor holds are freed by
+    reference count along with it."""
 
     def __init__(self, repository, record):
-        self.repository = repository
-        self.record = record
-        self._deltas = {}   # version number -> EditScript, read once
-        self._anchors = {}  # target version -> (Anchor, estimated cost)
-        self._stored = {}   # anchor version -> stored tree, read once
+        self._reads = _Reads(repository, record)
         self._cursors = {}  # xid (None: whole document) -> SubtreeCursor
 
     def cursor(self, xid):
@@ -53,8 +54,19 @@ class ChainReader:
         document)."""
         cursor = self._cursors.get(xid)
         if cursor is None:
-            cursor = self._cursors[xid] = SubtreeCursor(self, xid)
+            cursor = self._cursors[xid] = SubtreeCursor(self._reads, xid)
         return cursor
+
+
+class _Reads:
+    """The deltas and stored anchors one reader has read, each once."""
+
+    def __init__(self, repository, record):
+        self.repository = repository
+        self.record = record
+        self._deltas = {}   # version number -> EditScript, read once
+        self._anchors = {}  # target version -> (Anchor, estimated cost)
+        self._stored = {}   # anchor version -> stored tree, read once
 
     def delta(self, number):
         """The completed delta stored at ``number``; accounted on the
@@ -229,14 +241,14 @@ class SubtreeCursor:
                 invert=direction < 0,
             )
         except SubtreeBoundaryCrossed:
-            # The reconstructed tree is private: keep the subtree only.
+            # The reconstructed tree is private, and nothing in the subtree
+            # points up into it: keep the subtree, the rest is freed.
             reader = self.reader
-            found = self._find(
+            self.node = self._find(
                 reader.repository.reconstruct(
                     reader.record, self.at + direction
                 )
             )
-            self.node = None if found is None else found.copy()
             self._index = None
             return len(script.ops), True
         return applied, False

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from ..clock import SECONDS_PER_DAY, parse_date
-from ..xmlcore.node import Element, Text
+from ..xmlcore.node import Element, Text, parent_map
 from .words import Vocabulary
 
 #: Element names drawn from a small pool so patterns have selective tags.
@@ -77,20 +77,23 @@ class TDocGenerator:
         """One change step for ``name``; returns the new (unstamped) tree."""
         master = self._masters[name]
         rng = self._rng
-        elements = [
-            el for el in master.iter_elements() if el.parent is not None
-        ]
+        parents = parent_map(master)
+        elements = [el for el in master.iter_elements() if el is not master]
+        # Only an element this round deleted is skipped: one inside a
+        # deleted subtree still draws, so the sequence stays what it was.
+        deleted = set()
         for element in elements:
-            if element.parent is None:
-                continue  # deleted by an earlier step this round
+            if id(element) in deleted:
+                continue
+            parent = parents[id(element)]
             roll = rng.random()
             if roll < self.p_delete:
-                element.detach()
+                parent.remove(element)
+                deleted.add(id(element))
             elif roll < self.p_delete + self.p_insert:
                 sibling = Element(rng.choice(_TAG_POOL))
                 sibling.append(Text(self.vocab.sample_text(*self.text_words)))
-                parent = element.parent
-                parent.insert(element.index_in_parent(), sibling)
+                parent.insert(parent.children.index(element), sibling)
             elif roll < self.p_delete + self.p_insert + self.p_update:
                 texts = [c for c in element.children if isinstance(c, Text)]
                 if texts:

@@ -21,7 +21,7 @@ Public surface:
 from .node import Element, Text, element, xid_index_stats
 from .parser import parse
 from .serializer import serialize
-from .path import Path, path_of
+from .path import Path
 
 __all__ = [
     "Element",
@@ -31,5 +31,4 @@ __all__ = [
     "parse",
     "serialize",
     "Path",
-    "path_of",
 ]

@@ -263,9 +263,7 @@ def _decode(data, pos):
             node.xid = xid
             node.tstamp = stamps.setdefault(tstamp, tstamp)
             if parents:
-                parent = parents[-1]
-                node.parent = parent
-                parent.children.append(node)
+                parents[-1].children.append(node)
                 owed[-1] -= 1
             else:
                 root = node

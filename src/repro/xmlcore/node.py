@@ -15,6 +15,11 @@ temporal layers above this one:
 
 Keeping these slots here (instead of wrapping trees in a parallel structure)
 keeps the differ, the store, and the indexes working on one representation.
+
+A node holds no pointer to its parent, so a tree is an acyclic value: a
+version the store drops is freed by reference counting as soon as its last
+reference goes, never left for the cycle collector.  A walk that needs to go
+upwards builds :func:`parent_map` once for the tree it walks.
 """
 
 from __future__ import annotations
@@ -52,10 +57,9 @@ xid_index_stats = XidIndexStats()
 class _Node:
     """Shared behaviour of element and text nodes."""
 
-    __slots__ = ("parent", "xid", "tstamp")
+    __slots__ = ("xid", "tstamp")
 
     def __init__(self):
-        self.parent = None
         self.xid = None
         self.tstamp = None
 
@@ -66,39 +70,6 @@ class _Node:
     @property
     def is_text(self):
         return isinstance(self, Text)
-
-    def root(self):
-        """Topmost ancestor (self when detached)."""
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
-
-    def ancestors(self):
-        """Yield ancestors from parent up to the root."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
-    def depth(self):
-        """Number of ancestors (root has depth 0)."""
-        return sum(1 for _ in self.ancestors())
-
-    def detach(self):
-        """Remove this node from its parent (no-op when already detached)."""
-        if self.parent is not None:
-            self.parent.remove(self)
-        return self
-
-    def index_in_parent(self):
-        """Position among the parent's children; raises when detached."""
-        if self.parent is None:
-            raise TemporalXMLError("node has no parent")
-        for i, child in enumerate(self.parent.children):
-            if child is self:
-                return i
-        raise TemporalXMLError("node not found among parent's children")
 
 
 class Text(_Node):
@@ -138,12 +109,15 @@ class Element(_Node):
     Materialized (stamped) trees additionally carry a lazily built
     ``xid -> node`` map (:meth:`xid_index`), so repeated TEID/XID
     resolutions against a retained tree cost O(1) instead of a full
-    pre-order scan.  The map is invalidated by any structural mutation of
-    the subtree (insert/remove/text replacement); value-only mutations
-    (attributes, text content edits in place) leave it intact.
+    pre-order scan.  A structural mutation of an element (insert, remove,
+    text replacement) drops that element's own map; nothing below can reach
+    a map cached higher up, so the maps are for frozen trees — every stored
+    tree is one — and whatever mutates a tree keeps a map of its own.
+    Value-only mutations (attributes, text values edited in place) leave
+    every map intact.
     """
 
-    __slots__ = ("tag", "attrib", "children", "_xidmap", "_xid_clean")
+    __slots__ = ("tag", "attrib", "children", "_xidmap")
 
     def __init__(self, tag, attrib=None):
         super().__init__()
@@ -153,10 +127,6 @@ class Element(_Node):
         self.attrib = dict(attrib) if attrib else {}
         self.children = []
         self._xidmap = None
-        # True while some cached map at this element or an ancestor covers
-        # this subtree; lets invalidation stop walking up as soon as it
-        # reaches territory no map describes.
-        self._xid_clean = False
 
     # -- construction ------------------------------------------------------
 
@@ -165,37 +135,39 @@ class Element(_Node):
         return self.insert(len(self.children), node)
 
     def insert(self, index, node):
-        """Insert ``node`` at ``index``; detaches it from any previous parent."""
+        """Insert ``node`` at ``index``.
+
+        Nothing is taken out of another child list: a caller that moves a
+        node removes it from its old place first."""
         if isinstance(node, str):
             node = Text(node)
         if not isinstance(node, _Node):
             raise TemporalXMLError(f"cannot insert {type(node).__name__} node")
-        if node is self or any(anc is node for anc in self.ancestors()):
+        if node is self:
             raise TemporalXMLError("cannot insert a node under itself")
-        node.detach()
         self.children.insert(index, node)
-        node.parent = self
-        self._invalidate_xid_index()
+        self._drop_xid_index()
         return node
 
     def remove(self, node):
         """Remove a direct child (identity comparison)."""
         for i, child in enumerate(self.children):
             if child is node:
-                del self.children[i]
-                node.parent = None
-                self._invalidate_xid_index()
-                return node
+                return self.pop(i)
         raise TemporalXMLError("node is not a child of this element")
+
+    def pop(self, index):
+        """Remove and return the child at ``index``."""
+        node = self.children.pop(index)
+        self._drop_xid_index()
+        return node
 
     def copy(self):
         """Deep copy of the subtree, carrying ``xid``/``tstamp`` along."""
         dup = Element(self.tag, self.attrib)
         dup.xid = self.xid
         dup.tstamp = self.tstamp
-        for child in self.children:
-            dup.children.append(child.copy())
-            dup.children[-1].parent = dup
+        dup.children = [child.copy() for child in self.children]
         return dup
 
     # -- navigation --------------------------------------------------------
@@ -237,20 +209,21 @@ class Element(_Node):
     # -- XID index ---------------------------------------------------------
 
     def xid_index(self):
-        """The ``xid -> node`` map of this subtree, built lazily and cached.
+        """The ``xid -> node`` map of the nodes *below* this element, built
+        lazily and cached.
 
-        The returned dict is owned by the tree: treat it as read-only.  It
-        stays valid until a structural mutation anywhere in the subtree
-        (insert/remove/text replacement) invalidates it; the next call
-        rebuilds.  Unstamped nodes appear under key ``None``.
+        The element itself is left out: a map holding its own element
+        would make the two a reference cycle.  The returned dict is owned
+        by the tree: treat it as read-only.  It describes the subtree as it
+        was when built, which for a frozen tree is for good; a structural
+        mutation of this element itself (insert/remove/text replacement)
+        drops it and the next call rebuilds.  Unstamped nodes appear under
+        key ``None``.
         """
         if self._xidmap is None:
-            index = {}
-            for node in self.iter():
-                index[node.xid] = node
-                if isinstance(node, Element):
-                    node._xid_clean = True
-            self._xidmap = index
+            nodes = self.iter()
+            next(nodes)
+            self._xidmap = {node.xid: node for node in nodes}
             xid_index_stats.builds += 1
         return self._xidmap
 
@@ -258,36 +231,22 @@ class Element(_Node):
         """The node carrying ``xid`` in this subtree, or ``None`` (O(1)
         after the first call on an unmutated tree)."""
         xid_index_stats.lookups += 1
-        return self.xid_index().get(xid)
+        index = self.xid_index()
+        return self if xid == self.xid and xid not in index else index.get(xid)
 
-    def _invalidate_xid_index(self):
-        """Drop every cached map covering this element (self and up).
-
-        Stops climbing at the first element no cached map describes, so
-        trees that never built an index pay O(1) per mutation.
-        """
-        node = self
-        while node is not None:
-            if node._xidmap is None and not node._xid_clean:
-                break
-            if node._xidmap is not None:
-                node._xidmap = None
-                xid_index_stats.invalidations += 1
-            node._xid_clean = False
-            node = node.parent
+    def _drop_xid_index(self):
+        if self._xidmap is not None:
+            self._xidmap = None
+            xid_index_stats.invalidations += 1
 
     def drop_xid_indexes(self):
-        """Forget cached maps in this whole subtree (and covering ancestors).
+        """Forget the cached map of every element in this subtree.
 
         Needed when XIDs themselves are rewritten (stamping), which the
         structural-mutation hooks cannot observe.
         """
-        self._invalidate_xid_index()  # first: clears self and climbs up
         for node in self.iter_elements():
-            if node._xidmap is not None:
-                node._xidmap = None
-                xid_index_stats.invalidations += 1
-            node._xid_clean = False
+            node._drop_xid_index()
 
     # -- content -----------------------------------------------------------
 
@@ -307,7 +266,7 @@ class Element(_Node):
     @text.setter
     def text(self, value):
         self.children = [c for c in self.children if not isinstance(c, Text)]
-        self._invalidate_xid_index()
+        self._drop_xid_index()
         if value is not None and value != "":
             self.insert(0, Text(value))
 
@@ -343,6 +302,25 @@ class Element(_Node):
 
     def __repr__(self):
         return f"Element({self.tag!r}, children={len(self.children)})"
+
+
+def parent_map(root):
+    """``{id(node): parent}`` for every node below ``root`` (the root itself
+    has no entry).
+
+    Nodes keep no parent pointer; a walk that goes upwards builds this once
+    for the tree it walks.  The keys are ``id``\\ s, so the map holds only
+    while the tree is alive and its child lists are unchanged.
+    """
+    parents = {}
+    stack = [root] if isinstance(root, Element) else []
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            parents[id(child)] = node
+            if isinstance(child, Element):
+                stack.append(child)
+    return parents
 
 
 def element(tag, *children, **attrib):

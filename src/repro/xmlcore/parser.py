@@ -67,9 +67,7 @@ class _TreeBuilder:
         node = Element(tag, attrib)
         if self._open:
             self._flush_text()
-            parent = self._open[-1]
-            parent.children.append(node)
-            node.parent = parent
+            self._open[-1].children.append(node)
         else:
             self.root = node
         self._open.append(node)
@@ -83,10 +81,7 @@ class _TreeBuilder:
             merged = "".join(self._text)
             self._text.clear()
             if merged.strip():
-                parent = self._open[-1]
-                node = Text(merged)
-                parent.children.append(node)
-                node.parent = parent
+                self._open[-1].children.append(Text(merged))
 
     def release(self):
         self._error = None

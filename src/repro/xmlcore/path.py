@@ -156,14 +156,3 @@ def _advance(frontier, step):
                 seen.add(id(el))
                 out.append(el)
     return out
-
-
-def path_of(node):
-    """Tag path from the root down to ``node`` (e.g. ``guide/restaurant/name``).
-
-    Used by the indexes to store a structural signature for each posting.
-    """
-    tags = [node.tag] if isinstance(node, Element) else []
-    for ancestor in node.ancestors():
-        tags.append(ancestor.tag)
-    return "/".join(reversed(tags))

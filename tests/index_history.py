@@ -20,7 +20,7 @@ import random
 
 from repro import TemporalXMLDatabase
 from repro.clock import parse_date
-from repro.xmlcore.node import Element, Text
+from repro.xmlcore.node import Element, Text, parent_map
 from repro.xmlcore.serializer import serialize
 
 START = parse_date("01/03/2001")
@@ -88,7 +88,7 @@ def evolve(rng, root):
             inside = set(map(id, moved.iter()))
             parents = [e for e in elements if id(e) not in inside]
             if moved is not root and parents:
-                moved.detach()
+                parent_map(root)[id(moved)].remove(moved)
                 rng.choice(parents).append(moved)
         elif roll < 0.94:
             root.tag = next(t for t in _ROOT_TAGS if t != root.tag)

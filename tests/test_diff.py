@@ -202,7 +202,7 @@ class TestTimestampMaintenance:
         diff(old, new, alloc, commit_ts=200)
         changed_price = Path("r/p").first(new)
         assert changed_price.tstamp == 200
-        assert changed_price.parent.tstamp == 200
+        assert new.child_elements()[0].tstamp == 200  # the price's parent
         assert new.tstamp == 200
         untouched = new.child_elements()[1]
         assert untouched.tstamp == 100

@@ -30,7 +30,7 @@ from repro.model.versioned import stamp_new_nodes, verify_timestamp_invariant
 from repro.storage import TemporalDocumentStore
 from repro.workload import TDocGenerator, build_collection, load_figure1
 from repro.workload.restaurant import RestaurantGuideGenerator
-from repro.xmlcore.node import Element, Text
+from repro.xmlcore.node import Element, Text, parent_map
 
 
 # -- an abstract document the edits are drawn against --------------------------
@@ -149,8 +149,9 @@ def _stamps(tree):
 
 
 def _parent_xids(tree):
+    parents = parent_map(tree)
     return {
-        node.xid: None if node.parent is None else node.parent.xid
+        node.xid: parents[id(node)].xid if id(node) in parents else None
         for node in tree.iter()
     }
 

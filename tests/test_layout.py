@@ -15,6 +15,7 @@ from repro.index import TemporalKeywordScorer
 from repro.storage import TemporalDocumentStore
 from repro.storage.repository import Repository
 from repro.xmlcore import parser
+from repro.xmlcore.node import Element, _Node
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROOTS = ("repro", "repro.__main__", "repro.serving", "repro.workload")
@@ -175,6 +176,24 @@ def test_the_xml_tokenizer_is_imported_not_written(imports):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                 assert node.name not in {"_Scanner", "parse_fragment"}, path
+
+
+def test_trees_keep_no_parent_pointer():
+    """Version trees are acyclic values: a node has no ``parent`` slot, and
+    no engine module defines or calls an upward walk over one (ancestors
+    come from the walk, ``parent_map``)."""
+    assert _Node.__slots__ == ("xid", "tstamp")
+    assert "_xid_clean" not in Element.__slots__
+    gone = {"ancestors", "detach", "index_in_parent", "path_of"}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                assert node.name not in gone, f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                assert name not in gone, f"{path.name}:{node.lineno}"
 
 
 def test_the_calendar_has_no_loop():

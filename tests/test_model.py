@@ -12,6 +12,7 @@ from repro.model.versioned import (
     verify_timestamp_invariant,
 )
 from repro.xmlcore import element
+from repro.xmlcore.node import parent_map
 
 
 class TestXIDAllocator:
@@ -100,7 +101,7 @@ class TestTimestampInvariant:
         tree = element("a", element("b", element("c")))
         stamp_new_nodes(tree, XIDAllocator(), 10)
         c = tree.children[0].children[0]
-        touch_upwards(c, 20)
+        touch_upwards(c, 20, parent_map(tree))
         assert c.tstamp == 20
         assert tree.children[0].tstamp == 20
         assert tree.tstamp == 20
@@ -114,7 +115,7 @@ class TestTimestampInvariant:
     def test_verify_passes_after_touch(self):
         tree = element("a", element("b", element("c")))
         stamp_new_nodes(tree, XIDAllocator(), 10)
-        touch_upwards(tree.children[0].children[0], 42)
+        touch_upwards(tree.children[0].children[0], 42, parent_map(tree))
         assert verify_timestamp_invariant(tree) == []
 
     def test_max_timestamp(self):

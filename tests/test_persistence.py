@@ -281,14 +281,14 @@ class TestReplay:
         for number in range(1, 40):
             store.update("long.xml", f"<doc><n>{number}</n><m>x</m></doc>")
         # Nodes have no __weakref__ slot, so liveness is counted from the
-        # collector's side: document roots alive at each event, beyond the
-        # ones the store itself holds.
+        # collector's side: document roots (elements no live element has as
+        # a child) alive at each event, beyond the ones the store holds.
         def live_roots():
-            gc.collect()  # trees are cyclic: parents and children
+            gc.collect()
+            elements = [o for o in gc.get_objects() if isinstance(o, Element)]
+            children = {id(c) for e in elements for c in e.children}
             return sum(
-                1 for o in gc.get_objects()
-                if isinstance(o, Element) and o.parent is None
-                and o.tag == "doc"
+                1 for o in elements if id(o) not in children and o.tag == "doc"
             )
 
         stored = live_roots()

@@ -588,11 +588,13 @@ class TestCursor:
             db.update("guide.com", "".join(guide), ts=JAN_01 + number * DAY)
 
         def live_documents():
+            # Document roots: elements no live element has as a child.
             gc.collect()
+            elements = [o for o in gc.get_objects() if isinstance(o, Element)]
+            children = {id(c) for e in elements for c in e.children}
             return sum(
-                1 for o in gc.get_objects()
-                if isinstance(o, Element) and o.parent is None
-                and o.tag == "guide"
+                1 for o in elements
+                if id(o) not in children and o.tag == "guide"
             )
 
         stored = live_documents()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TemporalXMLError
 from repro.xmlcore import Element, Text, element
+from repro.xmlcore.node import parent_map
 
 
 class TestConstruction:
@@ -27,19 +28,8 @@ class TestConstruction:
         assert isinstance(node.children[0], Text)
         assert node.text == "hello"
 
-    def test_insert_detaches_from_previous_parent(self):
-        a = element("a", element("x"))
-        b = Element("b")
-        x = a.children[0]
-        b.append(x)
-        assert x.parent is b
-        assert not a.children
-
     def test_cannot_insert_under_self(self):
         a = element("a", element("b"))
-        b = a.children[0]
-        with pytest.raises(TemporalXMLError):
-            b.append(a)
         with pytest.raises(TemporalXMLError):
             a.append(a)
 
@@ -51,12 +41,12 @@ class TestConstruction:
 
 class TestNavigation:
     def test_root_ancestors_depth(self):
+        """Nodes keep no parent pointer; the way up is a parent map."""
         tree = element("a", element("b", element("c")))
-        c = tree.children[0].children[0]
-        assert c.root() is tree
-        assert [n.tag for n in c.ancestors()] == ["b", "a"]
-        assert c.depth() == 2
-        assert tree.depth() == 0
+        b = tree.children[0]
+        c = b.children[0]
+        assert parent_map(tree) == {id(b): tree, id(c): b}
+        assert not hasattr(c, "parent")
 
     def test_iter_preorder(self):
         tree = element("a", element("b", "t1"), element("c"))
@@ -68,12 +58,6 @@ class TestNavigation:
         assert tree.find("r") is tree.children[0]
         assert len(tree.findall("r")) == 2
         assert tree.find("missing") is None
-
-    def test_index_in_parent(self):
-        tree = element("a", element("b"), "text", element("c"))
-        assert tree.children[2].index_in_parent() == 2
-        with pytest.raises(TemporalXMLError):
-            tree.index_in_parent()
 
     def test_subtree_size(self):
         tree = element("a", element("b", "t"), element("c"))
@@ -111,7 +95,6 @@ class TestCopyAndEquality:
         dup = tree.copy()
         assert dup.equals_deep(tree)
         assert dup.xid == 1 and dup.children[0].xid == 2
-        assert dup.parent is None
         dup.children[0].text = "changed"
         assert tree.children[0].text == "t"
 

@@ -370,7 +370,7 @@ def _trees(depth):
 def _build_element(tag, attrib, children):
     node = Element(tag, attrib)
     for child in children:
-        node.append(child.copy() if child.parent is not None else child)
+        node.append(child)
     return node
 
 
@@ -405,6 +405,4 @@ def _normalize(tree):
             child for child in merged
             if isinstance(child, Element) or child.value.strip()
         ]
-        for child in node.children:
-            child.parent = node
     return dup

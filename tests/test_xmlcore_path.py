@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PathSyntaxError
-from repro.xmlcore import Path, element, parse, path_of
+from repro.xmlcore import Path, parse
 
 
 @pytest.fixture
@@ -83,16 +83,3 @@ class TestSelect:
     def test_no_duplicates_from_overlapping_descendants(self):
         tree = parse("<a><b><b><c/></b></b></a>")
         assert len(Path("//c").select(tree)) == 1
-
-
-class TestPathOf:
-    def test_tag_path(self, guide):
-        price = Path("restaurant/menu/price").first(guide)
-        assert path_of(price) == "guide/restaurant/menu/price"
-
-    def test_root(self, guide):
-        assert path_of(guide) == "guide"
-
-    def test_text_node(self):
-        tree = element("a", "hello")
-        assert path_of(tree.children[0]) == "a"
