@@ -10,7 +10,11 @@ prints:
 * resident bytes per component at the end of ingest — the full-text
   index, the lifetime index, the current trees, the stored deltas and
   the snapshots — each a deep-size walk (:func:`deep_size`) from the
-  component's roots;
+  component's roots — with the full-text index split into its parts
+  (:func:`part_sizes` over ``TemporalFullTextIndex.memory_parts``: row
+  columns, open-row arrays, per-document open arrays, intern table) and
+  its bytes per posting both as that deep size and as what tracemalloc
+  sees a fresh index hold after replaying the same history;
 * the tracemalloc peak inside ingest — the corpus is built before tracing
   starts, so what it counts is the engine's — and the cycle collector's
   passes during it, by generation;
@@ -67,8 +71,18 @@ def deep_size(*roots):
     reachable from two components are counted in both, so per-component
     figures may add up to more than the process holds.
     """
+    return _walk(list(roots), set())
+
+
+def part_sizes(parts):
+    """``{part: bytes}`` of ``parts`` (``{name: root}``), walked in order
+    with one shared set of objects seen, so an object reachable from two
+    parts counts in the first only and the parts add up to their union."""
     seen = set()
-    stack = list(roots)
+    return {name: _walk([root], seen) for name, root in parts.items()}
+
+
+def _walk(stack, seen):
     total = 0
     while stack:
         obj = stack.pop()
@@ -80,11 +94,27 @@ def deep_size(*roots):
     return total
 
 
+def fti_held_bytes(store):
+    """Bytes a fresh full-text index holds after replaying ``store``'s
+    whole history into it, measured by tracemalloc after a full
+    collection (the replay's rolled trees are gone by then)."""
+    from repro.index import TemporalFullTextIndex
+    from repro.storage.persistence import replay_history
+
+    fti = TemporalFullTextIndex()
+    _result, _peak, held, _passes, _snapshot = traced(
+        lambda: replay_history(store, [fti])
+    )
+    return held
+
+
 def components(db):
     """``{component: resident bytes}`` of an open database."""
     records = db.store.repository.records()
     return {
         "fti": deep_size(db.fti),
+        "fti_parts": part_sizes(db.fti.memory_parts()),
+        "fti_traced": fti_held_bytes(db.store),
         "lifetime": deep_size(db.lifetime),
         "current_trees": deep_size([r.current_root for r in records]),
         "deltas": deep_size([r.deltas for r in records]),
@@ -203,6 +233,7 @@ def run(seed, smoke, sites=False):
                 "peak_bytes": peak,
                 "held_bytes": held,
                 "collections": passes,
+                "postings": reopened.fti.posting_count(),
                 **components(reopened),
             }
             if sites:
@@ -214,6 +245,14 @@ def run(seed, smoke, sites=False):
 
 def _mb(value):
     return f"{value / 1e6:7.2f} MB"
+
+
+def _print_components(measured, out):
+    for name in ("fti", "lifetime", "current_trees", "deltas", "snapshots"):
+        print(f"  {name:<14} {_mb(measured[name])}", file=out)
+        if name == "fti":
+            for part, value in measured["fti_parts"].items():
+                print(f"    {part:<18} {_mb(value)}", file=out)
 
 
 def _by_generation(passes):
@@ -229,10 +268,11 @@ def print_report(report, out=sys.stdout):
           f"{_by_generation(report['ingest_collections'])}", file=out)
     ingest = report["ingest"]
     print("end of ingest (deep size):", file=out)
-    for name, value in ingest.items():
-        print(f"  {name:<14} {_mb(value)}", file=out)
-    print(f"  fti bytes/posting       "
-          f"{ingest['fti'] / max(1, report['postings']):8.1f}", file=out)
+    _print_components(ingest, out)
+    postings = max(1, report["postings"])
+    print(f"  fti bytes/posting       {ingest['fti'] / postings:8.1f} "
+          f"(deep size), {ingest['fti_traced'] / postings:8.1f} "
+          f"(tracemalloc, replayed into a fresh index)", file=out)
     print(f"  lifetime bytes/entry    "
           f"{ingest['lifetime'] / max(1, report['lifetime_entries']):8.1f}",
           file=out)
@@ -242,8 +282,11 @@ def print_report(report, out=sys.stdout):
           f"held after it {_mb(opened['held_bytes'])}, "
           f"collector passes {_by_generation(opened['collections'])}",
           file=out)
-    for name in ("fti", "lifetime", "current_trees", "deltas", "snapshots"):
-        print(f"  {name:<14} {_mb(opened[name])}", file=out)
+    _print_components(opened, out)
+    postings = max(1, opened["postings"])
+    print(f"  fti bytes/posting       {opened['fti'] / postings:8.1f} "
+          f"(deep size), {opened['fti_traced'] / postings:8.1f} "
+          f"(tracemalloc, replayed into a fresh index)", file=out)
     if "sites" in opened:
         print("held after open(), by innermost repro line (tracemalloc):",
               file=out)

@@ -18,16 +18,22 @@ it) and it implements the paper's three required operations exactly:
 ``lookup_h(word)``
     every posting, whole history.
 
-Physically each per-word posting list is kept **sorted by interval start**
-(commit timestamps are monotone, so maintenance is an append in the common
-case), and the open postings are additionally threaded on a side list:
+Physically each word's history is a set of typed :mod:`array` columns
+whose rows are **sorted by interval start** (commit timestamps are
+monotone, and so is replay, so maintenance is an append in the common
+case): ``start`` and ``end``, and one ``numbers`` array holding each
+row's document id, XID and the intern-table numbers of its ancestors
+tuple and path side by side.  The rows of the word's open postings are
+additionally kept as an ascending array of row numbers:
 
-* ``lookup`` reads the side list only — it never touches closed history, so
-  its cost tracks the *current* result size, not the accumulated churn;
-* ``lookup_t`` binary-searches the start-sorted list and scans just the
-  prefix with ``start <= ts`` — postings born after the queried instant are
-  never examined.
+* ``lookup`` reads the open rows only — it never touches closed history,
+  so its cost tracks the *current* result size, not the accumulated churn;
+* ``lookup_t`` binary-searches the ``start`` column and scans just the
+  prefix with ``start <= ts`` — postings born after the queried instant
+  are never examined.
 
+A lookup filters on the ``end`` and ``doc`` columns and builds a
+:class:`~repro.index.postings.Posting` only for the rows it returns.
 :class:`~repro.index.stats.IndexStats` records scanned vs. returned entries
 per query, which is how the benchmarks expose the difference.
 
@@ -35,25 +41,122 @@ The index is a store observer; reconciliation happens on every commit by
 comparing the new version's occurrences, element by element, against the
 element's open postings.
 
-Each fact is stored once.  An intern table maps every distinct ancestors
-tuple, path and word to one object that all postings share, so a posting
-is its interval plus references.  The open postings of a document are
-kept per element, in occurrence order: the k-th open posting of a word
-at an element is that element's k-th occurrence of the word, so no
-per-occurrence key is stored.
+Each fact is stored once.  One :class:`~repro.index.postings.InternTable`
+numbers every distinct ancestors tuple, path and word; a row holds the
+numbers, and every posting a lookup returns for one value holds the same
+object.  A document's open postings are one flat array of ``(xid, word
+id, row)`` triples in occurrence order, grouped by element: the k-th open
+posting of a word at an element is that element's k-th occurrence of the
+word, so no per-occurrence key is stored.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort_right
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from functools import partial
+from itertools import accumulate, compress, repeat
+from operator import add, and_, lt, mul
 
+from ..clock import UNTIL_CHANGED
 from ..sync import RWLock
-from .postings import Posting, element_runs
+from .postings import InternTable, Posting, element_runs, estimated_bytes
 from .stats import IndexStats
 
+#: Column typecodes: times are 64-bit; document ids, XIDs, intern-table
+#: numbers and row numbers 32-bit.
+_TIME, _NUMBER = "q", "i"
+_NO_TRIPLES = array(_NUMBER)
 
-def _start(posting):
-    return posting.start
+#: A row's four numbers stand side by side in one ``numbers`` array, at
+#: these offsets: one array where four would each cost a header per word,
+#: and most words hold a few dozen postings.
+_DOC, _XID, _ANCESTORS, _PATH = range(4)
+_WIDTH = 4
+
+
+class _Columns:
+    """One word's postings, a row per posting, rows sorted by ``start``
+    (equal starts in the order they were filed): the ``start`` and
+    ``end`` columns, the ``numbers`` of each row (document id, XID,
+    ancestors and path ids, :data:`_WIDTH` entries a row), and the
+    ascending row numbers of the open postings."""
+
+    __slots__ = ("start", "end", "numbers", "open")
+
+    def __init__(self):
+        self.start = array(_TIME)
+        self.end = array(_TIME)
+        self.numbers = array(_NUMBER)
+        self.open = array(_NUMBER)
+
+    def __len__(self):
+        return len(self.start)
+
+    def add(self, doc_id, xid, ancestors_id, path_id, ts):
+        """File an open posting; returns its row.  Commit timestamps
+        never decrease, so this is an append; a start earlier than the last
+        (events fed out of time order) is inserted after its equal starts, and
+        every row from there on moves up by one — the caller renumbers
+        what refers to them."""
+        row = len(self.start)
+        numbers = (doc_id, xid, ancestors_id, path_id)
+        if row and ts < self.start[-1]:
+            row = bisect_right(self.start, ts)
+            self.start.insert(row, ts)
+            self.end.insert(row, UNTIL_CHANGED)
+            at = row * _WIDTH
+            self.numbers[at:at] = array(_NUMBER, numbers)
+            opens = self.open
+            at = bisect_left(opens, row)
+            for i in range(at, len(opens)):
+                opens[i] += 1
+            opens.insert(at, row)
+        else:
+            self.start.append(ts)
+            self.end.append(UNTIL_CHANGED)
+            self.numbers.extend(numbers)
+            self.open.append(row)
+        return row
+
+    def close(self, row, ts):
+        self.end[row] = ts
+        del self.open[bisect_left(self.open, row)]
+
+    def column(self, field, stop=None):
+        """Field ``field`` of the first ``stop`` rows (of all for None)."""
+        stop = None if stop is None else stop * _WIDTH
+        return self.numbers[field:stop:_WIDTH]
+
+    def field_of(self, field, rows):
+        """Field ``field`` of ``rows`` (row numbers), as an iterator."""
+        at = map(add, map(mul, rows, repeat(_WIDTH)), repeat(field))
+        return map(self.numbers.__getitem__, at)
+
+    def pick(self, rows):
+        """The six posting fields of ``rows`` (a list of row numbers)."""
+        return [self.field_of(field, rows) for field in range(_WIDTH)] + [
+            map(self.start.__getitem__, rows), map(self.end.__getitem__, rows)
+        ]
+
+    def pick_prefix(self, stop, keep=None):
+        """The six posting fields of the first ``stop`` rows, of those
+        only where ``keep`` (an iterable of truths) is true if given."""
+        fields = [self.column(field, stop) for field in range(_WIDTH)]
+        fields += [self.start[:stop], self.end[:stop]]
+        if keep is None:
+            return fields
+        keep = list(keep)
+        return [compress(field, keep) for field in fields]
+
+
+def _shift_rows(triples, wid, row):
+    """Move the rows from ``row`` on of word ``wid`` up by one in an
+    array of ``(xid, word id, row)`` triples."""
+    for i in range(1, len(triples), 3):
+        if triples[i] == wid and triples[i + 1] >= row:
+            triples[i + 1] += 1
 
 
 class TemporalFullTextIndex:
@@ -70,12 +173,11 @@ class TemporalFullTextIndex:
     metrics_label = "fti"
 
     def __init__(self):
-        self._lists = {}      # word -> list[Posting], sorted by start
-        self._open_lists = {}  # word -> open postings only, sorted by start
-        self._open = {}       # doc_id -> {xid: [open Posting, ...]}
-        # ancestors tuple / path / word -> the one object postings share;
-        # written under the write lock only.
-        self._interned = {}
+        self._lists = {}  # word -> _Columns
+        # doc_id -> array of (xid, word id, row) triples, occurrence order
+        self._open = {}
+        # ancestors tuples, paths and words; written under the write lock
+        self._table = InternTable()
         self.stats = IndexStats()
         self._rwlock = RWLock()
 
@@ -89,45 +191,56 @@ class TemporalFullTextIndex:
                 self._close_all(event.doc_id, event.timestamp)
 
     def _reconcile(self, doc_id, root, ts):
-        interned = self._interned
-        runs = element_runs(root, interned)
-        fresh = {}  # xid -> [ancestors, every word of the element]
-        for element, ancestors, _path, words in runs:
+        table = self._table
+        values = table.values
+        word_id = table.ids.get
+        runs = element_runs(root, table)
+        fresh = {}  # xid -> [ancestors id, every word of the element]
+        for element, ancestors_id, _path, words in runs:
             entry = fresh.get(element.xid)
             if entry is None:
-                fresh[element.xid] = [ancestors, words]
+                fresh[element.xid] = [ancestors_id, words]
             else:
                 entry[1] = entry[1] + words
 
-        previous = self._open.get(doc_id, {})
+        flat = self._open.pop(doc_id, _NO_TRIPLES)
+        previous = self._element_spans(flat)
+        lists = self._lists
+        # xid -> the (low, high) span of its kept triples in ``flat``, or
+        # a list of (word id, row) with None where a posting opens
         now_open = {}
-        pending = {}  # xid -> its open list, None where a posting opens
-        for xid, (ancestors, words) in fresh.items():
-            kept = previous.pop(xid, None)
-            if kept is None or kept[0].ancestors is not ancestors:
-                # New element, or it moved (hierarchy info in its postings
-                # would be stale): every occurrence opens a posting.
-                if kept is not None:
-                    for posting in kept:
-                        self._close(posting, ts)
+        pending = {}  # xid -> its list where a posting opens
+        for xid, (ancestors_id, words) in fresh.items():
+            span = previous.pop(xid, None)
+            if span is None:  # a new element: every occurrence opens
                 slots = [None] * len(words)
-            elif [posting.word for posting in kept] == words:
-                now_open[xid] = kept  # unchanged element: keep its list
-                continue
             else:
-                slots = self._match(kept, words, ts)
+                low, high = span
+                wids = flat[low + 1:high:3]
+                numbers = lists[values[wids[0]]].numbers
+                moved = (numbers[flat[low + 2] * _WIDTH + _ANCESTORS]
+                         != ancestors_id)
+                if not moved and wids.tolist() == list(map(word_id, words)):
+                    now_open[xid] = span  # unchanged: keep its postings
+                    continue
+                rows = flat[low + 2:high:3]
+                if moved:
+                    # Hierarchy info in its postings would be stale: every
+                    # occurrence opens a new posting.
+                    self._close_each(wids, rows, ts)
+                    slots = [None] * len(words)
+                else:
+                    slots = self._match(wids, rows, words, ts)
             now_open[xid] = slots
             if None in slots:
                 pending[xid] = slots
-        for kept in previous.values():  # elements without words now
-            for posting in kept:
-                self._close(posting, ts)
-        self._open[doc_id] = now_open
+        for low, high in previous.values():  # elements without words now
+            self._close_each(flat[low + 1:high:3], flat[low + 2:high:3], ts)
 
         # Open the new postings in document order, so every per-word list
         # gets them in the order the occurrences stand in the version.
         filled = {}
-        for element, ancestors, path, words in runs:
+        for element, ancestors_id, path_id, words in runs:
             slots = pending.get(element.xid)
             if slots is None:
                 continue
@@ -137,103 +250,151 @@ class TemporalFullTextIndex:
             for offset, word in enumerate(words, start=at):
                 if slots[offset] is not None:
                     continue
-                word = interned.setdefault(word, word)
-                posting = Posting(
-                    doc_id, element.xid, ancestors, path, ts, word=word
-                )
-                self._insert(word, posting)
-                slots[offset] = posting
+                wid = table.intern(word)
+                word = values[wid]  # key the lists by the table's string
+                columns = lists.get(word)
+                if columns is None:
+                    columns = lists[word] = _Columns()
+                row = columns.add(doc_id, element.xid, ancestors_id,
+                                  path_id, ts)
+                if row != len(columns) - 1:
+                    self._renumber(wid, row, flat, now_open)
+                slots[offset] = (wid, row)
                 opened += 1
             if opened:  # the run's postings share their estimated size
-                self.stats.opened(opened * posting.estimated_bytes(), opened)
+                self.stats.opened(opened * estimated_bytes(
+                    values[ancestors_id], values[path_id]), opened)
 
-    def _match(self, kept, words, ts):
-        """Line an element's open postings up with its new ``words``: the
-        k-th posting of a word stays open for the k-th occurrence of it,
-        the rest close.  Returns the new open list, ``None`` where an
-        occurrence needs a posting."""
+        self._open[doc_id] = self._joined(flat, now_open)
+
+    @staticmethod
+    def _joined(flat, now_open):
+        """The new open array of a document: its elements' triples in
+        ``now_open`` order, kept spans copied from ``flat`` (adjacent ones
+        in one piece)."""
+        parts = []  # (low, high) spans of ``flat``, and arrays
+        fresh_triples = []  # of new lists, until the next kept span
+        for xid, kept in now_open.items():
+            if type(kept) is tuple:
+                if fresh_triples:
+                    parts.append(array(_NUMBER, fresh_triples))
+                    fresh_triples = []
+                if parts and type(parts[-1]) is tuple \
+                        and parts[-1][1] == kept[0]:
+                    kept = (parts.pop()[0], kept[1])
+                parts.append(kept)
+            else:
+                for wid, row in kept:
+                    fresh_triples += (xid, wid, row)
+        parts.append(array(_NUMBER, fresh_triples))
+        view = memoryview(flat)
+        return array(_NUMBER, b"".join(
+            view[part[0]:part[1]] if type(part) is tuple else part
+            for part in parts
+        ))
+
+    @staticmethod
+    def _element_spans(flat):
+        """``{xid: (low, high)}``: where each element's triples stand in a
+        document's open array (they stand together, elements in order)."""
+        counts = Counter(flat[::3])
+        highs = list(accumulate(map(mul, counts.values(), repeat(3))))
+        return dict(zip(counts, zip([0, *highs], highs)))
+
+    def _columns(self, wid):
+        return self._lists[self._table.values[wid]]
+
+    def _match(self, wids, rows, words, ts):
+        """Line an element's open postings (``wids[k]``, ``rows[k]``) up
+        with its new ``words``: the k-th posting of a word stays open for
+        the k-th occurrence of it, the rest close.  Returns the new open
+        list of ``(word id, row)``, ``None`` where an occurrence needs a
+        posting."""
         by_ordinal = {}
         seen = {}
-        for posting in kept:
-            ordinal = seen.get(posting.word, 0)
-            seen[posting.word] = ordinal + 1
-            by_ordinal[posting.word, ordinal] = posting
+        for slot in zip(wids, rows):
+            wid = slot[0]
+            ordinal = seen.get(wid, 0)
+            seen[wid] = ordinal + 1
+            by_ordinal[wid, ordinal] = slot
         seen = {}
         slots = []
-        for word in words:
-            ordinal = seen.get(word, 0)
-            seen[word] = ordinal + 1
-            slots.append(by_ordinal.pop((word, ordinal), None))
-        for posting in by_ordinal.values():
-            self._close(posting, ts)
+        for wid in map(self._table.ids.get, words):
+            ordinal = seen.get(wid, 0)
+            seen[wid] = ordinal + 1
+            slots.append(by_ordinal.pop((wid, ordinal), None))
+        closing = by_ordinal.values()
+        self._close_each([wid for wid, _row in closing],
+                         [row for _wid, row in closing], ts)
         return slots
 
     def _close_all(self, doc_id, ts):
-        for kept in self._open.pop(doc_id, {}).values():
-            for posting in kept:
-                self._close(posting, ts)
+        flat = self._open.pop(doc_id, _NO_TRIPLES)
+        self._close_each(flat[1::3], flat[2::3], ts)
 
-    def _insert(self, word, posting):
-        """File a new posting, keeping both lists sorted by start.
+    def _close_each(self, wids, rows, ts):
+        """End the intervals of the postings at ``rows`` of the words
+        ``wids`` and take them off their words' open rows."""
+        for wid, row in zip(wids, rows):
+            self._columns(wid).close(row, ts)
+            self.stats.closed()
 
-        Commit timestamps increase monotonically, so this is an append;
-        ``insort`` only runs for out-of-order starts (e.g. replayed
-        histories).
-        """
-        lst = self._lists.setdefault(word, [])
-        if lst and posting.start < lst[-1].start:
-            insort_right(lst, posting, key=_start)
-        else:
-            lst.append(posting)
-        opens = self._open_lists.setdefault(word, [])
-        if opens and posting.start < opens[-1].start:
-            insort_right(opens, posting, key=_start)
-        else:
-            opens.append(posting)
-
-    def _close(self, posting, ts):
-        """End ``posting``'s interval and take it off its word's open list:
-        a bisect to the run of equal starts, then a scan from there
-        (postings compare by identity)."""
-        posting.end = ts
-        opens = self._open_lists[posting.word]
-        run = bisect_left(opens, posting.start, key=_start)
-        del opens[opens.index(posting, run)]
-        self.stats.closed()
+    def _renumber(self, wid, row, flat, now_open):
+        """Rows from ``row`` on of word ``wid`` moved up by one: follow
+        them in every document's open array, and in the open array
+        (``flat``) and open lists of the document being reconciled."""
+        for triples in (*self._open.values(), flat):
+            _shift_rows(triples, wid, row)
+        for kept in now_open.values():
+            if type(kept) is tuple:  # a span of ``flat``
+                continue
+            for k, slot in enumerate(kept):
+                if slot is not None and slot[0] == wid and slot[1] >= row:
+                    kept[k] = (wid, slot[1] + 1)
 
     # -- the three FTI operations (Section 7.2) ------------------------------------
+
+    def _postings(self, fields):
+        """Postings from the six field iterables of
+        :meth:`_Columns.pick` or :meth:`_Columns.pick_prefix`."""
+        value = self._table.values.__getitem__
+        doc, xid, ancestors, path, start, end = fields
+        return list(map(Posting._make, zip(
+            doc, xid, map(value, ancestors), map(value, path), start, end
+        )))
 
     def lookup(self, word, docs=None):
         """``FTI_lookup``: occurrences in currently valid document versions.
 
-        Served entirely from the open-postings side list — closed history is
-        never scanned.  ``docs`` restricts the result to a document set
-        during retrieval (the pattern operators' forest argument, pushed
-        down so no full list is ever materialized just to be filtered).
+        Served entirely from the open rows — closed history is never
+        scanned.  ``docs`` restricts the result to a document set during
+        retrieval (the pattern operators' forest argument, pushed down so
+        no full list is ever materialized just to be filtered).
         """
         with self._rwlock.read_lock():
-            candidates = self._open_lists.get(word, ())
-            if docs is None:
-                result = list(candidates)
-            else:
-                result = [p for p in candidates if p.doc_id in docs]
-            self.stats.scanned(len(candidates), returned=len(result))
+            columns = self._lists.get(word)
+            if columns is None:
+                self.stats.scanned(0, returned=0)
+                return []
+            rows = columns.open
+            if docs is not None:
+                rows = list(compress(rows, map(
+                    docs.__contains__, columns.field_of(_DOC, rows)
+                )))
+            result = self._postings(columns.pick(rows))
+            self.stats.scanned(len(columns.open), returned=len(result))
             return result
 
     def lookup_t(self, word, ts, docs=None):
         """``FTI_lookup_T``: occurrences in versions valid at time ``ts``.
 
-        Bisects the start-sorted list: only postings with ``start <= ts``
+        Bisects the ``start`` column: only postings with ``start <= ts``
         are examined at all.  ``docs`` restricts during retrieval.
         """
         with self._rwlock.read_lock():
-            candidates = self._lists.get(word, [])
-            prefix = bisect_right(candidates, ts, key=_start)
-            result = [
-                p
-                for p in candidates[:prefix]
-                if p.end > ts and (docs is None or p.doc_id in docs)
-            ]
+            columns = self._lists.get(word)
+            prefix = 0 if columns is None else bisect_right(columns.start, ts)
+            result = self._alive_after(columns, prefix, ts, docs)
             self.stats.scanned(prefix, returned=len(result))
             return result
 
@@ -241,18 +402,21 @@ class TemporalFullTextIndex:
         """``FTI_lookup_H``: every posting over the whole history (sorted by
         interval start).  ``docs`` restricts during retrieval."""
         with self._rwlock.read_lock():
-            candidates = self._lists.get(word, [])
-            if docs is None:
-                result = list(candidates)
-            else:
-                result = [p for p in candidates if p.doc_id in docs]
-            self.stats.scanned(len(candidates), returned=len(result))
+            columns = self._lists.get(word)
+            if columns is None:
+                self.stats.scanned(0, returned=0)
+                return []
+            keep = None
+            if docs is not None:
+                keep = map(docs.__contains__, columns.column(_DOC))
+            result = self._postings(columns.pick_prefix(len(columns), keep))
+            self.stats.scanned(len(columns), returned=len(result))
             return result
 
     def lookup_w(self, word, start, end, docs=None):
         """Windowed ``FTI_lookup_H``: postings overlapping ``[start, end)``.
 
-        Bisects the start-sorted list so postings born at or after ``end``
+        Bisects the ``start`` column so postings born at or after ``end``
         are never examined; the scanned prefix is then filtered to postings
         still valid after ``start``.  Equivalent to ``lookup_h`` followed by
         an overlap filter, at a fraction of the scan cost — the planner's
@@ -261,38 +425,104 @@ class TemporalFullTextIndex:
         if start >= end:
             return []
         with self._rwlock.read_lock():
-            candidates = self._lists.get(word, [])
-            prefix = bisect_left(candidates, end, key=_start)
-            result = [
-                p
-                for p in candidates[:prefix]
-                if p.end > start and (docs is None or p.doc_id in docs)
-            ]
+            columns = self._lists.get(word)
+            prefix = 0 if columns is None else bisect_left(columns.start, end)
+            result = self._alive_after(columns, prefix, start, docs)
             self.stats.scanned(prefix, returned=len(result))
             return result
+
+    def _alive_after(self, columns, prefix, ts, docs):
+        """The postings among the first ``prefix`` rows whose interval
+        ends after ``ts`` and whose document is in ``docs`` (if given)."""
+        if not prefix:
+            return []
+        keep = self._keep(columns, prefix, ts, docs)
+        return self._postings(columns.pick_prefix(prefix, keep))
+
+    @staticmethod
+    def _keep(columns, prefix, ts, docs, doc=None):
+        """Truths over the first ``prefix`` rows: the interval ends after
+        ``ts`` and the document (``doc``, that prefix of the document
+        column, if at hand) is in ``docs`` (if given)."""
+        keep = map(partial(lt, ts), columns.end[:prefix])
+        if docs is None:
+            return keep
+        if doc is None:
+            doc = columns.column(_DOC, prefix)
+        return map(and_, keep, map(docs.__contains__, doc))
+
+    # -- the same lookups, counted per document (no posting is built) -----------
+
+    def doc_counts_t(self, word, ts, docs=None):
+        """``{doc_id: postings}`` over what ``lookup_t(word, ts, docs)``
+        returns, counted from the columns.  Charged to ``stats`` as that
+        lookup is."""
+        with self._rwlock.read_lock():
+            columns = self._lists.get(word)
+            prefix = 0 if columns is None else bisect_right(columns.start, ts)
+            counts = Counter()
+            if prefix:
+                doc = columns.column(_DOC, prefix)
+                counts.update(compress(doc, self._keep(columns, prefix, ts,
+                                                       docs, doc)))
+            self.stats.scanned(prefix, returned=sum(counts.values()))
+            return counts
+
+    def window_coverage(self, word, start, end, docs=None):
+        """``{doc_id: coverage}`` over what ``lookup_w(word, start, end,
+        docs)`` returns: each posting adds the share of ``[start, end)`` its
+        interval covers, in the order that lookup returns them.  Charged to
+        ``stats`` as that lookup is."""
+        coverage = {}
+        if start >= end:
+            return coverage
+        span = end - start
+        with self._rwlock.read_lock():
+            columns = self._lists.get(word)
+            prefix = 0 if columns is None else bisect_left(columns.start, end)
+            returned = 0
+            if prefix:
+                doc = columns.column(_DOC, prefix)
+                keep = list(self._keep(columns, prefix, start, docs, doc))
+                for doc_id, born, died in zip(
+                    compress(doc, keep), compress(columns.start, keep),
+                    compress(columns.end, keep),
+                ):
+                    if born < start:
+                        born = start
+                    if died > end:
+                        died = end
+                    coverage[doc_id] = (
+                        coverage.get(doc_id, 0.0) + (died - born) / span
+                    )
+                returned = sum(keep)
+            self.stats.scanned(prefix, returned=returned)
+            return coverage
 
     # -- planner probes (statistics; no postings are examined) --------------------
 
     def term_stats(self, word):
         """``(history_postings, open_postings)`` for ``word`` — O(1), not
-        charged to ``stats`` (list lengths, nothing is scanned)."""
+        charged to ``stats`` (column lengths, nothing is scanned)."""
         with self._rwlock.read_lock():
-            return (
-                len(self._lists.get(word, ())),
-                len(self._open_lists.get(word, ())),
-            )
+            columns = self._lists.get(word)
+            if columns is None:
+                return (0, 0)
+            return (len(columns), len(columns.open))
 
     def postings_at_or_before(self, word, ts):
         """Postings with ``start <= ts`` — exactly the prefix a
         ``lookup_t(word, ts)`` call scans.  O(log n)."""
         with self._rwlock.read_lock():
-            return bisect_right(self._lists.get(word, []), ts, key=_start)
+            columns = self._lists.get(word)
+            return 0 if columns is None else bisect_right(columns.start, ts)
 
     def postings_starting_before(self, word, end):
         """Postings with ``start < end`` — exactly the prefix a
         ``lookup_w(word, ..., end)`` call scans.  O(log n)."""
         with self._rwlock.read_lock():
-            return bisect_left(self._lists.get(word, []), end, key=_start)
+            columns = self._lists.get(word)
+            return 0 if columns is None else bisect_left(columns.start, end)
 
     def distinct_terms(self):
         """Vocabulary size (number of per-word posting lists)."""
@@ -307,11 +537,11 @@ class TemporalFullTextIndex:
 
     def posting_count(self):
         with self._rwlock.read_lock():
-            return sum(len(lst) for lst in self._lists.values())
+            return sum(map(len, self._lists.values()))
 
     def open_posting_count(self):
         with self._rwlock.read_lock():
-            return sum(len(lst) for lst in self._open_lists.values())
+            return sum(len(columns.open) for columns in self._lists.values())
 
     def footprint(self):
         """Entry counts of the stored layout: ``postings``,
@@ -320,21 +550,39 @@ class TemporalFullTextIndex:
         words the postings share)."""
         with self._rwlock.read_lock():
             return {
-                "postings": sum(len(lst) for lst in self._lists.values()),
+                "postings": sum(map(len, self._lists.values())),
                 "open_postings": sum(
-                    len(lst) for lst in self._open_lists.values()
+                    len(columns.open) for columns in self._lists.values()
                 ),
                 "open_elements": sum(
-                    len(elements) for elements in self._open.values()
+                    len(set(flat[::3])) for flat in self._open.values()
                 ),
-                "interned": len(self._interned),
+                "interned": len(self._table),
             }
+
+    def memory_parts(self):
+        """The roots of the layout's parts, for a memory probe, in an
+        order a walk that counts each object once can follow: the intern
+        table, the open-row arrays, the per-document open arrays, then
+        the row columns (the word dict and its per-word holders, which
+        reach the parts before them too)."""
+        return {
+            "intern_table": self._table,
+            "open_rows": [columns.open for columns in self._lists.values()],
+            "open_by_document": self._open,
+            "row_columns": self._lists,
+        }
 
     def estimated_bytes(self):
         """The paper's logical index size (E6), not resident memory."""
         with self._rwlock.read_lock():
-            return sum(
-                p.estimated_bytes()
-                for lst in self._lists.values()
-                for p in lst
-            )
+            value = self._table.values.__getitem__
+            total = 0
+            for columns in self._lists.values():
+                total += (
+                    24 * len(columns)
+                    + 8 * sum(map(len, map(value,
+                                           columns.column(_ANCESTORS))))
+                    + sum(map(len, map(value, columns.column(_PATH))))
+                )
+            return total

@@ -15,16 +15,19 @@ Our postings carry:
 * ``path`` — the tag path from the root, used for path-literal filtering,
 * the validity interval ``[start, end)`` in transaction time
   (``end == UNTIL_CHANGED`` while the occurrence is still present in the
-  current version),
-* the ``word`` itself, so an open posting knows which list to leave when
-  it closes.
+  current version).
 
-Everything but the interval is context shared by many postings: the
-index that files them hands every posting of the same word, path or
-ancestor chain the same object (see :func:`element_runs`).
+The index stores postings as columns, not as objects (see
+:mod:`repro.index.fti`); a :class:`Posting` is the immutable row a lookup
+hands out.  Ancestors tuples and paths are context shared by many
+postings: the index numbers each distinct value once in an
+:class:`InternTable`, and every posting it returns for the same value
+holds the same object.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from ..clock import UNTIL_CHANGED
 from ..xmlcore.node import Element, Text
@@ -43,22 +46,18 @@ def tokenize(text):
     return text.lower().translate(_WORD_BREAKS).split()
 
 
-class Posting:
-    """One word occurrence with its validity interval (mutable ``end``)."""
+class Posting(
+    namedtuple(
+        "Posting", "doc_id xid ancestors path start end",
+        defaults=(UNTIL_CHANGED,),
+    )
+):
+    """One word occurrence with its validity interval: an immutable row."""
 
-    __slots__ = ("doc_id", "xid", "ancestors", "path", "start", "end", "word")
+    __slots__ = ()
 
-    def __init__(
-        self, doc_id, xid, ancestors, path, start, end=UNTIL_CHANGED,
-        word=None,
-    ):
-        self.doc_id = doc_id
-        self.xid = xid
-        self.ancestors = ancestors
-        self.path = path
-        self.start = start
-        self.end = end
-        self.word = word
+    #: Build from one iterable of the six fields, in C (no length check).
+    _make = classmethod(tuple.__new__)
 
     @property
     def is_open(self):
@@ -73,7 +72,7 @@ class Posting:
 
     def estimated_bytes(self):
         """Rough stored size, used for the E6 index-size comparison."""
-        return 24 + 8 * len(self.ancestors) + len(self.path)
+        return estimated_bytes(self.ancestors, self.path)
 
     def __repr__(self):
         return (
@@ -82,37 +81,73 @@ class Posting:
         )
 
 
-def element_runs(root, interned=None):
+def estimated_bytes(ancestors, path):
+    """The paper's logical size of one posting with this context."""
+    return 24 + 8 * len(ancestors) + len(path)
+
+
+class InternTable:
+    """Distinct values numbered in the order first met: ``ids`` maps a
+    value to its number, ``values`` a number back to the one object every
+    holder of that value shares.  Number 0 is the empty ancestors tuple
+    of a root element, which no walk has to intern."""
+
+    __slots__ = ("ids", "values")
+
+    def __init__(self):
+        self.ids = {(): 0}
+        self.values = [()]
+
+    def __len__(self):
+        """Interned values, the seeded empty tuple not counted."""
+        return len(self.values) - 1
+
+    def intern(self, value):
+        ident = self.ids.get(value)
+        if ident is None:
+            ident = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return ident
+
+
+def element_runs(root, table=None):
     """The word occurrences of a stamped tree, as runs in document order.
 
-    Returns a list of ``(element, ancestors, path, words)``.  An element's
-    tag and attribute words form its first run and each of its text
-    children one more (text is attributed to the direct containing
+    Returns a list of ``(element, ancestors_id, path_id, words)``.  An
+    element's tag and attribute words form its first run and each of its
+    text children one more (text is attributed to the direct containing
     element only; the structural join recovers ancestor containment from
-    ``ancestors``).  The runs of a child element's subtree sit between
+    the ancestors).  The runs of a child element's subtree sit between
     the runs of the text around it, so the runs read in order list every
     occurrence in the order a pre-order walk meets it.  Runs without
     words are left out.
 
-    ``interned`` (a dict, updated in place) maps each ancestors tuple and
-    path the walk builds to one object per distinct value, so every run
-    — of this tree and of any other walked with the same dict — that has
-    an equal ancestors tuple or path holds the identical object.  Word
-    lists may be shared between runs; callers must not mutate them.
+    ``ancestors_id`` and ``path_id`` number the element's ancestors tuple
+    and tag path in ``table`` (an :class:`InternTable`, updated in place:
+    every path and ancestors tuple the walk meets is interned), so runs of
+    any trees walked with the same table that have an equal context hold
+    the same number.  Word lists may be shared between runs; callers must
+    not mutate them.
     """
     runs = []
-    _walk(root, (), "", {} if interned is None else interned, {}, runs)
+    table = InternTable() if table is None else table
+    _walk(root, (), 0, "", table.ids, table.values, {}, runs)
     return runs
 
 
-def _walk(element, ancestors, parent_path, table, tag_words, runs):
-    """Append the runs of ``element``'s subtree to ``runs``.  A module
+def _walk(element, ancestors, ancestors_id, parent_path, ids, values,
+          tag_words, runs):
+    """Append the runs of ``element``'s subtree to ``runs``, interning
+    into ``ids``/``values`` as :meth:`InternTable.intern` does.  A module
     function, not a closure that calls itself: that closure would be a
     reference cycle holding ``runs``, so every element of every tree walked
     would wait for the cycle collector."""
     tag = element.tag
     path = f"{parent_path}/{tag}" if parent_path else tag
-    path = table.setdefault(path, path)
+    path_id = ids.get(path)
+    if path_id is None:
+        path_id = ids[path] = len(values)
+        values.append(path)
     words = tag_words.get(tag)
     if words is None:
         words = tag_words[tag] = tokenize(tag)
@@ -122,20 +157,22 @@ def _walk(element, ancestors, parent_path, table, tag_words, runs):
             for word in tokenize(value)
         ]
     if words:
-        runs.append((element, ancestors, path, words))
+        runs.append((element, ancestors_id, path_id, words))
     child_ancestors = None
     for child in element.children:
         if isinstance(child, Element):
             if child_ancestors is None:
                 child_ancestors = ancestors + (element.xid,)
-                child_ancestors = table.setdefault(
-                    child_ancestors, child_ancestors
-                )
-            _walk(child, child_ancestors, path, table, tag_words, runs)
+                child_id = ids.get(child_ancestors)
+                if child_id is None:
+                    child_id = ids[child_ancestors] = len(values)
+                    values.append(child_ancestors)
+            _walk(child, child_ancestors, child_id, path, ids, values,
+                  tag_words, runs)
         elif isinstance(child, Text):
             words = tokenize(child.value)
             if words:
-                runs.append((element, ancestors, path, words))
+                runs.append((element, ancestors_id, path_id, words))
 
 
 def occurrences(root, doc_id):
@@ -148,10 +185,13 @@ def occurrences(root, doc_id):
     """
     out = {}
     counters = {}
-    for element, ancestors, path, words in element_runs(root):
+    table = InternTable()
+    values = table.values
+    for element, ancestors_id, path_id, words in element_runs(root, table):
         xid = element.xid
+        context = (values[ancestors_id], values[path_id])
         for word in words:
             ordinal = counters.get((word, xid), 0)
             counters[(word, xid)] = ordinal + 1
-            out[(word, xid, ordinal)] = (ancestors, path)
+            out[(word, xid, ordinal)] = context
     return out

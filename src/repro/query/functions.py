@@ -16,6 +16,8 @@ query languages the paper builds on.
 
 from __future__ import annotations
 
+import weakref
+
 from ..clock import Interval, bucket_floor
 from ..equality.similarity import similar, similarity
 from ..equality.value import coerce_scalar, value_equal
@@ -52,7 +54,9 @@ class Evaluator:
     """Evaluates expressions for one query engine configuration."""
 
     def __init__(self, engine):
-        self.engine = engine
+        # A proxy, not a reference: the engine owns this evaluator, and a
+        # cycle would leave a dropped engine to the cycle collector.
+        self.engine = weakref.proxy(engine)
 
     # -- entry point -------------------------------------------------------------
 

@@ -46,6 +46,7 @@ results.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from ..errors import QueryPlanError
@@ -283,7 +284,9 @@ class Optimizer:
     def __init__(self, engine):
         from ..index.statistics import CorpusStatistics
 
-        self.engine = engine
+        # A proxy, not a reference: the engine owns this optimizer, and a
+        # cycle would leave a dropped engine to the cycle collector.
+        self.engine = weakref.proxy(engine)
         self.statistics = CorpusStatistics(engine.store, engine.fti)
         self.counters = PlannerCounters()
 

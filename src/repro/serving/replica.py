@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 
 from ..errors import CorruptArchiveError
 from ..index.fti import TemporalFullTextIndex
@@ -56,7 +57,11 @@ class Replica:
         self.resyncs = 0
         self.recovery = None
         self._seed()
-        self.sessions = SessionManager(self, read_only=True)
+        # The manager sees the replica through a proxy: the replica owns
+        # it, and a cycle would leave a dropped replica to the cycle
+        # collector.  Its sessions are the replica's to hand out while the
+        # replica lives.
+        self.sessions = SessionManager(weakref.proxy(self), read_only=True)
         # The seed already contains the full journal; publish it.
         with self.sessions._commit_lock:
             self.sessions._publish()

@@ -29,6 +29,10 @@ Operations:
 
 Errors never kill the server: a malformed line or a failing query turns
 into an ``{"ok": false, "error": ...}`` response on that connection only.
+An engine error (a :class:`~repro.errors.TemporalXMLError`) is answered
+with its message and class name as ``error_type``; any other exception is
+a server fault: it is answered ``"internal error"`` with ``error_type``
+``ServingError``, and its traceback goes to this module's logger.
 A line longer than :data:`MAX_REQUEST_BYTES` is refused (``error_type``
 ``ServingError``) and ends its connection.
 """
@@ -36,12 +40,16 @@ A line longer than :data:`MAX_REQUEST_BYTES` is refused (``error_type``
 from __future__ import annotations
 
 import json
+import logging
 import socketserver
 import threading
 
 from ..clock import parse_date
-from ..errors import TemporalXMLError
+from ..errors import ServingError, TemporalXMLError
 from ..query.executor import _plain_text
+
+
+_log = logging.getLogger(__name__)
 
 
 class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
@@ -170,12 +178,12 @@ class ServingServer:
                  "error_type": type(exc).__name__},
                 True,
             )
-        except Exception as exc:  # keep the connection usable
+        except Exception:  # a server fault: keep the connection usable
             self._count("errors")
+            _log.exception("internal error serving op %r", op)
             return (
-                {"ok": False,
-                 "error": f"{type(exc).__name__}: {exc}",
-                 "error_type": type(exc).__name__},
+                {"ok": False, "error": "internal error",
+                 "error_type": "ServingError"},
                 True,
             )
 
@@ -273,21 +281,21 @@ class ServingServer:
 def _text_field(request):
     text = request.get("text")
     if not isinstance(text, str) or not text.strip():
-        raise ValueError("missing query 'text'")
+        raise ServingError("missing query 'text'")
     return text
 
 
 def _name_field(request):
     name = request.get("name")
     if not isinstance(name, str) or not name:
-        raise ValueError("missing document 'name'")
+        raise ServingError("missing document 'name'")
     return name
 
 
 def _xml_field(request):
     xml = request.get("xml")
     if not isinstance(xml, str) or not xml:
-        raise ValueError("missing document 'xml'")
+        raise ServingError("missing document 'xml'")
     return xml
 
 
@@ -297,4 +305,4 @@ def _ts_field(request):
         return ts
     if isinstance(ts, str):
         return parse_date(ts)
-    raise ValueError("'ts' must be an integer timestamp or dd/mm/yyyy")
+    raise ServingError("'ts' must be an integer timestamp or dd/mm/yyyy")

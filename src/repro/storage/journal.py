@@ -71,6 +71,7 @@ so recovery replays commit groups all-or-nothing (see
 from __future__ import annotations
 
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass, field
 
@@ -354,14 +355,17 @@ class CommitJournal:
     # -- observer protocol ---------------------------------------------------
 
     def bind(self, store):
-        """Remember the store so appends can capture allocator state."""
-        self._store = store
+        """Remember the store so appends can capture allocator state.  A
+        weak reference: the store owns this journal, and a cycle would
+        leave a dropped store to the cycle collector."""
+        self._store = weakref.ref(store)
         return self
 
     def document_committed(self, event):
         """Append the journal record(s) for one commit event."""
         nextxid = None
-        repository = self._store.repository if self._store is not None else None
+        store = self._store() if self._store is not None else None
+        repository = store.repository if store is not None else None
         if repository is not None:
             record = repository.record(event.doc_id)
             nextxid = record.allocator.next_xid

@@ -1,19 +1,19 @@
-"""Version trees are acyclic values: what the engine drops dies by refcount.
+"""Version trees and databases are acyclic: what the engine drops dies by
+refcount.
 
 A node holds no parent pointer, so no tree is a reference cycle; a reader of
 a stored chain forms none with its cursors, and the full-text index's walk
-none with the runs it collects.  With the cycle collector off and
-``gc.DEBUG_SAVEALL`` set, a collection keeps everything it finds unreachable
-in ``gc.garbage`` instead of freeing it.  One seeded history
-(``tests/index_history.py``'s documents and edits) goes through every path
-that makes and drops trees — puts, updates, deletes, commit groups,
+none with the runs it collects.  Nor is a database: its parts refer back to
+their owners weakly (a journal to its store, an optimizer and an evaluator to
+their engine, a replica's session manager to the replica).  With the cycle
+collector off and ``gc.DEBUG_SAVEALL`` set, a collection keeps everything it
+finds unreachable in ``gc.garbage`` instead of freeing it.  One seeded
+history (``tests/index_history.py``'s documents and edits) goes through every
+path that makes and drops trees — puts, updates, deletes, commit groups,
 checkpoints, reopens, a replica's catch-up, TXQL queries in-process and
-through a replica session — and drops what it made: not one node may be
-among what the collection finds.  The databases, the replica and its session
-stay reachable through the check, because each is a cycle of its own (an
-engine and its optimizer, a store and its journal, a replica and its session
-manager) that is meant to live; what the collection finds is what the engine
-let go.
+through a replica session — and drops what it made, the databases, the
+replica and its session included: not one object of a ``repro`` module may
+be among what the collection finds.
 
 At the end of the same history every XID map cached on a stored tree equals
 a fresh scan of that tree: the maps live on frozen trees only
@@ -31,7 +31,6 @@ import pytest
 
 from repro import TemporalXMLDatabase
 from repro.serving import Replica
-from repro.xmlcore.node import Element, Text
 from repro.xmlcore.serializer import serialize
 
 from tests.index_history import START, evolve, new_document
@@ -44,10 +43,10 @@ QUERIES = (
 )
 
 
-def _history(directory, seed, held):
-    """Run one seeded history; append every database, replica and session
-    it opens to ``held`` and return the last database's and the replica's
-    stores.  Everything else it made is dropped when it returns."""
+def _history(directory, seed):
+    """Run one seeded history; return the last database's and the
+    replica's stores.  Everything else it made is dropped when it
+    returns."""
     rng = random.Random(seed)
     masters = {}  # live document name -> its tree as last sent
     created = 0
@@ -55,11 +54,9 @@ def _history(directory, seed, held):
     replica = session = None
 
     def open_db():
-        db = TemporalXMLDatabase.open(
+        return TemporalXMLDatabase.open(
             directory, durability="journal", snapshot_interval=3
         )
-        held.append(db)
-        return db
 
     def query(target):
         for text in QUERIES:
@@ -96,7 +93,6 @@ def _history(directory, seed, held):
         if step == 16:
             replica = Replica(directory)
             session = replica.session()
-            held += [replica, session]
         elif replica is not None and step % 4 == 0:
             replica.catch_up()
         if step % 12 == 11:
@@ -109,38 +105,62 @@ def _history(directory, seed, held):
     return db.store, replica.store
 
 
-@pytest.fixture(scope="module")
-def history(tmp_path_factory):
-    """``(nodes the collection found, a census of it, the stores)``."""
-    held = []
+def left_to_collector(call):
+    """``(result of call(), census of the repro objects it left to the
+    cycle collector)``: ``call`` runs with the collector off, and a
+    collection afterwards saves what it finds in ``gc.garbage``."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     before = len(gc.garbage)
     try:
-        stores = _history(tmp_path_factory.mktemp("acyclic") / "db", 5, held)
+        result = call()
         gc.collect()
-        found = gc.garbage[before:]
-        nodes = sum(isinstance(o, (Element, Text)) for o in found)
-        census = Counter(type(o).__name__ for o in found).most_common(8)
-        del found
+        census = Counter(
+            f"{type(o).__module__}.{type(o).__qualname__}"
+            for o in gc.garbage[before:]
+            if type(o).__module__.startswith("repro")
+        )
     finally:
         gc.set_debug(0)
         del gc.garbage[before:]
         if enabled:
             gc.enable()
-    return nodes, census, stores
+    return result, census
+
+
+@pytest.fixture(scope="module")
+def history(tmp_path_factory):
+    """``(the stores, a census of the repro objects the history left to
+    the collector)``."""
+    directory = tmp_path_factory.mktemp("acyclic") / "db"
+    return left_to_collector(lambda: _history(directory, 5))
 
 
 def test_no_node_is_left_to_the_cycle_collector(history):
-    nodes, census, _stores = history
-    assert nodes == 0, f"{nodes} nodes left to the collector among {census}"
+    """Nor any other object of a repro module."""
+    _stores, census = history
+    assert not census, census.most_common(8)
+
+
+def test_a_closed_database_dies_by_refcount(tmp_path):
+    def lifecycle():
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="journal")
+        db.put("g.xml", "<g><r><n>a</n><p>1</p></r></g>")
+        db.update("g.xml", "<g><r><n>a</n><p>2</p></r><r><n>b</n></r></g>")
+        for text in QUERIES:
+            assert db.query(text).to_xml_string()
+        db.checkpoint()
+        db.close()
+
+    _result, census = left_to_collector(lifecycle)
+    assert not census, census.most_common(8)
 
 
 def test_every_cached_xid_map_is_a_fresh_scan(history):
     checked = 0
-    for store in history[2]:
+    for store in history[0]:
         for record in store.repository.records():
             trees = list(record.snapshots.values())
             if record.current_root is not None:

@@ -1,13 +1,17 @@
 """Tests for the temporal full-text index (alternative 1)."""
 
+from bisect import insort_right
+
 import pytest
 
 from repro.clock import UNTIL_CHANGED
-from repro.index import Posting, TemporalFullTextIndex, tokenize
+from repro.index import TemporalFullTextIndex, tokenize
 from repro.index.postings import occurrences
 from repro.model.identifiers import XIDAllocator
 from repro.model.versioned import stamp_new_nodes
 from repro.storage import TemporalDocumentStore
+from repro.storage.persistence import replay_history
+from repro.storage.store import CommitEvent
 from repro.workload import load_figure1
 from repro.xmlcore import parse
 from repro.xmlcore.node import Element, Text
@@ -149,17 +153,37 @@ class TestMaintenance:
         assert "restaurant" in fti.words()
 
 
+class RefPosting:
+    """The reference's posting: one mutable object per occurrence."""
+
+    __slots__ = ("doc_id", "xid", "ancestors", "path", "start", "end", "word")
+
+    def __init__(self, doc_id, xid, ancestors, path, start, word):
+        self.doc_id, self.xid, self.word = doc_id, xid, word
+        self.ancestors, self.path = ancestors, path
+        self.start, self.end = start, UNTIL_CHANGED
+
+    def fields(self):
+        return (self.doc_id, self.xid, self.ancestors, self.path,
+                self.start, self.end)
+
+
+def _start(posting):
+    return posting.start
+
+
 class ReferenceFTI:
     """The per-occurrence layout, kept as the reference: open postings
     keyed by ``(word, xid, ordinal)``, matched against a fresh occurrence
-    map on every commit, new postings appended in the map's document
-    order.  (Commit times in the driven histories strictly increase, so
-    appending keeps every list sorted by start.)"""
+    map on every commit, new postings filed in the map's document order
+    after every posting with an equal or earlier start.  Lookups filter
+    the lists; ``scanned`` is what the index must report scanning."""
 
     def __init__(self):
-        self.lists = {}       # word -> [Posting]
-        self.open_lists = {}  # word -> [open Posting]
-        self.open = {}        # doc_id -> {(word, xid, ordinal): Posting}
+        self.lists = {}       # word -> [RefPosting], sorted by start
+        self.open_lists = {}  # word -> [open RefPosting], sorted by start
+        self.open = {}        # doc_id -> {(word, xid, ordinal): RefPosting}
+        self.contexts = set()  # every path, ancestors tuple and word seen
 
     def document_committed(self, event):
         ts = event.timestamp
@@ -176,17 +200,18 @@ class ReferenceFTI:
         for (word, xid, ordinal), (ancestors, path) in found.items():
             if (word, xid, ordinal) in open_map:
                 continue
-            posting = Posting(event.doc_id, xid, ancestors, path, ts, word=word)
-            self.lists.setdefault(word, []).append(posting)
-            self.open_lists.setdefault(word, []).append(posting)
+            posting = RefPosting(event.doc_id, xid, ancestors, path, ts, word)
+            insort_right(self.lists.setdefault(word, []), posting, key=_start)
+            insort_right(self.open_lists.setdefault(word, []), posting,
+                         key=_start)
             open_map[word, xid, ordinal] = posting
+            self.contexts.add(word)
 
     def _close(self, word, posting, ts):
         posting.end = ts
         self.open_lists[word].remove(posting)
 
-    @staticmethod
-    def _occurrences(root):
+    def _occurrences(self, root):
         out, counters = {}, {}
 
         def note(word, element, ancestors, path):
@@ -196,6 +221,9 @@ class ReferenceFTI:
 
         def walk(element, ancestors, parent_path):
             path = f"{parent_path}/{element.tag}" if parent_path else element.tag
+            self.contexts.add(path)
+            if ancestors:
+                self.contexts.add(ancestors)
             for word in tokenize(element.tag):
                 note(word, element, ancestors, path)
             for value in element.attrib.values():
@@ -211,46 +239,136 @@ class ReferenceFTI:
         walk(root, (), "")
         return out
 
+    # -- what the index must answer -------------------------------------------
 
-def _fields(posting):
-    return (
-        posting.doc_id, posting.xid, posting.ancestors, posting.path,
-        posting.start, posting.end, posting.word,
-    )
+    @staticmethod
+    def _in(docs, posting):
+        return docs is None or posting.doc_id in docs
+
+    def lookup(self, word, docs):
+        candidates = self.open_lists.get(word, [])
+        return [p for p in candidates if self._in(docs, p)], len(candidates)
+
+    def lookup_t(self, word, ts, docs):
+        scanned = [p for p in self.lists.get(word, []) if p.start <= ts]
+        return ([p for p in scanned if p.end > ts and self._in(docs, p)],
+                len(scanned))
+
+    def lookup_h(self, word, docs):
+        candidates = self.lists.get(word, [])
+        return [p for p in candidates if self._in(docs, p)], len(candidates)
+
+    def lookup_w(self, word, start, end, docs):
+        if start >= end:
+            return [], None
+        scanned = [p for p in self.lists.get(word, []) if p.start < end]
+        return ([p for p in scanned if p.end > start and self._in(docs, p)],
+                len(scanned))
+
+    def footprint(self):
+        return {
+            "postings": sum(map(len, self.lists.values())),
+            "open_postings": sum(map(len, self.open_lists.values())),
+            "open_elements": sum(
+                len({xid for _word, xid, _ordinal in open_map})
+                for open_map in self.open.values()
+            ),
+            "interned": len(self.contexts),
+        }
+
+    def estimated_bytes(self):
+        return sum(
+            24 + 8 * len(p.ancestors) + len(p.path)
+            for postings in self.lists.values() for p in postings
+        )
 
 
-def assert_same_postings(fti, reference):
-    """Every posting list field by field and in order, every open list,
-    and each element's open postings against the reference's keys."""
+def _probe_times(reference):
+    """A few instants around the stored interval bounds."""
+    bounds = sorted({
+        t for postings in reference.lists.values() for p in postings
+        for t in (p.start, p.end) if t < UNTIL_CHANGED
+    })
+    picks = {bounds[0], bounds[len(bounds) // 2], bounds[-1]}
+    return sorted(picks | {t - 1 for t in picks} | {bounds[-1] + 1})
+
+
+#: The per-document counts of a lookup's answer, by the lookup.
+COUNTED = {"lookup_t": "doc_counts_t", "lookup_w": "window_coverage"}
+
+
+def _per_document(postings, start, end=None):
+    """``lookup_t`` answer (``end`` None): postings per document;
+    ``lookup_w`` answer: the share of the window each covers, summed per
+    document in answer order."""
+    out = {}
+    for p in postings:
+        if end is None:
+            out[p.doc_id] = out.get(p.doc_id, 0) + 1
+        else:
+            overlap = min(p.end, end) - max(p.start, start)
+            out[p.doc_id] = out.get(p.doc_id, 0.0) + overlap / (end - start)
+    return out
+
+
+def assert_same_answers(fti, reference):
+    """Every lookup — with and without a document restriction — returns
+    the reference's postings in the reference's order and reports the
+    same scan, and so do its per-document counts (``doc_counts_t``,
+    ``window_coverage``); the planner probes, ``footprint()`` and
+    ``estimated_bytes()`` agree too."""
     assert set(fti.words()) == set(reference.lists)
-    for word, postings in reference.lists.items():
-        assert [_fields(p) for p in fti.lookup_h(word)] == [
-            _fields(p) for p in postings
-        ], word
-        assert [_fields(p) for p in fti.lookup(word)] == [
-            _fields(p) for p in reference.open_lists.get(word, ())
-        ], word
-    stored = {}
-    for doc_id, elements in fti._open.items():
-        for xid, kept in elements.items():
-            assert kept, (doc_id, xid)
-            seen = {}
-            for posting in kept:
-                ordinal = seen.get(posting.word, 0)
-                seen[posting.word] = ordinal + 1
-                stored[doc_id, posting.word, xid, ordinal] = _fields(posting)
-    assert stored == {
-        (doc_id, *key): _fields(posting)
-        for doc_id, open_map in reference.open.items()
-        for key, posting in open_map.items()
-    }
+    assert fti.distinct_terms() == len(reference.lists)
+    assert fti.footprint() == reference.footprint()
+    assert fti.estimated_bytes() == reference.estimated_bytes()
+    assert fti.posting_count() == reference.footprint()["postings"]
+    times = _probe_times(reference)
+    odd = {doc_id for doc_id in reference.open if doc_id % 2}
+    windows = list(zip(times, times[2:])) + [(times[0], times[0])]
+    for word in sorted(reference.lists) + ["zebra"]:
+        calls = [("lookup", ())]
+        calls += [("lookup_t", (ts,)) for ts in times]
+        calls += [("lookup_h", ())]
+        calls += [("lookup_w", window) for window in windows]
+        for name, args in calls:
+            for docs in (None, odd):
+                expected, scanned = getattr(reference, name)(word, *args,
+                                                             docs)
+                before = (fti.stats.lookups, fti.stats.postings_scanned,
+                          fti.stats.postings_returned)
+                got = getattr(fti, name)(word, *args, docs=docs)
+                assert [tuple(p) for p in got] == [
+                    p.fields() for p in expected
+                ], (word, name, args, docs)
+                after = (fti.stats.lookups, fti.stats.postings_scanned,
+                         fti.stats.postings_returned)
+                if scanned is None:  # an empty window scans nothing
+                    assert after == before
+                else:
+                    assert after == (before[0] + 1, before[1] + scanned,
+                                     before[2] + len(expected))
+                counted = COUNTED.get(name)
+                if counted is not None:  # the same lookup, per document
+                    got = getattr(fti, counted)(word, *args, docs=docs)
+                    assert got == _per_document(expected, *args), (
+                        word, counted, args, docs)
+                    assert (fti.stats.lookups, fti.stats.postings_scanned,
+                            fti.stats.postings_returned) == tuple(
+                                2 * a - b for a, b in zip(after, before))
+        history = reference.lists.get(word, [])
+        assert fti.term_stats(word) == (
+            len(history), len(reference.open_lists.get(word, ())))
+        for ts in times:
+            assert fti.postings_at_or_before(word, ts) == sum(
+                p.start <= ts for p in history)
+            assert fti.postings_starting_before(word, ts) == sum(
+                p.start < ts for p in history)
 
 
 class TestLayoutAgainstReference:
-    """The layout sharing one object per context value and one open list
-    per element returns what the per-occurrence layout returned: live,
-    after recovery from a checkpoint plus journal tail, after a replay of
-    everything, and after recovery from the journal alone."""
+    """The column layout returns what the per-occurrence layout returned:
+    live, after recovery from a checkpoint plus journal tail, after
+    recovery from the journal alone, and after a replay of everything."""
 
     @pytest.mark.parametrize("seed, checkpoints, storage", [
         (1, True, "xml"), (2, True, "cas"), (3, False, "xml"),
@@ -260,7 +378,7 @@ class TestLayoutAgainstReference:
         checks = []
 
         def check(db):
-            assert_same_postings(db.fti, reference)
+            assert_same_answers(db.fti, reference)
             checks.append(db.fti.posting_count())
 
         db = drive(seed, tmp_path / "db", [reference], check,
@@ -269,6 +387,9 @@ class TestLayoutAgainstReference:
         assert {"cross-parent move", "ReplaceRootOp", "UpdateTextOp",
                 "UpdateAttrOp", "InsertOp", "DeleteOp"} <= script_features(
                     db.store)
+        replayed = TemporalFullTextIndex()
+        replay_history(db.store, [replayed])
+        assert_same_answers(replayed, reference)
 
     def test_repeated_words_keep_their_ordinals(self):
         store = TemporalDocumentStore()
@@ -278,15 +399,15 @@ class TestLayoutAgainstReference:
         for text in ("<a>tin gold<b/>gold gold</a>", "<a>gold<b/>tin</a>",
                      "<a>gold gold gold<b>gold</b></a>"):
             store.update("d.xml", text)
-            assert_same_postings(fti, reference)
+            assert_same_answers(fti, reference)
         # "gold" at <a> kept its first posting through all four versions.
         a_gold = [p for p in fti.lookup_h("gold") if p.xid == 1]
         assert a_gold[0].start == store.delta_index("d.xml").entries[0].timestamp
         assert a_gold[0].is_open
 
     def test_close_keeps_open_list_order(self):
-        """Closing bisects to the posting's run of equal starts and
-        removes that posting, not an equal-start neighbour."""
+        """Closing removes the posting's own row, not an equal-start
+        neighbour's."""
         store = TemporalDocumentStore()
         fti = store.subscribe(TemporalFullTextIndex())
         reference = store.subscribe(ReferenceFTI())
@@ -295,5 +416,57 @@ class TestLayoutAgainstReference:
         store.update("d.xml", "<a>" + "".join(
             f"<b>w{i} w</b>" for i in (0, 2, 3, 5)) + "</a>")
         store.update("e.xml", "<a><b>w w</b></a>")
-        assert_same_postings(fti, reference)
+        assert_same_answers(fti, reference)
         assert len(fti.lookup("w")) == 6
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_equal_timestamp_commits(self, order):
+        """Two documents committed at one instant: the lists keep the
+        commit order live, and replay — ordered by (timestamp, doc_id) —
+        rebuilds what a reference fed the replayed events holds."""
+        store = TemporalDocumentStore()
+        fti = store.subscribe(TemporalFullTextIndex())
+        reference = store.subscribe(ReferenceFTI())
+        texts = {1: "<a k='red'>gold<b>tin gold</b></a>",
+                 2: "<a>gold<b k='red gold'>iron</b></a>"}
+        for doc_id in (1, 2):
+            store.put(f"d{doc_id}.xml", texts[doc_id], ts=JAN_01)
+        for doc_id in order:
+            store.update(f"d{doc_id}.xml",
+                         texts[doc_id].replace("gold", "gold gold", 1),
+                         ts=JAN_26)
+        store.update("d2.xml", texts[1], ts=JAN_31)
+        assert_same_answers(fti, reference)
+        replayed, replayed_reference = TemporalFullTextIndex(), ReferenceFTI()
+        replay_history(store, [replayed, replayed_reference])
+        assert_same_answers(replayed, replayed_reference)
+        assert replayed.footprint() == fti.footprint()
+
+    def test_out_of_order_insert_renumbers_rows(self):
+        """A start earlier than the word's last one is filed before the
+        later rows; the open rows of every document (and of the document
+        being reconciled) follow them, so later closes end the right
+        postings."""
+        fti, reference = TemporalFullTextIndex(), ReferenceFTI()
+        allocators = {1: XIDAllocator(), 2: XIDAllocator()}
+
+        def commit(kind, doc_id, ts, text=None):
+            root = None
+            if text is not None:
+                root = parse(text)
+                stamp_new_nodes(root, allocators[doc_id], ts)
+            event = CommitEvent(kind, doc_id, f"d{doc_id}", 1, ts, root=root)
+            for index in (fti, reference):
+                index.document_committed(event)
+            assert_same_answers(fti, reference)
+
+        commit("create", 1, 300, "<a>gold tin<b>gold</b></a>")
+        commit("create", 2, 100, "<a>tin gold<b>gold gold</b></a>")
+        commit("update", 2, 200, "<a>gold<b>tin gold</b><b>gold</b></a>")
+        commit("update", 1, 400, "<a>tin<b>gold</b></a>")
+        commit("update", 2, 250, "<a>gold<c>gold</c></a>")
+        commit("delete", 1, 500)
+        commit("delete", 2, 450)
+        assert [p.start for p in fti.lookup_h("gold")] == sorted(
+            p.start for p in fti.lookup_h("gold"))
+        assert fti.lookup("gold") == []

@@ -3,13 +3,17 @@
 Resident size is a deep-size walk over ``gc.get_referents``
 (:func:`benchmarks.memprobe.deep_size`) on one seeded history, divided by
 the items held.  Each bound is about 10 % above what the layout measures
-on that history (163 bytes per posting, 19 per lifespan); the layout they
-replaced measured 203 and 121.
+on that history: 127 bytes per posting for the full-text index's columns
+(the object-per-posting layout before them measured 163, and 203 before
+contexts were shared), 66 per open posting for its open-row and
+per-document open arrays, and 19 per lifespan for the lifetime index
+(121 before).  This small history holds 3 213 postings over 357 words, so
+the per-word arrays weigh more here than on a large index.
 """
 
 import pytest
 
-from benchmarks.memprobe import deep_size
+from benchmarks.memprobe import deep_size, part_sizes
 from repro import TemporalXMLDatabase
 from repro.index import LifetimeIndex, TemporalFullTextIndex
 from repro.storage import TemporalDocumentStore
@@ -17,7 +21,8 @@ from repro.storage.persistence import replay_history
 from repro.workload import TDocGenerator, build_collection
 from repro.xmlcore.node import Element
 
-FTI_BYTES_PER_POSTING = 180
+FTI_BYTES_PER_POSTING = 140
+FTI_BYTES_PER_OPEN_POSTING = 73
 LIFETIME_BYTES_PER_ENTRY = 21.5
 
 
@@ -47,6 +52,14 @@ class TestResidentSize:
         assert postings > 3000
         assert deep_size(db.fti) / postings < FTI_BYTES_PER_POSTING
 
+    def test_fti_bytes_per_open_posting(self, db):
+        """The open-row arrays and the per-document open arrays."""
+        opened = db.fti.open_posting_count()
+        assert opened > 800
+        parts = part_sizes(db.fti.memory_parts())
+        held = parts["open_rows"] + parts["open_by_document"]
+        assert held / opened < FTI_BYTES_PER_OPEN_POSTING
+
     def test_lifetime_bytes_per_entry(self, db):
         entries = len(db.lifetime)
         assert entries > 1500
@@ -56,7 +69,7 @@ class TestResidentSize:
 class TestSharedContext:
     @staticmethod
     def assert_one_object_per_value(postings):
-        for field in ("ancestors", "path", "word"):
+        for field in ("ancestors", "path"):
             values = [getattr(p, field) for p in postings]
             assert len({id(v) for v in values}) == len(set(values)), field
 

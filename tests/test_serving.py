@@ -454,6 +454,34 @@ def test_an_over_long_request_line_is_refused_and_its_neighbour_served(
 
 
 @pytest.mark.timeout(60)
+def test_an_unexpected_exception_is_an_internal_error(monkeypatch, caplog):
+    """A handler failing with something other than an engine error gets a
+    typed reply that says nothing of the failure, counts as an error and
+    is logged with its traceback; its connection and a neighbour's are
+    served on."""
+    def fail(self, session, request):
+        raise RuntimeError("secret detail")
+
+    monkeypatch.setattr(ServingServer, "_op_ping", fail)
+    manager = SessionManager(TemporalXMLDatabase())
+    with ServingServer(manager) as server, \
+            ServingClient(*server.address) as client, \
+            ServingClient(*server.address) as neighbour:
+        neighbour.put("guide.com", "<guide><r>1</r></guide>")
+        with caplog.at_level("ERROR", logger="repro.serving.server"):
+            refused = client.request("ping")
+        assert refused == {"ok": False, "error": "internal error",
+                           "error_type": "ServingError"}
+        assert "RuntimeError: secret detail" in caplog.text
+        assert client.query('SELECT R FROM doc("guide.com")/r R')["rows"]
+        assert neighbour.query('SELECT R FROM doc("guide.com")/r R')["rows"]
+        assert neighbour.stats()["server"]["errors"] == 1
+        missing = client.request("query")
+        assert missing["error_type"] == "ServingError"
+        assert missing["error"] == "missing query 'text'"
+
+
+@pytest.mark.timeout(60)
 @pytest.mark.parametrize("flag, snapshots", [
     (["--snapshot-interval", "2"], [2, 4]),
     ([], []),
