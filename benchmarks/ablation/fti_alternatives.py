@@ -332,29 +332,17 @@ class HybridIndex:
 
 
 class FullHistoryLookup:
-    """An FTI whose windowed lookups scan the whole history list — the
-    pre-planner retrieval.  Postings outside the window are dropped after
-    the scan, so ``TemporalKeywordScorer(FullHistoryLookup(fti))`` ranks
+    """An FTI whose windowed lookup scans the whole history list — the
+    pre-planner retrieval.  The scorer drops postings outside the window
+    itself, so ``TemporalKeywordScorer(FullHistoryLookup(fti))`` ranks
     identically to the windowed scorer and only ``postings_scanned``
     differs; everything else is the wrapped index."""
 
     def __init__(self, fti):
         self._fti = fti
 
-    def lookup_w(self, word, start, end, docs=None):
-        return self._fti.lookup_h(word, docs=docs)
-
-    def window_coverage(self, word, start, end, docs=None):
-        span = end - start
-        coverage = {}
-        for posting in self._fti.lookup_h(word, docs=docs):
-            if posting.start >= end or posting.end <= start:
-                continue
-            overlap = min(posting.end, end) - max(posting.start, start)
-            coverage[posting.doc_id] = (
-                coverage.get(posting.doc_id, 0.0) + overlap / span
-            )
-        return coverage
+    def lookup_w(self, word, start, end, docs=None, *, as_columns=False):
+        return self._fti.lookup_h(word, docs=docs, as_columns=as_columns)
 
     def __getattr__(self, name):
         return getattr(self._fti, name)

@@ -53,11 +53,10 @@ word, so no per-occurrence key is stored.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from functools import partial
 from itertools import accumulate, compress, repeat
-from operator import add, and_, lt, mul
+from operator import and_, itemgetter, mul
 
 from ..clock import UNTIL_CHANGED
 from ..sync import RWLock
@@ -68,6 +67,9 @@ from .stats import IndexStats
 #: numbers and row numbers 32-bit.
 _TIME, _NUMBER = "q", "i"
 _NO_TRIPLES = array(_NUMBER)
+_NO_ROWS = ()
+#: The six posting fields of an empty answer.
+_NO_FIELDS = ((),) * 6
 
 #: A row's four numbers stand side by side in one ``numbers`` array, at
 #: these offsets: one array where four would each cost a header per word,
@@ -80,16 +82,18 @@ class _Columns:
     """One word's postings, a row per posting, rows sorted by ``start``
     (equal starts in the order they were filed): the ``start`` and
     ``end`` columns, the ``numbers`` of each row (document id, XID,
-    ancestors and path ids, :data:`_WIDTH` entries a row), and the
-    ascending row numbers of the open postings."""
+    ancestors and path ids, :data:`_WIDTH` entries a row), the ascending
+    row numbers of the open postings, and the row numbers of the closed
+    ones in the order of their ends."""
 
-    __slots__ = ("start", "end", "numbers", "open")
+    __slots__ = ("start", "end", "numbers", "open", "closed")
 
     def __init__(self):
         self.start = array(_TIME)
         self.end = array(_TIME)
         self.numbers = array(_NUMBER)
         self.open = array(_NUMBER)
+        self.closed = _NO_ROWS  # until the first close: most words have none
 
     def __len__(self):
         return len(self.start)
@@ -113,6 +117,10 @@ class _Columns:
             for i in range(at, len(opens)):
                 opens[i] += 1
             opens.insert(at, row)
+            closed = self.closed
+            for i in range(len(closed)):
+                if closed[i] >= row:
+                    closed[i] += 1
         else:
             self.start.append(ts)
             self.end.append(UNTIL_CHANGED)
@@ -121,34 +129,52 @@ class _Columns:
         return row
 
     def close(self, row, ts):
-        self.end[row] = ts
+        """Close the posting at ``row`` at ``ts``.  Commit timestamps never
+        decrease, so ``closed`` stays in end order by appending; an
+        earlier end (events fed out of time order) is inserted after its
+        equal ends."""
+        end, closed = self.end, self.closed
+        end[row] = ts
         del self.open[bisect_left(self.open, row)]
+        if not closed:
+            self.closed = array(_NUMBER, (row,))
+        elif ts < end[closed[-1]]:
+            insort(closed, row, key=end.__getitem__)
+        else:
+            closed.append(row)
+
+    def closed_by(self, ts):
+        """The rows of the postings that ended at or before ``ts``."""
+        closed = self.closed
+        return closed[:bisect_right(closed, ts, key=self.end.__getitem__)]
 
     def column(self, field, stop=None):
         """Field ``field`` of the first ``stop`` rows (of all for None)."""
         stop = None if stop is None else stop * _WIDTH
         return self.numbers[field:stop:_WIDTH]
 
-    def field_of(self, field, rows):
-        """Field ``field`` of ``rows`` (row numbers), as an iterator."""
-        at = map(add, map(mul, rows, repeat(_WIDTH)), repeat(field))
-        return map(self.numbers.__getitem__, at)
-
-    def pick(self, rows):
-        """The six posting fields of ``rows`` (a list of row numbers)."""
-        return [self.field_of(field, rows) for field in range(_WIDTH)] + [
-            map(self.start.__getitem__, rows), map(self.end.__getitem__, rows)
-        ]
-
-    def pick_prefix(self, stop, keep=None):
-        """The six posting fields of the first ``stop`` rows, of those
-        only where ``keep`` (an iterable of truths) is true if given."""
-        fields = [self.column(field, stop) for field in range(_WIDTH)]
-        fields += [self.start[:stop], self.end[:stop]]
+    def pick_prefix(self, stop, keep=None, as_columns=False):
+        """The posting fields of the first ``stop`` rows, of those only
+        where ``keep`` (a list of truths) is true if given, in the order
+        ``doc, start, end, xid, ancestors, path``; with ``as_columns`` the
+        first three only.  Each field is a copy of a column slice or an
+        iterator over one, so it stays valid once the caller's read lock
+        is released."""
+        fields = [self.column(_DOC, stop), self.start[:stop], self.end[:stop]]
+        if not as_columns:
+            fields += [
+                self.column(field, stop)
+                for field in (_XID, _ANCESTORS, _PATH)
+            ]
         if keep is None:
             return fields
-        keep = list(keep)
-        return [compress(field, keep) for field in fields]
+        if as_columns:  # lazily: a caller may read one column only
+            return list(map(compress, fields, repeat(keep)))
+        # Read only the kept rows: ``compress`` would box every row.
+        rows = list(compress(range(stop), keep))
+        if len(rows) < 2:  # ``itemgetter`` returns a single item bare
+            return [[field[row] for row in rows] for field in fields]
+        return list(map(itemgetter(*rows), fields))
 
 
 def _shift_rows(triples, wid, row):
@@ -354,38 +380,51 @@ class TemporalFullTextIndex:
 
     # -- the three FTI operations (Section 7.2) ------------------------------------
 
-    def _postings(self, fields):
-        """Postings from the six field iterables of
-        :meth:`_Columns.pick` or :meth:`_Columns.pick_prefix`."""
+    def _answer(self, fields, as_columns):
+        """What a lookup returns for the field iterables of
+        :meth:`_Columns.pick_prefix`: the postings, or with ``as_columns``
+        the ``(doc_ids, starts, ends)`` iterables."""
+        if as_columns:
+            return tuple(fields[:3])
+        doc, start, end, xid, ancestors, path = fields
         value = self._table.values.__getitem__
-        doc, xid, ancestors, path, start, end = fields
         return list(map(Posting._make, zip(
             doc, xid, map(value, ancestors), map(value, path), start, end
         )))
 
-    def lookup(self, word, docs=None):
+    def lookup(self, word, docs=None, *, as_columns=False):
         """``FTI_lookup``: occurrences in currently valid document versions.
 
         Served entirely from the open rows — closed history is never
         scanned.  ``docs`` restricts the result to a document set during
         retrieval (the pattern operators' forest argument, pushed down so
         no full list is ever materialized just to be filtered).
+
+        Every lookup returns a list of
+        :class:`~repro.index.postings.Posting`.  With ``as_columns`` it
+        returns the same answer as three iterables instead — its document
+        ids, starts and ends, in answer order — and charges ``stats`` the
+        same.  Keyword ranking reads only those, so it builds no posting.
         """
         with self._rwlock.read_lock():
             columns = self._lists.get(word)
             if columns is None:
                 self.stats.scanned(0, returned=0)
-                return []
-            rows = columns.open
+                return self._answer(_NO_FIELDS, as_columns)
+            opens = columns.open
+            stop = opens[-1] + 1 if opens else 0
+            keep = [False] * stop
+            for row in opens:
+                keep[row] = True
             if docs is not None:
-                rows = list(compress(rows, map(
-                    docs.__contains__, columns.field_of(_DOC, rows)
+                keep = list(map(and_, keep, map(
+                    docs.__contains__, columns.column(_DOC, stop)
                 )))
-            result = self._postings(columns.pick(rows))
-            self.stats.scanned(len(columns.open), returned=len(result))
-            return result
+            self.stats.scanned(len(opens), returned=keep.count(True))
+            return self._answer(columns.pick_prefix(stop, keep, as_columns),
+                                as_columns)
 
-    def lookup_t(self, word, ts, docs=None):
+    def lookup_t(self, word, ts, docs=None, *, as_columns=False):
         """``FTI_lookup_T``: occurrences in versions valid at time ``ts``.
 
         Bisects the ``start`` column: only postings with ``start <= ts``
@@ -394,26 +433,27 @@ class TemporalFullTextIndex:
         with self._rwlock.read_lock():
             columns = self._lists.get(word)
             prefix = 0 if columns is None else bisect_right(columns.start, ts)
-            result = self._alive_after(columns, prefix, ts, docs)
-            self.stats.scanned(prefix, returned=len(result))
-            return result
+            return self._alive_after(columns, prefix, ts, docs, as_columns)
 
-    def lookup_h(self, word, docs=None):
+    def lookup_h(self, word, docs=None, *, as_columns=False):
         """``FTI_lookup_H``: every posting over the whole history (sorted by
         interval start).  ``docs`` restricts during retrieval."""
         with self._rwlock.read_lock():
             columns = self._lists.get(word)
             if columns is None:
                 self.stats.scanned(0, returned=0)
-                return []
-            keep = None
+                return self._answer(_NO_FIELDS, as_columns)
+            keep, returned = None, len(columns)
             if docs is not None:
-                keep = map(docs.__contains__, columns.column(_DOC))
-            result = self._postings(columns.pick_prefix(len(columns), keep))
-            self.stats.scanned(len(columns), returned=len(result))
-            return result
+                keep = list(map(docs.__contains__, columns.column(_DOC)))
+                returned = keep.count(True)
+            self.stats.scanned(len(columns), returned=returned)
+            return self._answer(
+                columns.pick_prefix(len(columns), keep, as_columns),
+                as_columns,
+            )
 
-    def lookup_w(self, word, start, end, docs=None):
+    def lookup_w(self, word, start, end, docs=None, *, as_columns=False):
         """Windowed ``FTI_lookup_H``: postings overlapping ``[start, end)``.
 
         Bisects the ``start`` column so postings born at or after ``end``
@@ -423,81 +463,37 @@ class TemporalFullTextIndex:
         time-window pushdown routes history lookups here.
         """
         if start >= end:
-            return []
+            return self._answer(_NO_FIELDS, as_columns)
         with self._rwlock.read_lock():
             columns = self._lists.get(word)
             prefix = 0 if columns is None else bisect_left(columns.start, end)
-            result = self._alive_after(columns, prefix, start, docs)
-            self.stats.scanned(prefix, returned=len(result))
-            return result
+            return self._alive_after(columns, prefix, start, docs,
+                                     as_columns)
 
-    def _alive_after(self, columns, prefix, ts, docs):
-        """The postings among the first ``prefix`` rows whose interval
-        ends after ``ts`` and whose document is in ``docs`` (if given)."""
+    def _alive_after(self, columns, prefix, ts, docs, as_columns):
+        """The answer over the first ``prefix`` rows: those whose interval
+        ends after ``ts`` and whose document is in ``docs`` (if given).
+        Charges ``stats``."""
         if not prefix:
-            return []
-        keep = self._keep(columns, prefix, ts, docs)
-        return self._postings(columns.pick_prefix(prefix, keep))
-
-    @staticmethod
-    def _keep(columns, prefix, ts, docs, doc=None):
-        """Truths over the first ``prefix`` rows: the interval ends after
-        ``ts`` and the document (``doc``, that prefix of the document
-        column, if at hand) is in ``docs`` (if given)."""
-        keep = map(partial(lt, ts), columns.end[:prefix])
+            self.stats.scanned(0, returned=0)
+            return self._answer(_NO_FIELDS, as_columns)
         if docs is None:
-            return keep
-        if doc is None:
-            doc = columns.column(_DOC, prefix)
-        return map(and_, keep, map(docs.__contains__, doc))
-
-    # -- the same lookups, counted per document (no posting is built) -----------
-
-    def doc_counts_t(self, word, ts, docs=None):
-        """``{doc_id: postings}`` over what ``lookup_t(word, ts, docs)``
-        returns, counted from the columns.  Charged to ``stats`` as that
-        lookup is."""
-        with self._rwlock.read_lock():
-            columns = self._lists.get(word)
-            prefix = 0 if columns is None else bisect_right(columns.start, ts)
-            counts = Counter()
-            if prefix:
-                doc = columns.column(_DOC, prefix)
-                counts.update(compress(doc, self._keep(columns, prefix, ts,
-                                                       docs, doc)))
-            self.stats.scanned(prefix, returned=sum(counts.values()))
-            return counts
-
-    def window_coverage(self, word, start, end, docs=None):
-        """``{doc_id: coverage}`` over what ``lookup_w(word, start, end,
-        docs)`` returns: each posting adds the share of ``[start, end)`` its
-        interval covers, in the order that lookup returns them.  Charged to
-        ``stats`` as that lookup is."""
-        coverage = {}
-        if start >= end:
-            return coverage
-        span = end - start
-        with self._rwlock.read_lock():
-            columns = self._lists.get(word)
-            prefix = 0 if columns is None else bisect_left(columns.start, end)
-            returned = 0
-            if prefix:
-                doc = columns.column(_DOC, prefix)
-                keep = list(self._keep(columns, prefix, start, docs, doc))
-                for doc_id, born, died in zip(
-                    compress(doc, keep), compress(columns.start, keep),
-                    compress(columns.end, keep),
-                ):
-                    if born < start:
-                        born = start
-                    if died > end:
-                        died = end
-                    coverage[doc_id] = (
-                        coverage.get(doc_id, 0.0) + (died - born) / span
-                    )
-                returned = sum(keep)
-            self.stats.scanned(prefix, returned=returned)
-            return coverage
+            # The rows still open after ``ts`` are the most: clear the others.
+            keep = [True] * prefix
+            for row in columns.closed_by(ts):
+                if row < prefix:  # unless it ended before it started
+                    keep[row] = False
+        else:
+            # ``docs`` is usually a document or a few: filter on it first,
+            # so only the rows left have their end read.
+            keep = list(map(docs.__contains__, columns.column(_DOC, prefix)))
+            end = columns.end
+            for row in compress(range(prefix), keep):
+                if end[row] <= ts:
+                    keep[row] = False
+        self.stats.scanned(prefix, returned=keep.count(True))
+        return self._answer(columns.pick_prefix(prefix, keep, as_columns),
+                            as_columns)
 
     # -- planner probes (statistics; no postings are examined) --------------------
 

@@ -110,7 +110,7 @@ class InternTable:
         return ident
 
 
-def element_runs(root, table=None):
+def element_runs(root, table):
     """The word occurrences of a stamped tree, as runs in document order.
 
     Returns a list of ``(element, ancestors_id, path_id, words)``.  An
@@ -130,24 +130,20 @@ def element_runs(root, table=None):
     not mutate them.
     """
     runs = []
-    table = InternTable() if table is None else table
-    _walk(root, (), 0, "", table.ids, table.values, {}, runs)
+    _walk(root, (), 0, "", table.intern, {}, runs)
     return runs
 
 
-def _walk(element, ancestors, ancestors_id, parent_path, ids, values,
-          tag_words, runs):
-    """Append the runs of ``element``'s subtree to ``runs``, interning
-    into ``ids``/``values`` as :meth:`InternTable.intern` does.  A module
-    function, not a closure that calls itself: that closure would be a
-    reference cycle holding ``runs``, so every element of every tree walked
-    would wait for the cycle collector."""
+def _walk(element, ancestors, ancestors_id, parent_path, intern, tag_words,
+          runs):
+    """Append the runs of ``element``'s subtree to ``runs``, numbering
+    paths and ancestors tuples with ``intern``.  A module function, not a
+    closure that calls itself: that closure would be a reference cycle
+    holding ``runs``, so every element of every tree walked would wait for
+    the cycle collector."""
     tag = element.tag
     path = f"{parent_path}/{tag}" if parent_path else tag
-    path_id = ids.get(path)
-    if path_id is None:
-        path_id = ids[path] = len(values)
-        values.append(path)
+    path_id = intern(path)
     words = tag_words.get(tag)
     if words is None:
         words = tag_words[tag] = tokenize(tag)
@@ -163,12 +159,9 @@ def _walk(element, ancestors, ancestors_id, parent_path, ids, values,
         if isinstance(child, Element):
             if child_ancestors is None:
                 child_ancestors = ancestors + (element.xid,)
-                child_id = ids.get(child_ancestors)
-                if child_id is None:
-                    child_id = ids[child_ancestors] = len(values)
-                    values.append(child_ancestors)
-            _walk(child, child_ancestors, child_id, path, ids, values,
-                  tag_words, runs)
+                child_id = intern(child_ancestors)
+            _walk(child, child_ancestors, child_id, path, intern, tag_words,
+                  runs)
         elif isinstance(child, Text):
             words = tokenize(child.value)
             if words:

@@ -10,18 +10,16 @@ dimension.  :class:`TemporalKeywordScorer` exposes the two query shapes
 a temporal document warehouse issues:
 
 ``search_t(terms, ts)``
-    ranked documents *as of* an instant: the postings ``lookup_t``
-    returns, counted per document by the index (``doc_counts_t``) —
+    ranked documents *as of* an instant: postings from ``lookup_t``,
     integer term frequencies.
 
 ``search_window(terms, start, end)``
-    ranked documents over a time window: the postings ``lookup_w``
-    returns, clipped to the window, each weighted by the **fraction of
-    the window it was valid for** (``window_coverage``) — a term that
-    held for the whole window counts as a full occurrence, one that
-    flickered in briefly counts proportionally.  This is the natural
-    sequenced generalization of tf and reduces to ``search_t`` as the
-    window shrinks to an instant.
+    ranked documents over a time window: postings from ``lookup_w``
+    clipped to the window, each weighted by the **fraction of the
+    window it was valid for** — a term that held for the whole window
+    counts as a full occurrence, one that flickered in briefly counts
+    proportionally.  This is the natural sequenced generalization of tf
+    and reduces to ``search_t`` as the window shrinks to an instant.
 
 Scoring is the smoothed tf-idf family used by most IR engines::
 
@@ -39,13 +37,15 @@ Two planner-era optimizations, both ranking-preserving:
 * query terms are deduplicated and retrieved **rarest first** (by the
   index's history posting counts), so conjunctive queries shrink their
   candidate set as early as possible;
-* ``search_window`` reads windowed posting lists (``window_coverage``
-  scans what ``lookup_w`` scans) — only postings overlapping the window
-  are ever scanned, instead of the full history list per term.  Both
-  searches count from the index's columns: no posting object is built.
-  ``FullHistoryLookup`` in
+* ``search_window`` reads windowed posting lists (``lookup_w``) — only
+  postings overlapping the window are ever scanned, instead of the full
+  history list per term.  ``FullHistoryLookup`` in
   ``benchmarks/ablation/fti_alternatives.py`` wraps an index to measure
   what that saves.
+
+Both searches read only each posting's document, start and end, so
+they ask the lookups for those columns (``as_columns=True``) and no
+posting object is built.
 
 ``match_all=True`` turns either search conjunctive: each term's lookup is
 restricted (via the ``docs=`` pushdown) to the documents that matched all
@@ -55,6 +55,7 @@ rarer terms before it, with an early exit once the intersection empties.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .postings import tokenize
@@ -88,7 +89,10 @@ class TemporalKeywordScorer:
         tfs = {}
         docs = None
         for term in terms:
-            per_doc = tfs[term] = self.fti.doc_counts_t(term, ts, docs=docs)
+            doc_ids, _starts, _ends = self.fti.lookup_t(
+                term, ts, docs=docs, as_columns=True
+            )
+            per_doc = tfs[term] = Counter(doc_ids)
             if match_all:
                 docs = set(per_doc)
                 if not docs:
@@ -105,12 +109,23 @@ class TemporalKeywordScorer:
         if start >= end:
             raise ValueError(f"empty search window [{start}, {end})")
         terms = self._terms(query)
+        span = end - start
         tfs = {}
         docs = None
         for term in terms:
-            per_doc = tfs[term] = self.fti.window_coverage(
-                term, start, end, docs=docs
-            )
+            per_doc = {}
+            for doc_id, born, died in zip(*self.fti.lookup_w(
+                term, start, end, docs=docs, as_columns=True
+            )):
+                if born >= end or died <= start:
+                    continue
+                if born < start:  # clip to the window
+                    born = start
+                if died > end:
+                    died = end
+                coverage = (died - born) / span
+                per_doc[doc_id] = per_doc.get(doc_id, 0.0) + coverage
+            tfs[term] = per_doc
             if match_all:
                 docs = set(per_doc)
                 if not docs:

@@ -1,11 +1,12 @@
 """Tests for the temporal full-text index (alternative 1)."""
 
+import math
 from bisect import insort_right
 
 import pytest
 
 from repro.clock import UNTIL_CHANGED
-from repro.index import TemporalFullTextIndex, tokenize
+from repro.index import TemporalFullTextIndex, TemporalKeywordScorer, tokenize
 from repro.index.postings import occurrences
 from repro.model.identifiers import XIDAllocator
 from repro.model.versioned import stamp_new_nodes
@@ -153,6 +154,43 @@ class TestMaintenance:
         assert "restaurant" in fti.words()
 
 
+class TestKeywordScores:
+    """Ranking reads each posting's document, start and end from the
+    lookups' columns; with one term matched by both documents, idf is 1
+    and a score is ``log1p(tf)``."""
+
+    @pytest.fixture
+    def scored(self):
+        """``(scorer, d1, d2)``: d1 holds "gold" from JAN_01 on, d2 holds
+        it twice from JAN_01 and once from JAN_26."""
+        store = TemporalDocumentStore()
+        fti = store.subscribe(TemporalFullTextIndex())
+        store.put("d1.xml", "<a>gold</a>", ts=JAN_01)
+        store.put("d2.xml", "<a>gold gold</a>", ts=JAN_01)
+        store.update("d2.xml", "<a>gold tin</a>", ts=JAN_26)
+        return (TemporalKeywordScorer(fti), store.doc_id("d1.xml"),
+                store.doc_id("d2.xml"))
+
+    @staticmethod
+    def _scores(results):
+        return {s.doc_id: s.score for s in results}
+
+    def test_instant_tf_counts_postings(self, scored):
+        scorer, d1, d2 = scored
+        assert self._scores(scorer.search_t("gold", JAN_01)) == {
+            d1: math.log1p(1), d2: math.log1p(2)}
+        assert self._scores(scorer.search_t("gold", JAN_26)) == {
+            d1: math.log1p(1), d2: math.log1p(1)}
+
+    def test_window_tf_is_the_clipped_share_of_the_window(self, scored):
+        scorer, d1, d2 = scored
+        start, end = JAN_01 + (JAN_26 - JAN_01) // 2, JAN_31
+        assert self._scores(scorer.search_window("gold", start, end)) == {
+            d1: math.log1p(1.0),
+            d2: math.log1p(1.0 + (JAN_26 - start) / (end - start)),
+        }
+
+
 class RefPosting:
     """The reference's posting: one mutable object per occurrence."""
 
@@ -293,30 +331,11 @@ def _probe_times(reference):
     return sorted(picks | {t - 1 for t in picks} | {bounds[-1] + 1})
 
 
-#: The per-document counts of a lookup's answer, by the lookup.
-COUNTED = {"lookup_t": "doc_counts_t", "lookup_w": "window_coverage"}
-
-
-def _per_document(postings, start, end=None):
-    """``lookup_t`` answer (``end`` None): postings per document;
-    ``lookup_w`` answer: the share of the window each covers, summed per
-    document in answer order."""
-    out = {}
-    for p in postings:
-        if end is None:
-            out[p.doc_id] = out.get(p.doc_id, 0) + 1
-        else:
-            overlap = min(p.end, end) - max(p.start, start)
-            out[p.doc_id] = out.get(p.doc_id, 0.0) + overlap / (end - start)
-    return out
-
-
 def assert_same_answers(fti, reference):
     """Every lookup — with and without a document restriction — returns
     the reference's postings in the reference's order and reports the
-    same scan, and so do its per-document counts (``doc_counts_t``,
-    ``window_coverage``); the planner probes, ``footprint()`` and
-    ``estimated_bytes()`` agree too."""
+    same scan, and so does it asked for columns; the planner
+    probes, ``footprint()`` and ``estimated_bytes()`` agree too."""
     assert set(fti.words()) == set(reference.lists)
     assert fti.distinct_terms() == len(reference.lists)
     assert fti.footprint() == reference.footprint()
@@ -347,14 +366,14 @@ def assert_same_answers(fti, reference):
                 else:
                     assert after == (before[0] + 1, before[1] + scanned,
                                      before[2] + len(expected))
-                counted = COUNTED.get(name)
-                if counted is not None:  # the same lookup, per document
-                    got = getattr(fti, counted)(word, *args, docs=docs)
-                    assert got == _per_document(expected, *args), (
-                        word, counted, args, docs)
-                    assert (fti.stats.lookups, fti.stats.postings_scanned,
-                            fti.stats.postings_returned) == tuple(
-                                2 * a - b for a, b in zip(after, before))
+                got = getattr(fti, name)(word, *args, docs=docs,
+                                         as_columns=True)
+                assert list(zip(*got)) == [
+                    (p.doc_id, p.start, p.end) for p in expected
+                ], (word, name, args, docs)
+                assert (fti.stats.lookups, fti.stats.postings_scanned,
+                        fti.stats.postings_returned) == tuple(
+                            2 * a - b for a, b in zip(after, before))
         history = reference.lists.get(word, [])
         assert fti.term_stats(word) == (
             len(history), len(reference.open_lists.get(word, ())))
