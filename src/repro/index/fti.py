@@ -93,7 +93,7 @@ class _Columns:
         self.end = array(_TIME)
         self.numbers = array(_NUMBER)
         self.open = array(_NUMBER)
-        self.closed = _NO_ROWS  # until the first close: most words have none
+        self.closed = _NO_ROWS  # until the first close: no array to hold
 
     def __len__(self):
         return len(self.start)
