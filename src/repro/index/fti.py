@@ -392,25 +392,19 @@ class TemporalFullTextIndex:
             doc, xid, map(value, ancestors), map(value, path), start, end
         )))
 
-    def lookup(self, word, docs=None, *, as_columns=False):
+    def lookup(self, word, docs=None):
         """``FTI_lookup``: occurrences in currently valid document versions.
 
         Served entirely from the open rows — closed history is never
         scanned.  ``docs`` restricts the result to a document set during
         retrieval (the pattern operators' forest argument, pushed down so
         no full list is ever materialized just to be filtered).
-
-        Every lookup returns a list of
-        :class:`~repro.index.postings.Posting`.  With ``as_columns`` it
-        returns the same answer as three iterables instead — its document
-        ids, starts and ends, in answer order — and charges ``stats`` the
-        same.  Keyword ranking reads only those, so it builds no posting.
         """
         with self._rwlock.read_lock():
             columns = self._lists.get(word)
             if columns is None:
                 self.stats.scanned(0, returned=0)
-                return self._answer(_NO_FIELDS, as_columns)
+                return []
             opens = columns.open
             stop = opens[-1] + 1 if opens else 0
             keep = [False] * stop
@@ -421,14 +415,20 @@ class TemporalFullTextIndex:
                     docs.__contains__, columns.column(_DOC, stop)
                 )))
             self.stats.scanned(len(opens), returned=keep.count(True))
-            return self._answer(columns.pick_prefix(stop, keep, as_columns),
-                                as_columns)
+            return self._answer(columns.pick_prefix(stop, keep), False)
 
     def lookup_t(self, word, ts, docs=None, *, as_columns=False):
         """``FTI_lookup_T``: occurrences in versions valid at time ``ts``.
 
         Bisects the ``start`` column: only postings with ``start <= ts``
         are examined at all.  ``docs`` restricts during retrieval.
+
+        The history lookups (this, :meth:`lookup_h`, :meth:`lookup_w`)
+        return a list of :class:`~repro.index.postings.Posting`.  With
+        ``as_columns`` they return the same answer as three iterables
+        instead — its document ids, starts and ends, in answer order — and
+        charge ``stats`` the same.  Keyword ranking reads only those, so
+        it builds no posting.
         """
         with self._rwlock.read_lock():
             columns = self._lists.get(word)
@@ -478,11 +478,12 @@ class TemporalFullTextIndex:
             self.stats.scanned(0, returned=0)
             return self._answer(_NO_FIELDS, as_columns)
         if docs is None:
-            # The rows still open after ``ts`` are the most: clear the others.
+            # The rows still open after ``ts`` are the most: clear the
+            # others.  A row that ended by ``ts`` started before its end,
+            # so it lies in the prefix.
             keep = [True] * prefix
             for row in columns.closed_by(ts):
-                if row < prefix:  # unless it ended before it started
-                    keep[row] = False
+                keep[row] = False
         else:
             # ``docs`` is usually a document or a few: filter on it first,
             # so only the rows left have their end read.

@@ -334,7 +334,7 @@ def _probe_times(reference):
 def assert_same_answers(fti, reference):
     """Every lookup — with and without a document restriction — returns
     the reference's postings in the reference's order and reports the
-    same scan, and so does it asked for columns; the planner
+    same scan, and so do the history lookups asked for columns; the planner
     probes, ``footprint()`` and ``estimated_bytes()`` agree too."""
     assert set(fti.words()) == set(reference.lists)
     assert fti.distinct_terms() == len(reference.lists)
@@ -366,6 +366,8 @@ def assert_same_answers(fti, reference):
                 else:
                     assert after == (before[0] + 1, before[1] + scanned,
                                      before[2] + len(expected))
+                if name == "lookup":
+                    continue
                 got = getattr(fti, name)(word, *args, docs=docs,
                                          as_columns=True)
                 assert list(zip(*got)) == [
