@@ -59,10 +59,6 @@ class _Node:
 
     __slots__ = ("xid", "tstamp")
 
-    def __init__(self):
-        self.xid = None
-        self.tstamp = None
-
     @property
     def is_element(self):
         return isinstance(self, Element)
@@ -82,12 +78,14 @@ class Text(_Node):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        super().__init__()
-        self.value = str(value)
+        self.xid = None
+        self.tstamp = None
+        self.value = value if value.__class__ is str else str(value)
 
     def copy(self):
         """Deep copy carrying ``xid``/``tstamp`` along."""
-        dup = Text(self.value)
+        dup = Text.__new__(Text)
+        dup.value = self.value
         dup.xid = self.xid
         dup.tstamp = self.tstamp
         return dup
@@ -120,11 +118,15 @@ class Element(_Node):
     __slots__ = ("tag", "attrib", "children", "_xidmap")
 
     def __init__(self, tag, attrib=None):
-        super().__init__()
         if not tag or not isinstance(tag, str):
             raise TemporalXMLError(f"invalid element tag: {tag!r}")
+        self.xid = None
+        self.tstamp = None
         self.tag = tag
         self.attrib = dict(attrib) if attrib else {}
+        for name, value in self.attrib.items():
+            if value.__class__ is not str:  # as ``set`` and the parser give
+                self.attrib[name] = str(value)
         self.children = []
         self._xidmap = None
 
@@ -132,6 +134,11 @@ class Element(_Node):
 
     def append(self, node):
         """Append ``node`` (Element, Text, or str) as the last child."""
+        kind = node.__class__
+        if kind is Text or (kind is Element and node is not self):
+            self.children.append(node)
+            self._drop_xid_index()
+            return node
         return self.insert(len(self.children), node)
 
     def insert(self, index, node):
@@ -164,10 +171,13 @@ class Element(_Node):
 
     def copy(self):
         """Deep copy of the subtree, carrying ``xid``/``tstamp`` along."""
-        dup = Element(self.tag, self.attrib)
+        dup = Element.__new__(Element)
         dup.xid = self.xid
         dup.tstamp = self.tstamp
+        dup.tag = self.tag
+        dup.attrib = self.attrib.copy()
         dup.children = [child.copy() for child in self.children]
+        dup._xidmap = None
         return dup
 
     # -- navigation --------------------------------------------------------
@@ -261,14 +271,18 @@ class Element(_Node):
     @property
     def text(self):
         """Direct text content: concatenation of immediate Text children."""
-        return "".join(c.value for c in self.children if isinstance(c, Text))
+        children = self.children
+        if len(children) == 1 and children[0].__class__ is Text:
+            return children[0].value
+        return "".join(c.value for c in children if isinstance(c, Text))
 
     @text.setter
     def text(self, value):
-        self.children = [c for c in self.children if not isinstance(c, Text)]
+        kept = [c for c in self.children if not isinstance(c, Text)]
         self._drop_xid_index()
         if value is not None and value != "":
-            self.insert(0, Text(value))
+            kept.insert(0, Text(value))
+        self.children = kept
 
     def get(self, name, default=None):
         """Attribute access with default."""
