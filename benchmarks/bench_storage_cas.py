@@ -1,4 +1,4 @@
-"""E-storage — the XML archive vs. the content-addressed chunked store.
+"""E-storage — the XML archive vs. the content-addressed object store.
 
 A 200-version near-duplicate history (the workload the paper's storage
 sections argue about: consecutive versions share almost everything) is
@@ -6,8 +6,8 @@ persisted through both backends:
 
 * **xml** — the monolithic pretty-printed archive ``load_store`` must
   re-parse in full on every cold open;
-* **cas** — binary per-document streams, content-defined chunking, zlib
-  for large chunks, mark-and-sweep GC (``src/repro/storage/cas.py``).
+* **cas** — binary per-document streams in append-only segments, zlib
+  for large objects, mark-and-sweep GC (``src/repro/storage/cas.py``).
 
 Measured: stored bytes on disk and cold-open wall time, plus the dedup /
 compression counters that explain the gap.  Acceptance (ISSUE 7): >=3x
@@ -70,15 +70,15 @@ def test_storage_backends(tmp_path, benchmark, emit, storage_report):
         lambda: load_store(xml_path, store=_target_store())
     )
 
-    # -- cas: chunked object store, checkpointed twice + GC --------------------
+    # -- cas: object store, checkpointed twice + GC ----------------------------
     cas_dir = tmp_path / "cas"
     objstore = CASObjectStore(cas_dir)
     from repro.storage.cas import write_checkpoint
 
     write_checkpoint(store, cas_dir, objstore=objstore)
-    # A second (rotated) checkpoint of the same store dedups near-fully
-    # and GC keeps the directory bounded — the steady-state a live
-    # Checkpointer sees.
+    # A second (rotated) checkpoint of the unchanged store writes nothing
+    # but its root, which dedups, and GC keeps the directory bounded — the
+    # steady state a live Checkpointer sees.
     write_checkpoint(store, cas_dir, objstore=objstore, rotate=True)
     gc_report = collect_garbage(cas_dir, objstore=objstore)
     cas_bytes = storage_size(cas_dir)

@@ -83,7 +83,7 @@ def pytest_sessionfinish(session, exitstatus):
             "description": (
                 "Storage backends compared on a long near-duplicate "
                 "version history: the monolithic XML archive vs. the "
-                "content-addressed chunked store (stored bytes, cold-open "
+                "content-addressed object store (stored bytes, cold-open "
                 "wall time, dedup/compression counters); both backends "
                 "reload byte-identical stores (asserted)."
             ),

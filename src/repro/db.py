@@ -231,6 +231,8 @@ class TemporalXMLDatabase:
             # Dedup/compression/GC counters join the shared registry so
             # `repro stats` and EXPLAIN-era tooling see the storage layer.
             db.engine.registry.register("cas", db.checkpointer.objstore.stats)
+            # The next checkpoint writes only what changed since the loaded one.
+            db.checkpointer.objstore.published = db.recovery.published
         if db.journal is not None and db.journal.version != FORMAT_VERSION:
             # journal.bin was written by an older release in a format that
             # is only read now: fold it into a checkpoint, which rolls it

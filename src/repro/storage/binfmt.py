@@ -3,9 +3,10 @@
 The XML archive pays twice on every cold open: once to tokenize a large
 pretty-printed text file and once to decode the structural payload
 encoding back into stamped trees.  This module is the storage-side
-replacement — a compact varint-based binary form the CAS backend chunks,
-dedups, and decodes directly into :class:`~repro.xmlcore.node.Element`
-trees without ever building intermediate XML.
+replacement — a compact varint-based binary form the CAS backend appends
+in segments and decodes directly into
+:class:`~repro.xmlcore.node.Element` trees without ever building
+intermediate XML.
 
 Everything is written through :class:`Writer` / read through
 :class:`Reader`:
@@ -248,56 +249,72 @@ def decode_script(data):
 
 # -- per-document byte streams -------------------------------------------------
 #
-# A checkpointed document becomes three independent streams — the current
-# tree, the delta chain, the snapshot materializations — so the CAS layer
-# can chunk each and attribute stored bytes per kind.  Snapshots sit in
-# one concatenated stream deliberately: consecutive snapshots of a
-# near-duplicate history share most of their encoded bytes, which is
-# exactly what content-defined chunking turns into dedup.
+# A checkpointed document becomes three streams — the current tree, the
+# delta chain, the snapshot materializations — so the CAS layer can store
+# each and attribute stored bytes per kind.  The current tree is one
+# encoded tree.  The delta and snapshot streams are *segments* laid end to
+# end, each ``count, (number, item)*``: a checkpoint appends one segment
+# holding what the stream lacks, the way a commit appends one delta, and
+# never rewrites what an earlier checkpoint stored.  A stream written
+# whole is the one-segment case; an empty stream holds nothing.
 
 
-def encode_current_stream(record):
-    return encode_tree(record.current_root)
+def encode_delta_segment(record, numbers, tail=None):
+    """One segment of ``record``'s deltas ``numbers`` (see
+    :func:`_segment` for ``tail``)."""
+    return _segment(record.deltas, numbers, write_script, tail)
 
 
-def decode_current_stream(data):
-    return decode_tree(data)
+def encode_snapshot_segment(record, numbers, tail=None):
+    """One segment of ``record``'s snapshot trees ``numbers``."""
+    return _segment(record.snapshots, numbers, write_node, tail)
 
 
-def encode_delta_stream(record):
+def _segment(items, numbers, write_item, tail):
+    """``count, (number, item)*`` over ``numbers``.  ``tail``, when given,
+    is a whole segment already stored; its entries are folded in front
+    of the new ones as they are, without decoding them."""
+    count = len(numbers)
     w = Writer()
-    w.u(len(record.deltas))
-    for number in sorted(record.deltas):
+    if tail:
+        r = Reader(tail)
+        count += r.u()
+        w.u(count)
+        w.raw(tail[r.offset:])
+    else:
+        w.u(count)
+    for number in numbers:
         w.u(number)
-        write_script(w, record.deltas[number])
+        write_item(w, items[number])
     return w.getvalue()
 
 
-def decode_delta_stream(data):
+def decode_delta_stream(data, starts=None):
+    """``{number: EditScript}`` from a delta stream; ``starts``, when a
+    list, receives the offset each segment starts at."""
+    return _read_segments(data, read_script, starts)
+
+
+def decode_snapshot_stream(data, starts=None):
+    """``{number: tree}`` from a snapshot stream (see
+    :func:`decode_delta_stream`)."""
+    return _read_segments(data, read_node, starts)
+
+
+def _read_segments(data, read_item, starts):
     r = Reader(data)
-    deltas = {}
-    for _ in range(r.u()):
-        number = r.u()
-        deltas[number] = read_script(r)
-    return deltas
-
-
-def encode_snapshot_stream(record):
-    w = Writer()
-    w.u(len(record.snapshots))
-    for number in sorted(record.snapshots):
-        w.u(number)
-        write_node(w, record.snapshots[number])
-    return w.getvalue()
-
-
-def decode_snapshot_stream(data):
-    r = Reader(data)
-    snapshots = {}
-    for _ in range(r.u()):
-        number = r.u()
-        snapshots[number] = read_node(r)
-    return snapshots
+    items = {}
+    while not r.exhausted:
+        if starts is not None:
+            starts.append(r.offset)
+        for _ in range(r.u()):
+            number = r.u()
+            if number in items:
+                raise CorruptArchiveError(
+                    f"stream holds version {number} twice"
+                )
+            items[number] = read_item(r)
+    return items
 
 
 # -- compression ---------------------------------------------------------------

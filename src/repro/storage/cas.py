@@ -4,17 +4,21 @@ The XML archive is one monolithic text file — every checkpoint rewrites
 the whole history and every cold open re-parses it in full, so both
 ``storage_bytes()`` and open time grow linearly with history even though
 consecutive versions are nearly identical.  This backend (modelled on
-castor's ``casq_core``: ``chunking.rs`` / ``store.rs`` / ``gc.rs``)
-replaces that with a directory of immutable objects keyed by content
-hash:
+castor's ``casq_core``: ``store.rs`` / ``gc.rs``) replaces that with a
+directory of immutable objects keyed by content hash:
 
 * Every checkpointed document becomes three byte streams (current tree,
   delta chain, snapshots) in the binary encoding of
-  :mod:`~repro.storage.binfmt`, cut by content-defined chunking
-  (:mod:`~repro.storage.chunking`) into objects named by their SHA-256.
-  Storing a chunk whose hash already exists is free — near-identical
-  snapshots, checkpoints of a slowly changing store, and repeated
-  subtrees dedup automatically.
+  :mod:`~repro.storage.binfmt`, held as objects named by their SHA-256
+  and listed, per stream, in a *document manifest*.  A checkpoint costs
+  what changed since the last one (the paper's append-only model, §7.1):
+  a document whose current version, deletion, next XID and snapshot set
+  are unchanged keeps its manifest hash and is not encoded at all; a
+  changed one stores its current tree as one object and *appends* one
+  segment of the deltas and one of the snapshots it did not store yet to
+  its manifest.  A tail segment under :data:`SEGMENT_FOLD_BYTES` is
+  folded into the next, so a stream holds about one segment per 4 KiB.
+  Storing an object whose hash already exists is free.
 * Objects above a size threshold are transparently zlib-compressed; a
   per-object CRC32 over the raw content detects torn writes and flipped
   bits, surfacing as :class:`~repro.errors.CorruptArchiveError` naming
@@ -25,10 +29,14 @@ hash:
   crash at any moment leaves at least one intact generation.
 * :func:`collect_garbage` is a mark-and-sweep from the retained
   pointers: everything reachable (root manifests → document manifests →
-  chunks) is live — which by construction is the set {current versions,
-  live snapshots, retained checkpoints} — and every other object is
-  deleted.  Dropping a snapshot policy or rotating a checkpoint really
-  reclaims bytes.
+  stream objects) is live — which by construction is the set {current
+  versions, live snapshots, retained checkpoints} — and every other
+  object is deleted.  Rotating a checkpoint really reclaims bytes.
+
+Root manifest format 2 names segmented streams.  Format 1 cut each
+stream, written whole as one segment, into content-defined chunks; its
+chunk list is the one-segment case of the same reader, so a format-1
+directory opens and its lists are extended by new segments.
 
 Object file format (after the 4-byte magic)::
 
@@ -36,9 +44,10 @@ Object file format (after the 4-byte magic)::
     | CAS1 | flags | raw length (u32) | crc32 raw (u32)| payload   |
     +------+-------+------------------+----------------+-----------+
 
-``flags & 1`` marks a zlib-compressed payload.  The CRC always covers
-the *raw* (uncompressed) content, so verification happens after
-decompression and a corrupt compressed stream is equally caught.
+``flags & 1`` marks a zlib-compressed payload, inflated to at most its
+declared raw length.  The CRC always covers the *raw* (uncompressed)
+content, so verification happens after decompression and a corrupt
+compressed stream is equally caught.
 """
 
 from __future__ import annotations
@@ -49,20 +58,20 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from ..errors import CorruptArchiveError, StorageError
+from ..errors import CorruptArchiveError
 from .binfmt import (
     DEFLATE_THRESHOLD,
     Reader,
     Writer,
-    decode_current_stream,
     decode_delta_stream,
     decode_snapshot_stream,
+    decode_tree,
     deflate,
-    encode_current_stream,
-    encode_delta_stream,
-    encode_snapshot_stream,
+    encode_delta_segment,
+    encode_snapshot_segment,
+    encode_tree,
+    inflate,
 )
-from .chunking import DEFAULT_PARAMS, chunk_spans
 from .faults import REAL_FS
 
 #: The checkpoint pointer file (the CAS analogue of ``checkpoint.xml``).
@@ -71,8 +80,14 @@ CAS_POINTER_FILE = "checkpoint.cas"
 #: Subdirectory holding the hash-addressed objects.
 OBJECTS_DIR = "objects"
 
-#: CAS root-manifest format version.
-FORMAT_VERSION = 1
+#: CAS root-manifest format version written; :data:`READABLE_VERSIONS`
+#: are read.
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
+
+#: A stream's last segment smaller than this many raw bytes is folded
+#: into the segment the next checkpoint appends.
+SEGMENT_FOLD_BYTES = 4096
 
 _MAGIC = b"CAS1"
 _FLAG_ZLIB = 0x01
@@ -201,14 +216,15 @@ class CASObjectStore:
     """
 
     def __init__(self, directory, fs=None,
-                 compress_threshold=DEFLATE_THRESHOLD, chunk_params=None):
+                 compress_threshold=DEFLATE_THRESHOLD):
         self.directory = str(directory)
         self.fs = fs if fs is not None else REAL_FS
         self.compress_threshold = compress_threshold
-        self.chunk_params = (
-            chunk_params if chunk_params is not None else DEFAULT_PARAMS
-        )
         self.stats = CASStats()
+        #: doc id -> :class:`_Stored`: what the newest checkpoint this
+        #: store published (or :func:`read_checkpoint` loaded) holds, so
+        #: the next :func:`write_checkpoint` writes only what changed.
+        self.published = {}
 
     @property
     def objects_dir(self):
@@ -261,9 +277,6 @@ class CASObjectStore:
 
     # -- read side -----------------------------------------------------------
 
-    def contains(self, object_hash):
-        return self.fs.exists(self.object_path(object_hash))
-
     def get(self, object_hash):
         """Fetch and verify one object's raw content."""
         path = self.object_path(object_hash)
@@ -285,11 +298,10 @@ class CASObjectStore:
         payload = blob[header_size:]
         if flags & _FLAG_ZLIB:
             try:
-                payload = zlib.decompress(payload)
-            except zlib.error as exc:
+                payload = inflate(payload, raw_len)
+            except CorruptArchiveError as exc:
                 raise CorruptArchiveError(
-                    f"object {object_hash} failed to decompress ({exc})",
-                    path=path,
+                    f"object {object_hash}: {exc}", path=path
                 ) from None
         if len(payload) != raw_len or zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CorruptArchiveError(
@@ -353,42 +365,66 @@ def read_pointer(path, fs=None):
 # -- checkpoint write ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Stored:
+    """What one checkpoint holds of one document.
+
+    ``key`` is ``(current version, deleted_at, next XID, snapshot
+    numbers)`` — a document whose key is unchanged needs nothing written.
+    ``manifests`` is ``(length, [object hashes])`` per stream kind, and
+    ``tails`` the raw length of the delta and snapshot streams' last
+    object when that object is one whole segment (``None`` otherwise).
+    Deltas and snapshots are only ever added, so what a stream lacks is
+    the versions past the stored current one and the snapshot numbers
+    not in the stored set."""
+
+    key: tuple
+    doc_hash: str
+    manifests: tuple
+    tails: tuple
+
+
+_NOTHING = _Stored((0, None, 0, frozenset()), "", ((0, []),) * 3, (None, None))
+
+
+def _key(record):
+    return (
+        record.dindex.current_number,
+        record.dindex.deleted_at,
+        record.allocator.next_xid,
+        frozenset(record.snapshots),
+    )
+
+
 def write_checkpoint(store, directory, fs=None, objstore=None, rotate=False):
     """Checkpoint ``store`` into ``directory``'s object store.
 
+    Only documents changed since ``objstore``'s last published
+    checkpoint are written (a fresh object store writes every document).
     Objects land first (invisible until named by a pointer), then the
     pointer file is rotated (when ``rotate``) and atomically replaced —
     the same two-generation protocol as the XML checkpoint, so a crash
-    at any operation leaves a recoverable directory.  Returns the root
-    manifest hash.
+    at any operation leaves a recoverable directory.  ``objstore`` only
+    learns the new checkpoint once its pointer is published.  Returns the
+    root manifest hash.
     """
     fs = fs if fs is not None else REAL_FS
     directory = str(directory)
     if objstore is None:
         objstore = CASObjectStore(directory, fs=fs)
-    params = objstore.chunk_params
-    doc_hashes = []
+    published = {}
     for record in sorted(store.repository.records(), key=lambda r: r.doc_id):
-        manifests = []
-        for kind, stream in (
-            ("current", encode_current_stream(record)),
-            ("deltas", encode_delta_stream(record)),
-            ("snapshots", encode_snapshot_stream(record)),
-        ):
-            view = memoryview(stream)
-            hashes = [
-                objstore.put(bytes(view[s:e]), kind=kind)
-                for s, e in chunk_spans(stream, params)
-            ]
-            manifests.append((len(stream), hashes))
-        meta = _encode_document_meta(record, manifests)
-        doc_hashes.append(objstore.put(meta, kind="checkpoint"))
+        key = _key(record)
+        stored = objstore.published.get(record.doc_id, _NOTHING)
+        if stored.key != key:
+            stored = _write_document(objstore, record, key, stored)
+        published[record.doc_id] = stored
     root = Writer()
     root.u(FORMAT_VERSION)
     root.u(store.clock.now())
-    root.u(len(doc_hashes))
-    for doc_hash in doc_hashes:
-        root.blob(bytes.fromhex(doc_hash))
+    root.u(len(published))
+    for stored in published.values():
+        root.blob(bytes.fromhex(stored.doc_hash))
     root_hash = objstore.put(root.getvalue(), kind="checkpoint")
 
     pointer = os.path.join(directory, CAS_POINTER_FILE)
@@ -397,7 +433,49 @@ def write_checkpoint(store, directory, fs=None, objstore=None, rotate=False):
     from .persistence import atomic_write_bytes
 
     atomic_write_bytes(pointer, pointer_bytes(root_hash), fs=fs)
+    objstore.published = published
     return root_hash
+
+
+def _write_document(objstore, record, key, stored):
+    """Store what ``record`` gained since ``stored``: its current tree,
+    one delta segment and one snapshot segment, then its manifest."""
+    number, _deleted_at, _next_xid, snapshots = key
+    was_number, _, _, was_snapshots = stored.key
+    current, deltas, snaps = stored.manifests
+    delta_tail, snap_tail = stored.tails
+    if number != was_number:
+        data = encode_tree(record.current_root)
+        current = (len(data), [objstore.put(data, kind="current")])
+    deltas, delta_tail = _append_segment(
+        objstore, "deltas", deltas, delta_tail,
+        range(max(was_number, 1), number), record, encode_delta_segment,
+    )
+    snaps, snap_tail = _append_segment(
+        objstore, "snapshots", snaps, snap_tail,
+        sorted(snapshots - was_snapshots), record, encode_snapshot_segment,
+    )
+    manifests = (current, deltas, snaps)
+    doc_hash = objstore.put(
+        _encode_document_meta(record, manifests), kind="checkpoint"
+    )
+    return _Stored(key, doc_hash, manifests, (delta_tail, snap_tail))
+
+
+def _append_segment(objstore, kind, manifest, tail, numbers, record, encode):
+    """``manifest`` with one segment of ``numbers`` appended (the tail
+    segment folded into it when small) and the new tail's length."""
+    if not numbers:
+        return manifest, tail
+    length, hashes = manifest
+    folded = None
+    if tail is not None and tail < SEGMENT_FOLD_BYTES:
+        folded = objstore.get(hashes[-1])
+        length -= len(folded)
+        hashes = hashes[:-1]
+    segment = encode(record, numbers, folded)
+    hashes = hashes + [objstore.put(segment, kind=kind)]
+    return (length + len(segment), hashes), len(segment)
 
 
 def _encode_document_meta(record, manifests):
@@ -414,8 +492,8 @@ def _encode_document_meta(record, manifests):
     for length, hashes in manifests:
         w.u(length)
         w.u(len(hashes))
-        for chunk_hash in hashes:
-            w.blob(bytes.fromhex(chunk_hash))
+        for object_hash in hashes:
+            w.blob(bytes.fromhex(object_hash))
     return w.getvalue()
 
 
@@ -433,6 +511,19 @@ def resolve_pointer_path(source, fs=None):
     return os.path.join(source, CAS_POINTER_FILE), source
 
 
+def _read_root(objstore, root_hash, where=None):
+    """``(clock, [document manifest hashes])`` of a root manifest."""
+    r = Reader(objstore.get(root_hash))
+    version = r.u()
+    if version not in READABLE_VERSIONS:
+        raise CorruptArchiveError(
+            f"unsupported CAS checkpoint format {version} under root "
+            f"{root_hash}", path=where,
+        )
+    clock_now = r.u()
+    return clock_now, [r.blob().hex() for _ in range(r.u())]
+
+
 def read_checkpoint(source, store=None, fs=None, objstore=None):
     """Restore a CAS checkpoint into ``store`` (see
     :func:`~repro.storage.persistence.load_store`), which is returned.
@@ -442,7 +533,9 @@ def read_checkpoint(source, store=None, fs=None, objstore=None):
     object on the path is CRC-verified and every document decoded before
     the first one is installed; corruption raises
     :class:`CorruptArchiveError` naming the object hash and leaves
-    ``store`` untouched.
+    ``store`` untouched.  On success ``objstore.published`` describes
+    the loaded checkpoint, so the next :func:`write_checkpoint` through
+    ``objstore`` writes only what changed after it.
     """
     from .persistence import build_record, empty_store, install_records
 
@@ -451,37 +544,48 @@ def read_checkpoint(source, store=None, fs=None, objstore=None):
     pointer, directory = resolve_pointer_path(source, fs=fs)
     if objstore is None:
         objstore = CASObjectStore(directory, fs=fs)
-    root_hash = read_pointer(pointer, fs=fs)
-    r = Reader(objstore.get(root_hash))
-    version = r.u()
-    if version != FORMAT_VERSION:
-        raise CorruptArchiveError(
-            f"unsupported CAS checkpoint format {version}", path=pointer
-        )
-    clock_now = r.u()
+    clock_now, doc_hashes = _read_root(
+        objstore, read_pointer(pointer, fs=fs), where=pointer
+    )
     records = []
-    for _ in range(r.u()):
-        doc_hash = r.blob().hex()
+    published = {}
+    for doc_hash in doc_hashes:
         meta = _decode_document_meta(objstore.get(doc_hash), doc_hash)
-        streams = {
-            kind: _fetch_stream(objstore, doc_hash, kind, length, hashes)
+        current, deltas, snaps = (
+            _fetch_stream(objstore, doc_hash, kind, length, hashes)
             for kind, (length, hashes) in zip(
                 _STREAM_KINDS, meta["manifests"]
             )
-        }
-        records.append(
-            build_record(
-                doc_id=meta["doc_id"],
-                name=meta["name"],
-                nextxid=meta["nextxid"],
-                deleted_at=meta["deleted_at"],
-                entries=meta["entries"],
-                deltas=decode_delta_stream(streams["deltas"]),
-                snapshots=decode_snapshot_stream(streams["snapshots"]),
-                current_root=decode_current_stream(streams["current"]),
-            )
         )
-    return install_records(store, clock_now, records)
+        delta_starts, snap_starts = [], []
+        record = build_record(
+            doc_id=meta["doc_id"],
+            name=meta["name"],
+            nextxid=meta["nextxid"],
+            deleted_at=meta["deleted_at"],
+            entries=meta["entries"],
+            deltas=decode_delta_stream(deltas[0], delta_starts),
+            snapshots=decode_snapshot_stream(snaps[0], snap_starts),
+            current_root=decode_tree(current[0]),
+        )
+        records.append(record)
+        published[record.doc_id] = _Stored(
+            _key(record), doc_hash, tuple(meta["manifests"]),
+            (_whole_tail(deltas, delta_starts),
+             _whole_tail(snaps, snap_starts)),
+        )
+    install_records(store, clock_now, records)
+    objstore.published = published
+    return store
+
+
+def _whole_tail(stream, starts):
+    """The raw length of ``stream``'s last object when a segment starts
+    where it does (a format-1 chunk does not), else ``None``."""
+    data, last = stream
+    if last and len(data) - last in starts:
+        return last
+    return None
 
 
 def _decode_document_meta(data, doc_hash):
@@ -509,13 +613,15 @@ def _decode_document_meta(data, doc_hash):
 
 
 def _fetch_stream(objstore, doc_hash, kind, length, hashes):
-    stream = b"".join(objstore.get(chunk_hash) for chunk_hash in hashes)
+    """``(stream bytes, raw length of its last object)``."""
+    parts = [objstore.get(object_hash) for object_hash in hashes]
+    stream = b"".join(parts)
     if len(stream) != length:
         raise CorruptArchiveError(
             f"document manifest {doc_hash}: {kind} stream reassembled to "
             f"{len(stream)} byte(s), expected {length}"
         )
-    return stream
+    return stream, len(parts[-1]) if parts else 0
 
 
 # -- garbage collection --------------------------------------------------------
@@ -524,14 +630,7 @@ def _fetch_stream(objstore, doc_hash, kind, length, hashes):
 def reachable_hashes(objstore, root_hash):
     """Every object hash reachable from one checkpoint root manifest."""
     live = {root_hash}
-    r = Reader(objstore.get(root_hash))
-    if r.u() != FORMAT_VERSION:
-        raise CorruptArchiveError(
-            f"unsupported CAS checkpoint format under root {root_hash}"
-        )
-    r.u()  # clock
-    for _ in range(r.u()):
-        doc_hash = r.blob().hex()
+    for doc_hash in _read_root(objstore, root_hash)[1]:
         live.add(doc_hash)
         meta = _decode_document_meta(objstore.get(doc_hash), doc_hash)
         for _length, hashes in meta["manifests"]:
@@ -625,15 +724,12 @@ __all__ = [
     "write_checkpoint",
 ]
 
-# Re-exported for callers that configure chunking through this module.
-StorageError  # noqa: B018 -- imported for the exception hierarchy docs
-
 
 def kind_breakdown(directory, fs=None, objstore=None):
     """Disk-truth per-kind breakdown of the newest checkpoint generation.
 
     Walks the published pointer's reachable set and attributes every
-    object (once — chunks shared across streams count where first seen)
+    object (once — objects shared across streams count where first seen)
     to ``current`` / ``deltas`` / ``snapshots`` / ``checkpoint``
     (manifests), returning ``{kind: {objects, stored_bytes, raw_bytes}}``.
     Unlike :class:`CASStats` — counters over one store's lifetime — this
@@ -666,17 +762,10 @@ def kind_breakdown(directory, fs=None, objstore=None):
 
     root_hash = read_pointer(pointer, fs=fs)
     add("checkpoint", root_hash)
-    r = Reader(objstore.get(root_hash))
-    if r.u() != FORMAT_VERSION:
-        raise CorruptArchiveError(
-            f"unsupported CAS checkpoint format under root {root_hash}"
-        )
-    r.u()  # clock
-    for _ in range(r.u()):
-        doc_hash = r.blob().hex()
+    for doc_hash in _read_root(objstore, root_hash)[1]:
         add("checkpoint", doc_hash)
         meta = _decode_document_meta(objstore.get(doc_hash), doc_hash)
         for kind, (_length, hashes) in zip(_STREAM_KINDS, meta["manifests"]):
-            for chunk_hash in hashes:
-                add(kind, chunk_hash)
+            for object_hash in hashes:
+                add(kind, object_hash)
     return breakdown

@@ -159,7 +159,8 @@ def empty_store(store=None):
     return store
 
 
-def load_store(source, store=None, verify=True, fs=None, format="xml"):
+def load_store(source, store=None, verify=True, fs=None, format="xml",
+               objstore=None):
     """Restore an archive (a path, XML text, or Element) into ``store``.
 
     ``store`` is an empty :class:`TemporalDocumentStore` the caller built
@@ -171,14 +172,16 @@ def load_store(source, store=None, verify=True, fs=None, format="xml"):
     whole-file CRC footer and the per-document ``checksum`` attributes
     when present; archives written before checksums existed still load.
     With ``format="cas"``, ``source`` is a CAS checkpoint directory (or
-    pointer file) and every object is hash-verified on the way in.
+    pointer file) and every object is hash-verified on the way in; when
+    ``objstore`` is given it is read through, and its ``published`` then
+    describes the loaded checkpoint.
     Indexes are *not* rebuilt here — attach observers and call
     :func:`replay_history` (or use
     :meth:`repro.db.TemporalXMLDatabase.load`)."""
     if format == "cas":
         from .cas import read_checkpoint
 
-        return read_checkpoint(source, store=store, fs=fs)
+        return read_checkpoint(source, store=store, fs=fs, objstore=objstore)
     if format != "xml":
         raise StorageError(f"unknown storage format {format!r}")
     store = empty_store(store)

@@ -63,6 +63,10 @@ class RecoveryReport:
     #: physical ``records``, valid ``bytes`` on disk, ``raw_bytes`` (the
     #: same records before deflate).
     journals: list = field(default_factory=list)
+    #: What the loaded CAS checkpoint holds per document (not reported):
+    #: the checkpointer starts from it, so its first checkpoint writes
+    #: only what changed since.
+    published: dict = field(default_factory=dict, repr=False, compare=False)
 
     def as_dict(self):
         return {
@@ -103,7 +107,7 @@ def recover_store(
     preferred, falling back to the XML archive pair).  Journal tail
     replay is identical either way.
     """
-    from .cas import CAS_POINTER_FILE
+    from .cas import CAS_POINTER_FILE, CASObjectStore
 
     store = empty_store(store)
     fs = fs if fs is not None else REAL_FS
@@ -128,10 +132,13 @@ def recover_store(
     for path, label, fmt in candidates:
         if not fs.exists(path):
             continue
+        objstore = CASObjectStore(directory, fs=fs) if fmt == "cas" else None
         try:
-            load_store(path, store=store, fs=fs, format=fmt)
+            load_store(path, store=store, fs=fs, format=fmt, objstore=objstore)
             report.checkpoint_source = label
             report.storage = fmt
+            if objstore is not None:
+                report.published = objstore.published
             break
         except (StorageError, OSError) as exc:
             report.checkpoint_errors.append(f"{label}: {exc}")

@@ -89,6 +89,11 @@ class Reader:
     def exhausted(self):
         return self._pos >= len(self._data)
 
+    @property
+    def offset(self):
+        """How many bytes have been read so far."""
+        return self._pos
+
     def _need(self, count):
         if self._pos + count > len(self._data):
             raise CorruptArchiveError(

@@ -164,23 +164,68 @@ class TestCheckpointRoundTrip:
         with pytest.raises(StorageError):
             dump_store(store, format="cas")
 
-    def test_near_identical_checkpoints_dedup(self, tmp_path):
+    def test_near_identical_checkpoints_dedup(self, tmp_path, monkeypatch):
+        """A checkpoint costs what changed: after one commit to one of
+        three documents it encodes that document's new version and delta
+        only, and stores its current tree, one delta segment, its manifest
+        and the root; with nothing changed it stores nothing new."""
+        import repro.storage.binfmt as binfmt
+        import repro.storage.cas as cas
+
         gen = TDocGenerator(seed=5)
-        db = TemporalXMLDatabase(snapshot_interval=4)
-        db.put("d.xml", gen.document("d.xml"))
-        for _ in range(39):
-            db.update("d.xml", gen.evolve("d.xml"))
+        db = TemporalXMLDatabase()
+        for name in ("a.xml", "b.xml", "c.xml"):
+            db.put(name, gen.document(name))
+            for _ in range(12):
+                db.update(name, gen.evolve(name))
         objstore = CASObjectStore(tmp_path)
         write_checkpoint(db.store, tmp_path, objstore=objstore)
-        first_written = objstore.stats.objects_written
-        db.update("d.xml", gen.evolve("d.xml"))
+
+        encoded, scripts, puts = [], [], []
+        real_put = CASObjectStore.put
+        real_write_script = binfmt.write_script
+
+        def counting_put(store, data, kind="object"):
+            puts.append(kind)
+            return real_put(store, data, kind=kind)
+
+        def counting_write_script(w, script):
+            scripts.append(script)
+            real_write_script(w, script)
+
+        def counting_encoder(name):
+            real = getattr(cas, name)
+
+            def encode(*args):
+                encoded.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(cas, name, encode)
+
+        monkeypatch.setattr(CASObjectStore, "put", counting_put)
+        monkeypatch.setattr(binfmt, "write_script", counting_write_script)
+        for name in ("encode_tree", "encode_delta_segment",
+                     "encode_snapshot_segment"):
+            counting_encoder(name)
+
+        db.update("b.xml", gen.evolve("b.xml"))
+        written = objstore.stats.objects_written
         write_checkpoint(db.store, tmp_path, objstore=objstore, rotate=True)
-        second_written = objstore.stats.objects_written - first_written
-        # One more version changes the current tree, the tail of the
-        # delta/snapshot streams, and the manifests; the shared history
-        # prefix must dedup instead of being stored again.
-        assert objstore.stats.objects_deduped >= 3
-        assert second_written < first_written
+        assert encoded == ["encode_tree", "encode_delta_segment"]
+        assert len(scripts) == 1
+        assert puts == ["current", "deltas", "checkpoint", "checkpoint"]
+        assert objstore.stats.objects_written - written == 4
+
+        del encoded[:], scripts[:], puts[:]
+        written = objstore.stats.objects_written
+        write_checkpoint(db.store, tmp_path, objstore=objstore, rotate=True)
+        assert encoded == [] and scripts == []
+        assert puts == ["checkpoint"]  # the root, unchanged
+        assert objstore.stats.objects_written == written
+        loaded = read_checkpoint(
+            tmp_path, store=TemporalDocumentStore()
+        )
+        assert store_fingerprint(loaded) == store_fingerprint(db.store)
 
     def test_smaller_than_xml_archive(self, tmp_path):
         store = seeded_store(versions=30, docs=1)
