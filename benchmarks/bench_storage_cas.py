@@ -22,7 +22,13 @@ from pathlib import Path
 from harness import Table
 from repro import TemporalXMLDatabase
 from repro.storage import TemporalDocumentStore
-from repro.storage.cas import CASObjectStore, collect_garbage, storage_size
+from repro.storage.cas import (
+    CASObjectStore,
+    collect_garbage,
+    read_checkpoint,
+    storage_size,
+    write_checkpoint,
+)
 from repro.storage.persistence import (
     archive_bytes,
     build_archive,
@@ -73,8 +79,6 @@ def test_storage_backends(tmp_path, benchmark, emit, storage_report):
     # -- cas: object store, checkpointed twice + GC ----------------------------
     cas_dir = tmp_path / "cas"
     objstore = CASObjectStore(cas_dir)
-    from repro.storage.cas import write_checkpoint
-
     write_checkpoint(store, cas_dir, objstore=objstore)
     # A second (rotated) checkpoint of the unchanged store writes nothing
     # but its root, which dedups, and GC keeps the directory bounded — the
@@ -83,7 +87,7 @@ def test_storage_backends(tmp_path, benchmark, emit, storage_report):
     gc_report = collect_garbage(cas_dir, objstore=objstore)
     cas_bytes = storage_size(cas_dir)
     cas_seconds, cas_loaded = _time_cold_open(
-        lambda: load_store(cas_dir, store=_target_store(), format="cas")
+        lambda: read_checkpoint(cas_dir, store=_target_store())
     )
 
     # Both backends reproduce the store byte-for-byte.
@@ -134,6 +138,4 @@ def test_storage_backends(tmp_path, benchmark, emit, storage_report):
     assert open_speedup >= 2.0, f"only {open_speedup:.2f}x open speedup"
 
     # pytest-benchmark series: the CAS cold open.
-    benchmark(
-        lambda: load_store(cas_dir, store=_target_store(), format="cas")
-    )
+    benchmark(lambda: read_checkpoint(cas_dir, store=_target_store()))

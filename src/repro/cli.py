@@ -1,7 +1,8 @@
 """Command-line interface: a temporal XML database in a file.
 
-The archive format of :mod:`repro.storage.persistence` makes the library
-usable as a tiny temporal document database from the shell::
+The XML archive of :mod:`repro.storage.persistence` (the export/import
+file) makes the library usable as a tiny temporal document database from
+the shell::
 
     python -m repro demo
     python -m repro put     -a db.xml guide.com guide_v1.xml --ts 01/01/2001
@@ -127,7 +128,7 @@ def build_parser():
     )
     recover.add_argument(
         "-d", "--dir", required=True,
-        help="database directory (checkpoint.xml + journal.bin)",
+        help="database directory (CAS checkpoint + journal.bin)",
     )
     recover.add_argument(
         "--durability", default="journal",
@@ -137,11 +138,6 @@ def build_parser():
     recover.add_argument(
         "--no-checkpoint", action="store_true",
         help="report only; do not write a fresh checkpoint",
-    )
-    recover.add_argument(
-        "--storage", default=None, choices=["xml", "cas"],
-        help="checkpoint backend to reopen with (default: keep the "
-             "directory's current format)",
     )
     recover.set_defaults(handler=_cmd_recover)
 
@@ -154,7 +150,7 @@ def build_parser():
     source.add_argument("-a", "--archive", help="archive file (XML)")
     source.add_argument(
         "-d", "--dir",
-        help="durable database directory (checkpoint.xml + journal.bin)",
+        help="durable database directory (CAS checkpoint + journal.bin)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
@@ -165,9 +161,9 @@ def build_parser():
         help="journal mode when serving a directory",
     )
     serve.add_argument(
-        "--storage", default=None, choices=["xml", "cas"],
-        help="checkpoint backend when serving a directory "
-             "(default: auto-detect)",
+        "--storage", default=None, choices=["cas"],
+        help="checkpoint format when serving a directory; CAS is the only "
+             "one (older XML checkpoints are read, then replaced)",
     )
     serve.add_argument(
         "--snapshot-interval", type=int, default=None, metavar="N",
@@ -345,9 +341,7 @@ def _cmd_history(args, out):
 
 
 def _cmd_recover(args, out):
-    db = TemporalXMLDatabase.open(
-        args.dir, durability=args.durability, storage=args.storage
-    )
+    db = TemporalXMLDatabase.open(args.dir, durability=args.durability)
     report = db.recovery
     print(f"recovered {report.documents} document(s) from {args.dir}", file=out)
     print(
@@ -538,57 +532,52 @@ def _cmd_stats(args, out):
         file=out,
     )
     if args.dir:
-        _print_backend_stats(storage, out)
+        _print_backend_stats(storage["backend"], db.recovery, out)
         print("journal files:", file=out)
         _print_journal_files(db.recovery, out)
     return 0
 
 
-def _print_backend_stats(storage, out):
-    backend = storage.get("backend")
-    print(f"storage backend: {storage['storage']}", file=out)
-    if not backend:
-        return
-    if storage["storage"] == "cas":
+def _print_backend_stats(backend, report, out):
+    print(
+        f"storage backend: cas (checkpoint read: {report.storage})", file=out
+    )
+    print(
+        f"  objects: {backend['objects_written']} written, "
+        f"{backend['objects_deduped']} deduped, "
+        f"{backend['compressed_objects']} compressed",
+        file=out,
+    )
+    print(
+        f"  bytes: {backend['raw_bytes']} raw -> "
+        f"{backend['stored_bytes']} stored "
+        f"(dedup ratio {backend['dedup_ratio']}x), "
+        f"{backend['disk_bytes']} on disk",
+        file=out,
+    )
+    # What the published checkpoint holds on disk right now (the
+    # lifetime counters above start at zero on every open).
+    for kind, counters in backend["disk_by_kind"].items():
         print(
-            f"  objects: {backend['objects_written']} written, "
-            f"{backend['objects_deduped']} deduped, "
-            f"{backend['compressed_objects']} compressed",
+            f"  kind[{kind}]: {counters['raw_bytes']} raw -> "
+            f"{counters['stored_bytes']} stored "
+            f"({counters['objects']} object(s))",
             file=out,
         )
+    for kind, counters in backend["by_kind"].items():
         print(
-            f"  bytes: {backend['raw_bytes']} raw -> "
-            f"{backend['stored_bytes']} stored "
-            f"(dedup ratio {backend['dedup_ratio']}x), "
-            f"{backend['disk_bytes']} on disk",
+            f"  session[{kind}]: {counters['raw']} raw -> "
+            f"{counters['stored']} stored "
+            f"({counters['objects']} object(s), "
+            f"{counters['deduped']} deduped)",
             file=out,
         )
-        # What the published checkpoint holds on disk right now (the
-        # lifetime counters above start at zero on every open).
-        for kind, counters in backend.get("disk_by_kind", {}).items():
-            print(
-                f"  kind[{kind}]: {counters['raw_bytes']} raw -> "
-                f"{counters['stored_bytes']} stored "
-                f"({counters['objects']} object(s))",
-                file=out,
-            )
-        for kind, counters in backend["by_kind"].items():
-            print(
-                f"  session[{kind}]: {counters['raw']} raw -> "
-                f"{counters['stored']} stored "
-                f"({counters['objects']} object(s), "
-                f"{counters['deduped']} deduped)",
-                file=out,
-            )
-        print(
-            f"  gc: {backend['gc_runs']} run(s), "
-            f"{backend['gc_deleted_objects']} object(s) / "
-            f"{backend['gc_deleted_bytes']} byte(s) reclaimed",
-            file=out,
-        )
-    else:
-        for label, size in backend.items():
-            print(f"  {label}: {size} byte(s)", file=out)
+    print(
+        f"  gc: {backend['gc_runs']} run(s), "
+        f"{backend['gc_deleted_objects']} object(s) / "
+        f"{backend['gc_deleted_bytes']} byte(s) reclaimed",
+        file=out,
+    )
 
 
 def _cmd_ls(args, out):

@@ -30,10 +30,6 @@ from .storage.store import TemporalDocumentStore
 #: Accepted ``durability`` knob values for :meth:`TemporalXMLDatabase.open`.
 DURABILITY_MODES = ("none", "journal", "fsync")
 
-#: Accepted ``storage`` knob values (checkpoint backends); ``None`` means
-#: auto-detect on open (existing CAS directory → cas, otherwise xml).
-STORAGE_BACKENDS = ("xml", "cas")
-
 
 class TemporalXMLDatabase:
     """Store + indexes + query engine, pre-wired."""
@@ -41,7 +37,6 @@ class TemporalXMLDatabase:
     # Durable-mode attributes; plain in-memory databases keep the defaults.
     data_dir = None
     durability = "none"
-    storage = "xml"
     journal = None
     checkpointer = None
     recovery = None
@@ -110,20 +105,18 @@ class TemporalXMLDatabase:
 
     # -- persistence ------------------------------------------------------------------
 
-    def save(self, path, storage="xml"):
-        """Write the whole version history to ``path``.
-
-        ``storage="xml"`` (default) writes the single-file XML archive;
-        ``storage="cas"`` checkpoints into ``path`` as a content-addressed
-        object directory (see ``docs/STORAGE.md``)."""
+    def save(self, path):
+        """Write the whole version history to ``path`` as one checksummed
+        XML archive (the export file :meth:`load` reads back)."""
         from .storage.persistence import dump_store
 
-        dump_store(self.store, path, format=storage)
+        dump_store(self.store, path)
 
     @classmethod
-    def load(cls, path, storage="xml", **tuning):
-        """Restore a database from :meth:`save`'s archive; ``tuning`` is
-        any keyword the constructor takes.
+    def load(cls, path, **tuning):
+        """Restore a database from :meth:`save`'s archive (or a CAS
+        checkpoint directory); ``tuning`` is any keyword the constructor
+        takes.
 
         Indexes (FTI, lifetime) are rebuilt by replaying the stored commit
         history through the usual observers, so query behaviour after a
@@ -131,7 +124,7 @@ class TemporalXMLDatabase:
         from .storage.persistence import load_store, replay_history
 
         db = cls(**tuning)
-        load_store(path, store=db.store, format=storage)
+        load_store(path, store=db.store)
         replay_history(db.store, [db.fti, db.lifetime])
         return db
 
@@ -149,9 +142,9 @@ class TemporalXMLDatabase:
         """Open (creating or recovering) a crash-safe database directory;
         ``tuning`` is any keyword the constructor takes.
 
-        The directory holds an atomic checkpoint (``checkpoint.xml``, or a
-        content-addressed object store under ``objects/`` with a
-        ``checkpoint.cas`` pointer) plus an append-only commit journal
+        The directory holds a checkpoint — a content-addressed object
+        store under ``objects/`` named by the ``checkpoint.cas`` pointer
+        (``docs/STORAGE.md``) — plus an append-only commit journal
         (``journal.bin``); opening always runs recovery — loads the newest
         valid checkpoint, replays the journal tail through the index
         observers, truncates a torn tail (unless ``durability="none"``,
@@ -167,15 +160,11 @@ class TemporalXMLDatabase:
         commit, ``"journal"`` flushes without syncing, ``"none"`` keeps no
         journal — only explicit :meth:`checkpoint` calls persist anything.
 
-        ``storage`` selects the checkpoint backend (``docs/STORAGE.md``):
-        ``"xml"`` for the single-file archive, ``"cas"`` for the deduped,
-        compressed, garbage-collected object store, or ``None`` (default)
-        to keep whatever format the directory already uses (new
-        directories default to ``"xml"``).  Recovery always reads the
-        format actually present, so an explicit ``storage`` that differs
-        from the directory's current format *migrates* it: the next
-        :meth:`checkpoint` writes the new backend and retires the old
-        format's checkpoint files.
+        A directory an older release wrote holds XML archives
+        (``checkpoint.xml``) instead; recovery reads them, and the next
+        :meth:`checkpoint` writes CAS and removes them.  ``storage``
+        accepts only ``"cas"`` (or nothing): a directory has one
+        checkpoint format, and :meth:`save` is the XML export.
         """
         import os
 
@@ -190,10 +179,10 @@ class TemporalXMLDatabase:
                 f"unknown durability mode {durability!r}; "
                 f"expected one of {DURABILITY_MODES}"
             )
-        if storage is not None and storage not in STORAGE_BACKENDS:
+        if storage not in (None, "cas"):
             raise StorageError(
-                f"unknown storage backend {storage!r}; "
-                f"expected one of {STORAGE_BACKENDS}"
+                f"unknown storage backend {storage!r}: a database directory "
+                "checkpoints to CAS only; write an XML archive with save()"
             )
         db = cls(**tuning)
         os.makedirs(directory, exist_ok=True)
@@ -209,14 +198,6 @@ class TemporalXMLDatabase:
         )
         db.data_dir = str(directory)
         db.durability = durability
-        if storage is None:
-            # Keep the directory's existing format; brand-new dirs get xml.
-            storage = (
-                db.recovery.storage
-                if db.recovery.storage in STORAGE_BACKENDS
-                else "xml"
-            )
-        db.storage = storage
         if durability != "none":
             db.journal = CommitJournal(
                 os.path.join(str(directory), JOURNAL_FILE),
@@ -225,14 +206,13 @@ class TemporalXMLDatabase:
             )
             db.store.attach_journal(db.journal)
         db.checkpointer = Checkpointer(
-            db.store, directory, journal=db.journal, fs=fs, storage=storage
+            db.store, directory, journal=db.journal, fs=fs
         )
-        if storage == "cas":
-            # Dedup/compression/GC counters join the shared registry so
-            # `repro stats` and EXPLAIN-era tooling see the storage layer.
-            db.engine.registry.register("cas", db.checkpointer.objstore.stats)
-            # The next checkpoint writes only what changed since the loaded one.
-            db.checkpointer.objstore.published = db.recovery.published
+        # Dedup/compression/GC counters join the shared registry so
+        # `repro stats` and EXPLAIN-era tooling see the storage layer.
+        db.engine.registry.register("cas", db.checkpointer.objstore.stats)
+        # The next checkpoint writes only what changed since the loaded one.
+        db.checkpointer.objstore.published = db.recovery.published
         if db.journal is not None and db.journal.version != FORMAT_VERSION:
             # journal.bin was written by an older release in a format that
             # is only read now: fold it into a checkpoint, which rolls it
@@ -260,7 +240,6 @@ class TemporalXMLDatabase:
         """Journal/checkpoint/recovery counters for the bench harness."""
         return {
             "durability": self.durability,
-            "storage": self.storage,
             "journal": self.journal.stats.as_dict() if self.journal else None,
             "checkpoints": (
                 self.checkpointer.stats.as_dict() if self.checkpointer else None
@@ -273,19 +252,16 @@ class TemporalXMLDatabase:
 
         ``logical`` is the store's own accounting
         (:meth:`~repro.storage.repository.Repository.storage_bytes`);
-        ``backend`` reports what actually sits on disk — for CAS, the
-        dedup/compression/GC counters per kind (current/deltas/snapshots/
-        checkpoint manifests, raw vs stored bytes, dedup ratio) plus the
-        object directory size; for XML, the checkpoint file sizes.
+        ``backend`` (durable databases only) reports what actually sits
+        on disk: the CAS dedup/compression/GC counters per kind
+        (current/deltas/snapshots/checkpoint manifests, raw vs stored
+        bytes, dedup ratio) plus the object directory size.
         ``indexes`` counts what the in-memory indexes hold: total and open
         postings, elements with an open posting, interned contexts shared
         by postings, and lifetime entries.  ``held`` counts what the
         stored deltas hold in memory: operations, packed payloads and the
         payloads' bytes."""
-        import os
-
         out = {
-            "storage": self.storage,
             "logical": self.store.repository.storage_bytes(),
             "indexes": {
                 **self.fti.footprint(),
@@ -296,27 +272,16 @@ class TemporalXMLDatabase:
         }
         if self.checkpointer is None:
             return out
-        if self.storage == "cas":
-            from .storage.cas import kind_breakdown, storage_size
+        from .storage.cas import kind_breakdown, storage_size
 
-            backend = self.checkpointer.objstore.stats.as_dict()
-            backend["disk_bytes"] = storage_size(self.data_dir)
-            # Counters cover this store's lifetime; the disk breakdown is
-            # what the published checkpoint holds right now.
-            backend["disk_by_kind"] = kind_breakdown(self.data_dir)
-            if self.checkpointer.last_gc is not None:
-                backend["last_gc"] = self.checkpointer.last_gc.as_dict()
-            out["backend"] = backend
-        else:
-            sizes = {}
-            for label, path in (
-                ("checkpoint", self.checkpointer.checkpoint_path),
-                ("previous", self.checkpointer.previous_path),
-            ):
-                if os.path.exists(path):
-                    sizes[label] = os.path.getsize(path)
-            sizes["disk_bytes"] = sum(sizes.values())
-            out["backend"] = sizes
+        backend = self.checkpointer.objstore.stats.as_dict()
+        backend["disk_bytes"] = storage_size(self.data_dir)
+        # Counters cover this store's lifetime; the disk breakdown is
+        # what the published checkpoint holds right now.
+        backend["disk_by_kind"] = kind_breakdown(self.data_dir)
+        if self.checkpointer.last_gc is not None:
+            backend["last_gc"] = self.checkpointer.last_gc.as_dict()
+        out["backend"] = backend
         return out
 
     # -- conveniences ----------------------------------------------------------------

@@ -13,8 +13,8 @@ cheap: the scan leaves record bodies undecoded and a skipped record never
 decodes its own, so a catch-up against an unchanged leader checks frames
 and envelopes and builds no tree.  Seeding
 goes through :func:`~repro.storage.recover.recover_store`, so a leader
-using either checkpoint backend (XML archive or the content-addressed
-store of :mod:`~repro.storage.cas`) replicates unchanged.
+replicates from whichever checkpoint it holds (the content-addressed
+store of :mod:`~repro.storage.cas`, or an older release's XML archive).
 
 The replica never writes to the leader's directory (recovery runs with
 ``repair=False`` so even a torn journal tail is left untouched), and it

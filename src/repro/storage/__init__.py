@@ -9,7 +9,7 @@ how many bytes each delta/snapshot takes.  Every stored read is counted
 about operator cost.
 
 Durability lives alongside: the append-only
-:class:`~repro.storage.journal.CommitJournal`, the atomic
+:class:`~repro.storage.journal.CommitJournal`, the CAS
 :class:`~repro.storage.checkpoint.Checkpointer`, crash recovery
 (:func:`~repro.storage.recover.recover_store`), and the fault-injecting
 filesystem shim (:mod:`~repro.storage.faults`) that proves them — see

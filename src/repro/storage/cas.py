@@ -1,11 +1,12 @@
 """Content-addressed object store: dedup, compression, and GC.
 
-The XML archive is one monolithic text file — every checkpoint rewrites
-the whole history and every cold open re-parses it in full, so both
-``storage_bytes()`` and open time grow linearly with history even though
-consecutive versions are nearly identical.  This backend (modelled on
-castor's ``casq_core``: ``store.rs`` / ``gc.rs``) replaces that with a
-directory of immutable objects keyed by content hash:
+The one checkpoint format of a durable directory.  An XML archive is one
+monolithic text file — rewriting it at every checkpoint and re-parsing
+it at every cold open grows linearly with history even though
+consecutive versions are nearly identical — so it is only the export
+file (and what older releases checkpointed to).  This store (modelled
+on castor's ``casq_core``: ``store.rs`` / ``gc.rs``) is a directory of
+immutable objects keyed by content hash:
 
 * Every checkpointed document becomes three byte streams (current tree,
   delta chain, snapshots) in the binary encoding of
@@ -25,8 +26,8 @@ directory of immutable objects keyed by content hash:
   the object hash.
 * A tiny *pointer file* (``checkpoint.cas``) names the root manifest of
   the newest checkpoint; the previous generation keeps its own pointer
-  (``checkpoint.cas.prev``), exactly like the XML checkpoint pair, so a
-  crash at any moment leaves at least one intact generation.
+  (``checkpoint.cas.prev``), so a crash at any moment leaves at least
+  one intact generation.
 * :func:`collect_garbage` is a mark-and-sweep from the retained
   pointers: everything reachable (root manifests → document manifests →
   stream objects) is live — which by construction is the set {current
@@ -74,7 +75,7 @@ from .binfmt import (
 )
 from .faults import REAL_FS
 
-#: The checkpoint pointer file (the CAS analogue of ``checkpoint.xml``).
+#: The checkpoint pointer file; ``.prev`` names the previous generation.
 CAS_POINTER_FILE = "checkpoint.cas"
 
 #: Subdirectory holding the hash-addressed objects.
@@ -403,8 +404,8 @@ def write_checkpoint(store, directory, fs=None, objstore=None, rotate=False):
     checkpoint are written (a fresh object store writes every document).
     Objects land first (invisible until named by a pointer), then the
     pointer file is rotated (when ``rotate``) and atomically replaced —
-    the same two-generation protocol as the XML checkpoint, so a crash
-    at any operation leaves a recoverable directory.  ``objstore`` only
+    two generations, so a crash at any operation leaves a recoverable
+    directory.  ``objstore`` only
     learns the new checkpoint once its pointer is published.  Returns the
     root manifest hash.
     """

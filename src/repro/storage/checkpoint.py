@@ -1,31 +1,29 @@
-"""Checkpointing: atomic archives + journal rotation.
+"""Checkpointing: CAS checkpoints + journal rotation.
 
-A checkpoint is a full :mod:`~repro.storage.persistence` archive of the
-store written atomically, after which the commit journal can be rolled —
-every journaled record is now contained in the checkpoint.  The protocol
-keeps **two generations** so there is no moment at which a crash can leave
-the directory unrecoverable:
+A checkpoint publishes the store into the directory's content-addressed
+object store (:mod:`~repro.storage.cas`), after which the commit journal
+can be rolled — every journaled record is now contained in the
+checkpoint.  The protocol keeps **two generations** so there is no moment
+at which a crash can leave the directory unrecoverable:
 
 1. ``journal.sync()`` — everything acknowledged is on disk;
-2. rotate the previous checkpoint aside (``checkpoint.xml`` →
-   ``checkpoint.xml.prev``);
-3. write the new archive atomically (temp + fsync + rename + dir sync);
-4. roll the journal (``journal.bin`` → ``journal.bin.prev``, fresh file).
+2. write the objects that changed (invisible until referenced);
+3. rotate the pointer (``checkpoint.cas`` → ``checkpoint.cas.prev``) and
+   publish the new one atomically (temp + fsync + rename + dir sync);
+4. roll the journal (``journal.bin`` → ``journal.bin.prev``, fresh file);
+5. mark-and-sweep GC of every object no retained pointer reaches.
 
 A crash between any two steps is safe: recovery
-(:mod:`~repro.storage.recover`) tries ``checkpoint.xml`` first and falls
-back to ``checkpoint.xml.prev``, replaying both journal generations with
+(:mod:`~repro.storage.recover`) tries ``checkpoint.cas`` first and falls
+back to ``checkpoint.cas.prev``, replaying both journal generations with
 idempotent records, so whichever pair of files survived reproduces the
-exact pre-crash commit history.
+exact pre-crash commit history.  GC runs last, so a crash anywhere
+earlier can only leave extra garbage, never remove a reachable object.
 
-With ``storage="cas"`` the archive file is replaced by the
-content-addressed object store (:mod:`~repro.storage.cas`): objects land
-first (invisible until referenced), the ``checkpoint.cas`` pointer pair
-plays the role of the two checkpoint generations, and after the journal
-rolls a mark-and-sweep GC reclaims every object no retained generation
-reaches.  The crash-safety argument is unchanged — and GC runs last, so
-a crash anywhere earlier can only leave extra garbage, never remove a
-reachable object.
+A directory written by an older release holds XML archives
+(``checkpoint.xml`` and its ``.prev``) instead; recovery still reads
+them, and the first checkpoint after such an open removes them once the
+CAS pointer is published.
 """
 
 from __future__ import annotations
@@ -33,10 +31,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .cas import (
+    CAS_POINTER_FILE,
+    CASObjectStore,
+    collect_garbage,
+    write_checkpoint,
+)
 from .faults import REAL_FS
-from .persistence import archive_bytes, atomic_write_bytes, build_archive
 
-CHECKPOINT_FILE = "checkpoint.xml"
+#: The XML archive an older release checkpointed to (read-only now).
+LEGACY_CHECKPOINT_FILE = "checkpoint.xml"
 JOURNAL_FILE = "journal.bin"
 PREV_SUFFIX = ".prev"
 
@@ -56,64 +60,22 @@ class CheckpointStats:
 
 
 class Checkpointer:
-    """Writes atomic checkpoints of a store and rolls its journal."""
+    """Writes CAS checkpoints of a store and rolls its journal."""
 
-    def __init__(self, store, directory, journal=None, fs=None,
-                 storage="xml"):
+    def __init__(self, store, directory, journal=None, fs=None):
         self.store = store
         self.directory = str(directory)
         self.journal = journal
         self.fs = fs if fs is not None else REAL_FS
-        self.storage = storage
         self.stats = CheckpointStats()
-        self._objstore = None
+        #: Shared across checkpoints so dedup and GC counters accumulate
+        #: per database, not per checkpoint call.
+        self.objstore = CASObjectStore(self.directory, fs=self.fs)
         self.last_gc = None
 
-    @property
-    def checkpoint_path(self):
-        if self.storage == "cas":
-            from .cas import CAS_POINTER_FILE
-
-            return os.path.join(self.directory, CAS_POINTER_FILE)
-        return os.path.join(self.directory, CHECKPOINT_FILE)
-
-    @property
-    def previous_path(self):
-        return self.checkpoint_path + PREV_SUFFIX
-
-    @property
-    def objstore(self):
-        """The directory's CAS object store (CAS storage only).
-
-        Shared across checkpoints so dedup and GC counters accumulate
-        per database, not per checkpoint call."""
-        if self._objstore is None:
-            from .cas import CASObjectStore
-
-            self._objstore = CASObjectStore(self.directory, fs=self.fs)
-        return self._objstore
-
     def checkpoint(self):
-        """Write a checkpoint and roll the journal; returns the path."""
-        if self.storage == "cas":
-            return self._checkpoint_cas()
-        data = archive_bytes(build_archive(self.store))
-        if self.journal is not None:
-            self.journal.sync()
-        if self.fs.exists(self.checkpoint_path):
-            self.fs.replace(self.checkpoint_path, self.previous_path)
-        atomic_write_bytes(self.checkpoint_path, data, fs=self.fs)
-        if self.journal is not None:
-            self.journal.roll()
-        self._retire_other_backend()
-        self.stats.checkpoints += 1
-        self.stats.bytes_written += len(data)
-        self.stats.last_bytes = len(data)
-        return self.checkpoint_path
-
-    def _checkpoint_cas(self):
-        from .cas import collect_garbage, write_checkpoint
-
+        """Write a checkpoint and roll the journal; returns the pointer
+        file's path."""
         if self.journal is not None:
             self.journal.sync()
         objstore = self.objstore
@@ -130,36 +92,21 @@ class Checkpointer:
             self.directory, fs=self.fs, objstore=objstore
         )
         written = objstore.stats.stored_bytes - before
-        self._retire_other_backend()
+        self._retire_legacy_checkpoints()
         self.stats.checkpoints += 1
         self.stats.bytes_written += written
         self.stats.last_bytes = written
-        return self.checkpoint_path
+        return os.path.join(self.directory, CAS_POINTER_FILE)
 
-    def _retire_other_backend(self):
-        """Drop the *other* backend's checkpoint files once ours is durable.
+    def _retire_legacy_checkpoints(self):
+        """Drop an older release's XML checkpoints once ours is durable.
 
-        Opening an existing directory with an explicit different
-        ``storage=`` recovers from whatever format is present and
-        migrates on the next checkpoint; the old format's checkpoints are
-        stale from that moment and must not win auto-detection on a later
-        open.  Runs strictly after the new checkpoint is published, so a
-        crash anywhere still leaves a recoverable generation.
+        They are stale from the moment the CAS pointer is published and
+        recovery would never reach them again; removing them strictly
+        after the publish means a crash anywhere still leaves a
+        recoverable generation.
         """
-        from .cas import CAS_POINTER_FILE, collect_garbage
-
-        if self.storage == "cas":
-            stale = os.path.join(self.directory, CHECKPOINT_FILE)
-            for path in (stale, stale + PREV_SUFFIX):
-                if self.fs.exists(path):
-                    self.fs.remove(path)
-        else:
-            pointer = os.path.join(self.directory, CAS_POINTER_FILE)
-            had_pointers = False
-            for path in (pointer, pointer + PREV_SUFFIX):
-                if self.fs.exists(path):
-                    self.fs.remove(path)
-                    had_pointers = True
-            if had_pointers:
-                # No pointers left → every object is garbage.
-                collect_garbage(self.directory, fs=self.fs)
+        stale = os.path.join(self.directory, LEGACY_CHECKPOINT_FILE)
+        for path in (stale, stale + PREV_SUFFIX):
+            if self.fs.exists(path):
+                self.fs.remove(path)

@@ -116,9 +116,6 @@ class DeltaIndex:
     def current(self):
         return self.entry(self.current_number)
 
-    def created_at(self):
-        return self.entry(1).timestamp
-
     # -- time-based lookups ----------------------------------------------------------
 
     def version_at(self, ts):

@@ -1,7 +1,7 @@
 """Filesystem access layer with pluggable fault injection.
 
-Every durable-storage component (:mod:`~repro.storage.journal`, the atomic
-checkpoint writer in :mod:`~repro.storage.persistence`, recovery) performs
+Every durable-storage component (:mod:`~repro.storage.journal`, the CAS
+checkpoints of :mod:`~repro.storage.cas`, recovery) performs
 file I/O exclusively through a :class:`OSFileSystem` instance instead of
 calling ``open``/``os`` directly.  That indirection is what makes the
 crash-consistency suite possible: :class:`FaultyFS` is a drop-in replacement

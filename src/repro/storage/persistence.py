@@ -17,12 +17,15 @@ of it:
 Trees are encoded with the edit-script payload encoding, so XIDs and
 element timestamps survive the round trip exactly.
 
-**Durability.**  Archives double as the *checkpoints* of the crash-safe
-persistence subsystem (``docs/DURABILITY.md``), so writing and reading are
-hardened:
+**Durability.**  The archive is the export/import file of
+:meth:`~repro.db.TemporalXMLDatabase.save` / ``load`` and of the CLI's
+``-a FILE``; a durable directory checkpoints to the content-addressed
+object store (:mod:`~repro.storage.cas`), and reads an archive only as
+the ``checkpoint.xml`` an older release left there
+(``docs/DURABILITY.md``).  Writing and reading are hardened:
 
 * file writes are **atomic** — temp file in the same directory, ``fsync``,
-  ``os.replace``, directory sync — so a crash mid-checkpoint leaves the
+  ``os.replace``, directory sync — so a crash mid-write leaves the
   previous archive untouched;
 * every ``<document>`` element carries a ``checksum`` attribute (CRC32 of
   its canonical serialization) and the file ends in a whole-file CRC32
@@ -123,24 +126,9 @@ def atomic_write_bytes(path, data, fs=None):
     fs.fsync_dir(os.path.dirname(os.path.abspath(path)) or ".")
 
 
-def dump_store(store, path=None, fs=None, format="xml"):
-    """Serialize ``store`` to an archive tree (and optionally a file).
-
-    With the default ``format="xml"`` this returns the archive as an
-    :class:`Element`; when ``path`` is given the checksummed XML is also
-    written there, atomically.  With ``format="cas"``, ``path`` must be a
-    directory: the store is checkpointed into its content-addressed
-    object store (:mod:`~repro.storage.cas`) and the root manifest hash
-    is returned instead.
-    """
-    if format == "cas":
-        if path is None:
-            raise StorageError("dump_store(format='cas') needs a directory")
-        from .cas import write_checkpoint
-
-        return write_checkpoint(store, path, fs=fs)
-    if format != "xml":
-        raise StorageError(f"unknown storage format {format!r}")
+def dump_store(store, path=None, fs=None):
+    """Serialize ``store`` to an archive :class:`Element`; when ``path``
+    is given the checksummed XML is also written there, atomically."""
     archive = build_archive(store)
     if path is not None:
         atomic_write_bytes(path, archive_bytes(archive), fs=fs)
@@ -159,31 +147,30 @@ def empty_store(store=None):
     return store
 
 
-def load_store(source, store=None, verify=True, fs=None, format="xml",
-               objstore=None):
-    """Restore an archive (a path, XML text, or Element) into ``store``.
+def load_store(source, store=None, verify=True, fs=None, objstore=None):
+    """Restore a checkpoint or archive into ``store``; returns it.
 
+    ``source`` names its own format: a directory or a ``checkpoint.cas``
+    pointer file is a CAS checkpoint (every object hash-verified on the
+    way in; when ``objstore`` is given it is read through, and its
+    ``published`` then describes the loaded checkpoint); any other path,
+    XML text or an :class:`Element` is an archive.
     ``store`` is an empty :class:`TemporalDocumentStore` the caller built
-    with whatever tuning it wants (default: a default-configured one); it
-    is returned.  Document ids, XIDs, version numbers, timestamps, content
-    and the clock are restored exactly.  The whole archive is decoded and
-    verified before the first document is installed, so a load that raises
-    leaves ``store`` untouched.  ``verify`` (default) checks the
-    whole-file CRC footer and the per-document ``checksum`` attributes
-    when present; archives written before checksums existed still load.
-    With ``format="cas"``, ``source`` is a CAS checkpoint directory (or
-    pointer file) and every object is hash-verified on the way in; when
-    ``objstore`` is given it is read through, and its ``published`` then
-    describes the loaded checkpoint.
+    with whatever tuning it wants (default: a default-configured one).
+    Document ids, XIDs, version numbers, timestamps, content and the
+    clock are restored exactly.  The whole source is decoded and
+    verified before the first document is installed, so a load that
+    raises leaves ``store`` untouched.  ``verify`` (default) checks an
+    archive's whole-file CRC footer and per-document ``checksum``
+    attributes when present; archives written before checksums existed
+    still load.
     Indexes are *not* rebuilt here — attach observers and call
     :func:`replay_history` (or use
     :meth:`repro.db.TemporalXMLDatabase.load`)."""
-    if format == "cas":
+    if _is_cas_source(source):
         from .cas import read_checkpoint
 
         return read_checkpoint(source, store=store, fs=fs, objstore=objstore)
-    if format != "xml":
-        raise StorageError(f"unknown storage format {format!r}")
     store = empty_store(store)
     archive, path = _as_archive(source, verify=verify, fs=fs)
     if archive.get("format") != FORMAT_VERSION:
@@ -356,6 +343,22 @@ def _strip_whitespace_runs(element):
 
 
 # -- loading internals ---------------------------------------------------------
+
+
+def _is_cas_source(source):
+    """True when ``source`` names a CAS checkpoint: a directory or a
+    ``checkpoint.cas`` pointer file (either generation)."""
+    from .cas import CAS_POINTER_FILE
+
+    if isinstance(source, Element) or (
+        isinstance(source, str) and source.lstrip().startswith("<")
+    ):
+        return False
+    path = str(source)
+    return (
+        os.path.basename(path).startswith(CAS_POINTER_FILE)
+        or os.path.isdir(path)
+    )
 
 
 def _as_archive(source, verify=True, fs=None):

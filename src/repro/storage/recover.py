@@ -8,10 +8,10 @@
 1. **Checkpoint.**  Try, in order, the CAS pointer generations
    ``checkpoint.cas`` and ``checkpoint.cas.prev`` (objects under
    ``objects/``), then the XML archives ``checkpoint.xml`` and
-   ``checkpoint.xml.prev``, and load the first that exists and passes
-   verification; one that fails (torn write, flipped bit) leaves the
-   store untouched.  With none, the store stays empty (the journal then
-   carries the full history).
+   ``checkpoint.xml.prev`` an older release wrote, and load the first
+   that exists and passes verification; one that fails (torn write,
+   flipped bit) leaves the store untouched.  With none, the store stays
+   empty (the journal then carries the full history).
 2. **Index replay.**  Re-fire the checkpointed commit history through the
    given observers via the existing :func:`~repro.storage.persistence.replay_history`
    path — recovery rebuilds indexes exactly the way a plain load does.
@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from ..diff.apply import apply_script
 from ..errors import CorruptArchiveError, StorageError
 from ..model.identifiers import XIDAllocator
-from .checkpoint import CHECKPOINT_FILE, JOURNAL_FILE, PREV_SUFFIX
+from .cas import CAS_POINTER_FILE, CASObjectStore
+from .checkpoint import LEGACY_CHECKPOINT_FILE, JOURNAL_FILE, PREV_SUFFIX
 from .faults import REAL_FS
 from .journal import scan_journal
 from .persistence import empty_store, load_store, replay_history
@@ -50,7 +51,7 @@ class RecoveryReport:
     """What recovery found and did (see ``docs/DURABILITY.md``)."""
 
     checkpoint_source: str = "none"  # "checkpoint" | "previous" | "none"
-    storage: str = "none"  # which backend the checkpoint came from
+    storage: str = "none"  # "cas" | "xml" (an older release's) | "none"
     checkpoint_errors: list = field(default_factory=list)
     records_scanned: int = 0
     records_replayed: int = 0
@@ -90,7 +91,6 @@ def recover_store(
     observers=(),
     fs=None,
     repair=True,
-    storage=None,
 ):
     """Recover a durable database directory into ``store``; returns
     ``(store, report)``.
@@ -101,47 +101,35 @@ def recover_store(
     history — checkpointed state via :func:`replay_history`, journal tail
     records as they are applied.  ``repair`` physically truncates a torn
     tail off ``journal.bin`` so the journal can be reopened for appends.
-
-    ``storage`` picks the checkpoint backend: ``"xml"``, ``"cas"``, or
-    ``None`` to auto-detect (a ``checkpoint.cas`` pointer generation is
-    preferred, falling back to the XML archive pair).  Journal tail
-    replay is identical either way.
     """
-    from .cas import CAS_POINTER_FILE, CASObjectStore
-
     store = empty_store(store)
     fs = fs if fs is not None else REAL_FS
     directory = str(directory)
-    checkpoint_path = os.path.join(directory, CHECKPOINT_FILE)
-    cas_pointer_path = os.path.join(directory, CAS_POINTER_FILE)
     journal_path = os.path.join(directory, JOURNAL_FILE)
     report = RecoveryReport()
 
-    candidates = []
-    if storage in (None, "cas"):
-        candidates += [
-            (cas_pointer_path, "checkpoint", "cas"),
-            (cas_pointer_path + PREV_SUFFIX, "previous", "cas"),
-        ]
-    if storage in (None, "xml"):
-        candidates += [
-            (checkpoint_path, "checkpoint", "xml"),
-            (checkpoint_path + PREV_SUFFIX, "previous", "xml"),
-        ]
-
+    candidates = [
+        (os.path.join(directory, name + suffix), label, fmt)
+        for name, fmt in (
+            (CAS_POINTER_FILE, "cas"), (LEGACY_CHECKPOINT_FILE, "xml"),
+        )
+        for suffix, label in (("", "checkpoint"), (PREV_SUFFIX, "previous"))
+    ]
     for path, label, fmt in candidates:
         if not fs.exists(path):
             continue
-        objstore = CASObjectStore(directory, fs=fs) if fmt == "cas" else None
+        # An archive ignores the object store; a CAS load leaves what it
+        # read in ``published`` for the checkpointer.
+        objstore = CASObjectStore(directory, fs=fs)
         try:
-            load_store(path, store=store, fs=fs, format=fmt, objstore=objstore)
-            report.checkpoint_source = label
-            report.storage = fmt
-            if objstore is not None:
-                report.published = objstore.published
-            break
+            load_store(path, store=store, fs=fs, objstore=objstore)
         except (StorageError, OSError) as exc:
             report.checkpoint_errors.append(f"{label}: {exc}")
+            continue
+        report.checkpoint_source = label
+        report.storage = fmt
+        report.published = objstore.published
+        break
     if observers:
         replay_history(store, observers)
 

@@ -22,6 +22,7 @@ from repro import TemporalXMLDatabase
 from repro.clock import parse_date
 from repro.xmlcore.node import Element, Text, parent_map
 from repro.xmlcore.serializer import serialize
+from tests.legacy_dirs import make_legacy
 
 START = parse_date("01/03/2001")
 
@@ -98,14 +99,17 @@ def evolve(rng, root):
 
 
 def drive(seed, directory, references, check, steps=60, checkpoints=True,
-          storage="xml"):
+          storage="cas"):
     """Run the seeded history; returns the last database opened (closed,
     its store still readable).
 
     With ``checkpoints`` a reopen recovers a checkpoint through
     ``replay_history`` plus the journal tail, and the run ends with a
     checkpoint of everything and one more reopen; without, every reopen
-    recovers the whole history from the journal tail."""
+    recovers the whole history from the journal tail.  With
+    ``storage="xml"`` every reopen first rewrites the checkpoints as the
+    XML archives an older release wrote (:func:`make_legacy`), so recovery
+    reads those and the next checkpoint migrates back to CAS."""
     rng = random.Random(seed)
     masters = {}  # name -> current master tree (live documents)
     deleted = []
@@ -113,9 +117,9 @@ def drive(seed, directory, references, check, steps=60, checkpoints=True,
     ts = START
 
     def open_db():
-        db = TemporalXMLDatabase.open(
-            directory, durability="journal", storage=storage
-        )
+        if storage == "xml":
+            make_legacy(directory)
+        db = TemporalXMLDatabase.open(directory, durability="journal")
         for reference in references:
             db.store.subscribe(reference)
         return db

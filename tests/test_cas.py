@@ -27,7 +27,6 @@ from repro.storage.faults import flip_bit
 from repro.storage.persistence import (
     archive_bytes,
     build_archive,
-    dump_store,
     load_store,
 )
 from repro.storage.store import TemporalDocumentStore
@@ -142,27 +141,27 @@ class TestCheckpointRoundTrip:
         )
         assert store_fingerprint(loaded) == store_fingerprint(store)
 
-    def test_dump_load_format_param(self, tmp_path):
+    def test_load_store_reads_a_cas_directory(self, tmp_path):
+        """``load_store`` takes a CAS checkpoint's format from its source:
+        the directory, or either pointer file in it."""
         store = seeded_store()
-        root_hash = dump_store(store, tmp_path, format="cas")
-        assert read_pointer(os.path.join(tmp_path, CAS_POINTER_FILE)) == root_hash
-        loaded = load_store(
-            tmp_path, store=TemporalDocumentStore(snapshot_interval=4),
-            format="cas",
-        )
-        assert store_fingerprint(loaded) == store_fingerprint(store)
+        root_hash = write_checkpoint(store, tmp_path)
+        pointer = os.path.join(tmp_path, CAS_POINTER_FILE)
+        assert read_pointer(pointer) == root_hash
+        for source in (tmp_path, pointer):
+            loaded = load_store(
+                source, store=TemporalDocumentStore(snapshot_interval=4)
+            )
+            assert store_fingerprint(loaded) == store_fingerprint(store)
 
     def test_unknown_format_rejected(self, tmp_path):
-        store = seeded_store(versions=2, docs=1)
+        """A directory has one checkpoint format; asking for another names
+        the XML export instead."""
+        with pytest.raises(StorageError, match=r"save\(\)"):
+            TemporalXMLDatabase.open(tmp_path / "db", storage="xml")
+        # A directory with no pointer is no checkpoint at all.
         with pytest.raises(StorageError):
-            dump_store(store, tmp_path, format="tar")
-        with pytest.raises(StorageError):
-            load_store(tmp_path, format="tar")
-
-    def test_cas_dump_needs_path(self):
-        store = seeded_store(versions=2, docs=1)
-        with pytest.raises(StorageError):
-            dump_store(store, format="cas")
+            load_store(tmp_path)
 
     def test_near_identical_checkpoints_dedup(self, tmp_path, monkeypatch):
         """A checkpoint costs what changed: after one commit to one of
@@ -320,19 +319,20 @@ class TestGarbageCollection:
 class TestDatabaseIntegration:
     def test_open_checkpoint_reopen(self, tmp_path):
         gen = TDocGenerator(seed=17)
-        db = TemporalXMLDatabase.open(
-            tmp_path / "db", durability="journal", storage="cas"
-        )
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="journal")
         db.put("i.xml", gen.document("i.xml"))
         for _ in range(6):
             db.update("i.xml", gen.evolve("i.xml"))
-        db.checkpoint()
+        # A new directory opened with no arguments checkpoints to CAS.
+        assert db.checkpoint() == str(tmp_path / "db" / CAS_POINTER_FILE)
+        assert sorted(os.listdir(tmp_path / "db")) == [
+            "checkpoint.cas", "journal.bin", "journal.bin.prev", "objects",
+        ]
         db.update("i.xml", gen.evolve("i.xml"))
         db.close()
         fingerprint = store_fingerprint(db.store)
 
         reopened = TemporalXMLDatabase.open(tmp_path / "db")
-        assert reopened.storage == "cas"  # auto-detected
         assert reopened.recovery.storage == "cas"
         assert store_fingerprint(reopened.store) == fingerprint
         # The journal tail past the checkpoint was replayed.
@@ -341,9 +341,7 @@ class TestDatabaseIntegration:
 
     def test_checkpoint_rotation_runs_gc(self, tmp_path):
         gen = TDocGenerator(seed=19)
-        db = TemporalXMLDatabase.open(
-            tmp_path / "db", durability="journal", storage="cas"
-        )
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="journal")
         db.put("r.xml", gen.document("r.xml"))
         for i in range(9):
             db.update("r.xml", gen.evolve("r.xml"))
@@ -359,15 +357,13 @@ class TestDatabaseIntegration:
     def test_storage_stats_breakdown(self, tmp_path):
         gen = TDocGenerator(seed=23)
         db = TemporalXMLDatabase.open(
-            tmp_path / "db", durability="journal", storage="cas",
-            snapshot_interval=3,
+            tmp_path / "db", durability="journal", snapshot_interval=3
         )
         db.put("s.xml", gen.document("s.xml"))
         for _ in range(7):
             db.update("s.xml", gen.evolve("s.xml"))
         db.checkpoint()
         stats = db.storage_stats()
-        assert stats["storage"] == "cas"
         backend = stats["backend"]
         assert backend["raw_bytes"] >= backend["stored_bytes"] > 0
         assert backend["dedup_ratio"] >= 1.0
@@ -380,14 +376,17 @@ class TestDatabaseIntegration:
         assert snapshot["cas.objects_written"] > 0
         db.close()
 
-    def test_save_load_storage_knob(self, tmp_path):
+    def test_load_reads_a_cas_directory(self, tmp_path):
+        """A CAS directory without a journal is ``open(durability="none")``
+        plus ``checkpoint()``; ``load`` reads it like an archive."""
         gen = TDocGenerator(seed=29)
-        db = TemporalXMLDatabase()
+        db = TemporalXMLDatabase.open(tmp_path / "casdir", durability="none")
         db.put("k.xml", gen.document("k.xml"))
         for _ in range(5):
             db.update("k.xml", gen.evolve("k.xml"))
-        db.save(tmp_path / "casdir", storage="cas")
-        loaded = TemporalXMLDatabase.load(tmp_path / "casdir", storage="cas")
+        db.checkpoint()
+        assert not (tmp_path / "casdir" / "journal.bin").exists()
+        loaded = TemporalXMLDatabase.load(tmp_path / "casdir")
         assert store_fingerprint(loaded.store) == store_fingerprint(db.store)
         # Indexes were rebuilt: query both and compare.
         q = 'SELECT X FROM doc("k.xml")[EVERY]/* X'

@@ -1,87 +1,119 @@
-"""Fault injection over the CAS backend: crash matrix, bit flips, GC safety.
+"""Fault injection aimed at the CAS object store: GC, tears, bit flips.
 
-The same contract as ``test_crash_consistency`` but with
-``storage="cas"``: for every mutating filesystem operation k — which now
-lands inside object writes, pointer rotations, journal ops, *and GC
-deletions* — crashing at k and recovering must yield an exact history
-prefix with byte-identical surviving versions.  Because GC deletions run
-through the injected filesystem too, the matrix proves GC never deletes
-an object a retained checkpoint generation still reaches.
+``test_crash_consistency`` holds the crash matrix of the two-checkpoint
+workload, which asks for a history prefix after every crash.  A prefix
+alone would not notice a crash that breaks the newest checkpoint
+generation, because recovery falls back quietly.  So the matrix here
+checkpoints after every commit, so that every checkpoint's GC sweeps
+what the one before it superseded.  After a crash at each of its
+operations, every object a surviving pointer reaches must verify, and
+recovery must load the newest generation with no error.  The module
+also tears object and pointer writes, crashes the last GC sweep op by
+op, corrupts objects and pointers, and checks an older release's XML
+directory recovers to the same store.
 """
+
+import shutil
 
 import pytest
 
 from repro import TemporalXMLDatabase
 from repro.errors import CorruptArchiveError
-from repro.storage.cas import CAS_POINTER_FILE, CASObjectStore, read_pointer
+from repro.storage.cas import (
+    CAS_POINTER_FILE,
+    CASObjectStore,
+    reachable_hashes,
+    read_checkpoint,
+    read_pointer,
+)
 from repro.storage.faults import CrashError, FaultyFS, flip_bit
+from repro.storage.persistence import archive_bytes, build_archive
+from tests.legacy_dirs import make_legacy
 from tests.test_crash_consistency import (
+    A1,
+    A2,
+    A3,
+    B1,
     assert_recovers_to_prefix,
     commit_history,
+    reference_run,
     run_workload,
     version_contents,
 )
 
 
-def reference_run_cas(tmp_path, durability):
-    fs = FaultyFS()  # counts ops, never crashes
-    db = TemporalXMLDatabase.open(
-        tmp_path / "reference", durability=durability, fs=fs, storage="cas"
-    )
-    run_workload(db)
-    db.close()
-    return commit_history(db.store), version_contents(db.store), fs.ops
+def run_checkpoint_per_commit(db):
+    """Five commits, each followed by a checkpoint."""
+    for op, name, xml in (
+        ("put", "a.xml", A1), ("put", "b.xml", B1), ("update", "a.xml", A2),
+        ("delete", "b.xml", None), ("update", "a.xml", A3),
+    ):
+        if op == "delete":
+            db.delete(name)
+        else:
+            getattr(db, op)(name, xml)
+        db.checkpoint()
+
+
+def assert_generations_verify(directory):
+    """Every object each surviving pointer reaches is there and intact,
+    and the generation decodes whole."""
+    objstore = CASObjectStore(directory)
+    for suffix in ("", ".prev"):
+        pointer = directory / (CAS_POINTER_FILE + suffix)
+        if not pointer.exists():
+            continue
+        for object_hash in reachable_hashes(objstore, read_pointer(pointer)):
+            objstore.get(object_hash)  # verifies hash + CRC
+        read_checkpoint(str(pointer))
 
 
 @pytest.mark.parametrize("durability", ["fsync", "journal"])
 def test_cas_crash_matrix(tmp_path, durability):
-    expected, contents, total_ops = reference_run_cas(tmp_path, durability)
-    assert len(expected) == 9
-    # The CAS checkpoints multiply the crash surface: every object write
-    # is an atomic temp+fsync+rename sequence and GC deletes are ops too.
-    assert total_ops >= 60, (
-        f"CAS workload exposes only {total_ops} crash points"
+    fs = FaultyFS()  # counts ops, never crashes
+    db = TemporalXMLDatabase.open(
+        tmp_path / "reference", durability=durability, fs=fs
     )
+    run_checkpoint_per_commit(db)
+    db.close()
+    expected, contents = commit_history(db.store), version_contents(db.store)
+    assert len(expected) == 5
+    assert db.checkpointer.objstore.stats.gc_deleted_objects > 0
 
-    prefix_lengths = set()
-    for k in range(1, total_ops + 1):
+    for k in range(1, fs.ops + 1):
         directory = tmp_path / f"crash-{durability}-{k}"
-        fs = FaultyFS(crash_at=k)
         try:
             db = TemporalXMLDatabase.open(
-                directory, durability=durability, fs=fs, storage="cas"
+                directory, durability=durability, fs=FaultyFS(crash_at=k)
             )
-            run_workload(db)
+            run_checkpoint_per_commit(db)
             db.close()
-            raise AssertionError(
-                f"crash point {k} never fired (>{fs.ops} ops?)"
-            )
+            raise AssertionError(f"crash point {k} never fired")
         except CrashError:
             pass
-        survived, _report = assert_recovers_to_prefix(
+        assert_generations_verify(directory)
+        _survived, report = assert_recovers_to_prefix(
             directory, expected, contents
         )
-        prefix_lengths.add(survived)
-
-    assert len(prefix_lengths) >= 4
-    assert max(prefix_lengths) <= len(expected)
+        assert not report.checkpoint_errors, (k, report.checkpoint_errors)
 
 
 def test_cas_torn_write_fractions(tmp_path):
     """Tearing the in-flight buffer at object/pointer writes stays safe."""
-    expected, contents, total_ops = reference_run_cas(tmp_path, "fsync")
+    expected, contents, total_ops = reference_run(tmp_path, "fsync")
     for fraction in (0.0, 0.3, 0.9):
         for k in (3, 11, 25, 40, 70, total_ops - 2):
             directory = tmp_path / f"torn-{fraction}-{k}"
             fs = FaultyFS(crash_at=k, torn_fraction=fraction)
             try:
                 db = TemporalXMLDatabase.open(
-                    directory, durability="fsync", fs=fs, storage="cas"
+                    directory, durability="fsync", fs=fs
                 )
                 run_workload(db)
                 db.close()
             except CrashError:
                 pass
+            assert_generations_verify(directory)
             assert_recovers_to_prefix(directory, expected, contents)
 
 
@@ -91,12 +123,10 @@ def test_gc_never_deletes_reachable_even_when_it_crashes(tmp_path):
     After the crash, everything the two retained pointers reach must
     still verify — a partial sweep may leave garbage, never a hole.
     """
-    from repro.storage.cas import read_checkpoint, reachable_hashes
-
     # Count the ops of the final checkpoint's GC phase by running clean.
     fs = FaultyFS()
     db = TemporalXMLDatabase.open(
-        tmp_path / "probe", durability="journal", fs=fs, storage="cas"
+        tmp_path / "probe", durability="journal", fs=fs
     )
     run_workload(db)
     ops_before_gc = fs.ops - db.checkpointer.last_gc.objects_deleted
@@ -109,7 +139,7 @@ def test_gc_never_deletes_reachable_even_when_it_crashes(tmp_path):
         target = tmp_path / f"gc-crash-{k}"
         try:
             crash_db = TemporalXMLDatabase.open(
-                target, durability="journal", fs=ffs, storage="cas"
+                target, durability="journal", fs=ffs
             )
             run_workload(crash_db)
             crash_db.close()
@@ -129,7 +159,7 @@ def test_gc_never_deletes_reachable_even_when_it_crashes(tmp_path):
 class TestSilentCorruptionCAS:
     def _clean_run(self, tmp_path):
         db = TemporalXMLDatabase.open(
-            tmp_path / "db", durability="fsync", storage="cas"
+            tmp_path / "db", durability="fsync"
         )
         run_workload(db)
         db.close()
@@ -181,24 +211,19 @@ class TestSilentCorruptionCAS:
 
 
 def test_cas_recovery_equals_xml_recovery(tmp_path):
-    """Acceptance: full recover from a CAS directory == XML-archive result."""
-    from repro.storage.persistence import archive_bytes, build_archive
-
-    dbs = {}
-    for storage in ("cas", "xml"):
-        db = TemporalXMLDatabase.open(
-            tmp_path / storage, durability="journal", storage=storage
-        )
-        run_workload(db)
-        db.close()
-        dbs[storage] = db
+    """The same history recovers to the same store, whether its
+    checkpoints are CAS or the XML archives an older release wrote."""
+    db = TemporalXMLDatabase.open(tmp_path / "cas", durability="journal")
+    run_workload(db)
+    db.close()
+    shutil.copytree(tmp_path / "cas", tmp_path / "xml")
+    make_legacy(tmp_path / "xml")
 
     recovered = {}
     for storage in ("cas", "xml"):
-        db = TemporalXMLDatabase.open(tmp_path / storage, durability="journal")
-        assert db.storage == storage  # auto-detected from the directory
+        db = TemporalXMLDatabase.open(tmp_path / storage, durability="none")
+        assert db.recovery.storage == storage
         recovered[storage] = db
-        db.close()
 
     fingerprints = {
         storage: archive_bytes(build_archive(db.store))

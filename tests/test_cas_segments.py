@@ -64,9 +64,7 @@ def reopen(directory, db):
     what ``db`` held."""
     want = store_fingerprint(db.store)
     db.close()
-    again = TemporalXMLDatabase.open(
-        directory, durability="journal", storage="cas"
-    )
+    again = TemporalXMLDatabase.open(directory, durability="journal")
     assert store_fingerprint(again.store) == want
     return again
 
@@ -173,7 +171,7 @@ class TestRecoveryHandOff:
     def test_reopen_seeds_the_state(self, tmp_path):
         gen = TDocGenerator(seed=8)
         directory = tmp_path / "db"
-        db = TemporalXMLDatabase.open(directory, storage="cas")
+        db = TemporalXMLDatabase.open(directory)
         for name in ("a.xml", "b.xml"):
             db.put(name, gen.document(name))
             db.update(name, gen.evolve(name))
@@ -200,8 +198,7 @@ class TestRecoveryHandOff:
 
         probe = FaultyFS()
         reference = TemporalXMLDatabase.open(
-            tmp_path / "reference", durability="fsync", fs=probe,
-            storage="cas",
+            tmp_path / "reference", durability="fsync", fs=probe
         )
         history(reference, TDocGenerator(seed=9))
         reference.close()
@@ -215,7 +212,7 @@ class TestRecoveryHandOff:
         directory = tmp_path / "db"
         crashing = TemporalXMLDatabase.open(
             directory, durability="fsync",
-            fs=FaultyFS(crash_at=rotations[-1] + 1), storage="cas",
+            fs=FaultyFS(crash_at=rotations[-1] + 1),
         )
         with pytest.raises(CrashError):
             history(crashing, TDocGenerator(seed=9))
@@ -235,8 +232,7 @@ class TestRecoveryHandOff:
         def first_checkpoint(directory, fs):
             gen = TDocGenerator(seed=12)
             db = TemporalXMLDatabase.open(
-                directory, durability="none", fs=fs, storage="cas",
-                snapshot_interval=2,
+                directory, durability="none", fs=fs, snapshot_interval=2
             )
             for name in ("a.xml", "b.xml"):
                 db.put(name, gen.document(name))
@@ -297,7 +293,7 @@ class TestFormatOneDirectory:
 
     def test_it_opens_to_the_recorded_fingerprint(self, directory):
         db = TemporalXMLDatabase.open(directory, durability="none")
-        assert db.storage == "cas"
+        assert db.recovery.storage == "cas"
         digest = hashlib.sha256(
             archive_bytes(build_archive(db.store))
         ).hexdigest()
@@ -349,7 +345,7 @@ def test_every_reopen_reproduces_the_live_store(tmp_path_factory, steps, seed):
     directory = tmp_path_factory.mktemp("prop")
     gen = TDocGenerator(seed=seed, depth=2, fanout=(2, 3))
     db = TemporalXMLDatabase.open(
-        directory, durability="journal", storage="cas", snapshot_interval=3
+        directory, durability="journal", snapshot_interval=3
     )
     names, live = [], []
     for step in steps + ["reopen"]:

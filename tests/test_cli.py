@@ -303,14 +303,13 @@ class TestTrace:
 
 
 class TestStorageCLI:
-    """The ``--storage`` knob, ``stats -d``, and replica auto-tailing."""
+    """Recovering and migrating directories, ``stats -d``, and replica
+    auto-tailing."""
 
-    def _durable_db(self, tmp_path, storage="cas"):
+    def _durable_db(self, tmp_path):
         from repro import TemporalXMLDatabase
 
-        db = TemporalXMLDatabase.open(
-            tmp_path / "db", durability="journal", storage=storage
-        )
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="journal")
         db.put(
             "guide.com",
             "<guide><restaurant><name>Napoli</name><price>15</price>"
@@ -332,32 +331,26 @@ class TestStorageCLI:
         assert "recovered 1 document(s)" in out
         assert "(storage: cas)" in out
 
-    def test_recover_storage_flag_migrates_backend(self, tmp_path):
-        directory = self._durable_db(tmp_path, storage="xml")
-        # xml -> cas: recovery reads the existing format, the fresh
-        # checkpoint writes the new one and retires the old files.
-        code, out = _run("recover", "-d", str(directory), "--storage", "cas")
+    def test_recover_migrates_a_legacy_directory(self, tmp_path):
+        from tests.legacy_dirs import make_legacy
+
+        directory = make_legacy(self._durable_db(tmp_path))
+        # Recovery reads the older release's XML checkpoint; the fresh
+        # checkpoint is CAS and retires the XML files.
+        code, out = _run("recover", "-d", str(directory))
         assert code == 0
         assert "checkpoint used: checkpoint (storage: xml)" in out
         assert "fresh checkpoint written" in out
         assert (directory / "checkpoint.cas").exists()
         assert not (directory / "checkpoint.xml").exists()
+        assert not (directory / "checkpoint.xml.prev").exists()
         code, out = _run("stats", "-d", str(directory))
-        assert "storage backend: cas" in out
-        # cas -> xml: pointers go away and the object store is swept.
-        code, out = _run("recover", "-d", str(directory), "--storage", "xml")
-        assert code == 0
-        assert "checkpoint used: checkpoint (storage: cas)" in out
-        assert (directory / "checkpoint.xml").exists()
-        assert not (directory / "checkpoint.cas").exists()
-        from repro.storage.cas import CASObjectStore
-
-        assert CASObjectStore(directory).stored_bytes() == 0
-        # Nothing was lost across the round trip.
+        assert "storage backend: cas (checkpoint read: cas)" in out
+        # Nothing was lost across the migration.
         code, out = _run("recover", "-d", str(directory), "--no-checkpoint")
         assert code == 0
         assert "recovered 1 document(s)" in out
-        assert "(storage: xml)" in out
+        assert "(storage: cas)" in out
 
     def test_stats_dir_prints_backend_breakdown(self, tmp_path):
         directory = self._durable_db(tmp_path)
@@ -392,7 +385,6 @@ class TestStorageCLI:
             "ops_applied", "ops_skipped", "subtree_fallbacks", "anchors",
         }
         storage = payload["storage"]
-        assert storage["storage"] == "cas"
         backend = storage["backend"]
         disk = backend["disk_by_kind"]
         assert set(disk) >= {"current", "checkpoint"}
@@ -416,15 +408,20 @@ class TestStorageCLI:
         assert all(j["version"] == 2 and j["raw_bytes"] > 0 for j in journals)
 
     def test_stats_dir_xml_backend(self, tmp_path):
-        directory = self._durable_db(tmp_path, storage="xml")
+        """``stats -d`` reads an older release's XML directory and leaves
+        it as it is."""
+        from tests.legacy_dirs import make_legacy
+
+        directory = make_legacy(self._durable_db(tmp_path))
+        before = sorted(path.name for path in directory.iterdir())
         code, out = _run("stats", "-d", str(directory))
         assert code == 0
-        assert "storage backend: xml" in out
-        assert "checkpoint:" in out
-        assert "byte(s)" in out
+        assert "storage backend: cas (checkpoint read: xml)" in out
+        assert "  objects: 0 written" in out
         assert "journal files:" in out
         assert "journal.bin: format v2, 1 record(s)" in out
         assert "before deflate" in out
+        assert sorted(path.name for path in directory.iterdir()) == before
 
     def test_replica_follow_for_tails_and_exits(self, tmp_path):
         directory = self._durable_db(tmp_path)

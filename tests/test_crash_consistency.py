@@ -1,13 +1,18 @@
 """Crash-consistency matrix: every injected crash point must recover cleanly.
 
-The contract under test (ISSUE 3 acceptance): for **every** mutating
-filesystem operation k in a scripted workload, crashing at k and then
-recovering must yield a store whose commit history is an exact **prefix**
-of the uncrashed run's history — same commits, same timestamps, and every
-surviving version byte-identical — and recovery must never raise on a torn
-tail.  The workload covers document creation, updates, deletion, and two
-checkpoints, so crash points land inside journal appends, fsyncs, atomic
-checkpoint writes, renames, and journal rolls.
+The contract under test: for **every** mutating filesystem operation k in
+a scripted workload, crashing at k and then recovering must yield a store
+whose commit history is an exact **prefix** of the uncrashed run's
+history — same commits, same timestamps, and every surviving version
+byte-identical — and recovery must never raise on a torn tail.  The
+workload covers document creation, updates, deletion, and two CAS
+checkpoints, so crash points land inside journal appends, fsyncs, object
+writes, pointer rotations, journal rolls and GC deletions.  Because GC
+deletes through the injected filesystem too, the matrix also shows GC
+never deletes an object a retained checkpoint generation still reaches.
+
+The XML checkpoints an older release wrote are read only; the fallback
+tests build such a directory with :func:`tests.legacy_dirs.make_legacy`.
 """
 
 import pytest
@@ -20,6 +25,7 @@ from repro.storage.cas import CAS_POINTER_FILE, CASObjectStore, read_pointer
 from repro.storage.faults import CrashError, FaultyFS, flip_bit
 from repro.storage.recover import recover_store
 from repro.xmlcore import serialize
+from tests.legacy_dirs import make_legacy
 
 A1 = "<doc><x>alpha one</x><y>beta</y></doc>"
 A2 = "<doc><x>alpha two</x><y>beta</y><z>gamma</z></doc>"
@@ -109,8 +115,10 @@ def assert_recovers_to_prefix(directory, expected, contents):
 def test_crash_matrix(tmp_path, durability):
     expected, contents, total_ops = reference_run(tmp_path, durability)
     assert len(expected) == 9
-    assert total_ops >= 30, (
-        f"workload exposes only {total_ops} crash points; need >= 30"
+    # Every object write is an atomic temp+fsync+rename sequence and GC
+    # deletes are ops too.
+    assert total_ops >= 60, (
+        f"workload exposes only {total_ops} crash points; need >= 60"
     )
 
     prefix_lengths = set()
@@ -142,7 +150,7 @@ def test_crash_matrix(tmp_path, durability):
 def test_torn_write_fractions(tmp_path):
     """Different tear points within the crashing write all stay consistent."""
     expected, contents, total_ops = reference_run(tmp_path, "fsync")
-    # Crash inside journal appends and the checkpoint write with varying
+    # Crash inside journal appends, object and pointer writes with varying
     # amounts of the in-flight buffer reaching disk.
     for fraction in (0.0, 0.3, 0.9):
         for k in (3, 7, 12, 19, 25, total_ops - 2):
@@ -186,11 +194,10 @@ GROUP_BOUNDARIES = frozenset({0, 3, 5, 8, 9})
 class TestGroupCommitCrashMatrix:
     """All-or-nothing: no crash point may ever split a commit group."""
 
-    def _reference(self, tmp_path, storage):
+    def _reference(self, tmp_path):
         fs = FaultyFS()  # counts ops, never crashes
         db = TemporalXMLDatabase.open(
-            tmp_path / "reference", durability="fsync", fs=fs,
-            storage=storage,
+            tmp_path / "reference", durability="fsync", fs=fs
         )
         run_grouped_workload(db)
         db.close()
@@ -198,16 +205,15 @@ class TestGroupCommitCrashMatrix:
         assert len(expected) == 9
         return expected, version_contents(db.store), fs.ops
 
-    @pytest.mark.parametrize("storage", ["xml", "cas"])
-    def test_group_crash_matrix(self, tmp_path, storage):
-        expected, contents, total_ops = self._reference(tmp_path, storage)
+    def test_group_crash_matrix(self, tmp_path):
+        expected, contents, total_ops = self._reference(tmp_path)
         prefix_lengths = set()
         for k in range(1, total_ops + 1):
-            directory = tmp_path / f"gcrash-{storage}-{k}"
+            directory = tmp_path / f"gcrash-{k}"
             fs = FaultyFS(crash_at=k)
             try:
                 db = TemporalXMLDatabase.open(
-                    directory, durability="fsync", fs=fs, storage=storage
+                    directory, durability="fsync", fs=fs
                 )
                 run_grouped_workload(db)
                 db.close()
@@ -220,7 +226,7 @@ class TestGroupCommitCrashMatrix:
                 directory, expected, contents
             )
             assert survived in GROUP_BOUNDARIES, (
-                f"crash point {k} ({storage}) split a commit group: "
+                f"crash point {k} split a commit group: "
                 f"{survived} commits survived"
             )
             prefix_lengths.add(survived)
@@ -228,20 +234,17 @@ class TestGroupCommitCrashMatrix:
         # just the endpoints.
         assert len(prefix_lengths) >= 3
 
-    @pytest.mark.parametrize("storage", ["xml", "cas"])
-    def test_torn_group_writes_stay_atomic(self, tmp_path, storage):
+    def test_torn_group_writes_stay_atomic(self, tmp_path):
         """Partial bytes of the in-flight group record reaching disk must
         still drop the whole group on recovery."""
-        expected, contents, total_ops = self._reference(
-            tmp_path / "torn", storage
-        )
+        expected, contents, total_ops = self._reference(tmp_path / "torn")
         for fraction in (0.3, 0.9):
             for k in (2, 5, 9, 14, total_ops - 3):
-                directory = tmp_path / f"gtorn-{storage}-{fraction}-{k}"
+                directory = tmp_path / f"gtorn-{fraction}-{k}"
                 fs = FaultyFS(crash_at=k, torn_fraction=fraction)
                 try:
                     db = TemporalXMLDatabase.open(
-                        directory, durability="fsync", fs=fs, storage=storage
+                        directory, durability="fsync", fs=fs
                     )
                     run_grouped_workload(db)
                     db.close()
@@ -251,7 +254,7 @@ class TestGroupCommitCrashMatrix:
                     directory, expected, contents
                 )
                 assert survived in GROUP_BOUNDARIES, (
-                    f"torn write {fraction}@{k} ({storage}) split a group: "
+                    f"torn write {fraction}@{k} split a group: "
                     f"{survived}"
                 )
 
@@ -281,7 +284,7 @@ class TestSilentCorruption:
 
     def test_bit_flip_in_checkpoint_falls_back(self, tmp_path):
         directory, expected, contents = self._clean_run(tmp_path)
-        checkpoint = directory / "checkpoint.xml"
+        checkpoint = make_legacy(directory) / "checkpoint.xml"
         flip_bit(str(checkpoint), checkpoint.stat().st_size // 2)
         survived, report = assert_recovers_to_prefix(
             str(directory), expected, contents
@@ -296,9 +299,7 @@ class TestSilentCorruption:
         self, tmp_path, storage
     ):
         directory = tmp_path / "db"
-        db = TemporalXMLDatabase.open(
-            directory, durability="fsync", storage=storage
-        )
+        db = TemporalXMLDatabase.open(directory, durability="fsync")
         run_workload(db)
         db.close()
         expected = commit_history(db.store)
@@ -306,7 +307,7 @@ class TestSilentCorruption:
         # (it is in neither the .prev generation nor an earlier document),
         # so a.xml and b.xml decode cleanly before the failure.
         if storage == "xml":
-            path = directory / "checkpoint.xml"
+            path = make_legacy(directory) / "checkpoint.xml"
             body = path.read_bytes().rpartition(b"\n<!--crc32:")[0]
             assert body.count(b"pi one") == 1
             assert body.index(b"pi one") > body.rindex(b"<document ")
@@ -334,6 +335,7 @@ class TestSilentCorruption:
 
     def test_both_checkpoints_corrupt_is_detected(self, tmp_path):
         directory, expected, contents = self._clean_run(tmp_path)
+        make_legacy(directory)
         for name in ("checkpoint.xml", "checkpoint.xml.prev"):
             path = directory / name
             flip_bit(str(path), path.stat().st_size // 2)

@@ -6,6 +6,7 @@ from benchmarks.ablation.disk import CounterSnapshot, DiskSimulator, Extent, att
 from repro import TemporalXMLDatabase
 from repro.errors import StorageError
 from repro.storage import TemporalDocumentStore
+from repro.storage.cas import write_checkpoint
 from repro.storage.persistence import dump_store, load_store
 from repro.storage.recover import recover_store
 from repro.workload import TDocGenerator
@@ -209,10 +210,12 @@ class TestAttachObservesNeverSteers:
         restored = TemporalDocumentStore(snapshot_interval=snapshot_interval)
         if how == "recover-attached-first":
             attached = attach(restored, DiskSimulator(clustered=True))
-        if how in ("xml", "cas"):
-            source = str(tmp_path if how == "cas" else tmp_path / "archive.xml")
-            dump_store(live, source, format=how)
-            load_store(source, store=restored, format=how)
+        if how == "xml":
+            dump_store(live, tmp_path / "archive.xml")
+            load_store(tmp_path / "archive.xml", store=restored)
+        elif how == "cas":
+            write_checkpoint(live, tmp_path)
+            load_store(tmp_path, store=restored)
         else:
             db = TemporalXMLDatabase.open(
                 tmp_path, snapshot_interval=snapshot_interval

@@ -19,6 +19,7 @@ from repro.errors import StorageError
 from repro.serving import Replica
 from repro.storage import TemporalDocumentStore, binfmt
 from repro.storage import journal as journal_module
+from repro.storage import recover as recover_module
 from repro.storage.binfmt import Writer, encode_tree
 from repro.storage.faults import CrashError, FaultyFS
 from repro.storage.journal import (
@@ -33,6 +34,7 @@ from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.recover import apply_record, recover_store
 from repro.workload import load_figure1
 from repro.xmlcore import parse, serialize
+from tests.legacy_dirs import make_legacy
 
 V1_FIXTURE = Path(__file__).parent / "data" / "journal_v1" / "journal.bin"
 V1_MAGIC = b"TXJRNL1\n"
@@ -438,6 +440,18 @@ class TestLazyDecode:
     def test_reopen_decodes_only_what_it_replays(self, tmp_path, monkeypatch):
         directory, expected = self._directory(tmp_path)
         counter = _DecodeCounter(monkeypatch)
+        # The CAS checkpoint's loader decodes with the same readers; count
+        # the journal's members alone.
+        load_store = recover_module.load_store
+
+        def load_uncounted(*args, **kwargs):
+            before = counter.members
+            try:
+                return load_store(*args, **kwargs)
+            finally:
+                counter.members = before
+
+        monkeypatch.setattr(recover_module, "load_store", load_uncounted)
         db = TemporalXMLDatabase.open(directory, durability="fsync")
         report = db.recovery
         db.close()
@@ -479,8 +493,8 @@ def _write_script_per_op(w, script):
 
 
 class TestPerOpStampDirectory:
-    """A CAS checkpoint and a journal tail whose every edit script spells
-    its stamps out one 0x06 record each — what the commits before the
+    """A CAS checkpoint (or an older release's XML one) and a journal
+    tail whose every edit script spells its stamps out one 0x06 record each — what the commits before the
     0x08 run record wrote — open, replay and answer as ever."""
 
     @pytest.mark.parametrize("storage", ["cas", "xml"])
@@ -489,9 +503,7 @@ class TestPerOpStampDirectory:
         directory = tmp_path / "db"
         with monkeypatch.context() as patch:
             patch.setattr(binfmt, "write_script", _write_script_per_op)
-            db = TemporalXMLDatabase.open(
-                directory, durability="fsync", storage=storage
-            )
+            db = TemporalXMLDatabase.open(directory, durability="fsync")
             load_figure1(db)
             db.update("guide.com", serialize(db.store.version("guide.com", 2)))
             db.checkpoint()  # deltas 1..3 in the checkpoint ...
@@ -499,6 +511,8 @@ class TestPerOpStampDirectory:
             db.close()  # ... delta 4 only in the journal
             deltas = db.store.record("guide.com").deltas.values()
             per_op_bytes = sum(len(binfmt.encode_script(d)) for d in deltas)
+        if storage == "xml":
+            make_legacy(directory)  # the checkpoint an older release wrote
         expected = _fingerprint(db.store)
         # The patch took: today's writer spends less on the same scripts.
         assert any(isinstance(op, StampOp) for d in deltas for op in d)

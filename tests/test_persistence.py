@@ -9,7 +9,7 @@ from repro import TemporalXMLDatabase
 from repro.clock import parse_date
 from repro.errors import StorageError
 from repro.storage import TemporalDocumentStore
-from repro.storage.cas import read_checkpoint
+from repro.storage.cas import read_checkpoint, write_checkpoint
 from repro.storage.persistence import (
     build_record,
     dump_store,
@@ -118,8 +118,11 @@ class TestRoundTrip:
             tree.append(value)
             store.update("d.xml", tree)
         path = tmp_path / "saved"
-        dump_store(store, str(path), format=format)
-        loaded = load_store(str(path), format=format)
+        if format == "xml":
+            dump_store(store, str(path))
+        else:
+            write_checkpoint(store, path)
+        loaded = load_store(str(path))
         for number in (1, 2, 3):
             assert loaded.version("d.xml", number).equals_deep(
                 store.version("d.xml", number)
@@ -145,12 +148,11 @@ class TestRestoreIntoCallerStore:
         if format == "xml":
             dump_store(populated, str(path))
         else:
-            path.mkdir()
-            dump_store(populated, str(path), format="cas")
+            write_checkpoint(populated, path)
         target = TemporalDocumentStore()
         target.put("mine.xml", "<a/>")
         with pytest.raises(StorageError, match="already holds documents"):
-            load_store(str(path), store=target, format=format)
+            load_store(str(path), store=target)
         with pytest.raises(StorageError, match="already holds documents"):
             recover_store(str(tmp_path), store=target)
         assert target.documents() == ["mine.xml"]

@@ -481,6 +481,74 @@ def test_an_unexpected_exception_is_an_internal_error(monkeypatch, caplog):
         assert missing["error"] == "missing query 'text'"
 
 
+GUIDE = ("<guide><restaurant><name>napoli</name><price>20</price>"
+         "</restaurant></guide>")
+RESTAURANTS = 'SELECT R FROM doc("guide.com")/restaurant R'
+
+
+@pytest.mark.timeout(60)
+def test_a_pinned_session_sees_a_wire_delete_only_after_refresh():
+    manager = SessionManager(TemporalXMLDatabase())
+    with ServingServer(manager) as server, \
+            ServingClient(*server.address) as reader, \
+            ServingClient(*server.address) as writer:
+        writer.put("guide.com", GUIDE)
+        pinned = reader.refresh()
+        assert reader.query(RESTAURANTS, refresh=False)["rows"]
+        deleted = writer.delete("guide.com")
+        assert deleted["published"]["seq"] == pinned["seq"] + 1
+        # The pin predates the delete: the document is still there.
+        assert reader.query(RESTAURANTS, refresh=False)["rows"]
+        assert reader.pinned() == pinned
+        assert reader.refresh() == deleted["published"]
+        assert reader.query(RESTAURANTS, refresh=False)["rows"] == []
+        # History stays queryable after the refresh.
+        every = 'SELECT R FROM doc("guide.com")[EVERY]/restaurant R'
+        assert reader.query(every, refresh=False)["rows"]
+
+
+@pytest.mark.timeout(60)
+def test_a_refused_wire_delete_keeps_the_connection():
+    """A second delete, an unknown name and a missing ``name`` each raise
+    :class:`ServingError` on the client, and the same connection goes on
+    serving."""
+    manager = SessionManager(TemporalXMLDatabase())
+    with ServingServer(manager) as server, \
+            ServingClient(*server.address) as client:
+        client.put("guide.com", GUIDE)
+        client.delete("guide.com")
+        for name, message in (("guide.com", "is deleted"),
+                              ("nope.com", "unknown document"),
+                              (None, "missing document 'name'")):
+            with pytest.raises(ServingError, match=message):
+                client.delete(name)
+        assert client.request("delete") == {
+            "ok": False, "error": "missing document 'name'",
+            "error_type": "ServingError",
+        }
+        assert client.ping()["pong"]
+        assert client.put("news.com", GUIDE)["doc_id"] == 2
+        assert client.query('SELECT R FROM doc("news.com")/restaurant R')[
+            "rows"]
+        assert client.stats()["server"]["manager"]["commits"] == 3
+
+
+@pytest.mark.timeout(60)
+def test_a_durable_servers_delete_survives_a_reopen(tmp_path):
+    directory = tmp_path / "db"
+    db = TemporalXMLDatabase.open(directory, durability="fsync")
+    with ServingServer(SessionManager(db)) as server, \
+            ServingClient(*server.address) as client:
+        client.put("guide.com", GUIDE)
+        client.put("news.com", GUIDE)
+        client.delete("guide.com", ts="05/01/2001")
+    db.close()
+    reopened = TemporalXMLDatabase.open(directory, durability="none")
+    assert reopened.documents() == ["news.com"]
+    dindex = reopened.store.delta_index("guide.com")
+    assert dindex.deleted_at == parse_date("05/01/2001")
+
+
 @pytest.mark.timeout(60)
 @pytest.mark.parametrize("flag, snapshots", [
     (["--snapshot-interval", "2"], [2, 4]),

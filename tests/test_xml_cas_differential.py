@@ -1,10 +1,12 @@
-"""Randomized differential test: xml vs cas backends must be equivalent.
+"""Randomized differential test: a CAS directory against an in-memory store.
 
-The same seeded batched ingestion — with mid-run checkpoints and a full
-close/reopen cycle, so each backend round-trips its own on-disk format —
-must leave both databases observably identical: byte-identical archives,
-equal FTI ``lookup_t`` results, equal reconstructions, and equal
-temporal keyword-search rankings.
+The same seeded batched ingestion goes into a durable directory — with
+mid-run checkpoints and a full close/reopen cycle, so the directory
+round-trips through its CAS checkpoints and journal — and into an
+in-memory reference database that never touches disk.  Both must end
+observably identical: byte-identical XML archives, equal FTI
+``lookup_t`` results, equal reconstructions, and equal temporal
+keyword-search rankings.
 """
 
 import random
@@ -45,74 +47,82 @@ def _op_stream(seed, n_docs=6, rounds=9):
     return ops, generator
 
 
-def _build(tmp_path, storage, ops, batch_size=7):
+def _ingest(db, ops, batch_size=7):
+    with BatchingWriter(db.store, batch_size=batch_size) as writer:
+        for kind, name, tree, ts in ops:
+            if kind == "delete":
+                writer.delete(name, ts=ts)
+            else:
+                getattr(writer, kind)(name, tree.copy(), ts=ts)
+
+
+def _build_directory(directory, ops):
     """Batched ingestion with a mid-run checkpoint and a reopen cycle."""
-    directory = tmp_path / storage
     db = TemporalXMLDatabase.open(
-        directory, durability="fsync", storage=storage, snapshot_interval=4
+        directory, durability="fsync", snapshot_interval=4
     )
     half = len(ops) // 2
     for chunk in (ops[:half], ops[half:]):
-        with BatchingWriter(db.store, batch_size=batch_size) as writer:
-            for kind, name, tree, ts in chunk:
-                if kind == "delete":
-                    writer.delete(name, ts=ts)
-                else:
-                    getattr(writer, kind)(name, tree.copy(), ts=ts)
+        _ingest(db, chunk)
         db.checkpoint()
         db.close()
         db = TemporalXMLDatabase.open(
-            directory, durability="fsync", storage=storage,
-            snapshot_interval=4,
+            directory, durability="fsync", snapshot_interval=4
         )
+    assert db.recovery.storage == "cas"
+    return db
+
+
+def _build_reference(ops):
+    db = TemporalXMLDatabase(snapshot_interval=4)
+    _ingest(db, ops)
     return db
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_backends_are_observably_identical(tmp_path, seed):
     ops, _generator = _op_stream(seed)
-    xml_db = _build(tmp_path, "xml", ops)
-    cas_db = _build(tmp_path, "cas", ops)
+    reference = _build_reference(ops)
+    durable = _build_directory(tmp_path / "db", ops)
     try:
         # Strongest check first: the logical store state is byte-identical.
-        assert archive_bytes(build_archive(xml_db.store)) == archive_bytes(
-            build_archive(cas_db.store)
-        )
+        assert archive_bytes(
+            build_archive(reference.store)
+        ) == archive_bytes(build_archive(durable.store))
 
         # Reconstructions agree version by version.
-        for record in xml_db.store.repository.records():
+        for record in reference.store.repository.records():
             for number in range(1, record.dindex.current_number + 1):
                 assert serialize(
-                    xml_db.store.version(record.doc_id, number)
-                ) == serialize(cas_db.store.version(record.doc_id, number))
+                    reference.store.version(record.doc_id, number)
+                ) == serialize(durable.store.version(record.doc_id, number))
 
         # FTI lookup_t agrees at sampled instants for sampled words.
         instants = [START + i * 3600 * 5 for i in range(12)]
         words = ["w0001", "w0002", "w0005", "w0020", "section", "item"]
         for word in words:
             for ts in instants:
-                xml_hits = sorted(
+                reference_hits = sorted(
                     (p.doc_id, p.xid, p.start, p.end)
-                    for p in xml_db.fti.lookup_t(word, ts)
+                    for p in reference.fti.lookup_t(word, ts)
                 )
-                cas_hits = sorted(
+                durable_hits = sorted(
                     (p.doc_id, p.xid, p.start, p.end)
-                    for p in cas_db.fti.lookup_t(word, ts)
+                    for p in durable.fti.lookup_t(word, ts)
                 )
-                assert xml_hits == cas_hits, (word, ts)
+                assert reference_hits == durable_hits, (word, ts)
 
         # Ranked keyword search agrees, instant and windowed.
-        xml_scorer = TemporalKeywordScorer(xml_db.fti)
-        cas_scorer = TemporalKeywordScorer(cas_db.fti)
-        end = xml_db.now()
-        assert end == cas_db.now()
+        reference_scorer = TemporalKeywordScorer(reference.fti)
+        durable_scorer = TemporalKeywordScorer(durable.fti)
+        end = reference.now()
+        assert end == durable.now()
         for query in ("w0001", "w0002 item", "w0003 w0010 section"):
-            assert xml_scorer.search_t(query, end) == cas_scorer.search_t(
+            assert reference_scorer.search_t(
                 query, end
-            )
-            assert xml_scorer.search_window(
+            ) == durable_scorer.search_t(query, end)
+            assert reference_scorer.search_window(
                 query, START, end
-            ) == cas_scorer.search_window(query, START, end)
+            ) == durable_scorer.search_window(query, START, end)
     finally:
-        xml_db.close()
-        cas_db.close()
+        durable.close()

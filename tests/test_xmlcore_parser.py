@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 from repro import TemporalXMLDatabase
 from repro.errors import XMLSyntaxError
+from repro.storage.cas import write_checkpoint
 from repro.xmlcore import parse, serialize
 from repro.xmlcore.node import Element, Text
 from repro.xmlcore.parser import MAX_DEPTH, parse_stored
@@ -245,9 +246,12 @@ class TestDepthBound:
         db.update("deep", self._nested(MAX_DEPTH, leaf="y z"))
         replaced = '<b k="v">' + self._nested(MAX_DEPTH - 1) + "</b>"
         db.update("deep", replaced)
-        path = tmp_path / "archive"
-        db.save(path, storage=storage)
-        again = TemporalXMLDatabase.load(path, storage=storage)
+        path = tmp_path / "saved"
+        if storage == "xml":
+            db.save(path)
+        else:
+            write_checkpoint(db.store, path)
+        again = TemporalXMLDatabase.load(path)
         report = again.query(
             'EXPLAIN ANALYZE SELECT TIME(R), R FROM doc("deep")[EVERY] R'
         )
