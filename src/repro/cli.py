@@ -137,7 +137,7 @@ def build_parser():
     )
     recover.add_argument(
         "--no-checkpoint", action="store_true",
-        help="report only; do not write a fresh checkpoint",
+        help="report only: write no checkpoint and change no file",
     )
     recover.set_defaults(handler=_cmd_recover)
 
@@ -341,7 +341,10 @@ def _cmd_history(args, out):
 
 
 def _cmd_recover(args, out):
-    db = TemporalXMLDatabase.open(args.dir, durability=args.durability)
+    # Reporting only: a journal-less open leaves every file as it is (an
+    # older journal format would otherwise be checkpointed aside).
+    durability = "none" if args.no_checkpoint else args.durability
+    db = TemporalXMLDatabase.open(args.dir, durability=durability)
     report = db.recovery
     print(f"recovered {report.documents} document(s) from {args.dir}", file=out)
     print(
@@ -359,8 +362,9 @@ def _cmd_recover(args, out):
     )
     _print_journal_files(report, out)
     if report.torn_tail:
+        done = "left in place" if args.no_checkpoint else "truncated"
         print(
-            f"torn tail truncated: {report.records_truncated} region(s), "
+            f"torn tail {done}: {report.records_truncated} region(s), "
             f"{report.truncated_bytes} byte(s) dropped",
             file=out,
         )

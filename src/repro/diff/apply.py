@@ -5,7 +5,9 @@ is mutated; pass a copy when the original must survive, which is what the
 repository does during reconstruction).  Every operation validates the state
 it expects, so a delta applied against the wrong base version raises
 :class:`~repro.errors.DeltaApplicationError` instead of silently corrupting
-the document.
+the document.  A script in the commit journal's redo form is completed as
+it is applied: each redo operation becomes the full one, its backward half
+taken from the tree it edits.
 
 ``apply_scoped(root, index, script, xid)`` does the same for one element's
 *detached subtree*: only the operations that land inside it are applied
@@ -24,6 +26,9 @@ from .editscript import (
     DeleteOp,
     InsertOp,
     MoveOp,
+    RedoDelete,
+    RedoReplaceRoot,
+    RedoStamp,
     ReplaceRootOp,
     StampOp,
     UpdateAttrOp,
@@ -46,11 +51,23 @@ def apply_script(root, script, index=None):
     ``index`` may supply a prebuilt ``{xid: node}`` map for ``root`` (it is
     kept up to date through inserts/deletes); when omitted one is built.
     The returned root differs from the input only for ``ReplaceRootOp``.
+
+    A redo operation (:class:`~repro.diff.editscript.RedoDelete`,
+    ``RedoStamp``, ``RedoReplaceRoot``) is replaced in ``script.ops`` by
+    the completed operation: the delete packs the victim it detaches, the
+    stamp records the timestamp it overwrites, the root replacement packs
+    the root it replaces.  Applied to the version it was computed against,
+    the redo form of a script comes out as the script itself.
     """
     if index is None:
         index = {node.xid: node for node in root.iter()}
-    for op in script:
-        root = _apply_op(root, op, index)
+    ops = script.ops
+    for at, op in enumerate(ops):
+        complete = _COMPLETE.get(type(op))
+        if complete is None:
+            root = _apply_op(root, op, index)
+        else:
+            root, ops[at] = complete(root, op, index)
     return root
 
 
@@ -218,16 +235,7 @@ def _apply_op(root, op, index):
         return root
 
     if isinstance(op, DeleteOp):
-        parent = _lookup(index, op.parent_xid, Element)
-        victim = _child_at(parent, op.pos)
-        if victim.xid != op.payload.xid:
-            raise DeltaApplicationError(
-                f"delete expected XID {op.payload.xid} at position {op.pos}, "
-                f"found XID {victim.xid}"
-            )
-        parent.pop(op.pos)
-        for inner in payload_nodes(victim):
-            index.pop(inner.xid, None)
+        _detach(index, op.parent_xid, op.pos, op.payload.xid)
         return root
 
     if isinstance(op, MoveOp):
@@ -283,17 +291,70 @@ def _apply_op(root, op, index):
         return root
 
     if isinstance(op, StampOp):
-        node = _lookup(index, op.xid)
-        node.tstamp = op.new_ts
+        _restamp(index, op.xid, op.new_ts)
         return root
 
     if isinstance(op, ReplaceRootOp):
-        if root.xid != op.old_payload.xid:
-            raise DeltaApplicationError("root replacement base mismatch")
-        new_root = op.new_payload.tree()
-        index.clear()
-        for inner in payload_nodes(new_root):
-            index[inner.xid] = inner
-        return new_root
+        return _replace_root(root, op.old_payload.xid, op.new_payload, index)
 
     raise DeltaApplicationError(f"unknown operation {type(op).__name__}")
+
+
+def _detach(index, parent_xid, pos, xid):
+    """Remove the child at ``pos`` under ``parent_xid``, which must be node
+    ``xid``; returns it."""
+    parent = _lookup(index, parent_xid, Element)
+    victim = _child_at(parent, pos)
+    if victim.xid != xid:
+        raise DeltaApplicationError(
+            f"delete expected XID {xid} at position {pos}, "
+            f"found XID {victim.xid}"
+        )
+    parent.pop(pos)
+    for inner in payload_nodes(victim):
+        index.pop(inner.xid, None)
+    return victim
+
+
+def _restamp(index, xid, new_ts):
+    """Set node ``xid``'s timestamp; returns the one it had."""
+    node = _lookup(index, xid)
+    old_ts = node.tstamp
+    node.tstamp = new_ts
+    return old_ts
+
+
+def _replace_root(root, old_xid, new_payload, index):
+    if root.xid != old_xid:
+        raise DeltaApplicationError("root replacement base mismatch")
+    new_root = new_payload.tree()
+    index.clear()
+    for inner in payload_nodes(new_root):
+        index[inner.xid] = inner
+    return new_root
+
+
+# -- completing the redo form ----------------------------------------------------
+
+
+def _complete_delete(root, op, index):
+    victim = _detach(index, op.parent_xid, op.pos, op.xid)
+    return root, DeleteOp(op.parent_xid, op.pos, victim)
+
+
+def _complete_stamp(root, op, index):
+    old_ts = _restamp(index, op.xid, op.new_ts)
+    return root, StampOp(op.xid, old_ts, op.new_ts)
+
+
+def _complete_replace_root(root, op, index):
+    new_root = _replace_root(root, op.old_xid, op.new_payload, index)
+    return new_root, ReplaceRootOp(root, op.new_payload)
+
+
+#: Redo operation type -> ``(root, op, index) -> (root, completed op)``.
+_COMPLETE = {
+    RedoDelete: _complete_delete,
+    RedoStamp: _complete_stamp,
+    RedoReplaceRoot: _complete_replace_root,
+}

@@ -4,7 +4,10 @@ A script is an ordered list of operations.  Applying the operations in order
 transforms version *i* into version *i+1*; applying the *inverses in reverse
 order* transforms *i+1* back into *i*.  Every operation therefore records
 exactly the state it needs to be undone — that is what makes these
-**completed** deltas in the paper's sense.
+**completed** deltas in the paper's sense.  The commit journal writes only
+their redo half (:class:`RedoDelete`, :class:`RedoStamp`,
+:class:`RedoReplaceRoot` stand for what it drops); applying that to the
+version it was computed against completes it.
 
 Positions (``pos`` fields) index into the parent's full child list (elements
 and text nodes interleaved) *at the moment the operation is applied*.
@@ -148,6 +151,39 @@ class ReplaceRootOp:
 
     def invert(self):
         return ReplaceRootOp(self.new_payload, self.old_payload)
+
+
+# -- redo forms ------------------------------------------------------------------
+#
+# What the commit journal keeps of the three operations whose backward half
+# is a copy of the tree they apply to.  Replay onto that tree completes each
+# one as it applies it (:func:`~repro.diff.apply.apply_script`), so no
+# stored or fired script ever holds a redo form.
+
+
+@dataclass(frozen=True, slots=True)
+class RedoDelete:
+    """A :class:`DeleteOp` without its payload: the victim's XID only."""
+
+    parent_xid: int
+    pos: int
+    xid: int
+
+
+@dataclass(frozen=True, slots=True)
+class RedoStamp:
+    """A :class:`StampOp` without the timestamp it overwrites."""
+
+    xid: int
+    new_ts: int
+
+
+@dataclass(frozen=True, slots=True)
+class RedoReplaceRoot:
+    """A :class:`ReplaceRootOp` whose old root is named by its XID only."""
+
+    old_xid: int
+    new_payload: PackedNode
 
 
 _OPS_BY_TAG = {}  # filled at module bottom; tag name -> decoder

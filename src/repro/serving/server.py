@@ -28,8 +28,10 @@ Operations:
     Acknowledged, then the server ends the connection.
 
 Errors never kill the server: a malformed line or a failing query turns
-into an ``{"ok": false, "error": ...}`` response on that connection only.
-An engine error (a :class:`~repro.errors.TemporalXMLError`) is answered
+into an ``{"ok": false, "error": ..., "error_type": ...}`` response on that
+connection only; every refusal names its type.  A line that is not a JSON
+object, or names no known op, is a ``ServingError``.  An engine error (a
+:class:`~repro.errors.TemporalXMLError`) is answered
 with its message and class name as ``error_type``; any other exception is
 a server fault: it is answered ``"internal error"`` with ``error_type``
 ``ServingError``, and its traceback goes to this module's logger.
@@ -94,7 +96,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 if not isinstance(request, dict):
                     raise ValueError("request must be a JSON object")
             except (ValueError, UnicodeDecodeError) as exc:
-                self._respond({"ok": False, "error": f"bad request: {exc}"})
+                self._respond({"ok": False, "error": f"bad request: {exc}",
+                               "error_type": "ServingError"})
                 serving._count("errors")
                 continue
             response, keep_open = serving.dispatch(session, request)
@@ -168,7 +171,11 @@ class ServingServer:
         handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
         if handler is None:
             self._count("errors")
-            return {"ok": False, "error": f"unknown op {op!r}"}, True
+            return (
+                {"ok": False, "error": f"unknown op {op!r}",
+                 "error_type": "ServingError"},
+                True,
+            )
         try:
             return handler(session, request), op != "close"
         except TemporalXMLError as exc:
@@ -301,7 +308,8 @@ def _xml_field(request):
 
 def _ts_field(request):
     ts = request.get("ts")
-    if ts is None or isinstance(ts, int):
+    # ``bool`` is an ``int`` to Python; a JSON true is no timestamp.
+    if ts is None or isinstance(ts, int) and not isinstance(ts, bool):
         return ts
     if isinstance(ts, str):
         return parse_date(ts)

@@ -16,6 +16,10 @@ Everything is written through :class:`Writer` / read through
 * UTF-8 strings and byte blobs prefixed by their varint length;
 * one kind byte per polymorphic record (node kind, edit-op kind).
 
+An edit script has two forms: the completed delta (:func:`write_script`),
+which the CAS stores, and its redo half (:func:`write_redo`), which the
+commit journal writes and replay completes from the version it applies to.
+
 The node encoding, :class:`Writer` and :class:`Reader` live in
 :mod:`~repro.xmlcore.codec`, because stored edit scripts hold their payload
 subtrees in that encoding (:class:`~repro.xmlcore.codec.PackedNode`): a
@@ -43,6 +47,9 @@ from ..diff.editscript import (
     EditScript,
     InsertOp,
     MoveOp,
+    RedoDelete,
+    RedoReplaceRoot,
+    RedoStamp,
     ReplaceRootOp,
     StampOp,
     UpdateAttrOp,
@@ -83,6 +90,25 @@ def write_script(w, script):
     ``(old_ts, new_ts)`` the pair once, then its XIDs as the distance of
     each from the one before (the first from -1, so no distance is 0).
     """
+    _write_ops(w, script, redo=False)
+
+
+def write_redo(w, script):
+    """Encode the redo form of a completed :class:`EditScript`: what the
+    commit journal keeps, and all that applying it forward reads.
+
+    The layout is :func:`write_script`'s except for three records: a
+    delete carries its victim's XID instead of the subtree, a root
+    replacement the old root's XID instead of its payload, and a stamp —
+    alone or in a run, grouped by ``new_ts`` — no old timestamp.
+    :func:`read_redo` reads it back as ``Redo*`` operations, which
+    :func:`~repro.diff.apply.apply_script` completes from the tree the
+    script applies to.
+    """
+    _write_ops(w, script, redo=True)
+
+
+def _write_ops(w, script, redo):
     w.opt_u(script.from_ts)
     w.opt_u(script.to_ts)
     ops = script.ops
@@ -91,10 +117,10 @@ def write_script(w, script):
     while at < len(ops):
         end = _stamp_run_end(ops, at)
         if end - at > 1:
-            _write_stamp_run(w, ops[at:end])
+            _write_stamp_run(w, ops[at:end], redo)
             at = end
         else:
-            _write_op(w, ops[at])
+            _write_op(w, ops[at], redo)
             at += 1
 
 
@@ -113,15 +139,16 @@ def _stamp_run_end(ops, start):
     return end
 
 
-def _write_stamp_run(w, stamps):
+def _write_stamp_run(w, stamps, redo):
     groups = {}
     for op in stamps:
-        groups.setdefault((op.old_ts, op.new_ts), []).append(op.xid)
+        key = (op.new_ts,) if redo else (op.old_ts, op.new_ts)
+        groups.setdefault(key, []).append(op.xid)
     w.byte(_OP_STAMPS)
     w.u(len(groups))
-    for (old_ts, new_ts), xids in groups.items():
-        w.u(old_ts)
-        w.u(new_ts)
+    for key, xids in groups.items():
+        for ts in key:
+            w.u(ts)
         w.u(len(xids))
         last = -1
         for xid in xids:
@@ -129,7 +156,7 @@ def _write_stamp_run(w, stamps):
             last = xid
 
 
-def _write_op(w, op):
+def _write_op(w, op, redo=False):
     if isinstance(op, InsertOp):
         w.byte(_OP_INSERT)
         w.u(op.parent_xid)
@@ -139,7 +166,10 @@ def _write_op(w, op):
         w.byte(_OP_DELETE)
         w.u(op.parent_xid)
         w.u(op.pos)
-        w.raw(op.payload)
+        if redo:
+            w.u(op.payload.xid)
+        else:
+            w.raw(op.payload)
     elif isinstance(op, MoveOp):
         w.byte(_OP_MOVE)
         w.u(op.xid)
@@ -161,11 +191,15 @@ def _write_op(w, op):
     elif isinstance(op, StampOp):  # one outside any ascending run
         w.byte(_OP_STAMP)
         w.u(op.xid)
-        w.u(op.old_ts)
+        if not redo:
+            w.u(op.old_ts)
         w.u(op.new_ts)
     elif isinstance(op, ReplaceRootOp):
         w.byte(_OP_REPLACEROOT)
-        w.raw(op.old_payload)
+        if redo:
+            w.u(op.old_payload.xid)
+        else:
+            w.raw(op.old_payload)
         w.raw(op.new_payload)
     else:
         raise CorruptArchiveError(
@@ -174,6 +208,16 @@ def _write_op(w, op):
 
 
 def read_script(r):
+    return _read_ops(r, redo=False)
+
+
+def read_redo(r):
+    """Decode :func:`write_redo`'s bytes into an :class:`EditScript` whose
+    deletes, stamps and root replacement are ``Redo*`` operations."""
+    return _read_ops(r, redo=True)
+
+
+def _read_ops(r, redo):
     from_ts = r.opt_u()
     to_ts = r.opt_u()
     count = r.u()
@@ -183,7 +227,10 @@ def read_script(r):
         if kind == _OP_INSERT:
             ops.append(InsertOp(r.u(), r.u(), r.packed_node()))
         elif kind == _OP_DELETE:
-            ops.append(DeleteOp(r.u(), r.u(), r.packed_node()))
+            ops.append(
+                RedoDelete(r.u(), r.u(), r.u()) if redo
+                else DeleteOp(r.u(), r.u(), r.packed_node())
+            )
         elif kind == _OP_MOVE:
             ops.append(MoveOp(r.u(), r.u(), r.u(), r.u(), r.u()))
         elif kind == _OP_UPDTEXT:
@@ -191,11 +238,17 @@ def read_script(r):
         elif kind == _OP_UPDATTR:
             ops.append(UpdateAttrOp(r.u(), r.s(), r.opt_s(), r.opt_s()))
         elif kind == _OP_STAMPS:
-            ops.extend(_read_stamp_run(r, count - len(ops)))
+            ops.extend(_read_stamp_run(r, count - len(ops), redo))
         elif kind == _OP_STAMP:  # written before _OP_STAMPS for every stamp
-            ops.append(StampOp(r.u(), r.u(), r.u()))
+            ops.append(
+                RedoStamp(r.u(), r.u()) if redo
+                else StampOp(r.u(), r.u(), r.u())
+            )
         elif kind == _OP_REPLACEROOT:
-            ops.append(ReplaceRootOp(r.packed_node(), r.packed_node()))
+            ops.append(
+                RedoReplaceRoot(r.u(), r.packed_node()) if redo
+                else ReplaceRootOp(r.packed_node(), r.packed_node())
+            )
         else:
             raise CorruptArchiveError(
                 f"unknown edit-op kind byte 0x{kind:02x}"
@@ -203,17 +256,18 @@ def read_script(r):
     return EditScript(ops, from_ts=from_ts, to_ts=to_ts)
 
 
-def _read_stamp_run(r, room):
-    """Expand one ``_OP_STAMPS`` record to its ``StampOp``s, ascending in
-    XID as they were written; ``room`` is how many operations the script's
-    declared count still admits."""
+def _read_stamp_run(r, room, redo):
+    """Expand one ``_OP_STAMPS`` record to its stamps (``RedoStamp``s in
+    the redo form, ``StampOp``s otherwise), ascending in XID as they were
+    written; ``room`` is how many operations the script's declared count
+    still admits."""
+    stamp = RedoStamp if redo else StampOp
     stamps = []
     groups = r.u()
     if groups == 0:
         raise CorruptArchiveError("stamp run without a group")
     for _ in range(groups):
-        old_ts = r.u()
-        new_ts = r.u()
+        key = (r.u(),) if redo else (r.u(), r.u())
         size = r.u()
         if not 0 < size <= room - len(stamps):
             raise CorruptArchiveError(
@@ -226,7 +280,7 @@ def _read_stamp_run(r, room):
             if gap == 0:
                 raise CorruptArchiveError("stamp run repeats an XID")
             xid += gap
-            stamps.append(StampOp(xid, old_ts, new_ts))
+            stamps.append(stamp(xid, *key))
     stamps.sort(key=attrgetter("xid"))
     for earlier, later in zip(stamps, stamps[1:]):
         if earlier.xid == later.xid:
@@ -245,6 +299,17 @@ def encode_script(script):
 
 def decode_script(data):
     return read_script(Reader(data))
+
+
+def encode_redo(script):
+    """The redo form of one completed edit script as standalone bytes."""
+    w = Writer()
+    write_redo(w, script)
+    return w.getvalue()
+
+
+def decode_redo(data):
+    return read_redo(Reader(data))
 
 
 # -- per-document byte streams -------------------------------------------------

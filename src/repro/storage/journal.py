@@ -9,7 +9,7 @@ last checkpoint.  :class:`CommitJournal` subscribes to a
 per commit; recovery (:mod:`~repro.storage.recover`) replays the tail of
 that log on top of the newest valid checkpoint.
 
-**On-disk format (v2).**  An 8-byte magic header (``TXJRNL2\\n``) followed
+**On-disk format (v3).**  An 8-byte magic header (``TXJRNL3\\n``) followed
 by framed records::
 
     +-----------------+----------------+---------------------------+
@@ -19,17 +19,23 @@ by framed records::
                                          n: data inflates to n bytes)
     record := kind byte, doc id, name, version, ts, optional nextxid, body
     body   := length-prefixed bytes: the stamped initial tree (create), the
-              completed delta (update), nothing (delete, snapshot), or the
-              member records back to back (group)
+              redo form of the completed delta (update), nothing (delete,
+              snapshot), or the member records back to back (group)
 
-Everything inside a record is written by :mod:`~repro.storage.binfmt` —
-the compact form the paper's storage model keeps completed deltas in, not
-the XML closure form a ``Diff`` query returns.  A record of 128 bytes or
-more is deflated when that shrinks it (the rule CAS objects use).  The CRC
-covers the *stored* bytes, so a torn append or a flipped bit is detected
-before anything is inflated or decoded, inflation is capped at the declared
-raw length, and the scan stops at the first invalid frame — everything
-before it is intact by construction.
+Everything inside a record is written by :mod:`~repro.storage.binfmt`.
+An update keeps only the *redo half* of the completed delta the paper's
+storage model stores (:func:`~repro.storage.binfmt.write_redo`): a
+delete names its victim by XID, a root replacement its old root, and a
+stamp drops the timestamp it overwrites — replay applies the record to
+the very version the delta was computed against, which holds all three,
+and :func:`~repro.diff.apply.apply_script` completes the delta from it as
+it applies it.  Every other field, and every check forward application
+makes, is kept.  A record of 128 bytes or more is deflated when that
+shrinks it (the rule CAS objects use).  The CRC covers the *stored*
+bytes, so a torn append or a flipped bit is detected before anything is
+inflated or decoded, inflation is capped at the declared raw length, and
+the scan stops at the first invalid frame — everything before it is
+intact by construction.
 
 **Lazy bodies.**  A commit is encoded to bytes when it happens
 (:meth:`CommitJournal.document_committed`); a scan validates frames and
@@ -38,11 +44,13 @@ record envelopes and leaves every ``body`` an undecoded byte slice.
 demand, which recovery reaches only after its idempotence check — a record
 the checkpoint already covers costs its envelope and nothing else.
 
-**Format v1** (``TXJRNL1\\n``: the same frame without the raw-length
-varint, payload = UTF-8 XML of a ``<j>`` element) is still *read*
-(:class:`JournalRecordV1`) and never written: appending to a v1 file is
-refused, and :meth:`~repro.db.TemporalXMLDatabase.open` checkpoints once so
-the v1 file rolls to ``.prev`` before the first append.
+**Older formats** are still *read* and never written.  Format v2
+(``TXJRNL2\\n``) is v3 with the whole completed delta as an update's body
+(:class:`JournalRecordV2`); format v1 (``TXJRNL1\\n``: the same frame
+without the raw-length varint, payload = UTF-8 XML of a ``<j>`` element)
+is :class:`JournalRecordV1`.  Appending to either is refused, and
+:meth:`~repro.db.TemporalXMLDatabase.open` checkpoints once so the older
+file rolls to ``.prev`` before the first append.
 
 ``fsync_policy`` selects the durability/latency trade:
 
@@ -81,27 +89,28 @@ from ..xmlcore.parser import parse_stored
 from .binfmt import (
     Reader,
     Writer,
+    decode_redo,
     decode_script,
     decode_tree,
     deflate,
-    encode_script,
+    encode_redo,
     encode_tree,
     inflate,
 )
 from .faults import REAL_FS
 
 #: The format this module writes, and its file magic.
-FORMAT_VERSION = 2
-MAGIC = b"TXJRNL2\n"
+FORMAT_VERSION = 3
+MAGIC = b"TXJRNL3\n"
 
 #: File magic -> format version, for every format that can be read.
-_VERSION_OF_MAGIC = {b"TXJRNL1\n": 1, MAGIC: FORMAT_VERSION}
+_VERSION_OF_MAGIC = {b"TXJRNL1\n": 1, b"TXJRNL2\n": 2, MAGIC: FORMAT_VERSION}
 
 _FRAME = struct.Struct(">II")  # stored length, crc32 of the stored bytes
 
 #: Record kinds the journal understands.  ``"group"`` is an envelope whose
-#: body nests the member records of one commit group.  A kind's v2 kind
-#: byte is its 1-based position here, so this tuple only ever grows.
+#: body nests the member records of one commit group.  A kind's byte in
+#: a record is its 1-based position here, so this tuple only ever grows.
 KINDS = ("create", "update", "delete", "snapshot", "group")
 
 #: Kinds allowed *inside* a group envelope (groups never nest).
@@ -150,9 +159,9 @@ class JournalRecord:
     """One journaled commit (or snapshot materialization, or a group).
 
     ``body`` is the commit's content as :mod:`~repro.storage.binfmt` bytes
-    — the stamped version-1 tree of a ``create``, the completed delta of an
-    ``update``, empty otherwise — and stays undecoded until
-    :meth:`initial_tree` / :meth:`script` is asked for it.
+    — the stamped version-1 tree of a ``create``, the redo form of the
+    completed delta of an ``update``, empty otherwise — and stays
+    undecoded until :meth:`initial_tree` / :meth:`script` is asked for it.
 
     For ``kind == "group"`` the record is an envelope: ``members`` holds
     the batched commit records in application order, ``version`` carries
@@ -187,7 +196,7 @@ class JournalRecord:
             members=list(members),
         )
 
-    # -- v2 encoding ----------------------------------------------------------
+    # -- encoding -------------------------------------------------------------
 
     def encode(self):
         """The record as bytes: envelope, then the length-prefixed body
@@ -252,7 +261,17 @@ class JournalRecord:
         return decode_tree(self.body)
 
     def script(self):
-        """The completed :class:`EditScript` of an ``update`` record."""
+        """The :class:`EditScript` of an ``update`` record, in its redo
+        form: :func:`~repro.diff.apply.apply_script` completes it while
+        applying it to the version it was computed against."""
+        return decode_redo(self.body)
+
+
+class JournalRecordV2(JournalRecord):
+    """A record read from a format v2 file: an ``update``'s body is the
+    completed delta.  Decode only — nothing writes this form any more."""
+
+    def script(self):
         return decode_script(self.body)
 
 
@@ -330,7 +349,7 @@ class CommitJournal:
 
     def _open(self):
         fs = self.fs
-        # Format of the file behind the handle; a v1 file is read-only.
+        # Format of the file behind the handle; an older one is read-only.
         self.version = FORMAT_VERSION
         if fs.exists(self.path):
             size = fs.size(self.path)
@@ -374,7 +393,7 @@ class CommitJournal:
         if event.kind == "create":
             body = encode_tree(event.root)
         elif event.kind == "update":
-            body = encode_script(event.script)
+            body = encode_redo(event.script)
         else:  # delete
             body = b""
         self.append(
@@ -530,8 +549,12 @@ class JournalScan:
         return self.total_size - self.valid_size
 
 
+#: Format version -> the record class its framed records decode to.
+_RECORD_CLASS = {2: JournalRecordV2, FORMAT_VERSION: JournalRecord}
+
+
 def _frame(payload):
-    """One v2 frame around a record's bytes: deflated when that helps,
+    """One frame around a record's bytes: deflated when that helps,
     CRC over whatever is stored."""
     deflated = deflate(payload)
     head = Writer()
@@ -541,7 +564,7 @@ def _frame(payload):
 
 
 def _unframe(stored):
-    """The record bytes inside a v2 frame's stored bytes (CRC already
+    """The record bytes inside a frame's stored bytes (CRC already
     verified), inflated when the frame says they were deflated."""
     r = Reader(stored)
     raw_length = r.u()
@@ -581,11 +604,11 @@ def scan_journal(path, fs=None):
             scan.reason = "checksum mismatch"
             return scan
         try:
-            if version == FORMAT_VERSION:
-                payload = _unframe(payload)
-                record = JournalRecord.decode(payload)
-            else:
+            if version == 1:
                 record = JournalRecordV1.from_payload(payload)
+            else:
+                payload = _unframe(payload)
+                record = _RECORD_CLASS[version].decode(payload)
         except (StorageError, XMLSyntaxError, ValueError):
             scan.reason = "bad record"
             return scan

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.storage.journal import FORMAT_VERSION
 
 
 def _run(*argv):
@@ -176,8 +177,8 @@ class TestRecover:
         assert "recovered 1 document(s)" in out
         assert "checkpoint used: checkpoint" in out
         assert "journal records:" in out
-        assert "journal.bin.prev: format v2, 1 record(s)" in out
-        assert "journal.bin: format v2, 1 record(s)" in out
+        assert f"journal.bin.prev: format v{FORMAT_VERSION}, 1 record(s)" in out
+        assert f"journal.bin: format v{FORMAT_VERSION}, 1 record(s)" in out
         # The journal tail was folded into a fresh checkpoint and rolled.
         code, out = _run("recover", "-d", str(directory))
         assert code == 0
@@ -405,7 +406,10 @@ class TestStorageCLI:
         }
         journals = payload["durability"]["recovery"]["journals"]
         assert [j["file"] for j in journals] == ["journal.bin.prev", "journal.bin"]
-        assert all(j["version"] == 2 and j["raw_bytes"] > 0 for j in journals)
+        assert all(
+            j["version"] == FORMAT_VERSION and j["raw_bytes"] > 0
+            for j in journals
+        )
 
     def test_stats_dir_xml_backend(self, tmp_path):
         """``stats -d`` reads an older release's XML directory and leaves
@@ -419,7 +423,7 @@ class TestStorageCLI:
         assert "storage backend: cas (checkpoint read: xml)" in out
         assert "  objects: 0 written" in out
         assert "journal files:" in out
-        assert "journal.bin: format v2, 1 record(s)" in out
+        assert f"journal.bin: format v{FORMAT_VERSION}, 1 record(s)" in out
         assert "before deflate" in out
         assert sorted(path.name for path in directory.iterdir()) == before
 

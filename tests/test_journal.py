@@ -7,6 +7,9 @@ from repro.diff.editscript import (
     EditScript,
     InsertOp,
     MoveOp,
+    RedoDelete,
+    RedoReplaceRoot,
+    RedoStamp,
     ReplaceRootOp,
     StampOp,
     UpdateAttrOp,
@@ -16,12 +19,13 @@ from repro.errors import StorageError, TornJournalError
 from repro.model.identifiers import XIDAllocator
 from repro.model.versioned import stamp_new_nodes
 from repro.storage import TemporalDocumentStore
-from repro.storage.binfmt import encode_script, encode_tree
+from repro.storage.binfmt import encode_redo, encode_script, encode_tree
 from repro.storage.faults import CrashError, FaultyFS, OSFileSystem, flip_bit
 from repro.storage.journal import (
     MAGIC,
     CommitJournal,
     JournalRecord,
+    JournalRecordV2,
     scan_journal,
     verify_journal,
 )
@@ -43,6 +47,17 @@ def _stamped(source, ts=100, first_xid=1):
     tree = parse(source)
     stamp_new_nodes(tree, XIDAllocator(first_xid), ts)
     return tree
+
+
+def _redo_half(op):
+    """What the journal keeps of a completed operation."""
+    if isinstance(op, DeleteOp):
+        return RedoDelete(op.parent_xid, op.pos, op.payload.xid)
+    if isinstance(op, StampOp):
+        return RedoStamp(op.xid, op.new_ts)
+    if isinstance(op, ReplaceRootOp):
+        return RedoReplaceRoot(op.old_payload.xid, op.new_payload)
+    return op
 
 
 ODD_NAME = "a b \"quoted\" & <odd> caf\u00e9 \u2603.xml"
@@ -80,15 +95,26 @@ class TestRecordFormat:
         assert len({type(op) for op in script.ops}) == 7  # every op kind
         updated = JournalRecord(
             kind="update", doc_id=7, name=ODD_NAME, version=2, ts=200,
-            nextxid=None, body=encode_script(script),
+            nextxid=None, body=encode_redo(script),
         )
         back = JournalRecord.decode(updated.encode())
         assert back == updated
         assert back.nextxid is None
-        decoded = back.script()
+        redo = back.script()
+        assert (redo.from_ts, redo.to_ts) == (100, 200)
+        assert redo.ops == [_redo_half(op) for op in script.ops]
+
+        # A format v2 file holds the completed delta itself.
+        legacy = JournalRecordV2.decode(
+            JournalRecord(
+                kind="update", doc_id=7, name=ODD_NAME, version=2, ts=200,
+                body=encode_script(script),
+            ).encode()
+        )
+        decoded = legacy.script()
         assert (decoded.from_ts, decoded.to_ts) == (100, 200)
         assert serialize(decoded.to_xml()) == serialize(script.to_xml())
-        assert encode_script(decoded) == updated.body
+        assert encode_script(decoded) == legacy.body
 
     def test_round_trip_without_body(self):
         record = JournalRecord(

@@ -1,9 +1,10 @@
-"""Journal format v2: the v1 upgrade path, hostile input, lazy decoding.
+"""Binary journal formats: the v1 upgrade path, hostile input, lazy decoding.
 
 The record/frame unit tests live in ``test_journal.py``; this file holds
 the properties that span recovery: a directory written by the v1 writer
 keeps working, bytes an attacker framed with a *valid* CRC end in a typed
-error, and a record recovery skips is never decoded.
+error (a redo body that lies included), and a record recovery skips is
+never decoded or completed.
 """
 
 import random
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro import TemporalXMLDatabase
-from repro.diff.editscript import StampOp
+from repro.diff import apply as apply_module
+from repro.diff.editscript import DeleteOp, EditScript, ReplaceRootOp, StampOp
 from repro.errors import StorageError
 from repro.serving import Replica
 from repro.storage import TemporalDocumentStore, binfmt
@@ -24,6 +26,7 @@ from repro.storage.binfmt import Writer, encode_tree
 from repro.storage.faults import CrashError, FaultyFS
 from repro.storage.journal import (
     _FRAME,
+    FORMAT_VERSION,
     MAGIC,
     CommitJournal,
     JournalRecord,
@@ -34,6 +37,7 @@ from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.recover import apply_record, recover_store
 from repro.workload import load_figure1
 from repro.xmlcore import parse, serialize
+from repro.xmlcore.node import Element
 from tests.legacy_dirs import make_legacy
 
 V1_FIXTURE = Path(__file__).parent / "data" / "journal_v1" / "journal.bin"
@@ -125,10 +129,10 @@ class TestFormatV1Directory:
             directory, durability="fsync", snapshot_interval=2
         )
         assert _fingerprint(db.store) == expected
-        # The v1 file rolled aside untouched; appends go to a fresh v2 file.
+        # The v1 file rolled aside untouched; appends go to a fresh file.
         assert (directory / "journal.bin.prev").read_bytes() == v1_bytes
         assert (directory / "journal.bin").read_bytes() == MAGIC
-        assert db.journal.version == 2
+        assert db.journal.version == FORMAT_VERSION
         db.update("guide.com", "<guide><restaurant>new</restaurant></guide>")
         db.close()
         assert (directory / "journal.bin.prev").read_bytes() == v1_bytes
@@ -136,12 +140,14 @@ class TestFormatV1Directory:
         assert [r.kind for r in tail] == ["update", "snapshot"]  # v4, interval 2
 
         # A second reopen serves both generations: v1 .prev (all covered by
-        # the upgrade checkpoint) and the v2 tail.
+        # the upgrade checkpoint) and the current format's tail.
         again = TemporalXMLDatabase.open(
             directory, durability="fsync", snapshot_interval=2
         )
         assert _fingerprint(again.store) == _fingerprint(db.store)
-        assert [j["version"] for j in again.recovery.journals] == [1, 2]
+        assert [j["version"] for j in again.recovery.journals] == [
+            1, FORMAT_VERSION,
+        ]
         # The update; its snapshot the interval policy re-made on replay.
         assert again.recovery.records_replayed == 1
         assert (directory / "journal.bin.prev").read_bytes() == v1_bytes
@@ -172,7 +178,7 @@ class TestFormatV1Directory:
                 ).close()
             db = TemporalXMLDatabase.open(target, durability="fsync")
             assert _fingerprint(db.store) == expected, k
-            assert db.journal.version == 2
+            assert db.journal.version == FORMAT_VERSION
             db.close()
             for name in ("journal.bin", "journal.bin.prev"):
                 data = (target / name).read_bytes()
@@ -191,7 +197,7 @@ class TestFormatV1Directory:
                 kind="delete", doc_id=1, name="guide.com", version=3, ts=1
             ))
         journal.roll()  # what the upgrade checkpoint does
-        assert journal.version == 2
+        assert journal.version == FORMAT_VERSION
         journal.append(JournalRecord(
             kind="delete", doc_id=1, name="guide.com", version=3, ts=1
         ))
@@ -389,33 +395,152 @@ class TestHostileInput:
         assert len(scan.records) == 1
 
 
+# -- hostile redo bodies --------------------------------------------------------
+
+
+def _redo_history(tmp_path):
+    """A journal holding one create and one update whose delta deletes,
+    updates text and re-stamps; returns both records and the committed
+    delta."""
+    store = TemporalDocumentStore()
+    journal = CommitJournal(str(tmp_path / "journal.bin"))
+    store.attach_journal(journal)
+    store.put("a.xml", "<doc><x>one</x><y>two</y><z>three</z></doc>")
+    store.update("a.xml", "<doc><x>uno</x><z>three</z></doc>")
+    journal.close()
+    create, update = verify_journal(str(tmp_path / "journal.bin"))
+    return create, update, store.record("a.xml").deltas[1]
+
+
+def _replaced(script, kind, make):
+    """``script`` with its one ``kind`` operation replaced by ``make(op)``."""
+    ops = list(script.ops)
+    at = next(i for i, op in enumerate(ops) if isinstance(op, kind))
+    ops[at] = make(ops[at])
+    return EditScript(ops, from_ts=script.from_ts, to_ts=script.to_ts)
+
+
+def _stamped_leaf(xid):
+    leaf = Element("z")
+    leaf.xid, leaf.tstamp = xid, 1
+    return leaf
+
+
+#: name -> the committed delta made hostile, as a completed script whose
+#: redo form ``apply_record`` must refuse.
+BAD_REDO = {
+    # XID 6 is <z>, which stands at position 2, not 1.
+    "delete names the wrong victim": lambda delta: _replaced(
+        delta, DeleteOp, lambda op: DeleteOp(op.parent_xid, op.pos,
+                                             _stamped_leaf(6))),
+    "delete position out of range": lambda delta: _replaced(
+        delta, DeleteOp, lambda op: DeleteOp(op.parent_xid, 7, op.payload)),
+    "stamp of an unknown XID": lambda delta: EditScript(
+        delta.ops + [StampOp(999, 1, 2)], delta.from_ts, delta.to_ts),
+    "root replacement of another root": lambda delta: EditScript(
+        [ReplaceRootOp(_stamped_leaf(3), _stamped_leaf(50))],
+        delta.from_ts, delta.to_ts),
+}
+
+
+class TestHostileRedo:
+    """Behind a valid CRC, an update's redo body either completes to the
+    delta that was committed or ends in a typed error that leaves the
+    store as it was."""
+
+    def _refused(self, create, update, body):
+        store = TemporalDocumentStore()
+        assert apply_record(store, create)
+        hostile = JournalRecord(
+            kind="update", doc_id=update.doc_id, name=update.name,
+            version=update.version, ts=update.ts, nextxid=update.nextxid,
+            body=body,
+        )
+        record = JournalRecord.decode(hostile.encode())  # frames as valid
+        with pytest.raises(StorageError):
+            apply_record(store, record)
+        assert store.delta_index("a.xml").current_number == 1
+        # The genuine record still applies on top of the refusal.
+        assert apply_record(store, update)
+        return store
+
+    def test_the_genuine_body_completes_to_the_committed_delta(self,
+                                                               tmp_path):
+        create, update, delta = _redo_history(tmp_path)
+        assert any(isinstance(op, DeleteOp) for op in delta)
+        assert update.body == binfmt.encode_redo(delta)
+        store = TemporalDocumentStore()
+        assert apply_record(store, create) and apply_record(store, update)
+        completed = store.record("a.xml").deltas[1]
+        assert binfmt.encode_script(completed) == binfmt.encode_script(delta)
+
+    @pytest.mark.parametrize("case", sorted(BAD_REDO))
+    def test_a_lying_body_is_a_typed_error(self, tmp_path, case):
+        create, update, delta = _redo_history(tmp_path)
+        body = binfmt.encode_redo(BAD_REDO[case](delta))
+        store = self._refused(create, update, body)
+        completed = store.record("a.xml").deltas[1]
+        assert binfmt.encode_script(completed) == binfmt.encode_script(delta)
+
+    def test_every_truncated_body_is_a_typed_error(self, tmp_path):
+        create, update, _ = _redo_history(tmp_path)
+        for cut in range(len(update.body)):
+            self._refused(create, update, update.body[:cut])
+
+
 # -- laziness -------------------------------------------------------------------
 
 
 class _DecodeCounter:
-    """Counts journal member bodies decoded: ``read_script`` calls plus
-    ``read_node`` calls that are not a script's own payloads."""
+    """Counts journal member bodies decoded — ``read_redo`` and
+    ``read_script`` calls plus ``read_node`` calls that are not a script's
+    own payloads — and redo operations completed."""
 
     def __init__(self, monkeypatch):
         self.members = 0
+        self.completed = 0
         self._in_script = False
-        real_script, real_node = binfmt.read_script, binfmt.read_node
+        real_node = binfmt.read_node
 
-        def read_script(r):
-            self.members += 1
-            self._in_script = True
-            try:
-                return real_script(r)
-            finally:
-                self._in_script = False
+        def counted(real):
+            def read(r):
+                self.members += 1
+                self._in_script = True
+                try:
+                    return real(r)
+                finally:
+                    self._in_script = False
+
+            return read
 
         def read_node(r):
             if not self._in_script:
                 self.members += 1
             return real_node(r)
 
-        monkeypatch.setattr(binfmt, "read_script", read_script)
+        for name in ("read_redo", "read_script"):
+            monkeypatch.setattr(binfmt, name, counted(getattr(binfmt, name)))
         monkeypatch.setattr(binfmt, "read_node", read_node)
+        complete = dict(apply_module._COMPLETE)
+        for kind, real in complete.items():
+            monkeypatch.setitem(
+                apply_module._COMPLETE, kind, self._counting(real)
+            )
+
+    def _counting(self, real):
+        def complete(*args):
+            self.completed += 1
+            return real(*args)
+
+        return complete
+
+
+def _completed_ops(script):
+    """How many of a completed script's operations the journal keeps in
+    redo form."""
+    return sum(
+        isinstance(op, (DeleteOp, ReplaceRootOp, StampOp)) for op in script
+    )
 
 
 class TestLazyDecode:
@@ -429,7 +554,7 @@ class TestLazyDecode:
             for i in range(5):
                 batch.put(f"g{i}.xml", f"<doc><x>group {i}</x></doc>")
         for i in range(3):
-            db.update("a.xml", f"<doc><x>rev {i}</x></doc>")
+            db.update("a.xml", f"<doc><x>rev {i}</x><z>gone</z></doc>")
         db.checkpoint()
         db.put("b.xml", "<doc><y>tail</y></doc>")
         db.update("a.xml", "<doc><x>tail</x></doc>")
@@ -458,6 +583,11 @@ class TestLazyDecode:
         assert report.records_scanned == 5 + 3  # .prev: 1 + group + 3
         assert report.records_replayed == 3
         assert counter.members == report.records_replayed
+        # Only the two tail updates were completed, every redo op once.
+        tail = [db.store.record("a.xml").deltas[4],
+                db.store.record("b.xml").deltas[1]]
+        assert any(isinstance(op, DeleteOp) for op in tail[0])
+        assert counter.completed == sum(map(_completed_ops, tail))
         assert _fingerprint(db.store) == expected
 
     def test_replica_catch_up_on_an_unchanged_leader_decodes_nothing(
@@ -469,40 +599,48 @@ class TestLazyDecode:
         counter = _DecodeCounter(monkeypatch)
         assert replica.catch_up() == 0
         assert replica.catch_up() == 0
-        assert counter.members == 0
+        assert counter.members == counter.completed == 0
 
         leader = TemporalXMLDatabase.open(directory, durability="fsync")
         leader.update("a.xml", "<doc><x>shipped</x></doc>")
-        counter.members = 0  # the leader's own recovery decoded its tail
+        # The leader's own recovery decoded and completed its tail.
+        counter.members = counter.completed = 0
         assert replica.catch_up() == 1
         assert counter.members == 1  # the one new record, nothing re-decoded
+        shipped = replica.store.record("a.xml").deltas[5]
+        assert counter.completed == _completed_ops(shipped)
         leader.close()
 
 
 # -- directories written before the stamp-run record ----------------------------
 
 
-def _write_script_per_op(w, script):
-    """``binfmt.write_script`` as it was before ``_OP_STAMPS``: one record
-    per operation, a 0x06 one for every stamp."""
-    w.opt_u(script.from_ts)
-    w.opt_u(script.to_ts)
-    w.u(len(script.ops))
-    for op in script.ops:
-        binfmt._write_op(w, op)
+def _per_op(redo):
+    """``binfmt.write_script`` (or ``write_redo``) as it was before
+    ``_OP_STAMPS``: one record per operation, a 0x06 one for every stamp."""
+    def write(w, script):
+        w.opt_u(script.from_ts)
+        w.opt_u(script.to_ts)
+        w.u(len(script.ops))
+        for op in script.ops:
+            binfmt._write_op(w, op, redo)
+
+    return write
 
 
 class TestPerOpStampDirectory:
     """A CAS checkpoint (or an older release's XML one) and a journal
-    tail whose every edit script spells its stamps out one 0x06 record each — what the commits before the
-    0x08 run record wrote — open, replay and answer as ever."""
+    tail whose every edit script spells its stamps out one 0x06 record
+    each — what the commits before the 0x08 run record wrote — open,
+    replay and answer as ever."""
 
     @pytest.mark.parametrize("storage", ["cas", "xml"])
     def test_opens_replays_and_answers_figure1(self, tmp_path, monkeypatch,
                                                storage):
         directory = tmp_path / "db"
         with monkeypatch.context() as patch:
-            patch.setattr(binfmt, "write_script", _write_script_per_op)
+            patch.setattr(binfmt, "write_script", _per_op(redo=False))
+            patch.setattr(binfmt, "write_redo", _per_op(redo=True))
             db = TemporalXMLDatabase.open(directory, durability="fsync")
             load_figure1(db)
             db.update("guide.com", serialize(db.store.version("guide.com", 2)))
@@ -511,12 +649,15 @@ class TestPerOpStampDirectory:
             db.close()  # ... delta 4 only in the journal
             deltas = db.store.record("guide.com").deltas.values()
             per_op_bytes = sum(len(binfmt.encode_script(d)) for d in deltas)
+            journaled = db.store.record("guide.com").deltas[4]
+            per_op_redo = len(binfmt.encode_redo(journaled))
         if storage == "xml":
             make_legacy(directory)  # the checkpoint an older release wrote
         expected = _fingerprint(db.store)
         # The patch took: today's writer spends less on the same scripts.
         assert any(isinstance(op, StampOp) for d in deltas for op in d)
         assert per_op_bytes > sum(len(binfmt.encode_script(d)) for d in deltas)
+        assert per_op_redo > len(binfmt.encode_redo(journaled))
 
         store, report = recover_store(str(directory))
         assert report.records_replayed == 1

@@ -6,7 +6,9 @@ two ``tdocgen`` collections it holds the sha256 of
 :func:`~repro.storage.binfmt.encode_script` of every stored delta, and of
 the binary encoding of every version (tags, attributes, text, XIDs and
 timestamps).  The matcher, the script builder, ``apply`` and the generator
-must reproduce each one.  Regenerate only for an intended change:
+must reproduce each one — and so must recovery from the commit journal
+alone, which keeps only each delta's redo half and completes it from the
+version it applies to.  Regenerate only for an intended change:
 ``PYTHONPATH=src python -m tests.test_script_identity``.
 """
 
@@ -19,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import TemporalXMLDatabase
 from repro.storage import TemporalDocumentStore
 from repro.storage.binfmt import encode_script
+from repro.storage.recover import recover_store
 from repro.workload import TDocGenerator, build_collection
 from repro.xmlcore.codec import Writer, write_node
 
@@ -40,19 +44,30 @@ HISTORIES = [f"index_history-{seed}" for seed in (1, 2, 3)] + [
 ]
 
 
-def history(name, directory):
-    """The store the named history leaves behind."""
+def history(name, directory, checkpoints=True):
+    """The store the named history leaves behind.  ``checkpoints=False``
+    journals every commit into ``directory`` and checkpoints nothing."""
     kind, seed = name.split("-")
     seed = int(seed)
     if kind == "index_history":
-        return drive(seed, directory, [], lambda db: None).store
+        return drive(
+            seed, directory, [], lambda db: None, checkpoints=checkpoints
+        ).store
     shape = dict(TDOCGEN[seed])
-    store = TemporalDocumentStore(snapshot_interval=4)
+    tuning = dict(snapshot_interval=4)
+    if checkpoints:
+        store = TemporalDocumentStore(**tuning)
+    else:
+        db = TemporalXMLDatabase.open(directory, durability="journal",
+                                      **tuning)
+        store = db.store
     build_collection(
         store, n_docs=shape.pop("n_docs"),
         versions_per_doc=shape.pop("versions_per_doc"),
         generator=TDocGenerator(seed=seed, depth=3, **shape),
     )
+    if not checkpoints:
+        db.close()
     return store
 
 
@@ -83,6 +98,20 @@ def fingerprint(store):
 def test_history_reproduces_its_recording(name, tmp_path):
     recorded = json.loads(DATA.read_text())[name]
     assert fingerprint(history(name, tmp_path / "db")) == recorded
+
+
+@pytest.mark.parametrize("name", HISTORIES)
+def test_recovery_from_the_journal_alone_reproduces_it(name, tmp_path):
+    """Every delta replay completes is the one committed, byte for byte."""
+    recorded = json.loads(DATA.read_text())[name]
+    directory = tmp_path / "db"
+    history(name, directory, checkpoints=False)
+    assert sorted(p.name for p in directory.iterdir()) == ["journal.bin"]
+    store, report = recover_store(
+        str(directory), store=TemporalDocumentStore(snapshot_interval=4)
+    )
+    assert report.checkpoint_source == "none"
+    assert fingerprint(store) == recorded
 
 
 if __name__ == "__main__":

@@ -481,6 +481,42 @@ def test_an_unexpected_exception_is_an_internal_error(monkeypatch, caplog):
         assert missing["error"] == "missing query 'text'"
 
 
+@pytest.mark.timeout(60)
+def test_every_refusal_names_its_type():
+    """An unknown op, a line that is not JSON, a JSON value that is not an
+    object and a boolean ``ts`` are each refused as a ``ServingError``;
+    the connection goes on serving and nothing is committed."""
+    manager = SessionManager(TemporalXMLDatabase())
+    with ServingServer(manager) as server, \
+            ServingClient(*server.address) as client:
+        assert client.request("nope") == {
+            "ok": False, "error": "unknown op 'nope'",
+            "error_type": "ServingError",
+        }
+        with socket.create_connection(server.address, timeout=30) as raw:
+            replies = raw.makefile("rb")
+            for line in (b"{not json", b"[1, 2]", b'"ping"', b"\xff\xfe"):
+                raw.sendall(line + b"\n")
+                refused = json.loads(replies.readline())
+                assert refused["ok"] is False, line
+                assert refused["error_type"] == "ServingError", line
+                assert refused["error"].startswith("bad request"), line
+            raw.sendall(b'{"op": "ping"}\n')
+            assert json.loads(replies.readline())["pong"] is True
+            replies.close()
+        for ts in (True, False):
+            refused = client.request("put", name="guide.com", xml=GUIDE, ts=ts)
+            assert refused == {
+                "ok": False,
+                "error": "'ts' must be an integer timestamp or dd/mm/yyyy",
+                "error_type": "ServingError",
+            }
+        assert client.put("guide.com", GUIDE, ts=parse_date("05/01/2001"))["ok"]
+        stats = client.stats()["server"]
+        assert stats["manager"]["commits"] == 1
+        assert stats["errors"] == 1 + 4 + 2
+
+
 GUIDE = ("<guide><restaurant><name>napoli</name><price>20</price>"
          "</restaurant></guide>")
 RESTAURANTS = 'SELECT R FROM doc("guide.com")/restaurant R'
