@@ -43,6 +43,7 @@ from pathlib import Path
 
 from ablation.fti_alternatives import FullHistoryLookup
 from harness import Table
+from ingest import ingest_synthetic
 from repro import TemporalXMLDatabase
 from repro.clock import (
     SECONDS_PER_DAY,
@@ -52,7 +53,7 @@ from repro.clock import (
 )
 from repro.index.relevance import TemporalKeywordScorer
 from repro.obs import MetricsRegistry
-from repro.workload import KeywordWorkload, TDocGenerator, ingest_synthetic
+from repro.workload import KeywordWorkload, TDocGenerator
 
 from planedits import legacy_shape, rewritten_plan
 

@@ -31,9 +31,10 @@ import tempfile
 from pathlib import Path
 
 from harness import Table
+from ingest import ingest_synthetic
 from repro import TemporalXMLDatabase
 from repro.clock import SECONDS_PER_HOUR, parse_date
-from repro.workload import KeywordWorkload, TDocGenerator, ingest_synthetic
+from repro.workload import KeywordWorkload, TDocGenerator
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 START = parse_date("01/01/2001")

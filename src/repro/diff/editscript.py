@@ -27,7 +27,6 @@ from functools import cached_property
 from ..errors import DeltaApplicationError
 from ..xmlcore.codec import PackedNode
 from ..xmlcore.node import Element, Text
-from ..xmlcore.serializer import serialize
 
 
 def _packed(op, *fields):
@@ -254,8 +253,7 @@ class EditScript:
         so the space model charges a small fixed header per operation plus
         the actual content bytes (payload text, old/new values); the
         verbose XML closure form from :meth:`to_xml` is a query *result*
-        representation, not the storage format — use
-        :meth:`xml_size_bytes` for that.
+        representation, not the storage format.
         """
         total = 16  # delta envelope: version numbers + timestamps
         for op in self.ops:
@@ -274,10 +272,6 @@ class EditScript:
                 total += 12 + _payload_bytes(op.old_payload)
                 total += _payload_bytes(op.new_payload)
         return total
-
-    def xml_size_bytes(self):
-        """Length of the XML serialization (the query-closure form)."""
-        return len(serialize(self.to_xml()))
 
     # -- XML round trip ----------------------------------------------------
 

@@ -16,7 +16,7 @@ the ambiguous-restaurant workload the section describes.
 """
 
 from .value import coerce_scalar, deep_equal, shallow_equal, value_equal
-from .identity import identity_equal, teid_same_element
+from .identity import identity_equal
 from .similarity import similar, similarity
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "deep_equal",
     "coerce_scalar",
     "identity_equal",
-    "teid_same_element",
     "similarity",
     "similar",
 ]

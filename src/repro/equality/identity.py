@@ -27,10 +27,6 @@ def identity_equal(left, right, doc_left=None, doc_right=None):
     return _as_eid(left, doc_left) == _as_eid(right, doc_right)
 
 
-def teid_same_element(left, right):
-    """True when two TEIDs are versions of the same element."""
-    return left.eid == right.eid
-
 
 def _as_eid(value, doc_id):
     if isinstance(value, EID):

@@ -63,16 +63,9 @@ class Posting(
     def is_open(self):
         return self.end >= UNTIL_CHANGED
 
-    def valid_at(self, ts):
-        return self.start <= ts < self.end
-
     def parent_xid(self):
         """XID of the owning element's parent (None at the root)."""
         return self.ancestors[-1] if self.ancestors else None
-
-    def estimated_bytes(self):
-        """Rough stored size, used for the E6 index-size comparison."""
-        return estimated_bytes(self.ancestors, self.path)
 
     def __repr__(self):
         return (

@@ -17,8 +17,8 @@ Per-term probes (all O(1) or O(log n) — see the matching methods on
 
 Per-document probes (off the ``DeltaIndex`` and the current tree):
 
-* ``version_count`` / ``versions_between`` — how many versions an EVERY
-  scan must reconstruct;
+* ``versions_between`` — how many versions an EVERY scan must
+  reconstruct;
 * ``delta_chain_depth(doc, ts)`` — deltas between the version at ``ts``
   and its nearest anchor (snapshot either side, or the current tree);
 * ``element_count`` / ``path_count`` — navigational walk width, the
@@ -69,12 +69,6 @@ class CorpusStatistics:
             return 0
         return self.fti.postings_starting_before(word, end)
 
-    def distinct_terms(self):
-        """Vocabulary size of the attached index (0 when none)."""
-        if self.fti is None:
-            return 0
-        return self.fti.distinct_terms()
-
     def rarest_token(self, value):
         """Of ``value``'s tokens, the one with the fewest history postings.
 
@@ -94,10 +88,6 @@ class CorpusStatistics:
             return self.store.delta_index(doc_id)
         except NoSuchDocumentError:
             return None
-
-    def version_count(self, doc_id):
-        dindex = self._dindex(doc_id)
-        return len(dindex) if dindex is not None else 0
 
     def versions_between(self, doc_id, start, end):
         """Versions of ``doc_id`` whose validity intersects ``[start, end)``

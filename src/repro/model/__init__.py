@@ -14,19 +14,12 @@ Implements Section 3.2 and Section 4 of the paper:
 """
 
 from .identifiers import EID, TEID, XIDAllocator
-from .versioned import (
-    collect_xids,
-    stamp_new_nodes,
-    touch_upwards,
-    verify_timestamp_invariant,
-)
+from .versioned import stamp_new_nodes, touch_upwards
 
 __all__ = [
     "EID",
     "TEID",
     "XIDAllocator",
-    "collect_xids",
     "stamp_new_nodes",
     "touch_upwards",
-    "verify_timestamp_invariant",
 ]

@@ -8,12 +8,12 @@ Section 4 of the paper assumes:
 
 These helpers maintain that invariant on the in-memory trees.  They are used
 by the store when committing versions and by the differ when stamping
-freshly inserted subtrees.
+freshly inserted subtrees; the checks of it live with the tests
+(``tests/references.py``).
 """
 
 from __future__ import annotations
 
-from ..errors import IdentityError
 from ..xmlcore.node import Element
 
 
@@ -47,52 +47,6 @@ def touch_upwards(node, timestamp, parents):
     while node is not None:
         node.tstamp = timestamp
         node = parents.get(id(node))
-
-
-def collect_xids(root):
-    """Map XID → node over the whole subtree.
-
-    Raises :class:`~repro.errors.IdentityError` on duplicate or missing
-    XIDs — both indicate a stamping bug, never a user error.
-    """
-    index = {}
-    for node in _iter_nodes(root):
-        if node.xid is None:
-            raise IdentityError("tree contains an unstamped node")
-        if node.xid in index:
-            raise IdentityError(f"duplicate XID {node.xid} in tree")
-        index[node.xid] = node
-    return index
-
-
-def verify_timestamp_invariant(root):
-    """Check that every element's timestamp >= all of its children's.
-
-    Returns the list of offending XIDs (empty when the invariant holds).
-    Used by tests and by the store's self-check mode.
-    """
-    offenders = []
-    for node in _iter_nodes(root):
-        if not isinstance(node, Element):
-            continue
-        for child in node.children:
-            if (
-                child.tstamp is not None
-                and node.tstamp is not None
-                and child.tstamp > node.tstamp
-            ):
-                offenders.append(node.xid)
-                break
-    return offenders
-
-
-def max_timestamp(root):
-    """Largest ``tstamp`` in the subtree (None when nothing is stamped)."""
-    best = None
-    for node in _iter_nodes(root):
-        if node.tstamp is not None and (best is None or node.tstamp > best):
-            best = node.tstamp
-    return best
 
 
 def _iter_nodes(root):

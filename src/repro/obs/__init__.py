@@ -25,13 +25,11 @@ those costs one home:
 """
 
 from .explain import ExplainAnalyzeReport, PlanReport
-from .registry import Counter, Histogram, MetricsRegistry
+from .registry import MetricsRegistry
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
-    "Counter",
     "ExplainAnalyzeReport",
-    "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",

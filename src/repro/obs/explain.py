@@ -48,9 +48,6 @@ class PlanReport:
         self.plan = plan      # list of per-FROM-item dicts
         self.text = text
 
-    def to_json(self):
-        return {"query": self.query, "plan": self.plan}
-
     def __str__(self):
         return self.text
 

@@ -80,9 +80,6 @@ class Span:
                 return span
         return None
 
-    def find_all(self, name):
-        return [span for span in self.walk() if span.name == name]
-
     # -- serialization ------------------------------------------------------------
 
     def to_dict(self):
@@ -168,10 +165,6 @@ class Tracer:
     @property
     def current_span(self):
         return self._stack[-1].span if self._stack else None
-
-    def reset(self):
-        self.roots = []
-        self._stack = []
 
     # -- public region constructors ---------------------------------------------
 
@@ -268,9 +261,6 @@ class NullTracer:
 
     def traced_iter(self, name, iterable, **attrs):
         return iterable
-
-    def reset(self):
-        pass
 
 
 NULL_TRACER = NullTracer()

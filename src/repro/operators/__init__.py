@@ -37,7 +37,6 @@ from .relational import (
     Join,
     Project,
     Select,
-    TemporalJoin,
 )
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "Select",
     "Project",
     "Join",
-    "TemporalJoin",
     "Distinct",
     "GroupedAggregate",
     "Coalesce",

@@ -51,6 +51,3 @@ class PatternScan:
     def teids(self):
         """TEIDs of the projected pattern node, one per match (lazy)."""
         return (m.teid(self.pattern) for m in self.run())
-
-    def __iter__(self):
-        return iter(self.run())

@@ -7,10 +7,9 @@ temporal flavour: a join whose condition includes validity-interval overlap.
 All operators here are lazy iterators over **rows** — plain dicts mapping
 variable names to values.  ``QueryEngine.run`` composes every TXQL query
 from them (:class:`Join` → :class:`Select` → :class:`Project`
-[→ :class:`Distinct` | → :class:`Coalesce`] or :class:`GroupedAggregate`);
-:class:`TemporalJoin` is the hand-composable sequenced join the algebra
-tests use as their reference.  Rows that carry a validity interval hold it
-under the reserved key ``"__interval__"``.
+[→ :class:`Distinct` | → :class:`Coalesce`] or :class:`GroupedAggregate`).
+Rows that carry a validity interval hold it under the reserved key
+``"__interval__"``.
 """
 
 from __future__ import annotations
@@ -95,40 +94,6 @@ class Join:
             binding for binding in self.sources[variable]
             if accept({variable: binding})
         )
-
-
-class TemporalJoin:
-    """Join requiring overlapping validity intervals.
-
-    The output row's interval is the intersection — the span during which
-    both inputs were simultaneously valid.  An extra ``predicate`` can
-    refine the match.  This is the join underlying TPatternScanAll and any
-    multi-variable EVERY query.
-    """
-
-    def __init__(self, left, right, predicate=None):
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-
-    def __iter__(self):
-        right_rows = list(self.right)
-        for left_row in self.left:
-            left_interval = left_row.get(INTERVAL_KEY)
-            for right_row in right_rows:
-                right_interval = right_row.get(INTERVAL_KEY)
-                if left_interval is not None and right_interval is not None:
-                    overlap = left_interval.intersect(right_interval)
-                    if overlap is None:
-                        continue
-                else:
-                    overlap = left_interval or right_interval
-                merged = dict(left_row)
-                merged.update(right_row)
-                if overlap is not None:
-                    merged[INTERVAL_KEY] = overlap
-                if self.predicate is None or self.predicate(merged):
-                    yield merged
 
 
 class Distinct:

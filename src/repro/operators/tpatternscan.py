@@ -61,9 +61,6 @@ class TPatternScan:
             self.run(), self.pattern, self.store, at=self.ts
         )
 
-    def __iter__(self):
-        return iter(self.run())
-
 
 class TPatternScanAll:
     """Pattern scan over the whole history; a temporal multiway join.
@@ -144,9 +141,6 @@ class TPatternScanAll:
                     out.append(teid)
         out.sort()
         yield from out
-
-    def __iter__(self):
-        return iter(self.run())
 
 
 def _normalized_teids(matches, pattern, store, at=None):

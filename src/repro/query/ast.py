@@ -38,9 +38,6 @@ class EveryWithin:
 class Expr:
     """Base class of all expression nodes."""
 
-    def label(self):
-        raise NotImplementedError
-
     def walk(self):
         """Yield self and all descendant expressions."""
         yield self

@@ -136,27 +136,25 @@ class Evaluator:
         """TIME(R): the timestamp of the element version."""
         return TimestampValue(self._bound_arg(args, row, "TIME").teid.timestamp)
 
-    def _fn_create_time(self, args, row):
-        bound = self._bound_arg(args, row, "CREATE TIME")
-        operator = CreTime(
+    def _lifetime(self, operator, bound):
+        """CreTime / DelTime over ``bound``: the lifetime index when the
+        engine has one, the delta chain otherwise."""
+        lifetime = self.engine.lifetime
+        return operator(
             self.engine.store,
             bound.teid,
-            strategy=self.engine.optimizer.lifetime_strategy_for(bound.teid),
-            lifetime_index=self.engine.lifetime,
+            strategy="traverse" if lifetime is None else "index",
+            lifetime_index=lifetime,
             tracer=self.engine.tracer,
-        )
-        return TimestampValue(operator.value())
+        ).value()
+
+    def _fn_create_time(self, args, row):
+        bound = self._bound_arg(args, row, "CREATE TIME")
+        return TimestampValue(self._lifetime(CreTime, bound))
 
     def _fn_delete_time(self, args, row):
         bound = self._bound_arg(args, row, "DELETE TIME")
-        operator = DelTime(
-            self.engine.store,
-            bound.teid,
-            strategy=self.engine.optimizer.lifetime_strategy_for(bound.teid),
-            lifetime_index=self.engine.lifetime,
-            tracer=self.engine.tracer,
-        )
-        ts = operator.value()
+        ts = self._lifetime(DelTime, bound)
         # Under a snapshot pin a deletion that happened after the pin has
         # not happened yet from this query's point of view.
         pin = self.engine.pinned_now
@@ -309,9 +307,8 @@ class Evaluator:
         """``X OVERLAPS Y``: do the bindings' validity intervals intersect?
 
         A binding without an interval (a snapshot binding) is treated as
-        unconstrained — it overlaps everything, matching
-        :class:`~repro.operators.relational.TemporalJoin`'s pass-through
-        for rows that carry no ``__interval__``.
+        unconstrained — it overlaps everything, as the algebra tests'
+        reference join passes rows that carry no ``__interval__`` through.
         """
         left = self.eval(expr.left, row)
         right = self.eval(expr.right, row)

@@ -11,9 +11,9 @@ navigational scan), prices each with the statistics collected by
 (:class:`FromItemPlan`); around the per-item choice it orders WHERE
 conjuncts and FROM materialization by estimated selectivity, selects and
 ranks pushdown predicates (rarest term first) and bounds history lookups
-with the rewriter's time windows.  The one decision left to run time is
-the CREATE TIME / DELETE TIME strategy, resolved per call from
-version-count statistics (:meth:`Optimizer.lifetime_strategy_for`).
+with the rewriter's time windows.  CREATE TIME / DELETE TIME need no
+decision: they read the lifetime index whenever the engine has one
+(§7.3.6's "best solution") and walk the delta chain only without it.
 
 The cost model is deliberately small — six weights over counters the
 engine already measures (see ``docs/PLANNER.md`` for the calibration
@@ -68,10 +68,6 @@ COST_VERSION_EXPAND = 2.0
 COST_DELTA_READ = 40.0
 COST_ANCHOR_READ = 60.0
 COST_ELEMENT_WALK = 0.25
-
-#: Version count above which the O(1) lifetime index beats walking the
-#: delta chain for CREATE TIME / DELETE TIME.
-AUTO_LIFETIME_VERSIONS = 2
 
 
 @dataclass
@@ -259,8 +255,6 @@ class PlannerCounters:
     pushdowns: int = 0           # predicates compiled into scan patterns
     conjuncts_reordered: int = 0
     from_items_reordered: int = 0
-    auto_lifetime_index: int = 0
-    auto_lifetime_traverse: int = 0
 
     def snapshot(self):
         return {
@@ -271,8 +265,6 @@ class PlannerCounters:
             "pushdowns": self.pushdowns,
             "conjuncts_reordered": self.conjuncts_reordered,
             "from_items_reordered": self.from_items_reordered,
-            "auto_lifetime_index": self.auto_lifetime_index,
-            "auto_lifetime_traverse": self.auto_lifetime_traverse,
         }
 
 
@@ -555,26 +547,6 @@ class Optimizer:
         if order != list(range(1, len(plans))):
             self.counters.from_items_reordered += 1
         return order
-
-    # -- lifetime strategy --------------------------------------------------------
-
-    def lifetime_strategy_for(self, teid=None):
-        """The strategy for one CREATE TIME / DELETE TIME call: the O(1)
-        lifetime index when the document's history is deep enough that
-        walking the delta chain costs more, traversal otherwise (and
-        always, when no index is attached)."""
-        if self.engine.lifetime is None:
-            self.counters.auto_lifetime_traverse += 1
-            return "traverse"
-        if teid is None:
-            self.counters.auto_lifetime_index += 1
-            return "index"
-        versions = self.statistics.version_count(teid.doc_id)
-        if versions > AUTO_LIFETIME_VERSIONS:
-            self.counters.auto_lifetime_index += 1
-            return "index"
-        self.counters.auto_lifetime_traverse += 1
-        return "traverse"
 
 
 # -- conjunct shape helpers ------------------------------------------------------

@@ -25,6 +25,8 @@ are kept as strings on the AST (compiled by the executor).
 
 from __future__ import annotations
 
+import sys
+
 from ..clock import interval_seconds, INTERVAL_UNITS, parse_date
 from ..errors import QuerySyntaxError
 from .ast import (
@@ -76,6 +78,18 @@ class _Parser:
         raise QuerySyntaxError(
             f"{message} (found {token.value!r})", token.position
         )
+
+    @staticmethod
+    def _integer(token):
+        """``int(token.value)``; a literal longer than Python converts is
+        a syntax error, not a ``ValueError``."""
+        try:
+            return int(token.value)
+        except ValueError:
+            raise QuerySyntaxError(
+                f"integer literal of {len(token.value)} digits is too long",
+                token.position,
+            ) from None
 
     def _expect_keyword(self, word):
         if not self._peek().is_keyword(word):
@@ -156,7 +170,12 @@ class _Parser:
         if token.kind != NUMBER or "." in token.value:
             self._error("LIMIT expects a non-negative integer")
         self._next()
-        return int(token.value)
+        count = self._integer(token)
+        if count > sys.maxsize:
+            raise QuerySyntaxError(
+                f"LIMIT must be at most {sys.maxsize}", token.position
+            )
+        return count
 
     def _check_variables(self, select_items, from_items, where,
                          group_by=None):
@@ -219,7 +238,7 @@ class _Parser:
             self._error("WITHIN expects a duration like 30 DAYS")
         self._next()
         self._next()
-        amount = int(amount_token.value)
+        amount = self._integer(amount_token)
         return EveryWithin(
             interval_seconds(amount, unit_token.value),
             f"{amount} {unit_token.value.upper()}",
@@ -299,7 +318,7 @@ class _Parser:
         ):
             self._next()
             self._next()
-            amount = int(token.value)
+            amount = self._integer(token)
             return IntervalLiteral(
                 interval_seconds(amount, unit_token.value),
                 f"{amount} {unit_token.value.upper()}",
@@ -323,7 +342,8 @@ class _Parser:
             return Literal(token.value)
         if token.kind == NUMBER:
             self._next()
-            value = float(token.value) if "." in token.value else int(token.value)
+            value = (float(token.value) if "." in token.value
+                     else self._integer(token))
             return Literal(value)
         if token.kind == DATE:
             self._next()

@@ -151,9 +151,6 @@ class BoundElement:
             for node in compiled.select(self.tree)
         ]
 
-    def scalar(self):
-        return coerce_scalar(self.tree)
-
     def __repr__(self):
         return f"BoundElement({self.teid})"
 

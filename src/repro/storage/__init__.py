@@ -20,7 +20,7 @@ The logical entry point is
 """
 
 from .checkpoint import Checkpointer, CheckpointStats
-from .faults import CrashError, FaultyFS, OSFileSystem, REAL_FS, flip_bit
+from .faults import OSFileSystem, REAL_FS
 from .journal import (
     CommitJournal,
     JournalRecord,
@@ -42,11 +42,8 @@ from .store import CommitEvent, TemporalDocumentStore
 __all__ = [
     "Checkpointer",
     "CheckpointStats",
-    "CrashError",
-    "FaultyFS",
     "OSFileSystem",
     "REAL_FS",
-    "flip_bit",
     "CommitJournal",
     "JournalRecord",
     "JournalScan",

@@ -276,10 +276,6 @@ class Repository:
                 self.materialize_snapshot(record, entry.number)
         return pending
 
-    def abort_group(self):
-        """Drop the deferred-decision list (state changes are not undone)."""
-        self._group_pending = None
-
     def materialize_snapshot(self, record, number):
         """Store a full snapshot of version ``number`` (must be reachable)."""
         entry = record.dindex.entry(number)

@@ -9,8 +9,8 @@
   configurable update/insert/delete rates.
 * :mod:`repro.workload.words` — Zipf-distributed vocabulary shared by the
   generators.
-* :mod:`repro.workload.ingest` — warehouse-scale batched ingestion
-  drivers (group-commit streaming of synthetic or crawled histories).
+* :mod:`repro.workload.ingest` — :class:`BatchingWriter`, group-commit
+  ingestion through a store's commit groups.
 * :mod:`repro.workload.keyword` — the temporal keyword-search query
   stream with tracer-measured latencies.
 
@@ -25,13 +25,7 @@ from .restaurant import (
     load_figure1,
 )
 from .tdocgen import TDocGenerator, build_collection
-from .ingest import (
-    BatchingWriter,
-    IngestReport,
-    build_simulated_web,
-    ingest_crawl,
-    ingest_synthetic,
-)
+from .ingest import BatchingWriter
 from .keyword import KeywordQuery, KeywordRunReport, KeywordWorkload
 
 __all__ = [
@@ -43,10 +37,6 @@ __all__ = [
     "TDocGenerator",
     "build_collection",
     "BatchingWriter",
-    "IngestReport",
-    "build_simulated_web",
-    "ingest_crawl",
-    "ingest_synthetic",
     "KeywordQuery",
     "KeywordRunReport",
     "KeywordWorkload",

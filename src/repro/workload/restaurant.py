@@ -102,14 +102,6 @@ class GroundTruth:
                     increased.add(identity)
         return increased
 
-    def names_at(self, version_index):
-        return {
-            identity: name
-            for identity, states in self.states.items()
-            for v, name, price in states
-            if v == version_index
-        }
-
 
 class RestaurantGuideGenerator:
     """Evolving restaurant guide with ground-truth identity."""

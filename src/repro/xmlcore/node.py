@@ -42,13 +42,6 @@ class XidIndexStats:
         self.lookups = 0
         self.invalidations = 0
 
-    def as_dict(self):
-        return {
-            "builds": self.builds,
-            "lookups": self.lookups,
-            "invalidations": self.invalidations,
-        }
-
 
 #: Shared counters for every tree's XID index.
 xid_index_stats = XidIndexStats()
@@ -62,10 +55,6 @@ class _Node:
     @property
     def is_element(self):
         return isinstance(self, Element)
-
-    @property
-    def is_text(self):
-        return isinstance(self, Text)
 
 
 class Text(_Node):
@@ -92,9 +81,6 @@ class Text(_Node):
 
     def equals_deep(self, other):
         return isinstance(other, Text) and self.value == other.value
-
-    def text_content(self):
-        return self.value
 
     def __repr__(self):
         label = self.value if len(self.value) <= 24 else self.value[:21] + "..."

@@ -23,7 +23,7 @@ from repro.storage.cas import (
     storage_size,
     write_checkpoint,
 )
-from repro.storage.faults import flip_bit
+from tests.faults import flip_bit
 from repro.storage.persistence import (
     archive_bytes,
     build_archive,

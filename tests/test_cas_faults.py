@@ -26,7 +26,7 @@ from repro.storage.cas import (
     read_checkpoint,
     read_pointer,
 )
-from repro.storage.faults import CrashError, FaultyFS, flip_bit
+from tests.faults import CrashError, FaultyFS, flip_bit
 from repro.storage.persistence import archive_bytes, build_archive
 from tests.legacy_dirs import make_legacy
 from tests.test_crash_consistency import (

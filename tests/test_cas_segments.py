@@ -35,7 +35,7 @@ from repro.storage.cas import (
     read_pointer,
     write_checkpoint,
 )
-from repro.storage.faults import CrashError, FaultyFS
+from tests.faults import CrashError, FaultyFS
 from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.store import TemporalDocumentStore
 from repro.workload.tdocgen import TDocGenerator

@@ -22,7 +22,7 @@ from repro.errors import CorruptArchiveError
 from repro.storage import TemporalDocumentStore
 from repro.storage.binfmt import Reader
 from repro.storage.cas import CAS_POINTER_FILE, CASObjectStore, read_pointer
-from repro.storage.faults import CrashError, FaultyFS, flip_bit
+from tests.faults import CrashError, FaultyFS, flip_bit
 from repro.storage.recover import recover_store
 from repro.xmlcore import serialize
 from tests.legacy_dirs import make_legacy

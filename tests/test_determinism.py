@@ -9,12 +9,8 @@ from repro.clock import parse_date
 from repro.storage import TemporalDocumentStore
 from repro.storage.persistence import archive_bytes, build_archive
 from repro.warehouse.crawler import Crawler, round_robin_schedule
-from repro.workload import (
-    TDocGenerator,
-    build_simulated_web,
-    ingest_crawl,
-    ingest_synthetic,
-)
+from benchmarks.ingest import build_simulated_web, ingest_crawl, ingest_synthetic
+from repro.workload import TDocGenerator
 from repro.xmlcore import serialize
 
 START = parse_date("01/01/2001")

@@ -13,11 +13,9 @@ from repro.diff.editscript import (
 )
 from repro.errors import DiffError
 from repro.model.identifiers import XIDAllocator
-from repro.model.versioned import (
-    stamp_new_nodes,
-    verify_timestamp_invariant,
-)
+from repro.model.versioned import stamp_new_nodes
 from repro.xmlcore import Path, parse
+from tests.references import verify_timestamp_invariant
 
 
 def _stamped(text, alloc=None, ts=100):

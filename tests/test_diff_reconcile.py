@@ -26,11 +26,12 @@ from repro.diff.editscript import (
     StampOp,
 )
 from repro.model.identifiers import XIDAllocator
-from repro.model.versioned import stamp_new_nodes, verify_timestamp_invariant
+from repro.model.versioned import stamp_new_nodes
 from repro.storage import TemporalDocumentStore
 from repro.workload import TDocGenerator, build_collection, load_figure1
 from repro.workload.restaurant import RestaurantGuideGenerator
 from repro.xmlcore.node import Element, Text, parent_map
+from tests.references import verify_timestamp_invariant
 
 
 # -- an abstract document the edits are drawn against --------------------------

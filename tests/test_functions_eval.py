@@ -170,9 +170,9 @@ class TestEngineConfiguration:
         result = engine.execute(query)
         assert len(result) == 2
         assert str(result) == str(figure1_db.query(query))
-        counters = engine.optimizer.counters
-        assert counters.auto_lifetime_traverse == 2
-        assert counters.auto_lifetime_index == 0
+        report = engine.explain_analyze(query)
+        spans = [span for span in report.root.walk() if span.name == "CreTime"]
+        assert [span.attrs["strategy"] for span in spans] == ["traverse"] * 2
 
     def test_engine_without_fti_navigates(self, figure1_db):
         from repro.query import QueryEngine
@@ -182,3 +182,50 @@ class TestEngineConfiguration:
             'SELECT R/name FROM doc("guide.com")[26/01/2001]/restaurant R'
         )
         assert len(result) == 2
+
+
+class TestScalarBuckets:
+    """DAY/WEEK/MONTH/YEAR(R) outside GROUP BY floor the version time to
+    its bucket start (docs/TXQL.md), in SELECT and in WHERE alike."""
+
+    UNITS = ("DAY", "WEEK", "MONTH", "YEAR")
+
+    def test_select_floors_each_version_time(self, figure1_db):
+        from repro.clock import bucket_floor, parse_date
+
+        columns = ", ".join(f"{unit}(R)" for unit in self.UNITS)
+        result = figure1_db.query(
+            f'SELECT TIME(R), {columns} '
+            'FROM doc("guide.com")[EVERY]/restaurant R'
+        )
+        times = [row["TIME(R)"] for row in result.rows]
+        assert sorted(set(times)) == [parse_date(d) for d in
+                                      ("01/01/2001", "15/01/2001",
+                                       "31/01/2001")]
+        for row in result.rows:
+            for unit in self.UNITS:
+                assert row[f"{unit}(R)"] == bucket_floor(row["TIME(R)"], unit)
+        # Pinned against the calendar: epoch weeks start on Thursdays.
+        first = result.rows[0]
+        assert [str(first[f"{unit}(R)"]) for unit in self.UNITS] == [
+            "01/01/2001", "28/12/2000", "01/01/2001", "01/01/2001",
+        ]
+        assert {str(row["WEEK(R)"]) for row in result.rows} == {
+            "28/12/2000", "11/01/2001", "25/01/2001",
+        }
+
+    def test_where_compares_bucket_starts(self, figure1_db):
+        def times(where):
+            result = figure1_db.query(
+                'SELECT TIME(R) FROM doc("guide.com")[EVERY]/restaurant R '
+                f"WHERE {where}"
+            )
+            return [str(row["TIME(R)"]) for row in result.rows]
+
+        assert times("DAY(R) > 14/01/2001") == [
+            "15/01/2001", "15/01/2001", "31/01/2001",
+        ]
+        assert times("WEEK(R) = 11/01/2001") == ["15/01/2001"] * 2
+        assert times("WEEK(R) < 11/01/2001") == ["01/01/2001"]
+        assert len(times("MONTH(R) = 01/01/2001")) == 4
+        assert times("YEAR(R) > 01/01/2001") == []

@@ -20,7 +20,8 @@ from repro.model.identifiers import XIDAllocator
 from repro.model.versioned import stamp_new_nodes
 from repro.storage import TemporalDocumentStore
 from repro.storage.binfmt import encode_redo, encode_script, encode_tree
-from repro.storage.faults import CrashError, FaultyFS, OSFileSystem, flip_bit
+from repro.storage.faults import OSFileSystem
+from tests.faults import CrashError, FaultyFS, flip_bit
 from repro.storage.journal import (
     MAGIC,
     CommitJournal,

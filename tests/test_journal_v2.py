@@ -23,7 +23,7 @@ from repro.storage import TemporalDocumentStore, binfmt
 from repro.storage import journal as journal_module
 from repro.storage import recover as recover_module
 from repro.storage.binfmt import Writer, encode_tree
-from repro.storage.faults import CrashError, FaultyFS
+from tests.faults import CrashError, FaultyFS
 from repro.storage.journal import (
     _FRAME,
     FORMAT_VERSION,

@@ -48,7 +48,7 @@ from repro.diff.editscript import (
     UpdateAttrOp,
     UpdateTextOp,
 )
-from repro.storage.faults import CrashError, FaultyFS
+from tests.faults import CrashError, FaultyFS
 from repro.storage.journal import (
     FORMAT_VERSION,
     MAGIC,

@@ -38,7 +38,7 @@ import pytest
 
 from repro import TemporalXMLDatabase
 from repro.cli import main
-from repro.storage.faults import CrashError, FaultyFS
+from tests.faults import CrashError, FaultyFS
 from repro.storage.persistence import archive_bytes, build_archive
 
 XML_DIR_V1 = Path(__file__).parent / "data" / "xml_dir_v1"

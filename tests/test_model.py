@@ -4,15 +4,14 @@ import pytest
 
 from repro.errors import IdentityError
 from repro.model.identifiers import EID, TEID, XIDAllocator
-from repro.model.versioned import (
-    collect_xids,
-    max_timestamp,
-    stamp_new_nodes,
-    touch_upwards,
-    verify_timestamp_invariant,
-)
+from repro.model.versioned import stamp_new_nodes, touch_upwards
 from repro.xmlcore import element
 from repro.xmlcore.node import parent_map
+from tests.references import (
+    collect_xids,
+    max_timestamp,
+    verify_timestamp_invariant,
+)
 
 
 class TestXIDAllocator:

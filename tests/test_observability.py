@@ -23,7 +23,6 @@ from repro import TemporalXMLDatabase
 from repro.obs import (
     NULL_TRACER,
     ExplainAnalyzeReport,
-    Histogram,
     MetricsRegistry,
     NullTracer,
     PlanReport,
@@ -69,18 +68,6 @@ class TestMetricsRegistry:
     def test_reject_bad_source(self):
         with pytest.raises(TypeError):
             MetricsRegistry().register("bad", object())
-
-    def test_owned_counters_and_histograms(self):
-        registry = MetricsRegistry()
-        registry.counter("events").inc()
-        registry.counter("events").inc(2)
-        assert registry.snapshot()["events"] == 3
-        histogram = registry.histogram("latency")
-        for value in (1.0, 3.0):
-            histogram.observe(value)
-        assert histogram.count == 2
-        assert histogram.mean == 2.0
-        assert isinstance(registry.histograms["latency"], Histogram)
 
     def test_engine_registry_covers_every_subsystem(self, db):
         assert set(db.engine.registry.prefixes) == {

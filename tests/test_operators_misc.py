@@ -21,7 +21,6 @@ from repro.operators import (
     Join,
     Project,
     Select,
-    TemporalJoin,
 )
 from repro.operators.relational import INTERVAL_KEY
 from repro.storage import TemporalDocumentStore
@@ -29,6 +28,7 @@ from repro.workload import load_figure1
 from repro.xmlcore import element, parse
 
 from tests.conftest import JAN_01, JAN_31
+from tests.references import TemporalJoin
 
 
 class TestDiffOperator:

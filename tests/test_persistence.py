@@ -429,7 +429,7 @@ class TestCorruptedArchives:
         assert excinfo.value.offset is not None
 
     def test_bit_flip_fails_checksum(self, populated, tmp_path):
-        from repro.storage.faults import flip_bit
+        from tests.faults import flip_bit
 
         path = self._archive(populated, tmp_path)
         # Flip a text bit in the middle of the file; either the whole-file
@@ -504,7 +504,7 @@ class TestAtomicDump:
         assert not (tmp_path / "archive.xml.tmp").exists()
 
     def test_crash_during_dump_preserves_old_archive(self, populated, tmp_path):
-        from repro.storage.faults import CrashError, FaultyFS
+        from tests.faults import CrashError, FaultyFS
 
         path = tmp_path / "archive.xml"
         dump_store(populated, str(path))

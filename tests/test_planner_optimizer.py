@@ -25,7 +25,6 @@ from repro.errors import QueryPlanError
 from repro.index import LifetimeIndex, TemporalFullTextIndex
 from repro.index.statistics import CorpusStatistics
 from repro.query import QueryEngine
-from repro.query.optimizer import AUTO_LIFETIME_VERSIONS
 from repro.query.parser import parse_query
 from repro.storage import TemporalDocumentStore
 from repro.workload import RestaurantGuideGenerator, load_figure1
@@ -345,33 +344,31 @@ class TestStatisticsLayer:
         statistics = CorpusStatistics(store, fti)
         doc_id = store.doc_id("guide.com")
         dindex = store.delta_index(doc_id)
-        assert statistics.version_count(doc_id) == len(dindex.entries)
+        assert statistics.versions_between(doc_id, 0, 1 << 62) == len(dindex.entries)
         assert statistics.element_count(doc_id) > 0
         depth = statistics.delta_chain_depth(doc_id, parse_date("02/01/2001"))
         assert depth >= 0
 
     def test_auto_lifetime_strategy(self, figure1):
+        """CREATE TIME / DELETE TIME read the lifetime index whenever the
+        engine has one, however short the history (one version here), and
+        walk the delta chain only without it; both give the same answer."""
         store, fti, lifetime = figure1
-        engine = QueryEngine(store, fti=fti, lifetime=lifetime)
-        result = engine.execute(
-            'SELECT DISTINCT R/name FROM doc("guide.com")[EVERY]/restaurant R '
-            "WHERE CREATE TIME(R) >= 01/01/2001"
-        )
-        assert len(result) > 0
-        counters = engine.optimizer.counters
-        assert counters.auto_lifetime_index + counters.auto_lifetime_traverse > 0
-        # Figure 1 has more versions than the crossover, so its document
-        # resolves to the O(1) index.
-        doc_id = store.doc_id("guide.com")
-        assert statistics_version_count(store, fti, doc_id) \
-            > AUTO_LIFETIME_VERSIONS
-        bound_strategy = engine.optimizer.lifetime_strategy_for(
-            _teid_for(store, doc_id)
-        )
-        assert bound_strategy == "index"
-        # Without a lifetime index every call traverses.
-        bare = QueryEngine(store, fti=fti, lifetime=None)
-        assert bare.optimizer.lifetime_strategy_for(None) == "traverse"
+        store.put("short.com",
+                  "<guide><restaurant><name>x</name></restaurant></guide>")
+        query = ('SELECT CREATE TIME(R), DELETE TIME(R) '
+                 'FROM doc("short.com")/restaurant R')
+        answers = {}
+        for strategy, engine in (
+            ("index", QueryEngine(store, fti=fti, lifetime=lifetime)),
+            ("traverse", QueryEngine(store, fti=fti)),
+        ):
+            report = engine.explain_analyze(query)
+            spans = [span for span in report.root.walk()
+                     if span.name in ("CreTime", "DelTime")]
+            assert [span.attrs["strategy"] for span in spans] == [strategy] * 2
+            answers[strategy] = str(report.result)
+        assert answers["index"] == answers["traverse"]
 
     def test_order_conjuncts_ranks_cheap_first(self, figure1):
         store, fti, lifetime = figure1
@@ -387,16 +384,3 @@ class TestStatisticsLayer:
         labels = [c.label() for c in _conjuncts(ordered)]
         assert "TIME" in labels[0]
         assert "~" in labels[-1]
-
-
-def statistics_version_count(store, fti, doc_id):
-    return CorpusStatistics(store, fti).version_count(doc_id)
-
-
-def _teid_for(store, doc_id):
-    from repro.model.identifiers import TEID
-
-    dindex = store.delta_index(doc_id)
-    entry = dindex.entries[0]
-    root = store.snapshot(doc_id, entry.timestamp)
-    return TEID(doc_id, root.xid, entry.timestamp)

@@ -27,14 +27,12 @@ from benchmarks.planedits import run_unrewritten
 from repro.diff import apply_script, diff
 from repro.index import LifetimeIndex, TemporalFullTextIndex, tokenize
 from repro.model.identifiers import TEID, XIDAllocator
-from repro.model.versioned import (
-    stamp_new_nodes,
-    verify_timestamp_invariant,
-)
+from repro.model.versioned import stamp_new_nodes
 from repro.operators import CreTime, DelTime
 from repro.storage import TemporalDocumentStore
 from repro.xmlcore import serialize
 from repro.xmlcore.node import Element, Text
+from tests.references import verify_timestamp_invariant
 
 _TAGS = ("a", "b", "item", "name")
 _WORDS = ("alpha", "beta", "gamma", "delta", "omega", "15", "18")

@@ -372,19 +372,12 @@ class TestLimit:
     def test_limit_stops_the_join_early(self, figure1_db):
         # Snapshot scans stream end-to-end: LIMIT must stop the structural
         # join before it emits (or even probes) the matches never taken.
-        stats = figure1_db.engine.join_stats
         query = 'SELECT R FROM doc("guide.com")[26/01/2001]/restaurant R'
-
-        stats.reset()
-        figure1_db.query(query)
-        full_emitted = stats.matches_emitted
-        full_probed = stats.candidates_probed
-
-        stats.reset()
+        full = figure1_db.query(query).stats
         result = figure1_db.query(query + " LIMIT 1")
         assert len(result) == 1
-        assert stats.matches_emitted < full_emitted
-        assert stats.candidates_probed < full_probed
+        assert result.stats["join.matches_emitted"] < full["join.matches_emitted"]
+        assert result.stats["join.candidates_probed"] < full["join.candidates_probed"]
 
 
 class TestPathApply:

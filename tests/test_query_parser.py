@@ -333,3 +333,40 @@ class TestParserErrors:
     def test_rejects(self, bad):
         with pytest.raises(QuerySyntaxError):
             parse_query(bad)
+
+
+class TestOversizedIntegers:
+    """An integer literal past Python's conversion limit, or a LIMIT past
+    ``sys.maxsize``, is a syntax error at parse time: never a bare
+    ``ValueError`` from ``int()`` or an ``islice`` failure at run time."""
+
+    NINES = "9" * 5000
+    BASE = 'SELECT R FROM doc("guide.com")'
+
+    @pytest.mark.parametrize("query", [
+        f'{BASE}[EVERY]/restaurant R LIMIT {NINES}',
+        f'{BASE}[EVERY]/restaurant R WHERE R/price > {NINES}',
+        f'{BASE}[NOW - {NINES} DAYS]/restaurant R',
+        f'{BASE}[EVERY WITHIN {NINES} DAYS]/restaurant R',
+    ])
+    def test_too_many_digits(self, query):
+        with pytest.raises(QuerySyntaxError, match="5000 digits is too long"):
+            parse_query(query)
+
+    def test_limit_above_maxsize(self):
+        with pytest.raises(QuerySyntaxError, match="LIMIT must be at most"):
+            parse_query(f"{self.BASE}[EVERY]/restaurant R "
+                        "LIMIT 99999999999999999999999")
+
+    def test_limit_at_maxsize_parses(self):
+        import sys
+
+        q = parse_query(f"{self.BASE}/restaurant R LIMIT {sys.maxsize}")
+        assert q.limit == sys.maxsize
+
+    def test_refused_by_the_database(self, figure1_db):
+        for query in (f"{self.BASE}[EVERY]/restaurant R LIMIT {self.NINES}",
+                      f"{self.BASE}[EVERY]/restaurant R "
+                      "LIMIT 99999999999999999999999"):
+            with pytest.raises(QuerySyntaxError):
+                figure1_db.query(query)

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from benchmarks.ingest import ingest_crawl, ingest_synthetic
 from repro import TemporalXMLDatabase
 from repro.clock import parse_date
 from repro.errors import (
@@ -26,13 +27,7 @@ from repro.serving import SessionManager
 from repro.storage import TemporalDocumentStore
 from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.snapshots import AdaptiveSnapshotPolicy
-from repro.workload import (
-    BatchingWriter,
-    KeywordWorkload,
-    TDocGenerator,
-    ingest_crawl,
-    ingest_synthetic,
-)
+from repro.workload import BatchingWriter, KeywordWorkload, TDocGenerator
 
 START = parse_date("01/01/2001")
 

@@ -398,6 +398,27 @@ def test_server_serves_concurrent_clients():
 
 
 @pytest.mark.timeout(60)
+def test_oversized_query_integers_are_syntax_errors_over_the_wire():
+    """A 5 000-digit literal or a LIMIT past ``sys.maxsize`` is answered as
+    the parser's typed error, not logged as a server fault."""
+    db = TemporalXMLDatabase()
+    db.put("guide.com", GUIDE, ts=parse_date("05/01/2001"))
+    nines = "9" * 5000
+    base = 'SELECT R FROM doc("guide.com")'
+    with ServingServer(SessionManager(db)) as server, \
+            ServingClient(*server.address) as client:
+        for text in (f"{base}[EVERY]/restaurant R LIMIT {nines}",
+                     f"{base}[EVERY]/restaurant R WHERE R/price > {nines}",
+                     f"{base}[NOW - {nines} DAYS]/restaurant R",
+                     f"{base}[EVERY]/restaurant R "
+                     "LIMIT 99999999999999999999999"):
+            refused = client.request("query", text=text)
+            assert refused["ok"] is False
+            assert refused["error_type"] == "QuerySyntaxError", refused
+        assert client.query(RESTAURANTS)["rows"]
+
+
+@pytest.mark.timeout(60)
 def test_served_writes_meet_the_nesting_bound_at_the_door():
     """Past ``MAX_DEPTH`` the reply is the parser's typed error (it used to
     be ``"RecursionError: ..."`` from somewhere behind it, or worse, a put

@@ -35,7 +35,6 @@ from repro.clock import (
     bucket_floor,
     bucket_next,
     bucket_spans,
-    format_timestamp,
     parse_date,
 )
 from repro.equality.value import coerce_scalar
@@ -46,15 +45,15 @@ from repro.operators.relational import (
     INTERVAL_KEY,
     Coalesce,
     GroupedAggregate,
-    TemporalJoin,
 )
 from repro.query import QueryEngine
 from repro.query.executor import ResultSet
 from repro.query.values import BoundElement, TimestampValue
 from repro.storage import TemporalDocumentStore
-from repro.workload import RestaurantGuideGenerator, load_figure1
+from repro.workload import RestaurantGuideGenerator
 from repro.xmlcore.node import Element
 from repro.xmlcore.path import Path
+from tests.references import TemporalJoin
 
 START = parse_date("01/01/2001")
 JAN_01 = parse_date("01/01/2001")
