@@ -201,6 +201,21 @@ def reached_keys(records, functions, root):
     return keys
 
 
+def tally(records_by_tag, functions, root):
+    """``(reached, by_test)`` from :func:`read_records`' output: the keys a
+    surface reached, and ``{key: [tests/<file>.py, ...]}`` for the keys a
+    tier-1 test file reached (``--tests`` tags those runs ``test_<stem>``)."""
+    reached, by_test = set(), {}
+    for tag, records in sorted(records_by_tag.items()):
+        keys = reached_keys(records, functions, root)
+        if tag.startswith("test_"):
+            for key in keys:
+                by_test.setdefault(key, []).append(f"tests/{tag[5:]}.py")
+        else:
+            reached |= keys
+    return reached, by_test
+
+
 def read_records(out_dir):
     """``{tag: {(filename, line, name)}}`` from a hook output directory."""
     by_tag = {}
@@ -337,8 +352,8 @@ class Runner:
     """Runs commands in the scratch copy under the hook, one process each,
     and keeps the ones that failed."""
 
-    def __init__(self, copy, out_dir, hook_dir, verbose):
-        self.copy, self.verbose = copy, verbose
+    def __init__(self, copy, out_dir, hook_dir):
+        self.copy = copy
         self.src = os.path.realpath(copy / "src")
         self.env = dict(os.environ)
         self.env.update(
@@ -353,8 +368,6 @@ class Runner:
         return env
 
     def run(self, tag, argv, cwd=None, expect=0):
-        if self.verbose:
-            print(f"  {tag}: {' '.join(argv)}", file=sys.stderr)
         try:
             done = subprocess.run(
                 [sys.executable, *argv], cwd=cwd or self.copy,
@@ -519,8 +532,6 @@ def main(argv=None):
                         help="also run each tier-1 test file under the "
                              "hook and name the tests that reach each "
                              "unreached function")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print each command as it starts")
     args = parser.parse_args(argv)
 
     functions = enumerate_functions(ROOT)
@@ -532,19 +543,12 @@ def main(argv=None):
             directory.mkdir()
         (hook_dir / "sitecustomize.py").write_text(HOOK)
         _copy_checkout(copy)
-        runner = Runner(copy, out_dir, hook_dir, args.verbose)
+        runner = Runner(copy, out_dir, hook_dir)
         run_surfaces(runner, work)
         surface_failures = list(runner.failed)
         if args.tests:
             run_tests(runner)
-        reached, by_test = set(), {}
-        for tag, records in read_records(out_dir).items():
-            keys = reached_keys(records, functions, copy)
-            if tag.startswith("test_"):
-                for key in keys:
-                    by_test.setdefault(key, []).append(f"tests/{tag[5:]}.py")
-            else:
-                reached |= keys
+        reached, by_test = tally(read_records(out_dir), functions, copy)
 
     text = LIST.read_text() if LIST.exists() else ""
     verdict = check(functions, reached, text, ROOT)

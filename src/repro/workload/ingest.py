@@ -81,8 +81,10 @@ class BatchingWriter:
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
             self.flush()
-        else:
-            self.abort()
+            return False
+        batch, self._batch = self._batch, None
+        if batch is not None:
+            batch.abort()
         return False
 
     def __getattr__(self, name):

@@ -69,7 +69,6 @@ def verify_timestamp_invariant(root):
     """Check that every element's timestamp >= all of its children's.
 
     Returns the list of offending XIDs (empty when the invariant holds).
-    Used by tests and by the store's self-check mode.
     """
     offenders = []
     for node in _iter_nodes(root):

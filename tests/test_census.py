@@ -12,7 +12,9 @@ from benchmarks.census import (
     enumerate_functions,
     functions_in,
     parse_list,
+    read_records,
     reached_keys,
+    tally,
 )
 
 FIXTURE = textwrap.dedent('''\
@@ -94,6 +96,27 @@ def test_called_code_objects_map_back_to_their_keys(package):
     assert reached_keys(records, functions, package) == {
         "pkg/mod.py:cached", "pkg/mod.py:outer.<locals>.inner",
         "pkg/mod.py:Box.size", "pkg/mod.py:Box.size.setter",
+    }
+
+
+def test_tier1_runs_are_tallied_per_test_file(package, tmp_path):
+    """``--tests`` runs tag each test file ``test_<stem>``: what they reach
+    is credited to ``tests/<stem>.py``, never to the surfaces."""
+    path = package / "pkg" / "mod.py"
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "e2e.11.txt").write_text(f"{path}\t4\tplain\n")
+    (out / "test_test_box.12.txt").write_text(
+        f"{path}\t4\tplain\n{path}\t28\tunused\n")
+    (out / "test_test_box.13.txt").write_text(f"{path}\t13\touter\n")
+    (out / "test_test_other.14.txt").write_text(f"{path}\t28\tunused\n")
+    functions = enumerate_functions(package, "pkg")
+    reached, by_test = tally(read_records(out), functions, package)
+    assert reached == {"pkg/mod.py:plain"}
+    assert by_test == {
+        "pkg/mod.py:plain": ["tests/test_box.py"],
+        "pkg/mod.py:outer": ["tests/test_box.py"],
+        "pkg/mod.py:Box.unused": ["tests/test_box.py", "tests/test_other.py"],
     }
 
 

@@ -152,6 +152,19 @@ class TestBatchSemantics:
         assert archive_bytes(build_archive(store)) == before
         assert store.documents() == ["a.xml"]
 
+    def test_writer_exception_aborts_the_open_group(self):
+        store = TemporalDocumentStore()
+        store.put("a.xml", "<doc><x>one</x></doc>")
+        before = archive_bytes(build_archive(store))
+        with pytest.raises(NoSuchDocumentError):
+            with BatchingWriter(store, batch_size=64) as writer:
+                writer.update("a.xml", "<doc><x>two</x></doc>")
+                writer.put("b.xml", "<doc/>")
+                writer.update("nope.xml", "<doc/>")
+        assert writer.groups == 0
+        assert archive_bytes(build_archive(store)) == before
+        assert store.documents() == ["a.xml"]
+
     def test_staging_validation(self):
         store = TemporalDocumentStore()
         store.put("a.xml", "<doc/>")
