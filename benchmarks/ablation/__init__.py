@@ -12,6 +12,7 @@ compare against:
 * :mod:`.joins` — the backtracking nested-loop structural join
   (§7.3.1–7.3.2; E1b, E2b);
 * :mod:`.reconstruct` — backward-only reconstruction (§7.3.3; E3c);
+* :mod:`.lifetime` — CreTime/DelTime by delta traversal (§7.3.6; E5);
 * :mod:`.disk` — the paged-disk simulator behind every "pages" and "seeks"
   column, attached to a store from outside (§7.2 clustered vs. unclustered
   delta placement; E1, E7, E8, E9).

@@ -7,13 +7,12 @@ The durability knob trades crash-window size for commit latency:
 * ``fsync``  — fsync per commit (survives power loss).
 
 This smoke benchmark runs the same commit workload under all three modes,
-prints the paper-style table, and writes the machine-readable comparison
-to ``BENCH_durability.json`` at the repository root.
+prints the paper-style table, and hands the machine-readable comparison to
+``durability_report`` (``BENCH_durability.json`` at the repository root;
+see ``conftest.py``).
 """
 
-import json
 import time
-from pathlib import Path
 
 from harness import Table
 from repro import TemporalXMLDatabase
@@ -21,7 +20,6 @@ from repro.workload import TDocGenerator
 
 DOCS = 4
 UPDATES_PER_DOC = 10
-REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_durability.json"
 
 
 def _commit_workload(db):
@@ -56,7 +54,7 @@ def _timed_run(tmp_path, durability):
     }
 
 
-def test_durability_cost(tmp_path, benchmark, emit):
+def test_durability_cost(tmp_path, benchmark, emit, durability_report):
     runs = [
         _timed_run(tmp_path, durability)
         for durability in ("none", "journal", "fsync")
@@ -88,20 +86,8 @@ def test_durability_cost(tmp_path, benchmark, emit):
     assert runs[2]["fsyncs"] >= runs[2]["commits"]
     assert runs[1]["fsyncs"] == 0
 
-    REPORT_PATH.write_text(
-        json.dumps(
-            {
-                "description": (
-                    "Commit throughput under the three durability modes: "
-                    "no journal, journalled with OS flush, journalled "
-                    "with fsync per commit."
-                ),
-                "runs": runs,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    for run in runs:
+        durability_report(run)
 
     db = TemporalXMLDatabase.open(tmp_path / "bench", durability="journal")
     generator = TDocGenerator(seed=23, depth=2, fanout=(2, 3))

@@ -5,12 +5,14 @@ bottleneck if CreTime is a frequently used operator.  In this case the best
 alternative will be to use an additional index."
 
 The series sweeps the element's age (versions since creation): traversal
-reads one delta per version of age, the lifetime index answers in O(1).
+(``ablation/lifetime.py``) reads one delta per version of age, the lifetime
+index the engine's CreTime/DelTime read answers in O(1).
 The paper's remark about amortized index maintenance (inserts arrive in
 batches per commit) is checked as well.
 """
 
 
+from ablation.lifetime import traverse_create_time, traverse_delete_time
 from harness import Table
 from repro.index import LifetimeIndex
 from repro.model.identifiers import TEID
@@ -55,10 +57,10 @@ def test_cretime_traversal_vs_index(benchmark, emit):
         teid = TEID(doc_id, by_label[label], current_ts)
         repo = store.repository
         repo.delta_reads = 0
-        by_traversal = CreTime(store, teid, "traverse").value()
+        by_traversal = traverse_create_time(store, teid)
         traversal_reads = repo.delta_reads
         repo.delta_reads = 0
-        by_index = CreTime(store, teid, "index", lifetime).value()
+        by_index = CreTime(lifetime, teid).value()
         index_reads = repo.delta_reads
         traversal_series.append(traversal_reads)
         table.add(age, traversal_reads, index_reads,
@@ -74,10 +76,10 @@ def test_cretime_traversal_vs_index(benchmark, emit):
                     .entry(1).timestamp)
     repo = store.repository
     repo.delta_reads = 0
-    assert DelTime(store, del_teid, "traverse").value() is None
+    assert traverse_delete_time(store, del_teid) is None
     forward_reads = repo.delta_reads
     assert forward_reads == VERSIONS - 1  # scans the whole chain forward
-    assert DelTime(store, del_teid, "index", lifetime).value() is None
+    assert DelTime(lifetime, del_teid).value() is None
 
     # Paper remark: index updates arrive in per-commit batches.
     amortized = Table(
@@ -92,4 +94,4 @@ def test_cretime_traversal_vs_index(benchmark, emit):
     emit(amortized)
 
     oldest = TEID(doc_id, by_label["e1"], current_ts)
-    benchmark(lambda: CreTime(store, oldest, "traverse").value())
+    benchmark(lambda: traverse_create_time(store, oldest))

@@ -17,7 +17,6 @@ the compression can never quietly trade correctness for space.
 """
 
 import time
-from pathlib import Path
 
 from harness import Table
 from repro import TemporalXMLDatabase

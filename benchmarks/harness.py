@@ -180,22 +180,24 @@ def _metric_sources(index):
     return [(getattr(index, "metrics_label", "index"), stats)]
 
 
-def relative_overhead(baseline_fn, candidate_fn, repeats=5, inner=20):
+def relative_overhead(baseline_fn, candidate_fn, repeats=5, inner=20,
+                      clock=time.perf_counter):
     """Wall-clock overhead of ``candidate_fn`` relative to ``baseline_fn``.
 
     Runs each thunk ``inner`` times per sample, takes the best of
     ``repeats`` samples for both sides (best-of-N is the standard
     noise-robust estimator for "how fast *can* this go"), and returns
     ``(candidate - baseline) / baseline``.  The observability overhead
-    guard asserts this stays under 5% for the disabled tracer.
+    guard asserts this stays under 5% for the disabled tracer.  ``clock``
+    is read twice per sample, baseline samples first (a test seam).
     """
     def best(fn):
         times = []
         for _ in range(repeats):
-            t0 = time.perf_counter()
+            t0 = clock()
             for _ in range(inner):
                 fn()
-            times.append(time.perf_counter() - t0)
+            times.append(clock() - t0)
         return min(times)
 
     base = best(baseline_fn)

@@ -16,8 +16,8 @@ comparisons the benches and tests draw are against:
   order, at most the first textual pushdown, full-history FTI lookups, and
   the index whenever it is eligible.
 
-The navigational baseline needs no helper: ``QueryEngine(store)`` without
-an FTI plans a NavScan for every FROM item.
+The navigational baseline needs no helper: ``QueryEngine(store,
+lifetime=lifetime)`` without an FTI plans a NavScan for every FROM item.
 
 Bench scripts import this as ``planedits`` (their directory is on the
 path), tests as ``benchmarks.planedits``; nothing under ``src/repro``

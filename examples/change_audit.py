@@ -1,8 +1,8 @@
 """Change auditing with the operator API (below the query language).
 
 Uses the operator classes directly — the level the paper's Section 7 is
-written at: DocHistory/ElementHistory walks, CreTime/DelTime with both
-strategies, version navigation, and edit scripts from the Diff operator.
+written at: DocHistory/ElementHistory walks, CreTime/DelTime from the
+lifetime index, version navigation, and edit scripts from the Diff operator.
 
 Run:  python examples/change_audit.py
 """
@@ -56,10 +56,8 @@ def main():
     name = subtree.find("name").text
     print(f"\n== auditing restaurant {name!r} (EID {chosen.eid})")
 
-    created = CreTime(store, chosen, "traverse").value()
-    created_ix = CreTime(store, chosen, "index", lifetime).value()
-    assert created == created_ix
-    deleted = DelTime(store, chosen, "index", lifetime).value()
+    created = CreTime(lifetime, chosen).value()
+    deleted = DelTime(lifetime, chosen).value()
     print(f"  created: {format_timestamp(created)}")
     print(f"  deleted: {format_timestamp(deleted) if deleted else 'still live'}")
 

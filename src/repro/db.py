@@ -41,19 +41,13 @@ class TemporalXMLDatabase:
     checkpointer = None
     recovery = None
 
-    def __init__(
-        self, clock=None, snapshot_interval=None, snapshot_policy=None
-    ):
+    def __init__(self, clock=None, snapshot_interval=None):
         """The one place tuning is named; :meth:`load` and :meth:`open`
         take the same keywords and pass them here.  ``snapshot_interval``
-        materializes a full snapshot every k-th version of each document;
-        ``snapshot_policy`` (e.g.
-        :class:`~repro.storage.snapshots.AdaptiveSnapshotPolicy`) places
-        snapshots by rule — see ``docs/PERFORMANCE.md``."""
+        materializes a full snapshot every k-th version of each document
+        — see ``docs/PERFORMANCE.md``."""
         self.store = TemporalDocumentStore(
-            clock=clock,
-            snapshot_interval=snapshot_interval,
-            snapshot_policy=snapshot_policy,
+            clock=clock, snapshot_interval=snapshot_interval
         )
         self.fti = self.store.subscribe(TemporalFullTextIndex())
         self.lifetime = self.store.subscribe(LifetimeIndex())

@@ -5,7 +5,9 @@
 Maps every EID to its lifespan ``[create_ts, delete_ts)``.  Maintained from
 commit events: inserted payload subtrees open entries, deleted payloads
 close them (their XIDs read off the packed bytes, never decoded), and
-document deletion closes every entry still alive.  Lookups are O(1) — the contrast with the delta-traversal strategy measured in E5.
+document deletion closes every entry still alive.  Lookups are O(1) — the
+contrast with the delta traversal (``benchmarks/ablation/lifetime.py``)
+measured in E5.
 
 As the paper notes, inserts into this index are not strictly append-only
 (new elements appear inside existing documents), but every commit appends a
@@ -121,7 +123,7 @@ class LifetimeIndex:
                 closed += 1
         self.stats.closed(closed)
 
-    # -- lookups (the CreTime/DelTime index strategy) --------------------------------
+    # -- lookups (what CreTime/DelTime read) --------------------------------
 
     def create_time(self, eid):
         """Create time of the element, or ``None`` for unknown EIDs."""

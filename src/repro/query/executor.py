@@ -148,7 +148,7 @@ class QueryEngine:
 
     ``fti`` and ``lifetime`` are optional: without an FTI every FROM item
     plans as a navigational scan, without a lifetime index CREATE TIME /
-    DELETE TIME traverse the delta chain."""
+    DELETE TIME raise :class:`~repro.errors.QueryPlanError`."""
 
     def __init__(self, store, fti=None, lifetime=None, tracer=None):
         self.store = store

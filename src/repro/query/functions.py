@@ -137,15 +137,10 @@ class Evaluator:
         return TimestampValue(self._bound_arg(args, row, "TIME").teid.timestamp)
 
     def _lifetime(self, operator, bound):
-        """CreTime / DelTime over ``bound``: the lifetime index when the
-        engine has one, the delta chain otherwise."""
-        lifetime = self.engine.lifetime
+        """CreTime / DelTime over ``bound``, read from the lifetime index
+        (a :class:`QueryPlanError` when the engine has none)."""
         return operator(
-            self.engine.store,
-            bound.teid,
-            strategy="traverse" if lifetime is None else "index",
-            lifetime_index=lifetime,
-            tracer=self.engine.tracer,
+            self.engine.lifetime, bound.teid, tracer=self.engine.tracer
         ).value()
 
     def _fn_create_time(self, args, row):

@@ -32,11 +32,6 @@ from .journal import (
 from .deltaindex import DeltaIndex, VersionEntry
 from .recover import RecoveryReport, recover_store
 from .repository import Anchor, AnchorStats, Repository
-from .snapshots import (
-    AdaptiveSnapshotPolicy,
-    IntervalSnapshotPolicy,
-    SnapshotPolicy,
-)
 from .store import CommitEvent, TemporalDocumentStore
 
 __all__ = [
@@ -57,9 +52,6 @@ __all__ = [
     "Anchor",
     "AnchorStats",
     "Repository",
-    "SnapshotPolicy",
-    "IntervalSnapshotPolicy",
-    "AdaptiveSnapshotPolicy",
     "TemporalDocumentStore",
     "CommitEvent",
 ]

@@ -41,7 +41,6 @@ from ..model.identifiers import XIDAllocator
 from ..xmlcore.serializer import serialize
 from .cursor import ChainReader
 from .deltaindex import DeltaIndex, VersionEntry
-from .snapshots import IntervalSnapshotPolicy, SnapshotPolicy
 
 #: Cost-model weights, the classic disk split: a seek per logical read, a
 #: page of transfer per read plus the object bytes.  Logical, not measured —
@@ -159,21 +158,17 @@ class DocumentRecord:
 class Repository:
     """Stores document records and implements version reconstruction."""
 
-    def __init__(self, snapshot_interval=None, snapshot_policy=None):
+    def __init__(self, snapshot_interval=None):
         """``snapshot_interval=k`` materializes a full snapshot every k-th
-        version: shorthand for ``snapshot_policy=IntervalSnapshotPolicy(k)``,
-        and it wins when both are given.  ``snapshot_policy`` is any
-        :class:`~repro.storage.snapshots.SnapshotPolicy` (e.g. the adaptive
-        delta-bytes policy); with neither there are no intermediate
+        version (Section 7.3.3); without it there are no intermediate
         snapshots, the paper's base configuration."""
-        if snapshot_interval:
-            snapshot_policy = IntervalSnapshotPolicy(snapshot_interval)
-        elif snapshot_policy is None:
-            snapshot_policy = SnapshotPolicy()
-        self.snapshot_policy = snapshot_policy
+        if snapshot_interval is not None and snapshot_interval < 0:
+            raise ValueError(
+                f"snapshot_interval must be >= 1, got {snapshot_interval!r}"
+            )
+        self.snapshot_interval = snapshot_interval or None
         self._records = {}
         self._next_doc_id = 1
-        self._group_pending = None  # [(record, entry)] while a group is open
         self.delta_reads = 0  # logical delta-read counter (paper's metric)
         self.snapshot_reads = 0
         self.current_reads = 0
@@ -245,36 +240,10 @@ class Repository:
         record.dindex.append(entry)
         record.set_current(new_number, new_root, new_bytes)
 
-        if self._group_pending is not None:
-            # Inside a commit group the snapshot-placement decision is
-            # deferred to end_group(); evaluating it per-entry in commit
-            # order there yields the same placements as deciding here.
-            self._group_pending.append((record, entry))
-        elif self.snapshot_policy.should_snapshot(record, entry):
+        interval = self.snapshot_interval
+        if interval and new_number % interval == 0:
             self.materialize_snapshot(record, new_number)
         return entry
-
-    # -- commit groups ------------------------------------------------------------
-
-    def begin_group(self):
-        """Defer snapshot-placement decisions until :meth:`end_group`."""
-        if self._group_pending is not None:
-            raise StorageError("a repository commit group is already open")
-        self._group_pending = []
-
-    def end_group(self):
-        """Evaluate deferred snapshot decisions in commit order.
-
-        Returns the list of ``(record, entry)`` pairs that were committed
-        inside the group (snapshots, where due, already materialized).
-        """
-        if self._group_pending is None:
-            raise StorageError("no repository commit group is open")
-        pending, self._group_pending = self._group_pending, None
-        for record, entry in pending:
-            if self.snapshot_policy.should_snapshot(record, entry):
-                self.materialize_snapshot(record, entry.number)
-        return pending
 
     def materialize_snapshot(self, record, number):
         """Store a full snapshot of version ``number`` (must be reachable)."""
@@ -482,9 +451,9 @@ class Repository:
         """Stored bytes by category (the E7 space comparison).
 
         ``current`` / ``deltas`` / ``snapshots`` sum to ``total``;
-        ``snapshot_count`` and ``snapshot_policy`` report the
-        placement-policy tradeoff (space spent vs. the reconstruction
-        bound the policy buys); ``delta_ops`` counts the stored deltas'
+        ``snapshot_count`` and ``snapshot_interval`` report the
+        placement tradeoff (space spent vs. the reconstruction bound the
+        interval buys); ``delta_ops`` counts the stored deltas'
         operations by kind (walked here, not kept by the commit path)."""
         current = sum(r.current_bytes for r in self._records.values())
         deltas = 0
@@ -505,7 +474,7 @@ class Repository:
             "snapshots": snapshots,
             "total": current + deltas + snapshots,
             "snapshot_count": snapshot_count,
-            "snapshot_policy": self.snapshot_policy.describe(),
+            "snapshot_interval": self.snapshot_interval,
             "delta_ops": dict(sorted(delta_ops.items())),
         }
 

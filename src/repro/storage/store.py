@@ -32,7 +32,6 @@ from ..model.versioned import stamp_new_nodes
 from ..xmlcore.node import Element
 from ..xmlcore.parser import parse
 from .cursor import ChainReader
-from .journal import JournalRecord
 from .repository import Repository
 
 
@@ -184,17 +183,11 @@ class CommitBatch:
 class TemporalDocumentStore:
     """A transaction-time XML document store (the paper's assumed system)."""
 
-    def __init__(
-        self, clock=None, snapshot_interval=None, snapshot_policy=None
-    ):
-        """``snapshot_interval`` / ``snapshot_policy`` (a
-        :class:`~repro.storage.snapshots.SnapshotPolicy`) are forwarded to
-        the :class:`~repro.storage.repository.Repository`."""
+    def __init__(self, clock=None, snapshot_interval=None):
+        """``snapshot_interval`` is forwarded to the
+        :class:`~repro.storage.repository.Repository`."""
         self.clock = clock if clock is not None else LogicalClock()
-        self.repository = Repository(
-            snapshot_interval=snapshot_interval,
-            snapshot_policy=snapshot_policy,
-        )
+        self.repository = Repository(snapshot_interval=snapshot_interval)
         self._by_name = {}
         self._observers = []
         self.journal = None  # set by attach_journal()
@@ -314,11 +307,10 @@ class TemporalDocumentStore:
 
     def _apply_batch(self, ops):
         """Apply staged batch ops through the normal commit paths, framed
-        as one journal group and one deferred snapshot-decision pass."""
+        as one journal group."""
         journal = self.journal
         if journal is not None:
             journal.begin_group()
-        self.repository.begin_group()
         results = []
         try:
             for kind, name, tree, ts in ops:
@@ -328,35 +320,15 @@ class TemporalDocumentStore:
                     results.append(self.update(name, tree, ts=ts))
                 else:
                     results.append(self.delete(name, ts=ts))
-        except BaseException:
-            # Staging-time validation makes this unreachable for the
-            # documented error cases; if an op still fails, the applied
+        finally:
+            # Staging-time validation makes a failing op unreachable for
+            # the documented error cases; if one still fails, the applied
             # prefix is already real in memory, so commit exactly that
             # prefix as a (shorter) group and let the error propagate —
             # the journal never disagrees with the in-memory state.
-            self._finish_group(journal)
-            raise
-        self._finish_group(journal)
+            if journal is not None:
+                journal.commit_group()
         return results
-
-    def _finish_group(self, journal):
-        committed = self.repository.end_group()
-        if journal is not None:
-            # Snapshots materialized by the deferred decision pass are
-            # journaled inside the same group (document_committed could
-            # not see them — they did not exist at notify time).
-            for record, entry in committed:
-                if entry.has_snapshot:
-                    journal.append(
-                        JournalRecord(
-                            kind="snapshot",
-                            doc_id=record.doc_id,
-                            name=record.name,
-                            version=entry.number,
-                            ts=entry.timestamp,
-                        )
-                    )
-            journal.commit_group()
 
     def _commit_ts(self, ts):
         if ts is None:

@@ -6,7 +6,6 @@ import pytest
 from benchmarks.ablation.stratum import StratumStore
 from benchmarks.harness import CostMeter, Measurement, Table
 from repro import TemporalXMLDatabase, parse_date
-from repro.storage.snapshots import AdaptiveSnapshotPolicy
 from repro.workload import load_figure1
 
 from tests.conftest import JAN_26
@@ -58,7 +57,7 @@ class TestFacade:
 
     @pytest.mark.parametrize("how", ["init", "load", "open"])
     def test_every_entry_point_takes_the_same_tuning(self, how, tmp_path):
-        tuning = dict(snapshot_policy=AdaptiveSnapshotPolicy(400))
+        tuning = dict(snapshot_interval=3)
         if how == "init":
             db = TemporalXMLDatabase(**tuning)
         elif how == "load":
@@ -69,7 +68,7 @@ class TestFacade:
         else:
             db = TemporalXMLDatabase.open(tmp_path / "state", **tuning)
         repository = db.store.repository
-        assert repository.snapshot_policy is tuning["snapshot_policy"]
+        assert repository.snapshot_interval == tuning["snapshot_interval"]
         assert db.engine.store is db.store
         for gone in ("clustered", "disk", "cache_size"):
             with pytest.raises(TypeError):

@@ -159,20 +159,21 @@ class TestComparisonEdgeCases:
 
 
 class TestEngineConfiguration:
-    def test_engine_without_lifetime_index_traverses(self, figure1_db):
+    def test_engine_without_lifetime_index_refuses_lifetime_functions(
+        self, figure1_db
+    ):
+        from repro.errors import QueryPlanError
         from repro.query import QueryEngine
 
-        query = (
-            'SELECT CREATE TIME(R) '
-            'FROM doc("guide.com")[26/01/2001]/restaurant R'
-        )
         engine = QueryEngine(figure1_db.store, fti=figure1_db.fti)
-        result = engine.execute(query)
-        assert len(result) == 2
-        assert str(result) == str(figure1_db.query(query))
-        report = engine.explain_analyze(query)
-        spans = [span for span in report.root.walk() if span.name == "CreTime"]
-        assert [span.attrs["strategy"] for span in spans] == ["traverse"] * 2
+        for function in ("CREATE TIME", "DELETE TIME"):
+            query = (
+                f'SELECT {function}(R) '
+                'FROM doc("guide.com")[26/01/2001]/restaurant R'
+            )
+            assert len(figure1_db.query(query)) == 2
+            with pytest.raises(QueryPlanError, match="lifetime index"):
+                engine.execute(query)
 
     def test_engine_without_fti_navigates(self, figure1_db):
         from repro.query import QueryEngine

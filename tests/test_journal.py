@@ -30,6 +30,7 @@ from repro.storage.journal import (
     scan_journal,
     verify_journal,
 )
+from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.recover import recover_store
 from repro.storage.store import CommitEvent
 from repro.xmlcore import parse, serialize
@@ -388,10 +389,58 @@ class TestCommitGroups:
         records = verify_journal(str(tmp_path / "journal.bin"))
         assert [r.kind for r in records] == ["group"]
         kinds = [m.kind for m in records[0].members]
-        # The deferred snapshot decision (version 2) is journaled inside
-        # the same group, after the member commits.
-        assert kinds == ["create", "update", "update", "delete", "snapshot"]
-        assert [m.version for m in records[0].members] == [1, 2, 3, 3, 2]
+        # The snapshot of version 2 is journaled right after its update,
+        # as it is outside a batch.
+        assert kinds == ["create", "update", "snapshot", "update", "delete"]
+        assert [m.version for m in records[0].members] == [1, 2, 2, 3, 3]
+
+    def test_group_with_snapshots_last_still_recovers(self, tmp_path):
+        """Journals written before snapshot records followed their update
+        put every snapshot of a batch at the end of its group.  Such a
+        group recovers to the same store, byte for byte, as the same batch
+        journaled in today's order."""
+        new_dir, old_dir = tmp_path / "new", tmp_path / "old"
+        new_dir.mkdir()
+        old_dir.mkdir()
+        store = TemporalDocumentStore(snapshot_interval=2)
+        journal = CommitJournal(str(new_dir / "journal.bin"))
+        store.attach_journal(journal)
+        with store.batch() as batch:
+            batch.put("a.xml", "<doc><x>one</x></doc>")
+            batch.update("a.xml", "<doc><x>two</x></doc>")
+            batch.put("b.xml", "<doc><y>1</y></doc>")
+            batch.update("a.xml", "<doc><x>three</x><z/></doc>")
+            batch.update("b.xml", "<doc><y>2</y></doc>")
+            batch.update("a.xml", "<doc><x>four</x></doc>")
+            batch.delete("b.xml")
+        journal.close()
+        (group,) = verify_journal(str(new_dir / "journal.bin"))
+        members = group.members
+        assert [(m.kind, m.name, m.version) for m in members
+                if m.kind == "snapshot"] == [
+            ("snapshot", "a.xml", 2), ("snapshot", "b.xml", 2),
+            ("snapshot", "a.xml", 4),
+        ]
+        old_order = [m for m in members if m.kind != "snapshot"] + [
+            m for m in members if m.kind == "snapshot"
+        ]
+        assert old_order != members
+        old = CommitJournal(str(old_dir / "journal.bin"))
+        old.begin_group()
+        for member in old_order:
+            old.append(member)
+        old.commit_group()
+        old.close()
+
+        expected = archive_bytes(build_archive(store))
+        for directory in (new_dir, old_dir):
+            recovered, report = recover_store(str(directory))
+            assert report.records_replayed == 1  # the one group
+            assert [
+                recovered.record(name).dindex.snapshot_numbers()
+                for name in ("a.xml", "b.xml")
+            ] == [[2, 4], [2]]
+            assert archive_bytes(build_archive(recovered)) == expected
 
 
     def test_staged_member_bytes_are_fixed_at_append(self, tmp_path):

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from benchmarks.ablation.disk import DiskSimulator
+import repro.storage
 from repro import TemporalXMLDatabase
 from repro.index import TemporalKeywordScorer
+from repro.operators import CreTime, DelTime
 from repro.storage import TemporalDocumentStore
 from repro.storage.repository import Repository
 from repro.xmlcore import parser
@@ -64,22 +66,28 @@ def test_every_engine_module_is_reachable_from_a_root(imports):
 
 
 def test_no_ablation_knob_on_any_constructor():
+    forbidden = {
+        "reconstruct_policy", "windowed_lookup", "latency_scale",
+        "disk", "cache_size", "clustered", "page_size",
+        "snapshot_policy", "strategy",
+    }
     for owner in (Repository, TemporalDocumentStore, TemporalXMLDatabase,
-                  TemporalKeywordScorer):
+                  TemporalKeywordScorer, CreTime, DelTime):
         parameters = set(inspect.signature(owner).parameters)
-        assert not parameters & {
-            "reconstruct_policy", "windowed_lookup", "latency_scale",
-            "disk", "cache_size", "clustered", "page_size",
-        }, owner.__name__
+        assert not parameters & forbidden, owner.__name__
     # The simulator is one of the ablations now; it still never sleeps.
     assert "latency_scale" not in inspect.signature(DiskSimulator).parameters
     assert list(inspect.signature(Repository).parameters) == [
-        "snapshot_interval", "snapshot_policy",
+        "snapshot_interval",
     ]
     for owner in (TemporalDocumentStore, TemporalXMLDatabase):
         assert list(inspect.signature(owner).parameters) == [
-            "clock", "snapshot_interval", "snapshot_policy",
+            "clock", "snapshot_interval",
         ], owner.__name__
+    # Snapshots are placed every k-th version and by no other rule.
+    assert not [name for name in repro.storage.__all__
+                if name.endswith("SnapshotPolicy")]
+    assert not (SRC / "repro" / "storage" / "snapshots.py").exists()
 
 
 def test_engine_has_no_disk_simulator_and_no_version_cache(imports):

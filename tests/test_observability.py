@@ -329,4 +329,29 @@ class TestOverheadHelper:
             sum(range(3000))
 
         assert relative_overhead(fast, slow, repeats=3, inner=5) > 0.0
-        assert relative_overhead(fast, fast, repeats=3, inner=5) < 0.5
+
+    @staticmethod
+    def _scripted_clock(*durations):
+        """A clock whose consecutive samples last ``durations``."""
+        readings, now = [], 0.0
+        for duration in durations:
+            readings += [now, now + duration]
+            now += duration + 1.0
+        return iter(readings).__next__
+
+    def test_relative_overhead_is_best_of_n(self):
+        calls = []
+
+        def fn():
+            calls.append(1)
+
+        def overhead(*durations):
+            return relative_overhead(fn, fn, repeats=3, inner=5,
+                                     clock=self._scripted_clock(*durations))
+
+        # Baseline samples come first; each side keeps its fastest one.
+        assert overhead(4, 2, 3, 4, 2, 3) == 0.0
+        assert len(calls) == 2 * 3 * 5
+        assert overhead(4, 2, 3, 5, 3, 6) == 0.5
+        assert overhead(2, 8, 8, 1, 9, 9) == -0.5
+        assert overhead(0, 1, 1, 1, 1, 1) == 0.0  # a zero baseline

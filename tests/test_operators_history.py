@@ -4,6 +4,10 @@ CreTime/DelTime."""
 import pytest
 
 from benchmarks.ablation.disk import attach
+from benchmarks.ablation.lifetime import (
+    traverse_create_time,
+    traverse_delete_time,
+)
 from repro.clock import BEFORE_TIME, UNTIL_CHANGED
 from repro.errors import NoSuchVersionError, QueryPlanError
 from repro.index import LifetimeIndex
@@ -196,58 +200,57 @@ class TestCreTimeDelTime:
     def test_cretime_both_strategies_agree(self, setup):
         store, lifetime = setup
         for teid in (_napoli_teid(store, JAN_26), _akropolis_teid(store)):
-            traverse = CreTime(store, teid, "traverse").value()
-            indexed = CreTime(store, teid, "index", lifetime).value()
+            traverse = traverse_create_time(store, teid)
+            indexed = CreTime(lifetime, teid).value()
             assert traverse == indexed
 
     def test_cretime_values(self, setup):
-        store, _ = setup
-        assert CreTime(store, _napoli_teid(store, JAN_31), "traverse").value() == JAN_01
-        assert CreTime(store, _akropolis_teid(store), "traverse").value() == JAN_15
+        store, lifetime = setup
+        napoli, akropolis = _napoli_teid(store, JAN_31), _akropolis_teid(store)
+        assert traverse_create_time(store, napoli) == JAN_01
+        assert traverse_create_time(store, akropolis) == JAN_15
+        assert CreTime(lifetime, napoli).value() == JAN_01
+        assert CreTime(lifetime, akropolis).value() == JAN_15
 
     def test_deltime_values(self, setup):
         store, lifetime = setup
         akropolis = _akropolis_teid(store)
-        assert DelTime(store, akropolis, "traverse").value() == JAN_31
-        assert DelTime(store, akropolis, "index", lifetime).value() == JAN_31
+        assert traverse_delete_time(store, akropolis) == JAN_31
+        assert DelTime(lifetime, akropolis).value() == JAN_31
         napoli = _napoli_teid(store)
-        assert DelTime(store, napoli, "traverse").value() is None
-        assert DelTime(store, napoli, "index", lifetime).value() is None
+        assert traverse_delete_time(store, napoli) is None
+        assert DelTime(lifetime, napoli).value() is None
 
     def test_deltime_document_deletion(self, setup):
         store, lifetime = setup
         napoli = _napoli_teid(store)
         delete_ts = JAN_31 + 1000
         store.delete("guide.com", ts=delete_ts)
-        assert DelTime(store, napoli, "traverse").value() == delete_ts
-        assert DelTime(store, napoli, "index", lifetime).value() == delete_ts
+        assert traverse_delete_time(store, napoli) == delete_ts
+        assert DelTime(lifetime, napoli).value() == delete_ts
 
     def test_traversal_reads_no_trees(self, setup):
         store, _ = setup
         teid = _akropolis_teid(store)
         store.repository.current_reads = 0
-        CreTime(store, teid, "traverse").value()
+        traverse_create_time(store, teid)
         assert store.repository.current_reads == 0  # "no reconstruction"
 
     def test_index_strategy_requires_index(self, setup):
         store, _ = setup
-        with pytest.raises(QueryPlanError):
-            CreTime(store, _napoli_teid(store), "index")
-        with pytest.raises(QueryPlanError):
-            DelTime(store, _napoli_teid(store), "bogus")
+        for operator in (CreTime, DelTime):
+            with pytest.raises(QueryPlanError, match="lifetime index"):
+                operator(None, _napoli_teid(store))
 
     def test_unknown_teid(self, setup):
         store, lifetime = setup
         bad = TEID(store.doc_id("guide.com"), 1, JAN_01 - 99)
         with pytest.raises(NoSuchVersionError):
-            CreTime(store, bad, "traverse").value()
+            traverse_create_time(store, bad)
         with pytest.raises(NoSuchVersionError):
-            CreTime(
-                store,
-                TEID(99, 99, JAN_01),
-                "index",
-                lifetime,
-            ).value()
+            CreTime(lifetime, TEID(99, 99, JAN_01)).value()
+        with pytest.raises(NoSuchVersionError):
+            DelTime(lifetime, TEID(99, 99, JAN_01)).value()
 
 
 class TestNavigationDanglingRegression:
@@ -291,7 +294,7 @@ class TestNavigationDanglingRegression:
 
 
 class TestLifetimePhantomRegression:
-    """CreTime/DelTime traversal must not invent lifetimes for XIDs that
+    """The CreTime/DelTime traversal must not invent lifetimes for XIDs that
     never existed in the addressed version.  An earlier revision of
     CreTime fell through to "the document's first version" for any XID
     with no creating delta below the addressed version — including XIDs
@@ -302,39 +305,39 @@ class TestLifetimePhantomRegression:
         store, _ = setup
         bogus = TEID(store.doc_id("guide.com"), 999_999, JAN_15)
         with pytest.raises(NoSuchVersionError):
-            CreTime(store, bogus, "traverse").value()
+            traverse_create_time(store, bogus)
 
     def test_deltime_bogus_xid_raises(self, setup):
         store, _ = setup
         bogus = TEID(store.doc_id("guide.com"), 999_999, JAN_15)
         with pytest.raises(NoSuchVersionError):
-            DelTime(store, bogus, "traverse").value()
+            traverse_delete_time(store, bogus)
 
     def test_cretime_addressed_before_creation_raises(self, setup):
         store, _ = setup
         early = _akropolis_teid(store, at=JAN_01)  # created 15/01
         with pytest.raises(NoSuchVersionError):
-            CreTime(store, early, "traverse").value()
+            traverse_create_time(store, early)
 
     def test_deltime_addressed_before_creation_raises(self, setup):
         store, _ = setup
         early = _akropolis_teid(store, at=JAN_01)
         with pytest.raises(NoSuchVersionError):
-            DelTime(store, early, "traverse").value()
+            traverse_delete_time(store, early)
 
     def test_cretime_addressed_after_deletion_raises(self, setup):
         store, _ = setup
         gone = _akropolis_teid(store, at=JAN_31)  # deleted in v3
         with pytest.raises(NoSuchVersionError):
-            CreTime(store, gone, "traverse").value()
+            traverse_create_time(store, gone)
 
     def test_strategies_agree_on_phantoms(self, setup):
         store, lifetime = setup
         bogus = TEID(store.doc_id("guide.com"), 999_999, JAN_15)
         with pytest.raises(NoSuchVersionError):
-            CreTime(store, bogus, "index", lifetime).value()
+            CreTime(lifetime, bogus).value()
         with pytest.raises(NoSuchVersionError):
-            CreTime(store, bogus, "traverse").value()
+            traverse_create_time(store, bogus)
 
     def test_verification_uses_no_reconstruction(self, setup):
         store, _ = setup
@@ -342,6 +345,6 @@ class TestLifetimePhantomRegression:
         store.repository.current_reads = 0
         store.repository.snapshot_reads = 0
         with pytest.raises(NoSuchVersionError):
-            CreTime(store, bogus, "traverse").value()
+            traverse_create_time(store, bogus)
         assert store.repository.current_reads == 0
         assert store.repository.snapshot_reads == 0

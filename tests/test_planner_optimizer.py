@@ -173,7 +173,8 @@ class TestRandomizedEquivalence:
 
     def test_matches_navigational_baseline(self, corpus):
         on = _engine(corpus)
-        nav = QueryEngine(corpus[0])  # no FTI, no lifetime index
+        store, _fti, lifetime, _vocab = corpus
+        nav = QueryEngine(store, lifetime=lifetime)  # no FTI
         for query in _random_queries(corpus[3]):
             expected = sorted(str(nav.execute(query)).splitlines())
             assert sorted(str(on.execute(query)).splitlines()) == expected, (
@@ -349,26 +350,22 @@ class TestStatisticsLayer:
         depth = statistics.delta_chain_depth(doc_id, parse_date("02/01/2001"))
         assert depth >= 0
 
-    def test_auto_lifetime_strategy(self, figure1):
-        """CREATE TIME / DELETE TIME read the lifetime index whenever the
-        engine has one, however short the history (one version here), and
-        walk the delta chain only without it; both give the same answer."""
+    def test_lifetime_functions_read_the_index(self, figure1):
+        """CREATE TIME / DELETE TIME read the lifetime index however short
+        the history (one version here): one span each, no delta read."""
         store, fti, lifetime = figure1
         store.put("short.com",
                   "<guide><restaurant><name>x</name></restaurant></guide>")
         query = ('SELECT CREATE TIME(R), DELETE TIME(R) '
                  'FROM doc("short.com")/restaurant R')
-        answers = {}
-        for strategy, engine in (
-            ("index", QueryEngine(store, fti=fti, lifetime=lifetime)),
-            ("traverse", QueryEngine(store, fti=fti)),
-        ):
-            report = engine.explain_analyze(query)
-            spans = [span for span in report.root.walk()
-                     if span.name in ("CreTime", "DelTime")]
-            assert [span.attrs["strategy"] for span in spans] == [strategy] * 2
-            answers[strategy] = str(report.result)
-        assert answers["index"] == answers["traverse"]
+        engine = QueryEngine(store, fti=fti, lifetime=lifetime)
+        store.repository.delta_reads = 0
+        report = engine.explain_analyze(query)
+        spans = [span.name for span in report.root.walk()
+                 if span.name in ("CreTime", "DelTime")]
+        assert spans == ["CreTime", "DelTime"]
+        assert len(report.result) == 1
+        assert store.repository.delta_reads == 0
 
     def test_order_conjuncts_ranks_cheap_first(self, figure1):
         store, fti, lifetime = figure1

@@ -22,6 +22,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from benchmarks.ablation.fti_alternatives import DeltaOperationIndex
+from benchmarks.ablation.lifetime import (
+    traverse_create_time,
+    traverse_delete_time,
+)
 from benchmarks.planedits import run_unrewritten
 
 from repro.diff import apply_script, diff
@@ -238,11 +242,11 @@ class TestIndexAgreesWithStorage:
             snapshot = store.version("doc.xml", entry.number)
             for node in snapshot.iter():
                 teid = TEID(doc_id, node.xid, entry.timestamp)
-                traverse = CreTime(store, teid, "traverse").value()
-                indexed = CreTime(store, teid, "index", lifetime).value()
+                traverse = traverse_create_time(store, teid)
+                indexed = CreTime(lifetime, teid).value()
                 assert traverse == indexed
-                del_traverse = DelTime(store, teid, "traverse").value()
-                del_indexed = DelTime(store, teid, "index", lifetime).value()
+                del_traverse = traverse_delete_time(store, teid)
+                del_indexed = DelTime(lifetime, teid).value()
                 assert del_traverse == del_indexed
 
 

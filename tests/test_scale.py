@@ -9,11 +9,14 @@ round-trip.  This is the "does the whole system hold together" test.
 import pytest
 
 from benchmarks.ablation.fti_alternatives import DeltaOperationIndex
+from benchmarks.ablation.lifetime import (
+    traverse_create_time,
+    traverse_delete_time,
+)
 from benchmarks.ablation.stratum import StratumQueryProcessor, StratumStore
 from repro.clock import parse_date
 from repro.index import LifetimeIndex, TemporalFullTextIndex
 from repro.model.identifiers import EID, TEID
-from repro.operators import CreTime, DelTime
 from repro.query import QueryEngine
 from repro.storage import TemporalDocumentStore
 from repro.storage.persistence import dump_store, load_store
@@ -119,11 +122,11 @@ class TestIndexAgreement:
         for node in list(snapshot.iter())[:30]:
             teid = TEID(doc_id, node.xid, entry.timestamp)
             assert (
-                CreTime(store, teid, "traverse").value()
+                traverse_create_time(store, teid)
                 == lifetime.create_time(EID(doc_id, node.xid))
             )
             assert (
-                DelTime(store, teid, "traverse").value()
+                traverse_delete_time(store, teid)
                 == lifetime.delete_time(EID(doc_id, node.xid))
             )
 

@@ -26,7 +26,6 @@ from repro.model.identifiers import EID
 from repro.serving import SessionManager
 from repro.storage import TemporalDocumentStore
 from repro.storage.persistence import archive_bytes, build_archive
-from repro.storage.snapshots import AdaptiveSnapshotPolicy
 from repro.workload import BatchingWriter, KeywordWorkload, TDocGenerator
 
 START = parse_date("01/01/2001")
@@ -79,18 +78,22 @@ def _postings_view(fti):
 
 
 class TestBatchEquivalence:
-    @pytest.mark.parametrize("policy", ["interval", "adaptive"])
+    @pytest.mark.parametrize("anchors", ["interval", "irregular"])
     @pytest.mark.parametrize("batch_size", [1, 5, 17, 1000])
-    def test_batched_store_is_byte_identical(self, policy, batch_size):
-        kwargs = (
-            {"snapshot_interval": 3} if policy == "interval"
-            else {"snapshot_policy": AdaptiveSnapshotPolicy(2000)}
-        )
+    def test_batched_store_is_byte_identical(self, anchors, batch_size):
+        """Every third version a snapshot, or snapshots at versions no
+        interval gives (materialized after the ingest, on both stores)."""
+        kwargs = {"snapshot_interval": 3} if anchors == "interval" else {}
         ops = _ops()
         reference = TemporalDocumentStore(**kwargs)
         _apply_per_commit(reference, ops)
         batched = TemporalDocumentStore(**kwargs)
         _apply_batched(batched, ops, batch_size)
+        if anchors == "irregular":
+            for store in (reference, batched):
+                for offset, record in enumerate(store.repository.records()):
+                    for number in (2 + offset % 3, 5, 7 - offset % 2):
+                        store.repository.materialize_snapshot(record, number)
         assert archive_bytes(build_archive(batched)) == archive_bytes(
             build_archive(reference)
         )

@@ -1,13 +1,11 @@
-"""Snapshot placement policies (interval and adaptive delta-bytes)."""
+"""Snapshot placement: a full snapshot every k-th version (Section 7.3.3),
+and how ``storage_bytes()`` reports it."""
 
 import pytest
 
+from repro import TemporalXMLDatabase
 from repro.storage import TemporalDocumentStore
-from repro.storage.snapshots import (
-    AdaptiveSnapshotPolicy,
-    IntervalSnapshotPolicy,
-    SnapshotPolicy,
-)
+from repro.storage.repository import Repository
 from repro.workload import TDocGenerator
 
 VERSIONS = 12
@@ -22,87 +20,27 @@ def _populate(store, seed=3, versions=VERSIONS):
     return store
 
 
-class TestPolicyObjects:
-    def test_base_policy_never_fires(self):
-        store = _populate(
-            TemporalDocumentStore(snapshot_policy=SnapshotPolicy())
-        )
+class TestIntervalRule:
+    @pytest.mark.parametrize("interval", [None, 0])
+    def test_no_interval_never_snapshots(self, interval):
+        store = _populate(TemporalDocumentStore(snapshot_interval=interval))
         assert store.record("d.xml").dindex.snapshot_numbers() == []
+        assert store.repository.snapshot_interval is None
 
-    def test_interval_policy_matches_interval_knob(self):
-        knob = _populate(TemporalDocumentStore(snapshot_interval=4))
-        policy = _populate(
-            TemporalDocumentStore(
-                snapshot_policy=IntervalSnapshotPolicy(4)
-            )
-        )
-        assert (
-            knob.record("d.xml").dindex.snapshot_numbers()
-            == policy.record("d.xml").dindex.snapshot_numbers()
-            == [4, 8, 12]
-        )
+    @pytest.mark.parametrize("interval, expected", [
+        (1, list(range(2, VERSIONS + 1))),  # version 1 is never a snapshot
+        (3, [3, 6, 9, 12]),
+        (4, [4, 8, 12]),
+        (VERSIONS + 1, []),
+    ], ids=["k1", "k3", "k4", "k13"])
+    def test_every_kth_version_is_a_snapshot(self, interval, expected):
+        store = _populate(TemporalDocumentStore(snapshot_interval=interval))
+        assert store.record("d.xml").dindex.snapshot_numbers() == expected
 
-    def test_interval_policy_validates(self):
-        with pytest.raises(ValueError):
-            IntervalSnapshotPolicy(0)
-        with pytest.raises(ValueError):
-            AdaptiveSnapshotPolicy(0)
-
-    def test_describe(self):
-        assert SnapshotPolicy().describe() == "none"
-        assert IntervalSnapshotPolicy(4).describe() == "interval(4)"
-        assert AdaptiveSnapshotPolicy(100).describe() == "adaptive(100B)"
-
-
-class TestAdaptivePolicy:
-    def test_huge_threshold_never_snapshots(self):
-        store = _populate(
-            TemporalDocumentStore(
-                snapshot_policy=AdaptiveSnapshotPolicy(10**9)
-            )
-        )
-        assert store.record("d.xml").dindex.snapshot_numbers() == []
-
-    def test_small_threshold_bounds_accumulated_delta_bytes(self):
-        threshold = 200
-        store = _populate(
-            TemporalDocumentStore(
-                snapshot_policy=AdaptiveSnapshotPolicy(threshold)
-            )
-        )
-        dindex = store.record("d.xml").dindex
-        snapshots = dindex.snapshot_numbers()
-        assert snapshots, "threshold small enough that it must fire"
-        # Between consecutive anchors the accumulated chain stays under the
-        # threshold until the final (tripping) version.
-        anchors = [1] + snapshots
-        for lo, hi in zip(anchors, anchors[1:]):
-            if hi - lo > 1:
-                assert dindex.delta_bytes_between(lo, hi - 1) <= threshold
-
-    def test_tighter_threshold_never_fewer_snapshots(self):
-        loose = _populate(
-            TemporalDocumentStore(
-                snapshot_policy=AdaptiveSnapshotPolicy(800)
-            )
-        )
-        tight = _populate(
-            TemporalDocumentStore(
-                snapshot_policy=AdaptiveSnapshotPolicy(200)
-            )
-        )
-        assert len(
-            tight.record("d.xml").dindex.snapshot_numbers()
-        ) >= len(loose.record("d.xml").dindex.snapshot_numbers())
-
-    def test_interval_knob_takes_precedence_when_both_set(self):
-        store = _populate(
-            TemporalDocumentStore(
-                snapshot_interval=3,
-                snapshot_policy=AdaptiveSnapshotPolicy(10**9),
-            )
-        )
-        assert store.record("d.xml").dindex.snapshot_numbers() == [3, 6, 9, 12]
+    def test_negative_interval_is_rejected(self):
+        for owner in (Repository, TemporalDocumentStore, TemporalXMLDatabase):
+            with pytest.raises(ValueError):
+                owner(snapshot_interval=-1)
 
 
 class TestStorageBytesReporting:
@@ -115,23 +53,11 @@ class TestStorageBytesReporting:
         )
         assert stats["snapshots"] > 0
         assert stats["snapshot_count"] == 3
-        assert stats["snapshot_policy"] == "interval(4)"
+        assert stats["snapshot_interval"] == 4
 
-    def test_adaptive_policy_reported(self):
-        store = _populate(
-            TemporalDocumentStore(
-                snapshot_policy=AdaptiveSnapshotPolicy(300)
-            )
-        )
-        stats = store.repository.storage_bytes()
-        assert stats["snapshot_policy"] == "adaptive(300B)"
-        assert stats["snapshot_count"] == len(
-            store.record("d.xml").dindex.snapshot_numbers()
-        )
-
-    def test_no_policy_reported_as_none(self):
+    def test_no_interval_reported_as_none(self):
         store = _populate(TemporalDocumentStore())
         stats = store.repository.storage_bytes()
-        assert stats["snapshot_policy"] == "none"
+        assert stats["snapshot_interval"] is None
         assert stats["snapshot_count"] == 0
         assert stats["snapshots"] == 0
