@@ -55,17 +55,15 @@ class Extent:
         return self.start_page + self.num_pages
 
 
+@dataclass(frozen=True, slots=True)
 class CounterSnapshot:
     """Immutable copy of the disk counters, used to measure deltas."""
 
-    __slots__ = ("seeks", "pages_read", "pages_written", "reads", "writes")
-
-    def __init__(self, seeks, pages_read, pages_written, reads, writes):
-        self.seeks = seeks
-        self.pages_read = pages_read
-        self.pages_written = pages_written
-        self.reads = reads
-        self.writes = writes
+    seeks: int
+    pages_read: int
+    pages_written: int
+    reads: int
+    writes: int
 
     def __sub__(self, other):
         return CounterSnapshot(
@@ -80,21 +78,6 @@ class CounterSnapshot:
         """Classic disk model: seeks dominate, transfer is per page."""
         total_pages = self.pages_read + self.pages_written
         return self.seeks * seek_ms + total_pages * page_ms
-
-    def as_dict(self):
-        return {
-            "seeks": self.seeks,
-            "pages_read": self.pages_read,
-            "pages_written": self.pages_written,
-            "reads": self.reads,
-            "writes": self.writes,
-        }
-
-    def __repr__(self):
-        return (
-            f"CounterSnapshot(seeks={self.seeks}, pages_read={self.pages_read},"
-            f" pages_written={self.pages_written})"
-        )
 
 
 class DiskSimulator:

@@ -39,6 +39,7 @@ import json
 import random
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 from ablation.fti_alternatives import FullHistoryLookup
@@ -231,7 +232,7 @@ def _pushdown_section(config):
         "legacy_probes": totals["legacy"],
         "optimized_probes": totals["optimized"],
         "probe_reduction_x": round(reduction, 2),
-        "planner_counters": engine.optimizer.counters.snapshot(),
+        "planner_counters": asdict(engine.optimizer.counters),
     }, db
 
 

@@ -92,11 +92,9 @@ class CostMeter:
             registry.register("store", repo.counter_snapshot)
             registry.register("anchors", repo.anchor_stats)
         if disk is not None:
-            registry.register("disk", lambda: disk.snapshot().as_dict())
+            registry.register("disk", disk.snapshot)
         if stratum is not None:
-            registry.register(
-                "stratum_disk", lambda: stratum.disk.snapshot().as_dict()
-            )
+            registry.register("stratum_disk", stratum.disk.snapshot)
             registry.register(
                 "stratum", lambda: {"version_reads": stratum.version_reads}
             )

@@ -568,7 +568,7 @@ def _print_backend_stats(backend, report, out):
             f"({counters['objects']} object(s))",
             file=out,
         )
-    for kind, counters in backend["by_kind"].items():
+    for kind, counters in sorted(backend["by_kind"].items()):
         print(
             f"  session[{kind}]: {counters['raw']} raw -> "
             f"{counters['stored']} stored "

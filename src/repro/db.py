@@ -20,6 +20,8 @@ Lower-level pieces stay reachable (``db.store``, ``db.fti``,
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from .clock import parse_date
 from .index.fti import TemporalFullTextIndex
 from .index.lifetime import LifetimeIndex
@@ -234,11 +236,11 @@ class TemporalXMLDatabase:
         """Journal/checkpoint/recovery counters for the bench harness."""
         return {
             "durability": self.durability,
-            "journal": self.journal.stats.as_dict() if self.journal else None,
+            "journal": asdict(self.journal.stats) if self.journal else None,
             "checkpoints": (
-                self.checkpointer.stats.as_dict() if self.checkpointer else None
+                asdict(self.checkpointer.stats) if self.checkpointer else None
             ),
-            "recovery": self.recovery.as_dict() if self.recovery else None,
+            "recovery": asdict(self.recovery) if self.recovery else None,
         }
 
     def storage_stats(self):
@@ -268,13 +270,14 @@ class TemporalXMLDatabase:
             return out
         from .storage.cas import kind_breakdown, storage_size
 
-        backend = self.checkpointer.objstore.stats.as_dict()
+        stats = self.checkpointer.objstore.stats
+        backend = {**asdict(stats), "dedup_ratio": stats.dedup_ratio}
         backend["disk_bytes"] = storage_size(self.data_dir)
         # Counters cover this store's lifetime; the disk breakdown is
         # what the published checkpoint holds right now.
         backend["disk_by_kind"] = kind_breakdown(self.data_dir)
         if self.checkpointer.last_gc is not None:
-            backend["last_gc"] = self.checkpointer.last_gc.as_dict()
+            backend["last_gc"] = asdict(self.checkpointer.last_gc)
         out["backend"] = backend
         return out
 

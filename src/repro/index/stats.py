@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 @dataclass
 class IndexStats:
-    """Counters an index maintains about itself."""
+    """Counters an index maintains about itself, read field by field by
+    the :class:`~repro.obs.MetricsRegistry`: ``postings`` and ``bytes``
+    are gauges (they may shrink), everything else is monotone."""
 
     postings: int = 0          # live entries stored right now
     bytes: int = 0             # estimated stored size
@@ -40,22 +42,6 @@ class IndexStats:
         if returned is not None:
             self.postings_returned += returned
 
-    def snapshot(self):
-        """Raw counters for the :class:`~repro.obs.MetricsRegistry` delta
-        protocol — cumulative values only, no derived ratios.  ``postings``
-        and ``bytes`` are gauges (they may shrink); everything else is
-        monotone."""
-        return {
-            "postings": self.postings,
-            "bytes": self.bytes,
-            "postings_opened": self.postings_opened,
-            "postings_closed": self.postings_closed,
-            "update_ops": self.update_ops,
-            "lookups": self.lookups,
-            "postings_scanned": self.postings_scanned,
-            "postings_returned": self.postings_returned,
-        }
-
 
 @dataclass
 class JoinStats:
@@ -79,14 +65,3 @@ class JoinStats:
     candidates_scanned: int = 0  # postings a full scan would have tested
     intervals_pruned: int = 0    # candidates skipped by start-sorted bisect
     matches_emitted: int = 0     # deduplicated matches yielded
-
-    def snapshot(self):
-        """Raw counters for the registry delta protocol (all monotone)."""
-        return {
-            "joins": self.joins,
-            "docs_considered": self.docs_considered,
-            "candidates_probed": self.candidates_probed,
-            "candidates_scanned": self.candidates_scanned,
-            "intervals_pruned": self.intervals_pruned,
-            "matches_emitted": self.matches_emitted,
-        }

@@ -7,9 +7,10 @@ those costs one home:
 :class:`MetricsRegistry`
     A central registry of counter sources.  Every stats object in the
     engine (``IndexStats``, ``JoinStats``, ``AnchorStats``, the repository
-    read counters) feeds it through a common ``snapshot()``/``delta()``
-    protocol, so "what did this region cost" is always a dict subtraction
-    — no per-object ``reset()`` choreography.
+    read counters) is a plain dataclass or mapping the registry reads
+    field by field, so "what did this region cost" is always a dict
+    subtraction of two ``snapshot()`` calls — no per-object ``reset()``
+    choreography.
 
 :class:`Tracer` / :data:`NULL_TRACER`
     Hierarchical spans with exclusive-cost attribution.  The query

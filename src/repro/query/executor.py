@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import islice
 
-from ..clock import Interval, bucket_floor, bucket_spans
+from ..clock import Interval, bucket_spans
 from ..equality.value import coerce_scalar
 from ..errors import NoSuchDocumentError, QueryPlanError
 from ..index.stats import JoinStats
@@ -410,7 +410,7 @@ class QueryEngine:
             for label, item in zip(plan.columns, plan.query.select_items)
         }
         if plan.output == "Coalesce":
-            columns[INTERVAL_KEY] = lambda row: _row_interval(row)[0]
+            columns[INTERVAL_KEY] = _row_interval
         return columns
 
     def _aggregated(self, plan, rows):
@@ -428,10 +428,8 @@ class QueryEngine:
         for label, expr in plan.group_keys.items():
             bucket = bucket_call(expr)
             if bucket is not None:
-                unit, var = bucket
-                keys[label] = (
-                    lambda row, u=unit, v=var: self._bucket_values(u, v, row)
-                )
+                unit, _var = bucket
+                keys[label] = lambda row, u=unit: self._bucket_values(u, row)
             else:
                 keys[label] = _evaluating(evaluator, expr)
         specs = {
@@ -455,21 +453,18 @@ class QueryEngine:
                                       distinct_key=distinct_key):
             yield {label: group[label] for label in plan.columns}
 
-    def _bucket_values(self, unit, var, row):
+    def _bucket_values(self, unit, row):
         """Bucket starts of every calendar bucket the row's validity
         overlaps (the GROUP BY expansion of ``MONTH(R)`` & co.).
 
         Open intervals clip at ``now + 1`` so the expansion stays finite.
-        A row whose bindings carry no interval at all (snapshot bindings)
-        falls in the single bucket of its version timestamp; a joined row
-        whose intervals never overlap falls in none.
+        Every binding carries its version's interval, so a snapshot row
+        falls in the buckets its version overlaps; a joined row whose
+        intervals never overlap falls in none.
         """
-        interval, had_interval = _row_interval(row)
+        interval = _row_interval(row)
         if interval is None:
-            if had_interval:
-                return []
-            bound = row[var]
-            return [TimestampValue(bucket_floor(bound.teid.timestamp, unit))]
+            return []
         end = min(interval.end, self.now() + 1)
         return [
             TimestampValue(start)
@@ -540,8 +535,8 @@ def _all_hold(evaluator, conjuncts):
 
 def _valid_column(rows):
     """SELECT COALESCE delivers each merged interval as a trailing
-    ``VALID`` column (``None`` for rows whose bindings carry no interval —
-    those keep their multiplicity)."""
+    ``VALID`` column (``None`` for joined rows whose bindings were never
+    valid together — those keep their multiplicity)."""
     for row in rows:
         row["VALID"] = row.pop(INTERVAL_KEY, None)
         yield row
@@ -551,27 +546,18 @@ def _valid_column(rows):
 
 
 def _row_interval(row):
-    """Intersection of the row's binding validity intervals.
-
-    Returns ``(interval, had_interval)``: ``interval`` is ``None`` either
-    when no binding carries one (``had_interval`` False — snapshot
-    bindings) or when the carried intervals never overlap
-    (``had_interval`` True — the row was never simultaneously valid).
-    """
+    """Intersection of the row's binding validity intervals (every binding
+    carries its version's); ``None`` when they never overlap — the row
+    was never simultaneously valid."""
     interval = None
-    had = False
     for binding in row.values():
-        other = getattr(binding, "interval", None)
-        if other is None:
-            continue
-        had = True
         if interval is None:
-            interval = other
+            interval = binding.interval
         else:
-            interval = interval.intersect(other)
+            interval = interval.intersect(binding.interval)
             if interval is None:
-                return None, True
-    return interval, had
+                return None
+    return interval
 
 
 def _aggregatable(value):

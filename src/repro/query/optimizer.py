@@ -256,17 +256,6 @@ class PlannerCounters:
     conjuncts_reordered: int = 0
     from_items_reordered: int = 0
 
-    def snapshot(self):
-        return {
-            "plans": self.plans,
-            "index_chosen": self.index_chosen,
-            "nav_chosen": self.nav_chosen,
-            "cost_flips": self.cost_flips,
-            "pushdowns": self.pushdowns,
-            "conjuncts_reordered": self.conjuncts_reordered,
-            "from_items_reordered": self.from_items_reordered,
-        }
-
 
 class Optimizer:
     """Plans queries for one :class:`~repro.query.executor.QueryEngine`."""

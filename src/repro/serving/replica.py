@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
+from dataclasses import asdict
 
 from ..errors import CorruptArchiveError
 from ..index.fti import TemporalFullTextIndex
@@ -162,5 +163,5 @@ class Replica:
             "resyncs": self.resyncs,
             "published_seq": published.seq,
             "published_ts": published.ts,
-            "recovery": self.recovery.as_dict() if self.recovery else None,
+            "recovery": asdict(self.recovery) if self.recovery else None,
         }

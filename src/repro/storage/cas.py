@@ -138,44 +138,6 @@ class CASStats:
             return 0.0
         return round(self.raw_bytes / self.stored_bytes, 3)
 
-    def as_dict(self):
-        return {
-            "objects_written": self.objects_written,
-            "objects_deduped": self.objects_deduped,
-            "compressed_objects": self.compressed_objects,
-            "raw_bytes": self.raw_bytes,
-            "stored_bytes": self.stored_bytes,
-            "dedup_ratio": self.dedup_ratio,
-            "reads": self.reads,
-            "read_bytes": self.read_bytes,
-            "gc_runs": self.gc_runs,
-            "gc_deleted_objects": self.gc_deleted_objects,
-            "gc_deleted_bytes": self.gc_deleted_bytes,
-            "by_kind": {
-                kind: dict(counters)
-                for kind, counters in sorted(self.by_kind.items())
-            },
-        }
-
-    def snapshot(self):
-        """Flat counters for the metrics-registry delta protocol."""
-        out = {
-            "objects_written": self.objects_written,
-            "objects_deduped": self.objects_deduped,
-            "compressed_objects": self.compressed_objects,
-            "raw_bytes": self.raw_bytes,
-            "stored_bytes": self.stored_bytes,
-            "reads": self.reads,
-            "read_bytes": self.read_bytes,
-            "gc_runs": self.gc_runs,
-            "gc_deleted_objects": self.gc_deleted_objects,
-            "gc_deleted_bytes": self.gc_deleted_bytes,
-        }
-        for kind, counters in self.by_kind.items():
-            for key, value in counters.items():
-                out[f"by_kind.{kind}.{key}"] = value
-        return out
-
 
 @dataclass
 class GCReport:
@@ -187,16 +149,6 @@ class GCReport:
     objects_deleted: int = 0
     bytes_deleted: int = 0
     tmp_files_removed: int = 0
-
-    def as_dict(self):
-        return {
-            "roots": list(self.roots),
-            "objects_scanned": self.objects_scanned,
-            "objects_live": self.objects_live,
-            "objects_deleted": self.objects_deleted,
-            "bytes_deleted": self.bytes_deleted,
-            "tmp_files_removed": self.tmp_files_removed,
-        }
 
 
 # -- the object store ----------------------------------------------------------

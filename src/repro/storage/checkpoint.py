@@ -51,13 +51,6 @@ class CheckpointStats:
     bytes_written: int = 0
     last_bytes: int = 0
 
-    def as_dict(self):
-        return {
-            "checkpoints": self.checkpoints,
-            "bytes_written": self.bytes_written,
-            "last_bytes": self.last_bytes,
-        }
-
 
 class Checkpointer:
     """Writes CAS checkpoints of a store and rolls its journal."""

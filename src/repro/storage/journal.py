@@ -141,18 +141,6 @@ class JournalStats:
     group_members: int = 0
     by_kind: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "records_written": self.records_written,
-            "bytes_written": self.bytes_written,
-            "raw_bytes": self.raw_bytes,
-            "fsyncs": self.fsyncs,
-            "rolls": self.rolls,
-            "groups_written": self.groups_written,
-            "group_members": self.group_members,
-            "by_kind": dict(self.by_kind),
-        }
-
 
 @dataclass
 class JournalRecord:

@@ -64,25 +64,6 @@ class RecoveryReport:
     #: physical ``records``, valid ``bytes`` on disk, ``raw_bytes`` (the
     #: same records before deflate).
     journals: list = field(default_factory=list)
-    #: What the loaded CAS checkpoint holds per document (not reported):
-    #: the checkpointer starts from it, so its first checkpoint writes
-    #: only what changed since.
-    published: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def as_dict(self):
-        return {
-            "checkpoint_source": self.checkpoint_source,
-            "storage": self.storage,
-            "checkpoint_errors": list(self.checkpoint_errors),
-            "records_scanned": self.records_scanned,
-            "records_replayed": self.records_replayed,
-            "records_skipped": self.records_skipped,
-            "records_truncated": self.records_truncated,
-            "truncated_bytes": self.truncated_bytes,
-            "torn_tail": self.torn_tail,
-            "documents": self.documents,
-            "journals": [dict(journal) for journal in self.journals],
-        }
 
 
 def recover_store(
@@ -107,6 +88,10 @@ def recover_store(
     directory = str(directory)
     journal_path = os.path.join(directory, JOURNAL_FILE)
     report = RecoveryReport()
+    # What the loaded CAS checkpoint holds per document, a plain attribute
+    # so it is never reported: the checkpointer starts from it, so its
+    # first checkpoint writes only what changed since.
+    report.published = {}
 
     candidates = [
         (os.path.join(directory, name + suffix), label, fmt)

@@ -74,7 +74,7 @@ class AnchorStats:
 
     Counted per cursor movement (:mod:`repro.storage.cursor`), so a sweep
     adds one chain per version it steps to.  The three anchor kinds are
-    fixed counters from the start: :meth:`snapshot` is read without the
+    fixed counters from the start: the registry reads them without the
     repository's lock while reader threads count."""
 
     forward_chains: int = 0
@@ -84,23 +84,6 @@ class AnchorStats:
     by_anchor: dict = field(  # kind -> walks started there
         default_factory=lambda: dict.fromkeys(sorted(_ANCHOR_RANK), 0)
     )
-
-    def as_dict(self):
-        return {
-            "forward_chains": self.forward_chains,
-            "backward_chains": self.backward_chains,
-            "exact_anchors": self.exact_anchors,
-            "range_scans": self.range_scans,
-            "by_anchor": dict(self.by_anchor),
-        }
-
-    def snapshot(self):
-        """Flat counters for the registry delta protocol; the per-kind
-        choice counts flatten to ``by_anchor.<kind>`` keys."""
-        out = self.as_dict()
-        for kind, count in out.pop("by_anchor").items():
-            out[f"by_anchor.{kind}"] = count
-        return out
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ object applications interact with:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..clock import LogicalClock
 from ..diff.differ import diff
@@ -70,10 +70,10 @@ class CommitBatch:
     is checked against the store state overlaid with earlier staged ops —
     and *applied* together at :meth:`commit` (or on clean ``with``-block
     exit).  A journaled store writes the whole batch as one journal group
-    record with a single fsync; snapshot-policy decisions are likewise
-    evaluated once, at group end, in commit order — producing the same
-    placements (and byte-identical archives) as per-commit ingestion of
-    the same operations.
+    record with a single fsync.  Each commit in it places its snapshot by
+    the ``snapshot_interval`` rule as it is applied, exactly as outside a
+    batch, so a batch produces the same placements (and byte-identical
+    archives) as per-commit ingestion of the same operations.
 
     ``results`` (after commit) mirrors the staged ops: doc_id for puts,
     version number for updates, ``None`` for deletes.
@@ -419,7 +419,7 @@ class TemporalDocumentStore:
         repo = self.repository
         return {
             **repo.counter_snapshot(),
-            "anchors": repo.anchor_stats.as_dict(),
+            "anchors": asdict(repo.anchor_stats),
         }
 
     def subtree(self, teid):

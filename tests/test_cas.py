@@ -125,7 +125,7 @@ class TestObjectStore:
         objstore.put(b"c" * 300, kind="current")
         objstore.put(b"d" * 300, kind="deltas")
         objstore.put(b"d" * 300, kind="deltas")
-        by_kind = objstore.stats.as_dict()["by_kind"]
+        by_kind = objstore.stats.by_kind
         assert by_kind["current"]["objects"] == 1
         assert by_kind["deltas"]["objects"] == 1
         assert by_kind["deltas"]["deduped"] == 1

@@ -136,3 +136,196 @@ class TestCostMeterStratum:
             stratum.snapshot("guide.com", TemporalXMLDatabase.ts("26/01/2001"))
         assert region.result.version_reads == 1
         assert region.result.pages_read >= 1
+
+
+# -- the counter outputs, pinned -----------------------------------------------
+
+
+def _durable_history(directory):
+    """A fixed durable history: Figure 1, a checkpoint, a batch left in
+    the journal, a reopen that replays it, a second checkpoint, one more
+    commit, and two queries.  Every timestamp is given, so every counter
+    and byte count is the same on every run."""
+    db = TemporalXMLDatabase.open(
+        directory, durability="fsync", snapshot_interval=2
+    )
+    load_figure1(db)
+    db.checkpoint()
+    with db.batch() as batch:
+        batch.put("menu.xml", "<menu><dish>soup</dish></menu>",
+                  ts=parse_date("01/03/2001"))
+        batch.update("menu.xml", "<menu><dish>stew</dish></menu>",
+                     ts=parse_date("02/03/2001"))
+    db.close()
+    db = TemporalXMLDatabase.open(
+        directory, durability="fsync", snapshot_interval=2
+    )
+    db.checkpoint()
+    db.update("menu.xml", "<menu><dish>stew</dish><dish>pie</dish></menu>",
+              ts=parse_date("03/03/2001"))
+    db.delete("menu.xml", ts=parse_date("04/03/2001"))
+    db.query('SELECT R FROM doc("guide.com")[26/01/2001]/restaurant R'
+             ).to_xml()
+    db.query('SELECT TIME(R), R/price FROM doc("guide.com")[EVERY]'
+             '/restaurant R WHERE R/name = "Napoli"')
+    return db
+
+
+#: ``engine.registry.snapshot()`` after :func:`_durable_history`, in the
+#: registry's key order.
+_REGISTRY = {
+    "store.delta_reads": 2, "store.snapshot_reads": 3,
+    "store.current_reads": 2, "store.subtree_reads": 6,
+    "store.ops_applied": 2, "store.ops_skipped": 4,
+    "store.subtree_fallbacks": 0,
+    "anchors.forward_chains": 1, "anchors.backward_chains": 2,
+    "anchors.exact_anchors": 4, "anchors.range_scans": 0,
+    "anchors.by_anchor.current": 2, "anchors.by_anchor.snapshot_after": 4,
+    "anchors.by_anchor.snapshot_before": 0,
+    "fti.postings": 18, "fti.bytes": 912, "fti.postings_opened": 18,
+    "fti.postings_closed": 12, "fti.update_ops": 30, "fti.lookups": 4,
+    "fti.postings_scanned": 7, "fti.postings_returned": 7,
+    "lifetime.postings": 16, "lifetime.bytes": 384,
+    "lifetime.postings_opened": 16, "lifetime.postings_closed": 10,
+    "lifetime.update_ops": 26, "lifetime.lookups": 0,
+    "lifetime.postings_scanned": 0, "lifetime.postings_returned": 0,
+    "join.joins": 2, "join.docs_considered": 2,
+    "join.candidates_probed": 7, "join.candidates_scanned": 10,
+    "join.intervals_pruned": 0, "join.matches_emitted": 3,
+    "planner.plans": 2, "planner.index_chosen": 2, "planner.nav_chosen": 0,
+    "planner.cost_flips": 0, "planner.pushdowns": 1,
+    "planner.conjuncts_reordered": 0, "planner.from_items_reordered": 0,
+    "cas.objects_written": 5, "cas.objects_deduped": 0,
+    "cas.compressed_objects": 0, "cas.raw_bytes": 326,
+    "cas.stored_bytes": 391, "cas.reads": 5, "cas.read_bytes": 586,
+    "cas.gc_runs": 1, "cas.gc_deleted_objects": 0, "cas.gc_deleted_bytes": 0,
+    "cas.by_kind.current.objects": 1, "cas.by_kind.current.deduped": 0,
+    "cas.by_kind.current.raw": 40, "cas.by_kind.current.stored": 53,
+    "cas.by_kind.deltas.objects": 1, "cas.by_kind.deltas.deduped": 0,
+    "cas.by_kind.deltas.raw": 41, "cas.by_kind.deltas.stored": 54,
+    "cas.by_kind.snapshots.objects": 1, "cas.by_kind.snapshots.deduped": 0,
+    "cas.by_kind.snapshots.raw": 42, "cas.by_kind.snapshots.stored": 55,
+    "cas.by_kind.checkpoint.objects": 2, "cas.by_kind.checkpoint.deduped": 0,
+    "cas.by_kind.checkpoint.raw": 203, "cas.by_kind.checkpoint.stored": 229,
+}
+
+_DURABILITY = {
+    "durability": "fsync",
+    "journal": {
+        "records_written": 2, "bytes_written": 102, "raw_bytes": 84,
+        "fsyncs": 5, "rolls": 1, "groups_written": 0, "group_members": 0,
+        "by_kind": {"update": 1, "delete": 1},
+    },
+    "checkpoints": {"checkpoints": 1, "bytes_written": 391, "last_bytes": 391},
+    "recovery": {
+        "checkpoint_source": "checkpoint", "storage": "cas",
+        "checkpoint_errors": [], "records_scanned": 5, "records_replayed": 1,
+        "records_skipped": 4, "records_truncated": 0, "truncated_bytes": 0,
+        "torn_tail": False, "documents": 2,
+        "journals": [
+            {"file": "journal.bin.prev", "version": 3, "records": 4,
+             "bytes": 344, "raw_bytes": 300},
+            {"file": "journal.bin", "version": 3, "records": 1,
+             "bytes": 119, "raw_bytes": 143},
+        ],
+    },
+}
+
+_STORAGE = {
+    "logical": {
+        "current": 122, "deltas": 484, "snapshots": 170, "total": 776,
+        "snapshot_count": 2, "snapshot_interval": 2,
+        "delta_ops": {"DeleteOp": 1, "InsertOp": 2, "StampOp": 9,
+                      "UpdateTextOp": 2},
+    },
+    "indexes": {"postings": 18, "open_postings": 6, "open_elements": 4,
+                "interned": 21, "lifetime_entries": 16},
+    "held": {"ops": 14, "payloads": 3, "payload_bytes": 177},
+    "backend": {
+        "objects_written": 5, "objects_deduped": 0, "compressed_objects": 0,
+        "raw_bytes": 326, "stored_bytes": 391, "dedup_ratio": 0.834,
+        "reads": 5, "read_bytes": 586, "gc_runs": 1,
+        "gc_deleted_objects": 0, "gc_deleted_bytes": 0,
+        "by_kind": {
+            "checkpoint": {"objects": 2, "deduped": 0, "raw": 203,
+                           "stored": 229},
+            "current": {"objects": 1, "deduped": 0, "raw": 40, "stored": 53},
+            "deltas": {"objects": 1, "deduped": 0, "raw": 41, "stored": 54},
+            "snapshots": {"objects": 1, "deduped": 0, "raw": 42,
+                          "stored": 55},
+        },
+        "disk_bytes": 1127,
+        "disk_by_kind": {
+            "checkpoint": {"objects": 3, "stored_bytes": 381,
+                           "raw_bytes": 342},
+            "current": {"objects": 2, "stored_bytes": 154, "raw_bytes": 128},
+            "deltas": {"objects": 2, "stored_bytes": 190, "raw_bytes": 272},
+            "snapshots": {"objects": 2, "stored_bytes": 185,
+                          "raw_bytes": 208},
+        },
+        "last_gc": {
+            "roots": [
+                "342be4dc029f41e7b86762de2849e544"
+                "65888097f2a2a39983d46f6abab05bae",
+                "2fe71f0ab0b82f776ae2f5b8a612ce5f"
+                "b225f62316690e1b4ae7953d9d001612",
+            ],
+            "objects_scanned": 10, "objects_live": 10, "objects_deleted": 0,
+            "bytes_deleted": 0, "tmp_files_removed": 0,
+        },
+    },
+}
+
+_READS = {
+    "delta_reads": 2, "snapshot_reads": 3, "current_reads": 2,
+    "subtree_reads": 6, "ops_applied": 2, "ops_skipped": 4,
+    "subtree_fallbacks": 0,
+    "anchors": {
+        "forward_chains": 1, "backward_chains": 2, "exact_anchors": 4,
+        "range_scans": 0,
+        "by_anchor": {"current": 2, "snapshot_after": 4,
+                      "snapshot_before": 0},
+    },
+}
+
+
+class TestCounterOutputs:
+    """Every counter report keeps its keys and values on a fixed history:
+    the registry, the three stats reports and the server's ``stats`` op."""
+
+    @pytest.fixture
+    def db(self, tmp_path):
+        db = _durable_history(tmp_path / "state")
+        yield db
+        db.close()
+
+    def test_registry_snapshot(self, db):
+        snapshot = db.engine.registry.snapshot()
+        assert list(snapshot.items()) == list(_REGISTRY.items())
+
+    def test_stats_reports(self, db):
+        assert db.durability_stats() == _DURABILITY
+        assert db.storage_stats() == _STORAGE
+        assert db.store.read_stats() == _READS
+
+    def test_server_stats_op_keys(self, db):
+        from repro.serving import ServingClient, ServingServer, SessionManager
+
+        with ServingServer(SessionManager(db)) as server, \
+                ServingClient(*server.address) as client:
+            client.query('SELECT R FROM doc("guide.com")/restaurant R')
+            reply = client.stats()
+        assert sorted(reply) == ["ok", "server", "session"]
+        assert sorted(reply["server"]) == [
+            "connections", "errors", "host", "manager", "port", "requests",
+        ]
+        assert sorted(reply["server"]["manager"]) == [
+            "commits", "published_seq", "published_ts", "read_only",
+            "sessions_opened",
+        ]
+        assert sorted(reply["session"]) == [
+            "metrics", "pinned_seq", "pinned_ts", "queries",
+        ]
+        assert sorted(reply["session"]["metrics"]) == sorted(
+            key for key in _REGISTRY if not key.startswith("cas.")
+        )

@@ -1,5 +1,7 @@
 """Tests for the paged-disk simulator."""
 
+from dataclasses import asdict
+
 import pytest
 
 from benchmarks.ablation.disk import CounterSnapshot, DiskSimulator, Extent, attach
@@ -186,7 +188,7 @@ class TestAttachObservesNeverSteers:
             trees = _read_everything(store)
             repository = store.repository
             counters = repository.counter_snapshot()
-            anchors = repository.anchor_stats.as_dict()
+            anchors = asdict(repository.anchor_stats)
             if disk is None:
                 expected = (trees, counters, anchors)
                 continue
@@ -264,5 +266,5 @@ class TestAttachObservesNeverSteers:
         # store whose simulator saw every commit.
         expected = _sweep_cost(live, live_disk)
         cost = _sweep_cost(restored, attached.disk)
-        assert cost.as_dict() == expected.as_dict()
+        assert cost == expected
         assert cost.pages_read > 0 and cost.writes == 0

@@ -15,6 +15,7 @@ Covers the PR-5 acceptance criteria directly:
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field, is_dataclass
 
 import pytest
 
@@ -52,13 +53,25 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.register("a", lambda: {"x": 1, "y": 2})
 
+        @dataclass
         class Stats:
-            def snapshot(self):
-                return {"z": 3, "label": "not-a-number"}
+            z: int = 3
+            label: str = "not-a-number"
+            by_kind: dict = field(default_factory=lambda: {"k": {"n": 4}})
 
-        registry.register("b", Stats())
+        @dataclass(frozen=True, slots=True)
+        class Frozen:
+            v: int = 6
+
+        stats = Stats()
+        registry.register("b", stats)
+        registry.register("c", {"w": 5})
+        registry.register("d", Frozen)  # a callable returning a dataclass
         snap = registry.snapshot()
-        assert snap == {"a.x": 1, "a.y": 2, "b.z": 3}
+        assert snap == {"a.x": 1, "a.y": 2, "b.z": 3, "b.by_kind.k.n": 4,
+                        "c.w": 5, "d.v": 6}
+        stats.z += 1  # a dataclass source is read live
+        assert registry.snapshot()["b.z"] == 4
 
     def test_delta_counts_new_keys_from_zero(self):
         before = {"a.x": 5}
@@ -68,6 +81,26 @@ class TestMetricsRegistry:
     def test_reject_bad_source(self):
         with pytest.raises(TypeError):
             MetricsRegistry().register("bad", object())
+
+    def test_counter_classes_list_their_fields_once(self):
+        """Counters and reports are plain dataclasses: the registry walks
+        their fields and the cold reports use ``dataclasses.asdict``, so
+        none writes its fields out again."""
+        from benchmarks.ablation.disk import CounterSnapshot
+        from repro.index.stats import IndexStats, JoinStats
+        from repro.query.optimizer import PlannerCounters
+        from repro.storage.cas import CASStats, GCReport
+        from repro.storage.checkpoint import CheckpointStats
+        from repro.storage.journal import JournalStats
+        from repro.storage.recover import RecoveryReport
+        from repro.storage.repository import AnchorStats
+
+        for cls in (IndexStats, JoinStats, PlannerCounters, AnchorStats,
+                    CASStats, GCReport, JournalStats, CheckpointStats,
+                    RecoveryReport, CounterSnapshot):
+            assert is_dataclass(cls)
+            assert not hasattr(cls, "as_dict"), cls
+            assert not hasattr(cls, "snapshot"), cls
 
     def test_engine_registry_covers_every_subsystem(self, db):
         assert set(db.engine.registry.prefixes) == {

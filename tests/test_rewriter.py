@@ -56,6 +56,16 @@ class TestConstantFolding:
         )
         assert isinstance(query.where.right, BinOp)
 
+    @pytest.mark.parametrize("constant", [
+        "26/01/2001 - 10/01/2001",  # a duration, not a timestamp
+        "10/01/2001 + 5",           # a number is not an interval
+    ])
+    def test_non_interval_arithmetic_stays_unfolded(self, constant):
+        query, _ = _rewrite(
+            f'SELECT R FROM doc("g")/r R WHERE TIME(R) > {constant}'
+        )
+        assert isinstance(query.where.right, BinOp)
+
     def test_folding_inside_functions(self):
         query, _ = _rewrite(
             'SELECT R FROM doc("g")/r R '
@@ -154,6 +164,10 @@ class TestEndToEndEquivalence:
         'WHERE R/name = "Napoli" AND TIME(R) < 31/01/2001',
         'SELECT R/name FROM doc("guide.com")[15/01/2001 + 1 WEEKS]'
         "/restaurant R",
+        'SELECT R/name FROM doc("guide.com")[EVERY]/restaurant R '
+        "WHERE TIME(R) - 01/01/2001 > 26/01/2001 - 01/01/2001",
+        'SELECT TIME(R) FROM doc("guide.com")[EVERY]/restaurant R '
+        "WHERE TIME(R) > 15/01/2001 + 5",
     )
 
     @pytest.mark.parametrize("query", QUERIES)

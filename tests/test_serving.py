@@ -21,12 +21,14 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
 from repro import TemporalXMLDatabase
 from repro.clock import parse_date
 from repro.errors import ServingError, StorageError, TemporalXMLError
+from repro.obs import MetricsRegistry
 from repro.serving import (
     PublishedState,
     Replica,
@@ -677,7 +679,7 @@ def test_version_cache_and_clock_survive_thread_hammering():
 @pytest.mark.timeout(60)
 def test_anchor_stats_are_counted_by_txql_reads_and_snapshot_beside_them():
     """Every stored read counts its anchor in the one walker, TXQL's
-    included, and the registry's unlocked ``AnchorStats.snapshot()`` may run
+    included, and the registry's unlocked read of ``AnchorStats`` may run
     while reader threads choose an anchor kind for the first time: the
     three kinds are fixed keys from the start."""
     db = TemporalXMLDatabase(snapshot_interval=4)
@@ -688,9 +690,11 @@ def test_anchor_stats_are_counted_by_txql_reads_and_snapshot_beside_them():
         manager.update("guide.com", _doc_xml(rng), ts=JAN_01 + number * 86400)
     repository = db.store.repository
     stats = repository.anchor_stats
-    kinds = {"by_anchor.current", "by_anchor.snapshot_after",
-             "by_anchor.snapshot_before"}
-    assert kinds <= set(stats.snapshot())
+    registry = MetricsRegistry()
+    registry.register("anchors", stats)
+    kinds = {"anchors.by_anchor.current", "anchors.by_anchor.snapshot_after",
+             "anchors.by_anchor.snapshot_before"}
+    assert kinds <= set(registry.snapshot())
     before = sum(stats.by_anchor.values())
 
     failures = []
@@ -713,7 +717,7 @@ def test_anchor_stats_are_counted_by_txql_reads_and_snapshot_beside_them():
     def snapshotter():
         try:
             while not done.is_set():
-                assert kinds <= set(stats.snapshot())
+                assert kinds <= set(registry.snapshot())
         except Exception as exc:  # noqa: BLE001
             failures.append(exc)
 
@@ -728,7 +732,7 @@ def test_anchor_stats_are_counted_by_txql_reads_and_snapshot_beside_them():
     watcher.join(timeout=30)
     assert not failures
     counters = repository.counter_snapshot()
-    final = stats.as_dict()
+    final = asdict(stats)
     # One anchor kind per cursor started on a stored version; exact counts.
     assert sum(final["by_anchor"].values()) - before > 0
     assert sum(final["by_anchor"].values()) == counters["subtree_reads"]

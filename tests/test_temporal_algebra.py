@@ -420,6 +420,24 @@ class TestMonthBoundaries:
         # adjacent closed-open buckets.  v2 and v3 are February-only.
         assert rows == {"01/01/2001": 1, "01/02/2001": 3}
 
+    def test_join_row_never_valid_together_falls_in_no_bucket(
+        self, boundary_engine
+    ):
+        join = (
+            'FROM doc("g.com")[EVERY]/restaurant R, '
+            'doc("g.com")[EVERY]/restaurant S'
+        )
+        assert len(boundary_engine.execute(f"SELECT R, S {join}")) == 9
+        result = boundary_engine.execute(
+            f"SELECT MONTH(R), COUNT(R) {join} GROUP BY MONTH(R)"
+        )
+        rows = {
+            str(row["MONTH(R)"]): row["COUNT(R)"] for row in result
+        }
+        # Of the 3 x 3 version pairs only the 3 of one version with itself
+        # were ever valid together; the other 6 count in no month.
+        assert rows == {"01/01/2001": 1, "01/02/2001": 3}
+
     def test_bucket_keys_are_adjacent_closed_open(self, boundary_engine):
         result = boundary_engine.execute(
             'SELECT MONTH(R), AVG(R/price) FROM doc("g.com")'
