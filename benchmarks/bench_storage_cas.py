@@ -79,15 +79,15 @@ def test_storage_backends(tmp_path, benchmark, emit, storage_report):
     # -- cas: object store, checkpointed twice + GC ----------------------------
     cas_dir = tmp_path / "cas"
     objstore = CASObjectStore(cas_dir)
-    write_checkpoint(store, cas_dir, objstore=objstore)
+    write_checkpoint(store, objstore)
     # A second (rotated) checkpoint of the unchanged store writes nothing
     # but its root, which dedups, and GC keeps the directory bounded — the
     # steady state a live Checkpointer sees.
-    write_checkpoint(store, cas_dir, objstore=objstore, rotate=True)
-    gc_report = collect_garbage(cas_dir, objstore=objstore)
-    cas_bytes = storage_size(cas_dir)
+    write_checkpoint(store, objstore, rotate=True)
+    gc_report = collect_garbage(objstore)
+    cas_bytes = storage_size(objstore)
     cas_seconds, cas_loaded = _time_cold_open(
-        lambda: read_checkpoint(cas_dir, store=_target_store())
+        lambda: read_checkpoint(CASObjectStore(cas_dir), store=_target_store())
     )
 
     # Both backends reproduce the store byte-for-byte.
@@ -138,4 +138,6 @@ def test_storage_backends(tmp_path, benchmark, emit, storage_report):
     assert open_speedup >= 2.0, f"only {open_speedup:.2f}x open speedup"
 
     # pytest-benchmark series: the CAS cold open.
-    benchmark(lambda: read_checkpoint(cas_dir, store=_target_store()))
+    benchmark(
+        lambda: read_checkpoint(CASObjectStore(cas_dir), store=_target_store())
+    )

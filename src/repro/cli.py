@@ -14,7 +14,10 @@ the shell::
     python -m repro delete  -a db.xml guide.com --ts 05/02/2001
 
 Mutating commands load the archive, apply the commit, and save it back;
-``put`` creates the archive when it does not exist yet.
+``put`` creates the archive when it does not exist yet.  ``-a`` names an
+XML archive only: a durable database directory is read (checkpoint and
+journal) by the commands that take ``-d`` (``stats``, ``serve``,
+``recover``, ``replica``), and ``-a DIR`` is an error.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ import sys
 from .clock import format_timestamp, parse_date
 from .db import TemporalXMLDatabase
 from .errors import TemporalXMLError
+
+#: ``-a``'s help: an archive, never a database directory.
+ARCHIVE_HELP = (
+    "XML archive file (a database directory is read with -d, by stats, "
+    "serve, recover and replica)"
+)
 
 
 def build_parser():
@@ -41,8 +50,7 @@ def build_parser():
 
     def with_archive(cmd, help_text):
         p = sub.add_parser(cmd, help=help_text)
-        p.add_argument("-a", "--archive", required=True,
-                       help="archive file (XML)")
+        p.add_argument("-a", "--archive", required=True, help=ARCHIVE_HELP)
         return p
 
     query = with_archive("query", "run a TXQL query")
@@ -106,7 +114,7 @@ def build_parser():
                "benchmarks/bench_reconstruct.py, which runs both).",
     )
     stats_source = stats.add_mutually_exclusive_group(required=True)
-    stats_source.add_argument("-a", "--archive", help="archive file (XML)")
+    stats_source.add_argument("-a", "--archive", help=ARCHIVE_HELP)
     stats_source.add_argument(
         "-d", "--dir",
         help="durable database directory (reports the storage backend's "
@@ -147,7 +155,7 @@ def build_parser():
              "(snapshot-isolated reader sessions, one serialized writer)",
     )
     source = serve.add_mutually_exclusive_group(required=True)
-    source.add_argument("-a", "--archive", help="archive file (XML)")
+    source.add_argument("-a", "--archive", help=ARCHIVE_HELP)
     source.add_argument(
         "-d", "--dir",
         help="durable database directory (CAS checkpoint + journal.bin)",

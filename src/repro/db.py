@@ -110,9 +110,11 @@ class TemporalXMLDatabase:
 
     @classmethod
     def load(cls, path, **tuning):
-        """Restore a database from :meth:`save`'s archive (or a CAS
-        checkpoint directory); ``tuning`` is any keyword the constructor
-        takes.
+        """Restore a database from :meth:`save`'s archive; ``tuning`` is
+        any keyword the constructor takes.  A database directory (or its
+        ``checkpoint.cas`` pointer) is a
+        :class:`~repro.errors.StorageError`: :meth:`open` reads it,
+        journal included.
 
         Indexes (FTI, lifetime) are rebuilt by replaying the stored commit
         history through the usual observers, so query behaviour after a
@@ -165,8 +167,8 @@ class TemporalXMLDatabase:
         import os
 
         from .errors import StorageError
+        from .storage.cas import CASObjectStore
         from .storage.checkpoint import JOURNAL_FILE, Checkpointer
-        from .storage.faults import REAL_FS
         from .storage.journal import FORMAT_VERSION, CommitJournal
         from .storage.recover import recover_store
 
@@ -181,34 +183,32 @@ class TemporalXMLDatabase:
                 "checkpoints to CAS only; write an XML archive with save()"
             )
         db = cls(**tuning)
-        os.makedirs(directory, exist_ok=True)
-        if fs is None:
-            fs = REAL_FS
+        # The directory's one object store: recovery reads the checkpoint
+        # through it, the checkpointer writes and collects through it.
+        objstore = CASObjectStore(directory, fs=fs)
         _, db.recovery = recover_store(
-            directory,
+            objstore,
             store=db.store,
             observers=[db.fti, db.lifetime],
-            fs=fs,
             # Only a journal reopened for append needs its torn tail cut.
             repair=durability != "none",
         )
-        db.data_dir = str(directory)
+        db.data_dir = objstore.directory
         db.durability = durability
         if durability != "none":
+            # Without a journal nothing is written until a checkpoint,
+            # which makes its directories itself.
+            os.makedirs(db.data_dir, exist_ok=True)
             db.journal = CommitJournal(
-                os.path.join(str(directory), JOURNAL_FILE),
+                os.path.join(db.data_dir, JOURNAL_FILE),
                 fsync_policy="commit" if durability == "fsync" else "flush",
-                fs=fs,
+                fs=objstore.fs,
             )
             db.store.attach_journal(db.journal)
-        db.checkpointer = Checkpointer(
-            db.store, directory, journal=db.journal, fs=fs
-        )
+        db.checkpointer = Checkpointer(db.store, objstore, journal=db.journal)
         # Dedup/compression/GC counters join the shared registry so
         # `repro stats` and EXPLAIN-era tooling see the storage layer.
-        db.engine.registry.register("cas", db.checkpointer.objstore.stats)
-        # The next checkpoint writes only what changed since the loaded one.
-        db.checkpointer.objstore.published = db.recovery.published
+        db.engine.registry.register("cas", objstore.stats)
         if db.journal is not None and db.journal.version != FORMAT_VERSION:
             # journal.bin was written by an older release in a format that
             # is only read now: fold it into a checkpoint, which rolls it
@@ -270,12 +270,13 @@ class TemporalXMLDatabase:
             return out
         from .storage.cas import kind_breakdown, storage_size
 
-        stats = self.checkpointer.objstore.stats
+        objstore = self.checkpointer.objstore
+        stats = objstore.stats
         backend = {**asdict(stats), "dedup_ratio": stats.dedup_ratio}
-        backend["disk_bytes"] = storage_size(self.data_dir)
+        backend["disk_bytes"] = storage_size(objstore)
         # Counters cover this store's lifetime; the disk breakdown is
         # what the published checkpoint holds right now.
-        backend["disk_by_kind"] = kind_breakdown(self.data_dir)
+        backend["disk_by_kind"] = kind_breakdown(objstore)
         if self.checkpointer.last_gc is not None:
             backend["last_gc"] = asdict(self.checkpointer.last_gc)
         out["backend"] = backend

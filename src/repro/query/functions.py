@@ -299,12 +299,8 @@ class Evaluator:
         return self._compare(op, left, right)
 
     def _overlaps(self, expr, row):
-        """``X OVERLAPS Y``: do the bindings' validity intervals intersect?
-
-        A binding without an interval (a snapshot binding) is treated as
-        unconstrained — it overlaps everything, as the algebra tests'
-        reference join passes rows that carry no ``__interval__`` through.
-        """
+        """``X OVERLAPS Y``: do the bindings' validity intervals
+        intersect?  Every binding carries its version's interval."""
         left = self.eval(expr.left, row)
         right = self.eval(expr.right, row)
         for value in (left, right):
@@ -313,8 +309,6 @@ class Evaluator:
                     "OVERLAPS expects bound variables, got "
                     f"{type(value).__name__}"
                 )
-        if left.interval is None or right.interval is None:
-            return True
         return left.interval.overlaps(right.interval)
 
     def _arith(self, op, expr, row):
@@ -323,7 +317,11 @@ class Evaluator:
         if left is None or right is None:
             return None
         result = left + right if op == "+" else left - right
-        if isinstance(left, TimestampValue):
+        # timestamp ± seconds is a timestamp; timestamp - timestamp is a
+        # number of seconds, as ``rewriter._fold_arith`` treats it.
+        if isinstance(left, TimestampValue) and not (
+            op == "-" and isinstance(right, TimestampValue)
+        ):
             return TimestampValue(result)
         return result
 

@@ -2,25 +2,26 @@
 
 A :class:`Replica` is a read-only copy of a durable database directory
 (the layout written by :meth:`~repro.db.TemporalXMLDatabase.open`): it
-seeds itself through the crash-recovery path — checkpoint plus journal
-replay — and then *tails the leader's commit journal*, feeding newly
-shipped records through the same idempotent
-:func:`~repro.storage.recover.apply_record` used by recovery.  Because
+seeds itself by opening the directory without a journal
+(``TemporalXMLDatabase.open(directory, durability="none")``, the
+crash-recovery path — checkpoint plus journal replay) and then *tails
+the leader's commit journal* through the same
+:func:`~repro.storage.recover.replay_journals` recovery ends with.  Because
 records are keyed by document id and version number, re-scanning the
 journal from the start on every :meth:`catch_up` is safe: already-applied
 records are skipped, only the genuine tail changes the store.  It is also
 cheap: the scan leaves record bodies undecoded and a skipped record never
 decodes its own, so a catch-up against an unchanged leader checks frames
-and envelopes and builds no tree.  Seeding
-goes through :func:`~repro.storage.recover.recover_store`, so a leader
-replicates from whichever checkpoint it holds (the content-addressed
-store of :mod:`~repro.storage.cas`, or an older release's XML archive).
+and envelopes and builds no tree.  Seeding goes through recovery, so a
+leader replicates from whichever checkpoint it holds (the
+content-addressed store of :mod:`~repro.storage.cas`, or an older
+release's XML archive).
 
-The replica never writes to the leader's directory (recovery runs with
-``repair=False`` so even a torn journal tail is left untouched), and it
-serves reads through its own :class:`~repro.serving.SessionManager`
-(marked read-only), so replica sessions get the same pinned-snapshot
-guarantees as leader sessions.
+The replica never writes to the leader's directory (a journal-less open
+creates nothing and repairs nothing, so even a torn journal tail is left
+untouched), and it serves reads through its own
+:class:`~repro.serving.SessionManager` (marked read-only), so replica
+sessions get the same pinned-snapshot guarantees as leader sessions.
 
 If the leader checkpoints twice between catch-ups, the journal the
 replica tailed may have rolled past it (a version gap —
@@ -32,18 +33,13 @@ still internally consistent — store.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from dataclasses import asdict
 
+from ..db import TemporalXMLDatabase
 from ..errors import CorruptArchiveError
-from ..index.fti import TemporalFullTextIndex
-from ..index.lifetime import LifetimeIndex
-from ..storage.checkpoint import JOURNAL_FILE, PREV_SUFFIX
-from ..storage.faults import REAL_FS
-from ..storage.journal import scan_journal
-from ..storage.recover import apply_record, recover_store
+from ..storage.recover import replay_journals
 from .session import SessionManager
 
 
@@ -52,11 +48,10 @@ class Replica:
 
     def __init__(self, directory, fs=None):
         self.directory = str(directory)
-        self._fs = fs if fs is not None else REAL_FS
+        self._fs = fs
         self._catch_up_lock = threading.Lock()
         self.records_applied = 0
         self.resyncs = 0
-        self.recovery = None
         self._seed()
         # The manager sees the replica through a proxy: the replica owns
         # it, and a cycle would leave a dropped replica to the cycle
@@ -69,8 +64,13 @@ class Replica:
 
     # -- db-like surface (what SessionManager expects) ------------------------
 
-    # store / fti / lifetime are set by _seed(); the replica deliberately has
-    # no put/update/delete — its manager is read-only.
+    # What the manager reads, off the seeded database, which a re-seed
+    # swaps in one step; the replica deliberately has no
+    # put/update/delete — its manager is read-only.
+    store = property(lambda self: self.db.store)
+    fti = property(lambda self: self.db.fti)
+    lifetime = property(lambda self: self.db.lifetime)
+    recovery = property(lambda self: self.db.recovery)
 
     def session(self):
         """Open a pinned read session over the replica."""
@@ -83,15 +83,10 @@ class Replica:
     # -- replication ----------------------------------------------------------
 
     def _seed(self):
-        """(Re)build store and indexes from the leader directory via the
-        recovery path, without repairing (mutating) the leader's files."""
-        self.fti = TemporalFullTextIndex()
-        self.lifetime = LifetimeIndex()
-        self.store, self.recovery = recover_store(
-            self.directory,
-            observers=[self.fti, self.lifetime],
-            fs=self._fs,
-            repair=False,
+        """(Re)open the leader directory without a journal: recovery,
+        which neither creates nor repairs (mutates) the leader's files."""
+        self.db = TemporalXMLDatabase.open(
+            self.directory, durability="none", fs=self._fs
         )
 
     def follow(self, interval, duration=None, stop=None):
@@ -126,7 +121,10 @@ class Replica:
         with self._catch_up_lock:
             resynced = False
             try:
-                applied = self._scan_and_apply()
+                applied = replay_journals(
+                    self.store, self.directory, self._fs,
+                    (self.fti, self.lifetime),
+                ).records_replayed
             except CorruptArchiveError:
                 # The journal rolled past our seed (e.g. two leader
                 # checkpoints between catch-ups): start over from the
@@ -140,17 +138,6 @@ class Replica:
                 with self.sessions._commit_lock:
                     self.sessions._publish()
             return applied
-
-    def _scan_and_apply(self):
-        journal_path = os.path.join(self.directory, JOURNAL_FILE)
-        applied = 0
-        observers = (self.fti, self.lifetime)
-        for path in (journal_path + PREV_SUFFIX, journal_path):
-            scan = scan_journal(path, fs=self._fs)
-            for record in scan.records:
-                if apply_record(self.store, record, observers):
-                    applied += 1
-        return applied
 
     # -- introspection --------------------------------------------------------
 

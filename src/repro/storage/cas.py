@@ -93,7 +93,8 @@ SEGMENT_FOLD_BYTES = 4096
 _MAGIC = b"CAS1"
 _FLAG_ZLIB = 0x01
 _HEADER = struct.Struct(">II")  # raw length, crc32 of raw content
-_POINTER_MAGIC = "CASPTR1"
+#: The first word of a pointer file.
+POINTER_MAGIC = "CASPTR1"
 
 #: Stream kinds a checkpoint stores per document, in encoding order.
 _STREAM_KINDS = ("current", "deltas", "snapshots")
@@ -182,6 +183,12 @@ class CASObjectStore:
     @property
     def objects_dir(self):
         return os.path.join(self.directory, OBJECTS_DIR)
+
+    @property
+    def pointer(self):
+        """The newest generation's pointer file; ``+ ".prev"`` names the
+        previous one."""
+        return os.path.join(self.directory, CAS_POINTER_FILE)
 
     def object_path(self, object_hash):
         return os.path.join(
@@ -289,7 +296,7 @@ class CASObjectStore:
 
 def pointer_bytes(root_hash):
     """The pointer-file content naming a checkpoint's root manifest."""
-    line = f"{_POINTER_MAGIC} {root_hash}"
+    line = f"{POINTER_MAGIC} {root_hash}"
     crc = zlib.crc32(line.encode("ascii")) & 0xFFFFFFFF
     return f"{line} {crc:08x}\n".encode("ascii")
 
@@ -302,7 +309,7 @@ def read_pointer(path, fs=None):
     except FileNotFoundError:
         raise CorruptArchiveError("missing pointer file", path=path) from None
     parts = data.decode("ascii", errors="replace").split()
-    if len(parts) != 3 or parts[0] != _POINTER_MAGIC:
+    if len(parts) != 3 or parts[0] != POINTER_MAGIC:
         raise CorruptArchiveError(
             "not a CAS checkpoint pointer", path=path
         )
@@ -349,8 +356,8 @@ def _key(record):
     )
 
 
-def write_checkpoint(store, directory, fs=None, objstore=None, rotate=False):
-    """Checkpoint ``store`` into ``directory``'s object store.
+def write_checkpoint(store, objstore, rotate=False):
+    """Checkpoint ``store`` into ``objstore``'s directory.
 
     Only documents changed since ``objstore``'s last published
     checkpoint are written (a fresh object store writes every document).
@@ -361,10 +368,6 @@ def write_checkpoint(store, directory, fs=None, objstore=None, rotate=False):
     learns the new checkpoint once its pointer is published.  Returns the
     root manifest hash.
     """
-    fs = fs if fs is not None else REAL_FS
-    directory = str(directory)
-    if objstore is None:
-        objstore = CASObjectStore(directory, fs=fs)
     published = {}
     for record in sorted(store.repository.records(), key=lambda r: r.doc_id):
         key = _key(record)
@@ -380,7 +383,7 @@ def write_checkpoint(store, directory, fs=None, objstore=None, rotate=False):
         root.blob(bytes.fromhex(stored.doc_hash))
     root_hash = objstore.put(root.getvalue(), kind="checkpoint")
 
-    pointer = os.path.join(directory, CAS_POINTER_FILE)
+    fs, pointer = objstore.fs, objstore.pointer
     if rotate and fs.exists(pointer):
         fs.replace(pointer, pointer + ".prev")
     from .persistence import atomic_write_bytes
@@ -453,20 +456,10 @@ def _encode_document_meta(record, manifests):
 # -- checkpoint read -----------------------------------------------------------
 
 
-def resolve_pointer_path(source, fs=None):
-    """``source`` (a CAS directory or a pointer file path) →
-    ``(pointer path, directory)``."""
-    fs = fs if fs is not None else REAL_FS
-    source = str(source)
-    base = os.path.basename(source)
-    if base.startswith(CAS_POINTER_FILE):
-        return source, os.path.dirname(source) or "."
-    return os.path.join(source, CAS_POINTER_FILE), source
-
-
-def _read_root(objstore, root_hash, where=None):
-    """``(clock, [document manifest hashes])`` of a root manifest."""
-    r = Reader(objstore.get(root_hash))
+def _read_root(data, root_hash, where=None):
+    """``(clock, [document manifest hashes])`` of a root manifest's
+    ``data``."""
+    r = Reader(data)
     version = r.u()
     if version not in READABLE_VERSIONS:
         raise CorruptArchiveError(
@@ -477,12 +470,13 @@ def _read_root(objstore, root_hash, where=None):
     return clock_now, [r.blob().hex() for _ in range(r.u())]
 
 
-def read_checkpoint(source, store=None, fs=None, objstore=None):
-    """Restore a CAS checkpoint into ``store`` (see
-    :func:`~repro.storage.persistence.load_store`), which is returned.
+def read_checkpoint(objstore, store=None, pointer=None):
+    """Restore the CAS checkpoint in ``objstore``'s directory into
+    ``store`` (see :func:`~repro.storage.persistence.load_store`), which
+    is returned.
 
-    ``source`` is the database directory or an explicit pointer file
-    (e.g. ``checkpoint.cas.prev`` during recovery fallback).  Every
+    ``pointer`` names the generation (default ``objstore.pointer``;
+    recovery falls back to ``checkpoint.cas.prev``).  Every
     object on the path is CRC-verified and every document decoded before
     the first one is installed; corruption raises
     :class:`CorruptArchiveError` naming the object hash and leaves
@@ -493,12 +487,10 @@ def read_checkpoint(source, store=None, fs=None, objstore=None):
     from .persistence import build_record, empty_store, install_records
 
     store = empty_store(store)
-    fs = fs if fs is not None else REAL_FS
-    pointer, directory = resolve_pointer_path(source, fs=fs)
-    if objstore is None:
-        objstore = CASObjectStore(directory, fs=fs)
+    pointer = pointer if pointer is not None else objstore.pointer
+    root_hash = read_pointer(pointer, fs=objstore.fs)
     clock_now, doc_hashes = _read_root(
-        objstore, read_pointer(pointer, fs=fs), where=pointer
+        objstore.get(root_hash), root_hash, where=pointer
     )
     records = []
     published = {}
@@ -583,7 +575,7 @@ def _fetch_stream(objstore, doc_hash, kind, length, hashes):
 def reachable_hashes(objstore, root_hash):
     """Every object hash reachable from one checkpoint root manifest."""
     live = {root_hash}
-    for doc_hash in _read_root(objstore, root_hash)[1]:
+    for doc_hash in _read_root(objstore.get(root_hash), root_hash)[1]:
         live.add(doc_hash)
         meta = _decode_document_meta(objstore.get(doc_hash), doc_hash)
         for _length, hashes in meta["manifests"]:
@@ -591,8 +583,8 @@ def reachable_hashes(objstore, root_hash):
     return live
 
 
-def collect_garbage(directory, fs=None, objstore=None, extra_roots=()):
-    """Mark-and-sweep the object store from the retained checkpoints.
+def collect_garbage(objstore, extra_roots=()):
+    """Mark-and-sweep ``objstore`` from the retained checkpoints.
 
     Roots are the pointer files still present (``checkpoint.cas`` and
     ``checkpoint.cas.prev``) plus any ``extra_roots`` hashes.  A pointer
@@ -603,14 +595,10 @@ def collect_garbage(directory, fs=None, objstore=None, extra_roots=()):
     crash at every sweep step; a crash mid-sweep only leaves dead
     objects behind, never removes a live one.
     """
-    fs = fs if fs is not None else REAL_FS
-    directory = str(directory)
-    if objstore is None:
-        objstore = CASObjectStore(directory, fs=fs)
+    fs = objstore.fs
     report = GCReport()
-    pointer = os.path.join(directory, CAS_POINTER_FILE)
     live = set()
-    for path in (pointer, pointer + ".prev"):
+    for path in (objstore.pointer, objstore.pointer + ".prev"):
         if not fs.exists(path):
             continue
         root_hash = read_pointer(path, fs=fs)
@@ -652,14 +640,13 @@ def _sweep_tmp_files(objstore, fs):
     return removed
 
 
-def storage_size(directory):
+def storage_size(objstore):
     """On-disk bytes of a CAS checkpoint directory (objects + pointers)."""
-    directory = str(directory)
-    total = CASObjectStore(directory).stored_bytes()
-    for name in (CAS_POINTER_FILE, CAS_POINTER_FILE + ".prev"):
-        path = os.path.join(directory, name)
-        if os.path.exists(path):
-            total += os.path.getsize(path)
+    fs = objstore.fs
+    total = objstore.stored_bytes()
+    for path in (objstore.pointer, objstore.pointer + ".prev"):
+        if fs.exists(path):
+            total += fs.size(path)
     return total
 
 
@@ -678,7 +665,7 @@ __all__ = [
 ]
 
 
-def kind_breakdown(directory, fs=None, objstore=None):
+def kind_breakdown(objstore):
     """Disk-truth per-kind breakdown of the newest checkpoint generation.
 
     Walks the published pointer's reachable set and attributes every
@@ -687,37 +674,34 @@ def kind_breakdown(directory, fs=None, objstore=None):
     (manifests), returning ``{kind: {objects, stored_bytes, raw_bytes}}``.
     Unlike :class:`CASStats` — counters over one store's lifetime — this
     reads what is on disk right now, so ``repro stats -d`` reports real
-    numbers on a freshly opened directory.
+    numbers on a freshly opened directory.  The walk reads through
+    ``objstore``, so its reads count in ``objstore.stats``.
     """
-    fs = fs if fs is not None else REAL_FS
-    directory = str(directory)
-    if objstore is None:
-        objstore = CASObjectStore(directory, fs=fs)
-    pointer = os.path.join(directory, CAS_POINTER_FILE)
+    fs, pointer = objstore.fs, objstore.pointer
     breakdown = {}
     if not fs.exists(pointer):
         return breakdown
     seen = set()
 
     def add(kind, object_hash):
+        """Count an object not seen yet; returns its raw content."""
         if object_hash in seen:
-            return
+            return None
         seen.add(object_hash)
         raw = objstore.get(object_hash)  # verifies hash path + CRC
         entry = breakdown.setdefault(
             kind, {"objects": 0, "stored_bytes": 0, "raw_bytes": 0}
         )
         entry["objects"] += 1
-        entry["stored_bytes"] += os.path.getsize(
-            objstore.object_path(object_hash)
-        )
+        entry["stored_bytes"] += fs.size(objstore.object_path(object_hash))
         entry["raw_bytes"] += len(raw)
+        return raw
 
     root_hash = read_pointer(pointer, fs=fs)
-    add("checkpoint", root_hash)
-    for doc_hash in _read_root(objstore, root_hash)[1]:
-        add("checkpoint", doc_hash)
-        meta = _decode_document_meta(objstore.get(doc_hash), doc_hash)
+    root = add("checkpoint", root_hash)
+    for doc_hash in _read_root(root, root_hash)[1]:
+        # A manifest names its document's id: no other object shares it.
+        meta = _decode_document_meta(add("checkpoint", doc_hash), doc_hash)
         for kind, (_length, hashes) in zip(_STREAM_KINDS, meta["manifests"]):
             for object_hash in hashes:
                 add(kind, object_hash)

@@ -31,13 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .cas import (
-    CAS_POINTER_FILE,
-    CASObjectStore,
-    collect_garbage,
-    write_checkpoint,
-)
-from .faults import REAL_FS
+from .cas import collect_garbage, write_checkpoint
 
 #: The XML archive an older release checkpointed to (read-only now).
 LEGACY_CHECKPOINT_FILE = "checkpoint.xml"
@@ -53,17 +47,17 @@ class CheckpointStats:
 
 
 class Checkpointer:
-    """Writes CAS checkpoints of a store and rolls its journal."""
+    """Writes CAS checkpoints of a store into its directory's object
+    store and rolls its journal."""
 
-    def __init__(self, store, directory, journal=None, fs=None):
+    def __init__(self, store, objstore, journal=None):
         self.store = store
-        self.directory = str(directory)
+        #: The open database's one object store (recovery read the
+        #: checkpoint through it), so dedup, read and GC counters
+        #: accumulate per database, not per checkpoint call.
+        self.objstore = objstore
         self.journal = journal
-        self.fs = fs if fs is not None else REAL_FS
         self.stats = CheckpointStats()
-        #: Shared across checkpoints so dedup and GC counters accumulate
-        #: per database, not per checkpoint call.
-        self.objstore = CASObjectStore(self.directory, fs=self.fs)
         self.last_gc = None
 
     def checkpoint(self):
@@ -73,23 +67,18 @@ class Checkpointer:
             self.journal.sync()
         objstore = self.objstore
         before = objstore.stats.stored_bytes
-        write_checkpoint(
-            self.store, self.directory, fs=self.fs, objstore=objstore,
-            rotate=True,
-        )
+        write_checkpoint(self.store, objstore, rotate=True)
         if self.journal is not None:
             self.journal.roll()
         # Rotation just demoted the old checkpoint to the .prev
         # generation; anything older is now unreachable — reclaim it.
-        self.last_gc = collect_garbage(
-            self.directory, fs=self.fs, objstore=objstore
-        )
+        self.last_gc = collect_garbage(objstore)
         written = objstore.stats.stored_bytes - before
         self._retire_legacy_checkpoints()
         self.stats.checkpoints += 1
         self.stats.bytes_written += written
         self.stats.last_bytes = written
-        return os.path.join(self.directory, CAS_POINTER_FILE)
+        return objstore.pointer
 
     def _retire_legacy_checkpoints(self):
         """Drop an older release's XML checkpoints once ours is durable.
@@ -99,7 +88,8 @@ class Checkpointer:
         after the publish means a crash anywhere still leaves a
         recoverable generation.
         """
-        stale = os.path.join(self.directory, LEGACY_CHECKPOINT_FILE)
+        fs = self.objstore.fs
+        stale = os.path.join(self.objstore.directory, LEGACY_CHECKPOINT_FILE)
         for path in (stale, stale + PREV_SUFFIX):
-            if self.fs.exists(path):
-                self.fs.remove(path)
+            if fs.exists(path):
+                fs.remove(path)

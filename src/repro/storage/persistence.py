@@ -51,6 +51,7 @@ from ..model.identifiers import XIDAllocator
 from ..xmlcore.node import Element, Text
 from ..xmlcore.parser import parse_stored
 from ..xmlcore.serializer import serialize
+from .cas import POINTER_MAGIC
 from .deltaindex import VersionEntry
 from .faults import REAL_FS
 from .repository import DocumentRecord
@@ -148,13 +149,17 @@ def empty_store(store=None):
 
 
 def load_store(source, store=None, verify=True, fs=None, objstore=None):
-    """Restore a checkpoint or archive into ``store``; returns it.
+    """Restore an archive (or, for recovery, a checkpoint) into ``store``;
+    returns it.
 
-    ``source`` names its own format: a directory or a ``checkpoint.cas``
-    pointer file is a CAS checkpoint (every object hash-verified on the
-    way in; when ``objstore`` is given it is read through, and its
-    ``published`` then describes the loaded checkpoint); any other path,
-    XML text or an :class:`Element` is an archive.
+    ``source`` is an archive: a path, XML text or an :class:`Element`.
+    A database directory and its ``checkpoint.cas`` pointers are read by
+    recovery alone (:meth:`~repro.db.TemporalXMLDatabase.open`), which
+    passes the directory's ``objstore``: ``source`` is then the pointer
+    file of the generation to read through it (every object
+    hash-verified on the way in), and ``objstore.published`` then
+    describes the loaded checkpoint.  Without ``objstore`` a directory or
+    a pointer file is a :class:`StorageError` naming ``open()``.
     ``store`` is an empty :class:`TemporalDocumentStore` the caller built
     with whatever tuning it wants (default: a default-configured one).
     Document ids, XIDs, version numbers, timestamps, content and the
@@ -167,10 +172,10 @@ def load_store(source, store=None, verify=True, fs=None, objstore=None):
     Indexes are *not* rebuilt here — attach observers and call
     :func:`replay_history` (or use
     :meth:`repro.db.TemporalXMLDatabase.load`)."""
-    if _is_cas_source(source):
+    if objstore is not None:
         from .cas import read_checkpoint
 
-        return read_checkpoint(source, store=store, fs=fs, objstore=objstore)
+        return read_checkpoint(objstore, store=store, pointer=str(source))
     store = empty_store(store)
     archive, path = _as_archive(source, verify=verify, fs=fs)
     if archive.get("format") != FORMAT_VERSION:
@@ -345,22 +350,6 @@ def _strip_whitespace_runs(element):
 # -- loading internals ---------------------------------------------------------
 
 
-def _is_cas_source(source):
-    """True when ``source`` names a CAS checkpoint: a directory or a
-    ``checkpoint.cas`` pointer file (either generation)."""
-    from .cas import CAS_POINTER_FILE
-
-    if isinstance(source, Element) or (
-        isinstance(source, str) and source.lstrip().startswith("<")
-    ):
-        return False
-    path = str(source)
-    return (
-        os.path.basename(path).startswith(CAS_POINTER_FILE)
-        or os.path.isdir(path)
-    )
-
-
 def _as_archive(source, verify=True, fs=None):
     """Resolve ``source`` to ``(archive element, path or None)``."""
     if isinstance(source, Element):
@@ -371,7 +360,15 @@ def _as_archive(source, verify=True, fs=None):
     else:
         path = str(source)
         fs = fs if fs is not None else REAL_FS
-        data = fs.read_bytes(path)
+        # Only recovery reads a database directory or its pointers.
+        data = None if os.path.isdir(path) else fs.read_bytes(path)
+        if data is None or data.startswith(POINTER_MAGIC.encode("ascii")):
+            what = "directory" if data is None else "checkpoint pointer"
+            raise StorageError(
+                f"{path!r} is a database {what}, not an archive: open the "
+                "directory with TemporalXMLDatabase.open() "
+                "(repro stats/serve/recover/replica -d)"
+            )
     if verify:
         _verify_file_crc(data, path)
     try:

@@ -37,9 +37,8 @@ from dataclasses import dataclass, field
 from ..diff.apply import apply_script
 from ..errors import CorruptArchiveError, StorageError
 from ..model.identifiers import XIDAllocator
-from .cas import CAS_POINTER_FILE, CASObjectStore
+from .cas import CAS_POINTER_FILE
 from .checkpoint import LEGACY_CHECKPOINT_FILE, JOURNAL_FILE, PREV_SUFFIX
-from .faults import REAL_FS
 from .journal import scan_journal
 from .persistence import empty_store, load_store, replay_history
 from .repository import DocumentRecord
@@ -66,33 +65,24 @@ class RecoveryReport:
     journals: list = field(default_factory=list)
 
 
-def recover_store(
-    directory,
-    store=None,
-    observers=(),
-    fs=None,
-    repair=True,
-):
-    """Recover a durable database directory into ``store``; returns
-    ``(store, report)``.
+def recover_store(objstore, store=None, observers=(), repair=True):
+    """Recover the database directory ``objstore`` lives in into
+    ``store``; returns ``(store, report)``.
 
-    ``store`` is an empty store built by the caller with whatever tuning
-    it wants (default: a default-configured one).  ``observers`` (index
+    ``objstore`` is the directory's :class:`~repro.storage.cas.CASObjectStore`
+    (its ``directory`` and ``fs`` are the ones read): the checkpoint is
+    read through it, so its counters hold what recovery read and its
+    ``published`` describes the loaded checkpoint.  ``store`` is an
+    empty store built by the caller with whatever tuning it wants
+    (default: a default-configured one).  ``observers`` (index
     instances) receive the full recovered commit
     history — checkpointed state via :func:`replay_history`, journal tail
     records as they are applied.  ``repair`` physically truncates a torn
     tail off ``journal.bin`` so the journal can be reopened for appends.
     """
     store = empty_store(store)
-    fs = fs if fs is not None else REAL_FS
-    directory = str(directory)
-    journal_path = os.path.join(directory, JOURNAL_FILE)
+    fs, directory = objstore.fs, objstore.directory
     report = RecoveryReport()
-    # What the loaded CAS checkpoint holds per document, a plain attribute
-    # so it is never reported: the checkpointer starts from it, so its
-    # first checkpoint writes only what changed since.
-    report.published = {}
-
     candidates = [
         (os.path.join(directory, name + suffix), label, fmt)
         for name, fmt in (
@@ -103,21 +93,41 @@ def recover_store(
     for path, label, fmt in candidates:
         if not fs.exists(path):
             continue
-        # An archive ignores the object store; a CAS load leaves what it
-        # read in ``published`` for the checkpointer.
-        objstore = CASObjectStore(directory, fs=fs)
         try:
-            load_store(path, store=store, fs=fs, objstore=objstore)
+            # A CAS pointer is read through the directory's object store;
+            # an older release's XML checkpoint is an archive.
+            load_store(
+                path, store=store, fs=fs,
+                objstore=objstore if fmt == "cas" else None,
+            )
         except (StorageError, OSError) as exc:
             report.checkpoint_errors.append(f"{label}: {exc}")
             continue
         report.checkpoint_source = label
         report.storage = fmt
-        report.published = objstore.published
         break
     if observers:
         replay_history(store, observers)
+    replay_journals(store, directory, fs, observers, repair, report)
+    report.documents = len(store.repository.records())
+    return store, report
 
+
+def replay_journals(store, directory, fs, observers=(), repair=False,
+                    report=None):
+    """Apply what ``store`` lacks of ``directory``'s journals; returns
+    ``report`` (a fresh :class:`RecoveryReport` when none is given) with
+    the files, records and torn regions found added to it.
+
+    Scans ``journal.bin.prev`` then ``journal.bin`` tolerantly and feeds
+    every record through :func:`apply_record`, which skips what the store
+    already holds.  ``repair`` truncates a torn tail off ``journal.bin``
+    (never off ``.prev``, which nothing appends to).  Recovery calls this
+    once after the checkpoint load; a read replica calls it on every
+    catch-up.
+    """
+    report = report if report is not None else RecoveryReport()
+    journal_path = os.path.join(directory, JOURNAL_FILE)
     for path, repairable in (
         (journal_path + PREV_SUFFIX, False),
         (journal_path, repair),
@@ -139,13 +149,11 @@ def recover_store(
             if repairable:
                 fs.truncate(path, scan.valid_size)
         for record in scan.records:
-            if _apply_record(store, record, observers):
+            if apply_record(store, record, observers):
                 report.records_replayed += 1
             else:
                 report.records_skipped += 1
-
-    report.documents = len(store.repository.records())
-    return store, report
+    return report
 
 
 # -- journal record application ----------------------------------------------
@@ -154,21 +162,13 @@ def recover_store(
 def apply_record(store, rec, observers=()):
     """Idempotently apply one journal record to ``store``.
 
-    The public entry point for journal shipping: a read replica tails a
-    leader's commit journal and feeds every scanned record through here.
     Records already contained in the store (keyed by document id and
     version number) are skipped, so re-scanning a journal from the start
     is always safe.  Returns True when the record changed the store (its
-    :class:`~repro.storage.store.CommitEvent` was fired at ``observers``).
+    :class:`~repro.storage.store.CommitEvent` was fired at ``observers``),
+    False when it was already covered (by the checkpoint or an earlier
+    scan).
     """
-    return _apply_record(store, rec, observers)
-
-
-def _apply_record(store, rec, observers):
-    """Apply one journal record if the store does not contain it yet.
-
-    Returns True when the record changed the store (and its event was
-    fired), False when it was already covered by the checkpoint."""
     repository = store.repository
     if rec.kind == "create":
         if repository.find(rec.doc_id) is not None:
@@ -221,7 +221,7 @@ def _apply_record(store, rec, observers):
         # prefix of the group's effects).
         applied = False
         for member in rec.members:
-            if _apply_record(store, member, observers):
+            if apply_record(store, member, observers):
                 applied = True
         return applied
     elif rec.kind == "snapshot":

@@ -11,12 +11,14 @@ operation and can
 * serve a **short read** (a prefix of the file, as after a lost tail),
 
 and :func:`flip_bit` flips a bit in an on-disk file (silent media
-corruption).  Both filesystems operate on real files, so the post-crash
+corruption); :func:`tree_digest` hashes a directory tree, so a test can
+show a reader left it as it was.  Both filesystems operate on real files, so the post-crash
 directory state a test recovers from is exactly what landed on disk.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 from repro.storage.faults import OSFileSystem
@@ -173,3 +175,20 @@ def flip_bit(path, byte_offset, bit=0):
             raise ValueError(f"offset {byte_offset} beyond end of {path!r}")
         handle.seek(byte_offset)
         handle.write(bytes([byte[0] ^ (1 << bit)]))
+
+
+def tree_digest(directory):
+    """SHA-256 over every directory and file path under ``directory``
+    and each file's bytes, or ``None`` when ``directory`` does not exist:
+    equal digests mean nothing was created, removed or changed."""
+    if not os.path.exists(directory):
+        return None
+    digest = hashlib.sha256()
+    for root, dirs, files in os.walk(directory):
+        dirs.sort()
+        digest.update(os.path.relpath(root, directory).encode() + b"/\0")
+        for name in sorted(files):
+            with open(os.path.join(root, name), "rb") as handle:
+                data = handle.read()
+            digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()

@@ -14,7 +14,12 @@ by the XML checkpoint writer itself.
 import shutil
 from pathlib import Path
 
-from repro.storage.cas import CAS_POINTER_FILE, OBJECTS_DIR, read_checkpoint
+from repro.storage.cas import (
+    CAS_POINTER_FILE,
+    OBJECTS_DIR,
+    CASObjectStore,
+    read_checkpoint,
+)
 from repro.storage.checkpoint import LEGACY_CHECKPOINT_FILE, PREV_SUFFIX
 from repro.storage.persistence import archive_bytes, build_archive
 
@@ -25,7 +30,10 @@ def make_legacy(directory):
     for suffix in ("", PREV_SUFFIX):
         pointer = directory / (CAS_POINTER_FILE + suffix)
         if pointer.exists():
-            archive = archive_bytes(build_archive(read_checkpoint(pointer)))
+            store = read_checkpoint(
+                CASObjectStore(directory), pointer=str(pointer)
+            )
+            archive = archive_bytes(build_archive(store))
             (directory / (LEGACY_CHECKPOINT_FILE + suffix)).write_bytes(
                 archive
             )

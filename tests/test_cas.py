@@ -135,24 +135,33 @@ class TestObjectStore:
 class TestCheckpointRoundTrip:
     def test_byte_identical_reload(self, tmp_path):
         store = seeded_store()
-        write_checkpoint(store, tmp_path)
+        write_checkpoint(store, CASObjectStore(tmp_path))
         loaded = read_checkpoint(
-            tmp_path, store=TemporalDocumentStore(snapshot_interval=4)
+            CASObjectStore(tmp_path),
+            store=TemporalDocumentStore(snapshot_interval=4),
         )
         assert store_fingerprint(loaded) == store_fingerprint(store)
 
-    def test_load_store_reads_a_cas_directory(self, tmp_path):
-        """``load_store`` takes a CAS checkpoint's format from its source:
-        the directory, or either pointer file in it."""
+    def test_load_store_reads_a_cas_pointer(self, tmp_path):
+        """``load_store`` reads a CAS checkpoint only as recovery asks for
+        it: a pointer file read through its directory's object store.
+        Without one, the directory and the pointer are refused."""
         store = seeded_store()
-        root_hash = write_checkpoint(store, tmp_path)
+        root_hash = write_checkpoint(store, CASObjectStore(tmp_path))
         pointer = os.path.join(tmp_path, CAS_POINTER_FILE)
         assert read_pointer(pointer) == root_hash
+        objstore = CASObjectStore(tmp_path)
+        loaded = load_store(
+            pointer, store=TemporalDocumentStore(snapshot_interval=4),
+            objstore=objstore,
+        )
+        assert store_fingerprint(loaded) == store_fingerprint(store)
+        assert set(objstore.published) == {
+            r.doc_id for r in store.repository.records()
+        }
         for source in (tmp_path, pointer):
-            loaded = load_store(
-                source, store=TemporalDocumentStore(snapshot_interval=4)
-            )
-            assert store_fingerprint(loaded) == store_fingerprint(store)
+            with pytest.raises(StorageError, match=r"open\(\)"):
+                load_store(source)
 
     def test_unknown_format_rejected(self, tmp_path):
         """A directory has one checkpoint format; asking for another names
@@ -178,7 +187,7 @@ class TestCheckpointRoundTrip:
             for _ in range(12):
                 db.update(name, gen.evolve(name))
         objstore = CASObjectStore(tmp_path)
-        write_checkpoint(db.store, tmp_path, objstore=objstore)
+        write_checkpoint(db.store, objstore)
 
         encoded, scripts, puts = [], [], []
         real_put = CASObjectStore.put
@@ -209,7 +218,7 @@ class TestCheckpointRoundTrip:
 
         db.update("b.xml", gen.evolve("b.xml"))
         written = objstore.stats.objects_written
-        write_checkpoint(db.store, tmp_path, objstore=objstore, rotate=True)
+        write_checkpoint(db.store, objstore, rotate=True)
         assert encoded == ["encode_tree", "encode_delta_segment"]
         assert len(scripts) == 1
         assert puts == ["current", "deltas", "checkpoint", "checkpoint"]
@@ -217,20 +226,20 @@ class TestCheckpointRoundTrip:
 
         del encoded[:], scripts[:], puts[:]
         written = objstore.stats.objects_written
-        write_checkpoint(db.store, tmp_path, objstore=objstore, rotate=True)
+        write_checkpoint(db.store, objstore, rotate=True)
         assert encoded == [] and scripts == []
         assert puts == ["checkpoint"]  # the root, unchanged
         assert objstore.stats.objects_written == written
         loaded = read_checkpoint(
-            tmp_path, store=TemporalDocumentStore()
+            CASObjectStore(tmp_path), store=TemporalDocumentStore()
         )
         assert store_fingerprint(loaded) == store_fingerprint(db.store)
 
     def test_smaller_than_xml_archive(self, tmp_path):
         store = seeded_store(versions=30, docs=1)
-        write_checkpoint(store, tmp_path)
+        write_checkpoint(store, CASObjectStore(tmp_path))
         xml_bytes = len(store_fingerprint(store))
-        assert storage_size(tmp_path) * 3 <= xml_bytes
+        assert storage_size(CASObjectStore(tmp_path)) * 3 <= xml_bytes
 
 
 class TestGarbageCollection:
@@ -242,10 +251,10 @@ class TestGarbageCollection:
         for _ in range(8):
             db.update("g.xml", gen.evolve("g.xml"))
         objstore = CASObjectStore(tmp_path)
-        write_checkpoint(db.store, tmp_path, objstore=objstore)
+        write_checkpoint(db.store, objstore)
         for _ in range(4):
             db.update("g.xml", gen.evolve("g.xml"))
-        write_checkpoint(db.store, tmp_path, objstore=objstore, rotate=True)
+        write_checkpoint(db.store, objstore, rotate=True)
         return db.store, objstore
 
     def test_gc_keeps_everything_reachable(self, tmp_path):
@@ -254,11 +263,12 @@ class TestGarbageCollection:
         live = reachable_hashes(objstore, read_pointer(pointer)) | (
             reachable_hashes(objstore, read_pointer(pointer + ".prev"))
         )
-        report = collect_garbage(tmp_path, objstore=objstore)
+        report = collect_garbage(objstore)
         assert report.objects_deleted == 0
         assert object_hashes(tmp_path) == live
         loaded = read_checkpoint(
-            tmp_path, store=TemporalDocumentStore(snapshot_interval=4)
+            CASObjectStore(tmp_path),
+            store=TemporalDocumentStore(snapshot_interval=4),
         )
         assert store_fingerprint(loaded) == store_fingerprint(store)
 
@@ -274,14 +284,15 @@ class TestGarbageCollection:
         os.remove(pointer + ".prev")
 
         before = object_hashes(tmp_path)
-        report = collect_garbage(tmp_path, objstore=objstore)
+        report = collect_garbage(objstore)
         after = object_hashes(tmp_path)
         assert after == current_live
         assert before - after == orphans
         assert report.objects_deleted == len(orphans)
         # The surviving generation still loads byte-identically.
         loaded = read_checkpoint(
-            tmp_path, store=TemporalDocumentStore(snapshot_interval=4)
+            CASObjectStore(tmp_path),
+            store=TemporalDocumentStore(snapshot_interval=4),
         )
         assert store_fingerprint(loaded) == store_fingerprint(store)
 
@@ -293,7 +304,7 @@ class TestGarbageCollection:
         # set cannot be computed, so nothing may be deleted.
         flip_bit(objstore.object_path(read_pointer(pointer)), 10)
         with pytest.raises(CorruptArchiveError):
-            collect_garbage(tmp_path, objstore=objstore)
+            collect_garbage(objstore)
         assert object_hashes(tmp_path) == before
 
     def test_gc_sweeps_stale_tmp_files(self, tmp_path):
@@ -302,7 +313,7 @@ class TestGarbageCollection:
         os.makedirs(os.path.dirname(stale), exist_ok=True)
         with open(stale, "wb") as handle:
             handle.write(b"torn object write leftovers")
-        report = collect_garbage(tmp_path, objstore=objstore)
+        report = collect_garbage(objstore)
         assert report.tmp_files_removed == 1
         assert not os.path.exists(stale)
 
@@ -311,7 +322,7 @@ class TestGarbageCollection:
         pointer = os.path.join(tmp_path, CAS_POINTER_FILE)
         os.remove(pointer)
         os.remove(pointer + ".prev")
-        report = collect_garbage(tmp_path, objstore=objstore)
+        report = collect_garbage(objstore)
         assert report.objects_deleted == report.objects_scanned
         assert object_hashes(tmp_path) == set()
 
@@ -367,7 +378,7 @@ class TestDatabaseIntegration:
         backend = stats["backend"]
         assert backend["raw_bytes"] >= backend["stored_bytes"] > 0
         assert backend["dedup_ratio"] >= 1.0
-        assert backend["disk_bytes"] == storage_size(tmp_path / "db")
+        assert backend["disk_bytes"] == storage_size(db.checkpointer.objstore)
         for kind in ("current", "deltas", "snapshots", "checkpoint"):
             assert kind in backend["by_kind"], kind
         assert stats["logical"]["total"] > 0
@@ -376,9 +387,10 @@ class TestDatabaseIntegration:
         assert snapshot["cas.objects_written"] > 0
         db.close()
 
-    def test_load_reads_a_cas_directory(self, tmp_path):
+    def test_load_refuses_a_cas_directory(self, tmp_path):
         """A CAS directory without a journal is ``open(durability="none")``
-        plus ``checkpoint()``; ``load`` reads it like an archive."""
+        plus ``checkpoint()``; ``load`` refuses it (and its pointer), and
+        ``open(durability="none")`` reads it."""
         gen = TDocGenerator(seed=29)
         db = TemporalXMLDatabase.open(tmp_path / "casdir", durability="none")
         db.put("k.xml", gen.document("k.xml"))
@@ -386,7 +398,13 @@ class TestDatabaseIntegration:
             db.update("k.xml", gen.evolve("k.xml"))
         db.checkpoint()
         assert not (tmp_path / "casdir" / "journal.bin").exists()
-        loaded = TemporalXMLDatabase.load(tmp_path / "casdir")
+        for source in (tmp_path / "casdir",
+                       tmp_path / "casdir" / CAS_POINTER_FILE):
+            with pytest.raises(StorageError, match=r"open\(\)"):
+                TemporalXMLDatabase.load(source)
+        loaded = TemporalXMLDatabase.open(
+            tmp_path / "casdir", durability="none"
+        )
         assert store_fingerprint(loaded.store) == store_fingerprint(db.store)
         # Indexes were rebuilt: query both and compare.
         q = 'SELECT X FROM doc("k.xml")[EVERY]/* X'

@@ -65,7 +65,7 @@ def assert_generations_verify(directory):
             continue
         for object_hash in reachable_hashes(objstore, read_pointer(pointer)):
             objstore.get(object_hash)  # verifies hash + CRC
-        read_checkpoint(str(pointer))
+        read_checkpoint(objstore, pointer=str(pointer))
 
 
 @pytest.mark.parametrize("durability", ["fsync", "journal"])
@@ -153,7 +153,8 @@ def test_gc_never_deletes_reachable_even_when_it_crashes(tmp_path):
             root = read_pointer(str(pointer))
             for object_hash in reachable_hashes(objstore, root):
                 objstore.get(object_hash)  # verifies hash + CRC
-            read_checkpoint(str(pointer))  # and the full decode works
+            # and the full decode works
+            read_checkpoint(objstore, pointer=str(pointer))
 
 
 class TestSilentCorruptionCAS:

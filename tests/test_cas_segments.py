@@ -52,7 +52,7 @@ def manifests(directory):
     """``{doc id: ((length, [hashes]) per stream)}`` of the published
     checkpoint."""
     objstore = CASObjectStore(directory)
-    read_checkpoint(directory, objstore=objstore)
+    read_checkpoint(objstore)
     return {
         doc_id: stored.manifests
         for doc_id, stored in objstore.published.items()
@@ -77,7 +77,7 @@ class TestSegments:
         objstore = CASObjectStore(tmp_path)
         for _ in range(120):
             db.update("d.xml", gen.evolve("d.xml"))
-            write_checkpoint(db.store, tmp_path, objstore=objstore)
+            write_checkpoint(db.store, objstore)
         (stored,) = objstore.published.values()
         length, hashes = stored.manifests[1]
         sizes = [len(objstore.get(h)) for h in hashes]
@@ -86,7 +86,9 @@ class TestSegments:
         # count stays near length / 4 KiB however often we checkpoint.
         assert all(size >= SEGMENT_FOLD_BYTES for size in sizes[:-1])
         assert len(sizes) <= length // SEGMENT_FOLD_BYTES + 1
-        loaded = read_checkpoint(tmp_path, store=TemporalDocumentStore())
+        loaded = read_checkpoint(
+            CASObjectStore(tmp_path), store=TemporalDocumentStore()
+        )
         assert store_fingerprint(loaded) == store_fingerprint(db.store)
 
     def test_snapshot_of_an_old_version_is_appended(self, tmp_path):
@@ -96,13 +98,15 @@ class TestSegments:
         for _ in range(9):
             db.update("s.xml", gen.evolve("s.xml"))
         objstore = CASObjectStore(tmp_path)
-        write_checkpoint(db.store, tmp_path, objstore=objstore)
+        write_checkpoint(db.store, objstore)
         record = db.store.repository.records()[0]
         db.store.repository.materialize_snapshot(record, 2)
-        write_checkpoint(db.store, tmp_path, objstore=objstore)
+        write_checkpoint(db.store, objstore)
         (stored,) = objstore.published.values()
         assert stored.key[3] == {2, 4, 8}
-        loaded = read_checkpoint(tmp_path, store=TemporalDocumentStore())
+        loaded = read_checkpoint(
+            CASObjectStore(tmp_path), store=TemporalDocumentStore()
+        )
         assert sorted(loaded.repository.records()[0].snapshots) == [2, 4, 8]
         assert store_fingerprint(loaded) == store_fingerprint(db.store)
 
@@ -112,10 +116,12 @@ class TestSegments:
         for name in ("a.xml", "b.xml"):
             db.put(name, gen.document(name))
         objstore = CASObjectStore(tmp_path)
-        write_checkpoint(db.store, tmp_path, objstore=objstore)
+        write_checkpoint(db.store, objstore)
         db.delete("a.xml")
-        write_checkpoint(db.store, tmp_path, objstore=objstore)
-        loaded = read_checkpoint(tmp_path, store=TemporalDocumentStore())
+        write_checkpoint(db.store, objstore)
+        loaded = read_checkpoint(
+            CASObjectStore(tmp_path), store=TemporalDocumentStore()
+        )
         assert loaded.repository.records()[0].is_deleted
         assert store_fingerprint(loaded) == store_fingerprint(db.store)
 
@@ -139,7 +145,7 @@ class TestSegments:
         with open(tmp_path / CAS_POINTER_FILE, "wb") as handle:
             handle.write(pointer_bytes(root))
         with pytest.raises(CorruptArchiveError, match="format 3"):
-            read_checkpoint(tmp_path)
+            read_checkpoint(objstore)
 
 
 class TestBoundedRead:
@@ -261,7 +267,9 @@ class TestRecoveryHandOff:
                 assert read_pointer(pointer) != old_root, k
             fs.crash_at, fs.crashed = None, False  # the fault was transient
             db.checkpoint()
-            loaded = read_checkpoint(directory, store=TemporalDocumentStore())
+            loaded = read_checkpoint(
+                CASObjectStore(directory), store=TemporalDocumentStore()
+            )
             assert store_fingerprint(loaded) == want, k
 
 

@@ -1,11 +1,17 @@
 """Tests for the command-line interface and plan explanation."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.storage.journal import FORMAT_VERSION
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _run(*argv):
@@ -141,6 +147,77 @@ class TestErrors:
         _run("put", "-a", str(archive), "guide.com", str(v1))
         code, out = _run("history", "-a", str(archive), "ghost.com")
         assert code == 1
+
+
+class TestArchiveOnly:
+    """``-a`` names an XML archive.  A database directory (or its
+    checkpoint pointer) is refused by every ``-a`` command with a typed
+    error naming ``open()``, never read without its journal."""
+
+    QUERY = 'SELECT R FROM doc("a.xml") R'
+
+    @pytest.fixture
+    def directory(self, tmp_path):
+        from repro import TemporalXMLDatabase
+
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="fsync")
+        db.put("a.xml", "<a>1</a>")
+        db.checkpoint()
+        db.update("a.xml", "<a>2</a>")
+        db.put("b.xml", "<b/>")
+        db.close()
+        return tmp_path / "db"
+
+    def _commands(self, source, tmp_path):
+        xml = tmp_path / "c.xml"
+        xml.write_text("<c/>")
+        return [
+            ("query", "-a", source, self.QUERY),
+            ("explain", "-a", source, self.QUERY),
+            ("trace", "-a", source, self.QUERY),
+            ("put", "-a", source, "c.xml", str(xml)),
+            ("update", "-a", source, "a.xml", str(xml)),
+            ("delete", "-a", source, "a.xml"),
+            ("history", "-a", source, "a.xml"),
+            ("ls", "-a", source),
+            ("stats", "-a", source),
+            ("serve", "-a", source, "--serve-for", "0"),
+        ]
+
+    def test_every_command_refuses_a_directory(self, directory, tmp_path):
+        from tests.faults import tree_digest
+
+        before = tree_digest(directory)
+        pointer = str(directory / "checkpoint.cas")
+        for source in (str(directory), pointer):
+            for argv in self._commands(source, tmp_path):
+                code, out = _run(*argv)
+                assert code == 1, argv
+                assert out.startswith("error: "), argv
+                assert "open()" in out, argv
+                assert not os.path.exists(source + ".tmp"), argv
+        assert tree_digest(directory) == before
+
+    def test_no_traceback_from_a_fresh_process(self, directory, tmp_path):
+        xml = tmp_path / "c.xml"
+        xml.write_text("<c/>")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "put", "-a", str(directory),
+             "c.xml", str(xml)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("error: ")
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+    def test_the_directory_reads_through_open(self, directory):
+        """What ``-a`` refused, ``open()`` reads, journal included."""
+        from repro import TemporalXMLDatabase
+
+        db = TemporalXMLDatabase.open(directory, durability="none")
+        assert db.documents() == ["a.xml", "b.xml"]
+        assert "<a>2</a>" in db.query(self.QUERY).to_xml_string()
 
 
 class TestDemo:

@@ -172,7 +172,9 @@ def _durable_history(directory):
 
 
 #: ``engine.registry.snapshot()`` after :func:`_durable_history`, in the
-#: registry's key order.
+#: registry's key order.  ``cas.reads``/``read_bytes`` hold the reopen's
+#: checkpoint load (5 objects, 572 bytes) plus the second checkpoint's GC
+#: walk (5, 586): recovery and the checkpointer share one object store.
 _REGISTRY = {
     "store.delta_reads": 2, "store.snapshot_reads": 3,
     "store.current_reads": 2, "store.subtree_reads": 6,
@@ -197,7 +199,7 @@ _REGISTRY = {
     "planner.conjuncts_reordered": 0, "planner.from_items_reordered": 0,
     "cas.objects_written": 5, "cas.objects_deduped": 0,
     "cas.compressed_objects": 0, "cas.raw_bytes": 326,
-    "cas.stored_bytes": 391, "cas.reads": 5, "cas.read_bytes": 586,
+    "cas.stored_bytes": 391, "cas.reads": 10, "cas.read_bytes": 1158,
     "cas.gc_runs": 1, "cas.gc_deleted_objects": 0, "cas.gc_deleted_bytes": 0,
     "cas.by_kind.current.objects": 1, "cas.by_kind.current.deduped": 0,
     "cas.by_kind.current.raw": 40, "cas.by_kind.current.stored": 53,
@@ -244,7 +246,7 @@ _STORAGE = {
     "backend": {
         "objects_written": 5, "objects_deduped": 0, "compressed_objects": 0,
         "raw_bytes": 326, "stored_bytes": 391, "dedup_ratio": 0.834,
-        "reads": 5, "read_bytes": 586, "gc_runs": 1,
+        "reads": 10, "read_bytes": 1158, "gc_runs": 1,
         "gc_deleted_objects": 0, "gc_deleted_bytes": 0,
         "by_kind": {
             "checkpoint": {"objects": 2, "deduped": 0, "raw": 203,
@@ -329,3 +331,57 @@ class TestCounterOutputs:
         assert sorted(reply["session"]["metrics"]) == sorted(
             key for key in _REGISTRY if not key.startswith("cas.")
         )
+
+
+class TestOneObjectStorePerOpen:
+    """``open()`` builds the directory's one object store: recovery reads
+    the checkpoint through it and the checkpointer writes through it."""
+
+    @staticmethod
+    def _history(directory):
+        db = TemporalXMLDatabase.open(directory, durability="fsync")
+        db.put("a.xml", "<a>1</a>", ts=parse_date("01/01/2001"))
+        db.checkpoint()
+        db.update("a.xml", "<a>2</a>", ts=parse_date("02/01/2001"))
+        db.put("b.xml", "<b/>", ts=parse_date("03/01/2001"))
+        db.close()
+
+    def test_open_builds_exactly_one(self, tmp_path, monkeypatch):
+        from repro.storage import cas
+
+        self._history(tmp_path / "db")
+        built = []
+        real_init = cas.CASObjectStore.__init__
+
+        def counting_init(objstore, *args, **kwargs):
+            built.append(objstore)
+            real_init(objstore, *args, **kwargs)
+
+        monkeypatch.setattr(cas.CASObjectStore, "__init__", counting_init)
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="journal")
+        db.checkpoint()
+        db.storage_stats()
+        db.close()
+        assert built == [db.checkpointer.objstore]
+
+    def test_counters_hold_what_recovery_read(self, tmp_path):
+        from repro.storage.cas import CASObjectStore, read_checkpoint
+        from repro.xmlcore import serialize
+
+        self._history(tmp_path / "db")
+        reference = CASObjectStore(tmp_path / "db")
+        read_checkpoint(reference)
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="none")
+        registry = db.engine.registry.snapshot()
+        backend = db.storage_stats()["backend"]
+        assert reference.stats.reads > 0
+        for counters in (
+            (registry["cas.reads"], registry["cas.read_bytes"]),
+            (backend["reads"], backend["read_bytes"]),
+        ):
+            assert counters == (
+                reference.stats.reads, reference.stats.read_bytes
+            )
+        # The journal past the checkpoint is read too: both documents.
+        assert db.documents() == ["a.xml", "b.xml"]
+        assert serialize(db.current("a.xml")) == "<a>2</a>"

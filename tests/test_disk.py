@@ -8,7 +8,7 @@ from benchmarks.ablation.disk import CounterSnapshot, DiskSimulator, Extent, att
 from repro import TemporalXMLDatabase
 from repro.errors import StorageError
 from repro.storage import TemporalDocumentStore
-from repro.storage.cas import write_checkpoint
+from repro.storage.cas import CASObjectStore, read_checkpoint, write_checkpoint
 from repro.storage.persistence import dump_store, load_store
 from repro.storage.recover import recover_store
 from repro.workload import TDocGenerator
@@ -216,8 +216,8 @@ class TestAttachObservesNeverSteers:
             dump_store(live, tmp_path / "archive.xml")
             load_store(tmp_path / "archive.xml", store=restored)
         elif how == "cas":
-            write_checkpoint(live, tmp_path)
-            load_store(tmp_path, store=restored)
+            write_checkpoint(live, CASObjectStore(tmp_path))
+            read_checkpoint(CASObjectStore(tmp_path), store=restored)
         else:
             db = TemporalXMLDatabase.open(
                 tmp_path, snapshot_interval=snapshot_interval
@@ -226,7 +226,7 @@ class TestAttachObservesNeverSteers:
             db.checkpoint()
             _commit(db, range(VERSIONS // 2, VERSIONS))
             db.close()
-            recover_store(tmp_path, store=restored)
+            recover_store(CASObjectStore(tmp_path), store=restored)
         if how != "recover-attached-first":
             attached = attach(restored, DiskSimulator(clustered=True))
 

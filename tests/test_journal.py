@@ -20,6 +20,7 @@ from repro.model.identifiers import XIDAllocator
 from repro.model.versioned import stamp_new_nodes
 from repro.storage import TemporalDocumentStore
 from repro.storage.binfmt import encode_redo, encode_script, encode_tree
+from repro.storage.cas import CASObjectStore
 from repro.storage.faults import OSFileSystem
 from tests.faults import CrashError, FaultyFS, flip_bit
 from repro.storage.journal import (
@@ -434,7 +435,7 @@ class TestCommitGroups:
 
         expected = archive_bytes(build_archive(store))
         for directory in (new_dir, old_dir):
-            recovered, report = recover_store(str(directory))
+            recovered, report = recover_store(CASObjectStore(directory))
             assert report.records_replayed == 1  # the one group
             assert [
                 recovered.record(name).dindex.snapshot_numbers()
@@ -528,7 +529,7 @@ class TestFaultyFS:
         store.update("a.xml", "<doc><x>two</x></doc>")
         journal.close()
         fs = FaultyFS(short_read_at=1, short_read_fraction=0.7)
-        recovered, report = recover_store(str(tmp_path), fs=fs)
+        recovered, report = recover_store(CASObjectStore(tmp_path, fs=fs))
         assert report.torn_tail
         index = recovered.delta_index("a.xml")
         assert len(index) in (1, 2)

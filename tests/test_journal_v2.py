@@ -23,6 +23,7 @@ from repro.storage import TemporalDocumentStore, binfmt
 from repro.storage import journal as journal_module
 from repro.storage import recover as recover_module
 from repro.storage.binfmt import Writer, encode_tree
+from repro.storage.cas import CASObjectStore
 from tests.faults import CrashError, FaultyFS
 from repro.storage.journal import (
     _FRAME,
@@ -110,7 +111,7 @@ class TestFormatV1Directory:
         ]
 
     def test_recover_store_restores_it(self, directory, expected):
-        store, report = recover_store(str(directory))
+        store, report = recover_store(CASObjectStore(directory))
         assert _fingerprint(store) == expected
         assert report.records_replayed == 6
         assert report.journals == [{
@@ -302,7 +303,7 @@ class TestHostileInput:
         assert [r.kind for r in scan.records] == ["create"]
         assert scan.valid_size == len(MAGIC + _frame(GOOD))
         # ... which recovery treats as any torn tail: truncated, not fatal.
-        store, report = recover_store(str(tmp_path))
+        store, report = recover_store(CASObjectStore(tmp_path))
         assert report.torn_tail and report.records_replayed == 1
         assert path.read_bytes() == MAGIC + _frame(GOOD)
 
@@ -321,7 +322,7 @@ class TestHostileInput:
         with pytest.raises(StorageError):
             apply_record(store, scan.records[1])
         with pytest.raises(StorageError):
-            recover_store(str(tmp_path))
+            recover_store(CASObjectStore(tmp_path))
 
     def test_seeded_mutations_never_escape_as_another_exception(
         self, tmp_path
@@ -659,7 +660,7 @@ class TestPerOpStampDirectory:
         assert per_op_bytes > sum(len(binfmt.encode_script(d)) for d in deltas)
         assert per_op_redo > len(binfmt.encode_redo(journaled))
 
-        store, report = recover_store(str(directory))
+        store, report = recover_store(CASObjectStore(directory))
         assert report.records_replayed == 1
         assert _fingerprint(store) == expected
 

@@ -9,7 +9,11 @@ from repro import TemporalXMLDatabase
 from repro.clock import parse_date
 from repro.errors import StorageError
 from repro.storage import TemporalDocumentStore
-from repro.storage.cas import read_checkpoint, write_checkpoint
+from repro.storage.cas import (
+    CASObjectStore,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.storage.persistence import (
     build_record,
     dump_store,
@@ -120,9 +124,10 @@ class TestRoundTrip:
         path = tmp_path / "saved"
         if format == "xml":
             dump_store(store, str(path))
+            loaded = load_store(str(path))
         else:
-            write_checkpoint(store, path)
-        loaded = load_store(str(path))
+            write_checkpoint(store, CASObjectStore(path))
+            loaded = read_checkpoint(CASObjectStore(path))
         for number in (1, 2, 3):
             assert loaded.version("d.xml", number).equals_deep(
                 store.version("d.xml", number)
@@ -145,16 +150,20 @@ class TestRestoreIntoCallerStore:
     @pytest.mark.parametrize("format", ["xml", "cas"])
     def test_non_empty_store_refused(self, populated, tmp_path, format):
         path = tmp_path / "archive"
+        objstore = CASObjectStore(path)
         if format == "xml":
             dump_store(populated, str(path))
         else:
-            write_checkpoint(populated, path)
+            write_checkpoint(populated, objstore)
         target = TemporalDocumentStore()
         target.put("mine.xml", "<a/>")
         with pytest.raises(StorageError, match="already holds documents"):
-            load_store(str(path), store=target)
+            if format == "xml":
+                load_store(str(path), store=target)
+            else:
+                read_checkpoint(objstore, store=target)
         with pytest.raises(StorageError, match="already holds documents"):
-            recover_store(str(tmp_path), store=target)
+            recover_store(CASObjectStore(tmp_path), store=target)
         assert target.documents() == ["mine.xml"]
 
     def test_detached_record_agrees_on_its_snapshots(self):

@@ -7,6 +7,7 @@ from repro.clock import SECONDS_PER_DAY, parse_date
 from repro.query.ast import BinOp, DateLiteral, EVERY
 from repro.query.parser import parse_query
 from repro.query.rewriter import TimeWindow, rewrite
+from repro.query.values import TimestampValue
 
 JAN_10 = parse_date("10/01/2001")
 JAN_20 = parse_date("20/01/2001")
@@ -184,6 +185,37 @@ class TestEndToEndEquivalence:
             "WHERE TIME(R) > 01/01/2002 AND TIME(R) < 01/01/2001"
         )
         assert len(result) == 0
+
+
+class TestDateArithmetic:
+    """``timestamp - timestamp`` is a number of seconds, ``timestamp ±
+    number or interval`` a timestamp: the same values whether the
+    rewriter folded the constants or the evaluator computed them."""
+
+    QUERY = (
+        "SELECT 26/01/2001 - 01/01/2001, TIME(R) - 01/01/2001, "
+        "TIME(R) + 2 DAYS, 15/01/2001 - 1 DAYS, 01/01/2001 + 5 "
+        'FROM doc("guide.com")/restaurant R'
+    )
+
+    @pytest.mark.parametrize("rewritten", [True, False])
+    def test_values_and_types(self, figure1_db, rewritten):
+        if rewritten:
+            result = figure1_db.query(self.QUERY)
+        else:
+            result = run_unrewritten(figure1_db.engine, self.QUERY)
+        assert len(result) == 1
+        (row,) = [list(row.values()) for row in result]
+        assert row == [
+            25 * SECONDS_PER_DAY,
+            30 * SECONDS_PER_DAY,
+            parse_date("02/02/2001"),
+            parse_date("14/01/2001"),
+            parse_date("01/01/2001") + 5,
+        ]
+        kinds = [isinstance(value, TimestampValue) for value in row]
+        assert kinds == [False, False, True, True, True]
+        assert str(row[0]) == "2160000"
 
 
 class TestFoldingInSelect:

@@ -24,6 +24,7 @@ import pytest
 from repro import TemporalXMLDatabase
 from repro.storage import TemporalDocumentStore
 from repro.storage.binfmt import encode_script
+from repro.storage.cas import CASObjectStore
 from repro.storage.recover import recover_store
 from repro.workload import TDocGenerator, build_collection
 from repro.xmlcore.codec import Writer, write_node
@@ -108,7 +109,8 @@ def test_recovery_from_the_journal_alone_reproduces_it(name, tmp_path):
     history(name, directory, checkpoints=False)
     assert sorted(p.name for p in directory.iterdir()) == ["journal.bin"]
     store, report = recover_store(
-        str(directory), store=TemporalDocumentStore(snapshot_interval=4)
+        CASObjectStore(directory),
+        store=TemporalDocumentStore(snapshot_interval=4),
     )
     assert report.checkpoint_source == "none"
     assert fingerprint(store) == recorded

@@ -40,6 +40,7 @@ import repro.serving.server as serving_server
 from repro.clock import LogicalClock
 from repro.sync import RWLock
 from repro.xmlcore.parser import MAX_DEPTH
+from tests.faults import tree_digest
 
 JAN_01 = parse_date("01/01/2001")
 
@@ -321,6 +322,55 @@ def test_replica_follow_duration_returns(tmp_path):
     assert replica.follow(0.01, duration=0.1) == 2
     _assert_same_database(leader, replica)
     leader.close()
+
+
+def test_replica_leaves_the_leader_directory_as_it_was(tmp_path):
+    """Seeding, catching up and re-seeding read the leader's directory
+    and write nothing to it: its tree hashes the same after each."""
+    leader_dir = tmp_path / "leader"
+    leader = TemporalXMLDatabase.open(leader_dir, durability="journal")
+    ts = parse_date("01/01/2001")
+
+    def commit(text):
+        nonlocal ts
+        ts += 3600
+        if leader.documents():
+            leader.update("g.xml", f"<g>{text}</g>", ts=ts)
+        else:
+            leader.put("g.xml", f"<g>{text}</g>", ts=ts)
+
+    commit("one")
+    leader.checkpoint()
+    commit("two")
+    before = tree_digest(leader_dir)
+    replica = Replica(leader_dir)
+    assert tree_digest(leader_dir) == before
+
+    commit("three")
+    before = tree_digest(leader_dir)
+    assert replica.catch_up() == 1
+    assert tree_digest(leader_dir) == before
+
+    # Two checkpoints with a commit between roll "four" out of every
+    # journal: "five" is a version gap, so the replica re-seeds.
+    commit("four")
+    leader.checkpoint()
+    commit("five")
+    leader.checkpoint()
+    before = tree_digest(leader_dir)
+    replica.catch_up()
+    assert replica.resyncs == 1
+    assert tree_digest(leader_dir) == before
+    _assert_same_database(leader, replica)
+    leader.close()
+
+
+def test_replica_of_a_missing_directory_creates_nothing(tmp_path):
+    missing = tmp_path / "nowhere"
+    replica = Replica(missing)
+    assert replica.catch_up() == 0
+    assert replica.stats()["documents"] == 0
+    assert tree_digest(missing) is None
 
 
 def _assert_same_database(leader, replica):

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from repro import TemporalXMLDatabase
 from repro.errors import XMLSyntaxError
-from repro.storage.cas import write_checkpoint
+from repro.storage.cas import CASObjectStore, write_checkpoint
 from repro.xmlcore import parse, serialize
 from repro.xmlcore.node import Element, Text
 from repro.xmlcore.parser import MAX_DEPTH, parse_stored
@@ -249,9 +249,10 @@ class TestDepthBound:
         path = tmp_path / "saved"
         if storage == "xml":
             db.save(path)
+            again = TemporalXMLDatabase.load(path)
         else:
-            write_checkpoint(db.store, path)
-        again = TemporalXMLDatabase.load(path)
+            write_checkpoint(db.store, CASObjectStore(path))
+            again = TemporalXMLDatabase.open(path, durability="none")
         report = again.query(
             'EXPLAIN ANALYZE SELECT TIME(R), R FROM doc("deep")[EVERY] R'
         )
