@@ -48,11 +48,10 @@ class Replica:
 
     def __init__(self, directory, fs=None):
         self.directory = str(directory)
-        self._fs = fs
         self._catch_up_lock = threading.Lock()
         self.records_applied = 0
         self.resyncs = 0
-        self._seed()
+        self._seed(fs)
         # The manager sees the replica through a proxy: the replica owns
         # it, and a cycle would leave a dropped replica to the cycle
         # collector.  Its sessions are the replica's to hand out while the
@@ -82,11 +81,12 @@ class Replica:
 
     # -- replication ----------------------------------------------------------
 
-    def _seed(self):
-        """(Re)open the leader directory without a journal: recovery,
-        which neither creates nor repairs (mutates) the leader's files."""
+    def _seed(self, fs):
+        """(Re)open the leader directory through ``fs`` without a journal:
+        recovery, which neither creates nor repairs (mutates) the leader's
+        files."""
         self.db = TemporalXMLDatabase.open(
-            self.directory, durability="none", fs=self._fs
+            self.directory, durability="none", fs=fs
         )
 
     def follow(self, interval, duration=None, stop=None):
@@ -120,16 +120,16 @@ class Replica:
         applied.  Idempotent — safe to call on a timer or before reads."""
         with self._catch_up_lock:
             resynced = False
+            objstore = self.db.checkpointer.objstore
             try:
                 applied = replay_journals(
-                    self.store, self.directory, self._fs,
-                    (self.fti, self.lifetime),
+                    self.store, objstore, (self.fti, self.lifetime),
                 ).records_replayed
             except CorruptArchiveError:
                 # The journal rolled past our seed (e.g. two leader
                 # checkpoints between catch-ups): start over from the
                 # leader's current checkpoint.
-                self._seed()
+                self._seed(objstore.fs)
                 self.resyncs += 1
                 resynced = True
                 applied = self.recovery.records_replayed

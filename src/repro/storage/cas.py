@@ -237,8 +237,11 @@ class CASObjectStore:
 
     # -- read side -----------------------------------------------------------
 
-    def get(self, object_hash):
-        """Fetch and verify one object's raw content."""
+    def get(self, object_hash, counted=True):
+        """Fetch and verify one object's raw content.
+
+        ``counted=False`` leaves ``stats.reads``/``read_bytes`` alone: an
+        inspection of the disk is not a read the workload made."""
         path = self.object_path(object_hash)
         try:
             blob = self.fs.read_bytes(path)
@@ -246,8 +249,9 @@ class CASObjectStore:
             raise CorruptArchiveError(
                 f"missing object {object_hash}", path=path
             ) from None
-        self.stats.reads += 1
-        self.stats.read_bytes += len(blob)
+        if counted:
+            self.stats.reads += 1
+            self.stats.read_bytes += len(blob)
         header_size = len(_MAGIC) + 1 + _HEADER.size
         if len(blob) < header_size or blob[: len(_MAGIC)] != _MAGIC:
             raise CorruptArchiveError(
@@ -675,7 +679,7 @@ def kind_breakdown(objstore):
     Unlike :class:`CASStats` — counters over one store's lifetime — this
     reads what is on disk right now, so ``repro stats -d`` reports real
     numbers on a freshly opened directory.  The walk reads through
-    ``objstore``, so its reads count in ``objstore.stats``.
+    ``objstore`` uncounted, so it leaves ``objstore.stats`` as it was.
     """
     fs, pointer = objstore.fs, objstore.pointer
     breakdown = {}
@@ -688,7 +692,7 @@ def kind_breakdown(objstore):
         if object_hash in seen:
             return None
         seen.add(object_hash)
-        raw = objstore.get(object_hash)  # verifies hash path + CRC
+        raw = objstore.get(object_hash, counted=False)  # verifies the CRC
         entry = breakdown.setdefault(
             kind, {"objects": 0, "stored_bytes": 0, "raw_bytes": 0}
         )

@@ -108,16 +108,17 @@ def recover_store(objstore, store=None, observers=(), repair=True):
         break
     if observers:
         replay_history(store, observers)
-    replay_journals(store, directory, fs, observers, repair, report)
+    replay_journals(store, objstore, observers, repair, report)
     report.documents = len(store.repository.records())
     return store, report
 
 
-def replay_journals(store, directory, fs, observers=(), repair=False,
+def replay_journals(store, objstore, observers=(), repair=False,
                     report=None):
-    """Apply what ``store`` lacks of ``directory``'s journals; returns
-    ``report`` (a fresh :class:`RecoveryReport` when none is given) with
-    the files, records and torn regions found added to it.
+    """Apply what ``store`` lacks of the journals in ``objstore``'s
+    directory (read through its ``fs``); returns ``report`` (a fresh
+    :class:`RecoveryReport` when none is given) with the files, records
+    and torn regions found added to it.
 
     Scans ``journal.bin.prev`` then ``journal.bin`` tolerantly and feeds
     every record through :func:`apply_record`, which skips what the store
@@ -127,7 +128,8 @@ def replay_journals(store, directory, fs, observers=(), repair=False,
     catch-up.
     """
     report = report if report is not None else RecoveryReport()
-    journal_path = os.path.join(directory, JOURNAL_FILE)
+    fs = objstore.fs
+    journal_path = os.path.join(objstore.directory, JOURNAL_FILE)
     for path, repairable in (
         (journal_path + PREV_SUFFIX, False),
         (journal_path, repair),

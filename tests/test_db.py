@@ -385,3 +385,16 @@ class TestOneObjectStorePerOpen:
         # The journal past the checkpoint is read too: both documents.
         assert db.documents() == ["a.xml", "b.xml"]
         assert serialize(db.current("a.xml")) == "<a>2</a>"
+
+    def test_stats_calls_leave_the_counters_alone(self, tmp_path):
+        self._history(tmp_path / "db")
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="none")
+        opened = db.engine.registry.snapshot()
+        first = db.storage_stats()["backend"]
+        second = db.storage_stats()["backend"]
+        assert first["disk_by_kind"]  # the disk walk did read objects
+        assert first == second
+        after = db.engine.registry.snapshot()
+        assert (after["cas.reads"], after["cas.read_bytes"]) == (
+            opened["cas.reads"], opened["cas.read_bytes"]
+        )
