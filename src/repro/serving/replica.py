@@ -24,21 +24,26 @@ untouched), and it serves reads through its own
 sessions get the same pinned-snapshot guarantees as leader sessions.
 
 If the leader checkpoints twice between catch-ups, the journal the
-replica tailed may have rolled past it (a version gap —
-:class:`~repro.errors.CorruptArchiveError`); the replica then re-seeds
-itself from the leader's current checkpoint + journal and counts a
-``resync``.  Sessions opened before a re-seed keep reading their old —
+replica tailed has rolled past it: neither of the leader's checkpoint
+pointers (``checkpoint.cas`` and its ``.prev``) still names the
+checkpoint the replica last covered.  The replica then re-seeds itself
+from the leader's current checkpoint + journal and counts a ``resync``;
+so it does on a version gap (:class:`~repro.errors.CorruptArchiveError`)
+in what it tails.  Sessions opened before a re-seed keep reading their old —
 still internally consistent — store.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 from dataclasses import asdict
 
 from ..db import TemporalXMLDatabase
 from ..errors import CorruptArchiveError
+from ..storage.cas import CAS_POINTER_FILE
+from ..storage.faults import REAL_FS
 from ..storage.recover import replay_journals
 from .session import SessionManager
 
@@ -85,6 +90,12 @@ class Replica:
         """(Re)open the leader directory through ``fs`` without a journal:
         recovery, which neither creates nor repairs (mutates) the leader's
         files."""
+        fs = fs if fs is not None else REAL_FS
+        # Read before the journals are: the seed holds at least this
+        # checkpoint, whatever the leader does meanwhile.
+        self._covered_pointer = _read_if_there(
+            fs, os.path.join(self.directory, CAS_POINTER_FILE)
+        )
         self.db = TemporalXMLDatabase.open(
             self.directory, durability="none", fs=fs
         )
@@ -119,19 +130,27 @@ class Replica:
         """Tail the leader's journal; returns the number of new records
         applied.  Idempotent — safe to call on a timer or before reads."""
         with self._catch_up_lock:
-            resynced = False
             objstore = self.db.checkpointer.objstore
-            try:
-                applied = replay_journals(
-                    self.store, objstore, (self.fti, self.lifetime),
-                ).records_replayed
-            except CorruptArchiveError:
-                # The journal rolled past our seed (e.g. two leader
-                # checkpoints between catch-ups): start over from the
-                # leader's current checkpoint.
-                self._seed(objstore.fs)
+            fs, pointer = objstore.fs, objstore.pointer
+            current = _read_if_there(fs, pointer)
+            previous = _read_if_there(fs, pointer + ".prev")
+            applied = None
+            # The journals hold every commit since the older pointer's
+            # checkpoint; one the replica covered must still be named.
+            if self._covered_pointer in (current, previous):
+                try:
+                    applied = replay_journals(
+                        self.store, objstore, (self.fti, self.lifetime),
+                    ).records_replayed
+                    self._covered_pointer = current
+                except CorruptArchiveError:
+                    pass  # a version gap
+            resynced = applied is None
+            if resynced:
+                # The journals rolled past what the replica holds: start
+                # over from the leader's current checkpoint.
+                self._seed(fs)
                 self.resyncs += 1
-                resynced = True
                 applied = self.recovery.records_replayed
             if applied or resynced:
                 self.records_applied += applied
@@ -152,3 +171,11 @@ class Replica:
             "published_ts": published.ts,
             "recovery": asdict(self.recovery) if self.recovery else None,
         }
+
+
+def _read_if_there(fs, path):
+    """The bytes of the file at ``path``, or ``None`` when it is missing."""
+    try:
+        return fs.read_bytes(path)
+    except FileNotFoundError:
+        return None

@@ -129,7 +129,15 @@ def atomic_write_bytes(path, data, fs=None):
 
 def dump_store(store, path=None, fs=None):
     """Serialize ``store`` to an archive :class:`Element`; when ``path``
-    is given the checksummed XML is also written there, atomically."""
+    is given the checksummed XML is also written there, atomically.  A
+    directory is no archive's path: :class:`StorageError`, and nothing
+    written."""
+    if path is not None and os.path.isdir(path):
+        raise StorageError(
+            f"{str(path)!r} is a directory, not an archive file: a database "
+            "directory is written by TemporalXMLDatabase.open() and its "
+            "checkpoint()"
+        )
     archive = build_archive(store)
     if path is not None:
         atomic_write_bytes(path, archive_bytes(archive), fs=fs)

@@ -2,12 +2,29 @@
 
 One node is a kind byte, its XID and element timestamp, then for a text
 node its value, for an element its tag, its attributes in order and its
-children.  Integers are unsigned varints (``0 = absent / n + 1`` for the
-optional XID and timestamp); strings are UTF-8 prefixed by their varint
-length.  :mod:`~repro.storage.binfmt` writes trees, edit scripts and
-documents in this form for the commit journal and the CAS, and the stored
-deltas keep their payload subtrees in it (:class:`PackedNode`), so a
-payload is encoded once, at the commit that makes it.
+children.  Integers are unsigned varints; strings are UTF-8 prefixed by
+their varint length.  The kind byte also says how the stamps are written:
+
+* absolute (``0x01`` element, ``0x02`` text): the XID and the timestamp,
+  each ``0`` when absent or ``n + 1``;
+* relative (``0x03``/``0x04``): the XID as the zigzag varint of
+  ``xid - (previous XID + 1)``, the previous XID being the node before in
+  document order, then the timestamp as the zigzag varint of
+  ``parent timestamp - timestamp``;
+* implied (``0x05``/``0x06``): nothing — the XID is the previous one plus
+  one and the timestamp is the parent's, which XIDs handed out in document
+  order and a timestamp that is the latest of its subtree make the usual
+  case.
+
+:func:`write_node` writes a subtree's root absolute, and so any node
+missing a stamp or a base, so a subtree decodes on its own; a relative or
+implied kind with no base is corrupt.  Bytes written before relative and
+implied kinds existed hold ``0x01``/``0x02`` only and read as they are.
+
+:mod:`~repro.storage.binfmt` writes trees, edit scripts and documents in
+this form for the commit journal and the CAS, and the stored deltas keep
+their payload subtrees in it (:class:`PackedNode`), so a payload is
+encoded once, at the commit that makes it.
 
 Decoding errors raise :class:`~repro.errors.CorruptArchiveError` — a
 truncated or bit-flipped object can never escape as an ``IndexError``,
@@ -23,8 +40,10 @@ from ..errors import CorruptArchiveError
 from .node import Element, Text
 from .serializer import escape_attribute, escape_text
 
-#: Node kind bytes.
-_ELEMENT, _TEXT = 0x01, 0x02
+#: Node kind bytes: elements are odd, text nodes even.
+_ELEMENT, _TEXT = 0x01, 0x02  # absolute stamps
+_ELEMENT_REL, _TEXT_REL = 0x03, 0x04  # stamps relative to their bases
+_ELEMENT_SAME, _TEXT_SAME = 0x05, 0x06  # stamps implied by their bases
 
 
 class Writer:
@@ -48,6 +67,10 @@ class Writer:
     def opt_u(self, value):
         """Optional unsigned int: 0 when absent, value+1 otherwise."""
         self.u(0 if value is None else value + 1)
+
+    def z(self, value):
+        """Signed int as a zigzag varint: 0, -1, 1, -2, ... -> 0, 1, 2, 3."""
+        self.u(value << 1 if value >= 0 else ~value << 1 | 1)
 
     def byte(self, value):
         self._buf.append(value)
@@ -177,16 +200,39 @@ def _varint(data, pos):
 
 
 def write_node(w, node):
-    """Encode one stamped node (Element or Text) recursively."""
-    if isinstance(node, Text):
-        w.byte(_TEXT)
-        w.opt_u(node.xid)
-        w.opt_u(node.tstamp)
+    """Encode one stamped subtree (Element or Text); its root's stamps are
+    absolute, the others' relative or implied wherever they can be."""
+    _write(w, node, None, None)
+
+
+def _write(w, node, prev, parent_ts):
+    """Encode ``node`` after the XID ``prev`` in document order, under a
+    parent stamped ``parent_ts``; returns the last XID it wrote."""
+    xid = node.xid
+    tstamp = node.tstamp
+    text = isinstance(node, Text)
+    if (
+        prev is not None
+        and parent_ts is not None
+        and xid == prev + 1
+        and tstamp == parent_ts
+    ):
+        w.byte(_TEXT_SAME if text else _ELEMENT_SAME)
+    elif prev is None or parent_ts is None or xid is None or tstamp is None:
+        w.byte(_TEXT if text else _ELEMENT)
+        w.opt_u(xid)
+        w.opt_u(tstamp)
+    elif xid < 0 or tstamp < 0:
+        raise CorruptArchiveError(
+            f"cannot encode negative stamps {xid}, {tstamp}"
+        )
+    else:
+        w.byte(_TEXT_REL if text else _ELEMENT_REL)
+        w.z(xid - prev - 1)
+        w.z(parent_ts - tstamp)
+    if text:
         w.s(node.value)
-        return
-    w.byte(_ELEMENT)
-    w.opt_u(node.xid)
-    w.opt_u(node.tstamp)
+        return xid
     w.s(node.tag)
     w.u(len(node.attrib))
     for name, value in node.attrib.items():
@@ -194,7 +240,74 @@ def write_node(w, node):
         w.s(value)
     w.u(len(node.children))
     for child in node.children:
-        write_node(w, child)
+        xid = _write(w, child, xid, tstamp)
+    return xid
+
+
+def _based(data, pos, kind, prev, parent_ts):
+    """``(xid, tstamp, offset past them)`` of a node of relative or implied
+    ``kind`` whose stamps start at ``pos``, after the XID ``prev`` under a
+    parent stamped ``parent_ts``."""
+    if parent_ts is None:
+        raise CorruptArchiveError(
+            f"node kind 0x{kind:02x} at offset {pos - 1} has no timestamp "
+            "to be relative to"
+        )
+    xid, pos = _relative_xid(data, pos, kind, prev)
+    if kind >= _ELEMENT_SAME:
+        return xid, parent_ts, pos
+    value, pos = _varint(data, pos)
+    tstamp = parent_ts - ((value >> 1) ^ -(value & 1))
+    if tstamp < 0:
+        raise CorruptArchiveError(
+            f"relative timestamp below zero at offset {pos}"
+        )
+    return xid, tstamp, pos
+
+
+def _stamped_xid(data, pos, kind, prev):
+    """``(xid, offset past the stamps)`` of a node of ``kind`` whose stamps
+    start at ``pos``, after the XID ``prev``; its timestamp is skipped."""
+    if kind == _ELEMENT or kind == _TEXT:
+        xid = data[pos]
+        pos += 1
+        if xid & 0x80:  # most XIDs take two bytes
+            high = data[pos]
+            if high & 0x80:
+                xid, pos = _varint(data, pos - 1)
+            else:
+                xid = (xid & 0x7F) | high << 7
+                pos += 1
+        xid = xid - 1 if xid else None
+    elif _ELEMENT_REL <= kind <= _TEXT_SAME:
+        xid, pos = _relative_xid(data, pos, kind, prev)
+    else:
+        raise CorruptArchiveError(
+            f"unknown node kind byte 0x{kind:02x} at offset {pos - 1}"
+        )
+    if kind <= _TEXT_REL:
+        while data[pos] & 0x80:  # the timestamp, skipped
+            pos += 1
+        pos += 1
+    return xid, pos
+
+
+def _relative_xid(data, pos, kind, prev):
+    """``(xid, offset past it)`` of a node of relative or implied ``kind``
+    whose stamps start at ``pos``, after the XID ``prev``; a relative
+    node's timestamp is next."""
+    if prev is None:
+        raise CorruptArchiveError(
+            f"node kind 0x{kind:02x} at offset {pos - 1} has no XID "
+            "to be relative to"
+        )
+    if kind >= _ELEMENT_SAME:
+        return prev + 1, pos
+    value, pos = _varint(data, pos)
+    xid = prev + 1 + ((value >> 1) ^ -(value & 1))
+    if xid < 0:
+        raise CorruptArchiveError(f"relative XID below zero at offset {pos}")
+    return xid, pos
 
 
 def read_node(r):
@@ -215,22 +328,41 @@ def _decode(data, pos):
     limit = sys.getrecursionlimit()
     parents = []  # elements still owed children, innermost last
     owed = []  # how many children each of them is still owed
+    xid = None  # the last node's, in document order
+    parent_ts = None  # the timestamp of parents[-1]
     start = pos
     try:
         while True:
             kind = data[pos]
-            value = data[pos + 1]
-            pos += 2
-            if value & 0x80:  # most XIDs take two bytes
-                high = data[pos]
-                if high & 0x80:
-                    value, pos = _varint(data, pos - 1)
-                else:
-                    value = (value & 0x7F) | high << 7
-                    pos += 1
-            xid = value - 1 if value else None
-            value, pos = _varint(data, pos)
-            tstamp = value - 1 if value else None
+            pos += 1
+            if (
+                _ELEMENT_SAME <= kind <= _TEXT_SAME
+                and xid is not None
+                and parent_ts is not None
+            ):
+                xid += 1
+                tstamp = parent_ts
+            elif kind == _ELEMENT or kind == _TEXT:
+                value = data[pos]
+                pos += 1
+                if value & 0x80:  # most XIDs take two bytes
+                    high = data[pos]
+                    if high & 0x80:
+                        value, pos = _varint(data, pos - 1)
+                    else:
+                        value = (value & 0x7F) | high << 7
+                        pos += 1
+                xid = value - 1 if value else None
+                value, pos = _varint(data, pos)
+                tstamp = value - 1 if value else None
+                tstamp = stamps.setdefault(tstamp, tstamp)
+            elif _ELEMENT_REL <= kind <= _TEXT_SAME:
+                xid, tstamp, pos = _based(data, pos, kind, xid, parent_ts)
+                tstamp = stamps.setdefault(tstamp, tstamp)
+            else:
+                raise CorruptArchiveError(
+                    f"unknown node kind byte 0x{kind:02x}"
+                )
             start = pos
             length = data[pos]
             pos += 1
@@ -241,10 +373,7 @@ def _decode(data, pos):
                 raise IndexError(end)
             text = data[pos:end].decode("utf-8")
             pos = end
-            if kind == _TEXT:
-                node = Text(text)
-                children = 0
-            elif kind == _ELEMENT:
+            if kind & 1:
                 node = Element(intern(text))
                 count = data[pos]
                 pos += 1
@@ -262,11 +391,10 @@ def _decode(data, pos):
                 if children & 0x80:
                     children, pos = _varint(data, pos - 1)
             else:
-                raise CorruptArchiveError(
-                    f"unknown node kind byte 0x{kind:02x}"
-                )
+                node = Text(text)
+                children = 0
             node.xid = xid
-            node.tstamp = stamps.setdefault(tstamp, tstamp)
+            node.tstamp = tstamp
             if parents:
                 parents[-1].children.append(node)
                 owed[-1] -= 1
@@ -279,10 +407,12 @@ def _decode(data, pos):
                     )
                 parents.append(node)
                 owed.append(children)
+                parent_ts = tstamp
                 continue
             while owed and not owed[-1]:
                 parents.pop()
                 owed.pop()
+                parent_ts = parents[-1].tstamp if parents else None
             if not parents:
                 return root, pos
     except IndexError:
@@ -355,36 +485,29 @@ class PackedNode(bytes):
 def _walk(data, pos, xids):
     """Offset just past the node encoded at ``pos``; appends every node's
     XID (absent ones as ``None``), in document order, to ``xids`` unless
-    that is ``None``.  Checks the structure, not the strings' UTF-8."""
+    that is ``None``.  Checks the structure and the XIDs, not the
+    timestamps (only :func:`_decode` builds those) nor the strings'
+    UTF-8."""
     end = len(data)
     pending = 1  # nodes still to read: every element adds its children
+    xid = None  # the last node's, in document order
     try:
         while pending:
             pending -= 1
             kind = data[pos]
-            if kind != _ELEMENT and kind != _TEXT:
-                raise CorruptArchiveError(
-                    f"unknown node kind byte 0x{kind:02x} at offset {pos}"
-                )
-            xid = data[pos + 1]
-            pos += 2
-            if xid & 0x80:  # most XIDs take two bytes
-                high = data[pos]
-                if high & 0x80:
-                    xid, pos = _varint(data, pos - 1)
-                else:
-                    xid = (xid & 0x7F) | high << 7
-                    pos += 1
+            pos += 1
+            if _ELEMENT_SAME <= kind <= _TEXT_SAME and xid is not None:
+                xid += 1
+            else:
+                xid, pos = _stamped_xid(data, pos, kind, xid)
             if xids is not None:
-                xids.append(xid - 1 if xid else None)
-            while data[pos] & 0x80:  # the timestamp, skipped
-                pos += 1
-            length = data[pos + 1]  # of the value or tag
-            pos += 2
+                xids.append(xid)
+            length = data[pos]  # of the value or tag
+            pos += 1
             if length & 0x80:
                 length, pos = _varint(data, pos - 1)
             pos += length
-            if kind == _ELEMENT:
+            if kind & 1:
                 attributes = data[pos]
                 pos += 1
                 if attributes:
@@ -410,29 +533,26 @@ def _walk(data, pos, xids):
 
 
 def _measure(data):
-    """``(serialized length, node count)`` of one packed node."""
+    """``(serialized length, node count)`` of one packed node; checks
+    what :func:`_walk` does."""
     length = nodes = 0
     pos = 0
     pending = 1
+    xid = None  # the last node's, in document order
     try:
         while pending:
             pending -= 1
             nodes += 1
             kind = data[pos]
             pos += 1
-            while data[pos] & 0x80:  # the XID, skipped
-                pos += 1
-            pos += 1
-            while data[pos] & 0x80:  # the timestamp, skipped
-                pos += 1
-            text, pos = _string(data, pos + 1)
-            if kind == _TEXT:
+            if _ELEMENT_SAME <= kind <= _TEXT_SAME and xid is not None:
+                xid += 1
+            else:
+                xid, pos = _stamped_xid(data, pos, kind, xid)
+            text, pos = _string(data, pos)
+            if not kind & 1:
                 length += len(escape_text(text))
                 continue
-            if kind != _ELEMENT:
-                raise CorruptArchiveError(
-                    f"unknown node kind byte 0x{kind:02x}"
-                )
             count, pos = _varint(data, pos)
             for _ in range(count):
                 name, pos = _string(data, pos)

@@ -5,14 +5,22 @@
   checks TXQL's ``OVERLAPS`` against;
 * :func:`collect_xids`, :func:`verify_timestamp_invariant` and
   :func:`max_timestamp` — checks of the stamped-tree invariants the
-  differ and the store maintain (``repro.model.versioned``).
+  differ and the store maintain (``repro.model.versioned``);
+* :func:`absolute_bytes` and :func:`absolute_script` — the node encoding
+  with every XID and timestamp written absolute (kinds ``0x01``/``0x02``
+  only), as the codec wrote every node before stamps that follow the tree
+  were left implied; fingerprints recorded then are taken through it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+from repro.diff.editscript import DeleteOp, EditScript, InsertOp, ReplaceRootOp
 from repro.errors import IdentityError
 from repro.operators.relational import INTERVAL_KEY
-from repro.xmlcore.node import Element
+from repro.xmlcore.codec import PackedNode, Writer
+from repro.xmlcore.node import Element, Text
 
 
 class TemporalJoin:
@@ -98,3 +106,49 @@ def _iter_nodes(root):
     if isinstance(root, Element):
         return root.iter()
     return iter([root])
+
+
+def absolute_bytes(node):
+    """``node``'s encoding with absolute stamps on every node: a kind byte
+    (``0x01`` element, ``0x02`` text), the XID and the timestamp (``0`` when
+    absent, ``n + 1`` otherwise), then the value, or the tag, attributes and
+    children."""
+    w = Writer()
+    _write_absolute(w, node)
+    return w.getvalue()
+
+
+def _write_absolute(w, node):
+    text = isinstance(node, Text)
+    w.byte(0x02 if text else 0x01)
+    w.opt_u(node.xid)
+    w.opt_u(node.tstamp)
+    if text:
+        w.s(node.value)
+        return
+    w.s(node.tag)
+    w.u(len(node.attrib))
+    for name, value in node.attrib.items():
+        w.s(name)
+        w.s(value)
+    w.u(len(node.children))
+    for child in node.children:
+        _write_absolute(w, child)
+
+
+def absolute_script(script):
+    """A copy of ``script`` whose payloads are re-packed through
+    :func:`absolute_bytes`."""
+    ops = []
+    for op in script.ops:
+        if isinstance(op, (InsertOp, DeleteOp)):
+            op = dataclasses.replace(op, payload=_absolute(op.payload))
+        elif isinstance(op, ReplaceRootOp):
+            op = ReplaceRootOp(_absolute(op.old_payload),
+                               _absolute(op.new_payload))
+        ops.append(op)
+    return EditScript(ops, from_ts=script.from_ts, to_ts=script.to_ts)
+
+
+def _absolute(payload):
+    return PackedNode(absolute_bytes(payload.tree()))

@@ -74,6 +74,24 @@ class TestFacade:
             with pytest.raises(TypeError):
                 TemporalXMLDatabase.open(tmp_path / "other", **{gone: None})
 
+    @pytest.mark.parametrize("kind", ["empty", "database"])
+    def test_save_refuses_a_directory(self, kind, tmp_path):
+        from repro.errors import StorageError
+        from tests.faults import tree_digest
+
+        target = tmp_path / "d"
+        if kind == "empty":
+            target.mkdir()
+        else:
+            TemporalXMLDatabase.open(target).close()
+        before = tree_digest(tmp_path)
+        db = TemporalXMLDatabase()
+        load_figure1(db)
+        with pytest.raises(StorageError, match="is a directory"):
+            db.save(str(target))
+        assert tree_digest(tmp_path) == before
+        assert not (tmp_path / "d.tmp").exists()
+
     def test_now_and_snapshot(self):
         db = TemporalXMLDatabase()
         load_figure1(db)
@@ -198,15 +216,15 @@ _REGISTRY = {
     "planner.cost_flips": 0, "planner.pushdowns": 1,
     "planner.conjuncts_reordered": 0, "planner.from_items_reordered": 0,
     "cas.objects_written": 5, "cas.objects_deduped": 0,
-    "cas.compressed_objects": 0, "cas.raw_bytes": 326,
-    "cas.stored_bytes": 391, "cas.reads": 10, "cas.read_bytes": 1158,
+    "cas.compressed_objects": 0, "cas.raw_bytes": 302,
+    "cas.stored_bytes": 367, "cas.reads": 10, "cas.read_bytes": 1113,
     "cas.gc_runs": 1, "cas.gc_deleted_objects": 0, "cas.gc_deleted_bytes": 0,
     "cas.by_kind.current.objects": 1, "cas.by_kind.current.deduped": 0,
-    "cas.by_kind.current.raw": 40, "cas.by_kind.current.stored": 53,
+    "cas.by_kind.current.raw": 28, "cas.by_kind.current.stored": 41,
     "cas.by_kind.deltas.objects": 1, "cas.by_kind.deltas.deduped": 0,
     "cas.by_kind.deltas.raw": 41, "cas.by_kind.deltas.stored": 54,
     "cas.by_kind.snapshots.objects": 1, "cas.by_kind.snapshots.deduped": 0,
-    "cas.by_kind.snapshots.raw": 42, "cas.by_kind.snapshots.stored": 55,
+    "cas.by_kind.snapshots.raw": 30, "cas.by_kind.snapshots.stored": 43,
     "cas.by_kind.checkpoint.objects": 2, "cas.by_kind.checkpoint.deduped": 0,
     "cas.by_kind.checkpoint.raw": 203, "cas.by_kind.checkpoint.stored": 229,
 }
@@ -214,11 +232,11 @@ _REGISTRY = {
 _DURABILITY = {
     "durability": "fsync",
     "journal": {
-        "records_written": 2, "bytes_written": 102, "raw_bytes": 84,
+        "records_written": 2, "bytes_written": 96, "raw_bytes": 78,
         "fsyncs": 5, "rolls": 1, "groups_written": 0, "group_members": 0,
         "by_kind": {"update": 1, "delete": 1},
     },
-    "checkpoints": {"checkpoints": 1, "bytes_written": 391, "last_bytes": 391},
+    "checkpoints": {"checkpoints": 1, "bytes_written": 367, "last_bytes": 367},
     "recovery": {
         "checkpoint_source": "checkpoint", "storage": "cas",
         "checkpoint_errors": [], "records_scanned": 5, "records_replayed": 1,
@@ -226,9 +244,9 @@ _DURABILITY = {
         "torn_tail": False, "documents": 2,
         "journals": [
             {"file": "journal.bin.prev", "version": 3, "records": 4,
-             "bytes": 344, "raw_bytes": 300},
+             "bytes": 290, "raw_bytes": 246},
             {"file": "journal.bin", "version": 3, "records": 1,
-             "bytes": 119, "raw_bytes": 143},
+             "bytes": 116, "raw_bytes": 130},
         ],
     },
 }
@@ -242,35 +260,35 @@ _STORAGE = {
     },
     "indexes": {"postings": 18, "open_postings": 6, "open_elements": 4,
                 "interned": 21, "lifetime_entries": 16},
-    "held": {"ops": 14, "payloads": 3, "payload_bytes": 177},
+    "held": {"ops": 14, "payloads": 3, "payload_bytes": 123},
     "backend": {
         "objects_written": 5, "objects_deduped": 0, "compressed_objects": 0,
-        "raw_bytes": 326, "stored_bytes": 391, "dedup_ratio": 0.834,
-        "reads": 10, "read_bytes": 1158, "gc_runs": 1,
+        "raw_bytes": 302, "stored_bytes": 367, "dedup_ratio": 0.823,
+        "reads": 10, "read_bytes": 1113, "gc_runs": 1,
         "gc_deleted_objects": 0, "gc_deleted_bytes": 0,
         "by_kind": {
             "checkpoint": {"objects": 2, "deduped": 0, "raw": 203,
                            "stored": 229},
-            "current": {"objects": 1, "deduped": 0, "raw": 40, "stored": 53},
+            "current": {"objects": 1, "deduped": 0, "raw": 28, "stored": 41},
             "deltas": {"objects": 1, "deduped": 0, "raw": 41, "stored": 54},
-            "snapshots": {"objects": 1, "deduped": 0, "raw": 42,
-                          "stored": 55},
+            "snapshots": {"objects": 1, "deduped": 0, "raw": 30,
+                          "stored": 43},
         },
-        "disk_bytes": 1127,
+        "disk_bytes": 1060,
         "disk_by_kind": {
-            "checkpoint": {"objects": 3, "stored_bytes": 381,
-                           "raw_bytes": 342},
-            "current": {"objects": 2, "stored_bytes": 154, "raw_bytes": 128},
-            "deltas": {"objects": 2, "stored_bytes": 190, "raw_bytes": 272},
-            "snapshots": {"objects": 2, "stored_bytes": 185,
-                          "raw_bytes": 208},
+            "checkpoint": {"objects": 3, "stored_bytes": 380,
+                           "raw_bytes": 341},
+            "current": {"objects": 2, "stored_bytes": 117, "raw_bytes": 91},
+            "deltas": {"objects": 2, "stored_bytes": 179, "raw_bytes": 224},
+            "snapshots": {"objects": 2, "stored_bytes": 167,
+                          "raw_bytes": 141},
         },
         "last_gc": {
             "roots": [
-                "342be4dc029f41e7b86762de2849e544"
-                "65888097f2a2a39983d46f6abab05bae",
-                "2fe71f0ab0b82f776ae2f5b8a612ce5f"
-                "b225f62316690e1b4ae7953d9d001612",
+                "b86c3f740e563f1ca8b613936e52c49a"
+                "583907c94e67fabcbd83c3f268144d4f",
+                "4c6c6bc619385beb4385eb238355a753"
+                "be8340afd7c7c20cb5470c879e59dd35",
             ],
             "objects_scanned": 10, "objects_live": 10, "objects_deleted": 0,
             "bytes_deleted": 0, "tmp_files_removed": 0,

@@ -5,10 +5,13 @@ parent pointer.  For three seeded ``tests/index_history.py`` histories and
 two ``tdocgen`` collections it holds the sha256 of
 :func:`~repro.storage.binfmt.encode_script` of every stored delta, and of
 the binary encoding of every version (tags, attributes, text, XIDs and
-timestamps).  The matcher, the script builder, ``apply`` and the generator
-must reproduce each one — and so must recovery from the commit journal
-alone, which keeps only each delta's redo half and completes it from the
-version it applies to.  Regenerate only for an intended change:
+timestamps).  Both were taken with every stamp written absolute, so the
+fingerprint re-packs payloads and versions through
+:func:`tests.references.absolute_bytes`.  The matcher, the script
+builder, ``apply`` and the generator must reproduce each one — and so
+must recovery from the commit journal alone, which keeps only each
+delta's redo half and completes it from the version it applies to.
+Regenerate only for an intended change:
 ``PYTHONPATH=src python -m tests.test_script_identity``.
 """
 
@@ -27,9 +30,9 @@ from repro.storage.binfmt import encode_script
 from repro.storage.cas import CASObjectStore
 from repro.storage.recover import recover_store
 from repro.workload import TDocGenerator, build_collection
-from repro.xmlcore.codec import Writer, write_node
 
 from tests.index_history import drive
+from tests.references import absolute_bytes, absolute_script
 
 DATA = Path(__file__).parent / "data" / "script_identity.json"
 
@@ -82,12 +85,12 @@ def fingerprint(store):
     for record in store.repository.records():
         versions = []
         for number in range(1, record.dindex.current_number + 1):
-            w = Writer()
-            write_node(w, store.version(record.doc_id, number))
-            versions.append(_sha256(w.getvalue()))
+            versions.append(_sha256(absolute_bytes(
+                store.version(record.doc_id, number)
+            )))
         out[f"{record.doc_id} {record.name}"] = {
             "deltas": [
-                _sha256(encode_script(record.deltas[number]))
+                _sha256(encode_script(absolute_script(record.deltas[number])))
                 for number in sorted(record.deltas)
             ],
             "versions": versions,

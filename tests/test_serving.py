@@ -365,6 +365,40 @@ def test_replica_leaves_the_leader_directory_as_it_was(tmp_path):
     leader.close()
 
 
+@pytest.mark.parametrize("first_checkpoint", [False, True])
+def test_replica_resyncs_when_a_commit_rolled_out_of_every_journal(
+    tmp_path, first_checkpoint
+):
+    """Two checkpoints roll the update of ``a.xml`` out of both journals,
+    and what is left in them (an update of ``b.xml``) shows no version
+    gap: the replica must notice from the checkpoint pointers."""
+    leader_dir = tmp_path / "leader"
+    leader = TemporalXMLDatabase.open(leader_dir, durability="journal")
+    ts = parse_date("01/01/2001")
+    leader.put("a.xml", "<a>1</a>", ts=ts)
+    leader.put("b.xml", "<b>1</b>", ts=ts + 1)
+    if first_checkpoint:
+        leader.checkpoint()
+    replica = Replica(leader_dir)
+
+    leader.update("a.xml", "<a>2</a>", ts=ts + 2)
+    leader.checkpoint()
+    leader.update("b.xml", "<b>2</b>", ts=ts + 3)
+    leader.checkpoint()
+    replica.catch_up()
+    assert replica.resyncs == 1
+    for name in ("a.xml", "b.xml"):
+        query = f'SELECT R FROM doc("{name}") R'
+        assert _canonical(lambda: replica.query(query)) == _canonical(
+            lambda: leader.query(query)
+        )
+    # Caught up, the replica tails the new journal without resyncing.
+    leader.update("a.xml", "<a>3</a>", ts=ts + 4)
+    assert replica.catch_up() == 1
+    assert replica.resyncs == 1
+    leader.close()
+
+
 def test_replica_of_a_missing_directory_creates_nothing(tmp_path):
     missing = tmp_path / "nowhere"
     replica = Replica(missing)
