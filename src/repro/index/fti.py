@@ -20,11 +20,12 @@ it) and it implements the paper's three required operations exactly:
 
 Physically each word's history is a set of typed :mod:`array` columns
 whose rows are **sorted by interval start** (commit timestamps are
-monotone, and so is replay, so maintenance is an append in the common
-case): ``start`` and ``end``, and one ``numbers`` array holding each
-row's document id, XID and the intern-table numbers of its ancestors
-tuple and path side by side.  The rows of the word's open postings are
-additionally kept as an ascending array of row numbers:
+monotone, and so is replay, so maintenance is an append; a posting filed
+out of time order is a :class:`~repro.errors.TimeError`): ``start`` and
+``end``, and one ``numbers`` array holding each row's document id, XID
+and the intern-table numbers of its ancestors tuple and path side by
+side.  The rows of the word's open postings are additionally kept as an
+ascending array of row numbers:
 
 * ``lookup`` reads the open rows only — it never touches closed history,
   so its cost tracks the *current* result size, not the accumulated churn;
@@ -53,12 +54,13 @@ word, so no per-occurrence key is stored.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, compress, repeat
 from operator import and_, itemgetter, mul
 
 from ..clock import UNTIL_CHANGED
+from ..errors import TimeError
 from ..sync import RWLock
 from .postings import InternTable, Posting, element_runs, estimated_bytes
 from .stats import IndexStats
@@ -100,46 +102,28 @@ class _Columns:
 
     def add(self, doc_id, xid, ancestors_id, path_id, ts):
         """File an open posting; returns its row.  Commit timestamps
-        never decrease, so this is an append; a start earlier than the last
-        (events fed out of time order) is inserted after its equal starts, and
-        every row from there on moves up by one — the caller renumbers
-        what refers to them."""
+        never decrease, so this is an append; a start earlier than the
+        last is a feeder that broke commit order."""
         row = len(self.start)
-        numbers = (doc_id, xid, ancestors_id, path_id)
         if row and ts < self.start[-1]:
-            row = bisect_right(self.start, ts)
-            self.start.insert(row, ts)
-            self.end.insert(row, UNTIL_CHANGED)
-            at = row * _WIDTH
-            self.numbers[at:at] = array(_NUMBER, numbers)
-            opens = self.open
-            at = bisect_left(opens, row)
-            for i in range(at, len(opens)):
-                opens[i] += 1
-            opens.insert(at, row)
-            closed = self.closed
-            for i in range(len(closed)):
-                if closed[i] >= row:
-                    closed[i] += 1
-        else:
-            self.start.append(ts)
-            self.end.append(UNTIL_CHANGED)
-            self.numbers.extend(numbers)
-            self.open.append(row)
+            raise _out_of_order("start", ts, self.start[-1])
+        self.start.append(ts)
+        self.end.append(UNTIL_CHANGED)
+        self.numbers.extend((doc_id, xid, ancestors_id, path_id))
+        self.open.append(row)
         return row
 
     def close(self, row, ts):
         """Close the posting at ``row`` at ``ts``.  Commit timestamps never
         decrease, so ``closed`` stays in end order by appending; an
-        earlier end (events fed out of time order) is inserted after its
-        equal ends."""
+        earlier end than the last is a feeder that broke commit order."""
         end, closed = self.end, self.closed
+        if closed and ts < end[closed[-1]]:
+            raise _out_of_order("end", ts, end[closed[-1]])
         end[row] = ts
         del self.open[bisect_left(self.open, row)]
         if not closed:
             self.closed = array(_NUMBER, (row,))
-        elif ts < end[closed[-1]]:
-            insort(closed, row, key=end.__getitem__)
         else:
             closed.append(row)
 
@@ -177,12 +161,11 @@ class _Columns:
         return list(map(itemgetter(*rows), fields))
 
 
-def _shift_rows(triples, wid, row):
-    """Move the rows from ``row`` on of word ``wid`` up by one in an
-    array of ``(xid, word id, row)`` triples."""
-    for i in range(1, len(triples), 3):
-        if triples[i] == wid and triples[i + 1] >= row:
-            triples[i + 1] += 1
+def _out_of_order(what, ts, last):
+    return TimeError(
+        f"posting {what} {ts} is earlier than the word's last {what} {last}:"
+        f" the index is fed in commit order"
+    )
 
 
 class TemporalFullTextIndex:
@@ -283,8 +266,6 @@ class TemporalFullTextIndex:
                     columns = lists[word] = _Columns()
                 row = columns.add(doc_id, element.xid, ancestors_id,
                                   path_id, ts)
-                if row != len(columns) - 1:
-                    self._renumber(wid, row, flat, now_open)
                 slots[offset] = (wid, row)
                 opened += 1
             if opened:  # the run's postings share their estimated size
@@ -364,19 +345,6 @@ class TemporalFullTextIndex:
         for wid, row in zip(wids, rows):
             self._columns(wid).close(row, ts)
             self.stats.closed()
-
-    def _renumber(self, wid, row, flat, now_open):
-        """Rows from ``row`` on of word ``wid`` moved up by one: follow
-        them in every document's open array, and in the open array
-        (``flat``) and open lists of the document being reconciled."""
-        for triples in (*self._open.values(), flat):
-            _shift_rows(triples, wid, row)
-        for kept in now_open.values():
-            if type(kept) is tuple:  # a span of ``flat``
-                continue
-            for k, slot in enumerate(kept):
-                if slot is not None and slot[0] == wid and slot[1] >= row:
-                    kept[k] = (wid, slot[1] + 1)
 
     # -- the three FTI operations (Section 7.2) ------------------------------------
 

@@ -12,8 +12,10 @@ interval during which the combination held.
 Both operators stream: ``run()`` and the ``teids*()`` accessors return lazy
 iterators over the structural join, the document restriction is pushed into
 the FTI lookups, and per-operator join work is counted in
-:attr:`join_stats`.  (``teids_per_version()`` keeps its sorted output
-contract, so it drains the join before yielding.)
+:attr:`join_stats`.  ``project`` maps matches to element versions — the
+step TXQL's index scans bind through — and ``teids()`` /
+``teids_per_version()`` are views of it.  (The history projection keeps its
+sorted output contract, so it drains the join before yielding.)
 
 Neither scan materializes documents itself; rows that reach content-bearing
 expressions are resolved downstream through the executor's
@@ -25,7 +27,9 @@ only the edit operations that land under that element.
 
 from __future__ import annotations
 
+from ..clock import BEFORE_TIME, UNTIL_CHANGED
 from ..index.stats import JoinStats
+from ..model.identifiers import TEID
 from ..obs import NULL_TRACER
 from ..pattern.structjoin import structural_join
 
@@ -33,7 +37,7 @@ from ..pattern.structjoin import structural_join
 class TPatternScan:
     """Snapshot pattern scan at time ``ts``; outputs TEIDs at that time."""
 
-    def __init__(self, fti, pattern, ts, docs=None, store=None, stats=None,
+    def __init__(self, fti, pattern, ts, store, docs=None, stats=None,
                  tracer=None):
         self.fti = fti
         self.pattern = pattern
@@ -54,12 +58,37 @@ class TPatternScan:
         return structural_join(self.pattern, posting_lists, docs=self.docs,
                                stats=self.join_stats, tracer=self.tracer)
 
+    def project(self, matches):
+        """``(TEID, validity interval)`` of each match's projected element
+        in the document version valid at ``ts`` (lazy), each pair once, in
+        first-emission order; the TEID carries that version's commit time.
+
+        That order is *canonical* — independent of which predicates the
+        optimizer pushed into the pattern — because the join always binds
+        the FROM chain in chain order (parents before children), so
+        pushdown branches below the projected node can only filter the
+        projected sequence, never reorder it; and at a snapshot instant
+        every candidate interval contains the instant, so whether a branch
+        accepts a projected element depends only on the element itself, not
+        on which enumeration step reached it.  Plans pushing different
+        predicate subsets therefore produce byte-identical output, while a
+        LIMIT still stops the join mid-flight."""
+        projected = self.pattern.projected_index()
+        seen = set()
+        for match in matches:
+            dindex = self.store.delta_index(match.doc_id)
+            entry = dindex.version_at(self.ts)
+            if entry is None:
+                continue
+            teid = TEID(match.doc_id, match.postings[projected].xid,
+                        entry.timestamp)
+            if teid not in seen:
+                seen.add(teid)
+                yield teid, dindex.validity(entry)
+
     def teids(self):
-        """TEIDs of the projected node (lazy); timestamps are normalized to
-        the containing version's commit time when a store is available."""
-        return _normalized_teids(
-            self.run(), self.pattern, self.store, at=self.ts
-        )
+        """TEIDs of the projected node (lazy), as :meth:`project` has them."""
+        return (teid for teid, _ in self.project(self.run()))
 
 
 class TPatternScanAll:
@@ -75,7 +104,7 @@ class TPatternScanAll:
     consumers (``teids()`` over full history) must leave it ``None``.
     """
 
-    def __init__(self, fti, pattern, docs=None, store=None, stats=None,
+    def __init__(self, fti, pattern, store, docs=None, stats=None,
                  tracer=None, window=None):
         self.fti = fti
         self.pattern = pattern
@@ -105,53 +134,47 @@ class TPatternScanAll:
         return structural_join(self.pattern, posting_lists, docs=self.docs,
                                stats=self.join_stats, tracer=self.tracer)
 
-    def teids(self):
-        """One TEID per match interval, at the interval's first version
-        (lazy).  As in :meth:`TPatternScan.teids`, timestamps are normalized
-        to the containing version's commit time when a store is available —
-        history scans and snapshot scans hand out the same canonical TEIDs.
-        """
-        return _normalized_teids(self.run(), self.pattern, self.store)
-
-    def teids_per_version(self):
-        """Expand each match interval into one TEID per document version it
-        covers (requires a store for the delta indexes).
+    def project(self, matches, start, end):
+        """``(TEID, validity interval)`` of each document version a match
+        interval covers within ``[start, end)``, for the match's projected
+        element: each version once, sorted by ``(doc_id, timestamp, xid)``.
 
         A match interval ``[t1, t2)`` may span several commits of the
         document (commits that did not disturb the matched words); queries
-        like the price history (Q3) want one row per *version*, so this is
-        the expansion the executor uses.  Output is sorted, so the full
-        match set is drained before the first TEID is yielded.
-        """
-        if self.store is None:
-            raise ValueError("teids_per_version() requires a store")
-        return self._expanded_teids()
-
-    def _expanded_teids(self):
-        seen = set()
-        out = []
-        for match in self.run():
-            dindex = self.store.delta_index(match.doc_id)
-            for entry in dindex.versions_in(
-                match.interval.start, match.interval.end
-            ):
-                teid = match.teid(self.pattern, at=entry.timestamp)
-                if teid not in seen:
-                    seen.add(teid)
-                    out.append(teid)
-        out.sort()
-        yield from out
-
-
-def _normalized_teids(matches, pattern, store, at=None):
-    """Project each match to a TEID, normalizing (or dropping) through the
-    store's delta index when one is available — shared by both scan
-    variants so they treat TEIDs identically."""
-    for match in matches:
-        teid = match.teid(pattern, at=at)
-        if store is not None:
-            normalized = store.normalize_teid(teid)
-            if normalized is None:
+        like the price history (Q3) want one row per *version*.  Clipping
+        to ``[start, end)`` keeps versions outside a time window from ever
+        being reconstructed (the Section 8 delta-read reduction), and keeps
+        a pinned session from binding versions committed after its pin.
+        A version may satisfy the pattern through several postings of one
+        element (or several match intervals), so pairs are deduplicated;
+        the sort drains the join before the first pair is yielded."""
+        projected = self.pattern.projected_index()
+        found = {}
+        for match in matches:
+            low = max(match.interval.start, start)
+            high = min(match.interval.end, end)
+            if low >= high:
                 continue
-            teid = normalized
-        yield teid
+            dindex = self.store.delta_index(match.doc_id)
+            xid = match.postings[projected].xid
+            for entry in dindex.versions_in(low, high):
+                teid = TEID(match.doc_id, xid, entry.timestamp)
+                if teid not in found:
+                    found[teid] = dindex.validity(entry)
+        for teid in sorted(found, key=lambda t: (t.doc_id, t.timestamp,
+                                                 t.xid)):
+            yield teid, found[teid]
+
+    def teids(self):
+        """One TEID per match interval, at the interval's first version
+        (lazy).  An interval starts where its latest posting opened: at a
+        commit of the document, so the TEID is canonical as it stands —
+        the same one :meth:`TPatternScan.teids` hands out for that
+        version."""
+        return (match.teid(self.pattern) for match in self.run())
+
+    def teids_per_version(self):
+        """One TEID per document version a match interval covers, sorted
+        (:meth:`project` over the whole history)."""
+        return (teid for teid, _ in
+                self.project(self.run(), BEFORE_TIME, UNTIL_CHANGED))

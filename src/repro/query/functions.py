@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import weakref
 
-from ..clock import Interval, bucket_floor
+from ..clock import bucket_floor
 from ..equality.similarity import similar, similarity
 from ..equality.value import coerce_scalar, value_equal
 from ..errors import QueryPlanError
+from ..model.identifiers import TEID
 from ..operators.diffop import Diff
 from ..operators.lifetime import CreTime, DelTime
-from ..operators.navigation import current_teid, next_teid, previous_teid
+from ..operators.navigation import next_teid, previous_teid
 from ..xmlcore.node import Element
 from .ast import (
     AGGREGATES,
@@ -181,36 +182,24 @@ class Evaluator:
         return self._navigate(bound, teid)
 
     def _fn_current(self, args, row):
+        """CURRENT(R): the element in the document's version at
+        ``engine.now()`` — the tip, or a pinned session's snapshot."""
         bound = self._bound_arg(args, row, "CURRENT")
-        pin = self.engine.pinned_now
-        if pin is None:
-            teid = current_teid(self.engine.store, bound.eid)
-        else:
-            teid = self._pinned_current_teid(bound.eid, pin)
-        return self._navigate(bound, teid)
-
-    def _pinned_current_teid(self, eid, pin):
-        """CURRENT as of the snapshot pin: the element's version in the
-        document version valid at the pin (None when either is gone)."""
-        store = self.engine.store
-        entry = store.delta_index(eid.doc_id).version_at(pin)
+        entry = self.engine.store.delta_index(bound.doc_id).version_at(
+            self.engine.now()
+        )
         if entry is None:
             return None
-        tree = self.engine.active_cache.document_at(eid.doc_id, pin)
-        if tree is None or tree.find_by_xid(eid.xid) is None:
-            return None
-        from ..model.identifiers import TEID
-
-        return TEID(eid.doc_id, eid.xid, entry.timestamp)
+        return self._navigate(bound, TEID(bound.doc_id, bound.teid.xid,
+                                          entry.timestamp))
 
     def _navigate(self, bound, teid):
         if teid is None:
             return None
         dindex = self.engine.store.delta_index(teid.doc_id)
-        entry = dindex.version_at(teid.timestamp)
-        interval = Interval(entry.timestamp, dindex.end_of(entry))
         target = BoundElement(
-            self.engine.store, teid, interval,
+            self.engine.store, teid,
+            dindex.validity(dindex.version_at(teid.timestamp)),
             cache=self.engine.active_cache,
         )
         # The element may not exist in the navigated-to version.

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from fnmatch import fnmatch
 
-from ..clock import Interval
 from ..errors import NoSuchDocumentError
 from ..model.identifiers import TEID
 from ..operators.history import DocHistory
@@ -132,96 +131,30 @@ def _resolve_as_of(store, url, as_of, is_glob):
 def _index_bindings(engine, plan):
     """Bindings through the pattern index of an already-compiled plan.
 
-    The returned value is a lazy iterator over the streaming scan, so an
-    early-exiting consumer (LIMIT) stops the join mid-flight.  The EVERY
-    path keeps its sorted, version-deduplicated output contract and
-    therefore drains the join before yielding.
+    The scan's own :meth:`project` maps the anchored matches to element
+    versions: at the snapshot instant, or over the planned version range
+    (see :meth:`~repro.operators.tpatternscan.TPatternScan.project` for
+    the row order of each).  This is a generator, so the scan's FTI
+    lookups and join run under the operator's span, not at plan time, and
+    an early-exiting consumer (LIMIT) stops a snapshot join mid-flight.
     """
-    item = plan.item
-    steps = Path(item.path).steps
-    pattern = plan.pattern
-    projected = pattern.projected_index()
-
+    steps = Path(plan.item.path).steps
+    projected = plan.pattern.projected_index()
     if plan.versions is not None:
-        scan = TPatternScanAll(engine.fti, pattern, docs=plan.doc_ids,
-                               store=engine.store, stats=engine.join_stats,
+        scan = TPatternScanAll(engine.fti, plan.pattern, engine.store,
+                               docs=plan.doc_ids, stats=engine.join_stats,
                                tracer=engine.tracer, window=plan.scan_bounds)
-        return _expand_interval_matches(
-            engine, scan, projected, steps, plan.versions
-        )
-
-    scan = TPatternScan(engine.fti, pattern, plan.timestamp,
-                        docs=plan.doc_ids, store=engine.store,
-                        stats=engine.join_stats, tracer=engine.tracer)
-    return _snapshot_bindings(engine, scan, projected, steps, plan.timestamp)
-
-
-def _snapshot_bindings(engine, scan, projected, steps, ts):
-    """One binding per anchored snapshot match, streamed off the join.
-
-    Bindings are deduplicated by TEID and yielded in first-emission order.
-    That order is *canonical* — independent of which predicates the
-    optimizer pushed into the pattern — because the join always binds the
-    FROM chain in chain order (parents before children), so pushdown
-    branches below the projected node can only filter the projected
-    sequence, never reorder it; and at a snapshot instant every candidate
-    interval contains the instant, so whether a branch accepts a projected
-    element depends only on the element itself, not on which enumeration
-    step reached it.  Plans pushing different predicate subsets therefore
-    produce byte-identical output, while a LIMIT still stops the join
-    mid-flight."""
-    seen = set()
-    for match in scan.run():
-        posting = match.postings[projected]
-        if not _anchored(posting.path, steps):
-            continue
-        dindex = engine.store.delta_index(match.doc_id)
-        entry = dindex.version_at(ts)
-        if entry is None:
-            continue
-        teid = TEID(match.doc_id, posting.xid, entry.timestamp)
-        if teid in seen:
-            continue
-        seen.add(teid)
-        interval = Interval(entry.timestamp, dindex.end_of(entry))
+        bounds = plan.versions
+    else:
+        scan = TPatternScan(engine.fti, plan.pattern, plan.timestamp,
+                            engine.store, docs=plan.doc_ids,
+                            stats=engine.join_stats, tracer=engine.tracer)
+        bounds = ()
+    matches = (match for match in scan.run()
+               if _anchored(match.postings[projected].path, steps))
+    for teid, interval in scan.project(matches, *bounds):
         yield BoundElement(engine.store, teid, interval,
                            cache=engine.active_cache)
-
-
-def _expand_interval_matches(engine, scan, projected, steps, versions):
-    """EVERY: one binding per document version covered by a match interval.
-
-    The planned version range clips the expansion — versions outside the
-    rewriter's time window are never reconstructed (the Section 8
-    delta-read reduction), and a pinned engine (serving session) never
-    binds versions committed after its snapshot.  The scan is started
-    inside the generator body so its FTI lookups and join run under the
-    operator's span, not at plan time."""
-    bindings = []
-    for match in scan.run():
-        posting = match.postings[projected]
-        if not _anchored(posting.path, steps):
-            continue
-        start = max(match.interval.start, versions[0])
-        end = min(match.interval.end, versions[1])
-        if start >= end:
-            continue
-        dindex = engine.store.delta_index(match.doc_id)
-        for entry in dindex.versions_in(start, end):
-            teid = TEID(match.doc_id, posting.xid, entry.timestamp)
-            interval = Interval(entry.timestamp, dindex.end_of(entry))
-            bindings.append(
-                BoundElement(engine.store, teid, interval,
-                             cache=engine.active_cache)
-            )
-    # A document version may satisfy the pattern through several postings
-    # of the same element (or several match intervals); deduplicate.
-    unique = {}
-    for binding in bindings:
-        unique.setdefault(binding.teid, binding)
-    yield from sorted(unique.values(), key=lambda b: (b.teid.doc_id,
-                                                      b.teid.timestamp,
-                                                      b.teid.xid))
 
 
 def _build_pattern(from_steps, pushdowns=()):
@@ -339,11 +272,8 @@ def _nav_bindings(engine, plan):
         if tree is None:
             continue
         dindex = engine.store.delta_index(doc_id)
-        entry = dindex.version_at(ts)
-        interval = Interval(entry.timestamp, dindex.end_of(entry))
-        bindings.extend(
-            _bind_tree(engine, doc_id, tree, path, entry.timestamp, interval)
-        )
+        interval = dindex.validity(dindex.version_at(ts))
+        bindings.extend(_bind_tree(engine, doc_id, tree, path, interval))
     return bindings
 
 
@@ -361,20 +291,18 @@ def _nav_every(engine, doc_ids, path, start, end):
                              tracer=engine.tracer, newest_first=False)
         dindex = engine.store.delta_index(doc_id)
         for teid, tree in history:
-            entry = dindex.version_at(teid.timestamp)
-            interval = Interval(entry.timestamp, dindex.end_of(entry))
-            yield from reversed(
-                _bind_tree(engine, doc_id, tree, path, teid.timestamp,
-                           interval)
-            )
+            interval = dindex.validity(dindex.version_at(teid.timestamp))
+            yield from reversed(_bind_tree(engine, doc_id, tree, path, interval))
 
 
-def _bind_tree(engine, doc_id, tree, path, version_ts, interval):
+def _bind_tree(engine, doc_id, tree, path, interval):
+    """The elements ``path`` selects in ``tree``, the document's version
+    valid over ``interval``, bound at that version's commit time."""
     elements = [tree] if path is None else path.select(tree)
     return [
         BoundElement(
             engine.store,
-            TEID(doc_id, element.xid, version_ts),
+            TEID(doc_id, element.xid, interval.start),
             interval,
             tree=element,
             cache=engine.active_cache,

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from ..clock import UNTIL_CHANGED
+from ..clock import UNTIL_CHANGED, Interval
 from ..errors import NoSuchVersionError
+
+_timestamp = attrgetter("timestamp")
 
 
 @dataclass
@@ -126,8 +129,7 @@ class DeltaIndex:
         """
         if self.deleted_at is not None and ts >= self.deleted_at:
             return None
-        timestamps = [e.timestamp for e in self.entries]
-        pos = bisect_right(timestamps, ts)
+        pos = bisect_right(self.entries, ts, key=_timestamp)
         if pos == 0:
             return None
         return self.entries[pos - 1]
@@ -140,18 +142,24 @@ class DeltaIndex:
             return self.deleted_at
         return UNTIL_CHANGED
 
+    def validity(self, entry):
+        """``entry``'s validity interval: its commit time to the next."""
+        return Interval(entry.timestamp, self.end_of(entry))
+
     def versions_in(self, start, end):
         """Entries whose validity intervals intersect ``[start, end)``.
 
         Returned oldest-first; the ``DocHistory`` operator reverses this to
         match the paper's "most previous versions first" output order.
+        Every entry but the last ends where its successor starts, so the
+        hits are one slice: from the entry valid at ``start`` to the last
+        one committed before ``end``.
         """
-        out = []
-        for entry in self.entries:
-            if entry.timestamp >= end:
-                break
-            if self.end_of(entry) > start:
-                out.append(entry)
+        entries = self.entries
+        low = max(bisect_right(entries, start, key=_timestamp) - 1, 0)
+        out = entries[low:bisect_left(entries, end, key=_timestamp)]
+        if out and out[-1] is entries[-1] and self.end_of(out[-1]) <= start:
+            del out[-1]  # deleted at or before ``start``
         return out
 
     # -- version navigation (PreviousTS / NextTS / CurrentTS) ------------------------

@@ -66,6 +66,8 @@ class Writer:
 
     def opt_u(self, value):
         """Optional unsigned int: 0 when absent, value+1 otherwise."""
+        if value is not None and value < 0:
+            raise CorruptArchiveError(f"cannot encode negative int {value}")
         self.u(0 if value is None else value + 1)
 
     def z(self, value):

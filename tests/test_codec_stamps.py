@@ -258,6 +258,24 @@ class TestCorrupt:
         with pytest.raises(CorruptArchiveError):
             PackedNode.pack(root)
 
+    @pytest.mark.parametrize("value", [-1, -2])
+    def test_an_optional_int_below_zero_is_refused(self, value):
+        # -1 used to write 0, the "absent" marker, and -2 to name -1.
+        with pytest.raises(CorruptArchiveError, match=f"int {value}$"):
+            Writer().opt_u(value)
+
+    def test_an_absent_optional_int_is_zero(self):
+        w = Writer()
+        w.opt_u(None)
+        assert w.getvalue() == b"\x00"
+        assert Reader(w.getvalue()).opt_u() is None
+
+    def test_a_root_xid_of_minus_one_is_refused(self):
+        root = Element("a")
+        root.xid, root.tstamp = -1, 9
+        with pytest.raises(CorruptArchiveError, match="-1"):
+            PackedNode.pack(root)
+
 
 #: sha256 of the XML archive each fixture directory opens to.
 _FIXTURES = {

@@ -1,8 +1,9 @@
 """Tests for the per-document delta index."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.clock import UNTIL_CHANGED
+from repro.clock import UNTIL_CHANGED, Interval
 from repro.errors import NoSuchVersionError
 from repro.storage.deltaindex import DeltaIndex, VersionEntry
 
@@ -88,6 +89,50 @@ class TestVersionsIn:
         index = _index([100], deleted_at=150)
         assert [e.number for e in index.versions_in(150, 1000)] == []
         assert [e.number for e in index.versions_in(100, 150)] == [1]
+
+
+def _version_at_reference(index, ts):
+    """The version valid at ``ts`` by a scan from version 1."""
+    if index.deleted_at is not None and ts >= index.deleted_at:
+        return None
+    valid = [e for e in index.entries if e.timestamp <= ts]
+    return valid[-1] if valid else None
+
+
+def _versions_in_reference(index, start, end):
+    """The versions overlapping ``[start, end)`` by a scan from version 1."""
+    return [e for e in index.entries
+            if e.timestamp < end and index.end_of(e) > start]
+
+
+@st.composite
+def _histories(draw):
+    """A delta index over up to 8 versions, maybe deleted after the last,
+    and two query instants in and around its timestamps."""
+    timestamps = sorted(draw(st.sets(st.integers(0, 60), max_size=8)))
+    deleted_at = None
+    if timestamps and draw(st.booleans()):
+        deleted_at = draw(st.integers(timestamps[-1] + 1, 70))
+    instants = st.integers(-5, 75)
+    return _index(timestamps, deleted_at), draw(instants), draw(instants)
+
+
+class TestBisectedLookups:
+    @given(_histories())
+    def test_match_the_linear_scans(self, history):
+        index, a, b = history
+        assert index.version_at(a) is _version_at_reference(index, a)
+        got, want = index.versions_in(a, b), _versions_in_reference(index, a, b)
+        assert [e.number for e in got] == [e.number for e in want]
+
+    @given(_histories())
+    def test_validity_runs_to_the_next_version(self, history):
+        index, _, _ = history
+        last_end = UNTIL_CHANGED if index.deleted_at is None else index.deleted_at
+        ends = [e.timestamp for e in index.entries[1:]] + [last_end]
+        assert [index.validity(e) for e in index.entries] == [
+            Interval(e.timestamp, end) for e, end in zip(index.entries, ends)
+        ]
 
 
 class TestNavigation:

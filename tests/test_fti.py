@@ -6,6 +6,7 @@ from bisect import insort_right
 import pytest
 
 from repro.clock import UNTIL_CHANGED
+from repro.errors import TimeError
 from repro.index import TemporalFullTextIndex, TemporalKeywordScorer, tokenize
 from repro.index.postings import occurrences
 from repro.model.identifiers import XIDAllocator
@@ -463,31 +464,29 @@ class TestLayoutAgainstReference:
         assert_same_answers(replayed, replayed_reference)
         assert replayed.footprint() == fti.footprint()
 
-    def test_out_of_order_insert_renumbers_rows(self):
-        """A start earlier than the word's last one is filed before the
-        later rows; the open rows of every document (and of the document
-        being reconciled) follow them, so later closes end the right
-        postings."""
-        fti, reference = TemporalFullTextIndex(), ReferenceFTI()
+    @pytest.mark.parametrize("events, what", [
+        ([("create", 1, 300, "<a>gold</a>"), ("create", 2, 100, "<a>gold</a>")],
+         "start"),
+        ([("create", 1, 100, "<a>gold</a>"), ("create", 2, 200, "<a>gold</a>"),
+          ("delete", 2, 300, None), ("delete", 1, 250, None)],
+         "end"),
+    ])
+    def test_out_of_order_filing_raises(self, events, what):
+        """A start or end earlier than the word's last one is refused:
+        every feeder hands the index its events in commit order."""
+        fti = TemporalFullTextIndex()
         allocators = {1: XIDAllocator(), 2: XIDAllocator()}
 
-        def commit(kind, doc_id, ts, text=None):
+        def commit(kind, doc_id, ts, text):
             root = None
             if text is not None:
                 root = parse(text)
                 stamp_new_nodes(root, allocators[doc_id], ts)
-            event = CommitEvent(kind, doc_id, f"d{doc_id}", 1, ts, root=root)
-            for index in (fti, reference):
-                index.document_committed(event)
-            assert_same_answers(fti, reference)
+            fti.document_committed(
+                CommitEvent(kind, doc_id, f"d{doc_id}", 1, ts, root=root))
 
-        commit("create", 1, 300, "<a>gold tin<b>gold</b></a>")
-        commit("create", 2, 100, "<a>tin gold<b>gold gold</b></a>")
-        commit("update", 2, 200, "<a>gold<b>tin gold</b><b>gold</b></a>")
-        commit("update", 1, 400, "<a>tin<b>gold</b></a>")
-        commit("update", 2, 250, "<a>gold<c>gold</c></a>")
-        commit("delete", 1, 500)
-        commit("delete", 2, 450)
-        assert [p.start for p in fti.lookup_h("gold")] == sorted(
-            p.start for p in fti.lookup_h("gold"))
-        assert fti.lookup("gold") == []
+        *ordered, late = events
+        for event in ordered:
+            commit(*event)
+        with pytest.raises(TimeError, match=f"posting {what} "):
+            commit(*late)

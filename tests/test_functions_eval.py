@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.query.parser import parse_query
 
+from tests.conftest import JAN_01
 
 
 class TestErrorHierarchy:
@@ -96,6 +97,30 @@ class TestFunctionEdgeCases:
             'FROM doc("guide.com")[26/01/2001]/restaurant R'
         )
         assert all(row["CURRENT(R)"] is None for row in result)
+
+    def test_current_pinned_at_the_tip_agrees_with_unpinned(self, figure1_db):
+        query = ('SELECT R/name, CURRENT(R) '
+                 'FROM doc("guide.com")[EVERY]/restaurant R')
+        unpinned = str(figure1_db.query(query))
+        figure1_db.engine.pinned_now = figure1_db.store.clock.now()
+        assert str(figure1_db.query(query)) == unpinned
+        # Napoli's every version shows its current one; Akropolis is gone.
+        assert unpinned.count("<price>18</price>") == 3
+
+    def test_current_under_a_pin_before_the_element_is_none(self, figure1_db):
+        # Akropolis was created on 15/01: a session pinned on 01/01 binds
+        # it through the explicit 26/01 snapshot, but it has no version at
+        # the pin, while Napoli's is the 01/01 one.
+        figure1_db.engine.pinned_now = JAN_01
+        rows = figure1_db.query(
+            'SELECT R/name, CURRENT(R), CURRENT(R)/price '
+            'FROM doc("guide.com")[26/01/2001]/restaurant R'
+        ).rows
+        by_name = {row["R/name"][0].node.text: row for row in rows}
+        assert by_name["Akropolis"]["CURRENT(R)"] is None
+        napoli = by_name["Napoli"]
+        assert napoli["CURRENT(R)"] is not None
+        assert [p.node.text for p in napoli["CURRENT(R)/price"]] == ["15"]
 
     def test_navigation_skips_vanished_elements(self, figure1_db):
         # Akropolis has no NEXT version containing it (deleted on 31/01).

@@ -1,10 +1,19 @@
 """Tests for PatternScan, TPatternScan, TPatternScanAll."""
 
+import random
+
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from repro.clock import SECONDS_PER_DAY, format_timestamp
 from repro.index import TemporalFullTextIndex
 from repro.operators import PatternScan, Reconstruct, TPatternScan, TPatternScanAll
 from repro.pattern import Pattern
+from repro.query import QueryEngine
+from repro.query.parser import parse_query
+from repro.query.planner import bind_planned
+from repro.query.rewriter import rewrite
 from repro.storage import TemporalDocumentStore
 from repro.workload import load_figure1
 
@@ -86,11 +95,6 @@ class TestTPatternScan:
         )
         assert {t.timestamp for t in scan.teids()} == {JAN_15}
 
-    def test_without_store_uses_query_time(self, setup):
-        _store, fti = setup
-        scan = TPatternScan(fti, Pattern.from_path("restaurant"), JAN_26)
-        assert {t.timestamp for t in scan.teids()} == {JAN_26}
-
 
 class TestTPatternScanAll:
     def test_whole_history(self, setup):
@@ -140,12 +144,6 @@ class TestTPatternScanAll:
         assert {t.eid for t in snapshot} == {t.eid for t in history}
         assert [t.timestamp for t in history] == [JAN_01, JAN_15]
 
-    def test_per_version_requires_store(self, setup):
-        _store, fti = setup
-        scan = TPatternScanAll(fti, Pattern.from_path("restaurant"))
-        with pytest.raises(ValueError):
-            scan.teids_per_version()
-
     def test_value_that_never_existed(self, setup):
         store, fti = setup
         pattern = Pattern.from_path(
@@ -166,3 +164,88 @@ class TestTPatternScanAll:
         root.add(PatternNode("akropolis", kind="word", relationship="contains"))
         rebuilt = Pattern(root)
         assert list(TPatternScanAll(fti, rebuilt, store=store).run()) == []
+
+
+_LAW_WORDS = ("gold", "tin", "red")
+
+
+def _generated_history(seed, versions):
+    """Two documents whose ``item`` elements come, change words and go
+    over ``versions`` commits (one document deleted on the way, maybe);
+    the root is never an ``item``, so ``//item`` anchors every match.
+    Returns the store, its FTI, the sorted commit times and the rng."""
+    rng = random.Random(seed)
+
+    def tree():
+        items = "".join(
+            "<item>{}<box>{}</box></item>".format(
+                " ".join(rng.sample(_LAW_WORDS, rng.randint(1, 2))),
+                rng.choice(_LAW_WORDS))
+            for _ in range(rng.randint(0, 3)))
+        return f"<guide>{items}<box><item>{rng.choice(_LAW_WORDS)}</item></box></guide>"
+
+    store = TemporalDocumentStore()
+    fti = store.subscribe(TemporalFullTextIndex())
+    names = ["a.xml", "b.xml"]
+    for name in names:
+        store.put(name, tree())
+    for _ in range(versions - 1):
+        name = rng.choice(names)
+        if len(names) > 1 and rng.random() < 0.15:
+            store.delete(name)
+            names.remove(name)
+        else:
+            store.update(name, tree())
+    commits = sorted({entry.timestamp for name in ("a.xml", "b.xml")
+                      for entry in store.delta_index(name).entries})
+    return store, fti, commits, rng
+
+
+def _bound_teids(engine, text):
+    """The TEIDs TXQL binds the query's one FROM variable to, in order,
+    and the FROM item's plan."""
+    query, windows = rewrite(parse_query(text), now=engine.now())
+    (item,) = engine.plan(query, windows).items
+    return [binding.teid for binding in bind_planned(engine, item)], item
+
+
+class TestTXQLBindsThroughTheScans:
+    """TXQL's index bindings are the scan operators' own projection."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 7))
+    @settings(max_examples=25, deadline=None)
+    def test_snapshot_bindings_are_the_scan_teids(self, seed, versions):
+        store, fti, commits, rng = _generated_history(seed, versions)
+        engine = QueryEngine(store, fti=fti)
+        # TXQL names days; commits are a day apart, the first at a midnight.
+        ts = rng.choice([commits[0] - SECONDS_PER_DAY, *commits])
+        bound, item = _bound_teids(
+            engine, f'SELECT R FROM doc("*.xml")[{format_timestamp(ts)}]//item R')
+        assert item.strategy == "index"
+        scan = TPatternScan(fti, Pattern.from_path("//item"), item.timestamp,
+                            store, docs=item.doc_ids)
+        assert bound == list(scan.teids())
+
+    @given(st.integers(0, 10_000), st.integers(1, 7), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_every_bindings_are_the_per_version_teids(self, seed, versions,
+                                                      windowed):
+        store, fti, commits, rng = _generated_history(seed, versions)
+        engine = QueryEngine(store, fti=fti)
+        text = 'SELECT R FROM doc("*.xml")[EVERY]//item R'
+        if windowed:  # the rewriter turns this into the planned range
+            cutoff = rng.choice(commits)
+            text += f" WHERE TIME(R) >= {format_timestamp(cutoff)}"
+        bound, item = _bound_teids(engine, text)
+        assert item.strategy == "index"
+        start, end = item.versions
+        assert (start > engine.horizon_start()) == windowed
+        scan = TPatternScanAll(fti, Pattern.from_path("//item"), store,
+                               docs=item.doc_ids)
+
+        def in_range(teid):
+            dindex = store.delta_index(teid.doc_id)
+            validity = dindex.validity(dindex.version_at(teid.timestamp))
+            return validity.start < end and validity.end > start
+
+        assert bound == [t for t in scan.teids_per_version() if in_range(t)]
