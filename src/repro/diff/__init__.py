@@ -10,7 +10,8 @@ The matcher follows the XyDiff recipe (Cobéna et al.): largest identical
 subtrees are matched first by structural hash, matches are propagated upward
 to parents with equal tags, and remaining nodes are aligned positionally
 under matched parents.  Matching is what carries XIDs from one version to
-the next.
+the next; the script builder reads the XIDs alone, so two stored versions
+of one element are diffed by them (:func:`~repro.diff.differ.diff_by_xid`).
 
 Public surface:
 

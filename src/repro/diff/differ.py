@@ -1,8 +1,11 @@
-"""Edit-script generation from a matching (the ``Diff`` algorithm).
+"""Edit-script generation (the ``Diff`` algorithm).
 
-``diff(old_root, new_root, ...)`` produces an :class:`EditScript` that,
-applied to ``old_root``, yields a tree equal to ``new_root``.  As a side
-effect the *new* tree is fully stamped: matched nodes inherit their old XIDs
+Identity is the XID.  ``diff_by_xid(old_root, new_root)`` takes two stamped
+trees in which equal XIDs are one node and produces the :class:`EditScript`
+that, applied to ``old_root``, yields ``new_root``: nodes on both sides are
+kept, old-only ones deleted, new-only ones inserted.  ``diff`` first gives a
+tree without identity (a version being committed, a raw tree) the XIDs the
+content matcher carries over: matched nodes inherit their old XIDs
 (identity persistence, Section 3.2), fresh nodes receive new XIDs from the
 allocator, and element timestamps are updated per the Section 4 rule (a
 change stamps the changed node and all its ancestors with the commit time).
@@ -54,7 +57,9 @@ def diff(old_root, new_root, allocator=None, commit_ts=None):
         element timestamps are maintained and ``StampOp``s are emitted; when
         ``None`` (standalone diff) timestamps are left untouched.
 
-    The old tree is never mutated.  The new tree is stamped in place.
+    The old tree is never mutated.  The new tree is stamped in place: the
+    content matcher gives it the XIDs it carries over, and
+    :func:`diff_by_xid` builds the script from those.
     """
     if not isinstance(old_root, Element) or not isinstance(new_root, Element):
         raise DiffError("diff operates on element roots")
@@ -65,14 +70,29 @@ def diff(old_root, new_root, allocator=None, commit_ts=None):
         return _replace_root_script(old_root, new_root, allocator, commit_ts)
 
     matching = match_trees(old_root, new_root)
-    _carry_identity(matching)
-    _stamp_fresh(new_root, matching, allocator, commit_ts)
+    for node in new_root.iter():
+        old = matching.old_for(node)
+        if old is None:
+            node.xid = allocator.allocate()
+            node.tstamp = commit_ts
+        else:
+            node.xid, node.tstamp = old.xid, old.tstamp
+            if old.xid is not None:
+                allocator.note_used(old.xid)
+    return diff_by_xid(old_root, new_root, commit_ts, matching.new_parents)
 
-    builder = _Builder(old_root, matching, commit_ts)
-    builder.reconcile(new_root)
-    builder.trim_deletes(new_root)
-    builder.value_updates(matching, new_root)
-    builder.stamp_ops(matching)
+
+def diff_by_xid(old_root, new_root, commit_ts=None, new_parents=None):
+    """The completed delta turning ``old_root`` into ``new_root``, two
+    stamped trees in which equal XIDs are one node; no content is compared.
+    With ``commit_ts``, the new tree's element timestamps are maintained
+    through ``new_parents`` (its :func:`~repro.xmlcore.node.parent_map`)
+    and ``StampOp``s are emitted."""
+    builder = _Builder(old_root, new_root, commit_ts, new_parents)
+    builder.reconcile()
+    builder.trim_deletes()
+    builder.value_updates()
+    builder.stamp_ops()
     return EditScript(builder.ops)
 
 
@@ -92,27 +112,15 @@ def _replace_root_script(old_root, new_root, allocator, commit_ts):
     return EditScript([ReplaceRootOp(old_root, new_root)])
 
 
-def _carry_identity(matching):
-    for old, new in matching.pairs():
-        new.xid = old.xid
-        new.tstamp = old.tstamp
-
-
-def _stamp_fresh(new_root, matching, allocator, commit_ts):
-    for node in new_root.iter():
-        if not matching.has_new(node):
-            node.xid = allocator.allocate()
-            node.tstamp = commit_ts
-        elif node.xid is not None:
-            allocator.note_used(node.xid)
-
-
 class _Builder:
-    """Accumulates operations while mutating the working copy in lockstep."""
+    """Accumulates operations while mutating the working copy in lockstep.
 
-    def __init__(self, old_root, matching, commit_ts):
-        self.matching = matching
+    A node of the new tree is matched iff its XID is in the working copy."""
+
+    def __init__(self, old_root, new_root, commit_ts, new_parents):
+        self.new_root = new_root
         self.commit_ts = commit_ts
+        self.new_parents = new_parents
         self.ops = []
         self.work_root = old_root.copy()
         self.work_by_xid = {}
@@ -127,7 +135,7 @@ class _Builder:
 
     # -- phase A: moves and inserts (top-down) --------------------------------
 
-    def reconcile(self, new_root):
+    def reconcile(self):
         """Give every matched parent its new children, in order.
 
         Top-down, so a parent is in place before anything moves under it.
@@ -135,11 +143,11 @@ class _Builder:
         reached yet — are left standing where they are: the first go in
         :meth:`trim_deletes`, the second when their new parent's turn comes.
         """
-        has_new = self.matching.has_new
-        stack = [new_root]
+        stack = [self.new_root]
         while stack:
             new_parent = stack.pop()
-            if not isinstance(new_parent, Element) or not has_new(new_parent):
+            if (not isinstance(new_parent, Element)
+                    or new_parent.xid not in self.work_by_xid):
                 continue  # text, or inside an inserted payload: complete
             self._arrange(self.work_by_xid[new_parent.xid], new_parent)
             stack.extend(reversed(new_parent.children))
@@ -152,14 +160,13 @@ class _Builder:
         order, under another parent, or fresh — goes right after the last
         one placed.  A child whose index merely shifts costs no operation.
         """
-        has_new = self.matching.has_new
         siblings = work_parent.children
         if [n.xid for n in siblings] == [n.xid for n in new_parent.children]:
             return  # most lists, in most commits
-        stays = _in_order(siblings, new_parent.children, has_new)
+        stays = _in_order(siblings, new_parent.children)
         cursor = 0  # one past the last wanted child placed
         for wanted in new_parent.children:
-            if not has_new(wanted):
+            if wanted.xid not in self.work_by_xid:
                 self._insert_fresh(work_parent, cursor, wanted, new_parent)
             elif wanted.xid in stays:
                 while siblings[cursor].xid != wanted.xid:
@@ -194,8 +201,15 @@ class _Builder:
 
     def _insert_fresh(self, work_parent, index, wanted, new_parent):
         # The operation packs ``wanted`` as it stands now, and nothing under
-        # a fresh node is moved or deleted later: the working copy can hold
-        # ``wanted`` itself.
+        # a wholly fresh node is moved or deleted later: the working copy
+        # can hold ``wanted`` itself.  A fresh node over old ones (versions
+        # apart; a commit's matching never makes one) goes in bare, and
+        # :meth:`reconcile` arranges its children in their turn.
+        if isinstance(wanted, Element) and any(
+                node.xid in self.work_by_xid for node in wanted.iter()):
+            bare = Element(wanted.tag, wanted.attrib)
+            bare.xid, bare.tstamp = wanted.xid, wanted.tstamp
+            self.work_by_xid[bare.xid] = wanted = bare
         self.ops.append(InsertOp(work_parent.xid, index, wanted))
         work_parent.insert(index, wanted)
         if self.commit_ts is not None:
@@ -203,13 +217,13 @@ class _Builder:
 
     # -- phase B: deletes (after all placements) -------------------------------
 
-    def trim_deletes(self, new_root):
+    def trim_deletes(self):
         """Delete what :meth:`reconcile` left standing: under every matched
         parent, the children the new tree does not have, right to left so
         each position is the victim's own."""
-        has_new = self.matching.has_new
-        for new_parent in new_root.iter():
-            if not isinstance(new_parent, Element) or not has_new(new_parent):
+        for new_parent in self.new_root.iter():
+            if (not isinstance(new_parent, Element)
+                    or new_parent.xid not in self.work_by_xid):
                 continue
             work_parent = self.work_by_xid[new_parent.xid]
             siblings = work_parent.children
@@ -230,10 +244,10 @@ class _Builder:
 
     # -- phase C: value updates -------------------------------------------------
 
-    def value_updates(self, matching, new_root):
+    def value_updates(self):
         # Iterate the new tree in document order so scripts are deterministic.
-        for new in new_root.iter():
-            old = matching.old_for(new)
+        for new in self.new_root.iter():
+            old = self.work_by_xid.get(new.xid)
             if old is None:
                 continue
             if isinstance(new, Text):
@@ -250,34 +264,31 @@ class _Builder:
 
     # -- phase D: surviving-node timestamp changes -------------------------------
 
-    def stamp_ops(self, matching):
+    def stamp_ops(self):
         if self.commit_ts is None:
             return
-        for old, new in sorted(matching.pairs(), key=lambda p: p[1].xid):
-            if old.tstamp != new.tstamp:
-                self.ops.append(StampOp(new.xid, old.tstamp, new.tstamp))
+        for xid, new in sorted(self._new_by_xid.items()):
+            old = self.work_by_xid.get(xid)
+            if old is not None and old.tstamp != new.tstamp:
+                self.ops.append(StampOp(xid, old.tstamp, new.tstamp))
 
     # -- helpers ------------------------------------------------------------------
 
     def _touch_new(self, new_node):
-        touch_upwards(new_node, self.commit_ts, self.matching.new_parents)
+        touch_upwards(new_node, self.commit_ts, self.new_parents)
 
     @cached_property
     def _new_by_xid(self):
-        """New-tree partner of every matched node, by the XID they share
-        (the working copy mirrors the old tree's XIDs)."""
-        return {new.xid: new for _, new in self.matching.pairs()}
+        """Every node of the new tree, by XID."""
+        return {new.xid: new for new in self.new_root.iter()}
 
 
-def _in_order(siblings, wanted, has_new):
+def _in_order(siblings, wanted):
     """XIDs of the matched nodes of ``wanted`` that can stay where they
     stand in ``siblings``: one longest subsequence of those present whose
     current positions increase (patience sorting, O(n log n))."""
     position = {node.xid: pos for pos, node in enumerate(siblings)}
-    present = [
-        node.xid for node in wanted
-        if has_new(node) and node.xid in position
-    ]
+    present = [node.xid for node in wanted if node.xid in position]
     tails = []  # tails[k]: smallest last position of a run of length k + 1
     tail_xid = []  # ... and the XID standing there
     before = {}  # xid -> the XID preceding it in the run it extends

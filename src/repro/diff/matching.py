@@ -60,11 +60,6 @@ class Matching:
     def has_new(self, new):
         return id(new) in self._new_to_old
 
-    def pairs(self):
-        """Iterate ``(old, new)`` pairs (no defined order)."""
-        for old in self._new_to_old.values():
-            yield old, self._old_to_new[id(old)]
-
     def __len__(self):
         return len(self._new_to_old)
 

@@ -20,12 +20,13 @@ it) and it implements the paper's three required operations exactly:
 
 Physically each word's history is a set of typed :mod:`array` columns
 whose rows are **sorted by interval start** (commit timestamps are
-monotone, and so is replay, so maintenance is an append; a posting filed
-out of time order is a :class:`~repro.errors.TimeError`): ``start`` and
-``end``, and one ``numbers`` array holding each row's document id, XID
-and the intern-table numbers of its ancestors tuple and path side by
-side.  The rows of the word's open postings are additionally kept as an
-ascending array of row numbers:
+monotone, and so is replay, so maintenance is an append; an event
+earlier than the last one is a :class:`~repro.errors.TimeError`, refused
+before anything changes): ``start`` and ``end``, and one ``numbers``
+array holding each row's document id, XID and the intern-table numbers
+of its ancestors tuple and path side by side.  The rows of the word's
+open postings are additionally kept as an ascending array of row
+numbers:
 
 * ``lookup`` reads the open rows only — it never touches closed history,
   so its cost tracks the *current* result size, not the accumulated churn;
@@ -59,7 +60,7 @@ from collections import Counter
 from itertools import accumulate, compress, repeat
 from operator import and_, itemgetter, mul
 
-from ..clock import UNTIL_CHANGED
+from ..clock import BEFORE_TIME, UNTIL_CHANGED
 from ..errors import TimeError
 from ..sync import RWLock
 from .postings import InternTable, Posting, element_runs, estimated_bytes
@@ -102,11 +103,8 @@ class _Columns:
 
     def add(self, doc_id, xid, ancestors_id, path_id, ts):
         """File an open posting; returns its row.  Commit timestamps
-        never decrease, so this is an append; a start earlier than the
-        last is a feeder that broke commit order."""
+        never decrease, so this is an append."""
         row = len(self.start)
-        if row and ts < self.start[-1]:
-            raise _out_of_order("start", ts, self.start[-1])
         self.start.append(ts)
         self.end.append(UNTIL_CHANGED)
         self.numbers.extend((doc_id, xid, ancestors_id, path_id))
@@ -115,11 +113,8 @@ class _Columns:
 
     def close(self, row, ts):
         """Close the posting at ``row`` at ``ts``.  Commit timestamps never
-        decrease, so ``closed`` stays in end order by appending; an
-        earlier end than the last is a feeder that broke commit order."""
+        decrease, so ``closed`` stays in end order by appending."""
         end, closed = self.end, self.closed
-        if closed and ts < end[closed[-1]]:
-            raise _out_of_order("end", ts, end[closed[-1]])
         end[row] = ts
         del self.open[bisect_left(self.open, row)]
         if not closed:
@@ -161,13 +156,6 @@ class _Columns:
         return list(map(itemgetter(*rows), fields))
 
 
-def _out_of_order(what, ts, last):
-    return TimeError(
-        f"posting {what} {ts} is earlier than the word's last {what} {last}:"
-        f" the index is fed in commit order"
-    )
-
-
 class TemporalFullTextIndex:
     """Inverted lists of interval postings over all documents.
 
@@ -187,6 +175,7 @@ class TemporalFullTextIndex:
         self._open = {}
         # ancestors tuples, paths and words; written under the write lock
         self._table = InternTable()
+        self._last_ts = BEFORE_TIME  # of the last event: they come in order
         self.stats = IndexStats()
         self._rwlock = RWLock()
 
@@ -194,6 +183,13 @@ class TemporalFullTextIndex:
 
     def document_committed(self, event):
         with self._rwlock.write_lock():
+            if event.timestamp < self._last_ts:
+                raise TimeError(
+                    f"{event.kind} at {event.timestamp} is earlier than the "
+                    f"last event indexed, at {self._last_ts}: the index is "
+                    f"fed in commit order"
+                )
+            self._last_ts = event.timestamp
             if event.kind in ("create", "update"):
                 self._reconcile(event.doc_id, event.root, event.timestamp)
             elif event.kind == "delete":

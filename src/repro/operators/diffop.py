@@ -5,13 +5,18 @@ algorithm with the subtrees rooted at the elements as input can be used."
 
 Accepts TEIDs (reconstructed through the store) or raw element trees; the
 two inputs "can be versions of the same element, but can also represent
-different documents or subtrees".  The result is the edit script *as an XML
-tree*, so queries returning diffs stay closed over XML.
+different documents or subtrees".  Identity decides the algorithm: two
+TEIDs of one EID share their stored XIDs, so the script is built from
+those (:func:`~repro.diff.differ.diff_by_xid`) — an element deleted and
+put back is a new element, never re-matched by content.  Raw trees and
+different elements have no identity in common, and the content matcher
+pairs them (:func:`~repro.diff.differ.diff`).  The result is the edit
+script *as an XML tree*, so queries returning diffs stay closed over XML.
 """
 
 from __future__ import annotations
 
-from ..diff.differ import diff
+from ..diff.differ import diff, diff_by_xid
 from ..model.identifiers import TEID, XIDAllocator
 from ..model.versioned import stamp_new_nodes
 from ..storage.cursor import ChainReader
@@ -37,19 +42,23 @@ class Diff:
         # cheaper than a second stored anchor.
         readers = {}
         old = self._resolve(first, readers)
-        new = self._resolve(second, readers).copy()
+        new = self._resolve(second, readers)
+        if (isinstance(first, TEID) and isinstance(second, TEID)
+                and first.eid == second.eid):
+            # Two versions of one element: the stored XIDs are the identity.
+            return diff_by_xid(old, new)
         if any(node.xid is None for node in old.iter()):
             # Standalone use on raw trees: stamp a private copy so the
             # differ has identities to work with.
             old = old.copy()
             stamp_new_nodes(old, XIDAllocator(), 0)
-        allocator = XIDAllocator(_max_xid(old, new) + 1)
-        return diff(old, new, allocator)
+        return diff(old, new.copy())
 
     def _resolve(self, source, readers):
         """The tree to diff: an element as it is, a TEID as a *shared,
-        read-only* subtree (the differ never mutates its old side and
-        :meth:`script` copies the new one)."""
+        read-only* subtree (neither differ mutates its old side,
+        :func:`diff_by_xid` neither its new one, and :meth:`script` copies
+        the new one it gives :func:`diff`)."""
         if isinstance(source, Element):
             return source
         if not isinstance(source, TEID):
@@ -74,11 +83,3 @@ class Diff:
             return Reconstruct(self.store, source).run()
         return node
 
-
-def _max_xid(*trees):
-    highest = 0
-    for tree in trees:
-        for node in tree.iter():
-            if node.xid is not None and node.xid > highest:
-                highest = node.xid
-    return highest

@@ -25,7 +25,7 @@ from ..errors import QueryPlanError
 from ..model.identifiers import TEID
 from ..operators.diffop import Diff
 from ..operators.lifetime import CreTime, DelTime
-from ..operators.navigation import next_teid, previous_teid
+from ..operators.navigation import next_ts, previous_ts
 from ..xmlcore.node import Element
 from .ast import (
     AGGREGATES,
@@ -170,16 +170,16 @@ class Evaluator:
 
     def _fn_previous(self, args, row):
         bound = self._bound_arg(args, row, "PREVIOUS")
-        teid = previous_teid(self.engine.store, bound.teid)
-        return self._navigate(bound, teid)
+        ts = previous_ts(self.engine.store, bound.teid)
+        return self._navigate(bound, ts)
 
     def _fn_next(self, args, row):
         bound = self._bound_arg(args, row, "NEXT")
-        teid = next_teid(self.engine.store, bound.teid)
+        ts = next_ts(self.engine.store, bound.teid)
         pin = self.engine.pinned_now
-        if pin is not None and teid is not None and teid.timestamp > pin:
-            teid = None  # the successor version is after the snapshot pin
-        return self._navigate(bound, teid)
+        if pin is not None and ts is not None and ts > pin:
+            ts = None  # the successor version is after the snapshot pin
+        return self._navigate(bound, ts)
 
     def _fn_current(self, args, row):
         """CURRENT(R): the element in the document's version at
@@ -190,19 +190,20 @@ class Evaluator:
         )
         if entry is None:
             return None
-        return self._navigate(bound, TEID(bound.doc_id, bound.teid.xid,
-                                          entry.timestamp))
+        return self._navigate(bound, entry.timestamp)
 
-    def _navigate(self, bound, teid):
-        if teid is None:
+    def _navigate(self, bound, ts):
+        """``bound``'s element in the document's version stamped ``ts``;
+        ``None`` for no version, and for a version without the element
+        (one that comes before its creation or after its deletion)."""
+        if ts is None:
             return None
-        dindex = self.engine.store.delta_index(teid.doc_id)
+        dindex = self.engine.store.delta_index(bound.doc_id)
         target = BoundElement(
-            self.engine.store, teid,
-            dindex.validity(dindex.version_at(teid.timestamp)),
+            self.engine.store, TEID(bound.doc_id, bound.teid.xid, ts),
+            dindex.validity(dindex.version_at(ts)),
             cache=self.engine.active_cache,
         )
-        # The element may not exist in the navigated-to version.
         if target.try_tree() is None:
             return None
         return target
@@ -222,6 +223,8 @@ class Evaluator:
             value = value[0] if value else None
         if value is None:
             return None
+        if isinstance(value, BoundElement):
+            return value.teid  # so two versions of one element diff by XID
         node = as_node(value)
         if not isinstance(node, Element):
             raise QueryPlanError("DIFF operands must be elements")

@@ -470,10 +470,14 @@ class TestLayoutAgainstReference:
         ([("create", 1, 100, "<a>gold</a>"), ("create", 2, 200, "<a>gold</a>"),
           ("delete", 2, 300, None), ("delete", 1, 250, None)],
          "end"),
+        # No word is filed out of its own order: only the events are.
+        ([("create", 1, 100, "<a>gold</a>"), ("create", 2, 300, "<a>tin</a>"),
+          ("update", 1, 200, "<a>tin</a>")],
+         "event"),
     ])
     def test_out_of_order_filing_raises(self, events, what):
-        """A start or end earlier than the word's last one is refused:
-        every feeder hands the index its events in commit order."""
+        """An event earlier than the last one is refused before anything
+        changes: every feeder hands the index its events in commit order."""
         fti = TemporalFullTextIndex()
         allocators = {1: XIDAllocator(), 2: XIDAllocator()}
 
@@ -488,5 +492,14 @@ class TestLayoutAgainstReference:
         *ordered, late = events
         for event in ordered:
             commit(*event)
-        with pytest.raises(TimeError, match=f"posting {what} "):
+
+        def state():
+            words = ("gold", "tin")
+            return ([(fti.lookup(w), fti.lookup_t(w, 250), fti.lookup_h(w))
+                     for w in words],
+                    {doc: triples.tolist() for doc, triples in fti._open.items()})
+
+        before = state()
+        with pytest.raises(TimeError, match=f"{late[0]} at {late[2]} is earlier"):
             commit(*late)
+        assert state() == before

@@ -13,7 +13,7 @@ from repro.errors import (
 )
 from repro.query.parser import parse_query
 
-from tests.conftest import JAN_01
+from tests.conftest import JAN_01, JAN_31
 
 
 class TestErrorHierarchy:
@@ -129,6 +129,22 @@ class TestFunctionEdgeCases:
             'WHERE R/name = "Akropolis"'
         )
         assert result.rows[0]["NEXT(R)"] is None
+
+    @pytest.mark.parametrize("pin", [None, JAN_31])
+    @pytest.mark.parametrize("function", ["PREVIOUS", "NEXT"])
+    def test_akropolis_has_no_neighbouring_version(self, figure1_db,
+                                                   function, pin):
+        # Akropolis lives in the 15/01 version only, which both neighbours
+        # of Napoli's 15/01 version lack; the tip pin changes nothing.
+        figure1_db.engine.pinned_now = pin
+        rows = figure1_db.query(
+            f'SELECT R/name, {function}(R) '
+            'FROM doc("guide.com")[15/01/2001]/restaurant R'
+        ).rows
+        found = {row["R/name"][0].node.text: row[f"{function}(R)"]
+                 for row in rows}
+        assert found["Akropolis"] is None
+        assert found["Napoli"] is not None
 
 
 class TestComparisonEdgeCases:
