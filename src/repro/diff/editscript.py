@@ -248,12 +248,15 @@ class EditScript:
         """Approximate stored size of the *completed delta*.
 
         Real systems (Xyleme's deltas, RCS-style scripts) store deltas in a
-        compact binary form — here :func:`repro.storage.binfmt.write_script`,
-        which is what the commit journal and the CAS backend put on disk —
-        so the space model charges a small fixed header per operation plus
-        the actual content bytes (payload text, old/new values); the
-        verbose XML closure form from :meth:`to_xml` is a query *result*
-        representation, not the storage format.
+        compact binary form — here the repository holds each completed
+        delta with its payloads in the binary node encoding, and the
+        commit journal and the CAS put its redo half on disk
+        (:func:`repro.storage.binfmt.write_redo`), completed again on load
+        — so the space model charges a small fixed header per operation
+        plus the actual content bytes (payload text, old/new values) of
+        the completed delta; the verbose XML closure form from
+        :meth:`to_xml` is a query *result* representation, not the
+        storage format.
         """
         total = 16  # delta envelope: version numbers + timestamps
         for op in self.ops:

@@ -3,8 +3,9 @@
 "In order to generate the difference between elements, an XML difference
 algorithm with the subtrees rooted at the elements as input can be used."
 
-Accepts TEIDs (reconstructed through the store) or raw element trees; the
-two inputs "can be versions of the same element, but can also represent
+Accepts TEIDs (reconstructed through the store), TEIDs paired with the
+subtree a caller already read for them, or raw element trees; the two
+inputs "can be versions of the same element, but can also represent
 different documents or subtrees".  Identity decides the algorithm: two
 TEIDs of one EID share their stored XIDs, so the script is built from
 those (:func:`~repro.diff.differ.diff_by_xid`) — an element deleted and
@@ -35,15 +36,17 @@ class Diff:
         return self.script(first, second).to_xml()
 
     def script(self, first, second):
-        """Same, but as the structured :class:`EditScript`."""
+        """Same, but as the structured :class:`EditScript`.  An operand
+        given as a ``(TEID, subtree)`` pair is not read again: the subtree
+        is that element version, shared and read-only."""
         # doc_id -> ChainReader: two TEIDs of one document read its chain
         # once, and two versions of one element are two seeks of one
         # cursor — it walks on from the first when the connecting chain is
         # cheaper than a second stored anchor.
         readers = {}
-        old = self._resolve(first, readers)
-        new = self._resolve(second, readers)
-        if (isinstance(first, TEID) and isinstance(second, TEID)
+        first, old = self._resolve(first, readers)
+        second, new = self._resolve(second, readers)
+        if (first is not None and second is not None
                 and first.eid == second.eid):
             # Two versions of one element: the stored XIDs are the identity.
             return diff_by_xid(old, new)
@@ -55,11 +58,14 @@ class Diff:
         return diff(old, new.copy())
 
     def _resolve(self, source, readers):
-        """The tree to diff: an element as it is, a TEID as a *shared,
-        read-only* subtree (neither differ mutates its old side,
+        """``(TEID or None, tree to diff)``: an element as it is, a TEID as
+        a *shared, read-only* subtree (neither differ mutates its old side,
         :func:`diff_by_xid` neither its new one, and :meth:`script` copies
-        the new one it gives :func:`diff`)."""
+        the new one it gives :func:`diff`), a ``(TEID, subtree)`` pair as
+        it is."""
         if isinstance(source, Element):
+            return None, source
+        if isinstance(source, tuple):
             return source
         if not isinstance(source, TEID):
             raise TypeError(
@@ -80,6 +86,6 @@ class Diff:
             node = reader.cursor(source.xid).seek(entry.number)
         if node is None:
             # No such version or element: Reconstruct raises the one error.
-            return Reconstruct(self.store, source).run()
-        return node
+            return source, Reconstruct(self.store, source).run()
+        return source, node
 

@@ -215,16 +215,21 @@ class Evaluator:
         second = self._diff_operand(args[1], row)
         if first is None or second is None:
             return None
-        return Diff(self.engine.store).run(first, second)
+        # A binding goes in as its TEID, so two versions of one element
+        # diff by XID, with the subtree it holds, which is not read again.
+        operands = [
+            (value.teid, value.tree) if isinstance(value, BoundElement)
+            else value
+            for value in (first, second)
+        ]
+        return Diff(self.engine.store).run(*operands)
 
     def _diff_operand(self, expr, row):
         value = self.eval(expr, row)
         if isinstance(value, list):
             value = value[0] if value else None
-        if value is None:
-            return None
-        if isinstance(value, BoundElement):
-            return value.teid  # so two versions of one element diff by XID
+        if value is None or isinstance(value, BoundElement):
+            return value
         node = as_node(value)
         if not isinstance(node, Element):
             raise QueryPlanError("DIFF operands must be elements")

@@ -16,9 +16,10 @@ Everything is written through :class:`Writer` / read through
 * UTF-8 strings and byte blobs prefixed by their varint length;
 * one kind byte per polymorphic record (node kind, edit-op kind).
 
-An edit script has two forms: the completed delta (:func:`write_script`),
-which the CAS stores, and its redo half (:func:`write_redo`), which the
-commit journal writes and replay completes from the version it applies to.
+An edit script is written in its redo half (:func:`write_redo`): the
+commit journal and the CAS keep it, and replay or a checkpoint load
+completes it from the version it applies to.  The completed delta
+(:func:`read_script`) is read from what older releases wrote.
 
 The node encoding, :class:`Writer` and :class:`Reader` live in
 :mod:`~repro.xmlcore.codec`, because stored edit scripts hold their payload
@@ -81,34 +82,27 @@ def decode_tree(data):
 # -- edit scripts --------------------------------------------------------------
 
 
-def write_script(w, script):
-    """Encode an :class:`EditScript` (ops + version timestamps).
+def write_redo(w, script):
+    """Encode the redo form of a completed :class:`EditScript`: what the
+    commit journal and the CAS keep, and all that applying it forward
+    reads.
 
     Operations are written one record each, except that consecutive
     ``StampOp``s ascending in XID — what a commit emits for the ancestors
-    of its changes — share one ``_OP_STAMPS`` record: per distinct
-    ``(old_ts, new_ts)`` the pair once, then its XIDs as the distance of
-    each from the one before (the first from -1, so no distance is 0).
-    """
-    _write_ops(w, script, redo=False)
-
-
-def write_redo(w, script):
-    """Encode the redo form of a completed :class:`EditScript`: what the
-    commit journal keeps, and all that applying it forward reads.
-
-    The layout is :func:`write_script`'s except for three records: a
-    delete carries its victim's XID instead of the subtree, a root
-    replacement the old root's XID instead of its payload, and a stamp —
-    alone or in a run, grouped by ``new_ts`` — no old timestamp.
+    of its changes — share one ``_OP_STAMPS`` record: per distinct new
+    timestamp the timestamp once, then its XIDs as the distance of each
+    from the one before (the first from -1, so no distance is 0).  Three
+    records drop what the version the script applies to holds: a delete
+    carries its victim's XID instead of the subtree, a root replacement the
+    old root's XID instead of its payload, and a stamp no old timestamp.
     :func:`read_redo` reads it back as ``Redo*`` operations, which
     :func:`~repro.diff.apply.apply_script` completes from the tree the
     script applies to.
+
+    The completed form (:func:`read_script`) has the same layout with the
+    subtrees and old timestamps in place; only stores written by older
+    releases hold it.
     """
-    _write_ops(w, script, redo=True)
-
-
-def _write_ops(w, script, redo):
     w.opt_u(script.from_ts)
     w.opt_u(script.to_ts)
     ops = script.ops
@@ -117,10 +111,10 @@ def _write_ops(w, script, redo):
     while at < len(ops):
         end = _stamp_run_end(ops, at)
         if end - at > 1:
-            _write_stamp_run(w, ops[at:end], redo)
+            _write_stamp_run(w, ops[at:end])
             at = end
         else:
-            _write_op(w, ops[at], redo)
+            _write_op(w, ops[at])
             at += 1
 
 
@@ -139,16 +133,14 @@ def _stamp_run_end(ops, start):
     return end
 
 
-def _write_stamp_run(w, stamps, redo):
+def _write_stamp_run(w, stamps):
     groups = {}
     for op in stamps:
-        key = (op.new_ts,) if redo else (op.old_ts, op.new_ts)
-        groups.setdefault(key, []).append(op.xid)
+        groups.setdefault(op.new_ts, []).append(op.xid)
     w.byte(_OP_STAMPS)
     w.u(len(groups))
-    for key, xids in groups.items():
-        for ts in key:
-            w.u(ts)
+    for new_ts, xids in groups.items():
+        w.u(new_ts)
         w.u(len(xids))
         last = -1
         for xid in xids:
@@ -156,7 +148,7 @@ def _write_stamp_run(w, stamps, redo):
             last = xid
 
 
-def _write_op(w, op, redo=False):
+def _write_op(w, op):
     if isinstance(op, InsertOp):
         w.byte(_OP_INSERT)
         w.u(op.parent_xid)
@@ -166,10 +158,7 @@ def _write_op(w, op, redo=False):
         w.byte(_OP_DELETE)
         w.u(op.parent_xid)
         w.u(op.pos)
-        if redo:
-            w.u(op.payload.xid)
-        else:
-            w.raw(op.payload)
+        w.u(op.payload.xid)
     elif isinstance(op, MoveOp):
         w.byte(_OP_MOVE)
         w.u(op.xid)
@@ -191,15 +180,10 @@ def _write_op(w, op, redo=False):
     elif isinstance(op, StampOp):  # one outside any ascending run
         w.byte(_OP_STAMP)
         w.u(op.xid)
-        if not redo:
-            w.u(op.old_ts)
         w.u(op.new_ts)
     elif isinstance(op, ReplaceRootOp):
         w.byte(_OP_REPLACEROOT)
-        if redo:
-            w.u(op.old_payload.xid)
-        else:
-            w.raw(op.old_payload)
+        w.u(op.old_payload.xid)
         w.raw(op.new_payload)
     else:
         raise CorruptArchiveError(
@@ -290,13 +274,6 @@ def _read_stamp_run(r, room, redo):
     return stamps
 
 
-def encode_script(script):
-    """One edit script as standalone bytes."""
-    w = Writer()
-    write_script(w, script)
-    return w.getvalue()
-
-
 def decode_script(data):
     return read_script(Reader(data))
 
@@ -314,31 +291,20 @@ def decode_redo(data):
 
 # -- per-document byte streams -------------------------------------------------
 #
-# A checkpointed document becomes three streams — the current tree, the
-# delta chain, the snapshot materializations — so the CAS layer can store
-# each and attribute stored bytes per kind.  The current tree is one
-# encoded tree.  The delta and snapshot streams are *segments* laid end to
-# end, each ``count, (number, item)*``: a checkpoint appends one segment
-# holding what the stream lacks, the way a commit appends one delta, and
-# never rewrites what an earlier checkpoint stored.  A stream written
-# whole is the one-segment case; an empty stream holds nothing.
+# A checkpointed document's deltas are one stream of *segments* laid end to
+# end, each ``count, (number, redo script)*``: a checkpoint appends one
+# segment holding the deltas the stream lacks, the way a commit appends one
+# delta, and never rewrites what an earlier checkpoint stored.  Stores
+# written by older releases hold completed deltas and snapshot trees in
+# streams of the same layout, read by :func:`decode_delta_stream` and
+# :func:`decode_snapshot_stream`.  An empty stream holds nothing.
 
 
-def encode_delta_segment(record, numbers, tail=None):
-    """One segment of ``record``'s deltas ``numbers`` (see
-    :func:`_segment` for ``tail``)."""
-    return _segment(record.deltas, numbers, write_script, tail)
-
-
-def encode_snapshot_segment(record, numbers, tail=None):
-    """One segment of ``record``'s snapshot trees ``numbers``."""
-    return _segment(record.snapshots, numbers, write_node, tail)
-
-
-def _segment(items, numbers, write_item, tail):
-    """``count, (number, item)*`` over ``numbers``.  ``tail``, when given,
-    is a whole segment already stored; its entries are folded in front
-    of the new ones as they are, without decoding them."""
+def encode_redo_segment(record, numbers, tail=None):
+    """One segment of ``record``'s deltas ``numbers`` in redo form.
+    ``tail``, when given, is a whole segment already stored; its entries
+    are folded in front of the new ones as they are, without decoding
+    them."""
     count = len(numbers)
     w = Writer()
     if tail:
@@ -350,28 +316,29 @@ def _segment(items, numbers, write_item, tail):
         w.u(count)
     for number in numbers:
         w.u(number)
-        write_item(w, items[number])
+        write_redo(w, record.deltas[number])
     return w.getvalue()
 
 
-def decode_delta_stream(data, starts=None):
-    """``{number: EditScript}`` from a delta stream; ``starts``, when a
-    list, receives the offset each segment starts at."""
-    return _read_segments(data, read_script, starts)
+def decode_redo_stream(data):
+    """``{number: EditScript}`` (redo form) from a redo stream."""
+    return _read_segments(data, read_redo)
 
 
-def decode_snapshot_stream(data, starts=None):
-    """``{number: tree}`` from a snapshot stream (see
-    :func:`decode_delta_stream`)."""
-    return _read_segments(data, read_node, starts)
+def decode_delta_stream(data):
+    """``{number: EditScript}`` from a completed-delta stream."""
+    return _read_segments(data, read_script)
 
 
-def _read_segments(data, read_item, starts):
+def decode_snapshot_stream(data):
+    """``{number: tree}`` from a snapshot stream."""
+    return _read_segments(data, read_node)
+
+
+def _read_segments(data, read_item):
     r = Reader(data)
     items = {}
     while not r.exhausted:
-        if starts is not None:
-            starts.append(r.offset)
         for _ in range(r.u()):
             number = r.u()
             if number in items:

@@ -8,18 +8,21 @@ file (and what older releases checkpointed to).  This store (modelled
 on castor's ``casq_core``: ``store.rs`` / ``gc.rs``) is a directory of
 immutable objects keyed by content hash:
 
-* Every checkpointed document becomes three byte streams (current tree,
-  delta chain, snapshots) in the binary encoding of
-  :mod:`~repro.storage.binfmt`, held as objects named by their SHA-256
-  and listed, per stream, in a *document manifest*.  A checkpoint costs
-  what changed since the last one (the paper's append-only model, §7.1):
-  a document whose current version, deletion, next XID and snapshot set
-  are unchanged keeps its manifest hash and is not encoded at all; a
-  changed one stores its current tree as one object and *appends* one
-  segment of the deltas and one of the snapshots it did not store yet to
-  its manifest.  A tail segment under :data:`SEGMENT_FOLD_BYTES` is
-  folded into the next, so a stream holds about one segment per 4 KiB.
-  Storing an object whose hash already exists is free.
+* Every checkpointed document is stored as what the commit journal
+  stores of it: its first version, written once, and its deltas in redo
+  form (:func:`~repro.storage.binfmt.write_redo`), both in the binary
+  encoding of :mod:`~repro.storage.binfmt`, held as objects named by
+  their SHA-256 and listed in a *document manifest* together with the
+  version numbers that have a snapshot.  A checkpoint costs what changed
+  since the last one (the paper's append-only model, §7.1): a document
+  whose current version, deletion, next XID and snapshot set are
+  unchanged keeps its manifest hash and is not encoded at all; a changed
+  one *appends* one segment of the deltas it did not store yet.  A tail
+  segment under :data:`SEGMENT_FOLD_BYTES` is folded into the next, so
+  the stream holds about one segment per 4 KiB.  Loading rolls the first
+  version forward through the deltas, completing each and rebuilding
+  the snapshots and the current version on the way.  Storing an object
+  whose hash already exists is free.
 * Objects above a size threshold are transparently zlib-compressed; a
   per-object CRC32 over the raw content detects torn writes and flipped
   bits, surfacing as :class:`~repro.errors.CorruptArchiveError` naming
@@ -30,14 +33,16 @@ immutable objects keyed by content hash:
   one intact generation.
 * :func:`collect_garbage` is a mark-and-sweep from the retained
   pointers: everything reachable (root manifests → document manifests →
-  stream objects) is live — which by construction is the set {current
-  versions, live snapshots, retained checkpoints} — and every other
-  object is deleted.  Rotating a checkpoint really reclaims bytes.
+  stream objects) is live — which by construction is the set of the
+  retained checkpoints' objects — and every other object is deleted.
+  Rotating a checkpoint really reclaims bytes.
 
-Root manifest format 2 names segmented streams.  Format 1 cut each
-stream, written whole as one segment, into content-defined chunks; its
-chunk list is the one-segment case of the same reader, so a format-1
-directory opens and its lists are extended by new segments.
+Root manifest format 3 is the one written.  Formats 1 and 2 stored each
+document's current tree, completed deltas and snapshot trees as three
+streams (format 1 cut each, written whole, into content-defined chunks;
+format 2 appended segments); they are still read, and a load of one
+publishes nothing, so the first checkpoint after it rewrites every
+document in format 3.
 
 Object file format (after the 4-byte magic)::
 
@@ -59,17 +64,18 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from ..errors import CorruptArchiveError
+from ..diff.apply import apply_script
+from ..errors import CorruptArchiveError, DeltaApplicationError
 from .binfmt import (
     DEFLATE_THRESHOLD,
     Reader,
     Writer,
     decode_delta_stream,
+    decode_redo_stream,
     decode_snapshot_stream,
     decode_tree,
     deflate,
-    encode_delta_segment,
-    encode_snapshot_segment,
+    encode_redo_segment,
     encode_tree,
     inflate,
 )
@@ -83,8 +89,8 @@ OBJECTS_DIR = "objects"
 
 #: CAS root-manifest format version written; :data:`READABLE_VERSIONS`
 #: are read.
-FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 
 #: A stream's last segment smaller than this many raw bytes is folded
 #: into the segment the next checkpoint appends.
@@ -96,8 +102,13 @@ _HEADER = struct.Struct(">II")  # raw length, crc32 of raw content
 #: The first word of a pointer file.
 POINTER_MAGIC = "CASPTR1"
 
-#: Stream kinds a checkpoint stores per document, in encoding order.
-_STREAM_KINDS = ("current", "deltas", "snapshots")
+#: Root format -> the stream kinds a document manifest names, in encoding
+#: order.
+_STREAM_KINDS = {
+    1: ("current", "deltas", "snapshots"),
+    2: ("current", "deltas", "snapshots"),
+    3: ("first", "deltas"),
+}
 
 
 # -- statistics ----------------------------------------------------------------
@@ -335,20 +346,19 @@ class _Stored:
 
     ``key`` is ``(current version, deleted_at, next XID, snapshot
     numbers)`` — a document whose key is unchanged needs nothing written.
-    ``manifests`` is ``(length, [object hashes])`` per stream kind, and
-    ``tails`` the raw length of the delta and snapshot streams' last
-    object when that object is one whole segment (``None`` otherwise).
-    Deltas and snapshots are only ever added, so what a stream lacks is
-    the versions past the stored current one and the snapshot numbers
-    not in the stored set."""
+    ``manifests`` is ``(length, [object hashes])`` for the first version
+    and for the redo-delta stream, and ``tail`` the raw length of the
+    delta stream's last segment (``None`` when it has none).  Deltas are
+    only ever added, so what the stream lacks is the versions past the
+    stored current one."""
 
     key: tuple
     doc_hash: str
     manifests: tuple
-    tails: tuple
+    tail: object
 
 
-_NOTHING = _Stored((0, None, 0, frozenset()), "", ((0, []),) * 3, (None, None))
+_NOTHING = _Stored((0, None, 0, frozenset()), "", ((0, []), (0, [])), None)
 
 
 def _key(record):
@@ -364,7 +374,8 @@ def write_checkpoint(store, objstore, rotate=False):
     """Checkpoint ``store`` into ``objstore``'s directory.
 
     Only documents changed since ``objstore``'s last published
-    checkpoint are written (a fresh object store writes every document).
+    checkpoint are written (a fresh object store, or one that loaded an
+    older format, writes every document).
     Objects land first (invisible until named by a pointer), then the
     pointer file is rotated (when ``rotate``) and atomically replaced —
     two generations, so a crash at any operation leaves a recoverable
@@ -398,47 +409,58 @@ def write_checkpoint(store, objstore, rotate=False):
 
 
 def _write_document(objstore, record, key, stored):
-    """Store what ``record`` gained since ``stored``: its current tree,
-    one delta segment and one snapshot segment, then its manifest."""
+    """Store what ``record`` gained since ``stored``: its first version
+    (at its first checkpoint only) and one segment of redo deltas, then
+    its manifest."""
     number, _deleted_at, _next_xid, snapshots = key
-    was_number, _, _, was_snapshots = stored.key
-    current, deltas, snaps = stored.manifests
-    delta_tail, snap_tail = stored.tails
-    if number != was_number:
-        data = encode_tree(record.current_root)
-        current = (len(data), [objstore.put(data, kind="current")])
-    deltas, delta_tail = _append_segment(
-        objstore, "deltas", deltas, delta_tail,
-        range(max(was_number, 1), number), record, encode_delta_segment,
-    )
-    snaps, snap_tail = _append_segment(
-        objstore, "snapshots", snaps, snap_tail,
-        sorted(snapshots - was_snapshots), record, encode_snapshot_segment,
-    )
-    manifests = (current, deltas, snaps)
+    first, deltas = stored.manifests
+    if not first[1]:
+        data = encode_tree(_first_version(record, number))
+        first = (len(data), [objstore.put(data, kind="first")])
+    numbers = range(max(stored.key[0], 1), number)
+    tail = stored.tail
+    if numbers:
+        deltas, tail = _append_segment(objstore, deltas, tail, record,
+                                       numbers)
+    manifests = (first, deltas)
     doc_hash = objstore.put(
-        _encode_document_meta(record, manifests), kind="checkpoint"
+        _encode_document_meta(record, manifests, sorted(snapshots)),
+        kind="checkpoint",
     )
-    return _Stored(key, doc_hash, manifests, (delta_tail, snap_tail))
+    return _Stored(key, doc_hash, manifests, tail)
 
 
-def _append_segment(objstore, kind, manifest, tail, numbers, record, encode):
-    """``manifest`` with one segment of ``numbers`` appended (the tail
-    segment folded into it when small) and the new tail's length."""
-    if not numbers:
-        return manifest, tail
+def _first_version(record, number):
+    """Version 1 of ``record``, whose current version is ``number``:
+    walked back from its earliest snapshot or its current version through
+    the inverted deltas, without counting a read (a checkpoint is no
+    query)."""
+    start = min(record.snapshots, default=number)
+    tree = record.snapshots[start] if record.snapshots else record.current_root
+    if start == 1:
+        return tree
+    root = tree.copy()
+    index = {node.xid: node for node in root.iter()}
+    for at in range(start - 1, 0, -1):
+        root = apply_script(root, record.deltas[at].invert(), index)
+    return root
+
+
+def _append_segment(objstore, manifest, tail, record, numbers):
+    """``manifest`` with one redo segment of ``numbers`` appended (the
+    tail segment folded into it when small) and the new tail's length."""
     length, hashes = manifest
     folded = None
     if tail is not None and tail < SEGMENT_FOLD_BYTES:
         folded = objstore.get(hashes[-1])
         length -= len(folded)
         hashes = hashes[:-1]
-    segment = encode(record, numbers, folded)
-    hashes = hashes + [objstore.put(segment, kind=kind)]
+    segment = encode_redo_segment(record, numbers, folded)
+    hashes = hashes + [objstore.put(segment, kind="deltas")]
     return (length + len(segment), hashes), len(segment)
 
 
-def _encode_document_meta(record, manifests):
+def _encode_document_meta(record, manifests, snapshots):
     w = Writer()
     w.u(record.doc_id)
     w.s(record.name)
@@ -454,6 +476,9 @@ def _encode_document_meta(record, manifests):
         w.u(len(hashes))
         for object_hash in hashes:
             w.blob(bytes.fromhex(object_hash))
+    w.u(len(snapshots))
+    for number in snapshots:
+        w.u(number)
     return w.getvalue()
 
 
@@ -461,8 +486,8 @@ def _encode_document_meta(record, manifests):
 
 
 def _read_root(data, root_hash, where=None):
-    """``(clock, [document manifest hashes])`` of a root manifest's
-    ``data``."""
+    """``(format, clock, [document manifest hashes])`` of a root
+    manifest's ``data``."""
     r = Reader(data)
     version = r.u()
     if version not in READABLE_VERSIONS:
@@ -471,73 +496,161 @@ def _read_root(data, root_hash, where=None):
             f"{root_hash}", path=where,
         )
     clock_now = r.u()
-    return clock_now, [r.blob().hex() for _ in range(r.u())]
+    return version, clock_now, [r.blob().hex() for _ in range(r.u())]
 
 
-def read_checkpoint(objstore, store=None, pointer=None):
+def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
     """Restore the CAS checkpoint in ``objstore``'s directory into
     ``store`` (see :func:`~repro.storage.persistence.load_store`), which
     is returned.
 
     ``pointer`` names the generation (default ``objstore.pointer``;
-    recovery falls back to ``checkpoint.cas.prev``).  Every
-    object on the path is CRC-verified and every document decoded before
-    the first one is installed; corruption raises
+    recovery falls back to ``checkpoint.cas.prev``).  A format-3 document
+    is rebuilt by rolling its first version forward through its redo
+    deltas, which completes each of them (:func:`~repro.diff.apply.apply_script`),
+    copying the tree at each snapshot number on the way; the tree it ends
+    on is the current version.  Every
+    object on the path is CRC-verified and every document decoded and
+    rolled before the first one is installed; corruption — a redo
+    operation that does not apply included — raises
     :class:`CorruptArchiveError` naming the object hash and leaves
     ``store`` untouched.  On success ``objstore.published`` describes
     the loaded checkpoint, so the next :func:`write_checkpoint` through
-    ``objstore`` writes only what changed after it.
+    ``objstore`` writes only what changed after it; after a format-1 or
+    format-2 checkpoint it describes nothing, so the next one rewrites
+    every document in format 3.  ``first_versions``, a dict when given,
+    then receives ``{doc id: version 1}`` (a tree of its own) of every
+    format-3 document, where
+    :func:`~repro.storage.persistence.replay_history` starts its roll.
     """
     from .persistence import build_record, empty_store, install_records
 
     store = empty_store(store)
     pointer = pointer if pointer is not None else objstore.pointer
     root_hash = read_pointer(pointer, fs=objstore.fs)
-    clock_now, doc_hashes = _read_root(
+    version, clock_now, doc_hashes = _read_root(
         objstore.get(root_hash), root_hash, where=pointer
     )
     records = []
     published = {}
+    firsts = {}
     for doc_hash in doc_hashes:
-        meta = _decode_document_meta(objstore.get(doc_hash), doc_hash)
-        current, deltas, snaps = (
-            _fetch_stream(objstore, doc_hash, kind, length, hashes)
-            for kind, (length, hashes) in zip(
-                _STREAM_KINDS, meta["manifests"]
-            )
+        meta = _decode_document_meta(
+            objstore.get(doc_hash), doc_hash, version
         )
-        delta_starts, snap_starts = [], []
+        if version == FORMAT_VERSION:
+            first, deltas, snapshots, current_root, tail = _roll(
+                objstore, doc_hash, meta
+            )
+        else:
+            first, tail = None, None
+            deltas, snapshots, current_root = _read_completed(
+                objstore, doc_hash, meta
+            )
         record = build_record(
             doc_id=meta["doc_id"],
             name=meta["name"],
             nextxid=meta["nextxid"],
             deleted_at=meta["deleted_at"],
             entries=meta["entries"],
-            deltas=decode_delta_stream(deltas[0], delta_starts),
-            snapshots=decode_snapshot_stream(snaps[0], snap_starts),
-            current_root=decode_tree(current[0]),
+            deltas=deltas,
+            snapshots=snapshots,
+            current_root=current_root,
         )
         records.append(record)
-        published[record.doc_id] = _Stored(
-            _key(record), doc_hash, tuple(meta["manifests"]),
-            (_whole_tail(deltas, delta_starts),
-             _whole_tail(snaps, snap_starts)),
-        )
+        if first is not None:
+            firsts[record.doc_id] = first
+            published[record.doc_id] = _Stored(
+                _key(record), doc_hash, tuple(meta["manifests"]), tail
+            )
     install_records(store, clock_now, records)
     objstore.published = published
+    if first_versions is not None:
+        first_versions.update(firsts)
     return store
 
 
-def _whole_tail(stream, starts):
-    """The raw length of ``stream``'s last object when a segment starts
-    where it does (a format-1 chunk does not), else ``None``."""
-    data, last = stream
-    if last and len(data) - last in starts:
-        return last
-    return None
+def _roll(objstore, doc_hash, meta):
+    """A format-3 document's ``(first version, completed deltas,
+    snapshots, current tree, delta tail length)``; the first version is
+    a copy the roll leaves alone."""
+    (first_length, first_hashes), (length, hashes) = meta["manifests"]
+    data = _fetch_stream(
+        objstore, doc_hash, "first", first_length, first_hashes
+    )
+    where = first_hashes[0] if len(first_hashes) == 1 else doc_hash
+    try:
+        root = decode_tree(data)
+    except CorruptArchiveError as exc:
+        raise CorruptArchiveError(f"object {where}: {exc}") from None
+    scripts, source = {}, {}
+    total, tail = 0, None
+    for object_hash in hashes:
+        data = objstore.get(object_hash)
+        try:
+            segment = decode_redo_stream(data)
+        except CorruptArchiveError as exc:
+            raise CorruptArchiveError(f"object {object_hash}: {exc}") from None
+        twice = segment.keys() & scripts.keys()
+        if twice:
+            raise CorruptArchiveError(
+                f"object {object_hash} holds version {min(twice)} again"
+            )
+        scripts.update(segment)
+        source.update(dict.fromkeys(segment, object_hash))
+        total += len(data)
+        tail = len(data)
+    if total != length:
+        raise CorruptArchiveError(
+            f"document manifest {doc_hash}: deltas stream reassembled to "
+            f"{total} byte(s), expected {length}"
+        )
+    last = len(meta["entries"])
+    if sorted(scripts) != list(range(1, last)):
+        raise CorruptArchiveError(
+            f"document manifest {doc_hash}: {len(scripts)} delta(s) do not "
+            f"connect its {last} version(s)"
+        )
+    wanted = meta["snapshots"]
+    if wanted and not 1 <= wanted[0] <= wanted[-1] <= last:
+        raise CorruptArchiveError(
+            f"document manifest {doc_hash}: snapshot numbers {wanted} "
+            f"outside its {last} version(s)"
+        )
+    first = root.copy()
+    index = {node.xid: node for node in root.iter()}
+    snapshots = {}
+    for number in range(1, last + 1):
+        if number > 1:
+            try:
+                root = apply_script(root, scripts[number - 1], index)
+            except (DeltaApplicationError, CorruptArchiveError) as exc:
+                raise CorruptArchiveError(
+                    f"object {source[number - 1]}: the delta from version "
+                    f"{number - 1} does not apply ({exc})"
+                ) from None
+        if number in wanted:
+            snapshots[number] = root.copy()
+    return first, scripts, snapshots, root, tail
 
 
-def _decode_document_meta(data, doc_hash):
+def _read_completed(objstore, doc_hash, meta):
+    """A format-1/2 document's ``(deltas, snapshots, current tree)``: the
+    three streams older releases wrote, decoded as they are."""
+    current, deltas, snaps = (
+        _fetch_stream(objstore, doc_hash, kind, length, hashes)
+        for kind, (length, hashes) in zip(
+            _STREAM_KINDS[1], meta["manifests"]
+        )
+    )
+    return (
+        decode_delta_stream(deltas),
+        decode_snapshot_stream(snaps),
+        decode_tree(current),
+    )
+
+
+def _decode_document_meta(data, doc_hash, version):
     r = Reader(data)
     meta = {
         "doc_id": r.u(),
@@ -550,10 +663,17 @@ def _decode_document_meta(data, doc_hash):
     for _ in range(r.u()):
         number = r.u()
         meta["entries"].append((number, r.u()))
-    for _kind in _STREAM_KINDS:
+    for _kind in _STREAM_KINDS[version]:
         length = r.u()
         hashes = [r.blob().hex() for _ in range(r.u())]
         meta["manifests"].append((length, hashes))
+    if version == FORMAT_VERSION:
+        snapshots = [r.u() for _ in range(r.u())]
+        if any(a >= b for a, b in zip(snapshots, snapshots[1:])):
+            raise CorruptArchiveError(
+                f"document manifest {doc_hash} lists snapshots out of order"
+            )
+        meta["snapshots"] = snapshots
     if not r.exhausted:
         raise CorruptArchiveError(
             f"document manifest {doc_hash} has trailing bytes"
@@ -562,15 +682,14 @@ def _decode_document_meta(data, doc_hash):
 
 
 def _fetch_stream(objstore, doc_hash, kind, length, hashes):
-    """``(stream bytes, raw length of its last object)``."""
-    parts = [objstore.get(object_hash) for object_hash in hashes]
-    stream = b"".join(parts)
+    """The bytes of a stream that ``hashes`` name, laid end to end."""
+    stream = b"".join(objstore.get(object_hash) for object_hash in hashes)
     if len(stream) != length:
         raise CorruptArchiveError(
             f"document manifest {doc_hash}: {kind} stream reassembled to "
             f"{len(stream)} byte(s), expected {length}"
         )
-    return stream, len(parts[-1]) if parts else 0
+    return stream
 
 
 # -- garbage collection --------------------------------------------------------
@@ -579,9 +698,10 @@ def _fetch_stream(objstore, doc_hash, kind, length, hashes):
 def reachable_hashes(objstore, root_hash):
     """Every object hash reachable from one checkpoint root manifest."""
     live = {root_hash}
-    for doc_hash in _read_root(objstore.get(root_hash), root_hash)[1]:
+    version, _clock, doc_hashes = _read_root(objstore.get(root_hash), root_hash)
+    for doc_hash in doc_hashes:
         live.add(doc_hash)
-        meta = _decode_document_meta(objstore.get(doc_hash), doc_hash)
+        meta = _decode_document_meta(objstore.get(doc_hash), doc_hash, version)
         for _length, hashes in meta["manifests"]:
             live.update(hashes)
     return live
@@ -674,8 +794,10 @@ def kind_breakdown(objstore):
 
     Walks the published pointer's reachable set and attributes every
     object (once — objects shared across streams count where first seen)
-    to ``current`` / ``deltas`` / ``snapshots`` / ``checkpoint``
-    (manifests), returning ``{kind: {objects, stored_bytes, raw_bytes}}``.
+    to ``first`` / ``deltas`` / ``checkpoint`` (manifests), or to
+    ``current`` / ``deltas`` / ``snapshots`` / ``checkpoint`` in an older
+    format's generation, returning ``{kind: {objects, stored_bytes,
+    raw_bytes}}``.
     Unlike :class:`CASStats` — counters over one store's lifetime — this
     reads what is on disk right now, so ``repro stats -d`` reports real
     numbers on a freshly opened directory.  The walk reads through
@@ -703,10 +825,14 @@ def kind_breakdown(objstore):
 
     root_hash = read_pointer(pointer, fs=fs)
     root = add("checkpoint", root_hash)
-    for doc_hash in _read_root(root, root_hash)[1]:
+    version, _clock, doc_hashes = _read_root(root, root_hash)
+    for doc_hash in doc_hashes:
         # A manifest names its document's id: no other object shares it.
-        meta = _decode_document_meta(add("checkpoint", doc_hash), doc_hash)
-        for kind, (_length, hashes) in zip(_STREAM_KINDS, meta["manifests"]):
+        meta = _decode_document_meta(
+            add("checkpoint", doc_hash), doc_hash, version
+        )
+        kinds = _STREAM_KINDS[version]
+        for kind, (_length, hashes) in zip(kinds, meta["manifests"]):
             for object_hash in hashes:
                 add(kind, object_hash)
     return breakdown

@@ -156,7 +156,8 @@ def empty_store(store=None):
     return store
 
 
-def load_store(source, store=None, verify=True, fs=None, objstore=None):
+def load_store(source, store=None, verify=True, fs=None, objstore=None,
+               first_versions=None):
     """Restore an archive (or, for recovery, a checkpoint) into ``store``;
     returns it.
 
@@ -165,9 +166,12 @@ def load_store(source, store=None, verify=True, fs=None, objstore=None):
     recovery alone (:meth:`~repro.db.TemporalXMLDatabase.open`), which
     passes the directory's ``objstore``: ``source`` is then the pointer
     file of the generation to read through it (every object
-    hash-verified on the way in), and ``objstore.published`` then
-    describes the loaded checkpoint.  Without ``objstore`` a directory or
-    a pointer file is a :class:`StorageError` naming ``open()``.
+    hash-verified on the way in), ``objstore.published`` then
+    describes the loaded checkpoint, and ``first_versions`` (a dict, when
+    given) receives what :func:`replay_history` starts from (see
+    :func:`~repro.storage.cas.read_checkpoint`).  Without ``objstore`` a
+    directory or a pointer file is a :class:`StorageError` naming
+    ``open()``.
     ``store`` is an empty :class:`TemporalDocumentStore` the caller built
     with whatever tuning it wants (default: a default-configured one).
     Document ids, XIDs, version numbers, timestamps, content and the
@@ -183,7 +187,8 @@ def load_store(source, store=None, verify=True, fs=None, objstore=None):
     if objstore is not None:
         from .cas import read_checkpoint
 
-        return read_checkpoint(objstore, store=store, pointer=str(source))
+        return read_checkpoint(objstore, store=store, pointer=str(source),
+                               first_versions=first_versions)
     store = empty_store(store)
     archive, path = _as_archive(source, verify=verify, fs=fs)
     if archive.get("format") != FORMAT_VERSION:
@@ -270,20 +275,23 @@ def build_record(
     return record
 
 
-def replay_history(store, observers):
+def replay_history(store, observers, first_versions=None):
     """Re-fire every commit event against ``observers`` (index rebuild).
 
     Events are replayed in global ``(timestamp, doc_id)`` order across
     documents, exactly as the original commits happened, using the stored
-    deltas to roll each document forward from its first version.  The
+    deltas to roll each document forward from its first version:
+    ``first_versions[doc_id]`` (a tree replay may roll in place, what a
+    checkpoint load hands over) when there, reconstructed otherwise.  The
     per-document event streams are merged lazily, and each stream rolls
     one tree in place, so one tree per document is alive at any time and
     no version is copied.  Observers borrow ``event.root`` for the call
     only (it changes under them afterwards) and replayed updates carry no
     ``old_root``; a document's ``delete`` event carries its final tree.
     """
+    first_versions = first_versions or {}
     streams = [
-        _document_events(store, record)
+        _document_events(store, record, first_versions.get(record.doc_id))
         for record in store.repository.records()
     ]
     for event in heapq.merge(
@@ -293,9 +301,9 @@ def replay_history(store, observers):
             observer.document_committed(event)
 
 
-def _document_events(store, record):
+def _document_events(store, record, first):
     entries = record.dindex.entries
-    root = store.repository.reconstruct(record, 1)
+    root = store.repository.reconstruct(record, 1) if first is None else first
     yield CommitEvent(
         "create", record.doc_id, record.name, 1, entries[0].timestamp,
         root=root,

@@ -12,9 +12,12 @@
    that exists and passes verification; one that fails (torn write,
    flipped bit) leaves the store untouched.  With none, the store stays
    empty (the journal then carries the full history).
+   Loading a CAS checkpoint rolls each document forward from its first
+   version through its redo deltas, completing them.
 2. **Index replay.**  Re-fire the checkpointed commit history through the
    given observers via the existing :func:`~repro.storage.persistence.replay_history`
-   path — recovery rebuilds indexes exactly the way a plain load does.
+   path — recovery rebuilds indexes exactly the way a plain load does,
+   each document starting from the first version the checkpoint held.
 3. **Journal tail.**  Scan ``journal.bin.prev`` then ``journal.bin``
    tolerantly; every record already contained in the checkpoint is skipped
    (records are idempotent — keyed by document id and version number), the
@@ -90,6 +93,7 @@ def recover_store(objstore, store=None, observers=(), repair=True):
         )
         for suffix, label in (("", "checkpoint"), (PREV_SUFFIX, "previous"))
     ]
+    first_versions = {}  # where the CAS checkpoint's roll started
     for path, label, fmt in candidates:
         if not fs.exists(path):
             continue
@@ -99,6 +103,7 @@ def recover_store(objstore, store=None, observers=(), repair=True):
             load_store(
                 path, store=store, fs=fs,
                 objstore=objstore if fmt == "cas" else None,
+                first_versions=first_versions,
             )
         except (StorageError, OSError) as exc:
             report.checkpoint_errors.append(f"{label}: {exc}")
@@ -107,7 +112,7 @@ def recover_store(objstore, store=None, observers=(), repair=True):
         report.storage = fmt
         break
     if observers:
-        replay_history(store, observers)
+        replay_history(store, observers, first_versions)
     replay_journals(store, objstore, observers, repair, report)
     report.documents = len(store.repository.records())
     return store, report

@@ -9,15 +9,26 @@
 * :func:`absolute_bytes` and :func:`absolute_script` — the node encoding
   with every XID and timestamp written absolute (kinds ``0x01``/``0x02``
   only), as the codec wrote every node before stamps that follow the tree
-  were left implied; fingerprints recorded then are taken through it.
+  were left implied; fingerprints recorded then are taken through it;
+* :func:`write_script` and :func:`encode_script` — an edit script in its
+  completed form, as older releases wrote it to the CAS and the v2
+  journal (``binfmt.read_script`` reads it); stored deltas are
+  fingerprinted through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.diff.editscript import DeleteOp, EditScript, InsertOp, ReplaceRootOp
+from repro.diff.editscript import (
+    DeleteOp,
+    EditScript,
+    InsertOp,
+    ReplaceRootOp,
+    StampOp,
+)
 from repro.errors import IdentityError
+from repro.storage import binfmt
 from repro.operators.relational import INTERVAL_KEY
 from repro.xmlcore.codec import PackedNode, Writer
 from repro.xmlcore.node import Element, Text
@@ -152,3 +163,58 @@ def absolute_script(script):
 
 def _absolute(payload):
     return PackedNode(absolute_bytes(payload.tree()))
+
+
+def encode_script(script):
+    """One edit script in its completed form as standalone bytes."""
+    w = Writer()
+    write_script(w, script)
+    return w.getvalue()
+
+
+def write_script(w, script):
+    """Encode ``script`` in its completed form: ``binfmt.write_redo``'s
+    layout with the deleted subtree, the replaced root's payload and each
+    stamp's old timestamp in place (a stamp run groups its XIDs by
+    ``(old_ts, new_ts)``)."""
+    w.opt_u(script.from_ts)
+    w.opt_u(script.to_ts)
+    ops = script.ops
+    w.u(len(ops))
+    at = 0
+    while at < len(ops):
+        end = binfmt._stamp_run_end(ops, at)
+        if end - at > 1:
+            groups = {}
+            for op in ops[at:end]:
+                groups.setdefault((op.old_ts, op.new_ts), []).append(op.xid)
+            w.byte(binfmt._OP_STAMPS)
+            w.u(len(groups))
+            for (old_ts, new_ts), xids in groups.items():
+                w.u(old_ts)
+                w.u(new_ts)
+                w.u(len(xids))
+                last = -1
+                for xid in xids:
+                    w.u(xid - last)
+                    last = xid
+            at = end
+            continue
+        op = ops[at]
+        at += 1
+        if isinstance(op, DeleteOp):
+            w.byte(binfmt._OP_DELETE)
+            w.u(op.parent_xid)
+            w.u(op.pos)
+            w.raw(op.payload)
+        elif isinstance(op, StampOp):
+            w.byte(binfmt._OP_STAMP)
+            w.u(op.xid)
+            w.u(op.old_ts)
+            w.u(op.new_ts)
+        elif isinstance(op, ReplaceRootOp):
+            w.byte(binfmt._OP_REPLACEROOT)
+            w.raw(op.old_payload)
+            w.raw(op.new_payload)
+        else:  # one layout in both forms
+            binfmt._write_op(w, op)

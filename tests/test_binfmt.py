@@ -13,11 +13,11 @@ from repro.storage.binfmt import (
     decode_script,
     decode_tree,
     deflate,
-    encode_script,
     encode_tree,
     inflate,
 )
 from repro.xmlcore import parse, serialize
+from tests.references import encode_script
 
 
 def test_attributes_round_trip_in_order():

@@ -174,9 +174,9 @@ class TestCheckpointRoundTrip:
 
     def test_near_identical_checkpoints_dedup(self, tmp_path, monkeypatch):
         """A checkpoint costs what changed: after one commit to one of
-        three documents it encodes that document's new version and delta
-        only, and stores its current tree, one delta segment, its manifest
-        and the root; with nothing changed it stores nothing new."""
+        three documents it encodes that document's new delta only, and
+        stores one delta segment, its manifest and the root; with nothing
+        changed it stores nothing new."""
         import repro.storage.binfmt as binfmt
         import repro.storage.cas as cas
 
@@ -191,15 +191,15 @@ class TestCheckpointRoundTrip:
 
         encoded, scripts, puts = [], [], []
         real_put = CASObjectStore.put
-        real_write_script = binfmt.write_script
+        real_write_redo = binfmt.write_redo
 
         def counting_put(store, data, kind="object"):
             puts.append(kind)
             return real_put(store, data, kind=kind)
 
-        def counting_write_script(w, script):
+        def counting_write_redo(w, script):
             scripts.append(script)
-            real_write_script(w, script)
+            real_write_redo(w, script)
 
         def counting_encoder(name):
             real = getattr(cas, name)
@@ -211,18 +211,17 @@ class TestCheckpointRoundTrip:
             monkeypatch.setattr(cas, name, encode)
 
         monkeypatch.setattr(CASObjectStore, "put", counting_put)
-        monkeypatch.setattr(binfmt, "write_script", counting_write_script)
-        for name in ("encode_tree", "encode_delta_segment",
-                     "encode_snapshot_segment"):
+        monkeypatch.setattr(binfmt, "write_redo", counting_write_redo)
+        for name in ("encode_tree", "encode_redo_segment"):
             counting_encoder(name)
 
         db.update("b.xml", gen.evolve("b.xml"))
         written = objstore.stats.objects_written
         write_checkpoint(db.store, objstore, rotate=True)
-        assert encoded == ["encode_tree", "encode_delta_segment"]
+        assert encoded == ["encode_redo_segment"]
         assert len(scripts) == 1
-        assert puts == ["current", "deltas", "checkpoint", "checkpoint"]
-        assert objstore.stats.objects_written - written == 4
+        assert puts == ["deltas", "checkpoint", "checkpoint"]
+        assert objstore.stats.objects_written - written == 3
 
         del encoded[:], scripts[:], puts[:]
         written = objstore.stats.objects_written
@@ -379,7 +378,7 @@ class TestDatabaseIntegration:
         assert backend["raw_bytes"] >= backend["stored_bytes"] > 0
         assert backend["dedup_ratio"] >= 1.0
         assert backend["disk_bytes"] == storage_size(db.checkpointer.objstore)
-        for kind in ("current", "deltas", "snapshots", "checkpoint"):
+        for kind in ("first", "deltas", "checkpoint"):
             assert kind in backend["by_kind"], kind
         assert stats["logical"]["total"] > 0
         # The registry sees the same counters under the "cas" prefix.

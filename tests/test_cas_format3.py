@@ -1,0 +1,296 @@
+"""CAS root format 3: first versions plus redo deltas, rolled on load.
+
+A format-3 checkpoint stores each document's first version once and its
+deltas in redo form; a load rolls the first version forward, completing
+every delta and copying the tree at each listed snapshot number.  These
+tests hold that layout against a crash at every filesystem operation of a
+checkpoint and of its GC, against hostile objects (each one a typed error
+naming the object, the store left untouched and recovery falling back to
+``checkpoint.cas.prev``), and against every directory fixture an older
+release wrote: each opens to its recorded archive digest, and its next
+checkpoint is format 3 throughout.
+
+``tests/data/cas_v2`` is a format-2 directory: two checkpoints (so a
+``.prev`` generation), snapshots, a deleted document and a journal tail
+past the newest checkpoint.  Regenerate from an export of commit
+``dd2604b``, with ``PYTHONPATH=src``::
+
+    from repro import TemporalXMLDatabase
+    from repro.workload.tdocgen import TDocGenerator
+    gen = TDocGenerator(seed=41, depth=2, fanout=(2, 4))
+    db = TemporalXMLDatabase.open("cas_v2", durability="fsync",
+                                  snapshot_interval=4)
+    for name in ("a.xml", "b.xml", "c.xml"):
+        db.put(name, gen.document(name))
+    for _ in range(3):
+        for name in ("a.xml", "b.xml"):
+            for _ in range(3):
+                db.update(name, gen.evolve(name))
+        db.checkpoint()
+    db.delete("c.xml")
+    db.update("a.xml", gen.evolve("a.xml"))
+    db.close()
+"""
+
+import hashlib
+import re
+import shutil
+from pathlib import Path
+
+import pytest
+
+import repro.storage.binfmt as binfmt
+import repro.storage.cas as cas
+from repro import TemporalXMLDatabase
+from repro.diff.editscript import DeleteOp, EditScript, StampOp
+from repro.errors import CorruptArchiveError
+from repro.storage.cas import (
+    CAS_POINTER_FILE,
+    FORMAT_VERSION,
+    CASObjectStore,
+    kind_breakdown,
+    read_checkpoint,
+    read_pointer,
+)
+from repro.storage.persistence import archive_bytes, build_archive
+from repro.storage.store import TemporalDocumentStore
+from repro.workload.tdocgen import TDocGenerator
+from repro.xmlcore.node import Element
+from tests.faults import CrashError, FaultyFS, tree_digest
+
+DATA = Path(__file__).parent / "data"
+
+#: fixture -> sha256 of ``archive_bytes(build_archive(store))`` after
+#: ``open(copy, durability="none")``, as the release that wrote it read it.
+FIXTURES = {
+    "cas_v1": "a26aca48e6a9654c8fa72dfa2969ec01"
+              "cd4d0c3f9c8fbc460f7ee8a0d44e31c0",
+    "cas_v2": "279dc6bff4f5fd5554eb3abc74a88ad4"
+              "8e50d159885dab62f658c7d2ddf43c1e",
+    "xml_dir_v1": "6c156a21a3a6f31307d2bbac824f2740"
+                  "a27077ff73947c54373c22506db872ac",
+    "journal_v1": "8e97944e32dd431908a68e1725059d99"
+                  "5ca589884649aa1aefe59f0cac39f105",
+    "journal_v2": "9612a765d035fb204dbfae717932b2d6"
+                  "f4835ef655088234a30c16ddc50cdbf9",
+}
+
+
+def digest(store):
+    return hashlib.sha256(archive_bytes(build_archive(store))).hexdigest()
+
+
+def root_format(directory):
+    objstore = CASObjectStore(directory)
+    pointer = str(Path(directory) / CAS_POINTER_FILE)
+    return objstore.get(read_pointer(pointer))[0]
+
+
+def stamped(tag, xid):
+    node = Element(tag)
+    node.xid, node.tstamp = xid, 1
+    return node
+
+
+# -- older directories ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_a_fixture_opens_and_its_next_checkpoint_is_format_3(name, tmp_path):
+    directory = tmp_path / name
+    shutil.copytree(DATA / name, directory)
+    db = TemporalXMLDatabase.open(directory, durability="journal")
+    assert digest(db.store) == FIXTURES[name]
+    db.checkpoint()
+    assert root_format(directory) == FORMAT_VERSION
+    # Every document was rewritten: nothing of an older format is reached.
+    assert sorted(kind_breakdown(db.checkpointer.objstore)) == [
+        "checkpoint", "deltas", "first",
+    ]
+    published = db.checkpointer.objstore.published
+    assert sorted(published) == sorted(
+        record.doc_id for record in db.store.repository.records()
+    )
+    db.close()
+    again = TemporalXMLDatabase.open(directory, durability="none")
+    assert again.recovery.checkpoint_source == "checkpoint"
+    assert digest(again.store) == FIXTURES[name]
+
+
+def test_a_format_2_load_publishes_nothing(tmp_path):
+    directory = tmp_path / "db"
+    shutil.copytree(DATA / "cas_v2", directory)
+    objstore = CASObjectStore(directory)
+    store = read_checkpoint(objstore)
+    assert objstore.published == {}
+    assert [r.name for r in store.repository.records()] == [
+        "a.xml", "b.xml", "c.xml",
+    ]
+
+
+def test_a_crash_in_the_upgrading_checkpoint_reopens_the_same(tmp_path):
+    """The first checkpoint after a format-2 load: a crash at any of its
+    operations (objects, pointer rotation, journal roll, the GC that
+    walks both formats) reopens the fixture's store."""
+    probe = FaultyFS()
+    directory = tmp_path / "probe"
+    shutil.copytree(DATA / "cas_v2", directory)
+    db = TemporalXMLDatabase.open(directory, durability="none", fs=probe)
+    before = probe.ops
+    db.checkpoint()
+    total = probe.ops
+    assert total - before > 10
+    for k in range(before + 1, total + 1):
+        directory = tmp_path / f"crash-{k}"
+        shutil.copytree(DATA / "cas_v2", directory)
+        fs = FaultyFS()
+        db = TemporalXMLDatabase.open(directory, durability="none", fs=fs)
+        fs.crash_at = k
+        with pytest.raises(CrashError):
+            db.checkpoint()
+        again = TemporalXMLDatabase.open(directory, durability="none")
+        assert digest(again.store) == FIXTURES["cas_v2"], k
+
+
+# -- a crash inside a format-3 checkpoint ------------------------------------------
+
+
+def test_a_crash_at_every_operation_of_a_checkpoint_and_its_gc(tmp_path):
+    """The third checkpoint appends segments, folds small tails and adds
+    a first version; its GC sweeps what only the first one reached.  A
+    crash at any of those operations reopens the whole history (every
+    commit is in a journal), and the next checkpoint reopens it too."""
+
+    def prepare(directory, fs):
+        gen = TDocGenerator(seed=17, depth=2, fanout=(2, 3))
+        db = TemporalXMLDatabase.open(
+            directory, durability="fsync", fs=fs, snapshot_interval=3
+        )
+        for name in ("a.xml", "b.xml"):
+            db.put(name, gen.document(name))
+        for _ in range(2):
+            db.checkpoint()
+            for _ in range(2):
+                for name in ("a.xml", "b.xml"):
+                    db.update(name, gen.evolve(name))
+        db.put("c.xml", gen.document("c.xml"))
+        db.delete("b.xml")
+        return db
+
+    probe = FaultyFS()
+    db = prepare(tmp_path / "probe", probe)
+    before = probe.ops
+    db.checkpoint()
+    total = probe.ops
+    want = digest(db.store)
+    assert db.checkpointer.last_gc.objects_deleted > 0
+    for k in range(before + 1, total + 1):
+        directory = tmp_path / f"crash-{k}"
+        fs = FaultyFS()
+        db = prepare(directory, fs)
+        fs.crash_at = k
+        with pytest.raises(CrashError):
+            db.checkpoint()
+        again = TemporalXMLDatabase.open(directory, durability="journal")
+        assert digest(again.store) == want, k
+        again.checkpoint()
+        again.close()
+        again = TemporalXMLDatabase.open(directory, durability="none")
+        assert again.recovery.checkpoint_source == "checkpoint", k
+        assert digest(again.store) == want, k
+
+
+# -- hostile objects -------------------------------------------------------------------
+
+
+def _hostile_directory(directory, monkeypatch, forge):
+    """A good checkpoint, then commits and a checkpoint written while
+    ``forge`` (given ``monkeypatch``) falsifies what it encodes.  Returns
+    the live store's digest."""
+    gen = TDocGenerator(seed=23, depth=2, fanout=(2, 3))
+    db = TemporalXMLDatabase.open(
+        directory, durability="fsync", snapshot_interval=2
+    )
+    db.put("a.xml", gen.document("a.xml"))
+    db.update("a.xml", gen.evolve("a.xml"))
+    db.checkpoint()
+    db.update("a.xml", gen.evolve("a.xml"))
+    db.update("a.xml", gen.evolve("a.xml"))
+    db.put("n.xml", gen.document("n.xml"))
+    db.update("n.xml", gen.evolve("n.xml"))
+    with monkeypatch.context() as patch:
+        forge(patch)
+        db.checkpoint()
+    want = digest(db.store)
+    db.close()
+    return want
+
+
+def _truncated_first_version(patch):
+    real = cas.encode_tree
+    patch.setattr(cas, "encode_tree", lambda root: real(root)[:-2])
+
+
+def _absent_xid(op):
+    def forge(patch):
+        real = binfmt.write_redo
+
+        def write_redo(w, script):
+            real(w, EditScript([op] + script.ops, script.from_ts,
+                               script.to_ts))
+
+        patch.setattr(binfmt, "write_redo", write_redo)
+
+    return forge
+
+
+def _snapshot_past_the_chain(patch):
+    real = cas._encode_document_meta
+
+    def encode(record, manifests, snapshots):
+        return real(record, manifests,
+                    snapshots + [record.dindex.current_number + 1])
+
+    patch.setattr(cas, "_encode_document_meta", encode)
+
+
+HOSTILE = {
+    "truncated first version": (_truncated_first_version, "first"),
+    "redo delete of an absent XID": (
+        _absent_xid(DeleteOp(99998, 0, stamped("gone", 99999))), "deltas",
+    ),
+    "redo stamp of an absent XID": (
+        _absent_xid(StampOp(99999, 0, 1)), "deltas",
+    ),
+    "snapshot number past the chain": (_snapshot_past_the_chain, "manifest"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_a_hostile_object_is_a_typed_error_and_prev_serves(
+    case, tmp_path, monkeypatch
+):
+    forge, kind = HOSTILE[case]
+    directory = tmp_path / "db"
+    want = _hostile_directory(directory, monkeypatch, forge)
+    objstore = CASObjectStore(directory)
+    before = tree_digest(directory)
+    target = TemporalDocumentStore()
+    clock = target.clock.now()
+    with pytest.raises(CorruptArchiveError) as err:
+        read_checkpoint(objstore, store=target)
+    assert target.repository.records() == [] and target.clock.now() == clock
+    assert objstore.published == {}
+    assert tree_digest(directory) == before
+    # The message names an object the newest generation reaches.
+    named = re.search(r"[0-9a-f]{64}", str(err.value)).group()
+    if kind != "manifest":
+        assert named in cas.reachable_hashes(
+            objstore, read_pointer(objstore.pointer)
+        ), str(err.value)
+    else:
+        assert "document manifest" in str(err.value)
+    db = TemporalXMLDatabase.open(directory, durability="none")
+    assert db.recovery.checkpoint_source == "previous"
+    assert db.recovery.checkpoint_errors
+    assert digest(db.store) == want

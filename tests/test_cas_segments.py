@@ -1,12 +1,11 @@
 """Incremental CAS checkpoints: append-only segments and what they cost.
 
 A checkpoint writes only what changed since the one its object store
-published or loaded: the current tree of a changed document, one segment
-of its new deltas and one of its new snapshots, its manifest and the
-root.  These tests hold that contract against reopen, the recovery
-fallback to ``checkpoint.cas.prev``, a failure inside a checkpoint,
-directories written in format 1 (content-defined chunks) and hostile
-objects.
+published or loaded: a new document's first version, one segment of a
+changed document's new deltas, its manifest and the root.  These tests
+hold that contract against reopen, the recovery fallback to
+``checkpoint.cas.prev``, a failure inside a checkpoint, directories
+written in format 1 (content-defined chunks) and hostile objects.
 """
 
 import hashlib
@@ -75,7 +74,7 @@ class TestSegments:
         db = TemporalXMLDatabase()
         db.put("d.xml", gen.document("d.xml"))
         objstore = CASObjectStore(tmp_path)
-        for _ in range(120):
+        for _ in range(160):
             db.update("d.xml", gen.evolve("d.xml"))
             write_checkpoint(db.store, objstore)
         (stored,) = objstore.published.values()
@@ -126,6 +125,7 @@ class TestSegments:
         assert store_fingerprint(loaded) == store_fingerprint(db.store)
 
     def test_an_empty_stream_decodes_to_nothing(self):
+        assert binfmt.decode_redo_stream(b"") == {}
         assert binfmt.decode_delta_stream(b"") == {}
         assert binfmt.decode_snapshot_stream(b"") == {}
 
@@ -135,16 +135,18 @@ class TestSegments:
         db.put("t.xml", gen.document("t.xml"))
         db.update("t.xml", gen.evolve("t.xml"))
         record = db.store.repository.records()[0]
-        segment = binfmt.encode_delta_segment(record, [1])
+        segment = binfmt.encode_redo_segment(record, [1])
         with pytest.raises(CorruptArchiveError):
-            binfmt.decode_delta_stream(segment + segment)
+            binfmt.decode_redo_stream(segment + segment)
 
     def test_a_newer_root_format_is_refused(self, tmp_path):
         objstore = CASObjectStore(tmp_path)
         root = objstore.put(bytes([FORMAT_VERSION + 1, 0, 0]))
         with open(tmp_path / CAS_POINTER_FILE, "wb") as handle:
             handle.write(pointer_bytes(root))
-        with pytest.raises(CorruptArchiveError, match="format 3"):
+        with pytest.raises(
+            CorruptArchiveError, match=f"format {FORMAT_VERSION + 1}"
+        ):
             read_checkpoint(objstore)
 
 
@@ -307,28 +309,29 @@ class TestFormatOneDirectory:
         ).hexdigest()
         assert digest == CAS_V1_FINGERPRINT
 
-    def test_a_commit_extends_its_chunk_list(self, directory, monkeypatch):
-        before = manifests(directory)  # long.xml, short.xml, gone.xml
-        old_chunks = before[1][1][1]
-        assert len(old_chunks) == 2
+    def test_a_commit_then_a_checkpoint_rewrite_it_in_format_3(
+        self, directory, monkeypatch
+    ):
+        assert manifests(directory) == {}  # format 1 publishes nothing
         db = TemporalXMLDatabase.open(directory, durability="journal")
         db.update("long.xml", TDocGenerator(seed=1).document("long.xml"))
         scripts = []
-        real_write_script = binfmt.write_script
+        real_write_redo = binfmt.write_redo
 
-        def counting_write_script(w, script):
+        def counting_write_redo(w, script):
             scripts.append(script)
-            real_write_script(w, script)
+            real_write_redo(w, script)
 
-        monkeypatch.setattr(binfmt, "write_script", counting_write_script)
+        monkeypatch.setattr(binfmt, "write_redo", counting_write_redo)
         db.checkpoint()
-        assert len(scripts) == 1  # the new delta, no old history
-        after = manifests(directory)
-        assert after[1][1][1] == old_chunks + [after[1][1][1][-1]]
-        assert after[2] == before[2] and after[3] == before[3]
+        # Every delta of the three documents, once: 180 + 2 + 0.
+        assert len(scripts) == 182
         pointer = directory / CAS_POINTER_FILE
         objstore = CASObjectStore(directory)
         assert objstore.get(read_pointer(str(pointer)))[0] == FORMAT_VERSION
+        after = manifests(directory)
+        assert sorted(after) == [1, 2, 3]
+        assert all(len(first[1]) == 1 for first, _deltas in after.values())
         reopen(directory, db).close()
 
 

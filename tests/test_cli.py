@@ -436,7 +436,7 @@ class TestStorageCLI:
         assert code == 0
         assert "storage backend: cas" in out
         assert "objects:" in out
-        assert "kind[current]" in out
+        assert "kind[first]" in out
         assert "dedup ratio" in out
         assert (
             "  delta ops: 5  StampOp: 4 (80%)  UpdateTextOp: 1 (20%)\n" in out
@@ -465,7 +465,7 @@ class TestStorageCLI:
         storage = payload["storage"]
         backend = storage["backend"]
         disk = backend["disk_by_kind"]
-        assert set(disk) >= {"current", "checkpoint"}
+        assert set(disk) >= {"first", "checkpoint"}
         for counters in disk.values():
             assert counters["stored_bytes"] > 0
             assert counters["objects"] > 0

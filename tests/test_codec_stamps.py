@@ -21,13 +21,13 @@ from hypothesis import given, settings, strategies as st
 from repro import TemporalXMLDatabase
 from repro.diff.editscript import DeleteOp, EditScript, InsertOp
 from repro.errors import CorruptArchiveError
-from repro.storage.binfmt import read_script, write_script
+from repro.storage.binfmt import read_script
 from repro.storage.persistence import archive_bytes, build_archive
 from repro.xmlcore import serialize
 from repro.xmlcore.codec import PackedNode, Reader, Writer, read_node
 from repro.xmlcore.node import Element, Text
 
-from tests.references import absolute_bytes
+from tests.references import absolute_bytes, write_script
 
 DATA = Path(__file__).parent / "data"
 

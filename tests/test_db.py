@@ -191,16 +191,18 @@ def _durable_history(directory):
 
 #: ``engine.registry.snapshot()`` after :func:`_durable_history`, in the
 #: registry's key order.  ``cas.reads``/``read_bytes`` hold the reopen's
-#: checkpoint load (5 objects, 572 bytes) plus the second checkpoint's GC
-#: walk (5, 586): recovery and the checkpointer share one object store.
+#: checkpoint load (4 objects, 365 bytes) plus the second checkpoint's GC
+#: walk (5, 483): recovery and the checkpointer share one object store.
+#: The reopen reads no version: its index replay starts from the first
+#: versions the checkpoint holds.
 _REGISTRY = {
-    "store.delta_reads": 2, "store.snapshot_reads": 3,
-    "store.current_reads": 2, "store.subtree_reads": 6,
-    "store.ops_applied": 2, "store.ops_skipped": 4,
+    "store.delta_reads": 1, "store.snapshot_reads": 2,
+    "store.current_reads": 2, "store.subtree_reads": 5,
+    "store.ops_applied": 0, "store.ops_skipped": 4,
     "store.subtree_fallbacks": 0,
-    "anchors.forward_chains": 1, "anchors.backward_chains": 2,
+    "anchors.forward_chains": 1, "anchors.backward_chains": 1,
     "anchors.exact_anchors": 4, "anchors.range_scans": 0,
-    "anchors.by_anchor.current": 2, "anchors.by_anchor.snapshot_after": 4,
+    "anchors.by_anchor.current": 2, "anchors.by_anchor.snapshot_after": 3,
     "anchors.by_anchor.snapshot_before": 0,
     "fti.postings": 18, "fti.bytes": 912, "fti.postings_opened": 18,
     "fti.postings_closed": 12, "fti.update_ops": 30, "fti.lookups": 4,
@@ -215,18 +217,16 @@ _REGISTRY = {
     "planner.plans": 2, "planner.index_chosen": 2, "planner.nav_chosen": 0,
     "planner.cost_flips": 0, "planner.pushdowns": 1,
     "planner.conjuncts_reordered": 0, "planner.from_items_reordered": 0,
-    "cas.objects_written": 5, "cas.objects_deduped": 0,
-    "cas.compressed_objects": 0, "cas.raw_bytes": 302,
-    "cas.stored_bytes": 367, "cas.reads": 10, "cas.read_bytes": 1113,
+    "cas.objects_written": 4, "cas.objects_deduped": 0,
+    "cas.compressed_objects": 0, "cas.raw_bytes": 234,
+    "cas.stored_bytes": 286, "cas.reads": 9, "cas.read_bytes": 848,
     "cas.gc_runs": 1, "cas.gc_deleted_objects": 0, "cas.gc_deleted_bytes": 0,
-    "cas.by_kind.current.objects": 1, "cas.by_kind.current.deduped": 0,
-    "cas.by_kind.current.raw": 28, "cas.by_kind.current.stored": 41,
+    "cas.by_kind.first.objects": 1, "cas.by_kind.first.deduped": 0,
+    "cas.by_kind.first.raw": 28, "cas.by_kind.first.stored": 41,
     "cas.by_kind.deltas.objects": 1, "cas.by_kind.deltas.deduped": 0,
-    "cas.by_kind.deltas.raw": 41, "cas.by_kind.deltas.stored": 54,
-    "cas.by_kind.snapshots.objects": 1, "cas.by_kind.snapshots.deduped": 0,
-    "cas.by_kind.snapshots.raw": 30, "cas.by_kind.snapshots.stored": 43,
+    "cas.by_kind.deltas.raw": 36, "cas.by_kind.deltas.stored": 49,
     "cas.by_kind.checkpoint.objects": 2, "cas.by_kind.checkpoint.deduped": 0,
-    "cas.by_kind.checkpoint.raw": 203, "cas.by_kind.checkpoint.stored": 229,
+    "cas.by_kind.checkpoint.raw": 170, "cas.by_kind.checkpoint.stored": 196,
 }
 
 _DURABILITY = {
@@ -236,7 +236,7 @@ _DURABILITY = {
         "fsyncs": 5, "rolls": 1, "groups_written": 0, "group_members": 0,
         "by_kind": {"update": 1, "delete": 1},
     },
-    "checkpoints": {"checkpoints": 1, "bytes_written": 367, "last_bytes": 367},
+    "checkpoints": {"checkpoints": 1, "bytes_written": 286, "last_bytes": 286},
     "recovery": {
         "checkpoint_source": "checkpoint", "storage": "cas",
         "checkpoint_errors": [], "records_scanned": 5, "records_replayed": 1,
@@ -262,48 +262,44 @@ _STORAGE = {
                 "interned": 21, "lifetime_entries": 16},
     "held": {"ops": 14, "payloads": 3, "payload_bytes": 123},
     "backend": {
-        "objects_written": 5, "objects_deduped": 0, "compressed_objects": 0,
-        "raw_bytes": 302, "stored_bytes": 367, "dedup_ratio": 0.823,
-        "reads": 10, "read_bytes": 1113, "gc_runs": 1,
+        "objects_written": 4, "objects_deduped": 0, "compressed_objects": 0,
+        "raw_bytes": 234, "stored_bytes": 286, "dedup_ratio": 0.818,
+        "reads": 9, "read_bytes": 848, "gc_runs": 1,
         "gc_deleted_objects": 0, "gc_deleted_bytes": 0,
         "by_kind": {
-            "checkpoint": {"objects": 2, "deduped": 0, "raw": 203,
-                           "stored": 229},
-            "current": {"objects": 1, "deduped": 0, "raw": 28, "stored": 41},
-            "deltas": {"objects": 1, "deduped": 0, "raw": 41, "stored": 54},
-            "snapshots": {"objects": 1, "deduped": 0, "raw": 30,
-                          "stored": 43},
+            "checkpoint": {"objects": 2, "deduped": 0, "raw": 170,
+                           "stored": 196},
+            "first": {"objects": 1, "deduped": 0, "raw": 28, "stored": 41},
+            "deltas": {"objects": 1, "deduped": 0, "raw": 36, "stored": 49},
         },
-        "disk_bytes": 1060,
+        "disk_bytes": 815,
         "disk_by_kind": {
-            "checkpoint": {"objects": 3, "stored_bytes": 380,
-                           "raw_bytes": 341},
-            "current": {"objects": 2, "stored_bytes": 117, "raw_bytes": 91},
-            "deltas": {"objects": 2, "stored_bytes": 179, "raw_bytes": 224},
-            "snapshots": {"objects": 2, "stored_bytes": 167,
-                          "raw_bytes": 141},
+            "checkpoint": {"objects": 3, "stored_bytes": 313,
+                           "raw_bytes": 274},
+            "first": {"objects": 2, "stored_bytes": 112, "raw_bytes": 86},
+            "deltas": {"objects": 2, "stored_bytes": 173, "raw_bytes": 147},
         },
         "last_gc": {
             "roots": [
-                "b86c3f740e563f1ca8b613936e52c49a"
-                "583907c94e67fabcbd83c3f268144d4f",
-                "4c6c6bc619385beb4385eb238355a753"
-                "be8340afd7c7c20cb5470c879e59dd35",
+                "a823c8f96260b9883a692b7c31ea8e9f"
+                "bee06fefd5c3d31d6529ec9ce4c00ae6",
+                "6ba3996364a115e21fa69cf2aa02a4b7"
+                "589c7a2ac8862507ddd22633cb2df349",
             ],
-            "objects_scanned": 10, "objects_live": 10, "objects_deleted": 0,
+            "objects_scanned": 8, "objects_live": 8, "objects_deleted": 0,
             "bytes_deleted": 0, "tmp_files_removed": 0,
         },
     },
 }
 
 _READS = {
-    "delta_reads": 2, "snapshot_reads": 3, "current_reads": 2,
-    "subtree_reads": 6, "ops_applied": 2, "ops_skipped": 4,
+    "delta_reads": 1, "snapshot_reads": 2, "current_reads": 2,
+    "subtree_reads": 5, "ops_applied": 0, "ops_skipped": 4,
     "subtree_fallbacks": 0,
     "anchors": {
-        "forward_chains": 1, "backward_chains": 2, "exact_anchors": 4,
+        "forward_chains": 1, "backward_chains": 1, "exact_anchors": 4,
         "range_scans": 0,
-        "by_anchor": {"current": 2, "snapshot_after": 4,
+        "by_anchor": {"current": 2, "snapshot_after": 3,
                       "snapshot_before": 0},
     },
 }

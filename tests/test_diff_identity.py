@@ -227,3 +227,24 @@ def test_txql_diffs_versions_of_one_element_by_xid(query, monkeypatch):
     monkeypatch.setattr(differ, "match_trees", None)  # any call fails
     deltas = [next(iter(row.values())) for row in db.query(query).rows]
     assert any(delta is not None and delta.children for delta in deltas)
+
+
+def test_txql_diff_reads_no_binding_again():
+    """A binding goes into DIFF with the subtree it already holds: on
+    Figure 1, ``DIFF(PREVIOUS(R), R)`` costs what binding ``R`` and
+    ``PREVIOUS(R)`` costs (4 cursor starts, 18 operations applied and 5
+    delta reads while DIFF read both versions again)."""
+    from repro.workload.restaurant import load_figure1
+
+    db = TemporalXMLDatabase()
+    load_figure1(db)
+    result = db.query('SELECT DIFF(PREVIOUS(R), R) '
+                      'FROM doc("guide.com")[EVERY]/restaurant R')
+    reads = db.store.repository.counter_snapshot()
+    assert (reads["subtree_reads"], reads["ops_applied"],
+            reads["delta_reads"]) == (2, 10, 2)
+    deltas = [row["DIFF(PREVIOUS(R), R)"] for row in result.rows]
+    assert [serialize(d) if d is not None else None for d in deltas] == [
+        None, "<delta/>", None,
+        '<delta><update xid="6"><old>15</old><new>18</new></update></delta>',
+    ]

@@ -19,10 +19,11 @@ from repro.errors import StorageError, TornJournalError
 from repro.model.identifiers import XIDAllocator
 from repro.model.versioned import stamp_new_nodes
 from repro.storage import TemporalDocumentStore
-from repro.storage.binfmt import encode_redo, encode_script, encode_tree
+from repro.storage.binfmt import encode_redo, encode_tree
 from repro.storage.cas import CASObjectStore
 from repro.storage.faults import OSFileSystem
 from tests.faults import CrashError, FaultyFS, flip_bit
+from tests.references import encode_script
 from repro.storage.journal import (
     MAGIC,
     CommitJournal,

@@ -40,6 +40,7 @@ from repro.workload import load_figure1
 from repro.xmlcore import parse, serialize
 from repro.xmlcore.node import Element
 from tests.legacy_dirs import make_legacy
+from tests.references import encode_script
 
 V1_FIXTURE = Path(__file__).parent / "data" / "journal_v1" / "journal.bin"
 V1_MAGIC = b"TXJRNL1\n"
@@ -473,7 +474,7 @@ class TestHostileRedo:
         store = TemporalDocumentStore()
         assert apply_record(store, create) and apply_record(store, update)
         completed = store.record("a.xml").deltas[1]
-        assert binfmt.encode_script(completed) == binfmt.encode_script(delta)
+        assert encode_script(completed) == encode_script(delta)
 
     @pytest.mark.parametrize("case", sorted(BAD_REDO))
     def test_a_lying_body_is_a_typed_error(self, tmp_path, case):
@@ -481,7 +482,7 @@ class TestHostileRedo:
         body = binfmt.encode_redo(BAD_REDO[case](delta))
         store = self._refused(create, update, body)
         completed = store.record("a.xml").deltas[1]
-        assert binfmt.encode_script(completed) == binfmt.encode_script(delta)
+        assert encode_script(completed) == encode_script(delta)
 
     def test_every_truncated_body_is_a_typed_error(self, tmp_path):
         create, update, _ = _redo_history(tmp_path)
@@ -566,18 +567,22 @@ class TestLazyDecode:
     def test_reopen_decodes_only_what_it_replays(self, tmp_path, monkeypatch):
         directory, expected = self._directory(tmp_path)
         counter = _DecodeCounter(monkeypatch)
-        # The CAS checkpoint's loader decodes with the same readers; count
-        # the journal's members alone.
-        load_store = recover_module.load_store
+        # The CAS checkpoint's loader decodes with the same readers and
+        # completes its deltas the same way, and the index replay decodes
+        # the first versions it hands over; count the journal's alone.
+        def uncounted(real):
+            def call(*args, **kwargs):
+                before = counter.members, counter.completed
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    counter.members, counter.completed = before
 
-        def load_uncounted(*args, **kwargs):
-            before = counter.members
-            try:
-                return load_store(*args, **kwargs)
-            finally:
-                counter.members = before
+            return call
 
-        monkeypatch.setattr(recover_module, "load_store", load_uncounted)
+        for name in ("load_store", "replay_history"):
+            monkeypatch.setattr(recover_module, name,
+                                uncounted(getattr(recover_module, name)))
         db = TemporalXMLDatabase.open(directory, durability="fsync")
         report = db.recovery
         db.close()
@@ -616,22 +621,19 @@ class TestLazyDecode:
 # -- directories written before the stamp-run record ----------------------------
 
 
-def _per_op(redo):
-    """``binfmt.write_script`` (or ``write_redo``) as it was before
-    ``_OP_STAMPS``: one record per operation, a 0x06 one for every stamp."""
-    def write(w, script):
-        w.opt_u(script.from_ts)
-        w.opt_u(script.to_ts)
-        w.u(len(script.ops))
-        for op in script.ops:
-            binfmt._write_op(w, op, redo)
-
-    return write
+def _per_op(w, script):
+    """``binfmt.write_redo`` as it was before ``_OP_STAMPS``: one record
+    per operation, a 0x06 one for every stamp."""
+    w.opt_u(script.from_ts)
+    w.opt_u(script.to_ts)
+    w.u(len(script.ops))
+    for op in script.ops:
+        binfmt._write_op(w, op)
 
 
 class TestPerOpStampDirectory:
     """A CAS checkpoint (or an older release's XML one) and a journal
-    tail whose every edit script spells its stamps out one 0x06 record
+    tail whose every redo script spells its stamps out one 0x06 record
     each — what the commits before the 0x08 run record wrote — open,
     replay and answer as ever."""
 
@@ -640,8 +642,7 @@ class TestPerOpStampDirectory:
                                                storage):
         directory = tmp_path / "db"
         with monkeypatch.context() as patch:
-            patch.setattr(binfmt, "write_script", _per_op(redo=False))
-            patch.setattr(binfmt, "write_redo", _per_op(redo=True))
+            patch.setattr(binfmt, "write_redo", _per_op)
             db = TemporalXMLDatabase.open(directory, durability="fsync")
             load_figure1(db)
             db.update("guide.com", serialize(db.store.version("guide.com", 2)))
@@ -649,16 +650,13 @@ class TestPerOpStampDirectory:
             db.update("guide.com", serialize(db.store.version("guide.com", 3)))
             db.close()  # ... delta 4 only in the journal
             deltas = db.store.record("guide.com").deltas.values()
-            per_op_bytes = sum(len(binfmt.encode_script(d)) for d in deltas)
-            journaled = db.store.record("guide.com").deltas[4]
-            per_op_redo = len(binfmt.encode_redo(journaled))
+            per_op_bytes = sum(len(binfmt.encode_redo(d)) for d in deltas)
         if storage == "xml":
             make_legacy(directory)  # the checkpoint an older release wrote
         expected = _fingerprint(db.store)
         # The patch took: today's writer spends less on the same scripts.
         assert any(isinstance(op, StampOp) for d in deltas for op in d)
-        assert per_op_bytes > sum(len(binfmt.encode_script(d)) for d in deltas)
-        assert per_op_redo > len(binfmt.encode_redo(journaled))
+        assert per_op_bytes > sum(len(binfmt.encode_redo(d)) for d in deltas)
 
         store, report = recover_store(CASObjectStore(directory))
         assert report.records_replayed == 1

@@ -127,8 +127,9 @@ def _importers(imports, name):
 def test_one_walker_over_a_stored_chain(imports):
     """Stored versions are read through ``storage/cursor.py`` and nothing
     else: the repository keeps no loop of its own, ``apply_chain`` lives
-    with the backward-only reference, and the two other ``apply_script``
-    users replay commits (recovery, archive verification), not reads."""
+    with the backward-only reference, and the other ``apply_script``
+    users replay commits (recovery, a checkpoint load's roll, archive
+    verification), not reads."""
     for gone in ("reconstruct_pair", "_apply_between", "_range_iter",
                  "_count_choice", "_choose_anchor"):
         assert gone not in Repository.__dict__, gone
@@ -144,6 +145,7 @@ def test_one_walker_over_a_stored_chain(imports):
     }
     assert _importers(imports, "repro.diff.apply.apply_script") == {
         "repro.diff", "repro.storage.recover", "repro.storage.persistence",
+        "repro.storage.cas",
     }
 
 

@@ -28,12 +28,7 @@ from repro.diff.editscript import (
     payload_nodes,
 )
 from repro.storage import TemporalDocumentStore
-from repro.storage.binfmt import (
-    decode_script,
-    decode_tree,
-    encode_script,
-    encode_tree,
-)
+from repro.storage.binfmt import decode_script, decode_tree, encode_tree
 from repro.storage.persistence import dump_store, load_store
 from repro.workload import TDocGenerator, build_collection
 from repro.xmlcore.codec import PackedNode
@@ -41,6 +36,7 @@ from repro.xmlcore.node import Element
 from repro.xmlcore.serializer import serialize
 
 from tests.index_history import drive, script_features
+from tests.references import encode_script
 from tests.test_delta_indexes import ReferenceLifetime, assert_same_lifespans
 
 PAYLOAD_FIELDS = {

@@ -2,15 +2,16 @@
 
 ``tests/data/script_identity.json`` was recorded while nodes still held a
 parent pointer.  For three seeded ``tests/index_history.py`` histories and
-two ``tdocgen`` collections it holds the sha256 of
-:func:`~repro.storage.binfmt.encode_script` of every stored delta, and of
+two ``tdocgen`` collections it holds the sha256 of the completed form
+(:func:`tests.references.encode_script`) of every stored delta, and of
 the binary encoding of every version (tags, attributes, text, XIDs and
 timestamps).  Both were taken with every stamp written absolute, so the
 fingerprint re-packs payloads and versions through
 :func:`tests.references.absolute_bytes`.  The matcher, the script
 builder, ``apply`` and the generator must reproduce each one — and so
-must recovery from the commit journal alone, which keeps only each
-delta's redo half and completes it from the version it applies to.
+must recovery from the commit journal alone and from a CAS checkpoint
+alone, which both keep only each delta's redo half and complete it from
+the version it applies to.
 Regenerate only for an intended change:
 ``PYTHONPATH=src python -m tests.test_script_identity``.
 """
@@ -26,13 +27,12 @@ import pytest
 
 from repro import TemporalXMLDatabase
 from repro.storage import TemporalDocumentStore
-from repro.storage.binfmt import encode_script
-from repro.storage.cas import CASObjectStore
+from repro.storage.cas import CASObjectStore, write_checkpoint
 from repro.storage.recover import recover_store
 from repro.workload import TDocGenerator, build_collection
 
 from tests.index_history import drive
-from tests.references import absolute_bytes, absolute_script
+from tests.references import absolute_bytes, absolute_script, encode_script
 
 DATA = Path(__file__).parent / "data" / "script_identity.json"
 
@@ -116,6 +116,25 @@ def test_recovery_from_the_journal_alone_reproduces_it(name, tmp_path):
         store=TemporalDocumentStore(snapshot_interval=4),
     )
     assert report.checkpoint_source == "none"
+    assert fingerprint(store) == recorded
+
+
+@pytest.mark.parametrize("name", HISTORIES)
+def test_recovery_from_a_checkpoint_alone_reproduces_it(name, tmp_path):
+    """A checkpoint rolls each first version through its redo deltas:
+    every delta it completes, and every version, is the one committed."""
+    recorded = json.loads(DATA.read_text())[name]
+    directory = tmp_path / "cas"
+    write_checkpoint(history(name, tmp_path / "db"), CASObjectStore(directory))
+    assert sorted(p.name for p in directory.iterdir()) == [
+        "checkpoint.cas", "objects",
+    ]
+    store, report = recover_store(
+        CASObjectStore(directory),
+        store=TemporalDocumentStore(snapshot_interval=4),
+    )
+    assert report.checkpoint_source == "checkpoint"
+    assert report.records_scanned == 0
     assert fingerprint(store) == recorded
 
 
