@@ -7,7 +7,9 @@ it expects, so a delta applied against the wrong base version raises
 :class:`~repro.errors.DeltaApplicationError` instead of silently corrupting
 the document.  A script in the commit journal's redo form is completed as
 it is applied: each redo operation becomes the full one, its backward half
-taken from the tree it edits.
+taken from the tree it edits, and a trailing
+:class:`~repro.diff.editscript.ImpliedStamps` becomes the stamps the
+Section 4 rule gives the operations before it.
 
 ``apply_scoped(root, index, script, xid)`` does the same for one element's
 *detached subtree*: only the operations that land inside it are applied
@@ -24,11 +26,14 @@ from ..errors import DeltaApplicationError, TemporalXMLError
 from ..xmlcore.node import Element, Text
 from .editscript import (
     DeleteOp,
+    ImpliedStamps,
     InsertOp,
     MoveOp,
     RedoDelete,
     RedoReplaceRoot,
     RedoStamp,
+    RedoUpdateAttr,
+    RedoUpdateText,
     ReplaceRootOp,
     StampOp,
     UpdateAttrOp,
@@ -45,18 +50,25 @@ class SubtreeBoundaryCrossed(TemporalXMLError):
     discarded (the caller rebuilds the element from a whole document)."""
 
 
-def apply_script(root, script, index=None):
+def apply_script(root, script, index=None, parents=None):
     """Apply ``script`` to ``root`` in order; returns the resulting root.
 
     ``index`` may supply a prebuilt ``{xid: node}`` map for ``root`` (it is
     kept up to date through inserts/deletes); when omitted one is built.
+    ``parents`` may supply ``root``'s :func:`parent_index`, kept up to
+    date the same way: a caller that rolls one tree through many scripts
+    keeps one, so deriving implied stamps never walks the tree.
     The returned root differs from the input only for ``ReplaceRootOp``.
 
     A redo operation (:class:`~repro.diff.editscript.RedoDelete`,
-    ``RedoStamp``, ``RedoReplaceRoot``) is replaced in ``script.ops`` by
-    the completed operation: the delete packs the victim it detaches, the
-    stamp records the timestamp it overwrites, the root replacement packs
-    the root it replaces.  Applied to the version it was computed against,
+    ``RedoStamp``, ``RedoReplaceRoot``, ``RedoUpdateText``,
+    ``RedoUpdateAttr``) is replaced in ``script.ops`` by the completed
+    operation: the delete packs the victim it detaches, the stamp records
+    the timestamp it overwrites, the root replacement packs the root it
+    replaces, an update the value it overwrites.  A trailing
+    ``ImpliedStamps`` is replaced by the stamps it stands for (see
+    :attr:`~repro.diff.editscript.EditScript.stamps_implied`), and the
+    script then says so.  Applied to the version it was computed against,
     the redo form of a script comes out as the script itself.
     """
     if index is None:
@@ -64,11 +76,32 @@ def apply_script(root, script, index=None):
     ops = script.ops
     for at, op in enumerate(ops):
         complete = _COMPLETE.get(type(op))
-        if complete is None:
-            root = _apply_op(root, op, index)
+        if complete is not None:
+            root, ops[at] = complete(root, op, index, parents)
+        elif type(op) is ImpliedStamps:
+            # read_redo admits the marker only last, under a to_ts.
+            if parents is None:
+                parents = parent_index(root)
+            ops[at:] = _implied_stamps(ops[:at], script.to_ts, index, parents)
+            script.stamps_implied = True
+            break
         else:
-            root, ops[at] = complete(root, op, index)
+            root = _apply_op(root, op, index, parents)
     return root
+
+
+def parent_index(root, parents=None):
+    """``{xid: parent element}`` for every node below ``root`` (the root
+    itself has no entry), entered into ``parents`` when given."""
+    parents = {} if parents is None else parents
+    stack = [root] if isinstance(root, Element) else []
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            parents[child.xid] = node
+            if isinstance(child, Element):
+                stack.append(child)
+    return parents
 
 
 def apply_scoped(root, index, script, xid, invert=False):
@@ -217,7 +250,7 @@ def _holds(subtree, element):
     return False
 
 
-def _apply_op(root, op, index):
+def _apply_op(root, op, index, parents=None):
     if isinstance(op, InsertOp):
         parent = _lookup(index, op.parent_xid, Element)
         if not 0 <= op.pos <= len(parent.children):
@@ -232,10 +265,13 @@ def _apply_op(root, op, index):
                     f"insert would duplicate XID {inner.xid}"
                 )
             index[inner.xid] = inner
+        if parents is not None:
+            parents[node.xid] = parent
+            parent_index(node, parents)
         return root
 
     if isinstance(op, DeleteOp):
-        _detach(index, op.parent_xid, op.pos, op.payload.xid)
+        _detach(index, parents, op.parent_xid, op.pos, op.payload.xid)
         return root
 
     if isinstance(op, MoveOp):
@@ -264,6 +300,8 @@ def _apply_op(root, op, index):
             )
         source.pop(op.from_pos)
         target.insert(op.to_pos, node)
+        if parents is not None:
+            parents[op.xid] = target
         return root
 
     if isinstance(op, UpdateTextOp):
@@ -295,12 +333,14 @@ def _apply_op(root, op, index):
         return root
 
     if isinstance(op, ReplaceRootOp):
-        return _replace_root(root, op.old_payload.xid, op.new_payload, index)
+        return _replace_root(
+            root, op.old_payload.xid, op.new_payload, index, parents
+        )
 
     raise DeltaApplicationError(f"unknown operation {type(op).__name__}")
 
 
-def _detach(index, parent_xid, pos, xid):
+def _detach(index, parents, parent_xid, pos, xid):
     """Remove the child at ``pos`` under ``parent_xid``, which must be node
     ``xid``; returns it."""
     parent = _lookup(index, parent_xid, Element)
@@ -313,6 +353,8 @@ def _detach(index, parent_xid, pos, xid):
     parent.pop(pos)
     for inner in payload_nodes(victim):
         index.pop(inner.xid, None)
+        if parents is not None:
+            parents.pop(inner.xid, None)
     return victim
 
 
@@ -324,37 +366,92 @@ def _restamp(index, xid, new_ts):
     return old_ts
 
 
-def _replace_root(root, old_xid, new_payload, index):
+def _replace_root(root, old_xid, new_payload, index, parents):
     if root.xid != old_xid:
         raise DeltaApplicationError("root replacement base mismatch")
     new_root = new_payload.tree()
     index.clear()
     for inner in payload_nodes(new_root):
         index[inner.xid] = inner
+    if parents is not None:
+        parents.clear()
+        parent_index(new_root, parents)
     return new_root
 
 
 # -- completing the redo form ----------------------------------------------------
 
 
-def _complete_delete(root, op, index):
-    victim = _detach(index, op.parent_xid, op.pos, op.xid)
+def _complete_delete(root, op, index, parents):
+    victim = _detach(index, parents, op.parent_xid, op.pos, op.xid)
     return root, DeleteOp(op.parent_xid, op.pos, victim)
 
 
-def _complete_stamp(root, op, index):
+def _complete_stamp(root, op, index, parents):
     old_ts = _restamp(index, op.xid, op.new_ts)
     return root, StampOp(op.xid, old_ts, op.new_ts)
 
 
-def _complete_replace_root(root, op, index):
-    new_root = _replace_root(root, op.old_xid, op.new_payload, index)
+def _complete_replace_root(root, op, index, parents):
+    new_root = _replace_root(root, op.old_xid, op.new_payload, index, parents)
     return new_root, ReplaceRootOp(root, op.new_payload)
 
 
-#: Redo operation type -> ``(root, op, index) -> (root, completed op)``.
+def _complete_update_text(root, op, index, parents):
+    node = _lookup(index, op.xid, Text)
+    old, node.value = node.value, op.new
+    return root, UpdateTextOp(op.xid, old, op.new)
+
+
+def _complete_update_attr(root, op, index, parents):
+    node = _lookup(index, op.xid, Element)
+    old = node.attrib.get(op.name)
+    if op.new is None:
+        node.attrib.pop(op.name, None)
+    else:
+        node.attrib[op.name] = op.new
+    return root, UpdateAttrOp(op.xid, op.name, old, op.new)
+
+
+#: Redo operation type -> ``(root, op, index, parents) -> (root, completed
+#: op)``.
 _COMPLETE = {
     RedoDelete: _complete_delete,
     RedoStamp: _complete_stamp,
     RedoReplaceRoot: _complete_replace_root,
+    RedoUpdateText: _complete_update_text,
+    RedoUpdateAttr: _complete_update_attr,
 }
+
+
+def _implied_stamps(ops, ts, index, parents):
+    """The ``StampOp``s the Section 4 rule gives the applied operations
+    ``ops`` of a commit at ``ts``, made on the tree as they are derived:
+    every node on the path from the root to a node an operation edits
+    whose timestamp is not ``ts`` yet, in XID order.  A move's source
+    parent that a later delete took away marks no path."""
+    edited = set()
+    for op in ops:
+        kind = type(op)
+        if kind is InsertOp or kind is DeleteOp:
+            edited.add(op.parent_xid)
+        elif kind is MoveOp:
+            edited.add(op.from_parent)
+            edited.add(op.to_parent)
+        elif kind is UpdateTextOp or kind is UpdateAttrOp:
+            edited.add(op.xid)
+    on_path = set()
+    for xid in edited:
+        while xid not in on_path and xid in index:
+            on_path.add(xid)
+            parent = parents.get(xid)
+            if parent is None:
+                break
+            xid = parent.xid
+    stamps = []
+    for xid in sorted(on_path):
+        node = index[xid]
+        if node.tstamp != ts:
+            stamps.append(StampOp(xid, node.tstamp, ts))
+            node.tstamp = ts
+    return stamps

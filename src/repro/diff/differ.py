@@ -79,7 +79,11 @@ def diff(old_root, new_root, allocator=None, commit_ts=None):
             node.xid, node.tstamp = old.xid, old.tstamp
             if old.xid is not None:
                 allocator.note_used(old.xid)
-    return diff_by_xid(old_root, new_root, commit_ts, matching.new_parents)
+    script = diff_by_xid(old_root, new_root, commit_ts, matching.new_parents)
+    # Kept nodes came over with their old timestamps and fresh ones carry
+    # the commit's, so the only stamps are the rule's.
+    script.stamps_implied = commit_ts is not None
+    return script
 
 
 def diff_by_xid(old_root, new_root, commit_ts=None, new_parents=None):

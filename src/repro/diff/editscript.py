@@ -5,9 +5,9 @@ transforms version *i* into version *i+1*; applying the *inverses in reverse
 order* transforms *i+1* back into *i*.  Every operation therefore records
 exactly the state it needs to be undone — that is what makes these
 **completed** deltas in the paper's sense.  The commit journal writes only
-their redo half (:class:`RedoDelete`, :class:`RedoStamp`,
-:class:`RedoReplaceRoot` stand for what it drops); applying that to the
-version it was computed against completes it.
+their redo half (the ``Redo*`` operations and :class:`ImpliedStamps`
+stand for what it drops); applying that to the version it was computed
+against completes it.
 
 Positions (``pos`` fields) index into the parent's full child list (elements
 and text nodes interleaved) *at the moment the operation is applied*.
@@ -154,10 +154,10 @@ class ReplaceRootOp:
 
 # -- redo forms ------------------------------------------------------------------
 #
-# What the commit journal keeps of the three operations whose backward half
-# is a copy of the tree they apply to.  Replay onto that tree completes each
-# one as it applies it (:func:`~repro.diff.apply.apply_script`), so no
-# stored or fired script ever holds a redo form.
+# What the commit journal keeps of the operations whose backward half is a
+# copy of the tree they apply to.  Replay onto that tree completes each one
+# as it applies it (:func:`~repro.diff.apply.apply_script`), so no stored
+# or fired script ever holds a redo form.
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +185,31 @@ class RedoReplaceRoot:
     new_payload: PackedNode
 
 
+@dataclass(frozen=True, slots=True)
+class RedoUpdateText:
+    """An :class:`UpdateTextOp` without the value it overwrites."""
+
+    xid: int
+    new: str
+
+
+@dataclass(frozen=True, slots=True)
+class RedoUpdateAttr:
+    """An :class:`UpdateAttrOp` without the value it overwrites."""
+
+    xid: int
+    name: str
+    new: object
+
+
+@dataclass(frozen=True, slots=True)
+class ImpliedStamps:
+    """The last operation of a script whose stamps the Section 4 rule
+    implies: it stands for the ``StampOp``s a commit emits, which applying
+    the script derives from the operations before it (see
+    :attr:`EditScript.stamps_implied`)."""
+
+
 _OPS_BY_TAG = {}  # filled at module bottom; tag name -> decoder
 
 
@@ -194,12 +219,25 @@ class EditScript:
     ``from_ts``/``to_ts`` are the commit timestamps of the two versions the
     script connects (``None`` on scripts produced by the standalone ``Diff``
     operator, where versions are not involved).
+
+    ``stamps_implied`` says that the script's ``StampOp``s are its last
+    operations and exactly the ones the Section 4 rule gives: in XID order,
+    every node of the new version on the path from the root to a node the
+    other operations edit (an insert's or delete's parent, both parents of
+    a move, the target of a text or attribute update) whose timestamp is
+    not ``to_ts`` yet is stamped ``to_ts``.  The differ's commit scripts
+    hold it by construction, and so does a script completed from
+    :class:`ImpliedStamps`; the redo form of such a script stores the
+    marker instead of the stamps.  Scripts built any other way leave it
+    ``False`` and keep their stamps.
     """
 
-    def __init__(self, ops=(), from_ts=None, to_ts=None):
+    def __init__(self, ops=(), from_ts=None, to_ts=None,
+                 stamps_implied=False):
         self.ops = list(ops)
         self.from_ts = from_ts
         self.to_ts = to_ts
+        self.stamps_implied = stamps_implied
 
     @property
     def is_empty(self):
@@ -260,18 +298,19 @@ class EditScript:
         """
         total = 16  # delta envelope: version numbers + timestamps
         for op in self.ops:
-            if isinstance(op, (InsertOp, DeleteOp)):
+            kind = type(op)
+            if kind is StampOp:  # most operations of most commits
+                total += 12
+            elif kind is InsertOp or kind is DeleteOp:
                 total += 12 + _payload_bytes(op.payload)
-            elif isinstance(op, MoveOp):
-                total += 24
-            elif isinstance(op, UpdateTextOp):
+            elif kind is UpdateTextOp:
                 total += 12 + len(op.old) + len(op.new)
-            elif isinstance(op, UpdateAttrOp):
+            elif kind is MoveOp:
+                total += 24
+            elif kind is UpdateAttrOp:
                 total += 12 + len(op.name)
                 total += len(op.old or "") + len(op.new or "")
-            elif isinstance(op, StampOp):
-                total += 12
-            elif isinstance(op, ReplaceRootOp):
+            elif kind is ReplaceRootOp:
                 total += 12 + _payload_bytes(op.old_payload)
                 total += _payload_bytes(op.new_payload)
         return total

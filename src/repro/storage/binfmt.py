@@ -46,11 +46,14 @@ from operator import attrgetter
 from ..diff.editscript import (
     DeleteOp,
     EditScript,
+    ImpliedStamps,
     InsertOp,
     MoveOp,
     RedoDelete,
     RedoReplaceRoot,
     RedoStamp,
+    RedoUpdateAttr,
+    RedoUpdateText,
     ReplaceRootOp,
     StampOp,
     UpdateAttrOp,
@@ -63,6 +66,7 @@ from ..xmlcore.codec import Reader, Writer, read_node, write_node
 _OP_INSERT, _OP_DELETE, _OP_MOVE = 0x01, 0x02, 0x03
 _OP_UPDTEXT, _OP_UPDATTR, _OP_STAMP, _OP_REPLACEROOT = 0x04, 0x05, 0x06, 0x07
 _OP_STAMPS = 0x08
+_OP_REDO_UPDTEXT, _OP_REDO_UPDATTR, _OP_IMPLIED_STAMPS = 0x09, 0x0A, 0x0B
 
 
 # -- trees ---------------------------------------------------------------------
@@ -87,26 +91,33 @@ def write_redo(w, script):
     commit journal and the CAS keep, and all that applying it forward
     reads.
 
-    Operations are written one record each, except that consecutive
-    ``StampOp``s ascending in XID — what a commit emits for the ancestors
-    of its changes — share one ``_OP_STAMPS`` record: per distinct new
-    timestamp the timestamp once, then its XIDs as the distance of each
-    from the one before (the first from -1, so no distance is 0).  Three
-    records drop what the version the script applies to holds: a delete
-    carries its victim's XID instead of the subtree, a root replacement the
-    old root's XID instead of its payload, and a stamp no old timestamp.
-    :func:`read_redo` reads it back as ``Redo*`` operations, which
-    :func:`~repro.diff.apply.apply_script` completes from the tree the
-    script applies to.
+    Operations are written one record each, and every record drops what
+    the version the script applies to holds: a delete carries its victim's
+    XID instead of the subtree, a root replacement the old root's XID
+    instead of its payload, a stamp no old timestamp, and a text or
+    attribute update (``_OP_REDO_UPDTEXT``, ``_OP_REDO_UPDATTR``) only its
+    new value.  A script whose stamps the Section 4 rule implies
+    (:attr:`~repro.diff.editscript.EditScript.stamps_implied`, each of
+    them to ``to_ts``) ends in one ``_OP_IMPLIED_STAMPS`` byte instead of
+    its stamps; it counts as one operation.  Otherwise consecutive
+    ``StampOp``s ascending in XID share one ``_OP_STAMPS`` record: per
+    distinct new timestamp the timestamp once, then its XIDs as the
+    distance of each from the one before (the first from -1, so no
+    distance is 0).  :func:`read_redo` reads it back as ``Redo*``
+    operations, which :func:`~repro.diff.apply.apply_script` completes
+    from the tree the script applies to.
 
-    The completed form (:func:`read_script`) has the same layout with the
-    subtrees and old timestamps in place; only stores written by older
-    releases hold it.
+    The completed form (:func:`read_script`) has the layout of a script
+    with explicit stamps, with the subtrees, old values and old timestamps
+    in place; only stores written by older releases hold it.
     """
     w.opt_u(script.from_ts)
     w.opt_u(script.to_ts)
     ops = script.ops
-    w.u(len(ops))
+    implied = _implied_from(script)
+    if implied is not None:
+        ops = ops[:implied]
+    w.u(len(ops) + (implied is not None))
     at = 0
     while at < len(ops):
         end = _stamp_run_end(ops, at)
@@ -116,6 +127,23 @@ def write_redo(w, script):
         else:
             _write_op(w, ops[at])
             at += 1
+    if implied is not None:
+        w.byte(_OP_IMPLIED_STAMPS)
+
+
+def _implied_from(script):
+    """Where the stamps the Section 4 rule implies begin in ``script.ops``,
+    or ``None`` when the script's stamps are to be written: it does not
+    say they are implied, or one of them is not to ``to_ts``."""
+    if not script.stamps_implied or script.to_ts is None:
+        return None
+    ops = script.ops
+    start = len(ops)
+    while start and isinstance(ops[start - 1], StampOp):
+        start -= 1
+        if ops[start].new_ts != script.to_ts:
+            return None
+    return start
 
 
 def _stamp_run_end(ops, start):
@@ -167,15 +195,13 @@ def _write_op(w, op):
         w.u(op.to_parent)
         w.u(op.to_pos)
     elif isinstance(op, UpdateTextOp):
-        w.byte(_OP_UPDTEXT)
+        w.byte(_OP_REDO_UPDTEXT)
         w.u(op.xid)
-        w.s(op.old)
         w.s(op.new)
     elif isinstance(op, UpdateAttrOp):
-        w.byte(_OP_UPDATTR)
+        w.byte(_OP_REDO_UPDATTR)
         w.u(op.xid)
         w.s(op.name)
-        w.opt_s(op.old)
         w.opt_s(op.new)
     elif isinstance(op, StampOp):  # one outside any ascending run
         w.byte(_OP_STAMP)
@@ -197,7 +223,11 @@ def read_script(r):
 
 def read_redo(r):
     """Decode :func:`write_redo`'s bytes into an :class:`EditScript` whose
-    deletes, stamps and root replacement are ``Redo*`` operations."""
+    deletes, updates, stamps and root replacement are ``Redo*``
+    operations, ending in :class:`ImpliedStamps` when the stamps are
+    implied.  Bytes written before the redo updates and the marker
+    existed hold ``_OP_UPDTEXT``/``_OP_UPDATTR`` records and explicit
+    stamps, and read as they are."""
     return _read_ops(r, redo=True)
 
 
@@ -233,6 +263,20 @@ def _read_ops(r, redo):
                 RedoReplaceRoot(r.u(), r.packed_node()) if redo
                 else ReplaceRootOp(r.packed_node(), r.packed_node())
             )
+        elif redo and kind == _OP_REDO_UPDTEXT:
+            ops.append(RedoUpdateText(r.u(), r.s()))
+        elif redo and kind == _OP_REDO_UPDATTR:
+            ops.append(RedoUpdateAttr(r.u(), r.s(), r.opt_s()))
+        elif redo and kind == _OP_IMPLIED_STAMPS:
+            if len(ops) != count - 1:
+                raise CorruptArchiveError(
+                    "implied stamps are not the script's last operation"
+                )
+            if to_ts is None:
+                raise CorruptArchiveError(
+                    "implied stamps in a script without a commit time"
+                )
+            ops.append(ImpliedStamps())
         else:
             raise CorruptArchiveError(
                 f"unknown edit-op kind byte 0x{kind:02x}"

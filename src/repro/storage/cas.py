@@ -64,7 +64,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from ..diff.apply import apply_script
+from ..diff.apply import apply_script, parent_index
 from ..errors import CorruptArchiveError, DeltaApplicationError
 from .binfmt import (
     DEFLATE_THRESHOLD,
@@ -619,11 +619,12 @@ def _roll(objstore, doc_hash, meta):
         )
     first = root.copy()
     index = {node.xid: node for node in root.iter()}
+    parents = parent_index(root)
     snapshots = {}
     for number in range(1, last + 1):
         if number > 1:
             try:
-                root = apply_script(root, scripts[number - 1], index)
+                root = apply_script(root, scripts[number - 1], index, parents)
             except (DeltaApplicationError, CorruptArchiveError) as exc:
                 raise CorruptArchiveError(
                     f"object {source[number - 1]}: the delta from version "

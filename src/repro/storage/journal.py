@@ -25,12 +25,16 @@ by framed records::
 Everything inside a record is written by :mod:`~repro.storage.binfmt`.
 An update keeps only the *redo half* of the completed delta the paper's
 storage model stores (:func:`~repro.storage.binfmt.write_redo`): a
-delete names its victim by XID, a root replacement its old root, and a
-stamp drops the timestamp it overwrites — replay applies the record to
-the very version the delta was computed against, which holds all three,
-and :func:`~repro.diff.apply.apply_script` completes the delta from it as
-it applies it.  Every other field, and every check forward application
-makes, is kept.  A record of 128 bytes or more is deflated when that
+delete names its victim by XID, a root replacement its old root, a text
+or attribute update carries its new value only, and a commit's stamps
+are one marker (the Section 4 rule implies them) — replay applies the
+record to the very version the delta was computed against, which holds
+everything dropped, and :func:`~repro.diff.apply.apply_script` completes
+the delta from it as it applies it.  Every other field is kept, and so
+is every check forward application makes except the updates' base
+check: a redo update cannot say what it expected to overwrite, only
+that its target is of the right kind.  A record of 128 bytes or more is
+deflated when that
 shrinks it (the rule CAS objects use).  The CRC covers the *stored*
 bytes, so a torn append or a flipped bit is detected before anything is
 inflated or decoded, inflation is capped at the declared raw length, and

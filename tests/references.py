@@ -13,7 +13,9 @@
 * :func:`write_script` and :func:`encode_script` — an edit script in its
   completed form, as older releases wrote it to the CAS and the v2
   journal (``binfmt.read_script`` reads it); stored deltas are
-  fingerprinted through it.
+  fingerprinted through it;
+* :data:`MISPLACED_MARKERS` — redo bytes whose implied-stamps marker
+  ``binfmt.read_redo`` must refuse.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from repro.diff.editscript import (
     InsertOp,
     ReplaceRootOp,
     StampOp,
+    UpdateAttrOp,
+    UpdateTextOp,
 )
 from repro.errors import IdentityError
 from repro.storage import binfmt
 from repro.operators.relational import INTERVAL_KEY
-from repro.xmlcore.codec import PackedNode, Writer
+from repro.xmlcore.codec import PackedNode, Reader, Writer
 from repro.xmlcore.node import Element, Text
 
 
@@ -174,8 +178,9 @@ def encode_script(script):
 
 def write_script(w, script):
     """Encode ``script`` in its completed form: ``binfmt.write_redo``'s
-    layout with the deleted subtree, the replaced root's payload and each
-    stamp's old timestamp in place (a stamp run groups its XIDs by
+    layout for explicit stamps with the deleted subtree, the replaced
+    root's payload, each update's old value (kinds ``0x04``/``0x05``) and
+    each stamp's old timestamp in place (a stamp run groups its XIDs by
     ``(old_ts, new_ts)``)."""
     w.opt_u(script.from_ts)
     w.opt_u(script.to_ts)
@@ -216,5 +221,44 @@ def write_script(w, script):
             w.byte(binfmt._OP_REPLACEROOT)
             w.raw(op.old_payload)
             w.raw(op.new_payload)
+        elif isinstance(op, UpdateTextOp):
+            w.byte(binfmt._OP_UPDTEXT)
+            w.u(op.xid)
+            w.s(op.old)
+            w.s(op.new)
+        elif isinstance(op, UpdateAttrOp):
+            w.byte(binfmt._OP_UPDATTR)
+            w.u(op.xid)
+            w.s(op.name)
+            w.opt_s(op.old)
+            w.opt_s(op.new)
         else:  # one layout in both forms
             binfmt._write_op(w, op)
+
+
+def _remarked(redo, front=0, back=1, to_ts=True):
+    """``redo`` — the bytes of a script ending in the implied-stamps
+    marker — with ``front`` markers before its records and ``back`` after
+    them (the operation count following), and its ``to_ts`` kept or
+    dropped."""
+    r = Reader(redo)
+    from_ts, commit_ts, ops = r.opt_u(), r.opt_u(), r.u()
+    records = r.rest()
+    marker = bytes([binfmt._OP_IMPLIED_STAMPS])
+    assert records.endswith(marker)
+    w = Writer()
+    w.opt_u(from_ts)
+    w.opt_u(commit_ts if to_ts else None)
+    w.u(ops - 1 + front + back)
+    w.raw(marker * front + records[:-1] + marker * back)
+    return w.getvalue()
+
+
+#: name -> redo bytes (of a script ending in the implied-stamps marker) ->
+#: the same script with the marker where ``binfmt.read_redo`` refuses it.
+MISPLACED_MARKERS = {
+    "implied stamps twice": lambda redo: _remarked(redo, back=2),
+    "implied stamps not last": lambda redo: _remarked(redo, front=1, back=0),
+    "implied stamps without a to_ts": lambda redo: _remarked(
+        redo, to_ts=False),
+}

@@ -42,7 +42,13 @@ import pytest
 import repro.storage.binfmt as binfmt
 import repro.storage.cas as cas
 from repro import TemporalXMLDatabase
-from repro.diff.editscript import DeleteOp, EditScript, StampOp
+from repro.diff.editscript import (
+    DeleteOp,
+    EditScript,
+    StampOp,
+    UpdateAttrOp,
+    UpdateTextOp,
+)
 from repro.errors import CorruptArchiveError
 from repro.storage.cas import (
     CAS_POINTER_FILE,
@@ -57,6 +63,7 @@ from repro.storage.store import TemporalDocumentStore
 from repro.workload.tdocgen import TDocGenerator
 from repro.xmlcore.node import Element
 from tests.faults import CrashError, FaultyFS, tree_digest
+from tests.references import MISPLACED_MARKERS
 
 DATA = Path(__file__).parent / "data"
 
@@ -231,13 +238,39 @@ def _truncated_first_version(patch):
     patch.setattr(cas, "encode_tree", lambda root: real(root)[:-2])
 
 
-def _absent_xid(op):
+def _prepended(make, stamps_implied=True):
+    """A forge that puts ``make(script)`` (``None``: nothing) in front of
+    every script it writes; the stamps stay implied unless
+    ``stamps_implied`` is false, which writes them explicitly."""
     def forge(patch):
         real = binfmt.write_redo
 
         def write_redo(w, script):
-            real(w, EditScript([op] + script.ops, script.from_ts,
-                               script.to_ts))
+            op = make(script)
+            real(w, EditScript(
+                [op] + script.ops if op is not None else script.ops,
+                script.from_ts, script.to_ts,
+                stamps_implied=stamps_implied and script.stamps_implied,
+            ))
+
+        patch.setattr(binfmt, "write_redo", write_redo)
+
+    return forge
+
+
+def _absent_xid(op):
+    # Explicit stamps: the prepended operation is the only lie.
+    return _prepended(lambda script: op, stamps_implied=False)
+
+
+def _misplaced_marker(case):
+    def forge(patch):
+        real = binfmt.write_redo
+
+        def write_redo(w, script):
+            body = binfmt.Writer()
+            real(body, script)
+            w.raw(MISPLACED_MARKERS[case](body.getvalue()))
 
         patch.setattr(binfmt, "write_redo", write_redo)
 
@@ -262,6 +295,20 @@ HOSTILE = {
     "redo stamp of an absent XID": (
         _absent_xid(StampOp(99999, 0, 1)), "deltas",
     ),
+    # XID 1 is every document's root element; XID 3 is a text node of
+    # a.xml in every version the forged checkpoint rolls.
+    "redo text update of an element": (
+        _prepended(lambda script: UpdateTextOp(1, "", "x")), "deltas",
+    ),
+    "redo text update of an absent XID": (
+        _prepended(lambda script: UpdateTextOp(99999, "", "x")), "deltas",
+    ),
+    "redo attribute update of a text node": (
+        _prepended(lambda script: UpdateAttrOp(3, "k", None, "v")),
+        "deltas",
+    ),
+    **{case: (_misplaced_marker(case), "deltas")
+       for case in MISPLACED_MARKERS},
     "snapshot number past the chain": (_snapshot_past_the_chain, "manifest"),
 }
 

@@ -191,7 +191,7 @@ def _durable_history(directory):
 
 #: ``engine.registry.snapshot()`` after :func:`_durable_history`, in the
 #: registry's key order.  ``cas.reads``/``read_bytes`` hold the reopen's
-#: checkpoint load (4 objects, 365 bytes) plus the second checkpoint's GC
+#: checkpoint load (4 objects, 345 bytes) plus the second checkpoint's GC
 #: walk (5, 483): recovery and the checkpointer share one object store.
 #: The reopen reads no version: its index replay starts from the first
 #: versions the checkpoint holds.
@@ -218,13 +218,13 @@ _REGISTRY = {
     "planner.cost_flips": 0, "planner.pushdowns": 1,
     "planner.conjuncts_reordered": 0, "planner.from_items_reordered": 0,
     "cas.objects_written": 4, "cas.objects_deduped": 0,
-    "cas.compressed_objects": 0, "cas.raw_bytes": 234,
-    "cas.stored_bytes": 286, "cas.reads": 9, "cas.read_bytes": 848,
+    "cas.compressed_objects": 0, "cas.raw_bytes": 219,
+    "cas.stored_bytes": 271, "cas.reads": 9, "cas.read_bytes": 828,
     "cas.gc_runs": 1, "cas.gc_deleted_objects": 0, "cas.gc_deleted_bytes": 0,
     "cas.by_kind.first.objects": 1, "cas.by_kind.first.deduped": 0,
     "cas.by_kind.first.raw": 28, "cas.by_kind.first.stored": 41,
     "cas.by_kind.deltas.objects": 1, "cas.by_kind.deltas.deduped": 0,
-    "cas.by_kind.deltas.raw": 36, "cas.by_kind.deltas.stored": 49,
+    "cas.by_kind.deltas.raw": 21, "cas.by_kind.deltas.stored": 34,
     "cas.by_kind.checkpoint.objects": 2, "cas.by_kind.checkpoint.deduped": 0,
     "cas.by_kind.checkpoint.raw": 170, "cas.by_kind.checkpoint.stored": 196,
 }
@@ -232,11 +232,11 @@ _REGISTRY = {
 _DURABILITY = {
     "durability": "fsync",
     "journal": {
-        "records_written": 2, "bytes_written": 96, "raw_bytes": 78,
+        "records_written": 2, "bytes_written": 90, "raw_bytes": 72,
         "fsyncs": 5, "rolls": 1, "groups_written": 0, "group_members": 0,
         "by_kind": {"update": 1, "delete": 1},
     },
-    "checkpoints": {"checkpoints": 1, "bytes_written": 286, "last_bytes": 286},
+    "checkpoints": {"checkpoints": 1, "bytes_written": 271, "last_bytes": 271},
     "recovery": {
         "checkpoint_source": "checkpoint", "storage": "cas",
         "checkpoint_errors": [], "records_scanned": 5, "records_replayed": 1,
@@ -244,9 +244,9 @@ _DURABILITY = {
         "torn_tail": False, "documents": 2,
         "journals": [
             {"file": "journal.bin.prev", "version": 3, "records": 4,
-             "bytes": 290, "raw_bytes": 246},
+             "bytes": 270, "raw_bytes": 226},
             {"file": "journal.bin", "version": 3, "records": 1,
-             "bytes": 116, "raw_bytes": 130},
+             "bytes": 132, "raw_bytes": 115},
         ],
     },
 }
@@ -263,28 +263,28 @@ _STORAGE = {
     "held": {"ops": 14, "payloads": 3, "payload_bytes": 123},
     "backend": {
         "objects_written": 4, "objects_deduped": 0, "compressed_objects": 0,
-        "raw_bytes": 234, "stored_bytes": 286, "dedup_ratio": 0.818,
-        "reads": 9, "read_bytes": 848, "gc_runs": 1,
+        "raw_bytes": 219, "stored_bytes": 271, "dedup_ratio": 0.808,
+        "reads": 9, "read_bytes": 828, "gc_runs": 1,
         "gc_deleted_objects": 0, "gc_deleted_bytes": 0,
         "by_kind": {
             "checkpoint": {"objects": 2, "deduped": 0, "raw": 170,
                            "stored": 196},
             "first": {"objects": 1, "deduped": 0, "raw": 28, "stored": 41},
-            "deltas": {"objects": 1, "deduped": 0, "raw": 36, "stored": 49},
+            "deltas": {"objects": 1, "deduped": 0, "raw": 21, "stored": 34},
         },
-        "disk_bytes": 815,
+        "disk_bytes": 780,
         "disk_by_kind": {
             "checkpoint": {"objects": 3, "stored_bytes": 313,
                            "raw_bytes": 274},
             "first": {"objects": 2, "stored_bytes": 112, "raw_bytes": 86},
-            "deltas": {"objects": 2, "stored_bytes": 173, "raw_bytes": 147},
+            "deltas": {"objects": 2, "stored_bytes": 138, "raw_bytes": 112},
         },
         "last_gc": {
             "roots": [
-                "a823c8f96260b9883a692b7c31ea8e9f"
-                "bee06fefd5c3d31d6529ec9ce4c00ae6",
-                "6ba3996364a115e21fa69cf2aa02a4b7"
-                "589c7a2ac8862507ddd22633cb2df349",
+                "9ed3a93b75d84609fd7e465cda338bf6"
+                "9d30c2c222eaf00e9e902c7db9d2e3f3",
+                "c7449249f4c0c31e279c2fa0ef63362d"
+                "058f70caf2a763da9b384099065a5dab",
             ],
             "objects_scanned": 8, "objects_live": 8, "objects_deleted": 0,
             "bytes_deleted": 0, "tmp_files_removed": 0,

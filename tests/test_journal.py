@@ -10,6 +10,8 @@ from repro.diff.editscript import (
     RedoDelete,
     RedoReplaceRoot,
     RedoStamp,
+    RedoUpdateAttr,
+    RedoUpdateText,
     ReplaceRootOp,
     StampOp,
     UpdateAttrOp,
@@ -61,6 +63,10 @@ def _redo_half(op):
         return RedoStamp(op.xid, op.new_ts)
     if isinstance(op, ReplaceRootOp):
         return RedoReplaceRoot(op.old_payload.xid, op.new_payload)
+    if isinstance(op, UpdateTextOp):
+        return RedoUpdateText(op.xid, op.new)
+    if isinstance(op, UpdateAttrOp):
+        return RedoUpdateAttr(op.xid, op.name, op.new)
     return op
 
 

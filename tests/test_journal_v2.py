@@ -16,7 +16,14 @@ import pytest
 
 from repro import TemporalXMLDatabase
 from repro.diff import apply as apply_module
-from repro.diff.editscript import DeleteOp, EditScript, ReplaceRootOp, StampOp
+from repro.diff.editscript import (
+    DeleteOp,
+    EditScript,
+    ReplaceRootOp,
+    StampOp,
+    UpdateAttrOp,
+    UpdateTextOp,
+)
 from repro.errors import StorageError
 from repro.serving import Replica
 from repro.storage import TemporalDocumentStore, binfmt
@@ -40,7 +47,7 @@ from repro.workload import load_figure1
 from repro.xmlcore import parse, serialize
 from repro.xmlcore.node import Element
 from tests.legacy_dirs import make_legacy
-from tests.references import encode_script
+from tests.references import MISPLACED_MARKERS, encode_script
 
 V1_FIXTURE = Path(__file__).parent / "data" / "journal_v1" / "journal.bin"
 V1_MAGIC = b"TXJRNL1\n"
@@ -415,11 +422,13 @@ def _redo_history(tmp_path):
 
 
 def _replaced(script, kind, make):
-    """``script`` with its one ``kind`` operation replaced by ``make(op)``."""
+    """``script`` with its one ``kind`` operation replaced by ``make(op)``,
+    its stamps still implied."""
     ops = list(script.ops)
     at = next(i for i, op in enumerate(ops) if isinstance(op, kind))
     ops[at] = make(ops[at])
-    return EditScript(ops, from_ts=script.from_ts, to_ts=script.to_ts)
+    return EditScript(ops, from_ts=script.from_ts, to_ts=script.to_ts,
+                      stamps_implied=script.stamps_implied)
 
 
 def _stamped_leaf(xid):
@@ -429,7 +438,8 @@ def _stamped_leaf(xid):
 
 
 #: name -> the committed delta made hostile, as a completed script whose
-#: redo form ``apply_record`` must refuse.
+#: redo form ``apply_record`` must refuse.  XIDs: 1 <doc>, 2 <x>, 3 its
+#: text.
 BAD_REDO = {
     # XID 6 is <z>, which stands at position 2, not 1.
     "delete names the wrong victim": lambda delta: _replaced(
@@ -437,8 +447,15 @@ BAD_REDO = {
                                              _stamped_leaf(6))),
     "delete position out of range": lambda delta: _replaced(
         delta, DeleteOp, lambda op: DeleteOp(op.parent_xid, 7, op.payload)),
+    # Its stamps are not the rule's, so they are written explicitly.
     "stamp of an unknown XID": lambda delta: EditScript(
         delta.ops + [StampOp(999, 1, 2)], delta.from_ts, delta.to_ts),
+    "redo text update of an element": lambda delta: _replaced(
+        delta, UpdateTextOp, lambda op: UpdateTextOp(2, op.old, op.new)),
+    "redo text update of an unknown XID": lambda delta: _replaced(
+        delta, UpdateTextOp, lambda op: UpdateTextOp(999, op.old, op.new)),
+    "redo attribute update of a text node": lambda delta: _replaced(
+        delta, UpdateTextOp, lambda op: UpdateAttrOp(3, "k", None, "v")),
     "root replacement of another root": lambda delta: EditScript(
         [ReplaceRootOp(_stamped_leaf(3), _stamped_leaf(50))],
         delta.from_ts, delta.to_ts),
@@ -483,6 +500,12 @@ class TestHostileRedo:
         store = self._refused(create, update, body)
         completed = store.record("a.xml").deltas[1]
         assert encode_script(completed) == encode_script(delta)
+
+    @pytest.mark.parametrize("case", sorted(MISPLACED_MARKERS))
+    def test_a_misplaced_stamps_marker_is_a_typed_error(self, tmp_path,
+                                                        case):
+        create, update, delta = _redo_history(tmp_path)
+        self._refused(create, update, MISPLACED_MARKERS[case](update.body))
 
     def test_every_truncated_body_is_a_typed_error(self, tmp_path):
         create, update, _ = _redo_history(tmp_path)
@@ -539,10 +562,12 @@ class _DecodeCounter:
 
 def _completed_ops(script):
     """How many of a completed script's operations the journal keeps in
-    redo form."""
-    return sum(
-        isinstance(op, (DeleteOp, ReplaceRootOp, StampOp)) for op in script
-    )
+    redo form, one at a time: implied stamps are derived together, not
+    completed one by one."""
+    redo = (DeleteOp, ReplaceRootOp, UpdateTextOp, UpdateAttrOp)
+    if not script.stamps_implied:
+        redo += (StampOp,)
+    return sum(isinstance(op, redo) for op in script)
 
 
 class TestLazyDecode:
