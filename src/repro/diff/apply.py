@@ -7,7 +7,8 @@ it expects, so a delta applied against the wrong base version raises
 :class:`~repro.errors.DeltaApplicationError` instead of silently corrupting
 the document.  A script in the commit journal's redo form is completed as
 it is applied: each redo operation becomes the full one, its backward half
-taken from the tree it edits, and a trailing
+— and a delete's or move's source parent and position — taken from the
+tree it edits, and a trailing
 :class:`~repro.diff.editscript.ImpliedStamps` becomes the stamps the
 Section 4 rule gives the operations before it.
 
@@ -30,6 +31,7 @@ from .editscript import (
     InsertOp,
     MoveOp,
     RedoDelete,
+    RedoMove,
     RedoReplaceRoot,
     RedoStamp,
     RedoUpdateAttr,
@@ -57,15 +59,18 @@ def apply_script(root, script, index=None, parents=None):
     kept up to date through inserts/deletes); when omitted one is built.
     ``parents`` may supply ``root``'s :func:`parent_index`, kept up to
     date the same way: a caller that rolls one tree through many scripts
-    keeps one, so deriving implied stamps never walks the tree.
+    keeps one, so placing a redo delete or move and deriving implied
+    stamps never walk the tree (one is built when needed otherwise).
     The returned root differs from the input only for ``ReplaceRootOp``.
 
     A redo operation (:class:`~repro.diff.editscript.RedoDelete`,
-    ``RedoStamp``, ``RedoReplaceRoot``, ``RedoUpdateText``,
+    ``RedoMove``, ``RedoStamp``, ``RedoReplaceRoot``, ``RedoUpdateText``,
     ``RedoUpdateAttr``) is replaced in ``script.ops`` by the completed
-    operation: the delete packs the victim it detaches, the stamp records
-    the timestamp it overwrites, the root replacement packs the root it
-    replaces, an update the value it overwrites.  A trailing
+    operation: the delete packs the victim it detaches and, like the
+    move, records the parent and position the node leaves as they stand
+    when it applies; the stamp records the timestamp it overwrites, the
+    root replacement packs the root it replaces, an update the value it
+    overwrites.  A trailing
     ``ImpliedStamps`` is replaced by the stamps it stands for (see
     :attr:`~repro.diff.editscript.EditScript.stamps_implied`), and the
     script then says so.  Applied to the version it was computed against,
@@ -77,6 +82,8 @@ def apply_script(root, script, index=None, parents=None):
     for at, op in enumerate(ops):
         complete = _COMPLETE.get(type(op))
         if complete is not None:
+            if parents is None:
+                parents = parent_index(root)
             root, ops[at] = complete(root, op, index, parents)
         elif type(op) is ImpliedStamps:
             # read_redo admits the marker only last, under a to_ts.
@@ -382,9 +389,32 @@ def _replace_root(root, old_xid, new_payload, index, parents):
 # -- completing the redo form ----------------------------------------------------
 
 
+def _place(index, parents, xid):
+    """``(parent, position)`` of node ``xid`` as the tree stands."""
+    node = _lookup(index, xid)
+    parent = parents.get(xid)
+    if parent is None:
+        raise DeltaApplicationError(
+            f"XID {xid} is the root, which no delete or move can take "
+            "from its place"
+        )
+    return parent, parent.children.index(node)
+
+
 def _complete_delete(root, op, index, parents):
-    victim = _detach(index, parents, op.parent_xid, op.pos, op.xid)
-    return root, DeleteOp(op.parent_xid, op.pos, victim)
+    if op.parent_xid is None:
+        parent, pos = _place(index, parents, op.xid)
+        parent_xid = parent.xid
+    else:  # bytes that still name the victim's place
+        parent_xid, pos = op.parent_xid, op.pos
+    victim = _detach(index, parents, parent_xid, pos, op.xid)
+    return root, DeleteOp(parent_xid, pos, victim)
+
+
+def _complete_move(root, op, index, parents):
+    source, pos = _place(index, parents, op.xid)
+    move = MoveOp(op.xid, source.xid, pos, op.to_parent, op.to_pos)
+    return _apply_op(root, move, index, parents), move
 
 
 def _complete_stamp(root, op, index, parents):
@@ -417,6 +447,7 @@ def _complete_update_attr(root, op, index, parents):
 #: op)``.
 _COMPLETE = {
     RedoDelete: _complete_delete,
+    RedoMove: _complete_move,
     RedoStamp: _complete_stamp,
     RedoReplaceRoot: _complete_replace_root,
     RedoUpdateText: _complete_update_text,

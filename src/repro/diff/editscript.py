@@ -162,11 +162,24 @@ class ReplaceRootOp:
 
 @dataclass(frozen=True, slots=True)
 class RedoDelete:
-    """A :class:`DeleteOp` without its payload: the victim's XID only."""
+    """A :class:`DeleteOp` without its payload: the victim's XID, its
+    parent and position taken from the tree.  Bytes written before
+    XID-only deletes name the parent and position too, and the victim
+    must stand there."""
 
-    parent_xid: int
-    pos: int
     xid: int
+    parent_xid: int = None
+    pos: int = None
+
+
+@dataclass(frozen=True, slots=True)
+class RedoMove:
+    """A :class:`MoveOp` without its source: the node's XID and where it
+    goes, its parent and position taken from the tree."""
+
+    xid: int
+    to_parent: int
+    to_pos: int
 
 
 @dataclass(frozen=True, slots=True)

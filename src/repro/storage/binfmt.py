@@ -50,6 +50,7 @@ from ..diff.editscript import (
     InsertOp,
     MoveOp,
     RedoDelete,
+    RedoMove,
     RedoReplaceRoot,
     RedoStamp,
     RedoUpdateAttr,
@@ -60,13 +61,20 @@ from ..diff.editscript import (
     UpdateTextOp,
 )
 from ..errors import CorruptArchiveError
-from ..xmlcore.codec import Reader, Writer, read_node, write_node
+from ..xmlcore.codec import (
+    Reader,
+    Writer,
+    read_node,
+    write_implied_root,
+    write_node,
+)
 
 #: Edit-operation kind bytes.
 _OP_INSERT, _OP_DELETE, _OP_MOVE = 0x01, 0x02, 0x03
 _OP_UPDTEXT, _OP_UPDATTR, _OP_STAMP, _OP_REPLACEROOT = 0x04, 0x05, 0x06, 0x07
 _OP_STAMPS = 0x08
 _OP_REDO_UPDTEXT, _OP_REDO_UPDATTR, _OP_IMPLIED_STAMPS = 0x09, 0x0A, 0x0B
+_OP_FRESH_INSERT, _OP_REDO_DELETE, _OP_REDO_MOVE = 0x0C, 0x0D, 0x0E
 
 
 # -- trees ---------------------------------------------------------------------
@@ -92,11 +100,27 @@ def write_redo(w, script):
     reads.
 
     Operations are written one record each, and every record drops what
-    the version the script applies to holds: a delete carries its victim's
-    XID instead of the subtree, a root replacement the old root's XID
-    instead of its payload, a stamp no old timestamp, and a text or
-    attribute update (``_OP_REDO_UPDTEXT``, ``_OP_REDO_UPDATTR``) only its
-    new value.  A script whose stamps the Section 4 rule implies
+    the version the script applies to holds: a node that exists there is
+    named by its XID alone.  A delete (``_OP_REDO_DELETE``) carries its
+    victim's XID, neither the subtree nor its parent and position; a move
+    (``_OP_REDO_MOVE``) the node's XID and where it goes, not where it
+    leaves; a root replacement the old root's XID instead of its payload;
+    a stamp no old timestamp; and a text or attribute update
+    (``_OP_REDO_UPDTEXT``, ``_OP_REDO_UPDATTR``) only its new value.
+
+    In a commit script (:attr:`~repro.diff.editscript.EditScript.stamps_implied`
+    and a ``to_ts``) a fresh node costs no stamp bytes either: an insert
+    whose root is stamped ``to_ts`` (``_OP_FRESH_INSERT``) writes its
+    parent, its position and its subtree with the root's stamps implied
+    (:func:`~repro.xmlcore.codec.write_implied_root`).  The root's XID is
+    coded against a count the script keeps: the first such insert writes
+    it whole, each later one as the zigzag varint of its distance from
+    the end of the previous one's subtree (its last XID in document order
+    plus one), which is 0 when the allocator handed the subtrees out in
+    the order they are inserted.  Any other insert is written with its
+    subtree as it is (``_OP_INSERT``).
+
+    A script whose stamps the Section 4 rule implies
     (:attr:`~repro.diff.editscript.EditScript.stamps_implied`, each of
     them to ``to_ts``) ends in one ``_OP_IMPLIED_STAMPS`` byte instead of
     its stamps; it counts as one operation.  Otherwise consecutive
@@ -118,6 +142,9 @@ def write_redo(w, script):
     if implied is not None:
         ops = ops[:implied]
     w.u(len(ops) + (implied is not None))
+    fresh = _FreshXids(script.to_ts) if (
+        script.stamps_implied and script.to_ts is not None
+    ) else None
     at = 0
     while at < len(ops):
         end = _stamp_run_end(ops, at)
@@ -125,7 +152,7 @@ def write_redo(w, script):
             _write_stamp_run(w, ops[at:end])
             at = end
         else:
-            _write_op(w, ops[at])
+            _write_op(w, ops[at], fresh)
             at += 1
     if implied is not None:
         w.byte(_OP_IMPLIED_STAMPS)
@@ -176,22 +203,70 @@ def _write_stamp_run(w, stamps):
             last = xid
 
 
-def _write_op(w, op):
+class _FreshXids:
+    """The count a commit script's fresh inserts code their root XIDs
+    against: ``end`` is where the previous one's subtree ended (``None``
+    before the first), and ``ts`` is the commit time every fresh root
+    carries.  ``limit``, when given, is the next XID the document's
+    allocator had after the commit, which no fresh node reaches."""
+
+    __slots__ = ("ts", "end", "limit")
+
+    def __init__(self, ts, limit=None):
+        self.ts = ts
+        self.end = None
+        self.limit = limit
+
+    def write(self, w, payload):
+        xid = payload.xid
+        if self.end is None:
+            w.u(xid)
+        else:
+            w.z(xid - self.end)
+        write_implied_root(w, payload)
+        self.end = payload.xids()[-1] + 1
+
+    def read(self, r):
+        xid = r.u() if self.end is None else self.end + r.z()
+        if xid < 0:
+            raise CorruptArchiveError(
+                f"inserted XID {xid} below zero at offset {r.offset}"
+            )
+        payload, xids = r.implied_root_node(xid, self.ts)
+        if None in xids:
+            raise CorruptArchiveError("an inserted node has no XID")
+        if self.limit is not None and max(xids) >= self.limit:
+            raise CorruptArchiveError(
+                f"inserted XID {max(xids)} reaches the document's next XID "
+                f"{self.limit}"
+            )
+        self.end = xids[-1] + 1
+        return payload
+
+
+def _write_op(w, op, fresh=None):
     if isinstance(op, InsertOp):
-        w.byte(_OP_INSERT)
-        w.u(op.parent_xid)
-        w.u(op.pos)
-        w.raw(op.payload)
+        payload = op.payload
+        if (
+            fresh is not None
+            and payload.xid is not None
+            and payload.tstamp == fresh.ts
+        ):
+            w.byte(_OP_FRESH_INSERT)
+            w.u(op.parent_xid)
+            w.u(op.pos)
+            fresh.write(w, payload)
+        else:
+            w.byte(_OP_INSERT)
+            w.u(op.parent_xid)
+            w.u(op.pos)
+            w.raw(payload)
     elif isinstance(op, DeleteOp):
-        w.byte(_OP_DELETE)
-        w.u(op.parent_xid)
-        w.u(op.pos)
+        w.byte(_OP_REDO_DELETE)
         w.u(op.payload.xid)
     elif isinstance(op, MoveOp):
-        w.byte(_OP_MOVE)
+        w.byte(_OP_REDO_MOVE)
         w.u(op.xid)
-        w.u(op.from_parent)
-        w.u(op.from_pos)
         w.u(op.to_parent)
         w.u(op.to_pos)
     elif isinstance(op, UpdateTextOp):
@@ -221,30 +296,40 @@ def read_script(r):
     return _read_ops(r, redo=False)
 
 
-def read_redo(r):
+def read_redo(r, limit=None):
     """Decode :func:`write_redo`'s bytes into an :class:`EditScript` whose
-    deletes, updates, stamps and root replacement are ``Redo*``
+    deletes, moves, updates, stamps and root replacement are ``Redo*``
     operations, ending in :class:`ImpliedStamps` when the stamps are
-    implied.  Bytes written before the redo updates and the marker
-    existed hold ``_OP_UPDTEXT``/``_OP_UPDATTR`` records and explicit
-    stamps, and read as they are."""
-    return _read_ops(r, redo=True)
+    implied; an insert's subtree comes back as the very
+    :class:`~repro.xmlcore.codec.PackedNode` the script held, its root's
+    stamps restored from the count and ``to_ts``.  ``limit``, the
+    document's next XID after the commit when the caller knows it, is
+    what no XID such an insert restores may reach.
+
+    Bytes written before the XID-only deletes and moves, the redo updates
+    and the marker existed hold deletes that name their victim's parent
+    and position (read into a ``RedoDelete`` that checks them), complete
+    moves, ``_OP_UPDTEXT``/``_OP_UPDATTR`` records and explicit stamps,
+    and read as they are."""
+    return _read_ops(r, redo=True, limit=limit)
 
 
-def _read_ops(r, redo):
+def _read_ops(r, redo, limit=None):
     from_ts = r.opt_u()
     to_ts = r.opt_u()
     count = r.u()
     ops = []
+    fresh = _FreshXids(to_ts, limit)
     while len(ops) < count:
         kind = r.byte()
         if kind == _OP_INSERT:
             ops.append(InsertOp(r.u(), r.u(), r.packed_node()))
         elif kind == _OP_DELETE:
-            ops.append(
-                RedoDelete(r.u(), r.u(), r.u()) if redo
-                else DeleteOp(r.u(), r.u(), r.packed_node())
-            )
+            if redo:
+                parent_xid, pos = r.u(), r.u()
+                ops.append(RedoDelete(r.u(), parent_xid, pos))
+            else:
+                ops.append(DeleteOp(r.u(), r.u(), r.packed_node()))
         elif kind == _OP_MOVE:
             ops.append(MoveOp(r.u(), r.u(), r.u(), r.u(), r.u()))
         elif kind == _OP_UPDTEXT:
@@ -267,6 +352,18 @@ def _read_ops(r, redo):
             ops.append(RedoUpdateText(r.u(), r.s()))
         elif redo and kind == _OP_REDO_UPDATTR:
             ops.append(RedoUpdateAttr(r.u(), r.s(), r.opt_s()))
+        elif redo and kind == _OP_REDO_DELETE:
+            ops.append(RedoDelete(r.u()))
+        elif redo and kind == _OP_REDO_MOVE:
+            ops.append(RedoMove(r.u(), r.u(), r.u()))
+        elif redo and kind == _OP_FRESH_INSERT:
+            if to_ts is None:
+                raise CorruptArchiveError(
+                    "an insert with implied root stamps in a script "
+                    "without a commit time"
+                )
+            parent_xid, pos = r.u(), r.u()
+            ops.append(InsertOp(parent_xid, pos, fresh.read(r)))
         elif redo and kind == _OP_IMPLIED_STAMPS:
             if len(ops) != count - 1:
                 raise CorruptArchiveError(
@@ -329,8 +426,8 @@ def encode_redo(script):
     return w.getvalue()
 
 
-def decode_redo(data):
-    return read_redo(Reader(data))
+def decode_redo(data, limit=None):
+    return read_redo(Reader(data), limit)
 
 
 # -- per-document byte streams -------------------------------------------------
@@ -364,9 +461,10 @@ def encode_redo_segment(record, numbers, tail=None):
     return w.getvalue()
 
 
-def decode_redo_stream(data):
-    """``{number: EditScript}`` (redo form) from a redo stream."""
-    return _read_segments(data, read_redo)
+def decode_redo_stream(data, limit=None):
+    """``{number: EditScript}`` (redo form) from a redo stream of a
+    document whose next XID is ``limit`` (see :func:`read_redo`)."""
+    return _read_segments(data, lambda r: read_redo(r, limit))
 
 
 def decode_delta_stream(data):

@@ -588,7 +588,7 @@ def _roll(objstore, doc_hash, meta):
     for object_hash in hashes:
         data = objstore.get(object_hash)
         try:
-            segment = decode_redo_stream(data)
+            segment = decode_redo_stream(data, meta["nextxid"])
         except CorruptArchiveError as exc:
             raise CorruptArchiveError(f"object {object_hash}: {exc}") from None
         twice = segment.keys() & scripts.keys()

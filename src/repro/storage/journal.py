@@ -24,17 +24,21 @@ by framed records::
 
 Everything inside a record is written by :mod:`~repro.storage.binfmt`.
 An update keeps only the *redo half* of the completed delta the paper's
-storage model stores (:func:`~repro.storage.binfmt.write_redo`): a
-delete names its victim by XID, a root replacement its old root, a text
-or attribute update carries its new value only, and a commit's stamps
-are one marker (the Section 4 rule implies them) — replay applies the
-record to the very version the delta was computed against, which holds
-everything dropped, and :func:`~repro.diff.apply.apply_script` completes
-the delta from it as it applies it.  Every other field is kept, and so
-is every check forward application makes except the updates' base
-check: a redo update cannot say what it expected to overwrite, only
-that its target is of the right kind.  A record of 128 bytes or more is
-deflated when that
+storage model stores (:func:`~repro.storage.binfmt.write_redo`): a node
+that exists names itself by XID alone — a delete its victim, a move the
+node and where it goes, a root replacement its old root — a text or
+attribute update carries its new value only, an inserted subtree's root
+carries no stamps (the commit time, and the XID the allocator handed out
+after the subtree inserted before it), and a commit's stamps are one
+marker (the Section 4 rule implies them).  Replay applies the record to
+the very version the delta was computed against, which holds everything
+dropped, and :func:`~repro.diff.apply.apply_script` completes the delta
+from it as it applies it.  Every other field is kept, and so is every
+check forward application makes except two a redo record cannot make:
+an update cannot say what it expected to overwrite, and a delete or move
+where it expected its node to stand, only that the node exists (and is
+not the root).  In their place no inserted XID may reach the record's
+``nextxid``.  A record of 128 bytes or more is deflated when that
 shrinks it (the rule CAS objects use).  The CRC covers the *stored*
 bytes, so a torn append or a flipped bit is detected before anything is
 inflated or decoded, inflation is capped at the declared raw length, and
@@ -255,8 +259,9 @@ class JournalRecord:
     def script(self):
         """The :class:`EditScript` of an ``update`` record, in its redo
         form: :func:`~repro.diff.apply.apply_script` completes it while
-        applying it to the version it was computed against."""
-        return decode_redo(self.body)
+        applying it to the version it was computed against.  No XID it
+        inserts reaches the record's ``nextxid``."""
+        return decode_redo(self.body, self.nextxid)
 
 
 class JournalRecordV2(JournalRecord):

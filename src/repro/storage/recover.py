@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..diff.apply import apply_script
-from ..errors import CorruptArchiveError, StorageError
+from ..errors import CorruptArchiveError, DeltaApplicationError, StorageError
 from ..model.identifiers import XIDAllocator
 from .cas import CAS_POINTER_FILE
 from .checkpoint import LEGACY_CHECKPOINT_FILE, JOURNAL_FILE, PREV_SUFFIX
@@ -199,9 +199,15 @@ def apply_record(store, rec, observers=()):
                 f"journal gap: document {rec.name!r} jumps from version "
                 f"{doc.dindex.current_number} to {rec.version}"
             )
-        script = rec.script()
         old_root = doc.current_root
-        new_root = apply_script(old_root.copy(), script)
+        try:
+            script = rec.script()
+            new_root = apply_script(old_root.copy(), script)
+        except (CorruptArchiveError, DeltaApplicationError) as exc:
+            raise type(exc)(
+                f"journal record of {rec.name!r} version {rec.version}: "
+                f"{exc}"
+            ) from None
         if rec.nextxid is not None:
             doc.allocator = XIDAllocator(rec.nextxid)
         repository.commit_version(doc, new_root, script, rec.ts)

@@ -18,8 +18,12 @@ their varint length.  The kind byte also says how the stamps are written:
 
 :func:`write_node` writes a subtree's root absolute, and so any node
 missing a stamp or a base, so a subtree decodes on its own; a relative or
-implied kind with no base is corrupt.  Bytes written before relative and
-implied kinds existed hold ``0x01``/``0x02`` only and read as they are.
+implied kind with no base is corrupt.  :func:`write_implied_root` writes
+one with its root's stamps implied too, for a record that supplies the
+base itself (a commit's inserted subtree, whose root takes the commit
+time and the XID the record's running count gives it).  Bytes written
+before relative and implied kinds existed hold ``0x01``/``0x02`` only and
+read as they are.
 
 :mod:`~repro.storage.binfmt` writes trees, edit scripts and documents in
 this form for the commit journal and the CAS, and the stored deltas keep
@@ -134,6 +138,11 @@ class Reader:
         value = self.u()
         return None if value == 0 else value - 1
 
+    def z(self):
+        """Signed int written by :meth:`Writer.z`."""
+        value = self.u()
+        return (value >> 1) ^ -(value & 1)
+
     def byte(self):
         self._need(1)
         value = self._data[self._pos]
@@ -166,6 +175,29 @@ class Reader:
         start = self._pos
         self._pos = _walk(self._data, start, None)
         return PackedNode(self._data[start : self._pos])
+
+    def implied_root_node(self, xid, tstamp):
+        """The node :func:`write_implied_root` encoded next, its root
+        stamped ``xid`` and ``tstamp``, as the :class:`PackedNode` of its
+        :func:`write_node` bytes; returns it and every node's XID in
+        document order."""
+        data = self._data
+        start = self._pos
+        self._need(1)
+        kind = data[start]
+        if kind != _ELEMENT_SAME and kind != _TEXT_SAME:
+            raise CorruptArchiveError(
+                f"node kind 0x{kind:02x} at offset {start} where a subtree "
+                "with implied root stamps begins"
+            )
+        xids = []
+        self._pos = _walk(data, start, xids, xid - 1)
+        w = Writer()
+        w.byte(kind - _ELEMENT_SAME + _ELEMENT)
+        w.opt_u(xid)
+        w.opt_u(tstamp)
+        w.raw(data[start + 1 : self._pos])
+        return PackedNode(w._buf), xids
 
     def rest(self):
         """Everything not read yet."""
@@ -244,6 +276,17 @@ def _write(w, node, prev, parent_ts):
     for child in node.children:
         xid = _write(w, child, xid, tstamp)
     return xid
+
+
+def write_implied_root(w, packed):
+    """Write :class:`PackedNode` ``packed`` with its root's stamps left
+    out: its root becomes an implied kind (``0x05``/``0x06``) whose base
+    the reader supplies (:meth:`Reader.implied_root_node`), and the rest
+    of its bytes follow as they are."""
+    _, pos = _varint(packed, 1)
+    _, pos = _varint(packed, pos)
+    w.byte(packed[0] - _ELEMENT + _ELEMENT_SAME)
+    w.raw(packed[pos:])
 
 
 def _based(data, pos, kind, prev, parent_ts):
@@ -466,6 +509,13 @@ class PackedNode(bytes):
         value, _ = _varint(self, 1)
         return None if value == 0 else value - 1
 
+    @property
+    def tstamp(self):
+        """The subtree root's timestamp (``None`` when it has none)."""
+        _, pos = _varint(self, 1)
+        value, _ = _varint(self, pos)
+        return None if value == 0 else value - 1
+
     def tree(self):
         """A fresh, detached copy of the subtree."""
         return read_node(Reader(self))
@@ -484,15 +534,14 @@ class PackedNode(bytes):
         return f"PackedNode(xid={self.xid}, {len(self)} bytes)"
 
 
-def _walk(data, pos, xids):
-    """Offset just past the node encoded at ``pos``; appends every node's
-    XID (absent ones as ``None``), in document order, to ``xids`` unless
-    that is ``None``.  Checks the structure and the XIDs, not the
-    timestamps (only :func:`_decode` builds those) nor the strings'
-    UTF-8."""
+def _walk(data, pos, xids, xid=None):
+    """Offset just past the node encoded at ``pos``, after the XID ``xid``
+    in document order; appends every node's XID (absent ones as
+    ``None``), in document order, to ``xids`` unless that is ``None``.
+    Checks the structure and the XIDs, not the timestamps (only
+    :func:`_decode` builds those) nor the strings' UTF-8."""
     end = len(data)
     pending = 1  # nodes still to read: every element adds its children
-    xid = None  # the last node's, in document order
     try:
         while pending:
             pending -= 1

@@ -14,8 +14,13 @@
   completed form, as older releases wrote it to the CAS and the v2
   journal (``binfmt.read_script`` reads it); stored deltas are
   fingerprinted through it;
+* :func:`write_placed_op` and :func:`encode_placed_redo` — redo scripts
+  in the layouts written before existing nodes were named by XID alone
+  and inserted roots left their stamps implied (kinds ``0x01``–``0x03``),
+  which ``binfmt.read_redo`` still reads;
 * :data:`MISPLACED_MARKERS` — redo bytes whose implied-stamps marker
-  ``binfmt.read_redo`` must refuse.
+  ``binfmt.read_redo`` must refuse, and :func:`fresh_inserts`, redo bytes
+  of inserts whose root XIDs are coded as given.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from repro.diff.editscript import (
     DeleteOp,
     EditScript,
     InsertOp,
+    MoveOp,
     ReplaceRootOp,
     StampOp,
     UpdateAttrOp,
@@ -34,7 +40,7 @@ from repro.diff.editscript import (
 from repro.errors import IdentityError
 from repro.storage import binfmt
 from repro.operators.relational import INTERVAL_KEY
-from repro.xmlcore.codec import PackedNode, Reader, Writer
+from repro.xmlcore.codec import PackedNode, Reader, Writer, write_implied_root
 from repro.xmlcore.node import Element, Text
 
 
@@ -217,6 +223,8 @@ def write_script(w, script):
             w.u(op.xid)
             w.u(op.old_ts)
             w.u(op.new_ts)
+        elif isinstance(op, (InsertOp, MoveOp)):  # one layout in both forms
+            write_placed_op(w, op)
         elif isinstance(op, ReplaceRootOp):
             w.byte(binfmt._OP_REPLACEROOT)
             w.raw(op.old_payload)
@@ -232,8 +240,84 @@ def write_script(w, script):
             w.s(op.name)
             w.opt_s(op.old)
             w.opt_s(op.new)
-        else:  # one layout in both forms
-            binfmt._write_op(w, op)
+        else:
+            raise TypeError(f"cannot encode {type(op).__name__}")
+
+
+def write_placed_op(w, op):
+    """One operation of a redo script in the layouts written before
+    deletes and moves named existing nodes by XID alone and inserts left
+    their root's stamps implied: an insert with its whole subtree
+    (``0x01``), a delete with its victim's parent and position (``0x02``),
+    a move with where it leaves (``0x03``); any other operation as
+    ``binfmt`` writes it.  ``binfmt.read_redo`` still reads them."""
+    if isinstance(op, InsertOp):
+        w.byte(binfmt._OP_INSERT)
+        w.u(op.parent_xid)
+        w.u(op.pos)
+        w.raw(op.payload)
+    elif isinstance(op, DeleteOp):
+        w.byte(binfmt._OP_DELETE)
+        w.u(op.parent_xid)
+        w.u(op.pos)
+        w.u(op.payload.xid)
+    elif isinstance(op, MoveOp):
+        w.byte(binfmt._OP_MOVE)
+        w.u(op.xid)
+        w.u(op.from_parent)
+        w.u(op.from_pos)
+        w.u(op.to_parent)
+        w.u(op.to_pos)
+    else:
+        binfmt._write_op(w, op)
+
+
+def encode_placed_redo(script):
+    """``binfmt.encode_redo(script)`` with every insert, delete and move
+    in its earlier layout (:func:`write_placed_op`)."""
+    w = Writer()
+    w.opt_u(script.from_ts)
+    w.opt_u(script.to_ts)
+    ops = script.ops
+    implied = binfmt._implied_from(script)
+    if implied is not None:
+        ops = ops[:implied]
+    w.u(len(ops) + (implied is not None))
+    at = 0
+    while at < len(ops):
+        end = binfmt._stamp_run_end(ops, at)
+        if end - at > 1:
+            binfmt._write_stamp_run(w, ops[at:end])
+            at = end
+        else:
+            write_placed_op(w, ops[at])
+            at += 1
+    if implied is not None:
+        w.byte(binfmt._OP_IMPLIED_STAMPS)
+    return w.getvalue()
+
+
+def fresh_inserts(from_ts, to_ts, codes):
+    """Redo bytes of a script of inserts with implied root stamps, each an
+    empty ``<n>`` at position 0 under XID 1, one per entry of ``codes``:
+    the first is the root XID written whole, each later one the signed
+    distance written from the end of the subtree before (its XID plus
+    one).  Nothing checks that the XIDs make sense."""
+    leaf = PackedNode.pack(Element("n"))
+    w = Writer()
+    w.opt_u(from_ts)
+    w.opt_u(to_ts)
+    w.u(len(codes))
+    for at, code in enumerate(codes):
+        w.byte(binfmt._OP_FRESH_INSERT)
+        w.u(1)
+        w.u(0)
+        if at:
+            w.z(code)
+        else:
+            w.u(code)
+        write_implied_root(w, leaf)
+    return w.getvalue()
 
 
 def _remarked(redo, front=0, back=1, to_ts=True):

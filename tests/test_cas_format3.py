@@ -30,6 +30,33 @@ past the newest checkpoint.  Regenerate from an export of commit
     db.delete("c.xml")
     db.update("a.xml", gen.evolve("a.xml"))
     db.close()
+
+``tests/data/cas_v3`` is a format-3 directory written before deletes and
+moves named existing nodes by XID alone and inserted roots left their
+stamps implied: two checkpoints and a journal tail whose redo records
+hold inserts, deletes, moves and text updates in the layouts
+``0x01``–``0x03``, ``0x09`` and the ``0x0B`` marker.  Regenerate from an
+export of commit ``6a723f7``, with ``PYTHONPATH=src`` and :data:`SHOP`::
+
+    from repro import TemporalXMLDatabase
+    from repro.workload.tdocgen import TDocGenerator
+    gen = TDocGenerator(seed=43, depth=2, fanout=(2, 4))
+    db = TemporalXMLDatabase.open("cas_v3", durability="fsync",
+                                  snapshot_interval=4)
+    db.put("shop.xml", SHOP[0])
+    for name in ("a.xml", "b.xml"):
+        db.put(name, gen.document(name))
+    shop = iter(SHOP[1:6])
+    for _ in range(2):
+        for name in ("a.xml", "b.xml"):
+            for _ in range(3):
+                db.update(name, gen.evolve(name))
+        db.update("shop.xml", next(shop))
+        db.update("shop.xml", next(shop))
+        db.checkpoint()
+    db.update("shop.xml", next(shop))
+    db.update("a.xml", gen.evolve("a.xml"))
+    db.close()
 """
 
 import hashlib
@@ -45,6 +72,12 @@ from repro import TemporalXMLDatabase
 from repro.diff.editscript import (
     DeleteOp,
     EditScript,
+    ImpliedStamps,
+    InsertOp,
+    MoveOp,
+    RedoDelete,
+    RedoMove,
+    RedoUpdateText,
     StampOp,
     UpdateAttrOp,
     UpdateTextOp,
@@ -58,12 +91,13 @@ from repro.storage.cas import (
     read_checkpoint,
     read_pointer,
 )
+from repro.storage.journal import scan_journal
 from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.store import TemporalDocumentStore
 from repro.workload.tdocgen import TDocGenerator
 from repro.xmlcore.node import Element
 from tests.faults import CrashError, FaultyFS, tree_digest
-from tests.references import MISPLACED_MARKERS
+from tests.references import MISPLACED_MARKERS, fresh_inserts
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,7 +114,29 @@ FIXTURES = {
                   "5ca589884649aa1aefe59f0cac39f105",
     "journal_v2": "9612a765d035fb204dbfae717932b2d6"
                   "f4835ef655088234a30c16ddc50cdbf9",
+    "cas_v3": "6b3dbb9408faf2982a4b5676657b7c26"
+              "0db16b5a4125c280427d2b22409cda3e",
 }
+
+#: The versions of ``shop.xml``: ``cas_v3`` holds the first six, and each
+#: step moves, deletes, inserts and updates text.
+SHOP = [
+    "<shop><i>apple</i><j>pear</j><k>fig</k><l><m>kiwi</m></l></shop>",
+    "<shop><k>fig</k><i>apples</i><j>pear</j><l><m>kiwi</m><n>lime</n></l>"
+    "</shop>",
+    "<shop><k>fig</k><j>pear</j><l><m>kiwis</m><n>lime</n></l><i>apples</i>"
+    "</shop>",
+    "<shop><l><n>lime</n><m>kiwis</m></l><k>figs</k><j>pear</j><o>plum</o>"
+    "</shop>",
+    "<shop><j>pear</j><l><n>lime</n></l><k>figs</k><o>plums</o><i>apple</i>"
+    "</shop>",
+    "<shop><o>plums</o><j>pears</j><l><n>lime</n><k>figs</k></l><p>date</p>"
+    "</shop>",
+    "<shop><p>date</p><j>pear</j><l><k>figs</k><n>limes</n></l><q>quince</q>"
+    "<r>rye</r></shop>",
+    "<shop><l><n>limes</n></l><j>pear</j><p>dates</p><s><t>tea</t></s>"
+    "<q>quince</q></shop>",
+]
 
 
 def digest(store):
@@ -122,6 +178,82 @@ def test_a_fixture_opens_and_its_next_checkpoint_is_format_3(name, tmp_path):
     again = TemporalXMLDatabase.open(directory, durability="none")
     assert again.recovery.checkpoint_source == "checkpoint"
     assert digest(again.store) == FIXTURES[name]
+
+
+def _layouts(monkeypatch, data):
+    """``{version number: layouts}`` of a redo stream's scripts: which of
+    ``"placed"`` (an insert with its whole subtree, a delete naming its
+    victim's place, a move naming its source) and ``"by xid"`` (an insert
+    with implied root stamps, an XID-only delete or move) each holds."""
+    fresh = set()
+    real = binfmt._FreshXids.read
+
+    def read(self, r):
+        payload = real(self, r)
+        fresh.add(id(payload))
+        return payload
+
+    with monkeypatch.context() as patch:
+        patch.setattr(binfmt._FreshXids, "read", read)
+        scripts = binfmt.decode_redo_stream(data)
+    layouts = {}
+    for number, script in scripts.items():
+        found = layouts.setdefault(number, set())
+        for op in script.ops:
+            if isinstance(op, InsertOp):
+                found.add("by xid" if id(op.payload) in fresh else "placed")
+            elif isinstance(op, MoveOp) or (
+                isinstance(op, RedoDelete) and op.parent_xid is not None
+            ):
+                found.add("placed")
+            elif isinstance(op, (RedoDelete, RedoMove)):
+                found.add("by xid")
+    return layouts
+
+
+def _delta_objects(objstore, doc_id):
+    return objstore.published[doc_id].manifests[1][1]
+
+
+def test_placed_layouts_roll_beside_the_xid_only_ones(tmp_path,
+                                                      monkeypatch):
+    """``cas_v3``'s redo records name the place of what they delete and
+    move and stamp their inserted roots: they open to the recorded
+    digest, the next checkpoint appends XID-only records behind them in
+    the same segment, and that mixed stream rolls on its own."""
+    directory = tmp_path / "cas_v3"
+    shutil.copytree(DATA / "cas_v3", directory)
+    kinds = set()
+    for name in ("journal.bin.prev", "journal.bin"):
+        for record in scan_journal(str(directory / name)).records:
+            for member in record.members or [record]:
+                if member.kind == "update":
+                    kinds.update(type(op) for op in member.script().ops)
+    assert {InsertOp, RedoDelete, MoveOp, RedoUpdateText,
+            ImpliedStamps} <= kinds
+    db = TemporalXMLDatabase.open(directory, durability="fsync")
+    assert digest(db.store) == FIXTURES["cas_v3"]
+    objstore = db.checkpointer.objstore
+    shop = db.store.record("shop.xml")
+    old = {}
+    for object_hash in _delta_objects(objstore, shop.doc_id):
+        old.update(_layouts(monkeypatch, objstore.get(object_hash)))
+    assert old and all(found == {"placed"} for found in old.values())
+
+    for version in SHOP[6:]:
+        db.update("shop.xml", version)
+    db.checkpoint()
+    (segment,) = _delta_objects(objstore, shop.doc_id)  # the tail folded in
+    mixed = _layouts(monkeypatch, objstore.get(segment))
+    assert sorted(mixed) == list(range(1, shop.dindex.current_number))
+    assert all(mixed[number] == {"placed"} for number in old)
+    assert all(mixed[number] == {"by xid"}
+               for number in mixed if number not in old)
+    want = digest(db.store)
+    db.close()
+    again = TemporalXMLDatabase.open(directory, durability="none")
+    assert again.recovery.records_replayed == 0
+    assert digest(again.store) == want
 
 
 def test_a_format_2_load_publishes_nothing(tmp_path):
@@ -239,17 +371,17 @@ def _truncated_first_version(patch):
 
 
 def _prepended(make, stamps_implied=True):
-    """A forge that puts ``make(script)`` (``None``: nothing) in front of
-    every script it writes; the stamps stay implied unless
+    """A forge that puts ``make(script)`` (an operation or a list of them)
+    in front of every script it writes; the stamps stay implied unless
     ``stamps_implied`` is false, which writes them explicitly."""
     def forge(patch):
         real = binfmt.write_redo
 
         def write_redo(w, script):
-            op = make(script)
+            ops = make(script)
+            ops = ops if isinstance(ops, list) else [ops]
             real(w, EditScript(
-                [op] + script.ops if op is not None else script.ops,
-                script.from_ts, script.to_ts,
+                ops + script.ops, script.from_ts, script.to_ts,
                 stamps_implied=stamps_implied and script.stamps_implied,
             ))
 
@@ -261,6 +393,23 @@ def _prepended(make, stamps_implied=True):
 def _absent_xid(op):
     # Explicit stamps: the prepended operation is the only lie.
     return _prepended(lambda script: op, stamps_implied=False)
+
+
+def _fresh(xid, script):
+    """An inserted leaf whose root stamps ``script`` implies."""
+    node = stamped("n", xid)
+    node.tstamp = script.to_ts
+    return node
+
+
+def _written_as(make):
+    """A forge that writes the bytes ``make(script)`` for every script."""
+    def forge(patch):
+        patch.setattr(
+            binfmt, "write_redo", lambda w, script: w.raw(make(script))
+        )
+
+    return forge
 
 
 def _misplaced_marker(case):
@@ -309,6 +458,42 @@ HOSTILE = {
     ),
     **{case: (_misplaced_marker(case), "deltas")
        for case in MISPLACED_MARKERS},
+    # The first forged script applies to a.xml's version 2: XIDs 1 <doc>,
+    # 3 a text node, 6 <item> and 7 the <note> inside it.
+    "redo delete of the root": (
+        _prepended(lambda script: DeleteOp(0, 0, stamped("doc", 1))),
+        "deltas",
+    ),
+    "redo delete of a node the script deleted": (
+        _prepended(lambda script: 2 * [DeleteOp(2, 0, stamped("t", 3))]),
+        "deltas",
+    ),
+    "redo move of an absent XID": (
+        _prepended(lambda script: MoveOp(99999, 1, 0, 1, 0)), "deltas",
+    ),
+    "redo move of the root": (
+        _prepended(lambda script: MoveOp(1, 0, 0, 6, 0)), "deltas",
+    ),
+    "redo move under its own descendant": (
+        _prepended(lambda script: MoveOp(6, 1, 2, 7, 0)), "deltas",
+    ),
+    "fresh insert of a live XID": (
+        _prepended(lambda script: InsertOp(1, 0, _fresh(6, script))),
+        "deltas",
+    ),
+    "fresh insert below XID 0": (
+        _written_as(lambda script: fresh_inserts(
+            script.from_ts, script.to_ts, [0, -5])),
+        "deltas",
+    ),
+    "fresh insert reaching the next XID": (
+        _prepended(lambda script: InsertOp(1, 0, _fresh(99999, script))),
+        "deltas",
+    ),
+    "fresh insert without a commit time": (
+        _written_as(lambda script: fresh_inserts(script.from_ts, None, [7])),
+        "deltas",
+    ),
     "snapshot number past the chain": (_snapshot_past_the_chain, "manifest"),
 }
 

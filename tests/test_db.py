@@ -219,7 +219,7 @@ _REGISTRY = {
     "planner.conjuncts_reordered": 0, "planner.from_items_reordered": 0,
     "cas.objects_written": 4, "cas.objects_deduped": 0,
     "cas.compressed_objects": 0, "cas.raw_bytes": 219,
-    "cas.stored_bytes": 271, "cas.reads": 9, "cas.read_bytes": 828,
+    "cas.stored_bytes": 271, "cas.reads": 9, "cas.read_bytes": 821,
     "cas.gc_runs": 1, "cas.gc_deleted_objects": 0, "cas.gc_deleted_bytes": 0,
     "cas.by_kind.first.objects": 1, "cas.by_kind.first.deduped": 0,
     "cas.by_kind.first.raw": 28, "cas.by_kind.first.stored": 41,
@@ -232,7 +232,7 @@ _REGISTRY = {
 _DURABILITY = {
     "durability": "fsync",
     "journal": {
-        "records_written": 2, "bytes_written": 90, "raw_bytes": 72,
+        "records_written": 2, "bytes_written": 85, "raw_bytes": 67,
         "fsyncs": 5, "rolls": 1, "groups_written": 0, "group_members": 0,
         "by_kind": {"update": 1, "delete": 1},
     },
@@ -244,7 +244,7 @@ _DURABILITY = {
         "torn_tail": False, "documents": 2,
         "journals": [
             {"file": "journal.bin.prev", "version": 3, "records": 4,
-             "bytes": 270, "raw_bytes": 226},
+             "bytes": 263, "raw_bytes": 219},
             {"file": "journal.bin", "version": 3, "records": 1,
              "bytes": 132, "raw_bytes": 115},
         ],
@@ -264,7 +264,7 @@ _STORAGE = {
     "backend": {
         "objects_written": 4, "objects_deduped": 0, "compressed_objects": 0,
         "raw_bytes": 219, "stored_bytes": 271, "dedup_ratio": 0.808,
-        "reads": 9, "read_bytes": 828, "gc_runs": 1,
+        "reads": 9, "read_bytes": 821, "gc_runs": 1,
         "gc_deleted_objects": 0, "gc_deleted_bytes": 0,
         "by_kind": {
             "checkpoint": {"objects": 2, "deduped": 0, "raw": 170,
@@ -272,19 +272,19 @@ _STORAGE = {
             "first": {"objects": 1, "deduped": 0, "raw": 28, "stored": 41},
             "deltas": {"objects": 1, "deduped": 0, "raw": 21, "stored": 34},
         },
-        "disk_bytes": 780,
+        "disk_bytes": 773,
         "disk_by_kind": {
             "checkpoint": {"objects": 3, "stored_bytes": 313,
                            "raw_bytes": 274},
             "first": {"objects": 2, "stored_bytes": 112, "raw_bytes": 86},
-            "deltas": {"objects": 2, "stored_bytes": 138, "raw_bytes": 112},
+            "deltas": {"objects": 2, "stored_bytes": 131, "raw_bytes": 105},
         },
         "last_gc": {
             "roots": [
-                "9ed3a93b75d84609fd7e465cda338bf6"
-                "9d30c2c222eaf00e9e902c7db9d2e3f3",
-                "c7449249f4c0c31e279c2fa0ef63362d"
-                "058f70caf2a763da9b384099065a5dab",
+                "f4404190946363e3d35db6204b8fc470"
+                "a1f968788819803bbe2e7e18290c483f",
+                "10f9ef99420009c6409af174d86451d5"
+                "4894163fe20206a36fd0ebe2204db0a4",
             ],
             "objects_scanned": 8, "objects_live": 8, "objects_deleted": 0,
             "bytes_deleted": 0, "tmp_files_removed": 0,

@@ -1,17 +1,25 @@
 """Redo records keep only what the base version cannot supply.
 
 A commit script's stamps are the Section 4 rule's closure over its other
-operations, and a text or attribute update's old value is on the tree it
-applies to, so the redo form (``binfmt.write_redo``) stores neither: an
-update carries its new value only (kinds ``0x09``/``0x0A``) and the stamps
-are one trailing ``0x0B`` marker that :func:`~repro.diff.apply.apply_script`
-expands.  These tests hold that:
+operations, a text or attribute update's old value is on the tree it
+applies to, a node that exists there has its place there, and a fresh
+node takes the commit time and the next XID the allocator hands out.  So
+the redo form (``binfmt.write_redo``) stores none of those: an update
+carries its new value only (kinds ``0x09``/``0x0A``), the stamps are one
+trailing ``0x0B`` marker that :func:`~repro.diff.apply.apply_script`
+expands, a delete or move names its node by XID alone (``0x0D``/``0x0E``;
+``apply_script`` finds where it stands), and an insert leaves its root's
+stamps implied (``0x0C``: the commit time, and an XID coded against the
+end of the subtree inserted before).  These tests hold that:
 
 * every differ script of two generators' histories — the index differential
   histories (moves, root replacements, attributes, mixed content) and
   ``tdocgen`` collections — goes through ``write_redo`` → ``read_redo`` →
-  ``apply_script`` to its completed form byte for byte, with the stamps it
-  derives equal to the script's own;
+  ``apply_script`` to its completed form byte for byte and operation by
+  operation (a delete's and a move's source parent and position, every
+  payload's XIDs and timestamps), with the stamps it derives equal to the
+  script's own; ``read_redo`` alone gives back every inserted payload
+  byte for byte;
 * a script whose stamps break the rule keeps them, explicit, through the
   commit journal and a checkpoint.
 
@@ -22,6 +30,7 @@ journal) and ``test_cas_format3.HOSTILE`` (a checkpoint).
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +38,13 @@ from hypothesis import strategies as st
 from repro import TemporalXMLDatabase
 from repro.diff.apply import apply_script, parent_index
 from repro.diff.editscript import (
+    DeleteOp,
     EditScript,
     ImpliedStamps,
+    InsertOp,
+    MoveOp,
+    RedoDelete,
+    RedoMove,
     RedoStamp,
     ReplaceRootOp,
     StampOp,
@@ -60,12 +74,35 @@ def _round_trip(base, script, index=None, parents=None):
     ``base``'s ``index`` and ``parents`` kept up to date when given);
     returns the tree it leaves."""
     data = binfmt.encode_redo(script)
-    redo = binfmt.decode_redo(data)
+    fresh = []
+    real = binfmt._FreshXids.read
+
+    def read(self, r):
+        fresh.append(real(self, r))
+        return fresh[-1]
+
+    with mock.patch.object(binfmt._FreshXids, "read", read):
+        redo = binfmt.decode_redo(data)
+    # A commit's inserts left their roots' stamps implied.
+    assert len(fresh) == (sum(
+        isinstance(op, InsertOp) and op.payload.tstamp == script.to_ts
+        for op in script.ops
+    ) if script.stamps_implied else 0)
     implied = isinstance(redo.ops[-1], ImpliedStamps) if redo.ops else False
     assert implied == script.stamps_implied
     if implied:
         assert not any(isinstance(op, RedoStamp) for op in redo.ops)
+    # Existing nodes are named by XID alone; payloads come back whole.
+    assert not any(isinstance(op, (DeleteOp, MoveOp)) for op in redo.ops)
+    assert all(op.parent_xid is None
+               for op in redo.ops if isinstance(op, RedoDelete))
+    assert sum(isinstance(op, (RedoDelete, RedoMove)) for op in redo.ops) \
+        == sum(isinstance(op, (DeleteOp, MoveOp)) for op in script.ops)
+    assert [op for op in redo.ops if isinstance(op, InsertOp)] == [
+        op for op in script.ops if isinstance(op, InsertOp)
+    ]
     root = apply_script(base, redo, index, parents)
+    assert redo.ops == script.ops
     assert encode_script(redo) == encode_script(script)
     assert [op for op in redo.ops if isinstance(op, StampOp)] == [
         op for op in script.ops if isinstance(op, StampOp)

@@ -8,6 +8,7 @@ from repro.diff.editscript import (
     InsertOp,
     MoveOp,
     RedoDelete,
+    RedoMove,
     RedoReplaceRoot,
     RedoStamp,
     RedoUpdateAttr,
@@ -58,7 +59,9 @@ def _stamped(source, ts=100, first_xid=1):
 def _redo_half(op):
     """What the journal keeps of a completed operation."""
     if isinstance(op, DeleteOp):
-        return RedoDelete(op.parent_xid, op.pos, op.payload.xid)
+        return RedoDelete(op.payload.xid)
+    if isinstance(op, MoveOp):
+        return RedoMove(op.xid, op.to_parent, op.to_pos)
     if isinstance(op, StampOp):
         return RedoStamp(op.xid, op.new_ts)
     if isinstance(op, ReplaceRootOp):

@@ -19,12 +19,14 @@ from repro.diff import apply as apply_module
 from repro.diff.editscript import (
     DeleteOp,
     EditScript,
+    InsertOp,
+    MoveOp,
     ReplaceRootOp,
     StampOp,
     UpdateAttrOp,
     UpdateTextOp,
 )
-from repro.errors import StorageError
+from repro.errors import CorruptArchiveError, DeltaApplicationError, StorageError
 from repro.serving import Replica
 from repro.storage import TemporalDocumentStore, binfmt
 from repro.storage import journal as journal_module
@@ -47,7 +49,13 @@ from repro.workload import load_figure1
 from repro.xmlcore import parse, serialize
 from repro.xmlcore.node import Element
 from tests.legacy_dirs import make_legacy
-from tests.references import MISPLACED_MARKERS, encode_script
+from tests.references import (
+    MISPLACED_MARKERS,
+    encode_placed_redo,
+    encode_script,
+    fresh_inserts,
+    write_placed_op,
+)
 
 V1_FIXTURE = Path(__file__).parent / "data" / "journal_v1" / "journal.bin"
 V1_MAGIC = b"TXJRNL1\n"
@@ -437,28 +445,79 @@ def _stamped_leaf(xid):
     return leaf
 
 
-#: name -> the committed delta made hostile, as a completed script whose
-#: redo form ``apply_record`` must refuse.  XIDs: 1 <doc>, 2 <x>, 3 its
-#: text.
+def _twice(script, kind):
+    """``script`` with its one ``kind`` operation repeated right after it,
+    its stamps still implied."""
+    ops = []
+    for op in script.ops:
+        ops += [op, op] if isinstance(op, kind) else [op]
+    return EditScript(ops, from_ts=script.from_ts, to_ts=script.to_ts,
+                      stamps_implied=script.stamps_implied)
+
+
+def _fresh_leaf(xid, delta):
+    """An inserted leaf whose root stamps a commit script implies."""
+    leaf = _stamped_leaf(xid)
+    leaf.tstamp = delta.to_ts
+    return leaf
+
+
+def _in_front(delta, *ops):
+    """``delta`` with ``ops`` before its own, its stamps still implied."""
+    return EditScript(list(ops) + delta.ops, delta.from_ts, delta.to_ts,
+                      stamps_implied=delta.stamps_implied)
+
+
+#: name -> the committed delta -> redo bytes ``apply_record`` must refuse:
+#: mostly the redo form of the delta made hostile.  XIDs: 1 <doc>, 2 <x>,
+#: 3 its text, 4 <y>, 6 <z>; the record's next XID is 8.
 BAD_REDO = {
-    # XID 6 is <z>, which stands at position 2, not 1.
-    "delete names the wrong victim": lambda delta: _replaced(
-        delta, DeleteOp, lambda op: DeleteOp(op.parent_xid, op.pos,
-                                             _stamped_leaf(6))),
-    "delete position out of range": lambda delta: _replaced(
-        delta, DeleteOp, lambda op: DeleteOp(op.parent_xid, 7, op.payload)),
+    # Written as deletes were before they named the victim alone, which
+    # checked the victim's place: XID 6 is <z>, at position 2, not 1.
+    "delete names the wrong victim": lambda delta: encode_placed_redo(
+        _replaced(delta, DeleteOp, lambda op: DeleteOp(
+            op.parent_xid, op.pos, _stamped_leaf(6)))),
+    "delete position out of range": lambda delta: encode_placed_redo(
+        _replaced(delta, DeleteOp, lambda op: DeleteOp(
+            op.parent_xid, 7, op.payload))),
+    "redo delete of an unknown XID": lambda delta: binfmt.encode_redo(
+        _replaced(delta, DeleteOp, lambda op: DeleteOp(
+            op.parent_xid, op.pos, _stamped_leaf(999)))),
+    "redo delete of the root": lambda delta: binfmt.encode_redo(
+        _replaced(delta, DeleteOp, lambda op: DeleteOp(
+            op.parent_xid, op.pos, _stamped_leaf(1)))),
+    "redo delete of a node the script deleted": lambda delta: (
+        binfmt.encode_redo(_twice(delta, DeleteOp))
+    ),
+    "redo move of an unknown XID": lambda delta: binfmt.encode_redo(
+        _in_front(delta, MoveOp(999, 1, 0, 1, 0))),
+    "redo move of the root": lambda delta: binfmt.encode_redo(
+        _in_front(delta, MoveOp(1, 1, 0, 2, 0))),
+    "redo move under its own subtree": lambda delta: binfmt.encode_redo(
+        _in_front(delta, MoveOp(4, 1, 1, 4, 0))),
+    "fresh insert of a live XID": lambda delta: binfmt.encode_redo(
+        _in_front(delta, InsertOp(1, 0, _fresh_leaf(6, delta)))),
+    "fresh insert below XID 0": lambda delta: fresh_inserts(
+        delta.from_ts, delta.to_ts, [0, -5]),
+    "fresh insert reaching the next XID": lambda delta: binfmt.encode_redo(
+        _in_front(delta, InsertOp(1, 0, _fresh_leaf(8, delta)))),
+    "fresh insert without a commit time": lambda delta: fresh_inserts(
+        delta.from_ts, None, [7]),
     # Its stamps are not the rule's, so they are written explicitly.
-    "stamp of an unknown XID": lambda delta: EditScript(
-        delta.ops + [StampOp(999, 1, 2)], delta.from_ts, delta.to_ts),
-    "redo text update of an element": lambda delta: _replaced(
-        delta, UpdateTextOp, lambda op: UpdateTextOp(2, op.old, op.new)),
-    "redo text update of an unknown XID": lambda delta: _replaced(
-        delta, UpdateTextOp, lambda op: UpdateTextOp(999, op.old, op.new)),
-    "redo attribute update of a text node": lambda delta: _replaced(
-        delta, UpdateTextOp, lambda op: UpdateAttrOp(3, "k", None, "v")),
-    "root replacement of another root": lambda delta: EditScript(
-        [ReplaceRootOp(_stamped_leaf(3), _stamped_leaf(50))],
-        delta.from_ts, delta.to_ts),
+    "stamp of an unknown XID": lambda delta: binfmt.encode_redo(EditScript(
+        delta.ops + [StampOp(999, 1, 2)], delta.from_ts, delta.to_ts)),
+    "redo text update of an element": lambda delta: binfmt.encode_redo(
+        _replaced(delta, UpdateTextOp, lambda op: UpdateTextOp(
+            2, op.old, op.new))),
+    "redo text update of an unknown XID": lambda delta: binfmt.encode_redo(
+        _replaced(delta, UpdateTextOp, lambda op: UpdateTextOp(
+            999, op.old, op.new))),
+    "redo attribute update of a text node": lambda delta: binfmt.encode_redo(
+        _replaced(delta, UpdateTextOp, lambda op: UpdateAttrOp(
+            3, "k", None, "v"))),
+    "root replacement of another root": lambda delta: binfmt.encode_redo(
+        EditScript([ReplaceRootOp(_stamped_leaf(3), _stamped_leaf(50))],
+                   delta.from_ts, delta.to_ts)),
 }
 
 
@@ -476,8 +535,9 @@ class TestHostileRedo:
             body=body,
         )
         record = JournalRecord.decode(hostile.encode())  # frames as valid
-        with pytest.raises(StorageError):
+        with pytest.raises((CorruptArchiveError, DeltaApplicationError)) as err:
             apply_record(store, record)
+        assert "record of 'a.xml' version 2" in str(err.value)
         assert store.delta_index("a.xml").current_number == 1
         # The genuine record still applies on top of the refusal.
         assert apply_record(store, update)
@@ -496,8 +556,7 @@ class TestHostileRedo:
     @pytest.mark.parametrize("case", sorted(BAD_REDO))
     def test_a_lying_body_is_a_typed_error(self, tmp_path, case):
         create, update, delta = _redo_history(tmp_path)
-        body = binfmt.encode_redo(BAD_REDO[case](delta))
-        store = self._refused(create, update, body)
+        store = self._refused(create, update, BAD_REDO[case](delta))
         completed = store.record("a.xml").deltas[1]
         assert encode_script(completed) == encode_script(delta)
 
@@ -528,11 +587,11 @@ class _DecodeCounter:
         real_node = binfmt.read_node
 
         def counted(real):
-            def read(r):
+            def read(r, *limit):
                 self.members += 1
                 self._in_script = True
                 try:
-                    return real(r)
+                    return real(r, *limit)
                 finally:
                     self._in_script = False
 
@@ -564,7 +623,7 @@ def _completed_ops(script):
     """How many of a completed script's operations the journal keeps in
     redo form, one at a time: implied stamps are derived together, not
     completed one by one."""
-    redo = (DeleteOp, ReplaceRootOp, UpdateTextOp, UpdateAttrOp)
+    redo = (DeleteOp, MoveOp, ReplaceRootOp, UpdateTextOp, UpdateAttrOp)
     if not script.stamps_implied:
         redo += (StampOp,)
     return sum(isinstance(op, redo) for op in script)
@@ -653,7 +712,7 @@ def _per_op(w, script):
     w.opt_u(script.to_ts)
     w.u(len(script.ops))
     for op in script.ops:
-        binfmt._write_op(w, op)
+        write_placed_op(w, op)
 
 
 class TestPerOpStampDirectory:
