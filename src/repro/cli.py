@@ -570,26 +570,28 @@ def _print_backend_stats(backend, report, out):
     # What the published checkpoint holds on disk right now (the
     # lifetime counters above start at zero on every open).
     for kind, counters in backend["disk_by_kind"].items():
-        print(
-            f"  kind[{kind}]: {counters['raw_bytes']} raw -> "
-            f"{counters['stored_bytes']} stored "
-            f"({counters['objects']} object(s))",
-            file=out,
-        )
+        print(_kind_line(f"kind[{kind}]", counters), file=out)
     for kind, counters in sorted(backend["by_kind"].items()):
-        print(
-            f"  session[{kind}]: {counters['raw']} raw -> "
-            f"{counters['stored']} stored "
-            f"({counters['objects']} object(s), "
-            f"{counters['deduped']} deduped)",
-            file=out,
-        )
+        deduped = f", {counters.get('deduped')} deduped"
+        print(_kind_line(f"session[{kind}]", counters, deduped), file=out)
     print(
         f"  gc: {backend['gc_runs']} run(s), "
         f"{backend['gc_deleted_objects']} object(s) / "
         f"{backend['gc_deleted_bytes']} byte(s) reclaimed",
         file=out,
     )
+
+
+def _kind_line(label, counters, suffix=""):
+    """One line of a per-kind breakdown: a stream kind's ranges, raw bytes
+    only (its stored bytes are its packs'), or an object kind's raw and
+    stored bytes."""
+    raw = counters.get("raw_bytes", counters.get("raw"))
+    if "ranges" in counters:
+        return f"  {label}: {raw} raw in {counters['ranges']} range(s) of packs"
+    stored = counters.get("stored_bytes", counters.get("stored"))
+    return (f"  {label}: {raw} raw -> {stored} stored "
+            f"({counters['objects']} object(s){suffix})")
 
 
 def _cmd_ls(args, out):

@@ -224,7 +224,7 @@ class _FreshXids:
         else:
             w.z(xid - self.end)
         write_implied_root(w, payload)
-        self.end = payload.xids()[-1] + 1
+        self.end = payload.last_xid() + 1
 
     def read(self, r):
         xid = r.u() if self.end is None else self.end + r.z()
@@ -435,26 +435,17 @@ def decode_redo(data, limit=None):
 # A checkpointed document's deltas are one stream of *segments* laid end to
 # end, each ``count, (number, redo script)*``: a checkpoint appends one
 # segment holding the deltas the stream lacks, the way a commit appends one
-# delta, and never rewrites what an earlier checkpoint stored.  Stores
+# delta, and never rewrites what an earlier checkpoint stored (the CAS
+# lays each segment into a pack; one range names it).  Stores
 # written by older releases hold completed deltas and snapshot trees in
 # streams of the same layout, read by :func:`decode_delta_stream` and
 # :func:`decode_snapshot_stream`.  An empty stream holds nothing.
 
 
-def encode_redo_segment(record, numbers, tail=None):
-    """One segment of ``record``'s deltas ``numbers`` in redo form.
-    ``tail``, when given, is a whole segment already stored; its entries
-    are folded in front of the new ones as they are, without decoding
-    them."""
-    count = len(numbers)
+def encode_redo_segment(record, numbers):
+    """One segment of ``record``'s deltas ``numbers`` in redo form."""
     w = Writer()
-    if tail:
-        r = Reader(tail)
-        count += r.u()
-        w.u(count)
-        w.raw(tail[r.offset:])
-    else:
-        w.u(count)
+    w.u(len(numbers))
     for number in numbers:
         w.u(number)
         write_redo(w, record.deltas[number])

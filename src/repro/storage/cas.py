@@ -11,18 +11,22 @@ immutable objects keyed by content hash:
 * Every checkpointed document is stored as what the commit journal
   stores of it: its first version, written once, and its deltas in redo
   form (:func:`~repro.storage.binfmt.write_redo`), both in the binary
-  encoding of :mod:`~repro.storage.binfmt`, held as objects named by
-  their SHA-256 and listed in a *document manifest* together with the
-  version numbers that have a snapshot.  A checkpoint costs what changed
-  since the last one (the paper's append-only model, §7.1): a document
-  whose current version, deletion, next XID and snapshot set are
-  unchanged keeps its manifest hash and is not encoded at all; a changed
-  one *appends* one segment of the deltas it did not store yet.  A tail
-  segment under :data:`SEGMENT_FOLD_BYTES` is folded into the next, so
-  the stream holds about one segment per 4 KiB.  Loading rolls the first
-  version forward through the deltas, completing each and rebuilding
-  the snapshots and the current version on the way.  Storing an object
-  whose hash already exists is free.
+  encoding of :mod:`~repro.storage.binfmt`.  A checkpoint costs what
+  changed since the last one (the paper's append-only model, §7.1): a
+  document whose current version, deletion, next XID and snapshot set
+  are unchanged keeps its manifest hash and is not encoded at all; a
+  changed one gains one segment of the deltas it did not store yet (and
+  its first version, at its first checkpoint).  What one checkpoint
+  gains of all documents is laid end to end, in doc-id order, into
+  *packs*: objects of about :data:`PACK_BYTES` raw bytes each, deflated
+  as one stream, so the tag names, text and structure the documents
+  share compress together.  A *document manifest* names each stream as
+  ranges ``(pack, offset, length)`` and lists the version numbers that
+  have a snapshot; a pack is never rewritten, and a later checkpoint
+  only adds ranges in new packs.  Loading fetches and inflates each pack
+  once and rolls the first version forward through the deltas,
+  completing each and rebuilding the snapshots and the current version
+  on the way.  Storing an object whose hash already exists is free.
 * Objects above a size threshold are transparently zlib-compressed; a
   per-object CRC32 over the raw content detects torn writes and flipped
   bits, surfacing as :class:`~repro.errors.CorruptArchiveError` naming
@@ -33,16 +37,21 @@ immutable objects keyed by content hash:
   one intact generation.
 * :func:`collect_garbage` is a mark-and-sweep from the retained
   pointers: everything reachable (root manifests → document manifests →
-  stream objects) is live — which by construction is the set of the
-  retained checkpoints' objects — and every other object is deleted.
-  Rotating a checkpoint really reclaims bytes.
+  the packs their ranges name) is live — which by construction is the
+  set of the retained checkpoints' objects — and every other object is
+  deleted.  A pack stays while any retained generation names a range in
+  it.  Rotating a checkpoint really reclaims bytes.
 
-Root manifest format 3 is the one written.  Formats 1 and 2 stored each
+Root manifest format 4 is the one written.  Format 3 named each stream
+as a list of whole objects, one per first version and per segment; each
+such object is read as a pack of one range ``(hash, 0, raw length)``,
+so a format-3 directory opens and keeps its objects, and the next
+checkpoint writes only its manifests anew.  Formats 1 and 2 stored each
 document's current tree, completed deltas and snapshot trees as three
 streams (format 1 cut each, written whole, into content-defined chunks;
 format 2 appended segments); they are still read, and a load of one
 publishes nothing, so the first checkpoint after it rewrites every
-document in format 3.
+document.  docs/STORAGE.md gives the byte layout of every format.
 
 Object file format (after the 4-byte magic)::
 
@@ -89,12 +98,13 @@ OBJECTS_DIR = "objects"
 
 #: CAS root-manifest format version written; :data:`READABLE_VERSIONS`
 #: are read.
-FORMAT_VERSION = 3
-READABLE_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
+READABLE_VERSIONS = (1, 2, 3, 4)
 
-#: A stream's last segment smaller than this many raw bytes is folded
-#: into the segment the next checkpoint appends.
-SEGMENT_FOLD_BYTES = 4096
+#: A checkpoint's pack is stored once it holds this many raw bytes; what
+#: is left goes into the next one.  zlib's window is 32 KiB, so a larger
+#: pack compresses hardly better.
+PACK_BYTES = 64 * 1024
 
 _MAGIC = b"CAS1"
 _FLAG_ZLIB = 0x01
@@ -108,6 +118,7 @@ _STREAM_KINDS = {
     1: ("current", "deltas", "snapshots"),
     2: ("current", "deltas", "snapshots"),
     3: ("first", "deltas"),
+    4: ("first", "deltas"),
 }
 
 
@@ -121,7 +132,11 @@ class CASStats:
     ``raw_bytes`` counts every byte *presented* to :meth:`CASObjectStore.put`
     (dedup hits included); ``stored_bytes`` counts what actually reached
     disk (new objects, after compression).  Their quotient is the store's
-    effective dedup+compression ratio.
+    effective dedup+compression ratio.  ``by_kind`` counts objects per
+    kind put (``pack``, ``checkpoint``: ``objects``, ``deduped``, ``raw``,
+    ``stored``) and the ranges laid into packs per stream kind
+    (``first``, ``deltas``: ``ranges``, ``raw``), whose stored bytes are
+    their packs'.
     """
 
     objects_written: int = 0
@@ -143,6 +158,11 @@ class CASStats:
                 "objects": 0, "deduped": 0, "raw": 0, "stored": 0,
             }
         return bucket
+
+    def _range(self, kind, length):
+        bucket = self.by_kind.setdefault(kind, {"ranges": 0, "raw": 0})
+        bucket["ranges"] += 1
+        bucket["raw"] += length
 
     @property
     def dedup_ratio(self):
@@ -345,20 +365,19 @@ class _Stored:
     """What one checkpoint holds of one document.
 
     ``key`` is ``(current version, deleted_at, next XID, snapshot
-    numbers)`` — a document whose key is unchanged needs nothing written.
-    ``manifests`` is ``(length, [object hashes])`` for the first version
-    and for the redo-delta stream, and ``tail`` the raw length of the
-    delta stream's last segment (``None`` when it has none).  Deltas are
-    only ever added, so what the stream lacks is the versions past the
-    stored current one."""
+    numbers)`` — a document whose key is unchanged and whose manifest is
+    in the format written (``doc_hash`` set) needs nothing written.
+    ``manifests`` holds, for the first version and for the redo-delta
+    stream, the stream's ranges ``(pack hash, offset, length)`` in stream
+    order.  Deltas are only ever added, so what the stream lacks is the
+    versions past the stored current one."""
 
     key: tuple
     doc_hash: str
     manifests: tuple
-    tail: object
 
 
-_NOTHING = _Stored((0, None, 0, frozenset()), "", ((0, []), (0, [])), None)
+_NOTHING = _Stored((0, None, 0, frozenset()), "", ((), ()))
 
 
 def _key(record):
@@ -370,12 +389,47 @@ def _key(record):
     )
 
 
+class _Packer:
+    """Lays one checkpoint's new stream bytes end to end into packs.
+
+    :meth:`add` places bytes in the open pack and returns their range
+    with the pack's *number* in place of its hash; a pack is stored once
+    it holds :data:`PACK_BYTES` raw bytes (or at :meth:`close`), and
+    :meth:`resolve` then turns numbers into hashes."""
+
+    def __init__(self, objstore):
+        self.objstore = objstore
+        self.hashes = []  # of the packs stored so far, in order
+        self.pack = bytearray()
+
+    def add(self, data, kind):
+        at = (len(self.hashes), len(self.pack), len(data))
+        self.pack += data
+        self.objstore.stats._range(kind, len(data))
+        if len(self.pack) >= PACK_BYTES:
+            self.close()
+        return at
+
+    def close(self):
+        if self.pack:
+            self.hashes.append(self.objstore.put(self.pack, kind="pack"))
+            self.pack = bytearray()
+
+    def resolve(self, ranges):
+        return tuple(
+            (self.hashes[pack] if isinstance(pack, int) else pack,
+             offset, length)
+            for pack, offset, length in ranges
+        )
+
+
 def write_checkpoint(store, objstore, rotate=False):
     """Checkpoint ``store`` into ``objstore``'s directory.
 
     Only documents changed since ``objstore``'s last published
     checkpoint are written (a fresh object store, or one that loaded an
-    older format, writes every document).
+    older format, writes every document).  What they gained is laid into
+    packs in doc-id order, then their manifests are written.
     Objects land first (invisible until named by a pointer), then the
     pointer file is rotated (when ``rotate``) and atomically replaced —
     two generations, so a crash at any operation leaves a recoverable
@@ -383,13 +437,23 @@ def write_checkpoint(store, objstore, rotate=False):
     learns the new checkpoint once its pointer is published.  Returns the
     root manifest hash.
     """
-    published = {}
+    packer = _Packer(objstore)
+    published, staged = {}, []
     for record in sorted(store.repository.records(), key=lambda r: r.doc_id):
         key = _key(record)
         stored = objstore.published.get(record.doc_id, _NOTHING)
-        if stored.key != key:
-            stored = _write_document(objstore, record, key, stored)
+        if stored.key != key or not stored.doc_hash:
+            staged.append((record, key, _pack_document(packer, record, key,
+                                                       stored)))
         published[record.doc_id] = stored
+    packer.close()
+    for record, key, streams in staged:
+        manifests = tuple(packer.resolve(ranges) for ranges in streams)
+        doc_hash = objstore.put(
+            _encode_document_meta(record, manifests, sorted(key[3])),
+            kind="checkpoint",
+        )
+        published[record.doc_id] = _Stored(key, doc_hash, manifests)
     root = Writer()
     root.u(FORMAT_VERSION)
     root.u(store.clock.now())
@@ -408,26 +472,21 @@ def write_checkpoint(store, objstore, rotate=False):
     return root_hash
 
 
-def _write_document(objstore, record, key, stored):
-    """Store what ``record`` gained since ``stored``: its first version
-    (at its first checkpoint only) and one segment of redo deltas, then
-    its manifest."""
-    number, _deleted_at, _next_xid, snapshots = key
+def _pack_document(packer, record, key, stored):
+    """``record``'s streams: ``stored``'s ranges, followed by the ranges
+    of what ``record`` gained since, laid into ``packer`` — its first
+    version (at its first checkpoint only) and one segment of the redo
+    deltas the stream lacks."""
+    number = key[0]
     first, deltas = stored.manifests
-    if not first[1]:
+    if not first:
         data = encode_tree(_first_version(record, number))
-        first = (len(data), [objstore.put(data, kind="first")])
+        first = (packer.add(data, "first"),)
     numbers = range(max(stored.key[0], 1), number)
-    tail = stored.tail
     if numbers:
-        deltas, tail = _append_segment(objstore, deltas, tail, record,
-                                       numbers)
-    manifests = (first, deltas)
-    doc_hash = objstore.put(
-        _encode_document_meta(record, manifests, sorted(snapshots)),
-        kind="checkpoint",
-    )
-    return _Stored(key, doc_hash, manifests, tail)
+        segment = encode_redo_segment(record, numbers)
+        deltas = deltas + (packer.add(segment, "deltas"),)
+    return first, deltas
 
 
 def _first_version(record, number):
@@ -446,20 +505,6 @@ def _first_version(record, number):
     return root
 
 
-def _append_segment(objstore, manifest, tail, record, numbers):
-    """``manifest`` with one redo segment of ``numbers`` appended (the
-    tail segment folded into it when small) and the new tail's length."""
-    length, hashes = manifest
-    folded = None
-    if tail is not None and tail < SEGMENT_FOLD_BYTES:
-        folded = objstore.get(hashes[-1])
-        length -= len(folded)
-        hashes = hashes[:-1]
-    segment = encode_redo_segment(record, numbers, folded)
-    hashes = hashes + [objstore.put(segment, kind="deltas")]
-    return (length + len(segment), hashes), len(segment)
-
-
 def _encode_document_meta(record, manifests, snapshots):
     w = Writer()
     w.u(record.doc_id)
@@ -471,11 +516,19 @@ def _encode_document_meta(record, manifests, snapshots):
     for entry in entries:
         w.u(entry.number)
         w.u(entry.timestamp)
-    for length, hashes in manifests:
-        w.u(length)
-        w.u(len(hashes))
-        for object_hash in hashes:
-            w.blob(bytes.fromhex(object_hash))
+    packs = list(dict.fromkeys(
+        pack for ranges in manifests for pack, _offset, _length in ranges
+    ))
+    slot = {pack: at for at, pack in enumerate(packs)}
+    w.u(len(packs))
+    for pack in packs:
+        w.blob(bytes.fromhex(pack))
+    for ranges in manifests:
+        w.u(len(ranges))
+        for pack, offset, length in ranges:
+            w.u(slot[pack])
+            w.u(offset)
+            w.u(length)
     w.u(len(snapshots))
     for number in snapshots:
         w.u(number)
@@ -505,22 +558,25 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
     is returned.
 
     ``pointer`` names the generation (default ``objstore.pointer``;
-    recovery falls back to ``checkpoint.cas.prev``).  A format-3 document
-    is rebuilt by rolling its first version forward through its redo
-    deltas, which completes each of them (:func:`~repro.diff.apply.apply_script`),
-    copying the tree at each snapshot number on the way; the tree it ends
-    on is the current version.  Every
+    recovery falls back to ``checkpoint.cas.prev``).  A format-3 or
+    format-4 document is rebuilt by rolling its first version forward
+    through its redo deltas, which completes each of them
+    (:func:`~repro.diff.apply.apply_script`), copying the tree at each
+    snapshot number on the way; the tree it ends on is the current
+    version.  Each pack is fetched and inflated once per load.  Every
     object on the path is CRC-verified and every document decoded and
-    rolled before the first one is installed; corruption — a redo
-    operation that does not apply included — raises
+    rolled before the first one is installed; corruption — a range
+    outside its pack, ranges of one document overlapping in a pack, a
+    redo operation that does not apply — raises
     :class:`CorruptArchiveError` naming the object hash and leaves
     ``store`` untouched.  On success ``objstore.published`` describes
     the loaded checkpoint, so the next :func:`write_checkpoint` through
-    ``objstore`` writes only what changed after it; after a format-1 or
-    format-2 checkpoint it describes nothing, so the next one rewrites
-    every document in format 3.  ``first_versions``, a dict when given,
-    then receives ``{doc id: version 1}`` (a tree of its own) of every
-    format-3 document, where
+    ``objstore`` writes only what changed after it (and the manifests of
+    a format-3 checkpoint, whose objects it keeps as one-range packs);
+    after a format-1 or format-2 checkpoint it describes nothing, so the
+    next one rewrites every document.  ``first_versions``, a dict when
+    given, then receives ``{doc id: version 1}`` (a tree of its own) of
+    every format-3 or format-4 document, where
     :func:`~repro.storage.persistence.replay_history` starts its roll.
     """
     from .persistence import build_record, empty_store, install_records
@@ -531,6 +587,7 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
     version, clock_now, doc_hashes = _read_root(
         objstore.get(root_hash), root_hash, where=pointer
     )
+    packs = _Packs(objstore)
     records = []
     published = {}
     firsts = {}
@@ -538,14 +595,14 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
         meta = _decode_document_meta(
             objstore.get(doc_hash), doc_hash, version
         )
-        if version == FORMAT_VERSION:
-            first, deltas, snapshots, current_root, tail = _roll(
-                objstore, doc_hash, meta
+        if version >= 3:
+            first, deltas, snapshots, current_root, manifests = _roll(
+                packs, doc_hash, meta
             )
         else:
-            first, tail = None, None
+            first = None
             deltas, snapshots, current_root = _read_completed(
-                objstore, doc_hash, meta
+                packs, doc_hash, meta
             )
         record = build_record(
             doc_id=meta["doc_id"],
@@ -560,8 +617,12 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
         records.append(record)
         if first is not None:
             firsts[record.doc_id] = first
+            # A manifest of an older format is written anew, its ranges
+            # as they are, by the next checkpoint.
             published[record.doc_id] = _Stored(
-                _key(record), doc_hash, tuple(meta["manifests"]), tail
+                _key(record),
+                doc_hash if version == FORMAT_VERSION else "",
+                manifests,
             )
     install_records(store, clock_now, records)
     objstore.published = published
@@ -570,41 +631,84 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
     return store
 
 
-def _roll(objstore, doc_hash, meta):
-    """A format-3 document's ``(first version, completed deltas,
-    snapshots, current tree, delta tail length)``; the first version is
-    a copy the roll leaves alone."""
-    (first_length, first_hashes), (length, hashes) = meta["manifests"]
-    data = _fetch_stream(
-        objstore, doc_hash, "first", first_length, first_hashes
+class _Packs:
+    """The packs one load has fetched, each inflated once and held until
+    the load ends; hands out the bytes of ranges."""
+
+    def __init__(self, objstore):
+        self.objstore = objstore
+        self.raw = {}
+
+    def stream(self, doc_hash, kind, ranges, length=None, spans=None):
+        """``[(resolved range, bytes)]`` of one stream's ``ranges``.
+
+        A range of a format-1–3 manifest has no length: it is its whole
+        object, and ``length`` is the stream's declared total.  With
+        ``spans`` (``{pack: end of the last range read in it}``, shared
+        by one document's streams), a range must begin at or after the
+        end of the one before it in the same pack."""
+        pieces = []
+        for pack, offset, size in ranges:
+            data = self.raw.get(pack)
+            if data is None:
+                data = self.raw[pack] = self.objstore.get(pack)
+            if size is None:
+                size = len(data)
+            elif offset + size > len(data):
+                raise CorruptArchiveError(
+                    f"object {pack}: document manifest {doc_hash} names "
+                    f"{kind} bytes {offset}..{offset + size} of its "
+                    f"{len(data)}"
+                )
+            if spans is not None:
+                if offset < spans.get(pack, 0):
+                    raise CorruptArchiveError(
+                        f"object {pack}: document manifest {doc_hash} names "
+                        f"{kind} bytes at {offset}, before the end "
+                        f"{spans[pack]} of its range before in that pack"
+                    )
+                spans[pack] = offset + size
+            pieces.append(((pack, offset, size), data[offset:offset + size]))
+        if length is not None and sum(len(b) for _, b in pieces) != length:
+            raise CorruptArchiveError(
+                f"document manifest {doc_hash}: {kind} stream reassembled "
+                f"to {sum(len(b) for _, b in pieces)} byte(s), expected "
+                f"{length}"
+            )
+        return pieces
+
+
+def _roll(packs, doc_hash, meta):
+    """A format-3/4 document's ``(first version, completed deltas,
+    snapshots, current tree, manifests)``, the manifests' ranges with
+    their lengths; the first version is a copy the roll leaves alone."""
+    first_ranges, delta_ranges = meta["streams"]
+    first_length, length = meta["lengths"]
+    spans = {}
+    firsts = packs.stream(doc_hash, "first", first_ranges, first_length,
+                          spans)
+    segments = packs.stream(doc_hash, "deltas", delta_ranges, length, spans)
+    manifests = tuple(
+        tuple(at for at, _ in pieces) for pieces in (firsts, segments)
     )
-    where = first_hashes[0] if len(first_hashes) == 1 else doc_hash
+    where = firsts[0][0][0] if len(firsts) == 1 else doc_hash
     try:
-        root = decode_tree(data)
+        root = decode_tree(b"".join(data for _, data in firsts))
     except CorruptArchiveError as exc:
         raise CorruptArchiveError(f"object {where}: {exc}") from None
     scripts, source = {}, {}
-    total, tail = 0, None
-    for object_hash in hashes:
-        data = objstore.get(object_hash)
+    for (pack, _offset, _size), data in segments:
         try:
             segment = decode_redo_stream(data, meta["nextxid"])
         except CorruptArchiveError as exc:
-            raise CorruptArchiveError(f"object {object_hash}: {exc}") from None
+            raise CorruptArchiveError(f"object {pack}: {exc}") from None
         twice = segment.keys() & scripts.keys()
         if twice:
             raise CorruptArchiveError(
-                f"object {object_hash} holds version {min(twice)} again"
+                f"object {pack} holds version {min(twice)} again"
             )
         scripts.update(segment)
-        source.update(dict.fromkeys(segment, object_hash))
-        total += len(data)
-        tail = len(data)
-    if total != length:
-        raise CorruptArchiveError(
-            f"document manifest {doc_hash}: deltas stream reassembled to "
-            f"{total} byte(s), expected {length}"
-        )
+        source.update(dict.fromkeys(segment, pack))
     last = len(meta["entries"])
     if sorted(scripts) != list(range(1, last)):
         raise CorruptArchiveError(
@@ -632,16 +736,18 @@ def _roll(objstore, doc_hash, meta):
                 ) from None
         if number in wanted:
             snapshots[number] = root.copy()
-    return first, scripts, snapshots, root, tail
+    return first, scripts, snapshots, root, manifests
 
 
-def _read_completed(objstore, doc_hash, meta):
+def _read_completed(packs, doc_hash, meta):
     """A format-1/2 document's ``(deltas, snapshots, current tree)``: the
     three streams older releases wrote, decoded as they are."""
     current, deltas, snaps = (
-        _fetch_stream(objstore, doc_hash, kind, length, hashes)
-        for kind, (length, hashes) in zip(
-            _STREAM_KINDS[1], meta["manifests"]
+        b"".join(
+            data for _, data in packs.stream(doc_hash, kind, ranges, length)
+        )
+        for kind, ranges, length in zip(
+            _STREAM_KINDS[1], meta["streams"], meta["lengths"]
         )
     )
     return (
@@ -652,6 +758,10 @@ def _read_completed(objstore, doc_hash, meta):
 
 
 def _decode_document_meta(data, doc_hash, version):
+    """A document manifest's fields; ``streams`` holds each stream's
+    ranges ``(object hash, offset, length)``.  Before format 4 a stream
+    is a list of whole objects with a declared total in ``lengths``: its
+    ranges are ``(hash, 0, None)``."""
     r = Reader(data)
     meta = {
         "doc_id": r.u(),
@@ -659,16 +769,43 @@ def _decode_document_meta(data, doc_hash, version):
         "nextxid": r.u(),
         "deleted_at": r.opt_u(),
         "entries": [],
-        "manifests": [],
+        "streams": [],
+        "lengths": [],
     }
     for _ in range(r.u()):
         number = r.u()
         meta["entries"].append((number, r.u()))
-    for _kind in _STREAM_KINDS[version]:
-        length = r.u()
-        hashes = [r.blob().hex() for _ in range(r.u())]
-        meta["manifests"].append((length, hashes))
     if version == FORMAT_VERSION:
+        packs = [r.blob().hex() for _ in range(r.u())]
+        named = set()
+        for _kind in _STREAM_KINDS[version]:
+            ranges = []
+            for _ in range(r.u()):
+                slot, offset, length = r.u(), r.u(), r.u()
+                if slot >= len(packs):
+                    raise CorruptArchiveError(
+                        f"document manifest {doc_hash} names pack {slot} of "
+                        f"its {len(packs)}"
+                    )
+                if not length:
+                    raise CorruptArchiveError(
+                        f"document manifest {doc_hash} names an empty range"
+                    )
+                named.add(slot)
+                ranges.append((packs[slot], offset, length))
+            meta["streams"].append(ranges)
+            meta["lengths"].append(None)
+        if len(named) != len(packs):
+            raise CorruptArchiveError(
+                f"document manifest {doc_hash} lists a pack no range names"
+            )
+    else:
+        for _kind in _STREAM_KINDS[version]:
+            meta["lengths"].append(r.u())
+            meta["streams"].append(
+                [(r.blob().hex(), 0, None) for _ in range(r.u())]
+            )
+    if version >= 3:
         snapshots = [r.u() for _ in range(r.u())]
         if any(a >= b for a, b in zip(snapshots, snapshots[1:])):
             raise CorruptArchiveError(
@@ -682,17 +819,6 @@ def _decode_document_meta(data, doc_hash, version):
     return meta
 
 
-def _fetch_stream(objstore, doc_hash, kind, length, hashes):
-    """The bytes of a stream that ``hashes`` name, laid end to end."""
-    stream = b"".join(objstore.get(object_hash) for object_hash in hashes)
-    if len(stream) != length:
-        raise CorruptArchiveError(
-            f"document manifest {doc_hash}: {kind} stream reassembled to "
-            f"{len(stream)} byte(s), expected {length}"
-        )
-    return stream
-
-
 # -- garbage collection --------------------------------------------------------
 
 
@@ -703,8 +829,8 @@ def reachable_hashes(objstore, root_hash):
     for doc_hash in doc_hashes:
         live.add(doc_hash)
         meta = _decode_document_meta(objstore.get(doc_hash), doc_hash, version)
-        for _length, hashes in meta["manifests"]:
-            live.update(hashes)
+        for ranges in meta["streams"]:
+            live.update(pack for pack, _offset, _length in ranges)
     return live
 
 
@@ -793,12 +919,15 @@ __all__ = [
 def kind_breakdown(objstore):
     """Disk-truth per-kind breakdown of the newest checkpoint generation.
 
-    Walks the published pointer's reachable set and attributes every
-    object (once — objects shared across streams count where first seen)
-    to ``first`` / ``deltas`` / ``checkpoint`` (manifests), or to
-    ``current`` / ``deltas`` / ``snapshots`` / ``checkpoint`` in an older
-    format's generation, returning ``{kind: {objects, stored_bytes,
-    raw_bytes}}``.
+    Walks the published pointer's reachable set.  Every object counts
+    once, as ``checkpoint`` (the root and document manifests) or ``pack``
+    (what streams' ranges name — in a format-1–3 generation each object a
+    stream names, read as a pack of one range):
+    ``{objects, stored_bytes, raw_bytes}``.  Every range counts under its
+    stream's kind (``first`` / ``deltas``, or ``current`` / ``deltas`` /
+    ``snapshots`` in a format-1/2 generation): ``{ranges, raw_bytes}``, so
+    the stored bytes of a kind are the packs' and its raw bytes are its
+    ranges'.
     Unlike :class:`CASStats` — counters over one store's lifetime — this
     reads what is on disk right now, so ``repro stats -d`` reports real
     numbers on a freshly opened directory.  The walk reads through
@@ -808,32 +937,38 @@ def kind_breakdown(objstore):
     breakdown = {}
     if not fs.exists(pointer):
         return breakdown
-    seen = set()
+    raw_sizes = {}
 
     def add(kind, object_hash):
-        """Count an object not seen yet; returns its raw content."""
-        if object_hash in seen:
-            return None
-        seen.add(object_hash)
+        """Count an object not seen yet; returns its raw content (``None``
+        when it was seen) and its raw length."""
+        if object_hash in raw_sizes:
+            return None, raw_sizes[object_hash]
         raw = objstore.get(object_hash, counted=False)  # verifies the CRC
+        raw_sizes[object_hash] = len(raw)
         entry = breakdown.setdefault(
             kind, {"objects": 0, "stored_bytes": 0, "raw_bytes": 0}
         )
         entry["objects"] += 1
         entry["stored_bytes"] += fs.size(objstore.object_path(object_hash))
         entry["raw_bytes"] += len(raw)
-        return raw
+        return raw, len(raw)
 
     root_hash = read_pointer(pointer, fs=fs)
-    root = add("checkpoint", root_hash)
-    version, _clock, doc_hashes = _read_root(root, root_hash)
+    version, _clock, doc_hashes = _read_root(
+        add("checkpoint", root_hash)[0], root_hash
+    )
     for doc_hash in doc_hashes:
         # A manifest names its document's id: no other object shares it.
         meta = _decode_document_meta(
-            add("checkpoint", doc_hash), doc_hash, version
+            add("checkpoint", doc_hash)[0], doc_hash, version
         )
-        kinds = _STREAM_KINDS[version]
-        for kind, (_length, hashes) in zip(kinds, meta["manifests"]):
-            for object_hash in hashes:
-                add(kind, object_hash)
+        for kind, ranges in zip(_STREAM_KINDS[version], meta["streams"]):
+            for pack, _offset, length in ranges:
+                _raw, size = add("pack", pack)
+                entry = breakdown.setdefault(
+                    kind, {"ranges": 0, "raw_bytes": 0}
+                )
+                entry["ranges"] += 1
+                entry["raw_bytes"] += size if length is None else length
     return breakdown

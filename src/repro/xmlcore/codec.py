@@ -173,7 +173,7 @@ class Reader:
         """The node encoded next, as a :class:`PackedNode` of its bytes
         (checked to be whole, not decoded)."""
         start = self._pos
-        self._pos = _walk(self._data, start, None)
+        self._pos = _walk(self._data, start, None)[0]
         return PackedNode(self._data[start : self._pos])
 
     def implied_root_node(self, xid, tstamp):
@@ -191,7 +191,7 @@ class Reader:
                 "with implied root stamps begins"
             )
         xids = []
-        self._pos = _walk(data, start, xids, xid - 1)
+        self._pos = _walk(data, start, xids, xid - 1)[0]
         w = Writer()
         w.byte(kind - _ELEMENT_SAME + _ELEMENT)
         w.opt_u(xid)
@@ -526,6 +526,10 @@ class PackedNode(bytes):
         _walk(self, 0, xids)
         return xids
 
+    def last_xid(self):
+        """The XID of the subtree's last node in document order."""
+        return _walk(self, 0, None)[1]
+
     def measure(self):
         """``(len(serialize(tree)), nodes)`` of the subtree."""
         return _measure(self)
@@ -535,9 +539,10 @@ class PackedNode(bytes):
 
 
 def _walk(data, pos, xids, xid=None):
-    """Offset just past the node encoded at ``pos``, after the XID ``xid``
-    in document order; appends every node's XID (absent ones as
-    ``None``), in document order, to ``xids`` unless that is ``None``.
+    """``(offset just past, last XID in document order)`` of the node
+    encoded at ``pos``, after the XID ``xid`` in document order; appends
+    every node's XID (absent ones as ``None``), in document order, to
+    ``xids`` unless that is ``None``.
     Checks the structure and the XIDs, not the timestamps (only
     :func:`_decode` builds those) nor the strings' UTF-8."""
     end = len(data)
@@ -580,7 +585,7 @@ def _walk(data, pos, xids, xid=None):
         raise CorruptArchiveError(
             "truncated binary record: a packed node runs past its end"
         )
-    return pos
+    return pos, xid
 
 
 def _measure(data):

@@ -220,7 +220,7 @@ class TestCheckpointRoundTrip:
         write_checkpoint(db.store, objstore, rotate=True)
         assert encoded == ["encode_redo_segment"]
         assert len(scripts) == 1
-        assert puts == ["deltas", "checkpoint", "checkpoint"]
+        assert puts == ["pack", "checkpoint", "checkpoint"]
         assert objstore.stats.objects_written - written == 3
 
         del encoded[:], scripts[:], puts[:]

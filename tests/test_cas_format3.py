@@ -1,14 +1,18 @@
-"""CAS root format 3: first versions plus redo deltas, rolled on load.
+"""CAS root formats 3 and 4: first versions plus redo deltas, rolled on load.
 
-A format-3 checkpoint stores each document's first version once and its
-deltas in redo form; a load rolls the first version forward, completing
-every delta and copying the tree at each listed snapshot number.  These
-tests hold that layout against a crash at every filesystem operation of a
-checkpoint and of its GC, against hostile objects (each one a typed error
-naming the object, the store left untouched and recovery falling back to
-``checkpoint.cas.prev``), and against every directory fixture an older
-release wrote: each opens to its recorded archive digest, and its next
-checkpoint is format 3 throughout.
+A checkpoint stores each document's first version once and its deltas
+in redo form; a load rolls the first version forward, completing every
+delta and copying the tree at each listed snapshot number.  Format 4
+lays what one checkpoint adds into shared packs and names each stream
+as ranges in them; format 3 stored each as objects of its own, read as
+packs of one range.  These tests hold that layout against a crash at
+every filesystem operation of a checkpoint (of one pack and of several)
+and of its GC, against hostile objects, ranges and packs (each one a
+typed error naming the object, the store left untouched and recovery
+falling back to ``checkpoint.cas.prev``), against GC of packs, and
+against every directory fixture an older release wrote: each opens to
+its recorded archive digest, and its next checkpoint is format 4
+throughout.
 
 ``tests/data/cas_v2`` is a format-2 directory: two checkpoints (so a
 ``.prev`` generation), snapshots, a deleted document and a journal tail
@@ -160,15 +164,19 @@ def stamped(tag, xid):
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_a_fixture_opens_and_its_next_checkpoint_is_format_3(name, tmp_path):
+    """Every fixture opens to its digest, and its next checkpoint is in
+    the format written now (format 3 onwards: first versions and redo
+    deltas; format 4 names them as ranges in packs)."""
     directory = tmp_path / name
     shutil.copytree(DATA / name, directory)
     db = TemporalXMLDatabase.open(directory, durability="journal")
     assert digest(db.store) == FIXTURES[name]
     db.checkpoint()
     assert root_format(directory) == FORMAT_VERSION
-    # Every document was rewritten: nothing of an older format is reached.
+    # Every manifest was rewritten: no stream of an older format is
+    # reached (a format-3 object is reached as a pack of one range).
     assert sorted(kind_breakdown(db.checkpointer.objstore)) == [
-        "checkpoint", "deltas", "first",
+        "checkpoint", "deltas", "first", "pack",
     ]
     published = db.checkpointer.objstore.published
     assert sorted(published) == sorted(
@@ -211,16 +219,21 @@ def _layouts(monkeypatch, data):
     return layouts
 
 
-def _delta_objects(objstore, doc_id):
-    return objstore.published[doc_id].manifests[1][1]
+def _delta_ranges(objstore, doc_id):
+    """``[(pack hash, bytes)]`` of each range of a document's deltas."""
+    return [
+        (pack, objstore.get(pack)[offset:offset + length])
+        for pack, offset, length in objstore.published[doc_id].manifests[1]
+    ]
 
 
 def test_placed_layouts_roll_beside_the_xid_only_ones(tmp_path,
                                                       monkeypatch):
     """``cas_v3``'s redo records name the place of what they delete and
     move and stamp their inserted roots: they open to the recorded
-    digest, the next checkpoint appends XID-only records behind them in
-    the same segment, and that mixed stream rolls on its own."""
+    digest, the next checkpoint keeps their format-3 objects as packs of
+    one range and appends XID-only records behind them in a pack of its
+    own, and that mixed stream rolls on its own."""
     directory = tmp_path / "cas_v3"
     shutil.copytree(DATA / "cas_v3", directory)
     kinds = set()
@@ -236,15 +249,19 @@ def test_placed_layouts_roll_beside_the_xid_only_ones(tmp_path,
     objstore = db.checkpointer.objstore
     shop = db.store.record("shop.xml")
     old = {}
-    for object_hash in _delta_objects(objstore, shop.doc_id):
-        old.update(_layouts(monkeypatch, objstore.get(object_hash)))
+    kept = _delta_ranges(objstore, shop.doc_id)
+    for _pack, data in kept:
+        old.update(_layouts(monkeypatch, data))
     assert old and all(found == {"placed"} for found in old.values())
 
     for version in SHOP[6:]:
         db.update("shop.xml", version)
     db.checkpoint()
-    (segment,) = _delta_objects(objstore, shop.doc_id)  # the tail folded in
-    mixed = _layouts(monkeypatch, objstore.get(segment))
+    ranges = _delta_ranges(objstore, shop.doc_id)
+    assert ranges[:-1] == kept  # the format-3 objects, as they were
+    mixed = {}
+    for _pack, data in ranges:
+        mixed.update(_layouts(monkeypatch, data))
     assert sorted(mixed) == list(range(1, shop.dindex.current_number))
     assert all(mixed[number] == {"placed"} for number in old)
     assert all(mixed[number] == {"by xid"}
@@ -254,6 +271,31 @@ def test_placed_layouts_roll_beside_the_xid_only_ones(tmp_path,
     again = TemporalXMLDatabase.open(directory, durability="none")
     assert again.recovery.records_replayed == 0
     assert digest(again.store) == want
+
+
+def test_a_format_3_checkpoint_is_rewritten_as_manifests_only(tmp_path):
+    """Checkpointing what a format-3 checkpoint holds writes format-4
+    manifests and a root and no pack: every format-3 object stays, each
+    a pack of one range, and the new generation reads back the same."""
+    directory = tmp_path / "cas_v3"
+    shutil.copytree(DATA / "cas_v3", directory)
+    objstore = CASObjectStore(directory)
+    store = read_checkpoint(objstore)
+
+    def packs():
+        return {
+            pack for stored in objstore.published.values()
+            for ranges in stored.manifests for pack, _offset, _length in ranges
+        }
+
+    old = packs()
+    assert old <= {object_hash for object_hash, _, _ in objstore.iter_objects()}
+    cas.write_checkpoint(store, objstore, rotate=True)
+    assert set(objstore.stats.by_kind) == {"checkpoint"}
+    assert root_format(directory) == FORMAT_VERSION
+    assert packs() == old
+    again = read_checkpoint(CASObjectStore(directory))
+    assert digest(again) == digest(store)
 
 
 def test_a_format_2_load_publishes_nothing(tmp_path):
@@ -291,12 +333,12 @@ def test_a_crash_in_the_upgrading_checkpoint_reopens_the_same(tmp_path):
         assert digest(again.store) == FIXTURES["cas_v2"], k
 
 
-# -- a crash inside a format-3 checkpoint ------------------------------------------
+# -- a crash inside a checkpoint ----------------------------------------------------
 
 
 def test_a_crash_at_every_operation_of_a_checkpoint_and_its_gc(tmp_path):
-    """The third checkpoint appends segments, folds small tails and adds
-    a first version; its GC sweeps what only the first one reached.  A
+    """The third checkpoint lays new segments and a first version into a
+    pack; its GC sweeps what only the first one reached.  A
     crash at any of those operations reopens the whole history (every
     commit is in a journal), and the next checkpoint reopens it too."""
 
@@ -337,6 +379,115 @@ def test_a_crash_at_every_operation_of_a_checkpoint_and_its_gc(tmp_path):
         again = TemporalXMLDatabase.open(directory, durability="none")
         assert again.recovery.checkpoint_source == "checkpoint", k
         assert digest(again.store) == want, k
+
+
+def test_a_crash_at_every_operation_of_a_checkpoint_of_several_packs(
+    tmp_path, monkeypatch
+):
+    """With packs of 128 raw bytes the second checkpoint lays its new
+    first versions and segments into several packs, one document's
+    streams spread over two of them; a crash at any operation of it
+    reopens the whole history, and so does the checkpoint after."""
+    monkeypatch.setattr(cas, "PACK_BYTES", 128)
+
+    def prepare(directory, fs):
+        gen = TDocGenerator(seed=29, depth=2, fanout=(2, 3))
+        db = TemporalXMLDatabase.open(directory, durability="fsync", fs=fs)
+        db.put("a.xml", gen.document("a.xml"))
+        db.checkpoint()
+        for name in ("b.xml", "c.xml", "d.xml"):
+            db.put(name, gen.document(name))
+        for _ in range(3):
+            for name in ("a.xml", "b.xml", "c.xml", "d.xml"):
+                db.update(name, gen.evolve(name))
+        return db
+
+    probe = FaultyFS()
+    db = prepare(tmp_path / "probe", probe)
+    packs = []
+    real_put = CASObjectStore.put
+
+    def put(objstore, data, kind="object"):
+        if kind == "pack":
+            packs.append(data)
+        return real_put(objstore, data, kind=kind)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CASObjectStore, "put", put)
+        before = probe.ops
+        db.checkpoint()
+        total = probe.ops
+    assert len(packs) >= 3
+    written = {cas.hash_bytes(pack) for pack in packs}
+    assert any(
+        len(written & {pack for ranges in stored.manifests
+                       for pack, _offset, _length in ranges}) > 1
+        for stored in db.checkpointer.objstore.published.values()
+    )
+    want = digest(db.store)
+    for k in range(before + 1, total + 1):
+        directory = tmp_path / f"crash-{k}"
+        fs = FaultyFS()
+        db = prepare(directory, fs)
+        fs.crash_at = k
+        with pytest.raises(CrashError):
+            db.checkpoint()
+        again = TemporalXMLDatabase.open(directory, durability="journal")
+        assert digest(again.store) == want, k
+        again.checkpoint()
+        again.close()
+        again = TemporalXMLDatabase.open(directory, durability="none")
+        assert again.recovery.checkpoint_source == "checkpoint", k
+        assert digest(again.store) == want, k
+
+
+def test_gc_keeps_a_pack_while_a_retained_generation_names_it(tmp_path):
+    """A fresh object store lays every document into packs of its own;
+    the packs the older store wrote stay while ``.prev`` names a range in
+    them and go with the next rotation."""
+    gen = TDocGenerator(seed=31, depth=2, fanout=(2, 3))
+    db = TemporalXMLDatabase(snapshot_interval=3)
+    for name in ("a.xml", "b.xml"):
+        db.put(name, gen.document(name))
+    older = CASObjectStore(tmp_path)
+
+    def packs(objstore):
+        return {
+            pack
+            for stored in objstore.published.values()
+            for ranges in stored.manifests
+            for pack, _offset, _length in ranges
+        }
+
+    def on_disk():
+        return {object_hash for object_hash, _, _ in older.iter_objects()}
+
+    cas.write_checkpoint(db.store, older)
+    for _ in range(2):
+        db.update("a.xml", gen.evolve("a.xml"))
+    cas.write_checkpoint(db.store, older, rotate=True)
+    old_packs = packs(older)
+    assert len(old_packs) == 2
+    cas.collect_garbage(older)
+    assert old_packs <= on_disk()
+
+    newer = CASObjectStore(tmp_path)  # publishes nothing: writes it all
+    db.update("b.xml", gen.evolve("b.xml"))
+    cas.write_checkpoint(db.store, newer, rotate=True)
+    assert not packs(newer) & old_packs
+    cas.collect_garbage(newer)
+    assert old_packs <= on_disk()  # .prev still names ranges in them
+
+    db.update("a.xml", gen.evolve("a.xml"))
+    cas.write_checkpoint(db.store, newer, rotate=True)
+    report = cas.collect_garbage(newer)
+    assert not old_packs & on_disk()
+    assert report.objects_deleted >= len(old_packs)
+    assert packs(newer) <= on_disk()
+    loaded = read_checkpoint(
+        CASObjectStore(tmp_path), store=TemporalDocumentStore()
+    )
+    assert digest(loaded) == digest(db.store)
 
 
 # -- hostile objects -------------------------------------------------------------------
@@ -436,8 +587,79 @@ def _snapshot_past_the_chain(patch):
     patch.setattr(cas, "_encode_document_meta", encode)
 
 
+def _forged_ranges(change):
+    """A forge that names each changed document's ranges as
+    ``change(first ranges, delta ranges)`` returns them."""
+    def forge(patch):
+        real = cas._encode_document_meta
+
+        def encode(record, manifests, snapshots):
+            return real(record, change(*manifests), snapshots)
+
+        patch.setattr(cas, "_encode_document_meta", encode)
+
+    return forge
+
+
+def _last_range_as(make):
+    """:func:`_forged_ranges` replacing the last delta range
+    ``(pack, offset, length)`` by the ranges ``make`` returns."""
+    return _forged_ranges(
+        lambda first, deltas: (first, deltas[:-1] + make(*deltas[-1]))
+    )
+
+
+def _damaged_pack(damage):
+    """A forge that rewrites every pack file the checkpoint stores as
+    ``damage(file bytes)``."""
+    def forge(patch):
+        real = CASObjectStore.put
+
+        def put(objstore, data, kind="object"):
+            object_hash = real(objstore, data, kind=kind)
+            if kind == "pack":
+                path = Path(objstore.object_path(object_hash))
+                path.write_bytes(damage(path.read_bytes()))
+            return object_hash
+
+        patch.setattr(CASObjectStore, "put", put)
+
+    return forge
+
+
+def _flipped(blob):
+    return blob[:-9] + bytes([blob[-9] ^ 0x10]) + blob[-8:]
+
+
 HOSTILE = {
     "truncated first version": (_truncated_first_version, "first"),
+    "range past the end of its pack": (
+        _last_range_as(lambda pack, offset, length: (
+            (pack, offset, length + 10**6),
+        )),
+        "pack",
+    ),
+    "range overlapping the one before": (
+        _last_range_as(lambda pack, offset, length: 2 * (
+            (pack, offset, length),
+        )),
+        "pack",
+    ),
+    "ranges out of order in a pack": (
+        _last_range_as(lambda pack, offset, length: (
+            (pack, offset + length // 2, length - length // 2),
+            (pack, offset, length // 2),
+        )),
+        "pack",
+    ),
+    "range in a missing pack": (
+        _last_range_as(lambda pack, offset, length: (
+            (cas.hash_bytes(b"no such pack"), offset, length),
+        )),
+        "pack",
+    ),
+    "truncated pack": (_damaged_pack(lambda blob: blob[:-7]), "pack"),
+    "bit-flipped pack": (_damaged_pack(_flipped), "pack"),
     "redo delete of an absent XID": (
         _absent_xid(DeleteOp(99998, 0, stamped("gone", 99999))), "deltas",
     ),

@@ -26,7 +26,6 @@ from repro.errors import CorruptArchiveError
 from repro.storage.cas import (
     CAS_POINTER_FILE,
     FORMAT_VERSION,
-    SEGMENT_FOLD_BYTES,
     CASObjectStore,
     hash_bytes,
     pointer_bytes,
@@ -48,8 +47,8 @@ CAS_V1_FINGERPRINT = (
 
 
 def manifests(directory):
-    """``{doc id: ((length, [hashes]) per stream)}`` of the published
-    checkpoint."""
+    """``{doc id: (ranges per stream)}`` of the published checkpoint, a
+    range ``(pack hash, offset, length)``."""
     objstore = CASObjectStore(directory)
     read_checkpoint(objstore)
     return {
@@ -69,22 +68,49 @@ def reopen(directory, db):
 
 
 class TestSegments:
-    def test_small_tails_fold_and_the_stream_reopens(self, tmp_path):
+    def test_no_checkpoint_rewrites_bytes_an_earlier_pack_holds(
+        self, tmp_path, monkeypatch
+    ):
         gen = TDocGenerator(seed=3)
         db = TemporalXMLDatabase()
-        db.put("d.xml", gen.document("d.xml"))
+        for name in ("d.xml", "e.xml"):
+            db.put(name, gen.document(name))
         objstore = CASObjectStore(tmp_path)
-        for _ in range(160):
-            db.update("d.xml", gen.evolve("d.xml"))
+        packs = []
+        real_put = CASObjectStore.put
+
+        def put(store, data, kind="object"):
+            if kind == "pack":
+                packs.append(len(data))
+            return real_put(store, data, kind=kind)
+
+        monkeypatch.setattr(CASObjectStore, "put", put)
+        before = {}
+        for step in range(160):
+            name = ("d.xml", "e.xml")[step % 3 == 0]
+            db.update(name, gen.evolve(name))
+            del packs[:]
             write_checkpoint(db.store, objstore)
-        (stored,) = objstore.published.values()
-        length, hashes = stored.manifests[1]
-        sizes = [len(objstore.get(h)) for h in hashes]
-        assert sum(sizes) == length > 2 * SEGMENT_FOLD_BYTES
-        # A segment is only closed once it reached the fold size, so the
-        # count stays near length / 4 KiB however often we checkpoint.
-        assert all(size >= SEGMENT_FOLD_BYTES for size in sizes[:-1])
-        assert len(sizes) <= length // SEGMENT_FOLD_BYTES + 1
+            after = {
+                doc_id: stored.manifests
+                for doc_id, stored in objstore.published.items()
+            }
+            added = 0
+            for doc_id, (first, deltas) in after.items():
+                # What the stream held stays where it was; only ranges in
+                # the packs this checkpoint wrote are appended.
+                old_first, old_deltas = before.get(doc_id, ((), ()))
+                assert first == old_first or not old_first
+                assert deltas[: len(old_deltas)] == old_deltas
+                added += sum(
+                    length for _pack, _offset, length in
+                    (first if not old_first else ())
+                    + deltas[len(old_deltas):]
+                )
+            # The new packs hold exactly the new ranges' bytes: nothing
+            # an earlier pack holds is written again.
+            assert sum(packs) == added > 0
+            before = after
         loaded = read_checkpoint(
             CASObjectStore(tmp_path), store=TemporalDocumentStore()
         )
@@ -191,7 +217,7 @@ class TestRecoveryHandOff:
         db.checkpoint()
         after = manifests(directory)
         assert after[2] == before[2]  # b.xml
-        assert after[1][1][1][:-1] == before[1][1][1][:-1]  # a.xml
+        assert after[1][1][:-1] == before[1][1]  # a.xml, one range added
         reopen(directory, db).close()
 
     def test_fallback_to_prev_then_checkpoint_and_reopen(self, tmp_path):
@@ -331,7 +357,7 @@ class TestFormatOneDirectory:
         assert objstore.get(read_pointer(str(pointer)))[0] == FORMAT_VERSION
         after = manifests(directory)
         assert sorted(after) == [1, 2, 3]
-        assert all(len(first[1]) == 1 for first, _deltas in after.values())
+        assert all(len(first) == 1 for first, _deltas in after.values())
         reopen(directory, db).close()
 
 

@@ -465,10 +465,16 @@ class TestStorageCLI:
         storage = payload["storage"]
         backend = storage["backend"]
         disk = backend["disk_by_kind"]
-        assert set(disk) >= {"first", "checkpoint"}
-        for counters in disk.values():
-            assert counters["stored_bytes"] > 0
-            assert counters["objects"] > 0
+        assert set(disk) >= {"first", "pack", "checkpoint"}
+        for kind in ("pack", "checkpoint"):
+            assert disk[kind]["stored_bytes"] > 0
+            assert disk[kind]["objects"] > 0
+        # The streams' ranges account for every raw byte of the packs.
+        assert disk["first"]["ranges"] > 0
+        assert sum(
+            counters["raw_bytes"] for counters in disk.values()
+            if "ranges" in counters
+        ) == disk["pack"]["raw_bytes"]
         assert backend["disk_bytes"] > 0
         assert storage["logical"]["total"] > 0
         assert storage["logical"]["delta_ops"] == {

@@ -217,16 +217,16 @@ _REGISTRY = {
     "planner.plans": 2, "planner.index_chosen": 2, "planner.nav_chosen": 0,
     "planner.cost_flips": 0, "planner.pushdowns": 1,
     "planner.conjuncts_reordered": 0, "planner.from_items_reordered": 0,
-    "cas.objects_written": 4, "cas.objects_deduped": 0,
-    "cas.compressed_objects": 0, "cas.raw_bytes": 219,
-    "cas.stored_bytes": 271, "cas.reads": 9, "cas.read_bytes": 821,
+    "cas.objects_written": 3, "cas.objects_deduped": 0,
+    "cas.compressed_objects": 0, "cas.raw_bytes": 191,
+    "cas.stored_bytes": 230, "cas.reads": 8, "cas.read_bytes": 662,
     "cas.gc_runs": 1, "cas.gc_deleted_objects": 0, "cas.gc_deleted_bytes": 0,
-    "cas.by_kind.first.objects": 1, "cas.by_kind.first.deduped": 0,
-    "cas.by_kind.first.raw": 28, "cas.by_kind.first.stored": 41,
-    "cas.by_kind.deltas.objects": 1, "cas.by_kind.deltas.deduped": 0,
-    "cas.by_kind.deltas.raw": 21, "cas.by_kind.deltas.stored": 34,
+    "cas.by_kind.first.ranges": 1, "cas.by_kind.first.raw": 28,
+    "cas.by_kind.deltas.ranges": 1, "cas.by_kind.deltas.raw": 21,
+    "cas.by_kind.pack.objects": 1, "cas.by_kind.pack.deduped": 0,
+    "cas.by_kind.pack.raw": 49, "cas.by_kind.pack.stored": 62,
     "cas.by_kind.checkpoint.objects": 2, "cas.by_kind.checkpoint.deduped": 0,
-    "cas.by_kind.checkpoint.raw": 170, "cas.by_kind.checkpoint.stored": 196,
+    "cas.by_kind.checkpoint.raw": 142, "cas.by_kind.checkpoint.stored": 168,
 }
 
 _DURABILITY = {
@@ -236,7 +236,7 @@ _DURABILITY = {
         "fsyncs": 5, "rolls": 1, "groups_written": 0, "group_members": 0,
         "by_kind": {"update": 1, "delete": 1},
     },
-    "checkpoints": {"checkpoints": 1, "bytes_written": 271, "last_bytes": 271},
+    "checkpoints": {"checkpoints": 1, "bytes_written": 230, "last_bytes": 230},
     "recovery": {
         "checkpoint_source": "checkpoint", "storage": "cas",
         "checkpoint_errors": [], "records_scanned": 5, "records_replayed": 1,
@@ -262,31 +262,33 @@ _STORAGE = {
                 "interned": 21, "lifetime_entries": 16},
     "held": {"ops": 14, "payloads": 3, "payload_bytes": 123},
     "backend": {
-        "objects_written": 4, "objects_deduped": 0, "compressed_objects": 0,
-        "raw_bytes": 219, "stored_bytes": 271, "dedup_ratio": 0.808,
-        "reads": 9, "read_bytes": 821, "gc_runs": 1,
+        "objects_written": 3, "objects_deduped": 0, "compressed_objects": 0,
+        "raw_bytes": 191, "stored_bytes": 230, "dedup_ratio": 0.83,
+        "reads": 8, "read_bytes": 662, "gc_runs": 1,
         "gc_deleted_objects": 0, "gc_deleted_bytes": 0,
         "by_kind": {
-            "checkpoint": {"objects": 2, "deduped": 0, "raw": 170,
-                           "stored": 196},
-            "first": {"objects": 1, "deduped": 0, "raw": 28, "stored": 41},
-            "deltas": {"objects": 1, "deduped": 0, "raw": 21, "stored": 34},
+            "checkpoint": {"objects": 2, "deduped": 0, "raw": 142,
+                           "stored": 168},
+            "pack": {"objects": 1, "deduped": 0, "raw": 49, "stored": 62},
+            "first": {"ranges": 1, "raw": 28},
+            "deltas": {"ranges": 1, "raw": 21},
         },
-        "disk_bytes": 773,
+        "disk_bytes": 657,
         "disk_by_kind": {
-            "checkpoint": {"objects": 3, "stored_bytes": 313,
-                           "raw_bytes": 274},
-            "first": {"objects": 2, "stored_bytes": 112, "raw_bytes": 86},
-            "deltas": {"objects": 2, "stored_bytes": 131, "raw_bytes": 105},
+            "checkpoint": {"objects": 3, "stored_bytes": 257,
+                           "raw_bytes": 218},
+            "pack": {"objects": 2, "stored_bytes": 183, "raw_bytes": 191},
+            "first": {"ranges": 2, "raw_bytes": 86},
+            "deltas": {"ranges": 2, "raw_bytes": 105},
         },
         "last_gc": {
             "roots": [
-                "f4404190946363e3d35db6204b8fc470"
-                "a1f968788819803bbe2e7e18290c483f",
-                "10f9ef99420009c6409af174d86451d5"
-                "4894163fe20206a36fd0ebe2204db0a4",
+                "d2b3396c0775bc461442b86b21d9ab0c"
+                "ceb2c479843f444e81fb8036d8bbf129",
+                "4d5067e5c5317119841b32c7a31087a4"
+                "f7acf56c59ba618f243d1931c21da2e2",
             ],
-            "objects_scanned": 8, "objects_live": 8, "objects_deleted": 0,
+            "objects_scanned": 6, "objects_live": 6, "objects_deleted": 0,
             "bytes_deleted": 0, "tmp_files_removed": 0,
         },
     },
