@@ -15,8 +15,8 @@ harness is covered too):
 * a smoke run of every ``repro`` subcommand: an archive built with
   ``put``/``update``/``delete`` and read back with ``query``, ``explain``,
   ``trace``, ``history``, ``ls`` and ``stats``; a directory written
-  through ``repro serve`` over the wire, then ``recover``, ``stats -d`` and
-  ``replica``;
+  through ``repro serve`` over the wire, then ``recover``, ``stats -d``,
+  ``replica`` and ``upgrade`` (which finds nothing older to convert);
 * the E-series benchmarks at their CI smoke sizes.
 
 Everything runs in a scratch copy of the checkout under ``tempfile``'s
@@ -474,6 +474,7 @@ def _cli_smoke(runner, work):
         ("cli recover", ["recover", "-d", "dir"]),
         ("cli stats", ["stats", "-d", "dir", "--exercise", "guide.com"]),
         ("cli stats", ["stats", "-d", "dir", "--json"]),
+        ("cli upgrade", ["upgrade", "-d", "dir"]),
     ):
         runner.run(tag, [*repro, *args], cwd=work)
     runner.serve("cli serve", ["serve", "-a", "db.xml", "--serve-for", "60"],

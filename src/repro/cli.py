@@ -17,7 +17,8 @@ Mutating commands load the archive, apply the commit, and save it back;
 ``put`` creates the archive when it does not exist yet.  ``-a`` names an
 XML archive only: a durable database directory is read (checkpoint and
 journal) by the commands that take ``-d`` (``stats``, ``serve``,
-``recover``, ``replica``), and ``-a DIR`` is an error.
+``recover``, ``replica``), and ``-a DIR`` is an error.  They refuse a
+directory an older release wrote; ``upgrade -d DIR`` converts it once.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def build_parser():
     serve.add_argument(
         "--storage", default=None, choices=["cas"],
         help="checkpoint format when serving a directory; CAS is the only "
-             "one (older XML checkpoints are read, then replaced)",
+             "one (an older release's directory is converted by upgrade)",
     )
     serve.add_argument(
         "--snapshot-interval", type=int, default=None, metavar="N",
@@ -211,6 +212,16 @@ def build_parser():
         help="with --follow: stop after SECONDS (for scripted runs)",
     )
     replica.set_defaults(handler=_cmd_replica)
+
+    upgrade = sub.add_parser(
+        "upgrade",
+        help="convert a database directory an older release wrote to CAS "
+             "root format 4 and journal v3, once (safe to rerun after a "
+             "crash)",
+    )
+    upgrade.add_argument("-d", "--dir", required=True,
+                         help="database directory")
+    upgrade.set_defaults(handler=_cmd_upgrade)
     return parser
 
 
@@ -349,17 +360,12 @@ def _cmd_history(args, out):
 
 
 def _cmd_recover(args, out):
-    # Reporting only: a journal-less open leaves every file as it is (an
-    # older journal format would otherwise be checkpointed aside).
+    # Reporting only: a journal-less open leaves every file as it is.
     durability = "none" if args.no_checkpoint else args.durability
     db = TemporalXMLDatabase.open(args.dir, durability=durability)
     report = db.recovery
     print(f"recovered {report.documents} document(s) from {args.dir}", file=out)
-    print(
-        f"checkpoint used: {report.checkpoint_source} "
-        f"(storage: {report.storage})",
-        file=out,
-    )
+    print(f"checkpoint used: {report.checkpoint_source}", file=out)
     for error in report.checkpoint_errors:
         print(f"checkpoint skipped: {error}", file=out)
     print(
@@ -544,16 +550,14 @@ def _cmd_stats(args, out):
         file=out,
     )
     if args.dir:
-        _print_backend_stats(storage["backend"], db.recovery, out)
+        _print_backend_stats(storage["backend"], out)
         print("journal files:", file=out)
         _print_journal_files(db.recovery, out)
     return 0
 
 
-def _print_backend_stats(backend, report, out):
-    print(
-        f"storage backend: cas (checkpoint read: {report.storage})", file=out
-    )
+def _print_backend_stats(backend, out):
+    print("storage backend: cas", file=out)
     print(
         f"  objects: {backend['objects_written']} written, "
         f"{backend['objects_deduped']} deduped, "
@@ -592,6 +596,18 @@ def _kind_line(label, counters, suffix=""):
     stored = counters.get("stored_bytes", counters.get("stored"))
     return (f"  {label}: {raw} raw -> {stored} stored "
             f"({counters['objects']} object(s){suffix})")
+
+
+def _cmd_upgrade(args, out):
+    from .storage.legacy import upgrade
+
+    if not os.path.isdir(args.dir):
+        raise FileNotFoundError(f"directory {args.dir!r} does not exist")
+    if upgrade(args.dir):
+        print(f"upgraded {args.dir}: CAS root format 4, journal v3", file=out)
+    else:
+        print(f"{args.dir} holds nothing older; nothing written", file=out)
+    return 0
 
 
 def _cmd_ls(args, out):

@@ -147,9 +147,7 @@ class TemporalXMLDatabase:
         valid checkpoint, replays the journal tail through the index
         observers, truncates a torn tail (unless ``durability="none"``,
         which appends nothing and so leaves the journal file alone) — and
-        then attaches the journal so every commit is logged.  A journal in
-        an older format is read, then checkpointed once so it rolls aside
-        before anything is appended.  The
+        then attaches the journal so every commit is logged.  The
         :class:`~repro.storage.recover.RecoveryReport` is left on
         ``db.recovery``.
 
@@ -158,9 +156,10 @@ class TemporalXMLDatabase:
         commit, ``"journal"`` flushes without syncing, ``"none"`` keeps no
         journal — only explicit :meth:`checkpoint` calls persist anything.
 
-        A directory an older release wrote holds XML archives
-        (``checkpoint.xml``) instead; recovery reads them, and the next
-        :meth:`checkpoint` writes CAS and removes them.  ``storage``
+        A directory holding any other format — the XML checkpoints, CAS
+        root formats 1–3 or v1/v2 journals an older release wrote — is a
+        :class:`~repro.errors.UnsupportedFormatError` naming ``repro
+        upgrade``, raised before anything is written.  ``storage``
         accepts only ``"cas"`` (or nothing): a directory has one
         checkpoint format, and :meth:`save` is the XML export.
         """
@@ -169,7 +168,7 @@ class TemporalXMLDatabase:
         from .errors import StorageError
         from .storage.cas import CASObjectStore
         from .storage.checkpoint import JOURNAL_FILE, Checkpointer
-        from .storage.journal import FORMAT_VERSION, CommitJournal
+        from .storage.journal import CommitJournal
         from .storage.recover import recover_store
 
         if durability not in DURABILITY_MODES:
@@ -209,11 +208,6 @@ class TemporalXMLDatabase:
         # Dedup/compression/GC counters join the shared registry so
         # `repro stats` and EXPLAIN-era tooling see the storage layer.
         db.engine.registry.register("cas", objstore.stats)
-        if db.journal is not None and db.journal.version != FORMAT_VERSION:
-            # journal.bin was written by an older release in a format that
-            # is only read now: fold it into a checkpoint, which rolls it
-            # to .prev, so the first append lands in a fresh file.
-            db.checkpoint()
         return db
 
     def checkpoint(self):

@@ -80,9 +80,21 @@ class TornJournalError(CorruptArchiveError):
     torn or corrupted record.
 
     Recovery never raises this for a torn *tail* — it truncates the tail
-    instead — so this surfaces only through :func:`~repro.storage.journal.verify_journal`
-    or when a journal's header is not a journal header at all.
+    instead — so this surfaces only through :func:`~repro.storage.journal.verify_journal`.
     """
+
+
+class UnsupportedFormatError(StorageError):
+    """Raised when a durable file is in a format this release does not
+    read: an older release's, which ``repro upgrade`` converts once, or
+    an unknown one.  A refusal, never a fallback to an older generation."""
+
+    def __init__(self, message):
+        super().__init__(
+            f"{message}: this release reads CAS root format 4 and journal "
+            "v3 only; convert a directory an older release wrote, once, "
+            "with `repro upgrade -d DIR`"
+        )
 
 
 class NoSuchVersionError(StorageError):

@@ -13,9 +13,8 @@ records are skipped, only the genuine tail changes the store.  It is also
 cheap: the scan leaves record bodies undecoded and a skipped record never
 decodes its own, so a catch-up against an unchanged leader checks frames
 and envelopes and builds no tree.  Seeding goes through recovery, so a
-leader replicates from whichever checkpoint it holds (the
-content-addressed store of :mod:`~repro.storage.cas`, or an older
-release's XML archive).
+leader replicates from whichever checkpoint generation it holds, and a
+directory an older release wrote is refused until ``repro upgrade``.
 
 The replica never writes to the leader's directory (a journal-less open
 creates nothing and repairs nothing, so even a torn journal tail is left

@@ -18,8 +18,7 @@ Everything is written through :class:`Writer` / read through
 
 An edit script is written in its redo half (:func:`write_redo`): the
 commit journal and the CAS keep it, and replay or a checkpoint load
-completes it from the version it applies to.  The completed delta
-(:func:`read_script`) is read from what older releases wrote.
+completes it from the version it applies to.
 
 The node encoding, :class:`Writer` and :class:`Reader` live in
 :mod:`~repro.xmlcore.codec`, because stored edit scripts hold their payload
@@ -130,10 +129,6 @@ def write_redo(w, script):
     distance is 0).  :func:`read_redo` reads it back as ``Redo*``
     operations, which :func:`~repro.diff.apply.apply_script` completes
     from the tree the script applies to.
-
-    The completed form (:func:`read_script`) has the layout of a script
-    with explicit stamps, with the subtrees, old values and old timestamps
-    in place; only stores written by older releases hold it.
     """
     w.opt_u(script.from_ts)
     w.opt_u(script.to_ts)
@@ -292,10 +287,6 @@ def _write_op(w, op, fresh=None):
         )
 
 
-def read_script(r):
-    return _read_ops(r, redo=False)
-
-
 def read_redo(r, limit=None):
     """Decode :func:`write_redo`'s bytes into an :class:`EditScript` whose
     deletes, moves, updates, stamps and root replacement are ``Redo*``
@@ -311,10 +302,6 @@ def read_redo(r, limit=None):
     and position (read into a ``RedoDelete`` that checks them), complete
     moves, ``_OP_UPDTEXT``/``_OP_UPDATTR`` records and explicit stamps,
     and read as they are."""
-    return _read_ops(r, redo=True, limit=limit)
-
-
-def _read_ops(r, redo, limit=None):
     from_ts = r.opt_u()
     to_ts = r.opt_u()
     count = r.u()
@@ -325,11 +312,8 @@ def _read_ops(r, redo, limit=None):
         if kind == _OP_INSERT:
             ops.append(InsertOp(r.u(), r.u(), r.packed_node()))
         elif kind == _OP_DELETE:
-            if redo:
-                parent_xid, pos = r.u(), r.u()
-                ops.append(RedoDelete(r.u(), parent_xid, pos))
-            else:
-                ops.append(DeleteOp(r.u(), r.u(), r.packed_node()))
+            parent_xid, pos = r.u(), r.u()
+            ops.append(RedoDelete(r.u(), parent_xid, pos))
         elif kind == _OP_MOVE:
             ops.append(MoveOp(r.u(), r.u(), r.u(), r.u(), r.u()))
         elif kind == _OP_UPDTEXT:
@@ -337,26 +321,20 @@ def _read_ops(r, redo, limit=None):
         elif kind == _OP_UPDATTR:
             ops.append(UpdateAttrOp(r.u(), r.s(), r.opt_s(), r.opt_s()))
         elif kind == _OP_STAMPS:
-            ops.extend(_read_stamp_run(r, count - len(ops), redo))
+            ops.extend(_read_stamp_run(r, count - len(ops)))
         elif kind == _OP_STAMP:  # written before _OP_STAMPS for every stamp
-            ops.append(
-                RedoStamp(r.u(), r.u()) if redo
-                else StampOp(r.u(), r.u(), r.u())
-            )
+            ops.append(RedoStamp(r.u(), r.u()))
         elif kind == _OP_REPLACEROOT:
-            ops.append(
-                RedoReplaceRoot(r.u(), r.packed_node()) if redo
-                else ReplaceRootOp(r.packed_node(), r.packed_node())
-            )
-        elif redo and kind == _OP_REDO_UPDTEXT:
+            ops.append(RedoReplaceRoot(r.u(), r.packed_node()))
+        elif kind == _OP_REDO_UPDTEXT:
             ops.append(RedoUpdateText(r.u(), r.s()))
-        elif redo and kind == _OP_REDO_UPDATTR:
+        elif kind == _OP_REDO_UPDATTR:
             ops.append(RedoUpdateAttr(r.u(), r.s(), r.opt_s()))
-        elif redo and kind == _OP_REDO_DELETE:
+        elif kind == _OP_REDO_DELETE:
             ops.append(RedoDelete(r.u()))
-        elif redo and kind == _OP_REDO_MOVE:
+        elif kind == _OP_REDO_MOVE:
             ops.append(RedoMove(r.u(), r.u(), r.u()))
-        elif redo and kind == _OP_FRESH_INSERT:
+        elif kind == _OP_FRESH_INSERT:
             if to_ts is None:
                 raise CorruptArchiveError(
                     "an insert with implied root stamps in a script "
@@ -364,7 +342,7 @@ def _read_ops(r, redo, limit=None):
                 )
             parent_xid, pos = r.u(), r.u()
             ops.append(InsertOp(parent_xid, pos, fresh.read(r)))
-        elif redo and kind == _OP_IMPLIED_STAMPS:
+        elif kind == _OP_IMPLIED_STAMPS:
             if len(ops) != count - 1:
                 raise CorruptArchiveError(
                     "implied stamps are not the script's last operation"
@@ -381,18 +359,17 @@ def _read_ops(r, redo, limit=None):
     return EditScript(ops, from_ts=from_ts, to_ts=to_ts)
 
 
-def _read_stamp_run(r, room, redo):
-    """Expand one ``_OP_STAMPS`` record to its stamps (``RedoStamp``s in
-    the redo form, ``StampOp``s otherwise), ascending in XID as they were
-    written; ``room`` is how many operations the script's declared count
-    still admits."""
-    stamp = RedoStamp if redo else StampOp
+def _read_stamp_run(r, room, stamp=RedoStamp, timestamps=1):
+    """Expand one ``_OP_STAMPS`` record to its stamps, ascending in XID as
+    they were written: ``stamp(xid, *timestamps read per group)``;
+    ``room`` is how many operations the script's declared count still
+    admits."""
     stamps = []
     groups = r.u()
     if groups == 0:
         raise CorruptArchiveError("stamp run without a group")
     for _ in range(groups):
-        key = (r.u(),) if redo else (r.u(), r.u())
+        key = [r.u() for _ in range(timestamps)]
         size = r.u()
         if not 0 < size <= room - len(stamps):
             raise CorruptArchiveError(
@@ -415,10 +392,6 @@ def _read_stamp_run(r, room, redo):
     return stamps
 
 
-def decode_script(data):
-    return read_script(Reader(data))
-
-
 def encode_redo(script):
     """The redo form of one completed edit script as standalone bytes."""
     w = Writer()
@@ -436,10 +409,8 @@ def decode_redo(data, limit=None):
 # end, each ``count, (number, redo script)*``: a checkpoint appends one
 # segment holding the deltas the stream lacks, the way a commit appends one
 # delta, and never rewrites what an earlier checkpoint stored (the CAS
-# lays each segment into a pack; one range names it).  Stores
-# written by older releases hold completed deltas and snapshot trees in
-# streams of the same layout, read by :func:`decode_delta_stream` and
-# :func:`decode_snapshot_stream`.  An empty stream holds nothing.
+# lays each segment into a pack; one range names it).  An empty stream
+# holds nothing.
 
 
 def encode_redo_segment(record, numbers):
@@ -456,16 +427,6 @@ def decode_redo_stream(data, limit=None):
     """``{number: EditScript}`` (redo form) from a redo stream of a
     document whose next XID is ``limit`` (see :func:`read_redo`)."""
     return _read_segments(data, lambda r: read_redo(r, limit))
-
-
-def decode_delta_stream(data):
-    """``{number: EditScript}`` from a completed-delta stream."""
-    return _read_segments(data, read_script)
-
-
-def decode_snapshot_stream(data):
-    """``{number: tree}`` from a snapshot stream."""
-    return _read_segments(data, read_node)
 
 
 def _read_segments(data, read_item):

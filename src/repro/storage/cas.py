@@ -42,16 +42,11 @@ immutable objects keyed by content hash:
   deleted.  A pack stays while any retained generation names a range in
   it.  Rotating a checkpoint really reclaims bytes.
 
-Root manifest format 4 is the one written.  Format 3 named each stream
-as a list of whole objects, one per first version and per segment; each
-such object is read as a pack of one range ``(hash, 0, raw length)``,
-so a format-3 directory opens and keeps its objects, and the next
-checkpoint writes only its manifests anew.  Formats 1 and 2 stored each
-document's current tree, completed deltas and snapshot trees as three
-streams (format 1 cut each, written whole, into content-defined chunks;
-format 2 appended segments); they are still read, and a load of one
-publishes nothing, so the first checkpoint after it rewrites every
-document.  docs/STORAGE.md gives the byte layout of every format.
+Root manifest format 4 is the one written and the one read: a root of
+any other format is refused (:class:`~repro.errors.UnsupportedFormatError`),
+never skipped.  The formats 1–3 of older releases are read only by
+``repro upgrade`` (:mod:`~repro.storage.legacy`); docs/STORAGE.md gives
+the byte layout of every format.
 
 Object file format (after the 4-byte magic)::
 
@@ -74,14 +69,16 @@ import zlib
 from dataclasses import dataclass, field
 
 from ..diff.apply import apply_script, parent_index
-from ..errors import CorruptArchiveError, DeltaApplicationError
+from ..errors import (
+    CorruptArchiveError,
+    DeltaApplicationError,
+    UnsupportedFormatError,
+)
 from .binfmt import (
     DEFLATE_THRESHOLD,
     Reader,
     Writer,
-    decode_delta_stream,
     decode_redo_stream,
-    decode_snapshot_stream,
     decode_tree,
     deflate,
     encode_redo_segment,
@@ -96,10 +93,8 @@ CAS_POINTER_FILE = "checkpoint.cas"
 #: Subdirectory holding the hash-addressed objects.
 OBJECTS_DIR = "objects"
 
-#: CAS root-manifest format version written; :data:`READABLE_VERSIONS`
-#: are read.
+#: The CAS root-manifest format, written and read.
 FORMAT_VERSION = 4
-READABLE_VERSIONS = (1, 2, 3, 4)
 
 #: A checkpoint's pack is stored once it holds this many raw bytes; what
 #: is left goes into the next one.  zlib's window is 32 KiB, so a larger
@@ -112,14 +107,8 @@ _HEADER = struct.Struct(">II")  # raw length, crc32 of raw content
 #: The first word of a pointer file.
 POINTER_MAGIC = "CASPTR1"
 
-#: Root format -> the stream kinds a document manifest names, in encoding
-#: order.
-_STREAM_KINDS = {
-    1: ("current", "deltas", "snapshots"),
-    2: ("current", "deltas", "snapshots"),
-    3: ("first", "deltas"),
-    4: ("first", "deltas"),
-}
+#: The stream kinds a document manifest names, in encoding order.
+_STREAMS = ("first", "deltas")
 
 
 # -- statistics ----------------------------------------------------------------
@@ -365,8 +354,7 @@ class _Stored:
     """What one checkpoint holds of one document.
 
     ``key`` is ``(current version, deleted_at, next XID, snapshot
-    numbers)`` — a document whose key is unchanged and whose manifest is
-    in the format written (``doc_hash`` set) needs nothing written.
+    numbers)`` — a document whose key is unchanged needs nothing written.
     ``manifests`` holds, for the first version and for the redo-delta
     stream, the stream's ranges ``(pack hash, offset, length)`` in stream
     order.  Deltas are only ever added, so what the stream lacks is the
@@ -427,9 +415,9 @@ def write_checkpoint(store, objstore, rotate=False):
     """Checkpoint ``store`` into ``objstore``'s directory.
 
     Only documents changed since ``objstore``'s last published
-    checkpoint are written (a fresh object store, or one that loaded an
-    older format, writes every document).  What they gained is laid into
-    packs in doc-id order, then their manifests are written.
+    checkpoint are written (a fresh object store writes every document).
+    What they gained is laid into packs in doc-id order, then their
+    manifests are written.
     Objects land first (invisible until named by a pointer), then the
     pointer file is rotated (when ``rotate``) and atomically replaced —
     two generations, so a crash at any operation leaves a recoverable
@@ -442,7 +430,7 @@ def write_checkpoint(store, objstore, rotate=False):
     for record in sorted(store.repository.records(), key=lambda r: r.doc_id):
         key = _key(record)
         stored = objstore.published.get(record.doc_id, _NOTHING)
-        if stored.key != key or not stored.doc_hash:
+        if stored.key != key:
             staged.append((record, key, _pack_document(packer, record, key,
                                                        stored)))
         published[record.doc_id] = stored
@@ -539,17 +527,37 @@ def _encode_document_meta(record, manifests, snapshots):
 
 
 def _read_root(data, root_hash, where=None):
-    """``(format, clock, [document manifest hashes])`` of a root
-    manifest's ``data``."""
+    """``(clock, [document manifest hashes])`` of a root manifest's
+    ``data``; a root of another format is refused."""
     r = Reader(data)
     version = r.u()
-    if version not in READABLE_VERSIONS:
-        raise CorruptArchiveError(
-            f"unsupported CAS checkpoint format {version} under root "
-            f"{root_hash}", path=where,
+    if version != FORMAT_VERSION:
+        raise UnsupportedFormatError(
+            f"{where or 'a pointer'} names a CAS checkpoint of format "
+            f"{version} (root {root_hash})"
         )
     clock_now = r.u()
-    return version, clock_now, [r.blob().hex() for _ in range(r.u())]
+    doc_hashes = [r.blob().hex() for _ in range(r.u())]
+    if not r.exhausted:
+        raise CorruptArchiveError(
+            f"root manifest {root_hash} has trailing bytes", path=where
+        )
+    return clock_now, doc_hashes
+
+
+def check_root(objstore, pointer):
+    """Refuse the generation ``pointer`` names when its root is of another
+    format; a pointer or root that cannot be read is left to the load,
+    which falls back past it.  Reads the root uncounted."""
+    fs = objstore.fs
+    if not fs.exists(pointer):
+        return
+    try:
+        root_hash = read_pointer(pointer, fs=fs)
+        data = objstore.get(root_hash, counted=False)
+    except (CorruptArchiveError, OSError):
+        return
+    _read_root(data, root_hash, where=pointer)
 
 
 def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
@@ -558,33 +566,33 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
     is returned.
 
     ``pointer`` names the generation (default ``objstore.pointer``;
-    recovery falls back to ``checkpoint.cas.prev``).  A format-3 or
-    format-4 document is rebuilt by rolling its first version forward
-    through its redo deltas, which completes each of them
+    recovery falls back to ``checkpoint.cas.prev``).  A document is
+    rebuilt by rolling its first version forward through its redo
+    deltas, which completes each of them
     (:func:`~repro.diff.apply.apply_script`), copying the tree at each
     snapshot number on the way; the tree it ends on is the current
-    version.  Each pack is fetched and inflated once per load.  Every
+    version.  Each pack is fetched and inflated once per load, and its
+    hash is one string however many manifests name it.  Every
     object on the path is CRC-verified and every document decoded and
     rolled before the first one is installed; corruption — a range
     outside its pack, ranges of one document overlapping in a pack, a
     redo operation that does not apply — raises
     :class:`CorruptArchiveError` naming the object hash and leaves
-    ``store`` untouched.  On success ``objstore.published`` describes
-    the loaded checkpoint, so the next :func:`write_checkpoint` through
-    ``objstore`` writes only what changed after it (and the manifests of
-    a format-3 checkpoint, whose objects it keeps as one-range packs);
-    after a format-1 or format-2 checkpoint it describes nothing, so the
-    next one rewrites every document.  ``first_versions``, a dict when
-    given, then receives ``{doc id: version 1}`` (a tree of its own) of
-    every format-3 or format-4 document, where
-    :func:`~repro.storage.persistence.replay_history` starts its roll.
+    ``store`` untouched, and a root of another format raises
+    :class:`~repro.errors.UnsupportedFormatError`.  On success
+    ``objstore.published`` describes the loaded checkpoint, so the next
+    :func:`write_checkpoint` through ``objstore`` writes only what
+    changed after it.  ``first_versions``, a dict when given, then
+    receives ``{doc id: version 1}`` (a tree of its own) of every
+    document, where :func:`~repro.storage.persistence.replay_history`
+    starts its roll.
     """
     from .persistence import build_record, empty_store, install_records
 
     store = empty_store(store)
     pointer = pointer if pointer is not None else objstore.pointer
     root_hash = read_pointer(pointer, fs=objstore.fs)
-    version, clock_now, doc_hashes = _read_root(
+    clock_now, doc_hashes = _read_root(
         objstore.get(root_hash), root_hash, where=pointer
     )
     packs = _Packs(objstore)
@@ -593,17 +601,9 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
     firsts = {}
     for doc_hash in doc_hashes:
         meta = _decode_document_meta(
-            objstore.get(doc_hash), doc_hash, version
+            objstore.get(doc_hash), doc_hash, packs.names
         )
-        if version >= 3:
-            first, deltas, snapshots, current_root, manifests = _roll(
-                packs, doc_hash, meta
-            )
-        else:
-            first = None
-            deltas, snapshots, current_root = _read_completed(
-                packs, doc_hash, meta
-            )
+        first, deltas, snapshots, current_root = _roll(packs, doc_hash, meta)
         record = build_record(
             doc_id=meta["doc_id"],
             name=meta["name"],
@@ -615,15 +615,10 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
             current_root=current_root,
         )
         records.append(record)
-        if first is not None:
-            firsts[record.doc_id] = first
-            # A manifest of an older format is written anew, its ranges
-            # as they are, by the next checkpoint.
-            published[record.doc_id] = _Stored(
-                _key(record),
-                doc_hash if version == FORMAT_VERSION else "",
-                manifests,
-            )
+        firsts[record.doc_id] = first
+        published[record.doc_id] = _Stored(
+            _key(record), doc_hash, tuple(map(tuple, meta["streams"]))
+        )
     install_records(store, clock_now, records)
     objstore.published = published
     if first_versions is not None:
@@ -633,64 +628,52 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
 
 class _Packs:
     """The packs one load has fetched, each inflated once and held until
-    the load ends; hands out the bytes of ranges."""
+    the load ends; hands out the bytes of ranges.  ``names`` holds one
+    string per pack hash the load has decoded."""
 
     def __init__(self, objstore):
         self.objstore = objstore
         self.raw = {}
+        self.names = {}
 
-    def stream(self, doc_hash, kind, ranges, length=None, spans=None):
-        """``[(resolved range, bytes)]`` of one stream's ``ranges``.
+    def fetch(self, pack):
+        data = self.raw.get(pack)
+        if data is None:
+            data = self.raw[pack] = self.objstore.get(pack)
+        return data
 
-        A range of a format-1–3 manifest has no length: it is its whole
-        object, and ``length`` is the stream's declared total.  With
-        ``spans`` (``{pack: end of the last range read in it}``, shared
-        by one document's streams), a range must begin at or after the
-        end of the one before it in the same pack."""
+    def stream(self, doc_hash, kind, ranges, spans):
+        """``[(range, bytes)]`` of one stream's ``ranges``.  ``spans``
+        (``{pack: end of the last range read in it}``, shared by one
+        document's streams) makes a range begin at or after the end of
+        the one before it in the same pack."""
         pieces = []
         for pack, offset, size in ranges:
-            data = self.raw.get(pack)
-            if data is None:
-                data = self.raw[pack] = self.objstore.get(pack)
-            if size is None:
-                size = len(data)
-            elif offset + size > len(data):
+            data = self.fetch(pack)
+            if offset + size > len(data):
                 raise CorruptArchiveError(
                     f"object {pack}: document manifest {doc_hash} names "
                     f"{kind} bytes {offset}..{offset + size} of its "
                     f"{len(data)}"
                 )
-            if spans is not None:
-                if offset < spans.get(pack, 0):
-                    raise CorruptArchiveError(
-                        f"object {pack}: document manifest {doc_hash} names "
-                        f"{kind} bytes at {offset}, before the end "
-                        f"{spans[pack]} of its range before in that pack"
-                    )
-                spans[pack] = offset + size
+            if offset < spans.get(pack, 0):
+                raise CorruptArchiveError(
+                    f"object {pack}: document manifest {doc_hash} names "
+                    f"{kind} bytes at {offset}, before the end "
+                    f"{spans[pack]} of its range before in that pack"
+                )
+            spans[pack] = offset + size
             pieces.append(((pack, offset, size), data[offset:offset + size]))
-        if length is not None and sum(len(b) for _, b in pieces) != length:
-            raise CorruptArchiveError(
-                f"document manifest {doc_hash}: {kind} stream reassembled "
-                f"to {sum(len(b) for _, b in pieces)} byte(s), expected "
-                f"{length}"
-            )
         return pieces
 
 
 def _roll(packs, doc_hash, meta):
-    """A format-3/4 document's ``(first version, completed deltas,
-    snapshots, current tree, manifests)``, the manifests' ranges with
-    their lengths; the first version is a copy the roll leaves alone."""
+    """A document's ``(first version, completed deltas, snapshots, current
+    tree)``; the first version is a copy the roll leaves alone."""
     first_ranges, delta_ranges = meta["streams"]
-    first_length, length = meta["lengths"]
     spans = {}
-    firsts = packs.stream(doc_hash, "first", first_ranges, first_length,
-                          spans)
-    segments = packs.stream(doc_hash, "deltas", delta_ranges, length, spans)
-    manifests = tuple(
-        tuple(at for at, _ in pieces) for pieces in (firsts, segments)
-    )
+    firsts = packs.stream(doc_hash, "first", first_ranges, spans)
+    segments = packs.stream(doc_hash, "deltas", delta_ranges, spans)
     where = firsts[0][0][0] if len(firsts) == 1 else doc_hash
     try:
         root = decode_tree(b"".join(data for _, data in firsts))
@@ -736,33 +719,46 @@ def _roll(packs, doc_hash, meta):
                 ) from None
         if number in wanted:
             snapshots[number] = root.copy()
-    return first, scripts, snapshots, root, manifests
+    return first, scripts, snapshots, root
 
 
-def _read_completed(packs, doc_hash, meta):
-    """A format-1/2 document's ``(deltas, snapshots, current tree)``: the
-    three streams older releases wrote, decoded as they are."""
-    current, deltas, snaps = (
-        b"".join(
-            data for _, data in packs.stream(doc_hash, kind, ranges, length)
-        )
-        for kind, ranges, length in zip(
-            _STREAM_KINDS[1], meta["streams"], meta["lengths"]
-        )
-    )
-    return (
-        decode_delta_stream(deltas),
-        decode_snapshot_stream(snaps),
-        decode_tree(current),
-    )
-
-
-def _decode_document_meta(data, doc_hash, version):
+def _decode_document_meta(data, doc_hash, names=None):
     """A document manifest's fields; ``streams`` holds each stream's
-    ranges ``(object hash, offset, length)``.  Before format 4 a stream
-    is a list of whole objects with a declared total in ``lengths``: its
-    ranges are ``(hash, 0, None)``."""
+    ranges ``(pack hash, offset, length)``, each pack hash the string
+    ``names`` (a dict shared by one load) holds for it."""
+    names = {} if names is None else names
     r = Reader(data)
+    meta = _read_document_head(r)
+    packs = []
+    for _ in range(r.u()):
+        pack = r.blob().hex()
+        packs.append(names.setdefault(pack, pack))
+    named = set()
+    for _kind in _STREAMS:
+        ranges = []
+        for _ in range(r.u()):
+            slot, offset, length = r.u(), r.u(), r.u()
+            if slot >= len(packs):
+                raise CorruptArchiveError(
+                    f"document manifest {doc_hash} names pack {slot} of "
+                    f"its {len(packs)}"
+                )
+            if not length:
+                raise CorruptArchiveError(
+                    f"document manifest {doc_hash} names an empty range"
+                )
+            named.add(slot)
+            ranges.append((packs[slot], offset, length))
+        meta["streams"].append(ranges)
+    if len(named) != len(packs):
+        raise CorruptArchiveError(
+            f"document manifest {doc_hash} lists a pack no range names"
+        )
+    return _read_document_tail(r, meta, doc_hash)
+
+
+def _read_document_head(r):
+    """The fields every root format's document manifest begins with."""
     meta = {
         "doc_id": r.u(),
         "name": r.s(),
@@ -770,48 +766,21 @@ def _decode_document_meta(data, doc_hash, version):
         "deleted_at": r.opt_u(),
         "entries": [],
         "streams": [],
-        "lengths": [],
     }
     for _ in range(r.u()):
         number = r.u()
         meta["entries"].append((number, r.u()))
-    if version == FORMAT_VERSION:
-        packs = [r.blob().hex() for _ in range(r.u())]
-        named = set()
-        for _kind in _STREAM_KINDS[version]:
-            ranges = []
-            for _ in range(r.u()):
-                slot, offset, length = r.u(), r.u(), r.u()
-                if slot >= len(packs):
-                    raise CorruptArchiveError(
-                        f"document manifest {doc_hash} names pack {slot} of "
-                        f"its {len(packs)}"
-                    )
-                if not length:
-                    raise CorruptArchiveError(
-                        f"document manifest {doc_hash} names an empty range"
-                    )
-                named.add(slot)
-                ranges.append((packs[slot], offset, length))
-            meta["streams"].append(ranges)
-            meta["lengths"].append(None)
-        if len(named) != len(packs):
-            raise CorruptArchiveError(
-                f"document manifest {doc_hash} lists a pack no range names"
-            )
-    else:
-        for _kind in _STREAM_KINDS[version]:
-            meta["lengths"].append(r.u())
-            meta["streams"].append(
-                [(r.blob().hex(), 0, None) for _ in range(r.u())]
-            )
-    if version >= 3:
-        snapshots = [r.u() for _ in range(r.u())]
-        if any(a >= b for a, b in zip(snapshots, snapshots[1:])):
-            raise CorruptArchiveError(
-                f"document manifest {doc_hash} lists snapshots out of order"
-            )
-        meta["snapshots"] = snapshots
+    return meta
+
+
+def _read_document_tail(r, meta, doc_hash):
+    """``meta`` with the snapshot numbers a manifest ends in."""
+    snapshots = [r.u() for _ in range(r.u())]
+    if any(a >= b for a, b in zip(snapshots, snapshots[1:])):
+        raise CorruptArchiveError(
+            f"document manifest {doc_hash} lists snapshots out of order"
+        )
+    meta["snapshots"] = snapshots
     if not r.exhausted:
         raise CorruptArchiveError(
             f"document manifest {doc_hash} has trailing bytes"
@@ -825,10 +794,10 @@ def _decode_document_meta(data, doc_hash, version):
 def reachable_hashes(objstore, root_hash):
     """Every object hash reachable from one checkpoint root manifest."""
     live = {root_hash}
-    version, _clock, doc_hashes = _read_root(objstore.get(root_hash), root_hash)
+    _clock, doc_hashes = _read_root(objstore.get(root_hash), root_hash)
     for doc_hash in doc_hashes:
         live.add(doc_hash)
-        meta = _decode_document_meta(objstore.get(doc_hash), doc_hash, version)
+        meta = _decode_document_meta(objstore.get(doc_hash), doc_hash)
         for ranges in meta["streams"]:
             live.update(pack for pack, _offset, _length in ranges)
     return live
@@ -921,13 +890,10 @@ def kind_breakdown(objstore):
 
     Walks the published pointer's reachable set.  Every object counts
     once, as ``checkpoint`` (the root and document manifests) or ``pack``
-    (what streams' ranges name — in a format-1–3 generation each object a
-    stream names, read as a pack of one range):
-    ``{objects, stored_bytes, raw_bytes}``.  Every range counts under its
-    stream's kind (``first`` / ``deltas``, or ``current`` / ``deltas`` /
-    ``snapshots`` in a format-1/2 generation): ``{ranges, raw_bytes}``, so
-    the stored bytes of a kind are the packs' and its raw bytes are its
-    ranges'.
+    (what streams' ranges name): ``{objects, stored_bytes, raw_bytes}``.
+    Every range counts under its stream's kind (``first`` / ``deltas``):
+    ``{ranges, raw_bytes}``, so the stored bytes of a kind are the packs'
+    and its raw bytes are its ranges'.
     Unlike :class:`CASStats` — counters over one store's lifetime — this
     reads what is on disk right now, so ``repro stats -d`` reports real
     numbers on a freshly opened directory.  The walk reads through
@@ -937,38 +903,34 @@ def kind_breakdown(objstore):
     breakdown = {}
     if not fs.exists(pointer):
         return breakdown
-    raw_sizes = {}
+    seen = set()
 
     def add(kind, object_hash):
         """Count an object not seen yet; returns its raw content (``None``
-        when it was seen) and its raw length."""
-        if object_hash in raw_sizes:
-            return None, raw_sizes[object_hash]
+        when it was seen)."""
+        if object_hash in seen:
+            return None
+        seen.add(object_hash)
         raw = objstore.get(object_hash, counted=False)  # verifies the CRC
-        raw_sizes[object_hash] = len(raw)
         entry = breakdown.setdefault(
             kind, {"objects": 0, "stored_bytes": 0, "raw_bytes": 0}
         )
         entry["objects"] += 1
         entry["stored_bytes"] += fs.size(objstore.object_path(object_hash))
         entry["raw_bytes"] += len(raw)
-        return raw, len(raw)
+        return raw
 
     root_hash = read_pointer(pointer, fs=fs)
-    version, _clock, doc_hashes = _read_root(
-        add("checkpoint", root_hash)[0], root_hash
-    )
+    _clock, doc_hashes = _read_root(add("checkpoint", root_hash), root_hash)
     for doc_hash in doc_hashes:
         # A manifest names its document's id: no other object shares it.
-        meta = _decode_document_meta(
-            add("checkpoint", doc_hash)[0], doc_hash, version
-        )
-        for kind, ranges in zip(_STREAM_KINDS[version], meta["streams"]):
+        meta = _decode_document_meta(add("checkpoint", doc_hash), doc_hash)
+        for kind, ranges in zip(_STREAMS, meta["streams"]):
             for pack, _offset, length in ranges:
-                _raw, size = add("pack", pack)
+                add("pack", pack)
                 entry = breakdown.setdefault(
                     kind, {"ranges": 0, "raw_bytes": 0}
                 )
                 entry["ranges"] += 1
-                entry["raw_bytes"] += size if length is None else length
+                entry["raw_bytes"] += length
     return breakdown

@@ -19,22 +19,14 @@ back to ``checkpoint.cas.prev``, replaying both journal generations with
 idempotent records, so whichever pair of files survived reproduces the
 exact pre-crash commit history.  GC runs last, so a crash anywhere
 earlier can only leave extra garbage, never remove a reachable object.
-
-A directory written by an older release holds XML archives
-(``checkpoint.xml`` and its ``.prev``) instead; recovery still reads
-them, and the first checkpoint after such an open removes them once the
-CAS pointer is published.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .cas import collect_garbage, write_checkpoint
 
-#: The XML archive an older release checkpointed to (read-only now).
-LEGACY_CHECKPOINT_FILE = "checkpoint.xml"
 JOURNAL_FILE = "journal.bin"
 PREV_SUFFIX = ".prev"
 
@@ -74,22 +66,7 @@ class Checkpointer:
         # generation; anything older is now unreachable — reclaim it.
         self.last_gc = collect_garbage(objstore)
         written = objstore.stats.stored_bytes - before
-        self._retire_legacy_checkpoints()
         self.stats.checkpoints += 1
         self.stats.bytes_written += written
         self.stats.last_bytes = written
         return objstore.pointer
-
-    def _retire_legacy_checkpoints(self):
-        """Drop an older release's XML checkpoints once ours is durable.
-
-        They are stale from the moment the CAS pointer is published and
-        recovery would never reach them again; removing them strictly
-        after the publish means a crash anywhere still leaves a
-        recoverable generation.
-        """
-        fs = self.objstore.fs
-        stale = os.path.join(self.objstore.directory, LEGACY_CHECKPOINT_FILE)
-        for path in (stale, stale + PREV_SUFFIX):
-            if fs.exists(path):
-                fs.remove(path)

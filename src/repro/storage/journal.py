@@ -52,13 +52,10 @@ record envelopes and leaves every ``body`` an undecoded byte slice.
 demand, which recovery reaches only after its idempotence check — a record
 the checkpoint already covers costs its envelope and nothing else.
 
-**Older formats** are still *read* and never written.  Format v2
-(``TXJRNL2\\n``) is v3 with the whole completed delta as an update's body
-(:class:`JournalRecordV2`); format v1 (``TXJRNL1\\n``: the same frame
-without the raw-length varint, payload = UTF-8 XML of a ``<j>`` element)
-is :class:`JournalRecordV1`.  Appending to either is refused, and
-:meth:`~repro.db.TemporalXMLDatabase.open` checkpoints once so the older
-file rolls to ``.prev`` before the first append.
+**One format.**  A file whose first 8 bytes are not the v3 magic is
+refused with :class:`~repro.errors.UnsupportedFormatError` and left as
+it is; the v1 and v2 journals of older releases are read only by
+``repro upgrade`` (:mod:`~repro.storage.legacy`).
 
 ``fsync_policy`` selects the durability/latency trade:
 
@@ -91,14 +88,11 @@ import weakref
 import zlib
 from dataclasses import dataclass, field
 
-from ..diff.editscript import EditScript, decode_payload
-from ..errors import StorageError, TornJournalError, XMLSyntaxError
-from ..xmlcore.parser import parse_stored
+from ..errors import StorageError, TornJournalError, UnsupportedFormatError
 from .binfmt import (
     Reader,
     Writer,
     decode_redo,
-    decode_script,
     decode_tree,
     deflate,
     encode_redo,
@@ -110,9 +104,6 @@ from .faults import REAL_FS
 #: The format this module writes, and its file magic.
 FORMAT_VERSION = 3
 MAGIC = b"TXJRNL3\n"
-
-#: File magic -> format version, for every format that can be read.
-_VERSION_OF_MAGIC = {b"TXJRNL1\n": 1, b"TXJRNL2\n": 2, MAGIC: FORMAT_VERSION}
 
 _FRAME = struct.Struct(">II")  # stored length, crc32 of the stored bytes
 
@@ -264,63 +255,6 @@ class JournalRecord:
         return decode_redo(self.body, self.nextxid)
 
 
-class JournalRecordV2(JournalRecord):
-    """A record read from a format v2 file: an ``update``'s body is the
-    completed delta.  Decode only — nothing writes this form any more."""
-
-    def script(self):
-        return decode_script(self.body)
-
-
-class JournalRecordV1(JournalRecord):
-    """A record read from a format v1 file: the frame payload is the XML
-    of a ``<j>`` element and ``body`` is its child element (the encoded
-    initial tree / the ``<delta>`` closure form).  Decode only — nothing
-    writes this form any more."""
-
-    @classmethod
-    def from_payload(cls, payload):
-        """Decode a v1 frame payload; raises :class:`StorageError` when
-        the bytes are valid XML but not a journal record."""
-        return cls.from_element(parse_stored(payload.decode("utf-8")))
-
-    @classmethod
-    def from_element(cls, element, nested=False):
-        if element.tag != "j":
-            raise StorageError(f"not a journal record: <{element.tag}>")
-        kind = element.get("kind")
-        if kind not in KINDS:
-            raise StorageError(f"unknown journal record kind {kind!r}")
-        children = element.child_elements()
-        nextxid = element.get("nextxid")
-        if kind == "group":
-            if nested:
-                raise StorageError("commit groups cannot nest")
-            members = [
-                cls.from_element(child, nested=True) for child in children
-            ]
-            if len(members) != int(element.get("version")):
-                raise StorageError(
-                    "commit group member count does not match its header"
-                )
-            return cls.group(members)
-        return cls(
-            kind=kind,
-            doc_id=int(element.get("doc")),
-            name=element.get("name"),
-            version=int(element.get("version")),
-            ts=int(element.get("ts")),
-            nextxid=int(nextxid) if nextxid is not None else None,
-            body=children[0] if children else None,
-        )
-
-    def initial_tree(self):
-        return decode_payload(self.body)
-
-    def script(self):
-        return EditScript.from_xml(self.body)
-
-
 class CommitJournal:
     """Store observer that appends every commit to the journal file.
 
@@ -346,23 +280,13 @@ class CommitJournal:
 
     def _open(self):
         fs = self.fs
-        # Format of the file behind the handle; an older one is read-only.
-        self.version = FORMAT_VERSION
         if fs.exists(self.path):
             size = fs.size(self.path)
             if 0 < size < len(MAGIC):
                 # A crash tore the header itself; nothing to preserve.
                 fs.truncate(self.path, 0)
-            elif size >= len(MAGIC):
-                head = fs.read_bytes(self.path, len(MAGIC))
-                if head not in _VERSION_OF_MAGIC:
-                    raise TornJournalError(
-                        "file is not a commit journal (bad magic); "
-                        "run recovery before reopening",
-                        path=self.path,
-                        offset=0,
-                    )
-                self.version = _VERSION_OF_MAGIC[head]
+            elif size:
+                check_head(fs.read_bytes(self.path, len(MAGIC)), self.path)
         self._handle = fs.open_append(self.path)
         if self._handle.tell() == 0:
             fs.write(self._handle, MAGIC)
@@ -435,11 +359,6 @@ class CommitJournal:
         self._write_record(record)
 
     def _write_record(self, record):
-        if self.version != FORMAT_VERSION:
-            raise StorageError(
-                f"journal {self.path!r} is format v{self.version}, which is "
-                "read-only; checkpoint (or roll) before appending"
-            )
         payload = record.encode()
         frame = _frame(payload)
         self.fs.write(self._handle, frame)
@@ -529,7 +448,7 @@ class JournalScan:
     ``valid_size`` is the byte offset the file should be truncated to when
     the tail is torn; ``torn`` tells whether anything after that offset had
     to be dropped, with ``reason`` saying why the scan stopped.  ``version``
-    is the file's format (``None`` without a readable header) and
+    is the file's format (``None`` without a header) and
     ``raw_bytes`` what its valid records measure before deflate.
     """
 
@@ -544,10 +463,6 @@ class JournalScan:
     @property
     def dropped_bytes(self):
         return self.total_size - self.valid_size
-
-
-#: Format version -> the record class its framed records decode to.
-_RECORD_CLASS = {2: JournalRecordV2, FORMAT_VERSION: JournalRecord}
 
 
 def _frame(payload):
@@ -569,10 +484,20 @@ def _unframe(stored):
     return inflate(data, raw_length) if raw_length else data
 
 
+def check_head(head, path):
+    """Refuse a journal whose first bytes ``head`` are not :data:`MAGIC`."""
+    if head != MAGIC:
+        raise UnsupportedFormatError(
+            f"journal {str(path)!r} starts with {head!r}, not {MAGIC!r}"
+        )
+
+
 def scan_journal(path, fs=None):
     """Read a journal, stopping (not failing) at the first invalid record.
 
-    A missing file scans as empty.  Records before the first length/CRC
+    A missing file scans as empty; so does one shorter than the magic, as
+    torn (a crash cut its header).  Any other head but :data:`MAGIC` is
+    refused (:func:`check_head`).  Records before the first length/CRC
     violation are returned; everything at and after it is reported via
     ``torn``/``valid_size`` so recovery can truncate the tail.  Frames and
     record envelopes are validated; bodies are not decoded.
@@ -581,11 +506,23 @@ def scan_journal(path, fs=None):
     if not fs.exists(path):
         return JournalScan([], 0, 0, torn=False, reason="missing")
     data = fs.read_bytes(path)
-    if not data:
-        return JournalScan([], 0, 0, torn=False, reason="empty")
-    version = _VERSION_OF_MAGIC.get(data[: len(MAGIC)])
-    if version is None:
-        return JournalScan([], 0, len(data), torn=True, reason="bad header")
+    if len(data) < len(MAGIC):
+        return JournalScan([], 0, len(data), torn=bool(data),
+                           reason="bad header" if data else "empty")
+    check_head(data[: len(MAGIC)], path)
+    return scan_frames(data, _read_record)
+
+
+def _read_record(stored):
+    payload = _unframe(stored)
+    return JournalRecord.decode(payload), len(payload)
+
+
+def scan_frames(data, read_record, version=FORMAT_VERSION):
+    """The :class:`JournalScan` of the frames after a journal's magic in
+    ``data``: ``read_record`` turns the stored bytes of a frame whose CRC
+    held into ``(record, raw length)``, or raises :class:`StorageError`
+    (or ``ValueError``) for a bad record, where the scan stops."""
     scan = JournalScan([], len(MAGIC), len(data), torn=True, version=version)
     while scan.valid_size < len(data):
         start = scan.valid_size + _FRAME.size
@@ -601,16 +538,12 @@ def scan_journal(path, fs=None):
             scan.reason = "checksum mismatch"
             return scan
         try:
-            if version == 1:
-                record = JournalRecordV1.from_payload(payload)
-            else:
-                payload = _unframe(payload)
-                record = _RECORD_CLASS[version].decode(payload)
-        except (StorageError, XMLSyntaxError, ValueError):
+            record, raw_bytes = read_record(payload)
+        except (StorageError, ValueError):
             scan.reason = "bad record"
             return scan
         scan.records.append(record)
-        scan.raw_bytes += len(payload)
+        scan.raw_bytes += raw_bytes
         scan.valid_size = start + length
     scan.torn, scan.reason = False, "clean"
     return scan

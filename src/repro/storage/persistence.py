@@ -20,8 +20,8 @@ element timestamps survive the round trip exactly.
 **Durability.**  The archive is the export/import file of
 :meth:`~repro.db.TemporalXMLDatabase.save` / ``load`` and of the CLI's
 ``-a FILE``; a durable directory checkpoints to the content-addressed
-object store (:mod:`~repro.storage.cas`), and reads an archive only as
-the ``checkpoint.xml`` an older release left there
+object store (:mod:`~repro.storage.cas`), and only ``repro upgrade``
+reads the ``checkpoint.xml`` an older release left there
 (``docs/DURABILITY.md``).  Writing and reading are hardened:
 
 * file writes are **atomic** — temp file in the same directory, ``fsync``,

@@ -5,15 +5,21 @@
 :class:`~repro.storage.checkpoint.Checkpointer` and
 :class:`~repro.storage.journal.CommitJournal`):
 
+0. **Formats.**  A directory holding bytes of a format this release
+   does not read — an XML checkpoint (``checkpoint.xml``, ``.prev``), a
+   journal whose head is not the v3 magic, a pointer naming a root of
+   any format but 4 — is refused with
+   :class:`~repro.errors.UnsupportedFormatError` before anything is
+   loaded or written; ``repro upgrade`` (:mod:`~repro.storage.legacy`)
+   converts an older release's directory once.
 1. **Checkpoint.**  Try, in order, the CAS pointer generations
    ``checkpoint.cas`` and ``checkpoint.cas.prev`` (objects under
-   ``objects/``), then the XML archives ``checkpoint.xml`` and
-   ``checkpoint.xml.prev`` an older release wrote, and load the first
-   that exists and passes verification; one that fails (torn write,
-   flipped bit) leaves the store untouched.  With none, the store stays
-   empty (the journal then carries the full history).
-   Loading a CAS checkpoint rolls each document forward from its first
-   version through its redo deltas, completing them.
+   ``objects/``) and load the first that exists and passes
+   verification; one that fails (torn write, flipped bit) leaves the
+   store untouched.  With none, the store stays empty (the journal then
+   carries the full history).  Loading a checkpoint rolls each document
+   forward from its first version through its redo deltas, completing
+   them.
 2. **Index replay.**  Re-fire the checkpointed commit history through the
    given observers via the existing :func:`~repro.storage.persistence.replay_history`
    path — recovery rebuilds indexes exactly the way a plain load does,
@@ -38,11 +44,16 @@ import os
 from dataclasses import dataclass, field
 
 from ..diff.apply import apply_script
-from ..errors import CorruptArchiveError, DeltaApplicationError, StorageError
+from ..errors import (
+    CorruptArchiveError,
+    DeltaApplicationError,
+    StorageError,
+    UnsupportedFormatError,
+)
 from ..model.identifiers import XIDAllocator
-from .cas import CAS_POINTER_FILE
-from .checkpoint import LEGACY_CHECKPOINT_FILE, JOURNAL_FILE, PREV_SUFFIX
-from .journal import scan_journal
+from .cas import check_root
+from .checkpoint import JOURNAL_FILE, PREV_SUFFIX
+from .journal import MAGIC, check_head, scan_journal
 from .persistence import empty_store, load_store, replay_history
 from .repository import DocumentRecord
 from .store import CommitEvent
@@ -53,7 +64,6 @@ class RecoveryReport:
     """What recovery found and did (see ``docs/DURABILITY.md``)."""
 
     checkpoint_source: str = "none"  # "checkpoint" | "previous" | "none"
-    storage: str = "none"  # "cas" | "xml" (an older release's) | "none"
     checkpoint_errors: list = field(default_factory=list)
     records_scanned: int = 0
     records_replayed: int = 0
@@ -82,40 +92,53 @@ def recover_store(objstore, store=None, observers=(), repair=True):
     history — checkpointed state via :func:`replay_history`, journal tail
     records as they are applied.  ``repair`` physically truncates a torn
     tail off ``journal.bin`` so the journal can be reopened for appends.
+    A directory of another format raises
+    :class:`~repro.errors.UnsupportedFormatError` (see
+    :func:`refuse_other_formats`), ``store`` untouched.
     """
     store = empty_store(store)
-    fs, directory = objstore.fs, objstore.directory
+    refuse_other_formats(objstore)
+    fs = objstore.fs
     report = RecoveryReport()
-    candidates = [
-        (os.path.join(directory, name + suffix), label, fmt)
-        for name, fmt in (
-            (CAS_POINTER_FILE, "cas"), (LEGACY_CHECKPOINT_FILE, "xml"),
-        )
-        for suffix, label in (("", "checkpoint"), (PREV_SUFFIX, "previous"))
-    ]
-    first_versions = {}  # where the CAS checkpoint's roll started
-    for path, label, fmt in candidates:
+    first_versions = {}  # where the checkpoint's roll started
+    for suffix, label in (("", "checkpoint"), (PREV_SUFFIX, "previous")):
+        path = objstore.pointer + suffix
         if not fs.exists(path):
             continue
         try:
-            # A CAS pointer is read through the directory's object store;
-            # an older release's XML checkpoint is an archive.
-            load_store(
-                path, store=store, fs=fs,
-                objstore=objstore if fmt == "cas" else None,
-                first_versions=first_versions,
-            )
+            load_store(path, store=store, fs=fs, objstore=objstore,
+                       first_versions=first_versions)
+        except UnsupportedFormatError:
+            raise
         except (StorageError, OSError) as exc:
             report.checkpoint_errors.append(f"{label}: {exc}")
             continue
         report.checkpoint_source = label
-        report.storage = fmt
         break
     if observers:
         replay_history(store, observers, first_versions)
     replay_journals(store, objstore, observers, repair, report)
     report.documents = len(store.repository.records())
     return store, report
+
+
+def refuse_other_formats(objstore):
+    """Raise :class:`~repro.errors.UnsupportedFormatError` when the
+    directory ``objstore`` lives in holds an XML checkpoint, a journal
+    whose head is not the v3 magic, or a ``.prev`` generation whose root
+    is not format 4 (the newest root is checked by its load).  Reads two
+    journal heads and one root object; writes nothing."""
+    fs, directory = objstore.fs, objstore.directory
+    for suffix in ("", PREV_SUFFIX):
+        path = os.path.join(directory, "checkpoint.xml" + suffix)
+        if fs.exists(path):
+            raise UnsupportedFormatError(
+                f"{path!r} is the XML checkpoint of an older release"
+            )
+        path = os.path.join(directory, JOURNAL_FILE + suffix)
+        if fs.exists(path) and fs.size(path) >= len(MAGIC):
+            check_head(fs.read_bytes(path, len(MAGIC)), path)
+    check_root(objstore, objstore.pointer + PREV_SUFFIX)
 
 
 def replay_journals(store, objstore, observers=(), repair=False,

@@ -20,6 +20,7 @@ import random
 
 from repro import TemporalXMLDatabase
 from repro.clock import parse_date
+from repro.storage.legacy import upgrade
 from repro.xmlcore.node import Element, Text, parent_map
 from repro.xmlcore.serializer import serialize
 from tests.legacy_dirs import make_legacy
@@ -108,8 +109,8 @@ def drive(seed, directory, references, check, steps=60, checkpoints=True,
     checkpoint of everything and one more reopen; without, every reopen
     recovers the whole history from the journal tail.  With
     ``storage="xml"`` every reopen first rewrites the checkpoints as the
-    XML archives an older release wrote (:func:`make_legacy`), so recovery
-    reads those and the next checkpoint migrates back to CAS."""
+    XML archives an older release wrote (:func:`make_legacy`) and
+    upgrades the directory back to CAS (:func:`upgrade`)."""
     rng = random.Random(seed)
     masters = {}  # name -> current master tree (live documents)
     deleted = []
@@ -118,7 +119,7 @@ def drive(seed, directory, references, check, steps=60, checkpoints=True,
 
     def open_db():
         if storage == "xml":
-            make_legacy(directory)
+            upgrade(make_legacy(directory))
         db = TemporalXMLDatabase.open(directory, durability="journal")
         for reference in references:
             db.store.subscribe(reference)

@@ -10,12 +10,12 @@ from repro.errors import CorruptArchiveError
 from repro.storage import binfmt
 from repro.storage.binfmt import (
     DEFLATE_THRESHOLD,
-    decode_script,
     decode_tree,
     deflate,
     encode_tree,
     inflate,
 )
+from repro.storage.legacy import decode_script
 from repro.xmlcore import parse, serialize
 from tests.references import encode_script
 

@@ -343,7 +343,7 @@ class TestDatabaseIntegration:
         fingerprint = store_fingerprint(db.store)
 
         reopened = TemporalXMLDatabase.open(tmp_path / "db")
-        assert reopened.recovery.storage == "cas"
+        assert reopened.recovery.checkpoint_source == "checkpoint"
         assert store_fingerprint(reopened.store) == fingerprint
         # The journal tail past the checkpoint was replayed.
         assert reopened.recovery.records_replayed >= 1

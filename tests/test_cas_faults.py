@@ -10,7 +10,7 @@ operations, every object a surviving pointer reaches must verify, and
 recovery must load the newest generation with no error.  The module
 also tears object and pointer writes, crashes the last GC sweep op by
 op, corrupts objects and pointers, and checks an older release's XML
-directory recovers to the same store.
+directory, upgraded, recovers to the same store.
 """
 
 import shutil
@@ -27,6 +27,7 @@ from repro.storage.cas import (
     read_pointer,
 )
 from tests.faults import CrashError, FaultyFS, flip_bit
+from repro.storage.legacy import upgrade
 from repro.storage.persistence import archive_bytes, build_archive
 from tests.legacy_dirs import make_legacy
 from tests.test_crash_consistency import (
@@ -211,19 +212,20 @@ class TestSilentCorruptionCAS:
             TemporalXMLDatabase.open(str(directory), durability="journal")
 
 
-def test_cas_recovery_equals_xml_recovery(tmp_path):
+def test_cas_recovery_equals_the_upgraded_xml_directory(tmp_path):
     """The same history recovers to the same store, whether its
-    checkpoints are CAS or the XML archives an older release wrote."""
+    checkpoints are CAS or the XML archives an older release wrote,
+    upgraded."""
     db = TemporalXMLDatabase.open(tmp_path / "cas", durability="journal")
     run_workload(db)
     db.close()
     shutil.copytree(tmp_path / "cas", tmp_path / "xml")
-    make_legacy(tmp_path / "xml")
+    upgrade(make_legacy(tmp_path / "xml"))
 
     recovered = {}
     for storage in ("cas", "xml"):
         db = TemporalXMLDatabase.open(tmp_path / storage, durability="none")
-        assert db.recovery.storage == storage
+        assert db.recovery.checkpoint_source == "checkpoint"
         recovered[storage] = db
 
     fingerprints = {

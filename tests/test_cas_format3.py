@@ -1,18 +1,20 @@
-"""CAS root formats 3 and 4: first versions plus redo deltas, rolled on load.
+"""CAS root format 4: first versions plus redo deltas, rolled on load.
 
 A checkpoint stores each document's first version once and its deltas
 in redo form; a load rolls the first version forward, completing every
 delta and copying the tree at each listed snapshot number.  Format 4
 lays what one checkpoint adds into shared packs and names each stream
-as ranges in them; format 3 stored each as objects of its own, read as
-packs of one range.  These tests hold that layout against a crash at
-every filesystem operation of a checkpoint (of one pack and of several)
-and of its GC, against hostile objects, ranges and packs (each one a
-typed error naming the object, the store left untouched and recovery
-falling back to ``checkpoint.cas.prev``), against GC of packs, and
-against every directory fixture an older release wrote: each opens to
-its recorded archive digest, and its next checkpoint is format 4
-throughout.
+as ranges in them (format 3 stored each as objects of its own).  These
+tests hold that layout against a crash at every filesystem operation of
+a checkpoint (of one pack and of several) and of its GC, against hostile
+objects, ranges and packs (each one a typed error naming the object,
+the store left untouched and recovery falling back to
+``checkpoint.cas.prev``), against GC of packs, against a root of a
+format no release wrote (refused, never skipped), and against every
+directory fixture an older release wrote: ``open()`` refuses each and
+changes no file, ``repro upgrade`` converts it to format 4 throughout
+and its recorded archive digest, and a crash at any operation of the
+upgrade is finished by the next one.
 
 ``tests/data/cas_v2`` is a format-2 directory: two checkpoints (so a
 ``.prev`` generation), snapshots, a deleted document and a journal tail
@@ -64,6 +66,7 @@ export of commit ``6a723f7``, with ``PYTHONPATH=src`` and :data:`SHOP`::
 """
 
 import hashlib
+import os
 import re
 import shutil
 from pathlib import Path
@@ -86,12 +89,14 @@ from repro.diff.editscript import (
     UpdateAttrOp,
     UpdateTextOp,
 )
-from repro.errors import CorruptArchiveError
+from repro.errors import CorruptArchiveError, UnsupportedFormatError
+from repro.storage import legacy
 from repro.storage.cas import (
     CAS_POINTER_FILE,
     FORMAT_VERSION,
     CASObjectStore,
     kind_breakdown,
+    pointer_bytes,
     read_checkpoint,
     read_pointer,
 )
@@ -100,13 +105,15 @@ from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.store import TemporalDocumentStore
 from repro.workload.tdocgen import TDocGenerator
 from repro.xmlcore.node import Element
-from tests.faults import CrashError, FaultyFS, tree_digest
+from tests.faults import CrashError, FaultyFS, flip_bit, tree_digest
+from tests.legacy_dirs import crash_every_upgrade_op
 from tests.references import MISPLACED_MARKERS, fresh_inserts
 
 DATA = Path(__file__).parent / "data"
 
 #: fixture -> sha256 of ``archive_bytes(build_archive(store))`` after
-#: ``open(copy, durability="none")``, as the release that wrote it read it.
+#: ``repro upgrade`` and ``open(copy, durability="none")``, as the release
+#: that wrote it read it.
 FIXTURES = {
     "cas_v1": "a26aca48e6a9654c8fa72dfa2969ec01"
               "cd4d0c3f9c8fbc460f7ee8a0d44e31c0",
@@ -147,9 +154,9 @@ def digest(store):
     return hashlib.sha256(archive_bytes(build_archive(store))).hexdigest()
 
 
-def root_format(directory):
+def root_format(directory, suffix=""):
     objstore = CASObjectStore(directory)
-    pointer = str(Path(directory) / CAS_POINTER_FILE)
+    pointer = str(Path(directory) / (CAS_POINTER_FILE + suffix))
     return objstore.get(read_pointer(pointer))[0]
 
 
@@ -163,18 +170,24 @@ def stamped(tag, xid):
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_a_fixture_opens_and_its_next_checkpoint_is_format_3(name, tmp_path):
-    """Every fixture opens to its digest, and its next checkpoint is in
-    the format written now (format 3 onwards: first versions and redo
-    deltas; format 4 names them as ranges in packs)."""
+def test_a_fixture_is_refused_then_upgrades_to_its_digest(name, tmp_path):
+    """``open()`` refuses every fixture and changes no file; ``upgrade``
+    leaves both generations in format 4 (first versions and redo deltas
+    as ranges of packs, every manifest written anew), and the directory
+    opens to its digest; a second ``upgrade`` writes nothing."""
     directory = tmp_path / name
     shutil.copytree(DATA / name, directory)
+    before = tree_digest(directory)
+    with pytest.raises(UnsupportedFormatError, match="repro upgrade"):
+        TemporalXMLDatabase.open(directory, durability="journal")
+    assert tree_digest(directory) == before
+    assert legacy.upgrade(directory)
+    assert root_format(directory) == root_format(directory, ".prev") == (
+        FORMAT_VERSION
+    )
     db = TemporalXMLDatabase.open(directory, durability="journal")
     assert digest(db.store) == FIXTURES[name]
-    db.checkpoint()
-    assert root_format(directory) == FORMAT_VERSION
-    # Every manifest was rewritten: no stream of an older format is
-    # reached (a format-3 object is reached as a pack of one range).
+    assert db.recovery.records_scanned == 0
     assert sorted(kind_breakdown(db.checkpointer.objstore)) == [
         "checkpoint", "deltas", "first", "pack",
     ]
@@ -183,9 +196,19 @@ def test_a_fixture_opens_and_its_next_checkpoint_is_format_3(name, tmp_path):
         record.doc_id for record in db.store.repository.records()
     )
     db.close()
-    again = TemporalXMLDatabase.open(directory, durability="none")
-    assert again.recovery.checkpoint_source == "checkpoint"
-    assert digest(again.store) == FIXTURES[name]
+    before = tree_digest(directory)
+    assert not legacy.upgrade(directory)
+    assert tree_digest(directory) == before
+
+
+@pytest.mark.parametrize("name", ["cas_v1", "cas_v2", "cas_v3"])
+def test_a_crash_anywhere_in_an_upgrade_is_finished_by_the_next(
+    name, tmp_path
+):
+    """A crash at any operation of the upgrade — the objects and pointers
+    of both checkpoints, the journal swap, the removals, the GC — leaves
+    a directory the next upgrade converts to the fixture's digest."""
+    assert crash_every_upgrade_op(DATA / name, tmp_path, FIXTURES[name]) > 10
 
 
 def _layouts(monkeypatch, data):
@@ -230,10 +253,10 @@ def _delta_ranges(objstore, doc_id):
 def test_placed_layouts_roll_beside_the_xid_only_ones(tmp_path,
                                                       monkeypatch):
     """``cas_v3``'s redo records name the place of what they delete and
-    move and stamp their inserted roots: they open to the recorded
-    digest, the next checkpoint keeps their format-3 objects as packs of
-    one range and appends XID-only records behind them in a pack of its
-    own, and that mixed stream rolls on its own."""
+    move and stamp their inserted roots: the upgrade reads them (format-3
+    objects and a v3 journal tail) to the recorded digest and writes
+    every delta again in today's XID-only layouts, which the next
+    checkpoint extends."""
     directory = tmp_path / "cas_v3"
     shutil.copytree(DATA / "cas_v3", directory)
     kinds = set()
@@ -244,6 +267,7 @@ def test_placed_layouts_roll_beside_the_xid_only_ones(tmp_path,
                     kinds.update(type(op) for op in member.script().ops)
     assert {InsertOp, RedoDelete, MoveOp, RedoUpdateText,
             ImpliedStamps} <= kinds
+    legacy.upgrade(directory)
     db = TemporalXMLDatabase.open(directory, durability="fsync")
     assert digest(db.store) == FIXTURES["cas_v3"]
     objstore = db.checkpointer.objstore
@@ -252,20 +276,18 @@ def test_placed_layouts_roll_beside_the_xid_only_ones(tmp_path,
     kept = _delta_ranges(objstore, shop.doc_id)
     for _pack, data in kept:
         old.update(_layouts(monkeypatch, data))
-    assert old and all(found == {"placed"} for found in old.values())
+    assert sorted(old) == list(range(1, shop.dindex.current_number))
 
     for version in SHOP[6:]:
         db.update("shop.xml", version)
     db.checkpoint()
     ranges = _delta_ranges(objstore, shop.doc_id)
-    assert ranges[:-1] == kept  # the format-3 objects, as they were
-    mixed = {}
+    assert ranges[:-1] == kept  # the upgrade's ranges, as they were
+    layouts = {}
     for _pack, data in ranges:
-        mixed.update(_layouts(monkeypatch, data))
-    assert sorted(mixed) == list(range(1, shop.dindex.current_number))
-    assert all(mixed[number] == {"placed"} for number in old)
-    assert all(mixed[number] == {"by xid"}
-               for number in mixed if number not in old)
+        layouts.update(_layouts(monkeypatch, data))
+    assert sorted(layouts) == list(range(1, shop.dindex.current_number))
+    assert all(found == {"by xid"} for found in layouts.values())
     want = digest(db.store)
     db.close()
     again = TemporalXMLDatabase.open(directory, durability="none")
@@ -273,64 +295,66 @@ def test_placed_layouts_roll_beside_the_xid_only_ones(tmp_path,
     assert digest(again.store) == want
 
 
-def test_a_format_3_checkpoint_is_rewritten_as_manifests_only(tmp_path):
-    """Checkpointing what a format-3 checkpoint holds writes format-4
-    manifests and a root and no pack: every format-3 object stays, each
-    a pack of one range, and the new generation reads back the same."""
-    directory = tmp_path / "cas_v3"
-    shutil.copytree(DATA / "cas_v3", directory)
-    objstore = CASObjectStore(directory)
-    store = read_checkpoint(objstore)
-
-    def packs():
-        return {
-            pack for stored in objstore.published.values()
-            for ranges in stored.manifests for pack, _offset, _length in ranges
-        }
-
-    old = packs()
-    assert old <= {object_hash for object_hash, _, _ in objstore.iter_objects()}
-    cas.write_checkpoint(store, objstore, rotate=True)
-    assert set(objstore.stats.by_kind) == {"checkpoint"}
-    assert root_format(directory) == FORMAT_VERSION
-    assert packs() == old
-    again = read_checkpoint(CASObjectStore(directory))
-    assert digest(again) == digest(store)
+def test_the_format_1_to_3_reader_publishes_nothing(tmp_path):
+    for name in ("cas_v1", "cas_v2", "cas_v3"):
+        directory = tmp_path / name
+        shutil.copytree(DATA / name, directory)
+        objstore = CASObjectStore(directory)
+        store = legacy.read_checkpoint(
+            objstore, TemporalDocumentStore(), objstore.pointer
+        )
+        assert objstore.published == {}
+        assert store.repository.records()
 
 
-def test_a_format_2_load_publishes_nothing(tmp_path):
+def test_an_upgrade_falls_back_past_a_corrupt_older_generation(tmp_path):
+    """A flipped bit in an object only ``cas_v2``'s newest generation
+    reaches: the upgrade loads ``.prev`` and replays both journals to the
+    same digest.  With both of ``xml_dir_v1``'s checkpoints corrupt it
+    writes nothing."""
     directory = tmp_path / "db"
     shutil.copytree(DATA / "cas_v2", directory)
     objstore = CASObjectStore(directory)
-    store = read_checkpoint(objstore)
-    assert objstore.published == {}
-    assert [r.name for r in store.repository.records()] == [
-        "a.xml", "b.xml", "c.xml",
-    ]
+    newest = objstore.object_path(read_pointer(objstore.pointer))
+    flip_bit(newest, os.path.getsize(newest) - 3)
+    assert legacy.upgrade(directory)
+    db = TemporalXMLDatabase.open(directory, durability="none")
+    assert digest(db.store) == FIXTURES["cas_v2"]
+
+    directory = tmp_path / "both"
+    shutil.copytree(DATA / "xml_dir_v1", directory)
+    for suffix in ("", ".prev"):
+        archive = directory / ("checkpoint.xml" + suffix)
+        flip_bit(archive, os.path.getsize(archive) // 2)
+    before = tree_digest(directory)
+    with pytest.raises(CorruptArchiveError, match="no checkpoint"):
+        legacy.upgrade(directory)
+    assert tree_digest(directory) == before
 
 
-def test_a_crash_in_the_upgrading_checkpoint_reopens_the_same(tmp_path):
-    """The first checkpoint after a format-2 load: a crash at any of its
-    operations (objects, pointer rotation, journal roll, the GC that
-    walks both formats) reopens the fixture's store."""
-    probe = FaultyFS()
-    directory = tmp_path / "probe"
-    shutil.copytree(DATA / "cas_v2", directory)
-    db = TemporalXMLDatabase.open(directory, durability="none", fs=probe)
-    before = probe.ops
+@pytest.mark.parametrize("upgrading", [False, True])
+def test_a_root_of_an_unknown_format_is_refused(tmp_path, upgrading):
+    """Both pointers naming a root of format 9 and the journals empty: a
+    refusal that writes nothing, never an empty database that the next
+    checkpoint would rotate a generation away from."""
+    directory = tmp_path / "db"
+    db = TemporalXMLDatabase.open(directory, durability="journal")
+    db.put("a.xml", "<doc><x>one</x></doc>")
     db.checkpoint()
-    total = probe.ops
-    assert total - before > 10
-    for k in range(before + 1, total + 1):
-        directory = tmp_path / f"crash-{k}"
-        shutil.copytree(DATA / "cas_v2", directory)
-        fs = FaultyFS()
-        db = TemporalXMLDatabase.open(directory, durability="none", fs=fs)
-        fs.crash_at = k
-        with pytest.raises(CrashError):
-            db.checkpoint()
-        again = TemporalXMLDatabase.open(directory, durability="none")
-        assert digest(again.store) == FIXTURES["cas_v2"], k
+    db.close()
+    objstore = CASObjectStore(directory)
+    root = objstore.put(bytes([9, 0, 0]))
+    for suffix in ("", ".prev"):
+        (directory / (CAS_POINTER_FILE + suffix)).write_bytes(
+            pointer_bytes(root)
+        )
+    before = tree_digest(directory)
+    with pytest.raises(UnsupportedFormatError, match="format 9"):
+        if upgrading:
+            legacy.upgrade(directory)
+        else:
+            TemporalXMLDatabase.open(directory, durability="journal")
+    assert tree_digest(directory) == before
 
 
 # -- a crash inside a checkpoint ----------------------------------------------------

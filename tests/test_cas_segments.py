@@ -4,8 +4,9 @@ A checkpoint writes only what changed since the one its object store
 published or loaded: a new document's first version, one segment of a
 changed document's new deltas, its manifest and the root.  These tests
 hold that contract against reopen, the recovery fallback to
-``checkpoint.cas.prev``, a failure inside a checkpoint, directories
-written in format 1 (content-defined chunks) and hostile objects.
+``checkpoint.cas.prev``, a failure inside a checkpoint, the upgrade of a
+directory written in format 1 (content-defined chunks) and hostile
+objects.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import repro.storage.binfmt as binfmt
 from repro import TemporalXMLDatabase
-from repro.errors import CorruptArchiveError
+from repro.errors import CorruptArchiveError, UnsupportedFormatError
 from repro.storage.cas import (
     CAS_POINTER_FILE,
     FORMAT_VERSION,
@@ -33,10 +34,15 @@ from repro.storage.cas import (
     read_pointer,
     write_checkpoint,
 )
-from tests.faults import CrashError, FaultyFS
+from repro.storage.legacy import (
+    decode_delta_stream,
+    decode_snapshot_stream,
+    upgrade,
+)
 from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.store import TemporalDocumentStore
 from repro.workload.tdocgen import TDocGenerator
+from tests.faults import CrashError, FaultyFS, tree_digest
 from tests.test_cas import store_fingerprint
 
 CAS_V1 = Path(__file__).parent / "data" / "cas_v1"
@@ -152,8 +158,8 @@ class TestSegments:
 
     def test_an_empty_stream_decodes_to_nothing(self):
         assert binfmt.decode_redo_stream(b"") == {}
-        assert binfmt.decode_delta_stream(b"") == {}
-        assert binfmt.decode_snapshot_stream(b"") == {}
+        assert decode_delta_stream(b"") == {}
+        assert decode_snapshot_stream(b"") == {}
 
     def test_a_version_in_two_segments_is_corrupt(self):
         gen = TDocGenerator(seed=6)
@@ -171,9 +177,33 @@ class TestSegments:
         with open(tmp_path / CAS_POINTER_FILE, "wb") as handle:
             handle.write(pointer_bytes(root))
         with pytest.raises(
-            CorruptArchiveError, match=f"format {FORMAT_VERSION + 1}"
+            UnsupportedFormatError, match=f"format {FORMAT_VERSION + 1}"
         ):
             read_checkpoint(objstore)
+
+    def test_a_root_with_trailing_bytes_is_corrupt(self, tmp_path):
+        db = TemporalXMLDatabase()
+        db.put("a.xml", "<doc><x>one</x></doc>")
+        objstore = CASObjectStore(tmp_path)
+        root_hash = write_checkpoint(db.store, objstore)
+        root = objstore.put(objstore.get(root_hash) + b"\x00")
+        with open(tmp_path / CAS_POINTER_FILE, "wb") as handle:
+            handle.write(pointer_bytes(root))
+        with pytest.raises(CorruptArchiveError, match="trailing bytes"):
+            read_checkpoint(CASObjectStore(tmp_path))
+
+    def test_a_load_holds_one_string_per_pack_hash(self, tmp_path):
+        db = TemporalXMLDatabase()
+        for name in ("a.xml", "b.xml"):
+            db.put(name, f"<doc><x>{name}</x></doc>")
+        write_checkpoint(db.store, CASObjectStore(tmp_path))
+        objstore = CASObjectStore(tmp_path)
+        read_checkpoint(objstore)
+        (a_first, _), (b_first, _) = (
+            stored.manifests for stored in objstore.published.values()
+        )
+        assert a_first[0][0] == b_first[0][0]  # both laid into one pack
+        assert a_first[0][0] is b_first[0][0]
 
 
 class TestBoundedRead:
@@ -304,7 +334,8 @@ class TestRecoveryHandOff:
 class TestFormatOneDirectory:
     """``tests/data/cas_v1`` is a checkpoint written in format 1 (streams
     cut by content-defined chunking) by commit ``afed645``; ``long.xml``'s
-    delta stream spans two chunks.  Regenerate from an export of that
+    delta stream spans two chunks.  It is refused until upgraded.
+    Regenerate from an export of that
     commit, with ``PYTHONPATH=src``::
 
         from repro import TemporalXMLDatabase
@@ -327,18 +358,25 @@ class TestFormatOneDirectory:
         shutil.copytree(CAS_V1, target)
         return target
 
-    def test_it_opens_to_the_recorded_fingerprint(self, directory):
+    def test_it_upgrades_to_the_recorded_fingerprint(self, directory):
+        before = tree_digest(directory)
+        with pytest.raises(UnsupportedFormatError, match="repro upgrade"):
+            TemporalXMLDatabase.open(directory, durability="journal")
+        assert tree_digest(directory) == before
+        assert upgrade(directory)
         db = TemporalXMLDatabase.open(directory, durability="none")
-        assert db.recovery.storage == "cas"
+        assert db.recovery.checkpoint_source == "checkpoint"
         digest = hashlib.sha256(
             archive_bytes(build_archive(db.store))
         ).hexdigest()
         assert digest == CAS_V1_FINGERPRINT
 
-    def test_a_commit_then_a_checkpoint_rewrite_it_in_format_3(
+    def test_the_upgrade_writes_format_4_and_a_commit_extends_it(
         self, directory, monkeypatch
     ):
-        assert manifests(directory) == {}  # format 1 publishes nothing
+        upgrade(directory)
+        upgraded = manifests(directory)
+        assert sorted(upgraded) == [1, 2, 3]
         db = TemporalXMLDatabase.open(directory, durability="journal")
         db.update("long.xml", TDocGenerator(seed=1).document("long.xml"))
         scripts = []
@@ -350,13 +388,16 @@ class TestFormatOneDirectory:
 
         monkeypatch.setattr(binfmt, "write_redo", counting_write_redo)
         db.checkpoint()
-        # Every delta of the three documents, once: 180 + 2 + 0.
-        assert len(scripts) == 182
+        # The one new delta: the rest stays where the upgrade laid it.
+        assert len(scripts) == 1
         pointer = directory / CAS_POINTER_FILE
         objstore = CASObjectStore(directory)
         assert objstore.get(read_pointer(str(pointer)))[0] == FORMAT_VERSION
         after = manifests(directory)
-        assert sorted(after) == [1, 2, 3]
+        assert after[1][1][:-1] == upgraded[1][1]
+        assert {k: v for k, v in after.items() if k != 1} == {
+            k: v for k, v in upgraded.items() if k != 1
+        }
         assert all(len(first) == 1 for first, _deltas in after.values())
         reopen(directory, db).close()
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.storage.journal import FORMAT_VERSION
+from tests.faults import tree_digest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -185,7 +186,6 @@ class TestArchiveOnly:
         ]
 
     def test_every_command_refuses_a_directory(self, directory, tmp_path):
-        from tests.faults import tree_digest
 
         before = tree_digest(directory)
         pointer = str(directory / "checkpoint.cas")
@@ -381,7 +381,7 @@ class TestTrace:
 
 
 class TestStorageCLI:
-    """Recovering and migrating directories, ``stats -d``, and replica
+    """Recovering and upgrading directories, ``stats -d``, and replica
     auto-tailing."""
 
     def _durable_db(self, tmp_path):
@@ -407,28 +407,48 @@ class TestStorageCLI:
         code, out = _run("recover", "-d", str(directory))
         assert code == 0
         assert "recovered 1 document(s)" in out
-        assert "(storage: cas)" in out
+        assert "checkpoint used: checkpoint\n" in out
 
-    def test_recover_migrates_a_legacy_directory(self, tmp_path):
+    def test_upgrade_converts_a_legacy_directory(self, tmp_path):
         from tests.legacy_dirs import make_legacy
 
         directory = make_legacy(self._durable_db(tmp_path))
-        # Recovery reads the older release's XML checkpoint; the fresh
-        # checkpoint is CAS and retires the XML files.
-        code, out = _run("recover", "-d", str(directory))
+        code, out = _run("upgrade", "-d", str(directory))
         assert code == 0
-        assert "checkpoint used: checkpoint (storage: xml)" in out
-        assert "fresh checkpoint written" in out
-        assert (directory / "checkpoint.cas").exists()
-        assert not (directory / "checkpoint.xml").exists()
-        assert not (directory / "checkpoint.xml.prev").exists()
+        assert out == f"upgraded {directory}: CAS root format 4, journal v3\n"
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "checkpoint.cas", "checkpoint.cas.prev", "journal.bin", "objects",
+        ]
         code, out = _run("stats", "-d", str(directory))
-        assert "storage backend: cas (checkpoint read: cas)" in out
-        # Nothing was lost across the migration.
+        assert code == 0 and "storage backend: cas\n" in out
+        # Nothing was lost across the upgrade.
         code, out = _run("recover", "-d", str(directory), "--no-checkpoint")
         assert code == 0
         assert "recovered 1 document(s)" in out
-        assert "(storage: cas)" in out
+        before = tree_digest(directory)
+        code, out = _run("upgrade", "-d", str(directory))
+        assert code == 0 and "nothing written" in out
+        assert tree_digest(directory) == before
+
+    def test_upgrade_of_a_missing_directory_is_an_error(self, tmp_path):
+        code, out = _run("upgrade", "-d", str(tmp_path / "nowhere"))
+        assert code == 1 and "does not exist" in out
+        assert not (tmp_path / "nowhere").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["recover"], ["recover", "--no-checkpoint"], ["stats"],
+        ["serve", "--serve-for", "0"], ["replica"],
+    ])
+    def test_every_dir_command_refuses_an_older_directory(self, tmp_path,
+                                                          command):
+        from tests.legacy_dirs import make_legacy
+
+        directory = make_legacy(self._durable_db(tmp_path))
+        before = tree_digest(directory)
+        code, out = _run(command[0], "-d", str(directory), *command[1:])
+        assert code == 1
+        assert out.startswith("error: ") and "`repro upgrade -d DIR`" in out
+        assert tree_digest(directory) == before
 
     def test_stats_dir_prints_backend_breakdown(self, tmp_path):
         directory = self._durable_db(tmp_path)
@@ -494,21 +514,19 @@ class TestStorageCLI:
             for j in journals
         )
 
-    def test_stats_dir_xml_backend(self, tmp_path):
-        """``stats -d`` reads an older release's XML directory and leaves
-        it as it is."""
-        from tests.legacy_dirs import make_legacy
+    def test_stats_dir_reads_without_writing(self, tmp_path):
+        """``stats -d`` opens without a journal and leaves the directory
+        as it is."""
 
-        directory = make_legacy(self._durable_db(tmp_path))
-        before = sorted(path.name for path in directory.iterdir())
+        directory = self._durable_db(tmp_path)
+        before = tree_digest(directory)
         code, out = _run("stats", "-d", str(directory))
         assert code == 0
-        assert "storage backend: cas (checkpoint read: xml)" in out
         assert "  objects: 0 written" in out
         assert "journal files:" in out
         assert f"journal.bin: format v{FORMAT_VERSION}, 1 record(s)" in out
         assert "before deflate" in out
-        assert sorted(path.name for path in directory.iterdir()) == before
+        assert tree_digest(directory) == before
 
     def test_replica_follow_for_tails_and_exits(self, tmp_path):
         directory = self._durable_db(tmp_path)

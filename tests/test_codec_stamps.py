@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro import TemporalXMLDatabase
 from repro.diff.editscript import DeleteOp, EditScript, InsertOp
 from repro.errors import CorruptArchiveError
-from repro.storage.binfmt import read_script
+from repro.storage.legacy import read_script, upgrade
 from repro.storage.persistence import archive_bytes, build_archive
 from repro.xmlcore import serialize
 from repro.xmlcore.codec import PackedNode, Reader, Writer, read_node
@@ -292,8 +292,9 @@ _FIXTURES = {
 
 @pytest.mark.parametrize("name", sorted(_FIXTURES))
 def test_an_older_directory_opens_to_the_same_answers(name, tmp_path):
-    """Each fixture opens to the archive it opened to when every node was
-    written absolute, and so does it after a checkpoint in today's form."""
+    """Each fixture, upgraded, opens to the archive it opened to when every
+    node was written absolute, and so does it after a checkpoint in
+    today's form."""
     digest, documents = _FIXTURES[name]
     copy = tmp_path / name
     shutil.copytree(DATA / name, copy)
@@ -303,6 +304,7 @@ def test_an_older_directory_opens_to_the_same_answers(name, tmp_path):
         archive = archive_bytes(build_archive(db.store))
         return hashlib.sha256(archive).hexdigest(), db.documents()
 
+    upgrade(copy)
     assert opened() == (digest, documents)
     db = TemporalXMLDatabase.open(copy, durability="journal")
     db.checkpoint()

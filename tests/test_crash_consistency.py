@@ -11,9 +11,13 @@ writes, pointer rotations, journal rolls and GC deletions.  Because GC
 deletes through the injected filesystem too, the matrix also shows GC
 never deletes an object a retained checkpoint generation still reaches.
 
-The XML checkpoints an older release wrote are read only; the fallback
-tests build such a directory with :func:`tests.legacy_dirs.make_legacy`.
+The fallback tests run on the CAS checkpoints and on the XML ones an
+older release wrote (:func:`tests.legacy_dirs.make_legacy`), which
+``repro upgrade`` reads with the same fallback to the previous
+generation.
 """
+
+import os
 
 import pytest
 
@@ -22,8 +26,10 @@ from repro.errors import CorruptArchiveError
 from repro.storage import TemporalDocumentStore
 from repro.storage.binfmt import Reader
 from repro.storage.cas import CAS_POINTER_FILE, CASObjectStore, read_pointer
-from tests.faults import CrashError, FaultyFS, flip_bit
+from repro.storage import legacy
+from repro.storage.legacy import upgrade
 from repro.storage.recover import recover_store
+from tests.faults import CrashError, FaultyFS, flip_bit
 from repro.xmlcore import serialize
 from tests.legacy_dirs import make_legacy
 
@@ -284,15 +290,29 @@ class TestSilentCorruption:
 
     def test_bit_flip_in_checkpoint_falls_back(self, tmp_path):
         directory, expected, contents = self._clean_run(tmp_path)
-        checkpoint = make_legacy(directory) / "checkpoint.xml"
-        flip_bit(str(checkpoint), checkpoint.stat().st_size // 2)
+        objstore = CASObjectStore(directory)
+        root = objstore.object_path(read_pointer(objstore.pointer))
+        flip_bit(root, os.path.getsize(root) - 3)
         survived, report = assert_recovers_to_prefix(
             str(directory), expected, contents
         )
         # Previous checkpoint + both journal generations cover everything.
         assert survived == len(expected)
-        assert report.checkpoint_source in ("previous", "none")
+        assert report.checkpoint_source == "previous"
         assert report.checkpoint_errors
+
+    def test_upgrade_falls_back_past_a_bit_flip_in_an_xml_checkpoint(
+        self, tmp_path
+    ):
+        directory, expected, contents = self._clean_run(tmp_path)
+        checkpoint = make_legacy(directory) / "checkpoint.xml"
+        flip_bit(str(checkpoint), checkpoint.stat().st_size // 2)
+        assert upgrade(directory)
+        survived, report = assert_recovers_to_prefix(
+            str(directory), expected, contents
+        )
+        assert survived == len(expected)
+        assert report.checkpoint_source == "checkpoint"
 
     @pytest.mark.parametrize("storage", ["xml", "cas"])
     def test_corrupt_last_document_installs_nothing_before_fallback(
@@ -305,21 +325,26 @@ class TestSilentCorruption:
         expected = commit_history(db.store)
         # Damage only c.xml, the last document of the newest checkpoint
         # (it is in neither the .prev generation nor an earlier document),
-        # so a.xml and b.xml decode cleanly before the failure.
+        # so a.xml and b.xml decode cleanly before the failure; the XML
+        # one is read by the upgrade, which falls back the same way.
         if storage == "xml":
             path = make_legacy(directory) / "checkpoint.xml"
             body = path.read_bytes().rpartition(b"\n<!--crc32:")[0]
             assert body.count(b"pi one") == 1
             assert body.index(b"pi one") > body.rindex(b"<document ")
             path.write_bytes(body.replace(b"pi one", b"pi 0ne"))
-        else:
             objstore = CASObjectStore(directory)
-            root = Reader(objstore.get(read_pointer(
-                str(directory / CAS_POINTER_FILE)
-            )))
-            root.u(), root.u()  # format version, clock
-            doc_hashes = [root.blob().hex() for _ in range(root.u())]
-            flip_bit(objstore.object_path(doc_hashes[-1]), 30)
+            store = legacy._recover(objstore)
+            assert commit_history(store) == expected
+            assert [r.doc_id for r in store.repository.records()] == [1, 2, 3]
+            return
+        objstore = CASObjectStore(directory)
+        root = Reader(objstore.get(read_pointer(
+            str(directory / CAS_POINTER_FILE)
+        )))
+        root.u(), root.u()  # format version, clock
+        doc_hashes = [root.blob().hex() for _ in range(root.u())]
+        flip_bit(objstore.object_path(doc_hashes[-1]), 30)
 
         store = TemporalDocumentStore()
         recovered, report = recover_store(CASObjectStore(directory), store=store)
@@ -333,16 +358,16 @@ class TestSilentCorruption:
         assert version_contents(store) == version_contents(db.store)
         assert [r.doc_id for r in store.repository.records()] == [1, 2, 3]
 
-    def test_both_checkpoints_corrupt_is_detected(self, tmp_path):
-        directory, expected, contents = self._clean_run(tmp_path)
+    def test_both_xml_checkpoints_corrupt_is_detected(self, tmp_path):
+        directory, _expected, _contents = self._clean_run(tmp_path)
         make_legacy(directory)
         for name in ("checkpoint.xml", "checkpoint.xml.prev"):
             path = directory / name
             flip_bit(str(path), path.stat().st_size // 2)
-        # History before the first checkpoint is gone; recovery must say
-        # so loudly instead of fabricating a partial store.
+        # History before the first checkpoint is gone; the upgrade must
+        # say so loudly instead of fabricating a partial store.
         with pytest.raises(CorruptArchiveError):
-            TemporalXMLDatabase.open(str(directory), durability="journal")
+            upgrade(directory)
 
 
 def test_reporting_open_leaves_a_torn_journal_alone(tmp_path):

@@ -238,7 +238,7 @@ _DURABILITY = {
     },
     "checkpoints": {"checkpoints": 1, "bytes_written": 230, "last_bytes": 230},
     "recovery": {
-        "checkpoint_source": "checkpoint", "storage": "cas",
+        "checkpoint_source": "checkpoint",
         "checkpoint_errors": [], "records_scanned": 5, "records_replayed": 1,
         "records_skipped": 4, "records_truncated": 0, "truncated_bytes": 0,
         "torn_tail": False, "documents": 2,

@@ -1,5 +1,7 @@
 """Unit tests for the commit journal format and the fault-injection shim."""
 
+import re
+
 import pytest
 
 from repro.diff.editscript import (
@@ -18,7 +20,8 @@ from repro.diff.editscript import (
     UpdateAttrOp,
     UpdateTextOp,
 )
-from repro.errors import StorageError, TornJournalError
+from repro import TemporalXMLDatabase
+from repro.errors import StorageError, TornJournalError, UnsupportedFormatError
 from repro.model.identifiers import XIDAllocator
 from repro.model.versioned import stamp_new_nodes
 from repro.storage import TemporalDocumentStore
@@ -31,10 +34,10 @@ from repro.storage.journal import (
     MAGIC,
     CommitJournal,
     JournalRecord,
-    JournalRecordV2,
     scan_journal,
     verify_journal,
 )
+from repro.storage.legacy import JournalRecordV2
 from repro.storage.persistence import archive_bytes, build_archive
 from repro.storage.recover import recover_store
 from repro.storage.store import CommitEvent
@@ -219,8 +222,28 @@ class TestJournalFile:
     def test_bad_magic_refused_on_open(self, tmp_path):
         path = tmp_path / "journal.bin"
         path.write_bytes(b"this is not a journal at all")
-        with pytest.raises(TornJournalError):
+        with pytest.raises(UnsupportedFormatError):
             CommitJournal(str(path))
+        assert path.read_bytes() == b"this is not a journal at all"
+
+    @pytest.mark.parametrize("head", [b"TXJRNL9\n", b"TXJRNL1\n"])
+    def test_a_journal_of_another_format_is_refused_not_wiped(self, tmp_path,
+                                                              head):
+        """A newer release's magic, or an older one's: recovery refuses
+        the directory and truncates nothing."""
+        store, journal = _journaled_store(tmp_path)
+        store.put("a.xml", "<doc><x>one</x></doc>")
+        journal.close()
+        path = tmp_path / "journal.bin"
+        data = head + path.read_bytes()[len(MAGIC):]
+        path.write_bytes(data)
+        with pytest.raises(UnsupportedFormatError, match=re.escape(repr(head))):
+            scan_journal(str(path))
+        for durability in ("journal", "none"):
+            with pytest.raises(UnsupportedFormatError,
+                               match="repro upgrade"):
+                TemporalXMLDatabase.open(tmp_path, durability=durability)
+        assert path.read_bytes() == data
 
     def test_open_reads_the_header_not_the_file(self, tmp_path):
         store, journal = _journaled_store(tmp_path)
@@ -239,7 +262,7 @@ class TestJournalFile:
         CommitJournal(str(path), fs=RecordingFS()).close()
         assert RecordingFS.lengths == [len(MAGIC)]
         # A short read of the header is an error, never a reason to truncate.
-        with pytest.raises(TornJournalError):
+        with pytest.raises(UnsupportedFormatError):
             CommitJournal(str(path), fs=FaultyFS(short_read_at=1))
         assert path.read_bytes() == before
 
@@ -538,7 +561,8 @@ class TestFaultyFS:
         store.put("a.xml", "<doc><x>one</x></doc>")
         store.update("a.xml", "<doc><x>two</x></doc>")
         journal.close()
-        fs = FaultyFS(short_read_at=1, short_read_fraction=0.7)
+        # Read 1 is the format check's 8-byte header; read 2 the scan's.
+        fs = FaultyFS(short_read_at=2, short_read_fraction=0.7)
         recovered, report = recover_store(CASObjectStore(tmp_path, fs=fs))
         assert report.torn_tail
         index = recovered.delta_index("a.xml")

@@ -1,12 +1,14 @@
-"""Binary journal formats: the v1 upgrade path, hostile input, lazy decoding.
+"""Binary journal formats: the v1 upgrade, hostile input, lazy decoding.
 
 The record/frame unit tests live in ``test_journal.py``; this file holds
 the properties that span recovery: a directory written by the v1 writer
-keeps working, bytes an attacker framed with a *valid* CRC end in a typed
-error (a redo body that lies included), and a record recovery skips is
-never decoded or completed.
+is refused until ``repro upgrade`` converts it and then keeps working,
+bytes an attacker framed with a *valid* CRC end in a typed error (a redo
+body that lies included), and a record recovery skips is never decoded
+or completed.
 """
 
+import hashlib
 import random
 import shutil
 import zlib
@@ -26,14 +28,18 @@ from repro.diff.editscript import (
     UpdateAttrOp,
     UpdateTextOp,
 )
-from repro.errors import CorruptArchiveError, DeltaApplicationError, StorageError
+from repro.errors import (
+    CorruptArchiveError,
+    DeltaApplicationError,
+    StorageError,
+    UnsupportedFormatError,
+)
 from repro.serving import Replica
-from repro.storage import TemporalDocumentStore, binfmt
+from repro.storage import TemporalDocumentStore, binfmt, legacy
 from repro.storage import journal as journal_module
 from repro.storage import recover as recover_module
 from repro.storage.binfmt import Writer, encode_tree
 from repro.storage.cas import CASObjectStore
-from tests.faults import CrashError, FaultyFS
 from repro.storage.journal import (
     _FRAME,
     FORMAT_VERSION,
@@ -48,7 +54,8 @@ from repro.storage.recover import apply_record, recover_store
 from repro.workload import load_figure1
 from repro.xmlcore import parse, serialize
 from repro.xmlcore.node import Element
-from tests.legacy_dirs import make_legacy
+from tests.faults import tree_digest
+from tests.legacy_dirs import crash_every_upgrade_op, make_legacy
 from tests.references import (
     MISPLACED_MARKERS,
     encode_placed_redo,
@@ -81,7 +88,8 @@ class TestFormatV1Directory:
     """``tests/data/journal_v1/journal.bin`` was written by the last commit
     whose journal was XML (``0108929``, format ``TXJRNL1``): Figure 1's
     three versions, one 3-member group (create, update, snapshot), one
-    delete; no checkpoint.  Regenerate from a worktree of that commit::
+    delete; no checkpoint.  It is refused until upgraded.  Regenerate
+    from a worktree of that commit::
 
         git worktree add /tmp/parent 0108929 && cd /tmp/parent
         PYTHONPATH=src python - <<'PY'
@@ -117,7 +125,7 @@ class TestFormatV1Directory:
     def test_fixture_is_what_the_docstring_says(self):
         data = V1_FIXTURE.read_bytes()
         assert data.startswith(V1_MAGIC)
-        scan = scan_journal(str(V1_FIXTURE))
+        scan = legacy.scan_journal(str(V1_FIXTURE))
         assert scan.version == 1 and not scan.torn
         assert [r.kind for r in scan.records] == [
             "create", "update", "snapshot", "update", "group", "delete",
@@ -125,49 +133,43 @@ class TestFormatV1Directory:
         assert [m.kind for m in scan.records[4].members] == [
             "create", "update", "snapshot",
         ]
+        assert scan.raw_bytes == len(data) - len(V1_MAGIC) - 6 * 8
 
-    def test_recover_store_restores_it(self, directory, expected):
+    @pytest.mark.parametrize("durability", ["none", "fsync"])
+    def test_open_refuses_it_and_changes_nothing(self, directory, durability):
+        before = tree_digest(directory)
+        with pytest.raises(UnsupportedFormatError, match="TXJRNL1"):
+            TemporalXMLDatabase.open(directory, durability=durability)
+        with pytest.raises(UnsupportedFormatError):
+            recover_store(CASObjectStore(directory))
+        assert tree_digest(directory) == before
+
+    def test_upgrade_converts_it_and_it_keeps_working(self, directory,
+                                                      expected):
+        assert legacy.upgrade(directory)
+        assert (directory / "journal.bin").read_bytes() == MAGIC
+        assert not (directory / "journal.bin.prev").exists()
         store, report = recover_store(CASObjectStore(directory))
         assert _fingerprint(store) == expected
-        assert report.records_replayed == 6
-        assert report.journals == [{
-            "file": "journal.bin", "version": 1, "records": 6,
-            "bytes": len(V1_FIXTURE.read_bytes()),
-            "raw_bytes": len(V1_FIXTURE.read_bytes()) - len(V1_MAGIC) - 6 * 8,
-        }]
-        # recover_store appends nothing, so it upgrades nothing.
-        assert (directory / "journal.bin").read_bytes() == (
-            V1_FIXTURE.read_bytes()
-        )
-
-    def test_open_upgrades_once_and_keeps_working(self, directory, expected):
-        v1_bytes = V1_FIXTURE.read_bytes()
+        assert report.records_scanned == 0
         db = TemporalXMLDatabase.open(
             directory, durability="fsync", snapshot_interval=2
         )
         assert _fingerprint(db.store) == expected
-        # The v1 file rolled aside untouched; appends go to a fresh file.
-        assert (directory / "journal.bin.prev").read_bytes() == v1_bytes
-        assert (directory / "journal.bin").read_bytes() == MAGIC
-        assert db.journal.version == FORMAT_VERSION
         db.update("guide.com", "<guide><restaurant>new</restaurant></guide>")
         db.close()
-        assert (directory / "journal.bin.prev").read_bytes() == v1_bytes
         tail = verify_journal(str(directory / "journal.bin"))
         assert [r.kind for r in tail] == ["update", "snapshot"]  # v4, interval 2
 
-        # A second reopen serves both generations: v1 .prev (all covered by
-        # the upgrade checkpoint) and the current format's tail.
         again = TemporalXMLDatabase.open(
             directory, durability="fsync", snapshot_interval=2
         )
         assert _fingerprint(again.store) == _fingerprint(db.store)
         assert [j["version"] for j in again.recovery.journals] == [
-            1, FORMAT_VERSION,
+            FORMAT_VERSION,
         ]
         # The update; its snapshot the interval policy re-made on replay.
         assert again.recovery.records_replayed == 1
-        assert (directory / "journal.bin.prev").read_bytes() == v1_bytes
         result = again.query(
             'SELECT R/name FROM doc("guide.com")[26/01/2001]/restaurant R'
         )
@@ -175,54 +177,19 @@ class TestFormatV1Directory:
         again.close()
 
     def test_crash_anywhere_in_the_upgrade_loses_nothing(self, tmp_path,
+                                                          directory,
                                                           expected):
-        """The upgrade is an ordinary checkpoint, so a crash at any of its
-        filesystem operations leaves a directory the next open recovers in
-        full — from the v1 file, wherever it sits by then."""
-        probe = FaultyFS()
-        target = tmp_path / "probe"
-        target.mkdir()
-        shutil.copy(V1_FIXTURE, target / "journal.bin")
-        TemporalXMLDatabase.open(target, durability="fsync", fs=probe).close()
-        assert probe.ops >= 8
-        for k in range(1, probe.ops + 1):
-            target = tmp_path / f"crash-{k}"
-            target.mkdir()
-            shutil.copy(V1_FIXTURE, target / "journal.bin")
-            with pytest.raises(CrashError):
-                TemporalXMLDatabase.open(
-                    target, durability="fsync", fs=FaultyFS(crash_at=k)
-                ).close()
-            db = TemporalXMLDatabase.open(target, durability="fsync")
-            assert _fingerprint(db.store) == expected, k
-            assert db.journal.version == FORMAT_VERSION
-            db.close()
-            for name in ("journal.bin", "journal.bin.prev"):
-                data = (target / name).read_bytes()
-                assert data == V1_FIXTURE.read_bytes() or data == MAGIC, (k, name)
+        ops = crash_every_upgrade_op(
+            directory, tmp_path / "crashes", hashlib.sha256(expected).hexdigest()
+        )
+        assert ops >= 8
 
-    def test_reporting_open_does_not_upgrade(self, directory, expected):
-        db = TemporalXMLDatabase.open(directory, durability="none")
-        assert _fingerprint(db.store) == expected
-        assert sorted(p.name for p in directory.iterdir()) == ["journal.bin"]
-
-    def test_writer_refuses_to_append_after_a_v1_header(self, directory):
-        journal = CommitJournal(str(directory / "journal.bin"))
-        assert journal.version == 1
-        with pytest.raises(StorageError, match="read-only"):
-            journal.append(JournalRecord(
-                kind="delete", doc_id=1, name="guide.com", version=3, ts=1
-            ))
-        journal.roll()  # what the upgrade checkpoint does
-        assert journal.version == FORMAT_VERSION
-        journal.append(JournalRecord(
-            kind="delete", doc_id=1, name="guide.com", version=3, ts=1
-        ))
-        journal.close()
-        assert (directory / "journal.bin.prev").read_bytes() == (
+    def test_the_writer_refuses_a_v1_header(self, directory):
+        with pytest.raises(UnsupportedFormatError):
+            CommitJournal(str(directory / "journal.bin"))
+        assert (directory / "journal.bin").read_bytes() == (
             V1_FIXTURE.read_bytes()
         )
-        assert (directory / "journal.bin").read_bytes().startswith(MAGIC)
 
 
 # -- hostile input --------------------------------------------------------------
@@ -576,9 +543,9 @@ class TestHostileRedo:
 
 
 class _DecodeCounter:
-    """Counts journal member bodies decoded — ``read_redo`` and
-    ``read_script`` calls plus ``read_node`` calls that are not a script's
-    own payloads — and redo operations completed."""
+    """Counts journal member bodies decoded — ``read_redo`` calls plus
+    ``read_node`` calls that are not a script's own payloads — and redo
+    operations completed."""
 
     def __init__(self, monkeypatch):
         self.members = 0
@@ -602,8 +569,7 @@ class _DecodeCounter:
                 self.members += 1
             return real_node(r)
 
-        for name in ("read_redo", "read_script"):
-            monkeypatch.setattr(binfmt, name, counted(getattr(binfmt, name)))
+        monkeypatch.setattr(binfmt, "read_redo", counted(binfmt.read_redo))
         monkeypatch.setattr(binfmt, "read_node", read_node)
         complete = dict(apply_module._COMPLETE)
         for kind, real in complete.items():
@@ -716,10 +682,10 @@ def _per_op(w, script):
 
 
 class TestPerOpStampDirectory:
-    """A CAS checkpoint (or an older release's XML one) and a journal
-    tail whose every redo script spells its stamps out one 0x06 record
-    each — what the commits before the 0x08 run record wrote — open,
-    replay and answer as ever."""
+    """A CAS checkpoint (or an older release's XML one, upgraded) and a
+    journal tail whose every redo script spells its stamps out one 0x06
+    record each — what the commits before the 0x08 run record wrote —
+    open, replay and answer as ever."""
 
     @pytest.mark.parametrize("storage", ["cas", "xml"])
     def test_opens_replays_and_answers_figure1(self, tmp_path, monkeypatch,
@@ -736,14 +702,16 @@ class TestPerOpStampDirectory:
             deltas = db.store.record("guide.com").deltas.values()
             per_op_bytes = sum(len(binfmt.encode_redo(d)) for d in deltas)
         if storage == "xml":
-            make_legacy(directory)  # the checkpoint an older release wrote
+            # The checkpoint an older release wrote, and its upgrade, which
+            # folds the journal tail into the checkpoint.
+            legacy.upgrade(make_legacy(directory))
         expected = _fingerprint(db.store)
         # The patch took: today's writer spends less on the same scripts.
         assert any(isinstance(op, StampOp) for d in deltas for op in d)
         assert per_op_bytes > sum(len(binfmt.encode_redo(d)) for d in deltas)
 
         store, report = recover_store(CASObjectStore(directory))
-        assert report.records_replayed == 1
+        assert report.records_replayed == (storage == "cas")
         assert _fingerprint(store) == expected
 
         db = TemporalXMLDatabase.open(directory, durability="fsync")

@@ -27,12 +27,11 @@ document delete.  Regenerate from an export of that commit, with
     db.delete("b.xml")
     db.close()
 
-Every test works on a copy.  The first durable open folds the v2 tail
-into one checkpoint, which rolls the v2 file to ``journal.bin.prev``; the
-journal appends the current format from then on.
+Every test works on a copy.  ``open()`` and ``repro recover`` refuse it;
+``repro upgrade`` replays the v2 tail through the v2 reader of
+:mod:`repro.storage.legacy`, and the journal appends v3 from then on.
 """
 
-import hashlib
 import io
 import shutil
 from pathlib import Path
@@ -48,28 +47,21 @@ from repro.diff.editscript import (
     UpdateAttrOp,
     UpdateTextOp,
 )
-from tests.faults import CrashError, FaultyFS
-from repro.storage.journal import (
-    FORMAT_VERSION,
-    MAGIC,
-    scan_journal,
-    verify_journal,
-)
-from repro.storage.persistence import archive_bytes, build_archive
+from repro.errors import UnsupportedFormatError
+from repro.storage.journal import FORMAT_VERSION, MAGIC, verify_journal
+from repro.storage.legacy import scan_journal, upgrade
+from tests.faults import tree_digest
+from tests.legacy_dirs import crash_every_upgrade_op, digest
 
 JOURNAL_V2 = Path(__file__).parent / "data" / "journal_v2"
 
 #: sha256 of ``archive_bytes(build_archive(store))`` of the store that
-#: wrote the fixture, and of every store that opens it.
+#: wrote the fixture, and of every store that opens it once upgraded.
 JOURNAL_V2_FINGERPRINT = (
     "9612a765d035fb204dbfae717932b2d6f4835ef655088234a30c16ddc50cdbf9"
 )
 
 V2_MAGIC = b"TXJRNL2\n"
-
-
-def fingerprint(store):
-    return hashlib.sha256(archive_bytes(build_archive(store))).hexdigest()
 
 
 @pytest.fixture
@@ -98,29 +90,20 @@ def test_fixture_is_what_the_docstring_says():
             ReplaceRootOp} <= ops
 
 
-def test_it_opens_equal_to_the_store_that_wrote_it(directory):
-    db = TemporalXMLDatabase.open(directory, durability="none")
-    assert db.recovery.checkpoint_source == "checkpoint"
-    assert [j["version"] for j in db.recovery.journals] == [2, 2]
-    assert db.recovery.records_replayed == 7
-    assert fingerprint(db.store) == JOURNAL_V2_FINGERPRINT
-    # A reporting open writes nothing.
-    assert (directory / "journal.bin").read_bytes() == (
-        (JOURNAL_V2 / "journal.bin").read_bytes()
-    )
+@pytest.mark.parametrize("durability", ["none", "fsync"])
+def test_open_refuses_it_and_changes_nothing(directory, durability):
+    before = tree_digest(directory)
+    with pytest.raises(UnsupportedFormatError, match="TXJRNL2"):
+        TemporalXMLDatabase.open(directory, durability=durability)
+    assert tree_digest(directory) == before
 
 
-def test_the_first_durable_open_rolls_it_with_one_checkpoint(directory):
-    v2_tail = (directory / "journal.bin").read_bytes()
-    pointer = (directory / "checkpoint.cas").read_bytes()
-    db = TemporalXMLDatabase.open(directory, durability="fsync")
-    assert fingerprint(db.store) == JOURNAL_V2_FINGERPRINT
-    # One checkpoint: the fixture's pointer is now the previous one, the
-    # v2 tail sits in .prev untouched, and a fresh file takes appends.
-    assert (directory / "checkpoint.cas.prev").read_bytes() == pointer
-    assert (directory / "journal.bin.prev").read_bytes() == v2_tail
+def test_upgrade_restores_the_store_that_wrote_it(directory):
+    assert upgrade(directory)
     assert (directory / "journal.bin").read_bytes() == MAGIC
-    assert db.journal.version == FORMAT_VERSION
+    assert not (directory / "journal.bin.prev").exists()
+    db = TemporalXMLDatabase.open(directory, durability="fsync")
+    assert digest(db.store) == JOURNAL_V2_FINGERPRINT
     db.update("a.xml", "<doc><w><v>kept</v></w></doc>")
     db.update("c.xml", "<doc><p>pi three</p></doc>")
     db.close()
@@ -129,47 +112,24 @@ def test_the_first_durable_open_rolls_it_with_one_checkpoint(directory):
 
     again = TemporalXMLDatabase.open(directory, durability="none")
     assert [j["version"] for j in again.recovery.journals] == [
-        2, FORMAT_VERSION,
+        FORMAT_VERSION,
     ]
     assert again.recovery.records_replayed == 2
-    assert fingerprint(again.store) == fingerprint(db.store)
+    assert digest(again.store) == digest(db.store)
 
 
-def test_recover_reports_format_v2(directory):
+def test_recover_refuses_it_until_upgraded(directory):
+    out = io.StringIO()
+    assert main(["recover", "-d", str(directory)], out=out) == 1
+    assert "starts with b'TXJRNL2\\n'" in out.getvalue()
+    assert main(["upgrade", "-d", str(directory)], out=out) == 0
     out = io.StringIO()
     assert main(["recover", "-d", str(directory)], out=out) == 0
-    text = out.getvalue()
-    assert "journal.bin.prev: format v2, 3 record(s)" in text
-    assert "journal.bin: format v2, 7 record(s)" in text
-    assert (directory / "journal.bin").read_bytes() == MAGIC
+    assert "journal.bin: format v3, 0 record(s)" in out.getvalue()
     reopened = TemporalXMLDatabase.open(directory, durability="none")
-    assert fingerprint(reopened.store) == JOURNAL_V2_FINGERPRINT
+    assert digest(reopened.store) == JOURNAL_V2_FINGERPRINT
 
 
-def test_a_crash_anywhere_in_the_rolling_open_reopens_equal(tmp_path):
-    """``FaultyFS`` crashes the first durable open — its rolling
-    checkpoint — at each of its filesystem operations; every reopen
-    equals the fingerprint, with the v2 tail in ``journal.bin`` or
-    ``journal.bin.prev`` and the other file fresh."""
-    probe = tmp_path / "probe"
-    shutil.copytree(JOURNAL_V2, probe)
-    fs = FaultyFS()  # counts ops, never crashes
-    TemporalXMLDatabase.open(probe, durability="fsync", fs=fs).close()
-    assert fs.ops >= 8
-
-    v2_tail = (JOURNAL_V2 / "journal.bin").read_bytes()
-    v2_prev = (JOURNAL_V2 / "journal.bin.prev").read_bytes()
-    for k in range(1, fs.ops + 1):
-        target = tmp_path / f"crash-{k}"
-        shutil.copytree(JOURNAL_V2, target)
-        with pytest.raises(CrashError):
-            TemporalXMLDatabase.open(
-                target, durability="fsync", fs=FaultyFS(crash_at=k)
-            ).close()
-        db = TemporalXMLDatabase.open(target, durability="fsync")
-        assert fingerprint(db.store) == JOURNAL_V2_FINGERPRINT, k
-        assert db.journal.version == FORMAT_VERSION
-        db.close()
-        for name in ("journal.bin", "journal.bin.prev"):
-            data = (target / name).read_bytes()
-            assert data in (v2_tail, v2_prev, MAGIC), (k, name)
+def test_a_crash_anywhere_in_the_upgrade_is_finished_by_the_next(tmp_path):
+    ops = crash_every_upgrade_op(JOURNAL_V2, tmp_path, JOURNAL_V2_FINGERPRINT)
+    assert ops >= 8

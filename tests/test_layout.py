@@ -4,7 +4,10 @@ nothing in the engine exists only for them."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -232,3 +235,40 @@ def test_the_calendar_has_no_loop():
         for node in ast.walk(functions[name]):
             assert not isinstance(node, (ast.For, ast.While)), name
     assert called("bucket_spans") <= roots
+
+
+#: The readers of older releases' bytes, which live in storage/legacy.py.
+_OLDER_READERS = re.compile(
+    r"\b(READABLE_VERSIONS|_VERSION_OF_MAGIC|_RECORD_CLASS|JournalRecordV[12]"
+    r"|LEGACY_CHECKPOINT_FILE|read_script|decode_script|decode_delta_stream"
+    r"|decode_snapshot_stream|_read_completed)\b"
+)
+
+
+def test_older_formats_are_read_in_one_module(imports, tmp_path):
+    """The engine reads CAS root format 4 and journal v3 only: nothing
+    but ``storage/legacy.py`` names an older format's reader, only
+    ``repro upgrade`` imports it, and opening a directory of today's
+    format leaves it unimported."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path.name != "legacy.py":
+            assert not _OLDER_READERS.search(path.read_text()), path
+    assert _importers(imports, "repro.storage.legacy") == {"repro.cli"}
+    code = (
+        "import sys\n"
+        "from repro import TemporalXMLDatabase\n"
+        "directory = sys.argv[1]\n"
+        "db = TemporalXMLDatabase.open(directory)\n"
+        "db.put('a.xml', '<a><b>one</b></a>')\n"
+        "db.checkpoint()\n"
+        "db.update('a.xml', '<a><b>two</b></a>')\n"
+        "db.close()\n"
+        "TemporalXMLDatabase.open(directory).close()\n"
+        "print('repro.storage.legacy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert result.stdout == "False\n"

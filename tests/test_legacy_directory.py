@@ -1,4 +1,5 @@
-"""A directory an older release wrote: XML checkpoints, read then replaced.
+"""A directory an older release wrote: XML checkpoints, refused until
+upgraded.
 
 ``tests/data/xml_dir_v1`` was written by commit ``14db009``, whose
 directories checkpointed to XML archives by default: ``checkpoint.xml``
@@ -22,14 +23,13 @@ export of that commit, with ``PYTHONPATH=src``::
     db.update("c.xml", "<doc><p>pi two</p><q>chi</q></doc>")
     db.close()
 
-Every test works on a copy.  Recovery reads the XML archives; the first
-checkpoint writes ``checkpoint.cas`` and removes them, strictly after the
-pointer is published, so a crash anywhere in it reopens the same store.
-Its journal is format v2, which is only read now, so a durable open runs
-that first checkpoint itself (to roll the journal aside).
+Every test works on a copy.  ``open()`` and ``repro recover`` refuse it
+and change no file; ``repro upgrade`` recovers it through the XML
+archives and the v2 journals, writes CAS checkpoints and an empty v3
+journal and removes the rest, in an order a crash at any operation
+leaves for the next upgrade to finish.
 """
 
-import hashlib
 import io
 import shutil
 from pathlib import Path
@@ -38,12 +38,14 @@ import pytest
 
 from repro import TemporalXMLDatabase
 from repro.cli import main
-from tests.faults import CrashError, FaultyFS
-from repro.storage.persistence import archive_bytes, build_archive
+from repro.errors import UnsupportedFormatError
+from repro.storage.journal import MAGIC
+from tests.faults import tree_digest
+from tests.legacy_dirs import crash_every_upgrade_op, digest
 
 XML_DIR_V1 = Path(__file__).parent / "data" / "xml_dir_v1"
 
-#: sha256 of ``archive_bytes(build_archive(store))`` after opening it.
+#: sha256 of ``archive_bytes(build_archive(store))`` after upgrading it.
 XML_DIR_V1_FINGERPRINT = (
     "6c156a21a3a6f31307d2bbac824f2740a27077ff73947c54373c22506db872ac"
 )
@@ -53,17 +55,6 @@ LEGACY_FILES = [
 ]
 
 
-def fingerprint(store):
-    return hashlib.sha256(archive_bytes(build_archive(store))).hexdigest()
-
-
-def file_contents(directory):
-    return {
-        path.name: path.read_bytes()
-        for path in Path(directory).iterdir() if path.is_file()
-    }
-
-
 @pytest.fixture
 def directory(tmp_path):
     target = tmp_path / "db"
@@ -71,67 +62,41 @@ def directory(tmp_path):
     return target
 
 
-def test_it_opens_to_the_recorded_fingerprint(directory):
-    before = file_contents(directory)
-    assert sorted(before) == LEGACY_FILES
-    db = TemporalXMLDatabase.open(directory, durability="none")
-    assert db.recovery.storage == "xml"
-    assert db.recovery.checkpoint_source == "checkpoint"
-    assert db.recovery.records_replayed == 3
-    assert fingerprint(db.store) == XML_DIR_V1_FINGERPRINT
-    assert file_contents(directory) == before
+@pytest.mark.parametrize("durability", ["none", "journal"])
+def test_open_refuses_it_and_changes_nothing(directory, durability):
+    assert sorted(path.name for path in directory.iterdir()) == LEGACY_FILES
+    before = tree_digest(directory)
+    with pytest.raises(UnsupportedFormatError, match="XML checkpoint"):
+        TemporalXMLDatabase.open(directory, durability=durability)
+    assert tree_digest(directory) == before
 
 
-def test_recover_without_a_checkpoint_leaves_the_files_untouched(directory):
-    before = file_contents(directory)
+def test_recover_refuses_it_and_changes_nothing(directory):
+    before = tree_digest(directory)
     out = io.StringIO()
-    assert main(["recover", "-d", str(directory), "--no-checkpoint"],
-                out=out) == 0
-    assert "recovered 3 document(s)" in out.getvalue()
-    assert "checkpoint used: checkpoint (storage: xml)" in out.getvalue()
-    assert file_contents(directory) == before
+    assert main(["recover", "-d", str(directory)], out=out) == 1
+    assert "`repro upgrade -d DIR`" in out.getvalue()
+    assert tree_digest(directory) == before
 
 
-def test_the_first_checkpoint_migrates_to_cas(directory):
-    # The journal is format v2, which is read-only now: the durable open
-    # checkpoints once to roll it aside, and that checkpoint migrates.
-    db = TemporalXMLDatabase.open(directory, durability="journal")
-    assert db.recovery.storage == "xml"
+def test_upgrade_converts_it_once(directory):
+    out = io.StringIO()
+    assert main(["upgrade", "-d", str(directory)], out=out) == 0
+    assert "upgraded" in out.getvalue()
     assert sorted(path.name for path in directory.iterdir()) == [
-        "checkpoint.cas", "journal.bin", "journal.bin.prev", "objects",
+        "checkpoint.cas", "checkpoint.cas.prev", "journal.bin", "objects",
     ]
-    assert db.checkpoint() == str(directory / "checkpoint.cas")
-    db.close()
-    names = sorted(path.name for path in directory.iterdir())
-    assert names == ["checkpoint.cas", "checkpoint.cas.prev", "journal.bin",
-                     "journal.bin.prev", "objects"]
-    reopened = TemporalXMLDatabase.open(directory, durability="none")
-    assert reopened.recovery.storage == "cas"
-    assert fingerprint(reopened.store) == XML_DIR_V1_FINGERPRINT
+    assert (directory / "journal.bin").read_bytes() == MAGIC
+    db = TemporalXMLDatabase.open(directory, durability="none")
+    assert db.recovery.checkpoint_source == "checkpoint"
+    assert db.recovery.records_scanned == 0
+    assert digest(db.store) == XML_DIR_V1_FINGERPRINT
+    before = tree_digest(directory)
+    assert main(["upgrade", "-d", str(directory)], out=out) == 0
+    assert tree_digest(directory) == before
 
 
-def test_a_crash_anywhere_in_the_migration_reopens_equal(tmp_path):
-    """``FaultyFS`` crashes the migrating checkpoint — the one the durable
-    open runs to roll the v2 journal aside — at each of its ops; every
-    reopen equals the fingerprint, from XML before the pointer is
-    published and from CAS after it."""
-    probe = tmp_path / "probe"
-    shutil.copytree(XML_DIR_V1, probe)
-    fs = FaultyFS()  # counts ops, never crashes
-    db = TemporalXMLDatabase.open(probe, durability="journal", fs=fs)
-    ops = fs.ops
-    db.close()
+def test_a_crash_anywhere_in_the_upgrade_is_finished_by_the_next(tmp_path):
+    ops = crash_every_upgrade_op(XML_DIR_V1, tmp_path,
+                                 XML_DIR_V1_FINGERPRINT)
     assert ops >= 15
-
-    formats = set()
-    for k in range(1, ops + 1):
-        target = tmp_path / f"crash-{k}"
-        shutil.copytree(XML_DIR_V1, target)
-        with pytest.raises(CrashError):
-            TemporalXMLDatabase.open(
-                target, durability="journal", fs=FaultyFS(crash_at=k)
-            )
-        reopened = TemporalXMLDatabase.open(target, durability="none")
-        assert fingerprint(reopened.store) == XML_DIR_V1_FINGERPRINT, k
-        formats.add(reopened.recovery.storage)
-    assert formats == {"xml", "cas"}

@@ -28,7 +28,8 @@ from repro.diff.editscript import (
     payload_nodes,
 )
 from repro.storage import TemporalDocumentStore
-from repro.storage.binfmt import decode_script, decode_tree, encode_tree
+from repro.storage.binfmt import decode_tree, encode_tree
+from repro.storage.legacy import decode_script
 from repro.storage.persistence import dump_store, load_store
 from repro.workload import TDocGenerator, build_collection
 from repro.xmlcore.codec import PackedNode

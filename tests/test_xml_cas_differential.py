@@ -69,7 +69,7 @@ def _build_directory(directory, ops):
         db = TemporalXMLDatabase.open(
             directory, durability="fsync", snapshot_interval=4
         )
-    assert db.recovery.storage == "cas"
+    assert db.recovery.checkpoint_source == "checkpoint"
     return db
 
 
