@@ -118,7 +118,8 @@ class TemporalXMLDatabase:
 
         Indexes (FTI, lifetime) are rebuilt by replaying the stored commit
         history through the usual observers, so query behaviour after a
-        load is identical to before the save."""
+        load is identical to before the save; the replay counts no
+        read."""
         from .storage.persistence import load_store, replay_history
 
         db = cls(**tuning)
@@ -181,17 +182,23 @@ class TemporalXMLDatabase:
                 f"unknown storage backend {storage!r}: a database directory "
                 "checkpoints to CAS only; write an XML archive with save()"
             )
-        db = cls(**tuning)
+        db = None
+
+        def fresh():  # one per checkpoint generation recovery tries
+            nonlocal db
+            db = cls(**tuning)
+            return db.store, [db.fti, db.lifetime]
+
         # The directory's one object store: recovery reads the checkpoint
         # through it, the checkpointer writes and collects through it.
         objstore = CASObjectStore(directory, fs=fs)
-        _, db.recovery = recover_store(
+        _, recovery = recover_store(
             objstore,
-            store=db.store,
-            observers=[db.fti, db.lifetime],
             # Only a journal reopened for append needs its torn tail cut.
             repair=durability != "none",
+            fresh=fresh,
         )
+        db.recovery = recovery
         db.data_dir = objstore.directory
         db.durability = durability
         if durability != "none":

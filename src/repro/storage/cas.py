@@ -68,12 +68,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from ..diff.apply import apply_script, parent_index
-from ..errors import (
-    CorruptArchiveError,
-    DeltaApplicationError,
-    UnsupportedFormatError,
-)
+from ..errors import CorruptArchiveError, UnsupportedFormatError
 from .binfmt import (
     DEFLATE_THRESHOLD,
     Reader,
@@ -465,32 +460,18 @@ def _pack_document(packer, record, key, stored):
     of what ``record`` gained since, laid into ``packer`` — its first
     version (at its first checkpoint only) and one segment of the redo
     deltas the stream lacks."""
+    from .persistence import first_version
+
     number = key[0]
     first, deltas = stored.manifests
     if not first:
-        data = encode_tree(_first_version(record, number))
+        data = encode_tree(first_version(record))
         first = (packer.add(data, "first"),)
     numbers = range(max(stored.key[0], 1), number)
     if numbers:
         segment = encode_redo_segment(record, numbers)
         deltas = deltas + (packer.add(segment, "deltas"),)
     return first, deltas
-
-
-def _first_version(record, number):
-    """Version 1 of ``record``, whose current version is ``number``:
-    walked back from its earliest snapshot or its current version through
-    the inverted deltas, without counting a read (a checkpoint is no
-    query)."""
-    start = min(record.snapshots, default=number)
-    tree = record.snapshots[start] if record.snapshots else record.current_root
-    if start == 1:
-        return tree
-    root = tree.copy()
-    index = {node.xid: node for node in root.iter()}
-    for at in range(start - 1, 0, -1):
-        root = apply_script(root, record.deltas[at].invert(), index)
-    return root
 
 
 def _encode_document_meta(record, manifests, snapshots):
@@ -560,34 +541,28 @@ def check_root(objstore, pointer):
     _read_root(data, root_hash, where=pointer)
 
 
-def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
+def read_checkpoint(objstore, store=None, pointer=None, observers=()):
     """Restore the CAS checkpoint in ``objstore``'s directory into
     ``store`` (see :func:`~repro.storage.persistence.load_store`), which
     is returned.
 
     ``pointer`` names the generation (default ``objstore.pointer``;
-    recovery falls back to ``checkpoint.cas.prev``).  A document is
-    rebuilt by rolling its first version forward through its redo
-    deltas, which completes each of them
-    (:func:`~repro.diff.apply.apply_script`), copying the tree at each
-    snapshot number on the way; the tree it ends on is the current
-    version.  Each pack is fetched and inflated once per load, and its
-    hash is one string however many manifests name it.  Every
-    object on the path is CRC-verified and every document decoded and
-    rolled before the first one is installed; corruption — a range
-    outside its pack, ranges of one document overlapping in a pack, a
-    redo operation that does not apply — raises
-    :class:`CorruptArchiveError` naming the object hash and leaves
-    ``store`` untouched, and a root of another format raises
-    :class:`~repro.errors.UnsupportedFormatError`.  On success
+    recovery falls back to ``checkpoint.cas.prev``).  Each pack is
+    fetched and inflated once per load, and its hash is one string
+    however many manifests name it.  Every object on the path is
+    CRC-verified and every document decoded and checked before one
+    :func:`~repro.storage.persistence.roll_histories`, which completes
+    the redo deltas and fires each commit at ``observers``; the store is
+    installed after it.  Corruption — a range outside its pack, ranges
+    of one document overlapping in a pack, a redo operation that does
+    not apply — raises :class:`CorruptArchiveError` naming the object
+    hash and leaves ``store`` untouched, and a root of another format
+    raises :class:`~repro.errors.UnsupportedFormatError`.  On success
     ``objstore.published`` describes the loaded checkpoint, so the next
     :func:`write_checkpoint` through ``objstore`` writes only what
-    changed after it.  ``first_versions``, a dict when given, then
-    receives ``{doc id: version 1}`` (a tree of its own) of every
-    document, where :func:`~repro.storage.persistence.replay_history`
-    starts its roll.
+    changed after it.
     """
-    from .persistence import build_record, empty_store, install_records
+    from .persistence import empty_store, install_records
 
     store = empty_store(store)
     pointer = pointer if pointer is not None else objstore.pointer
@@ -596,34 +571,45 @@ def read_checkpoint(objstore, store=None, pointer=None, first_versions=None):
         objstore.get(root_hash), root_hash, where=pointer
     )
     packs = _Packs(objstore)
-    records = []
-    published = {}
-    firsts = {}
-    for doc_hash in doc_hashes:
-        meta = _decode_document_meta(
+    documents = [
+        (doc_hash, _decode_document_meta(
             objstore.get(doc_hash), doc_hash, packs.names
-        )
-        first, deltas, snapshots, current_root = _roll(packs, doc_hash, meta)
-        record = build_record(
-            doc_id=meta["doc_id"],
-            name=meta["name"],
-            nextxid=meta["nextxid"],
-            deleted_at=meta["deleted_at"],
-            entries=meta["entries"],
-            deltas=deltas,
-            snapshots=snapshots,
-            current_root=current_root,
-        )
-        records.append(record)
-        firsts[record.doc_id] = first
-        published[record.doc_id] = _Stored(
+        ))
+        for doc_hash in doc_hashes
+    ]
+    records = _rolled_records(packs, documents, clock_now, observers)
+    install_records(store, clock_now, records)
+    objstore.published = {
+        record.doc_id: _Stored(
             _key(record), doc_hash, tuple(map(tuple, meta["streams"]))
         )
-    install_records(store, clock_now, records)
-    objstore.published = published
-    if first_versions is not None:
-        first_versions.update(firsts)
+        for (doc_hash, meta), record in zip(documents, records)
+    }
     return store
+
+
+def _rolled_records(packs, documents, clock_now, observers=()):
+    """The finished records of one generation's ``documents``, ``[(doc
+    hash, manifest fields)]``: all decoded and checked, then rolled."""
+    from .persistence import build_record, fill_record, roll_histories
+
+    histories, sources = [], {}
+    for doc_hash, meta in documents:
+        first, scripts, sources[meta["doc_id"]] = _decode_streams(
+            packs, doc_hash, meta
+        )
+        record = build_record(
+            doc_id=meta["doc_id"], name=meta["name"], nextxid=meta["nextxid"],
+            deleted_at=meta["deleted_at"], entries=meta["entries"],
+            deltas=scripts, clock=clock_now,
+            where=f"document manifest {doc_hash}",
+        )
+        histories.append((record, first, meta["snapshots"]))
+    ends = roll_histories(
+        histories, observers,
+        where=lambda record, number: f"object {sources[record.doc_id][number]}",
+    )
+    return [fill_record(r, *ends[r.doc_id]) for r, _first, _ in histories]
 
 
 class _Packs:
@@ -667,9 +653,9 @@ class _Packs:
         return pieces
 
 
-def _roll(packs, doc_hash, meta):
-    """A document's ``(first version, completed deltas, snapshots, current
-    tree)``; the first version is a copy the roll leaves alone."""
+def _decode_streams(packs, doc_hash, meta):
+    """A document's ``(first version, redo deltas, {delta number: the pack
+    it came from})``."""
     first_ranges, delta_ranges = meta["streams"]
     spans = {}
     firsts = packs.stream(doc_hash, "first", first_ranges, spans)
@@ -693,33 +679,13 @@ def _roll(packs, doc_hash, meta):
         scripts.update(segment)
         source.update(dict.fromkeys(segment, pack))
     last = len(meta["entries"])
-    if sorted(scripts) != list(range(1, last)):
-        raise CorruptArchiveError(
-            f"document manifest {doc_hash}: {len(scripts)} delta(s) do not "
-            f"connect its {last} version(s)"
-        )
     wanted = meta["snapshots"]
     if wanted and not 1 <= wanted[0] <= wanted[-1] <= last:
         raise CorruptArchiveError(
             f"document manifest {doc_hash}: snapshot numbers {wanted} "
             f"outside its {last} version(s)"
         )
-    first = root.copy()
-    index = {node.xid: node for node in root.iter()}
-    parents = parent_index(root)
-    snapshots = {}
-    for number in range(1, last + 1):
-        if number > 1:
-            try:
-                root = apply_script(root, scripts[number - 1], index, parents)
-            except (DeltaApplicationError, CorruptArchiveError) as exc:
-                raise CorruptArchiveError(
-                    f"object {source[number - 1]}: the delta from version "
-                    f"{number - 1} does not apply ({exc})"
-                ) from None
-        if number in wanted:
-            snapshots[number] = root.copy()
-    return first, scripts, snapshots, root
+    return root, scripts, source
 
 
 def _decode_document_meta(data, doc_hash, names=None):

@@ -485,7 +485,13 @@ def _unframe(stored):
 
 
 def check_head(head, path):
-    """Refuse a journal whose first bytes ``head`` are not :data:`MAGIC`."""
+    """Refuse a journal whose first bytes ``head`` are not :data:`MAGIC`;
+    fewer bytes, from a file at least that long, are a short read."""
+    if len(head) < len(MAGIC):
+        raise StorageError(
+            f"journal {str(path)!r}: reading its first {len(MAGIC)} bytes "
+            f"returned {len(head)} (short read)"
+        )
     if head != MAGIC:
         raise UnsupportedFormatError(
             f"journal {str(path)!r} starts with {head!r}, not {MAGIC!r}"

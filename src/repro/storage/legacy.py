@@ -43,6 +43,7 @@ from .persistence import (
     atomic_write_bytes,
     build_record,
     empty_store,
+    fill_record,
     install_records,
     load_store,
 )
@@ -121,7 +122,7 @@ def read_checkpoint(objstore, store, pointer):
     clock_now = r.u()
     doc_hashes = [r.blob().hex() for _ in range(r.u())]
     packs = cas._Packs(objstore)
-    records = []
+    records, documents = [], []
     for doc_hash in doc_hashes:
         r = binfmt.Reader(objstore.get(doc_hash))
         meta = cas._read_document_head(r)
@@ -140,26 +141,28 @@ def read_checkpoint(objstore, store, pointer):
                 [(pack, 0, len(packs.fetch(pack))) for pack in objects]
                 for objects in streams
             ]
-            cas._read_document_tail(r, meta, doc_hash)
-            _, deltas, snapshots, current = cas._roll(packs, doc_hash, meta)
-        else:
-            if not r.exhausted:
-                raise CorruptArchiveError(
-                    f"document manifest {doc_hash} has trailing bytes"
-                )
-            current, deltas, snapshots = (
-                decode(b"".join(map(packs.fetch, objects)))
-                for decode, objects in zip(
-                    (binfmt.decode_tree, decode_delta_stream,
-                     decode_snapshot_stream), streams,
-                )
+            documents.append((doc_hash, cas._read_document_tail(
+                r, meta, doc_hash
+            )))
+            continue
+        if not r.exhausted:
+            raise CorruptArchiveError(
+                f"document manifest {doc_hash} has trailing bytes"
             )
-        records.append(build_record(
+        current, deltas, snapshots = (
+            decode(b"".join(map(packs.fetch, objects)))
+            for decode, objects in zip(
+                (binfmt.decode_tree, decode_delta_stream,
+                 decode_snapshot_stream), streams,
+            )
+        )
+        records.append(fill_record(build_record(
             doc_id=meta["doc_id"], name=meta["name"],
             nextxid=meta["nextxid"], deleted_at=meta["deleted_at"],
-            entries=meta["entries"], deltas=deltas, snapshots=snapshots,
-            current_root=current,
-        ))
+            entries=meta["entries"], deltas=deltas, clock=clock_now,
+            where=f"document manifest {doc_hash}",
+        ), current, snapshots))
+    records += cas._rolled_records(packs, documents, clock_now)
     return install_records(empty_store(store), clock_now, records)
 
 

@@ -12,7 +12,9 @@ of it:
   version content,
 * :func:`replay_history` re-fires the commit event stream from the stored
   deltas, which is how indexes (FTI, lifetime, document-time) are rebuilt
-  after loading — the same observers that maintained them online.
+  after loading — the same observers that maintained them online — by
+  :func:`roll_histories`, the roll a checkpoint load also completes its
+  redo deltas with.
 
 Trees are encoded with the edit-script payload encoding, so XIDs and
 element timestamps survive the round trip exactly.
@@ -43,8 +45,8 @@ import os
 import re
 import zlib
 
-from ..clock import LogicalClock
-from ..diff.apply import apply_script
+from ..clock import LogicalClock, format_timestamp
+from ..diff.apply import apply_script, parent_index
 from ..diff.editscript import EditScript, decode_payload, encode_payload
 from ..errors import CorruptArchiveError, StorageError, XMLSyntaxError
 from ..model.identifiers import XIDAllocator
@@ -157,7 +159,7 @@ def empty_store(store=None):
 
 
 def load_store(source, store=None, verify=True, fs=None, objstore=None,
-               first_versions=None):
+               observers=()):
     """Restore an archive (or, for recovery, a checkpoint) into ``store``;
     returns it.
 
@@ -165,10 +167,7 @@ def load_store(source, store=None, verify=True, fs=None, objstore=None,
     A database directory and its ``checkpoint.cas`` pointers are read by
     recovery alone (:meth:`~repro.db.TemporalXMLDatabase.open`), which
     passes the directory's ``objstore``: ``source`` is then the pointer
-    file of the generation to read through it (every object
-    hash-verified on the way in), ``objstore.published`` then
-    describes the loaded checkpoint, and ``first_versions`` (a dict, when
-    given) receives what :func:`replay_history` starts from (see
+    of the generation to read through it, feeding ``observers`` (see
     :func:`~repro.storage.cas.read_checkpoint`).  Without ``objstore`` a
     directory or a pointer file is a :class:`StorageError` naming
     ``open()``.
@@ -181,14 +180,14 @@ def load_store(source, store=None, verify=True, fs=None, objstore=None,
     archive's whole-file CRC footer and per-document ``checksum``
     attributes when present; archives written before checksums existed
     still load.
-    Indexes are *not* rebuilt here — attach observers and call
-    :func:`replay_history` (or use
+    An archive's indexes are *not* rebuilt here — attach observers and
+    call :func:`replay_history` (or use
     :meth:`repro.db.TemporalXMLDatabase.load`)."""
     if objstore is not None:
         from .cas import read_checkpoint
 
         return read_checkpoint(objstore, store=store, pointer=str(source),
-                               first_versions=first_versions)
+                               observers=observers)
     store = empty_store(store)
     archive, path = _as_archive(source, verify=verify, fs=fs)
     if archive.get("format") != FORMAT_VERSION:
@@ -209,12 +208,12 @@ def load_store(source, store=None, verify=True, fs=None, objstore=None,
                     f"(stored {stored_crc}, computed {actual:08x})",
                     path=path,
                 )
-        records.append(_decode_document(doc, path))
+        records.append(_decode_document(doc, clock_now, path))
     return install_records(store, clock_now, records)
 
 
 def install_records(store, clock_now, records):
-    """Install a checkpoint's :func:`build_record` results into the empty
+    """Install a checkpoint's :func:`fill_record` results into the empty
     ``store`` and set its clock to the archived instant.
 
     Shared by the XML-archive and CAS loaders.  Both have decoded and
@@ -242,32 +241,52 @@ def build_record(
     deleted_at,
     entries,
     deltas,
-    snapshots,
-    current_root,
+    clock,
+    where=None,
 ):
     """One decoded document (identity, version index ``(number,
-    timestamp)`` pairs, delta scripts, snapshot trees, current tree) as a
-    :class:`DocumentRecord` that no store knows about yet; raises
-    :class:`StorageError` when the pieces do not fit together."""
+    timestamp)`` pairs, delta scripts in redo or completed form) as a
+    :class:`DocumentRecord` that no store knows about yet, its trees left
+    to :func:`fill_record`; raises :class:`StorageError` when the pieces
+    do not fit together.  What a roll's order rests on is checked before
+    any roll: deltas that connect the versions, a deletion after the
+    last one and no commit after the archived ``clock`` (else
+    :class:`CorruptArchiveError` naming ``where``)."""
+    where = where or f"archive document {name!r}"
     record = DocumentRecord(doc_id, name, allocator=XIDAllocator(nextxid))
     for number, timestamp in entries:
         record.dindex.append(VersionEntry(number, timestamp))
-    if current_root is None:
-        raise StorageError(
-            f"archive document {name!r} has no current version"
+    last = record.dindex.entry(record.dindex.current_number)  # or raise
+    if sorted(deltas) != list(range(1, last.number)):
+        raise CorruptArchiveError(
+            f"{where}: {len(deltas)} delta(s) do not connect its "
+            f"{last.number} version(s)"
         )
-    if len(deltas) != len(record.dindex.entries) - 1:
-        raise StorageError(
-            f"archive document {name!r} has an incomplete delta chain"
+    if deleted_at is not None and deleted_at <= last.timestamp:
+        raise CorruptArchiveError(
+            f"{where}: deleted at {format_timestamp(deleted_at)}, not after "
+            f"its version {last.number} at {format_timestamp(last.timestamp)}"
+        )
+    end = last.timestamp if deleted_at is None else deleted_at
+    if end > clock:
+        raise CorruptArchiveError(
+            f"{where}: a commit at {format_timestamp(end)}, after the "
+            f"archived clock {format_timestamp(clock)}"
         )
     record.dindex.deleted_at = deleted_at
+    record.deltas.update(deltas)
+    return record
+
+
+def fill_record(record, current_root, snapshots):
+    """A :func:`build_record` result with its current and snapshot trees,
+    sized with its (by now completed) deltas."""
     record.set_current(
         record.dindex.current_number, current_root,
         len(serialize(current_root)),
     )
-    for number, script in deltas.items():
+    for number, script in record.deltas.items():
         record.dindex.record_delta_bytes(number, script.size_bytes())
-        record.deltas[number] = script
     for number, tree in snapshots.items():
         record.dindex.entry(number).snapshot_bytes = len(serialize(tree))
         record.dindex.register_snapshot(number)
@@ -275,55 +294,89 @@ def build_record(
     return record
 
 
-def replay_history(store, observers, first_versions=None):
-    """Re-fire every commit event against ``observers`` (index rebuild).
+# -- rolling histories ----------------------------------------------------------
 
-    Events are replayed in global ``(timestamp, doc_id)`` order across
-    documents, exactly as the original commits happened, using the stored
-    deltas to roll each document forward from its first version:
-    ``first_versions[doc_id]`` (a tree replay may roll in place, what a
-    checkpoint load hands over) when there, reconstructed otherwise.  The
-    per-document event streams are merged lazily, and each stream rolls
-    one tree in place, so one tree per document is alive at any time and
-    no version is copied.  Observers borrow ``event.root`` for the call
-    only (it changes under them afterwards) and replayed updates carry no
-    ``old_root``; a document's ``delete`` event carries its final tree.
-    """
-    first_versions = first_versions or {}
+
+def roll_histories(histories, observers=(),
+                   where=lambda record, number: f"document {record.name!r}"):
+    """Roll histories ``(record, version 1 to edit in place, snapshot
+    numbers to copy)`` forward together; returns ``{doc id: (final tree,
+    {number: snapshot tree})}``.  Each of ``record.deltas`` (redo or
+    completed) is applied once and each commit fired at ``observers`` in
+    global ``(timestamp, doc_id)`` order, the documents' streams merged
+    lazily (one tree per document alive).  A delta that does not apply
+    is a :class:`CorruptArchiveError` naming ``where(record, number)``,
+    after the observers saw part of the roll."""
+    ends = {}
     streams = [
-        _document_events(store, record, first_versions.get(record.doc_id))
-        for record in store.repository.records()
+        _commits(record, first, snapshots, ends, where)
+        for record, first, snapshots in histories
     ]
     for event in heapq.merge(
         *streams, key=lambda event: (event.timestamp, event.doc_id)
     ):
         for observer in observers:
             observer.document_committed(event)
+    return ends
 
 
-def _document_events(store, record, first):
-    entries = record.dindex.entries
-    root = store.repository.reconstruct(record, 1) if first is None else first
-    yield CommitEvent(
-        "create", record.doc_id, record.name, 1, entries[0].timestamp,
-        root=root,
-    )
+def _commits(record, root, wanted, ends, where):
+    """``record``'s commit events, rolling ``root`` in place; its final
+    tree and snapshot copies land in ``ends``."""
     # apply_script decodes the payloads it inserts, so the rolled tree never
     # aliases a stored delta.
     index = {node.xid: node for node in root.iter()}
-    for entry in entries[1:]:
-        script = record.deltas[entry.number - 1]
-        root = apply_script(root, script, index)
+    parents = parent_index(root)
+    snapshots, script = {}, None
+    for entry in record.dindex.entries:
+        if entry.number > 1:
+            script = record.deltas[entry.number - 1]
+            try:
+                root = apply_script(root, script, index, parents)
+            except StorageError as exc:  # a delta or payload that is wrong
+                raise CorruptArchiveError(
+                    f"{where(record, entry.number - 1)}: the delta from "
+                    f"version {entry.number - 1} does not apply ({exc})"
+                ) from None
+        if entry.number in wanted:
+            snapshots[entry.number] = root.copy()
         yield CommitEvent(
-            "update", record.doc_id, record.name, entry.number,
-            entry.timestamp, root=root, script=script,
+            "create" if script is None else "update", record.doc_id,
+            record.name, entry.number, entry.timestamp, root=root,
+            script=script,
         )
+    ends[record.doc_id] = root, snapshots
     if record.dindex.deleted_at is not None:
         yield CommitEvent(
             "delete", record.doc_id, record.name,
             record.dindex.current_number, record.dindex.deleted_at,
             old_root=root,
         )
+
+
+def first_version(record):
+    """``record``'s version 1, a tree of its own, walked back through the
+    inverted deltas from its earliest snapshot or current version
+    without counting a read."""
+    start = min(record.snapshots, default=record.dindex.current_number)
+    tree = record.snapshots[start] if record.snapshots else record.current_root
+    root = tree.copy()
+    index = {node.xid: node for node in root.iter()}
+    for at in range(start - 1, 0, -1):
+        root = apply_script(root, record.deltas[at].invert(), index)
+    return root
+
+
+def replay_history(store, observers):
+    """Re-fire every commit of ``store`` at ``observers`` (index
+    rebuild): :func:`roll_histories` from each :func:`first_version`, so
+    no read is counted.  Events are as :class:`CommitEvent` describes
+    for a roll."""
+    roll_histories(
+        [(record, first_version(record), ())
+         for record in store.repository.records()],
+        observers,
+    )
 
 
 # -- checksums ----------------------------------------------------------------
@@ -444,7 +497,7 @@ def _int_field(element, name, what, path, default=None):
         ) from None
 
 
-def _decode_document(doc, path=None):
+def _decode_document(doc, clock_now, path=None):
     """Decode one ``<document>`` element to a detached record."""
     name = doc.get("name")
     entries = []
@@ -472,14 +525,18 @@ def _decode_document(doc, path=None):
         else:
             raise StorageError(f"unexpected archive element <{child.tag}>")
 
+    if current_root is None:
+        raise StorageError(
+            f"archive document {name!r} has no current version"
+        )
     deleted = doc.get("deleted")
-    return build_record(
+    record = build_record(
         doc_id=_int_field(doc, "id", "document id", path),
         name=name,
         nextxid=_int_field(doc, "nextxid", f"document {name!r} nextxid", path),
         deleted_at=None if deleted is None else int(deleted),
         entries=entries,
         deltas=deltas,
-        snapshots=snapshots,
-        current_root=current_root,
+        clock=clock_now,
     )
+    return fill_record(record, current_root, snapshots)

@@ -12,19 +12,15 @@
    :class:`~repro.errors.UnsupportedFormatError` before anything is
    loaded or written; ``repro upgrade`` (:mod:`~repro.storage.legacy`)
    converts an older release's directory once.
-1. **Checkpoint.**  Try, in order, the CAS pointer generations
-   ``checkpoint.cas`` and ``checkpoint.cas.prev`` (objects under
-   ``objects/``) and load the first that exists and passes
-   verification; one that fails (torn write, flipped bit) leaves the
-   store untouched.  With none, the store stays empty (the journal then
-   carries the full history).  Loading a checkpoint rolls each document
-   forward from its first version through its redo deltas, completing
-   them.
-2. **Index replay.**  Re-fire the checkpointed commit history through the
-   given observers via the existing :func:`~repro.storage.persistence.replay_history`
-   path — recovery rebuilds indexes exactly the way a plain load does,
-   each document starting from the first version the checkpoint held.
-3. **Journal tail.**  Scan ``journal.bin.prev`` then ``journal.bin``
+1. **Checkpoint.**  Load the first of the CAS pointer generations
+   ``checkpoint.cas`` and ``checkpoint.cas.prev`` that exists and
+   passes verification, each into a fresh store and fresh observers:
+   its one roll completes the redo deltas and fires the commit history
+   at the observers, and a generation that fails (torn write, flipped
+   bit, a delta that does not apply) is dropped with both.  When every
+   one present fails, recovery refuses; with none, the store starts
+   empty (the journal then carries the full history).
+2. **Journal tail.**  Scan ``journal.bin.prev`` then ``journal.bin``
    tolerantly; every record already contained in the checkpoint is skipped
    (records are idempotent — keyed by document id and version number), the
    genuine tail is applied through the repository commit paths and fired at
@@ -54,7 +50,8 @@ from ..model.identifiers import XIDAllocator
 from .cas import check_root
 from .checkpoint import JOURNAL_FILE, PREV_SUFFIX
 from .journal import MAGIC, check_head, scan_journal
-from .persistence import empty_store, load_store, replay_history
+# benchmarks/e2e/trace.py wraps replay_history here, beside the loaders.
+from .persistence import empty_store, load_store, replay_history  # noqa: F401
 from .repository import DocumentRecord
 from .store import CommitEvent
 
@@ -78,36 +75,36 @@ class RecoveryReport:
     journals: list = field(default_factory=list)
 
 
-def recover_store(objstore, store=None, observers=(), repair=True):
-    """Recover the database directory ``objstore`` lives in into
-    ``store``; returns ``(store, report)``.
+def recover_store(objstore, store=None, repair=True, fresh=None):
+    """Recover the database directory ``objstore`` lives in; returns
+    ``(store, report)``.
 
     ``objstore`` is the directory's :class:`~repro.storage.cas.CASObjectStore`
     (its ``directory`` and ``fs`` are the ones read): the checkpoint is
     read through it, so its counters hold what recovery read and its
-    ``published`` describes the loaded checkpoint.  ``store`` is an
-    empty store built by the caller with whatever tuning it wants
-    (default: a default-configured one).  ``observers`` (index
-    instances) receive the full recovered commit
-    history — checkpointed state via :func:`replay_history`, journal tail
-    records as they are applied.  ``repair`` physically truncates a torn
-    tail off ``journal.bin`` so the journal can be reopened for appends.
-    A directory of another format raises
+    ``published`` describes the loaded checkpoint.  ``fresh()`` returns
+    an empty store and the observers (index instances) to feed, once
+    per generation tried (once when there is none); by default ``store``
+    (an empty store the caller built, or a default one), which a failed
+    generation leaves untouched, and no observer.  ``repair`` physically
+    truncates a torn tail off ``journal.bin`` so the journal can be
+    reopened for appends.  A directory of another format raises
     :class:`~repro.errors.UnsupportedFormatError` (see
-    :func:`refuse_other_formats`), ``store`` untouched.
+    :func:`refuse_other_formats`), and one whose every generation fails
+    :class:`CorruptArchiveError` listing their errors.
     """
-    store = empty_store(store)
+    fresh = fresh or (lambda: (empty_store(store), ()))
     refuse_other_formats(objstore)
     fs = objstore.fs
     report = RecoveryReport()
-    first_versions = {}  # where the checkpoint's roll started
     for suffix, label in (("", "checkpoint"), (PREV_SUFFIX, "previous")):
         path = objstore.pointer + suffix
         if not fs.exists(path):
             continue
+        target, observers = fresh()
         try:
-            load_store(path, store=store, fs=fs, objstore=objstore,
-                       first_versions=first_versions)
+            load_store(path, store=target, fs=fs, objstore=objstore,
+                       observers=observers)
         except UnsupportedFormatError:
             raise
         except (StorageError, OSError) as exc:
@@ -115,11 +112,16 @@ def recover_store(objstore, store=None, observers=(), repair=True):
             continue
         report.checkpoint_source = label
         break
-    if observers:
-        replay_history(store, observers, first_versions)
-    replay_journals(store, objstore, observers, repair, report)
-    report.documents = len(store.repository.records())
-    return store, report
+    else:
+        if report.checkpoint_errors:
+            raise CorruptArchiveError(
+                "no checkpoint generation loads ("
+                + "; ".join(report.checkpoint_errors) + ")"
+            )
+        target, observers = fresh()
+    replay_journals(target, objstore, observers, repair, report)
+    report.documents = len(target.repository.records())
+    return target, report
 
 
 def refuse_other_formats(objstore):

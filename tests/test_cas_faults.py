@@ -26,7 +26,7 @@ from repro.storage.cas import (
     read_checkpoint,
     read_pointer,
 )
-from tests.faults import CrashError, FaultyFS, flip_bit
+from tests.faults import CrashError, FaultyFS, flip_bit, tree_digest
 from repro.storage.legacy import upgrade
 from repro.storage.persistence import archive_bytes, build_archive
 from tests.legacy_dirs import make_legacy
@@ -210,6 +210,31 @@ class TestSilentCorruptionCAS:
             flip_bit(objstore.object_path(root), 30)
         with pytest.raises(CorruptArchiveError):
             TemporalXMLDatabase.open(str(directory), durability="journal")
+
+    def test_both_generations_corrupt_is_refused_over_a_tail_of_creates(
+        self, tmp_path
+    ):
+        """The journal tail holds only a create, which applies to an empty
+        store as well: recovery still refuses, naming both generations,
+        and writes nothing a later checkpoint could make permanent."""
+        directory = tmp_path / "db"
+        db = TemporalXMLDatabase.open(directory, durability="fsync")
+        db.put("a.xml", A1)
+        db.checkpoint()
+        db.put("b.xml", B1)
+        db.checkpoint()
+        db.put("c.xml", A2)
+        db.close()
+        for suffix in ("", ".prev"):
+            flip_bit(str(directory / (CAS_POINTER_FILE + suffix)), 60)
+        before = tree_digest(directory)
+        with pytest.raises(
+            CorruptArchiveError, match="no checkpoint generation loads"
+        ) as err:
+            TemporalXMLDatabase.open(directory, durability="journal")
+        assert "checkpoint: " in str(err.value)
+        assert "previous: " in str(err.value)
+        assert tree_digest(directory) == before
 
 
 def test_cas_recovery_equals_the_upgraded_xml_directory(tmp_path):

@@ -76,6 +76,7 @@ import pytest
 import repro.storage.binfmt as binfmt
 import repro.storage.cas as cas
 from repro import TemporalXMLDatabase
+from repro.clock import LogicalClock
 from repro.diff.editscript import (
     DeleteOp,
     EditScript,
@@ -90,6 +91,7 @@ from repro.diff.editscript import (
     UpdateTextOp,
 )
 from repro.errors import CorruptArchiveError, UnsupportedFormatError
+from repro.index import LifetimeIndex, TemporalFullTextIndex
 from repro.storage import legacy
 from repro.storage.cas import (
     CAS_POINTER_FILE,
@@ -101,7 +103,11 @@ from repro.storage.cas import (
     read_pointer,
 )
 from repro.storage.journal import scan_journal
-from repro.storage.persistence import archive_bytes, build_archive
+from repro.storage.persistence import (
+    archive_bytes,
+    build_archive,
+    replay_history,
+)
 from repro.storage.store import TemporalDocumentStore
 from repro.workload.tdocgen import TDocGenerator
 from repro.xmlcore.node import Element
@@ -611,6 +617,27 @@ def _snapshot_past_the_chain(patch):
     patch.setattr(cas, "_encode_document_meta", encode)
 
 
+def _deleted_before_the_last_version(patch):
+    """Each changed document's manifest says it was deleted before its
+    last version (between the last two, or at the only one)."""
+    real = cas._encode_document_meta
+
+    def encode(record, manifests, snapshots):
+        record.dindex.deleted_at = record.dindex.entries[-1].timestamp - 1
+        try:
+            return real(record, manifests, snapshots)
+        finally:
+            record.dindex.deleted_at = None
+
+    patch.setattr(cas, "_encode_document_meta", encode)
+
+
+def _clock_before_its_versions(patch):
+    """The root's clock is the first instant of the epoch, before every
+    version its manifests name."""
+    patch.setattr(LogicalClock, "now", lambda clock: 1)
+
+
 def _forged_ranges(change):
     """A forge that names each changed document's ranges as
     ``change(first ranges, delta ranges)`` returns them."""
@@ -741,7 +768,33 @@ HOSTILE = {
         "deltas",
     ),
     "snapshot number past the chain": (_snapshot_past_the_chain, "manifest"),
+    "delete time before the last version": (
+        _deleted_before_the_last_version, "manifest",
+    ),
+    "root clock before a version it names": (
+        _clock_before_its_versions, "manifest",
+    ),
 }
+
+
+def index_state(fti, lifetime):
+    """Every posting of ``fti`` with its footprint, and every lifespan of
+    ``lifetime`` with its entry count."""
+    postings = sorted(
+        (word, p.doc_id, p.xid, p.path, p.start, p.end)
+        for word in fti.words() for p in fti.lookup_h(word)
+    )
+    spans = {
+        doc_id: tuple(map(list, columns))
+        for doc_id, columns in lifetime._columns.items()
+    }
+    return postings, fti.footprint(), spans, len(lifetime)
+
+
+def rebuilt_index_state(store):
+    fti, lifetime = TemporalFullTextIndex(), LifetimeIndex()
+    replay_history(store, [fti, lifetime])
+    return index_state(fti, lifetime)
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
@@ -772,3 +825,5 @@ def test_a_hostile_object_is_a_typed_error_and_prev_serves(
     assert db.recovery.checkpoint_source == "previous"
     assert db.recovery.checkpoint_errors
     assert digest(db.store) == want
+    # The failed generation's roll fed indexes that were dropped with it.
+    assert index_state(db.fti, db.lifetime) == rebuilt_index_state(db.store)

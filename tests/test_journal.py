@@ -261,10 +261,23 @@ class TestJournalFile:
 
         CommitJournal(str(path), fs=RecordingFS()).close()
         assert RecordingFS.lengths == [len(MAGIC)]
-        # A short read of the header is an error, never a reason to truncate.
-        with pytest.raises(UnsupportedFormatError):
+        # A short read of the header is a read error, never a reason to
+        # truncate and never a foreign format.
+        with pytest.raises(StorageError, match="short read") as err:
             CommitJournal(str(path), fs=FaultyFS(short_read_at=1))
+        assert not isinstance(err.value, UnsupportedFormatError)
         assert path.read_bytes() == before
+
+    def test_open_of_a_directory_reports_a_short_head_read(self, tmp_path):
+        """Recovery's format gate reads the same 8 bytes."""
+        db = TemporalXMLDatabase.open(tmp_path, durability="fsync")
+        db.put("a.xml", "<doc><x>one</x></doc>")
+        db.close()
+        before = (tmp_path / "journal.bin").read_bytes()
+        with pytest.raises(StorageError, match="short read") as err:
+            TemporalXMLDatabase.open(tmp_path, fs=FaultyFS(short_read_at=1))
+        assert not isinstance(err.value, UnsupportedFormatError)
+        assert (tmp_path / "journal.bin").read_bytes() == before
 
     def test_torn_header_truncated_on_open(self, tmp_path):
         path = tmp_path / "journal.bin"

@@ -131,8 +131,8 @@ def test_one_walker_over_a_stored_chain(imports):
     """Stored versions are read through ``storage/cursor.py`` and nothing
     else: the repository keeps no loop of its own, ``apply_chain`` lives
     with the backward-only reference, and the other ``apply_script``
-    users replay commits (recovery, a checkpoint load's roll, archive
-    verification), not reads."""
+    users replay commits (the journal tail, and the one roll every load
+    shares in ``persistence``), not reads; ``cas`` rolls through it."""
     for gone in ("reconstruct_pair", "_apply_between", "_range_iter",
                  "_count_choice", "_choose_anchor"):
         assert gone not in Repository.__dict__, gone
@@ -148,7 +148,6 @@ def test_one_walker_over_a_stored_chain(imports):
     }
     assert _importers(imports, "repro.diff.apply.apply_script") == {
         "repro.diff", "repro.storage.recover", "repro.storage.persistence",
-        "repro.storage.cas",
     }
 
 

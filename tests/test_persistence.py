@@ -7,7 +7,7 @@ import pytest
 
 from repro import TemporalXMLDatabase
 from repro.clock import parse_date
-from repro.errors import StorageError
+from repro.errors import CorruptArchiveError, StorageError
 from repro.storage import TemporalDocumentStore
 from repro.storage.cas import (
     CASObjectStore,
@@ -16,7 +16,9 @@ from repro.storage.cas import (
 )
 from repro.storage.persistence import (
     build_record,
+    document_checksum,
     dump_store,
+    fill_record,
     load_store,
     replay_history,
 )
@@ -167,23 +169,26 @@ class TestRestoreIntoCallerStore:
         assert target.documents() == ["mine.xml"]
 
     def test_detached_record_agrees_on_its_snapshots(self):
-        """What ``build_record`` hands back knows which versions have
-        snapshots before any store has adopted it."""
+        """What ``build_record`` and ``fill_record`` hand back knows which
+        versions have snapshots before any store has adopted it."""
         store = TemporalDocumentStore(snapshot_interval=2)
         trees = TDocGenerator(seed=9).version_sequence("d.xml", 5)
         store.put("d.xml", trees[0])
         for tree in trees[1:]:
             store.update("d.xml", tree)
         source = store.record("d.xml")
-        record = build_record(
-            doc_id=source.doc_id,
-            name=source.name,
-            nextxid=source.allocator.next_xid,
-            deleted_at=None,
-            entries=[(e.number, e.timestamp) for e in source.dindex.entries],
-            deltas=dict(source.deltas),
-            snapshots=dict(source.snapshots),
-            current_root=source.current_root,
+        record = fill_record(
+            build_record(
+                doc_id=source.doc_id,
+                name=source.name,
+                nextxid=source.allocator.next_xid,
+                deleted_at=None,
+                entries=[(e.number, e.timestamp) for e in source.dindex.entries],
+                deltas=dict(source.deltas),
+                clock=store.clock.now(),
+            ),
+            source.current_root,
+            dict(source.snapshots),
         )
         assert record.dindex.snapshot_numbers() == [2, 4]
         assert [
@@ -390,6 +395,64 @@ class TestDatabaseFacade:
         # The FTI saw the new commit (it was subscribed after replay).
         assert restored.fti.lookup("roma")
 
+    def test_load_reads_no_version(self, tmp_path):
+        """The replay walks version 1 back from the archived trees without
+        the repository's counters."""
+        db = TemporalXMLDatabase()
+        trees = TDocGenerator(seed=5).version_sequence("d.xml", 6)
+        db.put("d.xml", trees[0])
+        for tree in trees[1:]:
+            db.update("d.xml", tree)
+        db.save(str(tmp_path / "db.xml"))
+        restored = TemporalXMLDatabase.load(str(tmp_path / "db.xml"))
+        counters = restored.store.repository.counter_snapshot()
+        assert counters["delta_reads"] == counters["current_reads"] == 0
+        assert counters["snapshot_reads"] == 0
+        assert restored.fti.footprint() == db.fti.footprint()
+        assert len(restored.lifetime) == len(db.lifetime)
+
+
+class TestOneRoll:
+    def test_open_applies_each_delta_once(self, tmp_path, monkeypatch):
+        """``apply_script`` runs once per checkpointed delta (the roll that
+        completes it also feeds the indexes) and once per journal update
+        applied, wherever a module calls it from."""
+        import sys
+
+        from repro.diff.apply import apply_script
+
+        directory = tmp_path / "db"
+        db = TemporalXMLDatabase.open(
+            directory, durability="fsync", snapshot_interval=2
+        )
+        generator = TDocGenerator(seed=3)
+        for name, updates in (("a.xml", 3), ("b.xml", 1)):
+            db.put(name, generator.document(name))
+            for _ in range(updates):
+                db.update(name, generator.evolve(name))
+        db.checkpoint()  # 4 deltas
+        db.update("a.xml", generator.evolve("a.xml"))
+        db.put("c.xml", generator.document("c.xml"))
+        db.update("c.xml", generator.evolve("c.xml"))
+        db.delete("b.xml")  # 2 journal updates
+        want = dump_store(db.store)
+        db.close()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return apply_script(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "apply_script", None) is apply_script:
+                monkeypatch.setattr(module, "apply_script", counting)
+        reopened = TemporalXMLDatabase.open(directory, durability="none")
+        assert reopened.recovery.checkpoint_source == "checkpoint"
+        assert len(calls) == 4 + 2
+        assert len({id(script) for script in calls}) == 6
+        assert serialize(dump_store(reopened.store)) == serialize(want)
+        assert reopened.fti.footprint() == db.fti.footprint()
+
 
 class TestCorruptedArchives:
     """Damaged archive files must fail as StorageError, naming the file."""
@@ -503,6 +566,24 @@ class TestCorruptedArchives:
         assert set(loaded.documents(include_deleted=True)) == set(
             populated.documents(include_deleted=True)
         )
+
+
+    def test_deleted_before_its_last_version(self, populated):
+        """What a replay's commit order rests on is checked on load, so
+        the index rebuild never meets an empty lifetime."""
+        archive = dump_store(populated)
+        doc = archive.child_elements()[0]
+        last = [v for v in doc.child_elements() if v.tag == "version"][-1]
+        doc.set("deleted", str(int(last.get("ts")) - 1))
+        doc.set("checksum", f"{document_checksum(doc):08x}")
+        with pytest.raises(CorruptArchiveError, match="not after its version"):
+            load_store(archive)
+
+    def test_clock_before_a_version(self, populated):
+        archive = dump_store(populated)
+        archive.set("clock", "1")
+        with pytest.raises(CorruptArchiveError, match="after the archived"):
+            load_store(archive)
 
 
 class TestAtomicDump:
