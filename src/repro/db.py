@@ -184,7 +184,7 @@ class TemporalXMLDatabase:
             )
         db = None
 
-        def fresh():  # one per checkpoint generation recovery tries
+        def fresh():  # per generation recovery tries; the last one serves
             nonlocal db
             db = cls(**tuning)
             return db.store, [db.fti, db.lifetime]
@@ -192,13 +192,12 @@ class TemporalXMLDatabase:
         # The directory's one object store: recovery reads the checkpoint
         # through it, the checkpointer writes and collects through it.
         objstore = CASObjectStore(directory, fs=fs)
-        _, recovery = recover_store(
+        _, db.recovery = recover_store(
             objstore,
             # Only a journal reopened for append needs its torn tail cut.
             repair=durability != "none",
             fresh=fresh,
         )
-        db.recovery = recovery
         db.data_dir = objstore.directory
         db.durability = durability
         if durability != "none":

@@ -465,7 +465,7 @@ def _pack_document(packer, record, key, stored):
     number = key[0]
     first, deltas = stored.manifests
     if not first:
-        data = encode_tree(first_version(record))
+        data = encode_tree(first_version(record, copy=False))
         first = (packer.add(data, "first"),)
     numbers = range(max(stored.key[0], 1), number)
     if numbers:
@@ -541,26 +541,24 @@ def check_root(objstore, pointer):
     _read_root(data, root_hash, where=pointer)
 
 
-def read_checkpoint(objstore, store=None, pointer=None, observers=()):
-    """Restore the CAS checkpoint in ``objstore``'s directory into
-    ``store`` (see :func:`~repro.storage.persistence.load_store`), which
-    is returned.
+def read_checkpoint(objstore, store=None, pointer=None, roll=None):
+    """Restore the CAS checkpoint generation ``pointer`` (default
+    ``objstore.pointer``) names into ``store`` (see
+    :func:`~repro.storage.persistence.load_store`), which is returned.
 
-    ``pointer`` names the generation (default ``objstore.pointer``;
-    recovery falls back to ``checkpoint.cas.prev``).  Each pack is
-    fetched and inflated once per load, and its hash is one string
-    however many manifests name it.  Every object on the path is
+    Each pack is fetched and inflated once per load, and its hash is one
+    string however many manifests name it.  Every object on the path is
     CRC-verified and every document decoded and checked before one
-    :func:`~repro.storage.persistence.roll_histories`, which completes
-    the redo deltas and fires each commit at ``observers``; the store is
-    installed after it.  Corruption — a range outside its pack, ranges
-    of one document overlapping in a pack, a redo operation that does
-    not apply — raises :class:`CorruptArchiveError` naming the object
-    hash and leaves ``store`` untouched, and a root of another format
-    raises :class:`~repro.errors.UnsupportedFormatError`.  On success
+    ``roll(histories)`` completes the redo deltas (default
+    :func:`~repro.storage.persistence.replay_history`, firing no
+    commit); the store is installed after it.  Corruption — a range
+    outside its pack, ranges of one document overlapping in a pack, a
+    redo operation that does not apply — raises
+    :class:`CorruptArchiveError` naming the object hash and leaves
+    ``store`` untouched; a root of another format raises
+    :class:`~repro.errors.UnsupportedFormatError`.  On success
     ``objstore.published`` describes the loaded checkpoint, so the next
-    :func:`write_checkpoint` through ``objstore`` writes only what
-    changed after it.
+    :func:`write_checkpoint` writes only what changed after it.
     """
     from .persistence import empty_store, install_records
 
@@ -577,7 +575,7 @@ def read_checkpoint(objstore, store=None, pointer=None, observers=()):
         ))
         for doc_hash in doc_hashes
     ]
-    records = _rolled_records(packs, documents, clock_now, observers)
+    records = _rolled_records(packs, documents, clock_now, roll)
     install_records(store, clock_now, records)
     objstore.published = {
         record.doc_id: _Stored(
@@ -588,28 +586,23 @@ def read_checkpoint(objstore, store=None, pointer=None, observers=()):
     return store
 
 
-def _rolled_records(packs, documents, clock_now, observers=()):
+def _rolled_records(packs, documents, clock_now, roll=None):
     """The finished records of one generation's ``documents``, ``[(doc
     hash, manifest fields)]``: all decoded and checked, then rolled."""
-    from .persistence import build_record, fill_record, roll_histories
+    from .persistence import build_record, fill_record, replay_history
 
-    histories, sources = [], {}
+    histories = []
     for doc_hash, meta in documents:
-        first, scripts, sources[meta["doc_id"]] = _decode_streams(
-            packs, doc_hash, meta
-        )
+        first, scripts = _decode_streams(packs, doc_hash, meta)
+        where = f"document manifest {doc_hash}"
         record = build_record(
             doc_id=meta["doc_id"], name=meta["name"], nextxid=meta["nextxid"],
             deleted_at=meta["deleted_at"], entries=meta["entries"],
-            deltas=scripts, clock=clock_now,
-            where=f"document manifest {doc_hash}",
+            deltas=scripts, clock=clock_now, where=where,
         )
-        histories.append((record, first, meta["snapshots"]))
-    ends = roll_histories(
-        histories, observers,
-        where=lambda record, number: f"object {sources[record.doc_id][number]}",
-    )
-    return [fill_record(r, *ends[r.doc_id]) for r, _first, _ in histories]
+        histories.append((record, first, meta["snapshots"], where))
+    ends = roll(histories) if roll else replay_history(None, (), histories)
+    return [fill_record(h[0], *ends[h[0].doc_id]) for h in histories]
 
 
 class _Packs:
@@ -654,8 +647,7 @@ class _Packs:
 
 
 def _decode_streams(packs, doc_hash, meta):
-    """A document's ``(first version, redo deltas, {delta number: the pack
-    it came from})``."""
+    """A document's ``(first version, redo deltas)``."""
     first_ranges, delta_ranges = meta["streams"]
     spans = {}
     firsts = packs.stream(doc_hash, "first", first_ranges, spans)
@@ -665,7 +657,7 @@ def _decode_streams(packs, doc_hash, meta):
         root = decode_tree(b"".join(data for _, data in firsts))
     except CorruptArchiveError as exc:
         raise CorruptArchiveError(f"object {where}: {exc}") from None
-    scripts, source = {}, {}
+    scripts = {}
     for (pack, _offset, _size), data in segments:
         try:
             segment = decode_redo_stream(data, meta["nextxid"])
@@ -677,7 +669,6 @@ def _decode_streams(packs, doc_hash, meta):
                 f"object {pack} holds version {min(twice)} again"
             )
         scripts.update(segment)
-        source.update(dict.fromkeys(segment, pack))
     last = len(meta["entries"])
     wanted = meta["snapshots"]
     if wanted and not 1 <= wanted[0] <= wanted[-1] <= last:
@@ -685,7 +676,7 @@ def _decode_streams(packs, doc_hash, meta):
             f"document manifest {doc_hash}: snapshot numbers {wanted} "
             f"outside its {last} version(s)"
         )
-    return root, scripts, source
+    return root, scripts
 
 
 def _decode_document_meta(data, doc_hash, names=None):

@@ -47,7 +47,7 @@ from .persistence import (
     install_records,
     load_store,
 )
-from .recover import apply_record, refuse_other_formats
+from .recover import apply_record, first_generation, refuse_other_formats
 from .store import TemporalDocumentStore
 
 #: The XML archive an older release checkpointed to.
@@ -291,28 +291,16 @@ def _recover(objstore):
     """The store an older directory holds; a checkpoint that exists but
     loads in no generation is a :class:`CorruptArchiveError`."""
     fs, directory = objstore.fs, objstore.directory
-    store = TemporalDocumentStore()
     xml = os.path.join(directory, LEGACY_CHECKPOINT_FILE)
-    errors = []
-    for path in (objstore.pointer, objstore.pointer + PREV_SUFFIX,
-                 xml, xml + PREV_SUFFIX):
-        if not fs.exists(path):
-            continue
-        try:
-            if path.startswith(xml):
-                load_store(path, store=store, fs=fs)
-            else:
-                read_checkpoint(objstore, store, path)
-            break
-        except UnsupportedFormatError:
-            raise
-        except (StorageError, OSError) as exc:
-            errors.append(f"{os.path.basename(path)}: {exc}")
-    else:
-        if errors:
-            raise CorruptArchiveError(
-                "no checkpoint generation loads (" + "; ".join(errors) + ")"
-            )
+    paths = (objstore.pointer, objstore.pointer + PREV_SUFFIX,
+             xml, xml + PREV_SUFFIX)
+    found = first_generation(
+        fs, {path: os.path.basename(path) for path in paths},
+        lambda path: (load_store(path, fs=fs) if path.startswith(xml)
+                      else read_checkpoint(objstore, None, path)),
+        [],
+    )
+    store = TemporalDocumentStore() if found is None else found[1]
     journal_path = os.path.join(directory, JOURNAL_FILE)
     for path in (journal_path + PREV_SUFFIX, journal_path):
         for record in scan_journal(path, fs).records:

@@ -12,9 +12,8 @@ of it:
   version content,
 * :func:`replay_history` re-fires the commit event stream from the stored
   deltas, which is how indexes (FTI, lifetime, document-time) are rebuilt
-  after loading — the same observers that maintained them online — by
-  :func:`roll_histories`, the roll a checkpoint load also completes its
-  redo deltas with.
+  after loading — the same observers that maintained them online — and
+  the one roll that completes the redo deltas of a checkpoint.
 
 Trees are encoded with the edit-script payload encoding, so XIDs and
 element timestamps survive the round trip exactly.
@@ -159,35 +158,32 @@ def empty_store(store=None):
 
 
 def load_store(source, store=None, verify=True, fs=None, objstore=None,
-               observers=()):
+               roll=None):
     """Restore an archive (or, for recovery, a checkpoint) into ``store``;
     returns it.
 
     ``source`` is an archive: a path, XML text or an :class:`Element`.
-    A database directory and its ``checkpoint.cas`` pointers are read by
-    recovery alone (:meth:`~repro.db.TemporalXMLDatabase.open`), which
-    passes the directory's ``objstore``: ``source`` is then the pointer
-    of the generation to read through it, feeding ``observers`` (see
-    :func:`~repro.storage.cas.read_checkpoint`).  Without ``objstore`` a
+    Recovery alone (:meth:`~repro.db.TemporalXMLDatabase.open`) passes a
+    directory's ``objstore`` and, as ``source``, the pointer of the
+    generation to read through it, rolled by ``roll`` (see
+    :func:`~repro.storage.cas.read_checkpoint`); without ``objstore`` a
     directory or a pointer file is a :class:`StorageError` naming
-    ``open()``.
-    ``store`` is an empty :class:`TemporalDocumentStore` the caller built
-    with whatever tuning it wants (default: a default-configured one).
+    ``open()``.  ``store`` is an empty :class:`TemporalDocumentStore` the
+    caller built with whatever tuning it wants (default: a default one).
     Document ids, XIDs, version numbers, timestamps, content and the
     clock are restored exactly.  The whole source is decoded and
     verified before the first document is installed, so a load that
     raises leaves ``store`` untouched.  ``verify`` (default) checks an
     archive's whole-file CRC footer and per-document ``checksum``
-    attributes when present; archives written before checksums existed
-    still load.
-    An archive's indexes are *not* rebuilt here — attach observers and
-    call :func:`replay_history` (or use
+    attributes when present (archives written before checksums existed
+    still load).  An archive's indexes are *not* rebuilt here: attach
+    observers and call :func:`replay_history` (or use
     :meth:`repro.db.TemporalXMLDatabase.load`)."""
     if objstore is not None:
         from .cas import read_checkpoint
 
         return read_checkpoint(objstore, store=store, pointer=str(source),
-                               observers=observers)
+                               roll=roll)
     store = empty_store(store)
     archive, path = _as_archive(source, verify=verify, fs=fs)
     if archive.get("format") != FORMAT_VERSION:
@@ -245,12 +241,11 @@ def build_record(
     where=None,
 ):
     """One decoded document (identity, version index ``(number,
-    timestamp)`` pairs, delta scripts in redo or completed form) as a
-    :class:`DocumentRecord` that no store knows about yet, its trees left
-    to :func:`fill_record`; raises :class:`StorageError` when the pieces
-    do not fit together.  What a roll's order rests on is checked before
-    any roll: deltas that connect the versions, a deletion after the
-    last one and no commit after the archived ``clock`` (else
+    timestamp)`` pairs, redo or completed deltas) as a
+    :class:`DocumentRecord` no store knows yet, its trees left to
+    :func:`fill_record`.  What a roll's order rests on is checked before
+    any roll: deltas that connect the versions, no deletion before the
+    last one, no commit after the archived ``clock`` (else
     :class:`CorruptArchiveError` naming ``where``)."""
     where = where or f"archive document {name!r}"
     record = DocumentRecord(doc_id, name, allocator=XIDAllocator(nextxid))
@@ -262,16 +257,12 @@ def build_record(
             f"{where}: {len(deltas)} delta(s) do not connect its "
             f"{last.number} version(s)"
         )
-    if deleted_at is not None and deleted_at <= last.timestamp:
-        raise CorruptArchiveError(
-            f"{where}: deleted at {format_timestamp(deleted_at)}, not after "
-            f"its version {last.number} at {format_timestamp(last.timestamp)}"
-        )
     end = last.timestamp if deleted_at is None else deleted_at
-    if end > clock:
+    if not last.timestamp <= end <= clock:
         raise CorruptArchiveError(
-            f"{where}: a commit at {format_timestamp(end)}, after the "
-            f"archived clock {format_timestamp(clock)}"
+            f"{where}: version {last.number} at {format_timestamp(last.timestamp)}"
+            f", its last commit at {format_timestamp(end)} and the archived "
+            f"clock {format_timestamp(clock)} are out of order"
         )
     record.dindex.deleted_at = deleted_at
     record.deltas.update(deltas)
@@ -294,33 +285,7 @@ def fill_record(record, current_root, snapshots):
     return record
 
 
-# -- rolling histories ----------------------------------------------------------
-
-
-def roll_histories(histories, observers=(),
-                   where=lambda record, number: f"document {record.name!r}"):
-    """Roll histories ``(record, version 1 to edit in place, snapshot
-    numbers to copy)`` forward together; returns ``{doc id: (final tree,
-    {number: snapshot tree})}``.  Each of ``record.deltas`` (redo or
-    completed) is applied once and each commit fired at ``observers`` in
-    global ``(timestamp, doc_id)`` order, the documents' streams merged
-    lazily (one tree per document alive).  A delta that does not apply
-    is a :class:`CorruptArchiveError` naming ``where(record, number)``,
-    after the observers saw part of the roll."""
-    ends = {}
-    streams = [
-        _commits(record, first, snapshots, ends, where)
-        for record, first, snapshots in histories
-    ]
-    for event in heapq.merge(
-        *streams, key=lambda event: (event.timestamp, event.doc_id)
-    ):
-        for observer in observers:
-            observer.document_committed(event)
-    return ends
-
-
-def _commits(record, root, wanted, ends, where):
+def _commits(record, root, wanted, where, ends):
     """``record``'s commit events, rolling ``root`` in place; its final
     tree and snapshot copies land in ``ends``."""
     # apply_script decodes the payloads it inserts, so the rolled tree never
@@ -335,8 +300,8 @@ def _commits(record, root, wanted, ends, where):
                 root = apply_script(root, script, index, parents)
             except StorageError as exc:  # a delta or payload that is wrong
                 raise CorruptArchiveError(
-                    f"{where(record, entry.number - 1)}: the delta from "
-                    f"version {entry.number - 1} does not apply ({exc})"
+                    f"{where}: the delta from version {entry.number - 1} "
+                    f"does not apply ({exc})"
                 ) from None
         if entry.number in wanted:
             snapshots[entry.number] = root.copy()
@@ -354,12 +319,15 @@ def _commits(record, root, wanted, ends, where):
         )
 
 
-def first_version(record):
-    """``record``'s version 1, a tree of its own, walked back through the
-    inverted deltas from its earliest snapshot or current version
-    without counting a read."""
+def first_version(record, copy=True):
+    """``record``'s version 1 without counting a read, walked back through
+    the inverted deltas from its earliest snapshot or current version: a
+    tree of its own, or without ``copy`` the stored tree itself when that
+    is version 1 (the checkpoint writer only encodes it)."""
     start = min(record.snapshots, default=record.dindex.current_number)
     tree = record.snapshots[start] if record.snapshots else record.current_root
+    if start == 1 and not copy:
+        return tree
     root = tree.copy()
     index = {node.xid: node for node in root.iter()}
     for at in range(start - 1, 0, -1):
@@ -367,16 +335,31 @@ def first_version(record):
     return root
 
 
-def replay_history(store, observers):
-    """Re-fire every commit of ``store`` at ``observers`` (index
-    rebuild): :func:`roll_histories` from each :func:`first_version`, so
-    no read is counted.  Events are as :class:`CommitEvent` describes
-    for a roll."""
-    roll_histories(
-        [(record, first_version(record), ())
-         for record in store.repository.records()],
-        observers,
-    )
+def replay_history(store, observers=(), histories=None):
+    """Re-fire every commit at ``observers`` (index rebuild), rolling
+    histories ``(record, version 1 to edit in place, snapshot numbers to
+    copy, what an error names)`` forward together: by default each of
+    ``store``'s records from its :func:`first_version`, so no read is
+    counted; a checkpoint load passes its own.  Each delta (redo or
+    completed) is applied once and each commit fired in global
+    ``(timestamp, doc_id)`` order, one tree per document alive (see
+    :class:`CommitEvent`).  Returns ``{doc id: (final tree, {number:
+    snapshot tree})}``.  A delta that does not apply is a
+    :class:`CorruptArchiveError` naming its history, after the observers
+    saw part of the roll."""
+    if histories is None:
+        histories = [
+            (record, first_version(record), (), f"document {record.name!r}")
+            for record in store.repository.records()
+        ]
+    ends = {}
+    streams = [_commits(*history, ends) for history in histories]
+    for event in heapq.merge(
+        *streams, key=lambda event: (event.timestamp, event.doc_id)
+    ):
+        for observer in observers:
+            observer.document_committed(event)
+    return ends
 
 
 # -- checksums ----------------------------------------------------------------
@@ -530,7 +513,7 @@ def _decode_document(doc, clock_now, path=None):
             f"archive document {name!r} has no current version"
         )
     deleted = doc.get("deleted")
-    record = build_record(
+    return fill_record(build_record(
         doc_id=_int_field(doc, "id", "document id", path),
         name=name,
         nextxid=_int_field(doc, "nextxid", f"document {name!r} nextxid", path),
@@ -538,5 +521,4 @@ def _decode_document(doc, clock_now, path=None):
         entries=entries,
         deltas=deltas,
         clock=clock_now,
-    )
-    return fill_record(record, current_root, snapshots)
+    ), current_root, snapshots)

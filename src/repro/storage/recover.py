@@ -50,10 +50,9 @@ from ..model.identifiers import XIDAllocator
 from .cas import check_root
 from .checkpoint import JOURNAL_FILE, PREV_SUFFIX
 from .journal import MAGIC, check_head, scan_journal
-# benchmarks/e2e/trace.py wraps replay_history here, beside the loaders.
-from .persistence import empty_store, load_store, replay_history  # noqa: F401
+from .persistence import empty_store, load_store, replay_history
 from .repository import DocumentRecord
-from .store import CommitEvent
+from .store import CommitEvent, TemporalDocumentStore
 
 
 @dataclass
@@ -75,53 +74,61 @@ class RecoveryReport:
     journals: list = field(default_factory=list)
 
 
-def recover_store(objstore, store=None, repair=True, fresh=None):
-    """Recover the database directory ``objstore`` lives in; returns
-    ``(store, report)``.
-
-    ``objstore`` is the directory's :class:`~repro.storage.cas.CASObjectStore`
-    (its ``directory`` and ``fs`` are the ones read): the checkpoint is
-    read through it, so its counters hold what recovery read and its
-    ``published`` describes the loaded checkpoint.  ``fresh()`` returns
-    an empty store and the observers (index instances) to feed, once
-    per generation tried (once when there is none); by default ``store``
-    (an empty store the caller built, or a default one), which a failed
-    generation leaves untouched, and no observer.  ``repair`` physically
-    truncates a torn tail off ``journal.bin`` so the journal can be
-    reopened for appends.  A directory of another format raises
-    :class:`~repro.errors.UnsupportedFormatError` (see
-    :func:`refuse_other_formats`), and one whose every generation fails
-    :class:`CorruptArchiveError` listing their errors.
-    """
-    fresh = fresh or (lambda: (empty_store(store), ()))
+def recover_store(objstore, repair=True,
+                  fresh=lambda: (TemporalDocumentStore(), ())):
+    """Recover the database directory of ``objstore`` (its
+    :class:`~repro.storage.cas.CASObjectStore`, whose ``fs`` is read and
+    whose counters and ``published`` then describe what was loaded);
+    returns ``(store, report)``.  ``fresh()`` returns an empty store and
+    the observers (index instances) to feed, once per generation tried
+    (once when there is none): a generation rolls through
+    :func:`replay_history` into both, and one that fails is dropped with
+    them.  ``repair`` truncates a torn tail off ``journal.bin`` so the
+    journal can be reopened for appends.  A directory of another format
+    raises :class:`~repro.errors.UnsupportedFormatError` (see
+    :func:`refuse_other_formats`)."""
     refuse_other_formats(objstore)
-    fs = objstore.fs
     report = RecoveryReport()
-    for suffix, label in (("", "checkpoint"), (PREV_SUFFIX, "previous")):
-        path = objstore.pointer + suffix
-        if not fs.exists(path):
-            continue
+
+    def load(path):
         target, observers = fresh()
-        try:
-            load_store(path, store=target, fs=fs, objstore=objstore,
-                       observers=observers)
-        except UnsupportedFormatError:
-            raise
-        except (StorageError, OSError) as exc:
-            report.checkpoint_errors.append(f"{label}: {exc}")
-            continue
-        report.checkpoint_source = label
-        break
-    else:
-        if report.checkpoint_errors:
-            raise CorruptArchiveError(
-                "no checkpoint generation loads ("
-                + "; ".join(report.checkpoint_errors) + ")"
-            )
-        target, observers = fresh()
+        return load_store(
+            path, store=target, fs=objstore.fs, objstore=objstore,
+            roll=lambda histories: replay_history(target, observers, histories),
+        ), observers
+
+    found = first_generation(objstore.fs, {
+        objstore.pointer: "checkpoint",
+        objstore.pointer + PREV_SUFFIX: "previous",
+    }, load, report.checkpoint_errors)
+    if found is None:  # the journal holds the whole history
+        found = "none", fresh()
+        empty_store(found[1][0])
+    report.checkpoint_source, (target, observers) = found
     replay_journals(target, objstore, observers, repair, report)
     report.documents = len(target.repository.records())
     return target, report
+
+
+def first_generation(fs, labels, load, errors):
+    """``(label, load(path))`` of the first path of ``labels`` that
+    exists on ``fs`` and loads, ``None`` when none exists.  Each that
+    fails adds ``"label: error"`` to ``errors``, and when all do
+    :class:`CorruptArchiveError` lists them."""
+    for path, label in labels.items():
+        if not fs.exists(path):
+            continue
+        try:
+            return label, load(path)
+        except UnsupportedFormatError:
+            raise
+        except (StorageError, OSError) as exc:
+            errors.append(f"{label}: {exc}")
+    if errors:
+        raise CorruptArchiveError(
+            "no checkpoint generation loads (" + "; ".join(errors) + ")"
+        )
+    return None
 
 
 def refuse_other_formats(objstore):

@@ -44,13 +44,13 @@ class CommitEvent:
     (``None`` for creates), ``script`` the completed delta (updates only).
     Observers must not mutate the trees.
 
-    Events rolled from stored history — a checkpoint load's one roll,
-    or :func:`~repro.storage.persistence.replay_history` after an
-    archive load, both :func:`~repro.storage.persistence.roll_histories`
-    — roll one tree per document in place: their roots are borrowed for
-    the ``document_committed`` call only — an observer that keeps one
-    must copy it — and their updates carry ``old_root=None``.  A rolled
-    ``delete`` still carries the document's final tree as ``old_root``.
+    Events replayed from stored history
+    (:func:`~repro.storage.persistence.replay_history`, also a checkpoint
+    load's roll) roll one tree per document in place: their roots are
+    borrowed for the ``document_committed`` call only — an observer that
+    keeps one must copy it — and their updates carry ``old_root=None``.
+    A replayed ``delete`` still carries the document's final tree as
+    ``old_root``.
     """
 
     kind: str

@@ -347,7 +347,9 @@ class TestSilentCorruption:
         flip_bit(objstore.object_path(doc_hashes[-1]), 30)
 
         store = TemporalDocumentStore()
-        recovered, report = recover_store(CASObjectStore(directory), store=store)
+        recovered, report = recover_store(
+            CASObjectStore(directory), fresh=lambda: (store, ())
+        )
         assert recovered is store
         assert report.checkpoint_source == "previous"
         assert len(report.checkpoint_errors) == 1

@@ -226,7 +226,7 @@ class TestAttachObservesNeverSteers:
             db.checkpoint()
             _commit(db, range(VERSIONS // 2, VERSIONS))
             db.close()
-            recover_store(CASObjectStore(tmp_path), store=restored)
+            recover_store(CASObjectStore(tmp_path), fresh=lambda: (restored, ()))
         if how != "recover-attached-first":
             attached = attach(restored, DiskSimulator(clustered=True))
 

@@ -165,7 +165,7 @@ class TestRestoreIntoCallerStore:
             else:
                 read_checkpoint(objstore, store=target)
         with pytest.raises(StorageError, match="already holds documents"):
-            recover_store(CASObjectStore(tmp_path), store=target)
+            recover_store(CASObjectStore(tmp_path), fresh=lambda: (target, ()))
         assert target.documents() == ["mine.xml"]
 
     def test_detached_record_agrees_on_its_snapshots(self):
@@ -206,7 +206,8 @@ class TestRestoreIntoCallerStore:
         for loader in (load_store, read_checkpoint, recover_store):
             parameters = inspect.signature(loader).parameters
             assert not knobs & set(parameters), loader.__name__
-            assert "store" in parameters
+            # The caller builds the store: recovery's comes from fresh().
+            assert {"store", "fresh"} & set(parameters), loader.__name__
             assert not any(
                 p.kind is p.VAR_KEYWORD for p in parameters.values()
             ), loader.__name__
@@ -567,7 +568,6 @@ class TestCorruptedArchives:
             populated.documents(include_deleted=True)
         )
 
-
     def test_deleted_before_its_last_version(self, populated):
         """What a replay's commit order rests on is checked on load, so
         the index rebuild never meets an empty lifetime."""
@@ -576,13 +576,31 @@ class TestCorruptedArchives:
         last = [v for v in doc.child_elements() if v.tag == "version"][-1]
         doc.set("deleted", str(int(last.get("ts")) - 1))
         doc.set("checksum", f"{document_checksum(doc):08x}")
-        with pytest.raises(CorruptArchiveError, match="not after its version"):
+        with pytest.raises(CorruptArchiveError, match="out of order"):
             load_store(archive)
+
+    def test_deleted_at_its_last_version_round_trips(self, tmp_path):
+        """A put and a delete at one instant are accepted online, so a
+        checkpoint and an archive of them load again."""
+        db = TemporalXMLDatabase.open(tmp_path / "db", durability="fsync")
+        ts = parse_date("05/01/2003")
+        db.put("a.xml", "<doc><x>one</x></doc>", ts=ts)
+        db.delete("a.xml", ts=ts)
+        db.checkpoint()
+        db.close()
+        reopened = TemporalXMLDatabase.open(tmp_path / "db", durability="none")
+        assert reopened.recovery.checkpoint_source == "checkpoint"
+        assert reopened.recovery.records_replayed == 0
+        assert reopened.store.record("a.xml").dindex.deleted_at == ts
+        reopened.save(tmp_path / "a.xml")
+        loaded = TemporalXMLDatabase.load(tmp_path / "a.xml")
+        assert loaded.store.record("a.xml").dindex.deleted_at == ts
+        assert len(loaded.lifetime) == len(reopened.lifetime) > 0
 
     def test_clock_before_a_version(self, populated):
         archive = dump_store(populated)
         archive.set("clock", "1")
-        with pytest.raises(CorruptArchiveError, match="after the archived"):
+        with pytest.raises(CorruptArchiveError, match="out of order"):
             load_store(archive)
 
 

@@ -113,7 +113,7 @@ def test_recovery_from_the_journal_alone_reproduces_it(name, tmp_path):
     assert sorted(p.name for p in directory.iterdir()) == ["journal.bin"]
     store, report = recover_store(
         CASObjectStore(directory),
-        store=TemporalDocumentStore(snapshot_interval=4),
+        fresh=lambda: (TemporalDocumentStore(snapshot_interval=4), ()),
     )
     assert report.checkpoint_source == "none"
     assert fingerprint(store) == recorded
@@ -131,7 +131,7 @@ def test_recovery_from_a_checkpoint_alone_reproduces_it(name, tmp_path):
     ]
     store, report = recover_store(
         CASObjectStore(directory),
-        store=TemporalDocumentStore(snapshot_interval=4),
+        fresh=lambda: (TemporalDocumentStore(snapshot_interval=4), ()),
     )
     assert report.checkpoint_source == "checkpoint"
     assert report.records_scanned == 0
